@@ -22,8 +22,8 @@
 //! ```
 //!
 //! Under [`Fusion::NodeAtATime`] the identical expression executes one
-//! sweep per node — the baseline the `perf_suite` fused-vs-unfused rows
-//! and the parity suite compare against.
+//! sweep per node — the baseline the benchmark's `grb.pagerank_unfused_ms`
+//! probe and the parity suite compare against.
 //!
 //! The paper's evaluation fixes the configuration to at most 10 iterations,
 //! α = 0.85 and tolerance 1e-9; those are the defaults of

@@ -14,8 +14,8 @@ use std::time::Duration;
 use bitgblas_bitops::pack::{pack_tile_colmajor, pack_tile_rowmajor};
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmv_bin_bin_bin, bmv_bin_bin_bin_masked, bmv_bin_bin_full, bmv_bin_full_full, pack_vector_bits,
-    pack_vector_tilewise,
+    bmv_bin_bin_bin, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full, bmv_bin_full_full,
+    pack_vector_bits, pack_vector_tilewise,
 };
 use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
@@ -62,7 +62,11 @@ fn ablation_benches(c: &mut Criterion) {
     let visited: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
     let mask8 = pack_vector_bits::<u8>(&visited, 8);
     group.bench_function("masking/fused_in_kernel", |b| {
-        b.iter(|| bmv_bin_bin_bin_masked(&b8, &x8, &mask8));
+        b.iter(|| {
+            let mut y = vec![0u8; b8.n_tile_rows()];
+            bmv_bin_bin_bin_masked_into(&b8, &x8, Some(&mask8), &mut y);
+            y
+        });
     });
     group.bench_function("masking/post_filter", |b| {
         b.iter(|| {

@@ -5,7 +5,8 @@
 //! (§VI); the Criterion benches in `benches/` provide statistically sound
 //! kernel timings for the same comparisons.  `EXPERIMENTS.md` in the
 //! workspace root records one captured run of every binary next to the
-//! paper's numbers.
+//! paper's numbers.  (Performance over time is measured by the repo
+//! benchmark in `benchmark/`, not here.)
 //!
 //! | Binary | Paper artefact |
 //! |---|---|
@@ -18,7 +19,6 @@
 //! | `table9_tc` | Table IX — Triangle Counting runtimes vs baseline |
 //! | `memstats` | §VI-C — memory transactions and L1 hit rates |
 //! | `conversion_overhead` | §III-B — CSR→B2SR conversion cost |
-//! | `perf_suite` | machine-readable perf trajectory (`BENCH_PR6.json`): BMV push/pull/auto, all five algorithms, fused vs unfused pipelines, batched vs sequential multi-source traversal and PPR, sharded-push thread scaling, open-loop serving rows |
 //!
 //! This library holds the small shared utilities: wall-clock timing with
 //! warm-up, geometric means, and the fixed matrix lists used by the tables.

@@ -2,8 +2,7 @@
 //!
 //! Each function documents the CUDA intrinsic it stands in for.  The functions
 //! operate on plain integers (or small arrays standing for warp register
-//! files), so they can be called both from the structured [`crate::warp`]
-//! model and directly from tight loops in the kernels.
+//! files), so they can be called directly from tight loops.
 
 /// The full-warp participation mask, equivalent to CUDA's `0xFFFFFFFF` mask
 /// argument of `__ballot_sync` / `__shfl_sync`.

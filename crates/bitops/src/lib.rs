@@ -13,30 +13,24 @@
 //! * `__shfl_sync()` — broadcast of a register value from one lane to the whole
 //!   warp (used to stream the B tile's bit-rows through every lane during BMM).
 //!
-//! No GPU is available in this environment, so this crate provides a faithful
-//! *software warp model*: a [`warp::Warp`] is a group of 32 lanes whose
-//! register state lives in plain arrays, and the intrinsics above are
-//! implemented as ordinary functions over those arrays ([`intrinsics`]).  The
-//! higher-level kernels in `bitgblas-core` are written against this model so
-//! that their structure mirrors the paper's CUDA listings (Listing 1 and 2)
-//! line for line, which is what makes the reproduction meaningful: the bit-level
-//! algorithms — AND + popcount dot products, ballot-based transposition,
-//! shuffle-broadcast matrix products — are exercised exactly as on the GPU,
-//! only the scheduling of warps differs (Rayon tasks instead of SM schedulers).
-//!
-//! The crate also provides the [`word::BitWord`] abstraction over the packing
+//! No GPU is available in this environment, so the reproduction runs these
+//! as ordinary word operations on the CPU.  The kernels in `bitgblas-core`
+//! are written against the [`word::BitWord`] abstraction over the packing
 //! word sizes used by the four B2SR variants (`u8` for 4×4 and 8×8 tiles,
-//! `u16` for 16×16, `u32` for 32×32) and the low-level packing helpers in
-//! [`pack`].
+//! `u16` for 16×16, `u32` for 32×32): one word is one tile row, `popcount`
+//! / `iter_ones` / bitwise AND-OR on it are the per-lane work of the
+//! paper's listings, and a tile-row of the matrix stands where a warp
+//! does (Rayon tasks instead of SM schedulers).  [`intrinsics`] holds the
+//! software forms of the CUDA intrinsics above — the ballot/brev pair is
+//! what [`pack`]'s tile packing and transposition are built from — and
+//! [`pack`] the low-level packing helpers.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod intrinsics;
 pub mod pack;
-pub mod warp;
 pub mod word;
 
 pub use intrinsics::{ballot, brev_u32, popc_u32, shfl, FULL_MASK};
-pub use warp::{Warp, WARP_SIZE};
 pub use word::{pack_chunk_u64_generic, BitWord};

@@ -199,7 +199,9 @@ impl<W: BitWord> B2sr<W> {
     }
 
     /// Number of set bits across all tiles — equals the nnz of the original
-    /// binary matrix.
+    /// binary matrix.  This is a popcount sweep over every tile word, not a
+    /// stored count: per-operation paths take the edge count from the CSR
+    /// view instead.
     pub fn nnz(&self) -> u64 {
         self.bit_tiles.iter().map(|w| w.popcount() as u64).sum()
     }
@@ -311,6 +313,22 @@ pub enum B2srMatrix {
     B32(B2sr<u32>),
 }
 
+/// The one per-width dispatch: evaluate `$body` with `$m` bound to the inner
+/// `&B2sr<W>` of a `&B2srMatrix`, once per variant, so `$body` is
+/// monomorphised for each packing word (call a function generic over
+/// `W: BitWord` to name the word type).
+macro_rules! with_b2sr {
+    ($matrix:expr, |$m:ident| $body:expr) => {
+        match $matrix {
+            $crate::b2sr::B2srMatrix::B4($m) => $body,
+            $crate::b2sr::B2srMatrix::B8($m) => $body,
+            $crate::b2sr::B2srMatrix::B16($m) => $body,
+            $crate::b2sr::B2srMatrix::B32($m) => $body,
+        }
+    };
+}
+pub(crate) use with_b2sr;
+
 impl B2srMatrix {
     /// Convert a binary CSR matrix into the requested B2SR variant.
     pub fn from_csr(csr: &Csr, size: TileSize) -> B2srMatrix {
@@ -332,64 +350,44 @@ impl B2srMatrix {
         }
     }
 
+    /// The inner matrix, when its packing word is `W` and its tile
+    /// dimension is `tile_dim` — how a kernel over several operands checks
+    /// they share one variant.
+    pub(crate) fn inner<W: BitWord>(&self, tile_dim: usize) -> Option<&B2sr<W>> {
+        with_b2sr!(self, |m| (m as &dyn std::any::Any)
+            .downcast_ref::<B2sr<W>>())
+        .filter(|m| m.tile_dim() == tile_dim)
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        match self {
-            B2srMatrix::B4(m) => m.nrows(),
-            B2srMatrix::B8(m) => m.nrows(),
-            B2srMatrix::B16(m) => m.nrows(),
-            B2srMatrix::B32(m) => m.nrows(),
-        }
+        with_b2sr!(self, |m| m.nrows())
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        match self {
-            B2srMatrix::B4(m) => m.ncols(),
-            B2srMatrix::B8(m) => m.ncols(),
-            B2srMatrix::B16(m) => m.ncols(),
-            B2srMatrix::B32(m) => m.ncols(),
-        }
+        with_b2sr!(self, |m| m.ncols())
     }
 
-    /// Number of set bits (nnz of the binary matrix).
+    /// Number of set bits (nnz of the binary matrix) — a popcount sweep over
+    /// every tile word, see [`B2sr::nnz`].
     pub fn nnz(&self) -> u64 {
-        match self {
-            B2srMatrix::B4(m) => m.nnz(),
-            B2srMatrix::B8(m) => m.nnz(),
-            B2srMatrix::B16(m) => m.nnz(),
-            B2srMatrix::B32(m) => m.nnz(),
-        }
+        with_b2sr!(self, |m| m.nnz())
     }
 
     /// Number of non-empty tiles.
     pub fn n_tiles(&self) -> usize {
-        match self {
-            B2srMatrix::B4(m) => m.n_tiles(),
-            B2srMatrix::B8(m) => m.n_tiles(),
-            B2srMatrix::B16(m) => m.n_tiles(),
-            B2srMatrix::B32(m) => m.n_tiles(),
-        }
+        with_b2sr!(self, |m| m.n_tiles())
     }
 
     /// Storage footprint in bytes.
     pub fn storage_bytes(&self) -> usize {
-        match self {
-            B2srMatrix::B4(m) => m.storage_bytes(),
-            B2srMatrix::B8(m) => m.storage_bytes(),
-            B2srMatrix::B16(m) => m.storage_bytes(),
-            B2srMatrix::B32(m) => m.storage_bytes(),
-        }
+        with_b2sr!(self, |m| m.storage_bytes())
     }
 
     /// Reconstruct the binary CSR matrix.
     pub fn to_csr(&self) -> Csr {
-        match self {
-            B2srMatrix::B4(m) => m.to_csr(),
-            B2srMatrix::B8(m) => m.to_csr(),
-            B2srMatrix::B16(m) => m.to_csr(),
-            B2srMatrix::B32(m) => m.to_csr(),
-        }
+        with_b2sr!(self, |m| m.to_csr())
     }
 
     /// Transpose, preserving the variant.
@@ -405,22 +403,12 @@ impl B2srMatrix {
     /// The upper-level tile structure as a `bitgblas-perfmodel` layout, for
     /// feeding this matrix into the memory-traffic model.
     pub fn layout(&self) -> bitgblas_perfmodel::B2srLayout {
-        macro_rules! to_layout {
-            ($m:expr) => {
-                bitgblas_perfmodel::B2srLayout::from_parts(
-                    $m.nrows(),
-                    $m.ncols(),
-                    $m.tile_dim(),
-                    $m.tile_colind().to_vec(),
-                )
-            };
-        }
-        match self {
-            B2srMatrix::B4(m) => to_layout!(m),
-            B2srMatrix::B8(m) => to_layout!(m),
-            B2srMatrix::B16(m) => to_layout!(m),
-            B2srMatrix::B32(m) => to_layout!(m),
-        }
+        with_b2sr!(self, |m| bitgblas_perfmodel::B2srLayout::from_parts(
+            m.nrows(),
+            m.ncols(),
+            m.tile_dim(),
+            m.tile_colind().to_vec(),
+        ))
     }
 }
 

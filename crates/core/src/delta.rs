@@ -15,11 +15,13 @@
 //!   untouched rows), plus the mirrored per-column view so both traversal
 //!   directions stay one lookup.
 //! * **Merge-on-read overlay** — [`DeltaOverlay`] implements
-//!   [`GrbBackend`] over `base ⊕ delta`: kernels run on the unchanged base
-//!   representation (B2SR bit kernels or float CSR), then only the dirty
-//!   rows are re-folded through a sorted merge of the base row and its
-//!   patch.  Traversals see the mutated graph with no rebuild and no
-//!   per-clean-row overhead.
+//!   [`GrbBackend`] over `base ⊕ delta`: it forwards each product — whole
+//!   fused pipelines included — to the unchanged base representation (B2SR
+//!   bit kernels or float CSR), then re-folds only the dirty rows through a
+//!   sorted merge of the base row and its patch and finishes them with the
+//!   pipeline's own store semantics ([`MxvPipeline::finish`]).  Traversals
+//!   see the mutated graph with no rebuild, no per-clean-row overhead and
+//!   no loss of operator fusion.
 //! * **Versioned publication** — a [`VersionCell`] owns `(epoch, base,
 //!   log, head)` behind one mutex; appends and compactions swap a fully
 //!   constructed head in a single critical section, so
@@ -59,8 +61,10 @@ use crate::grb::descriptor::Mask;
 use crate::grb::error::GrbError;
 use crate::grb::matrix::Backend;
 use crate::grb::op::Context;
+use crate::grb::plan::MxvPipeline;
 use crate::grb::workspace::Workspace;
 use crate::semiring::Semiring;
+use crate::shard::{ShardConfig, ShardPlan};
 
 /// The compaction fail point: fired once per [`VersionCell::compact`] with
 /// pending deltas, after the fold is staged but **before** any shared state
@@ -314,18 +318,17 @@ impl DeltaSnapshot {
 }
 
 /// A merge-on-read [`GrbBackend`] presenting `base ⊕ delta` without a
-/// rebuild: every kernel runs on the untouched base representation first,
-/// then re-folds only the dirty rows through the sorted patch merge.  The
-/// merged CSR views materialize lazily (first `csr()`/`csr_t()` call) for
-/// the fallback paths that need whole-matrix structure (`mxm_reduce_masked`,
-/// `out_degrees`).
+/// rebuild: every product runs on the untouched base representation first
+/// — the base executes the whole pipeline it is handed, fused or bare —
+/// then only the dirty rows are re-folded through the sorted patch merge
+/// and finished by [`MxvPipeline::finish`].  The merged CSR views
+/// materialize lazily (first `csr()`/`csr_t()` call) for the fallback paths
+/// that need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
 ///
 /// Push (sparse-frontier) sweeps delegate to the base's sharded scatter and
-/// patch the dirty output rows with the pull re-fold — exact, because the
-/// planner guarantees off-frontier operand entries contribute the semiring
-/// identity.  All remaining [`GrbBackend`] entry points decompose to these
-/// overridden kernels via the trait's node-at-a-time defaults, which keeps
-/// the overlay exact on every operation without reimplementing the engine.
+/// patch the dirty output rows with the same pull re-fold — exact, because
+/// the planner guarantees off-frontier operand entries contribute the
+/// semiring identity.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     base: Arc<dyn GrbBackend>,
@@ -354,74 +357,32 @@ impl DeltaOverlay {
         &self.delta
     }
 
-    /// Re-fold the dirty output rows of a single-vector product: `y[i] =
-    /// ⊕_{c ∈ merged row i} ⊗(x[c])` over the sorted merge of the base row
-    /// and its patch.  Masked-out rows are left as the base kernel wrote
-    /// them (the identity).
-    fn patch_rows(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        y: &mut [f32],
-    ) {
-        let staged = self.delta.staged(transpose ^ self.transposed);
-        if staged.is_empty() {
-            return;
-        }
-        let bcsr = if transpose {
+    /// The staged patches and the base CSR of the representation a product
+    /// with this `transpose` flag pulls from.
+    fn dirty(&self, transpose: bool) -> (&StagedRows, &Csr) {
+        let base = if transpose {
             self.base.csr_t()
         } else {
             self.base.csr()
         };
-        for (i, patch) in staged.iter() {
-            if mask.is_some_and(|m| !m.allows(i)) {
-                continue;
-            }
-            let (cols, _) = bcsr.row(i);
-            let mut acc = semiring.identity();
-            for_each_merged(cols, patch, &mut |c| {
-                acc = semiring.reduce(acc, semiring.combine(x[c]));
-            });
-            y[i] = acc;
-        }
+        (self.delta.staged(transpose ^ self.transposed), base)
     }
+}
 
-    /// The batched (`n × k` node-major) counterpart of
-    /// [`DeltaOverlay::patch_rows`], gated by the flat per-lane mask.
-    fn patch_lanes(
-        &self,
-        x: &[f32],
-        k: usize,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        out: &mut [f32],
-    ) {
-        let staged = self.delta.staged(transpose ^ self.transposed);
-        if staged.is_empty() {
-            return;
-        }
-        let bcsr = if transpose {
-            self.base.csr_t()
-        } else {
-            self.base.csr()
-        };
-        for (i, patch) in staged.iter() {
-            let (cols, _) = bcsr.row(i);
-            for l in 0..k {
-                if mask.is_some_and(|m| !m.allows(i * k + l)) {
-                    continue;
-                }
-                let mut acc = semiring.identity();
-                for_each_merged(cols, patch, &mut |c| {
-                    acc = semiring.reduce(acc, semiring.combine(x[c * k + l]));
-                });
-                out[i * k + l] = acc;
-            }
-        }
-    }
+/// The raw semiring value of one dirty output row: `⊕_{c ∈ merged row}
+/// ⊗(x(c))` over the sorted merge of the base row and its patch, in
+/// ascending column order — the fold a from-scratch build would run.
+fn refold(
+    cols: &[usize],
+    patch: &[(usize, bool)],
+    semiring: Semiring,
+    x: impl Fn(usize) -> f32,
+) -> f32 {
+    let mut acc = semiring.identity();
+    for_each_merged(cols, patch, &mut |c| {
+        acc = semiring.reduce(acc, semiring.combine(x(c)));
+    });
+    acc
 }
 
 impl GrbBackend for DeltaOverlay {
@@ -451,59 +412,26 @@ impl GrbBackend for DeltaOverlay {
             .get_or_init(|| self.delta.merge_csr(self.base.csr_t(), !self.transposed))
     }
 
-    fn mxv(&self, x: &[f32], semiring: Semiring, mask: Option<&Mask>, transpose: bool) -> Vec<f32> {
-        let mut y = self.base.mxv(x, semiring, mask, transpose);
-        self.patch_rows(x, semiring, mask, transpose, &mut y);
-        y
-    }
-
-    fn mxv_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.base.mxv_into(x, semiring, mask, transpose, ws, out);
-        self.patch_rows(x, semiring, mask, transpose, out);
-    }
-
-    fn mxv_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.base
-            .mxv_push_into(x, frontier, semiring, mask, transpose, ws, out);
-        self.patch_rows(x, semiring, mask, transpose, out);
+    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        self.base.mxv_into(p, ws, out);
+        let (staged, base) = self.dirty(p.transpose);
+        for (i, patch) in staged.iter() {
+            // A masked-out row finishes from the identity whatever its
+            // edges are: skip the fold.
+            let raw = if p.mask.is_some_and(|m| !m.allows(i)) {
+                p.semiring.identity()
+            } else {
+                refold(base.row(i).0, patch, p.semiring, |c| p.x[c])
+            };
+            out[i] = p.finish(i, raw);
+        }
     }
 
     fn mxm_into(
         &self,
         x: &[f32],
         k: usize,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.base.mxm_into(x, k, semiring, mask, transpose, ws, out);
-        self.patch_lanes(x, k, semiring, mask, transpose, out);
-    }
-
-    fn mxm_push_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: &[usize],
+        frontier: Option<&[usize]>,
         semiring: Semiring,
         mask: Option<&Mask>,
         transpose: bool,
@@ -511,8 +439,17 @@ impl GrbBackend for DeltaOverlay {
         out: &mut Vec<f32>,
     ) {
         self.base
-            .mxm_push_into(x, k, frontier, semiring, mask, transpose, ws, out);
-        self.patch_lanes(x, k, semiring, mask, transpose, out);
+            .mxm_into(x, k, frontier, semiring, mask, transpose, ws, out);
+        // The same re-fold per lane, gated by the flat per-lane mask
+        // (masked positions keep the identity the base wrote).
+        let (staged, base) = self.dirty(transpose);
+        for (i, patch) in staged.iter() {
+            for l in 0..k {
+                if mask.is_none_or(|m| m.allows(i * k + l)) {
+                    out[i * k + l] = refold(base.row(i).0, patch, semiring, |c| x[c * k + l]);
+                }
+            }
+        }
     }
 
     fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
@@ -520,6 +457,16 @@ impl GrbBackend for DeltaOverlay {
         // reference Triangle Counting kernel.
         float_ops::spgemm_masked_sum(self.csr(), b.csr_t(), mask.csr())
             .expect("operand dimensions checked by the caller")
+    }
+
+    /// An overlay is never compacted *into* — compaction builds a fresh
+    /// base and installs that base's plan — so there is nothing to install.
+    fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
+
+    /// The overlay reports no plan of its own: `Direction::Auto` prices its
+    /// pushes as serial (the base still shards them when it engages).
+    fn shard_plan(&self, _of_transpose: bool) -> Option<&ShardPlan> {
+        None
     }
 
     fn storage_bytes(&self) -> usize {
@@ -795,16 +742,67 @@ mod tests {
         assert_eq!(snap.merge_csr(&base.transpose(), true), expect.transpose());
     }
 
+    /// One pipeline through a backend, as bits.
+    fn run(b: &dyn GrbBackend, p: &MxvPipeline<'_>) -> Vec<u32> {
+        let mut out = Vec::new();
+        b.mxv_into(p, &Workspace::new(), &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn overlay_matches_scratch_build_on_kernels_and_views() {
-        let base = csr(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]);
+        use crate::b2sr::TileSize;
+        use crate::grb::expr::Stage;
+        use crate::semiring::BinaryOp;
+        use std::collections::BTreeSet;
+
+        // A graph spanning several tiles at every width, with a pending log
+        // that deletes base edges, inserts new ones and re-inserts a
+        // deleted one.
+        let n = 40;
+        let mut edges: BTreeSet<(usize, usize)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i * 7 + 3) % n)])
+            .collect();
+        let base = csr(n, &edges.iter().copied().collect::<Vec<_>>());
         let log = [
             EdgeDelta::insert(0, 4),
             EdgeDelta::delete(2, 3),
             EdgeDelta::insert(5, 2),
+            EdgeDelta::delete(9, 10),
+            EdgeDelta::insert(9, 10),
+            EdgeDelta::insert(33, 1),
+            EdgeDelta::delete(17, 2),
+            EdgeDelta::insert(39, 38),
         ];
-        let scratch = csr(6, &[(0, 1), (0, 4), (1, 2), (3, 0), (4, 5), (5, 2)]);
-        for backend in [Backend::default_bit(), Backend::FloatCsr] {
+        for d in &log {
+            match d.op {
+                DeltaOp::Insert => edges.insert((d.row, d.col)),
+                DeltaOp::Delete => edges.remove(&(d.row, d.col)),
+            };
+        }
+        let scratch = csr(n, &edges.iter().copied().collect::<Vec<_>>());
+
+        // Operands: a sparse Boolean frontier and a tropical distance
+        // vector (identity off the frontier, so push is exact).
+        let x_bool: Vec<f32> = (0..n).map(|i| (i % 3 == 0) as u8 as f32).collect();
+        let x_dist: Vec<f32> = (0..n)
+            .map(|i| {
+                if i % 4 == 1 {
+                    i as f32 * 0.5
+                } else {
+                    f32::INFINITY
+                }
+            })
+            .collect();
+        let w: Vec<f32> = (0..n).map(|i| (i % 6) as f32).collect();
+        let mask = Mask::new((0..n).map(|i| i % 5 != 0).collect());
+        let affine = [Stage::Affine { mul: 2.0, add: 1.0 }];
+
+        let backends = TileSize::ALL
+            .map(Backend::Bit)
+            .into_iter()
+            .chain([Backend::FloatCsr]);
+        for backend in backends {
             let a = Matrix::from_csr(&base, backend);
             let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
             let overlay = DeltaOverlay::new(Arc::from(a.state().clone_box()), snap);
@@ -812,29 +810,63 @@ mod tests {
             assert_eq!(overlay.nnz(), fresh.nnz());
             assert_eq!(overlay.csr(), fresh.csr());
             assert_eq!(overlay.csr_t(), fresh.csr_t());
-            let x: Vec<f32> = (0..6).map(|i| i as f32 * 0.5).collect();
-            for semiring in [Semiring::Boolean, Semiring::MinPlus(1.0)] {
-                for transpose in [false, true] {
-                    assert_eq!(
-                        overlay.mxv(&x, semiring, None, transpose),
-                        fresh.state().mxv(&x, semiring, None, transpose),
-                        "{backend:?} {semiring:?} transpose={transpose}"
-                    );
+
+            // Every pipeline shape — bare, fused stage, fused accumulator,
+            // all of it under a mask — pulls and pushes the same bits
+            // through the overlay as through the rebuilt matrix.
+            for (semiring, x) in [
+                (Semiring::Boolean, &x_bool),
+                (Semiring::MinPlus(1.0), &x_dist),
+            ] {
+                let frontier: Vec<usize> =
+                    (0..n).filter(|&i| !semiring.is_identity(x[i])).collect();
+                let min_w: Option<(BinaryOp, &[f32])> = Some((BinaryOp::Min, &w));
+                let shapes: [(&[Stage<'_>], _, Option<&Mask>); 5] = [
+                    (&[], None, None),
+                    (&[], None, Some(&mask)),
+                    (&affine, None, None),
+                    (&[], min_w, None),
+                    (&affine, min_w, Some(&mask)),
+                ];
+                for (stages, accum, mask) in shapes {
+                    for transpose in [false, true] {
+                        for frontier in [None, Some(frontier.as_slice())] {
+                            let p = MxvPipeline {
+                                x,
+                                frontier,
+                                semiring,
+                                mask,
+                                transpose,
+                                stages,
+                                accum,
+                            };
+                            assert_eq!(
+                                run(&overlay, &p),
+                                run(fresh.state(), &p),
+                                "{backend:?} {p:?}"
+                            );
+                        }
+                    }
                 }
             }
-            // Masked: dirty rows outside the mask keep the identity.
-            let mask = Mask::new((0..6).map(|i| i % 2 == 0).collect());
-            assert_eq!(
-                overlay.mxv(&x, Semiring::Boolean, Some(&mask), false),
-                fresh.state().mxv(&x, Semiring::Boolean, Some(&mask), false)
-            );
+
             // The transpose view flips orientation consistently.
             let tv = overlay.transpose_view();
             assert_eq!(tv.csr(), &fresh.csr().transpose());
-            assert_eq!(
-                tv.mxv(&x, Semiring::Boolean, None, false),
-                fresh.state().mxv(&x, Semiring::Boolean, None, true)
-            );
+            let p = MxvPipeline {
+                x: &x_bool,
+                frontier: None,
+                semiring: Semiring::Boolean,
+                mask: None,
+                transpose: false,
+                stages: &[],
+                accum: None,
+            };
+            let flipped = MxvPipeline {
+                transpose: true,
+                ..p
+            };
+            assert_eq!(run(&*tv, &p), run(fresh.state(), &flipped));
         }
     }
 

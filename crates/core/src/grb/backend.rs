@@ -1,67 +1,79 @@
 //! The pluggable storage/kernel backend trait and its two built-in
 //! implementations.
 //!
-//! [`GrbBackend`] is the extension point of the GrB layer: a backend owns a
-//! matrix's storage and supplies the kernel for every GraphBLAS operation.
-//! The layer ships two implementations —
+//! [`GrbBackend`] is the seam between the planner (`grb::plan`) and a storage
+//! format.  It lists what a backend must do and nothing else: report its
+//! shape and CSR views, run one single-vector product pipeline
+//! ([`GrbBackend::mxv_into`]), one batched product
+//! ([`GrbBackend::mxm_into`]), the masked product reduction of Triangle
+//! Counting, and expose its row-shard plans.  Every method is required — no
+//! provided body computes a product, so a backend can never drop silently
+//! to a slower path.  The layer ships two implementations —
 //!
 //! * [`BitB2sr`] — B2SR storage + the bit kernels of [`crate::kernels`]
 //!   (the paper's contribution);
-//! * [`FloatCsr`] — 32-bit-float CSR + the reference kernels of
-//!   `bitgblas-sparse` (the GraphBLAST/cuSPARSE stand-in baseline) —
+//! * [`FloatCsr`] — 32-bit-float CSR + row-parallel reference sweeps (the
+//!   GraphBLAST/cuSPARSE stand-in baseline) —
 //!
-//! and future backends (sharded, cached, batched) plug in by implementing
-//! the same trait; neither the [`super::Matrix`] object nor the algorithms
-//! know which one they are running on.
+//! plus the merge-on-read [`DeltaOverlay`](crate::delta::DeltaOverlay),
+//! which forwards to a base backend and re-folds its dirty rows.  Backends
+//! defined outside this crate implement the same fifteen methods; neither
+//! the [`super::Matrix`] object nor the algorithms know which one they are
+//! running on.
 //!
-//! The trait is object-safe: matrices hold a `Box<dyn GrbBackend>`, and
+//! The trait is object-safe: matrices hold an `Arc<dyn GrbBackend>`, and
 //! cross-backend operations (`mxm_reduce_masked` with mixed operands)
 //! negotiate through [`GrbBackend::as_any`] downcasts, falling back to the
 //! always-available CSR view when the operands' concrete types differ.
+//!
+//! # Sharded push execution
+//!
+//! Every push (sparse-frontier) product of both built-in backends runs
+//! through one routine, `push_scatter`: cut the ascending frontier at the
+//! plan's row-shard boundaries, decide — from the frontier and the plan
+//! alone, never from the thread count — whether the modelled scatter work
+//! dominates the fixed-order merge ([`worth_sharding`]), and either run the
+//! serial kernel once per segment into privatized buffers (checked out of
+//! the workspace pool *before* the fan-out, so workers never touch the pool)
+//! and merge them in ascending segment order, or run the serial kernel on
+//! the whole frontier.  Scratch and cut buffers cycle through the pool, so
+//! the sharded steady state stays allocation-free at `threads == 1` (the
+//! parallel path additionally pays the scoped thread spawns).
 
 use std::any::Any;
 use std::sync::OnceLock;
 
+use bitgblas_bitops::BitWord;
 use bitgblas_sparse::{ops as float_ops, Csr};
 
+use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::{
-    bmm_bin_bin_sum_masked, bmm_bin_bits_into, bmm_bin_bits_simd_into, bmm_bin_full_into,
-    bmm_bin_full_simd_into, bmm_push_bin_full, bmm_push_bin_full_sharded, bmm_push_bits,
-    bmm_push_bits_sharded, bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked,
-    bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into, bmv_bin_bin_bin_simd_into,
-    bmv_bin_full_full, bmv_bin_full_full_fused_into, bmv_bin_full_full_into,
-    bmv_bin_full_full_masked, bmv_bin_full_full_masked_into, bmv_bin_full_full_masked_simd_into,
-    bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_bin_sharded, bmv_push_bin_full,
-    bmv_push_bin_full_sharded, pack_vector_bits, pack_vector_bits_into, pack_vector_bits_simd_into,
-    pack_vector_tilewise, pack_vector_tilewise_into, pack_vector_tilewise_simd_into,
-    unpack_vector_bits,
+    bmm_bin_bin_sum_masked, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full, bmm_push_bits,
+    bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into, bmv_bin_full_full_fused_into,
+    bmv_bin_full_full_masked_into, bmv_bin_full_full_masked_simd_into, bmv_push_bin_bin,
+    bmv_push_bin_full, pack_vector_bits_into, pack_vector_bits_simd_into,
+    pack_vector_tilewise_into, pack_vector_tilewise_simd_into,
 };
-use crate::semiring::{BinaryOp, Semiring};
-use crate::shard::{worth_sharding, ShardConfig, ShardPlan};
+use crate::semiring::Semiring;
+use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
 
 use super::descriptor::Mask;
-use super::ewise;
-use super::expr::Stage;
 use super::matrix::Backend;
 use super::multivec::{lane_words_per_node, pack_lane_words_from};
 use super::plan::{self, MxvPipeline};
 use super::workspace::{Poolable, Workspace};
 
-use bitgblas_bitops::BitWord;
-
-/// A storage format plus the kernel family implementing every GraphBLAS
-/// operation on it.
+/// A storage format plus the kernels implementing the matrix products on
+/// it.
 ///
-/// All vector operands are dense `f32` slices (the GrB layer's [`super::Vector`]
-/// wraps one); binarized packing for the Boolean semiring happens inside the
-/// backend, where the storage format is known.  The `transpose` flags select
-/// the cached `Aᵀ` representation, so both traversal directions are one call.
-///
-/// The element-wise family (`reduce`, `ewise_add`, `ewise_mult`, `apply`,
-/// `select`) has semiring-generic default implementations; a backend only
-/// overrides them when it can do better (e.g. a future bit-packed frontier
-/// backend operating on words).
+/// All vector operands are dense `f32` slices (the GrB layer's
+/// [`super::Vector`] wraps one); binarized packing for the Boolean semiring
+/// happens inside the backend, where the storage format is known.  The
+/// `transpose` flags are in `mxv` convention (the planner folds the `vxm`
+/// flip in) and select the cached `Aᵀ` representation, so both traversal
+/// directions are one call.  Vector-only operations (`reduce`, `ewise_*`,
+/// `apply`, `select`) never reach a backend — the planner runs them.
 pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// The resolved backend kind (never [`Backend::Auto`]).
     fn kind(&self) -> Backend;
@@ -82,116 +94,39 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// The binary CSR view of `Aᵀ`, built and cached on first use.
     fn csr_t(&self) -> &Csr;
 
-    /// `y = A ⊕.⊗ x` (or `Aᵀ` with `transpose`), optionally masked.
-    fn mxv(&self, x: &[f32], semiring: Semiring, mask: Option<&Mask>, transpose: bool) -> Vec<f32>;
-
-    /// `y = x ⊕.⊗ A`, i.e. `mxv` along the opposite direction.
-    fn vxm(&self, x: &[f32], semiring: Semiring, mask: Option<&Mask>, transpose: bool) -> Vec<f32> {
-        self.mxv(x, semiring, mask, !transpose)
-    }
-
-    /// Pull-direction `mxv` writing into a caller-supplied buffer, with
-    /// scratch space drawn from (and returned to) the workspace pool.  The
-    /// backend sizes `out` itself; built-in backends allocate nothing when
-    /// the pool is warm.  The default delegates to the allocating [`mxv`]
-    /// for backends defined outside this crate.
+    /// Run one single-vector product pipeline: `out[i] = p.finish(i, t[i])`
+    /// where `t = A ⊕.⊗ p.x` (on `Aᵀ` with `p.transpose`), in as few sweeps
+    /// as the storage allows.  The backend sizes `out` itself and draws
+    /// scratch from (and returns it to) the workspace pool.
     ///
-    /// [`mxv`]: GrbBackend::mxv
-    fn mxv_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let _ = ws;
-        let y = self.mxv(x, semiring, mask, transpose);
-        out.clear();
-        out.extend_from_slice(&y);
-    }
+    /// * `p.frontier` is the direction: `None` is the dense pull sweep;
+    ///   `Some(active indices, ascending)` is the push scatter, which
+    ///   traverses only those entries' edges and walks the *opposite*
+    ///   representation from the pull sweep (a pure-push `vxm` traversal
+    ///   never builds `Aᵀ`).  The planner only requests push for
+    ///   [`Semiring::push_safe`] semirings.
+    /// * Empty `p.stages` and no `p.accum` is the bare (masked) product —
+    ///   what [`Fusion::NodeAtATime`](super::Fusion::NodeAtATime) and
+    ///   partially fused push shapes ask for.
+    /// * Anything else is a fused pipeline the planner proved fusable (see
+    ///   `grb::plan`); [`MxvPipeline::finish`] is the single definition of
+    ///   its store semantics.
+    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
 
-    /// Push-direction (sparse-frontier) `mxv`: `frontier` lists, in
-    /// ascending order, the indices of `x` whose value differs from the
-    /// semiring identity.  Only those entries' edges are traversed and
-    /// scattered into `out`; cost is proportional to the frontier's edge
-    /// count instead of the whole matrix.
+    /// Batched matrix × multivector: `out = A ⊕.⊗ X` (or `Aᵀ` with
+    /// `transpose`) where `x` is a flat node-major `n × k` frontier matrix
+    /// (`x[i*k + l]` = node `i`, lane `l`) — `k` simultaneous traversals
+    /// advanced by **one** sweep that loads each tile once and applies it
+    /// to every lane.
     ///
-    /// Only exact for [`Semiring::push_safe`] semirings (the `Op` layer
-    /// coerces unsafe requests back to pull).  The default implementation
-    /// falls back to the pull sweep, so external backends stay correct
-    /// without opting in.
-    #[allow(clippy::too_many_arguments)]
-    fn mxv_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let _ = frontier;
-        self.mxv_into(x, semiring, mask, transpose, ws, out);
-    }
-
-    /// Pull-direction `vxm` writing into a caller-supplied buffer.  The
-    /// default dispatches through the allocating [`vxm`] so an external
-    /// backend's `vxm` override keeps taking effect; the built-in backends
-    /// override this with the pooled `mxv_into(!transpose)` equivalence.
-    ///
-    /// [`vxm`]: GrbBackend::vxm
-    fn vxm_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let _ = ws;
-        let y = self.vxm(x, semiring, mask, transpose);
-        out.clear();
-        out.extend_from_slice(&y);
-    }
-
-    /// Push-direction (sparse-frontier) `vxm`; see [`mxv_push_into`].  The
-    /// default falls back to the pull-direction [`vxm_into`] (preserving
-    /// any `vxm` override); built-in backends scatter the rows of `A`
-    /// directly.
-    ///
-    /// [`mxv_push_into`]: GrbBackend::mxv_push_into
-    /// [`vxm_into`]: GrbBackend::vxm_into
-    #[allow(clippy::too_many_arguments)]
-    fn vxm_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let _ = frontier;
-        self.vxm_into(x, semiring, mask, transpose, ws, out);
-    }
-
-    /// Batched pull-direction matrix × multivector (PR 4): `out = A ⊕.⊗ X`
-    /// (or `Aᵀ` with `transpose`) where `x` is a flat node-major `n × k`
-    /// frontier matrix (`x[i*k + l]` = node `i`, lane `l`) — `k`
-    /// simultaneous traversals advanced by **one** matrix sweep that loads
-    /// each tile once and applies it to every lane.
-    ///
-    /// `mask` is the flat per-lane output mask (length `produced · k`,
-    /// position `i*k + l` gates node `i` of lane `l`); masked-out positions
-    /// produce the semiring identity.  The backend sizes `out` itself
-    /// (`produced · k` entries).  The default decomposes into `k`
-    /// single-vector [`mxv_into`] calls — the node-at-a-time fallback that
-    /// keeps mixed/external backends exact without opting in.
+    /// `frontier` is the direction, as for [`mxv_into`]: `Some` lists, in
+    /// ascending order, the *node* indices with at least one lane differing
+    /// from the semiring identity; only those nodes' edges are traversed and
+    /// each edge scatters all `k` lane contributions at once.  `mask` is the
+    /// flat per-lane output mask (length `produced · k`, position `i*k + l`
+    /// gates node `i` of lane `l`); masked-out positions produce the
+    /// semiring identity.  The backend sizes `out` itself (`produced · k`
+    /// entries).
     ///
     /// [`mxv_into`]: GrbBackend::mxv_into
     #[allow(clippy::too_many_arguments)]
@@ -199,106 +134,13 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
         &self,
         x: &[f32],
         k: usize,
+        frontier: Option<&[usize]>,
         semiring: Semiring,
         mask: Option<&Mask>,
         transpose: bool,
         ws: &Workspace,
         out: &mut Vec<f32>,
-    ) {
-        let produced = if transpose {
-            self.ncols()
-        } else {
-            self.nrows()
-        };
-        let contracted = x.len() / k;
-        let mut lane: Vec<f32> = ws.take_empty();
-        let mut lane_out: Vec<f32> = ws.take_empty();
-        out.clear();
-        out.resize(produced * k, semiring.identity());
-        for l in 0..k {
-            lane.clear();
-            lane.extend((0..contracted).map(|i| x[i * k + l]));
-            // Restrict the flat per-lane mask to this lane.
-            let lane_mask =
-                mask.map(|m| Mask::new((0..produced).map(|i| m.allows(i * k + l)).collect()));
-            self.mxv_into(
-                &lane,
-                semiring,
-                lane_mask.as_ref(),
-                transpose,
-                ws,
-                &mut lane_out,
-            );
-            for (i, &v) in lane_out.iter().enumerate() {
-                out[i * k + l] = v;
-            }
-        }
-        ws.give(lane);
-        ws.give(lane_out);
-    }
-
-    /// Batched push-direction (sparse-frontier) matrix × multivector:
-    /// `frontier` lists, in ascending order, the *node* indices with at
-    /// least one lane differing from the semiring identity; only those
-    /// nodes' edges are traversed, and each edge scatters all `k` lane
-    /// contributions at once.  Only exact for [`Semiring::push_safe`]
-    /// semirings (the planner coerces unsafe requests back to pull).  The
-    /// default falls back to the pull-direction [`mxm_into`], so external
-    /// backends stay correct without opting in.
-    ///
-    /// [`mxm_into`]: GrbBackend::mxm_into
-    #[allow(clippy::too_many_arguments)]
-    fn mxm_push_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let _ = frontier;
-        self.mxm_into(x, k, semiring, mask, transpose, ws, out);
-    }
-
-    /// Execute one fused matrix-vector pipeline (PR 3, GraphBLAS
-    /// non-blocking mode): the planner hands the backend a whole
-    /// `mxv → stages → accum` chain ([`MxvPipeline`]) and the backend runs
-    /// it in as few sweeps as its storage allows.  The store semantics are
-    /// defined by [`MxvPipeline::finish`]; the planner only emits shapes it
-    /// proved fusable (see `grb::plan`).
-    ///
-    /// The default decomposes into the node-at-a-time entry points — the
-    /// product sweep, then the collapsed epilogue as one pass — so external
-    /// backends stay correct without opting in.  Built-in backends override
-    /// with single-sweep kernels whose semiring is dispatched once per call
-    /// instead of once per edge.
-    fn mxv_fused_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
-            Some(frontier) => {
-                self.mxv_push_into(p.x, frontier, p.semiring, p.mask, p.transpose, ws, out)
-            }
-            None => self.mxv_into(p.x, p.semiring, p.mask, p.transpose, ws, out),
-        }
-        p.finish_in_place(out);
-    }
-
-    /// Run a collapsed element-wise chain (`out[i] = w[i] ⊕
-    /// stages(out[i])`) in place — the planner's entry point for ewise
-    /// chains and for the epilogue of partially-fused push pipelines.  The
-    /// default is the shared serial sweep; built-in backends parallelise
-    /// long vectors, and a future bit-packed frontier backend could operate
-    /// on words.
-    fn ewise_chain_into(
-        &self,
-        stages: &[Stage<'_>],
-        accum: Option<(BinaryOp, &[f32])>,
-        out: &mut [f32],
-    ) {
-        plan::run_chain_in_place(stages, accum, out);
-    }
+    );
 
     /// `Σ_{(i,j) ∈ mask} (A · B)[i][j]` over the arithmetic semiring — the
     /// Triangle Counting primitive.  `b` and `mask` may be any backend; the
@@ -306,63 +148,20 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// when the concrete types (or tile sizes) differ.
     fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64;
 
-    /// Reduce a vector with the semiring's additive monoid.
-    fn reduce(&self, x: &[f32], semiring: Semiring) -> f32 {
-        semiring.reduce_slice(x)
-    }
-
-    /// Element-wise `out[i] = a[i] ⊕ b[i]` with the additive monoid.
-    fn ewise_add(&self, a: &[f32], b: &[f32], semiring: Semiring) -> Vec<f32> {
-        ewise::ewise_add_slices(a, b, semiring)
-    }
-
-    /// Element-wise `out[i] = a[i] ⊗ b[i]` with the multiplicative op.
-    fn ewise_mult(&self, a: &[f32], b: &[f32], semiring: Semiring) -> Vec<f32> {
-        ewise::ewise_mult_slices(a, b, semiring)
-    }
-
-    /// Apply a unary function to every entry (GraphBLAS `apply`).
-    fn apply(&self, x: &[f32], f: &dyn Fn(f32) -> f32) -> Vec<f32> {
-        x.iter().map(|&v| f(v)).collect()
-    }
-
-    /// Indicator of the entries satisfying a predicate (GraphBLAS `select`).
-    fn select(&self, x: &[f32], pred: &dyn Fn(f32) -> bool) -> Vec<f32> {
-        x.iter().map(|&v| if pred(v) { 1.0 } else { 0.0 }).collect()
-    }
-
-    /// Precompute the row-shard partition of the scatter representations
-    /// (PR 5): called once at [`Matrix`](super::Matrix) construction with
-    /// the context's [`ShardConfig`], so the sharded parallel push engine
-    /// has its plan before the first traversal.  The default is a no-op —
-    /// external backends without a sharded scatter stay on their serial
-    /// push paths.
-    fn prepare_shards(&self, cfg: ShardConfig) {
-        let _ = cfg;
-    }
-
-    /// Install the scatter plan of a freshly *compacted* backend (PR 8):
-    /// derive it incrementally from the pre-compaction plan `prev` — clean
-    /// shard boundaries are kept verbatim and only the runs intersecting
-    /// `dirty_rows` are recut ([`ShardPlan::replan_rows`]) — falling back
-    /// to a full [`prepare_shards`](GrbBackend::prepare_shards) pass when
-    /// no prior plan exists.  The default does the full pass, which keeps
-    /// external backends correct without opting in.
-    fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]) {
-        let _ = (prev, dirty_rows);
-        self.prepare_shards(cfg);
-    }
+    /// Install the row-shard plan of the forward scatter representation
+    /// (`A`'s rows, the `vxm` push hot path) — the one shard hook, called
+    /// once per built backend: by [`Matrix`](super::Matrix) construction
+    /// with no `prev`, and by compaction with the pre-compaction plan, from
+    /// which clean shard boundaries are kept verbatim and only the runs
+    /// intersecting `dirty_rows` are recut ([`ShardPlan::replan_rows`]).  A
+    /// backend without a sharded scatter ignores the call.
+    fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]);
 
     /// The row-shard plan of a scatter representation, if one has been
     /// built: `of_transpose` selects the plan over `Aᵀ`'s rows (the `mxv`
-    /// push representation) instead of `A`'s (the `vxm` push
-    /// representation).  Introspection only — `None` means the sharded
-    /// engine is inactive for that representation (serial config, tiny
-    /// matrix, external backend, or simply not built yet).
-    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        let _ = of_transpose;
-        None
-    }
+    /// push representation) instead of `A`'s.  `None` means pushes on that
+    /// representation run (and are priced by `Direction::Auto` as) serial.
+    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
 
     /// Storage bytes of the active representation.
     fn storage_bytes(&self) -> usize;
@@ -388,12 +187,7 @@ fn csr_mxm_reduce_masked(a: &dyn GrbBackend, b: &dyn GrbBackend, mask: &dyn GrbB
 /// Expand packed Boolean output words into a dense `f32` indicator, with an
 /// optional mask filter — the common tail of the Boolean pull and push paths
 /// (`out` must be resized to the produced length, filled with `0.0`).
-fn expand_bits_into<W: bitgblas_bitops::BitWord>(
-    yw: &[W],
-    dim: usize,
-    mask: Option<&Mask>,
-    out: &mut [f32],
-) {
+fn expand_bits_into<W: BitWord>(yw: &[W], dim: usize, mask: Option<&Mask>, out: &mut [f32]) {
     match mask {
         Some(mk) => {
             for (i, o) in out.iter_mut().enumerate() {
@@ -433,373 +227,144 @@ fn expand_lane_words_into(yw: &[u64], k: usize, mask: Option<&Mask>, out: &mut [
 }
 
 // ---------------------------------------------------------------------------
-// Sharded push execution (PR 5)
+// Sharded-or-serial push scatter
 // ---------------------------------------------------------------------------
-//
-// Every helper below follows the same deterministic recipe: cut the
-// ascending frontier at the plan's row-shard boundaries, decide — from the
-// frontier and the plan alone, never from the thread count — whether the
-// modelled scatter work dominates the fixed-order merge
-// (`shard::worth_sharding`), and either run the sharded kernel (privatized
-// per-segment buffers from the workspace pool, checked out *before* the
-// fan-out so workers never touch the pool) or fall back to the serial
-// scatter.  Scratch and cut buffers cycle through the pool, so the sharded
-// steady state stays allocation-free at `threads == 1` (the parallel path
-// additionally pays the scoped thread spawns of the rayon stand-in).
 
-/// Average out-degree of a scatter representation, the frontier-edge
-/// estimate `worth_sharding` weighs against the merge cost.
+/// Average out-degree of a scatter representation with `nnz` edges over
+/// `nrows` rows — the frontier-edge estimate [`worth_sharding`] weighs
+/// against the merge cost.  `nnz` is the backend's O(1) edge count (equal
+/// for `A` and `Aᵀ`), never a sweep over the representation.
 fn avg_degree(nnz: usize, nrows: usize) -> usize {
     (nnz / nrows.max(1)).max(1)
 }
 
-/// The engagement protocol every sharded-or-serial push helper shares:
-/// cut the ascending frontier at the plan's shard boundaries, apply the
-/// thread-independent [`worth_sharding`] test (merged output = `produced`
-/// units of `elem_bytes`), and — when engaged — check out the privatized
-/// scratch (`n_segments × width` elements of `fill`, one chunk per
-/// segment).  Returns `None` for the serial path, or `Some((cuts,
-/// scratch))`; after running its sharded kernel the caller hands both
-/// buffers to [`finish_sharded`].  Centralising this keeps the
-/// engagement-and-scratch rules single-sourced across the six kernel
-/// shapes below.
+/// One push scatter into `y`, sharded when the plan and the frontier
+/// warrant it and serial otherwise (see the module docs for the recipe).
+///
+/// `scatter(segment, chunk)` is the serial kernel: it folds the edges of the
+/// ascending frontier rows `segment` into `chunk`, which is shaped like `y`.
+/// `y` arrives pre-seeded (zeros, the semiring identity, or an accumulation
+/// baseline); the privatized chunks start from `fill`, the identity of
+/// `merge`, and fold into `y` in ascending segment order, so per position
+/// the fold grouping depends only on the plan and the frontier — results
+/// are bit-identical across thread counts, and for exact monoids equal to
+/// the serial scatter outright.
+///
+/// `lanes` is the number of `y` positions per output node (1 for a single
+/// vector, `k` or the lane-word count for a batch): per-edge work and
+/// per-position merge both scale by it, so the engagement test runs on node
+/// counts and the lanes enter only the scratch-footprint bound.
 #[allow(clippy::too_many_arguments)]
-fn engage_sharded<T: Poolable>(
+fn push_scatter<T: Poolable + Sync>(
     ws: &Workspace,
     plan: &ShardPlan,
     frontier: &[usize],
     avg_deg: usize,
-    produced: usize,
-    elem_bytes: usize,
-    width: usize,
+    lanes: usize,
     fill: T,
-) -> Option<(Vec<usize>, Vec<T>)> {
+    y: &mut [T],
+    scatter: impl Fn(&[usize], &mut [T]) + Sync,
+    merge: impl Fn(T, T) -> T + Sync,
+) {
     let mut cuts: Vec<usize> = ws.take_empty();
     plan.segment_frontier(frontier, &mut cuts);
     let n_seg = cuts.len().saturating_sub(1);
-    if worth_sharding(frontier.len(), avg_deg, n_seg, produced, elem_bytes) {
-        let scratch = ws.take(n_seg * width, fill);
-        Some((cuts, scratch))
+    let width = y.len();
+    let elem_bytes = lanes * std::mem::size_of::<T>();
+    if worth_sharding(frontier.len(), avg_deg, n_seg, width / lanes, elem_bytes) {
+        let mut scratch = ws.take(n_seg * width, fill);
+        let threads = ws.push_threads();
+        scatter_segments(threads, n_seg, &mut scratch, width, |s, chunk| {
+            scatter(&frontier[cuts[s]..cuts[s + 1]], chunk)
+        });
+        merge_segments(threads, n_seg, &scratch, width, y, merge);
+        ws.stats().record_sharded_push(n_seg);
+        ws.give(scratch);
     } else {
-        ws.give(cuts);
-        None
+        scatter(frontier, y);
     }
-}
-
-/// Recycle a sharded execution's buffers and record the engagement.
-fn finish_sharded<T: Poolable>(ws: &Workspace, cuts: Vec<usize>, scratch: Vec<T>) {
-    ws.stats().record_sharded_push(cuts.len().saturating_sub(1));
-    ws.give(scratch);
     ws.give(cuts);
 }
 
-/// Boolean word scatter over a B2SR representation: sharded when the plan
-/// and frontier warrant it, serial otherwise.  `yw` must be zeroed.
-fn bit_push_bin_words<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    frontier: &[usize],
-    plan: &ShardPlan,
-    ws: &Workspace,
-    yw: &mut [W],
-) {
-    let avg = avg_degree(m.nnz() as usize, m.nrows());
-    // The Boolean merge is word-granular: one OR covers `tile_dim` outputs,
-    // so the merge side of the engagement test is counted in words.
-    let width = m.n_tile_cols();
-    let elem = std::mem::size_of::<W>();
-    match engage_sharded(ws, plan, frontier, avg, width, elem, width, W::ZERO) {
-        Some((cuts, mut scratch)) => {
-            bmv_push_bin_bin_sharded(m, frontier, &cuts, ws.push_threads(), &mut scratch, yw);
-            finish_sharded(ws, cuts, scratch);
-        }
-        None => bmv_push_bin_bin(m, frontier, yw),
-    }
+/// The per-row scatter weights a shard plan is cut from: the cumulative
+/// weight pointer, the boundary alignment, and the row count (see
+/// [`ShardPlan::from_weights`]).
+type RowWeights<'a> = (&'a [usize], usize, usize);
+
+/// Row weights of a CSR scatter representation: edges per row.
+fn csr_weights(csr: &Csr) -> RowWeights<'_> {
+    (csr.rowptr(), 1, csr.nrows())
 }
 
-/// Full-precision scatter over a B2SR representation: sharded or serial.
-/// `y` arrives pre-seeded (identity, or the accumulation baseline on the
-/// seeded fused path) exactly as for the serial kernel.
-#[allow(clippy::too_many_arguments)]
-fn bit_push_full<W: BitWord>(
-    m: &B2sr<W>,
-    x: &[f32],
-    frontier: &[usize],
-    semiring: Semiring,
-    mask: Option<&Mask>,
-    plan: &ShardPlan,
-    ws: &Workspace,
-    y: &mut [f32],
-) {
-    let avg = avg_degree(m.nnz() as usize, m.nrows());
-    let width = y.len();
-    match engage_sharded(
-        ws,
-        plan,
-        frontier,
-        avg,
-        width,
-        4,
-        width,
-        semiring.identity(),
+/// Row weights of a B2SR scatter representation: tile counts are the
+/// per-tile-row weight proxy, and boundaries fall on tile rows.
+fn b2sr_weights(m: &B2srMatrix) -> RowWeights<'_> {
+    with_b2sr!(m, |m| (m.tile_rowptr(), m.tile_dim(), m.nrows()))
+}
+
+/// The row-shard plans of a backend's two scatter representations, shared
+/// by both built-in backends.  Plans are built at most once; clones and
+/// transpose views carry the built ones along.
+#[derive(Debug, Default, Clone)]
+struct ScatterPlans {
+    /// The config the plans are built with (set by `replan`, defaulting to
+    /// the host config on first use).
+    cfg: OnceLock<ShardConfig>,
+    /// Plan over `A`'s rows (the `vxm` push representation).
+    forward: OnceLock<ShardPlan>,
+    /// Plan over `Aᵀ`'s rows (the `mxv` push representation).
+    transposed: OnceLock<ShardPlan>,
+}
+
+impl ScatterPlans {
+    fn slot(&self, of_transpose: bool) -> &OnceLock<ShardPlan> {
+        if of_transpose {
+            &self.transposed
+        } else {
+            &self.forward
+        }
+    }
+
+    /// The plan of one representation, if built.
+    fn get(&self, of_transpose: bool) -> Option<&ShardPlan> {
+        self.slot(of_transpose).get()
+    }
+
+    /// The plan of one representation, cut from its weights on first use —
+    /// by the time a push executes, the representation itself exists.
+    fn get_or_plan(&self, of_transpose: bool, (ptr, align, nrows): RowWeights<'_>) -> &ShardPlan {
+        self.slot(of_transpose).get_or_init(|| {
+            let cfg = *self.cfg.get_or_init(ShardConfig::default);
+            ShardPlan::from_weights(ptr, align, nrows, cfg)
+        })
+    }
+
+    /// The body of [`GrbBackend::replan_shards`]: fix the config and install
+    /// the forward plan, recutting `prev` around `dirty_rows` when given.
+    /// The transpose plan builds on first use.
+    fn replan(
+        &self,
+        prev: Option<&ShardPlan>,
+        cfg: ShardConfig,
+        dirty_rows: &[usize],
+        (ptr, align, nrows): RowWeights<'_>,
     ) {
-        Some((cuts, mut scratch)) => {
-            let threads = ws.push_threads();
-            match mask {
-                Some(mk) => bmv_push_bin_full_sharded(
-                    m,
-                    x,
-                    frontier,
-                    &cuts,
-                    semiring,
-                    |j| mk.allows(j),
-                    threads,
-                    &mut scratch,
-                    y,
-                ),
-                None => bmv_push_bin_full_sharded(
-                    m,
-                    x,
-                    frontier,
-                    &cuts,
-                    semiring,
-                    |_| true,
-                    threads,
-                    &mut scratch,
-                    y,
-                ),
-            }
-            finish_sharded(ws, cuts, scratch);
+        let _ = self.cfg.set(cfg);
+        let _ = self.forward.get_or_init(|| match prev {
+            Some(p) => p.replan_rows(ptr, align, nrows, cfg, dirty_rows),
+            None => ShardPlan::from_weights(ptr, align, nrows, cfg),
+        });
+    }
+
+    /// The plans of the transpose view: the view's `A` is this matrix's
+    /// `Aᵀ`, so the two plans swap roles.
+    fn swapped(&self) -> Self {
+        ScatterPlans {
+            cfg: self.cfg.clone(),
+            forward: self.transposed.clone(),
+            transposed: self.forward.clone(),
         }
-        None => match mask {
-            Some(mk) => bmv_push_bin_full(m, x, frontier, semiring, |j| mk.allows(j), y),
-            None => bmv_push_bin_full(m, x, frontier, semiring, |_| true, y),
-        },
     }
-}
-
-/// Batched Boolean lane-word scatter over a B2SR representation: sharded
-/// or serial.  `yw` must be zeroed (`ncols * wpn` lane words).
-#[allow(clippy::too_many_arguments)]
-fn bit_push_lane_words<W: BitWord>(
-    m: &B2sr<W>,
-    frontier: &[usize],
-    xw: &[u64],
-    wpn: usize,
-    plan: &ShardPlan,
-    ws: &Workspace,
-    yw: &mut [u64],
-) {
-    let avg = avg_degree(m.nnz() as usize, m.nrows());
-    // Per-edge work and per-position merge both scale by `wpn`, so the
-    // engagement test is the single-vector one on node counts (the lane
-    // words enter only the scratch-footprint bound).
-    let width = m.ncols() * wpn;
-    match engage_sharded(ws, plan, frontier, avg, m.ncols(), wpn * 8, width, 0u64) {
-        Some((cuts, mut scratch)) => {
-            bmm_push_bits_sharded(
-                m,
-                frontier,
-                &cuts,
-                xw,
-                wpn,
-                ws.push_threads(),
-                &mut scratch,
-                yw,
-            );
-            finish_sharded(ws, cuts, scratch);
-        }
-        None => bmm_push_bits(m, frontier, xw, wpn, yw),
-    }
-}
-
-/// Batched full-precision scatter over a B2SR representation: sharded or
-/// serial.  `y` must be identity-filled (`ncols * k` entries).
-#[allow(clippy::too_many_arguments)]
-fn bit_push_multi_full<W: BitWord>(
-    m: &B2sr<W>,
-    x: &[f32],
-    k: usize,
-    frontier: &[usize],
-    semiring: Semiring,
-    mask: Option<&Mask>,
-    plan: &ShardPlan,
-    ws: &Workspace,
-    y: &mut [f32],
-) {
-    let avg = avg_degree(m.nnz() as usize, m.nrows());
-    // The per-edge lane factor cancels between scatter and merge.
-    let width = m.ncols() * k;
-    match engage_sharded(
-        ws,
-        plan,
-        frontier,
-        avg,
-        m.ncols(),
-        k * 4,
-        width,
-        semiring.identity(),
-    ) {
-        Some((cuts, mut scratch)) => {
-            let threads = ws.push_threads();
-            match mask {
-                Some(mk) => bmm_push_bin_full_sharded(
-                    m,
-                    x,
-                    k,
-                    frontier,
-                    &cuts,
-                    semiring,
-                    |flat| mk.allows(flat),
-                    threads,
-                    &mut scratch,
-                    y,
-                ),
-                None => bmm_push_bin_full_sharded(
-                    m,
-                    x,
-                    k,
-                    frontier,
-                    &cuts,
-                    semiring,
-                    |_| true,
-                    threads,
-                    &mut scratch,
-                    y,
-                ),
-            }
-            finish_sharded(ws, cuts, scratch);
-        }
-        None => match mask {
-            Some(mk) => bmm_push_bin_full(m, x, k, frontier, semiring, |flat| mk.allows(flat), y),
-            None => bmm_push_bin_full(m, x, k, frontier, semiring, |_| true, y),
-        },
-    }
-}
-
-/// Full-precision scatter over a CSR representation (the FloatCsr
-/// baseline): sharded or serial.  `y` arrives pre-seeded like the B2SR
-/// counterpart.
-#[allow(clippy::too_many_arguments)]
-fn csr_push_full(
-    csr: &Csr,
-    x: &[f32],
-    frontier: &[usize],
-    semiring: Semiring,
-    mask: Option<&Mask>,
-    plan: &ShardPlan,
-    ws: &Workspace,
-    y: &mut [f32],
-) {
-    let avg = avg_degree(csr.nnz(), csr.nrows());
-    let width = y.len();
-    match engage_sharded(
-        ws,
-        plan,
-        frontier,
-        avg,
-        width,
-        4,
-        width,
-        semiring.identity(),
-    ) {
-        Some((cuts, mut scratch)) => {
-            let threads = ws.push_threads();
-            let n_seg = cuts.len() - 1;
-            crate::shard::scatter_segments(threads, n_seg, &mut scratch, width, |s, chunk| {
-                FloatCsr::float_push_into(
-                    csr,
-                    x,
-                    &frontier[cuts[s]..cuts[s + 1]],
-                    semiring,
-                    mask,
-                    chunk,
-                );
-            });
-            crate::shard::merge_segments(threads, n_seg, &scratch, width, y, |acc, v| {
-                semiring.reduce(acc, v)
-            });
-            finish_sharded(ws, cuts, scratch);
-        }
-        None => FloatCsr::float_push_into(csr, x, frontier, semiring, mask, y),
-    }
-}
-
-/// Batched full-precision scatter over a CSR representation: sharded or
-/// serial.  `y` must be identity-filled (`ncols * k` entries).
-#[allow(clippy::too_many_arguments)]
-fn csr_push_multi_full(
-    csr: &Csr,
-    x: &[f32],
-    k: usize,
-    frontier: &[usize],
-    semiring: Semiring,
-    mask: Option<&Mask>,
-    plan: &ShardPlan,
-    ws: &Workspace,
-    y: &mut [f32],
-) {
-    let avg = avg_degree(csr.nnz(), csr.nrows());
-    let width = csr.ncols() * k;
-    match engage_sharded(
-        ws,
-        plan,
-        frontier,
-        avg,
-        csr.ncols(),
-        k * 4,
-        width,
-        semiring.identity(),
-    ) {
-        Some((cuts, mut scratch)) => {
-            let threads = ws.push_threads();
-            let n_seg = cuts.len() - 1;
-            crate::shard::scatter_segments(threads, n_seg, &mut scratch, width, |s, chunk| {
-                FloatCsr::float_mxm_push_into(
-                    csr,
-                    x,
-                    k,
-                    &frontier[cuts[s]..cuts[s + 1]],
-                    semiring,
-                    mask,
-                    chunk,
-                );
-            });
-            crate::shard::merge_segments(
-                threads,
-                n_seg,
-                &scratch,
-                width,
-                &mut y[..width],
-                |acc, v| semiring.reduce(acc, v),
-            );
-            finish_sharded(ws, cuts, scratch);
-        }
-        None => FloatCsr::float_mxm_push_into(csr, x, k, frontier, semiring, mask, y),
-    }
-}
-
-/// Build the shard plan of one B2SR representation from its tile-row
-/// pointer (tile counts are the per-tile-row weight proxy; boundaries fall
-/// on tile rows by construction).
-fn plan_of_b2sr(m: &B2srMatrix, cfg: ShardConfig) -> ShardPlan {
-    macro_rules! run {
-        ($m:expr) => {{
-            let m = $m;
-            ShardPlan::from_weights(m.tile_rowptr(), m.tile_dim(), m.nrows(), cfg)
-        }};
-    }
-    match m {
-        B2srMatrix::B4(m) => run!(m),
-        B2srMatrix::B8(m) => run!(m),
-        B2srMatrix::B16(m) => run!(m),
-        B2srMatrix::B32(m) => run!(m),
-    }
-}
-
-/// Clone the built state of a `OnceLock` (plans survive `clone_box` /
-/// `transpose_view`; unbuilt locks stay unbuilt).
-fn clone_lock<T: Clone>(src: &OnceLock<T>) -> OnceLock<T> {
-    src.get().cloned().map(OnceLock::from).unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
@@ -813,13 +378,7 @@ pub struct BitB2sr {
     b2sr: B2srMatrix,
     csr_t: OnceLock<Csr>,
     b2sr_t: OnceLock<B2srMatrix>,
-    /// Shard config the scatter plans are built with (set by
-    /// `prepare_shards`, defaulting to the host config on first use).
-    shard_cfg: OnceLock<ShardConfig>,
-    /// Row-shard plan over `A`'s rows (the `vxm` push representation).
-    shards: OnceLock<ShardPlan>,
-    /// Row-shard plan over `Aᵀ`'s rows (the `mxv` push representation).
-    shards_t: OnceLock<ShardPlan>,
+    shards: ScatterPlans,
 }
 
 impl BitB2sr {
@@ -838,9 +397,7 @@ impl BitB2sr {
             b2sr,
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
-            shard_cfg: OnceLock::new(),
-            shards: OnceLock::new(),
-            shards_t: OnceLock::new(),
+            shards: ScatterPlans::default(),
         }
     }
 
@@ -854,88 +411,328 @@ impl BitB2sr {
         self.b2sr_t.get_or_init(|| self.b2sr.transpose())
     }
 
-    /// The shard config (from `prepare_shards`, or the host default).
-    fn shard_cfg(&self) -> ShardConfig {
-        *self.shard_cfg.get_or_init(ShardConfig::default)
-    }
-
-    /// The shard plan of the scatter representation: `of_transpose` selects
-    /// `Aᵀ`'s rows.  Built lazily — by the time a push executes, the
-    /// representation itself already exists.
-    fn scatter_plan(&self, of_transpose: bool) -> &ShardPlan {
-        if of_transpose {
-            self.shards_t
-                .get_or_init(|| plan_of_b2sr(self.b2sr_t(), self.shard_cfg()))
-        } else {
-            self.shards
-                .get_or_init(|| plan_of_b2sr(&self.b2sr, self.shard_cfg()))
-        }
-    }
-
     /// The tile size of the underlying B2SR matrix.
     pub fn tile_size(&self) -> TileSize {
         self.b2sr.tile_size()
     }
 
-    /// Dispatch one `mxv` over the four B2SR variants and the Table-II
-    /// kernel schemes.
-    fn bit_mxv(b2sr: &B2srMatrix, x: &[f32], semiring: Semiring, mask: Option<&Mask>) -> Vec<f32> {
-        macro_rules! run {
-            ($m:expr, $w:ty) => {{
-                let m = $m;
-                let dim = m.tile_dim();
-                match semiring {
-                    Semiring::Boolean => {
-                        // Boolean semiring: binarize the vector and use the
-                        // minimal-footprint bin/bin/bin scheme.
-                        let xp = pack_vector_tilewise::<$w>(x, dim);
-                        let y_bits = match mask {
-                            Some(mk) => {
-                                let suppressed = mk.suppressed();
-                                let mp = pack_vector_bits::<$w>(&suppressed, dim);
-                                bmv_bin_bin_bin_masked(m, &xp, &mp)
-                            }
-                            None => bmv_bin_bin_bin(m, &xp),
-                        };
-                        unpack_vector_bits(&y_bits, dim, m.nrows())
-                            .into_iter()
-                            .map(|b| if b { 1.0 } else { 0.0 })
-                            .collect()
-                    }
-                    _ => match mask {
-                        Some(mk) => {
-                            let suppressed = mk.suppressed();
-                            bmv_bin_full_full_masked(m, x, &suppressed, semiring)
-                        }
-                        None => bmv_bin_full_full(m, x, semiring),
-                    },
-                }
-            }};
-        }
-        match b2sr {
-            B2srMatrix::B4(m) => run!(m, u8),
-            B2srMatrix::B8(m) => run!(m, u8),
-            B2srMatrix::B16(m) => run!(m, u16),
-            B2srMatrix::B32(m) => run!(m, u32),
+    /// `Aᵀ`'s representation iff `transposed`.  The pull sweep of a product
+    /// runs on `rep(transpose)`; the push scatter walks the *rows* of the
+    /// representation whose rows are the frontier's domain —
+    /// `rep(!transpose)`.
+    fn rep(&self, transposed: bool) -> &B2srMatrix {
+        if transposed {
+            self.b2sr_t()
+        } else {
+            &self.b2sr
         }
     }
 
-    fn bit_mxm_sum(a: &B2srMatrix, b: &B2srMatrix, mask: &B2srMatrix) -> u64 {
-        match (a, b, mask) {
-            (B2srMatrix::B4(a), B2srMatrix::B4(b), B2srMatrix::B4(m)) => {
-                bmm_bin_bin_sum_masked(a, b, m)
-            }
-            (B2srMatrix::B8(a), B2srMatrix::B8(b), B2srMatrix::B8(m)) => {
-                bmm_bin_bin_sum_masked(a, b, m)
-            }
-            (B2srMatrix::B16(a), B2srMatrix::B16(b), B2srMatrix::B16(m)) => {
-                bmm_bin_bin_sum_masked(a, b, m)
-            }
-            (B2srMatrix::B32(a), B2srMatrix::B32(b), B2srMatrix::B32(m)) => {
-                bmm_bin_bin_sum_masked(a, b, m)
-            }
-            _ => unreachable!("caller checks the tile sizes agree"),
+    /// The scatter representation of a push product with its shard plan and
+    /// average degree.
+    fn scatter_rep(&self, transpose: bool) -> (&B2srMatrix, &ShardPlan, usize) {
+        let rep = self.rep(!transpose);
+        let plan = self.shards.get_or_plan(!transpose, b2sr_weights(rep));
+        (rep, plan, avg_degree(self.csr.nnz(), rep.nrows()))
+    }
+}
+
+/// Pack Boolean flags into tile words with the scalar or the SWAR packer —
+/// the same per-tile-size decision as the sweep the words feed.
+fn pack_flags<W: BitWord>(simd: bool, flags: &[bool], dim: usize, words: &mut Vec<W>) {
+    if simd {
+        pack_vector_bits_simd_into(flags, dim, words);
+    } else {
+        pack_vector_bits_into(flags, dim, words);
+    }
+}
+
+/// Seed the output of a full-precision push scatter.  A foldable accumulator
+/// ([`MxvPipeline::push_folds_accum`]) seeds it with the baseline, so the
+/// scatter ⊕-folds straight into it and finishes the pipeline (sharded
+/// segments fold from the identity and merge into the seed with the monoid,
+/// exactly like the serial kernel) — returns `true`.  Everything else
+/// scatters from the identity and still owes the collapsed epilogue
+/// ([`MxvPipeline::finish_in_place`]) — returns `false`.
+fn seed_push_output(p: &MxvPipeline<'_>, produced: usize, out: &mut Vec<f32>) -> bool {
+    out.clear();
+    match p.accum {
+        Some((op, base)) if p.push_folds_accum() => {
+            debug_assert!(op.matches_monoid(p.semiring));
+            out.extend_from_slice(base);
+            true
         }
+        _ => {
+            out.resize(produced, p.semiring.identity());
+            false
+        }
+    }
+}
+
+/// The pull sweep of a single-vector pipeline on one B2SR width.
+fn bit_pull<W: BitWord + Poolable>(
+    m: &B2sr<W>,
+    p: &MxvPipeline<'_>,
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    let dim = m.tile_dim();
+    if p.semiring != Semiring::Boolean && !p.is_bare() {
+        // Full-precision fused pull: one tile-granular sweep with the
+        // semiring and the epilogue both dispatched once per call (see
+        // `bmv_bin_full_full_fused_into`).  The mask rides inside the
+        // finishing closure — the bit sweep computes every row's raw value
+        // regardless, exactly like the masked bit kernels.
+        out.clear();
+        out.resize(m.n_tile_rows() * dim, 0.0);
+        plan::dispatch_finish(
+            p,
+            BitPullSink {
+                m,
+                semiring: p.semiring,
+                x: p.x,
+                out: out.as_mut_slice(),
+            },
+        );
+        out.truncate(m.nrows());
+        return;
+    }
+    // Scalar vs SWAR-vector sweep: the workspace policy decides (forced,
+    // env-seeded, or the calibrated Auto mask).  Both paths are
+    // bit-identical — tests/simd_parity.rs.
+    let simd = ws.simd_enabled(dim);
+    // The kernels take the mask as a suppressed-row view.
+    let sup = p.mask.map(|mk| {
+        let mut sup: Vec<bool> = ws.take_empty();
+        mk.suppressed_into(&mut sup);
+        sup
+    });
+    if p.semiring == Semiring::Boolean {
+        // Binarize the operand and use the minimal-footprint bin/bin/bin
+        // scheme; the collapsed epilogue (if any) runs over the expansion.
+        let mut xp: Vec<W> = ws.take_empty();
+        let mp = sup.as_ref().map(|sup| {
+            let mut mp: Vec<W> = ws.take_empty();
+            pack_flags(simd, sup, dim, &mut mp);
+            mp
+        });
+        let mut yw: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
+        if simd {
+            pack_vector_tilewise_simd_into(p.x, dim, &mut xp);
+            bmv_bin_bin_bin_masked_simd_into(m, &xp, mp.as_deref(), &mut yw);
+        } else {
+            pack_vector_tilewise_into(p.x, dim, &mut xp);
+            bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut yw);
+        }
+        out.clear();
+        out.resize(m.nrows(), 0.0);
+        // The mask was already applied word-wise by the kernel.
+        expand_bits_into(&yw, dim, None, out);
+        ws.give(xp);
+        ws.give(yw);
+        if let Some(mp) = mp {
+            ws.give(mp);
+        }
+        p.finish_in_place(out);
+    } else {
+        // The bare full-precision product.
+        out.clear();
+        out.resize(m.n_tile_rows() * dim, p.semiring.identity());
+        if simd {
+            bmv_bin_full_full_masked_simd_into(m, p.x, sup.as_deref(), p.semiring, out);
+        } else {
+            bmv_bin_full_full_masked_into(m, p.x, sup.as_deref(), p.semiring, out);
+        }
+        out.truncate(m.nrows());
+    }
+    if let Some(sup) = sup {
+        ws.give(sup);
+    }
+}
+
+/// The push scatter of a single-vector pipeline over the rows of one B2SR
+/// width (`m` is the scatter representation).
+fn bit_push<W: BitWord + Poolable>(
+    m: &B2sr<W>,
+    p: &MxvPipeline<'_>,
+    frontier: &[usize],
+    plan: &ShardPlan,
+    avg_deg: usize,
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    let produced = m.ncols();
+    if p.semiring == Semiring::Boolean {
+        // Word-granular OR scatter.  The merge is word-granular too: one OR
+        // covers `tile_dim` outputs, so the engagement test counts words.
+        // Every Boolean pipeline scatters from the identity and runs the
+        // collapsed epilogue over the expansion: `Or` would normalise a
+        // seeded baseline (`push_folds_accum` excludes it) and the packed
+        // words could not carry one anyway.
+        let mut yw: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
+        push_scatter(
+            ws,
+            plan,
+            frontier,
+            avg_deg,
+            1,
+            W::ZERO,
+            &mut yw,
+            |segment, chunk| bmv_push_bin_bin(m, segment, chunk),
+            |acc, v| acc | v,
+        );
+        out.clear();
+        out.resize(produced, 0.0);
+        expand_bits_into(&yw, m.tile_dim(), p.mask, out);
+        ws.give(yw);
+        p.finish_in_place(out);
+        return;
+    }
+    let semiring = p.semiring;
+    let finished = seed_push_output(p, produced, out);
+    let allow = |j: usize| p.mask.is_none_or(|mk| mk.allows(j));
+    push_scatter(
+        ws,
+        plan,
+        frontier,
+        avg_deg,
+        1,
+        semiring.identity(),
+        out,
+        |segment, chunk| bmv_push_bin_full(m, p.x, segment, semiring, allow, chunk),
+        |acc, v| semiring.reduce(acc, v),
+    );
+    if !finished {
+        p.finish_in_place(out);
+    }
+}
+
+/// The batched pull sweep on one B2SR width.
+fn bit_mxm_pull<W: BitWord + Poolable>(
+    m: &B2sr<W>,
+    x: &[f32],
+    k: usize,
+    semiring: Semiring,
+    mask: Option<&Mask>,
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    let dim = m.tile_dim();
+    let nrows = m.nrows();
+    // The tilewise any-lane-active indicator lets the sweep skip inactive
+    // columns at word granularity (exact for push-safe semirings, where
+    // identity entries contribute nothing).  Packing follows the same
+    // per-tile-size scalar/vector decision as the single-vector pull path.
+    let mut active: Vec<bool> = ws.take_empty();
+    let mut xa: Vec<W> = ws.take_empty();
+    if semiring.push_safe() {
+        active.extend(
+            x.chunks_exact(k)
+                .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
+        );
+        pack_flags(ws.simd_enabled(dim), &active, dim, &mut xa);
+    }
+    out.clear();
+    if semiring == Semiring::Boolean {
+        // Pack the lanes into per-node u64 words: one OR per edge advances
+        // up to 64 traversals.
+        let wpn = lane_words_per_node(k);
+        let mut xw: Vec<u64> = ws.take_empty();
+        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
+        // The flat mask rides into the kernel as suppressed lane words, so
+        // fully-masked rows (every lane visited, the common late-traversal
+        // state) are skipped at word granularity.
+        let sup: Option<Vec<u64>> = mask.map(|mk| {
+            use rayon::prelude::*;
+            let mut mw: Vec<u64> = ws.take(nrows * wpn, 0);
+            mw.par_chunks_mut(wpn).enumerate().for_each(|(i, words)| {
+                for l in 0..k {
+                    if !mk.allows(i * k + l) {
+                        words[l / 64] |= 1u64 << (l % 64);
+                    }
+                }
+            });
+            mw
+        });
+        let mut yw: Vec<u64> = ws.take(m.n_tile_rows() * dim * wpn, 0);
+        bmm_bin_bits_into(m, &xw, k, &xa, sup.as_deref(), &mut yw);
+        out.resize(nrows * k, 0.0);
+        // The mask was already applied word-wise by the kernel.
+        expand_lane_words_into(&yw, k, None, out);
+        ws.give(xw);
+        ws.give(yw);
+        if let Some(mw) = sup {
+            ws.give(mw);
+        }
+    } else {
+        out.resize(m.n_tile_rows() * dim * k, semiring.identity());
+        let xa_opt = semiring.push_safe().then_some(xa.as_slice());
+        bmm_bin_full_into(m, x, k, semiring, xa_opt, out);
+        out.truncate(nrows * k);
+        if let Some(mk) = mask {
+            let identity = semiring.identity();
+            for (flat, v) in out.iter_mut().enumerate() {
+                if !mk.allows(flat) {
+                    *v = identity;
+                }
+            }
+        }
+    }
+    ws.give(active);
+    ws.give(xa);
+}
+
+/// The batched push scatter over the rows of one B2SR width (`m` is the
+/// scatter representation).
+#[allow(clippy::too_many_arguments)]
+fn bit_mxm_push<W: BitWord>(
+    m: &B2sr<W>,
+    x: &[f32],
+    k: usize,
+    frontier: &[usize],
+    semiring: Semiring,
+    mask: Option<&Mask>,
+    plan: &ShardPlan,
+    avg_deg: usize,
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    let produced = m.ncols();
+    out.clear();
+    if semiring == Semiring::Boolean {
+        let wpn = lane_words_per_node(k);
+        let mut xw: Vec<u64> = ws.take_empty();
+        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
+        let mut yw: Vec<u64> = ws.take(produced * wpn, 0);
+        push_scatter(
+            ws,
+            plan,
+            frontier,
+            avg_deg,
+            wpn,
+            0u64,
+            &mut yw,
+            |segment, chunk| bmm_push_bits(m, segment, &xw, wpn, chunk),
+            |acc, v| acc | v,
+        );
+        out.resize(produced * k, 0.0);
+        expand_lane_words_into(&yw, k, mask, out);
+        ws.give(xw);
+        ws.give(yw);
+    } else {
+        out.resize(produced * k, semiring.identity());
+        let allow = |flat: usize| mask.is_none_or(|mk| mk.allows(flat));
+        push_scatter(
+            ws,
+            plan,
+            frontier,
+            avg_deg,
+            k,
+            semiring.identity(),
+            out,
+            |segment, chunk| bmm_push_bin_full(m, x, k, segment, semiring, allow, chunk),
+            |acc, v| semiring.reduce(acc, v),
+        );
     }
 }
 
@@ -964,455 +761,64 @@ impl GrbBackend for BitB2sr {
         self.csr_t.get_or_init(|| self.csr.transpose())
     }
 
-    fn mxv(&self, x: &[f32], semiring: Semiring, mask: Option<&Mask>, transpose: bool) -> Vec<f32> {
-        let b2sr = if transpose { self.b2sr_t() } else { &self.b2sr };
-        Self::bit_mxv(b2sr, x, semiring, mask)
-    }
-
-    fn mxv_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let b2sr = if transpose { self.b2sr_t() } else { &self.b2sr };
-        macro_rules! run {
-            ($m:expr, $w:ty) => {{
-                let m = $m;
-                let dim = m.tile_dim();
-                // Scalar vs SWAR-vector sweep: the workspace policy decides
-                // (forced, env-seeded, or the calibrated Auto mask).  Both
-                // paths are bit-identical — tests/simd_parity.rs.
-                let simd = ws.simd_enabled(dim);
-                match semiring {
-                    Semiring::Boolean => {
-                        let mut xp: Vec<$w> = ws.take_empty();
-                        if simd {
-                            pack_vector_tilewise_simd_into(x, dim, &mut xp);
-                        } else {
-                            pack_vector_tilewise_into(x, dim, &mut xp);
-                        }
-                        let mut yw: Vec<$w> = ws.take(m.n_tile_rows(), <$w as BitWord>::ZERO);
-                        match mask {
-                            Some(mk) => {
-                                let mut sup: Vec<bool> = ws.take_empty();
-                                mk.suppressed_into(&mut sup);
-                                let mut mp: Vec<$w> = ws.take_empty();
-                                if simd {
-                                    pack_vector_bits_simd_into(&sup, dim, &mut mp);
-                                    bmv_bin_bin_bin_masked_simd_into(m, &xp, &mp, &mut yw);
-                                } else {
-                                    pack_vector_bits_into(&sup, dim, &mut mp);
-                                    bmv_bin_bin_bin_masked_into(m, &xp, &mp, &mut yw);
-                                }
-                                ws.give(sup);
-                                ws.give(mp);
-                            }
-                            None if simd => bmv_bin_bin_bin_simd_into(m, &xp, &mut yw),
-                            None => bmv_bin_bin_bin_into(m, &xp, &mut yw),
-                        }
-                        out.clear();
-                        out.resize(m.nrows(), 0.0);
-                        // The mask was already applied word-wise by the kernel.
-                        expand_bits_into(&yw, dim, None, out);
-                        ws.give(xp);
-                        ws.give(yw);
-                    }
-                    _ => {
-                        out.clear();
-                        out.resize(m.n_tile_rows() * dim, semiring.identity());
-                        match mask {
-                            Some(mk) => {
-                                let mut sup: Vec<bool> = ws.take_empty();
-                                mk.suppressed_into(&mut sup);
-                                if simd {
-                                    bmv_bin_full_full_masked_simd_into(m, x, &sup, semiring, out);
-                                } else {
-                                    bmv_bin_full_full_masked_into(m, x, &sup, semiring, out);
-                                }
-                                ws.give(sup);
-                            }
-                            None if simd => bmv_bin_full_full_simd_into(m, x, semiring, out),
-                            None => bmv_bin_full_full_into(m, x, semiring, out),
-                        }
-                        out.truncate(m.nrows());
-                    }
-                }
-            }};
-        }
-        match b2sr {
-            B2srMatrix::B4(m) => run!(m, u8),
-            B2srMatrix::B8(m) => run!(m, u8),
-            B2srMatrix::B16(m) => run!(m, u16),
-            B2srMatrix::B32(m) => run!(m, u32),
+    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        match p.frontier {
+            Some(frontier) => {
+                let (rep, plan, avg) = self.scatter_rep(p.transpose);
+                with_b2sr!(rep, |m| bit_push(m, p, frontier, plan, avg, ws, out))
+            }
+            None => with_b2sr!(self.rep(p.transpose), |m| bit_pull(m, p, ws, out)),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn mxv_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        // The scatter walks *rows* of the representation whose rows are the
-        // frontier's domain — the opposite representation from the pull
-        // sweep.  A pure-push traversal of `vxm` therefore never has to
-        // build the transpose at all.
-        let b2sr = if transpose { &self.b2sr } else { self.b2sr_t() };
-        let plan = self.scatter_plan(!transpose);
-        macro_rules! run {
-            ($m:expr, $w:ty) => {{
-                let m = $m;
-                let dim = m.tile_dim();
-                let produced = m.ncols();
-                match semiring {
-                    Semiring::Boolean => {
-                        let mut yw: Vec<$w> = ws.take(m.n_tile_cols(), <$w as BitWord>::ZERO);
-                        bit_push_bin_words(m, frontier, plan, ws, &mut yw);
-                        out.clear();
-                        out.resize(produced, 0.0);
-                        expand_bits_into(&yw, dim, mask, out);
-                        ws.give(yw);
-                    }
-                    _ => {
-                        out.clear();
-                        out.resize(produced, semiring.identity());
-                        bit_push_full(m, x, frontier, semiring, mask, plan, ws, out);
-                    }
-                }
-            }};
-        }
-        match b2sr {
-            B2srMatrix::B4(m) => run!(m, u8),
-            B2srMatrix::B8(m) => run!(m, u8),
-            B2srMatrix::B16(m) => run!(m, u16),
-            B2srMatrix::B32(m) => run!(m, u32),
-        }
-    }
-
-    fn vxm_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.mxv_into(x, semiring, mask, !transpose, ws, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn vxm_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.mxv_push_into(x, frontier, semiring, mask, !transpose, ws, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn mxm_into(
         &self,
         x: &[f32],
         k: usize,
+        frontier: Option<&[usize]>,
         semiring: Semiring,
         mask: Option<&Mask>,
         transpose: bool,
         ws: &Workspace,
         out: &mut Vec<f32>,
     ) {
-        let b2sr = if transpose { self.b2sr_t() } else { &self.b2sr };
-        macro_rules! run {
-            ($m:expr, $w:ty) => {{
-                let m = $m;
-                let dim = m.tile_dim();
-                let nrows = m.nrows();
-                // The tilewise any-lane-active indicator lets the sweep
-                // skip inactive columns at word granularity (exact for
-                // push-safe semirings, where identity entries contribute
-                // nothing).
-                let mut active: Vec<bool> = ws.take_empty();
-                let mut xa: Vec<$w> = ws.take_empty();
-                // Batched sweeps: same per-tile-size scalar/vector decision
-                // as the single-vector pull path.
-                let simd = ws.simd_enabled(dim);
-                if semiring.push_safe() {
-                    active.extend(
-                        x.chunks_exact(k)
-                            .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
-                    );
-                    if simd {
-                        pack_vector_bits_simd_into(&active, dim, &mut xa);
-                    } else {
-                        pack_vector_bits_into(&active, dim, &mut xa);
-                    }
-                }
-                match semiring {
-                    Semiring::Boolean => {
-                        // Pack the lanes into per-node u64 words: one OR per
-                        // edge advances up to 64 traversals.
-                        let wpn = lane_words_per_node(k);
-                        let mut xw: Vec<u64> = ws.take_empty();
-                        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-                        // The flat mask rides into the kernel as suppressed
-                        // lane words, so fully-masked rows (every lane
-                        // visited, the common late-traversal state) are
-                        // skipped at word granularity.
-                        let sup: Option<Vec<u64>> = mask.map(|mk| {
-                            use rayon::prelude::*;
-                            let mut mw: Vec<u64> = ws.take(nrows * wpn, 0);
-                            mw.par_chunks_mut(wpn).enumerate().for_each(|(i, words)| {
-                                for l in 0..k {
-                                    if !mk.allows(i * k + l) {
-                                        words[l / 64] |= 1u64 << (l % 64);
-                                    }
-                                }
-                            });
-                            mw
-                        });
-                        let mut yw: Vec<u64> = ws.take(m.n_tile_rows() * dim * wpn, 0);
-                        if simd {
-                            bmm_bin_bits_simd_into(m, &xw, k, &xa, sup.as_deref(), &mut yw);
-                        } else {
-                            bmm_bin_bits_into(m, &xw, k, &xa, sup.as_deref(), &mut yw);
-                        }
-                        out.clear();
-                        out.resize(nrows * k, 0.0);
-                        // The mask was already applied word-wise by the kernel.
-                        expand_lane_words_into(&yw, k, None, out);
-                        ws.give(xw);
-                        ws.give(yw);
-                        if let Some(mw) = sup {
-                            ws.give(mw);
-                        }
-                    }
-                    _ => {
-                        out.clear();
-                        out.resize(m.n_tile_rows() * dim * k, semiring.identity());
-                        let xa_opt = semiring.push_safe().then_some(xa.as_slice());
-                        if simd {
-                            bmm_bin_full_simd_into(m, x, k, semiring, xa_opt, out);
-                        } else {
-                            bmm_bin_full_into(m, x, k, semiring, xa_opt, out);
-                        }
-                        out.truncate(nrows * k);
-                        if let Some(mk) = mask {
-                            let identity = semiring.identity();
-                            for (flat, v) in out.iter_mut().enumerate() {
-                                if !mk.allows(flat) {
-                                    *v = identity;
-                                }
-                            }
-                        }
-                    }
-                }
-                ws.give(active);
-                ws.give(xa);
-            }};
-        }
-        match b2sr {
-            B2srMatrix::B4(m) => run!(m, u8),
-            B2srMatrix::B8(m) => run!(m, u8),
-            B2srMatrix::B16(m) => run!(m, u16),
-            B2srMatrix::B32(m) => run!(m, u32),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mxm_push_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        // Like the single-vector push, the scatter walks rows of the
-        // representation whose rows are the frontier's domain — the
-        // opposite representation from the pull sweep.
-        let b2sr = if transpose { &self.b2sr } else { self.b2sr_t() };
-        let plan = self.scatter_plan(!transpose);
-        macro_rules! run {
-            ($m:expr) => {{
-                let m = $m;
-                let produced = m.ncols();
-                match semiring {
-                    Semiring::Boolean => {
-                        let wpn = lane_words_per_node(k);
-                        let mut xw: Vec<u64> = ws.take_empty();
-                        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-                        let mut yw: Vec<u64> = ws.take(produced * wpn, 0);
-                        bit_push_lane_words(m, frontier, &xw, wpn, plan, ws, &mut yw);
-                        out.clear();
-                        out.resize(produced * k, 0.0);
-                        expand_lane_words_into(&yw, k, mask, out);
-                        ws.give(xw);
-                        ws.give(yw);
-                    }
-                    _ => {
-                        out.clear();
-                        out.resize(produced * k, semiring.identity());
-                        bit_push_multi_full(m, x, k, frontier, semiring, mask, plan, ws, out);
-                    }
-                }
-            }};
-        }
-        match b2sr {
-            B2srMatrix::B4(m) => run!(m),
-            B2srMatrix::B8(m) => run!(m),
-            B2srMatrix::B16(m) => run!(m),
-            B2srMatrix::B32(m) => run!(m),
-        }
-    }
-
-    fn mxv_fused_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
+        match frontier {
             Some(frontier) => {
-                // Push scatter.  Full-precision pipelines with a foldable
-                // accumulator seed the output with the baseline and let the
-                // scatter ⊕-fold straight into it; everything else —
-                // including every Boolean pipeline, whose `Or` would
-                // normalise the seeded baseline (`push_folds_accum` excludes
-                // it) and whose packed word scatter could not carry one
-                // anyway — scatters from the identity and runs the collapsed
-                // epilogue over the expansion.
-                if p.push_folds_accum() {
-                    let b2sr = if p.transpose {
-                        &self.b2sr
-                    } else {
-                        self.b2sr_t()
-                    };
-                    let plan = self.scatter_plan(!p.transpose);
-                    let (op, base) = p.accum.expect("push_folds_accum implies accum");
-                    debug_assert!(op.matches_monoid(p.semiring));
-                    out.clear();
-                    out.extend_from_slice(base);
-                    // The sharded scatter handles the baseline-seeded output
-                    // exactly like the serial kernel: segments fold from the
-                    // identity and merge into the seed with the monoid.
-                    macro_rules! run {
-                        ($m:expr) => {{
-                            bit_push_full($m, p.x, frontier, p.semiring, p.mask, plan, ws, out)
-                        }};
-                    }
-                    match b2sr {
-                        B2srMatrix::B4(m) => run!(m),
-                        B2srMatrix::B8(m) => run!(m),
-                        B2srMatrix::B16(m) => run!(m),
-                        B2srMatrix::B32(m) => run!(m),
-                    }
-                } else {
-                    self.mxv_push_into(p.x, frontier, p.semiring, p.mask, p.transpose, ws, out);
-                    p.finish_in_place(out);
-                }
+                let (rep, plan, avg) = self.scatter_rep(transpose);
+                with_b2sr!(rep, |m| bit_mxm_push(
+                    m, x, k, frontier, semiring, mask, plan, avg, ws, out
+                ))
             }
-            None => {
-                if p.semiring == Semiring::Boolean {
-                    // The packed bin/bin/bin kernel is the fast Boolean pull
-                    // path; the collapsed epilogue runs over the expansion.
-                    self.mxv_into(p.x, p.semiring, p.mask, p.transpose, ws, out);
-                    p.finish_in_place(out);
-                } else {
-                    // Full-precision pull: one tile-granular sweep with the
-                    // semiring and the epilogue both dispatched once per
-                    // call (see `bmv_bin_full_full_fused_into`).
-                    let b2sr = if p.transpose {
-                        self.b2sr_t()
-                    } else {
-                        &self.b2sr
-                    };
-                    plan::dispatch_finish(
-                        p,
-                        BitPullSink {
-                            b2sr,
-                            semiring: p.semiring,
-                            x: p.x,
-                            out,
-                        },
-                    );
-                }
-            }
+            None => with_b2sr!(self.rep(transpose), |m| bit_mxm_pull(
+                m, x, k, semiring, mask, ws, out
+            )),
         }
-    }
-
-    fn ewise_chain_into(
-        &self,
-        stages: &[Stage<'_>],
-        accum: Option<(BinaryOp, &[f32])>,
-        out: &mut [f32],
-    ) {
-        plan::run_chain_in_place_parallel(stages, accum, out);
     }
 
     fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
         // The one-call bit path needs all three operands in B2SR with the
         // same tile size; anything else goes through the CSR fallback.
-        let (bb, mb) = match (
-            b.as_any().downcast_ref::<BitB2sr>(),
-            mask.as_any().downcast_ref::<BitB2sr>(),
-        ) {
-            (Some(bb), Some(mb)) => (bb, mb),
-            _ => return csr_mxm_reduce_masked(self, b, mask),
-        };
-        if bb.tile_size() != self.tile_size() || mb.tile_size() != self.tile_size() {
-            return csr_mxm_reduce_masked(self, b, mask);
+        fn bit(o: &dyn GrbBackend) -> Option<&BitB2sr> {
+            o.as_any().downcast_ref()
         }
-        Self::bit_mxm_sum(&self.b2sr, &bb.b2sr, &mb.b2sr) as f64
-    }
-
-    fn prepare_shards(&self, cfg: ShardConfig) {
-        let _ = self.shard_cfg.set(cfg);
-        // The `vxm` push representation (`A`'s rows) is the traversal hot
-        // path — plan it eagerly; the transpose plan builds on first use.
-        let _ = self
-            .shards
-            .get_or_init(|| plan_of_b2sr(&self.b2sr, self.shard_cfg()));
+        let (Some(bb), Some(mb)) = (bit(b), bit(mask)) else {
+            return csr_mxm_reduce_masked(self, b, mask);
+        };
+        with_b2sr!(&self.b2sr, |a| {
+            match (bb.b2sr.inner(a.tile_dim()), mb.b2sr.inner(a.tile_dim())) {
+                (Some(b), Some(m)) => bmm_bin_bin_sum_masked(a, b, m) as f64,
+                _ => csr_mxm_reduce_masked(self, b, mask),
+            }
+        })
     }
 
     fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]) {
-        let _ = self.shard_cfg.set(cfg);
-        let _ = self.shards.get_or_init(|| match prev {
-            Some(p) => {
-                macro_rules! run {
-                    ($m:expr) => {{
-                        let m = $m;
-                        p.replan_rows(m.tile_rowptr(), m.tile_dim(), m.nrows(), cfg, dirty_rows)
-                    }};
-                }
-                match &self.b2sr {
-                    B2srMatrix::B4(m) => run!(m),
-                    B2srMatrix::B8(m) => run!(m),
-                    B2srMatrix::B16(m) => run!(m),
-                    B2srMatrix::B32(m) => run!(m),
-                }
-            }
-            None => plan_of_b2sr(&self.b2sr, cfg),
-        });
+        self.shards
+            .replan(prev, cfg, dirty_rows, b2sr_weights(&self.b2sr));
     }
 
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        if of_transpose {
-            self.shards_t.get()
-        } else {
-            self.shards.get()
-        }
+        self.shards.get(of_transpose)
     }
 
     fn storage_bytes(&self) -> usize {
@@ -1425,10 +831,7 @@ impl GrbBackend for BitB2sr {
             b2sr: self.b2sr_t().clone(),
             csr_t: OnceLock::from(self.csr.clone()),
             b2sr_t: OnceLock::from(self.b2sr.clone()),
-            shard_cfg: clone_lock(&self.shard_cfg),
-            // The view's `A` is this matrix's `Aᵀ`: the plans swap roles.
-            shards: clone_lock(&self.shards_t),
-            shards_t: clone_lock(&self.shards),
+            shards: self.shards.swapped(),
         })
     }
 
@@ -1438,9 +841,7 @@ impl GrbBackend for BitB2sr {
             b2sr: self.b2sr.clone(),
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
-            shard_cfg: clone_lock(&self.shard_cfg),
-            shards: clone_lock(&self.shards),
-            shards_t: clone_lock(&self.shards_t),
+            shards: self.shards.clone(),
         })
     }
 
@@ -1449,11 +850,29 @@ impl GrbBackend for BitB2sr {
     }
 }
 
-/// [`FinishSink`](plan::FinishSink) for the FloatCsr fused pull sweep: one
-/// pass over the rows with the semiring dispatched **once per call** — each
+/// [`FinishSink`](plan::FinishSink) for the BitB2sr fused pull sweep: runs
+/// the tile-granular [`bmv_bin_full_full_fused_into`] kernel with the
+/// finishing closure [`plan::dispatch_finish`] monomorphised for the
+/// pipeline's epilogue shape.  `out` has the padded length.
+struct BitPullSink<'a, 'b, W: BitWord> {
+    m: &'a B2sr<W>,
+    semiring: Semiring,
+    x: &'a [f32],
+    out: &'b mut [f32],
+}
+
+impl<W: BitWord> plan::FinishSink for BitPullSink<'_, '_, W> {
+    fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin) {
+        bmv_bin_full_full_fused_into(self.m, self.x, self.semiring, fin, self.out);
+    }
+}
+
+/// [`FinishSink`](plan::FinishSink) for the FloatCsr pull sweep: one pass
+/// over the rows with the semiring dispatched **once per call** — each
 /// semiring gets a monomorphised gather loop — and the pipeline epilogue
 /// (handed in by [`plan::dispatch_finish`], itself monomorphised for the
-/// common shapes) folded into the store.
+/// common shapes) folded into the store.  Masked rows skip their edge walk
+/// entirely (GraphBLAST's early exit).
 struct CsrPullSink<'a, 'b> {
     csr: &'a Csr,
     semiring: Semiring,
@@ -1509,39 +928,6 @@ impl plan::FinishSink for CsrPullSink<'_, '_> {
     }
 }
 
-/// [`FinishSink`](plan::FinishSink) for the BitB2sr fused pull sweep:
-/// dispatches the four B2SR variants into the tile-granular
-/// [`bmv_bin_full_full_fused_into`] kernel.  The mask (when present) rides
-/// inside the finishing closure — the bit sweep computes every row's raw
-/// value regardless, exactly like the masked bit kernels.
-struct BitPullSink<'a, 'b> {
-    b2sr: &'a B2srMatrix,
-    semiring: Semiring,
-    x: &'a [f32],
-    out: &'b mut Vec<f32>,
-}
-
-impl plan::FinishSink for BitPullSink<'_, '_> {
-    fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin) {
-        let out = self.out;
-        macro_rules! run {
-            ($m:expr) => {{
-                let m = $m;
-                out.clear();
-                out.resize(m.n_tile_rows() * m.tile_dim(), 0.0);
-                bmv_bin_full_full_fused_into(m, self.x, self.semiring, fin, out);
-                out.truncate(m.nrows());
-            }};
-        }
-        match self.b2sr {
-            B2srMatrix::B4(m) => run!(m),
-            B2srMatrix::B8(m) => run!(m),
-            B2srMatrix::B16(m) => run!(m),
-            B2srMatrix::B32(m) => run!(m),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // FloatCsr
 // ---------------------------------------------------------------------------
@@ -1552,13 +938,7 @@ impl plan::FinishSink for BitPullSink<'_, '_> {
 pub struct FloatCsr {
     csr: Csr,
     csr_t: OnceLock<Csr>,
-    /// Shard config the scatter plans are built with (set by
-    /// `prepare_shards`, defaulting to the host config on first use).
-    shard_cfg: OnceLock<ShardConfig>,
-    /// Row-shard plan over `A`'s rows (the `vxm` push representation).
-    shards: OnceLock<ShardPlan>,
-    /// Row-shard plan over `Aᵀ`'s rows (the `mxv` push representation).
-    shards_t: OnceLock<ShardPlan>,
+    shards: ScatterPlans,
 }
 
 impl FloatCsr {
@@ -1572,68 +952,28 @@ impl FloatCsr {
         FloatCsr {
             csr: bin,
             csr_t: OnceLock::new(),
-            shard_cfg: OnceLock::new(),
-            shards: OnceLock::new(),
-            shards_t: OnceLock::new(),
+            shards: ScatterPlans::default(),
         }
     }
 
-    /// The shard config (from `prepare_shards`, or the host default).
-    fn shard_cfg(&self) -> ShardConfig {
-        *self.shard_cfg.get_or_init(ShardConfig::default)
-    }
-
-    /// The shard plan of the scatter representation: `of_transpose`
-    /// selects `Aᵀ`'s rows.  Built lazily from the representation's
-    /// rowptr (edge counts per row, [`crate::shard::SHARD_ALIGN`]-aligned
-    /// boundaries).
-    fn scatter_plan(&self, of_transpose: bool) -> &ShardPlan {
-        if of_transpose {
-            self.shards_t.get_or_init(|| {
-                let t = self.csr_t();
-                ShardPlan::from_weights(t.rowptr(), 1, t.nrows(), self.shard_cfg())
-            })
+    /// `Aᵀ`'s representation iff `transposed` (pull runs on
+    /// `rep(transpose)`, push scatters the rows of `rep(!transpose)` — see
+    /// [`BitB2sr`]).
+    fn rep(&self, transposed: bool) -> &Csr {
+        if transposed {
+            self.csr_t()
         } else {
-            self.shards.get_or_init(|| {
-                ShardPlan::from_weights(self.csr.rowptr(), 1, self.csr.nrows(), self.shard_cfg())
-            })
+            &self.csr
         }
     }
 
-    /// Row-parallel CSR SpMV over an arbitrary semiring (GraphBLAST-style).
-    /// The adjacency matrix is binary, so a stored entry contributes
-    /// `⊗(x[j])` and absent entries contribute nothing; masked rows are
-    /// skipped entirely (GraphBLAST's early exit).
-    fn float_mxv(csr: &Csr, x: &[f32], semiring: Semiring, mask: Option<&Mask>) -> Vec<f32> {
-        let mut y = vec![semiring.identity(); csr.nrows()];
-        Self::float_mxv_into(csr, x, semiring, mask, &mut y);
-        y
-    }
-
-    /// As [`FloatCsr::float_mxv`], writing into a caller-supplied slice of
-    /// `nrows` entries pre-filled with the semiring identity.
-    fn float_mxv_into(
-        csr: &Csr,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        y: &mut [f32],
-    ) {
-        use rayon::prelude::*;
-        let identity = semiring.identity();
-        y.par_iter_mut().enumerate().for_each(|(r, out)| {
-            if let Some(m) = mask {
-                if !m.allows(r) {
-                    return;
-                }
-            }
-            let (cols, _) = csr.row(r);
-            let mut acc = identity;
-            for &c in cols {
-                acc = semiring.reduce(acc, semiring.combine(x[c]));
-            }
-            *out = acc;
-        });
+    /// The scatter representation of a push product with its shard plan
+    /// (edge counts per row, [`crate::shard::SHARD_ALIGN`]-aligned
+    /// boundaries) and average degree.
+    fn scatter_rep(&self, transpose: bool) -> (&Csr, &ShardPlan, usize) {
+        let rep = self.rep(!transpose);
+        let plan = self.shards.get_or_plan(!transpose, csr_weights(rep));
+        (rep, plan, avg_degree(self.csr.nnz(), rep.nrows()))
     }
 
     /// Batched pull sweep: row-parallel CSR matrix × multivector over an
@@ -1718,23 +1058,11 @@ impl FloatCsr {
         mask: Option<&Mask>,
         y: &mut [f32],
     ) {
-        match mask {
-            Some(m) => {
-                for &u in frontier {
-                    let contrib = semiring.combine(x[u]);
-                    for &j in csr.row(u).0 {
-                        if m.allows(j) {
-                            y[j] = semiring.reduce(y[j], contrib);
-                        }
-                    }
-                }
-            }
-            None => {
-                for &u in frontier {
-                    let contrib = semiring.combine(x[u]);
-                    for &j in csr.row(u).0 {
-                        y[j] = semiring.reduce(y[j], contrib);
-                    }
+        for &u in frontier {
+            let contrib = semiring.combine(x[u]);
+            for &j in csr.row(u).0 {
+                if mask.is_none_or(|m| m.allows(j)) {
+                    y[j] = semiring.reduce(y[j], contrib);
                 }
             }
         }
@@ -1766,182 +1094,92 @@ impl GrbBackend for FloatCsr {
         self.csr_t.get_or_init(|| self.csr.transpose())
     }
 
-    fn mxv(&self, x: &[f32], semiring: Semiring, mask: Option<&Mask>, transpose: bool) -> Vec<f32> {
-        let csr = if transpose { self.csr_t() } else { &self.csr };
-        Self::float_mxv(csr, x, semiring, mask)
+    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        let semiring = p.semiring;
+        let Some(frontier) = p.frontier else {
+            // Pull: one row sweep, bare or fused alike.
+            let csr = self.rep(p.transpose);
+            out.clear();
+            out.resize(csr.nrows(), 0.0);
+            plan::dispatch_finish(
+                p,
+                CsrPullSink {
+                    csr,
+                    semiring,
+                    x: p.x,
+                    mask: p.mask,
+                    out,
+                },
+            );
+            return;
+        };
+        let (csr, plan, avg) = self.scatter_rep(p.transpose);
+        let finished = seed_push_output(p, csr.ncols(), out);
+        push_scatter(
+            ws,
+            plan,
+            frontier,
+            avg,
+            1,
+            semiring.identity(),
+            out,
+            |segment, chunk| Self::float_push_into(csr, p.x, segment, semiring, p.mask, chunk),
+            |acc, v| semiring.reduce(acc, v),
+        );
+        if !finished {
+            p.finish_in_place(out);
+        }
     }
 
-    fn mxv_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        _ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let csr = if transpose { self.csr_t() } else { &self.csr };
-        out.clear();
-        out.resize(csr.nrows(), semiring.identity());
-        Self::float_mxv_into(csr, x, semiring, mask, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mxv_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        // Scatter walks rows of the opposite representation from the pull
-        // sweep (see the BitB2sr implementation).
-        let csr = if transpose { &self.csr } else { self.csr_t() };
-        let plan = self.scatter_plan(!transpose);
-        out.clear();
-        out.resize(csr.ncols(), semiring.identity());
-        csr_push_full(csr, x, frontier, semiring, mask, plan, ws, out);
-    }
-
-    fn vxm_into(
-        &self,
-        x: &[f32],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.mxv_into(x, semiring, mask, !transpose, ws, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn vxm_push_into(
-        &self,
-        x: &[f32],
-        frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.mxv_push_into(x, frontier, semiring, mask, !transpose, ws, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn mxm_into(
         &self,
         x: &[f32],
         k: usize,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        _ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let csr = if transpose { self.csr_t() } else { &self.csr };
-        out.clear();
-        out.resize(csr.nrows() * k, semiring.identity());
-        Self::float_mxm_into(csr, x, k, semiring, mask, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mxm_push_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: &[usize],
+        frontier: Option<&[usize]>,
         semiring: Semiring,
         mask: Option<&Mask>,
         transpose: bool,
         ws: &Workspace,
         out: &mut Vec<f32>,
     ) {
-        // Scatter walks rows of the opposite representation from the pull
-        // sweep (see the BitB2sr implementation).
-        let csr = if transpose { &self.csr } else { self.csr_t() };
-        let plan = self.scatter_plan(!transpose);
         out.clear();
-        out.resize(csr.ncols() * k, semiring.identity());
-        csr_push_multi_full(csr, x, k, frontier, semiring, mask, plan, ws, out);
-    }
-
-    fn mxv_fused_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
+        match frontier {
             Some(frontier) => {
-                // Scatter walks rows of the opposite representation from the
-                // pull sweep.  A monoid accumulator seeds the output with
-                // the baseline and ⊕-folds straight into it; otherwise the
-                // collapsed epilogue runs as one pass after the scatter.
-                let csr = if p.transpose { &self.csr } else { self.csr_t() };
-                let plan = self.scatter_plan(!p.transpose);
-                out.clear();
-                if p.push_folds_accum() {
-                    let (_, base) = p.accum.expect("push_folds_accum implies accum");
-                    out.extend_from_slice(base);
-                    csr_push_full(csr, p.x, frontier, p.semiring, p.mask, plan, ws, out);
-                } else {
-                    out.resize(csr.ncols(), p.semiring.identity());
-                    csr_push_full(csr, p.x, frontier, p.semiring, p.mask, plan, ws, out);
-                    p.finish_in_place(out);
-                }
-            }
-            None => {
-                let csr = if p.transpose { self.csr_t() } else { &self.csr };
-                out.clear();
-                out.resize(csr.nrows(), 0.0);
-                plan::dispatch_finish(
-                    p,
-                    CsrPullSink {
-                        csr,
-                        semiring: p.semiring,
-                        x: p.x,
-                        mask: p.mask,
-                        out,
+                let (csr, plan, avg) = self.scatter_rep(transpose);
+                out.resize(csr.ncols() * k, semiring.identity());
+                push_scatter(
+                    ws,
+                    plan,
+                    frontier,
+                    avg,
+                    k,
+                    semiring.identity(),
+                    out,
+                    |segment, chunk| {
+                        Self::float_mxm_push_into(csr, x, k, segment, semiring, mask, chunk)
                     },
+                    |acc, v| semiring.reduce(acc, v),
                 );
             }
+            None => {
+                let csr = self.rep(transpose);
+                out.resize(csr.nrows() * k, semiring.identity());
+                Self::float_mxm_into(csr, x, k, semiring, mask, out);
+            }
         }
-    }
-
-    fn ewise_chain_into(
-        &self,
-        stages: &[Stage<'_>],
-        accum: Option<(BinaryOp, &[f32])>,
-        out: &mut [f32],
-    ) {
-        plan::run_chain_in_place_parallel(stages, accum, out);
     }
 
     fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
         csr_mxm_reduce_masked(self, b, mask)
     }
 
-    fn prepare_shards(&self, cfg: ShardConfig) {
-        let _ = self.shard_cfg.set(cfg);
-        let _ = self.shards.get_or_init(|| {
-            ShardPlan::from_weights(self.csr.rowptr(), 1, self.csr.nrows(), self.shard_cfg())
-        });
-    }
-
     fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]) {
-        let _ = self.shard_cfg.set(cfg);
-        let _ = self.shards.get_or_init(|| match prev {
-            Some(p) => p.replan_rows(self.csr.rowptr(), 1, self.csr.nrows(), cfg, dirty_rows),
-            None => ShardPlan::from_weights(self.csr.rowptr(), 1, self.csr.nrows(), cfg),
-        });
+        self.shards
+            .replan(prev, cfg, dirty_rows, csr_weights(&self.csr));
     }
 
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        if of_transpose {
-            self.shards_t.get()
-        } else {
-            self.shards.get()
-        }
+        self.shards.get(of_transpose)
     }
 
     fn storage_bytes(&self) -> usize {
@@ -1952,10 +1190,7 @@ impl GrbBackend for FloatCsr {
         Box::new(FloatCsr {
             csr: self.csr_t().clone(),
             csr_t: OnceLock::from(self.csr.clone()),
-            shard_cfg: clone_lock(&self.shard_cfg),
-            // The view's `A` is this matrix's `Aᵀ`: the plans swap roles.
-            shards: clone_lock(&self.shards_t),
-            shards_t: clone_lock(&self.shards),
+            shards: self.shards.swapped(),
         })
     }
 
@@ -1963,9 +1198,7 @@ impl GrbBackend for FloatCsr {
         Box::new(FloatCsr {
             csr: self.csr.clone(),
             csr_t: OnceLock::new(),
-            shard_cfg: clone_lock(&self.shard_cfg),
-            shards: clone_lock(&self.shards),
-            shards_t: clone_lock(&self.shards_t),
+            shards: self.shards.clone(),
         })
     }
 
@@ -1977,7 +1210,11 @@ impl GrbBackend for FloatCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::b2sr::convert::from_csr;
+    use crate::grb::{Context, Direction, Fusion, Matrix, MultiVec, Op, Vector};
+    use crate::semiring::BinaryOp;
     use bitgblas_sparse::Coo;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample(n: usize, seed: u64) -> Csr {
         let mut coo = Coo::new(n, n);
@@ -1996,6 +1233,22 @@ mod tests {
         coo.to_binary_csr()
     }
 
+    /// The bare pull product `A ⊕.⊗ x` through the trait.
+    fn product(b: &dyn GrbBackend, x: &[f32], semiring: Semiring) -> Vec<f32> {
+        let p = MxvPipeline {
+            x,
+            frontier: None,
+            semiring,
+            mask: None,
+            transpose: false,
+            stages: &[],
+            accum: None,
+        };
+        let mut out = Vec::new();
+        b.mxv_into(&p, &Workspace::new(), &mut out);
+        out
+    }
+
     #[test]
     fn backends_agree_through_the_trait_object() {
         let csr = sample(70, 5);
@@ -2005,23 +1258,13 @@ mod tests {
             Box::new(BitB2sr::new(&csr, TileSize::S4)),
             Box::new(BitB2sr::new(&csr, TileSize::S16)),
         ];
-        let reference = backends[0].mxv(&x, Semiring::Arithmetic, None, false);
+        let reference = product(&*backends[0], &x, Semiring::Arithmetic);
         for b in &backends[1..] {
-            let got = b.mxv(&x, Semiring::Arithmetic, None, false);
+            let got = product(&**b, &x, Semiring::Arithmetic);
             for (g, r) in got.iter().zip(&reference) {
                 assert!((g - r).abs() < 1e-4, "{:?}", b.kind());
             }
         }
-    }
-
-    #[test]
-    fn vxm_default_is_mxv_on_the_transpose() {
-        let csr = sample(40, 9);
-        let x: Vec<f32> = (0..40).map(|i| (i % 3) as f32).collect();
-        let b = BitB2sr::new(&csr, TileSize::S8);
-        let via_vxm = b.vxm(&x, Semiring::Arithmetic, None, false);
-        let via_mxv_t = b.mxv(&x, Semiring::Arithmetic, None, true);
-        assert_eq!(via_vxm, via_mxv_t);
     }
 
     /// Direct coverage of the `csr_mxm_reduce_masked` fallback: every
@@ -2078,6 +1321,9 @@ mod tests {
         let uniform_m = BitB2sr::new(&l_csr, TileSize::S8);
         let bit = a.mxm_reduce_masked(&uniform_b, &uniform_m);
         assert_eq!(mixed, bit, "fallback must produce the same triangle sum");
+        // B2SR-4 and B2SR-8 share the `u8` packing word but not the kernel.
+        let b4 = BitB2sr::new(&l_csr.transpose(), TileSize::S4);
+        assert_eq!(a.mxm_reduce_masked(&b4, &uniform_m), bit);
     }
 
     #[test]
@@ -2109,32 +1355,28 @@ mod tests {
         assert_eq!(c.csr(), b.csr());
     }
 
-    #[test]
-    fn ewise_defaults_follow_the_semiring() {
-        let b = FloatCsr::new(&sample(10, 1));
-        assert_eq!(
-            b.ewise_add(&[1.0, 5.0], &[2.0, 3.0], Semiring::MinPlus(1.0)),
-            vec![1.0, 3.0]
-        );
-        assert_eq!(
-            b.ewise_mult(&[2.0, 0.0], &[4.0, 5.0], Semiring::Boolean),
-            vec![1.0, 0.0]
-        );
-        assert_eq!(b.apply(&[1.0, -2.0], &f32::abs), vec![1.0, 2.0]);
-        assert_eq!(b.select(&[1.0, -2.0], &|x| x > 0.0), vec![1.0, 0.0]);
-        assert_eq!(b.reduce(&[3.0, 1.0, 7.0], Semiring::MaxTimes(1.0)), 7.0);
-    }
-
-    /// An external backend that overrides only the allocating `vxm` must
-    /// still see its override used by the `Op` layer (via the `vxm_into`
-    /// default) — the PR-1 pluggable-backend contract.
+    /// A backend defined outside the built-in pair is a page: it implements
+    /// the required methods — here by forwarding to a `FloatCsr` and
+    /// counting the two product entry points — and every `Op` shape reaches
+    /// it through exactly those.
     #[derive(Debug)]
-    struct VxmSpy {
+    struct Spy {
         inner: FloatCsr,
-        vxm_calls: std::sync::atomic::AtomicUsize,
+        mxv_calls: AtomicUsize,
+        mxm_calls: AtomicUsize,
     }
 
-    impl GrbBackend for VxmSpy {
+    impl Spy {
+        fn new(csr: &Csr) -> Self {
+            Spy {
+                inner: FloatCsr::new(csr),
+                mxv_calls: AtomicUsize::new(0),
+                mxm_calls: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl GrbBackend for Spy {
         fn kind(&self) -> Backend {
             self.inner.kind()
         }
@@ -2153,65 +1395,90 @@ mod tests {
         fn csr_t(&self) -> &Csr {
             self.inner.csr_t()
         }
-        fn mxv(
-            &self,
-            x: &[f32],
-            semiring: Semiring,
-            mask: Option<&Mask>,
-            transpose: bool,
-        ) -> Vec<f32> {
-            self.inner.mxv(x, semiring, mask, transpose)
+        fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+            self.mxv_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.mxv_into(p, ws, out);
         }
-        fn vxm(
+        fn mxm_into(
             &self,
             x: &[f32],
+            k: usize,
+            frontier: Option<&[usize]>,
             semiring: Semiring,
             mask: Option<&Mask>,
             transpose: bool,
-        ) -> Vec<f32> {
-            self.vxm_calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.vxm(x, semiring, mask, transpose)
+            ws: &Workspace,
+            out: &mut Vec<f32>,
+        ) {
+            self.mxm_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .mxm_into(x, k, frontier, semiring, mask, transpose, ws, out);
         }
         fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
             self.inner.mxm_reduce_masked(b, mask)
+        }
+        fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
+        fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {
+            None
         }
         fn storage_bytes(&self) -> usize {
             self.inner.storage_bytes()
         }
         fn transpose_view(&self) -> Box<dyn GrbBackend> {
-            self.inner.transpose_view()
+            Box::new(Spy::new(self.inner.csr_t()))
         }
         fn clone_box(&self) -> Box<dyn GrbBackend> {
-            Box::new(VxmSpy {
-                inner: FloatCsr::new(self.inner.csr()),
-                vxm_calls: std::sync::atomic::AtomicUsize::new(0),
-            })
+            Box::new(Spy::new(self.inner.csr()))
         }
         fn as_any(&self) -> &dyn Any {
             self
         }
     }
 
-    /// An external backend that overrides none of the batched entry points
-    /// still gets exact `mxm` results through the per-lane `mxm_into` /
-    /// `mxm_push_into` defaults (including the flat per-lane mask).
     #[test]
-    fn mxm_default_fallback_is_exact_for_external_backends() {
-        use crate::grb::{Context, Direction, Matrix, MultiVec, Op};
+    fn op_layer_reaches_an_external_backend_through_the_required_methods() {
         let csr = sample(36, 101);
         let ctx = Context::default();
-        let external = Matrix::from_backend(Box::new(VxmSpy {
-            inner: FloatCsr::new(&csr),
-            vxm_calls: std::sync::atomic::AtomicUsize::new(0),
-        }));
+        let external = Matrix::from_backend(Box::new(Spy::new(&csr)));
         let reference = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+        let spy = |m: &Matrix| -> (usize, usize) {
+            let s = m.state().as_any().downcast_ref::<Spy>().unwrap();
+            (
+                s.mxv_calls.load(Ordering::Relaxed),
+                s.mxm_calls.load(Ordering::Relaxed),
+            )
+        };
+
+        // Single-vector: mxv and vxm, both directions, bare / fused /
+        // node-at-a-time — one `mxv_into` call each, results as built in.
+        let x = Vector::indicator(36, &[0, 5, 11]);
+        let dist = Vector::from_vec((0..36).map(|i| (i % 5) as f32).collect());
+        let mut expected_calls = 0;
+        for dir in [Direction::Push, Direction::Pull] {
+            for fusion in [Fusion::Fused, Fusion::NodeAtATime] {
+                let run = |m: &Matrix| {
+                    let bare = Op::vxm(&x, m).direction(dir).fusion(fusion).run(&ctx);
+                    let chain = Op::mxv(m, &dist)
+                        .semiring(Semiring::MinPlus(1.0))
+                        .direction(dir)
+                        .fusion(fusion)
+                        .affine(2.0, 1.0)
+                        .accum(BinaryOp::Min, &dist)
+                        .run(&ctx);
+                    (bare, chain)
+                };
+                assert_eq!(run(&external), run(&reference), "{dir:?} {fusion:?}");
+                expected_calls += 2;
+            }
+        }
+        assert_eq!(spy(&external), (expected_calls, 0));
+
+        // Batched: one `mxm_into` call per op, flat per-lane mask included.
         let mv = MultiVec::from_sources(36, &[0, 5, 11]);
-        let allow: Vec<bool> = (0..36 * 3).map(|f| f % 4 != 1).collect();
-        let mask = Mask::new(allow);
+        let mask = Mask::new((0..36 * 3).map(|f| f % 4 != 1).collect());
         for dir in [Direction::Push, Direction::Pull] {
             for transpose in [false, true] {
-                let build = |m: &Matrix| {
+                let run = |m: &Matrix| {
                     let mut op = Op::mxm(m, &mv)
                         .semiring(Semiring::Boolean)
                         .mask(&mask)
@@ -2222,32 +1489,130 @@ mod tests {
                     op.run(&ctx)
                 };
                 assert_eq!(
-                    build(&external),
-                    build(&reference),
+                    run(&external),
+                    run(&reference),
                     "{dir:?} transpose={transpose}"
                 );
             }
         }
+        assert_eq!(spy(&external), (expected_calls, 4));
     }
 
+    /// The one sharded-or-serial routine over its four scatter shapes
+    /// (Boolean words, full precision, Boolean lane words, batched full
+    /// precision): engaged on a multi-shard plan, its output is
+    /// bit-identical at 1/2/4/8 threads, and for exact monoids equal to the
+    /// serial kernel on the whole frontier.
     #[test]
-    fn op_layer_dispatches_through_external_vxm_overrides() {
-        use crate::grb::{Context, Direction, Matrix, Op, Vector};
-        let csr = sample(30, 13);
-        let m = Matrix::from_backend(Box::new(VxmSpy {
-            inner: FloatCsr::new(&csr),
-            vxm_calls: std::sync::atomic::AtomicUsize::new(0),
-        }));
-        let ctx = Context::default();
-        let x = Vector::indicator(30, &[0, 5]);
-        // Pull and (fallback) push both route through the overridden vxm.
-        let _ = Op::vxm(&x, &m).direction(Direction::Pull).run(&ctx);
-        let _ = Op::vxm(&x, &m).direction(Direction::Push).run(&ctx);
-        let spy = m.state().as_any().downcast_ref::<VxmSpy>().unwrap();
-        assert_eq!(
-            spy.vxm_calls.load(std::sync::atomic::Ordering::Relaxed),
-            2,
-            "external vxm override must be dispatched by Op::vxm"
+    fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
+        let a = sample(300, 53);
+        let n = a.nrows();
+        let b = from_csr::<u8>(&a, 8);
+        let cfg = ShardConfig {
+            threads: 4,
+            cache_bytes: 2 << 20,
+        };
+        let plan = ShardPlan::from_weights(a.rowptr(), 1, n, cfg);
+        assert!(plan.n_shards() >= 4, "precondition: {plan:?}");
+        let avg = avg_degree(a.nnz(), n);
+        let frontier: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        let k = 70;
+        let wpn = lane_words_per_node(k);
+        let x: Vec<f32> = (0..n).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect();
+        let xk: Vec<f32> = (0..n * 3).map(|f| (f % 7) as f32 * 0.21 + 0.5).collect();
+        let mut xw = vec![0u64; n * wpn];
+        for (f, w) in xw.iter_mut().enumerate() {
+            *w = (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7;
+        }
+
+        // Run one shape at every thread budget; returns the common output.
+        fn at_every_budget<T: Poolable + Sync + PartialEq + std::fmt::Debug>(
+            what: &str,
+            run: impl Fn(&Workspace, &mut [T]),
+            seed: Vec<T>,
+        ) -> Vec<T> {
+            let mut reference: Option<Vec<T>> = None;
+            for threads in [1usize, 2, 4, 8] {
+                let ws = Workspace::new();
+                ws.set_push_threads(threads);
+                let mut y = seed.clone();
+                run(&ws, &mut y);
+                assert_eq!(
+                    ws.stats().snapshot().sharded_push,
+                    1,
+                    "{what}: the sharded path must engage"
+                );
+                match &reference {
+                    None => reference = Some(y),
+                    Some(r) => assert_eq!(&y, r, "{what} threads={threads}"),
+                }
+            }
+            reference.unwrap()
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+
+        // Boolean tile words.
+        let words = |seg: &[usize], chunk: &mut [u8]| bmv_push_bin_bin(&b, seg, chunk);
+        let got = at_every_budget(
+            "bin words",
+            |ws, y| push_scatter(ws, &plan, &frontier, avg, 1, 0u8, y, words, |p, q| p | q),
+            vec![0u8; b.n_tile_cols()],
         );
+        let mut serial = vec![0u8; b.n_tile_cols()];
+        words(&frontier, &mut serial);
+        assert_eq!(got, serial);
+
+        // Boolean lane words (k > 64: two words per node).
+        let lanes = |seg: &[usize], chunk: &mut [u64]| bmm_push_bits(&b, seg, &xw, wpn, chunk);
+        let got = at_every_budget(
+            "lane words",
+            |ws, y| push_scatter(ws, &plan, &frontier, avg, wpn, 0u64, y, lanes, |p, q| p | q),
+            vec![0u64; n * wpn],
+        );
+        let mut serial = vec![0u64; n * wpn];
+        lanes(&frontier, &mut serial);
+        assert_eq!(got, serial);
+
+        // Full precision, single vector and batched; the float `+` is only
+        // bit-stable across budgets, the exact monoids also equal serial.
+        for semiring in [
+            Semiring::Arithmetic,
+            Semiring::MinPlus(1.0),
+            Semiring::Boolean,
+        ] {
+            let id = semiring.identity();
+            let fold = |p: f32, q: f32| semiring.reduce(p, q);
+            let full = |seg: &[usize], chunk: &mut [f32]| {
+                bmv_push_bin_full(&b, &x, seg, semiring, |j| j % 5 != 0, chunk)
+            };
+            let multi = |seg: &[usize], chunk: &mut [f32]| {
+                bmm_push_bin_full(&b, &xk, 3, seg, semiring, |_| true, chunk)
+            };
+            let got_full = at_every_budget(
+                "full",
+                |ws, y| push_scatter(ws, &plan, &frontier, avg, 1, id, y, full, fold),
+                vec![id; n],
+            );
+            let got_multi = at_every_budget(
+                "multi full",
+                |ws, y| push_scatter(ws, &plan, &frontier, avg, 3, id, y, multi, fold),
+                vec![id; n * 3],
+            );
+            if semiring != Semiring::Arithmetic {
+                let mut serial = vec![id; n];
+                full(&frontier, &mut serial);
+                assert_eq!(bits(&got_full), bits(&serial), "{semiring:?}");
+                let mut serial = vec![id; n * 3];
+                multi(&frontier, &mut serial);
+                assert_eq!(bits(&got_multi), bits(&serial), "{semiring:?}");
+            }
+        }
+
+        // A frontier too thin to pay for the merge stays serial.
+        let ws = Workspace::new();
+        ws.set_push_threads(4);
+        let mut y = vec![0u8; b.n_tile_cols()];
+        push_scatter(&ws, &plan, &[7], avg, 1, 0u8, &mut y, words, |p, q| p | q);
+        assert_eq!(ws.stats().snapshot().sharded_push, 0);
     }
 }

@@ -1,59 +1,12 @@
-//! Element-wise slice helpers behind the GrB layer.
+//! Masked assignment.
 //!
-//! GraphBLAS algorithms interleave the matrix products with element-wise
-//! scalar updates of the frontier/result vectors (the "several element-wise
-//! scalar operations" per iteration the paper mentions in §VI-E).  The slice
-//! helpers here are the shared implementations behind the
-//! [`GrbBackend`](super::GrbBackend) default methods; user-facing
-//! element-wise operations go through the lazy chain builders of
-//! [`Op`](super::Op) (`Op::ewise_add(&a, &b).apply(&f).run(&ctx)`), which
-//! collapse whole chains into one sweep.  The pre-0.2 deprecated
-//! free functions were removed in PR 3.
-
-use crate::semiring::Semiring;
+//! User-facing element-wise operations go through the lazy chain builders
+//! of [`Op`](super::Op) (`Op::ewise_add(&a, &b).apply(&f).run(&ctx)`), which
+//! collapse whole chains into one sweep in the planner; what is left here
+//! is the one element-wise update that is not a chain stage.
 
 use super::descriptor::Mask;
 use super::vector::Vector;
-
-/// `out[i] = a[i] ⊕ b[i]` over raw slices (the shared implementation).
-pub(crate) fn ewise_add_slices(a: &[f32], b: &[f32], semiring: Semiring) -> Vec<f32> {
-    let mut out = Vec::new();
-    ewise_add_into(a, b, semiring, &mut out);
-    out
-}
-
-/// As [`ewise_add_slices`], appending into a caller-supplied (typically
-/// workspace-pooled) buffer.
-pub(crate) fn ewise_add_into(a: &[f32], b: &[f32], semiring: Semiring, out: &mut Vec<f32>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(&x, &y)| semiring.reduce(x, y)));
-}
-
-/// `out[i] = a[i] ⊗ b[i]` over raw slices (the shared implementation).
-pub(crate) fn ewise_mult_slices(a: &[f32], b: &[f32], semiring: Semiring) -> Vec<f32> {
-    let mut out = Vec::new();
-    ewise_mult_into(a, b, semiring, &mut out);
-    out
-}
-
-/// As [`ewise_mult_slices`], appending into a caller-supplied buffer.
-pub(crate) fn ewise_mult_into(a: &[f32], b: &[f32], semiring: Semiring, out: &mut Vec<f32>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(&x, &y)| match semiring {
-        Semiring::Boolean => {
-            if x != 0.0 && y != 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        Semiring::Arithmetic => x * y,
-        Semiring::MinPlus(_) => x + y,
-        Semiring::MaxTimes(_) => x * y,
-    }));
-}
 
 /// Masked assignment: copy `src[i]` into `dst[i]` wherever the mask allows
 /// it, leaving the other positions untouched (GraphBLAS `assign` with a
@@ -70,46 +23,6 @@ pub fn assign_masked(dst: &mut Vector, src: &Vector, mask: &Mask) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewise_add_slices_use_the_additive_monoid() {
-        let a = [1.0, 5.0, f32::INFINITY];
-        let b = [2.0, 3.0, 4.0];
-        assert_eq!(
-            ewise_add_slices(&a, &b, Semiring::Arithmetic),
-            vec![3.0, 8.0, f32::INFINITY]
-        );
-        assert_eq!(
-            ewise_add_slices(&a, &b, Semiring::MinPlus(1.0)),
-            vec![1.0, 3.0, 4.0]
-        );
-        assert_eq!(
-            ewise_add_slices(&a, &b, Semiring::MaxTimes(1.0)),
-            vec![2.0, 5.0, f32::INFINITY]
-        );
-        assert_eq!(
-            ewise_add_slices(&[0.0, 1.0, 0.0], &[0.0, 0.0, 2.0], Semiring::Boolean),
-            vec![0.0, 1.0, 1.0]
-        );
-    }
-
-    #[test]
-    fn ewise_mult_slices_follow_the_multiplicative_op() {
-        let a = [2.0, 0.0, 3.0];
-        let b = [4.0, 5.0, 0.5];
-        assert_eq!(
-            ewise_mult_slices(&a, &b, Semiring::Arithmetic),
-            vec![8.0, 0.0, 1.5]
-        );
-        assert_eq!(
-            ewise_mult_slices(&a, &b, Semiring::MinPlus(0.0)),
-            vec![6.0, 5.0, 3.5]
-        );
-        assert_eq!(
-            ewise_mult_slices(&a, &b, Semiring::Boolean),
-            vec![1.0, 0.0, 1.0]
-        );
-    }
 
     #[test]
     fn assign_masked_only_touches_allowed_positions() {

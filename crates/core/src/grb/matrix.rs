@@ -172,7 +172,7 @@ impl Matrix {
         };
         // Row-shard plans are part of format selection: sized here, at
         // build time, from the context's device profile and thread budget.
-        state.prepare_shards(ctx.shard_config());
+        state.replan_shards(None, ctx.shard_config(), &[]);
         Matrix::from_parts(backend, Arc::from(state), Arc::new(ctx.clone()))
     }
 
@@ -180,7 +180,7 @@ impl Matrix {
     /// backends defined outside this crate).
     pub fn from_backend(state: Box<dyn GrbBackend>) -> Self {
         let ctx = Context::default();
-        state.prepare_shards(ctx.shard_config());
+        state.replan_shards(None, ctx.shard_config(), &[]);
         Matrix::from_parts(state.kind(), Arc::from(state), Arc::new(ctx))
     }
 

@@ -38,12 +38,15 @@
 //!
 //! The planner pattern-matches fusable shapes — mxv+mask+accum into one
 //! masked kernel sweep, apply/select folded into the consuming ewise pass,
-//! ewise chains collapsed into a single loop — and emits fused calls
-//! through [`GrbBackend::mxv_fused_into`] / [`GrbBackend::ewise_chain_into`].
-//! Unfusable shapes (and [`expr::Fusion::NodeAtATime`]) fall back to
-//! node-at-a-time execution, so semantics never depend on what fused.
-//! Fused pipelines draw all scratch from the context's [`Workspace`] pool
-//! and allocate nothing in steady state.
+//! ewise chains collapsed into a single loop.  Every matrix-vector product
+//! reaches the backend as one [`MxvPipeline`] through
+//! [`GrbBackend::mxv_into`]: the whole chain when it fuses, the bare
+//! product otherwise (and under [`expr::Fusion::NodeAtATime`]), with the
+//! planner running the rest of the chain itself — so semantics never
+//! depend on what fused, and a backend (the delta overlay, or one defined
+//! outside this crate) has a single product to implement.  Pipelines draw
+//! all scratch from the context's [`Workspace`] pool and allocate nothing
+//! in steady state.
 //!
 //! # Batched multi-source traversal (frontier matrices)
 //!
@@ -60,8 +63,9 @@
 //!
 //! # Sharded parallel push execution (PR 5)
 //!
-//! Push (sparse-frontier scatter) operations used to run serially; they now
-//! execute over the row-shard partition of [`crate::shard`]: matrices carry
+//! Push (sparse-frontier scatter) operations execute over the row-shard
+//! partition of [`crate::shard`] through one sharded-or-serial routine
+//! shared by every push shape of both built-in backends: matrices carry
 //! a per-representation [`crate::shard::ShardPlan`] (built at construction
 //! from the context's device profile and thread budget), the frontier is
 //! cut at shard boundaries, segments scatter into privatized

@@ -203,9 +203,8 @@ impl MultiVec {
     /// ascending order, to a caller-supplied (typically workspace-pooled)
     /// buffer — the frontier-list shape the push-direction batched kernels
     /// consume.  The planner derives its own list from the (possibly
-    /// input-scaled) operand; use this to drive
-    /// [`GrbBackend::mxm_push_into`](super::GrbBackend::mxm_push_into)
-    /// directly.
+    /// input-scaled) operand; use this to drive the push direction of
+    /// [`GrbBackend::mxm_into`](super::GrbBackend::mxm_into) directly.
     pub fn frontier_nodes_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
         out.clear();
         out.extend(

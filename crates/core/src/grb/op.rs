@@ -211,7 +211,7 @@ impl Context {
     }
 
     /// The shard-planning parameters matrices built with this context hand
-    /// to their backends ([`GrbBackend::prepare_shards`](super::GrbBackend::prepare_shards)):
+    /// to their backends ([`GrbBackend::replan_shards`](super::GrbBackend::replan_shards)):
     /// the thread budget plus the calibrated profile's cache size (the
     /// device profile's L2 until [`Context::calibrate`] measures the host).
     pub fn shard_config(&self) -> ShardConfig {

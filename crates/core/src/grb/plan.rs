@@ -7,9 +7,9 @@
 //!
 //! # Fusion rules
 //!
-//! For a chain rooted at a matrix-vector product the planner emits a single
-//! [`GrbBackend::mxv_fused_into`] sweep
-//! when the shape allows it:
+//! Every matrix-vector product reaches the backend as an [`MxvPipeline`]
+//! through [`GrbBackend::mxv_into`].  For a chain rooted at one, the planner
+//! hands the backend the whole chain — one sweep — when the shape allows it:
 //!
 //! * **Pull** (dense sweep) — always fusable: the sweep produces each output
 //!   row's final semiring value `t[i]` in one go, so the mask, every
@@ -18,24 +18,23 @@
 //! * **Push** (sparse scatter) — the scatter produces `t` by *partial*
 //!   updates, so element-wise stages cannot run until the scatter finishes:
 //!   * no accumulator → fusable; stages run as one collapsed epilogue pass
-//!     over the output
-//!     ([`GrbBackend::ewise_chain_into`]);
+//!     over the output;
 //!   * accumulator whose operator **is** the semiring's additive monoid and
 //!     no stages → fusable by seeding the output with the accumulation
 //!     baseline and letting the scatter ⊕-fold into it (associativity +
 //!     commutativity of the monoid make the partial order irrelevant);
 //!   * anything else (non-monoid accumulator, accumulator + stages) →
-//!     node-at-a-time for the product, with the epilogue still collapsed
-//!     into one chain sweep.
+//!     the bare product (a pipeline with no stages and no accumulator),
+//!     with the epilogue still collapsed into one chain sweep
+//!     ([`run_chain_in_place_parallel`]).
 //!
 //! Chains rooted at a leaf vector collapse into a single element-wise sweep
 //! (apply/select folded into the consuming ewise pass).
 //!
 //! [`Fusion::NodeAtATime`] disables all of the above and executes the
-//! *defining* semantics — producer sweep, then one full pass per stage, then
-//! an accumulator pass — which is what the fused≡unfused parity suite and
-//! the fused-vs-unfused benchmark rows compare against.  Unfusable shapes
-//! always take this path, so semantics never depend on what fused.
+//! *defining* semantics — the bare product, then one full pass per stage,
+//! then an accumulator pass — which is what the fused≡unfused parity suite
+//! and the fused-vs-unfused benchmark rows compare against.
 //!
 //! # Direction and workspace
 //!
@@ -109,16 +108,16 @@ fn poll_fail_point(ctx: &Context, point: &'static str) -> Result<(), GrbError> {
     Ok(())
 }
 
-/// Everything a backend needs to execute one fused matrix-vector pipeline
-/// in a single sweep: the (pre-scaled) operand, the resolved direction
-/// (`frontier` is `Some` for push), the semiring, the mask, the collapsed
-/// element-wise epilogue and the accumulator.
+/// Everything a backend needs to execute one matrix-vector product and
+/// whatever part of its chain the planner fused onto it
+/// ([`GrbBackend::mxv_into`]): the (pre-scaled) operand, the resolved
+/// direction (`frontier` is `Some` for push), the semiring, the mask, the
+/// collapsed element-wise epilogue and the accumulator.  With no stages and
+/// no accumulator it is the bare product.
 ///
 /// `transpose` is in `mxv` convention with the `vxm` flip already folded in:
 /// the pull sweep runs on `Aᵀ` iff `transpose`, the push scatter walks the
-/// opposite representation (exactly like
-/// [`GrbBackend::mxv_into`] /
-/// [`mxv_push_into`](super::GrbBackend::mxv_push_into)).
+/// opposite representation.
 #[derive(Debug, Clone, Copy)]
 pub struct MxvPipeline<'a> {
     /// The dense operand (already input-scaled if the chain requested it).
@@ -156,9 +155,19 @@ impl MxvPipeline<'_> {
         }
     }
 
-    /// Apply [`MxvPipeline::finish`] to every produced position in place —
-    /// the epilogue pass of fused push pipelines.
+    /// True for the bare product: no stage and no accumulator follow it.
+    pub fn is_bare(&self) -> bool {
+        self.stages.is_empty() && self.accum.is_none()
+    }
+
+    /// Apply [`MxvPipeline::finish`] in place to a product whose mask the
+    /// kernel already applied — the epilogue pass of pipelines that cannot
+    /// finish inside their sweep (push scatters, packed Boolean pulls).  A
+    /// bare pipeline has nothing left to do.
     pub fn finish_in_place(&self, out: &mut [f32]) {
+        if self.is_bare() {
+            return;
+        }
         for (i, v) in out.iter_mut().enumerate() {
             *v = self.finish(i, *v);
         }
@@ -210,31 +219,9 @@ pub fn dispatch_finish<S: FinishSink>(p: &MxvPipeline<'_>, sink: S) {
     }
 }
 
-/// Run a collapsed element-wise chain serially: `out[i] = w[i] ⊕
-/// stages(first[i])` (the shared implementation behind
-/// [`GrbBackend::ewise_chain_into`]
-/// defaults and leaf-chain evaluation).
-pub fn run_chain_in_place(
-    stages: &[Stage<'_>],
-    accum: Option<(BinaryOp, &[f32])>,
-    out: &mut [f32],
-) {
-    match accum {
-        Some((op, base)) => {
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = op.apply(base[i], eval_stages(stages, i, *v));
-            }
-        }
-        None => {
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = eval_stages(stages, i, *v);
-            }
-        }
-    }
-}
-
-/// As [`run_chain_in_place`], split across cores for long vectors (the
-/// built-in backends' override).
+/// Run a collapsed element-wise chain in place, split across cores for long
+/// vectors: `out[i] = w[i] ⊕ stages(out[i])` — leaf-chain evaluation, the
+/// epilogue of partially fused push pipelines and of batched products.
 pub fn run_chain_in_place_parallel(
     stages: &[Stage<'_>],
     accum: Option<(BinaryOp, &[f32])>,
@@ -254,9 +241,9 @@ pub fn run_chain_in_place_parallel(
 /// The thread budget [`Direction::Auto`]'s pricing should assume for the
 /// push side: the context's budget when the scatter representation's
 /// build-time shard plan is actually partitioned, and serial otherwise —
-/// single-shard plans (serial build budget, tiny matrices) and external
-/// backends run the serial scatter no matter what the run-time budget
-/// says, so pricing them at the budget would repeat the very serial-push /
+/// single-shard plans (serial build budget, tiny matrices) and backends
+/// that report no plan run the serial scatter no matter what the run-time
+/// budget says, so pricing them at the budget would repeat the very serial-push /
 /// parallel-pull miscalibration this model exists to fix.
 /// `of_transpose` selects the representation the push path would scatter
 /// (`Aᵀ`'s rows for effective-`mxv`); its plan is built lazily, so the
@@ -497,95 +484,58 @@ fn execute_mxv(expr: &Expr<'_>, ctx: &Context) -> Result<Vector, GrbError> {
         d => d,
     };
 
-    let trivial = expr.n_stages() == 0 && expr.accum.is_none();
-    let fuse = expr.fusion() == Fusion::Fused;
-    let eff_transpose = transpose != flip;
     let accum = expr.accum.map(|(op, w)| (op, w.as_slice()));
-
-    match direction {
-        Direction::Push => {
-            let mut frontier = ws.take_empty::<usize>();
-            frontier.extend(
-                x_slice
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| !semiring.is_identity(v))
-                    .map(|(i, _)| i),
-            );
-            if trivial && scale.is_none() {
-                // The bare stageless shape: dispatch through the
-                // flip-preserving entry points so external backends'
-                // overrides keep firing.
-                if flip {
-                    state
-                        .vxm_push_into(x_slice, &frontier, semiring, mask, transpose, ws, &mut out);
-                } else {
-                    state
-                        .mxv_push_into(x_slice, &frontier, semiring, mask, transpose, ws, &mut out);
-                }
-            } else {
-                let p = MxvPipeline {
-                    x: x_slice,
-                    frontier: Some(&frontier),
-                    semiring,
-                    mask,
-                    transpose: eff_transpose,
-                    stages: expr.stages(),
-                    accum,
-                };
-                if fuse && (p.accum.is_none() || p.push_folds_accum()) {
-                    state.mxv_fused_into(&p, ws, &mut out);
-                    ws.stats().record_fused_mxv();
-                } else {
-                    // Partial fusion: scatter node-at-a-time, but collapse
-                    // the epilogue into one chain sweep when allowed.
-                    state.mxv_push_into(
-                        x_slice,
-                        &frontier,
-                        semiring,
-                        mask,
-                        eff_transpose,
-                        ws,
-                        &mut out,
-                    );
-                    if fuse {
-                        state.ewise_chain_into(expr.stages(), accum, &mut out);
-                        ws.stats().record_ewise_chain();
-                    } else {
-                        finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
-                    }
-                }
-            }
+    let fuse = expr.fusion() == Fusion::Fused;
+    let frontier: Option<Vec<usize>> = (direction == Direction::Push).then(|| {
+        let mut frontier = ws.take_empty::<usize>();
+        frontier.extend(
+            x_slice
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| !semiring.is_identity(v))
+                .map(|(i, _)| i),
+        );
+        frontier
+    });
+    // The bare product and the whole chain, as the backend sees them.
+    let product = MxvPipeline {
+        x: x_slice,
+        frontier: frontier.as_deref(),
+        semiring,
+        mask,
+        transpose: transpose != flip,
+        stages: &[],
+        accum: None,
+    };
+    let chain = MxvPipeline {
+        stages: expr.stages(),
+        accum,
+        ..product
+    };
+    if chain.is_bare() && scale.is_none() {
+        // The stageless, unscaled shape is one backend call either way and
+        // is not counted as a fusion.
+        state.mxv_into(&product, ws, &mut out);
+    } else if fuse && (frontier.is_none() || accum.is_none() || chain.push_folds_accum()) {
+        state.mxv_into(&chain, ws, &mut out);
+        ws.stats().record_fused_mxv();
+    } else {
+        state.mxv_into(&product, ws, &mut out);
+        if fuse {
+            // Partial fusion (push with an accumulator the scatter cannot
+            // fold): the epilogue still collapses into one chain sweep.
+            run_chain_in_place_parallel(expr.stages(), accum, &mut out);
+            ws.stats().record_ewise_chain();
+        } else {
+            finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
+        }
+    }
+    match frontier {
+        Some(frontier) => {
             ws.give(frontier);
             ws.stats().record_push_mxv();
         }
-        _ => {
-            if trivial && scale.is_none() {
-                if flip {
-                    state.vxm_into(x_slice, semiring, mask, transpose, ws, &mut out);
-                } else {
-                    state.mxv_into(x_slice, semiring, mask, transpose, ws, &mut out);
-                }
-            } else {
-                let p = MxvPipeline {
-                    x: x_slice,
-                    frontier: None,
-                    semiring,
-                    mask,
-                    transpose: eff_transpose,
-                    stages: expr.stages(),
-                    accum,
-                };
-                if fuse {
-                    state.mxv_fused_into(&p, ws, &mut out);
-                    ws.stats().record_fused_mxv();
-                } else {
-                    state.mxv_into(x_slice, semiring, mask, eff_transpose, ws, &mut out);
-                    finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
-                }
-            }
-            ws.stats().record_pull_mxv();
-        }
+        None => ws.stats().record_pull_mxv(),
     }
 
     if let Some(buf) = scaled.take() {
@@ -658,17 +608,12 @@ fn execute_multi_leaf(
 /// Execute the batched matrix × multivector producer and its epilogue.
 ///
 /// The fusion rule for `mxm` chains is simpler than for `mxv`: the product
-/// is always one batched sweep ([`GrbBackend::mxm_into`] /
-/// [`GrbBackend::mxm_push_into`], mask applied by the kernel), and under
-/// [`Fusion::Fused`] the whole element-wise epilogue — stages and
-/// accumulator over the flat `n × k` storage — collapses into **one**
-/// [`GrbBackend::ewise_chain_into`] pass.  [`Fusion::NodeAtATime`] runs the
-/// defining one-pass-per-stage semantics instead, which is what the batched
-/// parity proptests compare against.
-///
-/// [`GrbBackend::mxm_into`]: super::GrbBackend::mxm_into
-/// [`GrbBackend::mxm_push_into`]: super::GrbBackend::mxm_push_into
-/// [`GrbBackend::ewise_chain_into`]: super::GrbBackend::ewise_chain_into
+/// is always one batched sweep ([`GrbBackend::mxm_into`], mask applied by
+/// the kernel), and under [`Fusion::Fused`] the whole element-wise epilogue
+/// — stages and accumulator over the flat `n × k` storage — collapses into
+/// **one** [`run_chain_in_place_parallel`] pass.  [`Fusion::NodeAtATime`]
+/// runs the defining one-pass-per-stage semantics instead, which is what
+/// the batched parity proptests compare against.
 fn execute_mxm(expr: &MultiExpr<'_>, ctx: &Context) -> Result<MultiVec, GrbError> {
     let MultiProducer::Mxm {
         a,
@@ -757,32 +702,39 @@ fn execute_mxm(expr: &MultiExpr<'_>, ctx: &Context) -> Result<MultiVec, GrbError
         d => d,
     };
 
-    match direction {
-        Direction::Push => {
-            let mut frontier = ws.take_empty::<usize>();
-            frontier.extend(
-                x_flat
-                    .chunks_exact(k)
-                    .enumerate()
-                    .filter(|(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
-                    .map(|(i, _)| i),
-            );
-            state.mxm_push_into(
-                x_flat, k, &frontier, semiring, mask, transpose, ws, &mut out,
-            );
+    let frontier: Option<Vec<usize>> = (direction == Direction::Push).then(|| {
+        let mut frontier = ws.take_empty::<usize>();
+        frontier.extend(
+            x_flat
+                .chunks_exact(k)
+                .enumerate()
+                .filter(|(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
+                .map(|(i, _)| i),
+        );
+        frontier
+    });
+    state.mxm_into(
+        x_flat,
+        k,
+        frontier.as_deref(),
+        semiring,
+        mask,
+        transpose,
+        ws,
+        &mut out,
+    );
+    match frontier {
+        Some(frontier) => {
             ws.give(frontier);
             ws.stats().record_push_mxm();
         }
-        _ => {
-            state.mxm_into(x_flat, k, semiring, mask, transpose, ws, &mut out);
-            ws.stats().record_pull_mxm();
-        }
+        None => ws.stats().record_pull_mxm(),
     }
 
     let accum = expr.accum.map(|(op, w)| (op, w.as_slice()));
     if expr.n_stages() > 0 || accum.is_some() {
         if expr.fusion() == Fusion::Fused {
-            state.ewise_chain_into(expr.stages(), accum, &mut out);
+            run_chain_in_place_parallel(expr.stages(), accum, &mut out);
             ws.stats().record_ewise_chain();
         } else {
             finish_node_at_a_time(expr.stages(), accum, ws, &mut out);

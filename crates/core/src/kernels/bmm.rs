@@ -25,12 +25,11 @@
 //!   `k` lanes, amortizing the matrix traffic across queries the same way
 //!   the bit kernels amortize it across packed elements.  Pull
 //!   (`bmm_bin_bits_into`, `bmm_bin_full_into`) and push
-//!   (`bmm_push_bits`, `bmm_push_bin_full`, plus the PR-5 `_sharded`
-//!   parallel variants over a [`crate::shard::ShardPlan`]'s row shards)
-//!   variants mirror the single-vector BMV family; for the Boolean
-//!   semiring the lanes pack into `u64` *lane words* (`k.div_ceil(64)`
-//!   words per node), so one `OR` per edge advances up to 64 traversals at
-//!   once.
+//!   (`bmm_push_bits`, `bmm_push_bin_full` — serial, run per frontier
+//!   segment by the GrB layer's sharded scatter) variants mirror the
+//!   single-vector BMV family; for the Boolean semiring the lanes pack
+//!   into `u64` *lane words* (`k.div_ceil(64)` words per node), so one
+//!   `OR` per edge advances up to 64 traversals at once.
 
 use rayon::prelude::*;
 
@@ -281,11 +280,11 @@ pub fn bmm_bin_bits_into<W: BitWord>(
                         }
                         out[r] = acc;
                     } else {
+                        // Lane-word spill (k > 64): whole slices move with
+                        // the unrolled block primitive.
                         for dc in hits.iter_ones() {
                             let src = &xw[(base + dc as usize) * wpn..][..wpn];
-                            for (t, &s) in src.iter().enumerate() {
-                                out[r * wpn + t] |= s;
-                            }
+                            simd::or_into(&mut out[r * wpn..][..wpn], src);
                         }
                     }
                 }
@@ -297,9 +296,7 @@ pub fn bmm_bin_bits_into<W: BitWord>(
                     if gr >= nrows {
                         break;
                     }
-                    for t in 0..wpn {
-                        out[r * wpn + t] &= !s[gr * wpn + t];
-                    }
+                    simd::andnot_into(&mut out[r * wpn..][..wpn], &s[gr * wpn..][..wpn]);
                 }
             }
         });
@@ -312,7 +309,8 @@ pub fn bmm_bin_bits_into<W: BitWord>(
 /// that node's active traversals at once.  `yw` holds `ncols * wpn` lane
 /// words and must be zeroed by the caller.  Serial and allocation-free like
 /// the single-vector push kernels — the right shape for tiny frontiers, and
-/// the per-segment worker of [`bmm_push_bits_sharded`] for everything else.
+/// the per-segment worker of the GrB layer's sharded scatter for everything
+/// else.
 pub fn bmm_push_bits<W: BitWord>(
     a: &B2sr<W>,
     frontier: &[usize],
@@ -429,192 +427,9 @@ pub fn bmm_bin_full_into<W: BitWord>(
                     if j < ncols {
                         let src = &x[j * k..(j + 1) * k];
                         let dst = &mut out[r * k..(r + 1) * k];
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d = semiring.reduce(*d, semiring.combine(s));
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// SWAR-vector batched sweeps (PR 9)
-// ---------------------------------------------------------------------------
-//
-// The batched kernels are already word-parallel across *lanes* (one `u64`
-// lane word carries 64 traversals), so vectorizing them means widening the
-// per-node lane-word transfers, not the tile scan: the `wpn > 1` spill path
-// moves whole lane-word slices with the unrolled [`simd::or_into`] /
-// [`simd::andnot_into`] block primitives, and the full-precision fold runs
-// the k-lane reduction over fixed-width blocks the compiler can keep in
-// vector registers.  Both variants visit tiles, rows, and set bits in
-// exactly the scalar kernels' order and fold each output lane's terms in the
-// same sequence, so results are bit-identical for every semiring — the
-// property `tests/simd_parity.rs` locks in.
-
-/// Vector variant of [`bmm_bin_bits_into`] — identical contract and
-/// bit-identical output.
-///
-/// The `wpn == 1` shape (k ≤ 64) is already a single-register OR
-/// accumulator and is kept as-is; the spill shape (`k > 64`) replaces the
-/// per-word scalar loop with [`simd::or_into`] over each hit's contiguous
-/// lane-word slice, and the store-side mask with [`simd::andnot_into`].
-pub fn bmm_bin_bits_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    xw: &[u64],
-    k: usize,
-    xa: &[W],
-    sup: Option<&[u64]>,
-    yw: &mut [u64],
-) {
-    let dim = a.tile_dim();
-    let wpn = k.div_ceil(64);
-    assert!(
-        xw.len() >= a.ncols() * wpn,
-        "operand has too few lane words"
-    );
-    debug_assert!(xa.len() >= a.n_tile_cols(), "active mask has too few words");
-    if let Some(s) = sup {
-        debug_assert!(s.len() >= a.nrows() * wpn, "mask has too few lane words");
-    }
-    debug_assert!(
-        yw.len() >= a.n_tile_rows() * dim * wpn,
-        "output has too few lane words"
-    );
-    let nrows = a.nrows();
-    let tail = if k.is_multiple_of(64) {
-        !0u64
-    } else {
-        (1u64 << (k % 64)) - 1
-    };
-    let lane_mask = |t: usize| if t + 1 == wpn { tail } else { !0u64 };
-    yw.par_chunks_mut(dim * wpn)
-        .enumerate()
-        .for_each(|(tr, out)| {
-            for w in out.iter_mut() {
-                *w = 0;
-            }
-            if tr >= a.n_tile_rows() {
-                return;
-            }
-            let mut row_allow = !W::ZERO;
-            if let Some(s) = sup {
-                row_allow = W::ZERO;
-                for r in 0..dim {
-                    let gr = tr * dim + r;
-                    if gr < nrows && (0..wpn).any(|t| !s[gr * wpn + t] & lane_mask(t) != 0) {
-                        row_allow = row_allow.with_bit(r as u32);
-                    }
-                }
-                if row_allow == W::ZERO {
-                    return;
-                }
-            }
-            for idx in a.tile_row_range(tr) {
-                let tc = a.tile_colind()[idx];
-                let xaw = xa[tc];
-                if xaw == W::ZERO {
-                    continue;
-                }
-                let base = tc * dim;
-                let words = a.tile_words(idx);
-                for (r, &aw) in words.iter().enumerate().take(dim) {
-                    if !row_allow.bit(r as u32) {
-                        continue;
-                    }
-                    let hits = aw & xaw;
-                    if hits == W::ZERO {
-                        continue;
-                    }
-                    if wpn == 1 {
-                        let mut acc = out[r];
-                        for dc in hits.iter_ones() {
-                            acc |= xw[base + dc as usize];
-                        }
-                        out[r] = acc;
-                    } else {
-                        for dc in hits.iter_ones() {
-                            let src = &xw[(base + dc as usize) * wpn..][..wpn];
-                            simd::or_into(&mut out[r * wpn..][..wpn], src);
-                        }
-                    }
-                }
-            }
-            if let Some(s) = sup {
-                for r in 0..dim {
-                    let gr = tr * dim + r;
-                    if gr >= nrows {
-                        break;
-                    }
-                    simd::andnot_into(&mut out[r * wpn..][..wpn], &s[gr * wpn..][..wpn]);
-                }
-            }
-        });
-}
-
-/// Vector variant of [`bmm_bin_full_into`] — identical contract and
-/// bit-identical output.
-///
-/// Each hit's k-lane semiring fold runs in fixed blocks of 8 lanes
-/// (`chunks_exact`) so the per-lane `reduce(combine(·))` chain compiles to
-/// straight-line code over contiguous slices the auto-vectorizer can keep in
-/// vector registers; the remainder lanes fold in the same order as the
-/// scalar kernel, so every output lane sees the same reduction sequence.
-pub fn bmm_bin_full_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    k: usize,
-    semiring: Semiring,
-    xa: Option<&[W]>,
-    y: &mut [f32],
-) {
-    let dim = a.tile_dim();
-    debug_assert!(x.len() >= a.ncols() * k, "operand shorter than ncols * k");
-    debug_assert!(
-        y.len() >= a.n_tile_rows() * dim * k,
-        "output shorter than the padded row count * k"
-    );
-    if let Some(xa) = xa {
-        debug_assert!(xa.len() >= a.n_tile_cols(), "active mask has too few words");
-        debug_assert!(
-            semiring.push_safe(),
-            "active-skip needs a push-safe semiring"
-        );
-    }
-    let ncols = a.ncols();
-    y.par_chunks_mut(dim * k).enumerate().for_each(|(tr, out)| {
-        for v in out.iter_mut() {
-            *v = semiring.identity();
-        }
-        if tr >= a.n_tile_rows() {
-            return;
-        }
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let xaw = match xa {
-                Some(xa) => {
-                    let w = xa[tc];
-                    if w == W::ZERO {
-                        continue;
-                    }
-                    w
-                }
-                None => !W::ZERO,
-            };
-            let base = tc * dim;
-            let words = a.tile_words(idx);
-            for (r, &aw) in words.iter().enumerate().take(dim) {
-                let hits = aw & xaw;
-                if hits == W::ZERO {
-                    continue;
-                }
-                for dc in hits.iter_ones() {
-                    let j = base + dc as usize;
-                    if j < ncols {
-                        let src = &x[j * k..(j + 1) * k];
-                        let dst = &mut out[r * k..(r + 1) * k];
+                        // Fixed blocks of 8 lanes keep the fold in straight-
+                        // line code over contiguous slices; every lane still
+                        // sees its terms in the same order.
                         let mut db = dst.chunks_exact_mut(8);
                         let mut sb = src.chunks_exact(8);
                         for (d8, s8) in (&mut db).zip(&mut sb) {
@@ -638,8 +453,8 @@ pub fn bmm_bin_full_simd_into<W: BitWord>(
 /// `y[j*k+l]` with the additive monoid; `allow` filters flat output
 /// positions (`j*k + l`, the flat per-lane mask) and `y` must be pre-filled
 /// with the semiring identity.  Only valid for
-/// [`Semiring::push_safe`] semirings; serial and allocation-free, and the
-/// per-segment worker of [`bmm_push_bin_full_sharded`].
+/// [`Semiring::push_safe`] semirings; serial and allocation-free, and a
+/// per-segment worker of the sharded scatter.
 pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
     a: &B2sr<W>,
     x: &[f32],
@@ -673,89 +488,6 @@ pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded (parallel) batched push kernels — PR 5
-// ---------------------------------------------------------------------------
-
-/// Sharded parallel variant of [`bmm_push_bits`].  `cuts` splits the
-/// ascending node frontier into shard-local segments (see
-/// [`crate::shard::ShardPlan::segment_frontier`]); each segment OR-scatters
-/// its nodes' lane words into a privatized chunk of `scratch`
-/// (`n_segments × ncols × wpn` words, zeroed by the caller), segments run
-/// on up to `threads` workers, and the chunks merge into `yw` by word-OR in
-/// ascending segment order — exact, so bit-identical to the serial scatter.
-#[allow(clippy::too_many_arguments)]
-pub fn bmm_push_bits_sharded<W: BitWord>(
-    a: &B2sr<W>,
-    frontier: &[usize],
-    cuts: &[usize],
-    xw: &[u64],
-    wpn: usize,
-    threads: usize,
-    scratch: &mut [u64],
-    yw: &mut [u64],
-) {
-    let width = a.ncols() * wpn;
-    let n_seg = cuts.len().saturating_sub(1);
-    debug_assert!(yw.len() >= width, "output has too few lane words");
-    assert!(
-        scratch.len() >= n_seg * width,
-        "scratch must hold one output-width chunk per segment"
-    );
-    crate::shard::scatter_segments(threads, n_seg, scratch, width, |s, chunk| {
-        bmm_push_bits(a, &frontier[cuts[s]..cuts[s + 1]], xw, wpn, chunk);
-    });
-    crate::shard::merge_segments(
-        threads,
-        n_seg,
-        scratch,
-        width,
-        &mut yw[..width],
-        |acc, v| acc | v,
-    );
-}
-
-/// Sharded parallel variant of [`bmm_push_bin_full`].  Segments scatter
-/// into privatized identity-filled chunks of `scratch` (`n_segments ×
-/// ncols × k` entries) and fold into `y` with the semiring monoid in
-/// ascending segment order — the fold grouping depends only on `cuts`, so
-/// the flat `n × k` result is bit-identical across thread counts.
-#[allow(clippy::too_many_arguments)]
-pub fn bmm_push_bin_full_sharded<W: BitWord, M: Fn(usize) -> bool + Sync>(
-    a: &B2sr<W>,
-    x: &[f32],
-    k: usize,
-    frontier: &[usize],
-    cuts: &[usize],
-    semiring: Semiring,
-    allow: M,
-    threads: usize,
-    scratch: &mut [f32],
-    y: &mut [f32],
-) {
-    let width = a.ncols() * k;
-    let n_seg = cuts.len().saturating_sub(1);
-    debug_assert!(y.len() >= width, "output shorter than ncols * k");
-    assert!(
-        scratch.len() >= n_seg * width,
-        "scratch must hold one output-width chunk per segment"
-    );
-    crate::shard::scatter_segments(threads, n_seg, scratch, width, |s, chunk| {
-        bmm_push_bin_full(
-            a,
-            x,
-            k,
-            &frontier[cuts[s]..cuts[s + 1]],
-            semiring,
-            &allow,
-            chunk,
-        );
-    });
-    crate::shard::merge_segments(threads, n_seg, scratch, width, &mut y[..width], |acc, v| {
-        semiring.reduce(acc, v)
-    });
 }
 
 #[cfg(test)]
@@ -960,7 +692,8 @@ mod tests {
     #[test]
     fn bin_full_multi_pull_equals_per_lane_bmv() {
         let a = sample(61, 5, 4);
-        for k in [1usize, 3, 8] {
+        // 8 and 11 cross the blocked fold: one full block, block + remainder.
+        for k in [1usize, 3, 8, 11] {
             for semiring in [
                 Semiring::Arithmetic,
                 Semiring::Boolean,
@@ -1136,99 +869,5 @@ mod tests {
         bmm_bin_full_into(&b, &x, 1, Semiring::Arithmetic, None, &mut y);
         let want = bmv_bin_full_full(&b, &x, Semiring::Arithmetic);
         assert_eq!(&y[..39], &want[..]);
-    }
-
-    // -- differential SWAR-vector vs scalar (PR 9) --------------------------
-
-    /// The vector Boolean batched kernel is word-identical to the scalar
-    /// one, across the wpn == 1 shape, the k > 64 lane-word spill, and the
-    /// suppressed-lane store mask.
-    #[test]
-    fn simd_bin_bits_is_bit_identical_to_scalar() {
-        let a = sample(53, 77, 4);
-        for k in [1usize, 7, 64, 70, 130] {
-            let wpn = k.div_ceil(64);
-            let x = sample_multi(53, k, Semiring::Boolean);
-            let mut xw = vec![0u64; 53 * wpn];
-            for (i, lanes) in x.chunks_exact(k).enumerate() {
-                for (l, &v) in lanes.iter().enumerate() {
-                    if v != 0.0 {
-                        xw[i * wpn + l / 64] |= 1 << (l % 64);
-                    }
-                }
-            }
-            let mut sup = vec![0u64; 53 * wpn];
-            for i in 0..53usize {
-                for l in 0..k {
-                    if i < 12 || l % 3 == 2 {
-                        sup[i * wpn + l / 64] |= 1 << (l % 64);
-                    }
-                }
-            }
-            macro_rules! check {
-                ($w:ty, $dim:expr) => {{
-                    let b = from_csr::<$w>(&a, $dim);
-                    let xa = active_words::<$w>(&x, k, Semiring::Boolean, $dim);
-                    let len = b.n_tile_rows() * $dim * wpn;
-                    for sup in [None, Some(&sup[..])] {
-                        let mut scalar = vec![u64::MAX; len];
-                        let mut vector = vec![0u64; len];
-                        bmm_bin_bits_into(&b, &xw, k, &xa, sup, &mut scalar);
-                        bmm_bin_bits_simd_into(&b, &xw, k, &xa, sup, &mut vector);
-                        assert_eq!(
-                            scalar,
-                            vector,
-                            "k={k} dim {} masked={}",
-                            $dim,
-                            sup.is_some()
-                        );
-                    }
-                }};
-            }
-            check!(u8, 4);
-            check!(u8, 8);
-            check!(u16, 16);
-            check!(u32, 32);
-        }
-    }
-
-    /// The vector full-precision batched kernel is bit-identical to the
-    /// scalar one for every semiring, including non-multiple-of-8 lane
-    /// counts (the blocked-fold remainder path).
-    #[test]
-    fn simd_bin_full_is_bit_identical_to_scalar() {
-        let a = sample(47, 91, 4);
-        for k in [1usize, 3, 7, 8, 11, 70] {
-            for semiring in [
-                Semiring::Arithmetic,
-                Semiring::Boolean,
-                Semiring::MinPlus(1.0),
-                Semiring::MaxTimes(0.5),
-            ] {
-                let x = sample_multi(47, k, semiring);
-                macro_rules! check {
-                    ($w:ty, $dim:expr) => {{
-                        let b = from_csr::<$w>(&a, $dim);
-                        let len = b.n_tile_rows() * $dim * k;
-                        let xa = if semiring.push_safe() {
-                            Some(active_words::<$w>(&x, k, semiring, $dim))
-                        } else {
-                            None
-                        };
-                        let mut scalar = vec![9.0f32; len];
-                        let mut vector = vec![-3.0f32; len];
-                        bmm_bin_full_into(&b, &x, k, semiring, xa.as_deref(), &mut scalar);
-                        bmm_bin_full_simd_into(&b, &x, k, semiring, xa.as_deref(), &mut vector);
-                        let sbits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-                        let vbits: Vec<u32> = vector.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(sbits, vbits, "{semiring:?} k={k} dim {}", $dim);
-                    }};
-                }
-                check!(u8, 4);
-                check!(u8, 8);
-                check!(u16, 16);
-                check!(u32, 32);
-            }
-        }
     }
 }

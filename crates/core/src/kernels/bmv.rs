@@ -17,17 +17,17 @@
 //! * **pull** (`bmv_bin_*`, `bmv_..._into`) — the dense sweep described
 //!   above: cost independent of how many vector entries are active.  The
 //!   `_into` variants write into caller-supplied buffers so the GrB layer's
-//!   workspace pool can recycle them across iterations.
+//!   workspace pool can recycle them across iterations.  Each scheme and
+//!   its masked twin are one generic body whose store-side mask hook the
+//!   compiler specialises (a no-op when unmasked): the `_masked` name
+//!   takes `Option<mask>`, the un-suffixed name is the `None` shorthand.
 //! * **push** (`bmv_push_*`) — sparse-frontier scatter: only the tiles of
 //!   the frontier's tile-rows are visited and their row words scattered into
 //!   the output, so the cost is proportional to the frontier's edge count.
-//!   The base kernels are serial and allocation-free (the right shape for
-//!   tiny frontiers); the `_sharded` variants (PR 5) run the same scatter as
-//!   a parallel per-segment pass over a [`crate::shard::ShardPlan`]'s row
-//!   shards, each segment writing a privatized caller-supplied buffer, with
-//!   a fixed-order monoid merge that makes the result bit-identical across
-//!   thread counts (and, for the word-OR Boolean merge, identical to the
-//!   serial scatter outright).
+//!   The kernels are serial and allocation-free (the right shape for tiny
+//!   frontiers); the GrB layer runs them per frontier segment over a
+//!   [`crate::shard::ShardPlan`]'s row shards when a scatter is large
+//!   enough to parallelise (`grb::backend`'s sharded-or-serial routine).
 
 use rayon::prelude::*;
 
@@ -104,6 +104,37 @@ pub fn bmv_bin_bin_bin<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<W> {
 /// As [`bmv_bin_bin_bin`], writing into a caller-supplied slice of
 /// `n_tile_rows` words (every word is overwritten).
 pub fn bmv_bin_bin_bin_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
+    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO);
+}
+
+/// `bmv_bin_bin_bin_masked()`: as [`bmv_bin_bin_bin_into`] but with the
+/// output ANDed against the *negation* of `mask` right before the store —
+/// the visited-vertex filter of BFS (§V).  `mask` is packed per tile-row
+/// like the output; `None` is the unmasked scheme.
+pub fn bmv_bin_bin_bin_masked_into<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[W],
+    mask: Option<&[W]>,
+    y: &mut [W],
+) {
+    match mask {
+        Some(m) => {
+            debug_assert!(m.len() >= a.n_tile_rows(), "mask has too few tile words");
+            bin_bin_bin_sweep(a, x, y, |tr| !m[tr]);
+        }
+        None => bmv_bin_bin_bin_into(a, x, y),
+    }
+}
+
+/// The one body behind the scalar bin/bin/bin scheme and its masked twin:
+/// `keep(tr)` is the word of rows of tile-row `tr` the store lets through
+/// (all ones when unmasked — the compiler specialises each case).
+fn bin_bin_bin_sweep<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[W],
+    y: &mut [W],
+    keep: impl Fn(usize) -> W + Sync,
+) {
     debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
     debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
     let dim = a.tile_dim();
@@ -124,46 +155,9 @@ pub fn bmv_bin_bin_bin_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
                 }
             }
         }
-        *out = acc;
-    });
-}
-
-/// `bmv_bin_bin_bin_masked()`: as [`bmv_bin_bin_bin`] but with the output
-/// ANDed against the *negation* of `mask` right before the store — the
-/// visited-vertex filter of BFS (§V).  `mask` is packed per tile-row like the
-/// output.
-pub fn bmv_bin_bin_bin_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: &[W]) -> Vec<W> {
-    let mut y = vec![W::ZERO; a.n_tile_rows()];
-    bmv_bin_bin_bin_masked_into(a, x, mask, &mut y);
-    y
-}
-
-/// As [`bmv_bin_bin_bin_masked`], writing into a caller-supplied slice of
-/// `n_tile_rows` words (every word is overwritten).
-pub fn bmv_bin_bin_bin_masked_into<W: BitWord>(a: &B2sr<W>, x: &[W], mask: &[W], y: &mut [W]) {
-    debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
-    debug_assert!(mask.len() >= a.n_tile_rows(), "mask has too few tile words");
-    debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
-    let dim = a.tile_dim();
-    y.par_iter_mut().enumerate().for_each(|(tr, out)| {
-        if tr >= a.n_tile_rows() {
-            *out = W::ZERO;
-            return;
-        }
-        let mut acc = W::ZERO;
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let xw = x[tc];
-            let words = a.tile_words(idx);
-            for (r, &aw) in words.iter().enumerate().take(dim) {
-                if (aw & xw) != W::ZERO {
-                    acc = acc.with_bit(r as u32);
-                }
-            }
-        }
         // Bitmask applied right before the output store (no early exit, to
         // avoid the warp divergence the paper describes).
-        *out = acc & !mask[tr];
+        *out = acc & keep(tr);
     });
 }
 
@@ -172,7 +166,18 @@ pub fn bmv_bin_bin_bin_masked_into<W: BitWord>(a: &B2sr<W>, x: &[W], mask: &[W],
 /// (`__popc(A & b)` accumulated per tile), i.e. the arithmetic semiring over
 /// binary operands.
 pub fn bmv_bin_bin_full<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<f32> {
+    bmv_bin_bin_full_masked(a, x, None)
+}
+
+/// `bmv_bin_bin_full_masked()`: as [`bmv_bin_bin_full`] but output rows whose
+/// mask bit is set are forced to `0.0` (bit `r` of `mask[tr]` covers row
+/// `tr*dim + r`); `None` is the unmasked scheme.
+pub fn bmv_bin_bin_full_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: Option<&[W]>) -> Vec<f32> {
     debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
+    debug_assert!(
+        mask.is_none_or(|m| m.len() >= a.n_tile_rows()),
+        "mask has too few tile words"
+    );
     let dim = a.tile_dim();
     let padded = a.n_tile_rows() * dim;
     let mut y = vec![0.0f32; padded];
@@ -185,26 +190,15 @@ pub fn bmv_bin_bin_full<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<f32> {
                 out[r] += (aw & xw).popcount() as f32;
             }
         }
-    });
-    y.truncate(a.nrows());
-    y
-}
-
-/// `bmv_bin_bin_full_masked()`: as [`bmv_bin_bin_full`] but output rows whose
-/// mask bit is set are forced to `0.0`.
-pub fn bmv_bin_bin_full_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: &[W]) -> Vec<f32> {
-    debug_assert!(mask.len() >= a.n_tile_rows(), "mask has too few tile words");
-    let dim = a.tile_dim();
-    let mut y = bmv_bin_bin_full(a, x);
-    // Apply the mask tile-row by tile-row (bit r of mask[tr] covers row tr*dim+r).
-    y.par_chunks_mut(dim).enumerate().for_each(|(tr, out)| {
-        let m = mask[tr];
-        for (r, v) in out.iter_mut().enumerate() {
-            if m.bit(r as u32) {
-                *v = 0.0;
+        if let Some(m) = mask {
+            for (r, v) in out.iter_mut().enumerate() {
+                if m[tr].bit(r as u32) {
+                    *v = 0.0;
+                }
             }
         }
     });
+    y.truncate(a.nrows());
     y
 }
 
@@ -232,6 +226,54 @@ pub fn bmv_bin_full_full_into<W: BitWord>(
     x: &[f32],
     semiring: Semiring,
     y: &mut [f32],
+) {
+    bin_full_full_sweep(a, x, semiring, y, |_, _| {});
+}
+
+/// `bmv_bin_full_full_masked()`: as [`bmv_bin_full_full_into`] but rows whose
+/// mask entry is `true` produce the semiring identity (they are filtered
+/// out at the store); `None` is the unmasked scheme.
+pub fn bmv_bin_full_full_masked_into<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    mask: Option<&[bool]>,
+    semiring: Semiring,
+    y: &mut [f32],
+) {
+    match mask {
+        Some(m) => bin_full_full_sweep(a, x, semiring, y, row_mask(a, m, semiring)),
+        None => bmv_bin_full_full_into(a, x, semiring, y),
+    }
+}
+
+/// The store-side row mask of the full-precision sweeps, as the sweeps'
+/// `mask_rows(tile_row, out)` hook: rows of the tile-row whose `mask` entry
+/// is `true` get the semiring identity.
+fn row_mask<'m, W: BitWord>(
+    a: &B2sr<W>,
+    mask: &'m [bool],
+    semiring: Semiring,
+) -> impl Fn(usize, &mut [f32]) + Sync + 'm {
+    debug_assert!(mask.len() >= a.nrows(), "mask shorter than matrix rows");
+    let (dim, nrows) = (a.tile_dim(), a.nrows());
+    move |tr, out| {
+        for (r, v) in out.iter_mut().enumerate() {
+            if tr * dim + r < nrows && mask[tr * dim + r] {
+                *v = semiring.identity();
+            }
+        }
+    }
+}
+
+/// The one body behind the scalar bin/full/full scheme and its masked twin:
+/// `mask_rows(tr, out)` runs on each finished tile-row right before it is
+/// left in `y` (a no-op when unmasked — the compiler specialises each case).
+fn bin_full_full_sweep<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    semiring: Semiring,
+    y: &mut [f32],
+    mask_rows: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     debug_assert!(x.len() >= a.ncols(), "vector shorter than matrix columns");
     let dim = a.tile_dim();
@@ -265,39 +307,7 @@ pub fn bmv_bin_full_full_into<W: BitWord>(
                 out[r] = acc;
             }
         }
-    });
-}
-
-/// `bmv_bin_full_full_masked()`: as [`bmv_bin_full_full`] but rows whose mask
-/// entry is `true` produce the semiring identity (they are filtered out).
-pub fn bmv_bin_full_full_masked<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    mask: &[bool],
-    semiring: Semiring,
-) -> Vec<f32> {
-    let mut y = vec![semiring.identity(); a.n_tile_rows() * a.tile_dim()];
-    bmv_bin_full_full_masked_into(a, x, mask, semiring, &mut y);
-    y.truncate(a.nrows());
-    y
-}
-
-/// As [`bmv_bin_full_full_masked`], writing into a caller-supplied padded
-/// slice (see [`bmv_bin_full_full_into`]).
-pub fn bmv_bin_full_full_masked_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    mask: &[bool],
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    debug_assert!(mask.len() >= a.nrows(), "mask shorter than matrix rows");
-    bmv_bin_full_full_into(a, x, semiring, y);
-    let n = a.nrows();
-    y[..n].par_iter_mut().enumerate().for_each(|(i, v)| {
-        if mask[i] {
-            *v = semiring.identity();
-        }
+        mask_rows(tr, out);
     });
 }
 
@@ -446,6 +456,35 @@ use super::simd::{broadcast_lanes, lsb_lanes, nonzero_lane_msbs};
 /// ANDed against the broadcast vector word and a single SWAR non-zero-lane
 /// test yields the reachable rows of up to `64 / BITS` tile rows at once.
 pub fn bmv_bin_bin_bin_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
+    bin_bin_bin_simd_sweep(a, x, y, |_| !W::ZERO);
+}
+
+/// SWAR-vector variant of [`bmv_bin_bin_bin_masked_into`] — the
+/// [`bmv_bin_bin_bin_simd_into`] sweep with the visited filter ANDed in
+/// right before the store, exactly like the scalar kernel.
+pub fn bmv_bin_bin_bin_masked_simd_into<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[W],
+    mask: Option<&[W]>,
+    y: &mut [W],
+) {
+    match mask {
+        Some(m) => {
+            debug_assert!(m.len() >= a.n_tile_rows(), "mask has too few tile words");
+            bin_bin_bin_simd_sweep(a, x, y, |tr| !m[tr]);
+        }
+        None => bmv_bin_bin_bin_simd_into(a, x, y),
+    }
+}
+
+/// The one body behind the SWAR bin/bin/bin scheme and its masked twin
+/// (`keep` as in the scalar sweep).
+fn bin_bin_bin_simd_sweep<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[W],
+    y: &mut [W],
+    keep: impl Fn(usize) -> W + Sync,
+) {
     debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
     debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
     let dim = a.tile_dim();
@@ -472,53 +511,8 @@ pub fn bmv_bin_bin_bin_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) 
                 }
             }
         }
-        *out = acc;
+        *out = acc & keep(tr);
     });
-}
-
-/// SWAR-vector variant of [`bmv_bin_bin_bin_masked_into`] — the
-/// [`bmv_bin_bin_bin_simd_into`] sweep with the visited filter ANDed in
-/// right before the store, exactly like the scalar kernel.
-pub fn bmv_bin_bin_bin_masked_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], mask: &[W], y: &mut [W]) {
-    debug_assert!(mask.len() >= a.n_tile_rows(), "mask has too few tile words");
-    bmv_bin_bin_bin_simd_into(a, x, y);
-    let n = a.n_tile_rows();
-    y.par_iter_mut().enumerate().for_each(|(tr, out)| {
-        if tr < n {
-            *out &= !mask[tr];
-        }
-    });
-}
-
-/// SWAR-vector variant of [`bmv_bin_bin_full`]: per chunk, one AND plus one
-/// SWAR per-lane popcount produces the reachable-column counts of up to
-/// `64 / BITS` rows at once (the scalar kernel pays one word AND + `popc`
-/// per row).
-pub fn bmv_bin_bin_full_simd<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<f32> {
-    debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
-    let dim = a.tile_dim();
-    let per = (64 / W::BITS) as usize;
-    let lane_ones = ((1u128 << W::BITS) - 1) as u64;
-    let padded = a.n_tile_rows() * dim;
-    let mut y = vec![0.0f32; padded];
-    y.par_chunks_mut(dim).enumerate().for_each(|(tr, out)| {
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let xb = broadcast_lanes::<W>(x[tc]);
-            let words = a.tile_words(idx);
-            for (ci, chunk) in words[..dim.min(words.len())].chunks(per).enumerate() {
-                let counts = super::simd::lane_popcounts::<W>(W::pack_chunk_u64(chunk) & xb);
-                let r0 = ci * per;
-                for r in 0..chunk.len() {
-                    // Adding an exact small integer (possibly 0) keeps the
-                    // accumulation identical to the scalar `+= popcount`.
-                    out[r0 + r] += ((counts >> (r as u32 * W::BITS)) & lane_ones) as f32;
-                }
-            }
-        }
-    });
-    y.truncate(a.nrows());
-    y
 }
 
 /// SWAR-vector variant of [`bmv_bin_full_full_into`].
@@ -537,6 +531,34 @@ pub fn bmv_bin_full_full_simd_into<W: BitWord>(
     x: &[f32],
     semiring: Semiring,
     y: &mut [f32],
+) {
+    bin_full_full_simd_sweep(a, x, semiring, y, |_, _| {});
+}
+
+/// SWAR-vector variant of [`bmv_bin_full_full_masked_into`]: the
+/// [`bmv_bin_full_full_simd_into`] sweep with masked rows forced to the
+/// semiring identity at the store, exactly like the scalar kernel.
+pub fn bmv_bin_full_full_masked_simd_into<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    mask: Option<&[bool]>,
+    semiring: Semiring,
+    y: &mut [f32],
+) {
+    match mask {
+        Some(m) => bin_full_full_simd_sweep(a, x, semiring, y, row_mask(a, m, semiring)),
+        None => bmv_bin_full_full_simd_into(a, x, semiring, y),
+    }
+}
+
+/// The one body behind the SWAR bin/full/full scheme and its masked twin
+/// (`mask_rows` as in the scalar sweep).
+fn bin_full_full_simd_sweep<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    semiring: Semiring,
+    y: &mut [f32],
+    mask_rows: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     debug_assert!(x.len() >= a.ncols(), "vector shorter than matrix columns");
     let dim = a.tile_dim();
@@ -595,26 +617,7 @@ pub fn bmv_bin_full_full_simd_into<W: BitWord>(
         }
         let n = out.len().min(dim);
         out[..n].copy_from_slice(&acc[..n]);
-    });
-}
-
-/// SWAR-vector variant of [`bmv_bin_full_full_masked_into`]: the
-/// [`bmv_bin_full_full_simd_into`] sweep with masked rows forced to the
-/// semiring identity afterwards, exactly like the scalar kernel.
-pub fn bmv_bin_full_full_masked_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    mask: &[bool],
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    debug_assert!(mask.len() >= a.nrows(), "mask shorter than matrix rows");
-    bmv_bin_full_full_simd_into(a, x, semiring, y);
-    let n = a.nrows();
-    y[..n].par_iter_mut().enumerate().for_each(|(i, v)| {
-        if mask[i] {
-            *v = semiring.identity();
-        }
+        mask_rows(tr, out);
     });
 }
 
@@ -662,9 +665,9 @@ pub fn pack_vector_bits_simd_into<W: BitWord>(v: &[bool], tile_dim: usize, words
 ///
 /// Because the bits of a B2SR tile row *are* that row's column indicator,
 /// the scatter is a plain word-OR of the frontier rows' tile words — no
-/// per-edge index arithmetic at all.  This base kernel is serial and
-/// allocation-free — the right shape for tiny frontiers, and the per-segment
-/// worker of [`bmv_push_bin_bin_sharded`] for everything else.
+/// per-edge index arithmetic at all.  Serial and allocation-free — the
+/// right shape for tiny frontiers, and the per-segment worker of the GrB
+/// layer's sharded scatter for everything else.
 pub fn bmv_push_bin_bin<W: BitWord>(a: &B2sr<W>, frontier: &[usize], y: &mut [W]) {
     debug_assert!(y.len() >= a.n_tile_cols(), "output has too few tile words");
     let dim = a.tile_dim();
@@ -699,8 +702,8 @@ pub fn bmv_push_bin_bin<W: BitWord>(a: &B2sr<W>, frontier: &[usize], y: &mut [W]
 ///
 /// Only valid for [`Semiring::push_safe`] semirings, where skipping the
 /// non-frontier (identity-valued) entries cannot change the result.  Serial
-/// and allocation-free like [`bmv_push_bin_bin`], and likewise the
-/// per-segment worker of [`bmv_push_bin_full_sharded`].
+/// and allocation-free like [`bmv_push_bin_bin`], and likewise a
+/// per-segment worker of the sharded scatter.
 pub fn bmv_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
     a: &B2sr<W>,
     x: &[f32],
@@ -726,92 +729,6 @@ pub fn bmv_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded (parallel) push kernels — PR 5
-// ---------------------------------------------------------------------------
-
-/// Sharded parallel variant of [`bmv_push_bin_bin`].  `cuts` (from
-/// [`crate::shard::ShardPlan::segment_frontier`]) splits the ascending
-/// frontier into `cuts.len() - 1` shard-local segments; each segment
-/// scatters serially into its privatized chunk of `scratch`
-/// (`n_segments × n_tile_cols` words, zeroed by the caller), segments run
-/// on up to `threads` scoped workers, and the chunks are word-OR-merged
-/// into `y` in ascending segment order.
-///
-/// The OR monoid is exact, so the result is bit-identical to the serial
-/// scatter — and therefore to itself across any thread count.
-pub fn bmv_push_bin_bin_sharded<W: BitWord>(
-    a: &B2sr<W>,
-    frontier: &[usize],
-    cuts: &[usize],
-    threads: usize,
-    scratch: &mut [W],
-    y: &mut [W],
-) {
-    let width = a.n_tile_cols();
-    let n_seg = cuts.len().saturating_sub(1);
-    debug_assert!(y.len() >= width, "output has too few tile words");
-    assert!(
-        scratch.len() >= n_seg * width,
-        "scratch must hold one output-width chunk per segment"
-    );
-    crate::shard::scatter_segments(threads, n_seg, scratch, width, |s, chunk| {
-        bmv_push_bin_bin(a, &frontier[cuts[s]..cuts[s + 1]], chunk);
-    });
-    crate::shard::merge_segments(threads, n_seg, scratch, width, &mut y[..width], |acc, v| {
-        acc | v
-    });
-}
-
-/// Sharded parallel variant of [`bmv_push_bin_full`].  Segments (see
-/// [`bmv_push_bin_bin_sharded`]) scatter into privatized identity-filled
-/// chunks of `scratch` (`n_segments × y.len()` entries), and the chunks
-/// fold into `y` with the semiring monoid **in ascending segment order** —
-/// per output position the fold grouping depends only on `cuts`, never on
-/// `threads`, so results are bit-identical across thread counts even for
-/// the non-associative float `+`.  `y` arrives pre-seeded exactly as for
-/// the serial kernel (identity, or the accumulation baseline on the seeded
-/// fused path).
-#[allow(clippy::too_many_arguments)]
-pub fn bmv_push_bin_full_sharded<W: BitWord, M: Fn(usize) -> bool + Sync>(
-    a: &B2sr<W>,
-    x: &[f32],
-    frontier: &[usize],
-    cuts: &[usize],
-    semiring: Semiring,
-    allow: M,
-    threads: usize,
-    scratch: &mut [f32],
-    y: &mut [f32],
-) {
-    let width = y.len();
-    let n_seg = cuts.len().saturating_sub(1);
-    assert!(
-        scratch.len() >= n_seg * width,
-        "scratch must hold one output-width chunk per segment"
-    );
-    debug_assert!(
-        scratch
-            .iter()
-            .take(n_seg * width)
-            .all(|&v| v == semiring.identity()),
-        "scratch must be identity-filled"
-    );
-    crate::shard::scatter_segments(threads, n_seg, scratch, width, |s, chunk| {
-        bmv_push_bin_full(
-            a,
-            x,
-            &frontier[cuts[s]..cuts[s + 1]],
-            semiring,
-            &allow,
-            chunk,
-        );
-    });
-    crate::shard::merge_segments(threads, n_seg, scratch, width, y, |acc, v| {
-        semiring.reduce(acc, v)
-    });
 }
 
 #[cfg(test)]
@@ -968,7 +885,8 @@ mod tests {
         // Mask out every even row.
         let visited: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
         let mask = pack_vector_bits::<u8>(&visited, dim);
-        let y = bmv_bin_bin_bin_masked(&b, &xp, &mask);
+        let mut y = vec![0xFFu8; b.n_tile_rows()];
+        bmv_bin_bin_bin_masked_into(&b, &xp, Some(&mask), &mut y);
         let yb = unpack_vector_bits(&y, dim, 40);
         let unmasked = unpack_vector_bits(&bmv_bin_bin_bin(&b, &xp), dim, 40);
         for i in 0..40 {
@@ -989,7 +907,7 @@ mod tests {
         let xp = pack_vector_tilewise::<u8>(&x, dim);
         let visited: Vec<bool> = (0..40).map(|i| i % 3 == 0).collect();
         let mask = pack_vector_bits::<u8>(&visited, dim);
-        let y = bmv_bin_bin_full_masked(&b, &xp, &mask);
+        let y = bmv_bin_bin_full_masked(&b, &xp, Some(&mask));
         let unmasked = bmv_bin_bin_full(&b, &xp);
         for i in 0..40 {
             if visited[i] {
@@ -1007,10 +925,15 @@ mod tests {
         x[3] = 0.0;
         let b = from_csr::<u32>(&a, 32);
         let visited: Vec<bool> = (0..32).map(|i| i < 16).collect();
-        let y = bmv_bin_full_full_masked(&b, &x, &visited, Semiring::MinPlus(1.0));
+        let semiring = Semiring::MinPlus(1.0);
+        let mut y = vec![42.0f32; 32];
+        bmv_bin_full_full_masked_into(&b, &x, Some(&visited), semiring, &mut y);
+        let unmasked = bmv_bin_full_full(&b, &x, semiring);
         for (i, &v) in y.iter().enumerate() {
             if visited[i] {
                 assert_eq!(v, f32::INFINITY);
+            } else {
+                assert_eq!(v, unmasked[i]);
             }
         }
     }
@@ -1116,82 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_push_bin_bin_matches_serial_for_every_thread_count() {
-        let a = sample(300, 53);
-        let frontier: Vec<usize> = (0..300).filter(|i| i % 3 == 0).collect();
-        let b = from_csr::<u8>(&a, 8);
-        let mut serial = vec![0u8; b.n_tile_cols()];
-        bmv_push_bin_bin(&b, &frontier, &mut serial);
-        // Hand-built 4-shard boundaries (aligned to the tile dim).
-        let bounds = [0usize, 80, 160, 240, 300];
-        let mut cuts = vec![0usize];
-        for w in bounds.windows(2) {
-            let end = frontier.partition_point(|&r| r < w[1]);
-            if end > *cuts.last().unwrap() {
-                cuts.push(end);
-            }
-        }
-        for threads in [1usize, 2, 4, 8] {
-            let width = b.n_tile_cols();
-            let mut scratch = vec![0u8; (cuts.len() - 1) * width];
-            let mut y = vec![0u8; width];
-            bmv_push_bin_bin_sharded(&b, &frontier, &cuts, threads, &mut scratch, &mut y);
-            assert_eq!(y, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_push_bin_full_is_bit_identical_across_thread_counts() {
-        let a = sample(280, 59);
-        let x: Vec<f32> = (0..280).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect();
-        let frontier: Vec<usize> = (0..280).filter(|i| i % 2 == 0).collect();
-        let bounds = [0usize, 96, 192, 280];
-        let mut cuts = vec![0usize];
-        for w in bounds.windows(2) {
-            let end = frontier.partition_point(|&r| r < w[1]);
-            if end > *cuts.last().unwrap() {
-                cuts.push(end);
-            }
-        }
-        let b = from_csr::<u16>(&a, 16);
-        for semiring in [
-            Semiring::Arithmetic,
-            Semiring::MinPlus(1.0),
-            Semiring::Boolean,
-        ] {
-            let mut reference: Option<Vec<u32>> = None;
-            for threads in [1usize, 2, 4, 8] {
-                let width = a.ncols();
-                let mut scratch = vec![semiring.identity(); (cuts.len() - 1) * width];
-                let mut y = vec![semiring.identity(); width];
-                bmv_push_bin_full_sharded(
-                    &b,
-                    &x,
-                    &frontier,
-                    &cuts,
-                    semiring,
-                    |_| true,
-                    threads,
-                    &mut scratch,
-                    &mut y,
-                );
-                let bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-                match &reference {
-                    None => reference = Some(bits),
-                    Some(r) => assert_eq!(&bits, r, "{semiring:?} threads={threads} diverged"),
-                }
-            }
-            // Exact monoids additionally equal the serial scatter bitwise.
-            if semiring != Semiring::Arithmetic {
-                let mut serial = vec![semiring.identity(); a.ncols()];
-                bmv_push_bin_full(&b, &x, &frontier, semiring, |_| true, &mut serial);
-                let serial_bits: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(reference.unwrap(), serial_bits, "{semiring:?} vs serial");
-            }
-        }
-    }
-
-    #[test]
     fn push_with_empty_frontier_is_a_no_op() {
         let a = sample(32, 43);
         let b = from_csr::<u8>(&a, 4);
@@ -1222,9 +1069,6 @@ mod tests {
 
         let visited: Vec<bool> = (0..50).map(|i| i % 2 == 0).collect();
         let mp = pack_vector_bits::<u8>(&visited, 8);
-        let mut ym = vec![0xFFu8; b.n_tile_rows()];
-        bmv_bin_bin_bin_masked_into(&b, &xp, &mp, &mut ym);
-        assert_eq!(ym, bmv_bin_bin_bin_masked(&b, &xp, &mp));
 
         let padded = b.n_tile_rows() * 8;
         let mut yf = vec![42.0f32; padded];
@@ -1232,13 +1076,6 @@ mod tests {
         assert_eq!(
             &yf[..50],
             &bmv_bin_full_full(&b, &x, Semiring::Arithmetic)[..]
-        );
-
-        let mut yfm = vec![42.0f32; padded];
-        bmv_bin_full_full_masked_into(&b, &x, &visited, Semiring::Arithmetic, &mut yfm);
-        assert_eq!(
-            &yfm[..50],
-            &bmv_bin_full_full_masked(&b, &x, &visited, Semiring::Arithmetic)[..]
         );
 
         let mut packed = vec![0u8; 1];
@@ -1334,30 +1171,9 @@ mod tests {
                 // Masked: identical word for word too.
                 let visited: Vec<bool> = (0..103).map(|i| i % 2 == 0).collect();
                 let mp = pack_vector_bits::<$w>(&visited, $dim);
-                bmv_bin_bin_bin_masked_into(&b, &xp, &mp, &mut scalar);
-                bmv_bin_bin_bin_masked_simd_into(&b, &xp, &mp, &mut vector);
+                bmv_bin_bin_bin_masked_into(&b, &xp, Some(&mp), &mut scalar);
+                bmv_bin_bin_bin_masked_simd_into(&b, &xp, Some(&mp), &mut vector);
                 assert_eq!(scalar, vector, "masked dim {}", $dim);
-            }};
-        }
-        check!(u8, 4);
-        check!(u8, 8);
-        check!(u16, 16);
-        check!(u32, 32);
-    }
-
-    #[test]
-    fn simd_bin_bin_full_is_bit_identical_to_scalar() {
-        let a = sample(97, 37);
-        let x = sample_x(97);
-        macro_rules! check {
-            ($w:ty, $dim:expr) => {{
-                let b = from_csr::<$w>(&a, $dim);
-                let xp = pack_vector_tilewise::<$w>(&x, $dim);
-                let scalar = bmv_bin_bin_full(&b, &xp);
-                let vector = bmv_bin_bin_full_simd(&b, &xp);
-                let sbits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-                let vbits: Vec<u32> = vector.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(sbits, vbits, "dim {}", $dim);
             }};
         }
         check!(u8, 4);
@@ -1397,8 +1213,8 @@ mod tests {
                     assert_eq!(sbits, vbits, "{semiring:?} dim {}", $dim);
                     // Masked: identical bits too.
                     let mask: Vec<bool> = (0..97).map(|i| i % 3 == 0).collect();
-                    bmv_bin_full_full_masked_into(&b, &x, &mask, semiring, &mut scalar);
-                    bmv_bin_full_full_masked_simd_into(&b, &x, &mask, semiring, &mut vector);
+                    bmv_bin_full_full_masked_into(&b, &x, Some(&mask), semiring, &mut scalar);
+                    bmv_bin_full_full_masked_simd_into(&b, &x, Some(&mask), semiring, &mut vector);
                     let sbits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
                     let vbits: Vec<u32> = vector.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(sbits, vbits, "masked {semiring:?} dim {}", $dim);

@@ -1,11 +1,16 @@
 //! Bit-level BLAS kernels over B2SR (RQ-2 of the paper).
 //!
-//! * [`bmv`] — Binarized Matrix × Vector: the six schemes of Table II
-//!   (`bmv_bin_bin_bin`, `bmv_bin_bin_full`, `bmv_bin_full_full` and their
-//!   masked variants), covering the Boolean, arithmetic and tropical
-//!   semirings of Table IV; plus the push-direction (sparse-frontier)
-//!   kernels `bmv_push_bin_bin` / `bmv_push_bin_full` and the `_into`
-//!   variants that write into workspace-pooled buffers.
+//! * [`bmv`] — Binarized Matrix × Vector: the six schemes of Table II.
+//!   Each scheme and its masked twin are one body: the `_masked` names
+//!   (`bmv_bin_bin_bin_masked_into`, `bmv_bin_bin_full_masked`,
+//!   `bmv_bin_full_full_masked_into`) take an `Option` mask, the
+//!   un-suffixed names are the `None` shorthands, and the sweep behind
+//!   both is generic over a store-side mask hook the compiler specialises, covering the Boolean, arithmetic and tropical semirings
+//!   of Table IV; plus the push-direction (sparse-frontier) kernels
+//!   `bmv_push_bin_bin` / `bmv_push_bin_full`.  The pull sweeps keep a
+//!   scalar and a SWAR (`_simd`) form: the scalar one is the reference
+//!   the parity harness compares against, and [`SimdPolicy`] picks per
+//!   tile size.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
 //!   product to a full-precision scalar as required by Triangle Counting;
@@ -15,39 +20,35 @@
 //!   semirings) — each adjacency tile is loaded once and applied to all
 //!   `k` frontier lanes.
 //!
-//! Each kernel is structured exactly like the paper's CUDA listings: the
-//! tile-rows of the B2SR matrix are the unit of work (one warp per tile-row),
-//! the inner loop walks the non-empty tiles of that tile-row, and the
+//! Each kernel is structured like the paper's CUDA listings: the tile-rows
+//! of the B2SR matrix are the unit of work (one warp per tile-row), the
+//! inner loop walks the non-empty tiles of that tile-row, and the
 //! per-element work is a bitwise AND followed by a population count.  The
 //! warp scheduling of the GPU is replaced by Rayon parallelism over
 //! tile-rows; everything inside a tile-row is deterministic.
 //!
-//! The pull kernels parallelise over tile-rows; since PR 5 the push
-//! kernels parallelise too, through the `_sharded` variants
-//! (`bmv_push_bin_bin_sharded`, `bmv_push_bin_full_sharded`,
-//! `bmm_push_bits_sharded`, `bmm_push_bin_full_sharded`): the frontier is
-//! cut at a [`crate::shard::ShardPlan`]'s row-shard boundaries, segments
-//! scatter into privatized caller-supplied buffers concurrently, and a
-//! fixed-segment-order monoid merge keeps the result bit-identical across
-//! thread counts.
+//! The push kernels are serial by construction.  They parallelise one
+//! level up: `grb::backend` cuts the frontier at a
+//! [`crate::shard::ShardPlan`]'s row-shard boundaries and runs the same
+//! serial kernel per segment into privatized buffers, with a
+//! fixed-segment-order monoid merge that keeps the result bit-identical
+//! across thread counts.
 
 pub mod bmm;
 pub mod bmv;
 pub mod simd;
 
 pub use bmm::{
-    bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bits_into, bmm_bin_bits_simd_into,
-    bmm_bin_full_into, bmm_bin_full_simd_into, bmm_push_bin_full, bmm_push_bin_full_sharded,
-    bmm_push_bits, bmm_push_bits_sharded,
+    bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bits_into, bmm_bin_full_into,
+    bmm_push_bin_full, bmm_push_bits,
 };
 pub use bmv::{
-    bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked, bmv_bin_bin_bin_masked_into,
+    bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into,
     bmv_bin_bin_bin_masked_simd_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full,
-    bmv_bin_bin_full_masked, bmv_bin_bin_full_simd, bmv_bin_full_full,
-    bmv_bin_full_full_fused_into, bmv_bin_full_full_into, bmv_bin_full_full_masked,
-    bmv_bin_full_full_masked_into, bmv_bin_full_full_masked_simd_into, bmv_bin_full_full_simd_into,
-    bmv_push_bin_bin, bmv_push_bin_bin_sharded, bmv_push_bin_full, bmv_push_bin_full_sharded,
-    pack_vector_bits, pack_vector_bits_into, pack_vector_bits_simd_into, pack_vector_tilewise,
+    bmv_bin_bin_full_masked, bmv_bin_full_full, bmv_bin_full_full_fused_into,
+    bmv_bin_full_full_into, bmv_bin_full_full_masked_into, bmv_bin_full_full_masked_simd_into,
+    bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits,
+    pack_vector_bits_into, pack_vector_bits_simd_into, pack_vector_tilewise,
     pack_vector_tilewise_into, pack_vector_tilewise_simd_into, unpack_vector_bits,
 };
 pub use simd::{SimdPolicy, DEFAULT_LANE_MASK};

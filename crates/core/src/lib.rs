@@ -1,8 +1,9 @@
 //! # bitgblas-core
 //!
 //! The core of the Bit-GraphBLAS reproduction — the paper's primary
-//! contribution, reimplemented in Rust on top of the software warp model of
-//! `bitgblas-bitops` and the sparse substrate of `bitgblas-sparse`.
+//! contribution, reimplemented in Rust on top of the packing words
+//! (`BitWord`) of `bitgblas-bitops` and the sparse substrate of
+//! `bitgblas-sparse`.
 //!
 //! The crate is organised around the paper's three research questions:
 //!
@@ -16,10 +17,10 @@
 //!
 //! * **RQ-2 (computation)** — [`kernels`] implements the BMV and BMM schemes of
 //!   Tables II and III: `bmv_bin_bin_bin`, `bmv_bin_bin_full`,
-//!   `bmv_bin_full_full` (plus masked variants) and `bmm_bin_bin_sum` (plus the
-//!   masked variant used by Triangle Counting), each structured as
-//!   one-warp-per-tile-row over the software warp model and parallelised
-//!   across tile-rows with Rayon.  The push (sparse-frontier scatter)
+//!   `bmv_bin_full_full` (each one body with its masked twin) and
+//!   `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting),
+//!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
+//!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
 //!   kernels parallelise through [`shard`]: row-shard partition plans,
 //!   privatized per-segment scatter and a fixed-order monoid merge that
 //!   keeps results bit-identical across thread counts.

@@ -8,7 +8,6 @@
 //! CSR→B2SR converter.
 
 use crate::coo::Coo;
-use crate::csc::Csc;
 use crate::error::SparseError;
 
 /// A sparse matrix in Compressed Sparse Row format with `f32` values.
@@ -318,13 +317,8 @@ impl Csr {
         self.values.iter().all(|&v| v == 1.0)
     }
 
-    /// Transpose, producing a CSC view of the same data — equivalent to the
-    /// paper's use of `cusparseScsr2csc()`.
-    pub fn to_csc(&self) -> Csc {
-        Csc::from_csr(self)
-    }
-
-    /// Transpose into a new CSR matrix (`A^T` stored row-major).
+    /// Transpose into a new CSR matrix (`A^T` stored row-major) — the
+    /// stand-in for the paper's use of `cusparseScsr2csc()`.
     pub fn transpose(&self) -> Csr {
         let mut rowptr = vec![0usize; self.ncols + 1];
         for &c in &self.colind {

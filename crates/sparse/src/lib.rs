@@ -7,11 +7,11 @@
 //! Neither library is available here, so this crate implements the substrate
 //! from scratch:
 //!
-//! * the classic storage formats — [`coo::Coo`], [`csr::Csr`], [`csc::Csc`],
-//!   and the block format [`bsr::Bsr`] that inspired B2SR's upper level;
+//! * the classic storage formats — [`coo::Coo`], [`csr::Csr`], and the
+//!   block format [`bsr::Bsr`] that inspired B2SR's upper level;
 //! * conversions between them (including the `csr2bsr` step the paper obtains
-//!   from `cusparseXcsr2bsrNnz`/`cusparseScsr2bsr`, and the `csr2csc`
-//!   transpose);
+//!   from `cusparseXcsr2bsrNnz`/`cusparseScsr2bsr`; `csr2csc` is
+//!   [`csr::Csr::transpose`]);
 //! * dense vectors ([`dense::DenseVec`]) and sparse vectors
 //!   ([`dense::SparseVec`]) used as frontiers;
 //! * Matrix Market I/O ([`io`]) so real SuiteSparse files can be loaded when
@@ -28,7 +28,6 @@
 
 pub mod bsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -37,7 +36,6 @@ pub mod ops;
 
 pub use bsr::Bsr;
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::{DenseVec, SparseVec};
 pub use error::SparseError;

@@ -7,17 +7,18 @@
 //! (Bit-Block Compressed Sparse Row): a CSR index over fixed-size tiles whose
 //! non-empty tiles are packed one *bit* per element, and runs the GraphBLAS
 //! kernels (SpMV → BMV, SpGEMM → BMM) with word-level AND + population-count
-//! operations.  This workspace reimplements the whole system on a software
-//! warp model so the bit-level algorithms can be studied, tested and
-//! benchmarked without a GPU — see `DESIGN.md` for the substitution table and
+//! operations.  This workspace reimplements the whole system on the CPU —
+//! one packing word per tile row, Rayon tasks where the GPU schedules warps —
+//! so the bit-level algorithms can be studied, tested and benchmarked
+//! without a GPU — see `DESIGN.md` for the substitution table and
 //! `EXPERIMENTS.md` for the reproduced tables and figures.
 //!
 //! This facade crate re-exports the public API of the workspace crates:
 //!
 //! | Module | Source crate | Contents |
 //! |---|---|---|
-//! | [`bitops`] | `bitgblas-bitops` | software warp model and bit intrinsics |
-//! | [`sparse`] | `bitgblas-sparse` | COO/CSR/CSC/BSR, Matrix Market I/O, float baseline kernels |
+//! | [`bitops`] | `bitgblas-bitops` | packing words (`BitWord`), tile packing and bit intrinsics |
+//! | [`sparse`] | `bitgblas-sparse` | COO/CSR/BSR, Matrix Market I/O, float baseline kernels |
 //! | [`datagen`] | `bitgblas-datagen` | synthetic corpus generators and pattern classifier |
 //! | [`perfmodel`] | `bitgblas-perfmodel` | Pascal/Volta device profiles and the memory-traffic model |
 //! | [`core`] | `bitgblas-core` | B2SR, BMV/BMM kernels, semirings, GrB-style API, streaming edge-delta mutations |
