@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use bitgblas_core::b2sr::convert::from_csr;
-use bitgblas_core::kernels::{bmm_bin_bin_sum, bmm_bin_bin_sum_masked};
+use bitgblas_core::kernels::{bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt};
 use bitgblas_datagen::generators;
 use bitgblas_sparse::{ops, Csr};
 
@@ -46,18 +46,14 @@ fn bmm_benches(c: &mut Criterion) {
             b.iter(|| bmm_bin_bin_sum(&b32, &b32));
         });
 
-        // The Triangle-Counting shape: L * L^T masked by L.
+        // The Triangle-Counting shape: L * L^T masked by L.  Both kernels
+        // take the second operand as `Bᵀ` by rows, so `L` is all three.
         let l = csr.symmetrized().without_diagonal().lower_triangle();
-        let lt = l.transpose();
-        let (lb, ltb, mb) = (
-            from_csr::<u32>(&l, 32),
-            from_csr::<u32>(&lt, 32),
-            from_csr::<u32>(&l, 32),
-        );
+        let lb = from_csr::<u32>(&l, 32);
         group.bench_function(
-            BenchmarkId::new("bmm_bin_bin_sum_masked/tc_shape", name),
+            BenchmarkId::new("bmm_bin_bin_sum_masked_nt/tc_shape", name),
             |b| {
-                b.iter(|| bmm_bin_bin_sum_masked(&lb, &ltb, &mb));
+                b.iter(|| bmm_bin_bin_sum_masked_nt(&lb, &lb, &lb));
             },
         );
         group.bench_with_input(

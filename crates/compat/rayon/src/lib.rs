@@ -7,6 +7,7 @@
 //! * `slice.par_iter_mut().enumerate().for_each(..)`
 //! * `slice.par_chunks_mut(n).enumerate().for_each(..)`
 //! * `range.into_par_iter().map(..).collect() / .sum()`
+//! * `range.into_par_iter().map_init(init, ..).sum()`
 //!
 //! Work is split into one contiguous chunk per available core; small inputs
 //! run sequentially to avoid thread-spawn overhead.  The observable behavior
@@ -231,6 +232,74 @@ impl ParRange {
     }
 }
 
+impl ParRange {
+    /// Map every index through `f`, handing it a scratch value made by
+    /// `init` — once per worker here (rayon: once per split), so `f` must
+    /// leave the scratch as it found it.
+    pub fn map_init<T, R, I, F>(self, init: I, f: F) -> ParRangeMapInit<I, F>
+    where
+        R: Send,
+        I: Fn() -> T + Sync,
+        F: Fn(&mut T, usize) -> R + Sync,
+    {
+        ParRangeMapInit {
+            range: self.range,
+            init,
+            f,
+        }
+    }
+}
+
+/// Run `piece(lo, hi)` over contiguous sub-ranges of `range` — one per
+/// worker, or the whole range on the calling thread when it is short —
+/// and return the results in range order.
+fn run_pieces<P, F>(range: std::ops::Range<usize>, piece: F) -> Vec<P>
+where
+    P: Send,
+    F: Fn(usize, usize) -> P + Sync,
+{
+    let start = range.start;
+    let len = range.end.saturating_sub(start);
+    if len < 64 || n_threads() == 1 {
+        return vec![piece(start, start + len)];
+    }
+    let piece = &piece;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = split_ranges(len)
+            .into_iter()
+            .map(|r| scope.spawn(move || piece(start + r.start, start + r.end)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// The result of `ParRange::map_init`: evaluate lazily on `sum`.
+pub struct ParRangeMapInit<I, F> {
+    range: std::ops::Range<usize>,
+    init: I,
+    f: F,
+}
+
+impl<I, F> ParRangeMapInit<I, F> {
+    /// Sum the mapped values.
+    pub fn sum<T, R, S>(self) -> S
+    where
+        I: Fn() -> T + Sync,
+        F: Fn(&mut T, usize) -> R + Sync,
+        S: std::iter::Sum<R> + std::iter::Sum<S> + Send,
+    {
+        run_pieces(self.range, |lo, hi| -> S {
+            let mut scratch = (self.init)();
+            (lo..hi).map(|i| (self.f)(&mut scratch, i)).sum()
+        })
+        .into_iter()
+        .sum()
+    }
+}
+
 /// The result of `ParRange::map`: evaluate lazily on `collect`/`sum`.
 pub struct ParRangeMap<R, F> {
     range: std::ops::Range<usize>,
@@ -244,27 +313,14 @@ where
     F: Fn(usize) -> R + Sync,
 {
     fn run(self) -> Vec<R> {
-        let start = self.range.start;
-        let len = self.range.end.saturating_sub(start);
-        if len < 64 || n_threads() == 1 {
-            return (self.range).map(&self.f).collect();
-        }
-        let ranges = split_ranges(len);
-        let mut pieces: Vec<Vec<R>> = Vec::with_capacity(ranges.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    let f = &self.f;
-                    let (lo, hi) = (start + r.start, start + r.end);
-                    scope.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
-                })
-                .collect();
-            for h in handles {
-                pieces.push(h.join().expect("worker thread panicked"));
-            }
-        });
-        let mut out = Vec::with_capacity(len);
+        let len = self.range.len();
+        let mut pieces = run_pieces(self.range, |lo, hi| {
+            (lo..hi).map(&self.f).collect::<Vec<R>>()
+        })
+        .into_iter();
+        // The first piece becomes the output: a sequential run copies nothing.
+        let mut out = pieces.next().unwrap_or_default();
+        out.reserve(len - out.len());
         for p in pieces {
             out.extend(p);
         }
@@ -285,6 +341,28 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn map_init_sums_every_index_with_one_scratch_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inits = AtomicUsize::new(0);
+        let total: u64 = (3..10_003usize)
+            .into_par_iter()
+            .map_init(
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |scratch: &mut Vec<usize>, i| {
+                    assert!(scratch.is_empty(), "scratch is handed back as found");
+                    scratch.push(i);
+                    scratch.pop().expect("just pushed") as u64
+                },
+            )
+            .sum();
+        assert_eq!(total, (3..10_003u64).sum::<u64>());
+        assert!((1..=super::n_threads()).contains(&inits.load(Ordering::Relaxed)));
+    }
 
     #[test]
     fn par_iter_mut_visits_every_index_once() {

@@ -53,10 +53,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use bitgblas_sparse::{ops as float_ops, Csr};
+use bitgblas_sparse::Csr;
 
 use crate::faultinject::{FaultAction, InjectedPanic};
-use crate::grb::backend::{BitB2sr, FloatCsr, GrbBackend};
+use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, FloatCsr, GrbBackend};
 use crate::grb::descriptor::Mask;
 use crate::grb::error::GrbError;
 use crate::grb::matrix::Backend;
@@ -452,11 +452,15 @@ impl GrbBackend for DeltaOverlay {
         }
     }
 
-    fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
+    fn mxm_reduce_masked(
+        &self,
+        b: &dyn GrbBackend,
+        mask: &dyn GrbBackend,
+        transpose_b: bool,
+    ) -> f64 {
         // The merged CSR view makes the overlay a plain CSR operand for the
         // reference Triangle Counting kernel.
-        float_ops::spgemm_masked_sum(self.csr(), b.csr_t(), mask.csr())
-            .expect("operand dimensions checked by the caller")
+        csr_mxm_reduce_masked(self, b, mask, transpose_b)
     }
 
     /// An overlay is never compacted *into* — compaction builds a fresh

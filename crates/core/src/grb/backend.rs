@@ -49,11 +49,11 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::{
-    bmm_bin_bin_sum_masked, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full, bmm_push_bits,
-    bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into, bmv_bin_full_full_fused_into,
-    bmv_bin_full_full_masked_into, bmv_bin_full_full_masked_simd_into, bmv_push_bin_bin,
-    bmv_push_bin_full, pack_vector_bits_into, pack_vector_bits_simd_into,
-    pack_vector_tilewise_into, pack_vector_tilewise_simd_into,
+    bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
+    bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
+    bmv_bin_full_full_fused_into, bmv_bin_full_full_masked_into,
+    bmv_bin_full_full_masked_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits_into,
+    pack_vector_bits_simd_into, pack_vector_tilewise_into, pack_vector_tilewise_simd_into,
 };
 use crate::semiring::Semiring;
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -143,10 +143,19 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     );
 
     /// `Σ_{(i,j) ∈ mask} (A · B)[i][j]` over the arithmetic semiring — the
-    /// Triangle Counting primitive.  `b` and `mask` may be any backend; the
-    /// implementation downcasts and falls back to the CSR reference kernel
-    /// when the concrete types (or tile sizes) differ.
-    fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64;
+    /// Triangle Counting primitive — or `A · Bᵀ` with `transpose_b`, the
+    /// orientation the kernels run in (they intersect rows of `A` with rows
+    /// of the second factor's transpose, so `transpose_b` reads `b` itself
+    /// and the plain product reads its cached transpose).  `b` and `mask`
+    /// may be any backend; the implementation downcasts and falls back to
+    /// the CSR reference kernel when the concrete types (or tile sizes)
+    /// differ.  The caller checks the shapes.
+    fn mxm_reduce_masked(
+        &self,
+        b: &dyn GrbBackend,
+        mask: &dyn GrbBackend,
+        transpose_b: bool,
+    ) -> f64;
 
     /// Install the row-shard plan of the forward scatter representation
     /// (`A`'s rows, the `vxm` push hot path) — the one shard hook, called
@@ -178,9 +187,16 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
 
 /// Reference-kernel `mxm_reduce_masked` over the CSR views — the
 /// cross-backend fallback path.  `spgemm_masked_sum` treats its second
-/// operand as `Bᵀ` stored by rows, so `b`'s transpose CSR is passed.
-fn csr_mxm_reduce_masked(a: &dyn GrbBackend, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
-    float_ops::spgemm_masked_sum(a.csr(), b.csr_t(), mask.csr())
+/// operand as the second factor's transpose stored by rows: `b`'s transpose
+/// CSR for `A · B`, `b`'s own CSR for `A · Bᵀ`.
+pub(crate) fn csr_mxm_reduce_masked(
+    a: &dyn GrbBackend,
+    b: &dyn GrbBackend,
+    mask: &dyn GrbBackend,
+    transpose_b: bool,
+) -> f64 {
+    let bt = if transpose_b { b.csr() } else { b.csr_t() };
+    float_ops::spgemm_masked_sum(a.csr(), bt, mask.csr())
         .expect("operand dimensions checked by the caller")
 }
 
@@ -795,19 +811,26 @@ impl GrbBackend for BitB2sr {
         }
     }
 
-    fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
+    fn mxm_reduce_masked(
+        &self,
+        b: &dyn GrbBackend,
+        mask: &dyn GrbBackend,
+        transpose_b: bool,
+    ) -> f64 {
         // The one-call bit path needs all three operands in B2SR with the
         // same tile size; anything else goes through the CSR fallback.
         fn bit(o: &dyn GrbBackend) -> Option<&BitB2sr> {
             o.as_any().downcast_ref()
         }
         let (Some(bb), Some(mb)) = (bit(b), bit(mask)) else {
-            return csr_mxm_reduce_masked(self, b, mask);
+            return csr_mxm_reduce_masked(self, b, mask, transpose_b);
         };
+        // The kernel reads the second factor's transpose by rows.
+        let bt = bb.rep(!transpose_b);
         with_b2sr!(&self.b2sr, |a| {
-            match (bb.b2sr.inner(a.tile_dim()), mb.b2sr.inner(a.tile_dim())) {
-                (Some(b), Some(m)) => bmm_bin_bin_sum_masked(a, b, m) as f64,
-                _ => csr_mxm_reduce_masked(self, b, mask),
+            match (bt.inner(a.tile_dim()), mb.b2sr.inner(a.tile_dim())) {
+                (Some(bt), Some(m)) => bmm_bin_bin_sum_masked_nt(a, bt, m) as f64,
+                _ => csr_mxm_reduce_masked(self, b, mask, transpose_b),
             }
         })
     }
@@ -1169,8 +1192,13 @@ impl GrbBackend for FloatCsr {
         }
     }
 
-    fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
-        csr_mxm_reduce_masked(self, b, mask)
+    fn mxm_reduce_masked(
+        &self,
+        b: &dyn GrbBackend,
+        mask: &dyn GrbBackend,
+        transpose_b: bool,
+    ) -> f64 {
+        csr_mxm_reduce_masked(self, b, mask, transpose_b)
     }
 
     fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]) {
@@ -1270,7 +1298,8 @@ mod tests {
     /// Direct coverage of the `csr_mxm_reduce_masked` fallback: every
     /// mixed-backend operand combination must produce the same triangle sum
     /// as the pure bit path, straight through the free function (not just
-    /// incidentally via TC parity runs).
+    /// incidentally via TC parity runs) — in both orientations of the second
+    /// operand (`L · (Lᵀ)` and `L · (L)ᵀ`).
     #[test]
     fn csr_fallback_is_exact_for_every_mixed_operand_combination() {
         let adj = sample(72, 21).symmetrized().without_diagonal();
@@ -1279,34 +1308,42 @@ mod tests {
 
         let a_bit = BitB2sr::new(&l, TileSize::S8);
         let b_bit = BitB2sr::new(&lt, TileSize::S8);
-        let m_bit = BitB2sr::new(&l, TileSize::S8);
         let a_f = FloatCsr::new(&l);
         let b_f = FloatCsr::new(&lt);
-        let m_f = FloatCsr::new(&l);
 
         // The pure bit path (popcount BMM) is the reference.
-        let expected = a_bit.mxm_reduce_masked(&b_bit, &m_bit);
+        let expected = a_bit.mxm_reduce_masked(&b_bit, &a_bit, false);
         assert!(expected > 0.0, "sample graph must contain triangles");
+        assert_eq!(a_bit.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
 
-        let combos: [(&dyn GrbBackend, &dyn GrbBackend, &dyn GrbBackend, &str); 5] = [
-            (&a_f, &b_f, &m_f, "float/float/float"),
-            (&a_bit, &b_f, &m_f, "bit/float/float"),
-            (&a_f, &b_bit, &m_f, "float/bit/float"),
-            (&a_f, &b_f, &m_bit, "float/float/bit"),
-            (&a_bit, &b_bit, &m_f, "bit/bit/float"),
+        // (a, b for `A · B`, b for `A · Bᵀ`, mask)
+        type Dyn<'a> = &'a dyn GrbBackend;
+        let combos: [(Dyn, Dyn, Dyn, Dyn, &str); 5] = [
+            (&a_f, &b_f, &a_f, &a_f, "float/float/float"),
+            (&a_bit, &b_f, &a_f, &a_f, "bit/float/float"),
+            (&a_f, &b_bit, &a_bit, &a_f, "float/bit/float"),
+            (&a_f, &b_f, &a_f, &a_bit, "float/float/bit"),
+            (&a_bit, &b_bit, &a_bit, &a_f, "bit/bit/float"),
         ];
-        for (a, b, m, what) in combos {
+        for (a, b, b_nt, m, what) in combos {
             assert_eq!(
-                csr_mxm_reduce_masked(a, b, m),
+                csr_mxm_reduce_masked(a, b, m, false),
                 expected,
                 "fallback diverges for {what}"
+            );
+            assert_eq!(
+                csr_mxm_reduce_masked(a, b_nt, m, true),
+                expected,
+                "transposed-b fallback diverges for {what}"
             );
         }
 
         // The trait entry point routes mixed operands through the fallback
         // and must agree too.
-        assert_eq!(a_bit.mxm_reduce_masked(&b_f, &m_bit), expected);
-        assert_eq!(a_f.mxm_reduce_masked(&b_bit, &m_bit), expected);
+        assert_eq!(a_bit.mxm_reduce_masked(&b_f, &a_bit, false), expected);
+        assert_eq!(a_f.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
+        assert_eq!(a_bit.mxm_reduce_masked(&a_f, &a_bit, true), expected);
+        assert_eq!(a_f.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
     }
 
     #[test]
@@ -1316,14 +1353,19 @@ mod tests {
         let a = BitB2sr::new(&l_csr, TileSize::S8);
         let b = BitB2sr::new(&l_csr.transpose(), TileSize::S16);
         let m = FloatCsr::new(&l_csr);
-        let mixed = a.mxm_reduce_masked(&b, &m);
+        let mixed = a.mxm_reduce_masked(&b, &m, false);
         let uniform_b = BitB2sr::new(&l_csr.transpose(), TileSize::S8);
-        let uniform_m = BitB2sr::new(&l_csr, TileSize::S8);
-        let bit = a.mxm_reduce_masked(&uniform_b, &uniform_m);
+        let bit = a.mxm_reduce_masked(&uniform_b, &a, false);
         assert_eq!(mixed, bit, "fallback must produce the same triangle sum");
         // B2SR-4 and B2SR-8 share the `u8` packing word but not the kernel.
         let b4 = BitB2sr::new(&l_csr.transpose(), TileSize::S4);
-        assert_eq!(a.mxm_reduce_masked(&b4, &uniform_m), bit);
+        assert_eq!(a.mxm_reduce_masked(&b4, &a, false), bit);
+        // The same operands by rows: `L · (L)ᵀ` with a mismatched `L`.
+        let l16 = BitB2sr::new(&l_csr, TileSize::S16);
+        let l4 = BitB2sr::new(&l_csr, TileSize::S4);
+        assert_eq!(a.mxm_reduce_masked(&l16, &a, true), bit);
+        assert_eq!(a.mxm_reduce_masked(&l4, &a, true), bit);
+        assert_eq!(a.mxm_reduce_masked(&a, &l16, true), bit);
     }
 
     #[test]
@@ -1414,8 +1456,13 @@ mod tests {
             self.inner
                 .mxm_into(x, k, frontier, semiring, mask, transpose, ws, out);
         }
-        fn mxm_reduce_masked(&self, b: &dyn GrbBackend, mask: &dyn GrbBackend) -> f64 {
-            self.inner.mxm_reduce_masked(b, mask)
+        fn mxm_reduce_masked(
+            &self,
+            b: &dyn GrbBackend,
+            mask: &dyn GrbBackend,
+            transpose_b: bool,
+        ) -> f64 {
+            self.inner.mxm_reduce_masked(b, mask, transpose_b)
         }
         fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
         fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {

@@ -415,11 +415,17 @@ impl Op {
     }
 
     /// `Σ (mask .* (A · B))`: masked matrix product reduced to a scalar (the
-    /// Triangle Counting primitive).  Already a fully fused kernel, so it
+    /// Triangle Counting primitive; `.transpose_b()` makes it `A · Bᵀ`, the
+    /// orientation the kernels run in).  Already a fully fused kernel, so it
     /// takes no further chain stages.
     #[must_use = "builders do nothing until run(&ctx)"]
     pub fn mxm_reduce<'a>(a: &'a Matrix, b: &'a Matrix, mask: &'a Matrix) -> MxmReduceBuilder<'a> {
-        MxmReduceBuilder { a, b, mask }
+        MxmReduceBuilder {
+            a,
+            b,
+            mask,
+            desc: Descriptor::default(),
+        }
     }
 
     /// Reduce a vector with a semiring's additive monoid.
@@ -795,26 +801,76 @@ pub struct MxmReduceBuilder<'a> {
     a: &'a Matrix,
     b: &'a Matrix,
     mask: &'a Matrix,
+    desc: Descriptor,
 }
 
 impl MxmReduceBuilder<'_> {
+    /// Use the given descriptor; its transpose flag applies to `b`.
+    pub fn desc(mut self, desc: Descriptor) -> Self {
+        self.desc = desc;
+        self
+    }
+
+    /// Shorthand for setting the descriptor's transpose flag:
+    /// `Σ (mask .* (A · Bᵀ))`.  Both factors are then read by rows, so no
+    /// transpose of `b` is built.
+    pub fn transpose_b(mut self) -> Self {
+        self.desc.transpose = true;
+        self
+    }
+
     /// Execute on the operands' backends (mixed backends fall back to the
     /// CSR reference kernel).
+    ///
+    /// # Panics
+    /// Panics on shape violations; [`MxmReduceBuilder::try_run`] is the
+    /// fallible form.
     pub fn run(self, ctx: &Context) -> f64 {
-        assert_eq!(
-            self.a.ncols(),
-            self.b.nrows(),
-            "mxm inner dimension mismatch"
-        );
-        assert_eq!(
-            (self.mask.nrows(), self.mask.ncols()),
-            (self.a.nrows(), self.b.ncols()),
-            "mxm mask dimension mismatch"
-        );
+        self.try_run(ctx).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Execute, reporting an inner-dimension or mask-shape violation as a
+    /// typed [`GrbError`] instead of panicking.
+    #[must_use = "the typed error must be handled, not dropped"]
+    pub fn try_run(self, ctx: &Context) -> Result<f64, GrbError> {
+        let (a, b, mask) = (self.a, self.b, self.mask);
+        let transpose_b = self.desc.transpose;
+        // op(B) is `inner × cols`.
+        let (inner, cols) = if transpose_b {
+            (b.ncols(), b.nrows())
+        } else {
+            (b.nrows(), b.ncols())
+        };
+        if a.ncols() != inner {
+            return Err(GrbError::DimensionMismatch {
+                op: "mxm",
+                expected: a.ncols(),
+                got: inner,
+            });
+        }
+        for (what, expected, got) in [
+            (
+                "mxm mask rows must equal the output rows",
+                a.nrows(),
+                mask.nrows(),
+            ),
+            (
+                "mxm mask columns must equal the output columns",
+                cols,
+                mask.ncols(),
+            ),
+        ] {
+            if expected != got {
+                return Err(GrbError::LengthMismatch {
+                    what,
+                    expected,
+                    got,
+                });
+            }
+        }
         ctx.workspace().stats().record_mxm_reduce();
-        self.a
-            .state()
-            .mxm_reduce_masked(self.b.state(), self.mask.state())
+        Ok(a.state()
+            .mxm_reduce_masked(b.state(), mask.state(), transpose_b))
     }
 }
 
@@ -1018,7 +1074,13 @@ mod tests {
     use bitgblas_sparse::{Coo, Csr};
 
     fn sample(n: usize, seed: u64) -> Csr {
-        let mut coo = Coo::new(n, n);
+        sample_rect(n, n, seed)
+    }
+
+    /// A random rectangular pattern (`mxm_reduce` operands need not be
+    /// square or symmetric).
+    fn sample_rect(nrows: usize, ncols: usize, seed: u64) -> Csr {
+        let mut coo = Coo::new(nrows, ncols);
         let mut state = seed | 1;
         let mut next = || {
             state ^= state << 13;
@@ -1026,9 +1088,9 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..n * 4 {
-            let r = (next() % n as u64) as usize;
-            let c = (next() % n as u64) as usize;
+        for _ in 0..nrows * 4 {
+            let r = (next() % nrows as u64) as usize;
+            let c = (next() % ncols as u64) as usize;
             coo.push_edge(r, c).unwrap();
         }
         coo.to_binary_csr()
@@ -1124,6 +1186,151 @@ mod tests {
             counts.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9),
             "{counts:?}"
         );
+    }
+
+    /// `.transpose_b()` on `b` equals the plain product on `b.transpose()`
+    /// and the float reference, whichever kernel the operand mix selects:
+    /// the bit kernel, the CSR kernel, or the CSR fallback for mixed
+    /// backends and mixed tile sizes.
+    #[test]
+    fn mxm_reduce_transpose_b_equals_the_product_with_the_transposed_operand() {
+        use Backend::{Bit, FloatCsr};
+        let (m, p, q) = (45, 70, 58);
+        let (a, bt, mask) = (
+            sample_rect(m, p, 3),
+            sample_rect(q, p, 5),
+            sample_rect(m, q, 7),
+        );
+        let expected = bitgblas_sparse::ops::spgemm_masked_sum(&a, &bt, &mask).unwrap();
+        assert!(expected > 0.0);
+        let ctx = Context::default();
+        let s8 = Bit(TileSize::S8);
+        for (ka, kb, km) in [
+            (s8, s8, s8),
+            (Bit(TileSize::S32), Bit(TileSize::S32), Bit(TileSize::S32)),
+            (FloatCsr, FloatCsr, FloatCsr),
+            (s8, FloatCsr, s8),
+            (FloatCsr, s8, FloatCsr),
+            (s8, s8, FloatCsr),
+            (s8, Bit(TileSize::S16), s8),
+            (s8, s8, Bit(TileSize::S4)),
+        ] {
+            let a = Matrix::from_csr(&a, ka);
+            let bt = Matrix::from_csr(&bt, kb);
+            let mask = Matrix::from_csr(&mask, km);
+            let by_rows = Op::mxm_reduce(&a, &bt, &mask).transpose_b().run(&ctx);
+            let via_desc = Op::mxm_reduce(&a, &bt, &mask)
+                .desc(Descriptor::with_transpose())
+                .run(&ctx);
+            let plain = Op::mxm_reduce(&a, &bt.transpose(), &mask).run(&ctx);
+            assert_eq!(
+                (by_rows, via_desc, plain),
+                (expected, expected, expected),
+                "{ka:?} {kb:?} {km:?}"
+            );
+        }
+    }
+
+    /// The same parity through a `DeltaOverlay`: every operand is a snapshot
+    /// with pending inserts and deletes, and the result equals the one on
+    /// matrices rebuilt from the merged edges.
+    #[test]
+    fn mxm_reduce_transpose_b_reads_pending_deltas() {
+        use crate::delta::EdgeDelta;
+        let n = 64;
+        let base = sample(n, 29);
+        let ctx = Context::default();
+        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            let live = Matrix::from_csr(&base, backend);
+            let mut deltas: Vec<EdgeDelta> = (0..n)
+                .map(|i| EdgeDelta::insert(i, (i * 7 + 3) % n))
+                .collect();
+            deltas.extend(
+                base.iter()
+                    .step_by(3)
+                    .map(|(r, c, _)| EdgeDelta::delete(r, c)),
+            );
+            live.apply_deltas(&deltas).unwrap();
+            let snap = live.snapshot();
+            assert_ne!(snap.csr(), &base, "{backend:?}: the deltas must be pending");
+            let rebuilt = Matrix::from_csr(snap.csr(), backend);
+            let expected = Op::mxm_reduce(&rebuilt, &rebuilt, &rebuilt)
+                .transpose_b()
+                .run(&ctx);
+            assert!(expected > 0.0);
+            let by_rows = Op::mxm_reduce(&snap, &snap, &snap).transpose_b().run(&ctx);
+            let plain = Op::mxm_reduce(&snap, &snap.transpose(), &snap).run(&ctx);
+            // An overlay as only the second operand of a bit product.
+            let mixed = Op::mxm_reduce(&rebuilt, &snap, &rebuilt)
+                .transpose_b()
+                .run(&ctx);
+            assert_eq!(
+                (by_rows, plain, mixed),
+                (expected, expected, expected),
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mxm_reduce_try_run_reports_shape_violations() {
+        let ctx = Context::default();
+        let m = |r, c| Matrix::from_csr(&sample_rect(r, c, 9), Backend::Bit(TileSize::S8));
+        let (a, b, bt) = (m(10, 20), m(20, 30), m(30, 20));
+        assert!(Op::mxm_reduce(&a, &b, &m(10, 30)).try_run(&ctx).is_ok());
+        assert!(Op::mxm_reduce(&a, &bt, &m(10, 30))
+            .transpose_b()
+            .try_run(&ctx)
+            .is_ok());
+        // The inner dimension follows the transpose flag.
+        assert_eq!(
+            Op::mxm_reduce(&a, &bt, &m(10, 30)).try_run(&ctx),
+            Err(GrbError::DimensionMismatch {
+                op: "mxm",
+                expected: 20,
+                got: 30
+            })
+        );
+        assert_eq!(
+            Op::mxm_reduce(&a, &b, &m(10, 30))
+                .transpose_b()
+                .try_run(&ctx),
+            Err(GrbError::DimensionMismatch {
+                op: "mxm",
+                expected: 20,
+                got: 30
+            })
+        );
+        assert!(matches!(
+            Op::mxm_reduce(&a, &b, &m(11, 30)).try_run(&ctx),
+            Err(GrbError::LengthMismatch {
+                expected: 10,
+                got: 11,
+                ..
+            })
+        ));
+        assert!(matches!(
+            Op::mxm_reduce(&a, &bt, &m(10, 20))
+                .transpose_b()
+                .try_run(&ctx),
+            Err(GrbError::LengthMismatch {
+                expected: 30,
+                got: 20,
+                ..
+            })
+        ));
+        assert_eq!(
+            ctx.stats().mxm_reduce,
+            2,
+            "refused products are not counted"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mxm dimension mismatch")]
+    fn mxm_reduce_run_panics_with_the_error_text() {
+        let m = |r, c| Matrix::from_csr(&sample_rect(r, c, 9), Backend::FloatCsr);
+        let _ = Op::mxm_reduce(&m(10, 20), &m(30, 20), &m(10, 20)).run(&Context::default());
     }
 
     #[test]

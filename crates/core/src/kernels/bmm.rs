@@ -7,17 +7,18 @@
 //! * **Scalar-reducing SpGEMM** — Triangle Counting is the paper's SpGEMM
 //!   consumer: both operands and the mask are binary, and the only output
 //!   needed is the *sum* of the product's entries.  `bmm_bin_bin_sum`
-//!   computes `Σ_{i,j} (A·B)[i][j]` and `bmm_bin_bin_sum_masked` computes
-//!   `Σ_{(i,j) ∈ mask} (A·B)[i][j]`, both over the arithmetic semiring with
-//!   binary inputs.  Kernel structure (Listing 2 of the paper): one warp per
-//!   tile-row of `A`; the outer loop walks `A`'s non-empty tiles `(tr, k)`,
-//!   the middle loop walks `B`'s tile-row `k`, and the inner 32-step loop
-//!   broadcasts each bit-row of the `B` tile to all lanes (`__shfl_sync`) so
-//!   every lane accumulates `__popc(a_row & b_row)` into its private
-//!   register.  Here the broadcast becomes an inner loop over the
-//!   pre-transposed `B` tile (the paper stores `B`'s tiles column-major for
-//!   the same reason) and the warp scheduling becomes Rayon parallelism over
-//!   `A`'s tile-rows.
+//!   computes `Σ_{i,j} (A·B)[i][j]` and `bmm_bin_bin_sum_masked_nt`
+//!   computes `Σ_{(i,j) ∈ mask} (A·B)[i][j]` from `A` and `Bᵀ`, both over
+//!   the arithmetic semiring with binary inputs.  The paper's Listing 2 runs
+//!   one warp per tile-row of `A` and broadcasts the bit-rows of a
+//!   column-major `B` tile to every lane (`__shfl_sync`), each lane adding
+//!   `__popc(a_row & b_col)` to a private register; here the warp
+//!   scheduling becomes Rayon parallelism over tile-rows and neither kernel
+//!   needs a column-major copy.  A masked entry `(A·B)[i][j]` is the size of
+//!   the intersection of row `i` of `A` and row `j` of `Bᵀ`, so the masked
+//!   kernel takes `Bᵀ` by rows and intersects tile-rows; the unmasked sum
+//!   of one tile pair factors into `A`'s per-tile column counts times `B`'s
+//!   row popcounts.
 //!
 //! * **Matrix × multivector (frontier matrices)** — `k` concurrent
 //!   traversals stacked into an `n × k` multi-vector advance with a single
@@ -33,27 +34,11 @@
 
 use rayon::prelude::*;
 
-use bitgblas_bitops::pack::transpose_tile;
 use bitgblas_bitops::BitWord;
 
 use super::simd;
 use crate::b2sr::B2sr;
 use crate::semiring::Semiring;
-
-/// Pre-transpose every tile of `b` so that word `j` of a transposed tile is
-/// bit-*column* `j` of the original tile — the "column-major packing" the
-/// paper uses for the `B` operand of BMM.
-fn transpose_tiles<W: BitWord>(b: &B2sr<W>) -> Vec<W> {
-    let dim = b.tile_dim();
-    let mut out = vec![W::ZERO; b.bit_tiles().len()];
-    out.par_chunks_mut(dim)
-        .enumerate()
-        .for_each(|(idx, chunk)| {
-            let t = transpose_tile(b.tile_words(idx), dim);
-            chunk.copy_from_slice(&t);
-        });
-    out
-}
 
 /// `bmm_bin_bin_sum()`: the sum of all entries of `A · B` over the arithmetic
 /// semiring, with both operands binary (in B2SR with the same tile size).
@@ -61,36 +46,29 @@ fn transpose_tiles<W: BitWord>(b: &B2sr<W>) -> Vec<W> {
 /// # Panics
 /// Panics if the operands' dimensions or tile sizes are incompatible.
 pub fn bmm_bin_bin_sum<W: BitWord>(a: &B2sr<W>, b: &B2sr<W>) -> u64 {
-    debug_assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     assert_eq!(
         a.tile_dim(),
         b.tile_dim(),
         "operands must use the same tile size"
     );
     let dim = a.tile_dim();
-    let bt_tiles = transpose_tiles(b);
-
     (0..a.n_tile_rows())
         .into_par_iter()
         .map(|tr| {
             let mut local: u64 = 0;
             for a_idx in a.tile_row_range(tr) {
-                let k = a.tile_colind()[a_idx];
-                let a_words = a.tile_words(a_idx);
-                if k >= b.n_tile_rows() {
-                    continue;
+                // Σ_{i,j} (A_tile · B_tile)[i][j] = Σ_c colcount_A(c) ·
+                // popc(B_tile row c): the counts are taken once per A tile.
+                let mut colcount = [0u64; 32];
+                for &aw in a.tile_words(a_idx) {
+                    for c in aw.iter_ones() {
+                        colcount[c as usize] += 1;
+                    }
                 }
-                for b_idx in b.tile_row_range(k) {
-                    let bt = &bt_tiles[b_idx * dim..(b_idx + 1) * dim];
-                    // Every (lane i, broadcast j) pair contributes
-                    // popc(A_row_i & B_col_j) = (A·B) tile element (i, j).
-                    for &aw in a_words.iter().take(dim) {
-                        if aw == W::ZERO {
-                            continue;
-                        }
-                        for &bw in bt.iter().take(dim) {
-                            local += (aw & bw).popcount() as u64;
-                        }
+                for b_idx in b.tile_row_range(a.tile_colind()[a_idx]) {
+                    for (&n, &bw) in colcount[..dim].iter().zip(b.tile_words(b_idx)) {
+                        local += n * bw.popcount() as u64;
                     }
                 }
             }
@@ -100,22 +78,41 @@ pub fn bmm_bin_bin_sum<W: BitWord>(a: &B2sr<W>, b: &B2sr<W>) -> u64 {
 }
 
 /// `bmm_bin_bin_sum_masked()`: the sum of `A · B` restricted to the positions
-/// where `mask` has a set bit — the Triangle Counting kernel
-/// (`A = L`, `B = Lᵀ`, `mask = L` gives the triangle count).
+/// where `mask` has a set bit: `b.transpose()`, then the kernel proper,
+/// [`bmm_bin_bin_sum_masked_nt`].
 ///
 /// # Panics
 /// Panics if dimensions or tile sizes are incompatible.
 pub fn bmm_bin_bin_sum_masked<W: BitWord>(a: &B2sr<W>, b: &B2sr<W>, mask: &B2sr<W>) -> u64 {
-    debug_assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-    debug_assert_eq!(a.nrows(), mask.nrows(), "mask must match the output rows");
+    bmm_bin_bin_sum_masked_nt(a, &b.transpose(), mask)
+}
+
+/// `bmm_bin_bin_sum_masked_nt()`: `Σ_{(i,j) ∈ mask} (a · btᵀ)[i][j]` — the
+/// masked product sum with the second factor's transpose `bt` stored by
+/// rows, which makes it the Triangle Counting kernel as is
+/// (`a = bt = mask = L` gives `Σ (L·Lᵀ) .* L`).  `a` is `m × p`, `bt` is
+/// `q × p`, `mask` is `m × q`.
+///
+/// Entry `(i, j)` of the product is `|a_i ∩ bt_j|`, so per output tile-row
+/// the kernel scatters `a`'s tile indices into a dense tile-column table
+/// and, per mask tile `(tr, tc)`, decodes the mask's set `(i, j)` bits once,
+/// walks `bt`'s tile-row `tc`, and for every tile the table knows adds
+/// `popc(a_tile[i] & bt_tile[j])` over the decoded pairs.  The table is one
+/// per worker and is reset by re-walking `a`'s tile-row.
+///
+/// # Panics
+/// Panics if dimensions or tile sizes are incompatible.
+pub fn bmm_bin_bin_sum_masked_nt<W: BitWord>(a: &B2sr<W>, bt: &B2sr<W>, mask: &B2sr<W>) -> u64 {
+    assert_eq!(a.ncols(), bt.ncols(), "inner dimensions must agree");
+    assert_eq!(a.nrows(), mask.nrows(), "mask must match the output rows");
     assert_eq!(
-        b.ncols(),
+        bt.nrows(),
         mask.ncols(),
         "mask must match the output columns"
     );
     assert_eq!(
         a.tile_dim(),
-        b.tile_dim(),
+        bt.tile_dim(),
         "operands must use the same tile size"
     );
     assert_eq!(
@@ -123,51 +120,54 @@ pub fn bmm_bin_bin_sum_masked<W: BitWord>(a: &B2sr<W>, b: &B2sr<W>, mask: &B2sr<
         mask.tile_dim(),
         "mask must use the same tile size"
     );
-    let dim = a.tile_dim();
-    let bt_tiles = transpose_tiles(b);
-
     (0..mask.n_tile_rows())
         .into_par_iter()
-        .map(|tr| {
-            let mut local: u64 = 0;
-            if tr >= a.n_tile_rows() {
-                return 0;
-            }
-            let a_range = a.tile_row_range(tr);
-            let a_cols = &a.tile_colind()[a_range.clone()];
-            for m_idx in mask.tile_row_range(tr) {
-                let tc = mask.tile_colind()[m_idx];
-                let m_words = mask.tile_words(m_idx);
-                // C(tr, tc) = Σ_k A(tr, k) · B(k, tc); only positions with a
-                // mask bit contribute to the sum.
-                for (a_off, &k) in a_cols.iter().enumerate() {
-                    let a_idx = a_range.start + a_off;
-                    let a_words = a.tile_words(a_idx);
-                    if k >= b.n_tile_rows() {
-                        continue;
-                    }
-                    // Find B's tile (k, tc) by binary search in tile-row k.
-                    let b_range = b.tile_row_range(k);
-                    let b_cols = &b.tile_colind()[b_range.clone()];
-                    let Ok(pos) = b_cols.binary_search(&tc) else {
-                        continue;
-                    };
-                    let b_idx = b_range.start + pos;
-                    let bt = &bt_tiles[b_idx * dim..(b_idx + 1) * dim];
-                    for (i, &aw) in a_words.iter().enumerate().take(dim) {
-                        let mw = m_words[i];
-                        if aw == W::ZERO || mw == W::ZERO {
-                            continue;
-                        }
-                        for j in mw.iter_ones() {
-                            local += (aw & bt[j as usize]).popcount() as u64;
-                        }
-                    }
-                }
-            }
-            local
-        })
+        .map_init(
+            || (vec![usize::MAX; a.n_tile_cols()], Vec::new()),
+            |(table, pairs), tr| masked_nt_tile_row(a, bt, mask, tr, table, pairs),
+        )
         .sum()
+}
+
+/// One output tile-row of [`bmm_bin_bin_sum_masked_nt`].  `table` maps a
+/// tile-column to `a`'s tile there (`usize::MAX` = none) and is all-`MAX`
+/// on entry and on return; `pairs` is scratch for a mask tile's set bits.
+fn masked_nt_tile_row<W: BitWord>(
+    a: &B2sr<W>,
+    bt: &B2sr<W>,
+    mask: &B2sr<W>,
+    tr: usize,
+    table: &mut [usize],
+    pairs: &mut Vec<(u8, u8)>,
+) -> u64 {
+    let a_range = a.tile_row_range(tr);
+    if a_range.is_empty() {
+        return 0;
+    }
+    for a_idx in a_range.clone() {
+        table[a.tile_colind()[a_idx]] = a_idx;
+    }
+    let mut local: u64 = 0;
+    for m_idx in mask.tile_row_range(tr) {
+        pairs.clear();
+        for (i, &mw) in mask.tile_words(m_idx).iter().enumerate() {
+            pairs.extend(mw.iter_ones().map(|j| (i as u8, j as u8)));
+        }
+        for b_idx in bt.tile_row_range(mask.tile_colind()[m_idx]) {
+            let a_idx = table[bt.tile_colind()[b_idx]];
+            if a_idx == usize::MAX {
+                continue;
+            }
+            let (aw, bw) = (a.tile_words(a_idx), bt.tile_words(b_idx));
+            for &(i, j) in pairs.iter() {
+                local += (aw[i as usize] & bw[j as usize]).popcount() as u64;
+            }
+        }
+    }
+    for a_idx in a_range {
+        table[a.tile_colind()[a_idx]] = usize::MAX;
+    }
+    local
 }
 
 // ---------------------------------------------------------------------------
@@ -497,7 +497,19 @@ mod tests {
     use bitgblas_sparse::{ops, Coo, Csr};
 
     fn sample(n: usize, seed: u64, edges_per_row: usize) -> Csr {
-        let mut coo = Coo::new(n, n);
+        sample_rect(n, n, seed, edges_per_row, |_, _| true)
+    }
+
+    /// A random `nrows × ncols` pattern keeping only the entries `keep` lets
+    /// through (how the tests carve out empty tile-rows).
+    fn sample_rect(
+        nrows: usize,
+        ncols: usize,
+        seed: u64,
+        edges_per_row: usize,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Csr {
+        let mut coo = Coo::new(nrows, ncols);
         let mut state = seed | 1;
         let mut next = || {
             state ^= state << 13;
@@ -505,12 +517,28 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..n * edges_per_row {
-            let r = (next() % n as u64) as usize;
-            let c = (next() % n as u64) as usize;
-            coo.push_edge(r, c).unwrap();
+        for _ in 0..nrows * edges_per_row {
+            let r = (next() % nrows as u64) as usize;
+            let c = (next() % ncols as u64) as usize;
+            if keep(r, c) {
+                coo.push_edge(r, c).unwrap();
+            }
         }
         coo.to_binary_csr()
+    }
+
+    /// The masked `A · Bᵀ` kernel at every tile size.
+    fn masked_nt_all_widths(a: &Csr, bt: &Csr, mask: &Csr) -> [u64; 4] {
+        macro_rules! at {
+            ($w:ty, $dim:expr) => {
+                bmm_bin_bin_sum_masked_nt(
+                    &from_csr::<$w>(a, $dim),
+                    &from_csr::<$w>(bt, $dim),
+                    &from_csr::<$w>(mask, $dim),
+                )
+            };
+        }
+        [at!(u8, 4), at!(u8, 8), at!(u16, 16), at!(u32, 32)]
     }
 
     /// Reference: sum of all entries of the float SpGEMM product.
@@ -613,6 +641,124 @@ mod tests {
             &from_csr::<u8>(&l, 4),
         );
         assert_eq!(tri, 4);
+        // The same count with `Lᵀ` never built: `L` by rows, three times.
+        assert_eq!(masked_nt_all_widths(&l, &l, &l), [4; 4]);
+    }
+
+    /// Rectangular `A (m×p)`, `Bᵀ (q×p)` and a non-triangular `mask (m×q)`
+    /// with no dimension a tile multiple and three different tile-row
+    /// counts, against the float row-merge kernel and against the `A · B`
+    /// entry point.
+    #[test]
+    fn masked_nt_matches_float_reference_on_rectangular_operands() {
+        for (m, p, q) in [(37, 61, 83), (83, 37, 61), (70, 70, 9), (5, 130, 5)] {
+            let a = sample_rect(m, p, 3 + m as u64, 5, |_, _| true);
+            let bt = sample_rect(q, p, 7 + q as u64, 6, |_, _| true);
+            let mask = sample_rect(m, q, 11 + p as u64, 9, |_, _| true);
+            let expected = ops::spgemm_masked_sum(&a, &bt, &mask).unwrap() as u64;
+            assert!(expected > 0, "({m},{p},{q}) must not be vacuous");
+            assert_eq!(
+                masked_nt_all_widths(&a, &bt, &mask),
+                [expected; 4],
+                "({m},{p},{q})"
+            );
+            assert_eq!(
+                bmm_bin_bin_sum_masked(
+                    &from_csr::<u16>(&a, 16),
+                    &from_csr::<u16>(&bt.transpose(), 16),
+                    &from_csr::<u16>(&mask, 16),
+                ),
+                expected
+            );
+        }
+    }
+
+    /// Empty tile-rows in each operand — including mask tiles over an empty
+    /// `A` tile-row and mask tiles whose `Bᵀ` tile-row is empty — contribute
+    /// nothing and leave the tile-column table clean for the next row.
+    #[test]
+    fn masked_nt_skips_empty_tile_rows_of_every_operand() {
+        let (m, p, q) = (96, 100, 90);
+        // A: rows 32..64 empty.  Bᵀ: rows 0..32 and 64.. empty.  Mask: rows
+        // 0..16 empty, and dense over the columns whose Bᵀ row is empty.
+        let a = sample_rect(m, p, 5, 12, |r, _| !(32..64).contains(&r));
+        let bt = sample_rect(q, p, 6, 12, |r, _| (32..64).contains(&r));
+        let mask = sample_rect(m, q, 7, 40, |r, _| r >= 16);
+        assert!((32..64).all(|r| a.row(r).0.is_empty()));
+        assert!((32..64).any(|r| !mask.row(r).0.is_empty()));
+        assert!(mask.iter().any(|(r, c, _)| r < 32 && c < 32));
+        let expected = ops::spgemm_masked_sum(&a, &bt, &mask).unwrap() as u64;
+        assert!(expected > 0);
+        assert_eq!(masked_nt_all_widths(&a, &bt, &mask), [expected; 4]);
+        // Whole operands empty.
+        let none = Csr::empty(q, p);
+        assert_eq!(masked_nt_all_widths(&a, &none, &mask), [0; 4]);
+        assert_eq!(masked_nt_all_widths(&Csr::empty(m, p), &bt, &mask), [0; 4]);
+        assert_eq!(masked_nt_all_widths(&a, &bt, &Csr::empty(m, q)), [0; 4]);
+    }
+
+    /// One worker sweeping every tile-row with one scratch, two workers
+    /// taking alternate tile-rows with a scratch each, and the parallel
+    /// entry point (N workers on an N-core host) all return the same sum —
+    /// the per-worker table really is clean between rows.
+    #[test]
+    fn masked_nt_is_identical_at_one_and_many_workers() {
+        let adj = sample(1100, 77, 6);
+        let l = adj.lower_triangle();
+        let lb = from_csr::<u8>(&l, 8);
+        assert!(lb.n_tile_rows() >= 64, "must reach the parallel split");
+        let parallel = bmm_bin_bin_sum_masked_nt(&lb, &lb, &lb);
+        assert_eq!(parallel, ops::spgemm_masked_sum(&l, &l, &l).unwrap() as u64);
+
+        let scratch = || (vec![usize::MAX; lb.n_tile_cols()], Vec::new());
+        let (mut table, mut pairs) = scratch();
+        let one: u64 = (0..lb.n_tile_rows())
+            .map(|tr| masked_nt_tile_row(&lb, &lb, &lb, tr, &mut table, &mut pairs))
+            .sum();
+        assert!(table.iter().all(|&t| t == usize::MAX));
+        let mut workers = [scratch(), scratch()];
+        let two: u64 = (0..lb.n_tile_rows())
+            .rev()
+            .map(|tr| {
+                let (table, pairs) = &mut workers[tr % 2];
+                masked_nt_tile_row(&lb, &lb, &lb, tr, table, pairs)
+            })
+            .sum();
+        assert_eq!((one, two), (parallel, parallel));
+    }
+
+    /// Shape preconditions are real checks, not debug assertions: a wrong
+    /// inner dimension must not return a silently wrong sum in release.
+    #[test]
+    #[should_panic(expected = "inner dimensions must agree")]
+    fn sum_rejects_a_wrong_inner_dimension() {
+        let a = sample_rect(16, 24, 2, 2, |_, _| true);
+        let _ = bmm_bin_bin_sum(&from_csr::<u8>(&a, 8), &from_csr::<u8>(&a, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "inner dimensions must agree")]
+    fn masked_nt_rejects_a_wrong_inner_dimension() {
+        let a = sample_rect(16, 24, 2, 2, |_, _| true);
+        let bt = sample_rect(16, 32, 3, 2, |_, _| true);
+        let mask = sample(16, 4, 2);
+        let _ = bmm_bin_bin_sum_masked_nt(
+            &from_csr::<u8>(&a, 8),
+            &from_csr::<u8>(&bt, 8),
+            &from_csr::<u8>(&mask, 8),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mask must match the output rows")]
+    fn masked_nt_rejects_a_wrong_mask_shape() {
+        let a = sample(16, 2, 2);
+        let mask = sample_rect(24, 16, 4, 2, |_, _| true);
+        let _ = bmm_bin_bin_sum_masked_nt(
+            &from_csr::<u8>(&a, 8),
+            &from_csr::<u8>(&a, 8),
+            &from_csr::<u8>(&mask, 8),
+        );
     }
 
     #[test]

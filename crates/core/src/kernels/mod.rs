@@ -13,8 +13,12 @@
 //!   tile size.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
-//!   product to a full-precision scalar as required by Triangle Counting;
-//!   plus the batched matrix-times-multivector kernels of the multi-source
+//!   product to a full-precision scalar as required by Triangle Counting.
+//!   The masked scheme's body is `bmm_bin_bin_sum_masked_nt`, a tile-row
+//!   intersection that takes its second operand as `Bᵀ` stored by rows
+//!   (Triangle Counting hands it `L` three times); the `A·B` form
+//!   transposes `b` and calls it.  Also here:
+//!   the batched matrix-times-multivector kernels of the multi-source
 //!   traversal engine (`bmm_bin_bits_into` / `bmm_push_bits` for Boolean
 //!   lane words, `bmm_bin_full_into` / `bmm_push_bin_full` for the other
 //!   semirings) — each adjacency tile is loaded once and applied to all
@@ -39,8 +43,8 @@ pub mod bmv;
 pub mod simd;
 
 pub use bmm::{
-    bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bits_into, bmm_bin_full_into,
-    bmm_push_bin_full, bmm_push_bits,
+    bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into,
+    bmm_bin_full_into, bmm_push_bin_full, bmm_push_bits,
 };
 pub use bmv::{
     bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into,

@@ -18,7 +18,8 @@
 //! * **RQ-2 (computation)** — [`kernels`] implements the BMV and BMM schemes of
 //!   Tables II and III: `bmv_bin_bin_bin`, `bmv_bin_bin_full`,
 //!   `bmv_bin_full_full` (each one body with its masked twin) and
-//!   `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting),
+//!   `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
+//!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
 //!   kernels parallelise through [`shard`]: row-shard partition plans,

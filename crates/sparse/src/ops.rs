@@ -246,15 +246,23 @@ fn assemble_rows(nrows: usize, ncols: usize, rows: Vec<(Vec<usize>, Vec<f32>)>) 
 }
 
 /// Masked SpGEMM reduced to a scalar: `sum(mask .* (A · B))`, counting each
-/// product only where the mask has a stored entry.  With `A = L`, `B = L^T`
-/// and `mask = L` this is exactly the GraphBLAS triangle-counting formulation
-/// the baseline TC uses.
+/// product only where the mask has a stored entry.  The second operand is
+/// `Bᵀ` stored by rows (`a` is `m × p`, `b` is `q × p`, `mask` is `m × q`):
+/// entry `(r, c)` of the product is the dot product of `a`'s row `r` and
+/// `b`'s row `c`.  With `a = b = mask = L` this is exactly the GraphBLAS
+/// triangle-counting formulation `Σ (L · Lᵀ) .* L` the baseline TC uses.
 pub fn spgemm_masked_sum(a: &Csr, b: &Csr, mask: &Csr) -> Result<f64, SparseError> {
-    check_spgemm_dims(a, b)?;
-    if mask.nrows() != a.nrows() || mask.ncols() != b.ncols() {
+    if a.ncols() != b.ncols() {
         return Err(SparseError::DimensionMismatch {
             op: "spgemm_masked_sum",
-            left: (a.nrows(), b.ncols()),
+            left: (a.nrows(), a.ncols()),
+            right: (b.ncols(), b.nrows()),
+        });
+    }
+    if mask.nrows() != a.nrows() || mask.ncols() != b.nrows() {
+        return Err(SparseError::DimensionMismatch {
+            op: "spgemm_masked_sum",
+            left: (a.nrows(), b.nrows()),
             right: (mask.nrows(), mask.ncols()),
         });
     }
@@ -270,10 +278,7 @@ pub fn spgemm_masked_sum(a: &Csr, b: &Csr, mask: &Csr) -> Result<f64, SparseErro
             // For each masked output position (r, c), compute the dot product
             // of A's row r and B's column c via merge of sorted index lists.
             for &c in mask_cols {
-                // B stored by rows: we need column c of B, i.e. row c of B^T.
-                // To stay CSR-only the caller passes B already transposed when
-                // a column access pattern is wanted; here we do the standard
-                // row(A) x row(B^T) merge by treating `b` as B^T.
+                // Column c of B is row c of `b` (= Bᵀ): a merge of two rows.
                 let (bt_cols, bt_vals) = b.row(c);
                 let mut i = 0;
                 let mut j = 0;
@@ -441,6 +446,34 @@ mod tests {
     fn masked_sum_dimension_checks() {
         let a = sample_a();
         assert!(spgemm_masked_sum(&a, &a, &Csr::identity(2)).is_err());
+    }
+
+    #[test]
+    fn masked_sum_takes_a_rectangular_second_operand_by_rows() {
+        // A is 2×3, Bᵀ is 4×3, the mask 2×4: every shape differs.
+        let mut a = Coo::new(2, 3);
+        for &(r, c) in &[(0, 0), (0, 2), (1, 1), (1, 2)] {
+            a.push(r, c, 1.0).unwrap();
+        }
+        let mut bt = Coo::new(4, 3);
+        for &(r, c) in &[(0, 0), (0, 2), (1, 1), (3, 0), (3, 1), (3, 2)] {
+            bt.push(r, c, 1.0).unwrap();
+        }
+        let (a, bt) = (Csr::from_coo(&a), Csr::from_coo(&bt));
+        let product = spgemm(&a, &bt.transpose()).unwrap();
+        let mut mask = Coo::new(2, 4);
+        for &(r, c) in &[(0, 0), (0, 3), (1, 1), (1, 2)] {
+            mask.push(r, c, 1.0).unwrap();
+        }
+        let mask = Csr::from_coo(&mask);
+        let expected: f64 = mask
+            .iter()
+            .map(|(r, c, _)| product.get(r, c).unwrap_or(0.0) as f64)
+            .sum();
+        assert_eq!(expected, 5.0);
+        assert_eq!(spgemm_masked_sum(&a, &bt, &mask).unwrap(), expected);
+        // The inner dimension is the *column* count of both operands.
+        assert!(spgemm_masked_sum(&a, &bt.transpose(), &mask).is_err());
     }
 
     #[test]

@@ -146,9 +146,31 @@ proptest! {
             prop_assert_eq!(triangle_count(&m), expected);
         }
     }
+
+    /// `Σ mask .* (A · Bᵀ)` asked for with `.transpose_b()` equals the plain
+    /// product on the materialised transpose and the float row-merge
+    /// reference, for a non-symmetric `b` and an arbitrary mask.
+    #[test]
+    fn mxm_reduce_transpose_b_matches_transposed_operand(
+        a in matrix_strategy(60, 350),
+        b in matrix_strategy(60, 350),
+        mask in matrix_strategy(60, 350),
+    ) {
+        // Make the dimensions agree by trimming to the smallest n.
+        let n = a.nrows().min(b.nrows()).min(mask.nrows());
+        let [a, b, mask] = [a, b, mask].map(|m| Csr::from_dense(&sub_dense(&m, n), n, n));
+        let expected = ops::spgemm_masked_sum(&a, &b, &mask).unwrap();
+        let ctx = Context::default();
+        for backend in [Backend::Bit(TileSize::S4), Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            let [a, b, mask] = [&a, &b, &mask].map(|m| Matrix::from_csr(m, backend));
+            let by_rows = Op::mxm_reduce(&a, &b, &mask).transpose_b().run(&ctx);
+            let plain = Op::mxm_reduce(&a, &b.transpose(), &mask).run(&ctx);
+            prop_assert_eq!((by_rows, plain), (expected, expected), "{:?}", backend);
+        }
+    }
 }
 
-/// Dense top-left `n × n` sub-matrix of a CSR (helper for the BMM property).
+/// Dense top-left `n × n` sub-matrix of a CSR (helper for the BMM properties).
 fn sub_dense(csr: &Csr, n: usize) -> Vec<f32> {
     let mut d = vec![0.0f32; n * n];
     for (r, c, v) in csr.iter() {
