@@ -1,11 +1,16 @@
 //! Criterion bench: BMM (bit SpGEMM) vs the float Gustavson SpGEMM baseline
-//! (the counterpart of Figures 6d / 7d).
+//! (the counterpart of Figures 6d / 7d), and the batched full-precision
+//! matrix × multivector kernels behind `sssp_multi` / `ppr_multi`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use bitgblas_core::b2sr::convert::from_csr;
-use bitgblas_core::kernels::{bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt};
+use bitgblas_core::kernels::{
+    bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmm_push_bin_full,
+    bmv_bin_full_full_fused_into,
+};
+use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
 use bitgblas_sparse::{ops, Csr};
 
@@ -67,5 +72,63 @@ fn bmm_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bmm_benches);
+/// The batched full-precision product at B2SR-8: the pull sweep at three
+/// batch widths under both served semirings, the fused single-vector sweep
+/// it must stay close to at `k = 1`, and the push scatter from a 1 %
+/// frontier.  `rmat_s14` is the repo benchmark's R-MAT graph, where two
+/// thirds of the tiles hold one bit.
+fn bmm_batched_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmm_batched");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let rmat = generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized();
+    for (name, csr) in bench_matrices().into_iter().chain([("rmat_s14", rmat)]) {
+        let n = csr.ncols();
+        let b8 = from_csr::<u8>(&csr, 8);
+        let padded = b8.n_tile_rows() * 8;
+        let operand = |len: usize| -> Vec<f32> { (0..len).map(|i| ((i % 5) + 1) as f32).collect() };
+
+        for semiring in [Semiring::Arithmetic, Semiring::MinPlus(1.0)] {
+            for k in [1usize, 16, 64] {
+                let x = operand(n * k);
+                let mut y = vec![0.0f32; padded * k];
+                group.bench_function(
+                    BenchmarkId::new(format!("bmm_bin_full_into/{semiring:?}/k{k}"), name),
+                    |b| b.iter(|| bmm_bin_full_into(&b8, &x, k, semiring, None, &mut y)),
+                );
+            }
+            let x = operand(n);
+            let mut y = vec![0.0f32; padded];
+            group.bench_function(
+                BenchmarkId::new(format!("bmv_bin_full_full_fused_into/{semiring:?}"), name),
+                |b| b.iter(|| bmv_bin_full_full_fused_into(&b8, &x, semiring, |_, t| t, &mut y)),
+            );
+        }
+
+        // Push: every hundredth node active in all 16 lanes.
+        let k = 16;
+        let semiring = Semiring::MinPlus(1.0);
+        let frontier: Vec<usize> = (0..csr.nrows()).step_by(100).collect();
+        let mut x = vec![semiring.identity(); csr.nrows() * k];
+        for &u in &frontier {
+            x[u * k..][..k].fill(1.0);
+        }
+        let mut y = vec![semiring.identity(); n * k];
+        group.bench_function(
+            BenchmarkId::new("bmm_push_bin_full/MinPlus/k16/frontier_1pct", name),
+            |b| {
+                b.iter(|| {
+                    y.fill(semiring.identity());
+                    bmm_push_bin_full(&b8, &x, k, &frontier, semiring, |_| true, &mut y)
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bmm_benches, bmm_batched_benches);
 criterion_main!(benches);

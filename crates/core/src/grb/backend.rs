@@ -55,7 +55,7 @@ use crate::kernels::{
     bmv_bin_full_full_masked_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits_into,
     pack_vector_bits_simd_into, pack_vector_tilewise_into, pack_vector_tilewise_simd_into,
 };
-use crate::semiring::Semiring;
+use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
 
 use super::descriptor::Mask;
@@ -463,6 +463,25 @@ fn pack_flags<W: BitWord>(simd: bool, flags: &[bool], dim: usize, words: &mut Ve
     }
 }
 
+/// Evaluate `$body` with `$allow: Fn(usize) -> bool` bound to the flat
+/// output mask test, once with the mask and once without: the unmasked
+/// expansion is `|_| true`, which the batched scatter kernels' lane loops
+/// compile away (SSSP and PPR never carry a mask).
+macro_rules! with_mask_hook {
+    ($mask:expr, |$allow:ident| $body:expr) => {
+        match $mask {
+            Some(mk) => {
+                let $allow = |flat: usize| mk.allows(flat);
+                $body
+            }
+            None => {
+                let $allow = |_: usize| true;
+                $body
+            }
+        }
+    };
+}
+
 /// Seed the output of a full-precision push scatter.  A foldable accumulator
 /// ([`MxvPipeline::push_folds_accum`]) seeds it with the baseline, so the
 /// scatter ⊕-folds straight into it and finishes the pipeline (sharded
@@ -737,8 +756,7 @@ fn bit_mxm_push<W: BitWord>(
         ws.give(yw);
     } else {
         out.resize(produced * k, semiring.identity());
-        let allow = |flat: usize| mask.is_none_or(|mk| mk.allows(flat));
-        push_scatter(
+        with_mask_hook!(mask, |allow| push_scatter(
             ws,
             plan,
             frontier,
@@ -748,7 +766,7 @@ fn bit_mxm_push<W: BitWord>(
             out,
             |segment, chunk| bmm_push_bin_full(m, x, k, segment, semiring, allow, chunk),
             |acc, v| semiring.reduce(acc, v),
-        );
+        ));
     }
 }
 
@@ -908,46 +926,25 @@ impl plan::FinishSink for CsrPullSink<'_, '_> {
     fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin) {
         use rayon::prelude::*;
         let (csr, x, mask, out) = (self.csr, self.x, self.mask, self.out);
-        macro_rules! sweep {
-            ($identity:expr, $combine:expr, $reduce:expr) => {{
-                let identity: f32 = $identity;
-                let combine = $combine;
-                let reduce = $reduce;
-                out.par_iter_mut().enumerate().for_each(|(r, slot)| {
-                    let masked = match mask {
-                        Some(m) => !m.allows(r),
-                        None => false,
-                    };
-                    let raw = if masked {
-                        identity
-                    } else {
-                        let (cols, _) = csr.row(r);
-                        let mut acc = identity;
-                        for &c in cols {
-                            acc = reduce(acc, combine(x[c]));
-                        }
-                        acc
-                    };
-                    *slot = fin(r, raw);
-                });
-            }};
-        }
-        match self.semiring {
-            Semiring::Arithmetic => sweep!(0.0, |v: f32| v, |acc: f32, v: f32| acc + v),
-            Semiring::Boolean => sweep!(
-                0.0,
-                |v: f32| if v != 0.0 { 1.0 } else { 0.0 },
-                |acc: f32, v: f32| {
-                    if acc != 0.0 || v != 0.0 {
-                        1.0
-                    } else {
-                        0.0
+        with_semiring_ops!(self.semiring, |identity, combine, reduce| {
+            out.par_iter_mut().enumerate().for_each(|(r, slot)| {
+                let masked = match mask {
+                    Some(m) => !m.allows(r),
+                    None => false,
+                };
+                let raw = if masked {
+                    identity
+                } else {
+                    let (cols, _) = csr.row(r);
+                    let mut acc = identity;
+                    for &c in cols {
+                        acc = reduce(acc, combine(x[c]));
                     }
-                }
-            ),
-            Semiring::MinPlus(w) => sweep!(f32::INFINITY, move |v: f32| v + w, f32::min),
-            Semiring::MaxTimes(w) => sweep!(f32::NEG_INFINITY, move |v: f32| v * w, f32::max),
-        }
+                    acc
+                };
+                *slot = fin(r, raw);
+            })
+        });
     }
 }
 
@@ -1002,7 +999,8 @@ impl FloatCsr {
     /// Batched pull sweep: row-parallel CSR matrix × multivector over an
     /// arbitrary semiring.  `y` has `nrows · k` entries; each row's `k` lane
     /// accumulators advance together so the row's column list is walked
-    /// exactly once for the whole batch.
+    /// exactly once for the whole batch, under a semiring resolved once per
+    /// call.
     fn float_mxm_into(
         csr: &Csr,
         x: &[f32],
@@ -1012,62 +1010,63 @@ impl FloatCsr {
         y: &mut [f32],
     ) {
         use rayon::prelude::*;
-        let identity = semiring.identity();
-        y.par_chunks_mut(k).enumerate().for_each(|(r, out)| {
-            for v in out.iter_mut() {
-                *v = identity;
-            }
-            // A row whose every lane is masked out produces only identities
-            // — skip its edge walk entirely (GraphBLAST's early exit, per
-            // batch: the common state of late traversal iterations).
-            if let Some(m) = mask {
-                if (0..k).all(|l| !m.allows(r * k + l)) {
-                    return;
-                }
-            }
-            let (cols, _) = csr.row(r);
-            for &c in cols {
-                let src = &x[c * k..(c + 1) * k];
-                for (d, &s) in out.iter_mut().zip(src) {
-                    *d = semiring.reduce(*d, semiring.combine(s));
-                }
-            }
-            if let Some(m) = mask {
-                for (l, v) in out.iter_mut().enumerate() {
-                    if !m.allows(r * k + l) {
-                        *v = identity;
+        with_semiring_ops!(semiring, |identity, combine, reduce| {
+            y.par_chunks_mut(k).enumerate().for_each(|(r, out)| {
+                out.fill(identity);
+                // A row whose every lane is masked out produces only
+                // identities — skip its edge walk entirely (GraphBLAST's
+                // early exit, per batch: the common state of late traversal
+                // iterations).
+                if let Some(m) = mask {
+                    if (0..k).all(|l| !m.allows(r * k + l)) {
+                        return;
                     }
                 }
-            }
+                let (cols, _) = csr.row(r);
+                for &c in cols {
+                    for (d, &s) in out.iter_mut().zip(&x[c * k..][..k]) {
+                        *d = reduce(*d, combine(s));
+                    }
+                }
+                if let Some(m) = mask {
+                    for (l, v) in out.iter_mut().enumerate() {
+                        if !m.allows(r * k + l) {
+                            *v = identity;
+                        }
+                    }
+                }
+            })
         });
     }
 
     /// Batched push scatter over the rows of `csr` (the representation whose
     /// rows are the frontier's domain): every frontier node's edge list is
     /// walked once and all `k` lane contributions fold into each
-    /// out-neighbour.  Serial and allocation-free like the single-vector
-    /// scatter.
-    #[allow(clippy::too_many_arguments)]
+    /// out-neighbour.  `allow` is the flat mask hook (`with_mask_hook!`) and
+    /// the semiring is resolved once per call.  Serial and allocation-free
+    /// like the single-vector scatter.
     fn float_mxm_push_into(
         csr: &Csr,
         x: &[f32],
         k: usize,
         frontier: &[usize],
         semiring: Semiring,
-        mask: Option<&Mask>,
+        allow: impl Fn(usize) -> bool,
         y: &mut [f32],
     ) {
-        for &u in frontier {
-            let src = &x[u * k..(u + 1) * k];
-            for &j in csr.row(u).0 {
-                for (l, &s) in src.iter().enumerate() {
-                    let flat = j * k + l;
-                    if mask.is_none_or(|m| m.allows(flat)) {
-                        y[flat] = semiring.reduce(y[flat], semiring.combine(s));
+        with_semiring_ops!(semiring, |_identity, combine, reduce| {
+            for &u in frontier {
+                let src = &x[u * k..][..k];
+                for &j in csr.row(u).0 {
+                    let dst = &mut y[j * k..][..k];
+                    for (l, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+                        if allow(j * k + l) {
+                            *d = reduce(*d, combine(s));
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     /// Push-direction scatter over the rows of `csr` (which must be the
@@ -1170,7 +1169,7 @@ impl GrbBackend for FloatCsr {
             Some(frontier) => {
                 let (csr, plan, avg) = self.scatter_rep(transpose);
                 out.resize(csr.ncols() * k, semiring.identity());
-                push_scatter(
+                with_mask_hook!(mask, |allow| push_scatter(
                     ws,
                     plan,
                     frontier,
@@ -1179,10 +1178,10 @@ impl GrbBackend for FloatCsr {
                     semiring.identity(),
                     out,
                     |segment, chunk| {
-                        Self::float_mxm_push_into(csr, x, k, segment, semiring, mask, chunk)
+                        Self::float_mxm_push_into(csr, x, k, segment, semiring, allow, chunk)
                     },
                     |acc, v| semiring.reduce(acc, v),
-                );
+                ));
             }
             None => {
                 let csr = self.rep(transpose);

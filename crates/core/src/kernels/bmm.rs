@@ -30,7 +30,11 @@
 //!   segment by the GrB layer's sharded scatter) variants mirror the
 //!   single-vector BMV family; for the Boolean semiring the lanes pack
 //!   into `u64` *lane words* (`k.div_ceil(64)` words per node), so one
-//!   `OR` per edge advances up to 64 traversals at once.
+//!   `OR` per edge advances up to 64 traversals at once.  The
+//!   full-precision pair — every served SSSP and PPR query — dispatches
+//!   its semiring once per call into a monomorphic sweep, enumerates a
+//!   tile's set bits tile-granular like the fused single-vector sweep, and
+//!   folds each hit's `k` lanes with a plain loop the compiler vectorises.
 
 use rayon::prelude::*;
 
@@ -38,7 +42,7 @@ use bitgblas_bitops::BitWord;
 
 use super::simd;
 use crate::b2sr::B2sr;
-use crate::semiring::Semiring;
+use crate::semiring::{with_semiring_ops, Semiring};
 
 /// `bmm_bin_bin_sum()`: the sum of all entries of `A · B` over the arithmetic
 /// semiring, with both operands binary (in B2SR with the same tile size).
@@ -364,14 +368,28 @@ pub fn bmm_push_bits<W: BitWord>(
 /// multivector, generic over the semiring.  `x` is the flat node-major
 /// `ncols × k` operand; `y` must hold `n_tile_rows * tile_dim * k` entries
 /// and is fully overwritten (padded rows receive the semiring identity; the
-/// caller truncates to `nrows * k`).  Each loaded tile bit triggers `k`
-/// lane reductions over two contiguous `k`-slices — the whole batch
-/// advances in one matrix sweep.
+/// caller truncates to `nrows * k`).  The whole batch advances in one matrix
+/// sweep.
+///
+/// The semiring is resolved **once per call** (`with_semiring_ops!`), so
+/// each semiring gets a monomorphic sweep, and the sweep is tile-granular
+/// like [`bmv_bin_full_full_fused_into`]: a tile's row words pack into
+/// 64-bit chunks and one `trailing_zeros` loop enumerates its set bits, each
+/// of which folds the operand node's `k` lanes into the output row's `k`
+/// lanes — a plain loop over two contiguous `k`-slices that vectorises.
+/// Per output row the terms arrive tiles-ascending, columns-ascending
+/// within a tile, and every lane folds alone, so lane `l` holds exactly the
+/// bits the single-vector sweep of lane `l` produces.
 ///
 /// `xa` optionally carries the tilewise-packed any-lane-active indicator
 /// (see [`bmm_bin_bits_into`]); when present, tiles and edges landing only
-/// on all-identity nodes are skipped at word granularity.  Only exact for
+/// on all-identity nodes are skipped (one AND per chunk).  Only exact for
 /// [`Semiring::push_safe`] semirings — the caller passes `None` otherwise.
+///
+/// # Panics
+/// Panics if `x`, `y` or `xa` is shorter than the matrix requires.
+///
+/// [`bmv_bin_full_full_fused_into`]: crate::kernels::bmv_bin_full_full_fused_into
 pub fn bmm_bin_full_into<W: BitWord>(
     a: &B2sr<W>,
     x: &[f32],
@@ -381,80 +399,99 @@ pub fn bmm_bin_full_into<W: BitWord>(
     y: &mut [f32],
 ) {
     let dim = a.tile_dim();
-    debug_assert!(x.len() >= a.ncols() * k, "operand shorter than ncols * k");
-    debug_assert!(
+    assert!(x.len() >= a.ncols() * k, "operand x shorter than ncols * k");
+    assert!(
         y.len() >= a.n_tile_rows() * dim * k,
-        "output shorter than the padded row count * k"
+        "output y shorter than the padded row count * k"
     );
     if let Some(xa) = xa {
-        debug_assert!(xa.len() >= a.n_tile_cols(), "active mask has too few words");
+        assert!(
+            xa.len() >= a.n_tile_cols(),
+            "active mask xa has too few tile words"
+        );
         debug_assert!(
             semiring.push_safe(),
             "active-skip needs a push-safe semiring"
         );
     }
-    let ncols = a.ncols();
-    y.par_chunks_mut(dim * k).enumerate().for_each(|(tr, out)| {
-        for v in out.iter_mut() {
-            *v = semiring.identity();
-        }
-        if tr >= a.n_tile_rows() {
-            return;
-        }
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let xaw = match xa {
-                Some(xa) => {
-                    let w = xa[tc];
-                    if w == W::ZERO {
-                        continue;
-                    }
-                    w
-                }
-                None => !W::ZERO,
-            };
-            let base = tc * dim;
-            let words = a.tile_words(idx);
-            for (r, &aw) in words.iter().enumerate().take(dim) {
-                let hits = aw & xaw;
-                if hits == W::ZERO {
-                    continue;
-                }
-                for dc in hits.iter_ones() {
-                    let j = base + dc as usize;
-                    // Guard the ragged last tile-column (an all-ones `xaw`
-                    // does not mask it).
-                    if j < ncols {
-                        let src = &x[j * k..(j + 1) * k];
-                        let dst = &mut out[r * k..(r + 1) * k];
-                        // Fixed blocks of 8 lanes keep the fold in straight-
-                        // line code over contiguous slices; every lane still
-                        // sees its terms in the same order.
-                        let mut db = dst.chunks_exact_mut(8);
-                        let mut sb = src.chunks_exact(8);
-                        for (d8, s8) in (&mut db).zip(&mut sb) {
-                            for (d, &s) in d8.iter_mut().zip(s8) {
-                                *d = semiring.reduce(*d, semiring.combine(s));
-                            }
-                        }
-                        for (d, &s) in db.into_remainder().iter_mut().zip(sb.remainder()) {
-                            *d = semiring.reduce(*d, semiring.combine(s));
-                        }
-                    }
+    let x = &x[..a.ncols() * k];
+    with_semiring_ops!(semiring, |identity, combine, reduce| {
+        y.par_chunks_mut(dim * k).enumerate().for_each(|(tr, out)| {
+            out.fill(identity);
+            if tr < a.n_tile_rows() {
+                bin_full_tile_row(a, x, k, xa, tr, combine, reduce, out);
+            }
+        })
+    });
+}
+
+/// One output tile-row of [`bmm_bin_full_into`]: folds every tile of
+/// tile-row `tr` into `out` (`tile_dim * k` entries, holding the identity on
+/// entry).  `x` holds exactly `ncols * k` entries.  Kept out of line so that
+/// `x` and `out` are distinct function arguments: inlined into the parallel
+/// closure, the sweep state sits behind the closure's environment pointer,
+/// every `f32` store into `out` forces its reload and the lane loop pays a
+/// run-time overlap check per edge.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn bin_full_tile_row<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    k: usize,
+    xa: Option<&[W]>,
+    tr: usize,
+    combine: impl Fn(f32) -> f32,
+    reduce: impl Fn(f32, f32) -> f32,
+    out: &mut [f32],
+) {
+    let dim = a.tile_dim();
+    // Words per 64-bit chunk: a whole 8×8 tile, half a 16×16 one, …
+    let per = (64 / W::BITS) as usize;
+    for idx in a.tile_row_range(tr) {
+        let tc = a.tile_colind()[idx];
+        // The active word of this tile-column in every row lane of a chunk:
+        // one AND keeps only the edges landing on active nodes.
+        let active = match xa {
+            Some(xa) if xa[tc] == W::ZERO => continue,
+            Some(xa) => simd::broadcast_lanes(xa[tc]),
+            None => !0u64,
+        };
+        let base = tc * dim;
+        for (ci, chunk) in a.tile_words(idx).chunks(per).enumerate() {
+            // Bit `b` of the chunk is row `b / BITS` (within the chunk),
+            // column `b % BITS` of the tile.
+            let mut hits = W::pack_chunk_u64(chunk) & active;
+            let r0 = ci * per;
+            while hits != 0 {
+                let b = hits.trailing_zeros();
+                hits &= hits - 1;
+                let r = r0 + (b / W::BITS) as usize;
+                let j = base + (b % W::BITS) as usize;
+                // The slice test doubles as the guard of the ragged last
+                // tile-column: a column at or past `ncols` starts at or
+                // past the end of `x` and yields `None` or no lanes.
+                let Some(src) = x.get(j * k..) else { continue };
+                for (d, &s) in out[r * k..][..k].iter_mut().zip(src) {
+                    *d = reduce(*d, combine(s));
                 }
             }
         }
-    });
+    }
 }
 
 /// `bmm_push_bin_full()`: push-direction full-precision matrix ×
 /// multivector.  For every frontier node `u` (any lane active) and every
 /// out-neighbour `j`, all `k` lane contributions `⊗(x[u*k+l])` fold into
 /// `y[j*k+l]` with the additive monoid; `allow` filters flat output
-/// positions (`j*k + l`, the flat per-lane mask) and `y` must be pre-filled
-/// with the semiring identity.  Only valid for
+/// positions (`j*k + l`, the flat per-lane mask — pass `|_| true` when
+/// there is none and the test compiles away) and `y`, `ncols * k` entries,
+/// must be pre-filled with the semiring identity.  The semiring is resolved
+/// once per call like [`bmm_bin_full_into`]'s.  Only valid for
 /// [`Semiring::push_safe`] semirings; serial and allocation-free, and a
 /// per-segment worker of the sharded scatter.
+///
+/// # Panics
+/// Panics if `x` or `y` is shorter than the matrix requires.
 pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
     a: &B2sr<W>,
     x: &[f32],
@@ -465,29 +502,32 @@ pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
     y: &mut [f32],
 ) {
     let dim = a.tile_dim();
-    debug_assert!(x.len() >= a.nrows() * k, "operand shorter than nrows * k");
-    let ncols = a.ncols();
-    for &u in frontier {
-        debug_assert!(u < a.nrows(), "frontier node out of range");
-        let src = &x[u * k..(u + 1) * k];
-        let (tr, r) = (u / dim, u % dim);
-        for idx in a.tile_row_range(tr) {
-            let base = a.tile_colind()[idx] * dim;
-            let w = a.tile_words(idx)[r];
-            for dc in w.iter_ones() {
-                let j = base + dc as usize;
-                if j >= ncols {
-                    continue;
-                }
-                for (l, &s) in src.iter().enumerate() {
-                    let flat = j * k + l;
-                    if allow(flat) {
-                        y[flat] = semiring.reduce(y[flat], semiring.combine(s));
+    assert!(x.len() >= a.nrows() * k, "operand x shorter than nrows * k");
+    assert!(y.len() >= a.ncols() * k, "output y shorter than ncols * k");
+    let y = &mut y[..a.ncols() * k];
+    with_semiring_ops!(semiring, |_identity, combine, reduce| {
+        for &u in frontier {
+            debug_assert!(u < a.nrows(), "frontier node out of range");
+            let src = &x[u * k..][..k];
+            let (tr, r) = (u / dim, u % dim);
+            for idx in a.tile_row_range(tr) {
+                let base = a.tile_colind()[idx] * dim;
+                for dc in a.tile_words(idx)[r].iter_ones() {
+                    let j = base + dc as usize;
+                    // The slice test doubles as the guard of the ragged last
+                    // tile-column, as in the pull sweep.
+                    let Some(dst) = y.get_mut(j * k..) else {
+                        continue;
+                    };
+                    for (l, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+                        if allow(j * k + l) {
+                            *d = reduce(*d, combine(s));
+                        }
                     }
                 }
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -834,81 +874,257 @@ mod tests {
         pack_vector_bits(&flags, dim)
     }
 
-    /// The batched pull kernel equals k independent single-vector pulls.
-    #[test]
-    fn bin_full_multi_pull_equals_per_lane_bmv() {
-        let a = sample(61, 5, 4);
-        // 8 and 11 cross the blocked fold: one full block, block + remainder.
-        for k in [1usize, 3, 8, 11] {
-            for semiring in [
-                Semiring::Arithmetic,
-                Semiring::Boolean,
-                Semiring::MinPlus(1.0),
-            ] {
-                let x = sample_multi(61, k, semiring);
-                macro_rules! check {
-                    ($w:ty, $dim:expr) => {{
-                        let b = from_csr::<$w>(&a, $dim);
-                        // With and without the active-skip words: both must
-                        // equal the per-lane single-vector sweeps.
-                        let xa = active_words::<$w>(&x, k, semiring, $dim);
-                        for xa_opt in [None, Some(xa.as_slice())] {
-                            let mut y = vec![42.0f32; b.n_tile_rows() * $dim * k];
-                            bmm_bin_full_into(&b, &x, k, semiring, xa_opt, &mut y);
-                            for l in 0..k {
-                                let want = bmv_bin_full_full(&b, &lane_of(&x, k, l), semiring);
-                                for (i, &w) in want.iter().enumerate() {
-                                    let got = y[i * k + l];
-                                    let both_inf = got.is_infinite() && w.is_infinite();
-                                    assert!(
-                                        both_inf || (got - w).abs() < 1e-4,
-                                        "{semiring:?} k={k} dim={} lane {l} node {i}: {got} vs {w} \
-                                         (skip={})",
-                                        $dim,
-                                        xa_opt.is_some()
-                                    );
-                                }
-                            }
-                        }
-                    }};
+    /// As [`sample_multi`], with the hostile values mixed in: NaN, ±∞ and
+    /// −0.0 beside the finite entries and the identity.
+    fn sample_multi_hostile(n: usize, k: usize, semiring: Semiring) -> Vec<f32> {
+        const HOSTILE: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let mut x = sample_multi(n, k, semiring);
+        for (f, v) in x.iter_mut().enumerate() {
+            if f % 7 == 3 {
+                *v = HOSTILE[(f / 7) % HOSTILE.len()];
+            }
+        }
+        x
+    }
+
+    /// Bit equality, with every NaN one value: which payload an `a + b` of
+    /// two different NaNs keeps depends on the operand order the compiler
+    /// picked, which a vectorised and a scalar loop need not share.  Signed
+    /// zeros and infinities are told apart.
+    #[track_caller]
+    fn assert_same_bits(got: f32, want: f32, what: std::fmt::Arguments<'_>) {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{what}: {got:?} ({:#010x}) vs {want:?} ({:#010x})",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    /// Every batch width the parity tests run: 1, a few, a power of two, an
+    /// odd one past it, a full lane word and one past that.
+    const WIDTHS: [usize; 6] = [1, 3, 8, 11, 64, 70];
+
+    /// One `(matrix, operand)` pull case: the batched kernel, with and
+    /// without the active-skip words, against per-lane single-vector sweeps
+    /// of the per-edge-dispatching reference kernel.
+    fn check_pull_against_per_lane<W: BitWord>(
+        a: &Csr,
+        dim: usize,
+        k: usize,
+        semiring: Semiring,
+        x: &[f32],
+    ) {
+        let b = from_csr::<W>(a, dim);
+        let xa = active_words::<W>(x, k, semiring, dim);
+        // The active skip is only exact — and only ever passed — for
+        // push-safe semirings.
+        let skips: &[Option<&[W]>] = if semiring.push_safe() {
+            &[None, Some(&xa)]
+        } else {
+            &[None]
+        };
+        for &xa_opt in skips {
+            let mut y = vec![42.0f32; b.n_tile_rows() * dim * k];
+            bmm_bin_full_into(&b, x, k, semiring, xa_opt, &mut y);
+            for l in 0..k {
+                let want = bmv_bin_full_full(&b, &lane_of(x, k, l), semiring);
+                for (i, &w) in want.iter().enumerate() {
+                    assert_same_bits(
+                        y[i * k + l],
+                        w,
+                        format_args!(
+                            "{semiring:?} k={k} dim={dim} lane {l} node {i} (skip={})",
+                            xa_opt.is_some()
+                        ),
+                    );
                 }
-                check!(u8, 4);
-                check!(u8, 8);
-                check!(u16, 16);
-                check!(u32, 32);
+            }
+            // Padded rows hold the identity.
+            for &v in &y[a.nrows() * k..] {
+                assert_eq!(v.to_bits(), semiring.identity().to_bits());
             }
         }
     }
 
-    /// The batched push scatter equals k independent single-vector pushes.
+    /// The batched pull kernel equals k independent single-vector pulls, bit
+    /// for bit: every semiring (a non-positive max-times factor included,
+    /// which is not push-safe and never takes the active skip), every batch
+    /// width, every tile size, a rectangular matrix whose column count is no
+    /// tile multiple, plain and hostile operands.
     #[test]
-    fn push_multi_full_equals_per_lane_push() {
-        let a = sample(53, 11, 3);
-        let k = 4;
-        let semiring = Semiring::MinPlus(1.0);
-        let x = sample_multi(53, k, semiring);
-        let frontier: Vec<usize> = x
-            .chunks_exact(k)
-            .enumerate()
-            .filter(|(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
-            .map(|(i, _)| i)
-            .collect();
-        let b = from_csr::<u8>(&a, 8);
-        let mut y = vec![semiring.identity(); a.ncols() * k];
-        bmm_push_bin_full(&b, &x, k, &frontier, semiring, |_| true, &mut y);
-        for l in 0..k {
-            let lane = lane_of(&x, k, l);
-            let lane_frontier: Vec<usize> = (0..53)
-                .filter(|&i| !semiring.is_identity(lane[i]))
-                .collect();
-            let mut want = vec![semiring.identity(); a.ncols()];
-            bmv_push_bin_full(&b, &lane, &lane_frontier, semiring, |_| true, &mut want);
-            for (j, &w) in want.iter().enumerate() {
-                let got = y[j * k + l];
-                let both_inf = got.is_infinite() && w.is_infinite();
-                assert!(both_inf || (got - w).abs() < 1e-4, "lane {l} node {j}");
+    fn bin_full_multi_pull_equals_per_lane_bmv() {
+        let (nrows, ncols) = (53, 61);
+        let a = sample_rect(nrows, ncols, 5, 4, |_, _| true);
+        for k in WIDTHS {
+            for semiring in [
+                Semiring::Arithmetic,
+                Semiring::Boolean,
+                Semiring::MinPlus(1.0),
+                Semiring::MaxTimes(2.0),
+                Semiring::MaxTimes(0.0),
+                Semiring::MaxTimes(-1.0),
+            ] {
+                for x in [
+                    sample_multi(ncols, k, semiring),
+                    sample_multi_hostile(ncols, k, semiring),
+                ] {
+                    check_pull_against_per_lane::<u8>(&a, 4, k, semiring, &x);
+                    check_pull_against_per_lane::<u8>(&a, 8, k, semiring, &x);
+                    check_pull_against_per_lane::<u16>(&a, 16, k, semiring, &x);
+                    check_pull_against_per_lane::<u32>(&a, 32, k, semiring, &x);
+                }
             }
         }
+    }
+
+    /// The batched push scatter equals k independent single-vector pushes,
+    /// bit for bit, for every push-safe semiring, batch width and tile size,
+    /// on a rectangular matrix with a ragged last tile-column, with and
+    /// without a flat mask.
+    #[test]
+    fn push_multi_full_equals_per_lane_push() {
+        fn check<W: BitWord>(a: &Csr, dim: usize, k: usize, semiring: Semiring, x: &[f32]) {
+            let b = from_csr::<W>(a, dim);
+            let active = |v: f32| !semiring.is_identity(v);
+            let frontier: Vec<usize> = (0..a.nrows())
+                .filter(|&i| x[i * k..][..k].iter().any(|&v| active(v)))
+                .collect();
+            // Unmasked, and a mask that drops a third of the flat positions.
+            let masks: [&dyn Fn(usize) -> bool; 2] = [&|_| true, &|flat| flat % 3 != 1];
+            for (mi, allow) in masks.into_iter().enumerate() {
+                let mut y = vec![semiring.identity(); a.ncols() * k];
+                bmm_push_bin_full(&b, x, k, &frontier, semiring, allow, &mut y);
+                for l in 0..k {
+                    let lane = lane_of(x, k, l);
+                    let lane_frontier: Vec<usize> =
+                        (0..a.nrows()).filter(|&i| active(lane[i])).collect();
+                    let mut want = vec![semiring.identity(); a.ncols()];
+                    bmv_push_bin_full(
+                        &b,
+                        &lane,
+                        &lane_frontier,
+                        semiring,
+                        |j| allow(j * k + l),
+                        &mut want,
+                    );
+                    for (j, &w) in want.iter().enumerate() {
+                        assert_same_bits(
+                            y[j * k + l],
+                            w,
+                            format_args!(
+                                "{semiring:?} k={k} dim={dim} mask {mi} lane {l} node {j}"
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+        let (nrows, ncols) = (53, 61);
+        let a = sample_rect(nrows, ncols, 11, 3, |_, _| true);
+        for k in WIDTHS {
+            for semiring in [
+                Semiring::Arithmetic,
+                Semiring::Boolean,
+                Semiring::MinPlus(1.0),
+                Semiring::MaxTimes(2.0),
+            ] {
+                for x in [
+                    sample_multi(nrows, k, semiring),
+                    sample_multi_hostile(nrows, k, semiring),
+                ] {
+                    check::<u8>(&a, 4, k, semiring, &x);
+                    check::<u8>(&a, 8, k, semiring, &x);
+                    check::<u16>(&a, 16, k, semiring, &x);
+                    check::<u32>(&a, 32, k, semiring, &x);
+                }
+            }
+        }
+    }
+
+    /// At `k = 1` the batched pull sweep and the fused single-vector sweep
+    /// with the identity epilogue are the same function of the same inputs,
+    /// bit for bit, at every tile size — what retiring one of the two needs.
+    #[test]
+    fn k_equals_one_equals_the_fused_single_vector_sweep_bitwise() {
+        use crate::kernels::bmv::bmv_bin_full_full_fused_into;
+        fn check<W: BitWord>(a: &Csr, dim: usize, semiring: Semiring, x: &[f32]) {
+            let b = from_csr::<W>(a, dim);
+            let padded = b.n_tile_rows() * dim;
+            let mut batched = vec![7.0f32; padded];
+            bmm_bin_full_into(&b, x, 1, semiring, None, &mut batched);
+            let mut fused = vec![9.0f32; padded];
+            bmv_bin_full_full_fused_into(&b, x, semiring, |_, t| t, &mut fused);
+            for (i, (&g, &w)) in batched.iter().zip(&fused).enumerate() {
+                assert_same_bits(g, w, format_args!("{semiring:?} dim={dim} row {i}"));
+            }
+        }
+        let a = sample_rect(77, 61, 29, 5, |_, _| true);
+        for semiring in [
+            Semiring::Arithmetic,
+            Semiring::Boolean,
+            Semiring::MinPlus(1.0),
+            Semiring::MaxTimes(2.0),
+            Semiring::MaxTimes(-1.0),
+        ] {
+            for x in [
+                sample_multi(61, 1, semiring),
+                sample_multi_hostile(61, 1, semiring),
+            ] {
+                check::<u8>(&a, 4, semiring, &x);
+                check::<u8>(&a, 8, semiring, &x);
+                check::<u16>(&a, 16, semiring, &x);
+                check::<u32>(&a, 32, semiring, &x);
+            }
+        }
+    }
+
+    /// The batched kernels' shape preconditions are real checks: in a
+    /// release build a short `y` would otherwise make `par_chunks_mut` drop
+    /// the last tile-rows silently.
+    #[test]
+    #[should_panic(expected = "output y shorter than the padded row count * k")]
+    fn batched_pull_rejects_a_short_output() {
+        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let x = vec![0.0f32; 24 * 3];
+        let mut y = vec![0.0f32; 16 * 3];
+        bmm_bin_full_into(&b, &x, 3, Semiring::Arithmetic, None, &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand x shorter than ncols * k")]
+    fn batched_pull_rejects_a_short_operand() {
+        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let x = vec![0.0f32; 24 * 3 - 1];
+        let mut y = vec![0.0f32; 24 * 3];
+        bmm_bin_full_into(&b, &x, 3, Semiring::Arithmetic, None, &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "active mask xa has too few tile words")]
+    fn batched_pull_rejects_a_short_active_mask() {
+        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let x = vec![0.0f32; 24 * 3];
+        let mut y = vec![0.0f32; 24 * 3];
+        bmm_bin_full_into(&b, &x, 3, Semiring::Arithmetic, Some(&[0xff, 0xff]), &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "output y shorter than ncols * k")]
+    fn batched_push_rejects_a_short_output() {
+        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let x = vec![1.0f32; 24 * 3];
+        let mut y = vec![0.0f32; 24 * 3 - 1];
+        bmm_push_bin_full(&b, &x, 3, &[], Semiring::Arithmetic, |_| true, &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand x shorter than nrows * k")]
+    fn batched_push_rejects_a_short_operand() {
+        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let x = vec![1.0f32; 24 * 3 - 1];
+        let mut y = vec![0.0f32; 24 * 3];
+        bmm_push_bin_full(&b, &x, 3, &[], Semiring::Arithmetic, |_| true, &mut y);
     }
 
     /// The lane-word Boolean kernels (pull and push) equal the flat

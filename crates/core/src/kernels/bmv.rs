@@ -34,7 +34,7 @@ use rayon::prelude::*;
 use bitgblas_bitops::BitWord;
 
 use crate::b2sr::B2sr;
-use crate::semiring::Semiring;
+use crate::semiring::{with_semiring_ops, Semiring};
 
 /// Pack a boolean vector into tile-granular words: word `t` holds entries
 /// `t*tile_dim .. (t+1)*tile_dim`, bit `i` = entry `t*tile_dim + i`.
@@ -339,30 +339,9 @@ pub fn bmv_bin_full_full_fused_into<W: BitWord, F: Fn(usize, f32) -> f32 + Sync>
     y: &mut [f32],
 ) {
     debug_assert!(x.len() >= a.ncols(), "vector shorter than matrix columns");
-    match semiring {
-        Semiring::Arithmetic => bit_fused_sweep(a, x, 0.0, |v| v, |acc, v| acc + v, finish, y),
-        Semiring::Boolean => bit_fused_sweep(
-            a,
-            x,
-            0.0,
-            |v| if v != 0.0 { 1.0 } else { 0.0 },
-            |acc: f32, v: f32| {
-                if acc != 0.0 || v != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-            finish,
-            y,
-        ),
-        Semiring::MinPlus(w) => {
-            bit_fused_sweep(a, x, f32::INFINITY, move |v| v + w, f32::min, finish, y)
-        }
-        Semiring::MaxTimes(w) => {
-            bit_fused_sweep(a, x, f32::NEG_INFINITY, move |v| v * w, f32::max, finish, y)
-        }
-    }
+    with_semiring_ops!(semiring, |identity, combine, reduce| {
+        bit_fused_sweep(a, x, identity, combine, reduce, finish, y)
+    })
 }
 
 /// The monomorphised tile-row sweep behind [`bmv_bin_full_full_fused_into`].

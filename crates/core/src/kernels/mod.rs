@@ -22,7 +22,10 @@
 //!   traversal engine (`bmm_bin_bits_into` / `bmm_push_bits` for Boolean
 //!   lane words, `bmm_bin_full_into` / `bmm_push_bin_full` for the other
 //!   semirings) — each adjacency tile is loaded once and applied to all
-//!   `k` frontier lanes.
+//!   `k` frontier lanes.  The full-precision pair resolves its semiring
+//!   once per call (`semiring::with_semiring_ops!`, shared with the fused
+//!   single-vector sweep) and the pull sweep enumerates set bits
+//!   tile-granular, one `trailing_zeros` loop per packed 64-bit chunk.
 //!
 //! Each kernel is structured like the paper's CUDA listings: the tile-rows
 //! of the B2SR matrix are the unit of work (one warp per tile-row), the

@@ -115,6 +115,47 @@ impl Semiring {
     }
 }
 
+/// Resolve a [`Semiring`] **once per call**: evaluates `$body` with
+/// `$identity: f32`, `$combine: Fn(f32) -> f32` and `$reduce: Fn(f32, f32)
+/// -> f32` bound to the semiring's monomorphic operations, once per variant,
+/// so a sweep written in `$body` compiles to four loops that carry no
+/// `match` per edge.  The closures compute exactly [`Semiring::identity`],
+/// [`Semiring::combine`] and [`Semiring::reduce`] (pinned bit for bit by
+/// `resolved_ops_equal_the_enum_methods_bitwise`), and this is the only
+/// place a sweep resolves its semiring per call (the bare single-vector
+/// kernels call the enum methods per edge).
+macro_rules! with_semiring_ops {
+    ($semiring:expr, |$identity:ident, $combine:ident, $reduce:ident| $body:expr) => {
+        match $semiring {
+            $crate::semiring::Semiring::Boolean => {
+                let $identity = 0.0f32;
+                let $combine = |v: f32| if v != 0.0 { 1.0f32 } else { 0.0 };
+                let $reduce = |acc: f32, v: f32| if acc != 0.0 || v != 0.0 { 1.0f32 } else { 0.0 };
+                $body
+            }
+            $crate::semiring::Semiring::Arithmetic => {
+                let $identity = 0.0f32;
+                let $combine = |v: f32| v;
+                let $reduce = |acc: f32, v: f32| acc + v;
+                $body
+            }
+            $crate::semiring::Semiring::MinPlus(w) => {
+                let $identity = f32::INFINITY;
+                let $combine = move |v: f32| v + w;
+                let $reduce = f32::min;
+                $body
+            }
+            $crate::semiring::Semiring::MaxTimes(w) => {
+                let $identity = f32::NEG_INFINITY;
+                let $combine = move |v: f32| v * w;
+                let $reduce = f32::max;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_semiring_ops;
+
 /// A binary scalar operator, as used by the GraphBLAS accumulator
 /// (`w ⊕= t`) and the element-wise stages of the lazy expression IR.
 ///
@@ -297,6 +338,46 @@ mod tests {
             for (a, b) in [(0.0f32, 0.0f32), (1.0, 0.0), (2.0, 3.0), (5.0, 1.0)] {
                 assert_eq!(op.apply(a, b), s.reduce(a, b), "{s:?} {a} {b}");
             }
+        }
+    }
+
+    /// The once-per-call closures are the enum methods, bit for bit — NaN,
+    /// ±∞ and −0.0 included, for every edge weight sign.
+    #[test]
+    fn resolved_ops_equal_the_enum_methods_bitwise() {
+        let values = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -2.5,
+            3.0e38,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for s in [
+            Semiring::Boolean,
+            Semiring::Arithmetic,
+            Semiring::MinPlus(1.0),
+            Semiring::MinPlus(-0.0),
+            Semiring::MaxTimes(2.0),
+            Semiring::MaxTimes(0.0),
+            Semiring::MaxTimes(-1.0),
+        ] {
+            with_semiring_ops!(s, |identity, combine, reduce| {
+                assert_eq!(identity.to_bits(), s.identity().to_bits(), "{s:?}");
+                for a in values {
+                    assert_eq!(combine(a).to_bits(), s.combine(a).to_bits(), "{s:?} {a}");
+                    for b in values {
+                        assert_eq!(
+                            reduce(a, b).to_bits(),
+                            s.reduce(a, b).to_bits(),
+                            "{s:?} {a} {b}"
+                        );
+                    }
+                }
+            });
         }
     }
 

@@ -30,7 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bitgblas_core::grb::{Context, Direction, Mask, Op, Vector};
+use bitgblas_core::grb::{Context, Direction, Mask, MultiVec, Op, Vector};
 use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, SimdPolicy, TileSize};
 use bitgblas_sparse::Coo;
 
@@ -421,6 +421,106 @@ fn simd_pull_sssp_relaxation_is_allocation_free_after_warmup() {
         "vector-forced pull SSSP relaxation allocated in steady state"
     );
     assert_eq!(dist.get(20), 20.0);
+}
+
+/// The batched full-precision product behind every served SSSP and PPR
+/// query must be allocation-free in steady state at a few lanes and at a
+/// full batch, in both directions: an `sssp_multi`-shaped round (min-plus
+/// `mxm` over `Aᵀ` with the `min` accumulator) forced push and forced pull,
+/// and a `ppr_multi`-shaped round (input scaling, arithmetic `mxm`, affine
+/// damping, per-lane teleport stage).  The sweeps fold lanes in place in
+/// the pooled output; a per-call scratch buffer would show here.  The node
+/// count shrinks as the batch widens so that `n · k` stays below the
+/// sequential cut-off of the sweeps and of the epilogue pass (see the
+/// module docs).
+#[test]
+fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
+    for (k, n) in [(3usize, 256usize), (64, 24)] {
+        // sssp_multi: lane l starts at chain vertex l mod n.
+        let a = chain(n);
+        let ctx = a.context();
+        let semiring = Semiring::MinPlus(1.0);
+        for direction in [Direction::Push, Direction::Pull] {
+            let mut dist = MultiVec::identity(n, k, semiring);
+            for l in 0..k {
+                dist.set(l % n, l, 0.0);
+            }
+            // The frontier list grows by a chain vertex per round; seed the
+            // pool with one big enough for the run, as the single-vector
+            // relaxation test does.
+            ctx.workspace().give::<usize>(Vec::with_capacity(n));
+            let round = |dist: &mut MultiVec| {
+                let next = Op::mxm(&a, &*dist)
+                    .transpose()
+                    .semiring(semiring)
+                    .direction(direction)
+                    .accum(BinaryOp::Min, &*dist)
+                    .run(ctx);
+                ctx.recycle_multi(std::mem::replace(dist, next));
+            };
+            for _ in 0..8 {
+                round(&mut dist);
+            }
+            let pushes_before = ctx.stats().push_mxm;
+            let before = allocations();
+            for _ in 0..24 {
+                round(&mut dist);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "sssp_multi round allocated in steady state (k={k}, {direction:?})"
+            );
+            assert_eq!(
+                ctx.stats().push_mxm - pushes_before,
+                if direction == Direction::Push { 24 } else { 0 },
+                "every measured round must have taken the forced direction"
+            );
+            assert_eq!(dist.get(20, 0), 20.0);
+            assert_eq!(dist.get(20, 2), 18.0);
+        }
+
+        // ppr_multi: lane l teleports to vertex l mod n.
+        let a = ring_with_chords(n);
+        let ctx = a.context();
+        let inv_deg = Vector::from_vec(
+            a.out_degrees()
+                .iter()
+                .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
+                .collect(),
+        );
+        let alpha = 0.85f32;
+        let mut rank = MultiVec::zeros(n, k);
+        let mut teleport = MultiVec::zeros(n, k);
+        for l in 0..k {
+            rank.set(l % n, l, 1.0);
+            teleport.set(l % n, l, 1.0 - alpha);
+        }
+        let iteration = |rank: &mut MultiVec| {
+            let next = Op::mxm(&a, &*rank)
+                .transpose()
+                .scale_input(&inv_deg)
+                .semiring(Semiring::Arithmetic)
+                .affine(alpha, 0.0)
+                .then_ewise(BinaryOp::Plus, &teleport)
+                .run(ctx);
+            ctx.recycle_multi(std::mem::replace(rank, next));
+        };
+        for _ in 0..12 {
+            iteration(&mut rank);
+        }
+        let before = allocations();
+        for _ in 0..24 {
+            iteration(&mut rank);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "ppr_multi round allocated in steady state (k={k})"
+        );
+        let mass: f32 = rank.as_slice().chunks_exact(k).map(|lanes| lanes[0]).sum();
+        assert!((mass - 1.0).abs() < 1e-3, "lane 0 still sums to 1: {mass}");
+    }
 }
 
 #[test]
