@@ -101,7 +101,7 @@ pub fn betweenness_centrality_dir(a: &Matrix, sources: &[usize], direction: Dire
             }
         }
         if !any || frontiers.len() > n {
-            ctx.recycle_multi(next);
+            ctx.recycle(next);
             break;
         }
         for (p, &x) in paths.as_mut_slice().iter_mut().zip(next.as_slice()) {
@@ -140,7 +140,7 @@ pub fn betweenness_centrality_dir(a: &Matrix, sources: &[usize], direction: Dire
                 *b += t.as_slice()[f] * paths.as_slice()[f];
             }
         }
-        ctx.recycle_multi(t);
+        ctx.recycle(t);
     }
 
     // centrality(v) = Σ_l δ_l(v) = Σ_l (bcu[v, l] - 1); unreached (v, l)

@@ -214,12 +214,12 @@ pub fn try_bfs_multi_dir(
                 any = true;
             }
         }
-        ctx.recycle_multi(std::mem::replace(&mut frontier, next));
+        ctx.recycle(std::mem::replace(&mut frontier, next));
         if !any || iterations >= n {
             break;
         }
     }
-    ctx.recycle_multi(frontier);
+    ctx.recycle(frontier);
 
     Ok(MultiBfsResult {
         levels,

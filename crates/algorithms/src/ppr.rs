@@ -220,7 +220,7 @@ pub fn try_ppr_multi_dir(
             .then_ewise(BinaryOp::Plus, &teleport)
             .fusion(config.fusion)
             .try_run(ctx)?;
-        ctx.recycle_multi(std::mem::replace(&mut rank, next));
+        ctx.recycle(std::mem::replace(&mut rank, next));
     }
 
     Ok(MultiPprResult {

@@ -200,7 +200,7 @@ pub fn try_sssp_multi_dir(
             .iter()
             .zip(dist.as_slice())
             .any(|(n, d)| n < d);
-        ctx.recycle_multi(std::mem::replace(&mut dist, next));
+        ctx.recycle(std::mem::replace(&mut dist, next));
         if !changed || iterations >= n {
             break;
         }

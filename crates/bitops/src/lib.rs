@@ -20,10 +20,9 @@
 //! `u16` for 16×16, `u32` for 32×32): one word is one tile row, `popcount`
 //! / `iter_ones` / bitwise AND-OR on it are the per-lane work of the
 //! paper's listings, and a tile-row of the matrix stands where a warp
-//! does (Rayon tasks instead of SM schedulers).  [`intrinsics`] holds the
-//! software forms of the CUDA intrinsics above — the ballot/brev pair is
-//! what [`pack`]'s tile packing and transposition are built from — and
-//! [`pack`] the low-level packing helpers.
+//! does (Rayon tasks instead of SM schedulers), so no software shuffle is
+//! needed.  [`intrinsics`] holds the ballot/brev pair [`pack`]'s tile
+//! packing is built from, and [`pack`] the low-level packing helpers.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -32,5 +31,4 @@ pub mod intrinsics;
 pub mod pack;
 pub mod word;
 
-pub use intrinsics::{ballot, brev_u32, popc_u32, shfl, FULL_MASK};
 pub use word::{pack_chunk_u64_generic, BitWord};

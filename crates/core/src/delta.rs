@@ -57,13 +57,12 @@ use bitgblas_sparse::Csr;
 
 use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, FloatCsr, GrbBackend};
-use crate::grb::descriptor::Mask;
 use crate::grb::error::GrbError;
 use crate::grb::matrix::Backend;
 use crate::grb::op::Context;
 use crate::grb::plan::MxvPipeline;
 use crate::grb::workspace::Workspace;
-use crate::semiring::Semiring;
+use crate::semiring::with_semiring_ops;
 use crate::shard::{ShardConfig, ShardPlan};
 
 /// The compaction fail point: fired once per [`VersionCell::compact`] with
@@ -179,7 +178,9 @@ impl StagedRows {
 /// Walk the sorted merge of a base row's columns with a staged patch,
 /// calling `f` once per present column in ascending order.  Patch entries
 /// override the base on ties; absent (`present == false`) entries suppress
-/// the base column.
+/// the base column.  Always inlined: every caller's closure folds into a
+/// local the walk must keep in a register.
+#[inline(always)]
 fn for_each_merged(base: &[usize], patch: &[(usize, bool)], f: &mut impl FnMut(usize)) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < base.len() && j < patch.len() {
@@ -367,22 +368,34 @@ impl DeltaOverlay {
         };
         (self.delta.staged(transpose ^ self.transposed), base)
     }
-}
 
-/// The raw semiring value of one dirty output row: `⊕_{c ∈ merged row}
-/// ⊗(x(c))` over the sorted merge of the base row and its patch, in
-/// ascending column order — the fold a from-scratch build would run.
-fn refold(
-    cols: &[usize],
-    patch: &[(usize, bool)],
-    semiring: Semiring,
-    x: impl Fn(usize) -> f32,
-) -> f32 {
-    let mut acc = semiring.identity();
-    for_each_merged(cols, patch, &mut |c| {
-        acc = semiring.reduce(acc, semiring.combine(x(c)));
-    });
-    acc
+    /// Re-fold every dirty output row of a pipeline the base just ran, lane
+    /// by lane over flat positions `i*k + l`, and finish it.  The raw value
+    /// of a position is `⊕_{c ∈ merged row} ⊗(x[c,l])` over the sorted merge
+    /// of the base row and its patch, in ascending column order — the fold a
+    /// from-scratch build would run — under a semiring resolved once per
+    /// call.  `k` is `p.k`, passed apart and the body always inlined, so the
+    /// single-vector caller's literal `1` folds the lane arithmetic away.
+    #[inline(always)]
+    fn refold_dirty(&self, p: &MxvPipeline<'_>, k: usize, out: &mut [f32]) {
+        let (staged, base) = self.dirty(p.transpose);
+        with_semiring_ops!(p.semiring, |identity, combine, reduce| {
+            for (i, patch) in staged.iter() {
+                for l in 0..k {
+                    let flat = i * k + l;
+                    let mut raw = identity;
+                    // A masked-out position finishes from the identity
+                    // whatever its edges are: skip the fold.
+                    if p.mask.is_none_or(|m| m.allows(flat)) {
+                        for_each_merged(base.row(i).0, patch, &mut |c| {
+                            raw = reduce(raw, combine(p.x[c * k + l]));
+                        });
+                    }
+                    out[flat] = p.finish(flat, raw);
+                }
+            }
+        })
+    }
 }
 
 impl GrbBackend for DeltaOverlay {
@@ -414,42 +427,12 @@ impl GrbBackend for DeltaOverlay {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         self.base.mxv_into(p, ws, out);
-        let (staged, base) = self.dirty(p.transpose);
-        for (i, patch) in staged.iter() {
-            // A masked-out row finishes from the identity whatever its
-            // edges are: skip the fold.
-            let raw = if p.mask.is_some_and(|m| !m.allows(i)) {
-                p.semiring.identity()
-            } else {
-                refold(base.row(i).0, patch, p.semiring, |c| p.x[c])
-            };
-            out[i] = p.finish(i, raw);
-        }
+        self.refold_dirty(p, 1, out);
     }
 
-    fn mxm_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: Option<&[usize]>,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        self.base
-            .mxm_into(x, k, frontier, semiring, mask, transpose, ws, out);
-        // The same re-fold per lane, gated by the flat per-lane mask
-        // (masked positions keep the identity the base wrote).
-        let (staged, base) = self.dirty(transpose);
-        for (i, patch) in staged.iter() {
-            for l in 0..k {
-                if mask.is_none_or(|m| m.allows(i * k + l)) {
-                    out[i * k + l] = refold(base.row(i).0, patch, semiring, |c| x[c * k + l]);
-                }
-            }
-        }
+    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        self.base.mxm_into(p, ws, out);
+        self.refold_dirty(p, p.k, out);
     }
 
     fn mxm_reduce_masked(
@@ -756,8 +739,9 @@ mod tests {
     #[test]
     fn overlay_matches_scratch_build_on_kernels_and_views() {
         use crate::b2sr::TileSize;
+        use crate::grb::descriptor::Mask;
         use crate::grb::expr::Stage;
-        use crate::semiring::BinaryOp;
+        use crate::semiring::{BinaryOp, Semiring};
         use std::collections::BTreeSet;
 
         // A graph spanning several tiles at every width, with a pending log
@@ -837,6 +821,7 @@ mod tests {
                         for frontier in [None, Some(frontier.as_slice())] {
                             let p = MxvPipeline {
                                 x,
+                                k: 1,
                                 frontier,
                                 semiring,
                                 mask,
@@ -859,6 +844,7 @@ mod tests {
             assert_eq!(tv.csr(), &fresh.csr().transpose());
             let p = MxvPipeline {
                 x: &x_bool,
+                k: 1,
                 frontier: None,
                 semiring: Semiring::Boolean,
                 mask: None,

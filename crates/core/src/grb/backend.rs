@@ -3,9 +3,9 @@
 //!
 //! [`GrbBackend`] is the seam between the planner (`grb::plan`) and a storage
 //! format.  It lists what a backend must do and nothing else: report its
-//! shape and CSR views, run one single-vector product pipeline
-//! ([`GrbBackend::mxv_into`]), one batched product
-//! ([`GrbBackend::mxm_into`]), the masked product reduction of Triangle
+//! shape and CSR views, run one product pipeline per operand shape
+//! ([`GrbBackend::mxv_into`] for a vector, [`GrbBackend::mxm_into`] for an
+//! `n × k` multi-vector), the masked product reduction of Triangle
 //! Counting, and expose its row-shard plans.  Every method is required — no
 //! provided body computes a product, so a backend can never drop silently
 //! to a slower path.  The layer ships two implementations —
@@ -94,10 +94,10 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// The binary CSR view of `Aᵀ`, built and cached on first use.
     fn csr_t(&self) -> &Csr;
 
-    /// Run one single-vector product pipeline: `out[i] = p.finish(i, t[i])`
-    /// where `t = A ⊕.⊗ p.x` (on `Aᵀ` with `p.transpose`), in as few sweeps
-    /// as the storage allows.  The backend sizes `out` itself and draws
-    /// scratch from (and returns it to) the workspace pool.
+    /// Run one single-vector product pipeline (`p.k == 1`):
+    /// `out[i] = p.finish(i, t[i])` where `t = A ⊕.⊗ p.x` (on `Aᵀ` with
+    /// `p.transpose`), in as few sweeps as the storage allows.  The backend
+    /// sizes `out` itself and draws its scratch from the workspace pool.
     ///
     /// * `p.frontier` is the direction: `None` is the dense pull sweep;
     ///   `Some(active indices, ascending)` is the push scatter, which
@@ -113,34 +113,21 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     ///   its store semantics.
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
 
-    /// Batched matrix × multivector: `out = A ⊕.⊗ X` (or `Aᵀ` with
-    /// `transpose`) where `x` is a flat node-major `n × k` frontier matrix
-    /// (`x[i*k + l]` = node `i`, lane `l`) — `k` simultaneous traversals
-    /// advanced by **one** sweep that loads each tile once and applies it
-    /// to every lane.
+    /// Run one batched product pipeline — [`mxv_into`] over `p.k` lanes:
+    /// `p.x` is a flat node-major `n × k` frontier matrix (`x[i*k + l]` =
+    /// node `i`, lane `l`), and **one** sweep loads each tile once and
+    /// applies it to every lane.
     ///
-    /// `frontier` is the direction, as for [`mxv_into`]: `Some` lists, in
-    /// ascending order, the *node* indices with at least one lane differing
-    /// from the semiring identity; only those nodes' edges are traversed and
-    /// each edge scatters all `k` lane contributions at once.  `mask` is the
-    /// flat per-lane output mask (length `produced · k`, position `i*k + l`
-    /// gates node `i` of lane `l`); masked-out positions produce the
-    /// semiring identity.  The backend sizes `out` itself (`produced · k`
-    /// entries).
+    /// `p.frontier` lists, in ascending order, the *node* indices with at
+    /// least one lane differing from the semiring identity; only those
+    /// nodes' edges are traversed and each edge scatters all `k` lane
+    /// contributions at once.  The planner hands this entry point the bare
+    /// product only (the shape's `FUSES_INTO_SWEEP` is `false`); the
+    /// built-in backends finish any other pipeline with one
+    /// [`MxvPipeline::finish_in_place`] pass over the flat output.
     ///
     /// [`mxv_into`]: GrbBackend::mxv_into
-    #[allow(clippy::too_many_arguments)]
-    fn mxm_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: Option<&[usize]>,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    );
+    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
 
     /// `Σ_{(i,j) ∈ mask} (A · B)[i][j]` over the arithmetic semiring — the
     /// Triangle Counting primitive — or `A · Bᵀ` with `transpose_b`, the
@@ -645,13 +632,11 @@ fn bit_push<W: BitWord + Poolable>(
 /// The batched pull sweep on one B2SR width.
 fn bit_mxm_pull<W: BitWord + Poolable>(
     m: &B2sr<W>,
-    x: &[f32],
-    k: usize,
-    semiring: Semiring,
-    mask: Option<&Mask>,
+    p: &MxvPipeline<'_>,
     ws: &Workspace,
     out: &mut Vec<f32>,
 ) {
+    let (x, k, semiring, mask) = (p.x, p.k, p.semiring, p.mask);
     let dim = m.tile_dim();
     let nrows = m.nrows();
     // The tilewise any-lane-active indicator lets the sweep skip inactive
@@ -715,23 +700,21 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
     }
     ws.give(active);
     ws.give(xa);
+    p.finish_in_place(out);
 }
 
 /// The batched push scatter over the rows of one B2SR width (`m` is the
 /// scatter representation).
-#[allow(clippy::too_many_arguments)]
 fn bit_mxm_push<W: BitWord>(
     m: &B2sr<W>,
-    x: &[f32],
-    k: usize,
+    p: &MxvPipeline<'_>,
     frontier: &[usize],
-    semiring: Semiring,
-    mask: Option<&Mask>,
     plan: &ShardPlan,
     avg_deg: usize,
     ws: &Workspace,
     out: &mut Vec<f32>,
 ) {
+    let (x, k, semiring, mask) = (p.x, p.k, p.semiring, p.mask);
     let produced = m.ncols();
     out.clear();
     if semiring == Semiring::Boolean {
@@ -768,6 +751,7 @@ fn bit_mxm_push<W: BitWord>(
             |acc, v| semiring.reduce(acc, v),
         ));
     }
+    p.finish_in_place(out);
 }
 
 impl GrbBackend for BitB2sr {
@@ -805,27 +789,13 @@ impl GrbBackend for BitB2sr {
         }
     }
 
-    fn mxm_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: Option<&[usize]>,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        match frontier {
+    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        match p.frontier {
             Some(frontier) => {
-                let (rep, plan, avg) = self.scatter_rep(transpose);
-                with_b2sr!(rep, |m| bit_mxm_push(
-                    m, x, k, frontier, semiring, mask, plan, avg, ws, out
-                ))
+                let (rep, plan, avg) = self.scatter_rep(p.transpose);
+                with_b2sr!(rep, |m| bit_mxm_push(m, p, frontier, plan, avg, ws, out))
             }
-            None => with_b2sr!(self.rep(transpose), |m| bit_mxm_pull(
-                m, x, k, semiring, mask, ws, out
-            )),
+            None => with_b2sr!(self.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
         }
     }
 
@@ -1039,12 +1009,14 @@ impl FloatCsr {
         });
     }
 
-    /// Batched push scatter over the rows of `csr` (the representation whose
-    /// rows are the frontier's domain): every frontier node's edge list is
-    /// walked once and all `k` lane contributions fold into each
-    /// out-neighbour.  `allow` is the flat mask hook (`with_mask_hook!`) and
-    /// the semiring is resolved once per call.  Serial and allocation-free
-    /// like the single-vector scatter.
+    /// Push scatter over the rows of `csr` (the representation whose rows are
+    /// the frontier's domain), single-vector (`k = 1`) and batched alike:
+    /// every frontier node's edge list is walked once and all `k` lane
+    /// contributions fold into each out-neighbour.  `allow` is the flat mask
+    /// hook (`with_mask_hook!`) and the semiring is resolved once per call.
+    /// Serial and allocation-free, like the B2SR push kernels.  Always
+    /// inlined, so the single-vector caller's `k = 1` folds the lane loop.
+    #[inline(always)]
     fn float_mxm_push_into(
         csr: &Csr,
         x: &[f32],
@@ -1069,24 +1041,36 @@ impl FloatCsr {
         });
     }
 
-    /// Push-direction scatter over the rows of `csr` (which must be the
-    /// representation whose rows are the frontier's domain).  Serial and
-    /// allocation-free, like the B2SR push kernels.
-    fn float_push_into(
-        csr: &Csr,
-        x: &[f32],
+    /// The push scatter of a pipeline, single-vector and batched alike.  `k`
+    /// is `p.k`, passed apart and the body always inlined, so `mxv_into`'s
+    /// literal `1` folds the lane loop away.
+    #[inline(always)]
+    fn push_into(
+        &self,
+        p: &MxvPipeline<'_>,
+        k: usize,
         frontier: &[usize],
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        y: &mut [f32],
+        ws: &Workspace,
+        out: &mut Vec<f32>,
     ) {
-        for &u in frontier {
-            let contrib = semiring.combine(x[u]);
-            for &j in csr.row(u).0 {
-                if mask.is_none_or(|m| m.allows(j)) {
-                    y[j] = semiring.reduce(y[j], contrib);
-                }
-            }
+        let semiring = p.semiring;
+        let (csr, plan, avg) = self.scatter_rep(p.transpose);
+        let finished = seed_push_output(p, csr.ncols() * k, out);
+        with_mask_hook!(p.mask, |allow| push_scatter(
+            ws,
+            plan,
+            frontier,
+            avg,
+            k,
+            semiring.identity(),
+            out,
+            |segment, chunk| Self::float_mxm_push_into(
+                csr, p.x, k, segment, semiring, allow, chunk
+            ),
+            |acc, v| semiring.reduce(acc, v),
+        ));
+        if !finished {
+            p.finish_in_place(out);
         }
     }
 }
@@ -1135,60 +1119,19 @@ impl GrbBackend for FloatCsr {
             );
             return;
         };
-        let (csr, plan, avg) = self.scatter_rep(p.transpose);
-        let finished = seed_push_output(p, csr.ncols(), out);
-        push_scatter(
-            ws,
-            plan,
-            frontier,
-            avg,
-            1,
-            semiring.identity(),
-            out,
-            |segment, chunk| Self::float_push_into(csr, p.x, segment, semiring, p.mask, chunk),
-            |acc, v| semiring.reduce(acc, v),
-        );
-        if !finished {
-            p.finish_in_place(out);
-        }
+        self.push_into(p, 1, frontier, ws, out);
     }
 
-    fn mxm_into(
-        &self,
-        x: &[f32],
-        k: usize,
-        frontier: Option<&[usize]>,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        transpose: bool,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        match frontier {
-            Some(frontier) => {
-                let (csr, plan, avg) = self.scatter_rep(transpose);
-                out.resize(csr.ncols() * k, semiring.identity());
-                with_mask_hook!(mask, |allow| push_scatter(
-                    ws,
-                    plan,
-                    frontier,
-                    avg,
-                    k,
-                    semiring.identity(),
-                    out,
-                    |segment, chunk| {
-                        Self::float_mxm_push_into(csr, x, k, segment, semiring, allow, chunk)
-                    },
-                    |acc, v| semiring.reduce(acc, v),
-                ));
-            }
-            None => {
-                let csr = self.rep(transpose);
-                out.resize(csr.nrows() * k, semiring.identity());
-                Self::float_mxm_into(csr, x, k, semiring, mask, out);
-            }
-        }
+    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        let Some(frontier) = p.frontier else {
+            let csr = self.rep(p.transpose);
+            out.clear();
+            out.resize(csr.nrows() * p.k, p.semiring.identity());
+            Self::float_mxm_into(csr, p.x, p.k, p.semiring, p.mask, out);
+            p.finish_in_place(out);
+            return;
+        };
+        self.push_into(p, p.k, frontier, ws, out);
     }
 
     fn mxm_reduce_masked(
@@ -1264,6 +1207,7 @@ mod tests {
     fn product(b: &dyn GrbBackend, x: &[f32], semiring: Semiring) -> Vec<f32> {
         let p = MxvPipeline {
             x,
+            k: 1,
             frontier: None,
             semiring,
             mask: None,
@@ -1440,20 +1384,9 @@ mod tests {
             self.mxv_calls.fetch_add(1, Ordering::Relaxed);
             self.inner.mxv_into(p, ws, out);
         }
-        fn mxm_into(
-            &self,
-            x: &[f32],
-            k: usize,
-            frontier: Option<&[usize]>,
-            semiring: Semiring,
-            mask: Option<&Mask>,
-            transpose: bool,
-            ws: &Workspace,
-            out: &mut Vec<f32>,
-        ) {
+        fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
             self.mxm_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .mxm_into(x, k, frontier, semiring, mask, transpose, ws, out);
+            self.inner.mxm_into(p, ws, out);
         }
         fn mxm_reduce_masked(
             &self,

@@ -1,7 +1,6 @@
 //! Masks and descriptors for the GrB-style operations.
 
 use super::direction::Direction;
-use crate::kernels::simd::SimdPolicy;
 
 /// A vector mask: controls which output positions an operation may write.
 ///
@@ -97,11 +96,6 @@ impl Mask {
 /// algorithms need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Descriptor {
-    /// Replace the output entirely (GraphBLAS `GrB_REPLACE`): positions not
-    /// written by the operation are reset to the semiring identity instead of
-    /// keeping their previous value.  All ops here always produce a fresh
-    /// output vector, so this is informational, but kept for API parity.
-    pub replace: bool,
     /// Use the transpose of the matrix operand (`GrB_TRAN`).  The [`Matrix`]
     /// object caches its transpose on first use.
     pub transpose: bool,
@@ -109,18 +103,13 @@ pub struct Descriptor {
     /// (dense sweep), or per-operation automatic selection (the default —
     /// see [`Direction`]).
     pub direction: Direction,
-    /// Per-operation override of the scalar/vector kernel selection
-    /// ([`SimdPolicy`]); `None` (the default) inherits the context's policy.
-    /// Both paths are bit-identical, so this only affects which code runs —
-    /// it is the knob the differential harness uses to pin each side.
-    pub simd: Option<SimdPolicy>,
 }
 
 #[allow(unused_imports)]
 use super::matrix::Matrix;
 
 impl Descriptor {
-    /// The default descriptor (no transpose, no replace).
+    /// The default descriptor (no transpose, [`Direction::Auto`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -178,14 +167,12 @@ mod tests {
     fn descriptor_defaults() {
         let d = Descriptor::new();
         assert!(!d.transpose);
-        assert!(!d.replace);
         assert_eq!(d.direction, Direction::Auto);
         assert!(Descriptor::with_transpose().transpose);
         assert_eq!(
             Descriptor::with_direction(Direction::Push).direction,
             Direction::Push
         );
-        assert_eq!(d.simd, None, "no per-op SIMD override by default");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub fn scatter_penalty(device: &DeviceProfile) -> f64 {
     (device.transaction_bytes as f64 / 8.0).clamp(4.0, 32.0)
 }
 
-/// The parallelism-aware scatter penalty (PR 5).
+/// The parallelism-aware scatter penalty (PR 5) over a base penalty α.
 ///
 /// The base penalty prices one scattered edge against one streamed pull
 /// edge *at equal parallelism*.  When the push engine runs on fewer worker
@@ -79,89 +79,44 @@ pub fn scatter_penalty(device: &DeviceProfile) -> f64 {
 /// baked in permanently: it compared a parallel pull against a serial push
 /// with the equal-parallelism α, overpricing pull and flipping to push too
 /// late to matter and too often to be cheap.  With the sharded engine both
-/// sides scale, the ratio is 1 and α returns to the device-derived
-/// transaction penalty.
-pub fn scatter_penalty_parallel(
-    device: &DeviceProfile,
-    push_threads: usize,
-    pull_threads: usize,
-) -> f64 {
-    scatter_penalty_parallel_alpha(scatter_penalty(device), push_threads, pull_threads)
-}
-
-/// [`scatter_penalty_parallel`] with an explicit base penalty α (PR 9).
+/// sides scale, the ratio is 1 and α returns to the base penalty.
 ///
-/// The static entry points derive α from the device profile's transaction
-/// width; a [`Context`](super::Context) that has run
-/// [`calibrate`](super::Context::calibrate) passes the *measured*
-/// random-vs-sequential bandwidth ratio instead, so the direction model
-/// prices scattered writes at what this host actually charges for them.
+/// α is [`scatter_penalty`] of the device profile until
+/// [`Context::calibrate`](super::Context::calibrate) replaces it with the
+/// host's *measured* random-vs-sequential bandwidth ratio (PR 9).
 pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_threads: usize) -> f64 {
     let ratio = (pull_threads.max(1) as f64 / push_threads.max(1) as f64).max(1.0);
     (alpha * ratio).clamp(4.0, 256.0)
 }
 
 /// Resolve [`Direction::Auto`] for one operation: `frontier_nnz` active
-/// entries of an `n`-long operand against a matrix with `nnz` edges.
+/// nodes of an `n`-node operand against a matrix with `nnz` edges, at base
+/// scatter penalty `alpha` (the context's calibrated profile).
 ///
 /// Returns [`Direction::Pull`] for semirings where identity-valued entries
 /// still contribute (see [`Semiring::push_safe`]); otherwise compares the
-/// modelled push traffic (frontier edges × scatter penalty) against the pull
-/// sweep (`nnz + n`).
-pub fn choose_direction(
-    frontier_nnz: usize,
-    n: usize,
-    nnz: usize,
-    semiring: Semiring,
-    device: &DeviceProfile,
-) -> Direction {
-    choose_direction_cfg(frontier_nnz, n, nnz, semiring, device, 1, 1)
-}
-
-/// Resolve [`Direction::Auto`] with an explicit parallelism configuration
-/// (PR 5): `push_threads` is the sharded scatter's worker budget
-/// ([`Context::threads`](super::Context::threads)), `pull_threads` the
-/// parallelism of the dense sweep (the host's, since the pull kernels fan
-/// out through the global rayon pool).
-///
-/// Two terms change against the classic formula.  The scatter penalty α
-/// becomes [`scatter_penalty_parallel`] — the device transaction penalty
-/// scaled by the pull/push thread ratio, so a serial push (`push_threads ==
-/// 1` on a parallel host) is priced α·P, flipping to pull earlier, while
-/// the sharded parallel push keeps the pure transaction α.  And when the
-/// sharded engine can engage (`push_threads > 1`), the push side carries
-/// one extra streamed output pass (`+ n`) for the deterministic
-/// fixed-order merge of the privatized shard buffers:
+/// modelled push traffic against the pull sweep:
 ///
 /// ```text
 /// f · d̄ · α(push_threads, pull_threads)  [+ n]   <   nnz + n
 /// ```
-pub fn choose_direction_cfg(
-    frontier_nnz: usize,
-    n: usize,
-    nnz: usize,
-    semiring: Semiring,
-    device: &DeviceProfile,
-    push_threads: usize,
-    pull_threads: usize,
-) -> Direction {
-    choose_direction_tuned(
-        frontier_nnz,
-        n,
-        nnz,
-        semiring,
-        scatter_penalty(device),
-        push_threads,
-        pull_threads,
-    )
-}
-
-/// [`choose_direction_cfg`] with an explicit base scatter penalty α — the
-/// entry point the planner uses once a [`Context`](super::Context) carries a
-/// calibrated profile (PR 9).  Identical threshold, only the source of α
-/// changes: static device constant vs measured random-write cost.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_direction_tuned(
+///
+/// `push_threads` is the sharded scatter's worker budget
+/// ([`Context::threads`](super::Context::threads)), `pull_threads` the
+/// parallelism of the dense sweep (the host's, since the pull kernels fan
+/// out through the global rayon pool).  α becomes
+/// [`scatter_penalty_parallel_alpha`], so a serial push on a parallel host
+/// is priced α·P and flips to pull earlier; and when the sharded engine can
+/// engage (`push_threads > 1`) the push side carries one extra streamed
+/// output pass (`+ n`) for the deterministic fixed-order merge of the
+/// privatized shard buffers.
+///
+/// A batched (`n × k`) operand is scored on its **node-granular** frontier
+/// (nodes with any active lane): the scatter visits each active node's
+/// edges once and the sweep streams the matrix once, both doing `k` lanes of
+/// work per edge, so the lane factor cancels and the batched threshold *is*
+/// the single-vector one.
+pub fn choose_direction(
     frontier_nnz: usize,
     n: usize,
     nnz: usize,
@@ -183,80 +138,6 @@ pub fn choose_direction_tuned(
     } else {
         Direction::Pull
     }
-}
-
-/// Resolve [`Direction::Auto`] for one **batched** (matrix × multivector)
-/// operation: `active_nodes` nodes have at least one of the `k` lanes
-/// differing from the semiring identity.
-///
-/// The Beamer threshold generalizes across lanes: a batched push scatter
-/// visits each active node's edge list **once** and scatters all `k` lane
-/// contributions per edge, while the batched pull sweep streams the whole
-/// matrix once and reduces `k` lanes per edge — both sides of the
-/// single-vector inequality scale by the same per-edge lane factor, so the
-/// crossover is the single-vector threshold evaluated on the *node-granular*
-/// frontier (the lane-summed frontier nnz collapsed per node):
-///
-/// ```text
-/// active_nodes · d̄ · penalty  <  nnz + n
-/// ```
-pub fn choose_direction_multi(
-    active_nodes: usize,
-    n: usize,
-    nnz: usize,
-    semiring: Semiring,
-    device: &DeviceProfile,
-) -> Direction {
-    choose_direction(active_nodes, n, nnz, semiring, device)
-}
-
-/// [`choose_direction_multi`] with an explicit parallelism configuration —
-/// the batched counterpart of [`choose_direction_cfg`].  The lane factor
-/// cancels on both sides of the inequality exactly as in the
-/// equal-parallelism case, so this is the single-vector configured
-/// threshold evaluated on the node-granular frontier.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_direction_multi_cfg(
-    active_nodes: usize,
-    n: usize,
-    nnz: usize,
-    semiring: Semiring,
-    device: &DeviceProfile,
-    push_threads: usize,
-    pull_threads: usize,
-) -> Direction {
-    choose_direction_cfg(
-        active_nodes,
-        n,
-        nnz,
-        semiring,
-        device,
-        push_threads,
-        pull_threads,
-    )
-}
-
-/// [`choose_direction_multi_cfg`] with an explicit base scatter penalty —
-/// the batched counterpart of [`choose_direction_tuned`].
-#[allow(clippy::too_many_arguments)]
-pub fn choose_direction_multi_tuned(
-    active_nodes: usize,
-    n: usize,
-    nnz: usize,
-    semiring: Semiring,
-    alpha: f64,
-    push_threads: usize,
-    pull_threads: usize,
-) -> Direction {
-    choose_direction_tuned(
-        active_nodes,
-        n,
-        nnz,
-        semiring,
-        alpha,
-        push_threads,
-        pull_threads,
-    )
 }
 
 #[cfg(test)]
@@ -281,103 +162,58 @@ mod tests {
 
     #[test]
     fn sparse_frontiers_push_and_dense_frontiers_pull() {
-        let dev = pascal_gtx1080();
+        let alpha = scatter_penalty(&pascal_gtx1080());
         let (n, nnz) = (8192, 8192 * 16);
-        let sr = Semiring::Boolean;
-        assert_eq!(choose_direction(1, n, nnz, sr, &dev), Direction::Push);
-        assert_eq!(choose_direction(0, n, nnz, sr, &dev), Direction::Push);
-        assert_eq!(choose_direction(n, n, nnz, sr, &dev), Direction::Pull);
+        let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, alpha, 1, 1);
+        assert_eq!(choose(1), Direction::Push);
+        assert_eq!(choose(0), Direction::Push);
+        assert_eq!(choose(n), Direction::Pull);
         // The crossover sits near n / penalty for nnz >> n.
         let threshold = (nnz + n) / (16 * 16);
-        assert_eq!(
-            choose_direction(threshold / 2, n, nnz, sr, &dev),
-            Direction::Push
-        );
-        assert_eq!(
-            choose_direction(threshold * 2, n, nnz, sr, &dev),
-            Direction::Pull
-        );
+        assert_eq!(choose(threshold / 2), Direction::Push);
+        assert_eq!(choose(threshold * 2), Direction::Pull);
     }
 
     #[test]
     fn serial_push_on_a_parallel_host_is_penalized() {
-        let dev = pascal_gtx1080();
+        let alpha = scatter_penalty(&pascal_gtx1080());
         // Equal parallelism: the pure transaction penalty.
-        assert_eq!(scatter_penalty_parallel(&dev, 8, 8), 16.0);
-        assert_eq!(scatter_penalty_parallel(&dev, 1, 1), 16.0);
+        assert_eq!(scatter_penalty_parallel_alpha(alpha, 8, 8), 16.0);
+        assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 1), 16.0);
         // Serial push vs an 8-wide pull: α scales by the thread ratio.
-        assert_eq!(scatter_penalty_parallel(&dev, 1, 8), 128.0);
+        assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 8), 128.0);
         // More push than pull workers never *discounts* below the device α.
-        assert_eq!(scatter_penalty_parallel(&dev, 16, 8), 16.0);
+        assert_eq!(scatter_penalty_parallel_alpha(alpha, 16, 8), 16.0);
         // The ratio is clamped so a pathological configuration cannot
         // drive the penalty to infinity.
-        assert_eq!(scatter_penalty_parallel(&dev, 1, 1_000_000), 256.0);
+        assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 1_000_000), 256.0);
     }
 
     #[test]
     fn configured_threshold_flips_earlier_for_serial_push() {
-        let dev = pascal_gtx1080();
+        let alpha = scatter_penalty(&pascal_gtx1080());
         let (n, nnz) = (8192, 8192 * 16);
-        let sr = Semiring::Boolean;
+        let choose =
+            |f, push, pull| choose_direction(f, n, nnz, Semiring::Boolean, alpha, push, pull);
         // A frontier that pushes under equal parallelism…
         let f = (nnz + n) / (16 * 16) / 2;
-        assert_eq!(
-            choose_direction_cfg(f, n, nnz, sr, &dev, 8, 8),
-            Direction::Push
-        );
+        assert_eq!(choose(f, 8, 8), Direction::Push);
         // …pulls when the push side would run serially against an 8-wide
         // pull sweep (α × 8 prices it out).
-        assert_eq!(
-            choose_direction_cfg(f, n, nnz, sr, &dev, 1, 8),
-            Direction::Pull
-        );
+        assert_eq!(choose(f, 1, 8), Direction::Pull);
         // Tiny frontiers still push even with the merge surcharge.
-        assert_eq!(
-            choose_direction_cfg(1, n, nnz, sr, &dev, 8, 8),
-            Direction::Push
-        );
-        // The batched variant agrees with the single-vector one.
-        assert_eq!(
-            choose_direction_multi_cfg(f, n, nnz, sr, &dev, 1, 8),
-            Direction::Pull
-        );
-        // The legacy entry point is the equal-parallelism configuration.
-        assert_eq!(
-            choose_direction(f, n, nnz, sr, &dev),
-            choose_direction_cfg(f, n, nnz, sr, &dev, 1, 1)
-        );
+        assert_eq!(choose(1, 8, 8), Direction::Push);
     }
 
     #[test]
     fn tuned_threshold_honors_a_measured_alpha() {
-        let dev = pascal_gtx1080();
         let (n, nnz) = (8192, 8192 * 16);
         let sr = Semiring::Boolean;
-        // The static entry points are exactly the tuned ones evaluated at
-        // the device-derived α.
-        for f in [1usize, 64, 512, 4096] {
-            assert_eq!(
-                choose_direction_cfg(f, n, nnz, sr, &dev, 4, 8),
-                choose_direction_tuned(f, n, nnz, sr, scatter_penalty(&dev), 4, 8),
-                "f={f}"
-            );
-        }
         // A frontier right between the α=8 and α=32 crossovers flips with
         // the measured penalty.
         let f = (nnz + n) / (16 * 16);
-        assert_eq!(
-            choose_direction_tuned(f, n, nnz, sr, 8.0, 1, 1),
-            Direction::Push
-        );
-        assert_eq!(
-            choose_direction_tuned(f, n, nnz, sr, 32.0, 1, 1),
-            Direction::Pull
-        );
-        // The batched variant delegates to the same threshold.
-        assert_eq!(
-            choose_direction_multi_tuned(f, n, nnz, sr, 8.0, 1, 1),
-            Direction::Push
-        );
+        assert_eq!(choose_direction(f, n, nnz, sr, 8.0, 1, 1), Direction::Push);
+        assert_eq!(choose_direction(f, n, nnz, sr, 32.0, 1, 1), Direction::Pull);
         // α is still clamped (a degenerate measurement cannot zero it out).
         assert_eq!(scatter_penalty_parallel_alpha(0.0, 1, 1), 4.0);
         assert_eq!(scatter_penalty_parallel_alpha(1e9, 1, 1), 256.0);
@@ -385,15 +221,9 @@ mod tests {
 
     #[test]
     fn push_unsafe_semirings_always_pull() {
-        let dev = pascal_gtx1080();
         // MaxTimes with a non-positive factor cannot skip identity entries.
-        assert_eq!(
-            choose_direction(1, 1000, 16_000, Semiring::MaxTimes(-2.0), &dev),
-            Direction::Pull
-        );
-        assert_eq!(
-            choose_direction(1, 1000, 16_000, Semiring::MaxTimes(2.0), &dev),
-            Direction::Push
-        );
+        let choose = |sr| choose_direction(1, 1000, 16_000, sr, 16.0, 1, 1);
+        assert_eq!(choose(Semiring::MaxTimes(-2.0)), Direction::Pull);
+        assert_eq!(choose(Semiring::MaxTimes(2.0)), Direction::Push);
     }
 }

@@ -5,9 +5,9 @@
 //! where one malformed query detonates a 64-lane batch.  [`GrbError`] is
 //! the typed form of every precondition the planner checks; the fallible
 //! entry points ([`Context::try_evaluate`](super::Context::try_evaluate),
-//! [`MxvBuilder::try_run`](super::op::MxvBuilder::try_run),
-//! [`MxmBuilder::try_run`](super::op::MxmBuilder::try_run) and the
-//! algorithms' `try_*` wrappers) return it instead of panicking.
+//! the product builder's
+//! [`try_run`](super::op::ProductBuilder::try_run) and the algorithms'
+//! `try_*` wrappers) return it instead of panicking.
 //!
 //! The panicking entry points (`run`, `evaluate`) are kept as thin wrappers
 //! that panic with the error's `Display` text, so existing
@@ -61,6 +61,21 @@ pub enum GrbError {
         /// The fail-point name that fired.
         point: &'static str,
     },
+}
+
+impl GrbError {
+    /// `Ok` when a chain operand of kind `what` has the `expected` length,
+    /// the [`GrbError::LengthMismatch`] naming it otherwise.
+    pub(crate) fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), Self> {
+        if got == expected {
+            return Ok(());
+        }
+        Err(GrbError::LengthMismatch {
+            what,
+            expected,
+            got,
+        })
+    }
 }
 
 impl std::fmt::Display for GrbError {

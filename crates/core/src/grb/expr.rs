@@ -65,17 +65,26 @@
 //! assert_eq!(y.get(0), 1.0); // max(base = 0.5, 2·(A·x)[0] + 1 = 1)
 //! ```
 //!
-//! The batched counterpart ([`MultiExpr`], built by
-//! [`Op::mxm`](super::Op::mxm)) carries an `n × k` multi-vector through the
-//! same stage machinery, with every element-wise step applied to the flat
-//! node-major storage — `k` concurrent traversals per sweep.
+//! # One IR for both operand shapes
+//!
+//! [`Expr`] is generic in the [`Operand`] shape it carries: a [`Vector`]
+//! (one lane per node — `Op::mxv` / `Op::vxm`, the default) or an `n × k`
+//! [`MultiVec`] ([`Op::mxm`](super::Op::mxm) — `k` concurrent traversals per
+//! sweep).  A vector is the one-lane multi-vector: stages, accumulator and
+//! mask all address the **flat** node-major storage (`i*k + l`), so the same
+//! stage machinery and the same planner path serve both.
 
 use crate::semiring::{BinaryOp, Semiring};
 
+use super::backend::GrbBackend;
 use super::descriptor::{Descriptor, Mask};
+use super::error::GrbError;
 use super::matrix::Matrix;
 use super::multivec::MultiVec;
+use super::op::Context;
+use super::plan::{self, MxvPipeline};
 use super::vector::Vector;
+use super::workspace::{ExecStats, Workspace};
 
 /// Maximum number of element-wise stages one expression chain can carry.
 ///
@@ -153,30 +162,195 @@ impl std::fmt::Debug for Stage<'_> {
     }
 }
 
-/// The root of an expression chain: what produces the initial value vector.
-#[derive(Debug, Clone, Copy)]
-pub enum Producer<'a> {
-    /// An already-materialized vector (copied into the chain's output).
-    Leaf(&'a Vector),
-    /// A matrix-vector product over a semiring, with the full descriptor
-    /// surface of the builder API.
-    Mxv {
+/// The two operand shapes of a product: a [`Vector`] (lanes = 1) or a
+/// [`MultiVec`] (lanes = `k`).
+///
+/// This is the type parameter of the front end ([`Expr`], the product
+/// builder, [`Context::evaluate`](super::Context::evaluate)) — not an
+/// extension point.  It is sealed: everything shape-dependent lives on its
+/// crate-private supertrait, so there is nothing for a caller to implement
+/// or call, and each shape is monomorphised (the single-vector scans stay
+/// plain slice loops).
+pub trait Operand: shape::Shape {}
+impl Operand for Vector {}
+impl Operand for MultiVec {}
+
+pub(crate) mod shape {
+    use super::*;
+
+    /// The only shape-dependent pieces of the planner's one product path,
+    /// over the flat node-major storage (`flat[i*k + l]` = node `i`, lane
+    /// `l`).  Not nameable outside the crate — that is what seals
+    /// [`Operand`].
+    pub trait Shape: Sized + std::fmt::Debug {
+        /// The fail point polled before dispatching a product.
+        const FAIL_POINT: &'static str;
+        /// Whether the backend may be handed the fused chain.
+        /// Single-vector sweeps finish each output in their store; the
+        /// batched kernels produce the bare product and the planner
+        /// collapses the epilogue into one pass over the flat output.
+        const FUSES_INTO_SWEEP: bool;
+        /// The operation name a `GrbError::DimensionMismatch` reports, by
+        /// the producer's `flip`.
+        const OP_NAMES: [&'static str; 2];
+        /// `(nodes, lanes)`.
+        fn shape(&self) -> (usize, usize);
+        /// The flat node-major storage.
+        fn flat(&self) -> &[f32];
+        /// Consume into the flat storage (returned to the workspace pool).
+        fn into_flat(self) -> Vec<f32>;
+        /// Rebuild a result from a pooled buffer of `n · k` entries.
+        fn from_flat(flat: Vec<f32>, n: usize, k: usize) -> Self;
+        /// `self[i,l] · scale[i]`, materialised in the pooled buffer `buf`.
+        fn scaled(&self, scale: &[f32], buf: Vec<f32>) -> Self;
+        /// Nodes with a lane differing from the semiring identity.
+        fn count_active(&self, semiring: Semiring) -> usize;
+        /// Append those nodes' indices, ascending — the push frontier.
+        fn frontier_into(&self, semiring: Semiring, out: &mut Vec<usize>);
+        /// Hand the pipeline to the backend entry point of this shape.
+        fn product_into(
+            state: &dyn GrbBackend,
+            p: &MxvPipeline<'_>,
+            ws: &Workspace,
+            out: &mut Vec<f32>,
+        );
+        /// Count one resolved product (`{pull,push}_{mxv,mxm}`).
+        fn record_product(stats: &ExecStats, push: bool);
+        /// Plan and run a chain of this shape.  A per-shape method so the
+        /// generic planner is compiled once, in this crate, rather than
+        /// re-instantiated — cut off from its inlinable helpers — in every
+        /// crate that evaluates a chain.
+        fn try_execute(expr: &Expr<'_, Self>, ctx: &Context) -> Result<Self, GrbError>;
+    }
+}
+
+impl shape::Shape for Vector {
+    const FAIL_POINT: &'static str = "grb.mxv_dispatch";
+    const OP_NAMES: [&'static str; 2] = ["mxv", "vxm"];
+    const FUSES_INTO_SWEEP: bool = true;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.len(), 1)
+    }
+    fn flat(&self) -> &[f32] {
+        self.as_slice()
+    }
+    fn into_flat(self) -> Vec<f32> {
+        self.into_vec()
+    }
+    fn from_flat(flat: Vec<f32>, _n: usize, _k: usize) -> Self {
+        Vector::from_vec(flat)
+    }
+    fn scaled(&self, scale: &[f32], mut buf: Vec<f32>) -> Self {
+        buf.extend(self.as_slice().iter().zip(scale).map(|(&x, &s)| x * s));
+        Vector::from_vec(buf)
+    }
+    fn count_active(&self, semiring: Semiring) -> usize {
+        self.n_active(semiring)
+    }
+    fn frontier_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
+        out.extend(
+            self.as_slice()
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| !semiring.is_identity(v))
+                .map(|(i, _)| i),
+        );
+    }
+    fn product_into(
+        state: &dyn GrbBackend,
+        p: &MxvPipeline<'_>,
+        ws: &Workspace,
+        out: &mut Vec<f32>,
+    ) {
+        state.mxv_into(p, ws, out);
+    }
+    fn record_product(stats: &ExecStats, push: bool) {
+        stats.record_mxv(push);
+    }
+    fn try_execute(expr: &Expr<'_, Self>, ctx: &Context) -> Result<Self, GrbError> {
+        plan::try_execute(expr, ctx)
+    }
+}
+
+impl shape::Shape for MultiVec {
+    const FAIL_POINT: &'static str = "grb.mxm_dispatch";
+    const OP_NAMES: [&'static str; 2] = ["mxm", "mxm"];
+    const FUSES_INTO_SWEEP: bool = false;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.n_nodes(), self.n_lanes())
+    }
+    fn flat(&self) -> &[f32] {
+        self.as_slice()
+    }
+    fn into_flat(self) -> Vec<f32> {
+        self.into_vec()
+    }
+    fn from_flat(flat: Vec<f32>, n: usize, k: usize) -> Self {
+        MultiVec::from_vec(flat, n, k)
+    }
+    fn scaled(&self, scale: &[f32], mut buf: Vec<f32>) -> Self {
+        let (n, k) = (self.n_nodes(), self.n_lanes());
+        buf.extend(
+            self.as_slice()
+                .chunks_exact(k)
+                .zip(scale)
+                .flat_map(|(lanes, &s)| lanes.iter().map(move |&x| x * s)),
+        );
+        MultiVec::from_vec(buf, n, k)
+    }
+    fn count_active(&self, semiring: Semiring) -> usize {
+        self.active_nodes(semiring)
+    }
+    fn frontier_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
+        self.frontier_nodes_into(semiring, out);
+    }
+    fn product_into(
+        state: &dyn GrbBackend,
+        p: &MxvPipeline<'_>,
+        ws: &Workspace,
+        out: &mut Vec<f32>,
+    ) {
+        state.mxm_into(p, ws, out);
+    }
+    fn record_product(stats: &ExecStats, push: bool) {
+        stats.record_mxm(push);
+    }
+    fn try_execute(expr: &Expr<'_, Self>, ctx: &Context) -> Result<Self, GrbError> {
+        plan::try_execute(expr, ctx)
+    }
+}
+
+/// The root of an expression chain: what produces the initial value.
+#[derive(Debug)]
+pub enum Producer<'a, V = Vector> {
+    /// An already-materialized operand (copied into the chain's output).
+    Leaf(&'a V),
+    /// A matrix product over a semiring — matrix × vector, or matrix ×
+    /// multivector (`k` simultaneous traversals advanced by one sweep) —
+    /// with the full descriptor surface of the builder API.
+    Product {
         /// The matrix operand.
         a: &'a Matrix,
-        /// The vector operand.
-        x: &'a Vector,
+        /// The vector / `n × k` multivector operand.
+        x: &'a V,
         /// The semiring of the product.
         semiring: Semiring,
-        /// Optional output mask (masked-out positions produce the semiring
-        /// identity, exactly like the masked kernel sweeps).
+        /// Optional output mask over the **flat** output (length
+        /// `produced · k`; position `i*k + l` gates node `i` of lane `l`).
+        /// Masked-out positions produce the semiring identity, exactly like
+        /// the masked kernel sweeps.
         mask: Option<&'a Mask>,
-        /// Descriptor switches (transpose, direction, fusion).
+        /// Descriptor switches (transpose, direction).
         desc: Descriptor,
-        /// `true` for the `vxm` orientation (`y = x ⊕.⊗ A`).
+        /// `true` for the `vxm` orientation (`y = x ⊕.⊗ A`); always `false`
+        /// for `mxm`, whose `.transpose()` plays that role.
         flip: bool,
-        /// Optional input scaling: the operand is read as `x[i] · scale[i]`
-        /// (PageRank's out-degree normalisation, folded into the product
-        /// instead of materialising a scaled copy through the API).
+        /// Optional per-node input scaling: the operand is read as
+        /// `x[i,l] · scale[i]` (PageRank's out-degree normalisation, folded
+        /// into the product instead of materialising a scaled copy through
+        /// the API).
         scale: Option<&'a Vector>,
     },
 }
@@ -186,30 +360,47 @@ pub enum Producer<'a> {
 /// Built by the [`Op`](super::Op) builders; evaluated by
 /// [`Context::evaluate`](super::Context::evaluate) (or the builders'
 /// `.run(&ctx)` shorthand) through the planner.  `Expr` is `Copy` and holds
-/// only references — constructing one allocates nothing.
-#[derive(Debug, Clone, Copy)]
+/// only references — constructing one allocates nothing.  `V` is the
+/// [`Operand`] shape; an ewise stage's operand and the accumulator baseline
+/// have the output's shape.
+#[derive(Debug)]
 #[must_use = "expressions do nothing until run(&ctx) / ctx.evaluate(..)"]
-pub struct Expr<'a> {
-    pub(crate) producer: Producer<'a>,
+pub struct Expr<'a, V = Vector> {
+    pub(crate) producer: Producer<'a, V>,
     /// Inline stage storage; only the first `n_stages` slots are live (the
     /// rest hold identity-affine fillers so the array stays `Copy`).
     stages: [Stage<'a>; MAX_STAGES],
     n_stages: usize,
-    pub(crate) accum: Option<(BinaryOp, &'a Vector)>,
+    pub(crate) accum: Option<(BinaryOp, &'a V)>,
     fusion: Fusion,
 }
+
+// Manual impls: the derives would demand `V: Copy`, but a chain only holds
+// references to its operands.
+impl<V> Clone for Producer<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<V> Copy for Producer<'_, V> {}
+impl<V> Clone for Expr<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<V> Copy for Expr<'_, V> {}
 
 /// The inert filler stage unused slots hold.
 const IDENTITY_STAGE: Stage<'static> = Stage::Affine { mul: 1.0, add: 0.0 };
 
-impl<'a> Expr<'a> {
-    /// A chain whose producer is an existing vector.
-    pub fn leaf(v: &'a Vector) -> Self {
+impl<'a, V: Operand> Expr<'a, V> {
+    /// A chain whose producer is an existing vector / multi-vector.
+    pub fn leaf(v: &'a V) -> Self {
         Self::from_producer(Producer::Leaf(v))
     }
 
     /// A chain rooted at the given producer (used by the builders).
-    pub(crate) fn from_producer(producer: Producer<'a>) -> Self {
+    pub(crate) fn from_producer(producer: Producer<'a, V>) -> Self {
         Expr {
             producer,
             stages: [IDENTITY_STAGE; MAX_STAGES],
@@ -229,7 +420,8 @@ impl<'a> Expr<'a> {
         self.fusion
     }
 
-    /// Append an element-wise stage to the chain.
+    /// Append an element-wise stage to the chain (applied to every lane of
+    /// every node).
     ///
     /// # Panics
     /// Panics when the chain already holds [`MAX_STAGES`] stages.
@@ -243,19 +435,14 @@ impl<'a> Expr<'a> {
     }
 
     /// Terminate the chain with a GraphBLAS accumulator: the evaluated
-    /// result becomes `out[i] = w[i] ⊕ t[i]`.
-    pub fn set_accum(&mut self, op: BinaryOp, w: &'a Vector) {
+    /// result becomes `out[i] = w[i] ⊕ t[i]` over the flat storage.
+    pub fn set_accum(&mut self, op: BinaryOp, w: &'a V) {
         self.accum = Some((op, w));
     }
 
     /// The chain's element-wise stages, in evaluation order.
     pub fn stages(&self) -> &[Stage<'a>] {
         &self.stages[..self.n_stages]
-    }
-
-    /// Number of element-wise stages in the chain.
-    pub fn n_stages(&self) -> usize {
-        self.n_stages
     }
 }
 
@@ -266,114 +453,6 @@ pub fn eval_stages(stages: &[Stage<'_>], i: usize, mut acc: f32) -> f32 {
         acc = s.eval(i, acc);
     }
     acc
-}
-
-// ---------------------------------------------------------------------------
-// Batched (multi-vector) expression chains
-// ---------------------------------------------------------------------------
-
-/// The root of a batched expression chain: what produces the initial
-/// `n × k` frontier matrix.
-#[derive(Debug, Clone, Copy)]
-pub enum MultiProducer<'a> {
-    /// An already-materialized multi-vector (copied into the output).
-    Leaf(&'a MultiVec),
-    /// A matrix × multivector product over a semiring — `k` simultaneous
-    /// traversals advanced by one sweep.
-    Mxm {
-        /// The matrix operand.
-        a: &'a Matrix,
-        /// The `n × k` multivector operand (one lane per concurrent query).
-        x: &'a MultiVec,
-        /// The semiring of the product.
-        semiring: Semiring,
-        /// Optional flat per-lane output mask (length `produced · k`,
-        /// position `i*k + l` gates node `i` of lane `l`); masked-out
-        /// positions produce the semiring identity.
-        mask: Option<&'a Mask>,
-        /// Descriptor switches (transpose, direction).
-        desc: Descriptor,
-        /// Optional per-node input scaling: lane `l` of node `i` is read as
-        /// `x[i*k+l] · scale[i]` (the batched analogue of PageRank's
-        /// out-degree normalisation).
-        scale: Option<&'a Vector>,
-    },
-}
-
-/// A lazy batched expression chain: multi-vector producer → element-wise
-/// stages → accumulator, mirroring [`Expr`] lane-for-lane.
-///
-/// Stages run over the **flat** node-major `n × k` storage, so the same
-/// [`Stage`] machinery (and the same fusion rules) applies: an ewise stage's
-/// operand and the accumulator baseline are multi-vectors of the same shape,
-/// indexed by flat position `i*k + l`.  Built by
-/// [`Op::mxm`](super::Op::mxm); evaluated by
-/// [`Context::evaluate_multi`](super::Context::evaluate_multi).
-#[derive(Debug, Clone, Copy)]
-#[must_use = "expressions do nothing until run(&ctx) / ctx.evaluate_multi(..)"]
-pub struct MultiExpr<'a> {
-    pub(crate) producer: MultiProducer<'a>,
-    stages: [Stage<'a>; MAX_STAGES],
-    n_stages: usize,
-    pub(crate) accum: Option<(BinaryOp, &'a MultiVec)>,
-    fusion: Fusion,
-}
-
-impl<'a> MultiExpr<'a> {
-    /// A chain whose producer is an existing multi-vector.
-    pub fn leaf(v: &'a MultiVec) -> Self {
-        Self::from_producer(MultiProducer::Leaf(v))
-    }
-
-    /// A chain rooted at the given producer (used by the builders).
-    pub(crate) fn from_producer(producer: MultiProducer<'a>) -> Self {
-        MultiExpr {
-            producer,
-            stages: [IDENTITY_STAGE; MAX_STAGES],
-            n_stages: 0,
-            accum: None,
-            fusion: Fusion::Fused,
-        }
-    }
-
-    /// Set whether the planner may fuse this chain's epilogue.
-    pub fn set_fusion(&mut self, fusion: Fusion) {
-        self.fusion = fusion;
-    }
-
-    /// Whether the planner may fuse this chain's epilogue.
-    pub fn fusion(&self) -> Fusion {
-        self.fusion
-    }
-
-    /// Append an element-wise stage (applied to every lane of every node).
-    ///
-    /// # Panics
-    /// Panics when the chain already holds [`MAX_STAGES`] stages.
-    pub fn push_stage(&mut self, stage: Stage<'a>) {
-        assert!(
-            self.n_stages < MAX_STAGES,
-            "expression chain exceeds {MAX_STAGES} stages; evaluate intermediate results"
-        );
-        self.stages[self.n_stages] = stage;
-        self.n_stages += 1;
-    }
-
-    /// Terminate the chain with a GraphBLAS accumulator: the evaluated
-    /// result becomes `out[i,l] = w[i,l] ⊕ t[i,l]`.
-    pub fn set_accum(&mut self, op: BinaryOp, w: &'a MultiVec) {
-        self.accum = Some((op, w));
-    }
-
-    /// The chain's element-wise stages, in evaluation order.
-    pub fn stages(&self) -> &[Stage<'a>] {
-        &self.stages[..self.n_stages]
-    }
-
-    /// Number of element-wise stages in the chain.
-    pub fn n_stages(&self) -> usize {
-        self.n_stages
-    }
 }
 
 #[cfg(test)]
@@ -394,7 +473,7 @@ mod tests {
         });
         // (1.0·2 + 3) + operand[1] = 25.0
         assert_eq!(eval_stages(e.stages(), 1, 1.0), 25.0);
-        assert_eq!(e.n_stages(), 3);
+        assert_eq!(e.stages().len(), 3);
     }
 
     #[test]

@@ -38,28 +38,30 @@
 //!
 //! The planner pattern-matches fusable shapes — mxv+mask+accum into one
 //! masked kernel sweep, apply/select folded into the consuming ewise pass,
-//! ewise chains collapsed into a single loop.  Every matrix-vector product
-//! reaches the backend as one [`MxvPipeline`] through
-//! [`GrbBackend::mxv_into`]: the whole chain when it fuses, the bare
-//! product otherwise (and under [`expr::Fusion::NodeAtATime`]), with the
-//! planner running the rest of the chain itself — so semantics never
-//! depend on what fused, and a backend (the delta overlay, or one defined
-//! outside this crate) has a single product to implement.  Pipelines draw
-//! all scratch from the context's [`Workspace`] pool and allocate nothing
-//! in steady state.
+//! ewise chains collapsed into a single loop.  Every product reaches the
+//! backend as one [`MxvPipeline`] — through [`GrbBackend::mxv_into`] for a
+//! vector, [`GrbBackend::mxm_into`] for a multi-vector: the whole chain
+//! when it fuses, the bare product otherwise (and under
+//! [`expr::Fusion::NodeAtATime`]), with the planner running the rest of the
+//! chain itself — so semantics never depend on what fused, and a backend
+//! (the delta overlay, or one defined outside this crate) has one product
+//! per operand shape to implement.  Pipelines draw all scratch from the
+//! context's [`Workspace`] pool and allocate nothing in steady state.
 //!
 //! # Batched multi-source traversal (frontier matrices)
 //!
-//! Since PR 4 the op layer also works on **multi-vectors**
-//! ([`MultiVec`]: dense `n × k` frontier matrices, one lane per concurrent
-//! query): [`Op::mxm`] advances `k` traversals with a single sweep that
-//! loads each adjacency tile once and applies it to every lane (on the bit
-//! backend, Boolean lanes pack into `u64` words and one `OR` per edge
-//! serves up to 64 queries).  Batched chains compose with flat per-lane
-//! masks, stages, accumulators and [`Direction::Auto`] (resolved on the
-//! node-granular frontier) exactly like `mxv` chains; `bfs_multi`,
-//! `sssp_multi` and batched betweenness centrality in
-//! `bitgblas-algorithms` ride on it.
+//! The op layer also works on **multi-vectors** ([`MultiVec`]: dense
+//! `n × k` frontier matrices, one lane per concurrent query): [`Op::mxm`]
+//! advances `k` traversals with a single sweep that loads each adjacency
+//! tile once and applies it to every lane (on the bit backend, Boolean
+//! lanes pack into `u64` words and one `OR` per edge serves up to 64
+//! queries).  A vector is the one-lane multi-vector, and the front end says
+//! so once: the expression type, the product builder, the planner path and
+//! `Context::{evaluate, recycle}` are generic in the [`Operand`] shape, so
+//! batched chains take flat per-lane masks, stages, accumulators and
+//! [`Direction::Auto`] (resolved on the node-granular frontier) through the
+//! same code as `mxv` chains; `bfs_multi`, `sssp_multi` and batched
+//! betweenness centrality in `bitgblas-algorithms` ride on it.
 //!
 //! # Sharded parallel push execution (PR 5)
 //!
@@ -72,7 +74,7 @@
 //! workspace-pooled buffers on up to [`Context::threads`] workers, and a
 //! fixed-segment-order monoid merge makes the results **bit-identical
 //! across thread counts**.  [`Direction::Auto`]'s scatter penalty is
-//! parallelism-aware accordingly ([`choose_direction_cfg`]).
+//! parallelism-aware accordingly ([`choose_direction`]).
 //!
 //! `bitgblas-algorithms` writes each graph algorithm once against this API
 //! and the benchmarks toggle the backend, exactly as the paper compares
@@ -96,14 +98,10 @@ pub mod workspace;
 pub use auto::{auto_decision, AutoDecision, TileCandidate};
 pub use backend::{BitB2sr, FloatCsr, GrbBackend};
 pub use descriptor::{Descriptor, Mask};
-pub use direction::{
-    choose_direction, choose_direction_cfg, choose_direction_multi, choose_direction_multi_cfg,
-    choose_direction_multi_tuned, choose_direction_tuned, scatter_penalty,
-    scatter_penalty_parallel, scatter_penalty_parallel_alpha, Direction,
-};
+pub use direction::{choose_direction, scatter_penalty, scatter_penalty_parallel_alpha, Direction};
 pub use error::GrbError;
 pub use ewise::assign_masked;
-pub use expr::{Expr, Fusion, MultiExpr, MultiProducer, Stage, MAX_STAGES};
+pub use expr::{Expr, Fusion, Operand, Stage, MAX_STAGES};
 pub use matrix::{Backend, Matrix, Snapshot};
 pub use multivec::{lane_words_per_node, MultiVec};
 pub use op::{Context, Op};

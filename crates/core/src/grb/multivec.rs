@@ -179,16 +179,20 @@ impl MultiVec {
 
     /// Number of nodes with at least one lane differing from the semiring
     /// identity — the node-granular frontier size
-    /// [`choose_direction_multi`](super::choose_direction_multi) scores (a
-    /// push scatter visits each active node's edges once, whatever the
-    /// number of active lanes).  The planner computes the same count
-    /// internally over the possibly input-scaled operand; this method is
-    /// the caller-side query for sizing and instrumentation.
+    /// [`choose_direction`](super::choose_direction) scores (a push scatter
+    /// visits each active node's edges once, whatever the number of active
+    /// lanes); the planner runs it over the possibly input-scaled operand.
     pub fn active_nodes(&self, semiring: Semiring) -> usize {
+        self.active_node_indices(semiring).count()
+    }
+
+    /// The indices of the nodes with any lane non-identity, ascending.
+    fn active_node_indices(&self, semiring: Semiring) -> impl Iterator<Item = usize> + '_ {
         self.data
             .chunks_exact(self.k)
-            .filter(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v)))
-            .count()
+            .enumerate()
+            .filter(move |(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
+            .map(|(i, _)| i)
     }
 
     /// Total number of active entries summed over all lanes.
@@ -202,18 +206,10 @@ impl MultiVec {
     /// Append the indices of all active nodes (any lane non-identity), in
     /// ascending order, to a caller-supplied (typically workspace-pooled)
     /// buffer — the frontier-list shape the push-direction batched kernels
-    /// consume.  The planner derives its own list from the (possibly
-    /// input-scaled) operand; use this to drive the push direction of
-    /// [`GrbBackend::mxm_into`](super::GrbBackend::mxm_into) directly.
+    /// consume; the planner runs it over the possibly input-scaled operand.
     pub fn frontier_nodes_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(
-            self.data
-                .chunks_exact(self.k)
-                .enumerate()
-                .filter(|(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
-                .map(|(i, _)| i),
-        );
+        out.extend(self.active_node_indices(semiring));
     }
 
     /// Pack the lanes into per-node `u64` words (bit `l` of node `i`'s word

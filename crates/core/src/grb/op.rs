@@ -60,7 +60,7 @@ use crate::shard::ShardConfig;
 use super::descriptor::{Descriptor, Mask};
 use super::direction::Direction;
 use super::error::GrbError;
-use super::expr::{Expr, Fusion, MultiExpr, MultiProducer, Producer, Stage, MAX_STAGES};
+use super::expr::{Expr, Fusion, Operand, Producer, Stage, MAX_STAGES};
 use super::matrix::Matrix;
 use super::multivec::MultiVec;
 use super::plan;
@@ -202,7 +202,7 @@ impl Context {
     /// they compute: forced-push (and forced-pull) results are bit-identical
     /// at every budget.  The one thing the budget *does* influence is
     /// [`Direction::Auto`]'s pricing
-    /// ([`choose_direction_cfg`](super::choose_direction_cfg)): retuning can
+    /// ([`choose_direction`](super::choose_direction)): retuning can
     /// flip a near-threshold operation between push and pull, and for
     /// non-exact monoids (float `+`) the two directions fold in different
     /// orders.  Pin the direction when bit-stability across retunes matters.
@@ -222,9 +222,9 @@ impl Context {
     }
 
     /// The current scalar/vector kernel selection policy (see
-    /// [`SimdPolicy`]; also settable process-wide through the
-    /// [`SIMD_ENV_VAR`](super::SIMD_ENV_VAR) environment variable and per
-    /// operation through [`Descriptor::simd`]).
+    /// [`SimdPolicy`]).  Two layers select it: the
+    /// [`SIMD_ENV_VAR`](super::SIMD_ENV_VAR) environment variable seeds a
+    /// fresh context, [`Context::set_simd_policy`] overrides it.
     pub fn simd_policy(&self) -> SimdPolicy {
         self.workspace.simd_policy()
     }
@@ -296,13 +296,15 @@ impl Context {
     }
 
     /// Evaluate a lazy expression chain: plan it ([`super::plan`]), execute
-    /// the fused (or node-at-a-time) sweeps, return the result vector.
-    /// The builders' `.run(&ctx)` is shorthand for this.
+    /// the fused (or node-at-a-time) sweeps, return the result — a
+    /// [`Vector`] for an `mxv` / `vxm` / ewise chain, the `n × k`
+    /// [`MultiVec`] for an `mxm` chain.  The builders' `.run(&ctx)` is
+    /// shorthand for this.
     ///
     /// # Panics
     /// Panics on any precondition [`Context::try_evaluate`] would report as
     /// a [`GrbError`], with the error's `Display` text as the message.
-    pub fn evaluate(&self, expr: Expr<'_>) -> Vector {
+    pub fn evaluate<V: Operand>(&self, expr: Expr<'_, V>) -> V {
         self.try_evaluate(expr).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -311,34 +313,15 @@ impl Context {
     /// of a panic — the entry point a serving stack uses so one malformed
     /// chain cannot detonate a batch.
     #[must_use = "the typed error must be handled, not dropped"]
-    pub fn try_evaluate(&self, expr: Expr<'_>) -> Result<Vector, GrbError> {
-        plan::try_execute(&expr, self)
+    pub fn try_evaluate<V: Operand>(&self, expr: Expr<'_, V>) -> Result<V, GrbError> {
+        V::try_execute(&expr, self)
     }
 
-    /// Return a finished vector's buffer to the pool so the next operation
-    /// can reuse it — the algorithm-side half of the zero-allocation
-    /// steady state.
-    pub fn recycle(&self, v: Vector) {
-        self.workspace.give(v.into_vec());
-    }
-
-    /// Evaluate a lazy **batched** expression chain (matrix × multivector):
-    /// plan it, execute the batched sweeps, return the `n × k` result.
-    /// The [`MxmBuilder`]'s `.run(&ctx)` is shorthand for this.
-    ///
-    /// # Panics
-    /// Panics on any precondition [`Context::try_evaluate_multi`] would
-    /// report as a [`GrbError`], with the error's `Display` text.
-    pub fn evaluate_multi(&self, expr: MultiExpr<'_>) -> MultiVec {
-        self.try_evaluate_multi(expr)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Context::evaluate_multi`] — the batched counterpart of
-    /// [`Context::try_evaluate`].
-    #[must_use = "the typed error must be handled, not dropped"]
-    pub fn try_evaluate_multi(&self, expr: MultiExpr<'_>) -> Result<MultiVec, GrbError> {
-        plan::try_execute_multi(&expr, self)
+    /// Return a finished vector's (or multi-vector's) buffer to the pool so
+    /// the next operation can reuse it — the algorithm-side half of the
+    /// zero-allocation steady state.
+    pub fn recycle<V: Operand>(&self, v: V) {
+        self.workspace.give(v.into_flat());
     }
 
     /// Install (or with `None`, remove) a seeded [`FaultInjector`] — the
@@ -356,12 +339,6 @@ impl Context {
             .expect("fault injector slot poisoned")
             .clone()
     }
-
-    /// Return a finished multi-vector's buffer to the pool (the batched
-    /// counterpart of [`Context::recycle`]).
-    pub fn recycle_multi(&self, v: MultiVec) {
-        self.workspace.give(v.into_vec());
-    }
 }
 
 /// Entry points of the builder API; each returns a lazy builder whose
@@ -372,21 +349,22 @@ impl Op {
     /// `y = A ⊕.⊗ x`: matrix × vector.
     #[must_use = "builders do nothing until run(&ctx)"]
     pub fn mxv<'a>(a: &'a Matrix, x: &'a Vector) -> MxvBuilder<'a> {
-        MxvBuilder::new(a, x, false)
+        ProductBuilder::new(a, x, false)
     }
 
     /// `y = x ⊕.⊗ A`: vector × matrix (the push-direction traversal).
     #[must_use = "builders do nothing until run(&ctx)"]
     pub fn vxm<'a>(x: &'a Vector, a: &'a Matrix) -> MxvBuilder<'a> {
-        MxvBuilder::new(a, x, true)
+        ProductBuilder::new(a, x, true)
     }
 
     /// `Y = A ⊕.⊗ X`: matrix × multivector — `k` simultaneous traversals
     /// (one per lane of the `n × k` frontier matrix) advanced by a single
     /// sweep that loads each adjacency tile once and applies it to every
-    /// lane.  Composes with masks, stages, accumulators and
-    /// [`Direction::Auto`] exactly like [`Op::mxv`]; use
-    /// [`transpose`](MxmBuilder::transpose) for the `vxm`-per-column
+    /// lane.  It is the same builder as [`Op::mxv`] over the other
+    /// [`Operand`] shape, so masks, stages, accumulators and
+    /// [`Direction::Auto`] compose identically; use
+    /// [`transpose`](ProductBuilder::transpose) for the `vxm`-per-column
     /// orientation a forward traversal wants.
     ///
     /// ```
@@ -411,7 +389,7 @@ impl Op {
     /// ```
     #[must_use = "builders do nothing until run(&ctx)"]
     pub fn mxm<'a>(a: &'a Matrix, x: &'a MultiVec) -> MxmBuilder<'a> {
-        MxmBuilder::new(a, x)
+        ProductBuilder::new(a, x, false)
     }
 
     /// `Σ (mask .* (A · B))`: masked matrix product reduced to a scalar (the
@@ -462,18 +440,30 @@ impl Op {
     }
 }
 
-/// Builder for `mxv` / `vxm` chains (created by [`Op::mxv`] / [`Op::vxm`]).
+/// Builder for matrix-product chains, generic in the [`Operand`] shape:
+/// [`MxvBuilder`] (created by [`Op::mxv`] / [`Op::vxm`]) and [`MxmBuilder`]
+/// (created by [`Op::mxm`]) are its two aliases.
 ///
 /// The matrix-product root takes the usual modifiers (semiring, mask,
 /// descriptor, direction); element-wise stages appended after it
-/// ([`affine`](MxvBuilder::affine), [`apply`](MxvBuilder::apply),
-/// [`select`](MxvBuilder::select), [`then_ewise`](MxvBuilder::then_ewise))
-/// and a terminal accumulator ([`accum`](MxvBuilder::accum)) fuse into the
-/// product sweep wherever the planner's rules allow.
+/// ([`affine`](ProductBuilder::affine), [`apply`](ProductBuilder::apply),
+/// [`select`](ProductBuilder::select),
+/// [`then_ewise`](ProductBuilder::then_ewise)) and a terminal accumulator
+/// ([`accum`](ProductBuilder::accum)) fuse into the product sweep wherever
+/// the planner's rules allow.
+///
+/// For a batched (`mxm`) chain everything addresses the **flat** node-major
+/// `n × k` storage: the mask is flat per-lane (length `n · k`, position
+/// `i*k + l` gates node `i` of lane `l`), so `k` traversals with `k`
+/// different visited sets share one masked sweep — exactly what `bfs_multi`
+/// does; stage operands and the accumulator baseline are multi-vectors of
+/// the output's shape; and [`Direction::Auto`] resolves from the
+/// **node-granular** frontier (a node is active when any lane is — see
+/// [`choose_direction`](super::choose_direction)).
 #[must_use = "builders do nothing until run(&ctx)"]
-pub struct MxvBuilder<'a> {
+pub struct ProductBuilder<'a, V: Operand> {
     a: &'a Matrix,
-    x: &'a Vector,
+    x: &'a V,
     semiring: Semiring,
     mask: Option<&'a Mask>,
     desc: Descriptor,
@@ -481,14 +471,21 @@ pub struct MxvBuilder<'a> {
     scale: Option<&'a Vector>,
     /// The expression under construction.  It carries the stage list,
     /// accumulator and fusion mode; its (leaf) producer is a placeholder
-    /// that [`build`](MxvBuilder::build) replaces with the finished
+    /// that [`build`](ProductBuilder::build) replaces with the finished
     /// matrix-product root once all modifiers are known.
-    chain: Expr<'a>,
+    chain: Expr<'a, V>,
 }
 
-impl<'a> MxvBuilder<'a> {
-    fn new(a: &'a Matrix, x: &'a Vector, flip: bool) -> Self {
-        MxvBuilder {
+/// Builder for `mxv` / `vxm` chains (created by [`Op::mxv`] / [`Op::vxm`]).
+pub type MxvBuilder<'a> = ProductBuilder<'a, Vector>;
+
+/// Builder for batched `mxm` (matrix × multivector) chains (created by
+/// [`Op::mxm`]).
+pub type MxmBuilder<'a> = ProductBuilder<'a, MultiVec>;
+
+impl<'a, V: Operand> ProductBuilder<'a, V> {
+    fn new(a: &'a Matrix, x: &'a V, flip: bool) -> Self {
+        ProductBuilder {
             a,
             x,
             semiring: Semiring::Arithmetic,
@@ -506,7 +503,7 @@ impl<'a> MxvBuilder<'a> {
         self
     }
 
-    /// Write only where the mask allows.
+    /// Write only where the mask over the flat output allows.
     pub fn mask(mut self, mask: &'a Mask) -> Self {
         self.mask = Some(mask);
         self
@@ -518,7 +515,10 @@ impl<'a> MxvBuilder<'a> {
         self
     }
 
-    /// Shorthand for setting the descriptor's transpose flag.
+    /// Shorthand for setting the descriptor's transpose flag.  On `mxm` this
+    /// is `Y = Aᵀ ⊕.⊗ X` — the per-column `vxm` orientation a forward
+    /// traversal uses (the push scatter then walks `A` itself, like
+    /// single-vector `vxm`).
     pub fn transpose(mut self) -> Self {
         self.desc.transpose = true;
         self
@@ -531,15 +531,6 @@ impl<'a> MxvBuilder<'a> {
         self
     }
 
-    /// Override the scalar/vector kernel selection for this operation only
-    /// (default: inherit the context's [`SimdPolicy`]).  Both paths are
-    /// bit-identical; this pins *which* runs — the differential harness's
-    /// per-op knob.
-    pub fn simd(mut self, policy: SimdPolicy) -> Self {
-        self.desc.simd = Some(policy);
-        self
-    }
-
     /// Control whether the planner may fuse this chain (default:
     /// [`Fusion::Fused`]).  [`Fusion::NodeAtATime`] forces the defining
     /// one-sweep-per-node execution — the parity and benchmark baseline.
@@ -548,8 +539,9 @@ impl<'a> MxvBuilder<'a> {
         self
     }
 
-    /// Read the operand as `x[i] · scale[i]` without materialising a scaled
-    /// copy through the API (PageRank's out-degree normalisation).
+    /// Read the operand as `x[i,l] · scale[i]` without materialising a
+    /// scaled copy through the API (PageRank's out-degree normalisation;
+    /// `scale` has one entry per node, broadcast across lanes).
     pub fn scale_input(mut self, scale: &'a Vector) -> Self {
         self.scale = Some(scale);
         self
@@ -578,27 +570,29 @@ impl<'a> MxvBuilder<'a> {
     }
 
     /// Append `t = op(t, operand[i])` to the chain — one collapsed ewise
-    /// link with an explicit operator.
-    pub fn then_ewise(mut self, op: BinaryOp, operand: &'a Vector) -> Self {
+    /// link with an explicit operator, against an operand of the output's
+    /// shape.
+    pub fn then_ewise(mut self, op: BinaryOp, operand: &'a V) -> Self {
         self.chain.push_stage(Stage::Ewise {
             op,
-            operand: operand.as_slice(),
+            operand: operand.flat(),
         });
         self
     }
 
     /// Terminate the chain with the GraphBLAS accumulator `out = w ⊕ t`.
     /// When `op` is the semiring's additive monoid the accumulation folds
-    /// into the product sweep itself (SSSP's `dist = min(dist, relaxed)`).
-    pub fn accum(mut self, op: BinaryOp, w: &'a Vector) -> Self {
+    /// into the single-vector product sweep itself (SSSP's
+    /// `dist = min(dist, relaxed)`).
+    pub fn accum(mut self, op: BinaryOp, w: &'a V) -> Self {
         self.chain.set_accum(op, w);
         self
     }
 
     /// Assemble the lazy expression chain without running it.
-    pub fn build(self) -> Expr<'a> {
+    pub fn build(self) -> Expr<'a, V> {
         let mut e = self.chain;
-        e.producer = Producer::Mxv {
+        e.producer = Producer::Product {
             a: self.a,
             x: self.x,
             semiring: self.semiring,
@@ -613,184 +607,17 @@ impl<'a> MxvBuilder<'a> {
     /// Evaluate the chain against the context ([`Context::evaluate`]).
     ///
     /// # Panics
-    /// Panics on shape/dimension violations; [`MxvBuilder::try_run`] is the
-    /// fallible form.
-    pub fn run(self, ctx: &Context) -> Vector {
+    /// Panics on shape/dimension violations; [`ProductBuilder::try_run`] is
+    /// the fallible form.
+    pub fn run(self, ctx: &Context) -> V {
         ctx.evaluate(self.build())
     }
 
     /// Evaluate the chain, reporting precondition violations as a typed
     /// [`GrbError`] instead of panicking ([`Context::try_evaluate`]).
     #[must_use = "the typed error must be handled, not dropped"]
-    pub fn try_run(self, ctx: &Context) -> Result<Vector, GrbError> {
+    pub fn try_run(self, ctx: &Context) -> Result<V, GrbError> {
         ctx.try_evaluate(self.build())
-    }
-}
-
-/// Builder for batched `mxm` (matrix × multivector) chains (created by
-/// [`Op::mxm`]).
-///
-/// Mirrors [`MxvBuilder`] lane-for-lane: the product root takes the usual
-/// modifiers (semiring, mask, descriptor, direction), element-wise stages
-/// and a terminal accumulator run over the flat `n × k` storage, and
-/// [`Direction::Auto`] resolves per operation from the **node-granular**
-/// frontier (a node is active when any lane is — the lane-generalized
-/// Beamer threshold, see [`super::choose_direction_multi`]).
-///
-/// The mask is **flat per-lane** (length `n · k`, position `i*k + l` gates
-/// node `i` of lane `l`), so `k` traversals with `k` different visited sets
-/// share one masked sweep — exactly what `bfs_multi` does.
-#[must_use = "builders do nothing until run(&ctx)"]
-pub struct MxmBuilder<'a> {
-    a: &'a Matrix,
-    x: &'a MultiVec,
-    semiring: Semiring,
-    mask: Option<&'a Mask>,
-    desc: Descriptor,
-    scale: Option<&'a Vector>,
-    /// The chain under construction; its placeholder leaf producer is
-    /// replaced by [`build`](MxmBuilder::build).
-    chain: MultiExpr<'a>,
-}
-
-impl<'a> MxmBuilder<'a> {
-    fn new(a: &'a Matrix, x: &'a MultiVec) -> Self {
-        MxmBuilder {
-            a,
-            x,
-            semiring: Semiring::Arithmetic,
-            mask: None,
-            desc: Descriptor::new(),
-            scale: None,
-            chain: MultiExpr::leaf(x),
-        }
-    }
-
-    /// Use the given semiring (default: arithmetic).
-    pub fn semiring(mut self, semiring: Semiring) -> Self {
-        self.semiring = semiring;
-        self
-    }
-
-    /// Write only where the flat per-lane mask (length `n · k`, position
-    /// `i*k + l` = node `i`, lane `l`) allows.
-    pub fn mask(mut self, mask: &'a Mask) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Use the given descriptor.
-    pub fn desc(mut self, desc: Descriptor) -> Self {
-        self.desc = desc;
-        self
-    }
-
-    /// Shorthand for setting the descriptor's transpose flag: `Y = Aᵀ ⊕.⊗ X`
-    /// — the per-column `vxm` orientation a forward traversal uses (the
-    /// push scatter then walks `A` itself, like single-vector `vxm`).
-    pub fn transpose(mut self) -> Self {
-        self.desc.transpose = true;
-        self
-    }
-
-    /// Use the given traversal direction (default: [`Direction::Auto`],
-    /// resolved per operation from the node-granular frontier size).
-    pub fn direction(mut self, direction: Direction) -> Self {
-        self.desc.direction = direction;
-        self
-    }
-
-    /// Override the scalar/vector kernel selection for this batched
-    /// operation only — the [`MxvBuilder::simd`] counterpart.
-    pub fn simd(mut self, policy: SimdPolicy) -> Self {
-        self.desc.simd = Some(policy);
-        self
-    }
-
-    /// Control whether the epilogue may collapse into one sweep (default:
-    /// [`Fusion::Fused`]).  [`Fusion::NodeAtATime`] forces one full pass
-    /// per stage — the parity baseline.
-    pub fn fusion(mut self, fusion: Fusion) -> Self {
-        self.chain.set_fusion(fusion);
-        self
-    }
-
-    /// Read node `i`'s lanes as `x[i,l] · scale[i]` without materialising a
-    /// scaled copy (the batched analogue of PageRank's out-degree
-    /// normalisation; `scale` has one entry per node).
-    pub fn scale_input(mut self, scale: &'a Vector) -> Self {
-        self.scale = Some(scale);
-        self
-    }
-
-    /// Append `t = mul·t + add` to the chain (applied to every lane).
-    pub fn affine(mut self, mul: f32, add: f32) -> Self {
-        self.chain.push_stage(Stage::Affine { mul, add });
-        self
-    }
-
-    /// Append `t = f(t)` to the chain (GraphBLAS `apply`; closure by
-    /// reference so the chain stays allocation-free).
-    pub fn apply<F: Fn(f32) -> f32 + Sync>(mut self, f: &'a F) -> Self {
-        self.chain.push_stage(Stage::Apply(f));
-        self
-    }
-
-    /// Append `t = if pred(t) { 1.0 } else { 0.0 }` to the chain
-    /// (GraphBLAS `select`).
-    pub fn select<F: Fn(f32) -> bool + Sync>(mut self, pred: &'a F) -> Self {
-        self.chain.push_stage(Stage::Select(pred));
-        self
-    }
-
-    /// Append `t = op(t, operand[i,l])` to the chain — one collapsed ewise
-    /// link against another multi-vector of the same shape.
-    pub fn then_ewise(mut self, op: BinaryOp, operand: &'a MultiVec) -> Self {
-        self.chain.push_stage(Stage::Ewise {
-            op,
-            operand: operand.as_slice(),
-        });
-        self
-    }
-
-    /// Terminate the chain with the GraphBLAS accumulator `out = w ⊕ t`
-    /// over the flat `n × k` storage (`sssp_multi`'s
-    /// `dist = min(dist, relaxed)` across all lanes at once).
-    pub fn accum(mut self, op: BinaryOp, w: &'a MultiVec) -> Self {
-        self.chain.set_accum(op, w);
-        self
-    }
-
-    /// Assemble the lazy batched expression chain without running it.
-    pub fn build(self) -> MultiExpr<'a> {
-        let mut e = self.chain;
-        e.producer = MultiProducer::Mxm {
-            a: self.a,
-            x: self.x,
-            semiring: self.semiring,
-            mask: self.mask,
-            desc: self.desc,
-            scale: self.scale,
-        };
-        e
-    }
-
-    /// Evaluate the chain against the context
-    /// ([`Context::evaluate_multi`]).
-    ///
-    /// # Panics
-    /// Panics on shape/dimension violations; [`MxmBuilder::try_run`] is the
-    /// fallible form.
-    pub fn run(self, ctx: &Context) -> MultiVec {
-        ctx.evaluate_multi(self.build())
-    }
-
-    /// Evaluate the batched chain, reporting precondition violations as a
-    /// typed [`GrbError`] instead of panicking
-    /// ([`Context::try_evaluate_multi`]).
-    #[must_use = "the typed error must be handled, not dropped"]
-    pub fn try_run(self, ctx: &Context) -> Result<MultiVec, GrbError> {
-        ctx.try_evaluate_multi(self.build())
     }
 }
 
@@ -848,26 +675,10 @@ impl MxmReduceBuilder<'_> {
                 got: inner,
             });
         }
-        for (what, expected, got) in [
-            (
-                "mxm mask rows must equal the output rows",
-                a.nrows(),
-                mask.nrows(),
-            ),
-            (
-                "mxm mask columns must equal the output columns",
-                cols,
-                mask.ncols(),
-            ),
-        ] {
-            if expected != got {
-                return Err(GrbError::LengthMismatch {
-                    what,
-                    expected,
-                    got,
-                });
-            }
-        }
+        let what = "mxm mask rows must equal the output rows";
+        GrbError::check_len(what, a.nrows(), mask.nrows())?;
+        let what = "mxm mask columns must equal the output columns";
+        GrbError::check_len(what, cols, mask.ncols())?;
         ctx.workspace().stats().record_mxm_reduce();
         Ok(a.state()
             .mxm_reduce_masked(b.state(), mask.state(), transpose_b))
@@ -1103,6 +914,25 @@ mod tests {
             assert!(both_inf || (x - y).abs() < 1e-4, "index {i}: {x} vs {y}");
         }
     }
+
+    /// An operand of either shape from a per-`(node, lane)` function.
+    fn operand<V: Operand>(n: usize, k: usize, f: impl Fn(usize, usize) -> f32) -> V {
+        V::from_flat((0..n * k).map(|p| f(p / k, p % k)).collect(), n, k)
+    }
+
+    /// A product constructor of either shape (`Op::mxm` itself, or a
+    /// closure around `Op::mxv` / `Op::vxm`) — what lets one test body run
+    /// over `Vector` and over `MultiVec`.
+    type MakeOp<'f, V> = &'f dyn for<'a> Fn(&'a Matrix, &'a V) -> ProductBuilder<'a, V>;
+
+    const MXV: MakeOp<'static, Vector> = &|a, x| Op::mxv(a, x);
+    const VXM: MakeOp<'static, Vector> = &|a, x| Op::vxm(x, a);
+    const MXM: MakeOp<'static, MultiVec> = &|a, x| Op::mxm(a, x);
+    const MXM_T: MakeOp<'static, MultiVec> = &|a, x| Op::mxm(a, x).transpose();
+
+    /// The lane counts every shape-generic body runs `MultiVec` at: the
+    /// degenerate batch, a few lanes, and a lane-word spill (`k > 64`).
+    const LANES: [usize; 3] = [1, 3, 70];
 
     #[test]
     fn builder_mxv_agrees_across_backends() {
@@ -1366,12 +1196,32 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn builder_rejects_bad_dimensions() {
+    /// A wrong-length operand is a typed `DimensionMismatch` naming the
+    /// operation at every lane count, and the panicking form (reached once,
+    /// at the last) carries its text.
+    fn rejects_bad_dimensions<V: Operand>(lanes: &[usize], op: MakeOp<'_, V>, name: &'static str) {
         let a = Matrix::from_csr(&sample(10, 1), Backend::FloatCsr);
-        let x = Vector::zeros(7);
-        let _ = Op::mxv(&a, &x).run(&Context::default());
+        let ctx = Context::default();
+        for &k in lanes {
+            let x: V = operand(7, k, |_, _| 0.0);
+            assert_eq!(
+                op(&a, &x).try_run(&ctx).err(),
+                Some(GrbError::DimensionMismatch {
+                    op: name,
+                    expected: 10,
+                    got: 7
+                }),
+                "k = {k}"
+            );
+        }
+        let x: V = operand(7, lanes[lanes.len() - 1], |_, _| 0.0);
+        let _ = op(&a, &x).run(&ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "mxv dimension mismatch")]
+    fn builder_rejects_bad_dimensions() {
+        rejects_bad_dimensions(&[1], MXV, "mxv");
     }
 
     #[test]
@@ -1433,26 +1283,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_direction_switches_on_frontier_density_and_is_counted() {
+    /// Executions are observable through the context counters of their
+    /// shape (`counts` = push, pull, total), and Auto resolves on the
+    /// node-granular frontier: one active node pushes however many of its
+    /// lanes are active, every node active pulls.
+    fn auto_direction_switches_and_is_counted<V: Operand>(
+        k: usize,
+        op: MakeOp<'_, V>,
+        counts: fn(&ExecCounts) -> (u64, u64, u64),
+    ) {
         let csr = sample(512, 29);
         let a = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
         let ctx = Context::default();
-        let before = ctx.stats();
-        assert_eq!(before.total_mxv(), 0);
+        assert_eq!(counts(&ctx.stats()), (0, 0, 0));
 
-        // One active vertex → push.
-        let sparse = Vector::indicator(512, &[0]);
-        let _ = Op::vxm(&sparse, &a).semiring(Semiring::Boolean).run(&ctx);
-        let after_sparse = ctx.stats();
-        assert_eq!(after_sparse.push_mxv, 1, "sparse frontier must push");
+        let sparse: V = operand(512, k, |i, _| (i == 7) as u8 as f32);
+        let _ = op(&a, &sparse).semiring(Semiring::Boolean).run(&ctx);
+        assert_eq!(counts(&ctx.stats()), (1, 0, 1), "sparse frontier must push");
 
-        // Everything active → pull.
-        let dense = Vector::from_vec(vec![1.0; 512]);
-        let _ = Op::vxm(&dense, &a).semiring(Semiring::Boolean).run(&ctx);
-        let after_dense = ctx.stats();
-        assert_eq!(after_dense.pull_mxv, 1, "dense frontier must pull");
-        assert_eq!(after_dense.total_mxv(), 2);
+        let dense: V = operand(512, k, |_, _| 1.0);
+        let _ = op(&a, &dense).semiring(Semiring::Boolean).run(&ctx);
+        assert_eq!(counts(&ctx.stats()), (1, 1, 2), "dense frontier must pull");
+    }
+
+    #[test]
+    fn auto_direction_switches_on_frontier_density_and_is_counted() {
+        auto_direction_switches_and_is_counted(1, VXM, |c| (c.push_mxv, c.pull_mxv, c.total_mxv()));
     }
 
     #[test]
@@ -1495,7 +1351,7 @@ mod tests {
     #[test]
     fn cloned_contexts_have_fresh_workspaces() {
         let ctx = Context::default();
-        ctx.workspace().stats().record_push_mxv();
+        ctx.workspace().stats().record_mxv(true);
         let clone = ctx.clone();
         assert_eq!(clone.stats(), crate::grb::ExecCounts::default());
         assert_eq!(clone.device, ctx.device);
@@ -1503,15 +1359,17 @@ mod tests {
 
     // -- lazy-chain tests (PR 3) --------------------------------------------
 
-    /// Every fused chain shape must equal its node-at-a-time execution.
-    #[test]
-    fn fused_chain_matches_node_at_a_time_in_every_direction() {
+    /// Every fused chain shape — stage, ewise link and accumulator, in every
+    /// direction and orientation — must equal its node-at-a-time execution.
+    fn fused_chain_matches_node_at_a_time<V: Operand>(k: usize, ops: [MakeOp<'_, V>; 2]) {
         let csr = sample(80, 41);
         let ctx = Context::default();
-        let operand = Vector::from_vec((0..80).map(|i| (i % 7) as f32).collect());
-        let base = Vector::from_vec((0..80).map(|i| (i % 11) as f32 * 0.5).collect());
-        let x = Vector::indicator(80, &[2, 17, 33, 56]);
-        let dense_x = Vector::from_vec((0..80).map(|i| (i % 4) as f32).collect());
+        let operand_v: V = operand(80, k, |i, l| ((i * k + l) % 7) as f32);
+        let base: V = operand(80, k, |i, l| ((i * k + l) % 11) as f32 * 0.5);
+        let x: V = operand(80, k, |i, l| {
+            [2, 17, 33, 56].contains(&(i + l)) as u8 as f32
+        });
+        let dense_x: V = operand(80, k, |i, l| ((i + l) % 4) as f32);
         for backend in [
             Backend::Bit(TileSize::S4),
             Backend::Bit(TileSize::S8),
@@ -1521,28 +1379,29 @@ mod tests {
             let a = Matrix::from_csr(&csr, backend);
             for (xv, semiring) in [(&x, Semiring::Boolean), (&dense_x, Semiring::Arithmetic)] {
                 for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
-                    for flip in [false, true] {
+                    for op in ops {
                         let build = |fusion: Fusion| {
-                            let op = if flip {
-                                Op::vxm(xv, &a)
-                            } else {
-                                Op::mxv(&a, xv)
-                            };
-                            op.semiring(semiring)
+                            op(&a, xv)
+                                .semiring(semiring)
                                 .direction(dir)
                                 .affine(2.0, 1.0)
-                                .then_ewise(BinaryOp::Plus, &operand)
+                                .then_ewise(BinaryOp::Plus, &operand_v)
                                 .accum(BinaryOp::Max, &base)
                                 .fusion(fusion)
                                 .run(&ctx)
                         };
                         let fused = build(Fusion::Fused);
                         let unfused = build(Fusion::NodeAtATime);
-                        close(fused.as_slice(), unfused.as_slice());
+                        close(fused.flat(), unfused.flat());
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_chain_matches_node_at_a_time_in_every_direction() {
+        fused_chain_matches_node_at_a_time(1, [MXV, VXM]);
     }
 
     /// The monoid accumulator folds into the sweep and equals the two-op
@@ -1639,26 +1498,25 @@ mod tests {
         }
     }
 
-    /// `scale_input` equals materialising the scaled operand by hand.
-    #[test]
-    fn scale_input_matches_pre_scaled_operand() {
+    /// `scale_input` equals materialising the scaled operand by hand (the
+    /// per-node scale broadcast across the lanes).
+    fn scale_input_matches_pre_scaled<V: Operand>(k: usize, op: MakeOp<'_, V>) {
         let csr = sample(50, 53);
         let ctx = Context::default();
-        let x = Vector::from_vec((0..50).map(|i| 1.0 + (i % 5) as f32).collect());
+        let x: V = operand(50, k, |i, l| 1.0 + ((i * k + l) % 5) as f32);
         let s = Vector::from_vec((0..50).map(|i| 0.25 * ((i % 3) as f32 + 1.0)).collect());
-        let scaled = Vector::from_vec(
-            x.as_slice()
-                .iter()
-                .zip(s.as_slice())
-                .map(|(&a, &b)| a * b)
-                .collect(),
-        );
+        let scaled: V = operand(50, k, |i, l| x.flat()[i * k + l] * s.get(i));
         for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
             let a = Matrix::from_csr(&csr, backend);
-            let fused = Op::vxm(&x, &a).scale_input(&s).run(&ctx);
-            let manual = Op::vxm(&scaled, &a).run(&ctx);
-            close(fused.as_slice(), manual.as_slice());
+            let fused = op(&a, &x).scale_input(&s).run(&ctx);
+            let manual = op(&a, &scaled).run(&ctx);
+            close(fused.flat(), manual.flat());
         }
+    }
+
+    #[test]
+    fn scale_input_matches_pre_scaled_operand() {
+        scale_input_matches_pre_scaled(1, VXM);
     }
 
     /// An ewise chain with apply/select links collapses into one sweep and
@@ -1805,33 +1663,10 @@ mod tests {
         }
     }
 
-    /// Batched chains with stages and accumulators equal their
-    /// node-at-a-time execution in every direction.
     #[test]
     fn mxm_fused_chain_matches_node_at_a_time() {
-        let csr = sample(60, 79);
-        let ctx = Context::default();
-        let k = 3;
-        let mv = MultiVec::from_sources(60, &[2, 17, 33]);
-        let operand = MultiVec::from_vec((0..60 * k).map(|f| (f % 7) as f32).collect(), 60, k);
-        let base = MultiVec::from_vec((0..60 * k).map(|f| (f % 11) as f32 * 0.5).collect(), 60, k);
-        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
-            let a = Matrix::from_csr(&csr, backend);
-            for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
-                let build = |fusion: Fusion| {
-                    Op::mxm(&a, &mv)
-                        .semiring(Semiring::Boolean)
-                        .direction(dir)
-                        .affine(2.0, 1.0)
-                        .then_ewise(BinaryOp::Plus, &operand)
-                        .accum(BinaryOp::Max, &base)
-                        .fusion(fusion)
-                        .run(&ctx)
-                };
-                let fused = build(Fusion::Fused);
-                let unfused = build(Fusion::NodeAtATime);
-                close(fused.as_slice(), unfused.as_slice());
-            }
+        for k in LANES {
+            fused_chain_matches_node_at_a_time(k, [MXM, MXM_T]);
         }
     }
 
@@ -1867,55 +1702,26 @@ mod tests {
         }
     }
 
-    /// `scale_input` broadcasts the per-node scale across lanes.
     #[test]
     fn mxm_scale_input_matches_pre_scaled_operand() {
-        let csr = sample(40, 89);
-        let ctx = Context::default();
-        let k = 2;
-        let mv = MultiVec::from_vec((0..40 * k).map(|f| 1.0 + (f % 5) as f32).collect(), 40, k);
-        let s = Vector::from_vec((0..40).map(|i| 0.25 * ((i % 3) as f32 + 1.0)).collect());
-        let scaled = MultiVec::from_vec(
-            mv.as_slice()
-                .chunks_exact(k)
-                .zip(s.as_slice())
-                .flat_map(|(lanes, &sv)| lanes.iter().map(move |&v| v * sv))
-                .collect(),
-            40,
-            k,
-        );
-        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
-            let a = Matrix::from_csr(&csr, backend);
-            let fused = Op::mxm(&a, &mv).scale_input(&s).run(&ctx);
-            let manual = Op::mxm(&a, &scaled).run(&ctx);
-            close(fused.as_slice(), manual.as_slice());
+        for k in LANES {
+            scale_input_matches_pre_scaled(k, MXM);
         }
     }
 
-    /// Batched executions are observable through the context counters, and
-    /// Auto resolves on the node-granular frontier.
     #[test]
     fn mxm_auto_direction_switches_and_is_counted() {
-        let csr = sample(512, 97);
-        let a = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
-        let ctx = Context::default();
-        // One active node (both lanes on the same node) → push.
-        let sparse = MultiVec::from_sources(512, &[7, 7]);
-        let _ = Op::mxm(&a, &sparse).semiring(Semiring::Boolean).run(&ctx);
-        assert_eq!(ctx.stats().push_mxm, 1, "sparse node frontier must push");
-        // Every node active in one lane → pull.
-        let dense = MultiVec::filled(512, 2, 1.0);
-        let _ = Op::mxm(&a, &dense).semiring(Semiring::Boolean).run(&ctx);
-        assert_eq!(ctx.stats().pull_mxm, 1, "dense frontier must pull");
-        assert_eq!(ctx.stats().total_mxm(), 2);
+        for k in LANES {
+            auto_direction_switches_and_is_counted(k, MXM, |c| {
+                (c.push_mxm, c.pull_mxm, c.total_mxm())
+            });
+        }
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
+    #[should_panic(expected = "mxm dimension mismatch")]
     fn mxm_rejects_bad_dimensions() {
-        let a = Matrix::from_csr(&sample(10, 1), Backend::FloatCsr);
-        let x = MultiVec::zeros(7, 2);
-        let _ = Op::mxm(&a, &x).run(&Context::default());
+        rejects_bad_dimensions(&LANES, MXM, "mxm");
     }
 
     /// `build()` produces an inert expression that `ctx.evaluate` runs.

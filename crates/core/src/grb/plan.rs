@@ -7,9 +7,13 @@
 //!
 //! # Fusion rules
 //!
-//! Every matrix-vector product reaches the backend as an [`MxvPipeline`]
-//! through [`GrbBackend::mxv_into`].  For a chain rooted at one, the planner
-//! hands the backend the whole chain — one sweep — when the shape allows it:
+//! Every product reaches the backend as an [`MxvPipeline`]: a
+//! single-vector one through [`GrbBackend::mxv_into`], a batched one
+//! (`k` lanes) through [`GrbBackend::mxm_into`].  One planner path
+//! (`execute_product`) serves both [`Operand`] shapes; what differs is a
+//! constant of the shape, `FUSES_INTO_SWEEP`.  For a
+//! single-vector chain the planner hands the backend the whole chain — one
+//! sweep — when the direction allows it:
 //!
 //! * **Pull** (dense sweep) — always fusable: the sweep produces each output
 //!   row's final semiring value `t[i]` in one go, so the mask, every
@@ -28,7 +32,12 @@
 //!     with the epilogue still collapsed into one chain sweep
 //!     ([`run_chain_in_place_parallel`]).
 //!
-//! Chains rooted at a leaf vector collapse into a single element-wise sweep
+//! A batched (`mxm`) chain is always the bare product — one batched sweep,
+//! mask applied by the kernel — followed by **one** collapsed epilogue pass
+//! over the flat `n × k` output: the batched kernels do not finish in their
+//! store (folding the epilogue into them is ROADMAP item 5).
+//!
+//! Chains rooted at a leaf collapse into a single element-wise sweep
 //! (apply/select folded into the consuming ewise pass).
 //!
 //! [`Fusion::NodeAtATime`] disables all of the above and executes the
@@ -45,52 +54,15 @@
 //! allocates nothing (`crates/core/tests/zero_alloc.rs`).
 
 use crate::faultinject::{FaultAction, InjectedPanic};
-use crate::kernels::simd::SimdPolicy;
 use crate::semiring::{BinaryOp, Semiring};
 
 use super::backend::GrbBackend;
-use super::descriptor::{Descriptor, Mask};
-use super::direction::{choose_direction_multi_tuned, choose_direction_tuned, Direction};
+use super::descriptor::Mask;
+use super::direction::{choose_direction, Direction};
 use super::error::GrbError;
-use super::expr::{eval_stages, Expr, Fusion, MultiExpr, MultiProducer, Producer, Stage};
-use super::multivec::MultiVec;
+use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
 use super::op::Context;
-use super::vector::Vector;
 use super::workspace::Workspace;
-
-/// Scope guard applying a descriptor's per-operation
-/// [`Descriptor::simd`] override to the context's workspace for the
-/// dispatch, restoring the previous policy on drop (normal return, error
-/// and panic paths alike).
-///
-/// The policy is a relaxed atomic on the shared workspace, so a concurrent
-/// operation on the *same* context may observe the override mid-flight —
-/// benign by construction: the scalar and vector paths are bit-identical
-/// (`tests/simd_parity.rs`), so which one a racing op runs never changes
-/// its result.
-struct SimdOverride<'a> {
-    ws: &'a Workspace,
-    saved: Option<SimdPolicy>,
-}
-
-impl<'a> SimdOverride<'a> {
-    fn apply(ws: &'a Workspace, desc: &Descriptor) -> Self {
-        let saved = desc.simd.map(|policy| {
-            let prev = ws.simd_policy();
-            ws.set_simd_policy(policy);
-            prev
-        });
-        SimdOverride { ws, saved }
-    }
-}
-
-impl Drop for SimdOverride<'_> {
-    fn drop(&mut self) {
-        if let Some(prev) = self.saved {
-            self.ws.set_simd_policy(prev);
-        }
-    }
-}
 
 /// Poll the named fail point on the context's injector (if any): a
 /// `Transient` action becomes a typed [`GrbError::FaultInjected`], a
@@ -108,21 +80,27 @@ fn poll_fail_point(ctx: &Context, point: &'static str) -> Result<(), GrbError> {
     Ok(())
 }
 
-/// Everything a backend needs to execute one matrix-vector product and
-/// whatever part of its chain the planner fused onto it
-/// ([`GrbBackend::mxv_into`]): the (pre-scaled) operand, the resolved
-/// direction (`frontier` is `Some` for push), the semiring, the mask, the
-/// collapsed element-wise epilogue and the accumulator.  With no stages and
-/// no accumulator it is the bare product.
+/// Everything a backend needs to execute one product and whatever part of
+/// its chain the planner fused onto it ([`GrbBackend::mxv_into`] for one
+/// lane, [`GrbBackend::mxm_into`] for `k`): the (pre-scaled) flat operand
+/// and its lane count, the resolved direction (`frontier` is `Some` for
+/// push), the semiring, the mask, the collapsed element-wise epilogue and
+/// the accumulator.  With no stages and no accumulator it is the bare
+/// product.  Mask, stages and accumulator all address the **flat** output
+/// (`i*k + l` = node `i`, lane `l`).
 ///
 /// `transpose` is in `mxv` convention with the `vxm` flip already folded in:
 /// the pull sweep runs on `Aᵀ` iff `transpose`, the push scatter walks the
 /// opposite representation.
 #[derive(Debug, Clone, Copy)]
 pub struct MxvPipeline<'a> {
-    /// The dense operand (already input-scaled if the chain requested it).
+    /// The dense flat node-major operand (already input-scaled if the chain
+    /// requested it).
     pub x: &'a [f32],
-    /// `Some(active indices)` when the resolved direction is push.
+    /// Lanes per node: 1 for a vector, `k` for an `n × k` multi-vector.
+    pub k: usize,
+    /// `Some(active node indices, ascending)` when the resolved direction is
+    /// push.
     pub frontier: Option<&'a [usize]>,
     /// The semiring of the product.
     pub semiring: Semiring,
@@ -138,7 +116,7 @@ pub struct MxvPipeline<'a> {
 
 impl MxvPipeline<'_> {
     /// Finish one output position: mask, stages and accumulator applied to
-    /// the raw semiring value `raw` of position `i`.  This is the single
+    /// the raw semiring value `raw` of flat position `i`.  This is the single
     /// definition of the pipeline's store semantics — every fused kernel
     /// funnels through it (or through a shape the planner proved
     /// equivalent).
@@ -261,10 +239,10 @@ fn effective_push_threads(state: &dyn GrbBackend, of_transpose: bool, ctx: &Cont
 
 /// Evaluate an expression chain against a context (the implementation of
 /// [`Context::try_evaluate`]; [`Context::evaluate`] panics on the `Err`).
-pub(crate) fn try_execute(expr: &Expr<'_>, ctx: &Context) -> Result<Vector, GrbError> {
+pub(crate) fn try_execute<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, GrbError> {
     match expr.producer {
         Producer::Leaf(v) => execute_leaf(expr, v, ctx),
-        Producer::Mxv { .. } => execute_mxv(expr, ctx),
+        Producer::Product { .. } => execute_product(expr, ctx),
     }
 }
 
@@ -314,27 +292,18 @@ pub(crate) fn execute_reduce(expr: &Expr<'_>, fold: Semiring, ctx: &Context) -> 
     }
 }
 
-/// Check every stage operand and the accumulator match the produced length.
-fn check_chain_lengths(expr: &Expr<'_>, produced: usize) -> Result<(), GrbError> {
+/// Check every stage operand and the accumulator match the flat produced
+/// length (`produced = nodes · lanes`).
+fn check_chain_lengths<V: Operand>(expr: &Expr<'_, V>, produced: usize) -> Result<(), GrbError> {
     for stage in expr.stages() {
         if let Stage::Ewise { operand, .. } = stage {
-            if operand.len() != produced {
-                return Err(GrbError::LengthMismatch {
-                    what: "ewise stage operand length must equal output length",
-                    expected: produced,
-                    got: operand.len(),
-                });
-            }
+            let what = "ewise stage operand length must equal output length";
+            GrbError::check_len(what, produced, operand.len())?;
         }
     }
     if let Some((_, w)) = expr.accum {
-        if w.len() != produced {
-            return Err(GrbError::LengthMismatch {
-                what: "accumulator length must equal output length",
-                expected: produced,
-                got: w.len(),
-            });
-        }
+        let what = "accumulator length must equal output length";
+        GrbError::check_len(what, produced, w.flat().len())?;
     }
     Ok(())
 }
@@ -365,31 +334,26 @@ fn finish_node_at_a_time(
     }
 }
 
-fn execute_leaf(expr: &Expr<'_>, v: &Vector, ctx: &Context) -> Result<Vector, GrbError> {
-    check_chain_lengths(expr, v.len())?;
+fn execute_leaf<V: Operand>(expr: &Expr<'_, V>, v: &V, ctx: &Context) -> Result<V, GrbError> {
+    let (n, k) = v.shape();
+    check_chain_lengths(expr, n * k)?;
     let ws = ctx.workspace();
     let mut out = ws.take_empty::<f32>();
-    out.extend_from_slice(v.as_slice());
+    out.extend_from_slice(v.flat());
+    let accum = expr.accum.map(|(op, w)| (op, w.flat()));
     if expr.fusion() == Fusion::Fused {
         ws.stats().record_ewise_chain();
-        run_chain_in_place_parallel(
-            expr.stages(),
-            expr.accum.map(|(op, w)| (op, w.as_slice())),
-            &mut out,
-        );
+        run_chain_in_place_parallel(expr.stages(), accum, &mut out);
     } else {
-        finish_node_at_a_time(
-            expr.stages(),
-            expr.accum.map(|(op, w)| (op, w.as_slice())),
-            ws,
-            &mut out,
-        );
+        finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
     }
-    Ok(Vector::from_vec(out))
+    Ok(V::from_flat(out, n, k))
 }
 
-fn execute_mxv(expr: &Expr<'_>, ctx: &Context) -> Result<Vector, GrbError> {
-    let Producer::Mxv {
+/// Execute a matrix-product producer and its epilogue — the one planner
+/// path for `mxv` / `vxm` (`V = Vector`) and `mxm` (`V = MultiVec`).
+fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, GrbError> {
+    let Producer::Product {
         a,
         x,
         semiring,
@@ -399,299 +363,58 @@ fn execute_mxv(expr: &Expr<'_>, ctx: &Context) -> Result<Vector, GrbError> {
         scale,
     } = expr.producer
     else {
-        unreachable!("execute_mxv is only called for Mxv producers")
+        unreachable!("execute_product is only called for Product producers")
     };
-    let transpose = desc.transpose;
-    // Output length is the non-contracted dimension.
-    let (contracted, produced) = if transpose != flip {
-        (a.nrows(), a.ncols())
-    } else {
-        (a.ncols(), a.nrows())
-    };
-    if contracted != x.len() {
-        return Err(GrbError::DimensionMismatch {
-            op: if flip { "vxm" } else { "mxv" },
-            expected: contracted,
-            got: x.len(),
-        });
-    }
-    if let Some(m) = mask {
-        if m.len() != produced {
-            return Err(GrbError::LengthMismatch {
-                what: "mask length must equal output length",
-                expected: produced,
-                got: m.len(),
-            });
-        }
-    }
-    if let Some(s) = scale {
-        if s.len() != contracted {
-            return Err(GrbError::LengthMismatch {
-                what: "input scale length must equal operand length",
-                expected: contracted,
-                got: s.len(),
-            });
-        }
-    }
-    check_chain_lengths(expr, produced)?;
-    poll_fail_point(ctx, "grb.mxv_dispatch")?;
-
-    let state = a.state();
-    let ws = ctx.workspace();
-    let _simd = SimdOverride::apply(ws, &desc);
-    let mut out = ws.take_empty::<f32>();
-
-    // Materialize the scaled operand (if any) into pooled scratch; the
-    // pull sweep gathers each entry many times, so scaling once up front is
-    // strictly cheaper than scaling per gathered edge.
-    let mut scaled: Option<Vec<f32>> = scale.map(|s| {
-        let mut buf = ws.take_empty::<f32>();
-        buf.extend(
-            x.as_slice()
-                .iter()
-                .zip(s.as_slice())
-                .map(|(&xv, &sv)| xv * sv),
-        );
-        buf
-    });
-    let x_slice: &[f32] = scaled.as_deref().unwrap_or_else(|| x.as_slice());
-
-    // Resolve the direction before planning: Auto counts the active entries
-    // with a read-only scan, an explicit push on an unsafe semiring is
-    // coerced back to pull.  The threshold is parallelism-aware (PR 5): the
-    // push side is priced at the context's scatter thread budget, the pull
-    // side at the host parallelism its rayon sweeps fan out to.  The base
-    // scatter penalty comes from the context's calibrated profile (PR 9) —
-    // the static device constant until `Context::calibrate` measures the
-    // host.
-    let direction = match desc.direction {
-        Direction::Push if !semiring.push_safe() => Direction::Pull,
-        Direction::Auto => {
-            let n_active = x_slice
-                .iter()
-                .filter(|&&v| !semiring.is_identity(v))
-                .count();
-            choose_direction_tuned(
-                n_active,
-                contracted,
-                a.nnz(),
-                semiring,
-                ctx.profile().scatter_alpha,
-                effective_push_threads(state, transpose == flip, ctx),
-                crate::shard::machine_parallelism(),
-            )
-        }
-        d => d,
-    };
-
-    let accum = expr.accum.map(|(op, w)| (op, w.as_slice()));
-    let fuse = expr.fusion() == Fusion::Fused;
-    let frontier: Option<Vec<usize>> = (direction == Direction::Push).then(|| {
-        let mut frontier = ws.take_empty::<usize>();
-        frontier.extend(
-            x_slice
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| !semiring.is_identity(v))
-                .map(|(i, _)| i),
-        );
-        frontier
-    });
-    // The bare product and the whole chain, as the backend sees them.
-    let product = MxvPipeline {
-        x: x_slice,
-        frontier: frontier.as_deref(),
-        semiring,
-        mask,
-        transpose: transpose != flip,
-        stages: &[],
-        accum: None,
-    };
-    let chain = MxvPipeline {
-        stages: expr.stages(),
-        accum,
-        ..product
-    };
-    if chain.is_bare() && scale.is_none() {
-        // The stageless, unscaled shape is one backend call either way and
-        // is not counted as a fusion.
-        state.mxv_into(&product, ws, &mut out);
-    } else if fuse && (frontier.is_none() || accum.is_none() || chain.push_folds_accum()) {
-        state.mxv_into(&chain, ws, &mut out);
-        ws.stats().record_fused_mxv();
-    } else {
-        state.mxv_into(&product, ws, &mut out);
-        if fuse {
-            // Partial fusion (push with an accumulator the scatter cannot
-            // fold): the epilogue still collapses into one chain sweep.
-            run_chain_in_place_parallel(expr.stages(), accum, &mut out);
-            ws.stats().record_ewise_chain();
-        } else {
-            finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
-        }
-    }
-    match frontier {
-        Some(frontier) => {
-            ws.give(frontier);
-            ws.stats().record_push_mxv();
-        }
-        None => ws.stats().record_pull_mxv(),
-    }
-
-    if let Some(buf) = scaled.take() {
-        ws.give(buf);
-    }
-    debug_assert_eq!(out.len(), produced);
-    Ok(Vector::from_vec(out))
-}
-
-// ---------------------------------------------------------------------------
-// Batched (multi-vector) chains
-// ---------------------------------------------------------------------------
-
-/// Check every stage operand and the accumulator match the flat produced
-/// length of a batched chain.
-fn check_multi_chain_lengths(expr: &MultiExpr<'_>, produced_flat: usize) -> Result<(), GrbError> {
-    for stage in expr.stages() {
-        if let Stage::Ewise { operand, .. } = stage {
-            if operand.len() != produced_flat {
-                return Err(GrbError::LengthMismatch {
-                    what: "ewise stage operand length must equal the flat output length",
-                    expected: produced_flat,
-                    got: operand.len(),
-                });
-            }
-        }
-    }
-    if let Some((_, w)) = expr.accum {
-        if w.as_slice().len() != produced_flat {
-            return Err(GrbError::LengthMismatch {
-                what: "accumulator shape must equal the output shape",
-                expected: produced_flat,
-                got: w.as_slice().len(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Evaluate a batched expression chain against a context (the
-/// implementation of [`Context::try_evaluate_multi`];
-/// [`Context::evaluate_multi`] panics on the `Err`).
-pub(crate) fn try_execute_multi(expr: &MultiExpr<'_>, ctx: &Context) -> Result<MultiVec, GrbError> {
-    match expr.producer {
-        MultiProducer::Leaf(v) => execute_multi_leaf(expr, v, ctx),
-        MultiProducer::Mxm { .. } => execute_mxm(expr, ctx),
-    }
-}
-
-fn execute_multi_leaf(
-    expr: &MultiExpr<'_>,
-    v: &MultiVec,
-    ctx: &Context,
-) -> Result<MultiVec, GrbError> {
-    let (n, k) = (v.n_nodes(), v.n_lanes());
-    check_multi_chain_lengths(expr, n * k)?;
-    let ws = ctx.workspace();
-    let mut out = ws.take_empty::<f32>();
-    out.extend_from_slice(v.as_slice());
-    let accum = expr.accum.map(|(op, w)| (op, w.as_slice()));
-    if expr.fusion() == Fusion::Fused {
-        ws.stats().record_ewise_chain();
-        run_chain_in_place_parallel(expr.stages(), accum, &mut out);
-    } else {
-        finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
-    }
-    Ok(MultiVec::from_vec(out, n, k))
-}
-
-/// Execute the batched matrix × multivector producer and its epilogue.
-///
-/// The fusion rule for `mxm` chains is simpler than for `mxv`: the product
-/// is always one batched sweep ([`GrbBackend::mxm_into`], mask applied by
-/// the kernel), and under [`Fusion::Fused`] the whole element-wise epilogue
-/// — stages and accumulator over the flat `n × k` storage — collapses into
-/// **one** [`run_chain_in_place_parallel`] pass.  [`Fusion::NodeAtATime`]
-/// runs the defining one-pass-per-stage semantics instead, which is what
-/// the batched parity proptests compare against.
-fn execute_mxm(expr: &MultiExpr<'_>, ctx: &Context) -> Result<MultiVec, GrbError> {
-    let MultiProducer::Mxm {
-        a,
-        x,
-        semiring,
-        mask,
-        desc,
-        scale,
-    } = expr.producer
-    else {
-        unreachable!("execute_mxm is only called for Mxm producers")
-    };
-    let transpose = desc.transpose;
-    let k = x.n_lanes();
+    // `mxv` convention with the `vxm` flip folded in.
+    let transpose = desc.transpose != flip;
+    let (x_nodes, k) = x.shape();
+    // Output node count is the non-contracted dimension.
     let (contracted, produced) = if transpose {
         (a.nrows(), a.ncols())
     } else {
         (a.ncols(), a.nrows())
     };
-    if contracted != x.n_nodes() {
+    if contracted != x_nodes {
         return Err(GrbError::DimensionMismatch {
-            op: "mxm",
+            op: V::OP_NAMES[flip as usize],
             expected: contracted,
-            got: x.n_nodes(),
+            got: x_nodes,
         });
     }
     if let Some(m) = mask {
-        if m.len() != produced * k {
-            return Err(GrbError::LengthMismatch {
-                what: "mxm mask length must equal the flat output length (n \u{b7} k)",
-                expected: produced * k,
-                got: m.len(),
-            });
-        }
+        let what = "mask length must equal output length";
+        GrbError::check_len(what, produced * k, m.len())?;
     }
     if let Some(s) = scale {
-        if s.len() != contracted {
-            return Err(GrbError::LengthMismatch {
-                what: "input scale length must equal the operand's node count",
-                expected: contracted,
-                got: s.len(),
-            });
-        }
+        let what = "input scale length must equal the operand's node count";
+        GrbError::check_len(what, contracted, s.len())?;
     }
-    check_multi_chain_lengths(expr, produced * k)?;
-    poll_fail_point(ctx, "grb.mxm_dispatch")?;
+    check_chain_lengths(expr, produced * k)?;
+    poll_fail_point(ctx, V::FAIL_POINT)?;
 
     let state = a.state();
     let ws = ctx.workspace();
-    let _simd = SimdOverride::apply(ws, &desc);
     let mut out = ws.take_empty::<f32>();
 
-    // Materialize the per-node input scaling (if any) into pooled scratch,
-    // broadcast across the lanes of each node.
-    let mut scaled: Option<Vec<f32>> = scale.map(|s| {
-        let mut buf = ws.take_empty::<f32>();
-        buf.extend(
-            x.as_slice()
-                .chunks_exact(k)
-                .zip(s.as_slice())
-                .flat_map(|(lanes, &sv)| lanes.iter().map(move |&xv| xv * sv)),
-        );
-        buf
-    });
-    let x_flat: &[f32] = scaled.as_deref().unwrap_or_else(|| x.as_slice());
+    // Materialize the scaled operand (if any) into pooled scratch,
+    // broadcast across the lanes of each node; the pull sweep gathers each
+    // entry many times, so scaling once up front is strictly cheaper than
+    // scaling per gathered edge.
+    let scaled: Option<V> = scale.map(|s| x.scaled(s.as_slice(), ws.take_empty()));
+    let x = scaled.as_ref().unwrap_or(x);
 
-    // Resolve the direction on the node-granular frontier: a node is active
-    // when any of its lanes differs from the semiring identity.
-    let count_active = || {
-        x_flat
-            .chunks_exact(k)
-            .filter(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v)))
-            .count()
-    };
+    // Resolve the direction before planning: Auto counts the active nodes
+    // (any lane differing from the identity) with a read-only scan, an
+    // explicit push on an unsafe semiring is coerced back to pull.  The
+    // threshold is parallelism-aware (PR 5): the push side is priced at the
+    // context's scatter thread budget, the pull side at the host
+    // parallelism its rayon sweeps fan out to.  The base scatter penalty
+    // comes from the context's calibrated profile (PR 9) — the static
+    // device constant until `Context::calibrate` measures the host.
     let direction = match desc.direction {
         Direction::Push if !semiring.push_safe() => Direction::Pull,
-        Direction::Auto => choose_direction_multi_tuned(
-            count_active(),
+        Direction::Auto => choose_direction(
+            x.count_active(semiring),
             contracted,
             a.nnz(),
             semiring,
@@ -702,48 +425,61 @@ fn execute_mxm(expr: &MultiExpr<'_>, ctx: &Context) -> Result<MultiVec, GrbError
         d => d,
     };
 
+    let accum = expr.accum.map(|(op, w)| (op, w.flat()));
+    let fuse = expr.fusion() == Fusion::Fused;
     let frontier: Option<Vec<usize>> = (direction == Direction::Push).then(|| {
         let mut frontier = ws.take_empty::<usize>();
-        frontier.extend(
-            x_flat
-                .chunks_exact(k)
-                .enumerate()
-                .filter(|(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
-                .map(|(i, _)| i),
-        );
+        x.frontier_into(semiring, &mut frontier);
         frontier
     });
-    state.mxm_into(
-        x_flat,
+    // The bare product and the whole chain, as the backend sees them.
+    let product = MxvPipeline {
+        x: x.flat(),
         k,
-        frontier.as_deref(),
+        frontier: frontier.as_deref(),
         semiring,
         mask,
         transpose,
-        ws,
-        &mut out,
-    );
-    match frontier {
-        Some(frontier) => {
-            ws.give(frontier);
-            ws.stats().record_push_mxm();
+        stages: &[],
+        accum: None,
+    };
+    let chain = MxvPipeline {
+        stages: expr.stages(),
+        accum,
+        ..product
+    };
+    // The backend takes the whole chain when the shape's sweeps finish in
+    // their store and the direction can carry the accumulator.  The
+    // stageless, unscaled shape is one backend call either way and is not
+    // counted as a fusion.
+    let fused_sweep = V::FUSES_INTO_SWEEP
+        && fuse
+        && !(chain.is_bare() && scale.is_none())
+        && (frontier.is_none() || accum.is_none() || chain.push_folds_accum());
+    if fused_sweep {
+        V::product_into(state, &chain, ws, &mut out);
+        ws.stats().record_fused_mxv();
+    } else {
+        V::product_into(state, &product, ws, &mut out);
+        if !chain.is_bare() {
+            if fuse {
+                // Partial fusion (a batched product, or a push with an
+                // accumulator the scatter cannot fold): the epilogue still
+                // collapses into one chain sweep.
+                run_chain_in_place_parallel(expr.stages(), accum, &mut out);
+                ws.stats().record_ewise_chain();
+            } else {
+                finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
+            }
         }
-        None => ws.stats().record_pull_mxm(),
     }
-
-    let accum = expr.accum.map(|(op, w)| (op, w.as_slice()));
-    if expr.n_stages() > 0 || accum.is_some() {
-        if expr.fusion() == Fusion::Fused {
-            run_chain_in_place_parallel(expr.stages(), accum, &mut out);
-            ws.stats().record_ewise_chain();
-        } else {
-            finish_node_at_a_time(expr.stages(), accum, ws, &mut out);
-        }
+    V::record_product(ws.stats(), frontier.is_some());
+    if let Some(frontier) = frontier {
+        ws.give(frontier);
     }
-
-    if let Some(buf) = scaled.take() {
-        ws.give(buf);
+    if let Some(scaled) = scaled {
+        ws.give(scaled.into_flat());
     }
     debug_assert_eq!(out.len(), produced * k);
-    Ok(MultiVec::from_vec(out, produced, k))
+    Ok(V::from_flat(out, produced, k))
 }

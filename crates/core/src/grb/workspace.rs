@@ -329,17 +329,15 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    pub(crate) fn record_pull_mxv(&self) {
-        self.pull_mxv.fetch_add(1, Ordering::Relaxed);
+    /// One `mxv` / `vxm` resolved to push or pull.
+    pub(crate) fn record_mxv(&self, push: bool) {
+        let counter = if push { &self.push_mxv } else { &self.pull_mxv };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn record_push_mxv(&self) {
-        self.push_mxv.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn record_pull_mxm(&self) {
-        self.pull_mxm.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn record_push_mxm(&self) {
-        self.push_mxm.fetch_add(1, Ordering::Relaxed);
+    /// One batched `mxm` resolved to push or pull.
+    pub(crate) fn record_mxm(&self, push: bool) {
+        let counter = if push { &self.push_mxm } else { &self.pull_mxm };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
     /// One push execution took the sharded parallel path, fanning out over
     /// `segments` frontier segments.
@@ -608,9 +606,9 @@ mod tests {
     #[test]
     fn stats_counters_accumulate() {
         let ws = Workspace::new();
-        ws.stats().record_push_mxv();
-        ws.stats().record_push_mxv();
-        ws.stats().record_pull_mxv();
+        ws.stats().record_mxv(true);
+        ws.stats().record_mxv(true);
+        ws.stats().record_mxv(false);
         ws.stats().record_sharded_push(5);
         ws.stats().record_sharded_push(3);
         let s = ws.stats().snapshot();
@@ -630,7 +628,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..1000 {
-                        ws.stats().record_push_mxv();
+                        ws.stats().record_mxv(true);
                         ws.stats().record_sharded_push(2);
                     }
                 });

@@ -456,7 +456,7 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
                     .direction(direction)
                     .accum(BinaryOp::Min, &*dist)
                     .run(ctx);
-                ctx.recycle_multi(std::mem::replace(dist, next));
+                ctx.recycle(std::mem::replace(dist, next));
             };
             for _ in 0..8 {
                 round(&mut dist);
@@ -504,7 +504,7 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
                 .affine(alpha, 0.0)
                 .then_ewise(BinaryOp::Plus, &teleport)
                 .run(ctx);
-            ctx.recycle_multi(std::mem::replace(rank, next));
+            ctx.recycle(std::mem::replace(rank, next));
         };
         for _ in 0..12 {
             iteration(&mut rank);

@@ -561,3 +561,149 @@ fn auto_selection_differs_across_corpus_patterns() {
     let scatter = Matrix::from_csr(&coo.to_binary_csr(), Backend::Auto);
     assert_eq!(scatter.resolved_backend(), Backend::FloatCsr);
 }
+
+/// The pin that keeps the one planner path honest: the **bare** product of
+/// a one-lane `MultiVec` through `Op::mxm` is bit-identical to `Op::mxv` /
+/// `Op::vxm` on the same operand — every backend (an overlay with pending
+/// inserts and deletes included), semiring, direction and mask sense.
+#[test]
+fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
+    let n = 96;
+    let base = generators::erdos_renyi(n, 0.05, true, 131);
+    let ctx = Context::default();
+    let live = Matrix::from_csr(&base, Backend::Bit(TileSize::S8));
+    let mut deltas: Vec<EdgeDelta> = (0..n)
+        .step_by(5)
+        .map(|i| EdgeDelta::insert(i, (i * 7 + 3) % n))
+        .collect();
+    deltas.extend(
+        base.iter()
+            .step_by(4)
+            .map(|(r, c, _)| EdgeDelta::delete(r, c)),
+    );
+    live.apply_deltas(&deltas).unwrap();
+    let overlay = live.snapshot();
+    assert_ne!(overlay.csr(), &base, "the deltas must be pending");
+    let built = [
+        Backend::Bit(TileSize::S8),
+        Backend::Bit(TileSize::S32),
+        Backend::FloatCsr,
+    ]
+    .map(|b| Matrix::from_csr(&base, b));
+    let matrices: [(&str, &Matrix); 4] = [
+        ("Bit(S8)", &built[0]),
+        ("Bit(S32)", &built[1]),
+        ("FloatCsr", &built[2]),
+        ("overlay on Bit(S8)", &overlay),
+    ];
+    let structure: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+    let masks = [
+        None,
+        Some(Mask::new(structure.clone())),
+        Some(Mask::complemented(structure)),
+    ];
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+    for (backend, a) in matrices {
+        for semiring in [
+            Semiring::Boolean,
+            Semiring::Arithmetic,
+            Semiring::MinPlus(1.5),
+            Semiring::MaxTimes(0.75),
+        ] {
+            // Active on a third of the nodes, with values whose float sums
+            // depend on the fold order.
+            let active = |i: usize| match semiring {
+                Semiring::Boolean => 1.0,
+                _ => 0.37 * (i % 11) as f32 + 0.1,
+            };
+            let x: Vector = (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        active(i)
+                    } else {
+                        semiring.identity()
+                    }
+                })
+                .collect::<Vec<f32>>()
+                .into();
+            let lane = MultiVec::from_columns(std::slice::from_ref(&x));
+            for dir in [Direction::Push, Direction::Pull] {
+                for mask in &masks {
+                    for flip in [false, true] {
+                        let (mut one, mut many) = if flip {
+                            (Op::vxm(&x, a), Op::mxm(a, &lane).transpose())
+                        } else {
+                            (Op::mxv(a, &x), Op::mxm(a, &lane))
+                        };
+                        (one, many) = (one.semiring(semiring), many.semiring(semiring));
+                        (one, many) = (one.direction(dir), many.direction(dir));
+                        if let Some(m) = mask {
+                            (one, many) = (one.mask(m), many.mask(m));
+                        }
+                        assert_eq!(
+                            bits(many.run(&ctx).as_slice()),
+                            bits(one.run(&ctx).as_slice()),
+                            "{backend} {semiring:?} {dir:?} flip={flip} mask={mask:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every `try_run` shape violation — operand, mask, scale, stage operand,
+/// accumulator — is the same `GrbError` from both shapes (the operand check
+/// differs only in the operation it names).
+#[test]
+fn shape_violations_are_the_same_error_from_both_shapes() {
+    use bit_graphblas::core::grb::GrbError;
+    let adj = generators::erdos_renyi(12, 0.2, true, 5);
+    let a = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
+    let ctx = Context::default();
+    let (good, short) = (Vector::zeros(12), Vector::zeros(9));
+    let (good_mv, short_mv) = (MultiVec::zeros(12, 1), MultiVec::zeros(9, 1));
+    let short_mask = Mask::new(vec![true; 9]);
+
+    let dim = |op| GrbError::DimensionMismatch {
+        op,
+        expected: 12,
+        got: 9,
+    };
+    assert_eq!(Op::mxv(&a, &short).try_run(&ctx), Err(dim("mxv")));
+    assert_eq!(Op::vxm(&short, &a).try_run(&ctx), Err(dim("vxm")));
+    assert_eq!(Op::mxm(&a, &short_mv).try_run(&ctx), Err(dim("mxm")));
+
+    let (one, many) = (|| Op::mxv(&a, &good), || Op::mxm(&a, &good_mv));
+    let plus = BinaryOp::Plus;
+    for (what, single, batched) in [
+        (
+            "mask length must equal output length",
+            one().mask(&short_mask).try_run(&ctx).err(),
+            many().mask(&short_mask).try_run(&ctx).err(),
+        ),
+        (
+            "input scale length must equal the operand's node count",
+            one().scale_input(&short).try_run(&ctx).err(),
+            many().scale_input(&short).try_run(&ctx).err(),
+        ),
+        (
+            "ewise stage operand length must equal output length",
+            one().then_ewise(plus, &short).try_run(&ctx).err(),
+            many().then_ewise(plus, &short_mv).try_run(&ctx).err(),
+        ),
+        (
+            "accumulator length must equal output length",
+            one().accum(plus, &short).try_run(&ctx).err(),
+            many().accum(plus, &short_mv).try_run(&ctx).err(),
+        ),
+    ] {
+        let expected = Some(GrbError::LengthMismatch {
+            what,
+            expected: 12,
+            got: 9,
+        });
+        assert_eq!((single, batched), (expected, expected), "{what}");
+    }
+    assert_eq!(ctx.stats().total_mxv() + ctx.stats().total_mxm(), 0);
+}
