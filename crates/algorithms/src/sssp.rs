@@ -2,37 +2,67 @@
 //!
 //! The paper implements delta-stepping SSSP as in GraphBLAST, with
 //! `bmv_bin_full_full()` carrying the distance vector in full precision and
-//! treating the adjacency matrix's zeros as `+∞` (unreachable).  On an
-//! unweighted (binary) graph delta-stepping degenerates to synchronous
-//! Bellman-Ford rounds — every edge has weight 1 and every bucket holds one
-//! frontier — so the implementation here iterates min-plus `vxm` relaxations
-//! until the distance vector reaches a fixpoint, which yields exactly the
-//! same distances.
+//! treating the adjacency matrix's zeros as `+∞` (unreachable).  The point
+//! of delta-stepping is that a round relaxes only the edges of vertices
+//! whose distance just dropped; on an unweighted (binary) graph every edge
+//! has weight 1 and every bucket holds one frontier, so it degenerates to a
+//! **changed-set Bellman-Ford**: synchronous min-plus relaxation rounds,
+//! each from the vertices the previous round lowered, until a round lowers
+//! nothing.
 //!
-//! Since PR 3 each relaxation round is **one fused expression** with the
-//! GraphBLAS accumulator as a first-class node:
+//! # `dist` and `delta`
+//!
+//! The loop keeps two operands of the same shape, both cycling through the
+//! matrix context's workspace pool:
+//!
+//! * `dist` — the best distance known so far: the accumulator baseline;
+//! * `delta` — `dist` where the last round lowered it and the min-plus
+//!   identity (`+∞`) everywhere else: the product's operand.  Initially
+//!   just the sources, at 0.
+//!
+//! One round is **one fused expression** with the GraphBLAS accumulator as
+//! a first-class node:
 //!
 //! ```text
-//! dist' = Op::vxm(&dist, a)
+//! next = Op::vxm(&delta, a)
 //!     .semiring(Semiring::MinPlus(1.0))
-//!     .accum(BinaryOp::Min, &dist)      // dist = min(dist, relaxed), fused
+//!     .accum(BinaryOp::Min, &dist)      // next = min(dist, relaxed), fused
 //!     .run(ctx)
 //! ```
 //!
-//! `min` is the min-plus monoid, so the accumulation folds into the kernel
-//! sweep itself: the pull sweep stores `min(dist[v], relaxed[v])` directly,
-//! and the push scatter seeds the output with `dist` and ⊕-folds the
-//! frontier's contributions into it — no intermediate "relaxed" vector
-//! exists in either direction.
+//! followed by one pass over `(next, dist, delta)` that is at once the
+//! fixpoint test (`any(next < dist)`) and the builder of the next `delta`,
+//! written in place.  `min` is the min-plus monoid, so the accumulation
+//! folds into the kernel sweep itself: the pull sweep stores
+//! `min(dist[v], relaxed[v])` directly, and the push scatter seeds the
+//! output with `dist` and ⊕-folds the frontier's contributions into it — no
+//! intermediate "relaxed" vector exists in either direction.
 //!
-//! Like BFS, the relaxation is direction-optimizing: while few vertices
-//! have finite distances, [`Direction::Auto`] walks only their out-edges
-//! (push); once the reached set grows dense it switches to the pull sweep.
-//! Because min is exact under reordering, push and pull produce bit-equal
-//! distances.  The inner loop is allocation-free in steady state — the
-//! distance vectors cycle through the matrix context's workspace pool.
+//! # Why rounds and bits are those of the full-operand loop
+//!
+//! Relaxing from all of `dist` every round (what this module did before)
+//! computes `min(dist[v], min_u dist[u] + 1)` over *every* reached
+//! in-neighbour `u`.  A `u` that did not change last round offered the same
+//! `dist[u] + 1` in the round after it last did, and `dist[v]` has been at
+//! most that ever since; `min` is exact, so dropping those terms changes no
+//! bit of `next`, hence no fixpoint test and no round count.  The last round
+//! scatters the last changed set and finds nothing lower, as before.  What
+//! changes is the work: the push frontier of a round is the changed set, so
+//! over a whole run each reached vertex (each reached `(vertex, lane)` of a
+//! batch) is scattered from **exactly once** — `ExecCounts::
+//! push_frontier_nodes` / `push_frontier_entries` count it and the tests
+//! below assert it.
+//!
+//! Like BFS, the relaxation is direction-optimizing: while the changed set
+//! is small, [`Direction::Auto`] walks only its out-edges (push); a round
+//! that lowers a large share of the graph takes the pull sweep, which skips
+//! the identity entries of `delta` tile-wise.  Because min is exact under
+//! reordering, push and pull produce bit-equal distances.  The inner loop is
+//! allocation-free in steady state (`crates/core/tests/zero_alloc.rs`).
 
-use bitgblas_core::grb::{Direction, Fusion, GrbError, Matrix, MultiVec, Op, Vector};
+use bitgblas_core::grb::{
+    Context, Direction, Fusion, GrbError, Matrix, MultiVec, Op, Operand, Vector,
+};
 use bitgblas_core::{BinaryOp, Semiring};
 
 use crate::validate::{check_batch_nonempty, check_sources};
@@ -91,36 +121,98 @@ pub fn try_sssp_with(
     let semiring = Semiring::MinPlus(1.0);
     let mut dist = Vector::identity(n, semiring);
     dist.set(source, 0.0);
+    let delta = Vector::from_vec(pooled_copy(ctx, dist.as_slice()));
 
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        // dist' = min(dist, min_u (dist[u] + 1)) over edges u -> v: the
-        // relaxation and the accumulate step of the tropical semiring in a
-        // single fused sweep (keeps the source at 0 and any
-        // already-shorter paths).
-        let next = Op::vxm(&dist, a)
+    // next = min(dist, min_u (delta[u] + 1)) over edges u -> v: the
+    // relaxation and the accumulate step of the tropical semiring in a
+    // single fused sweep (keeps the source at 0 and any already-shorter
+    // paths).
+    let (dist, iterations) = relax_to_fixpoint(a, dist, delta, |delta, dist| {
+        Op::vxm(delta, a)
             .semiring(semiring)
             .direction(direction)
-            .accum(BinaryOp::Min, &dist)
+            .accum(BinaryOp::Min, dist)
             .fusion(fusion)
-            .try_run(ctx)?;
-        // Fixpoint test: min-accumulation only ever lowers a distance.
-        let changed = next
-            .as_slice()
-            .iter()
-            .zip(dist.as_slice())
-            .any(|(n, d)| n < d);
-        ctx.recycle(std::mem::replace(&mut dist, next));
-        if !changed || iterations >= n {
-            break;
-        }
-    }
+            .try_run(ctx)
+    })?;
 
     Ok(SsspResult {
         distances: dist.into_vec(),
         iterations,
     })
+}
+
+/// The flat storage of the two operand shapes the relaxation loop runs over
+/// (a vector is the one-lane multi-vector).
+trait Flat: Operand {
+    fn values(&self) -> &[f32];
+    fn values_mut(&mut self) -> &mut [f32];
+}
+
+impl Flat for Vector {
+    fn values(&self) -> &[f32] {
+        self.as_slice()
+    }
+    fn values_mut(&mut self) -> &mut [f32] {
+        self.as_mut_slice()
+    }
+}
+
+impl Flat for MultiVec {
+    fn values(&self) -> &[f32] {
+        self.as_slice()
+    }
+    fn values_mut(&mut self) -> &mut [f32] {
+        self.as_mut_slice()
+    }
+}
+
+/// A copy of `src` in a buffer out of the context's pool — the first
+/// `delta` (the loop hands it back when it ends, so a run leaves the pool
+/// as it found it).
+fn pooled_copy(ctx: &Context, src: &[f32]) -> Vec<f32> {
+    let mut buf = ctx.workspace().take_empty();
+    buf.extend_from_slice(src);
+    buf
+}
+
+/// The changed-set relaxation loop, for one lane or `k`: run
+/// `round(&delta, &dist)` — one min-plus product of `delta` accumulated
+/// with `min` into `dist` — until a round lowers nothing (or `n` rounds, the
+/// Bellman-Ford bound).  After each round a single pass compares the result
+/// with `dist` and rewrites `delta` in place: the new value where it
+/// dropped, `+∞` elsewhere.  Returns the final distances and the number of
+/// rounds run.
+fn relax_to_fixpoint<V: Flat>(
+    a: &Matrix,
+    mut dist: V,
+    mut delta: V,
+    round: impl Fn(&V, &V) -> Result<V, GrbError>,
+) -> Result<(V, usize), GrbError> {
+    let ctx = a.context();
+    let mut iterations = 0usize;
+    loop {
+        iterations += 1;
+        let next = round(&delta, &dist)?;
+        // Min-accumulation only ever lowers a distance.
+        let mut changed = false;
+        for ((slot, &new), &old) in delta
+            .values_mut()
+            .iter_mut()
+            .zip(next.values())
+            .zip(dist.values())
+        {
+            let dropped = new < old;
+            changed |= dropped;
+            *slot = if dropped { new } else { f32::INFINITY };
+        }
+        ctx.recycle(std::mem::replace(&mut dist, next));
+        if !changed || iterations >= a.nrows() {
+            break;
+        }
+    }
+    ctx.recycle(delta);
+    Ok((dist, iterations))
 }
 
 /// The result of a batched multi-source SSSP run.
@@ -183,28 +275,18 @@ pub fn try_sssp_multi_dir(
     for (l, &s) in sources.iter().enumerate() {
         dist.set(s, l, 0.0);
     }
+    let delta = MultiVec::from_vec(pooled_copy(ctx, dist.as_slice()), n, k);
 
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        // One relaxation round for all k sources: dist' = min(dist, Aᵀ ⊕.⊗
-        // dist) over min-plus, the accumulator folded across every lane.
-        let next = Op::mxm(a, &dist)
+    // One relaxation round for all k sources: next = min(dist, Aᵀ ⊕.⊗
+    // delta) over min-plus, the accumulator folded across every lane.
+    let (dist, iterations) = relax_to_fixpoint(a, dist, delta, |delta, dist| {
+        Op::mxm(a, delta)
             .transpose()
             .semiring(semiring)
             .direction(direction)
-            .accum(BinaryOp::Min, &dist)
-            .try_run(ctx)?;
-        let changed = next
-            .as_slice()
-            .iter()
-            .zip(dist.as_slice())
-            .any(|(n, d)| n < d);
-        ctx.recycle(std::mem::replace(&mut dist, next));
-        if !changed || iterations >= n {
-            break;
-        }
-    }
+            .accum(BinaryOp::Min, dist)
+            .try_run(ctx)
+    })?;
 
     Ok(MultiSsspResult {
         distances: dist.into_vec(),
@@ -219,7 +301,7 @@ mod tests {
     use crate::reference;
     use bitgblas_core::{Backend, TileSize};
     use bitgblas_datagen::generators;
-    use bitgblas_sparse::Coo;
+    use bitgblas_sparse::{Coo, Csr};
 
     fn assert_distances_match(got: &[f32], want: &[f32]) {
         assert_eq!(got.len(), want.len());
@@ -365,5 +447,217 @@ mod tests {
         assert_eq!(batched.iterations, 12);
         assert_eq!(batched.distance(11, 0), 11.0);
         assert_eq!(batched.distance(11, 1), 1.0);
+    }
+    // -- changed-set rounds: parity with the full-operand loop, and the work
+    //    invariant ----------------------------------------------------------
+
+    /// The loop this module ran before the changed set: the whole distance
+    /// vector is the operand of every round.  Kept as the reference the
+    /// changed-set loop must equal bit for bit, round for round.
+    fn full_operand_fixpoint<V: Flat>(
+        a: &Matrix,
+        mut dist: V,
+        round: impl Fn(&V, &V) -> Result<V, GrbError>,
+    ) -> (Vec<f32>, usize) {
+        let mut iterations = 0usize;
+        loop {
+            iterations += 1;
+            let next = round(&dist, &dist).unwrap();
+            let changed = next.values().iter().zip(dist.values()).any(|(n, d)| n < d);
+            dist = next;
+            if !changed || iterations >= a.nrows() {
+                return (dist.values().to_vec(), iterations);
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|d| d.to_bits()).collect()
+    }
+
+    fn edges(n: usize, list: &[(usize, usize)]) -> Csr {
+        let mut coo = Coo::new(n, n);
+        for &(r, c) in list {
+            coo.push_edge(r, c).unwrap();
+        }
+        coo.to_binary_csr()
+    }
+
+    /// Small graphs with the shapes a changed set can trip on.
+    fn parity_graphs() -> Vec<(&'static str, Csr)> {
+        let chain: Vec<_> = (0..18).map(|i| (i, i + 1)).collect();
+        // Two undirected paths, 0..10 and 10..23, never joined.
+        let two: Vec<_> = (0..22)
+            .filter(|&i| i != 9)
+            .flat_map(|i| [(i, i + 1), (i + 1, i)])
+            .collect();
+        let mut loops: Vec<_> = (0..30).map(|i| (i, i)).collect();
+        loops.extend(
+            generators::erdos_renyi(30, 0.08, true, 3)
+                .iter()
+                .map(|(r, c, _)| (r, c)),
+        );
+        vec![
+            ("single vertex", edges(1, &[])),
+            ("single vertex with a self-loop", edges(1, &[(0, 0)])),
+            // Sources include the tail, which has no out-edge.
+            ("directed chain", edges(19, &chain)),
+            ("star", generators::star(37)),
+            ("two components", edges(23, &two)),
+            ("self-loops", edges(30, &loops)),
+        ]
+    }
+
+    /// Run `f` on every backend the parity covers — the merge-on-read
+    /// overlay with pending inserts **and** deletes included.
+    fn for_each_parity_matrix(adj: &Csr, mut f: impl FnMut(&str, &Matrix)) {
+        let n = adj.nrows();
+        for backend in [
+            Backend::Bit(TileSize::S4),
+            Backend::Bit(TileSize::S8),
+            Backend::Bit(TileSize::S32),
+            Backend::FloatCsr,
+            Backend::Auto,
+        ] {
+            f(&format!("{backend:?}"), &Matrix::from_csr(adj, backend));
+        }
+        let base = Matrix::from_csr(adj, Backend::Bit(TileSize::S8));
+        base.insert_edge(0, n - 1).unwrap();
+        base.insert_edge(n / 2, 0).unwrap();
+        if let Some((r, c, _)) = adj.iter().next() {
+            base.delete_edge(r, c).unwrap();
+        }
+        base.delete_edge(n - 1, n / 2).unwrap();
+        assert!(base.delta_len() >= 3);
+        f("DeltaOverlay", &base.snapshot());
+    }
+
+    /// Changed-set ≡ full-operand, by `to_bits` and on `iterations`, for
+    /// every backend × direction × fusion × batch width, single-source and
+    /// batched, through the public entry points wherever they can express
+    /// the case.
+    #[test]
+    fn changed_set_rounds_equal_the_full_operand_loop_bitwise() {
+        let semiring = Semiring::MinPlus(1.0);
+        for (gname, adj) in parity_graphs() {
+            let n = adj.nrows();
+            for_each_parity_matrix(&adj, |bname, a| {
+                let ctx = a.context();
+                for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                    for fusion in [Fusion::Fused, Fusion::NodeAtATime] {
+                        let what = format!("{gname} / {bname} / {dir:?} / {fusion:?}");
+                        // Single source, from the last vertex (no out-edge
+                        // on the chain) and from vertex 0.
+                        for source in [n - 1, 0] {
+                            let mut start = Vector::identity(n, semiring);
+                            start.set(source, 0.0);
+                            let (want, rounds) = full_operand_fixpoint(a, start, |x, dist| {
+                                Op::vxm(x, a)
+                                    .semiring(semiring)
+                                    .direction(dir)
+                                    .accum(BinaryOp::Min, dist)
+                                    .fusion(fusion)
+                                    .try_run(ctx)
+                            });
+                            let got = sssp_with(a, source, dir, fusion);
+                            assert_eq!(bits(&got.distances), bits(&want), "{what} source {source}");
+                            assert_eq!(got.iterations, rounds, "{what} source {source}");
+                        }
+                        for k in [1usize, 3, 64, 70] {
+                            let sources: Vec<usize> = (0..k).map(|l| (l * 7 + n - 1) % n).collect();
+                            let mut start = MultiVec::identity(n, k, semiring);
+                            for (l, &s) in sources.iter().enumerate() {
+                                start.set(s, l, 0.0);
+                            }
+                            let round = |x: &MultiVec, dist: &MultiVec| {
+                                Op::mxm(a, x)
+                                    .transpose()
+                                    .semiring(semiring)
+                                    .direction(dir)
+                                    .accum(BinaryOp::Min, dist)
+                                    .fusion(fusion)
+                                    .try_run(ctx)
+                            };
+                            let (want, rounds) = full_operand_fixpoint(a, start.clone(), round);
+                            // `sssp_multi_dir` is the fused loop; the
+                            // node-at-a-time one runs through the same body.
+                            let (got, got_rounds) = if fusion == Fusion::Fused {
+                                let r = sssp_multi_dir(a, &sources, dir);
+                                (r.distances, r.iterations)
+                            } else {
+                                let (dist, rounds) =
+                                    relax_to_fixpoint(a, start.clone(), start, round).unwrap();
+                                (dist.into_vec(), rounds)
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{what} k={k}");
+                            assert_eq!(got_rounds, rounds, "{what} k={k}");
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// The work invariant: a forced-push run scatters from each reached
+    /// vertex — each reached `(vertex, lane)` of a batch — **exactly once**.
+    /// The full-operand loop reads the sum over rounds of everything reached
+    /// so far here; that is the regression this test exists to catch.
+    #[test]
+    fn forced_push_scatters_from_each_reached_vertex_exactly_once() {
+        let chain: Vec<_> = (0..40).map(|i| (i, i + 1)).collect();
+        // A grid and a far-away path that no source below can reach.
+        let mut islands: Vec<_> = generators::grid2d(5, 5)
+            .iter()
+            .map(|(r, c, _)| (r, c))
+            .collect();
+        islands.extend((25..39).flat_map(|i| [(i, i + 1), (i + 1, i)]));
+        let graphs = [
+            ("path", generators::path(33)),
+            ("grid2d", generators::grid2d(9, 7)),
+            ("erdos_renyi", generators::erdos_renyi(120, 0.03, true, 8)),
+            ("directed chain", edges(41, &chain)),
+            ("unreachable component", edges(40, &islands)),
+        ];
+        for (gname, adj) in graphs {
+            let n = adj.nrows();
+            for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+                let a = Matrix::from_csr(&adj, backend);
+                let ctx = a.context();
+                let finite = |d: &[f32]| d.iter().filter(|d| d.is_finite()).count() as u64;
+
+                let before = ctx.stats();
+                let single = sssp_dir(&a, 3, Direction::Push);
+                let after = ctx.stats();
+                assert_eq!(after.push_mxv - before.push_mxv, single.iterations as u64);
+                assert_eq!(
+                    after.push_frontier_nodes - before.push_frontier_nodes,
+                    finite(&single.distances),
+                    "{gname} {backend:?}: one scatter per reached vertex"
+                );
+                assert_eq!(
+                    after.push_frontier_entries - before.push_frontier_entries,
+                    finite(&single.distances),
+                    "{gname} {backend:?}: one lane, entries = nodes"
+                );
+                assert!(
+                    finite(&single.distances) > 1,
+                    "{gname}: the run must reach something"
+                );
+
+                let sources: Vec<usize> = (0..5).map(|l| (l * 11) % n.min(25)).collect();
+                let before = ctx.stats();
+                let multi = sssp_multi_dir(&a, &sources, Direction::Push);
+                let after = ctx.stats();
+                assert_eq!(after.push_mxm - before.push_mxm, multi.iterations as u64);
+                assert_eq!(
+                    after.push_frontier_entries - before.push_frontier_entries,
+                    finite(&multi.distances),
+                    "{gname} {backend:?}: one scatter per reached (vertex, lane)"
+                );
+                // Lanes share nodes: no more nodes than entries.
+                let nodes = after.push_frontier_nodes - before.push_frontier_nodes;
+                assert!(nodes <= finite(&multi.distances), "{gname} {backend:?}");
+            }
+        }
     }
 }

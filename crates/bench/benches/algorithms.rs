@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use bitgblas_algorithms::{
-    bfs, connected_components, pagerank, sssp, triangle_count, PageRankConfig,
+    bfs, connected_components, pagerank, sssp, sssp_multi, triangle_count, PageRankConfig,
 };
 use bitgblas_core::{Backend, Matrix, TileSize};
 use bitgblas_datagen::generators;
@@ -42,6 +42,14 @@ fn algorithm_benches(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(format!("sssp/{bname}"), gname), |b| {
                 b.iter(|| sssp(&m, 0));
             });
+            // A full served batch: 64 sources spread over the graph.
+            let sources: Vec<usize> = (0..64).map(|l| l * m.nrows() / 64).collect();
+            group.bench_function(
+                BenchmarkId::new(format!("sssp_multi64/{bname}"), gname),
+                |b| {
+                    b.iter(|| sssp_multi(&m, &sources));
+                },
+            );
             group.bench_function(BenchmarkId::new(format!("pagerank/{bname}"), gname), |b| {
                 b.iter(|| pagerank(&m, &PageRankConfig::default()));
             });

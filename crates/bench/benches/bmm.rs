@@ -1,6 +1,7 @@
 //! Criterion bench: BMM (bit SpGEMM) vs the float Gustavson SpGEMM baseline
-//! (the counterpart of Figures 6d / 7d), and the batched full-precision
-//! matrix × multivector kernels behind `sssp_multi` / `ppr_multi`.
+//! (the counterpart of Figures 6d / 7d), the batched full-precision
+//! matrix × multivector kernels behind `sssp_multi` / `ppr_multi`, and the
+//! lane-density sweep of the batched scatter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -130,5 +131,70 @@ fn bmm_batched_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bmm_benches, bmm_batched_benches);
+/// The lane-density sweep behind `bmm_push_bin_full`'s dense-versus-
+/// enumerated crossover (`DENSE_LANE_DIVISOR` in `kernels/bmm.rs`): `k = 64`
+/// min-plus lanes, every node in the frontier — sixty-four SSSP lanes'
+/// changed sets union to the whole graph — with 1, 4, 16, 32 or all 64 lanes
+/// active per node, on the repo benchmark's banded mesh and R-MAT graph.
+/// The enumerated arm's time grows with the active lanes; from the
+/// crossover on the rows sit at the dense arm's flat cost.  `ppr_dense` is
+/// the PPR-shaped case (arithmetic, every lane active): the dense arm must
+/// cost what the kernel cost before it had a second arm.
+fn bmm_lane_density_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmm_lane_density");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let k = 64usize;
+    let graphs = [
+        ("banded_2k_w32", generators::banded(2048, 32, 0.7, 5)),
+        (
+            "rmat_s14",
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+        ),
+    ];
+    for (name, csr) in graphs {
+        let n = csr.nrows();
+        let b8 = from_csr::<u8>(&csr, 8);
+        let frontier: Vec<usize> = (0..n).collect();
+        let mut bench = |label: String, semiring: Semiring, active: usize| {
+            // Node u's active lanes are spread evenly, rotated by u.
+            let mut x = vec![semiring.identity(); n * k];
+            for u in 0..n {
+                for i in 0..active {
+                    x[u * k + (u + i * k / active) % k] = 1.0 + (i % 3) as f32;
+                }
+            }
+            let mut y = vec![semiring.identity(); n * k];
+            group.bench_function(BenchmarkId::new(label, name), |b| {
+                b.iter(|| {
+                    y.fill(semiring.identity());
+                    bmm_push_bin_full(&b8, &x, k, &frontier, semiring, |_| true, &mut y)
+                })
+            });
+        };
+        for active in [1usize, 4, 16, 32, 64] {
+            bench(
+                format!("bmm_push_bin_full/MinPlus/k64/active{active}"),
+                Semiring::MinPlus(1.0),
+                active,
+            );
+        }
+        bench(
+            "bmm_push_bin_full/Arithmetic/k64/ppr_dense".to_string(),
+            Semiring::Arithmetic,
+            k,
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bmm_benches,
+    bmm_batched_benches,
+    bmm_lane_density_benches
+);
 criterion_main!(benches);

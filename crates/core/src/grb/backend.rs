@@ -48,6 +48,7 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
+use crate::kernels::bmm::{fold_all_lanes, lanes_are_dense, ActiveLanes, LANE_BLOCK};
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
     bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
@@ -121,10 +122,14 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// `p.frontier` lists, in ascending order, the *node* indices with at
     /// least one lane differing from the semiring identity; only those
     /// nodes' edges are traversed and each edge scatters all `k` lane
-    /// contributions at once.  The planner hands this entry point the bare
-    /// product only (the shape's `FUSES_INTO_SWEEP` is `false`); the
-    /// built-in backends finish any other pipeline with one
-    /// [`MxvPipeline::finish_in_place`] pass over the flat output.
+    /// non-identity lane contributions at once.  The planner hands this
+    /// entry point the bare product (the shape's `FUSES_INTO_SWEEP` is
+    /// `false`) and one fused shape: a push whose monoid accumulator the
+    /// scatter can fold ([`MxvPipeline::push_folds_accum`] — the built-in
+    /// backends seed the output with the baseline and scatter straight into
+    /// it).  Any other pipeline a backend is handed it may finish with one
+    /// [`MxvPipeline::finish_in_place`] pass over the flat output, which is
+    /// always correct.
     ///
     /// [`mxv_into`]: GrbBackend::mxv_into
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
@@ -738,7 +743,7 @@ fn bit_mxm_push<W: BitWord>(
         ws.give(xw);
         ws.give(yw);
     } else {
-        out.resize(produced * k, semiring.identity());
+        let finished = seed_push_output(p, produced * k, out);
         with_mask_hook!(mask, |allow| push_scatter(
             ws,
             plan,
@@ -750,6 +755,9 @@ fn bit_mxm_push<W: BitWord>(
             |segment, chunk| bmm_push_bin_full(m, x, k, segment, semiring, allow, chunk),
             |acc, v| semiring.reduce(acc, v),
         ));
+        if finished {
+            return;
+        }
     }
     p.finish_in_place(out);
 }
@@ -1011,11 +1019,16 @@ impl FloatCsr {
 
     /// Push scatter over the rows of `csr` (the representation whose rows are
     /// the frontier's domain), single-vector (`k = 1`) and batched alike:
-    /// every frontier node's edge list is walked once and all `k` lane
-    /// contributions fold into each out-neighbour.  `allow` is the flat mask
-    /// hook (`with_mask_hook!`) and the semiring is resolved once per call.
-    /// Serial and allocation-free, like the B2SR push kernels.  Always
-    /// inlined, so the single-vector caller's `k = 1` folds the lane loop.
+    /// every frontier node's edge list is walked once and its lane
+    /// contributions fold into each out-neighbour — all `k` of them when the
+    /// node's lanes are dense, only the enumerated non-identity ones
+    /// otherwise: the two arms, the crossover and the exactness argument of
+    /// [`bmm_push_bin_full`], whose lane helpers this shares.  `allow` is
+    /// the flat mask hook (`with_mask_hook!`) and the semiring is resolved
+    /// once per call.  Serial and allocation-free, like the B2SR push
+    /// kernels.  Always inlined, so the single-vector caller's `k = 1` folds
+    /// the lane loop (a frontier node's one lane is active: always the dense
+    /// arm).
     #[inline(always)]
     fn float_mxm_push_into(
         csr: &Csr,
@@ -1026,15 +1039,23 @@ impl FloatCsr {
         allow: impl Fn(usize) -> bool,
         y: &mut [f32],
     ) {
-        with_semiring_ops!(semiring, |_identity, combine, reduce| {
+        with_semiring_ops!(semiring, |identity, combine, reduce| {
             for &u in frontier {
                 let src = &x[u * k..][..k];
-                for &j in csr.row(u).0 {
-                    let dst = &mut y[j * k..][..k];
-                    for (l, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
-                        if allow(j * k + l) {
-                            *d = reduce(*d, combine(s));
-                        }
+                let cols = csr.row(u).0;
+                if lanes_are_dense(src, identity) {
+                    for &j in cols {
+                        fold_all_lanes(&mut y[j * k..][..k], src, j * k, &allow, combine, reduce);
+                    }
+                    continue;
+                }
+                for (b, block) in src.chunks(LANE_BLOCK).enumerate() {
+                    let Some(lanes) = ActiveLanes::of(block, identity, combine) else {
+                        continue;
+                    };
+                    for &j in cols {
+                        let flat0 = j * k + b * LANE_BLOCK;
+                        lanes.fold_into(&mut y[flat0..], flat0, &allow, reduce);
                     }
                 }
             }

@@ -40,6 +40,8 @@ use bitgblas_perfmodel::DeviceProfile;
 
 use crate::semiring::Semiring;
 
+use super::expr::shape::{FrontierSize, Shape};
+
 /// Which traversal direction an `mxv`/`vxm` executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Direction {
@@ -89,9 +91,10 @@ pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_thre
     (alpha * ratio).clamp(4.0, 256.0)
 }
 
-/// Resolve [`Direction::Auto`] for one operation: `frontier_nnz` active
-/// nodes of an `n`-node operand against a matrix with `nnz` edges, at base
-/// scatter penalty `alpha` (the context's calibrated profile).
+/// Resolve [`Direction::Auto`] for one operation: a frontier priced at
+/// `frontier_nnz` (active nodes of a vector; per product kind below) of an
+/// `n`-node operand against a matrix with `nnz` edges, at base scatter
+/// penalty `alpha` (the context's calibrated profile).
 ///
 /// Returns [`Direction::Pull`] for semirings where identity-valued entries
 /// still contribute (see [`Semiring::push_safe`]); otherwise compares the
@@ -111,11 +114,34 @@ pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_thre
 /// output pass (`+ n`) for the deterministic fixed-order merge of the
 /// privatized shard buffers.
 ///
-/// A batched (`n × k`) operand is scored on its **node-granular** frontier
-/// (nodes with any active lane): the scatter visits each active node's
-/// edges once and the sweep streams the matrix once, both doing `k` lanes of
-/// work per edge, so the lane factor cancels and the batched threshold *is*
-/// the single-vector one.
+/// # What `frontier_nnz` is, per product kind
+///
+/// The planner's one operand scan counts the frontier's nodes (any lane
+/// differing from the identity) and its non-identity `(node, lane)` entries
+/// and prices the count the scatter's cost follows:
+///
+/// * **single vector** (`k = 1`): nodes = entries, the frontier size `f`;
+/// * **Boolean batch** — the lane-word scatter ORs one word per edge
+///   whatever lanes are set, against a sweep doing the same per edge, so the
+///   lane factor cancels and `frontier_nnz = nodes`:
+///   `nodes · d̄ · α < nnz + n`;
+/// * **full-precision batch on a lane-sparse scatter** — the built-in
+///   backends' scatter folds only a node's non-identity lanes per out-edge
+///   (`kernels::bmm_push_bin_full`) while the sweep folds all `k` lanes of
+///   every edge, so push costs `entries · d̄ · α` against pull's
+///   `(nnz + n) · k`; dividing by `k`, `frontier_nnz = entries / k`:
+///   `(entries / k) · d̄ · α < nnz + n`.  Sixty-four SSSP lanes that each
+///   changed 32 vertices push even when the union of those vertices is the
+///   whole graph; the same union with every lane active (a PPR batch) pulls;
+/// * **full-precision batch on any other backend** — an external
+///   [`GrbBackend`](super::GrbBackend), whose scatter is not known to be
+///   lane-sparse, and the `DeltaOverlay`, whose product is not: after the
+///   base's scatter it re-folds every lane of every dirty row whatever the
+///   operand holds.  Priced by nodes, like the Boolean batch:
+///   `nodes · d̄ · α < nnz + n`.
+///
+/// At `k = 1` all of these coincide, so a one-lane batch decides exactly
+/// as the vector does.
 pub fn choose_direction(
     frontier_nnz: usize,
     n: usize,
@@ -128,9 +154,7 @@ pub fn choose_direction(
     if !semiring.push_safe() {
         return Direction::Pull;
     }
-    let avg_deg = (nnz as f64 / n.max(1) as f64).max(1.0);
-    let alpha = scatter_penalty_parallel_alpha(alpha, push_threads, pull_threads);
-    let merge = if push_threads > 1 { n as f64 } else { 0.0 };
+    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, alpha, push_threads, pull_threads);
     let push_cost = frontier_nnz as f64 * avg_deg * alpha + merge;
     let pull_cost = nnz as f64 + n as f64;
     if push_cost < pull_cost {
@@ -138,6 +162,94 @@ pub fn choose_direction(
     } else {
         Direction::Pull
     }
+}
+
+/// The push side of [`choose_direction`]'s inequality: `(d̄, α(push_threads,
+/// pull_threads), merge surcharge)`.
+fn push_cost_terms(
+    n: usize,
+    nnz: usize,
+    alpha: f64,
+    push_threads: usize,
+    pull_threads: usize,
+) -> (f64, f64, f64) {
+    let avg_deg = (nnz as f64 / n.max(1) as f64).max(1.0);
+    let alpha = scatter_penalty_parallel_alpha(alpha, push_threads, pull_threads);
+    let merge = if push_threads > 1 { n as f64 } else { 0.0 };
+    (avg_deg, alpha, merge)
+}
+
+impl FrontierSize {
+    /// No limit: a forced push collects the whole frontier.
+    pub const UNBOUNDED: Self = FrontierSize {
+        nodes: usize::MAX,
+        entries: usize::MAX,
+    };
+
+    /// The `frontier_nnz` [`choose_direction`] prices for a `k`-lane
+    /// product over `semiring` (see its docs).
+    fn priced(self, k: usize, by_entries: bool) -> usize {
+        if by_entries {
+            self.entries / k
+        } else {
+            self.nodes
+        }
+    }
+}
+
+/// An upper bound on the `frontier_nnz` for which [`choose_direction`] can
+/// still answer push with the same remaining arguments: every larger count
+/// pulls.  (The break-even of the inequality, rounded up with one unit of
+/// slack for the float division — the decision itself is always
+/// [`choose_direction`] on the count the scan returns.)
+fn push_scan_budget(
+    n: usize,
+    nnz: usize,
+    alpha: f64,
+    push_threads: usize,
+    pull_threads: usize,
+) -> usize {
+    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, alpha, push_threads, pull_threads);
+    ((nnz as f64 + n as f64 - merge) / (avg_deg * alpha)).ceil() as usize + 1
+}
+
+/// Resolve [`Direction::Auto`] for the operand `x` of a product with an
+/// `nnz`-edge matrix, in **one scan**: the scan fills `frontier` (a pooled
+/// buffer, cleared first) and counts what [`choose_direction`] prices; once
+/// the count is past any push it stops, so a dense operand (a PageRank
+/// vector) costs a bounded prefix rather than a count and then a collect.
+/// On [`Direction::Push`] `frontier` is the complete push frontier and the
+/// returned size is exact; on [`Direction::Pull`] both are partial.
+/// `lane_sparse_scatter` says whether the backend's full-precision batched
+/// scatter folds active lanes only, i.e. whether such a product is priced
+/// by entries.  The caller has already ruled out a semiring that is not
+/// push-safe.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_and_choose<V: Shape>(
+    x: &V,
+    semiring: Semiring,
+    lane_sparse_scatter: bool,
+    nnz: usize,
+    alpha: f64,
+    push_threads: usize,
+    pull_threads: usize,
+    frontier: &mut Vec<usize>,
+) -> (Direction, FrontierSize) {
+    let (n, k) = x.shape();
+    // Stop once the priced count is past `budget`: nodes, or for a product
+    // priced by entries, entries / k > budget  ⇔  entries ≥ (budget + 1) · k.
+    let budget = push_scan_budget(n, nnz, alpha, push_threads, pull_threads);
+    let by_entries = lane_sparse_scatter && semiring != Semiring::Boolean;
+    let mut stop_past = FrontierSize::UNBOUNDED;
+    if by_entries {
+        stop_past.entries = budget.saturating_add(1).saturating_mul(k) - 1;
+    } else {
+        stop_past.nodes = budget;
+    }
+    let size = x.frontier_into(semiring, stop_past, frontier);
+    let priced = size.priced(k, by_entries);
+    let direction = choose_direction(priced, n, nnz, semiring, alpha, push_threads, pull_threads);
+    (direction, size)
 }
 
 #[cfg(test)]
@@ -225,5 +337,131 @@ mod tests {
         let choose = |sr| choose_direction(1, 1000, 16_000, sr, 16.0, 1, 1);
         assert_eq!(choose(Semiring::MaxTimes(-2.0)), Direction::Pull);
         assert_eq!(choose(Semiring::MaxTimes(2.0)), Direction::Push);
+    }
+    // -- the one-scan Auto resolution ----------------------------------------
+
+    use crate::grb::{MultiVec, Vector};
+
+    /// `scan_and_choose` at equal parallelism and the device α.
+    fn auto<V: Shape>(x: &V, semiring: Semiring, nnz: usize) -> (Direction, FrontierSize) {
+        // A stale list: the scan replaces it.
+        let mut list = vec![usize::MAX; 3];
+        let (direction, size) = scan_and_choose(x, semiring, true, nnz, 16.0, 1, 1, &mut list);
+        assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "ascending, no stale entry"
+        );
+        assert_eq!(list.len(), size.nodes);
+        (direction, size)
+    }
+
+    #[test]
+    fn full_precision_batches_are_priced_by_entries_boolean_ones_by_nodes() {
+        // The repo benchmark's mesh: 2048 nodes, d̄ ≈ 45.
+        let nnz = bitgblas_datagen::generators::banded(2048, 32, 0.7, 5).nnz();
+        let (n, k) = (2048usize, 64usize);
+        let min_plus = Semiring::MinPlus(1.0);
+        // Sixty-four SSSP lanes, each with its own 32-node changed set: the
+        // union is every node, but a node carries one lane.
+        let mut sparse = MultiVec::identity(n, k, min_plus);
+        let mut sparse_bool = MultiVec::zeros(n, k);
+        for i in 0..n {
+            sparse.set(i, i / 32, 1.0);
+            sparse_bool.set(i, i / 32, 1.0);
+        }
+        let (direction, size) = auto(&sparse, min_plus, nnz);
+        assert_eq!((size.nodes, size.entries), (n, n));
+        assert_eq!(
+            direction,
+            Direction::Push,
+            "2048 entries / 64 lanes = 32 priced"
+        );
+        // The same union with every lane active is a dense batch.
+        let dense = MultiVec::filled(n, k, 1.0);
+        assert_eq!(auto(&dense, min_plus, nnz).0, Direction::Pull);
+        assert_eq!(auto(&dense, Semiring::Arithmetic, nnz).0, Direction::Pull);
+        // The lane-word scatter ORs one word per edge whatever lanes are
+        // set: Boolean decisions stay node-granular, and both operands cover
+        // every node.
+        assert_eq!(
+            auto(&sparse_bool, Semiring::Boolean, nnz).0,
+            Direction::Pull
+        );
+        assert_eq!(auto(&dense, Semiring::Boolean, nnz).0, Direction::Pull);
+        // … and a handful of nodes push, however many lanes they carry.
+        let mut few = MultiVec::zeros(n, k);
+        for l in 0..k {
+            few.set(7, l, 1.0);
+            few.set(900, l, 1.0);
+        }
+        assert_eq!(auto(&few, Semiring::Boolean, nnz).0, Direction::Push);
+        // A backend whose scatter is not lane-sparse prices the union.
+        let mut list = Vec::new();
+        let by_nodes = scan_and_choose(&sparse, min_plus, false, nnz, 16.0, 1, 1, &mut list);
+        assert_eq!(by_nodes.0, Direction::Pull);
+        let mut few = MultiVec::identity(n, k, min_plus);
+        for l in 0..k {
+            few.set(7, l, 1.0);
+        }
+        let by_nodes = scan_and_choose(&few, min_plus, false, nnz, 16.0, 1, 1, &mut list);
+        assert_eq!(by_nodes.0, Direction::Push);
+    }
+
+    #[test]
+    fn one_lane_batch_decides_as_the_vector_for_every_count() {
+        let (n, nnz) = (300usize, 300 * 16);
+        for semiring in [
+            Semiring::Boolean,
+            Semiring::Arithmetic,
+            Semiring::MinPlus(1.0),
+        ] {
+            for f in 0..=n {
+                let mut v = Vector::identity(n, semiring);
+                for i in 0..f {
+                    // Spread the active entries over the whole range.
+                    v.set((i * 7) % n, 1.0);
+                }
+                let mv = MultiVec::from_vec(v.as_slice().to_vec(), n, 1);
+                let (vector, _) = auto(&v, semiring, nnz);
+                let (batch, _) = auto(&mv, semiring, nnz);
+                // Stopping the scan early never changes the decision made
+                // on the full count.
+                let counted = choose_direction(f, n, nnz, semiring, 16.0, 1, 1);
+                assert_eq!((vector, batch), (counted, counted), "{semiring:?} f={f}");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_budget_bounds_every_push() {
+        for (n, nnz) in [
+            (1usize, 0usize),
+            (10, 3),
+            (300, 4800),
+            (8192, 8192 * 16),
+            (2048, 92_000),
+        ] {
+            for alpha in [4.0, 16.0, 200.0] {
+                for (push, pull) in [(1, 1), (1, 8), (8, 8)] {
+                    let budget = push_scan_budget(n, nnz, alpha, push, pull);
+                    let choose =
+                        |f| choose_direction(f, n, nnz, Semiring::Boolean, alpha, push, pull);
+                    assert_eq!(
+                        choose(budget + 1),
+                        Direction::Pull,
+                        "n={n} nnz={nnz} α={alpha}"
+                    );
+                    // One unit of slack, no more: the scan stops near the
+                    // break-even, not after the whole operand.
+                    if budget > 2 {
+                        assert_eq!(
+                            choose(budget - 3),
+                            Direction::Push,
+                            "n={n} nnz={nnz} α={alpha}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

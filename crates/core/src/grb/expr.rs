@@ -86,6 +86,8 @@ use super::plan::{self, MxvPipeline};
 use super::vector::Vector;
 use super::workspace::{ExecStats, Workspace};
 
+use shape::FrontierSize;
+
 /// Maximum number of element-wise stages one expression chain can carry.
 ///
 /// The capacity is fixed (stages are stored inline) so that building an
@@ -178,6 +180,17 @@ impl Operand for MultiVec {}
 pub(crate) mod shape {
     use super::*;
 
+    /// What one scan of a push operand counts (and, as a limit, where the
+    /// scan may give up): the nodes with any lane differing from the
+    /// semiring identity, and their non-identity `(node, lane)` entries.
+    /// How [`Direction::Auto`](crate::grb::Direction) prices the two is in
+    /// `grb::direction`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FrontierSize {
+        pub nodes: usize,
+        pub entries: usize,
+    }
+
     /// The only shape-dependent pieces of the planner's one product path,
     /// over the flat node-major storage (`flat[i*k + l]` = node `i`, lane
     /// `l`).  Not nameable outside the crate — that is what seals
@@ -203,10 +216,19 @@ pub(crate) mod shape {
         fn from_flat(flat: Vec<f32>, n: usize, k: usize) -> Self;
         /// `self[i,l] · scale[i]`, materialised in the pooled buffer `buf`.
         fn scaled(&self, scale: &[f32], buf: Vec<f32>) -> Self;
-        /// Nodes with a lane differing from the semiring identity.
-        fn count_active(&self, semiring: Semiring) -> usize;
-        /// Append those nodes' indices, ascending — the push frontier.
-        fn frontier_into(&self, semiring: Semiring, out: &mut Vec<usize>);
+        /// The planner's one operand scan: **replace** the contents of
+        /// `out` with the indices, ascending, of the nodes holding a lane
+        /// that differs from the semiring identity — the push frontier —
+        /// and return how many nodes and non-identity entries that is.
+        /// The scan gives up once either count passes `stop_past`; what it
+        /// returns then is a prefix and a lower bound, enough to know the
+        /// product pulls.
+        fn frontier_into(
+            &self,
+            semiring: Semiring,
+            stop_past: FrontierSize,
+            out: &mut Vec<usize>,
+        ) -> FrontierSize;
         /// Hand the pipeline to the backend entry point of this shape.
         fn product_into(
             state: &dyn GrbBackend,
@@ -245,17 +267,27 @@ impl shape::Shape for Vector {
         buf.extend(self.as_slice().iter().zip(scale).map(|(&x, &s)| x * s));
         Vector::from_vec(buf)
     }
-    fn count_active(&self, semiring: Semiring) -> usize {
-        self.n_active(semiring)
-    }
-    fn frontier_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
-        out.extend(
-            self.as_slice()
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| !semiring.is_identity(v))
-                .map(|(i, _)| i),
-        );
+    fn frontier_into(
+        &self,
+        semiring: Semiring,
+        stop_past: FrontierSize,
+        out: &mut Vec<usize>,
+    ) -> FrontierSize {
+        // One lane per node: nodes and entries are the same count.
+        let limit = stop_past.nodes.min(stop_past.entries);
+        out.clear();
+        for (i, &v) in self.as_slice().iter().enumerate() {
+            if !semiring.is_identity(v) {
+                out.push(i);
+                if out.len() > limit {
+                    break;
+                }
+            }
+        }
+        FrontierSize {
+            nodes: out.len(),
+            entries: out.len(),
+        }
     }
     fn product_into(
         state: &dyn GrbBackend,
@@ -300,11 +332,28 @@ impl shape::Shape for MultiVec {
         );
         MultiVec::from_vec(buf, n, k)
     }
-    fn count_active(&self, semiring: Semiring) -> usize {
-        self.active_nodes(semiring)
-    }
-    fn frontier_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
-        self.frontier_nodes_into(semiring, out);
+    fn frontier_into(
+        &self,
+        semiring: Semiring,
+        stop_past: FrontierSize,
+        out: &mut Vec<usize>,
+    ) -> FrontierSize {
+        out.clear();
+        let mut entries = 0usize;
+        for (i, lanes) in self.as_slice().chunks_exact(self.n_lanes()).enumerate() {
+            let active = lanes.iter().filter(|&&v| !semiring.is_identity(v)).count();
+            if active > 0 {
+                out.push(i);
+                entries += active;
+                if out.len() > stop_past.nodes || entries > stop_past.entries {
+                    break;
+                }
+            }
+        }
+        FrontierSize {
+            nodes: out.len(),
+            entries,
+        }
     }
     fn product_into(
         state: &dyn GrbBackend,

@@ -59,9 +59,9 @@
 //! so once: the expression type, the product builder, the planner path and
 //! `Context::{evaluate, recycle}` are generic in the [`Operand`] shape, so
 //! batched chains take flat per-lane masks, stages, accumulators and
-//! [`Direction::Auto`] (resolved on the node-granular frontier) through the
-//! same code as `mxv` chains; `bfs_multi`, `sssp_multi` and batched
-//! betweenness centrality in `bitgblas-algorithms` ride on it.
+//! [`Direction::Auto`] (priced per product kind, see [`choose_direction`])
+//! through the same code as `mxv` chains; `bfs_multi`, `sssp_multi` and
+//! batched betweenness centrality in `bitgblas-algorithms` ride on it.
 //!
 //! # Sharded parallel push execution (PR 5)
 //!

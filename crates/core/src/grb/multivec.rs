@@ -178,38 +178,26 @@ impl MultiVec {
     }
 
     /// Number of nodes with at least one lane differing from the semiring
-    /// identity — the node-granular frontier size
-    /// [`choose_direction`](super::choose_direction) scores (a push scatter
-    /// visits each active node's edges once, whatever the number of active
-    /// lanes); the planner runs it over the possibly input-scaled operand.
+    /// identity — the node-granular frontier size: a batched scatter walks
+    /// each such node's edges once, and it is the count
+    /// [`choose_direction`](super::choose_direction) prices for a Boolean
+    /// batch (one lane-word OR per edge whatever lanes are set).
     pub fn active_nodes(&self, semiring: Semiring) -> usize {
-        self.active_node_indices(semiring).count()
-    }
-
-    /// The indices of the nodes with any lane non-identity, ascending.
-    fn active_node_indices(&self, semiring: Semiring) -> impl Iterator<Item = usize> + '_ {
         self.data
             .chunks_exact(self.k)
-            .enumerate()
-            .filter(move |(_, lanes)| lanes.iter().any(|&v| !semiring.is_identity(v)))
-            .map(|(i, _)| i)
+            .filter(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v)))
+            .count()
     }
 
-    /// Total number of active entries summed over all lanes.
+    /// Total number of active entries summed over all lanes — what a
+    /// full-precision batched scatter folds per out-edge, and (divided by
+    /// `k`) the count [`choose_direction`](super::choose_direction) prices
+    /// for it.
     pub fn lane_nnz(&self, semiring: Semiring) -> usize {
         self.data
             .iter()
             .filter(|&&v| !semiring.is_identity(v))
             .count()
-    }
-
-    /// Append the indices of all active nodes (any lane non-identity), in
-    /// ascending order, to a caller-supplied (typically workspace-pooled)
-    /// buffer — the frontier-list shape the push-direction batched kernels
-    /// consume; the planner runs it over the possibly input-scaled operand.
-    pub fn frontier_nodes_into(&self, semiring: Semiring, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.active_node_indices(semiring));
     }
 
     /// Pack the lanes into per-node `u64` words (bit `l` of node `i`'s word
@@ -251,6 +239,7 @@ pub(crate) fn pack_lane_words_from<T: Copy + Sync, F: Fn(T) -> bool + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grb::expr::shape::{FrontierSize, Shape};
 
     /// Expand per-node lane words back into a flat `n × k` indicator.
     fn unpack_lane_words_into(words: &[u64], k: usize, out: &mut [f32]) {
@@ -296,9 +285,18 @@ mod tests {
         mv.set(1, 0, 1.0);
         mv.set(1, 1, 1.0);
         mv.set(4, 1, 1.0);
-        let mut f = Vec::new();
-        mv.frontier_nodes_into(Semiring::Boolean, &mut f);
+        // The scan replaces whatever the pooled buffer held.
+        let mut f = vec![99, 98];
+        let size = mv.frontier_into(Semiring::Boolean, FrontierSize::UNBOUNDED, &mut f);
         assert_eq!(f, vec![1, 4]);
+        assert_eq!((size.nodes, size.entries), (2, 3));
+        // Past a limit it gives up with a prefix: enough to know it pulls.
+        let stop = FrontierSize {
+            nodes: usize::MAX,
+            entries: 1,
+        };
+        let size = mv.frontier_into(Semiring::Boolean, stop, &mut f);
+        assert_eq!((f.as_slice(), size.entries), (&[1][..], 2));
     }
 
     #[test]

@@ -289,8 +289,14 @@ impl Context {
         &self.workspace
     }
 
-    /// A snapshot of this context's execution counters (how many `mxv`s
-    /// resolved to push vs pull, how many pipelines fused, etc.).
+    /// A snapshot of this context's execution counters: how many products
+    /// resolved to push vs pull, how many pipelines fused, and — exact work
+    /// counts, not timings — how many frontier nodes
+    /// ([`ExecCounts::push_frontier_nodes`]) and non-identity operand entries
+    /// ([`ExecCounts::push_frontier_entries`]) the push products scattered
+    /// from.  Read it before and after a run and subtract: "this loop does
+    /// work proportional to what changed" is then an assertion (forced-push
+    /// `sssp` adds exactly one node per reached vertex).
     pub fn stats(&self) -> ExecCounts {
         self.workspace.stats().snapshot()
     }
@@ -457,9 +463,10 @@ impl Op {
 /// `i*k + l` gates node `i` of lane `l`), so `k` traversals with `k`
 /// different visited sets share one masked sweep — exactly what `bfs_multi`
 /// does; stage operands and the accumulator baseline are multi-vectors of
-/// the output's shape; and [`Direction::Auto`] resolves from the
-/// **node-granular** frontier (a node is active when any lane is — see
-/// [`choose_direction`](super::choose_direction)).
+/// the output's shape; and [`Direction::Auto`] prices the frontier the way
+/// the batched scatter pays for it — its nodes (any lane active) for the
+/// Boolean lane-word product, its non-identity `(node, lane)` entries for a
+/// full-precision one (see [`choose_direction`](super::choose_direction)).
 #[must_use = "builders do nothing until run(&ctx)"]
 pub struct ProductBuilder<'a, V: Operand> {
     a: &'a Matrix,
@@ -1284,9 +1291,9 @@ mod tests {
     }
 
     /// Executions are observable through the context counters of their
-    /// shape (`counts` = push, pull, total), and Auto resolves on the
-    /// node-granular frontier: one active node pushes however many of its
-    /// lanes are active, every node active pulls.
+    /// shape (`counts` = push, pull, total), and Auto resolves a Boolean
+    /// product on the node-granular frontier: one active node pushes however
+    /// many of its lanes are active, every node active pulls.
     fn auto_direction_switches_and_is_counted<V: Operand>(
         k: usize,
         op: MakeOp<'_, V>,
@@ -1715,6 +1722,38 @@ mod tests {
             auto_direction_switches_and_is_counted(k, MXM, |c| {
                 (c.push_mxm, c.pull_mxm, c.total_mxm())
             });
+        }
+    }
+
+    /// Entry pricing follows the kernel that runs: the same lane-sparse
+    /// min-plus batch pushes on a built matrix and pulls through a
+    /// `DeltaOverlay`, whose re-fold is not lane-sparse — to the same result.
+    #[test]
+    fn mxm_entry_pricing_stops_at_the_overlay() {
+        use crate::delta::EdgeDelta;
+        let (n, k) = (512usize, 64usize);
+        let csr = sample(n, 29);
+        let semiring = Semiring::MinPlus(1.0);
+        // Every node active, in one lane each: 512 entries / 64 lanes.
+        let mut x = MultiVec::identity(n, k, semiring);
+        for i in 0..n {
+            x.set(i, i % k, i as f32);
+        }
+        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            let live = Matrix::from_csr(&csr, backend);
+            let ctx = Context::default();
+            let built = Op::mxm(&live, &x).semiring(semiring).run(&ctx);
+            let c = ctx.stats();
+            assert_eq!((c.push_mxm, c.pull_mxm), (1, 0), "{backend:?}");
+
+            // A pending log that leaves the edge set as it was.
+            let (r, c, _) = csr.iter().next().unwrap();
+            live.apply_deltas(&[EdgeDelta::delete(r, c), EdgeDelta::insert(r, c)])
+                .unwrap();
+            let overlaid = Op::mxm(&live.snapshot(), &x).semiring(semiring).run(&ctx);
+            let c = ctx.stats();
+            assert_eq!((c.push_mxm, c.pull_mxm), (1, 1), "{backend:?}");
+            assert_eq!(overlaid, built, "{backend:?}");
         }
     }
 

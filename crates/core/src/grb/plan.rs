@@ -32,10 +32,15 @@
 //!     with the epilogue still collapsed into one chain sweep
 //!     ([`run_chain_in_place_parallel`]).
 //!
-//! A batched (`mxm`) chain is always the bare product — one batched sweep,
-//! mask applied by the kernel — followed by **one** collapsed epilogue pass
-//! over the flat `n × k` output: the batched kernels do not finish in their
-//! store (folding the epilogue into them is ROADMAP item 5).
+//! A batched (`mxm`) **pull** is always the bare product — one batched
+//! sweep, mask applied by the kernel — followed by **one** collapsed
+//! epilogue pass over the flat `n × k` output: the batched sweeps do not
+//! finish in their store (folding the epilogue into them is ROADMAP item 5).
+//! A batched **push** takes the chain in the one case a scatter can finish
+//! it — the monoid accumulator, seeded exactly as for a single vector (the
+//! `sssp_multi` round: no fill-identity pass and no separate `n · k`
+//! accumulator pass) — and is the bare product plus the epilogue pass
+//! otherwise.
 //!
 //! Chains rooted at a leaf collapse into a single element-wise sweep
 //! (apply/select folded into the consuming ewise pass).
@@ -48,7 +53,14 @@
 //! # Direction and workspace
 //!
 //! Direction resolution ([`Direction::Auto`]) happens *before* planning and
-//! is identical for both paths; fused pipelines draw every scratch buffer
+//! is identical for both paths: one scan of the operand builds the pooled
+//! push frontier and counts what
+//! [`choose_direction`](super::choose_direction) prices — entries for a
+//! full-precision batch on a backend whose scatter is lane-sparse, nodes
+//! otherwise; the scan stops early once the count is past any push — and
+//! a push product adds those counts to
+//! [`ExecCounts::push_frontier_nodes`](super::ExecCounts) /
+//! `push_frontier_entries`.  Fused pipelines draw every scratch buffer
 //! (scaled operand, frontier list, output) from the context's
 //! [`Workspace`] pool, so a steady-state fused loop
 //! allocates nothing (`crates/core/tests/zero_alloc.rs`).
@@ -56,10 +68,11 @@
 use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::semiring::{BinaryOp, Semiring};
 
-use super::backend::GrbBackend;
+use super::backend::{BitB2sr, FloatCsr, GrbBackend};
 use super::descriptor::Mask;
-use super::direction::{choose_direction, Direction};
+use super::direction::{scan_and_choose, Direction};
 use super::error::GrbError;
+use super::expr::shape::FrontierSize;
 use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
 use super::op::Context;
 use super::workspace::Workspace;
@@ -237,6 +250,17 @@ fn effective_push_threads(state: &dyn GrbBackend, of_transpose: bool, ctx: &Cont
     }
 }
 
+/// Whether `state`'s full-precision batched push costs what its operand's
+/// non-identity entries say, so that [`Direction::Auto`] may price it by
+/// them: true of the two built-in representations, whose scatter folds a
+/// node's active lanes only.  Not of an external backend, and not of a
+/// `DeltaOverlay`: after the base's scatter it re-folds every lane of every
+/// dirty row.  Those keep the node-granular price.
+fn scatter_is_lane_sparse(state: &dyn GrbBackend) -> bool {
+    let any = state.as_any();
+    any.is::<BitB2sr>() || any.is::<FloatCsr>()
+}
+
 /// Evaluate an expression chain against a context (the implementation of
 /// [`Context::try_evaluate`]; [`Context::evaluate`] panics on the `Err`).
 pub(crate) fn try_execute<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, GrbError> {
@@ -403,40 +427,53 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     let scaled: Option<V> = scale.map(|s| x.scaled(s.as_slice(), ws.take_empty()));
     let x = scaled.as_ref().unwrap_or(x);
 
-    // Resolve the direction before planning: Auto counts the active nodes
-    // (any lane differing from the identity) with a read-only scan, an
-    // explicit push on an unsafe semiring is coerced back to pull.  The
-    // threshold is parallelism-aware (PR 5): the push side is priced at the
-    // context's scatter thread budget, the pull side at the host
-    // parallelism its rayon sweeps fan out to.  The base scatter penalty
-    // comes from the context's calibrated profile (PR 9) — the static
-    // device constant until `Context::calibrate` measures the host.
-    let direction = match desc.direction {
-        Direction::Push if !semiring.push_safe() => Direction::Pull,
-        Direction::Auto => choose_direction(
-            x.count_active(semiring),
-            contracted,
-            a.nnz(),
-            semiring,
-            ctx.profile().scatter_alpha,
-            effective_push_threads(state, !transpose, ctx),
-            crate::shard::machine_parallelism(),
-        ),
-        d => d,
+    // Resolve the direction before planning.  A push — forced, or possible
+    // under Auto — scans the operand once: the scan builds the pooled
+    // frontier list and counts its nodes and non-identity entries; Auto
+    // prices the count the scatter's cost follows (`choose_direction`) and
+    // lets the scan give up once the count is past any push.  An explicit
+    // push on an unsafe semiring is coerced back to pull.  The threshold is
+    // parallelism-aware (PR 5): the push side is priced at the context's
+    // scatter thread budget, the pull side at the host parallelism its
+    // rayon sweeps fan out to.  The base scatter penalty comes from the
+    // context's calibrated profile (PR 9) — the static device constant
+    // until `Context::calibrate` measures the host.
+    let frontier: Option<(Vec<usize>, FrontierSize)> = match desc.direction {
+        Direction::Pull => None,
+        _ if !semiring.push_safe() => None,
+        requested => {
+            let mut list = ws.take_empty::<usize>();
+            let (direction, size) = if requested == Direction::Push {
+                let size = x.frontier_into(semiring, FrontierSize::UNBOUNDED, &mut list);
+                (Direction::Push, size)
+            } else {
+                scan_and_choose(
+                    x,
+                    semiring,
+                    scatter_is_lane_sparse(state),
+                    a.nnz(),
+                    ctx.profile().scatter_alpha,
+                    effective_push_threads(state, !transpose, ctx),
+                    crate::shard::machine_parallelism(),
+                    &mut list,
+                )
+            };
+            if direction == Direction::Push {
+                Some((list, size))
+            } else {
+                ws.give(list);
+                None
+            }
+        }
     };
 
     let accum = expr.accum.map(|(op, w)| (op, w.flat()));
     let fuse = expr.fusion() == Fusion::Fused;
-    let frontier: Option<Vec<usize>> = (direction == Direction::Push).then(|| {
-        let mut frontier = ws.take_empty::<usize>();
-        x.frontier_into(semiring, &mut frontier);
-        frontier
-    });
     // The bare product and the whole chain, as the backend sees them.
     let product = MxvPipeline {
         x: x.flat(),
         k,
-        frontier: frontier.as_deref(),
+        frontier: frontier.as_ref().map(|(list, _)| list.as_slice()),
         semiring,
         mask,
         transpose,
@@ -449,13 +486,17 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
         ..product
     };
     // The backend takes the whole chain when the shape's sweeps finish in
-    // their store and the direction can carry the accumulator.  The
-    // stageless, unscaled shape is one backend call either way and is not
-    // counted as a fusion.
-    let fused_sweep = V::FUSES_INTO_SWEEP
-        && fuse
+    // their store and the direction can carry the accumulator — and, in
+    // either shape, when a push scatter can fold the accumulator by
+    // seeding its output with the baseline.  The stageless, unscaled shape
+    // is one backend call either way and is not counted as a fusion.
+    let fused_sweep = fuse
         && !(chain.is_bare() && scale.is_none())
-        && (frontier.is_none() || accum.is_none() || chain.push_folds_accum());
+        && if frontier.is_some() {
+            chain.push_folds_accum() || (V::FUSES_INTO_SWEEP && accum.is_none())
+        } else {
+            V::FUSES_INTO_SWEEP
+        };
     if fused_sweep {
         V::product_into(state, &chain, ws, &mut out);
         ws.stats().record_fused_mxv();
@@ -474,8 +515,9 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
         }
     }
     V::record_product(ws.stats(), frontier.is_some());
-    if let Some(frontier) = frontier {
-        ws.give(frontier);
+    if let Some((list, size)) = frontier {
+        ws.stats().record_push_frontier(size.nodes, size.entries);
+        ws.give(list);
     }
     if let Some(scaled) = scaled {
         ws.give(scaled.into_flat());

@@ -305,8 +305,10 @@ impl Workspace {
 /// The counters make [`Direction::Auto`](super::Direction) observable:
 /// tests (and the perf harness) read a [`snapshot`](ExecStats::snapshot)
 /// before and after a run and assert how many iterations resolved to push
-/// vs pull — and, since PR 5, how many push executions took the sharded
-/// parallel path and how many frontier segments they fanned out over.
+/// vs pull, how many frontier nodes and operand entries the push products
+/// scattered from (work that a test can assert, not only time), and how
+/// many push executions took the sharded parallel path over how many
+/// frontier segments.
 ///
 /// Every counter is a plain relaxed atomic, so parallel kernels bump them
 /// without taking any lock (and without riding the pool stripes'
@@ -317,6 +319,8 @@ pub struct ExecStats {
     push_mxv: AtomicU64,
     pull_mxm: AtomicU64,
     push_mxm: AtomicU64,
+    push_frontier_nodes: AtomicU64,
+    push_frontier_entries: AtomicU64,
     sharded_push: AtomicU64,
     shard_segments: AtomicU64,
     fused_mxv: AtomicU64,
@@ -338,6 +342,15 @@ impl ExecStats {
     pub(crate) fn record_mxm(&self, push: bool) {
         let counter = if push { &self.push_mxm } else { &self.pull_mxm };
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+    /// One push product scattered from `nodes` frontier nodes holding
+    /// `entries` non-identity `(node, lane)` entries — the numbers the
+    /// planner's frontier scan already has, added once per op.
+    pub(crate) fn record_push_frontier(&self, nodes: usize, entries: usize) {
+        self.push_frontier_nodes
+            .fetch_add(nodes as u64, Ordering::Relaxed);
+        self.push_frontier_entries
+            .fetch_add(entries as u64, Ordering::Relaxed);
     }
     /// One push execution took the sharded parallel path, fanning out over
     /// `segments` frontier segments.
@@ -375,6 +388,8 @@ impl ExecStats {
             push_mxv: self.push_mxv.load(Ordering::Relaxed),
             pull_mxm: self.pull_mxm.load(Ordering::Relaxed),
             push_mxm: self.push_mxm.load(Ordering::Relaxed),
+            push_frontier_nodes: self.push_frontier_nodes.load(Ordering::Relaxed),
+            push_frontier_entries: self.push_frontier_entries.load(Ordering::Relaxed),
             sharded_push: self.sharded_push.load(Ordering::Relaxed),
             shard_segments: self.shard_segments.load(Ordering::Relaxed),
             fused_mxv: self.fused_mxv.load(Ordering::Relaxed),
@@ -399,6 +414,19 @@ pub struct ExecCounts {
     pub pull_mxm: u64,
     /// Batched `mxm` (matrix × multivector) executions that resolved to push.
     pub push_mxm: u64,
+    /// Frontier nodes scattered from, summed over every push product
+    /// (`push_mxv` and `push_mxm`): the exact, host-independent work of the
+    /// push direction in units of "one node's out-edges walked".  An
+    /// algorithm whose rounds relax from what changed scatters from each
+    /// reached vertex once — forced-push `sssp` adds exactly the number of
+    /// finite distances.
+    pub push_frontier_nodes: u64,
+    /// Non-identity `(node, lane)` operand entries of those frontier nodes
+    /// — what a lane-sparse batched scatter folds per out-edge (equal to
+    /// `push_frontier_nodes` for single-vector products).  Forced-push
+    /// `sssp_multi` adds exactly the number of finite `(vertex, lane)`
+    /// distances.
+    pub push_frontier_entries: u64,
     /// Push executions (single-vector or batched) that took the sharded
     /// parallel scatter path instead of the serial kernel.
     pub sharded_push: u64,
@@ -611,7 +639,10 @@ mod tests {
         ws.stats().record_mxv(false);
         ws.stats().record_sharded_push(5);
         ws.stats().record_sharded_push(3);
+        ws.stats().record_push_frontier(4, 9);
+        ws.stats().record_push_frontier(1, 1);
         let s = ws.stats().snapshot();
+        assert_eq!((s.push_frontier_nodes, s.push_frontier_entries), (5, 10));
         assert_eq!(s.push_mxv, 2);
         assert_eq!(s.pull_mxv, 1);
         assert_eq!(s.total_mxv(), 3);

@@ -479,16 +479,168 @@ fn bin_full_tile_row<W: BitWord>(
     }
 }
 
+/// Lanes the enumerated arm of the full-precision batched scatter handles
+/// per pass over a frontier node's edges: one stack block
+/// ([`ActiveLanes`]).  A wider batch takes `k.div_ceil(LANE_BLOCK)` passes.
+pub(crate) const LANE_BLOCK: usize = 64;
+
+/// The dense-versus-enumerated crossover of the full-precision batched
+/// scatter: a frontier node folds all `k` lanes per out-edge — the
+/// contiguous loop that vectorises — from `⌈k / DENSE_LANE_DIVISOR⌉`
+/// non-identity lanes on, and only its enumerated non-identity lanes below
+/// that.  Measured, not guessed: see [`bmm_push_bin_full`].
+const DENSE_LANE_DIVISOR: usize = 8;
+
+/// Whether a frontier node with lanes `src` takes the dense arm of the
+/// full-precision batched scatter.  Counts non-identity lanes sixteen at a
+/// time and stops at the threshold, so a dense node (a PPR batch) pays for
+/// one or two chunks, not for all `k` lanes.
+#[inline(always)]
+pub(crate) fn lanes_are_dense(src: &[f32], identity: f32) -> bool {
+    let need = src.len().div_ceil(DENSE_LANE_DIVISOR);
+    let mut active = 0;
+    for chunk in src.chunks(16) {
+        active += chunk.iter().filter(|&&s| s != identity).count();
+        if active >= need {
+            return true;
+        }
+    }
+    false
+}
+
+/// The non-identity lanes of one frontier node within a block of at most
+/// [`LANE_BLOCK`] lanes, each with its contribution `⊗(x)` taken once —
+/// the stack scratch of the enumerated arm (no per-call buffer exists).
+pub(crate) struct ActiveLanes {
+    lane: [u8; LANE_BLOCK],
+    term: [f32; LANE_BLOCK],
+    len: usize,
+}
+
+impl ActiveLanes {
+    /// Enumerate `block` (`≤ LANE_BLOCK` lanes of one node); `None` when
+    /// every lane holds the identity.
+    #[inline(always)]
+    pub(crate) fn of(block: &[f32], identity: f32, combine: impl Fn(f32) -> f32) -> Option<Self> {
+        let mut lanes = ActiveLanes {
+            lane: [0; LANE_BLOCK],
+            term: [0.0; LANE_BLOCK],
+            len: 0,
+        };
+        for (l, &s) in block.iter().enumerate() {
+            if s != identity {
+                lanes.lane[lanes.len] = l as u8;
+                lanes.term[lanes.len] = combine(s);
+                lanes.len += 1;
+            }
+        }
+        (lanes.len > 0).then_some(lanes)
+    }
+
+    /// Fold the enumerated lanes into the same block of an out-neighbour's
+    /// lanes, `dst`, whose first lane is flat output position `flat0`.
+    #[inline(always)]
+    pub(crate) fn fold_into(
+        &self,
+        dst: &mut [f32],
+        flat0: usize,
+        allow: impl Fn(usize) -> bool,
+        reduce: impl Fn(f32, f32) -> f32,
+    ) {
+        for (&l, &t) in self.lane[..self.len].iter().zip(&self.term) {
+            let l = l as usize;
+            if allow(flat0 + l) {
+                dst[l] = reduce(dst[l], t);
+            }
+        }
+    }
+}
+
+/// Fold all `k` lanes of a frontier node, `src`, into an out-neighbour's
+/// lanes `dst` (flat output positions `flat0..`): the dense arm's per-edge
+/// loop over two contiguous `k`-slices.
+#[inline(always)]
+pub(crate) fn fold_all_lanes(
+    dst: &mut [f32],
+    src: &[f32],
+    flat0: usize,
+    allow: impl Fn(usize) -> bool,
+    combine: impl Fn(f32) -> f32,
+    reduce: impl Fn(f32, f32) -> f32,
+) {
+    for (l, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+        if allow(flat0 + l) {
+            *d = reduce(*d, combine(s));
+        }
+    }
+}
+
+/// Call `f(j)` for every out-neighbour `j` of row `u`, tiles ascending and
+/// columns ascending within a tile.  May yield `j ≥ ncols` from the ragged
+/// last tile-column; the caller's slice test drops those.
+#[inline(always)]
+fn for_each_out_neighbour<W: BitWord>(a: &B2sr<W>, u: usize, mut f: impl FnMut(usize)) {
+    let dim = a.tile_dim();
+    let (tr, r) = (u / dim, u % dim);
+    for idx in a.tile_row_range(tr) {
+        let base = a.tile_colind()[idx] * dim;
+        for dc in a.tile_words(idx)[r].iter_ones() {
+            f(base + dc as usize);
+        }
+    }
+}
+
 /// `bmm_push_bin_full()`: push-direction full-precision matrix ×
 /// multivector.  For every frontier node `u` (any lane active) and every
-/// out-neighbour `j`, all `k` lane contributions `⊗(x[u*k+l])` fold into
+/// out-neighbour `j`, the lane contributions `⊗(x[u*k+l])` fold into
 /// `y[j*k+l]` with the additive monoid; `allow` filters flat output
 /// positions (`j*k + l`, the flat per-lane mask — pass `|_| true` when
 /// there is none and the test compiles away) and `y`, `ncols * k` entries,
-/// must be pre-filled with the semiring identity.  The semiring is resolved
-/// once per call like [`bmm_bin_full_into`]'s.  Only valid for
+/// must be pre-filled with the semiring identity — or, to fold a monoid
+/// accumulator in the same pass, with its baseline.  The semiring is
+/// resolved once per call like [`bmm_bin_full_into`]'s.  Only valid for
 /// [`Semiring::push_safe`] semirings; serial and allocation-free, and a
 /// per-segment worker of the sharded scatter.
+///
+/// # Lane-sparse
+///
+/// The scatter is **lane-sparse**: per frontier node it tests how many
+/// lanes differ from the identity and takes one of two arms.  A node with at
+/// least an eighth of its lanes active folds all `k` per out-edge — two
+/// contiguous `k`-slices, vectorised; a dense batch (PPR) runs only this
+/// arm.  Below that the node's non-identity lanes are enumerated once into a
+/// stack block (`ActiveLanes`, `LANE_BLOCK` = 64 lanes a pass) together with
+/// their `⊗(x)` terms and only those fold per out-edge: sixty-four SSSP
+/// lanes that each changed a few dozen vertices union to every node, but a
+/// node carries one or two of them.
+///
+/// The crossover is measured: `cargo bench -p bitgblas-bench --bench bmm`,
+/// rows `bmm_lane_density/*` (`k = 64` min-plus, every node in the frontier,
+/// B2SR-8), each arm forced in turn, per-call medians on the repo
+/// benchmark's banded mesh / R-MAT graph:
+///
+/// | active lanes per node | 1 | 4 | 16 | 32 | 64 |
+/// |---|---|---|---|---|---|
+/// | enumerated arm, ms | 0.82 / 15.4 | 1.09 / 14.5 | 2.77 / 23.7 | 7.58 / 34.8 | 13.9 / 50.9 |
+/// | dense arm, ms | 2.1 / 17.1 | 2.2 / 20.0 | 2.3 / 17.3 | 2.3 / 17.8 | 2.6 / 16.8 |
+///
+/// The enumerated arm grows by ≈ 0.13 ms (mesh) / ≈ 0.85 ms (R-MAT) per
+/// active lane and meets the dense arm's flat cost near 11 lanes on the
+/// mesh and 8 on R-MAT; under `+` (a cheaper fold than `min`) it is nearer
+/// 12.  The kernel switches at `⌈k / 8⌉`.  The density test stops counting
+/// at the threshold, and the dense arm measures the same as the one-arm
+/// kernel it replaced (mesh 1.85 vs 1.85–1.91 ms, `ppr_dense` 1.05 vs
+/// 1.09 ms).
+///
+/// Both arms produce the same bits.  For a push-safe semiring an identity
+/// lane's term is a no-op on anything the scatter can hold (`d + 0`, `min(d,
+/// ∞)`, `max(d, −∞)`, `d ∨ 0`; NaN never survives `min` / `max` and stays
+/// NaN under `+`), which is what already makes the pull sweep's `xa` skip
+/// and the per-lane single-vector push exact; and per output position the
+/// surviving terms still arrive in frontier order, edges ascending, so a
+/// non-associative float `+` keeps its grouping.  (One documented corner: a
+/// `−0.0` *baseline* under `+` stays `−0.0` where the dense arm — like the
+/// pull sweep's `base + t` — would store `+0.0`.)
 ///
 /// # Panics
 /// Panics if `x` or `y` is shorter than the matrix requires.
@@ -501,30 +653,35 @@ pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
     allow: M,
     y: &mut [f32],
 ) {
-    let dim = a.tile_dim();
     assert!(x.len() >= a.nrows() * k, "operand x shorter than nrows * k");
     assert!(y.len() >= a.ncols() * k, "output y shorter than ncols * k");
-    let y = &mut y[..a.ncols() * k];
-    with_semiring_ops!(semiring, |_identity, combine, reduce| {
+    let ncols = a.ncols();
+    let y = &mut y[..ncols * k];
+    with_semiring_ops!(semiring, |identity, combine, reduce| {
         for &u in frontier {
             debug_assert!(u < a.nrows(), "frontier node out of range");
             let src = &x[u * k..][..k];
-            let (tr, r) = (u / dim, u % dim);
-            for idx in a.tile_row_range(tr) {
-                let base = a.tile_colind()[idx] * dim;
-                for dc in a.tile_words(idx)[r].iter_ones() {
-                    let j = base + dc as usize;
+            if lanes_are_dense(src, identity) {
+                for_each_out_neighbour(a, u, |j| {
                     // The slice test doubles as the guard of the ragged last
                     // tile-column, as in the pull sweep.
-                    let Some(dst) = y.get_mut(j * k..) else {
-                        continue;
-                    };
-                    for (l, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
-                        if allow(j * k + l) {
-                            *d = reduce(*d, combine(s));
-                        }
+                    if let Some(dst) = y.get_mut(j * k..) {
+                        fold_all_lanes(dst, src, j * k, &allow, combine, reduce);
                     }
-                }
+                });
+                continue;
+            }
+            for (b, block) in src.chunks(LANE_BLOCK).enumerate() {
+                let Some(lanes) = ActiveLanes::of(block, identity, combine) else {
+                    continue;
+                };
+                let first = b * LANE_BLOCK;
+                for_each_out_neighbour(a, u, |j| {
+                    if j < ncols {
+                        let flat0 = j * k + first;
+                        lanes.fold_into(&mut y[flat0..], flat0, &allow, reduce);
+                    }
+                });
             }
         }
     });
@@ -978,48 +1135,63 @@ mod tests {
         }
     }
 
+    /// One `(matrix, operand, seed)` push case: the batched scatter, with and
+    /// without a flat mask, against per-lane single-vector scatters from each
+    /// lane's own frontier.  `seed` is what `y` holds on entry, cycled over
+    /// the flat output: the identity, or an accumulation baseline.
+    fn check_push_against_per_lane<W: BitWord>(
+        a: &Csr,
+        dim: usize,
+        k: usize,
+        semiring: Semiring,
+        x: &[f32],
+        seed: &[f32],
+    ) {
+        let b = from_csr::<W>(a, dim);
+        let active = |v: f32| !semiring.is_identity(v);
+        let frontier: Vec<usize> = (0..a.nrows())
+            .filter(|&i| x[i * k..][..k].iter().any(|&v| active(v)))
+            .collect();
+        let seeded = |len: usize, stride: usize, first: usize| -> Vec<f32> {
+            (0..len)
+                .map(|j| seed[(j * stride + first) % seed.len()])
+                .collect()
+        };
+        // Unmasked, and a mask that drops a third of the flat positions.
+        let masks: [&dyn Fn(usize) -> bool; 2] = [&|_| true, &|flat| flat % 3 != 1];
+        for (mi, allow) in masks.into_iter().enumerate() {
+            let mut y = seeded(a.ncols() * k, 1, 0);
+            bmm_push_bin_full(&b, x, k, &frontier, semiring, allow, &mut y);
+            for l in 0..k {
+                let lane = lane_of(x, k, l);
+                let lane_frontier: Vec<usize> =
+                    (0..a.nrows()).filter(|&i| active(lane[i])).collect();
+                let mut want = seeded(a.ncols(), k, l);
+                bmv_push_bin_full(
+                    &b,
+                    &lane,
+                    &lane_frontier,
+                    semiring,
+                    |j| allow(j * k + l),
+                    &mut want,
+                );
+                for (j, &w) in want.iter().enumerate() {
+                    assert_same_bits(
+                        y[j * k + l],
+                        w,
+                        format_args!("{semiring:?} k={k} dim={dim} mask {mi} lane {l} node {j}"),
+                    );
+                }
+            }
+        }
+    }
+
     /// The batched push scatter equals k independent single-vector pushes,
     /// bit for bit, for every push-safe semiring, batch width and tile size,
     /// on a rectangular matrix with a ragged last tile-column, with and
     /// without a flat mask.
     #[test]
     fn push_multi_full_equals_per_lane_push() {
-        fn check<W: BitWord>(a: &Csr, dim: usize, k: usize, semiring: Semiring, x: &[f32]) {
-            let b = from_csr::<W>(a, dim);
-            let active = |v: f32| !semiring.is_identity(v);
-            let frontier: Vec<usize> = (0..a.nrows())
-                .filter(|&i| x[i * k..][..k].iter().any(|&v| active(v)))
-                .collect();
-            // Unmasked, and a mask that drops a third of the flat positions.
-            let masks: [&dyn Fn(usize) -> bool; 2] = [&|_| true, &|flat| flat % 3 != 1];
-            for (mi, allow) in masks.into_iter().enumerate() {
-                let mut y = vec![semiring.identity(); a.ncols() * k];
-                bmm_push_bin_full(&b, x, k, &frontier, semiring, allow, &mut y);
-                for l in 0..k {
-                    let lane = lane_of(x, k, l);
-                    let lane_frontier: Vec<usize> =
-                        (0..a.nrows()).filter(|&i| active(lane[i])).collect();
-                    let mut want = vec![semiring.identity(); a.ncols()];
-                    bmv_push_bin_full(
-                        &b,
-                        &lane,
-                        &lane_frontier,
-                        semiring,
-                        |j| allow(j * k + l),
-                        &mut want,
-                    );
-                    for (j, &w) in want.iter().enumerate() {
-                        assert_same_bits(
-                            y[j * k + l],
-                            w,
-                            format_args!(
-                                "{semiring:?} k={k} dim={dim} mask {mi} lane {l} node {j}"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
         let (nrows, ncols) = (53, 61);
         let a = sample_rect(nrows, ncols, 11, 3, |_, _| true);
         for k in WIDTHS {
@@ -1029,14 +1201,65 @@ mod tests {
                 Semiring::MinPlus(1.0),
                 Semiring::MaxTimes(2.0),
             ] {
+                let identity = [semiring.identity()];
                 for x in [
                     sample_multi(nrows, k, semiring),
                     sample_multi_hostile(nrows, k, semiring),
                 ] {
-                    check::<u8>(&a, 4, k, semiring, &x);
-                    check::<u8>(&a, 8, k, semiring, &x);
-                    check::<u16>(&a, 16, k, semiring, &x);
-                    check::<u32>(&a, 32, k, semiring, &x);
+                    check_push_against_per_lane::<u8>(&a, 4, k, semiring, &x, &identity);
+                    check_push_against_per_lane::<u8>(&a, 8, k, semiring, &x, &identity);
+                    check_push_against_per_lane::<u16>(&a, 16, k, semiring, &x, &identity);
+                    check_push_against_per_lane::<u32>(&a, 32, k, semiring, &x, &identity);
+                }
+            }
+        }
+    }
+
+    /// Both arms of the lane-sparse scatter, and the switch between them:
+    /// every frontier node carries one lane, one fewer than the dense
+    /// threshold, exactly the threshold, one more, or all `k` — with NaN,
+    /// ±∞ and −0.0 among the values, widths that span one, two and three
+    /// lane blocks, a seeded (accumulator-baseline) output as well as the
+    /// identity, and a column count that is no tile multiple.
+    #[test]
+    fn lane_sparse_push_equals_per_lane_push_at_every_density() {
+        const VALUES: [f32; 8] = [
+            1.0,
+            f32::NAN,
+            2.5,
+            f32::INFINITY,
+            -0.0,
+            f32::NEG_INFINITY,
+            0.0,
+            4.0,
+        ];
+        let (nrows, ncols) = (53, 61);
+        let a = sample_rect(nrows, ncols, 17, 4, |_, _| true);
+        for k in [1usize, 3, 64, 70, 130] {
+            let need = k.div_ceil(DENSE_LANE_DIVISOR);
+            let mut densities = vec![1, need.saturating_sub(1).max(1), need, (need + 1).min(k), k];
+            densities.dedup();
+            for semiring in [
+                Semiring::MinPlus(1.0),
+                Semiring::Arithmetic,
+                Semiring::MaxTimes(2.0),
+            ] {
+                // A baseline a monoid accumulator could seed the scatter
+                // with (no −0.0: under `+` the arms may differ on it).
+                let baseline = [3.0, semiring.identity(), 0.5, 7.0, 1.5];
+                for &active in &densities {
+                    let mut x = vec![semiring.identity(); nrows * k];
+                    // Every fifth node stays out of the frontier; the rest
+                    // carry `active` lanes starting at a rotating offset.
+                    for u in (0..nrows).filter(|u| u % 5 != 4) {
+                        for i in 0..active {
+                            x[u * k + (u * 3 + i) % k] = VALUES[(u + i) % VALUES.len()];
+                        }
+                    }
+                    for seed in [&[semiring.identity()][..], &baseline] {
+                        check_push_against_per_lane::<u8>(&a, 8, k, semiring, &x, seed);
+                        check_push_against_per_lane::<u32>(&a, 32, k, semiring, &x, seed);
+                    }
                 }
             }
         }

@@ -523,6 +523,115 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
     }
 }
 
+/// The compare-and-build pass of a changed-set SSSP round, as
+/// `bitgblas_algorithms::sssp` runs it: `delta` becomes `next` where it
+/// dropped below `dist` and `+∞` elsewhere, in place.
+fn rebuild_delta(next: &[f32], dist: &[f32], delta: &mut [f32]) {
+    for ((slot, &new), &old) in delta.iter_mut().zip(next).zip(dist) {
+        *slot = if new < old { new } else { f32::INFINITY };
+    }
+}
+
+/// Warm `round` up, then require 24 more calls to allocate nothing and —
+/// when `direction` is push — to have scattered from a non-empty changed
+/// set through the push path every time.
+fn assert_changed_set_rounds_allocation_free(
+    what: &str,
+    ctx: &Context,
+    direction: Direction,
+    pushes: fn(&Context) -> u64,
+    mut round: impl FnMut(),
+) {
+    for _ in 0..8 {
+        round();
+    }
+    let (pushes_before, entries_before) = (pushes(ctx), ctx.stats().push_frontier_entries);
+    let before = allocations();
+    for _ in 0..24 {
+        round();
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "changed-set SSSP round allocated in steady state ({what}, {direction:?})"
+    );
+    if direction == Direction::Push {
+        assert_eq!(pushes(ctx) - pushes_before, 24, "{what}: forced push");
+        assert!(
+            ctx.stats().push_frontier_entries > entries_before,
+            "{what}: the measured rounds still scattered from a changed set"
+        );
+    }
+}
+
+/// The rounds production SSSP runs since the changed set: the operand is
+/// `delta` (what dropped last round), the accumulator baseline is `dist`,
+/// and one in-place pass rebuilds `delta` — single vector, a few lanes and
+/// a full batch, forced push and forced pull.  The merged count-and-collect
+/// frontier scan and the lane enumeration of the batched scatter run here;
+/// a per-call buffer in either would show.
+#[test]
+fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
+    let semiring = Semiring::MinPlus(1.0);
+    for direction in [Direction::Push, Direction::Pull] {
+        // Single vector: the changed set is one chain vertex per round.
+        let n = 256;
+        let a = chain(n);
+        let ctx = a.context();
+        let mut dist = Vector::identity(n, semiring);
+        dist.set(0, 0.0);
+        let mut delta = dist.clone();
+        assert_changed_set_rounds_allocation_free(
+            "vector",
+            ctx,
+            direction,
+            |ctx| ctx.stats().push_mxv,
+            || {
+                let next = Op::vxm(&delta, &a)
+                    .semiring(semiring)
+                    .direction(direction)
+                    .accum(BinaryOp::Min, &dist)
+                    .run(ctx);
+                rebuild_delta(next.as_slice(), dist.as_slice(), delta.as_mut_slice());
+                ctx.recycle(std::mem::replace(&mut dist, next));
+            },
+        );
+        assert_eq!(dist.get(31), 31.0);
+
+        // Batched: lane l starts at chain vertex 2·l (mod n), so lanes are
+        // at different vertices and a node carries a few of them at most.
+        // The node count shrinks as the batch widens to keep `n · k` below
+        // the sweeps' sequential cut-off (see the module docs); lanes that reach the chain's end
+        // drop out of the changed set, lane 0 walks all of it.
+        for (k, n) in [(3usize, 256usize), (64, 24)] {
+            let a = chain(n);
+            let ctx = a.context();
+            let mut dist = MultiVec::identity(n, k, semiring);
+            for l in 0..k {
+                dist.set((2 * l) % n, l, 0.0);
+            }
+            let mut delta = dist.clone();
+            assert_changed_set_rounds_allocation_free(
+                &format!("k={k}"),
+                ctx,
+                direction,
+                |ctx| ctx.stats().push_mxm,
+                || {
+                    let next = Op::mxm(&a, &delta)
+                        .transpose()
+                        .semiring(semiring)
+                        .direction(direction)
+                        .accum(BinaryOp::Min, &dist)
+                        .run(ctx);
+                    rebuild_delta(next.as_slice(), dist.as_slice(), delta.as_mut_slice());
+                    ctx.recycle(std::mem::replace(&mut dist, next));
+                },
+            );
+            assert_eq!(dist.get(20, 0), 20.0);
+        }
+    }
+}
+
 #[test]
 fn sssp_style_relaxation_is_allocation_free_after_warmup() {
     let n = 256;

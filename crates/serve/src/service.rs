@@ -153,8 +153,8 @@ impl<'g> GraphServiceBuilder<'g> {
     }
 
     /// Traversal direction for the batched executions (default:
-    /// [`Direction::Auto`] — per-iteration Beamer switching on the
-    /// node-granular batch frontier).
+    /// [`Direction::Auto`] — per-iteration Beamer switching on the batch
+    /// frontier, priced per product kind by `choose_direction`).
     pub fn direction(mut self, direction: Direction) -> Self {
         self.direction = direction;
         self

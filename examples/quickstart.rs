@@ -58,6 +58,16 @@ fn main() {
         "SSSP from vertex 0: {reached} reachable vertices, {} rounds",
         sssp_bit.iterations
     );
+    // Each round relaxes from the vertices whose distance just dropped, so a
+    // forced-push run walks every reached vertex's out-edges exactly once —
+    // an exact work count the context keeps, not a timing.
+    let before = bit.context().stats().push_frontier_nodes;
+    let pushed = sssp_dir(&bit, 0, Direction::Push);
+    assert_eq!(pushed.distances, sssp_bit.distances);
+    println!(
+        "  forced push: scattered from {} frontier nodes for {reached} reached vertices",
+        bit.context().stats().push_frontier_nodes - before
+    );
 
     // PageRank (paper configuration: alpha 0.85, 10 iterations).
     let pr = pagerank(&bit, &PageRankConfig::default());
@@ -102,16 +112,31 @@ fn main() {
     // The builders are lazy (GraphBLAS non-blocking mode): nothing ran yet
     // when an expression is built, and a whole chain — product, apply,
     // accumulator — fuses into one kernel sweep at run(&ctx).  Here: one
-    // min-plus relaxation round with the accumulator folded into the sweep.
+    // min-plus relaxation round with the accumulator folded into the sweep,
+    // in the shape `sssp` runs it — `dist` is the accumulator baseline and
+    // the operand is `delta`, the distances that dropped last round (at the
+    // start, just the source), so a round walks the out-edges of what
+    // changed, not of everything reached.
     let mut dist = Vector::identity(adjacency.nrows(), Semiring::MinPlus(1.0));
     dist.set(0, 0.0);
-    let relaxed = Op::vxm(&dist, &bit)
+    let mut delta = dist.clone();
+    let relaxed = Op::vxm(&delta, &bit)
         .semiring(Semiring::MinPlus(1.0))
         .accum(BinaryOp::Min, &dist)
         .run(&ctx);
+    // One pass is both the fixpoint test and the next round's operand.
+    for ((slot, &new), &old) in delta
+        .as_mut_slice()
+        .iter_mut()
+        .zip(relaxed.as_slice())
+        .zip(dist.as_slice())
+    {
+        *slot = if new < old { new } else { f32::INFINITY };
+    }
     println!(
-        "one fused relaxation round reaches {} vertices (fused pipelines run: {})",
+        "one fused relaxation round reaches {} vertices, {} of them new (fused pipelines run: {})",
         relaxed.as_slice().iter().filter(|d| d.is_finite()).count(),
+        delta.as_slice().iter().filter(|d| d.is_finite()).count(),
         ctx.stats().fused_mxv
     );
 }
