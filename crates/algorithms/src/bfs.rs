@@ -15,7 +15,7 @@
 //! pool and the visited mask is updated in place (proved by the
 //! allocation-counter test in `bitgblas-core`).
 
-use bitgblas_core::grb::{Direction, GrbError, Mask, Matrix, MultiVec, Op, Vector};
+use bitgblas_core::grb::{Direction, GrbError, LaneBits, Mask, Matrix, MultiVec, Op, Vector};
 use bitgblas_core::Semiring;
 
 use crate::validate::{check_batch_nonempty, check_sources};
@@ -164,6 +164,11 @@ pub fn bfs_multi_dir(a: &Matrix, sources: &[usize], direction: Direction) -> Mul
 
 /// As [`bfs_multi_dir`], reporting an empty batch or an out-of-range source
 /// as a typed [`GrbError`] instead of panicking.
+///
+/// On a built bit backend the frontier and the visited set stay in lane
+/// words from round to round ([`LaneBits`]: one bit per traversal, the
+/// paper's binarized vectors for `k` traversals) and a round converts
+/// nothing; any other backend runs the same rounds over `f32` lanes.
 pub fn try_bfs_multi_dir(
     a: &Matrix,
     sources: &[usize],
@@ -173,29 +178,103 @@ pub fn try_bfs_multi_dir(
     let k = sources.len();
     check_batch_nonempty(k, "bfs_multi needs at least one source")?;
     check_sources(n, sources, "source vertex")?;
-    let ctx = a.context();
 
     let mut levels = vec![-1i64; n * k];
+    for (l, &s) in sources.iter().enumerate() {
+        levels[s * k + l] = 0;
+    }
+    let (iterations, found) = match word_rounds(a, sources, direction, &mut levels)? {
+        Some(done) => done,
+        // No word product on this backend (the float baseline, a matrix
+        // read through pending deltas, an external backend).
+        None => flat_rounds(a, sources, direction, &mut levels)?,
+    };
+    Ok(MultiBfsResult {
+        levels,
+        n_sources: k,
+        iterations,
+        n_reached: k + found,
+    })
+}
+
+/// Drive the rounds of a batched traversal over `n` vertices: `step(level)`
+/// advances every lane one hop, records `level` for what it newly reached
+/// and returns how many `(vertex, lane)` pairs that was — or `None`, before
+/// it has changed anything, when it cannot run on this matrix at all.
+/// Returns `(iterations, pairs reached beyond the sources)`.
+fn run_rounds(
+    n: usize,
+    mut step: impl FnMut(i64) -> Result<Option<usize>, GrbError>,
+) -> Result<Option<(usize, usize)>, GrbError> {
+    let (mut iterations, mut reached) = (0usize, 0usize);
+    loop {
+        let Some(found) = step(iterations as i64 + 1)? else {
+            return Ok(None);
+        };
+        iterations += 1;
+        reached += found;
+        if found == 0 || iterations >= n {
+            return Ok(Some((iterations, reached)));
+        }
+    }
+}
+
+/// The rounds in lane words: `next = (Aᵀ·frontier) & !visited` as one word
+/// product, levels written from the set bits of `next` only,
+/// `visited |= next`.  `None` when the backend has no word product.
+fn word_rounds(
+    a: &Matrix,
+    sources: &[usize],
+    direction: Direction,
+    levels: &mut [i64],
+) -> Result<Option<(usize, usize)>, GrbError> {
+    let (n, k) = (a.nrows(), sources.len());
+    let ctx = a.context();
+    let mut frontier = LaneBits::from_sources(n, sources);
+    let mut visited = frontier.clone();
+    let done = run_rounds(n, |level| {
+        let product = Op::mxm_lanes(a, &frontier)
+            .transpose()
+            .and_not(&visited)
+            .direction(direction)
+            .try_run(ctx)?;
+        let Some(next) = product else {
+            return Ok(None);
+        };
+        let mut found = 0usize;
+        for (v, l) in next.ones() {
+            levels[v * k + l] = level;
+            found += 1;
+        }
+        visited.or_assign(&next);
+        std::mem::replace(&mut frontier, next).recycle(ctx);
+        Ok(Some(found))
+    });
+    frontier.recycle(ctx);
+    done
+}
+
+/// The same rounds over `f32` lanes: a masked Boolean `mxm` and a scan of
+/// its flat `n × k` output.
+fn flat_rounds(
+    a: &Matrix,
+    sources: &[usize],
+    direction: Direction,
+    levels: &mut [i64],
+) -> Result<(usize, usize), GrbError> {
+    let (n, k) = (a.nrows(), sources.len());
+    let ctx = a.context();
     let mut visited = {
         let mut flags = vec![false; n * k];
         for (l, &s) in sources.iter().enumerate() {
-            levels[s * k + l] = 0;
             flags[s * k + l] = true;
         }
         // The flat per-lane ¬visited mask: each lane keeps its own visited
         // set, all k of them filtered by the same masked sweep.
         Mask::complemented(flags)
     };
-
     let mut frontier = MultiVec::from_sources(n, sources);
-    let mut level = 0i64;
-    let mut iterations = 0usize;
-    let mut n_reached = k;
-
-    loop {
-        iterations += 1;
-        level += 1;
-
+    let done = run_rounds(n, |level| {
         // next = Aᵀ ⊕.⊗ F over the Boolean semiring (one hop of every lane
         // at once), masked by each lane's ¬visited.
         let next = Op::mxm(a, &frontier)
@@ -204,36 +283,27 @@ pub fn try_bfs_multi_dir(
             .mask(&visited)
             .direction(direction)
             .try_run(ctx)?;
-
-        let mut any = false;
+        let mut found = 0usize;
         for (f, &x) in next.as_slice().iter().enumerate() {
             if x != 0.0 {
                 visited.set(f, true);
                 levels[f] = level;
-                n_reached += 1;
-                any = true;
+                found += 1;
             }
         }
         ctx.recycle(std::mem::replace(&mut frontier, next));
-        if !any || iterations >= n {
-            break;
-        }
-    }
+        Ok(Some(found))
+    });
     ctx.recycle(frontier);
-
-    Ok(MultiBfsResult {
-        levels,
-        n_sources: k,
-        iterations,
-        n_reached,
-    })
+    Ok(done?.expect("the f32 step runs on every backend"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
-    use bitgblas_core::{Backend, TileSize};
+    use bitgblas_core::grb::{BitB2sr, Context, GrbBackend, MxvPipeline, Workspace};
+    use bitgblas_core::{Backend, ShardConfig, ShardPlan, TileSize};
     use bitgblas_datagen::generators;
     use bitgblas_sparse::Coo;
 
@@ -411,6 +481,276 @@ mod tests {
                 assert_eq!(batched.level(v, l), single.levels[v], "lane {l}");
             }
         }
+    }
+
+    // -- the word loop against the f32 loop ----------------------------------
+
+    /// One of `try_bfs_multi_dir`'s two loops, run to completion on `m`.
+    #[derive(Debug, PartialEq)]
+    struct LoopRun {
+        levels: Vec<i64>,
+        /// `(iterations, pairs reached beyond the sources)`.
+        done: (usize, usize),
+        /// `(pull_mxm, push_mxm)` the run added: its per-round directions.
+        directions: (u64, u64),
+    }
+
+    /// Run both loops; returns them with the `converted_elems` each added.
+    fn both_loops(m: &Matrix, sources: &[usize], dir: Direction) -> [(LoopRun, u64); 2] {
+        let (n, k) = (m.nrows(), sources.len());
+        let seeded = || {
+            let mut levels = vec![-1i64; n * k];
+            for (l, &s) in sources.iter().enumerate() {
+                levels[s * k + l] = 0;
+            }
+            levels
+        };
+        let measure = |run: &dyn Fn(&mut [i64]) -> (usize, usize)| {
+            let before = m.context().stats();
+            let mut levels = seeded();
+            let done = run(&mut levels);
+            let after = m.context().stats();
+            let directions = (
+                after.pull_mxm - before.pull_mxm,
+                after.push_mxm - before.push_mxm,
+            );
+            let run = LoopRun {
+                levels,
+                done,
+                directions,
+            };
+            (run, after.converted_elems - before.converted_elems)
+        };
+        [
+            measure(&|levels| {
+                word_rounds(m, sources, dir, levels)
+                    .unwrap()
+                    .expect("a built bit backend has the word product")
+            }),
+            measure(&|levels| flat_rounds(m, sources, dir, levels).unwrap()),
+        ]
+    }
+
+    /// The parity list's graphs.
+    fn parity_graphs() -> Vec<(&'static str, bitgblas_sparse::Csr)> {
+        let mut two = Coo::new(41, 41);
+        for i in 0..19 {
+            two.push_undirected_edge(i, i + 1).unwrap();
+            two.push_undirected_edge(21 + i, 22 + i).unwrap();
+        }
+        vec![
+            ("path", generators::path(37)),
+            ("star", generators::star(33)),
+            ("grid", generators::grid2d(9, 7)),
+            ("erdos-renyi", generators::erdos_renyi(97, 0.04, true, 11)),
+            (
+                "directed erdos-renyi",
+                generators::erdos_renyi(70, 0.05, false, 3),
+            ),
+            (
+                "r-mat",
+                generators::rmat(7, 6, 0.57, 0.19, 0.19, 5).symmetrized(),
+            ),
+            ("two components", two.to_binary_csr()),
+            ("n below every tile dim", generators::path(3)),
+        ]
+    }
+
+    #[test]
+    fn word_loop_equals_f32_loop_on_every_bit_backend_direction_and_width() {
+        for (what, adj) in parity_graphs() {
+            let n = adj.nrows();
+            for ts in [TileSize::S4, TileSize::S8, TileSize::S16, TileSize::S32] {
+                let m = Matrix::from_csr(&adj, Backend::Bit(ts));
+                for k in [1usize, 3, 64, 65, 130] {
+                    // Wraps around small graphs: duplicate sources included.
+                    let mut sources: Vec<usize> = (0..k).map(|l| (l * 13 + 5) % n).collect();
+                    if k >= 3 {
+                        sources[2] = sources[0];
+                    }
+                    for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                        let [(words, packed), (flat, unpacked)] = both_loops(&m, &sources, dir);
+                        assert_eq!(words, flat, "{what} {ts:?} k={k} {dir:?}");
+                        assert_eq!(packed, 0, "the word loop converts nothing");
+                        let rounds = flat.done.0 as u64;
+                        assert!(unpacked >= rounds * (n * k) as u64, "{what} {unpacked}");
+                        // … and the public entry point is the word loop.
+                        let got = bfs_multi_dir(&m, &sources, dir);
+                        assert_eq!(got.levels, words.levels);
+                        assert_eq!(
+                            (got.iterations, got.n_reached),
+                            (words.done.0, k + words.done.1)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A forwarding page around a `BitB2sr`: same storage, same kernels,
+    /// same `kind()` — but not the type the op layer's downcast looks for.
+    #[derive(Debug)]
+    struct Wrapped(BitB2sr);
+
+    impl GrbBackend for Wrapped {
+        fn kind(&self) -> Backend {
+            self.0.kind()
+        }
+        fn nrows(&self) -> usize {
+            self.0.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.0.ncols()
+        }
+        fn nnz(&self) -> usize {
+            self.0.nnz()
+        }
+        fn csr(&self) -> &bitgblas_sparse::Csr {
+            self.0.csr()
+        }
+        fn csr_t(&self) -> &bitgblas_sparse::Csr {
+            self.0.csr_t()
+        }
+        fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+            self.0.mxv_into(p, ws, out);
+        }
+        fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+            self.0.mxm_into(p, ws, out);
+        }
+        fn mxm_reduce_masked(
+            &self,
+            b: &dyn GrbBackend,
+            mask: &dyn GrbBackend,
+            transpose_b: bool,
+        ) -> f64 {
+            self.0.mxm_reduce_masked(b, mask, transpose_b)
+        }
+        fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
+        fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {
+            None
+        }
+        fn storage_bytes(&self) -> usize {
+            self.0.storage_bytes()
+        }
+        fn transpose_view(&self) -> Box<dyn GrbBackend> {
+            Box::new(Wrapped(BitB2sr::new(self.0.csr_t(), self.0.tile_size())))
+        }
+        fn clone_box(&self) -> Box<dyn GrbBackend> {
+            Box::new(Wrapped(BitB2sr::new(self.0.csr(), self.0.tile_size())))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The work counters that gate the representation: a built bit backend
+    /// converts nothing; a matrix read through pending deltas and an
+    /// external backend take the `f32` loop (≥ `n · k` elements per round)
+    /// and agree with a rebuild; forced push scatters from every reached
+    /// `(vertex, lane)` exactly once.
+    #[test]
+    fn only_a_built_bit_backend_runs_in_words_and_the_counters_say_so() {
+        let adj = generators::erdos_renyi(90, 0.04, true, 4);
+        let n = adj.nrows();
+        let sources = [5usize, 0, 77, 5, 31];
+        let k = sources.len();
+        let built = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
+        let converted = |m: &Matrix, dir: Direction| {
+            let before = m.context().stats();
+            let r = bfs_multi_dir(m, &sources, dir);
+            let after = m.context().stats();
+            (r, after.converted_elems - before.converted_elems)
+        };
+        for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+            let (_, added) = converted(&built, dir);
+            assert_eq!(added, 0, "{dir:?}");
+        }
+
+        // Forced push: every reached (vertex, lane) is a frontier entry of
+        // exactly one round.
+        let before = built.context().stats();
+        let r = bfs_multi_dir(&built, &sources, Direction::Push);
+        let after = built.context().stats();
+        assert_eq!(
+            after.push_frontier_entries - before.push_frontier_entries,
+            r.n_reached as u64
+        );
+        assert_eq!(after.push_mxm - before.push_mxm, r.iterations as u64);
+
+        // Pending deltas: the snapshot reads through a `DeltaOverlay`.
+        let mutated = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
+        mutated.insert_edge(5, 80).unwrap();
+        mutated.insert_edge(80, 5).unwrap();
+        mutated.delete_edge(0, adj.row(0).0[0]).unwrap();
+        let snap = mutated.snapshot();
+        let rebuilt = Matrix::from_csr(snap.csr(), Backend::Bit(TileSize::S8));
+        // The external backend: a `BitB2sr` behind a type of its own.
+        let external = Matrix::from_backend(Box::new(Wrapped(BitB2sr::new(&adj, TileSize::S8))));
+        for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+            let (want, _) = converted(&rebuilt, dir);
+            let (got, added) = converted(&snap, dir);
+            assert_eq!(got, want, "overlay {dir:?}");
+            assert!(added >= (got.iterations * n * k) as u64, "overlay {added}");
+
+            let (want, _) = converted(&built, dir);
+            let (got, added) = converted(&external, dir);
+            assert_eq!(got, want, "external {dir:?}");
+            assert!(added >= (got.iterations * n * k) as u64, "external {added}");
+        }
+    }
+
+    /// The word loop computes the same thing whichever kernels the SIMD
+    /// policy selects and however many threads the sharded scatter fans out
+    /// to.
+    #[test]
+    fn word_loop_is_identical_across_simd_policies_and_push_threads() {
+        use bitgblas_core::SimdPolicy;
+        let adj = generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
+        let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % adj.nrows()).collect();
+        let ctx = Context::with_threads(4);
+        let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &ctx);
+        let want = bfs_multi_dir(&m, &sources, Direction::Push);
+        assert!(
+            m.context().stats().sharded_push > 0,
+            "precondition: the sharded scatter engages on this graph"
+        );
+        for threads in [1usize, 2, 8] {
+            m.context().set_threads(threads);
+            let got = bfs_multi_dir(&m, &sources, Direction::Push);
+            assert_eq!(got, want, "{threads} push threads");
+        }
+        for policy in [SimdPolicy::ForceScalar, SimdPolicy::ForceVector] {
+            m.context().set_simd_policy(policy);
+            for dir in [Direction::Push, Direction::Pull] {
+                assert_eq!(bfs_multi_dir(&m, &sources, dir).levels, want.levels);
+            }
+        }
+    }
+
+    /// Serve's retry and bisection paths depend on a transient injected at
+    /// the batched dispatch coming back as a typed error.
+    #[test]
+    fn injected_dispatch_transient_surfaces_from_the_word_loop() {
+        use bitgblas_core::{FailSpec, FaultAction, FaultInjector, FaultPlan};
+        let m = Matrix::from_csr(&generators::path(20), Backend::Bit(TileSize::S8));
+        // Let two rounds through, fail the third.
+        let plan = FaultPlan::new()
+            .with(FailSpec::always("grb.mxm_dispatch", FaultAction::Latency(1)).with_max_fires(2))
+            .with(FailSpec::always("grb.mxm_dispatch", FaultAction::Transient).with_max_fires(1));
+        let inj = std::sync::Arc::new(FaultInjector::new(7, plan));
+        m.context().set_fault_injector(Some(inj));
+        let before = m.context().stats();
+        assert_eq!(
+            try_bfs_multi_dir(&m, &[0, 7], Direction::Auto),
+            Err(GrbError::FaultInjected {
+                point: "grb.mxm_dispatch"
+            })
+        );
+        assert_eq!(m.context().stats().total_mxm() - before.total_mxm(), 2);
+        // The plan is spent: the retry runs clean, in words.
+        let retry = try_bfs_multi_dir(&m, &[0, 7], Direction::Auto).unwrap();
+        assert_eq!(retry.level(19, 0), 19);
+        assert_eq!(m.context().stats().converted_elems, 0);
     }
 
     #[test]

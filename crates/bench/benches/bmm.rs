@@ -1,17 +1,19 @@
 //! Criterion bench: BMM (bit SpGEMM) vs the float Gustavson SpGEMM baseline
 //! (the counterpart of Figures 6d / 7d), the batched full-precision
-//! matrix × multivector kernels behind `sssp_multi` / `ppr_multi`, and the
-//! lane-density sweep of the batched scatter.
+//! matrix × multivector kernels behind `sssp_multi` / `ppr_multi`, the
+//! lane-density sweep of the batched scatter, and the lane-word step of
+//! `bfs_multi` at a thin and at a full frontier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use bitgblas_core::b2sr::convert::from_csr;
+use bitgblas_core::grb::{LaneBits, Op};
 use bitgblas_core::kernels::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmm_push_bin_full,
     bmv_bin_full_full_fused_into,
 };
-use bitgblas_core::Semiring;
+use bitgblas_core::{Backend, Matrix, Semiring, TileSize};
 use bitgblas_datagen::generators;
 use bitgblas_sparse::{ops, Csr};
 
@@ -191,10 +193,63 @@ fn bmm_lane_density_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// One round of `bfs_multi` in lane words (`Op::mxm_lanes`, 64 lanes, nothing
+/// visited yet) on the repo benchmark's two graphs: from every hundredth node
+/// — the thin frontier the kernel probes use, which `Direction::Auto` pushes
+/// — and from every node, which it pulls.  With dozens of sources the union
+/// of the wavefronts is the whole graph for most of a run, so the full row
+/// is what a round costs once nothing is converted around it: one word OR
+/// per edge.
+fn bmm_lane_word_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmm_lane_words");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let k = 64usize;
+    let graphs = [
+        ("banded_2k_w32", generators::banded(2048, 32, 0.7, 5)),
+        (
+            "rmat_s14",
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+        ),
+    ];
+    for (name, csr) in graphs {
+        let a = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
+        let ctx = a.context();
+        let visited = LaneBits::zeros(a.nrows(), k);
+        for (label, stride) in [("frontier_1pct", 100usize), ("frontier_full", 1)] {
+            let mut frontier = LaneBits::zeros(a.nrows(), k);
+            for u in (0..a.nrows()).step_by(stride) {
+                for l in 0..k {
+                    frontier.set(u, l);
+                }
+            }
+            group.bench_function(
+                BenchmarkId::new(format!("mxm_lanes/k64/{label}"), name),
+                |b| {
+                    b.iter(|| {
+                        let next = Op::mxm_lanes(&a, &frontier)
+                            .transpose()
+                            .and_not(&visited)
+                            .try_run(ctx)
+                            .expect("well-shaped operands")
+                            .expect("a built bit backend has the word product");
+                        next.recycle(ctx)
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bmm_benches,
     bmm_batched_benches,
-    bmm_lane_density_benches
+    bmm_lane_density_benches,
+    bmm_lane_word_benches
 );
 criterion_main!(benches);

@@ -49,6 +49,7 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::bmm::{fold_all_lanes, lanes_are_dense, ActiveLanes, LANE_BLOCK};
+use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
     bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
@@ -60,8 +61,9 @@ use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
 
 use super::descriptor::Mask;
+use super::lanebits::{expand_lane_words_into, pack_lane_words_from};
 use super::matrix::Backend;
-use super::multivec::{lane_words_per_node, pack_lane_words_from};
+use super::multivec::lane_words_per_node;
 use super::plan::{self, MxvPipeline};
 use super::workspace::{Poolable, Workspace};
 
@@ -212,26 +214,6 @@ fn expand_bits_into<W: BitWord>(yw: &[W], dim: usize, mask: Option<&Mask>, out: 
             }
         }
     }
-}
-
-/// Expand per-node `u64` lane words into a flat node-major `f32` indicator,
-/// with an optional flat per-lane mask filter — the common tail of the
-/// batched Boolean pull and push paths (`out` must be resized to
-/// `n_nodes · k` and filled with `0.0`).
-fn expand_lane_words_into(yw: &[u64], k: usize, mask: Option<&Mask>, out: &mut [f32]) {
-    use rayon::prelude::*;
-    let wpn = lane_words_per_node(k);
-    out.par_chunks_mut(k).enumerate().for_each(|(i, lanes)| {
-        let words = &yw[i * wpn..(i + 1) * wpn];
-        if words.iter().all(|&w| w == 0) {
-            return;
-        }
-        for (l, slot) in lanes.iter_mut().enumerate() {
-            if words[l / 64] >> (l % 64) & 1 != 0 && mask.is_none_or(|m| m.allows(i * k + l)) {
-                *slot = 1.0;
-            }
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -443,6 +425,39 @@ impl BitB2sr {
         let plan = self.shards.get_or_plan(!transpose, b2sr_weights(rep));
         (rep, plan, avg_degree(self.csr.nnz(), rep.nrows()))
     }
+
+    /// The batched Boolean product in lane words, `yw = (A ⊕.⊗ xw) &
+    /// !excluded` (on `Aᵀ` with `transpose`): `xw` and `excluded` hold
+    /// `k.div_ceil(64)` words per node ([`LaneBits`](super::LaneBits)'s
+    /// layout), `frontier` is `mxm_into`'s — `Some(ascending nodes holding a
+    /// set lane)` for push — and `yw` is a pooled buffer sized here.  Not a
+    /// trait method: the op layer ([`Op::mxm_lanes`](super::Op::mxm_lanes))
+    /// finds it by downcast, and the `f32` Boolean arms of `mxm_into` run the
+    /// same two bodies between a pack and an expand.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn lane_product(
+        &self,
+        xw: &[u64],
+        k: usize,
+        frontier: Option<&[usize]>,
+        excluded: Option<&[u64]>,
+        transpose: bool,
+        ws: &Workspace,
+        yw: &mut Vec<u64>,
+    ) {
+        match frontier {
+            Some(frontier) => {
+                let wpn = lane_words_per_node(k);
+                let (rep, plan, avg) = self.scatter_rep(transpose);
+                with_b2sr!(rep, |m| lane_push(
+                    m, xw, wpn, frontier, plan, avg, excluded, ws, yw
+                ))
+            }
+            None => with_b2sr!(self.rep(transpose), |m| lane_pull(
+                m, xw, k, excluded, ws, yw
+            )),
+        }
+    }
 }
 
 /// Pack Boolean flags into tile words with the scalar or the SWAR packer —
@@ -555,6 +570,8 @@ fn bit_pull<W: BitWord + Poolable>(
         out.resize(m.nrows(), 0.0);
         // The mask was already applied word-wise by the kernel.
         expand_bits_into(&yw, dim, None, out);
+        ws.stats()
+            .record_converted(p.x.len() + p.mask.map_or(0, Mask::len) + out.len());
         ws.give(xp);
         ws.give(yw);
         if let Some(mp) = mp {
@@ -611,6 +628,7 @@ fn bit_push<W: BitWord + Poolable>(
         out.clear();
         out.resize(produced, 0.0);
         expand_bits_into(&yw, m.tile_dim(), p.mask, out);
+        ws.stats().record_converted(out.len());
         ws.give(yw);
         p.finish_in_place(out);
         return;
@@ -634,6 +652,72 @@ fn bit_push<W: BitWord + Poolable>(
     }
 }
 
+/// The batched Boolean pull sweep in lane words on one B2SR width —
+/// `yw = (m ⊕.⊗ xw) & !sup` — the one body under [`BitB2sr::lane_product`]
+/// and the `f32` Boolean arm of [`bit_mxm_pull`].  `yw` (a pooled buffer,
+/// sized here) receives `nrows · wpn` words.
+fn lane_pull<W: BitWord + Poolable>(
+    m: &B2sr<W>,
+    xw: &[u64],
+    k: usize,
+    sup: Option<&[u64]>,
+    ws: &Workspace,
+    yw: &mut Vec<u64>,
+) {
+    let dim = m.tile_dim();
+    let wpn = lane_words_per_node(k);
+    // The any-lane-active tile word per tile column lets the sweep skip
+    // inactive columns at word granularity.
+    let mut xa: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
+    for (active, nodes) in xa.iter_mut().zip(xw.chunks(dim * wpn)) {
+        for (c, lanes) in nodes.chunks_exact(wpn).enumerate() {
+            if lanes.iter().any(|&w| w != 0) {
+                *active = active.with_bit(c as u32);
+            }
+        }
+    }
+    // The kernel writes whole tile-rows; the padding rows hold no edge.
+    yw.clear();
+    yw.resize(m.n_tile_rows() * dim * wpn, 0);
+    bmm_bin_bits_into(m, xw, k, &xa, sup, yw);
+    yw.truncate(m.nrows() * wpn);
+    ws.give(xa);
+}
+
+/// The batched Boolean push scatter in lane words over the rows of one B2SR
+/// width (`m` is the scatter representation), finished with the AND-NOT of
+/// `excluded` — the push half of [`lane_pull`]'s contract.  `yw` receives
+/// `ncols · wpn` words.
+#[allow(clippy::too_many_arguments)]
+fn lane_push<W: BitWord>(
+    m: &B2sr<W>,
+    xw: &[u64],
+    wpn: usize,
+    frontier: &[usize],
+    plan: &ShardPlan,
+    avg_deg: usize,
+    excluded: Option<&[u64]>,
+    ws: &Workspace,
+    yw: &mut Vec<u64>,
+) {
+    yw.clear();
+    yw.resize(m.ncols() * wpn, 0);
+    push_scatter(
+        ws,
+        plan,
+        frontier,
+        avg_deg,
+        wpn,
+        0u64,
+        yw,
+        |segment, chunk| bmm_push_bits(m, segment, xw, wpn, chunk),
+        |acc, v| acc | v,
+    );
+    if let Some(excluded) = excluded {
+        simd::andnot_into(yw, excluded);
+    }
+}
+
 /// The batched pull sweep on one B2SR width.
 fn bit_mxm_pull<W: BitWord + Poolable>(
     m: &B2sr<W>,
@@ -644,52 +728,46 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
     let (x, k, semiring, mask) = (p.x, p.k, p.semiring, p.mask);
     let dim = m.tile_dim();
     let nrows = m.nrows();
-    // The tilewise any-lane-active indicator lets the sweep skip inactive
-    // columns at word granularity (exact for push-safe semirings, where
-    // identity entries contribute nothing).  Packing follows the same
-    // per-tile-size scalar/vector decision as the single-vector pull path.
-    let mut active: Vec<bool> = ws.take_empty();
-    let mut xa: Vec<W> = ws.take_empty();
-    if semiring.push_safe() {
-        active.extend(
-            x.chunks_exact(k)
-                .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
-        );
-        pack_flags(ws.simd_enabled(dim), &active, dim, &mut xa);
-    }
     out.clear();
     if semiring == Semiring::Boolean {
-        // Pack the lanes into per-node u64 words: one OR per edge advances
-        // up to 64 traversals.
-        let wpn = lane_words_per_node(k);
+        // Pack → the word sweep → expand.  The flat mask rides into the
+        // kernel as suppressed lane words, so fully-masked rows (every lane
+        // visited, the common late-traversal state) are skipped at word
+        // granularity and the expansion has nothing left to filter.
         let mut xw: Vec<u64> = ws.take_empty();
         pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-        // The flat mask rides into the kernel as suppressed lane words, so
-        // fully-masked rows (every lane visited, the common late-traversal
-        // state) are skipped at word granularity.
         let sup: Option<Vec<u64>> = mask.map(|mk| {
-            use rayon::prelude::*;
-            let mut mw: Vec<u64> = ws.take(nrows * wpn, 0);
-            mw.par_chunks_mut(wpn).enumerate().for_each(|(i, words)| {
-                for l in 0..k {
-                    if !mk.allows(i * k + l) {
-                        words[l / 64] |= 1u64 << (l % 64);
-                    }
-                }
-            });
+            let mut mw: Vec<u64> = ws.take_empty();
+            let complemented = mk.is_complemented();
+            pack_lane_words_from(mk.structure(), k, |set| set == complemented, &mut mw);
             mw
         });
-        let mut yw: Vec<u64> = ws.take(m.n_tile_rows() * dim * wpn, 0);
-        bmm_bin_bits_into(m, &xw, k, &xa, sup.as_deref(), &mut yw);
+        let mut yw: Vec<u64> = ws.take_empty();
+        lane_pull(m, &xw, k, sup.as_deref(), ws, &mut yw);
         out.resize(nrows * k, 0.0);
-        // The mask was already applied word-wise by the kernel.
         expand_lane_words_into(&yw, k, None, out);
+        ws.stats()
+            .record_converted(x.len() + mask.map_or(0, Mask::len) + out.len());
         ws.give(xw);
         ws.give(yw);
         if let Some(mw) = sup {
             ws.give(mw);
         }
     } else {
+        // The tilewise any-lane-active indicator lets the sweep skip
+        // inactive columns at word granularity (exact for push-safe
+        // semirings, where identity entries contribute nothing).  Packing
+        // follows the same per-tile-size scalar/vector decision as the
+        // single-vector pull path.
+        let mut active: Vec<bool> = ws.take_empty();
+        let mut xa: Vec<W> = ws.take_empty();
+        if semiring.push_safe() {
+            active.extend(
+                x.chunks_exact(k)
+                    .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
+            );
+            pack_flags(ws.simd_enabled(dim), &active, dim, &mut xa);
+        }
         out.resize(m.n_tile_rows() * dim * k, semiring.identity());
         let xa_opt = semiring.push_safe().then_some(xa.as_slice());
         bmm_bin_full_into(m, x, k, semiring, xa_opt, out);
@@ -702,9 +780,9 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
                 }
             }
         }
+        ws.give(active);
+        ws.give(xa);
     }
-    ws.give(active);
-    ws.give(xa);
     p.finish_in_place(out);
 }
 
@@ -723,23 +801,17 @@ fn bit_mxm_push<W: BitWord>(
     let produced = m.ncols();
     out.clear();
     if semiring == Semiring::Boolean {
+        // Pack → the word scatter → expand.  The mask filters the expansion
+        // (which skips all-zero nodes) instead of being staged into words:
+        // after a thin frontier most nodes are.
         let wpn = lane_words_per_node(k);
         let mut xw: Vec<u64> = ws.take_empty();
         pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-        let mut yw: Vec<u64> = ws.take(produced * wpn, 0);
-        push_scatter(
-            ws,
-            plan,
-            frontier,
-            avg_deg,
-            wpn,
-            0u64,
-            &mut yw,
-            |segment, chunk| bmm_push_bits(m, segment, &xw, wpn, chunk),
-            |acc, v| acc | v,
-        );
+        let mut yw: Vec<u64> = ws.take_empty();
+        lane_push(m, &xw, wpn, frontier, plan, avg_deg, None, ws, &mut yw);
         out.resize(produced * k, 0.0);
         expand_lane_words_into(&yw, k, mask, out);
+        ws.stats().record_converted(x.len() + out.len());
         ws.give(xw);
         ws.give(yw);
     } else {

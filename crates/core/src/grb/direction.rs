@@ -41,6 +41,7 @@ use bitgblas_perfmodel::DeviceProfile;
 use crate::semiring::Semiring;
 
 use super::expr::shape::{FrontierSize, Shape};
+use super::lanebits::LaneBits;
 
 /// Which traversal direction an `mxv`/`vxm` executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -235,18 +236,49 @@ pub(crate) fn scan_and_choose<V: Shape>(
     pull_threads: usize,
     frontier: &mut Vec<usize>,
 ) -> (Direction, FrontierSize) {
-    let (n, k) = x.shape();
+    let by_entries = lane_sparse_scatter && semiring != Semiring::Boolean;
+    let scan = |stop_past| x.frontier_into(semiring, stop_past, frontier);
+    let threads = (push_threads, pull_threads);
+    scan_within_budget(x.shape(), semiring, by_entries, nnz, alpha, threads, scan)
+}
+
+/// [`scan_and_choose`] for a Boolean batch already held in lane words: the
+/// same budget, the same inequality, over the nodes holding a non-zero word
+/// — so a round of `bfs_multi` resolves as it does through `f32` lanes.
+pub(crate) fn scan_and_choose_lanes(
+    x: &LaneBits,
+    nnz: usize,
+    alpha: f64,
+    push_threads: usize,
+    pull_threads: usize,
+    frontier: &mut Vec<usize>,
+) -> (Direction, FrontierSize) {
+    let scan = |stop_past: FrontierSize| x.frontier_into(stop_past.nodes, frontier);
+    let (shape, threads) = ((x.n_nodes(), x.n_lanes()), (push_threads, pull_threads));
+    scan_within_budget(shape, Semiring::Boolean, false, nnz, alpha, threads, scan)
+}
+
+/// The body of the two scans above: hand `scan` the counts past which no
+/// push is possible, then decide on what it counted.
+fn scan_within_budget(
+    (n, k): (usize, usize),
+    semiring: Semiring,
+    by_entries: bool,
+    nnz: usize,
+    alpha: f64,
+    (push_threads, pull_threads): (usize, usize),
+    scan: impl FnOnce(FrontierSize) -> FrontierSize,
+) -> (Direction, FrontierSize) {
     // Stop once the priced count is past `budget`: nodes, or for a product
     // priced by entries, entries / k > budget  ⇔  entries ≥ (budget + 1) · k.
     let budget = push_scan_budget(n, nnz, alpha, push_threads, pull_threads);
-    let by_entries = lane_sparse_scatter && semiring != Semiring::Boolean;
     let mut stop_past = FrontierSize::UNBOUNDED;
     if by_entries {
         stop_past.entries = budget.saturating_add(1).saturating_mul(k) - 1;
     } else {
         stop_past.nodes = budget;
     }
-    let size = x.frontier_into(semiring, stop_past, frontier);
+    let size = scan(stop_past);
     let priced = size.priced(k, by_entries);
     let direction = choose_direction(priced, n, nnz, semiring, alpha, push_threads, pull_threads);
     (direction, size)

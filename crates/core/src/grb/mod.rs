@@ -60,8 +60,12 @@
 //! `Context::{evaluate, recycle}` are generic in the [`Operand`] shape, so
 //! batched chains take flat per-lane masks, stages, accumulators and
 //! [`Direction::Auto`] (priced per product kind, see [`choose_direction`])
-//! through the same code as `mxv` chains; `bfs_multi`, `sssp_multi` and
-//! batched betweenness centrality in `bitgblas-algorithms` ride on it.
+//! through the same code as `mxv` chains; `sssp_multi` and batched
+//! betweenness centrality in `bitgblas-algorithms` ride on it.  A Boolean
+//! batch does not have to come back to `f32` between operations at all:
+//! [`LaneBits`] holds the `n × k` lanes as words and [`Op::mxm_lanes`] is the
+//! product `next = (A ⊕.⊗ frontier) & !excluded` over them — what
+//! `bfs_multi` runs on a built bit backend.
 //!
 //! # Sharded parallel push execution (PR 5)
 //!
@@ -88,6 +92,7 @@ pub mod direction;
 pub mod error;
 pub mod ewise;
 pub mod expr;
+pub mod lanebits;
 pub mod matrix;
 pub mod multivec;
 pub mod op;
@@ -102,6 +107,7 @@ pub use direction::{choose_direction, scatter_penalty, scatter_penalty_parallel_
 pub use error::GrbError;
 pub use ewise::assign_masked;
 pub use expr::{Expr, Fusion, Operand, Stage, MAX_STAGES};
+pub use lanebits::LaneBits;
 pub use matrix::{Backend, Matrix, Snapshot};
 pub use multivec::{lane_words_per_node, MultiVec};
 pub use op::{Context, Op};

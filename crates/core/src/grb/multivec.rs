@@ -17,9 +17,10 @@
 //!
 //! For the Boolean semiring the lanes additionally pack into **lane words**:
 //! `k.div_ceil(64)` `u64` words per node, bit `l` of word `l / 64` set iff
-//! lane `l` is active ([`MultiVec::pack_lane_words_into`]).  A batched
-//! Boolean scatter then advances up to 64 traversals with a single `OR` per
-//! edge (see `kernels::bmm`).
+//! lane `l` is active.  That packed form is its own type,
+//! [`LaneBits`](super::LaneBits), which also owns the conversion both ways;
+//! a batched Boolean scatter over it advances up to 64 traversals with a
+//! single `OR` per edge (see `kernels::bmm`).
 //!
 //! Columns convert to and from the single-query [`Vector`] type
 //! ([`MultiVec::column`], [`MultiVec::from_columns`]), which is what the
@@ -43,13 +44,11 @@ pub fn lane_words_per_node(k: usize) -> usize {
 ///
 /// ```
 /// use bitgblas_core::grb::MultiVec;
-/// use bitgblas_core::Semiring;
 ///
 /// let f = MultiVec::from_sources(4, &[1, 3]);
 /// assert_eq!((f.n_nodes(), f.n_lanes()), (4, 2));
 /// assert_eq!(f.get(1, 0), 1.0);
 /// assert_eq!(f.get(3, 1), 1.0);
-/// assert_eq!(f.active_nodes(Semiring::Boolean), 2);
 /// assert_eq!(f.column(0).as_slice(), &[0.0, 1.0, 0.0, 0.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -176,81 +175,12 @@ impl MultiVec {
         assert!(l < self.k, "lane {l} out of range (k = {})", self.k);
         Vector::from_vec((0..self.n).map(|i| self.get(i, l)).collect())
     }
-
-    /// Number of nodes with at least one lane differing from the semiring
-    /// identity — the node-granular frontier size: a batched scatter walks
-    /// each such node's edges once, and it is the count
-    /// [`choose_direction`](super::choose_direction) prices for a Boolean
-    /// batch (one lane-word OR per edge whatever lanes are set).
-    pub fn active_nodes(&self, semiring: Semiring) -> usize {
-        self.data
-            .chunks_exact(self.k)
-            .filter(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v)))
-            .count()
-    }
-
-    /// Total number of active entries summed over all lanes — what a
-    /// full-precision batched scatter folds per out-edge, and (divided by
-    /// `k`) the count [`choose_direction`](super::choose_direction) prices
-    /// for it.
-    pub fn lane_nnz(&self, semiring: Semiring) -> usize {
-        self.data
-            .iter()
-            .filter(|&&v| !semiring.is_identity(v))
-            .count()
-    }
-
-    /// Pack the lanes into per-node `u64` words (bit `l` of node `i`'s word
-    /// `l / 64` set iff lane `l` is nonzero), writing
-    /// `n * lane_words_per_node(k)` words into the caller-supplied buffer —
-    /// the Boolean batched-kernel operand layout
-    /// (`kernels::bmm::bmm_bin_bits_into` / `bmm_push_bits`), for callers
-    /// driving those kernels directly; the built-in backends pack
-    /// internally from the flat operand.
-    pub fn pack_lane_words_into(&self, out: &mut Vec<u64>) {
-        pack_lane_words_from(&self.data, self.k, |v| v != 0.0, out);
-    }
-}
-
-/// Pack any flat node-major `n × k` slice into per-node lane words, setting
-/// bit `l` where `active(value)` holds (shared by the multi-vector operand
-/// packing and the backend's flat-mask packing).  Node-parallel: packing
-/// runs every iteration of a batched traversal loop.
-pub(crate) fn pack_lane_words_from<T: Copy + Sync, F: Fn(T) -> bool + Sync>(
-    flat: &[T],
-    k: usize,
-    active: F,
-    out: &mut Vec<u64>,
-) {
-    use rayon::prelude::*;
-    let wpn = lane_words_per_node(k);
-    let n = flat.len() / k;
-    out.clear();
-    out.resize(n * wpn, 0u64);
-    out.par_chunks_mut(wpn).enumerate().for_each(|(i, words)| {
-        for (l, &v) in flat[i * k..(i + 1) * k].iter().enumerate() {
-            if active(v) {
-                words[l / 64] |= 1u64 << (l % 64);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grb::expr::shape::{FrontierSize, Shape};
-
-    /// Expand per-node lane words back into a flat `n × k` indicator.
-    fn unpack_lane_words_into(words: &[u64], k: usize, out: &mut [f32]) {
-        let wpn = lane_words_per_node(k);
-        for (i, lanes) in out.chunks_exact_mut(k).enumerate() {
-            for (l, slot) in lanes.iter_mut().enumerate() {
-                let w = words[i * wpn + l / 64];
-                *slot = if w >> (l % 64) & 1 != 0 { 1.0 } else { 0.0 };
-            }
-        }
-    }
 
     #[test]
     fn constructors_and_queries() {
@@ -261,12 +191,9 @@ mod tests {
         assert_eq!(mv.get(0, 2), 1.0);
         assert_eq!(mv.get(4, 1), 1.0);
         assert_eq!(mv.get(4, 0), 0.0);
-        assert_eq!(mv.active_nodes(Semiring::Boolean), 2);
-        assert_eq!(mv.lane_nnz(Semiring::Boolean), 3);
 
         let id = MultiVec::identity(3, 2, Semiring::MinPlus(1.0));
         assert!(id.as_slice().iter().all(|v| v.is_infinite()));
-        assert_eq!(id.active_nodes(Semiring::MinPlus(1.0)), 0);
     }
 
     #[test]
@@ -297,27 +224,6 @@ mod tests {
         };
         let size = mv.frontier_into(Semiring::Boolean, stop, &mut f);
         assert_eq!((f.as_slice(), size.entries), (&[1][..], 2));
-    }
-
-    #[test]
-    fn lane_word_packing_round_trips() {
-        for k in [1usize, 3, 8, 64, 65, 130] {
-            let n = 7;
-            let mut mv = MultiVec::zeros(n, k);
-            for i in 0..n {
-                for l in 0..k {
-                    if (i * 31 + l * 7) % 3 == 0 {
-                        mv.set(i, l, 1.0);
-                    }
-                }
-            }
-            let mut words = Vec::new();
-            mv.pack_lane_words_into(&mut words);
-            assert_eq!(words.len(), n * lane_words_per_node(k));
-            let mut flat = vec![9.0f32; n * k];
-            unpack_lane_words_into(&words, k, &mut flat);
-            assert_eq!(flat, mv.as_slice(), "k = {k}");
-        }
     }
 
     #[test]

@@ -61,6 +61,7 @@ use super::descriptor::{Descriptor, Mask};
 use super::direction::Direction;
 use super::error::GrbError;
 use super::expr::{Expr, Fusion, Operand, Producer, Stage, MAX_STAGES};
+use super::lanebits::LaneBits;
 use super::matrix::Matrix;
 use super::multivec::MultiVec;
 use super::plan;
@@ -398,6 +399,50 @@ impl Op {
         ProductBuilder::new(a, x, false)
     }
 
+    /// `next = (A ⊕.⊗ frontier) & !excluded` over the Boolean semiring with
+    /// the `n × k` lanes held as words ([`LaneBits`]) on both sides — the
+    /// [`Op::mxm`] of a batched Boolean traversal, for loops that keep their
+    /// frontier and visited sets binarized between rounds (`bfs_multi`).
+    /// Takes the builders' [`transpose`](LaneProductBuilder::transpose) and
+    /// [`direction`](LaneProductBuilder::direction) switches;
+    /// [`try_run`](LaneProductBuilder::try_run) reports whether the matrix's
+    /// backend has a word product at all.
+    ///
+    /// ```
+    /// use bitgblas_core::grb::{Context, LaneBits, Op};
+    /// use bitgblas_core::{Backend, Matrix, TileSize};
+    /// # use bitgblas_sparse::Coo;
+    /// # let mut coo = Coo::new(4, 4);
+    /// # coo.push_undirected_edge(0, 1).unwrap();
+    /// # coo.push_undirected_edge(1, 2).unwrap();
+    /// # let csr = coo.to_binary_csr();
+    ///
+    /// let ctx = Context::default();
+    /// let a = Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx);
+    /// // Two traversals, from vertices 1 and 2; both have seen their source.
+    /// let frontier = LaneBits::from_sources(4, &[1, 2]);
+    /// let next = Op::mxm_lanes(&a, &frontier)
+    ///     .transpose()
+    ///     .and_not(&frontier)
+    ///     .try_run(&ctx)
+    ///     .unwrap()
+    ///     .expect("a built bit backend has the word product");
+    /// assert_eq!(next.ones().collect::<Vec<_>>(), vec![(0, 0), (1, 1), (2, 0)]);
+    ///
+    /// // The float baseline has none: run the `f32` chain instead.
+    /// let f = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+    /// assert!(Op::mxm_lanes(&f, &frontier).try_run(&ctx).unwrap().is_none());
+    /// ```
+    #[must_use = "builders do nothing until try_run(&ctx)"]
+    pub fn mxm_lanes<'a>(a: &'a Matrix, x: &'a LaneBits) -> LaneProductBuilder<'a> {
+        LaneProductBuilder {
+            a,
+            x,
+            excluded: None,
+            desc: Descriptor::default(),
+        }
+    }
+
     /// `Σ (mask .* (A · B))`: masked matrix product reduced to a scalar (the
     /// Triangle Counting primitive; `.transpose_b()` makes it `A · Bᵀ`, the
     /// orientation the kernels run in).  Already a fully fused kernel, so it
@@ -625,6 +670,51 @@ impl<'a, V: Operand> ProductBuilder<'a, V> {
     #[must_use = "the typed error must be handled, not dropped"]
     pub fn try_run(self, ctx: &Context) -> Result<V, GrbError> {
         ctx.try_evaluate(self.build())
+    }
+}
+
+/// Builder for the batched Boolean product over lane words (created by
+/// [`Op::mxm_lanes`]).
+#[must_use = "builders do nothing until try_run(&ctx)"]
+pub struct LaneProductBuilder<'a> {
+    a: &'a Matrix,
+    x: &'a LaneBits,
+    excluded: Option<&'a LaneBits>,
+    desc: Descriptor,
+}
+
+impl<'a> LaneProductBuilder<'a> {
+    /// Clear the set lanes of `excluded` (the output's shape) from the
+    /// result — a complemented mask, applied as a word AND-NOT at the store.
+    pub fn and_not(mut self, excluded: &'a LaneBits) -> Self {
+        self.excluded = Some(excluded);
+        self
+    }
+
+    /// `Aᵀ ⊕.⊗ X`: advance along the edges, as on [`Op::mxm`].
+    pub fn transpose(mut self) -> Self {
+        self.desc.transpose = true;
+        self
+    }
+
+    /// Use the given traversal direction (default: [`Direction::Auto`],
+    /// priced by the nodes holding a set lane — exactly as the Boolean
+    /// [`Op::mxm`] prices the same frontier).
+    pub fn direction(mut self, direction: Direction) -> Self {
+        self.desc.direction = direction;
+        self
+    }
+
+    /// Run the product.  `Ok(None)` means the matrix's backend has no word
+    /// product — the float baseline, a matrix read through pending deltas,
+    /// a backend defined outside this crate — and nothing ran (no counter
+    /// moved, no fail point was polled): run the [`Op::mxm`] chain instead.
+    /// `Ok(Some(next))` draws `next`'s buffer from the context's pool
+    /// ([`LaneBits::recycle`] returns it).  Shape violations and an injected
+    /// `grb.mxm_dispatch` transient come back as a typed [`GrbError`].
+    #[must_use = "the typed error must be handled, not dropped"]
+    pub fn try_run(self, ctx: &Context) -> Result<Option<LaneBits>, GrbError> {
+        plan::execute_lane_product(self.a, self.x, self.excluded, self.desc, ctx)
     }
 }
 
@@ -888,6 +978,7 @@ impl<F: Fn(f32) -> bool + Sync> SelectBuilder<'_, F> {
 mod tests {
     use super::*;
     use crate::b2sr::TileSize;
+    use crate::faultinject::{FailSpec, FaultAction, FaultPlan};
     use crate::grb::matrix::Backend;
     use bitgblas_sparse::{Coo, Csr};
 
@@ -1761,6 +1852,127 @@ mod tests {
     #[should_panic(expected = "mxm dimension mismatch")]
     fn mxm_rejects_bad_dimensions() {
         rejects_bad_dimensions(&LANES, MXM, "mxm");
+    }
+
+    /// The word product is the Boolean `mxm` under a complemented mask, bit
+    /// for bit and decision for decision: every tile size × direction ×
+    /// orientation × lane count, rectangular operands included.
+    #[test]
+    fn mxm_lanes_equals_the_masked_boolean_mxm() {
+        let csr = sample_rect(53, 38, 17);
+        let ctx = Context::default();
+        for ts in TileSize::ALL {
+            let a = Matrix::from_csr_ctx(&csr, Backend::Bit(ts), &ctx);
+            for transpose in [false, true] {
+                let (contracted, produced) = if transpose { (53, 38) } else { (38, 53) };
+                for k in LANES {
+                    let x: MultiVec =
+                        operand(contracted, k, |i, l| ((i * 7 + l) % 5 == 0) as u8 as f32);
+                    let seen: MultiVec =
+                        operand(produced, k, |i, l| ((i + l * 3) % 4 == 0) as u8 as f32);
+                    let (xb, sb) = (LaneBits::from_multivec(&x), LaneBits::from_multivec(&seen));
+                    let mask =
+                        Mask::complemented(seen.as_slice().iter().map(|&v| v != 0.0).collect());
+                    for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                        let before = ctx.stats();
+                        let mut flat = Op::mxm(&a, &x).semiring(Semiring::Boolean).direction(dir);
+                        let mut words = Op::mxm_lanes(&a, &xb).direction(dir);
+                        if transpose {
+                            (flat, words) = (flat.transpose(), words.transpose());
+                        }
+                        let want = flat.mask(&mask).run(&ctx);
+                        let mid = ctx.stats();
+                        let got = words.and_not(&sb).try_run(&ctx).unwrap().unwrap();
+                        let after = ctx.stats();
+                        let what = format!("{ts:?} transpose={transpose} k={k} {dir:?}");
+                        assert_eq!(got, LaneBits::from_multivec(&want), "{what}");
+                        // Same direction, same frontier counts, no conversion.
+                        let resolved = |a: &ExecCounts, b: &ExecCounts| {
+                            (
+                                b.pull_mxm - a.pull_mxm,
+                                b.push_mxm - a.push_mxm,
+                                b.push_frontier_nodes - a.push_frontier_nodes,
+                                b.push_frontier_entries - a.push_frontier_entries,
+                            )
+                        };
+                        assert_eq!(resolved(&mid, &after), resolved(&before, &mid), "{what}");
+                        assert_eq!(after.converted_elems, mid.converted_elems, "{what}");
+                        assert!(mid.converted_elems > before.converted_elems, "{what}");
+                        got.recycle(&ctx);
+                    }
+                    // Without `and_not` it is the unmasked product.
+                    let bare = Op::mxm(&a, &x).semiring(Semiring::Boolean);
+                    let words = Op::mxm_lanes(&a, &xb);
+                    let (want, got) = if transpose {
+                        (bare.transpose().run(&ctx), words.transpose().try_run(&ctx))
+                    } else {
+                        (bare.run(&ctx), words.try_run(&ctx))
+                    };
+                    assert_eq!(got.unwrap().unwrap(), LaneBits::from_multivec(&want));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mxm_lanes_reports_shape_violations_and_backends_without_a_word_product() {
+        let csr = sample_rect(20, 12, 5);
+        let ctx = Context::default();
+        let a = Matrix::from_csr_ctx(&csr, Backend::default_bit(), &ctx);
+        let x = LaneBits::zeros(12, 3);
+        // A wrong-length frontier, in either orientation.
+        assert_eq!(
+            Op::mxm_lanes(&a, &x).transpose().try_run(&ctx),
+            Err(GrbError::DimensionMismatch {
+                op: "mxm",
+                expected: 20,
+                got: 12
+            })
+        );
+        // `excluded` must have the output's shape: nodes and lanes.
+        for (bad, expected, got) in [
+            (LaneBits::zeros(12, 3), 20, 12),
+            (LaneBits::zeros(20, 4), 3, 4),
+        ] {
+            let err = Op::mxm_lanes(&a, &x)
+                .and_not(&bad)
+                .try_run(&ctx)
+                .unwrap_err();
+            assert!(
+                matches!(err, GrbError::LengthMismatch { expected: e, got: g, .. } if (e, g) == (expected, got)),
+                "{err}"
+            );
+            assert!(err.to_string().contains("excluded lanes"), "{err}");
+        }
+        assert_eq!(
+            ctx.stats().total_mxm(),
+            0,
+            "a rejected product does not run"
+        );
+
+        // No word product: the float baseline, and a bit matrix read through
+        // pending deltas.  Nothing runs and no fail point is polled …
+        let plan =
+            FaultPlan::new().with(FailSpec::always("grb.mxm_dispatch", FaultAction::Transient));
+        let inj = std::sync::Arc::new(FaultInjector::new(1, plan));
+        ctx.set_fault_injector(Some(inj.clone()));
+        let float = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+        a.insert_edge(0, 0).unwrap();
+        for m in [&float, &*a.snapshot()] {
+            assert_eq!(Op::mxm_lanes(m, &x).try_run(&ctx), Ok(None));
+            // … while a wrong shape is still an error.
+            assert!(Op::mxm_lanes(m, &x).transpose().try_run(&ctx).is_err());
+        }
+        assert_eq!(inj.counts().transients, 0);
+        assert_eq!(ctx.stats().total_mxm(), 0);
+        // … and the built matrix polls it once per call.
+        assert_eq!(
+            Op::mxm_lanes(&a, &x).try_run(&ctx),
+            Err(GrbError::FaultInjected {
+                point: "grb.mxm_dispatch"
+            })
+        );
+        assert_eq!(inj.counts().transients, 1);
     }
 
     /// `build()` produces an inert expression that `ctx.evaluate` runs.

@@ -69,13 +69,16 @@ use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::semiring::{BinaryOp, Semiring};
 
 use super::backend::{BitB2sr, FloatCsr, GrbBackend};
-use super::descriptor::Mask;
-use super::direction::{scan_and_choose, Direction};
+use super::descriptor::{Descriptor, Mask};
+use super::direction::{scan_and_choose, scan_and_choose_lanes, Direction};
 use super::error::GrbError;
-use super::expr::shape::FrontierSize;
+use super::expr::shape::{FrontierSize, Shape};
 use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
+use super::lanebits::LaneBits;
+use super::matrix::Matrix;
+use super::multivec::MultiVec;
 use super::op::Context;
-use super::workspace::Workspace;
+use super::workspace::{ExecStats, Workspace};
 
 /// Poll the named fail point on the context's injector (if any): a
 /// `Transient` action becomes a typed [`GrbError::FaultInjected`], a
@@ -261,6 +264,43 @@ fn scatter_is_lane_sparse(state: &dyn GrbBackend) -> bool {
     any.is::<BitB2sr>() || any.is::<FloatCsr>()
 }
 
+/// Resolve the direction of one product into its push frontier: `None` is
+/// pull, `Some((ascending frontier nodes, their size))` is push.  A push —
+/// forced, or possible under Auto — scans the operand once into a pooled
+/// list: `scan(auto, list)` collects the whole frontier when forced and
+/// decides while it scans (`direction::scan_and_choose*`) under Auto.
+fn resolve_frontier(
+    requested: Direction,
+    ws: &Workspace,
+    scan: impl FnOnce(bool, &mut Vec<usize>) -> (Direction, FrontierSize),
+) -> Option<(Vec<usize>, FrontierSize)> {
+    if requested == Direction::Pull {
+        return None;
+    }
+    let mut list = ws.take_empty::<usize>();
+    let (direction, size) = scan(requested == Direction::Auto, &mut list);
+    if direction == Direction::Push {
+        Some((list, size))
+    } else {
+        ws.give(list);
+        None
+    }
+}
+
+/// Count one resolved batched or single product and, for a push, what it
+/// scattered from; the frontier list goes back to the pool.
+fn record_direction(
+    ws: &Workspace,
+    record_product: impl FnOnce(&ExecStats, bool),
+    frontier: Option<(Vec<usize>, FrontierSize)>,
+) {
+    record_product(ws.stats(), frontier.is_some());
+    if let Some((list, size)) = frontier {
+        ws.stats().record_push_frontier(size.nodes, size.entries);
+        ws.give(list);
+    }
+}
+
 /// Evaluate an expression chain against a context (the implementation of
 /// [`Context::try_evaluate`]; [`Context::evaluate`] panics on the `Err`).
 pub(crate) fn try_execute<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, GrbError> {
@@ -438,34 +478,27 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     // rayon sweeps fan out to.  The base scatter penalty comes from the
     // context's calibrated profile (PR 9) — the static device constant
     // until `Context::calibrate` measures the host.
-    let frontier: Option<(Vec<usize>, FrontierSize)> = match desc.direction {
-        Direction::Pull => None,
-        _ if !semiring.push_safe() => None,
-        requested => {
-            let mut list = ws.take_empty::<usize>();
-            let (direction, size) = if requested == Direction::Push {
-                let size = x.frontier_into(semiring, FrontierSize::UNBOUNDED, &mut list);
-                (Direction::Push, size)
-            } else {
-                scan_and_choose(
-                    x,
-                    semiring,
-                    scatter_is_lane_sparse(state),
-                    a.nnz(),
-                    ctx.profile().scatter_alpha,
-                    effective_push_threads(state, !transpose, ctx),
-                    crate::shard::machine_parallelism(),
-                    &mut list,
-                )
-            };
-            if direction == Direction::Push {
-                Some((list, size))
-            } else {
-                ws.give(list);
-                None
-            }
-        }
+    let requested = if semiring.push_safe() {
+        desc.direction
+    } else {
+        Direction::Pull
     };
+    let frontier = resolve_frontier(requested, ws, |auto, list| {
+        if !auto {
+            let size = x.frontier_into(semiring, FrontierSize::UNBOUNDED, list);
+            return (Direction::Push, size);
+        }
+        scan_and_choose(
+            x,
+            semiring,
+            scatter_is_lane_sparse(state),
+            a.nnz(),
+            ctx.profile().scatter_alpha,
+            effective_push_threads(state, !transpose, ctx),
+            crate::shard::machine_parallelism(),
+            list,
+        )
+    });
 
     let accum = expr.accum.map(|(op, w)| (op, w.flat()));
     let fuse = expr.fusion() == Fusion::Fused;
@@ -514,14 +547,79 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             }
         }
     }
-    V::record_product(ws.stats(), frontier.is_some());
-    if let Some((list, size)) = frontier {
-        ws.stats().record_push_frontier(size.nodes, size.entries);
-        ws.give(list);
-    }
+    record_direction(ws, V::record_product, frontier);
     if let Some(scaled) = scaled {
         ws.give(scaled.into_flat());
     }
     debug_assert_eq!(out.len(), produced * k);
     Ok(V::from_flat(out, produced, k))
+}
+
+/// The batched Boolean product over lane words (the implementation of
+/// [`Op::mxm_lanes`](super::Op::mxm_lanes)): `next = (A ⊕.⊗ x) & !excluded`,
+/// on `Aᵀ` with `desc.transpose`.  `Ok(None)` when the matrix's backend has
+/// no word product — found by downcast, like [`scatter_is_lane_sparse`]:
+/// only a built [`BitB2sr`] does.  Checks, the `grb.mxm_dispatch` fail point,
+/// direction resolution and the counters are `execute_product`'s for a
+/// Boolean `mxm` with a complemented mask, so a caller that falls back to
+/// that chain when this declines resolves every round the same way.
+pub(crate) fn execute_lane_product(
+    a: &Matrix,
+    x: &LaneBits,
+    excluded: Option<&LaneBits>,
+    desc: Descriptor,
+    ctx: &Context,
+) -> Result<Option<LaneBits>, GrbError> {
+    let transpose = desc.transpose;
+    let k = x.n_lanes();
+    let (contracted, produced) = if transpose {
+        (a.nrows(), a.ncols())
+    } else {
+        (a.ncols(), a.nrows())
+    };
+    if contracted != x.n_nodes() {
+        return Err(GrbError::DimensionMismatch {
+            op: "mxm",
+            expected: contracted,
+            got: x.n_nodes(),
+        });
+    }
+    if let Some(e) = excluded {
+        let what = "excluded lanes must have one row per output node";
+        GrbError::check_len(what, produced, e.n_nodes())?;
+        let what = "excluded lanes must have the operand's lane count";
+        GrbError::check_len(what, k, e.n_lanes())?;
+    }
+    let state = a.state();
+    let Some(bit) = state.as_any().downcast_ref::<BitB2sr>() else {
+        return Ok(None);
+    };
+    poll_fail_point(ctx, MultiVec::FAIL_POINT)?;
+
+    let ws = ctx.workspace();
+    let frontier = resolve_frontier(desc.direction, ws, |auto, list| {
+        if !auto {
+            return (Direction::Push, x.frontier_into(usize::MAX, list));
+        }
+        scan_and_choose_lanes(
+            x,
+            a.nnz(),
+            ctx.profile().scatter_alpha,
+            effective_push_threads(state, !transpose, ctx),
+            crate::shard::machine_parallelism(),
+            list,
+        )
+    });
+    let mut yw = ws.take_empty::<u64>();
+    bit.lane_product(
+        x.as_words(),
+        k,
+        frontier.as_ref().map(|(list, _)| list.as_slice()),
+        excluded.map(LaneBits::as_words),
+        transpose,
+        ws,
+        &mut yw,
+    );
+    record_direction(ws, MultiVec::record_product, frontier);
+    Ok(Some(LaneBits::from_words(yw, produced, k)))
 }

@@ -321,6 +321,7 @@ pub struct ExecStats {
     push_mxm: AtomicU64,
     push_frontier_nodes: AtomicU64,
     push_frontier_entries: AtomicU64,
+    converted_elems: AtomicU64,
     sharded_push: AtomicU64,
     shard_segments: AtomicU64,
     fused_mxv: AtomicU64,
@@ -351,6 +352,12 @@ impl ExecStats {
             .fetch_add(nodes as u64, Ordering::Relaxed);
         self.push_frontier_entries
             .fetch_add(entries as u64, Ordering::Relaxed);
+    }
+    /// One Boolean product on a bit backend packed or expanded `elems`
+    /// `f32` / `bool` elements at its boundary — added once per op.
+    pub(crate) fn record_converted(&self, elems: usize) {
+        self.converted_elems
+            .fetch_add(elems as u64, Ordering::Relaxed);
     }
     /// One push execution took the sharded parallel path, fanning out over
     /// `segments` frontier segments.
@@ -390,6 +397,7 @@ impl ExecStats {
             push_mxm: self.push_mxm.load(Ordering::Relaxed),
             push_frontier_nodes: self.push_frontier_nodes.load(Ordering::Relaxed),
             push_frontier_entries: self.push_frontier_entries.load(Ordering::Relaxed),
+            converted_elems: self.converted_elems.load(Ordering::Relaxed),
             sharded_push: self.sharded_push.load(Ordering::Relaxed),
             shard_segments: self.shard_segments.load(Ordering::Relaxed),
             fused_mxv: self.fused_mxv.load(Ordering::Relaxed),
@@ -427,6 +435,15 @@ pub struct ExecCounts {
     /// `sssp_multi` adds exactly the number of finite `(vertex, lane)`
     /// distances.
     pub push_frontier_entries: u64,
+    /// `f32` / `bool` elements packed to, or expanded from, bits at an op
+    /// boundary of a bit backend's Boolean products (operand pack, mask
+    /// staging, output expand): the exact cost of *not* keeping a Boolean
+    /// vector binarized between operations.  `bfs_multi` on a built bit
+    /// backend adds **0** — its frontier and visited lanes stay in words
+    /// ([`LaneBits`](super::LaneBits)); the same traversal through `f32`
+    /// multi-vectors (a matrix with pending deltas) adds at least `n · k`
+    /// per round.
+    pub converted_elems: u64,
     /// Push executions (single-vector or batched) that took the sharded
     /// parallel scatter path instead of the serial kernel.
     pub sharded_push: u64,
@@ -641,8 +658,11 @@ mod tests {
         ws.stats().record_sharded_push(3);
         ws.stats().record_push_frontier(4, 9);
         ws.stats().record_push_frontier(1, 1);
+        ws.stats().record_converted(12);
+        ws.stats().record_converted(30);
         let s = ws.stats().snapshot();
         assert_eq!((s.push_frontier_nodes, s.push_frontier_entries), (5, 10));
+        assert_eq!(s.converted_elems, 42);
         assert_eq!(s.push_mxv, 2);
         assert_eq!(s.pull_mxv, 1);
         assert_eq!(s.total_mxv(), 3);

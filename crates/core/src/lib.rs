@@ -71,8 +71,8 @@ pub use delta::{
 };
 pub use faultinject::{FailSpec, FaultAction, FaultInjector, FaultPlan, InjectedPanic};
 pub use grb::{
-    Backend, Context, Descriptor, Direction, Expr, Fusion, GrbBackend, GrbError, Matrix, MultiVec,
-    Op, Snapshot, Vector,
+    Backend, Context, Descriptor, Direction, Expr, Fusion, GrbBackend, GrbError, LaneBits, Matrix,
+    MultiVec, Op, Snapshot, Vector,
 };
 pub use kernels::simd::SimdPolicy;
 pub use semiring::{BinaryOp, Semiring};

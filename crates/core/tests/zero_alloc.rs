@@ -30,7 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bitgblas_core::grb::{Context, Direction, Mask, MultiVec, Op, Vector};
+use bitgblas_core::grb::{Context, Direction, LaneBits, Mask, MultiVec, Op, Vector};
 use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, SimdPolicy, TileSize};
 use bitgblas_sparse::Coo;
 
@@ -520,6 +520,63 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
         );
         let mass: f32 = rank.as_slice().chunks_exact(k).map(|lanes| lanes[0]).sum();
         assert!((mass - 1.0).abs() < 1e-3, "lane 0 still sums to 1: {mass}");
+    }
+}
+
+/// A `bfs_multi` round in lane words — the product `(Aᵀ·frontier) &
+/// !visited`, levels from its set bits, `visited |= next`, the old frontier
+/// back to the pool — allocates nothing in either direction, at one word per
+/// node and at two.
+#[test]
+fn batched_bfs_rounds_are_allocation_free_after_warmup() {
+    for (k, n) in [(3usize, 256usize), (70, 24)] {
+        let a = chain(n);
+        let ctx = a.context();
+        for direction in [Direction::Push, Direction::Pull] {
+            // Lane l starts at chain vertex l mod n.
+            let sources: Vec<usize> = (0..k).map(|l| l % n).collect();
+            let mut frontier = LaneBits::from_sources(n, &sources);
+            let mut visited = frontier.clone();
+            let mut levels = vec![-1i64; n * k];
+            // A frontier list big enough for the run, as above.
+            ctx.workspace().give::<usize>(Vec::with_capacity(n));
+            let mut round = |level: i64| {
+                let next = Op::mxm_lanes(&a, &frontier)
+                    .transpose()
+                    .and_not(&visited)
+                    .direction(direction)
+                    .try_run(ctx)
+                    .expect("well-shaped operands")
+                    .expect("a built bit backend has the word product");
+                for (v, l) in next.ones() {
+                    levels[v * k + l] = level;
+                }
+                visited.or_assign(&next);
+                std::mem::replace(&mut frontier, next).recycle(ctx);
+            };
+            for level in 1..=6 {
+                round(level);
+            }
+            let counts_before = ctx.stats();
+            let before = allocations();
+            for level in 7..=20 {
+                round(level);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "bfs_multi round allocated in steady state (k={k}, {direction:?})"
+            );
+            let counts = ctx.stats();
+            assert_eq!(
+                counts.push_mxm - counts_before.push_mxm,
+                if direction == Direction::Push { 14 } else { 0 },
+                "every measured round must have taken the forced direction"
+            );
+            assert_eq!(counts.converted_elems, 0);
+            // Lane 1 started at vertex 1: vertex 20 is 19 hops out.
+            assert_eq!(levels[20 * k + 1], 19);
+        }
     }
 }
 

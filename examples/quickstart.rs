@@ -51,6 +51,27 @@ fn main() {
         bfs_bit.n_reached, bfs_bit.iterations
     );
 
+    // Batched BFS: an n × k frontier matrix advances k traversals with one
+    // sweep per iteration.  On a built bit backend the frontier and the
+    // visited set stay packed — one bit per traversal — from round to round,
+    // so the run converts no element to or from f32 (an exact count the
+    // context keeps); the float baseline holds its lanes as values.
+    let sources = [0usize, 17, 255];
+    let before = bit.context().stats().converted_elems;
+    let batched = bfs_multi(&bit, &sources);
+    let converted = bit.context().stats().converted_elems - before;
+    assert_eq!(batched.level(255, 2), 0);
+    assert_eq!(batched.levels, bfs_multi(&baseline, &sources).levels);
+    for v in 0..adjacency.nrows() {
+        assert_eq!(batched.level(v, 0), bfs_bit.levels[v]);
+    }
+    assert_eq!(converted, 0);
+    println!(
+        "batched BFS from {sources:?}: {} (vertex, lane) pairs reached in {} iterations, \
+         {converted} elements converted between f32 and bits",
+        batched.n_reached, batched.iterations
+    );
+
     // SSSP.
     let sssp_bit = sssp(&bit, 0);
     let reached = sssp_bit.distances.iter().filter(|d| d.is_finite()).count();

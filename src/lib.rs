@@ -84,7 +84,8 @@ pub mod prelude {
         PageRankConfig, PprConfig,
     };
     pub use bitgblas_core::grb::{
-        Context, Descriptor, Direction, Expr, Fusion, GrbBackend, Mask, MultiVec, Op, Snapshot,
+        Context, Descriptor, Direction, Expr, Fusion, GrbBackend, LaneBits, Mask, MultiVec, Op,
+        Snapshot,
     };
     pub use bitgblas_core::{
         B2srMatrix, Backend, BinaryOp, EdgeDelta, Matrix, Semiring, SimdPolicy, TileSize, Vector,
