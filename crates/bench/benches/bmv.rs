@@ -1,12 +1,14 @@
 //! Criterion bench: BMV kernel schemes vs the float CSR SpMV baseline
-//! (the statistically-sound counterpart of Figures 6a–c / 7a–c).
+//! (the statistically-sound counterpart of Figures 6a–c / 7a–c), and the
+//! scalar-vs-SWAR Boolean pull sweep across frontier densities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmv_bin_bin_bin, bmv_bin_bin_full, bmv_bin_full_full, pack_vector_tilewise,
+    bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full,
+    bmv_bin_full_full, pack_vector_bits, pack_vector_tilewise,
 };
 use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
@@ -69,5 +71,48 @@ fn bmv_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bmv_benches);
+/// The two forms of the Boolean pull sweep `SimdPolicy` chooses between, at
+/// B2SR-8 on the repo benchmark's two graphs, from a 1 % frontier — what the
+/// benchmark's `kernels.bmv_pull_bool*_ms` probes time — to the half and
+/// full frontiers at which `Direction::Auto` actually picks pull.
+fn bmv_pull_density_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmv_pull_density");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let graphs = [
+        ("banded_2k_w32", generators::banded(2048, 32, 0.7, 5)),
+        (
+            "rmat_s14",
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+        ),
+    ];
+    for (name, csr) in graphs {
+        let n = csr.nrows();
+        // Pull sweeps run on the transpose (`vxm` pulls along in-edges).
+        let bt = from_csr::<u8>(&csr.transpose(), 8);
+        let mut y = vec![0u8; bt.n_tile_rows()];
+        for (label, stride) in [
+            ("frontier_1pct", 100usize),
+            ("frontier_half", 2),
+            ("frontier_full", 1),
+        ] {
+            let flags: Vec<bool> = (0..n).map(|i| i % stride == 0).collect();
+            let x = pack_vector_bits::<u8>(&flags, 8);
+            group.bench_function(
+                BenchmarkId::new(format!("bmv_bin_bin_bin_into/{label}"), name),
+                |b| b.iter(|| bmv_bin_bin_bin_into(&bt, &x, &mut y)),
+            );
+            group.bench_function(
+                BenchmarkId::new(format!("bmv_bin_bin_bin_simd_into/{label}"), name),
+                |b| b.iter(|| bmv_bin_bin_bin_simd_into(&bt, &x, &mut y)),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bmv_benches, bmv_pull_density_benches);
 criterion_main!(benches);

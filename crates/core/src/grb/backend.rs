@@ -53,9 +53,8 @@ use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
     bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
-    bmv_bin_full_full_fused_into, bmv_bin_full_full_masked_into,
-    bmv_bin_full_full_masked_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits_into,
-    pack_vector_bits_simd_into, pack_vector_tilewise_into, pack_vector_tilewise_simd_into,
+    bmv_bin_full_full_fused_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits_into,
+    pack_vector_tilewise_into,
 };
 use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -460,16 +459,6 @@ impl BitB2sr {
     }
 }
 
-/// Pack Boolean flags into tile words with the scalar or the SWAR packer —
-/// the same per-tile-size decision as the sweep the words feed.
-fn pack_flags<W: BitWord>(simd: bool, flags: &[bool], dim: usize, words: &mut Vec<W>) {
-    if simd {
-        pack_vector_bits_simd_into(flags, dim, words);
-    } else {
-        pack_vector_bits_into(flags, dim, words);
-    }
-}
-
 /// Evaluate `$body` with `$allow: Fn(usize) -> bool` bound to the flat
 /// output mask test, once with the mask and once without: the unmasked
 /// expansion is `|_| true`, which the batched scatter kernels' lane loops
@@ -519,9 +508,9 @@ fn bit_pull<W: BitWord + Poolable>(
     out: &mut Vec<f32>,
 ) {
     let dim = m.tile_dim();
-    if p.semiring != Semiring::Boolean && !p.is_bare() {
-        // Full-precision fused pull: one tile-granular sweep with the
-        // semiring and the epilogue both dispatched once per call (see
+    if p.semiring != Semiring::Boolean {
+        // Full precision: one tile-granular sweep, bare or fused alike, with
+        // the semiring and the finish both dispatched once per call (see
         // `bmv_bin_full_full_fused_into`).  The mask rides inside the
         // finishing closure — the bit sweep computes every row's raw value
         // regardless, exactly like the masked bit kernels.
@@ -539,59 +528,40 @@ fn bit_pull<W: BitWord + Poolable>(
         out.truncate(m.nrows());
         return;
     }
-    // Scalar vs SWAR-vector sweep: the workspace policy decides (forced,
-    // env-seeded, or the calibrated Auto mask).  Both paths are
-    // bit-identical — tests/simd_parity.rs.
-    let simd = ws.simd_enabled(dim);
-    // The kernels take the mask as a suppressed-row view.
-    let sup = p.mask.map(|mk| {
+    // Boolean: binarize the operand and use the minimal-footprint
+    // bin/bin/bin scheme; the collapsed epilogue (if any) runs over the
+    // expansion.  Scalar vs SWAR sweep is the workspace policy's decision
+    // (forced, env-seeded, or the calibrated Auto mask); the two are
+    // word-identical — tests/simd_parity.rs.
+    let mut xp: Vec<W> = ws.take_empty();
+    pack_vector_tilewise_into(p.x, dim, &mut xp);
+    // The kernel takes the mask as packed suppressed-row words.
+    let mp = p.mask.map(|mk| {
         let mut sup: Vec<bool> = ws.take_empty();
         mk.suppressed_into(&mut sup);
-        sup
-    });
-    if p.semiring == Semiring::Boolean {
-        // Binarize the operand and use the minimal-footprint bin/bin/bin
-        // scheme; the collapsed epilogue (if any) runs over the expansion.
-        let mut xp: Vec<W> = ws.take_empty();
-        let mp = sup.as_ref().map(|sup| {
-            let mut mp: Vec<W> = ws.take_empty();
-            pack_flags(simd, sup, dim, &mut mp);
-            mp
-        });
-        let mut yw: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
-        if simd {
-            pack_vector_tilewise_simd_into(p.x, dim, &mut xp);
-            bmv_bin_bin_bin_masked_simd_into(m, &xp, mp.as_deref(), &mut yw);
-        } else {
-            pack_vector_tilewise_into(p.x, dim, &mut xp);
-            bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut yw);
-        }
-        out.clear();
-        out.resize(m.nrows(), 0.0);
-        // The mask was already applied word-wise by the kernel.
-        expand_bits_into(&yw, dim, None, out);
-        ws.stats()
-            .record_converted(p.x.len() + p.mask.map_or(0, Mask::len) + out.len());
-        ws.give(xp);
-        ws.give(yw);
-        if let Some(mp) = mp {
-            ws.give(mp);
-        }
-        p.finish_in_place(out);
-    } else {
-        // The bare full-precision product.
-        out.clear();
-        out.resize(m.n_tile_rows() * dim, p.semiring.identity());
-        if simd {
-            bmv_bin_full_full_masked_simd_into(m, p.x, sup.as_deref(), p.semiring, out);
-        } else {
-            bmv_bin_full_full_masked_into(m, p.x, sup.as_deref(), p.semiring, out);
-        }
-        out.truncate(m.nrows());
-    }
-    if let Some(sup) = sup {
+        let mut mp: Vec<W> = ws.take_empty();
+        pack_vector_bits_into(&sup, dim, &mut mp);
         ws.give(sup);
+        mp
+    });
+    let mut yw: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
+    if ws.simd_enabled(dim) {
+        bmv_bin_bin_bin_masked_simd_into(m, &xp, mp.as_deref(), &mut yw);
+    } else {
+        bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut yw);
     }
+    out.clear();
+    out.resize(m.nrows(), 0.0);
+    // The mask was already applied word-wise by the kernel.
+    expand_bits_into(&yw, dim, None, out);
+    ws.stats()
+        .record_converted(p.x.len() + p.mask.map_or(0, Mask::len) + out.len());
+    ws.give(xp);
+    ws.give(yw);
+    if let Some(mp) = mp {
+        ws.give(mp);
+    }
+    p.finish_in_place(out);
 }
 
 /// The push scatter of a single-vector pipeline over the rows of one B2SR
@@ -756,9 +726,7 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
     } else {
         // The tilewise any-lane-active indicator lets the sweep skip
         // inactive columns at word granularity (exact for push-safe
-        // semirings, where identity entries contribute nothing).  Packing
-        // follows the same per-tile-size scalar/vector decision as the
-        // single-vector pull path.
+        // semirings, where identity entries contribute nothing).
         let mut active: Vec<bool> = ws.take_empty();
         let mut xa: Vec<W> = ws.take_empty();
         if semiring.push_safe() {
@@ -766,7 +734,7 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
                 x.chunks_exact(k)
                     .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
             );
-            pack_flags(ws.simd_enabled(dim), &active, dim, &mut xa);
+            pack_vector_bits_into(&active, dim, &mut xa);
         }
         out.resize(m.n_tile_rows() * dim * k, semiring.identity());
         let xa_opt = semiring.push_safe().then_some(xa.as_slice());
@@ -941,10 +909,11 @@ impl GrbBackend for BitB2sr {
     }
 }
 
-/// [`FinishSink`](plan::FinishSink) for the BitB2sr fused pull sweep: runs
-/// the tile-granular [`bmv_bin_full_full_fused_into`] kernel with the
-/// finishing closure [`plan::dispatch_finish`] monomorphised for the
-/// pipeline's epilogue shape.  `out` has the padded length.
+/// [`FinishSink`](plan::FinishSink) for the BitB2sr full-precision pull
+/// sweep: runs the tile-granular [`bmv_bin_full_full_fused_into`] kernel with
+/// the finishing closure [`plan::dispatch_finish`] monomorphised for the
+/// pipeline's epilogue shape (the identity for a bare product).  `out` has
+/// the padded length.
 struct BitPullSink<'a, 'b, W: BitWord> {
     m: &'a B2sr<W>,
     semiring: Semiring,

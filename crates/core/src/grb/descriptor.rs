@@ -69,26 +69,12 @@ impl Mask {
         set != self.complement
     }
 
-    /// The "filter out" view used by the bit kernels: a boolean per position
-    /// that is `true` where the output must be suppressed.
-    pub fn suppressed(&self) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.suppressed_into(&mut out);
-        out
-    }
-
-    /// As [`Mask::suppressed`], writing into a caller-supplied (typically
-    /// workspace-pooled) buffer instead of allocating.
+    /// The "filter out" view used by the Boolean bit kernels — `true` where
+    /// the output must be suppressed — written into a caller-supplied
+    /// (typically workspace-pooled) buffer.
     pub fn suppressed_into(&self, out: &mut Vec<bool>) {
         out.clear();
         out.extend((0..self.structure.len()).map(|i| !self.allows(i)));
-    }
-
-    /// Number of positions the mask allows.
-    pub fn n_allowed(&self) -> usize {
-        (0..self.structure.len())
-            .filter(|&i| self.allows(i))
-            .count()
     }
 }
 
@@ -121,14 +107,6 @@ impl Descriptor {
             ..Default::default()
         }
     }
-
-    /// Descriptor forcing the given traversal direction.
-    pub fn with_direction(direction: Direction) -> Self {
-        Descriptor {
-            direction,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,8 +120,9 @@ mod tests {
         assert!(!m.allows(1));
         assert!(m.allows(2));
         assert!(!m.allows(7), "out of range defaults to not allowed");
-        assert_eq!(m.n_allowed(), 2);
-        assert_eq!(m.suppressed(), vec![false, true, false]);
+        let mut sup = Vec::new();
+        m.suppressed_into(&mut sup);
+        assert_eq!(sup, vec![false, true, false]);
         assert!(!m.is_complemented());
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
@@ -159,7 +138,9 @@ mod tests {
             m.allows(9),
             "out of range counts as unset, which a complemented mask allows"
         );
-        assert_eq!(m.suppressed(), vec![true, false, true]);
+        let mut sup = Vec::new();
+        m.suppressed_into(&mut sup);
+        assert_eq!(sup, vec![true, false, true]);
         assert!(m.is_complemented());
     }
 
@@ -169,10 +150,6 @@ mod tests {
         assert!(!d.transpose);
         assert_eq!(d.direction, Direction::Auto);
         assert!(Descriptor::with_transpose().transpose);
-        assert_eq!(
-            Descriptor::with_direction(Direction::Push).direction,
-            Direction::Push
-        );
     }
 
     #[test]

@@ -81,36 +81,9 @@ impl Vector {
         self.data[i] = v;
     }
 
-    /// Number of entries that differ from the given semiring's identity
-    /// (= the frontier size for that domain).
-    pub fn n_active(&self, semiring: Semiring) -> usize {
-        self.as_slice()
-            .iter()
-            .filter(|&&v| !semiring.is_identity(v))
-            .count()
-    }
-
     /// Number of nonzero entries.
     pub fn nnz(&self) -> usize {
         self.data.nnz()
-    }
-
-    /// Boolean view: `true` where the entry differs from the semiring
-    /// identity.  Used to build masks (e.g. the visited set in BFS).
-    pub fn active_flags(&self, semiring: Semiring) -> Vec<bool> {
-        self.as_slice()
-            .iter()
-            .map(|&v| !semiring.is_identity(v))
-            .collect()
-    }
-
-    /// Element-wise accumulate with the semiring's additive monoid:
-    /// `self[i] = self[i] ⊕ other[i]`.
-    pub fn accumulate(&mut self, other: &Vector, semiring: Semiring) {
-        assert_eq!(self.len(), other.len(), "accumulate requires equal lengths");
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a = semiring.reduce(*a, b);
-        }
     }
 
     /// Maximum absolute difference to another vector (PageRank convergence).
@@ -141,14 +114,8 @@ mod tests {
         assert_eq!(z.nnz(), 0);
         let inf = Vector::identity(3, Semiring::MinPlus(1.0));
         assert!(inf.as_slice().iter().all(|v| v.is_infinite()));
-        assert_eq!(inf.n_active(Semiring::MinPlus(1.0)), 0);
         let ind = Vector::indicator(5, &[0, 4]);
         assert_eq!(ind.nnz(), 2);
-        assert_eq!(ind.n_active(Semiring::Boolean), 2);
-        assert_eq!(
-            ind.active_flags(Semiring::Boolean),
-            vec![true, false, false, false, true]
-        );
     }
 
     #[test]
@@ -161,39 +128,5 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
         assert_eq!(w.sum(), 3.0);
-    }
-
-    #[test]
-    fn accumulate_uses_semiring_monoid() {
-        let mut dist = Vector::from_vec(vec![0.0, 5.0, f32::INFINITY]);
-        let relaxed = Vector::from_vec(vec![1.0, 3.0, 7.0]);
-        dist.accumulate(&relaxed, Semiring::MinPlus(1.0));
-        assert_eq!(dist.as_slice(), &[0.0, 3.0, 7.0]);
-
-        let mut ranks = Vector::from_vec(vec![0.1, 0.2, 0.3]);
-        ranks.accumulate(
-            &Vector::from_vec(vec![0.05, 0.0, 0.1]),
-            Semiring::Arithmetic,
-        );
-        for (got, want) in ranks.as_slice().iter().zip([0.15f32, 0.2, 0.4]) {
-            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn accumulate_length_mismatch_panics() {
-        let mut a = Vector::zeros(2);
-        a.accumulate(&Vector::zeros(3), Semiring::Arithmetic);
-    }
-
-    #[test]
-    fn minplus_active_flags_treat_infinity_as_inactive() {
-        let v = Vector::from_vec(vec![f32::INFINITY, 0.0, 2.0]);
-        assert_eq!(
-            v.active_flags(Semiring::MinPlus(1.0)),
-            vec![false, true, true]
-        );
-        assert_eq!(v.n_active(Semiring::MinPlus(1.0)), 2);
     }
 }

@@ -214,9 +214,10 @@ impl Workspace {
         self.simd_auto.store(mask, Ordering::Relaxed);
     }
 
-    /// Whether a kernel over tiles of dimension `tile_dim` should take the
-    /// vector path right now: the forced policies answer directly, and
-    /// [`SimdPolicy::Auto`] consults the per-tile-size mask.
+    /// Whether the single-vector Boolean pull sweep over tiles of dimension
+    /// `tile_dim` — the one kernel with a SWAR form — should take it right
+    /// now: the forced policies answer directly, and [`SimdPolicy::Auto`]
+    /// consults the per-tile-size mask.
     pub fn simd_enabled(&self, tile_dim: usize) -> bool {
         match self.simd_policy() {
             SimdPolicy::ForceScalar => false,

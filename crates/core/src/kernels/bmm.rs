@@ -1064,7 +1064,8 @@ mod tests {
 
     /// One `(matrix, operand)` pull case: the batched kernel, with and
     /// without the active-skip words, against per-lane single-vector sweeps
-    /// of the per-edge-dispatching reference kernel.
+    /// (`bmv_bin_full_full`, which `kernels::bmv`'s tests pin to the per-bit
+    /// definition).
     fn check_pull_against_per_lane<W: BitWord>(
         a: &Csr,
         dim: usize,

@@ -45,16 +45,11 @@ pub fn pack_vector_bits<W: BitWord>(v: &[bool], tile_dim: usize) -> Vec<W> {
 }
 
 /// As [`pack_vector_bits`], writing into a caller-supplied buffer (resized
-/// to the word count) instead of allocating.
+/// to the word count) instead of allocating.  Branch-free: each word is
+/// assembled from its tile-segment with shift-OR writes, so the cost does
+/// not depend on how many flags are set.
 pub fn pack_vector_bits_into<W: BitWord>(v: &[bool], tile_dim: usize, words: &mut Vec<W>) {
-    assert!(tile_dim as u32 <= W::BITS);
-    words.clear();
-    words.resize(v.len().div_ceil(tile_dim), W::ZERO);
-    for (i, &b) in v.iter().enumerate() {
-        if b {
-            words[i / tile_dim] = words[i / tile_dim].with_bit((i % tile_dim) as u32);
-        }
-    }
+    pack_segments_into(v, tile_dim, words, |&b| b);
 }
 
 /// Pack a dense `f32` vector into tile-granular words (bit set where the
@@ -67,16 +62,28 @@ pub fn pack_vector_tilewise<W: BitWord>(v: &[f32], tile_dim: usize) -> Vec<W> {
 }
 
 /// As [`pack_vector_tilewise`], writing into a caller-supplied buffer
-/// (resized to the word count) instead of allocating.
+/// (resized to the word count) instead of allocating.  Branch-free like
+/// [`pack_vector_bits_into`].
 pub fn pack_vector_tilewise_into<W: BitWord>(v: &[f32], tile_dim: usize, words: &mut Vec<W>) {
+    pack_segments_into(v, tile_dim, words, |&x| x != 0.0);
+}
+
+/// The one packer body: word `t` collects `set(entry)` of tile-segment `t`.
+fn pack_segments_into<T, W: BitWord>(
+    v: &[T],
+    tile_dim: usize,
+    words: &mut Vec<W>,
+    set: impl Fn(&T) -> bool,
+) {
     assert!(tile_dim as u32 <= W::BITS);
     words.clear();
-    words.resize(v.len().div_ceil(tile_dim), W::ZERO);
-    for (i, &x) in v.iter().enumerate() {
-        if x != 0.0 {
-            words[i / tile_dim] = words[i / tile_dim].with_bit((i % tile_dim) as u32);
+    words.extend(v.chunks(tile_dim).map(|segment| {
+        let mut bits = 0u64;
+        for (i, entry) in segment.iter().enumerate() {
+            bits |= (set(entry) as u64) << i;
         }
-    }
+        W::from_u64(bits)
+    }));
 }
 
 /// Unpack tile-granular words back into `len` booleans.
@@ -220,114 +227,48 @@ pub fn bmv_bin_full_full<W: BitWord>(a: &B2sr<W>, x: &[f32], semiring: Semiring)
 
 /// As [`bmv_bin_full_full`], writing into a caller-supplied slice of padded
 /// length `n_tile_rows * tile_dim` (every entry is overwritten; the caller
-/// truncates to `nrows`).
+/// truncates to `nrows`) — the identity-finish shorthand of
+/// [`bmv_bin_full_full_fused_into`].
 pub fn bmv_bin_full_full_into<W: BitWord>(
     a: &B2sr<W>,
     x: &[f32],
     semiring: Semiring,
     y: &mut [f32],
 ) {
-    bin_full_full_sweep(a, x, semiring, y, |_, _| {});
+    bmv_bin_full_full_fused_into(a, x, semiring, |_, t| t, y);
 }
 
-/// `bmv_bin_full_full_masked()`: as [`bmv_bin_full_full_into`] but rows whose
-/// mask entry is `true` produce the semiring identity (they are filtered
-/// out at the store); `None` is the unmasked scheme.
-pub fn bmv_bin_full_full_masked_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    mask: Option<&[bool]>,
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    match mask {
-        Some(m) => bin_full_full_sweep(a, x, semiring, y, row_mask(a, m, semiring)),
-        None => bmv_bin_full_full_into(a, x, semiring, y),
-    }
-}
-
-/// The store-side row mask of the full-precision sweeps, as the sweeps'
-/// `mask_rows(tile_row, out)` hook: rows of the tile-row whose `mask` entry
-/// is `true` get the semiring identity.
-fn row_mask<'m, W: BitWord>(
-    a: &B2sr<W>,
-    mask: &'m [bool],
-    semiring: Semiring,
-) -> impl Fn(usize, &mut [f32]) + Sync + 'm {
-    debug_assert!(mask.len() >= a.nrows(), "mask shorter than matrix rows");
-    let (dim, nrows) = (a.tile_dim(), a.nrows());
-    move |tr, out| {
-        for (r, v) in out.iter_mut().enumerate() {
-            if tr * dim + r < nrows && mask[tr * dim + r] {
-                *v = semiring.identity();
-            }
-        }
-    }
-}
-
-/// The one body behind the scalar bin/full/full scheme and its masked twin:
-/// `mask_rows(tr, out)` runs on each finished tile-row right before it is
-/// left in `y` (a no-op when unmasked — the compiler specialises each case).
-fn bin_full_full_sweep<W: BitWord>(
+/// Forwards to [`bmv_bin_full_full_into`].  There is no SWAR full-precision
+/// sweep; the name exists only because `benchmark/src/layers.rs` imports it,
+/// and goes with the benchmark-only change that drops that probe.
+pub fn bmv_bin_full_full_simd_into<W: BitWord>(
     a: &B2sr<W>,
     x: &[f32],
     semiring: Semiring,
     y: &mut [f32],
-    mask_rows: impl Fn(usize, &mut [f32]) + Sync,
 ) {
-    debug_assert!(x.len() >= a.ncols(), "vector shorter than matrix columns");
-    let dim = a.tile_dim();
-    let padded = a.n_tile_rows() * dim;
-    debug_assert!(
-        y.len() >= padded,
-        "output shorter than the padded row count"
-    );
-    y.par_chunks_mut(dim).enumerate().for_each(|(tr, out)| {
-        for v in out.iter_mut() {
-            *v = semiring.identity();
-        }
-        if tr >= a.n_tile_rows() {
-            return;
-        }
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let base = tc * dim;
-            let words = a.tile_words(idx);
-            for (r, &aw) in words.iter().enumerate().take(dim) {
-                if aw == W::ZERO {
-                    continue;
-                }
-                let mut acc = out[r];
-                for dc in aw.iter_ones() {
-                    let j = base + dc as usize;
-                    if j < x.len() {
-                        acc = semiring.reduce(acc, semiring.combine(x[j]));
-                    }
-                }
-                out[r] = acc;
-            }
-        }
-        mask_rows(tr, out);
-    });
+    bmv_bin_full_full_into(a, x, semiring, y);
 }
 
-/// `bmv_bin_full_full_fused_into()`: the pull sweep of a fused expression
-/// pipeline (PR 3).  Computes each output row's raw semiring value exactly
-/// like [`bmv_bin_full_full_into`], then stores `y[r] = finish(r, t_r)` —
-/// the planner packs the mask test, every element-wise epilogue stage and
-/// the accumulator into `finish`, so a whole `mxv → apply → accum` chain is
-/// one sweep over the matrix.
+/// `bmv_bin_full_full_fused_into()`: the full-precision pull sweep, bare or
+/// fused alike.  Computes each output row's raw semiring value `t_r` and
+/// stores `y[r] = finish(r, t_r)` — the planner packs the mask test, every
+/// element-wise epilogue stage and the accumulator into `finish`, so a whole
+/// `mxv → apply → accum` chain is one sweep over the matrix, and the bare
+/// product is the `|_, t| t` instantiation.
 ///
-/// Unlike the generic kernel, the semiring is dispatched **once per call**
-/// (not once per set bit): each semiring gets a monomorphised inner loop.
-/// The sweep is also tile-granular: each tile's row words are packed into
-/// 64-bit chunks ([`BitWord::pack_chunk_u64`]) and the set bits of a whole
-/// 8×8 tile (half of a 16×16 one, …) are enumerated by one
-/// `trailing_zeros` loop — on scatter-pattern matrices, where most tiles
-/// hold only a couple of bits, this replaces the per-row word scan (mostly
-/// hitting empty words) with a single load-test-extract.  Row accumulators
-/// live in a stack-local tile buffer instead of read-modify-writing `y`
-/// once per tile.
+/// The semiring is dispatched **once per call** (not once per set bit): each
+/// semiring gets a monomorphised inner loop.  The sweep is tile-granular:
+/// each tile's row words are packed into 64-bit chunks
+/// ([`BitWord::pack_chunk_u64`]) and the set bits of a whole 8×8 tile (half
+/// of a 16×16 one, …) are enumerated by one `trailing_zeros` loop — on
+/// scatter-pattern matrices, where most tiles hold only a couple of bits,
+/// this replaces a per-row word scan (mostly hitting empty words) with a
+/// single load-test-extract.  A chunk's bits come out row-major, so each
+/// row folds its columns in ascending order, tile after tile — the order of
+/// the per-bit definition the tests pin it against.  Row accumulators live
+/// in a stack-local tile buffer instead of read-modify-writing `y` once per
+/// tile.
 ///
 /// `y` must have the padded length `n_tile_rows * tile_dim`; rows past
 /// `nrows` receive the semiring identity and are truncated by the caller.
@@ -417,18 +358,16 @@ fn bit_fused_sweep<W, C, R, F>(
 }
 
 // ---------------------------------------------------------------------------
-// SWAR-vector pull kernels (PR 9)
+// SWAR-vector Boolean pull kernel
 // ---------------------------------------------------------------------------
 //
-// Each `_simd` kernel computes bit-for-bit the same output as its scalar
-// counterpart above — it parallelises across tile rows (lanes), never across
-// one row's reduction terms, so per-row fold order is unchanged — but the
-// inner loop runs on whole 64-bit tile chunks ([`BitWord::pack_chunk_u64`])
-// with branch-free lane arithmetic from [`super::simd`].  The scalar kernels
-// stay compiled as the runtime fallback and differential reference; which
-// path executes is the backend's per-context [`SimdPolicy`] decision.
+// The Boolean sweep has a second, SWAR form: bit-for-bit the same output as
+// `bin_bin_bin_sweep` — it tests up to `64 / BITS` tile rows per ALU op on
+// whole 64-bit tile chunks ([`BitWord::pack_chunk_u64`]) with the branch-free
+// lane arithmetic of [`super::simd`].  Which of the two runs is the backend's
+// per-context `SimdPolicy` decision — the only thing that policy selects.
 
-use super::simd::{broadcast_lanes, lsb_lanes, nonzero_lane_msbs};
+use super::simd::{broadcast_lanes, nonzero_lane_msbs};
 
 /// SWAR-vector variant of [`bmv_bin_bin_bin_into`]: instead of testing the
 /// `dim` row words of a tile one by one, each 64-bit chunk of the tile is
@@ -492,144 +431,6 @@ fn bin_bin_bin_simd_sweep<W: BitWord>(
         }
         *out = acc & keep(tr);
     });
-}
-
-/// SWAR-vector variant of [`bmv_bin_full_full_into`].
-///
-/// The scalar kernel gathers row by row (`combine(x[j])` recomputed for
-/// every row that holds column `j`).  This sweep goes column-major inside
-/// each tile: the tile's set columns are enumerated once (from the OR of
-/// its row words), `combine(x[j])` is hoisted to one evaluation per column,
-/// and a SWAR column-strobe against the packed tile chunks yields exactly
-/// the rows holding that column.  For any fixed output row the columns
-/// still arrive in ascending order within each tile and tiles in the same
-/// order as the scalar kernel, so every per-row semiring fold — including
-/// the non-associative float `+` — produces the same bits.
-pub fn bmv_bin_full_full_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    bin_full_full_simd_sweep(a, x, semiring, y, |_, _| {});
-}
-
-/// SWAR-vector variant of [`bmv_bin_full_full_masked_into`]: the
-/// [`bmv_bin_full_full_simd_into`] sweep with masked rows forced to the
-/// semiring identity at the store, exactly like the scalar kernel.
-pub fn bmv_bin_full_full_masked_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    mask: Option<&[bool]>,
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    match mask {
-        Some(m) => bin_full_full_simd_sweep(a, x, semiring, y, row_mask(a, m, semiring)),
-        None => bmv_bin_full_full_simd_into(a, x, semiring, y),
-    }
-}
-
-/// The one body behind the SWAR bin/full/full scheme and its masked twin
-/// (`mask_rows` as in the scalar sweep).
-fn bin_full_full_simd_sweep<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    semiring: Semiring,
-    y: &mut [f32],
-    mask_rows: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    debug_assert!(x.len() >= a.ncols(), "vector shorter than matrix columns");
-    let dim = a.tile_dim();
-    let per = (64 / W::BITS) as usize;
-    let padded = a.n_tile_rows() * dim;
-    debug_assert!(
-        y.len() >= padded,
-        "output shorter than the padded row count"
-    );
-    debug_assert!(dim <= 32, "B2SR tiles are at most 32x32");
-    y.par_chunks_mut(dim).enumerate().for_each(|(tr, out)| {
-        for v in out.iter_mut() {
-            *v = semiring.identity();
-        }
-        if tr >= a.n_tile_rows() {
-            return;
-        }
-        let mut acc = [0.0f32; 32];
-        for slot in acc[..dim].iter_mut() {
-            *slot = semiring.identity();
-        }
-        // Packed chunks of the current tile (at most 16 for a 32×32 tile).
-        let mut packed = [0u64; 16];
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let base = tc * dim;
-            let words = a.tile_words(idx);
-            let mut union = W::ZERO;
-            let n_chunks = dim.min(words.len()).div_ceil(per);
-            for (ci, chunk) in words[..dim.min(words.len())].chunks(per).enumerate() {
-                packed[ci] = W::pack_chunk_u64(chunk);
-            }
-            for &w in &words[..dim.min(words.len())] {
-                union |= w;
-            }
-            for j in union.iter_ones() {
-                let col = base + j as usize;
-                // Guard the ragged last tile-column (ncols % dim != 0).
-                if col >= x.len() {
-                    continue;
-                }
-                let cx = semiring.combine(x[col]);
-                // Column strobe: bit `r·BITS + j` of a chunk is row `r`,
-                // column `j` — one mask picks column `j` of every lane.
-                let strobe = lsb_lanes::<W>() << j;
-                for (ci, &p) in packed[..n_chunks].iter().enumerate() {
-                    let mut hits = p & strobe;
-                    while hits != 0 {
-                        let b = hits.trailing_zeros();
-                        hits &= hits - 1;
-                        let r = ci * per + (b / W::BITS) as usize;
-                        acc[r] = semiring.reduce(acc[r], cx);
-                    }
-                }
-            }
-        }
-        let n = out.len().min(dim);
-        out[..n].copy_from_slice(&acc[..n]);
-        mask_rows(tr, out);
-    });
-}
-
-/// Branch-free variant of [`pack_vector_tilewise_into`]: each output word
-/// is assembled from its tile-segment with shift-OR lane writes instead of
-/// a per-element conditional store, which the compiler turns into straight
-/// compare+shift vector code.  Bit-identical to the scalar packing.
-pub fn pack_vector_tilewise_simd_into<W: BitWord>(v: &[f32], tile_dim: usize, words: &mut Vec<W>) {
-    assert!(tile_dim as u32 <= W::BITS);
-    words.clear();
-    words.resize(v.len().div_ceil(tile_dim), W::ZERO);
-    for (w, chunk) in words.iter_mut().zip(v.chunks(tile_dim)) {
-        let mut bits = 0u64;
-        for (i, &x) in chunk.iter().enumerate() {
-            bits |= ((x != 0.0) as u64) << i;
-        }
-        *w = W::from_u64(bits);
-    }
-}
-
-/// Branch-free variant of [`pack_vector_bits_into`] (see
-/// [`pack_vector_tilewise_simd_into`]).
-pub fn pack_vector_bits_simd_into<W: BitWord>(v: &[bool], tile_dim: usize, words: &mut Vec<W>) {
-    assert!(tile_dim as u32 <= W::BITS);
-    words.clear();
-    words.resize(v.len().div_ceil(tile_dim), W::ZERO);
-    for (w, chunk) in words.iter_mut().zip(v.chunks(tile_dim)) {
-        let mut bits = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            bits |= (b as u64) << i;
-        }
-        *w = W::from_u64(bits);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -714,10 +515,15 @@ pub fn bmv_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
 mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
+    use crate::grb::{Mask, MxvPipeline};
     use bitgblas_sparse::{ops, Coo, Csr, DenseVec};
 
     fn sample(n: usize, seed: u64) -> Csr {
-        let mut coo = Coo::new(n, n);
+        sample_rect(n, n, seed)
+    }
+
+    fn sample_rect(nrows: usize, ncols: usize, seed: u64) -> Csr {
+        let mut coo = Coo::new(nrows, ncols);
         let mut state = seed | 1;
         let mut next = || {
             state ^= state << 13;
@@ -725,12 +531,31 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..n * 3 {
-            let r = (next() % n as u64) as usize;
-            let c = (next() % n as u64) as usize;
+        for _ in 0..nrows * 3 {
+            let r = (next() % nrows as u64) as usize;
+            let c = (next() % ncols as u64) as usize;
             coo.push_edge(r, c).unwrap();
         }
         coo.to_binary_csr()
+    }
+
+    /// The bare single-vector pull pipeline over `x`, as the planner hands
+    /// it to a backend.
+    fn bare_pipeline<'a>(
+        x: &'a [f32],
+        semiring: Semiring,
+        mask: Option<&'a Mask>,
+    ) -> MxvPipeline<'a> {
+        MxvPipeline {
+            x,
+            k: 1,
+            frontier: None,
+            semiring,
+            mask,
+            transpose: false,
+            stages: &[],
+            accum: None,
+        }
     }
 
     fn sample_x(n: usize) -> Vec<f32> {
@@ -903,16 +728,17 @@ mod tests {
         let mut x = vec![f32::INFINITY; 32];
         x[3] = 0.0;
         let b = from_csr::<u32>(&a, 32);
-        let visited: Vec<bool> = (0..32).map(|i| i < 16).collect();
+        let visited = Mask::complemented((0..32).map(|i| i < 16).collect());
         let semiring = Semiring::MinPlus(1.0);
+        let p = bare_pipeline(&x, semiring, Some(&visited));
         let mut y = vec![42.0f32; 32];
-        bmv_bin_full_full_masked_into(&b, &x, Some(&visited), semiring, &mut y);
+        bmv_bin_full_full_fused_into(&b, &x, semiring, |i, t| p.finish(i, t), &mut y);
         let unmasked = bmv_bin_full_full(&b, &x, semiring);
         for (i, &v) in y.iter().enumerate() {
-            if visited[i] {
-                assert_eq!(v, f32::INFINITY);
-            } else {
+            if visited.allows(i) {
                 assert_eq!(v, unmasked[i]);
+            } else {
+                assert_eq!(v, f32::INFINITY);
             }
         }
     }
@@ -1108,14 +934,42 @@ mod tests {
 
     #[test]
     fn vector_packing_roundtrip() {
+        // 37 and 101 leave a ragged last segment at every tile width.
         let v: Vec<bool> = (0..37).map(|i| i % 4 == 0).collect();
         for dim in [4usize, 8, 16, 32] {
             let packed = pack_vector_bits::<u32>(&v, dim);
             assert_eq!(unpack_vector_bits(&packed, dim, v.len()), v, "dim {dim}");
         }
-        let f: Vec<f32> = v.iter().map(|&b| if b { 2.5 } else { 0.0 }).collect();
-        let packed_f = pack_vector_tilewise::<u16>(&f, 16);
-        assert_eq!(unpack_vector_bits(&packed_f, 16, v.len()), v);
+        let flags: Vec<bool> = (0..101).map(|i| i % 7 < 3).collect();
+        // `-0.0` packs as clear and NaN as set: the test is `x != 0.0`.
+        let f: Vec<f32> = (0..101)
+            .map(|i| match (flags[i], i % 2) {
+                (true, 0) => -0.5 * (i + 1) as f32,
+                (true, _) => f32::NAN,
+                (false, 0) => 0.0,
+                (false, _) => -0.0,
+            })
+            .collect();
+        macro_rules! check {
+            ($w:ty, $dim:expr) => {{
+                // Stale contents and a wrong length must not survive.
+                let mut words: Vec<$w> = vec![<$w>::MAX; 3];
+                pack_vector_bits_into(&flags, $dim, &mut words);
+                assert_eq!(words.len(), 101usize.div_ceil($dim));
+                assert_eq!(
+                    unpack_vector_bits(&words, $dim, 101),
+                    flags,
+                    "bits {}",
+                    $dim
+                );
+                pack_vector_tilewise_into(&f, $dim, &mut words);
+                assert_eq!(unpack_vector_bits(&words, $dim, 101), flags, "f32 {}", $dim);
+            }};
+        }
+        check!(u8, 4);
+        check!(u8, 8);
+        check!(u16, 16);
+        check!(u32, 32);
     }
 
     #[test]
@@ -1129,10 +983,10 @@ mod tests {
         assert!(y.iter().all(|&v| v == f32::INFINITY));
     }
 
-    // -- differential SWAR-vector vs scalar (PR 9) --------------------------
+    // -- the Boolean sweep's SWAR form vs its scalar form -------------------
     //
-    // Sizes 97/103 deliberately straddle tile boundaries for every dim, so
-    // the ragged last tile-row/-column is exercised on both paths.
+    // Size 103 straddles tile boundaries for every dim, so the ragged last
+    // tile-row/-column is exercised on both.
 
     #[test]
     fn simd_bin_bin_bin_is_bit_identical_to_scalar() {
@@ -1161,73 +1015,118 @@ mod tests {
         check!(u32, 32);
     }
 
-    #[test]
-    fn simd_bin_full_full_is_bit_identical_to_scalar_across_semirings() {
-        let a = sample(97, 41);
-        // Mixed finite/infinite operand so tropical identities flow through.
-        let x: Vec<f32> = (0..97)
-            .map(|i| match i % 5 {
-                0 => 0.25 * i as f32,
-                1 => f32::INFINITY,
-                2 => -1.5,
-                _ => (i % 11) as f32,
-            })
-            .collect();
-        for semiring in [
-            Semiring::Arithmetic,
-            Semiring::Boolean,
-            Semiring::MinPlus(1.0),
-            Semiring::MaxTimes(0.5),
-        ] {
-            macro_rules! check {
-                ($w:ty, $dim:expr) => {{
-                    let b = from_csr::<$w>(&a, $dim);
-                    let padded = b.n_tile_rows() * $dim;
-                    let mut scalar = vec![42.0f32; padded];
-                    let mut vector = vec![-7.0f32; padded];
-                    bmv_bin_full_full_into(&b, &x, semiring, &mut scalar);
-                    bmv_bin_full_full_simd_into(&b, &x, semiring, &mut vector);
-                    let sbits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-                    let vbits: Vec<u32> = vector.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(sbits, vbits, "{semiring:?} dim {}", $dim);
-                    // Masked: identical bits too.
-                    let mask: Vec<bool> = (0..97).map(|i| i % 3 == 0).collect();
-                    bmv_bin_full_full_masked_into(&b, &x, Some(&mask), semiring, &mut scalar);
-                    bmv_bin_full_full_masked_simd_into(&b, &x, Some(&mask), semiring, &mut vector);
-                    let sbits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-                    let vbits: Vec<u32> = vector.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(sbits, vbits, "masked {semiring:?} dim {}", $dim);
-                }};
+    // -- the one full-precision sweep vs its per-bit definition -------------
+
+    /// `bmv_bin_full_full()` as the paper states it: every tile row word's
+    /// set bits in ascending order, the semiring dispatched per bit, masked
+    /// rows overwritten with the identity afterwards.  Serial; padded
+    /// length.
+    fn reference_bin_full_full<W: BitWord>(
+        a: &B2sr<W>,
+        x: &[f32],
+        semiring: Semiring,
+        mask: Option<&Mask>,
+    ) -> Vec<f32> {
+        let dim = a.tile_dim();
+        let mut y = vec![semiring.identity(); a.n_tile_rows() * dim];
+        for tr in 0..a.n_tile_rows() {
+            for idx in a.tile_row_range(tr) {
+                let base = a.tile_colind()[idx] * dim;
+                for (r, &aw) in a.tile_words(idx).iter().enumerate().take(dim) {
+                    let out = &mut y[tr * dim + r];
+                    for dc in aw.iter_ones() {
+                        // Guard the ragged last tile-column.
+                        if let Some(&xj) = x.get(base + dc as usize) {
+                            *out = semiring.reduce(*out, semiring.combine(xj));
+                        }
+                    }
+                }
             }
-            check!(u8, 4);
-            check!(u8, 8);
-            check!(u16, 16);
-            check!(u32, 32);
+        }
+        if let Some(mask) = mask {
+            for (i, v) in y.iter_mut().enumerate().take(a.nrows()) {
+                if !mask.allows(i) {
+                    *v = semiring.identity();
+                }
+            }
+        }
+        y
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// One `(matrix, operand, semiring)` case on one width: the bare
+    /// shorthand, and the sweep finished by `MxvPipeline::finish` with no
+    /// mask, a mask and a complemented mask, against the reference.
+    fn check_sweep_against_reference<W: BitWord>(
+        a: &Csr,
+        dim: usize,
+        x: &[f32],
+        semiring: Semiring,
+    ) {
+        let b = from_csr::<W>(a, dim);
+        let what = format!("{}x{} dim {dim} {semiring:?}", a.nrows(), a.ncols());
+        let mut y = vec![42.0f32; b.n_tile_rows() * dim];
+        bmv_bin_full_full_into(&b, x, semiring, &mut y);
+        let want = reference_bin_full_full(&b, x, semiring, None);
+        assert_eq!(bits(&y), bits(&want), "bare {what}");
+
+        let flags: Vec<bool> = (0..a.nrows()).map(|i| i % 3 == 0).collect();
+        let masks = [
+            None,
+            Some(Mask::new(flags.clone())),
+            Some(Mask::complemented(flags)),
+        ];
+        for mask in &masks {
+            let p = bare_pipeline(x, semiring, mask.as_ref());
+            y.fill(-7.0);
+            bmv_bin_full_full_fused_into(&b, x, semiring, |i, t| p.finish(i, t), &mut y);
+            let want = reference_bin_full_full(&b, x, semiring, mask.as_ref());
+            assert_eq!(bits(&y), bits(&want), "{mask:?} {what}");
         }
     }
 
     #[test]
-    fn simd_packing_is_bit_identical_to_scalar() {
-        let f: Vec<f32> = (0..101)
-            .map(|i| if i % 3 == 0 { -0.5 * i as f32 } else { 0.0 })
-            .collect();
-        let b: Vec<bool> = (0..101).map(|i| i % 7 < 3).collect();
-        macro_rules! check {
-            ($w:ty, $dim:expr) => {{
-                let mut scalar: Vec<$w> = Vec::new();
-                let mut vector: Vec<$w> = Vec::new();
-                pack_vector_tilewise_into(&f, $dim, &mut scalar);
-                pack_vector_tilewise_simd_into(&f, $dim, &mut vector);
-                assert_eq!(scalar, vector, "tilewise dim {}", $dim);
-                pack_vector_bits_into(&b, $dim, &mut scalar);
-                pack_vector_bits_simd_into(&b, $dim, &mut vector);
-                assert_eq!(scalar, vector, "bits dim {}", $dim);
-            }};
+    fn one_sweep_equals_the_per_bit_reference_bitwise() {
+        // Empty, one vertex, one past a tile edge of every width, and a
+        // non-square matrix whose last tile-column is ragged at every width.
+        let shapes = [(0, 0), (1, 1), (17, 17), (33, 33), (65, 65), (21, 38)];
+        for (nrows, ncols) in shapes {
+            let a = sample_rect(nrows, ncols, (nrows * 64 + ncols) as u64 + 41);
+            // Mixed finite/infinite operand so tropical identities flow
+            // through; and one with NaN, -inf and -0.0 beside them, for the
+            // tropical semirings — `min` / `max` drop a NaN, whereas which
+            // payload `NaN + NaN` keeps is the compiler's choice.
+            let x: Vec<f32> = (0..ncols)
+                .map(|i| match i % 5 {
+                    0 => 0.25 * i as f32,
+                    1 => f32::INFINITY,
+                    2 => -1.5,
+                    _ => (i % 11) as f32,
+                })
+                .collect();
+            const HOSTILE: [f32; 4] = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0];
+            let mut hostile = x.clone();
+            for (i, v) in hostile.iter_mut().enumerate().filter(|(i, _)| i % 3 == 1) {
+                *v = HOSTILE[(i / 3) % HOSTILE.len()];
+            }
+            let cases = [
+                (Semiring::Arithmetic, &x),
+                (Semiring::Boolean, &x),
+                (Semiring::MinPlus(1.0), &x),
+                (Semiring::MaxTimes(0.5), &x),
+                (Semiring::MinPlus(1.0), &hostile),
+                (Semiring::MaxTimes(0.5), &hostile),
+            ];
+            for (semiring, x) in cases {
+                check_sweep_against_reference::<u8>(&a, 4, x, semiring);
+                check_sweep_against_reference::<u8>(&a, 8, x, semiring);
+                check_sweep_against_reference::<u16>(&a, 16, x, semiring);
+                check_sweep_against_reference::<u32>(&a, 32, x, semiring);
+            }
         }
-        check!(u8, 4);
-        check!(u8, 8);
-        check!(u16, 16);
-        check!(u32, 32);
     }
 
     #[test]

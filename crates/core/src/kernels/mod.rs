@@ -1,16 +1,19 @@
 //! Bit-level BLAS kernels over B2SR (RQ-2 of the paper).
 //!
-//! * [`bmv`] — Binarized Matrix × Vector: the six schemes of Table II.
-//!   Each scheme and its masked twin are one body: the `_masked` names
-//!   (`bmv_bin_bin_bin_masked_into`, `bmv_bin_bin_full_masked`,
-//!   `bmv_bin_full_full_masked_into`) take an `Option` mask, the
-//!   un-suffixed names are the `None` shorthands, and the sweep behind
-//!   both is generic over a store-side mask hook the compiler specialises, covering the Boolean, arithmetic and tropical semirings
-//!   of Table IV; plus the push-direction (sparse-frontier) kernels
-//!   `bmv_push_bin_bin` / `bmv_push_bin_full`.  The pull sweeps keep a
-//!   scalar and a SWAR (`_simd`) form: the scalar one is the reference
-//!   the parity harness compares against, and [`SimdPolicy`] picks per
-//!   tile size.
+//! * [`bmv`] — Binarized Matrix × Vector: the six schemes of Table II,
+//!   covering the Boolean, arithmetic and tropical semirings of Table IV.
+//!   The two bit-output schemes and their masked twins are one body each:
+//!   the `_masked` names (`bmv_bin_bin_bin_masked_into`,
+//!   `bmv_bin_bin_full_masked`) take an `Option` mask, the un-suffixed
+//!   names are the `None` shorthands, and the sweep behind both is generic
+//!   over a store-side mask hook the compiler specialises.  The
+//!   full-precision scheme has one sweep, `bmv_bin_full_full_fused_into`,
+//!   which finishes each row through a closure (mask, epilogue stages,
+//!   accumulator); `bmv_bin_full_full_into` is its identity-finish
+//!   shorthand.  Plus the push-direction (sparse-frontier) kernels
+//!   `bmv_push_bin_bin` / `bmv_push_bin_full`.  Only the Boolean pull
+//!   sweep keeps a scalar and a SWAR (`_simd`) form, and [`SimdPolicy`]
+//!   picks between them per tile size.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
 //!   product to a full-precision scalar as required by Triangle Counting.
@@ -53,9 +56,8 @@ pub use bmv::{
     bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into,
     bmv_bin_bin_bin_masked_simd_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full,
     bmv_bin_bin_full_masked, bmv_bin_full_full, bmv_bin_full_full_fused_into,
-    bmv_bin_full_full_into, bmv_bin_full_full_masked_into, bmv_bin_full_full_masked_simd_into,
-    bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits,
-    pack_vector_bits_into, pack_vector_bits_simd_into, pack_vector_tilewise,
-    pack_vector_tilewise_into, pack_vector_tilewise_simd_into, unpack_vector_bits,
+    bmv_bin_full_full_into, bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full,
+    pack_vector_bits, pack_vector_bits_into, pack_vector_tilewise, pack_vector_tilewise_into,
+    unpack_vector_bits,
 };
 pub use simd::{SimdPolicy, DEFAULT_LANE_MASK};

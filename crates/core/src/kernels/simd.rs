@@ -1,45 +1,41 @@
-//! The vector (lane-parallel) engine behind the `_simd` kernel variants.
+//! The SWAR helpers behind the Boolean `_simd` sweep and the batched lane
+//! words.
 //!
 //! The paper's premise is that bit-packed tiles turn traversal into dense
 //! word operations that saturate wide vector units.  On stable Rust the
 //! portable-SIMD module (`std::simd`) is not yet available and this crate
 //! forbids `unsafe` (so no `std::arch` intrinsics either), so the vector
-//! engine is built from **SWAR** — SIMD Within A Register: every B2SR tile
-//! already packs into one or more `u64` chunks
-//! ([`BitWord::pack_chunk_u64`]), and the per-tile-row sweeps of
-//! `bmv`/`bmm` become branch-free 64-bit lane arithmetic over those chunks
-//! (8 rows of an 8×8 tile per operation, 4 rows of a 16×16 one), with the
-//! residual f32 lane folds shaped as fixed-width blocks that LLVM
-//! auto-vectorizes.  The scalar kernels remain always-compiled and are both
-//! the runtime fallback and the reference the differential harness
-//! (`tests/simd_parity.rs`) checks the vector path against, bit for bit.
+//! form is **SWAR** — SIMD Within A Register: every B2SR tile already packs
+//! into one or more `u64` chunks ([`BitWord::pack_chunk_u64`]), and the
+//! Boolean per-tile-row sweep of `bmv` becomes branch-free 64-bit lane
+//! arithmetic over those chunks (8 rows of an 8×8 tile per operation, 4
+//! rows of a 16×16 one).  The scalar Boolean sweep remains always-compiled
+//! and is both the runtime fallback and the reference the differential
+//! harness (`tests/simd_parity.rs`) checks the SWAR one against, word for
+//! word.
 //!
-//! Which path runs is a per-[`Context`](crate::grb::Context) decision
-//! ([`SimdPolicy`], stored on the workspace, overridable per operation via
-//! [`Descriptor::simd`](crate::grb::Descriptor) and per process via the
+//! Which of the two runs is a per-[`Context`](crate::grb::Context) decision
+//! ([`SimdPolicy`], stored on the workspace, seeded per process by the
 //! `BITGBLAS_SIMD` environment variable), and under [`SimdPolicy::Auto`]
 //! the per-tile-size profitability mask comes from the device calibration
-//! pass ([`crate::calibrate`]).
-//!
-//! # Why the two paths are bit-identical
-//!
-//! Every helper here parallelises **across lanes** (tile rows), never
-//! across the reduction terms of one output row: a given output row still
-//! folds its contributions in exactly the scalar kernel's order, so even
-//! the non-associative float semirings produce the same bits on both paths.
+//! pass ([`crate::calibrate`]).  The policy selects the single-vector
+//! Boolean pull sweep (`bmv_bin_bin_bin*_into`) and nothing else: the
+//! full-precision pull has one body, and the batched kernels never
+//! consulted it.
 
 use bitgblas_bitops::BitWord;
 
-/// Runtime selection between the scalar and the SWAR-vector kernels.
+/// Runtime selection between the scalar and the SWAR form of the
+/// single-vector Boolean pull sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdPolicy {
     /// Use the vector path where the (calibrated) per-tile-size
     /// profitability mask says it wins — the default.
     #[default]
     Auto,
-    /// Always run the scalar reference kernels (the differential baseline).
+    /// Always run the scalar sweep (the differential baseline).
     ForceScalar,
-    /// Always run the vector kernels, profitable or not (for testing).
+    /// Always run the SWAR sweep, profitable or not (for testing).
     ForceVector,
 }
 
@@ -122,6 +118,10 @@ pub fn nonzero_lane_msbs<W: BitWord>(t: u64) -> u64 {
 /// Per-lane population count: returns a `u64` holding, in each `W`-wide
 /// lane, the popcount of the corresponding lane of `t` — the classic
 /// bit-sliced popcount folded once more per doubling of the lane width.
+///
+/// No kernel calls this: its one caller is [`crate::calibrate`]'s
+/// SIMD-crossover micro-bench, so the lane mask that pass yields is measured
+/// on this helper, not on the sweep [`SimdPolicy`] selects.
 #[inline(always)]
 pub fn lane_popcounts<W: BitWord>(t: u64) -> u64 {
     debug_assert!(W::BITS <= 32, "SWAR lanes are at most 32 bits");

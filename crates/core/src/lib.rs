@@ -16,9 +16,10 @@
 //!   tile-size selector of Algorithm 1.
 //!
 //! * **RQ-2 (computation)** — [`kernels`] implements the BMV and BMM schemes of
-//!   Tables II and III: `bmv_bin_bin_bin`, `bmv_bin_bin_full`,
-//!   `bmv_bin_full_full` (each one body with its masked twin) and
-//!   `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
+//!   Tables II and III: `bmv_bin_bin_bin`, `bmv_bin_bin_full` (each one
+//!   body with its masked twin), `bmv_bin_full_full` (one sweep that
+//!   finishes each row through a closure — mask, fused epilogue or
+//!   nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
 //!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
@@ -44,12 +45,13 @@
 //!   explicit compaction that re-tiles the base and re-plans row shards
 //!   incrementally.
 //!
-//! * **Vector kernels + calibration (PR 9)** — [`kernels::simd`] is the
-//!   SWAR vector engine behind the `_simd` kernel variants (runtime-selected
-//!   with the scalar kernels always compiled as fallback and differential
-//!   reference), and [`calibrate`] micro-benches the executing host into a
-//!   [`CalibratedProfile`] that replaces the static device constants in
-//!   direction choice, shard sizing, and the scalar/vector crossover.
+//! * **Vector kernel + calibration** — [`kernels::simd`] holds the SWAR
+//!   helpers behind the `_simd` form of the Boolean pull sweep
+//!   (runtime-selected, with the scalar form always compiled as fallback
+//!   and differential reference), and [`calibrate`] micro-benches the
+//!   executing host into a [`CalibratedProfile`] that replaces the static
+//!   device constants in direction choice, shard sizing, and the
+//!   scalar/vector crossover.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

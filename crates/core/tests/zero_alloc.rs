@@ -382,22 +382,27 @@ fn simd_pull_bfs_inner_loop_is_allocation_free_after_warmup() {
     assert_eq!(levels[41], -1);
 }
 
-/// The vector-forced min-plus pull relaxation (SSSP's dense sweep) must
-/// also run allocation-free in steady state — the float lane blocks of the
-/// SWAR sweep are workspace buffers, not per-call temporaries.
+/// A masked bare full-precision pull — the min-plus relaxation sweep with a
+/// mask and nothing fused behind it — must also run allocation-free in
+/// steady state: the mask rides in the sweep's finishing closure, so the
+/// only buffer is the pooled output (no staged `Vec<bool>`, no packed mask
+/// words).
 #[test]
-fn simd_pull_sssp_relaxation_is_allocation_free_after_warmup() {
+fn masked_bare_full_precision_pull_is_allocation_free_after_warmup() {
     let n = 256;
     let a = chain(n);
     let ctx = a.context();
-    ctx.set_simd_policy(SimdPolicy::ForceVector);
     let semiring = Semiring::MinPlus(1.0);
     let mut dist = Vector::identity(n, semiring);
     dist.set(0, 0.0);
+    // Every third vertex is masked out: its entry stays the identity, so
+    // the relaxation stops at vertex 2.
+    let mask = Mask::complemented((0..n).map(|i| i % 3 == 0).collect());
 
     let round = |dist: &mut Vector| {
         let relaxed = Op::vxm(&*dist, &a)
             .semiring(semiring)
+            .mask(&mask)
             .direction(Direction::Pull)
             .run(ctx);
         for (d, &r) in dist.as_mut_slice().iter_mut().zip(relaxed.as_slice()) {
@@ -418,9 +423,10 @@ fn simd_pull_sssp_relaxation_is_allocation_free_after_warmup() {
     assert_eq!(
         allocations() - before,
         0,
-        "vector-forced pull SSSP relaxation allocated in steady state"
+        "masked bare min-plus pull allocated in steady state"
     );
-    assert_eq!(dist.get(20), 20.0);
+    assert_eq!(dist.get(2), 2.0);
+    assert!(dist.get(3).is_infinite() && dist.get(4).is_infinite());
 }
 
 /// The batched full-precision product behind every served SSSP and PPR

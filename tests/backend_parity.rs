@@ -565,7 +565,10 @@ fn auto_selection_differs_across_corpus_patterns() {
 /// The pin that keeps the one planner path honest: the **bare** product of
 /// a one-lane `MultiVec` through `Op::mxm` is bit-identical to `Op::mxv` /
 /// `Op::vxm` on the same operand — every backend (an overlay with pending
-/// inserts and deletes included), semiring, direction and mask sense.
+/// inserts and deletes included), semiring, direction and mask sense.  And
+/// the one that keeps the one pull sweep honest: the bare and masked-bare
+/// pull on every bit width, and through the overlay, is bit-identical to
+/// `FloatCsr` on the same graph.
 #[test]
 fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
     let n = 96;
@@ -585,16 +588,23 @@ fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
     let overlay = live.snapshot();
     assert_ne!(overlay.csr(), &base, "the deltas must be pending");
     let built = [
+        Backend::Bit(TileSize::S4),
         Backend::Bit(TileSize::S8),
+        Backend::Bit(TileSize::S16),
         Backend::Bit(TileSize::S32),
         Backend::FloatCsr,
     ]
     .map(|b| Matrix::from_csr(&base, b));
-    let matrices: [(&str, &Matrix); 4] = [
-        ("Bit(S8)", &built[0]),
-        ("Bit(S32)", &built[1]),
-        ("FloatCsr", &built[2]),
-        ("overlay on Bit(S8)", &overlay),
+    let float = &built[4];
+    let merged_float = Matrix::from_csr(overlay.csr(), Backend::FloatCsr);
+    // (name, matrix, `FloatCsr` on the same graph)
+    let matrices: [(&str, &Matrix, &Matrix); 6] = [
+        ("Bit(S4)", &built[0], float),
+        ("Bit(S8)", &built[1], float),
+        ("Bit(S16)", &built[2], float),
+        ("Bit(S32)", &built[3], float),
+        ("FloatCsr", float, float),
+        ("overlay on Bit(S8)", &overlay, &merged_float),
     ];
     let structure: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
     let masks = [
@@ -603,7 +613,7 @@ fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
         Some(Mask::complemented(structure)),
     ];
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-    for (backend, a) in matrices {
+    for (backend, a, float) in matrices {
         for semiring in [
             Semiring::Boolean,
             Semiring::Arithmetic,
@@ -630,21 +640,27 @@ fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
             for dir in [Direction::Push, Direction::Pull] {
                 for mask in &masks {
                     for flip in [false, true] {
-                        let (mut one, mut many) = if flip {
-                            (Op::vxm(&x, a), Op::mxm(a, &lane).transpose())
-                        } else {
-                            (Op::mxv(a, &x), Op::mxm(a, &lane))
+                        let what = format!("{backend} {semiring:?} {dir:?} flip={flip} {mask:?}");
+                        let single = |a: &Matrix| {
+                            let mut one = if flip { Op::vxm(&x, a) } else { Op::mxv(a, &x) };
+                            one = one.semiring(semiring).direction(dir);
+                            if let Some(m) = mask {
+                                one = one.mask(m);
+                            }
+                            bits(one.run(&ctx).as_slice())
                         };
-                        (one, many) = (one.semiring(semiring), many.semiring(semiring));
-                        (one, many) = (one.direction(dir), many.direction(dir));
-                        if let Some(m) = mask {
-                            (one, many) = (one.mask(m), many.mask(m));
+                        let mut many = Op::mxm(a, &lane).semiring(semiring).direction(dir);
+                        if flip {
+                            many = many.transpose();
                         }
-                        assert_eq!(
-                            bits(many.run(&ctx).as_slice()),
-                            bits(one.run(&ctx).as_slice()),
-                            "{backend} {semiring:?} {dir:?} flip={flip} mask={mask:?}"
-                        );
+                        if let Some(m) = mask {
+                            many = many.mask(m);
+                        }
+                        let one = single(a);
+                        assert_eq!(bits(many.run(&ctx).as_slice()), one, "{what}");
+                        if dir == Direction::Pull {
+                            assert_eq!(one, single(float), "vs FloatCsr: {what}");
+                        }
                     }
                 }
             }
