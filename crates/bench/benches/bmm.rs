@@ -5,6 +5,7 @@
 //! `bfs_multi` at a thin and at a full frontier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use bitgblas_core::b2sr::convert::from_csr;
@@ -13,9 +14,9 @@ use bitgblas_core::kernels::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmm_push_bin_full,
     bmv_bin_full_full_fused_into,
 };
-use bitgblas_core::{Backend, Matrix, Semiring, TileSize};
+use bitgblas_core::{Backend, EdgeDelta, Matrix, Semiring, TileSize};
 use bitgblas_datagen::generators;
-use bitgblas_sparse::{ops, Csr};
+use bitgblas_sparse::{ops, Coo, Csr};
 
 fn bench_matrices() -> Vec<(&'static str, Csr)> {
     vec![
@@ -199,7 +200,9 @@ fn bmm_lane_density_benches(c: &mut Criterion) {
 /// — and from every node, which it pulls.  With dozens of sources the union
 /// of the wavefronts is the whole graph for most of a run, so the full row
 /// is what a round costs once nothing is converted around it: one word OR
-/// per edge.
+/// per edge.  The `overlay_*` rows run the same round on the same edge set
+/// read through a few hundred pending deltas (`DeltaOverlay`): the base's
+/// product plus the word re-fold of the dirty rows the frontier reaches.
 fn bmm_lane_word_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmm_lane_words");
     group
@@ -216,30 +219,54 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
         ),
     ];
     for (name, csr) in graphs {
-        let a = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
-        let ctx = a.context();
-        let visited = LaneBits::zeros(a.nrows(), k);
-        for (label, stride) in [("frontier_1pct", 100usize), ("frontier_full", 1)] {
-            let mut frontier = LaneBits::zeros(a.nrows(), k);
-            for u in (0..a.nrows()).step_by(stride) {
-                for l in 0..k {
-                    frontier.set(u, l);
+        let n = csr.nrows();
+        let built = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
+        // The same edge set behind a pending log: the edges among 384
+        // symmetric pairs near the diagonal (inside the mesh's band) are
+        // taken out of the base and inserted back by the log, so both sides
+        // compute the same product.
+        let moved: BTreeSet<(usize, usize)> = (0..384)
+            .map(|i| ((i * 37 + 5) % (n - 17), 1 + i % 16))
+            .flat_map(|(r, d)| [(r, r + d), (r + d, r)])
+            .filter(|&(r, c)| csr.get(r, c).is_some())
+            .collect();
+        let mut without = Coo::new(n, n);
+        for (r, c, _) in csr.iter().filter(|&(r, c, _)| !moved.contains(&(r, c))) {
+            without.push_edge(r, c).expect("in bounds");
+        }
+        let pending = Matrix::from_csr(&without.to_binary_csr(), Backend::Bit(TileSize::S8));
+        let log: Vec<EdgeDelta> = moved
+            .iter()
+            .map(|&(r, c)| EdgeDelta::insert(r, c))
+            .collect();
+        pending.apply_deltas(&log).expect("in bounds");
+        let pending = pending.snapshot();
+
+        let visited = LaneBits::zeros(n, k);
+        for (prefix, a) in [("", &built), ("overlay_", &*pending)] {
+            let ctx = a.context();
+            for (label, stride) in [("frontier_1pct", 100usize), ("frontier_full", 1)] {
+                let mut frontier = LaneBits::zeros(n, k);
+                for u in (0..n).step_by(stride) {
+                    for l in 0..k {
+                        frontier.set(u, l);
+                    }
                 }
+                group.bench_function(
+                    BenchmarkId::new(format!("mxm_lanes/k64/{prefix}{label}"), name),
+                    |b| {
+                        b.iter(|| {
+                            let next = Op::mxm_lanes(a, &frontier)
+                                .transpose()
+                                .and_not(&visited)
+                                .try_run(ctx)
+                                .expect("well-shaped operands")
+                                .expect("a bit backend has the word product");
+                            next.recycle(ctx)
+                        })
+                    },
+                );
             }
-            group.bench_function(
-                BenchmarkId::new(format!("mxm_lanes/k64/{label}"), name),
-                |b| {
-                    b.iter(|| {
-                        let next = Op::mxm_lanes(&a, &frontier)
-                            .transpose()
-                            .and_not(&visited)
-                            .try_run(ctx)
-                            .expect("well-shaped operands")
-                            .expect("a built bit backend has the word product");
-                        next.recycle(ctx)
-                    })
-                },
-            );
         }
     }
     group.finish();

@@ -17,11 +17,17 @@
 //! * **Merge-on-read overlay** — [`DeltaOverlay`] implements
 //!   [`GrbBackend`] over `base ⊕ delta`: it forwards each product — whole
 //!   fused pipelines included — to the unchanged base representation (B2SR
-//!   bit kernels or float CSR), then re-folds only the dirty rows through a
-//!   sorted merge of the base row and its patch and finishes them with the
-//!   pipeline's own store semantics ([`MxvPipeline::finish`]).  Traversals
-//!   see the mutated graph with no rebuild, no per-clean-row overhead and
-//!   no loss of operator fusion.
+//!   bit kernels or float CSR), then re-folds the dirty positions the
+//!   operand reaches — those with a non-identity entry in a *patched*
+//!   column; every other one already holds its value — through a sorted
+//!   merge of the base row and its patch and finishes them with the
+//!   pipeline's own store semantics ([`MxvPipeline::finish`]).  The batched
+//!   Boolean product in lane words (`Op::mxm_lanes`) goes the same way over
+//!   a [`BitB2sr`] base: the base's word product, then a word re-fold.
+//!   Traversals see the mutated graph with no rebuild, no per-clean-row
+//!   overhead, no loss of operator fusion and nothing converted between
+//!   `f32` and bits; a read costs the base product plus the patches the
+//!   frontier touches (`ExecCounts::refolded_positions` counts them).
 //! * **Versioned publication** — a [`VersionCell`] owns `(epoch, base,
 //!   log, head)` behind one mutex; appends and compactions swap a fully
 //!   constructed head in a single critical section, so
@@ -48,7 +54,12 @@
 //! scratch — the property the `mutation_parity` proptests pin down.  Push
 //! (sparse-frontier) sweeps patch the same way, which is exact because the
 //! planner guarantees off-frontier operand entries contribute the
-//! identity.
+//! identity.  A dirty position none of whose patched columns carries a
+//! non-identity term is not re-folded at all: base row and merged row differ
+//! in the patched columns only, and an identity term changes no fold — so
+//! what the base stored there is what a rebuild stores, bit for bit, under
+//! all four semirings (NaN, ±inf and −0.0 operands included; pinned by
+//! `identity_probe_is_bit_identical_to_a_rebuild_on_hostile_operands`).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -59,9 +70,11 @@ use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, FloatCsr, GrbBackend};
 use crate::grb::error::GrbError;
 use crate::grb::matrix::Backend;
+use crate::grb::multivec::lane_words_per_node;
 use crate::grb::op::Context;
 use crate::grb::plan::MxvPipeline;
 use crate::grb::workspace::Workspace;
+use crate::kernels::simd::{andnot_into, or_into};
 use crate::semiring::with_semiring_ops;
 use crate::shard::{ShardConfig, ShardPlan};
 
@@ -321,8 +334,15 @@ impl DeltaSnapshot {
 /// A merge-on-read [`GrbBackend`] presenting `base ⊕ delta` without a
 /// rebuild: every product runs on the untouched base representation first
 /// — the base executes the whole pipeline it is handed, fused or bare —
-/// then only the dirty rows are re-folded through the sorted patch merge
-/// and finished by [`MxvPipeline::finish`].  The merged CSR views
+/// then the dirty positions a patched column's non-identity operand entry
+/// reaches are re-folded through the sorted patch merge and finished by
+/// [`MxvPipeline::finish`]; a dirty position the operand does not reach
+/// keeps what the base stored, which is already right.  So a read costs
+/// the base product plus one probe per staged patch entry and lane, and
+/// the planner treats the overlay as it treats its base: entry pricing,
+/// the shard plan and — over a [`BitB2sr`] — the lane-word product
+/// (`plan::execute_lane_product`, whose dirty rows
+/// `refold_dirty_words` patches) all carry through.  The merged CSR views
 /// materialize lazily (first `csr()`/`csr_t()` call) for the fallback paths
 /// that need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
 ///
@@ -358,6 +378,12 @@ impl DeltaOverlay {
         &self.delta
     }
 
+    /// The built representation under the patches: it runs every product
+    /// first, so its kernels are what the planner prices.
+    pub(crate) fn base(&self) -> &dyn GrbBackend {
+        &*self.base
+    }
+
     /// The staged patches and the base CSR of the representation a product
     /// with this `transpose` flag pulls from.
     fn dirty(&self, transpose: bool) -> (&StagedRows, &Csr) {
@@ -369,19 +395,39 @@ impl DeltaOverlay {
         (self.delta.staged(transpose ^ self.transposed), base)
     }
 
-    /// Re-fold every dirty output row of a pipeline the base just ran, lane
-    /// by lane over flat positions `i*k + l`, and finish it.  The raw value
-    /// of a position is `⊕_{c ∈ merged row} ⊗(x[c,l])` over the sorted merge
-    /// of the base row and its patch, in ascending column order — the fold a
-    /// from-scratch build would run — under a semiring resolved once per
-    /// call.  `k` is `p.k`, passed apart and the body always inlined, so the
+    /// Re-fold the dirty output positions the operand reaches of a pipeline
+    /// the base just ran, lane by lane over flat positions `i*k + l`, and
+    /// finish them.  The raw value of a position is `⊕_{c ∈ merged row}
+    /// ⊗(x[c,l])` over the sorted merge of the base row and its patch, in
+    /// ascending column order — the fold a from-scratch build would run —
+    /// under a semiring resolved once per call.
+    ///
+    /// **Identity probe.**  Base row and merged row differ in the patched
+    /// columns only, and an identity term is a no-op under all four monoids
+    /// (`+ 0.0`, `min(·, +inf)`, `max(·, −inf)`, OR — a fold that starts
+    /// from the identity never holds the `−0.0` or NaN that would make it
+    /// one), so a position whose patched columns all carry
+    /// `⊗(x[c,l]) == identity` already holds its value from the base product
+    /// and is left alone.  A NaN term compares unequal and takes the fold.
+    /// What passes the probe is counted in
+    /// [`ExecCounts::refolded_positions`](crate::grb::ExecCounts).
+    ///
+    /// `k` is `p.k`, passed apart and the body always inlined, so the
     /// single-vector caller's literal `1` folds the lane arithmetic away.
     #[inline(always)]
-    fn refold_dirty(&self, p: &MxvPipeline<'_>, k: usize, out: &mut [f32]) {
+    fn refold_dirty(&self, p: &MxvPipeline<'_>, k: usize, ws: &Workspace, out: &mut [f32]) {
         let (staged, base) = self.dirty(p.transpose);
+        let mut refolded = 0usize;
         with_semiring_ops!(p.semiring, |identity, combine, reduce| {
             for (i, patch) in staged.iter() {
                 for l in 0..k {
+                    if patch
+                        .iter()
+                        .all(|&(c, _)| combine(p.x[c * k + l]) == identity)
+                    {
+                        continue;
+                    }
+                    refolded += 1;
                     let flat = i * k + l;
                     let mut raw = identity;
                     // A masked-out position finishes from the identity
@@ -394,7 +440,45 @@ impl DeltaOverlay {
                     out[flat] = p.finish(flat, raw);
                 }
             }
-        })
+        });
+        ws.stats().record_refolded(refolded);
+    }
+
+    /// [`refold_dirty`](Self::refold_dirty)'s `u64` sibling, for the lane-word
+    /// product the base [`BitB2sr`] just ran
+    /// ([`BitB2sr::lane_product`], same arguments): a dirty row one of whose
+    /// patched columns holds a set lane becomes `(OR of xw[c] over the sorted
+    /// merge of base row and patch) & !excluded[i]`; every other dirty row
+    /// keeps the base's words.  Counts the words it re-folded.
+    pub(crate) fn refold_dirty_words(
+        &self,
+        xw: &[u64],
+        k: usize,
+        excluded: Option<&[u64]>,
+        transpose: bool,
+        ws: &Workspace,
+        yw: &mut [u64],
+    ) {
+        let wpn = lane_words_per_node(k);
+        let node = |i: usize| i * wpn..(i + 1) * wpn;
+        let (staged, base) = self.dirty(transpose);
+        let mut refolded = 0usize;
+        for (i, patch) in staged.iter() {
+            if patch
+                .iter()
+                .all(|&(c, _)| xw[node(c)].iter().all(|&w| w == 0))
+            {
+                continue;
+            }
+            refolded += wpn;
+            let row = &mut yw[node(i)];
+            row.fill(0);
+            for_each_merged(base.row(i).0, patch, &mut |c| or_into(row, &xw[node(c)]));
+            if let Some(excluded) = excluded {
+                andnot_into(row, &excluded[node(i)]);
+            }
+        }
+        ws.stats().record_refolded(refolded);
     }
 }
 
@@ -427,12 +511,12 @@ impl GrbBackend for DeltaOverlay {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         self.base.mxv_into(p, ws, out);
-        self.refold_dirty(p, 1, out);
+        self.refold_dirty(p, 1, ws, out);
     }
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         self.base.mxm_into(p, ws, out);
-        self.refold_dirty(p, p.k, out);
+        self.refold_dirty(p, p.k, ws, out);
     }
 
     fn mxm_reduce_masked(
@@ -450,10 +534,10 @@ impl GrbBackend for DeltaOverlay {
     /// base and installs that base's plan — so there is nothing to install.
     fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
 
-    /// The overlay reports no plan of its own: `Direction::Auto` prices its
-    /// pushes as serial (the base still shards them when it engages).
-    fn shard_plan(&self, _of_transpose: bool) -> Option<&ShardPlan> {
-        None
+    /// The base's plan: the base runs the overlay's scatter, so
+    /// `Direction::Auto` prices an overlay's push as it prices the base's.
+    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
+        self.base.shard_plan(of_transpose)
     }
 
     fn storage_bytes(&self) -> usize {
@@ -729,10 +813,15 @@ mod tests {
         assert_eq!(snap.merge_csr(&base.transpose(), true), expect.transpose());
     }
 
-    /// One pipeline through a backend, as bits.
+    /// One pipeline through a backend (`mxv` for one lane, `mxm` for more),
+    /// as bits.
     fn run(b: &dyn GrbBackend, p: &MxvPipeline<'_>) -> Vec<u32> {
         let mut out = Vec::new();
-        b.mxv_into(p, &Workspace::new(), &mut out);
+        if p.k == 1 {
+            b.mxv_into(p, &Workspace::new(), &mut out);
+        } else {
+            b.mxm_into(p, &Workspace::new(), &mut out);
+        }
         out.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -857,6 +946,187 @@ mod tests {
                 ..p
             };
             assert_eq!(run(&*tv, &p), run(fresh.state(), &flipped));
+        }
+    }
+
+    /// The identity probe against a rebuild, by `to_bits`: NaN, ±inf and
+    /// ±0.0 sitting in the patched columns (what the probe reads), under
+    /// all four semirings × pull / push × masked / unmasked × bare / a monoid
+    /// accumulator (the one a push scatter folds from a seeded output) ×
+    /// one lane / three — on a log with duplicate inserts, an insert then
+    /// deleted, deletes of absent edges, self-loops, a row emptied and an
+    /// empty row filled.
+    #[test]
+    fn identity_probe_is_bit_identical_to_a_rebuild_on_hostile_operands() {
+        use crate::b2sr::TileSize;
+        use crate::grb::descriptor::Mask;
+        use crate::semiring::{BinaryOp, Semiring};
+        use std::collections::BTreeSet;
+
+        let n = 24;
+        // Row 5 starts empty; row 9 is emptied by the log.
+        let mut edges: BTreeSet<(usize, usize)> = (0..n)
+            .filter(|&i| i != 5)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i * 5 + 2) % n), (i, (i + 11) % n)])
+            .collect();
+        let base = csr(n, &edges.iter().copied().collect::<Vec<_>>());
+        let mut log = vec![
+            EdgeDelta::insert(0, 4),
+            EdgeDelta::insert(0, 4), // duplicate insert
+            EdgeDelta::insert(3, 17),
+            EdgeDelta::delete(3, 17), // insert, then delete
+            EdgeDelta::delete(2, 20), // absent edge
+            EdgeDelta::insert(7, 7),  // self-loop
+            EdgeDelta::delete(13, 13),
+            EdgeDelta::insert(5, 8), // an empty row filled
+            EdgeDelta::insert(5, 21),
+            EdgeDelta::delete(1, 2),
+        ];
+        log.extend(base.row(9).0.iter().map(|&c| EdgeDelta::delete(9, c)));
+        let mut endpoints = BTreeSet::new();
+        for d in &log {
+            match d.op {
+                DeltaOp::Insert => edges.insert((d.row, d.col)),
+                DeltaOp::Delete => edges.remove(&(d.row, d.col)),
+            };
+            endpoints.extend([d.row, d.col]);
+        }
+        let scratch = csr(n, &edges.iter().copied().collect::<Vec<_>>());
+
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 2.5];
+        let semirings = [
+            Semiring::Boolean,
+            Semiring::Arithmetic,
+            Semiring::MinPlus(1.0),
+            Semiring::MaxTimes(2.0),
+        ];
+        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            let a = Matrix::from_csr(&base, backend);
+            let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
+            let overlay = DeltaOverlay::new(Arc::from(a.state().clone_box()), snap);
+            let fresh = Matrix::from_csr(&scratch, backend);
+            for semiring in semirings {
+                let monoid = BinaryOp::monoid_of(semiring);
+                for k in [1usize, 3] {
+                    // The patched columns hold one hostile value (`pick <
+                    // 6`), or cycle through all of them; everything else is
+                    // mostly the identity, so most probes have to decide.
+                    for pick in 0..=hostile.len() {
+                        let x: Vec<f32> = (0..n * k)
+                            .map(|f| match (endpoints.contains(&(f / k)), f % 4) {
+                                (true, _) => hostile[if pick < 6 { pick } else { f % 6 }],
+                                (false, 1) => (f % 7) as f32 + 0.5,
+                                (false, _) => semiring.identity(),
+                            })
+                            .collect();
+                        let frontier: Vec<usize> = (0..n)
+                            .filter(|&i| x[i * k..][..k].iter().any(|&v| !semiring.is_identity(v)))
+                            .collect();
+                        // (No `-0.0` / NaN baseline: a seeded push keeps it
+                        // where a pull stores `w ⊕ identity`, on a built
+                        // matrix already.)
+                        let w: Vec<f32> = (0..n * k)
+                            .map(|f| [1.5, -3.0, f32::INFINITY, 0.0, f32::NEG_INFINITY][f % 5])
+                            .collect();
+                        let mask = Mask::new((0..n * k).map(|f| f % 3 != 0).collect());
+                        for transpose in [false, true] {
+                            for push in [false, true] {
+                                if push && !semiring.push_safe() {
+                                    continue;
+                                }
+                                for mask in [None, Some(&mask)] {
+                                    for accum in [None, Some((monoid, w.as_slice()))] {
+                                        let p = MxvPipeline {
+                                            x: &x,
+                                            k,
+                                            frontier: push.then_some(frontier.as_slice()),
+                                            semiring,
+                                            mask,
+                                            transpose,
+                                            stages: &[],
+                                            accum,
+                                        };
+                                        assert_eq!(
+                                            run(&overlay, &p),
+                                            run(fresh.state(), &p),
+                                            "{backend:?} pick {pick} {p:?}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `refolded_positions` counts what the probe lets through: nothing for
+    /// an all-identity operand, every dirty row for a dense one, and for a
+    /// sparse one exactly the dirty positions a patched column's
+    /// non-identity entry reaches.
+    #[test]
+    fn refolded_positions_follow_the_operand_not_the_dirty_set() {
+        use crate::semiring::Semiring;
+        let n = 32;
+        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let a = Matrix::from_csr(&csr(n, &edges), Backend::default_bit());
+        // Four dirty rows; row 3 is patched in two columns.
+        let log = [
+            EdgeDelta::insert(3, 10),
+            EdgeDelta::insert(3, 20),
+            EdgeDelta::delete(8, 9),
+            EdgeDelta::insert(15, 20),
+            EdgeDelta::insert(30, 2),
+        ];
+        let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
+        let overlay = DeltaOverlay::new(Arc::from(a.state().clone_box()), snap);
+        let ws = Workspace::new();
+        let refolded = |semiring: Semiring, k: usize, x: &[f32]| {
+            let frontier: Vec<usize> = (0..n)
+                .filter(|&i| x[i * k..][..k].iter().any(|&v| !semiring.is_identity(v)))
+                .collect();
+            let [pull, push] = [None, Some(frontier.as_slice())].map(|frontier| {
+                let p = MxvPipeline {
+                    x,
+                    k,
+                    frontier,
+                    semiring,
+                    mask: None,
+                    transpose: false,
+                    stages: &[],
+                    accum: None,
+                };
+                let before = ws.stats().snapshot().refolded_positions;
+                let mut out = Vec::new();
+                if k == 1 {
+                    overlay.mxv_into(&p, &ws, &mut out);
+                } else {
+                    overlay.mxm_into(&p, &ws, &mut out);
+                }
+                ws.stats().snapshot().refolded_positions - before
+            });
+            assert_eq!(
+                pull, push,
+                "{semiring:?} k={k}: one probe, either direction"
+            );
+            pull
+        };
+        for semiring in [Semiring::Boolean, Semiring::MinPlus(1.0)] {
+            let id = semiring.identity();
+            for k in [1usize, 4] {
+                assert_eq!(refolded(semiring, k, &vec![id; n * k]), 0);
+                // A dense operand (PageRank's): every lane of every dirty row.
+                assert_eq!(refolded(semiring, k, &vec![1.0; n * k]), 4 * k as u64);
+                // Column 20, lane 0 only: rows 3 and 15, one lane each.
+                let mut x = vec![id; n * k];
+                x[20 * k] = 1.0;
+                assert_eq!(refolded(semiring, k, &x), 2);
+                // An unpatched column next to patched ones: nothing.
+                let mut x = vec![id; n * k];
+                x[11 * k] = 1.0;
+                assert_eq!(refolded(semiring, k, &x), 0);
+            }
         }
     }
 

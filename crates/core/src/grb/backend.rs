@@ -1240,7 +1240,7 @@ impl GrbBackend for FloatCsr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use crate::grb::{Context, Direction, Fusion, Matrix, MultiVec, Op, Vector};
@@ -1407,14 +1407,14 @@ mod tests {
     /// counting the two product entry points — and every `Op` shape reaches
     /// it through exactly those.
     #[derive(Debug)]
-    struct Spy {
+    pub(crate) struct Spy {
         inner: FloatCsr,
         mxv_calls: AtomicUsize,
         mxm_calls: AtomicUsize,
     }
 
     impl Spy {
-        fn new(csr: &Csr) -> Self {
+        pub(crate) fn new(csr: &Csr) -> Self {
             Spy {
                 inner: FloatCsr::new(csr),
                 mxv_calls: AtomicUsize::new(0),

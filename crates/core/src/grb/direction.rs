@@ -133,12 +133,13 @@ pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_thre
 ///   `(nnz + n) · k`; dividing by `k`, `frontier_nnz = entries / k`:
 ///   `(entries / k) · d̄ · α < nnz + n`.  Sixty-four SSSP lanes that each
 ///   changed 32 vertices push even when the union of those vertices is the
-///   whole graph; the same union with every lane active (a PPR batch) pulls;
+///   whole graph; the same union with every lane active (a PPR batch) pulls.
+///   A `DeltaOverlay` over a built-in backend is priced the same way: after
+///   the base's scatter it re-folds only the dirty positions an active entry
+///   reaches;
 /// * **full-precision batch on any other backend** — an external
 ///   [`GrbBackend`](super::GrbBackend), whose scatter is not known to be
-///   lane-sparse, and the `DeltaOverlay`, whose product is not: after the
-///   base's scatter it re-folds every lane of every dirty row whatever the
-///   operand holds.  Priced by nodes, like the Boolean batch:
+///   lane-sparse.  Priced by nodes, like the Boolean batch:
 ///   `nodes · d̄ · α < nnz + n`.
 ///
 /// At `k = 1` all of these coincide, so a one-lane batch decides exactly

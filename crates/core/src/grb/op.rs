@@ -706,9 +706,10 @@ impl<'a> LaneProductBuilder<'a> {
     }
 
     /// Run the product.  `Ok(None)` means the matrix's backend has no word
-    /// product — the float baseline, a matrix read through pending deltas,
-    /// a backend defined outside this crate — and nothing ran (no counter
-    /// moved, no fail point was polled): run the [`Op::mxm`] chain instead.
+    /// product — the float baseline, a backend defined outside this crate —
+    /// and nothing ran (no counter moved, no fail point was polled): run the
+    /// [`Op::mxm`] chain instead.  A bit backend has it built or read
+    /// through pending deltas.
     /// `Ok(Some(next))` draws `next`'s buffer from the context's pool
     /// ([`LaneBits::recycle`] returns it).  Shape violations and an injected
     /// `grb.mxm_dispatch` transient come back as a typed [`GrbError`].
@@ -979,6 +980,7 @@ mod tests {
     use super::*;
     use crate::b2sr::TileSize;
     use crate::faultinject::{FailSpec, FaultAction, FaultPlan};
+    use crate::grb::backend::tests::Spy;
     use crate::grb::matrix::Backend;
     use bitgblas_sparse::{Coo, Csr};
 
@@ -1816,11 +1818,12 @@ mod tests {
         }
     }
 
-    /// Entry pricing follows the kernel that runs: the same lane-sparse
-    /// min-plus batch pushes on a built matrix and pulls through a
-    /// `DeltaOverlay`, whose re-fold is not lane-sparse — to the same result.
+    /// Entry pricing follows the kernel that runs, through pending deltas
+    /// too: the same lane-sparse min-plus batch pushes on a built matrix and
+    /// through a `DeltaOverlay`, whose re-fold touches only the positions the
+    /// operand's entries reach — to the same result.
     #[test]
-    fn mxm_entry_pricing_stops_at_the_overlay() {
+    fn mxm_entry_pricing_holds_through_the_overlay() {
         use crate::delta::EdgeDelta;
         let (n, k) = (512usize, 64usize);
         let csr = sample(n, 29);
@@ -1834,16 +1837,20 @@ mod tests {
             let live = Matrix::from_csr(&csr, backend);
             let ctx = Context::default();
             let built = Op::mxm(&live, &x).semiring(semiring).run(&ctx);
-            let c = ctx.stats();
-            assert_eq!((c.push_mxm, c.pull_mxm), (1, 0), "{backend:?}");
+            let stats = ctx.stats();
+            assert_eq!((stats.push_mxm, stats.pull_mxm), (1, 0), "{backend:?}");
+            assert_eq!(stats.refolded_positions, 0, "{backend:?}");
 
             // A pending log that leaves the edge set as it was.
             let (r, c, _) = csr.iter().next().unwrap();
             live.apply_deltas(&[EdgeDelta::delete(r, c), EdgeDelta::insert(r, c)])
                 .unwrap();
             let overlaid = Op::mxm(&live.snapshot(), &x).semiring(semiring).run(&ctx);
-            let c = ctx.stats();
-            assert_eq!((c.push_mxm, c.pull_mxm), (1, 1), "{backend:?}");
+            let stats = ctx.stats();
+            assert_eq!((stats.push_mxm, stats.pull_mxm), (2, 0), "{backend:?}");
+            // One patched column, active in one lane: one position of the
+            // one dirty row, not its 64.
+            assert_eq!(stats.refolded_positions, 1, "{backend:?}");
             assert_eq!(overlaid, built, "{backend:?}");
         }
     }
@@ -1854,62 +1861,126 @@ mod tests {
         rejects_bad_dimensions(&LANES, MXM, "mxm");
     }
 
-    /// The word product is the Boolean `mxm` under a complemented mask, bit
-    /// for bit and decision for decision: every tile size × direction ×
-    /// orientation × lane count, rectangular operands included.
+    /// Check the word product on `a` against the Boolean `mxm` under a
+    /// complemented mask, bit for bit and decision for decision — either
+    /// orientation × lane counts on both sides of a word × a thin and a dense
+    /// frontier × direction — and return what it computed and how often it
+    /// pushed, for comparing two matrices that hold the same edges.
+    fn lane_products_equal_the_masked_boolean_mxm(
+        a: &Matrix,
+        ctx: &Context,
+    ) -> Vec<(LaneBits, u64)> {
+        let mut results = Vec::new();
+        for transpose in [false, true] {
+            let (contracted, produced) = if transpose {
+                (a.nrows(), a.ncols())
+            } else {
+                (a.ncols(), a.nrows())
+            };
+            for (k, every) in [(1usize, 5usize), (5, 9), (64, 2), (70, 5)] {
+                let x: MultiVec = operand(contracted, k, |i, l| {
+                    ((i * 7 + l) % every == 0) as u8 as f32
+                });
+                let seen: MultiVec =
+                    operand(produced, k, |i, l| ((i + l * 3) % 4 == 0) as u8 as f32);
+                let (xb, sb) = (LaneBits::from_multivec(&x), LaneBits::from_multivec(&seen));
+                let mask = Mask::complemented(seen.as_slice().iter().map(|&v| v != 0.0).collect());
+                for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                    let before = ctx.stats();
+                    let mut flat = Op::mxm(a, &x).semiring(Semiring::Boolean).direction(dir);
+                    let mut words = Op::mxm_lanes(a, &xb).direction(dir);
+                    if transpose {
+                        (flat, words) = (flat.transpose(), words.transpose());
+                    }
+                    let want = flat.mask(&mask).run(ctx);
+                    let mid = ctx.stats();
+                    let got = words.and_not(&sb).try_run(ctx).unwrap().unwrap();
+                    let after = ctx.stats();
+                    let what = format!("{:?} transpose={transpose} k={k} {dir:?}", a.backend());
+                    assert_eq!(got, LaneBits::from_multivec(&want), "{what}");
+                    // Same direction, same frontier counts, no conversion.
+                    let resolved = |a: &ExecCounts, b: &ExecCounts| {
+                        (
+                            b.pull_mxm - a.pull_mxm,
+                            b.push_mxm - a.push_mxm,
+                            b.push_frontier_nodes - a.push_frontier_nodes,
+                            b.push_frontier_entries - a.push_frontier_entries,
+                        )
+                    };
+                    assert_eq!(resolved(&mid, &after), resolved(&before, &mid), "{what}");
+                    assert_eq!(after.converted_elems, mid.converted_elems, "{what}");
+                    assert!(mid.converted_elems > before.converted_elems, "{what}");
+                    results.push((got, after.push_mxm - mid.push_mxm));
+                }
+                // Without `and_not` it is the unmasked product.
+                let bare = Op::mxm(a, &x).semiring(Semiring::Boolean);
+                let words = Op::mxm_lanes(a, &xb);
+                let (want, got) = if transpose {
+                    (bare.transpose().run(ctx), words.transpose().try_run(ctx))
+                } else {
+                    (bare.run(ctx), words.try_run(ctx))
+                };
+                assert_eq!(got.unwrap().unwrap(), LaneBits::from_multivec(&want));
+            }
+        }
+        results
+    }
+
+    /// The word product is the Boolean `mxm` under a complemented mask on
+    /// every tile size, rectangular operands included.
     #[test]
     fn mxm_lanes_equals_the_masked_boolean_mxm() {
         let csr = sample_rect(53, 38, 17);
         let ctx = Context::default();
         for ts in TileSize::ALL {
             let a = Matrix::from_csr_ctx(&csr, Backend::Bit(ts), &ctx);
-            for transpose in [false, true] {
-                let (contracted, produced) = if transpose { (53, 38) } else { (38, 53) };
-                for k in LANES {
-                    let x: MultiVec =
-                        operand(contracted, k, |i, l| ((i * 7 + l) % 5 == 0) as u8 as f32);
-                    let seen: MultiVec =
-                        operand(produced, k, |i, l| ((i + l * 3) % 4 == 0) as u8 as f32);
-                    let (xb, sb) = (LaneBits::from_multivec(&x), LaneBits::from_multivec(&seen));
-                    let mask =
-                        Mask::complemented(seen.as_slice().iter().map(|&v| v != 0.0).collect());
-                    for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
-                        let before = ctx.stats();
-                        let mut flat = Op::mxm(&a, &x).semiring(Semiring::Boolean).direction(dir);
-                        let mut words = Op::mxm_lanes(&a, &xb).direction(dir);
-                        if transpose {
-                            (flat, words) = (flat.transpose(), words.transpose());
-                        }
-                        let want = flat.mask(&mask).run(&ctx);
-                        let mid = ctx.stats();
-                        let got = words.and_not(&sb).try_run(&ctx).unwrap().unwrap();
-                        let after = ctx.stats();
-                        let what = format!("{ts:?} transpose={transpose} k={k} {dir:?}");
-                        assert_eq!(got, LaneBits::from_multivec(&want), "{what}");
-                        // Same direction, same frontier counts, no conversion.
-                        let resolved = |a: &ExecCounts, b: &ExecCounts| {
-                            (
-                                b.pull_mxm - a.pull_mxm,
-                                b.push_mxm - a.push_mxm,
-                                b.push_frontier_nodes - a.push_frontier_nodes,
-                                b.push_frontier_entries - a.push_frontier_entries,
-                            )
-                        };
-                        assert_eq!(resolved(&mid, &after), resolved(&before, &mid), "{what}");
-                        assert_eq!(after.converted_elems, mid.converted_elems, "{what}");
-                        assert!(mid.converted_elems > before.converted_elems, "{what}");
-                        got.recycle(&ctx);
-                    }
-                    // Without `and_not` it is the unmasked product.
-                    let bare = Op::mxm(&a, &x).semiring(Semiring::Boolean);
-                    let words = Op::mxm_lanes(&a, &xb);
-                    let (want, got) = if transpose {
-                        (bare.transpose().run(&ctx), words.transpose().try_run(&ctx))
-                    } else {
-                        (bare.run(&ctx), words.try_run(&ctx))
-                    };
-                    assert_eq!(got.unwrap().unwrap(), LaneBits::from_multivec(&want));
-                }
+            lane_products_equal_the_masked_boolean_mxm(&a, &ctx);
+        }
+    }
+
+    /// … and through pending deltas it is, besides, the word product of a
+    /// rebuild, to the same per-call directions — on the snapshot and on its
+    /// `transpose_view`, with a log of duplicate inserts, an insert then
+    /// deleted, a delete of an absent edge, self-loops, a row emptied and an
+    /// empty row filled.
+    #[test]
+    fn mxm_lanes_through_pending_deltas_equals_a_rebuild_and_the_masked_boolean_mxm() {
+        use crate::delta::EdgeDelta;
+        // Row 6 starts empty; the log empties row 11.
+        let full = sample_rect(53, 38, 17);
+        let mut coo = Coo::new(53, 38);
+        for (r, c, _) in full.iter().filter(|&(r, _, _)| r != 6) {
+            coo.push_edge(r, c).unwrap();
+        }
+        let csr = coo.to_binary_csr();
+        let absent = (0..38).find(|&c| csr.get(2, c).is_none()).unwrap();
+        let mut log = vec![
+            EdgeDelta::insert(0, 37),
+            EdgeDelta::insert(0, 37),
+            EdgeDelta::insert(40, 3),
+            EdgeDelta::delete(40, 3),
+            EdgeDelta::delete(2, absent),
+            EdgeDelta::insert(9, 9),
+            EdgeDelta::delete(20, 20),
+            EdgeDelta::insert(6, 1),
+            EdgeDelta::insert(6, 30),
+            EdgeDelta::insert(52, 0),
+        ];
+        log.extend(csr.row(11).0.iter().map(|&c| EdgeDelta::delete(11, c)));
+        let ctx = Context::default();
+        for ts in TileSize::ALL {
+            let live = Matrix::from_csr_ctx(&csr, Backend::Bit(ts), &ctx);
+            live.apply_deltas(&log).unwrap();
+            let snap = live.snapshot();
+            for view in [snap.matrix().clone(), snap.transpose()] {
+                let rebuilt = Matrix::from_csr_ctx(view.csr(), Backend::Bit(ts), &ctx);
+                assert_eq!(
+                    lane_products_equal_the_masked_boolean_mxm(&view, &ctx),
+                    lane_products_equal_the_masked_boolean_mxm(&rebuilt, &ctx),
+                    "{ts:?} {}x{}",
+                    view.nrows(),
+                    view.ncols()
+                );
             }
         }
     }
@@ -1950,29 +2021,40 @@ mod tests {
             "a rejected product does not run"
         );
 
-        // No word product: the float baseline, and a bit matrix read through
-        // pending deltas.  Nothing runs and no fail point is polled …
+        // No word product: the float baseline — built or read through
+        // pending deltas — and an external backend.  Nothing runs and no fail
+        // point is polled …
         let plan =
             FaultPlan::new().with(FailSpec::always("grb.mxm_dispatch", FaultAction::Transient));
         let inj = std::sync::Arc::new(FaultInjector::new(1, plan));
         ctx.set_fault_injector(Some(inj.clone()));
         let float = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
-        a.insert_edge(0, 0).unwrap();
-        for m in [&float, &*a.snapshot()] {
+        let float_pending = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+        float_pending.insert_edge(0, 0).unwrap();
+        let external = Matrix::from_backend(Box::new(Spy::new(&csr)));
+        for m in [&float, &*float_pending.snapshot(), &external] {
             assert_eq!(Op::mxm_lanes(m, &x).try_run(&ctx), Ok(None));
             // … while a wrong shape is still an error.
             assert!(Op::mxm_lanes(m, &x).transpose().try_run(&ctx).is_err());
         }
         assert_eq!(inj.counts().transients, 0);
         assert_eq!(ctx.stats().total_mxm(), 0);
-        // … and the built matrix polls it once per call.
-        assert_eq!(
-            Op::mxm_lanes(&a, &x).try_run(&ctx),
-            Err(GrbError::FaultInjected {
-                point: "grb.mxm_dispatch"
-            })
-        );
-        assert_eq!(inj.counts().transients, 1);
+        // … and the bit matrix polls it once per call, built or read through
+        // pending deltas: an overlay over a `BitB2sr` has the word product.
+        let pending = Matrix::from_csr_ctx(&csr, Backend::default_bit(), &ctx);
+        pending.insert_edge(0, 0).unwrap();
+        for m in [&a, &*pending.snapshot()] {
+            assert_eq!(
+                Op::mxm_lanes(m, &x).try_run(&ctx),
+                Err(GrbError::FaultInjected {
+                    point: "grb.mxm_dispatch"
+                })
+            );
+        }
+        assert_eq!(inj.counts().transients, 2);
+        ctx.set_fault_injector(None);
+        let got = Op::mxm_lanes(&pending.snapshot(), &x).try_run(&ctx);
+        assert_eq!(got, Ok(Some(LaneBits::zeros(20, 3))));
     }
 
     /// `build()` produces an inert expression that `ctx.evaluate` runs.

@@ -65,6 +65,7 @@
 //! [`Workspace`] pool, so a steady-state fused loop
 //! allocates nothing (`crates/core/tests/zero_alloc.rs`).
 
+use crate::delta::DeltaOverlay;
 use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::semiring::{BinaryOp, Semiring};
 
@@ -198,15 +199,18 @@ pub trait FinishSink {
 /// update), a monoid accumulator (SSSP's `min`), a bare scaled product —
 /// get dedicated monomorphic closures, so the hot sweep loop carries no
 /// per-row stage interpretation; everything else falls back to the general
-/// [`MxvPipeline::finish`] interpreter, which is always correct.
+/// [`MxvPipeline::finish`] interpreter, which is always correct.  The
+/// closures keep `finish`'s operand order (baseline first): `min` / `max` of
+/// `0.0` and `-0.0` answer by position, and a `DeltaOverlay` re-folds with
+/// `finish` what these sweeps stored.
 pub fn dispatch_finish<S: FinishSink>(p: &MxvPipeline<'_>, sink: S) {
     match (p.stages, p.accum, p.mask) {
         ([Stage::Affine { mul, add }], None, None) => {
             let (mul, add) = (*mul, *add);
             sink.run(move |_, t| mul * t + add)
         }
-        ([], Some((BinaryOp::Min, base)), None) => sink.run(move |i, t: f32| t.min(base[i])),
-        ([], Some((BinaryOp::Max, base)), None) => sink.run(move |i, t: f32| t.max(base[i])),
+        ([], Some((BinaryOp::Min, base)), None) => sink.run(move |i, t| base[i].min(t)),
+        ([], Some((BinaryOp::Max, base)), None) => sink.run(move |i, t| base[i].max(t)),
         ([], Some((BinaryOp::Plus, base)), None) => sink.run(move |i, t| base[i] + t),
         ([], None, None) => sink.run(|_, t| t),
         _ => sink.run(|i, t| p.finish(i, t)),
@@ -253,15 +257,26 @@ fn effective_push_threads(state: &dyn GrbBackend, of_transpose: bool, ctx: &Cont
     }
 }
 
+/// `state` split into the built representation that runs its kernels and
+/// the `DeltaOverlay` reading through it, if `state` is one: an overlay hands
+/// every product to its base and then patches what the operand reaches, so
+/// what the planner asks of a backend's kernels it asks of the base.
+fn built_under(state: &dyn GrbBackend) -> (&dyn std::any::Any, Option<&DeltaOverlay>) {
+    let overlay = state.as_any().downcast_ref::<DeltaOverlay>();
+    let built = overlay.map_or(state, DeltaOverlay::base);
+    (built.as_any(), overlay)
+}
+
 /// Whether `state`'s full-precision batched push costs what its operand's
 /// non-identity entries say, so that [`Direction::Auto`] may price it by
 /// them: true of the two built-in representations, whose scatter folds a
-/// node's active lanes only.  Not of an external backend, and not of a
-/// `DeltaOverlay`: after the base's scatter it re-folds every lane of every
-/// dirty row.  Those keep the node-granular price.
+/// node's active lanes only — bare or under a `DeltaOverlay`, whose re-fold
+/// touches only the dirty positions a patched column's non-identity entry
+/// reaches (idle lanes fail its identity probe).  Not of an external
+/// backend, which keeps the node-granular price.
 fn scatter_is_lane_sparse(state: &dyn GrbBackend) -> bool {
-    let any = state.as_any();
-    any.is::<BitB2sr>() || any.is::<FloatCsr>()
+    let (built, _) = built_under(state);
+    built.is::<BitB2sr>() || built.is::<FloatCsr>()
 }
 
 /// Resolve the direction of one product into its push frontier: `None` is
@@ -558,8 +573,10 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
 /// The batched Boolean product over lane words (the implementation of
 /// [`Op::mxm_lanes`](super::Op::mxm_lanes)): `next = (A ⊕.⊗ x) & !excluded`,
 /// on `Aᵀ` with `desc.transpose`.  `Ok(None)` when the matrix's backend has
-/// no word product — found by downcast, like [`scatter_is_lane_sparse`]:
-/// only a built [`BitB2sr`] does.  Checks, the `grb.mxm_dispatch` fail point,
+/// no word product — found by downcast, like [`scatter_is_lane_sparse`]: a
+/// built [`BitB2sr`] does, and so does a `DeltaOverlay` over one
+/// ([`BitB2sr::lane_product`], then the overlay's word re-fold of the dirty
+/// rows the frontier reaches).  Checks, the `grb.mxm_dispatch` fail point,
 /// direction resolution and the counters are `execute_product`'s for a
 /// Boolean `mxm` with a complemented mask, so a caller that falls back to
 /// that chain when this declines resolves every round the same way.
@@ -591,7 +608,8 @@ pub(crate) fn execute_lane_product(
         GrbError::check_len(what, k, e.n_lanes())?;
     }
     let state = a.state();
-    let Some(bit) = state.as_any().downcast_ref::<BitB2sr>() else {
+    let (built, overlay) = built_under(state);
+    let Some(bit) = built.downcast_ref::<BitB2sr>() else {
         return Ok(None);
     };
     poll_fail_point(ctx, MultiVec::FAIL_POINT)?;
@@ -611,15 +629,12 @@ pub(crate) fn execute_lane_product(
         )
     });
     let mut yw = ws.take_empty::<u64>();
-    bit.lane_product(
-        x.as_words(),
-        k,
-        frontier.as_ref().map(|(list, _)| list.as_slice()),
-        excluded.map(LaneBits::as_words),
-        transpose,
-        ws,
-        &mut yw,
-    );
+    let (xw, excluded) = (x.as_words(), excluded.map(LaneBits::as_words));
+    let list = frontier.as_ref().map(|(list, _)| list.as_slice());
+    bit.lane_product(xw, k, list, excluded, transpose, ws, &mut yw);
+    if let Some(overlay) = overlay {
+        overlay.refold_dirty_words(xw, k, excluded, transpose, ws, &mut yw);
+    }
     record_direction(ws, MultiVec::record_product, frontier);
     Ok(Some(LaneBits::from_words(yw, produced, k)))
 }

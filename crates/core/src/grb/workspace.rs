@@ -323,6 +323,7 @@ pub struct ExecStats {
     push_frontier_nodes: AtomicU64,
     push_frontier_entries: AtomicU64,
     converted_elems: AtomicU64,
+    refolded_positions: AtomicU64,
     sharded_push: AtomicU64,
     shard_segments: AtomicU64,
     fused_mxv: AtomicU64,
@@ -359,6 +360,12 @@ impl ExecStats {
     pub(crate) fn record_converted(&self, elems: usize) {
         self.converted_elems
             .fetch_add(elems as u64, Ordering::Relaxed);
+    }
+    /// One product through a `DeltaOverlay` re-folded `positions` dirty
+    /// output positions (`f32` elements or lane words) — added once per op.
+    pub(crate) fn record_refolded(&self, positions: usize) {
+        self.refolded_positions
+            .fetch_add(positions as u64, Ordering::Relaxed);
     }
     /// One push execution took the sharded parallel path, fanning out over
     /// `segments` frontier segments.
@@ -399,6 +406,7 @@ impl ExecStats {
             push_frontier_nodes: self.push_frontier_nodes.load(Ordering::Relaxed),
             push_frontier_entries: self.push_frontier_entries.load(Ordering::Relaxed),
             converted_elems: self.converted_elems.load(Ordering::Relaxed),
+            refolded_positions: self.refolded_positions.load(Ordering::Relaxed),
             sharded_push: self.sharded_push.load(Ordering::Relaxed),
             shard_segments: self.shard_segments.load(Ordering::Relaxed),
             fused_mxv: self.fused_mxv.load(Ordering::Relaxed),
@@ -440,11 +448,19 @@ pub struct ExecCounts {
     /// boundary of a bit backend's Boolean products (operand pack, mask
     /// staging, output expand): the exact cost of *not* keeping a Boolean
     /// vector binarized between operations.  `bfs_multi` on a built bit
-    /// backend adds **0** — its frontier and visited lanes stay in words
-    /// ([`LaneBits`](super::LaneBits)); the same traversal through `f32`
-    /// multi-vectors (a matrix with pending deltas) adds at least `n · k`
-    /// per round.
+    /// backend — with or without pending deltas — adds **0**: its frontier
+    /// and visited lanes stay in words ([`LaneBits`](super::LaneBits)); the
+    /// same traversal through `f32` multi-vectors (an external backend)
+    /// adds at least `n · k` per round.
     pub converted_elems: u64,
+    /// Dirty output positions a `DeltaOverlay` re-folded after its base's
+    /// product — `f32` positions `(row, lane)`, or lane words for the word
+    /// product: the exact cost of reading through a pending log.  Only a
+    /// position one of whose *patched* columns carries a non-identity operand
+    /// entry is re-folded, so an all-identity operand adds 0, a dense one
+    /// (PageRank) adds `dirty rows · k` per op, and a forced-push `bfs` adds
+    /// at most one per staged patch entry over the whole traversal.
+    pub refolded_positions: u64,
     /// Push executions (single-vector or batched) that took the sharded
     /// parallel scatter path instead of the serial kernel.
     pub sharded_push: u64,
@@ -661,9 +677,12 @@ mod tests {
         ws.stats().record_push_frontier(1, 1);
         ws.stats().record_converted(12);
         ws.stats().record_converted(30);
+        ws.stats().record_refolded(7);
+        ws.stats().record_refolded(2);
         let s = ws.stats().snapshot();
         assert_eq!((s.push_frontier_nodes, s.push_frontier_entries), (5, 10));
         assert_eq!(s.converted_elems, 42);
+        assert_eq!(s.refolded_positions, 9);
         assert_eq!(s.push_mxv, 2);
         assert_eq!(s.pull_mxv, 1);
         assert_eq!(s.total_mxv(), 3);

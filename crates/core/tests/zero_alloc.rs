@@ -30,7 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bitgblas_core::grb::{Context, Direction, LaneBits, Mask, MultiVec, Op, Vector};
+use bitgblas_core::grb::{Context, Direction, LaneBits, Mask, MultiVec, Op, Snapshot, Vector};
 use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, SimdPolicy, TileSize};
 use bitgblas_sparse::Coo;
 
@@ -84,8 +84,13 @@ fn allocations() -> u64 {
 /// tests certify the *serial* push path regardless of how many cores the
 /// test host has; the sharded path has its own proof below.
 fn chain(n: usize) -> Matrix {
+    chain_without(n, &[])
+}
+
+/// [`chain`] with the links out of `missing` left out.
+fn chain_without(n: usize, missing: &[usize]) -> Matrix {
     let mut coo = Coo::new(n, n);
-    for i in 0..n - 1 {
+    for i in (0..n - 1).filter(|i| !missing.contains(i)) {
         coo.push_edge(i, i + 1).unwrap();
     }
     Matrix::from_csr_ctx(
@@ -93,6 +98,20 @@ fn chain(n: usize) -> Matrix {
         Backend::Bit(TileSize::S8),
         &Context::with_threads(1),
     )
+}
+
+/// [`chain`] as a snapshot: built, or — `pending` — read through pending
+/// deltas: a base missing the links out of vertices 9 and 14 with a log that
+/// inserts them, so every product goes through the `DeltaOverlay` and a
+/// traversal only gets past vertex 9 if its re-fold ran.
+fn chain_snapshot(n: usize, pending: bool) -> Snapshot {
+    if !pending {
+        return chain(n).snapshot();
+    }
+    let a = chain_without(n, &[9, 14]);
+    a.insert_edge(9, 10).unwrap();
+    a.insert_edge(14, 15).unwrap();
+    a.snapshot()
 }
 
 /// One BFS level: exactly the inner-loop body of
@@ -532,12 +551,15 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
 /// A `bfs_multi` round in lane words — the product `(Aᵀ·frontier) &
 /// !visited`, levels from its set bits, `visited |= next`, the old frontier
 /// back to the pool — allocates nothing in either direction, at one word per
-/// node and at two.
+/// node and at two — on a built matrix and through pending deltas (the
+/// overlay's word re-fold).
 #[test]
 fn batched_bfs_rounds_are_allocation_free_after_warmup() {
-    for (k, n) in [(3usize, 256usize), (70, 24)] {
-        let a = chain(n);
+    let cases = [(3usize, 256usize), (70, 24)];
+    for ((k, n), pending) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+        let a = &chain_snapshot(n, pending);
         let ctx = a.context();
+        let refolded_before = ctx.stats().refolded_positions;
         for direction in [Direction::Push, Direction::Pull] {
             // Lane l starts at chain vertex l mod n.
             let sources: Vec<usize> = (0..k).map(|l| l % n).collect();
@@ -547,13 +569,13 @@ fn batched_bfs_rounds_are_allocation_free_after_warmup() {
             // A frontier list big enough for the run, as above.
             ctx.workspace().give::<usize>(Vec::with_capacity(n));
             let mut round = |level: i64| {
-                let next = Op::mxm_lanes(&a, &frontier)
+                let next = Op::mxm_lanes(a, &frontier)
                     .transpose()
                     .and_not(&visited)
                     .direction(direction)
                     .try_run(ctx)
                     .expect("well-shaped operands")
-                    .expect("a built bit backend has the word product");
+                    .expect("a bit backend has the word product");
                 for (v, l) in next.ones() {
                     levels[v * k + l] = level;
                 }
@@ -583,6 +605,8 @@ fn batched_bfs_rounds_are_allocation_free_after_warmup() {
             // Lane 1 started at vertex 1: vertex 20 is 19 hops out.
             assert_eq!(levels[20 * k + 1], 19);
         }
+        let refolded = ctx.stats().refolded_positions - refolded_before;
+        assert_eq!(refolded > 0, pending, "the overlay re-folds in words");
     }
 }
 
@@ -666,8 +690,11 @@ fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
         // The node count shrinks as the batch widens to keep `n · k` below
         // the sweeps' sequential cut-off (see the module docs); lanes that reach the chain's end
         // drop out of the changed set, lane 0 walks all of it.
-        for (k, n) in [(3usize, 256usize), (64, 24)] {
-            let a = chain(n);
+        // On a built matrix and through pending deltas (the overlay's `f32`
+        // re-fold after the base's scatter).
+        let cases = [(3usize, 256usize), (64, 24)];
+        for ((k, n), pending) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+            let a = &chain_snapshot(n, pending);
             let ctx = a.context();
             let mut dist = MultiVec::identity(n, k, semiring);
             for l in 0..k {
@@ -675,12 +702,12 @@ fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
             }
             let mut delta = dist.clone();
             assert_changed_set_rounds_allocation_free(
-                &format!("k={k}"),
+                &format!("k={k} pending={pending}"),
                 ctx,
                 direction,
                 |ctx| ctx.stats().push_mxm,
                 || {
-                    let next = Op::mxm(&a, &delta)
+                    let next = Op::mxm(a, &delta)
                         .transpose()
                         .semiring(semiring)
                         .direction(direction)
@@ -691,6 +718,7 @@ fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
                 },
             );
             assert_eq!(dist.get(20, 0), 20.0);
+            assert_eq!(ctx.stats().refolded_positions > 0, pending);
         }
     }
 }

@@ -14,11 +14,17 @@
 //! * **incremental CC** — the union-find overlay of
 //!   [`DynamicCc`] tracks FastSV exactly along insert-only streams and
 //!   reconciles cleanly on compaction.
+//!
+//! And two plain tests on what a read through pending deltas *costs* and
+//! how it is planned: `refolded_positions` follows what the operand reaches,
+//! and a sharded context resolves every batched round as the compacted
+//! matrix does.
 
 use proptest::prelude::*;
 
 use std::collections::BTreeSet;
 
+use bit_graphblas::algorithms::{bfs_multi_dir, sssp_multi_dir};
 use bit_graphblas::prelude::*;
 
 /// A random base graph (edge list) plus a random delta stream over the
@@ -69,6 +75,152 @@ fn folded_csr(base: &Csr, deltas: &[EdgeDelta]) -> Csr {
     coo.to_binary_csr()
 }
 
+/// A mesh with symmetric in-band inserts and deletes pending: the matrix,
+/// and its log (no pair appears twice, so one staged entry per delta).
+fn mesh_with_pending_deltas(backend: Backend) -> (Matrix, Vec<EdgeDelta>) {
+    let adj = bit_graphblas::datagen::generators::grid2d(16, 16);
+    let m = Matrix::from_csr(&adj, backend);
+    let mut log = Vec::new();
+    for v in (3..250).step_by(9) {
+        // A shortcut two columns on, and every other one loses a grid edge.
+        log.extend([EdgeDelta::insert(v, v + 2), EdgeDelta::insert(v + 2, v)]);
+        if v % 2 == 0 && adj.get(v, v + 1).is_some() {
+            log.extend([EdgeDelta::delete(v, v + 1), EdgeDelta::delete(v + 1, v)]);
+        }
+    }
+    m.apply_deltas(&log).unwrap();
+    (m, log)
+}
+
+/// ROADMAP item 2(d) for overlay reads: the re-fold's exact work counter
+/// follows what the operand reaches, not the size of the dirty set.
+#[test]
+fn overlay_refolds_what_the_operand_reaches() {
+    for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+        let (m, log) = mesh_with_pending_deltas(backend);
+        let snap = m.snapshot();
+        let dirty_rows = log.iter().map(|d| d.row).collect::<BTreeSet<_>>().len() as u64;
+        let refolded = |run: &dyn Fn()| {
+            let before = snap.context().stats();
+            run();
+            let after = snap.context().stats();
+            let ops = after.total_mxv() - before.total_mxv();
+            (after.refolded_positions - before.refolded_positions, ops)
+        };
+
+        // Forced-push BFS: each vertex is in the frontier once, so each
+        // staged entry fires at most once over the whole traversal.
+        let (bfs_refolds, rounds) = refolded(&|| {
+            let r = bfs_dir(&snap, 0, Direction::Push);
+            assert_eq!(r.n_reached, 256);
+        });
+        assert!(
+            bfs_refolds > 0,
+            "{backend:?}: the traversal crosses patched rows"
+        );
+        assert!(
+            bfs_refolds <= log.len() as u64,
+            "{backend:?}: {bfs_refolds}"
+        );
+        assert!(
+            bfs_refolds < dirty_rows * rounds,
+            "{backend:?}: {bfs_refolds}"
+        );
+
+        // An all-identity operand reaches nothing.
+        let zero = Vector::zeros(256);
+        for dir in [Direction::Push, Direction::Pull] {
+            let (none, ops) = refolded(&|| {
+                let _ = Op::vxm(&zero, &snap).direction(dir).run(snap.context());
+            });
+            assert_eq!((none, ops), (0, 1), "{backend:?} {dir:?}");
+        }
+
+        // A dense operand (PageRank's ranks) reaches every dirty row, every
+        // iteration — what every op paid before the probe.
+        let (dense, iterations) = refolded(&|| {
+            let _ = pagerank(&snap, &PageRankConfig::default());
+        });
+        assert_eq!(dense, dirty_rows * iterations, "{backend:?}");
+    }
+}
+
+/// ROADMAP item 4's mispricing: an overlay forwards its base's shard plan,
+/// so on a sharded context `Direction::Auto` resolves every batched round
+/// through pending deltas as it does on the compacted matrix.
+#[test]
+fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
+    let adj = bit_graphblas::datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
+    let n = adj.nrows();
+    let ctx = Context::with_threads(4);
+    let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &ctx);
+    // Dirty rows stay inside the first shard, so the compaction's
+    // incremental replan keeps the plan partitioned (a dirty run is re-cut
+    // by weight alone and may lose its shards).
+    let first_shard = m
+        .state()
+        .shard_plan(false)
+        .expect("planned at build")
+        .bounds()[1];
+    let deltas: Vec<EdgeDelta> = (0..200)
+        .flat_map(|i| {
+            let (r, c) = ((i * 37 + 5) % first_shard, (i * 101 + 11) % first_shard);
+            [EdgeDelta::insert(r, c), EdgeDelta::insert(c, r)]
+        })
+        .collect();
+    m.apply_deltas(&deltas).unwrap();
+    let pending = m.snapshot();
+    m.compact(m.context()).unwrap();
+    let compacted = m.snapshot();
+    let shards = |m: &Matrix| m.state().shard_plan(false).map(|p| p.n_shards());
+    assert!(
+        shards(&compacted) > Some(1),
+        "precondition: {:?}",
+        shards(&compacted)
+    );
+    // One reads through the overlay (no B2SR view of its own), one is built.
+    assert!(pending.b2sr().is_none() && compacted.b2sr().is_some());
+    assert_eq!(pending.csr(), compacted.csr());
+
+    let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % n).collect();
+    // `(push, pull)` rounds a run added on the context the snapshots share.
+    let rounds = |run: &dyn Fn()| {
+        let before = m.context().stats();
+        run();
+        let after = m.context().stats();
+        (
+            after.push_mxm - before.push_mxm,
+            after.pull_mxm - before.pull_mxm,
+        )
+    };
+    for snap in [&pending, &compacted] {
+        let _ = bfs_multi_dir(snap, &sources, Direction::Push);
+    }
+    assert!(
+        m.context().stats().sharded_push >= 2,
+        "precondition: the sharded scatter engages, through the overlay too"
+    );
+    let bfs_rounds =
+        |snap: &Matrix| rounds(&|| drop(bfs_multi_dir(snap, &sources, Direction::Auto)));
+    let sssp_rounds =
+        |snap: &Matrix| rounds(&|| drop(sssp_multi_dir(snap, &sources, Direction::Auto)));
+    let (on_pending, on_compacted) = (bfs_rounds(&pending), bfs_rounds(&compacted));
+    assert!(
+        on_pending.0 > 0 && on_pending.1 > 0,
+        "both directions occur: {on_pending:?}"
+    );
+    assert_eq!(on_pending, on_compacted, "bfs_multi");
+    assert_eq!(sssp_rounds(&pending), sssp_rounds(&compacted), "sssp_multi");
+    assert_eq!(
+        bfs_multi_dir(&pending, &sources, Direction::Auto),
+        bfs_multi_dir(&compacted, &sources, Direction::Auto)
+    );
+    assert_eq!(
+        sssp_multi_dir(&pending, &sources, Direction::Auto),
+        sssp_multi_dir(&compacted, &sources, Direction::Auto)
+    );
+}
+
 const BACKENDS: [Backend; 3] = [Backend::Bit(TileSize::S8), Backend::FloatCsr, Backend::Auto];
 
 proptest! {
@@ -76,7 +228,9 @@ proptest! {
 
     /// Overlay parity: BFS levels, SSSP distances and CC labels through the
     /// merge-on-read overlay are identical to a from-scratch build of the
-    /// mutated graph — on the bit backend, the float baseline, and Auto.
+    /// mutated graph — on the bit backend, the float baseline, and Auto —
+    /// single-source and batched (whole results: levels / distances, round
+    /// counts, reached counts), in every direction.
     #[test]
     fn overlay_traversals_match_a_scratch_build((base, deltas) in graph_and_deltas()) {
         let expected_csr = folded_csr(&base, &deltas);
@@ -102,6 +256,26 @@ proptest! {
             let (a, b) = (connected_components(&snap), connected_components(&scratch));
             prop_assert_eq!(a.labels, b.labels, "{:?}: CC labels", backend);
             prop_assert_eq!(a.n_components, b.n_components, "{:?}: CC count", backend);
+
+            // Batched × overlay: more lanes than one word, duplicates included.
+            let n = base.nrows();
+            let sources: Vec<usize> = (0..70).map(|l| (l * 7) % n).collect();
+            for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                prop_assert_eq!(
+                    bfs_multi_dir(&snap, &sources, dir),
+                    bfs_multi_dir(&scratch, &sources, dir),
+                    "{:?} {:?}: batched BFS",
+                    backend,
+                    dir
+                );
+                prop_assert_eq!(
+                    sssp_multi_dir(&snap, &sources[..5], dir),
+                    sssp_multi_dir(&scratch, &sources[..5], dir),
+                    "{:?} {:?}: batched SSSP",
+                    backend,
+                    dir
+                );
+            }
         }
     }
 
