@@ -100,14 +100,30 @@ pub fn unpack_tile_rowmajor<W: BitWord>(words: &[W], dim: usize) -> Vec<f32> {
     tile
 }
 
-/// Transpose a packed square bit-tile: `out[c].bit(r) == input[r].bit(c)`.
+/// Transpose a packed square bit-tile into `out`: `out[c].bit(r) ==
+/// words[r].bit(c)` for `r, c < dim`.
 ///
 /// B2SR stores tiles row-major for `mxv`; the transpose (needed when the
 /// algorithm wants `A^T`, e.g. pull-direction traversal or TC's `L·L^T`) is a
-/// pure bit permutation.
-pub fn transpose_tile<W: BitWord>(words: &[W], dim: usize) -> Vec<W> {
+/// pure bit permutation, written straight into the caller's slot — a
+/// whole-matrix transpose calls this once per tile and allocates nothing.
+/// An 8×8 tile of `u8` rows is one `u64` and takes the three-step
+/// delta-swap; every other shape takes the bit loop.
+///
+/// # Panics
+/// Panics unless `words` and `out` both hold `dim` words.
+#[inline]
+pub fn transpose_tile_into<W: BitWord>(words: &[W], dim: usize, out: &mut [W]) {
     assert_eq!(words.len(), dim);
-    let mut out = vec![W::ZERO; dim];
+    assert_eq!(out.len(), dim);
+    if dim == 8 && W::BITS == 8 {
+        let t = transpose_8x8(W::pack_chunk_u64(words));
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = W::from_u64(t >> (8 * k));
+        }
+        return;
+    }
+    out.fill(W::ZERO);
     for (r, word) in words.iter().enumerate() {
         for c in word.iter_ones() {
             if (c as usize) < dim {
@@ -115,7 +131,19 @@ pub fn transpose_tile<W: BitWord>(words: &[W], dim: usize) -> Vec<W> {
             }
         }
     }
-    out
+}
+
+/// Transpose an 8×8 bit matrix held as byte `r` = row `r`, bit `c` = column
+/// `c`: swap the off-diagonal 1×1, 2×2 and 4×4 blocks in turn (Hacker's
+/// Delight §7-3).
+#[inline]
+fn transpose_8x8(mut x: u64) -> u64 {
+    let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
 }
 
 /// Pack two 4-bit rows into each `u8`: nibble packing for B2SR-4 (§III-B).
@@ -216,6 +244,12 @@ mod tests {
             .collect()
     }
 
+    fn transposed<W: BitWord>(words: &[W], dim: usize) -> Vec<W> {
+        let mut out = vec![W::ONES; dim];
+        transpose_tile_into(words, dim, &mut out);
+        out
+    }
+
     #[test]
     fn rowmajor_pack_roundtrip() {
         for dim in [4usize, 8, 16, 32] {
@@ -232,8 +266,8 @@ mod tests {
             let tile = sample_tile(dim);
             let rows = pack_tile_rowmajor::<u32>(&tile, dim);
             let cols = pack_tile_colmajor::<u32>(&tile, dim);
-            assert_eq!(transpose_tile(&rows, dim), cols, "dim {dim}");
-            assert_eq!(transpose_tile(&cols, dim), rows, "dim {dim}");
+            assert_eq!(transposed(&rows, dim), cols, "dim {dim}");
+            assert_eq!(transposed(&cols, dim), rows, "dim {dim}");
         }
     }
 
@@ -309,6 +343,28 @@ mod tests {
     fn transpose_is_involution() {
         let tile = sample_tile(16);
         let rows = pack_tile_rowmajor::<u16>(&tile, 16);
-        assert_eq!(transpose_tile(&transpose_tile(&rows, 16), 16), rows);
+        assert_eq!(transposed(&transposed(&rows, 16), 16), rows);
+    }
+
+    /// The `u64` delta-swap an 8×8 `u8` tile takes equals the bit loop (run
+    /// here on the same rows widened to `u16`, which never takes the swap).
+    #[test]
+    fn byte_tile_swap_equals_the_bit_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let rows: Vec<u8> = state.to_le_bytes().to_vec();
+            let wide: Vec<u16> = rows.iter().map(|&b| b as u16).collect();
+            let expect: Vec<u8> = transposed(&wide, 8).iter().map(|&w| w as u8).collect();
+            assert_eq!(transposed(&rows, 8), expect, "{rows:02x?}");
+        }
+        // Identity, a full row, a full column.
+        let id: Vec<u8> = (0..8).map(|i| 1 << i).collect();
+        assert_eq!(transposed(&id, 8), id);
+        let mut row = vec![0u8; 8];
+        row[2] = 0xFF;
+        assert_eq!(transposed(&row, 8), vec![0b100u8; 8]);
     }
 }

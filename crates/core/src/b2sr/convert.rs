@@ -1,23 +1,47 @@
-//! CSR ↔ B2SR conversion.
+//! CSR → B2SR conversion, whole or by dirty tile-rows.
 //!
 //! The paper converts CSR to B2SR in two steps: `cusparseXcsr2bsrNnz()`
 //! discovers the non-empty tiles per tile-row, then per-tile bit-packing
 //! kernels encode each tile (§III-B, "Bit-packing overhead": the whole
 //! routine costs 3–34 ms and is amortized over repeated use of the graph).
-//! Here the same two passes run on the CPU, parallelised over tile-rows with
-//! Rayon exactly like the per-tile-row GPU kernels.
-
-use rayon::prelude::*;
+//! A graph served under live mutation pays it again at every compaction, so
+//! here the cost follows what is touched.  There is one converter body,
+//! the per-tile-row step of the private `retile`, and it runs serially:
+//!
+//! 1. *discover* — every stored entry of the tile-row's CSR rows marks its
+//!    tile column in a two-level bitmap (a word per 64 tile columns and a
+//!    summary word per 64 of those), so the step costs the tile-row's
+//!    entries + its tiles + `n_tile_cols / 4096`, whatever the matrix width;
+//! 2. *number* — the set bits, walked ascending through the summary, are the
+//!    tile-row's `tile_colind`; each gets its slot in a reused
+//!    `slot_of[tile_col]` table and the bitmap is left clear behind it;
+//! 3. *pack* — every nonzero ORs its bit into
+//!    `bit_tiles[(first + slot_of[tile_col]) · dim + local_row]`, in place in
+//!    the output array.
+//!
+//! No per-tile-row buffer, no sort, no search, no stitch copy.  An explicit
+//! zero discovers its tile (as `Bsr::from_csr` counts it) and sets no bit.
+//!
+//! [`from_csr`] runs the step on every tile-row.  [`B2sr::retile_rows`] runs
+//! it on the tile-rows that hold a changed row and copies every run of clean
+//! tile-rows — `tile_colind` and words verbatim, `tile_rowptr` shifted by
+//! what the dirty tile-rows before it gained or lost — from the matrix being
+//! replaced; the result is `==` to a full conversion, field for field.
 
 use bitgblas_bitops::BitWord;
 use bitgblas_sparse::Csr;
 
 use super::format::B2sr;
 
-/// One tile-row's worth of conversion output.
-struct TileRow<W> {
-    tile_cols: Vec<usize>,
-    words: Vec<W>,
+/// What one conversion did: exact counts, the same on every host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetileCounts {
+    /// Tile-rows converted from their CSR rows.
+    pub tile_rows_retiled: usize,
+    /// Tiles those tile-rows hold in the result.
+    pub tiles_retiled: usize,
+    /// Tiles copied verbatim from the matrix being replaced.
+    pub tiles_spliced: usize,
 }
 
 /// Convert a binary CSR matrix into B2SR with the given tile dimension.
@@ -28,70 +52,159 @@ struct TileRow<W> {
 /// # Panics
 /// Panics if `tile_dim` is zero or larger than the packing word `W`.
 pub fn from_csr<W: BitWord>(csr: &Csr, tile_dim: usize) -> B2sr<W> {
+    retile(csr, tile_dim, None).0
+}
+
+impl<W: BitWord> B2sr<W> {
+    /// The B2SR form of `merged` — this matrix after the ascending rows
+    /// `dirty_rows` changed (same shape, same tile dimension) — converting
+    /// only the tile-rows that hold a dirty row and copying the rest from
+    /// `self`.  Equal to `from_csr(merged, self.tile_dim())` in every field.
+    ///
+    /// # Panics
+    /// Panics if `merged`'s shape differs from this matrix's.
+    pub fn retile_rows(&self, merged: &Csr, dirty_rows: &[usize]) -> (B2sr<W>, RetileCounts) {
+        retile(merged, self.tile_dim, Some((self, dirty_rows)))
+    }
+}
+
+/// The converter: tile-rows of `csr` holding one of `prev`'s dirty rows (all
+/// of them without a `prev`) go through the discover / number / pack step,
+/// the runs between them are copied from `prev`'s matrix.
+///
+/// # Panics
+/// Panics if the tile dimension `dim` does not fit `W`, or if `prev`'s matrix
+/// differs from `csr` in shape or from `dim` in tile dimension.
+pub(crate) fn retile<W: BitWord>(
+    csr: &Csr,
+    dim: usize,
+    prev: Option<(&B2sr<W>, &[usize])>,
+) -> (B2sr<W>, RetileCounts) {
     assert!(
-        tile_dim > 0 && tile_dim as u32 <= W::BITS,
-        "tile_dim {tile_dim} does not fit packing word of {} bits",
+        dim > 0 && dim as u32 <= W::BITS,
+        "tile_dim {dim} does not fit packing word of {} bits",
         W::BITS
     );
-    let nrows = csr.nrows();
-    let ncols = csr.ncols();
-    let n_tile_rows = nrows.div_ceil(tile_dim);
+    if let Some((old, _)) = prev {
+        assert_eq!(
+            (old.nrows, old.ncols, old.tile_dim),
+            (csr.nrows(), csr.ncols(), dim),
+            "a re-tiled matrix keeps its shape and tile dimension"
+        );
+    }
+    let (nrows, ncols) = (csr.nrows(), csr.ncols());
+    let n_tile_rows = nrows.div_ceil(dim);
+    let n_tile_cols = ncols.div_ceil(dim);
+    let (rowptr, colind, values) = (csr.rowptr(), csr.colind(), csr.values());
 
-    // One parallel task per tile-row: discover non-empty tile columns and
-    // pack their bits in a single pass over the CSR rows of that tile-row.
-    let rows: Vec<TileRow<W>> = (0..n_tile_rows)
-        .into_par_iter()
-        .map(|tr| {
-            let r_start = tr * tile_dim;
-            let r_end = ((tr + 1) * tile_dim).min(nrows);
+    // Reused across tile-rows; the bitmap is all clear between them.
+    let mut marks = vec![0u64; n_tile_cols.div_ceil(64)];
+    let mut summary = vec![0u64; marks.len().div_ceil(64)];
+    let mut slot_of = vec![0usize; n_tile_cols];
 
-            // Pass 1 (csr2bsrNnz analogue): which tile columns are non-empty?
-            let mut tile_cols: Vec<usize> = Vec::new();
-            for r in r_start..r_end {
-                for &c in csr.row(r).0 {
-                    tile_cols.push(c / tile_dim);
+    // The tile-rows to convert, ascending: all of them without a `prev`.
+    let dirty_tile_rows: Vec<usize> = match prev {
+        None => (0..n_tile_rows).collect(),
+        Some((_, dirty_rows)) => {
+            debug_assert!(dirty_rows.windows(2).all(|w| w[0] <= w[1]));
+            let mut of_rows: Vec<usize> = dirty_rows
+                .iter()
+                .map(|&r| r / dim)
+                .filter(|&tr| tr < n_tile_rows)
+                .collect();
+            of_rows.dedup();
+            of_rows
+        }
+    };
+    // A splice reserves its arrays once, for the old tiles and a new tile per
+    // dirty row — what a batch of scattered edge deltas adds at most; a row
+    // that gained tiles by the dozen falls back on `Vec` growth, as a whole
+    // conversion does (its only bound is the entry count).
+    let reserve = prev.map_or(0, |(old, dirty_rows)| old.n_tiles() + dirty_rows.len());
+    let mut out = Tiles {
+        rowptr: vec![0usize; n_tile_rows + 1],
+        colind: Vec::with_capacity(reserve),
+        words: Vec::<W>::with_capacity(reserve * dim),
+    };
+    let mut counts = RetileCounts::default();
+    let old = prev.map(|(old, _)| old);
+
+    let mut clean_from = 0usize;
+    for &tr in &dirty_tile_rows {
+        if let Some(old) = old {
+            counts.tiles_spliced += out.splice(old, clean_from, tr);
+        }
+        clean_from = tr + 1;
+
+        let rows = tr * dim..((tr + 1) * dim).min(nrows);
+        // Discover.
+        for &c in &colind[rowptr[rows.start]..rowptr[rows.end]] {
+            let tc = c / dim;
+            marks[tc >> 6] |= 1 << (tc & 63);
+            summary[tc >> 12] |= 1 << ((tc >> 6) & 63);
+        }
+        // Number.
+        let first = out.colind.len();
+        for (si, s) in summary.iter_mut().enumerate() {
+            let mut live = std::mem::take(s);
+            while live != 0 {
+                let wi = si * 64 + live.trailing_zeros() as usize;
+                live &= live - 1;
+                let mut word = std::mem::take(&mut marks[wi]);
+                while word != 0 {
+                    let tc = wi * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    slot_of[tc] = out.colind.len() - first;
+                    out.colind.push(tc);
                 }
             }
-            tile_cols.sort_unstable();
-            tile_cols.dedup();
-
-            // Pass 2 (bit-packing kernel): scatter each nonzero into its
-            // tile's row word.
-            let mut words = vec![W::ZERO; tile_cols.len() * tile_dim];
-            for r in r_start..r_end {
-                let local_r = r - r_start;
-                let (cols, vals) = csr.row(r);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let tc = c / tile_dim;
-                    let slot = tile_cols
-                        .binary_search(&tc)
-                        .expect("tile discovered in pass 1");
-                    let local_c = (c % tile_dim) as u32;
-                    let w = &mut words[slot * tile_dim + local_r];
-                    *w = w.with_bit(local_c);
+        }
+        out.rowptr[tr + 1] = out.colind.len();
+        // Pack.
+        out.words.resize(out.colind.len() * dim, W::ZERO);
+        let words = &mut out.words[first * dim..];
+        for (local_r, r) in rows.enumerate() {
+            let span = rowptr[r]..rowptr[r + 1];
+            for (&c, &v) in colind[span.clone()].iter().zip(&values[span]) {
+                if v != 0.0 {
+                    let w = &mut words[slot_of[c / dim] * dim + local_r];
+                    *w = w.with_bit((c % dim) as u32);
                 }
             }
-            TileRow { tile_cols, words }
-        })
-        .collect();
-
-    // Stitch the per-tile-row results into the global arrays.
-    let mut tile_rowptr = vec![0usize; n_tile_rows + 1];
-    for (tr, row) in rows.iter().enumerate() {
-        tile_rowptr[tr + 1] = tile_rowptr[tr] + row.tile_cols.len();
+        }
+        counts.tile_rows_retiled += 1;
+        counts.tiles_retiled += out.colind.len() - first;
     }
-    let n_tiles = tile_rowptr[n_tile_rows];
-    let mut tile_colind = Vec::with_capacity(n_tiles);
-    let mut bit_tiles = Vec::with_capacity(n_tiles * tile_dim);
-    for row in rows {
-        tile_colind.extend_from_slice(&row.tile_cols);
-        bit_tiles.extend_from_slice(&row.words);
+    if let Some(old) = old {
+        counts.tiles_spliced += out.splice(old, clean_from, n_tile_rows);
     }
 
-    B2sr::from_parts(nrows, ncols, tile_dim, tile_rowptr, tile_colind, bit_tiles)
+    let m = B2sr::from_parts(nrows, ncols, dim, out.rowptr, out.colind, out.words);
+    (m, counts)
+}
+
+/// The three B2SR arrays under construction, filled tile-row by tile-row.
+struct Tiles<W> {
+    rowptr: Vec<usize>,
+    colind: Vec<usize>,
+    words: Vec<W>,
+}
+
+impl<W: BitWord> Tiles<W> {
+    /// Append `old`'s tile-rows `[from, to)` verbatim — `tile_rowptr` shifted
+    /// to where they land — and return how many tiles that was.
+    fn splice(&mut self, old: &B2sr<W>, from: usize, to: usize) -> usize {
+        let (first, last) = (old.tile_rowptr[from], old.tile_rowptr[to]);
+        let at = self.colind.len();
+        for tr in from..to {
+            self.rowptr[tr + 1] = old.tile_rowptr[tr + 1] - first + at;
+        }
+        let dim = old.tile_dim;
+        self.colind.extend_from_slice(&old.tile_colind[first..last]);
+        self.words
+            .extend_from_slice(&old.bit_tiles[first * dim..last * dim]);
+        last - first
+    }
 }
 
 /// Convenience wrapper: convert and return along with the conversion time in
@@ -123,6 +236,190 @@ mod tests {
             coo.push_edge(r, c).unwrap();
         }
         coo.to_binary_csr()
+    }
+
+    /// The converter this module replaced, kept as the oracle: per tile-row,
+    /// sort and dedup the tile columns of every stored entry, then find each
+    /// nonzero's tile by binary search.
+    fn reference<W: BitWord>(csr: &Csr, tile_dim: usize) -> B2sr<W> {
+        let nrows = csr.nrows();
+        let mut tile_rowptr = vec![0usize];
+        let (mut tile_colind, mut bit_tiles) = (Vec::new(), Vec::new());
+        for r_start in (0..nrows).step_by(tile_dim) {
+            let rows = r_start..(r_start + tile_dim).min(nrows);
+            let mut tile_cols: Vec<usize> = rows
+                .clone()
+                .flat_map(|r| csr.row(r).0.iter().map(|&c| c / tile_dim))
+                .collect();
+            tile_cols.sort_unstable();
+            tile_cols.dedup();
+            let mut words = vec![W::ZERO; tile_cols.len() * tile_dim];
+            for r in rows {
+                let (cols, vals) = csr.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    if v != 0.0 {
+                        let slot = tile_cols.binary_search(&(c / tile_dim)).unwrap();
+                        let w = &mut words[slot * tile_dim + (r - r_start)];
+                        *w = w.with_bit((c % tile_dim) as u32);
+                    }
+                }
+            }
+            tile_colind.extend(tile_cols);
+            bit_tiles.extend(words);
+            tile_rowptr.push(tile_colind.len());
+        }
+        B2sr::from_parts(
+            nrows,
+            csr.ncols(),
+            tile_dim,
+            tile_rowptr,
+            tile_colind,
+            bit_tiles,
+        )
+    }
+
+    /// A pseudo-random `nrows × ncols` CSR with explicit zeros among its
+    /// stored entries (every third one).
+    fn rectangular(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rowptr = vec![0usize];
+        let (mut colind, mut values) = (Vec::new(), Vec::new());
+        for _ in 0..nrows {
+            let mut cols: Vec<usize> = (0..per_row.min(ncols))
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % ncols as u64) as usize
+                })
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            for c in cols {
+                values.push(if colind.len() % 3 == 0 { 0.0 } else { 1.0 });
+                colind.push(c);
+            }
+            rowptr.push(colind.len());
+        }
+        Csr::from_raw(nrows, ncols, rowptr, colind, values).unwrap()
+    }
+
+    fn for_each_width(mut check: impl FnMut(&dyn Fn(&Csr) -> bool, usize)) {
+        check(&|a| from_csr::<u8>(a, 4) == reference::<u8>(a, 4), 4);
+        check(&|a| from_csr::<u8>(a, 8) == reference::<u8>(a, 8), 8);
+        check(&|a| from_csr::<u16>(a, 16) == reference::<u16>(a, 16), 16);
+        check(&|a| from_csr::<u32>(a, 32) == reference::<u32>(a, 32), 32);
+        // A dimension outside Table I, not a power of two.
+        check(&|a| from_csr::<u8>(a, 5) == reference::<u8>(a, 5), 5);
+    }
+
+    #[test]
+    fn equals_the_reference_on_rectangular_shapes_with_explicit_zeros() {
+        let shapes = [
+            (0, 0),
+            (0, 9),
+            (9, 0),
+            (1, 1),
+            (5, 300),
+            (300, 5),
+            (63, 65),
+            (65, 63),
+            (200, 130),
+            // Wide enough for a second summary word at every width.
+            (40, 4096 * 32 + 77),
+        ];
+        for (i, &(nrows, ncols)) in shapes.iter().enumerate() {
+            for per_row in [1usize, 9, 70] {
+                let a = rectangular(nrows, ncols, per_row, i as u64 + 1);
+                for_each_width(|same, dim| assert!(same(&a), "{nrows}x{ncols} dim {dim}"));
+            }
+        }
+    }
+
+    /// `retile_rows` against a full conversion, whole struct, for a base
+    /// and a log: through the log's own dirty rows, with every row called
+    /// dirty, and — the log empty — with none.
+    fn assert_retile_parity(base: &Csr, log: &[crate::delta::EdgeDelta]) {
+        fn at<W: BitWord>(base: &Csr, merged: &Csr, dirty: &[usize], dim: usize) {
+            let old = from_csr::<W>(base, dim);
+            let full = from_csr::<W>(merged, dim);
+            let (got, counts) = old.retile_rows(merged, dirty);
+            assert_eq!(got, full, "dim {dim} dirty {dirty:?}");
+            assert!(counts.tile_rows_retiled <= dirty.len());
+            assert_eq!(counts.tiles_retiled + counts.tiles_spliced, full.n_tiles());
+        }
+        let delta = crate::delta::DeltaSnapshot::build(base, log);
+        let merged = delta.merge_csr(base, false);
+        let all: Vec<usize> = (0..base.nrows()).collect();
+        for dirty in [delta.dirty_rows(), &all[..]] {
+            at::<u8>(base, &merged, dirty, 4);
+            at::<u8>(base, &merged, dirty, 8);
+            at::<u16>(base, &merged, dirty, 16);
+            at::<u32>(base, &merged, dirty, 32);
+        }
+    }
+
+    #[test]
+    fn retile_rows_equals_a_full_conversion_on_hostile_logs() {
+        use crate::delta::EdgeDelta;
+        for n in [0usize, 1, 5, 63, 65, 200] {
+            let base = sample(n.max(1), n as u64 + 3);
+            let base = if n == 0 { Csr::empty(0, 0) } else { base };
+            // Nothing dirty.
+            assert_retile_parity(&base, &[]);
+            if n == 0 {
+                continue;
+            }
+            let (r0, c0) = base.iter().next().map_or((0, 0), |(r, c, _)| (r, c));
+            let absent = (0..n).find(|&c| base.get(n - 1, c).is_none()).unwrap_or(0);
+            let mut log = vec![
+                EdgeDelta::insert(n / 2, n / 3),
+                EdgeDelta::insert(n / 2, n / 3), // duplicate insert
+                EdgeDelta::insert(n / 3, n - 1),
+                EdgeDelta::delete(n / 3, n - 1), // insert, then delete
+                EdgeDelta::delete(n - 1, absent), // absent edge
+                EdgeDelta::insert(n / 4, n / 4), // self-loop
+                EdgeDelta::delete(r0, c0),       // a base edge
+                EdgeDelta::insert(n - 1, 0),     // the last, partial tile-row
+            ];
+            assert_retile_parity(&base, &log);
+            // A tile-row emptied (rows 0..32 cover one at every width) …
+            let emptied: Vec<EdgeDelta> = base
+                .iter()
+                .filter(|&(r, _, _)| r < 32)
+                .map(|(r, c, _)| EdgeDelta::delete(r, c))
+                .collect();
+            log.extend(&emptied);
+            assert_retile_parity(&base, &log);
+            // … and an empty one filled: the emptied matrix as the base.
+            let hollow =
+                crate::delta::DeltaSnapshot::build(&base, &emptied).merge_csr(&base, false);
+            let refill: Vec<EdgeDelta> = (0..n.min(32))
+                .map(|r| EdgeDelta::insert(r, (r * 7 + 1) % n))
+                .collect();
+            assert_retile_parity(&hollow, &refill);
+        }
+    }
+
+    #[test]
+    fn retile_counts_follow_the_dirty_tile_rows() {
+        let a = sample(200, 11);
+        let old = from_csr::<u8>(&a, 8);
+        // Rows 3 and 5 share tile-row 0; row 199 is in the last one.
+        let (same, counts) = old.retile_rows(&a, &[3, 5, 199]);
+        assert_eq!(same, old);
+        assert_eq!(counts.tile_rows_retiled, 2);
+        let retiled = old.tile_row_range(0).len() + old.tile_row_range(24).len();
+        assert_eq!(counts.tiles_retiled, retiled);
+        assert_eq!(counts.tiles_spliced, old.n_tiles() - retiled);
+        // Out-of-range rows name no tile-row.
+        assert_eq!(old.retile_rows(&a, &[200, 4096]).1.tile_rows_retiled, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps its shape")]
+    fn retile_rows_rejects_another_shape() {
+        let _ = from_csr::<u8>(&sample(16, 1), 8).retile_rows(&sample(24, 1), &[0]);
     }
 
     #[test]
@@ -184,16 +481,22 @@ mod tests {
 
     #[test]
     fn transpose_matches_csr_transpose() {
-        let a = sample(70, 12);
-        for_each_variant(&a);
+        for_each_variant(&sample(70, 12));
+        for_each_variant(&rectangular(37, 130, 9, 4).binarized());
     }
 
     fn for_each_variant(a: &Csr) {
-        let t = a.transpose();
-        assert_eq!(from_csr::<u8>(a, 4).transpose().to_csr(), t);
-        assert_eq!(from_csr::<u8>(a, 8).transpose().to_csr(), t);
-        assert_eq!(from_csr::<u16>(a, 16).transpose().to_csr(), t);
-        assert_eq!(from_csr::<u32>(a, 32).transpose().to_csr(), t);
+        fn at<W: BitWord>(a: &Csr, dim: usize) {
+            let b = from_csr::<W>(a, dim);
+            let t = b.transpose();
+            assert_eq!(t.to_csr(), a.transpose(), "dim {dim}");
+            assert_eq!(t, from_csr::<W>(&a.transpose(), dim), "dim {dim}");
+            assert_eq!(t.transpose(), b, "dim {dim}");
+        }
+        at::<u8>(a, 4);
+        at::<u8>(a, 8);
+        at::<u16>(a, 16);
+        at::<u32>(a, 32);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use bitgblas_bitops::BitWord;
 use bitgblas_sparse::Csr;
 
+use super::convert::RetileCounts;
+
 /// The four tile dimensions evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileSize {
@@ -258,8 +260,8 @@ impl<W: BitWord> B2sr<W> {
     /// Transpose: returns the B2SR representation of `A^T`.
     ///
     /// As the paper notes, only the upper-level index arrays need a CSR→CSC
-    /// style permutation; each bit tile is transposed in place with a pure
-    /// bit permutation.
+    /// style permutation; each bit tile is transposed by a pure bit
+    /// permutation, written straight into its slot of the result.
     pub fn transpose(&self) -> B2sr<W> {
         let dim = self.tile_dim;
         // Count tiles per transposed tile-row (= original tile-column).
@@ -275,12 +277,14 @@ impl<W: BitWord> B2sr<W> {
         let n_tiles = self.n_tiles();
         let mut tile_colind = vec![0usize; n_tiles];
         let mut bit_tiles = vec![W::ZERO; n_tiles * dim];
-        for (tr, tc, words) in self.iter_tiles() {
-            let slot = next[tc];
-            next[tc] += 1;
-            tile_colind[slot] = tr;
-            let transposed = bitgblas_bitops::pack::transpose_tile(words, dim);
-            bit_tiles[slot * dim..(slot + 1) * dim].copy_from_slice(&transposed);
+        for tr in 0..self.n_tile_rows {
+            for idx in self.tile_row_range(tr) {
+                let slot = &mut next[self.tile_colind[idx]];
+                tile_colind[*slot] = tr;
+                let out = &mut bit_tiles[*slot * dim..(*slot + 1) * dim];
+                bitgblas_bitops::pack::transpose_tile_into(self.tile_words(idx), dim, out);
+                *slot += 1;
+            }
         }
         // Tiles within a transposed tile-row must be sorted by tile column.
         // Because we visit the original tiles in (tr, tc) order, tiles land in
@@ -332,11 +336,34 @@ pub(crate) use with_b2sr;
 impl B2srMatrix {
     /// Convert a binary CSR matrix into the requested B2SR variant.
     pub fn from_csr(csr: &Csr, size: TileSize) -> B2srMatrix {
+        B2srMatrix::retile(csr, size, None).0
+    }
+
+    /// [`from_csr`](Self::from_csr), converting only the tile-rows that hold
+    /// one of `prev`'s ascending dirty rows and copying the others from
+    /// `prev`'s matrix — `csr` before those rows changed, in the same
+    /// variant (any other is ignored).  See
+    /// [`B2sr::retile_rows`](B2sr::retile_rows).
+    pub fn retile(
+        csr: &Csr,
+        size: TileSize,
+        prev: Option<(&B2srMatrix, &[usize])>,
+    ) -> (B2srMatrix, RetileCounts) {
+        fn variant<W: BitWord>(
+            csr: &Csr,
+            size: TileSize,
+            prev: Option<(&B2srMatrix, &[usize])>,
+            wrap: fn(B2sr<W>) -> B2srMatrix,
+        ) -> (B2srMatrix, RetileCounts) {
+            let prev = prev.and_then(|(m, dirty)| Some((m.inner::<W>(size.dim())?, dirty)));
+            let (m, counts) = super::convert::retile(csr, size.dim(), prev);
+            (wrap(m), counts)
+        }
         match size {
-            TileSize::S4 => B2srMatrix::B4(super::convert::from_csr::<u8>(csr, 4)),
-            TileSize::S8 => B2srMatrix::B8(super::convert::from_csr::<u8>(csr, 8)),
-            TileSize::S16 => B2srMatrix::B16(super::convert::from_csr::<u16>(csr, 16)),
-            TileSize::S32 => B2srMatrix::B32(super::convert::from_csr::<u32>(csr, 32)),
+            TileSize::S4 => variant::<u8>(csr, size, prev, B2srMatrix::B4),
+            TileSize::S8 => variant::<u8>(csr, size, prev, B2srMatrix::B8),
+            TileSize::S16 => variant::<u16>(csr, size, prev, B2srMatrix::B16),
+            TileSize::S32 => variant::<u32>(csr, size, prev, B2srMatrix::B32),
         }
     }
 

@@ -15,8 +15,8 @@
 //! Submodules:
 //! * [`mod@format`] — the [`B2sr`] container, the [`TileSize`] selector and the
 //!   type-erased [`B2srMatrix`] wrapper;
-//! * [`convert`] — parallel CSR→B2SR conversion, B2SR→CSR reconstruction and
-//!   transposition;
+//! * [`convert`] — CSR→B2SR conversion, whole ([`convert::from_csr`]) or of
+//!   the dirty tile-rows only ([`B2sr::retile_rows`]);
 //! * [`stats`] — storage accounting: compression ratio, non-empty-tile ratio,
 //!   nonzero occupancy (Figures 3 and 5, Table I);
 //! * [`sample`] — the sampling-profile tile-size selector (Algorithm 1).

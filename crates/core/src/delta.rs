@@ -13,7 +13,10 @@
 //!   [`DeltaSnapshot`]: per-row patch lists over only the *dirty* rows
 //!   ([`StagedRows`], a doubly-compressed layout storing nothing for the
 //!   untouched rows), plus the mirrored per-column view so both traversal
-//!   directions stay one lookup.
+//!   directions stay one lookup.  The cell keeps the normalized log between
+//!   appends, so an append normalizes its own batch and flattens the staged
+//!   view by a linear copy of what is pending
+//!   ([`VersionCell::entries_normalized`] counts the entries normalized).
 //! * **Merge-on-read overlay** — [`DeltaOverlay`] implements
 //!   [`GrbBackend`] over `base ⊕ delta`: it forwards each product — whole
 //!   fused pipelines included — to the unchanged base representation (B2SR
@@ -29,15 +32,19 @@
 //!   `f32` and bits; a read costs the base product plus the patches the
 //!   frontier touches (`ExecCounts::refolded_positions` counts them).
 //! * **Versioned publication** — a [`VersionCell`] owns `(epoch, base,
-//!   log, head)` behind one mutex; appends and compactions swap a fully
-//!   constructed head in a single critical section, so
+//!   log, normalized log, head)` behind one mutex; appends and compactions
+//!   swap a fully constructed head in a single critical section, so
 //!   `Matrix::snapshot()` (an Arc-pinned epoch view) is always internally
 //!   consistent and bit-stable for the lifetime of the handle, no matter
 //!   how many writes land after it was taken.
 //! * **Compaction** — [`VersionCell::compact`] folds the log into a fresh
-//!   base of the same kind (B2SR tiles are re-tiled, CSR re-packed) and
-//!   re-plans the row shards *incrementally*: only shards whose row ranges
-//!   intersect the dirty rows are recut
+//!   base of the same kind at the cost of what the log touched: the merged
+//!   CSR copies clean row runs whole, a [`BitB2sr`] base re-tiles only the
+//!   tile-rows holding a dirty row and splices the others' tiles verbatim
+//!   ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows); the
+//!   [`CompactReport`] counts both), and the row shards re-plan
+//!   *incrementally*: only shards whose row ranges intersect the dirty rows
+//!   are recut
 //!   ([`ShardPlan::replan_rows`](crate::shard::ShardPlan::replan_rows)); clean shard boundaries survive
 //!   verbatim.  The `grb.delta_merge` fail point fires before any shared
 //!   state is touched, so an injected panic or transient error leaves the
@@ -66,6 +73,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use bitgblas_sparse::Csr;
 
+use crate::b2sr::convert::RetileCounts;
 use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, FloatCsr, GrbBackend};
 use crate::grb::error::GrbError;
@@ -141,8 +149,11 @@ pub struct StagedRows {
 impl StagedRows {
     /// Build from `(key, other, present)` triples sorted by `(key, other)`
     /// with unique `(key, other)` pairs.
-    fn from_sorted(triples: impl Iterator<Item = (usize, usize, bool)>) -> Self {
-        let mut staged = StagedRows::default();
+    fn from_sorted(triples: impl ExactSizeIterator<Item = (usize, usize, bool)>) -> Self {
+        let mut staged = StagedRows {
+            entries: Vec::with_capacity(triples.len()),
+            ..StagedRows::default()
+        };
         for (key, other, present) in triples {
             if staged.index.last() != Some(&key) {
                 staged.index.push(key);
@@ -221,6 +232,67 @@ fn for_each_merged(base: &[usize], patch: &[(usize, bool)], f: &mut impl FnMut(u
     }
 }
 
+/// The normalized pending log in the form an append can extend: last op
+/// wins per edge, with whether the base holds the edge looked up once, when
+/// the edge first appears.  [`apply`](Self::apply) costs its batch;
+/// [`snapshot`](Self::snapshot) flattens both orientations into the
+/// [`StagedRows`] layout reads go through, a linear copy of what is pending.
+#[derive(Debug, Default)]
+struct LogNormalizer {
+    /// `(row, col) → (present, in_base)`.
+    by_row: BTreeMap<(usize, usize), (bool, bool)>,
+    /// The column mirror, `(col, row) → present`.
+    by_col: BTreeMap<(usize, usize), bool>,
+    /// Log entries applied.
+    watermark: usize,
+    /// Edges present in the final state but absent in the base.
+    inserted: usize,
+    /// Edges absent in the final state but present in the base.
+    deleted: usize,
+}
+
+impl LogNormalizer {
+    /// Apply the next `batch` of the log, in order, against `base`.
+    fn apply(&mut self, base: &Csr, batch: &[EdgeDelta]) {
+        for d in batch {
+            let present = d.op == DeltaOp::Insert;
+            // A new edge starts from the base's state, looked up this once;
+            // it counts below only if this op moves it away.
+            let state = self.by_row.entry((d.row, d.col)).or_insert_with(|| {
+                let in_base = base.get(d.row, d.col).is_some();
+                (in_base, in_base)
+            });
+            let (was_present, in_base) = *state;
+            if was_present != present {
+                state.0 = present;
+                let differing = if in_base {
+                    &mut self.deleted
+                } else {
+                    &mut self.inserted
+                };
+                if present == in_base {
+                    *differing -= 1;
+                } else {
+                    *differing += 1;
+                }
+            }
+            self.by_col.insert((d.col, d.row), present);
+        }
+        self.watermark += batch.len();
+    }
+
+    /// The immutable staged view of everything applied so far.
+    fn snapshot(&self) -> DeltaSnapshot {
+        DeltaSnapshot {
+            watermark: self.watermark,
+            rows: StagedRows::from_sorted(self.by_row.iter().map(|(&(r, c), &(p, _))| (r, c, p))),
+            cols: StagedRows::from_sorted(self.by_col.iter().map(|(&(c, r), &p)| (c, r, p))),
+            inserted: self.inserted,
+            deleted: self.deleted,
+        }
+    }
+}
+
 /// A normalized, immutable view of a delta-log prefix: last-op-wins per
 /// edge, staged by row and (mirrored) by column, with the net edge-count
 /// change accounted against a base CSR.
@@ -241,27 +313,12 @@ pub struct DeltaSnapshot {
 impl DeltaSnapshot {
     /// Normalize a log prefix against `base`: later ops win per `(row,
     /// col)`, no-ops (inserting a present edge, deleting an absent one)
-    /// stage harmlessly and count nothing.
+    /// stage harmlessly and count nothing.  This is the normalizer a
+    /// [`VersionCell`] keeps between appends, applied to an empty state.
     pub fn build(base: &Csr, log: &[EdgeDelta]) -> Self {
-        let mut fwd: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-        for d in log {
-            fwd.insert((d.row, d.col), d.op == DeltaOp::Insert);
-        }
-        let mut rev: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-        let (mut inserted, mut deleted) = (0usize, 0usize);
-        for (&(r, c), &present) in &fwd {
-            rev.insert((c, r), present);
-            let in_base = base.get(r, c).is_some();
-            inserted += usize::from(present && !in_base);
-            deleted += usize::from(!present && in_base);
-        }
-        DeltaSnapshot {
-            watermark: log.len(),
-            rows: StagedRows::from_sorted(fwd.into_iter().map(|((r, c), p)| (r, c, p))),
-            cols: StagedRows::from_sorted(rev.into_iter().map(|((c, r), p)| (c, r, p))),
-            inserted,
-            deleted,
-        }
+        let mut norm = LogNormalizer::default();
+        norm.apply(base, log);
+        norm.snapshot()
     }
 
     /// Length of the log prefix this snapshot covers.
@@ -304,23 +361,34 @@ impl DeltaSnapshot {
         }
     }
 
-    /// Materialize `base ⊕ delta` as a fresh binary CSR: clean rows are
-    /// copied verbatim, dirty rows get the sorted patch merge.  Pass the
-    /// transpose base with `of_transpose` to materialize the transpose.
+    /// Materialize `base ⊕ delta` as a fresh binary CSR: every run of clean
+    /// rows is one copy of its columns (its `rowptr` entries shifted), dirty
+    /// rows get the sorted patch merge.  Pass the transpose base with
+    /// `of_transpose` to materialize the transpose.
     pub fn merge_csr(&self, base: &Csr, of_transpose: bool) -> Csr {
-        let staged = self.staged(of_transpose);
         let nrows = base.nrows();
+        let (base_ptr, base_cols) = (base.rowptr(), base.colind());
         let mut rowptr = Vec::with_capacity(nrows + 1);
         rowptr.push(0usize);
-        let mut colind = Vec::with_capacity(base.nnz());
-        for r in 0..nrows {
-            let (cols, _) = base.row(r);
-            match staged.patch(r) {
-                None => colind.extend_from_slice(cols),
-                Some(patch) => for_each_merged(cols, patch, &mut |c| colind.push(c)),
+        let mut colind: Vec<usize> = Vec::with_capacity(base.nnz() + self.inserted);
+        // Rows `[from, to)` verbatim.
+        let copy_clean =
+            |from: usize, to: usize, rowptr: &mut Vec<usize>, colind: &mut Vec<usize>| {
+                let (first, start) = (base_ptr[from], colind.len());
+                rowptr.extend(base_ptr[from + 1..=to].iter().map(|&p| p - first + start));
+                colind.extend_from_slice(&base_cols[first..base_ptr[to]]);
+            };
+        let mut clean_from = 0usize;
+        for (r, patch) in self.staged(of_transpose).iter() {
+            if r >= nrows {
+                break;
             }
+            copy_clean(clean_from, r, &mut rowptr, &mut colind);
+            for_each_merged(base.row(r).0, patch, &mut |c| colind.push(c));
             rowptr.push(colind.len());
+            clean_from = r + 1;
         }
+        copy_clean(clean_from, nrows, &mut rowptr, &mut colind);
         let values = vec![1.0f32; colind.len()];
         Csr::from_raw(nrows, base.ncols(), rowptr, colind, values)
             .expect("sorted patch merge preserves the CSR invariants")
@@ -565,7 +633,7 @@ impl GrbBackend for DeltaOverlay {
 }
 
 /// What one [`VersionCell::compact`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactReport {
     /// The epoch the compacted base was published as.
     pub epoch: u64,
@@ -576,8 +644,17 @@ pub struct CompactReport {
     pub inserted: usize,
     /// Edges the fold removed from the base.
     pub deleted: usize,
-    /// Rows the fold touched — the incremental shard replan's dirty set.
+    /// Rows the fold touched — the dirty set of the incremental re-tiling
+    /// and shard replan.
     pub dirty_rows: usize,
+    /// Tile-rows converted from the merged CSR (`≤ dirty_rows`; 0 on a
+    /// float base).
+    pub tile_rows_retiled: usize,
+    /// Tiles of the new base those tile-rows hold.
+    pub tiles_retiled: usize,
+    /// Tiles of the new base copied verbatim from the old one
+    /// (`tiles_retiled + tiles_spliced` is its tile count).
+    pub tiles_spliced: usize,
 }
 
 /// The shared mutable version state behind a
@@ -603,9 +680,33 @@ struct VersionInner {
     epoch: u64,
     base: Arc<dyn GrbBackend>,
     log: Vec<EdgeDelta>,
+    /// `log`, normalized against `base` (empty when `log` is).
+    norm: LogNormalizer,
+    /// The staged view of `norm` the head overlays on `base`; `None` when
+    /// the log is empty and the head is the base itself.
+    staged: Option<Arc<DeltaSnapshot>>,
     head: Arc<dyn GrbBackend>,
     epochs_published: u64,
     compactions: u64,
+    entries_normalized: u64,
+}
+
+impl VersionInner {
+    /// Normalize the next `tail_len` entries of the log (its tail) and
+    /// publish `base ⊕ log` as a new epoch: a fully built head swapped in by
+    /// one assignment.
+    fn publish(&mut self, tail_len: usize) {
+        let tail = &self.log[self.log.len() - tail_len..];
+        self.norm.apply(self.base.csr(), tail);
+        self.entries_normalized += tail_len as u64;
+        self.staged = (!self.log.is_empty()).then(|| Arc::new(self.norm.snapshot()));
+        self.head = match &self.staged {
+            Some(delta) => Arc::new(DeltaOverlay::new(self.base.clone(), delta.clone())),
+            None => self.base.clone(),
+        };
+        self.epoch += 1;
+        self.epochs_published += 1;
+    }
 }
 
 impl VersionCell {
@@ -617,9 +718,12 @@ impl VersionCell {
                 epoch: 0,
                 base: base.clone(),
                 log: Vec::new(),
+                norm: LogNormalizer::default(),
+                staged: None,
                 head: base,
                 epochs_published: 0,
                 compactions: 0,
+                entries_normalized: 0,
             }),
             compact_gate: Mutex::new(()),
         }
@@ -659,34 +763,45 @@ impl VersionCell {
         self.lock().compactions
     }
 
+    /// Log entries run through the normalizer since construction: an append
+    /// adds its own batch length, whatever is already pending; a compaction
+    /// adds only what raced in behind the prefix it folded (re-normalized
+    /// against the new base).  Exact, the same on every host.
+    pub fn entries_normalized(&self) -> u64 {
+        self.lock().entries_normalized
+    }
+
     /// Append `deltas` to the log and publish a new epoch whose head
-    /// overlays the full pending log on the base.  Returns the published
-    /// epoch (the current one when `deltas` is empty).
+    /// overlays the full pending log on the base.  Normalizing costs the
+    /// batch; staging the head is a linear copy of what is pending.  Returns
+    /// the published epoch (the current one when `deltas` is empty).
     pub fn append(&self, deltas: &[EdgeDelta]) -> u64 {
         let mut inner = self.lock();
         if deltas.is_empty() {
             return inner.epoch;
         }
         inner.log.extend_from_slice(deltas);
-        let snap = DeltaSnapshot::build(inner.base.csr(), &inner.log);
-        inner.head = Arc::new(DeltaOverlay::new(inner.base.clone(), Arc::new(snap)));
-        inner.epoch += 1;
-        inner.epochs_published += 1;
+        inner.publish(deltas.len());
         inner.epoch
     }
 
     /// Fold the pending log into a fresh base of the same backend kind and
     /// publish it as a new epoch.
     ///
-    /// The fold (normalization, CSR merge, re-tiling, incremental shard
-    /// replan) runs *outside* the inner critical section against a pinned
-    /// `(base, log prefix)`, so writers keep appending during it; entries
-    /// that race in stay pending against the new base.  The
-    /// [`DELTA_MERGE_POINT`] fail point fires after staging but before any
-    /// shared state changes: an injected panic or transient error leaves
-    /// the published epoch and every outstanding snapshot intact.
+    /// The fold (CSR merge, re-tiling of the dirty tile-rows, incremental
+    /// shard replan) runs *outside* the inner critical section against the
+    /// pinned `(base, staged log prefix)` — the head's own staged view, not
+    /// a second normalization — so writers keep appending during it; entries
+    /// that race in are re-normalized against the new base and stay pending.
+    /// The [`DELTA_MERGE_POINT`] fail point fires before any shared state
+    /// changes: an injected panic or transient error leaves the published
+    /// epoch and every outstanding snapshot intact.
     ///
-    /// Shard plans rebuild incrementally: the new base adopts the old
+    /// A [`BitB2sr`] base converts only the tile-rows holding a dirty row
+    /// and copies the rest of the old tiles
+    /// ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows)); the new base
+    /// shares nothing with the old, so pinned snapshots keep reading their
+    /// own.  Shard plans rebuild the same way: the new base adopts the old
     /// plan's boundaries for every shard without dirty rows and recuts only
     /// the dirty runs ([`ShardPlan::replan_rows`](crate::shard::ShardPlan::replan_rows)).
     pub fn compact(&self, ctx: &Context) -> Result<CompactReport, GrbError> {
@@ -694,52 +809,75 @@ impl VersionCell {
             .compact_gate
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let (base, pending) = {
+        let (base, delta) = {
             let inner = self.lock();
-            (inner.base.clone(), inner.log.clone())
+            let Some(delta) = inner.staged.clone() else {
+                return Ok(CompactReport {
+                    epoch: inner.epoch,
+                    ..CompactReport::default()
+                });
+            };
+            (inner.base.clone(), delta)
         };
-        if pending.is_empty() {
-            return Ok(CompactReport {
-                epoch: self.lock().epoch,
-                folded: 0,
-                inserted: 0,
-                deleted: 0,
-                dirty_rows: 0,
-            });
-        }
-        let delta = DeltaSnapshot::build(base.csr(), &pending);
         poll_delta_merge(ctx)?;
-        let merged = delta.merge_csr(base.csr(), false);
-        let new_base: Arc<dyn GrbBackend> = match base.kind() {
-            Backend::Bit(ts) => Arc::new(BitB2sr::new(&merged, ts)),
-            Backend::FloatCsr => Arc::new(FloatCsr::new(&merged)),
-            Backend::Auto => unreachable!("backend kinds are always resolved"),
-        };
-        new_base.replan_shards(
-            base.shard_plan(false),
-            ctx.shard_config(),
-            delta.dirty_rows(),
-        );
+        let (new_base, retiled) = fold(&base, &delta, ctx);
+        Ok(self.install(new_base, &delta, retiled))
+    }
+
+    /// Publish `new_base` — [`fold`]'s result for the pinned prefix `delta`
+    /// — in one critical section: the folded prefix leaves the log, whatever
+    /// raced in behind it is normalized afresh against the new base.
+    fn install(
+        &self,
+        new_base: Arc<dyn GrbBackend>,
+        delta: &DeltaSnapshot,
+        retiled: RetileCounts,
+    ) -> CompactReport {
         let mut inner = self.lock();
-        inner.log.drain(..pending.len());
-        inner.base = new_base.clone();
-        inner.head = if inner.log.is_empty() {
-            new_base
-        } else {
-            let snap = DeltaSnapshot::build(new_base.csr(), &inner.log);
-            Arc::new(DeltaOverlay::new(new_base, Arc::new(snap)))
-        };
-        inner.epoch += 1;
-        inner.epochs_published += 1;
+        inner.log.drain(..delta.watermark());
+        inner.base = new_base;
+        inner.norm = LogNormalizer::default();
+        let raced_in = inner.log.len();
+        inner.publish(raced_in);
         inner.compactions += 1;
-        Ok(CompactReport {
+        CompactReport {
             epoch: inner.epoch,
-            folded: pending.len(),
+            folded: delta.watermark(),
             inserted: delta.inserted(),
             deleted: delta.deleted(),
             dirty_rows: delta.dirty_rows().len(),
-        })
+            tile_rows_retiled: retiled.tile_rows_retiled,
+            tiles_retiled: retiled.tiles_retiled,
+            tiles_spliced: retiled.tiles_spliced,
+        }
     }
+}
+
+/// `base ⊕ delta` as a fresh backend of `base`'s kind, shard plan included:
+/// the part of a compaction that runs outside the version lock.
+fn fold(
+    base: &Arc<dyn GrbBackend>,
+    delta: &DeltaSnapshot,
+    ctx: &Context,
+) -> (Arc<dyn GrbBackend>, RetileCounts) {
+    let merged = delta.merge_csr(base.csr(), false);
+    let dirty_rows = delta.dirty_rows();
+    let (new_base, retiled): (Arc<dyn GrbBackend>, _) = match base.kind() {
+        Backend::Bit(ts) => {
+            // The old tiles, when the base is this crate's bit backend (an
+            // external one of that kind converts in full).
+            let old = base.as_any().downcast_ref::<BitB2sr>();
+            let (bit, counts) = BitB2sr::retiled(merged, ts, old.map(|old| (old, dirty_rows)));
+            (Arc::new(bit), counts)
+        }
+        Backend::FloatCsr => (
+            Arc::new(FloatCsr::from_binary(merged)),
+            RetileCounts::default(),
+        ),
+        Backend::Auto => unreachable!("backend kinds are always resolved"),
+    };
+    new_base.replan_shards(base.shard_plan(false), ctx.shard_config(), dirty_rows);
+    (new_base, retiled)
 }
 
 /// Poll [`DELTA_MERGE_POINT`] on the context's injector, mirroring the
@@ -1181,6 +1319,88 @@ mod tests {
         assert_eq!(again.epoch, report.epoch);
     }
 
+    /// The normalizer a cell keeps between appends stages what a
+    /// from-scratch normalization of the whole log stages, after every
+    /// append of a hostile log cut at every batch size — counts included.
+    #[test]
+    fn incremental_normalization_equals_a_whole_log_build() {
+        let base = csr(6, &[(0, 1), (1, 2), (2, 2), (3, 0), (5, 4)]);
+        let log = [
+            EdgeDelta::insert(0, 4),
+            EdgeDelta::insert(0, 4), // duplicate insert
+            EdgeDelta::delete(0, 1), // a base edge …
+            EdgeDelta::insert(0, 1), // … restored
+            EdgeDelta::insert(4, 4), // self-loop, then deleted
+            EdgeDelta::delete(4, 4),
+            EdgeDelta::delete(3, 3), // absent edge
+            EdgeDelta::delete(2, 2),
+            EdgeDelta::insert(2, 2),
+            EdgeDelta::delete(2, 2), // base edge, deleted in the end
+            EdgeDelta::insert(1, 2), // no-op on a base edge
+            EdgeDelta::delete(5, 4),
+        ];
+        for batch in 1..=log.len() {
+            let a = Matrix::from_csr(&base, Backend::FloatCsr);
+            let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+            let mut seen = 0;
+            for chunk in log.chunks(batch) {
+                cell.append(chunk);
+                seen += chunk.len();
+                let staged = cell.lock().staged.clone().expect("pending");
+                assert_eq!(*staged, DeltaSnapshot::build(&base, &log[..seen]));
+                assert_eq!(cell.entries_normalized(), seen as u64);
+            }
+        }
+    }
+
+    /// Appends that race in behind a compaction's pinned prefix are
+    /// normalized afresh against the new base — they and nothing else.
+    #[test]
+    fn a_compaction_renormalizes_only_what_raced_in() {
+        let base = csr(8, &[(0, 1), (1, 2), (2, 3), (6, 7)]);
+        let folded = [EdgeDelta::insert(3, 4), EdgeDelta::delete(0, 1)];
+        // Against the *new* base: (3, 4) is now a base edge, (0, 1) is not.
+        let raced = [
+            EdgeDelta::delete(3, 4),
+            EdgeDelta::insert(0, 1),
+            EdgeDelta::insert(5, 5),
+        ];
+        let scratch = csr(8, &[(0, 1), (1, 2), (2, 3), (5, 5), (6, 7)]);
+        let ctx = Context::default();
+        for backend in [Backend::default_bit(), Backend::FloatCsr] {
+            let a = Matrix::from_csr(&base, backend);
+            let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+            cell.append(&folded);
+
+            // Nothing raced in: nothing normalized.
+            let quiet = VersionCell::new(Arc::from(a.state().clone_box()));
+            quiet.append(&folded);
+            quiet.compact(&ctx).unwrap();
+            assert_eq!(quiet.entries_normalized(), folded.len() as u64);
+
+            // `compact`, with an append between its fold and its install.
+            let (pinned_base, delta) = {
+                let inner = cell.lock();
+                (inner.base.clone(), inner.staged.clone().expect("pending"))
+            };
+            let (new_base, retiled) = fold(&pinned_base, &delta, &ctx);
+            cell.append(&raced);
+            let before = cell.entries_normalized();
+            let report = cell.install(new_base, &delta, retiled);
+            assert_eq!(cell.entries_normalized() - before, raced.len() as u64);
+            assert_eq!(report.folded, folded.len());
+            assert_eq!(cell.log_len(), raced.len());
+
+            let (head, _) = cell.head();
+            assert_eq!(head.csr(), &scratch, "{backend:?}");
+            assert_eq!(head.nnz(), scratch.nnz());
+            let staged = cell.lock().staged.clone().expect("the tail stays pending");
+            let new_base_csr = cell.lock().base.csr().clone();
+            assert_eq!(*staged, DeltaSnapshot::build(&new_base_csr, &raced));
+            assert_eq!((staged.inserted(), staged.deleted()), (2, 1));
+        }
+    }
+
     #[test]
     fn compact_replans_only_dirty_shards() {
         // A graph big enough for a multi-shard plan under 4 threads.
@@ -1219,6 +1439,29 @@ mod tests {
             if !before.bounds().contains(&b) {
                 assert!(b < hi, "new cut {b} escaped the dirty shard");
             }
+        }
+    }
+
+    /// `replan_rows`' `threads` floor (ROADMAP's case): 200 scattered
+    /// inserts dirty every shard of R-MAT(11,12), the one dirty run weighs
+    /// less than a shard's target, and the plan still feeds four workers.
+    #[test]
+    fn scattered_inserts_do_not_collapse_the_shard_plan() {
+        let n = 1usize << 11;
+        let adj = bitgblas_datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 5).symmetrized();
+        let ctx = Context::with_threads(4);
+        for backend in [Backend::default_bit(), Backend::FloatCsr] {
+            let a = Matrix::from_csr_ctx(&adj, backend, &ctx);
+            let before = a.state().shard_plan(false).expect("planned").n_shards();
+            assert_eq!(before, 4, "precondition: {backend:?}");
+            let inserts: Vec<EdgeDelta> = (0..200)
+                .map(|i| EdgeDelta::insert(i * 10 % n, (i * 37 + 5) % n))
+                .collect();
+            a.apply_deltas(&inserts).unwrap();
+            a.compact(&ctx).unwrap();
+            let after = a.snapshot();
+            let plan = after.state().shard_plan(false).expect("replanned");
+            assert_eq!(plan.n_shards(), 4, "{backend:?}: {plan:?}");
         }
     }
 

@@ -46,6 +46,7 @@ use std::sync::OnceLock;
 use bitgblas_bitops::BitWord;
 use bitgblas_sparse::{ops as float_ops, Csr};
 
+use crate::b2sr::convert::RetileCounts;
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::bmm::{fold_all_lanes, lanes_are_dense, ActiveLanes, LANE_BLOCK};
@@ -380,14 +381,30 @@ impl BitB2sr {
         } else {
             csr.binarized()
         };
-        let b2sr = B2srMatrix::from_csr(&bin, tile_size);
-        BitB2sr {
+        BitB2sr::retiled(bin, tile_size, None).0
+    }
+
+    /// The backend of `bin`, an all-ones CSR taken by value and on trust
+    /// (the compaction path hands over the merge it just wrote).  With
+    /// `prev` — the backend of the same matrix before its ascending dirty
+    /// rows changed — only the tile-rows holding a dirty row are converted
+    /// ([`B2srMatrix::retile`]).
+    pub(crate) fn retiled(
+        bin: Csr,
+        tile_size: TileSize,
+        prev: Option<(&BitB2sr, &[usize])>,
+    ) -> (Self, RetileCounts) {
+        debug_assert!(bin.is_binary());
+        let prev = prev.map(|(old, dirty_rows)| (&old.b2sr, dirty_rows));
+        let (b2sr, counts) = B2srMatrix::retile(&bin, tile_size, prev);
+        let backend = BitB2sr {
             csr: bin,
             b2sr,
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
             shards: ScatterPlans::default(),
-        }
+        };
+        (backend, counts)
     }
 
     /// The B2SR representation.
@@ -983,11 +1000,17 @@ pub struct FloatCsr {
 impl FloatCsr {
     /// Wrap a binary CSR matrix (binarizing if needed).
     pub fn new(csr: &Csr) -> Self {
-        let bin = if csr.is_binary() {
+        FloatCsr::from_binary(if csr.is_binary() {
             csr.clone()
         } else {
             csr.binarized()
-        };
+        })
+    }
+
+    /// Wrap `bin`, an all-ones CSR taken by value and on trust (the
+    /// compaction path hands over the merge it just wrote).
+    pub(crate) fn from_binary(bin: Csr) -> Self {
+        debug_assert!(bin.is_binary());
         FloatCsr {
             csr: bin,
             csr_t: OnceLock::new(),

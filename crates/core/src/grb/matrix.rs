@@ -354,6 +354,13 @@ impl Matrix {
         self.versions.compactions()
     }
 
+    /// Log entries the shared version cell has normalized — the exact count
+    /// of the write path's staging work
+    /// ([`VersionCell::entries_normalized`]).
+    pub fn entries_normalized(&self) -> u64 {
+        self.versions.entries_normalized()
+    }
+
     /// Fold the pending delta log into a fresh base representation of the
     /// same backend kind and publish it as a new epoch — the explicit
     /// re-tiling step that restores full kernel speed after a mutation

@@ -190,7 +190,9 @@ impl ShardPlan {
     /// changes the vertex set, only the edges); `dirty_rows` is the
     /// ascending list of rows the fold touched.  A dirty run may gain
     /// shards when its edge weight grew past the per-shard target (and
-    /// lose them when it shrank), bounded so the whole plan never exceeds
+    /// lose them when it shrank) — but, as in `from_weights`, never below
+    /// its weight's share of `threads` shards, so a light run keeps every
+    /// worker fed — bounded so the whole plan never exceeds
     /// [`MAX_SHARDS`]; boundaries stay [`SHARD_ALIGN`]-aligned because
     /// clean boundaries are reused and new cuts are aligned the same way
     /// `from_weights` aligns them.
@@ -223,6 +225,7 @@ impl ShardPlan {
         let units = cum.len().saturating_sub(1);
         let align_units = SHARD_ALIGN.div_ceil(rpu).max(1);
         let target = (cfg.cache_bytes / 64).max(1024);
+        let total = cum[units].max(1);
         // Weight of the unit range covering rows [lo, hi).
         let weight_of = |lo: usize, hi: usize| -> (usize, usize, usize) {
             let ulo = (lo / rpu).min(units);
@@ -257,9 +260,17 @@ impl ShardPlan {
             let (lo, hi) = (self.bounds[run_start], self.bounds[s]);
             let (ulo, _, run_w) = weight_of(lo, hi);
             // The run's shard count follows the same weight-vs-target rule
-            // as `from_weights`, capped by the plan-wide headroom so the
-            // merged plan never exceeds MAX_SHARDS.
-            let k = (run_w / target).max(1).min(old_count + headroom);
+            // as `from_weights`, clamped as there — between `threads` and
+            // `4 · threads` shards, here scaled to the run's share of the
+            // whole weight, and never narrower than `SHARD_ALIGN` rows — and
+            // capped by the plan-wide headroom so the merged plan never
+            // exceeds MAX_SHARDS.
+            let share = |of: usize| (of * run_w).div_ceil(total);
+            let k = (run_w / target)
+                .clamp(share(cfg.threads), share(cfg.threads.saturating_mul(4)))
+                .min((hi - lo) / SHARD_ALIGN)
+                .max(1)
+                .min(old_count + headroom);
             headroom -= k.saturating_sub(old_count).min(headroom);
             for i in 1..k {
                 let want = cum[ulo] + run_w / k * i;

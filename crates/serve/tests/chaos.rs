@@ -467,6 +467,81 @@ fn panicking_compaction_leaves_the_pre_compaction_snapshot_readable() {
     assert_eq!(inj.counts().panics, 1);
 }
 
+/// Epoch isolation across an *incremental* compaction, with the fail point
+/// armed in between: a snapshot of a compacted base, pinned before ten more
+/// appends, survives a panicking and a transiently failing fold — epoch,
+/// log, `entries_normalized` and every outstanding snapshot unchanged — and
+/// then the fold that succeeds, which copies the clean tile-rows out of the
+/// very tiles the snapshot reads.
+#[test]
+fn pinned_snapshots_survive_failed_and_incremental_compactions() {
+    quiet_injected_panics();
+    let g = graph();
+    g.insert_edge(59, 0).unwrap();
+    g.compact(g.context()).unwrap();
+    let pinned_base = g.snapshot();
+    let base_tiles = pinned_base.b2sr().expect("compacted").clone();
+    let base_csr = pinned_base.csr().clone();
+
+    for i in 0..10 {
+        if i % 3 == 0 {
+            g.delete_edge(i, base_csr.row(i).0.first().copied().unwrap_or(0))
+                .unwrap();
+        } else {
+            g.insert_edge(i * 5 % 60, (i * 11 + 2) % 60).unwrap();
+        }
+    }
+    let pinned_overlay = g.snapshot();
+    let overlay_csr = pinned_overlay.csr().clone();
+    let levels = bitgblas_algorithms::bfs(&pinned_overlay, 0).levels;
+    let before = (g.head_epoch(), g.delta_len(), g.entries_normalized());
+    assert_eq!(before.1, 10);
+
+    let unchanged = |what: &str| {
+        assert_eq!(
+            (g.head_epoch(), g.delta_len(), g.entries_normalized()),
+            before,
+            "{what}"
+        );
+        assert_eq!(pinned_base.b2sr(), Some(&base_tiles), "{what}");
+        assert_eq!(pinned_base.csr(), &base_csr, "{what}");
+        assert_eq!(pinned_overlay.csr(), &overlay_csr, "{what}");
+        assert_eq!(
+            bitgblas_algorithms::bfs(&pinned_overlay, 0).levels,
+            levels,
+            "{what}"
+        );
+    };
+    for action in [FaultAction::Panic, FaultAction::Transient] {
+        let plan = FaultPlan::new().with(FailSpec::always("grb.delta_merge", action));
+        g.context()
+            .set_fault_injector(Some(Arc::new(FaultInjector::new(23, plan))));
+        let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.compact(g.context()).is_err()
+        }));
+        assert!(torn.unwrap_or(true), "{action:?} must fail the fold");
+        unchanged(&format!("after {action:?}"));
+    }
+
+    g.context().set_fault_injector(None);
+    let report = g.compact(g.context()).unwrap();
+    assert_eq!(report.folded, 10);
+    assert!(report.tile_rows_retiled <= report.dirty_rows);
+    assert!(report.tiles_spliced > 0, "clean tile-rows are copied over");
+    assert_eq!(g.entries_normalized(), before.2, "nothing raced in");
+    // The new base is the overlay's graph in fresh arrays; the old base and
+    // the overlay still read their own.
+    let head = g.snapshot();
+    assert_eq!(head.csr(), &overlay_csr);
+    assert_eq!(
+        head.b2sr(),
+        Matrix::from_csr(&overlay_csr, Backend::Bit(TileSize::S8)).b2sr()
+    );
+    assert_eq!(pinned_base.b2sr(), Some(&base_tiles));
+    assert_eq!(pinned_base.csr(), &base_csr);
+    assert_eq!(bitgblas_algorithms::bfs(&pinned_overlay, 0).levels, levels);
+}
+
 /// The same fault through the service's writer path: a panicking
 /// `compact_after` fold is contained by the dispatch guard — queries keep
 /// completing, nothing is lost, and the log survives for the next trigger.

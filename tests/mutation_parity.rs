@@ -15,16 +15,18 @@
 //!   [`DynamicCc`] tracks FastSV exactly along insert-only streams and
 //!   reconciles cleanly on compaction.
 //!
-//! And two plain tests on what a read through pending deltas *costs* and
-//! how it is planned: `refolded_positions` follows what the operand reaches,
-//! and a sharded context resolves every batched round as the compacted
-//! matrix does.
+//! And plain tests on what the paths *cost* and how they are planned, on
+//! exact counters: `refolded_positions` follows what the operand reaches, a
+//! sharded context resolves every batched round as the compacted matrix
+//! does, an append normalizes its own batch (`entries_normalized`) and a
+//! compaction re-tiles the tile-rows its batch dirtied (`CompactReport`).
 
 use proptest::prelude::*;
 
 use std::collections::BTreeSet;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, sssp_multi_dir};
+use bit_graphblas::core::{DeltaOverlay, DeltaSnapshot};
 use bit_graphblas::prelude::*;
 
 /// A random base graph (edge list) plus a random delta stream over the
@@ -90,6 +92,84 @@ fn mesh_with_pending_deltas(backend: Backend) -> (Matrix, Vec<EdgeDelta>) {
     }
     m.apply_deltas(&log).unwrap();
     (m, log)
+}
+
+/// ROADMAP item 5's gates, on exact counters: a compaction re-tiles the
+/// tile-rows its dirty rows fall in and copies the rest; the result is a
+/// from-scratch build, array for array.
+#[test]
+fn compaction_retiles_what_the_batch_dirtied() {
+    let adj = bit_graphblas::datagen::generators::rmat(12, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+    let n = adj.nrows();
+    let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
+    let tiles_before = m.b2sr().expect("bit backend").n_tiles();
+    assert_eq!(n.div_ceil(8), 512);
+
+    // 64 deltas spread uniformly over the rows (a multiplicative hash).
+    let deltas: Vec<EdgeDelta> = (0..64usize)
+        .map(|i| {
+            let (r, c) = (i * 2_654_435_761 % n, (i * 40_503 + 17) % n);
+            if i % 4 == 3 {
+                EdgeDelta::delete(r, adj.row(r).0.first().copied().unwrap_or(c))
+            } else {
+                EdgeDelta::insert(r, c)
+            }
+        })
+        .collect();
+    m.apply_deltas(&deltas).unwrap();
+    let normalized = m.entries_normalized();
+    let report = m.compact(m.context()).unwrap();
+    assert_eq!(
+        m.entries_normalized(),
+        normalized,
+        "nothing raced in: a compaction normalizes nothing"
+    );
+
+    let head = m.snapshot();
+    let tiles = head.b2sr().expect("compaction re-tiles").n_tiles();
+    assert!(report.dirty_rows <= 64);
+    assert!(report.tile_rows_retiled <= report.dirty_rows);
+    assert_eq!(report.tiles_retiled + report.tiles_spliced, tiles);
+    assert!(
+        report.tiles_retiled < tiles_before / 2,
+        "{report:?} of {tiles_before} tiles"
+    );
+
+    let scratch = Matrix::from_csr(&folded_csr(&adj, &deltas), Backend::Bit(TileSize::S8));
+    assert_eq!(head.csr(), scratch.csr());
+    assert_eq!(head.b2sr(), scratch.b2sr());
+
+    // A float base has no tiles to count.
+    let f = Matrix::from_csr(&adj, Backend::FloatCsr);
+    f.apply_deltas(&deltas).unwrap();
+    let report = f.compact(f.context()).unwrap();
+    assert_eq!(
+        (
+            report.tile_rows_retiled,
+            report.tiles_retiled,
+            report.tiles_spliced
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!(f.snapshot().csr(), scratch.csr());
+}
+
+/// An append normalizes its own batch, however deep the log under it.
+#[test]
+fn an_append_normalizes_its_batch_not_the_log() {
+    let adj = bit_graphblas::datagen::generators::rmat(12, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+    let n = adj.nrows();
+    let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
+    let delta = |i: usize| EdgeDelta::insert(i * 7919 % n, (i * 104_729 + 3) % n);
+    m.apply_deltas(&(0..4096).map(delta).collect::<Vec<_>>())
+        .unwrap();
+    assert_eq!(m.entries_normalized(), 4096);
+    for batch in 0..64 {
+        let deltas: Vec<EdgeDelta> = (0..16).map(|i| delta(4096 + batch * 16 + i)).collect();
+        m.apply_deltas(&deltas).unwrap();
+    }
+    assert_eq!(m.entries_normalized(), 4096 + 1024);
+    assert_eq!(m.delta_len(), 4096 + 1024);
 }
 
 /// ROADMAP item 2(d) for overlay reads: the re-fold's exact work counter
@@ -318,9 +398,70 @@ proptest! {
                 "{:?}: SSSP stable",
                 backend
             );
-            // And the post-compaction head equals the scratch build.
+            // And the post-compaction head equals the scratch build — the
+            // tiles too, array for array.
             let folded = folded_csr(&base, &deltas);
-            prop_assert_eq!(m.snapshot().csr(), &folded, "{:?}: folded head", backend);
+            let compacted = m.snapshot();
+            prop_assert_eq!(compacted.csr(), &folded, "{:?}: folded head", backend);
+            prop_assert_eq!(compacted.b2sr(), Matrix::from_csr(&folded, backend).b2sr());
+
+            // The compacted base is pinned in turn; ten more appends and an
+            // incremental compaction (clean tile-rows copied out of this very
+            // base) later it still reads its own rows bit for bit, and so
+            // does the first pin.
+            let tiles = compacted.b2sr().cloned();
+            let levels_compacted = bfs(&compacted, 0).levels;
+            let n = base.nrows();
+            let more: Vec<EdgeDelta> = (0..10)
+                .map(|i| match (i * 7 % n, (i * 5 + 1) % n) {
+                    (r, c) if i % 3 == 0 => EdgeDelta::delete(r, c),
+                    (r, c) => EdgeDelta::insert(r, c),
+                })
+                .collect();
+            for d in &more {
+                m.apply_deltas(std::slice::from_ref(d)).unwrap();
+            }
+            let report = m.compact(m.context()).unwrap();
+            prop_assert!(report.tile_rows_retiled <= report.dirty_rows);
+            prop_assert_eq!(compacted.csr(), &folded);
+            prop_assert_eq!(compacted.b2sr(), tiles.as_ref());
+            prop_assert_eq!(&bfs(&compacted, 0).levels, &levels_compacted);
+            prop_assert_eq!(snap.epoch(), epoch);
+            prop_assert_eq!(&bfs(&snap, 0).levels, &levels);
+            let all: Vec<EdgeDelta> = deltas.iter().chain(&more).copied().collect();
+            let refolded = folded_csr(&base, &all);
+            let head = m.snapshot();
+            prop_assert_eq!(head.csr(), &refolded);
+            prop_assert_eq!(head.b2sr(), Matrix::from_csr(&refolded, backend).b2sr());
+            prop_assert_eq!(
+                report.tiles_retiled + report.tiles_spliced,
+                head.b2sr().map_or(0, B2srMatrix::n_tiles)
+            );
+        }
+    }
+
+    /// The staged view a head carries after every append of a randomly cut
+    /// log is the from-scratch normalization of the whole log so far, and
+    /// the normalizer has been shown each entry exactly once.
+    #[test]
+    fn staged_view_equals_a_whole_log_normalization_after_every_append(
+        (base, deltas) in graph_and_deltas(),
+        cuts in proptest::collection::vec(1usize..9, 40),
+    ) {
+        let m = Matrix::from_csr(&base, Backend::Bit(TileSize::S8));
+        let (mut seen, mut cuts) = (0usize, cuts.into_iter());
+        while seen < deltas.len() {
+            let batch = cuts.next().unwrap_or(1).min(deltas.len() - seen);
+            m.apply_deltas(&deltas[seen..seen + batch]).unwrap();
+            seen += batch;
+            let snap = m.snapshot();
+            let overlay = snap
+                .state()
+                .as_any()
+                .downcast_ref::<DeltaOverlay>()
+                .expect("a pending log reads through an overlay");
+            prop_assert_eq!(overlay.delta(), &DeltaSnapshot::build(&base, &deltas[..seen]));
+            prop_assert_eq!(m.entries_normalized(), seen as u64);
         }
     }
 

@@ -9,7 +9,7 @@ use bit_graphblas::core::kernels::{
     bmm_bin_bin_sum, bmv_bin_bin_bin, bmv_bin_bin_full, bmv_bin_full_full, pack_vector_tilewise,
     unpack_vector_bits,
 };
-use bit_graphblas::core::Semiring;
+use bit_graphblas::core::{DeltaSnapshot, Semiring};
 use bit_graphblas::prelude::*;
 use bit_graphblas::sparse::ops;
 
@@ -38,13 +38,53 @@ proptest! {
         prop_assert_eq!(&from_csr::<u32>(&csr, 32).to_csr(), &csr);
     }
 
-    /// Transposing twice is the identity, and the transpose matches CSR's.
+    /// Transposing twice is the identity, and the transpose matches CSR's —
+    /// at every width, the 8×8 `u64` swap and the bit loop alike.
     #[test]
     fn b2sr_transpose_involution(csr in matrix_strategy(100, 500)) {
-        let b = from_csr::<u16>(&csr, 16);
-        let t = b.transpose();
-        prop_assert_eq!(t.to_csr(), csr.transpose());
-        prop_assert_eq!(t.transpose().to_csr(), csr);
+        for ts in TileSize::ALL {
+            let b = B2srMatrix::from_csr(&csr, ts);
+            let t = b.transpose();
+            prop_assert_eq!(t.to_csr(), csr.transpose());
+            prop_assert_eq!(&t, &B2srMatrix::from_csr(&csr.transpose(), ts));
+            prop_assert_eq!(t.transpose(), b);
+        }
+    }
+
+    /// Re-tiling the dirty tile-rows of a mutated matrix and splicing the
+    /// clean ones equals converting the merged matrix from scratch, field
+    /// for field, at every width — for random logs (duplicates, phantom
+    /// deletes and self-loops included) over sizes on both sides of every
+    /// tile boundary.
+    #[test]
+    fn retile_rows_equals_a_full_conversion(
+        size in 0usize..6,
+        edges in proptest::collection::vec((0usize..200, 0usize..200), 0..500),
+        log in proptest::collection::vec((any::<bool>(), 0usize..200, 0usize..200), 0..60),
+    ) {
+        let n = [0usize, 1, 5, 63, 65, 200][size];
+        let mut coo = Coo::new(n, n);
+        for (r, c) in edges.into_iter().filter(|_| n > 0) {
+            coo.push_edge(r % n, c % n).expect("in bounds");
+        }
+        let base = coo.to_binary_csr();
+        let log: Vec<EdgeDelta> = log
+            .into_iter()
+            .filter(|_| n > 0)
+            .map(|(insert, r, c)| match insert {
+                true => EdgeDelta::insert(r % n, c % n),
+                false => EdgeDelta::delete(r % n, c % n),
+            })
+            .collect();
+        let delta = DeltaSnapshot::build(&base, &log);
+        let merged = delta.merge_csr(&base, false);
+        for ts in TileSize::ALL {
+            let old = B2srMatrix::from_csr(&base, ts);
+            let (retiled, counts) = B2srMatrix::retile(&merged, ts, Some((&old, delta.dirty_rows())));
+            prop_assert_eq!(&retiled, &B2srMatrix::from_csr(&merged, ts));
+            prop_assert!(counts.tile_rows_retiled <= delta.dirty_rows().len());
+            prop_assert_eq!(counts.tiles_retiled + counts.tiles_spliced, retiled.n_tiles());
+        }
     }
 
     /// The number of set bits always equals the CSR nnz, and the storage
