@@ -3,7 +3,7 @@
 //! The paper follows GraphBLAST's CC, which is based on FastSV (Zhang, Azad,
 //! Buluç): every vertex carries a parent pointer `f`, and each round
 //! 1. gathers the minimum parent of each vertex's neighbours with a tropical
-//!    min `mxv` (`bmv_bin_full_full()` with `Min` reduction on the bit
+//!    min `mxv` (the bin/full/full BMV with `Min` reduction on the bit
 //!    backend),
 //! 2. *hooks* the grandparent of each vertex onto that minimum
 //!    (`f[f[u]] = min(f[f[u]], mnp[u])`), also hooking the vertex itself, and

@@ -14,27 +14,22 @@
 //! On top of the single-query algorithms, the **batched multi-source
 //! family** serves many concurrent queries with one traversal each
 //! iteration: [`bfs_multi`] (k-source BFS over an `n × k` frontier matrix),
-//! [`sssp_multi`] (k-source shortest paths — landmark distance sketches),
-//! [`ppr_multi`] (k-seed personalized PageRank, the serving layer's
+//! [`sssp_multi`] (k-source shortest paths — landmark distance sketches)
+//! and [`ppr_multi`] (k-seed personalized PageRank, the serving layer's
 //! flagship query — fixed-iteration execution so coalesced lanes stay
-//! bit-identical to standalone runs), and Brandes-style
-//! [`betweenness_centrality`] whose forward and backward phases are both
-//! batched `mxm` sweeps.
+//! bit-identical to standalone runs).
 //!
 //! Each module also documents which BMV/BMM scheme and semiring the paper
 //! assigns to the algorithm (Table IV and §V).  The [`mod@reference`]
 //! module holds simple graph-traversal implementations (queue BFS,
-//! Bellman-Ford, union-find, wedge-checking TC, dense power iteration,
-//! two-phase Brandes) used by the test suite to validate both backends.
+//! Bellman-Ford, union-find, wedge-checking TC, dense power iteration)
+//! used by the test suite to validate both backends.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod dynamic;
-pub mod extras;
 pub mod pagerank;
 pub mod ppr;
 pub mod reference;
@@ -42,14 +37,11 @@ pub mod sssp;
 pub mod tc;
 mod validate;
 
-pub use bc::{betweenness_centrality, betweenness_centrality_dir, BcResult};
 pub use bfs::{
     bfs, bfs_dir, bfs_multi, bfs_multi_dir, try_bfs_dir, try_bfs_multi_dir, BfsResult,
     MultiBfsResult,
 };
 pub use cc::{connected_components, CcResult};
-pub use dynamic::DynamicCc;
-pub use extras::{diameter_estimate, eccentricity, maximal_independent_set, MisResult};
 pub use pagerank::{pagerank, PageRankConfig, PageRankResult};
 pub use ppr::{
     ppr, ppr_multi, ppr_multi_dir, try_ppr_multi_dir, MultiPprResult, PprConfig, PprResult,

@@ -4,7 +4,7 @@
 //! adjacency matrix.  Because the Bit-GraphBLAS matrix stays binary, the
 //! out-degree normalisation cannot be folded into the matrix values; the
 //! paper instead divides each vertex's rank by its out-degree before the
-//! `bmv_bin_full_full()` multiply, then adds the teleport term.
+//! bin/full/full BMV multiply, then adds the teleport term.
 //!
 //! Since PR 3 the whole iteration is **one fused expression**: the
 //! out-degree normalisation rides along as the product's input scaling, the

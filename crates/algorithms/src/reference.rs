@@ -195,54 +195,6 @@ pub fn ppr(adj: &Csr, seed: usize, alpha: f32, iterations: usize) -> Vec<f32> {
     rank
 }
 
-/// Brandes betweenness centrality from the given sources over unit edge
-/// weights (directed; BFS shortest paths, the textbook two-phase
-/// dependency accumulation).  With `sources = 0..n` this is exact
-/// betweenness; with a subset it is the sampled estimate the batched
-/// GraphBLAS implementation computes.
-pub fn betweenness(adj: &Csr, sources: &[usize]) -> Vec<f32> {
-    let n = adj.nrows();
-    let mut centrality = vec![0.0f32; n];
-    for &s in sources {
-        if s >= n {
-            continue;
-        }
-        // Forward phase: BFS order, predecessor-free path counting.
-        let mut sigma = vec![0.0f64; n];
-        let mut depth = vec![-1i64; n];
-        let mut order = Vec::with_capacity(n);
-        let mut queue = VecDeque::new();
-        sigma[s] = 1.0;
-        depth[s] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in adj.row(u).0 {
-                if depth[v] < 0 {
-                    depth[v] = depth[u] + 1;
-                    queue.push_back(v);
-                }
-                if depth[v] == depth[u] + 1 {
-                    sigma[v] += sigma[u];
-                }
-            }
-        }
-        // Backward phase: dependency accumulation in reverse BFS order.
-        let mut delta = vec![0.0f64; n];
-        for &u in order.iter().rev() {
-            for &v in adj.row(u).0 {
-                if depth[v] == depth[u] + 1 && sigma[v] > 0.0 {
-                    delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v]);
-                }
-            }
-            if u != s {
-                centrality[u] += delta[u] as f32;
-            }
-        }
-    }
-    centrality
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

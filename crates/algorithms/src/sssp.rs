@@ -1,7 +1,7 @@
 //! Single-Source Shortest Path over the tropical min-plus semiring (§V).
 //!
 //! The paper implements delta-stepping SSSP as in GraphBLAST, with
-//! `bmv_bin_full_full()` carrying the distance vector in full precision and
+//! the bin/full/full BMV carrying the distance vector in full precision and
 //! treating the adjacency matrix's zeros as `+∞` (unreachable).  The point
 //! of delta-stepping is that a round relaxes only the edges of vertices
 //! whose distance just dropped; on an unweighted (binary) graph every edge

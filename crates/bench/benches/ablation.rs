@@ -2,8 +2,8 @@
 //!
 //! 1. **Tile size** — the same BMV across all four B2SR variants (which tile
 //!    size wins depends on the matrix pattern, Figure 3/5).
-//! 2. **Binarized vs full-precision multiplier vector** — `bmv_bin_bin_full`
-//!    vs `bmv_bin_full_full` on the same matrix (Figure 6b vs 6c).
+//! 2. **Binarized vs full-precision multiplier vector** — the bin/bin/full
+//!    scheme vs the bin/full/full one on the same matrix (Figure 6b vs 6c).
 //! 3. **Mask fused in the kernel vs applied afterwards** — the BFS masking
 //!    choice of §V.
 //! 4. **Column-major vs row-major tile packing** of a dense tile.
@@ -14,8 +14,8 @@ use std::time::Duration;
 use bitgblas_bitops::pack::{pack_tile_colmajor, pack_tile_rowmajor};
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmv_bin_bin_bin, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full, bmv_bin_full_full,
-    pack_vector_bits, pack_vector_tilewise,
+    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full_masked,
+    bmv_bin_full_full_into, pack_vector_bits, pack_vector_tilewise_into,
 };
 use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
@@ -36,26 +36,29 @@ fn ablation_benches(c: &mut Criterion) {
     let b8 = from_csr::<u8>(&csr, 8);
     let b16 = from_csr::<u16>(&csr, 16);
     let b32 = from_csr::<u32>(&csr, 32);
+    // One output buffer, padded for the widest tile.
+    let mut y = vec![0.0f32; b32.n_tile_rows() * 32];
     group.bench_function(BenchmarkId::new("tile_size/bmv_full", "B2SR-4"), |b| {
-        b.iter(|| bmv_bin_full_full(&b4, &x, Semiring::Arithmetic));
+        b.iter(|| bmv_bin_full_full_into(&b4, &x, Semiring::Arithmetic, &mut y));
     });
     group.bench_function(BenchmarkId::new("tile_size/bmv_full", "B2SR-8"), |b| {
-        b.iter(|| bmv_bin_full_full(&b8, &x, Semiring::Arithmetic));
+        b.iter(|| bmv_bin_full_full_into(&b8, &x, Semiring::Arithmetic, &mut y));
     });
     group.bench_function(BenchmarkId::new("tile_size/bmv_full", "B2SR-16"), |b| {
-        b.iter(|| bmv_bin_full_full(&b16, &x, Semiring::Arithmetic));
+        b.iter(|| bmv_bin_full_full_into(&b16, &x, Semiring::Arithmetic, &mut y));
     });
     group.bench_function(BenchmarkId::new("tile_size/bmv_full", "B2SR-32"), |b| {
-        b.iter(|| bmv_bin_full_full(&b32, &x, Semiring::Arithmetic));
+        b.iter(|| bmv_bin_full_full_into(&b32, &x, Semiring::Arithmetic, &mut y));
     });
 
     // 2. Binarized vs full-precision multiplier vector.
-    let x8 = pack_vector_tilewise::<u8>(&x, 8);
-    group.bench_function("vector_precision/binarized_bmv_bin_bin_full", |b| {
-        b.iter(|| bmv_bin_bin_full(&b8, &x8));
+    let mut x8 = Vec::new();
+    pack_vector_tilewise_into(&x, 8, &mut x8);
+    group.bench_function("vector_precision/binarized_bin_bin_full", |b| {
+        b.iter(|| bmv_bin_bin_full_masked(&b8, &x8, None));
     });
-    group.bench_function("vector_precision/full_bmv_bin_full_full", |b| {
-        b.iter(|| bmv_bin_full_full(&b8, &x, Semiring::Arithmetic));
+    group.bench_function("vector_precision/full_bin_full_full", |b| {
+        b.iter(|| bmv_bin_full_full_into(&b8, &x, Semiring::Arithmetic, &mut y));
     });
 
     // 3. Mask fused in the kernel vs applied after the kernel.
@@ -70,7 +73,8 @@ fn ablation_benches(c: &mut Criterion) {
     });
     group.bench_function("masking/post_filter", |b| {
         b.iter(|| {
-            let mut y = bmv_bin_bin_bin(&b8, &x8);
+            let mut y = vec![0u8; b8.n_tile_rows()];
+            bmv_bin_bin_bin_into(&b8, &x8, &mut y);
             for (w, m) in y.iter_mut().zip(&mask8) {
                 *w &= !m;
             }

@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full,
-    bmv_bin_full_full, pack_vector_bits, pack_vector_tilewise,
+    bmv_bin_bin_bin_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full_masked,
+    bmv_bin_full_full_into, pack_vector_bits, pack_vector_tilewise_into,
 };
 use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
@@ -48,25 +48,33 @@ fn bmv_benches(c: &mut Criterion) {
 
         // B2SR-8 and B2SR-32 variants of the three BMV schemes.
         let b8 = from_csr::<u8>(&csr, 8);
-        let x8 = pack_vector_tilewise::<u8>(&x, 8);
         let b32 = from_csr::<u32>(&csr, 32);
-        let x32 = pack_vector_tilewise::<u32>(&x, 32);
+        let (mut x8, mut x32) = (Vec::new(), Vec::new());
+        pack_vector_tilewise_into(&x, 8, &mut x8);
+        pack_vector_tilewise_into(&x, 32, &mut x32);
+        let (mut y8, mut y32) = (vec![0u8; b8.n_tile_rows()], vec![0u32; b32.n_tile_rows()]);
+        // One full-precision output buffer, padded for the wider tile.
+        let mut yf = vec![0.0f32; b32.n_tile_rows() * 32];
 
-        group.bench_function(BenchmarkId::new("bmv_bin_bin_bin/B2SR-8", name), |b| {
-            b.iter(|| bmv_bin_bin_bin(&b8, &x8));
+        group.bench_function(BenchmarkId::new("bmv_bin_bin_bin_into/B2SR-8", name), |b| {
+            b.iter(|| bmv_bin_bin_bin_into(&b8, &x8, &mut y8))
         });
-        group.bench_function(BenchmarkId::new("bmv_bin_bin_bin/B2SR-32", name), |b| {
-            b.iter(|| bmv_bin_bin_bin(&b32, &x32));
-        });
-        group.bench_function(BenchmarkId::new("bmv_bin_bin_full/B2SR-8", name), |b| {
-            b.iter(|| bmv_bin_bin_full(&b8, &x8));
-        });
-        group.bench_function(BenchmarkId::new("bmv_bin_full_full/B2SR-8", name), |b| {
-            b.iter(|| bmv_bin_full_full(&b8, &x, Semiring::Arithmetic));
-        });
-        group.bench_function(BenchmarkId::new("bmv_bin_full_full/B2SR-32", name), |b| {
-            b.iter(|| bmv_bin_full_full(&b32, &x, Semiring::Arithmetic));
-        });
+        group.bench_function(
+            BenchmarkId::new("bmv_bin_bin_bin_into/B2SR-32", name),
+            |b| b.iter(|| bmv_bin_bin_bin_into(&b32, &x32, &mut y32)),
+        );
+        group.bench_function(
+            BenchmarkId::new("bmv_bin_bin_full_masked/B2SR-8", name),
+            |b| b.iter(|| bmv_bin_bin_full_masked(&b8, &x8, None)),
+        );
+        group.bench_function(
+            BenchmarkId::new("bmv_bin_full_full_into/B2SR-8", name),
+            |b| b.iter(|| bmv_bin_full_full_into(&b8, &x, Semiring::Arithmetic, &mut yf)),
+        );
+        group.bench_function(
+            BenchmarkId::new("bmv_bin_full_full_into/B2SR-32", name),
+            |b| b.iter(|| bmv_bin_full_full_into(&b32, &x, Semiring::Arithmetic, &mut yf)),
+        );
     }
     group.finish();
 }

@@ -19,7 +19,7 @@ use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::delta::EdgeDelta;
 use bitgblas_core::{Backend, Matrix, TileSize};
 use bitgblas_datagen::generators;
-use bitgblas_sparse::{Bsr, Csr};
+use bitgblas_sparse::Csr;
 
 /// The repo benchmark's two graphs (`benchmark/src/inputs.rs`, seed 5).
 fn benchmark_graphs() -> Vec<(&'static str, Csr)> {
@@ -68,14 +68,6 @@ fn conversion_benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("csr_to_b2sr32", name), &csr, |b, csr| {
             b.iter(|| from_csr::<u32>(csr, 32));
         });
-        // The float BSR conversion (the cusparseScsr2bsr analogue) for comparison.
-        group.bench_with_input(
-            BenchmarkId::new("csr_to_float_bsr8", name),
-            &csr,
-            |b, csr| {
-                b.iter(|| Bsr::from_csr(csr, 8));
-            },
-        );
         // Transpose cost of the already-converted matrix (the "simpler
         // transpose" merit claimed for the format).
         let b8 = from_csr::<u8>(&csr, 8);

@@ -10,7 +10,7 @@
 
 use bitgblas_bench::{load, table7_matrices, time_avg_ms};
 use bitgblas_core::b2sr::convert::from_csr_timed;
-use bitgblas_core::kernels::bmv_bin_full_full;
+use bitgblas_core::kernels::bmv_bin_full_full_into;
 use bitgblas_core::{Semiring, TileSize};
 use bitgblas_sparse::{ops, DenseVec};
 
@@ -41,7 +41,8 @@ fn main() {
         // pay for, given the per-iteration saving over the float baseline?
         let b8 = from_csr_timed::<u8>(&csr, 8).0;
         let base_ms = time_avg_ms(|| ops::spmv_parallel(&csr, &x_dense).unwrap());
-        let ours_ms = time_avg_ms(|| bmv_bin_full_full(&b8, &x, Semiring::Arithmetic));
+        let mut y = vec![0.0f32; b8.n_tile_rows() * 8];
+        let ours_ms = time_avg_ms(|| bmv_bin_full_full_into(&b8, &x, Semiring::Arithmetic, &mut y));
         let amortize = if base_ms > ours_ms {
             format!("{:.0}", times[1] / (base_ms - ours_ms))
         } else {

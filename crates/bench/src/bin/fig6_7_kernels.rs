@@ -19,7 +19,8 @@
 use bitgblas_bench::{device_from_args, geomean, load, time_avg_ms};
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmm_bin_bin_sum, bmv_bin_bin_bin, bmv_bin_bin_full, bmv_bin_full_full, pack_vector_tilewise,
+    bmm_bin_bin_sum, bmv_bin_bin_bin_into, bmv_bin_bin_full_masked, bmv_bin_full_full_into,
+    pack_vector_tilewise_into,
 };
 use bitgblas_core::{Semiring, TileSize};
 use bitgblas_datagen::corpus;
@@ -89,10 +90,14 @@ fn kernel_speedups(csr: &Csr) -> [[f64; 4]; 4] {
         macro_rules! with_variant {
             ($w:ty, $dim:expr) => {{
                 let b = from_csr::<$w>(csr, $dim);
-                let xp = pack_vector_tilewise::<$w>(&x, $dim);
-                let bbb = time_avg_ms(|| bmv_bin_bin_bin(&b, &xp));
-                let bbf = time_avg_ms(|| bmv_bin_bin_full(&b, &xp));
-                let bff = time_avg_ms(|| bmv_bin_full_full(&b, &x, Semiring::Arithmetic));
+                let mut xp: Vec<$w> = Vec::new();
+                pack_vector_tilewise_into(&x, $dim, &mut xp);
+                let mut yw = vec![0 as $w; b.n_tile_rows()];
+                let mut yf = vec![0.0f32; b.n_tile_rows() * $dim];
+                let bbb = time_avg_ms(|| bmv_bin_bin_bin_into(&b, &xp, &mut yw));
+                let bbf = time_avg_ms(|| bmv_bin_bin_full_masked(&b, &xp, None));
+                let bff =
+                    time_avg_ms(|| bmv_bin_full_full_into(&b, &x, Semiring::Arithmetic, &mut yf));
                 let bmm = time_avg_ms(|| bmm_bin_bin_sum(&b, &b));
                 [spmv_ms / bbb, spmv_ms / bbf, spmv_ms / bff, spgemm_ms / bmm]
             }};
@@ -114,9 +119,9 @@ fn main() {
     let device = device_from_args();
     let entries = corpus_entries();
     let schemes = [
-        "bmv_bin_bin_bin",
-        "bmv_bin_bin_full",
-        "bmv_bin_full_full",
+        "bmv bin/bin/bin",
+        "bmv bin/bin/full",
+        "bmv bin/full/full",
         "bmm_bin_bin_sum",
     ];
 

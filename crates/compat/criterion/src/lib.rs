@@ -6,6 +6,9 @@
 //! with a plain wall-clock measurement loop instead of criterion's
 //! statistical machinery.  Each benchmark prints one line:
 //! `group/function/parameter      median 1.234 ms  (n=10)`.
+//!
+//! As with criterion, `cargo bench --bench <file> -- <filter>` runs only the
+//! benchmarks whose rendered id contains `<filter>`.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -71,6 +74,8 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    /// Run only benchmarks whose rendered id contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -79,11 +84,19 @@ impl Default for Criterion {
             sample_size: 10,
             measurement_time: Duration::from_millis(500),
             warm_up_time: Duration::from_millis(100),
+            filter: None,
         }
     }
 }
 
 impl Criterion {
+    /// Take the name filter from the command line: the first free argument
+    /// (`cargo bench -- <filter>`), as criterion does.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        self
+    }
+
     /// Begin a named group of related benchmarks.
     pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -91,7 +104,7 @@ impl Criterion {
             sample_size: self.sample_size,
             measurement_time: self.measurement_time,
             warm_up_time: self.warm_up_time,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -99,6 +112,7 @@ impl Criterion {
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         run_one(
             name,
+            self.filter.as_deref(),
             self.sample_size,
             self.warm_up_time,
             self.measurement_time,
@@ -114,7 +128,7 @@ pub struct BenchmarkGroup<'a> {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -145,6 +159,7 @@ impl BenchmarkGroup<'_> {
         let label = id.into().render(&self.name);
         run_one(
             &label,
+            self.criterion.filter.as_deref(),
             self.sample_size,
             self.warm_up_time,
             self.measurement_time,
@@ -166,6 +181,7 @@ impl BenchmarkGroup<'_> {
         let label = id.into().render(&self.name);
         run_one(
             &label,
+            self.criterion.filter.as_deref(),
             self.sample_size,
             self.warm_up_time,
             self.measurement_time,
@@ -225,11 +241,15 @@ impl Bencher {
 
 fn run_one<F: FnMut(&mut Bencher)>(
     label: &str,
+    filter: Option<&str>,
     sample_size: usize,
     warm_up_time: Duration,
     measurement_time: Duration,
     f: &mut F,
 ) {
+    if filter.is_some_and(|wanted| !label.contains(wanted)) {
+        return;
+    }
     let mut bencher = Bencher {
         samples: Vec::new(),
         sample_size,
@@ -249,7 +269,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -287,6 +307,27 @@ mod tests {
         });
         group.finish();
         assert_eq!(ran, 1);
+    }
+
+    #[test]
+    fn a_name_filter_skips_the_benchmarks_it_does_not_match() {
+        let mut c = Criterion {
+            filter: Some("wanted/".into()),
+            ..Criterion::default()
+        };
+        let mut group = c.benchmark_group("smoke");
+        group
+            .sample_size(1)
+            .measurement_time(Duration::from_millis(1))
+            .warm_up_time(Duration::ZERO);
+        let mut ran = Vec::new();
+        for name in ["wanted", "other"] {
+            group.bench_function(BenchmarkId::new(name, "x"), |b| {
+                b.iter(|| 1 + 1);
+                ran.push(name);
+            });
+        }
+        assert_eq!(ran, ["wanted"]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!    the output array.
 //!
 //! No per-tile-row buffer, no sort, no search, no stitch copy.  An explicit
-//! zero discovers its tile (as `Bsr::from_csr` counts it) and sets no bit.
+//! zero discovers its tile (it is a stored entry) and sets no bit.
 //!
 //! [`from_csr`] runs the step on every tile-row.  [`B2sr::retile_rows`] runs
 //! it on the tile-rows that hold a changed row and copies every run of clean
@@ -451,14 +451,14 @@ mod tests {
     }
 
     #[test]
-    fn tile_structure_matches_bsr() {
-        // The upper level of B2SR must agree with the float BSR conversion.
+    fn tile_structure_matches_reference() {
+        // The upper level of B2SR is block-CSR over the non-empty tiles.
         let a = sample(96, 5);
         let b2 = from_csr::<u8>(&a, 8);
-        let bsr = bitgblas_sparse::Bsr::from_csr(&a, 8);
-        assert_eq!(b2.n_tiles(), bsr.n_blocks());
-        assert_eq!(b2.tile_rowptr(), bsr.block_rowptr());
-        assert_eq!(b2.tile_colind(), bsr.block_colind());
+        let want = reference::<u8>(&a, 8);
+        assert_eq!(b2.n_tiles(), want.n_tiles());
+        assert_eq!(b2.tile_rowptr(), want.tile_rowptr());
+        assert_eq!(b2.tile_colind(), want.tile_colind());
     }
 
     #[test]

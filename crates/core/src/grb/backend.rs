@@ -50,6 +50,7 @@ use crate::b2sr::convert::RetileCounts;
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::bmm::{fold_all_lanes, lanes_are_dense, ActiveLanes, LANE_BLOCK};
+use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
@@ -548,17 +549,15 @@ fn bit_pull<W: BitWord + Poolable>(
     // Boolean: binarize the operand and use the minimal-footprint
     // bin/bin/bin scheme; the collapsed epilogue (if any) runs over the
     // expansion.  Scalar vs SWAR sweep is the workspace policy's decision
-    // (forced, env-seeded, or the calibrated Auto mask); the two are
+    // (forced, env-seeded, or the constant Auto mask); the two are
     // word-identical — tests/simd_parity.rs.
     let mut xp: Vec<W> = ws.take_empty();
     pack_vector_tilewise_into(p.x, dim, &mut xp);
     // The kernel takes the mask as packed suppressed-row words.
     let mp = p.mask.map(|mk| {
-        let mut sup: Vec<bool> = ws.take_empty();
-        mk.suppressed_into(&mut sup);
         let mut mp: Vec<W> = ws.take_empty();
-        pack_vector_bits_into(&sup, dim, &mut mp);
-        ws.give(sup);
+        let complemented = mk.is_complemented();
+        pack_segments_into(mk.structure(), dim, &mut mp, |&set| set == complemented);
         mp
     });
     let mut yw: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);

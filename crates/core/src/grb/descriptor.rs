@@ -68,14 +68,6 @@ impl Mask {
         let set = self.structure.get(i).copied().unwrap_or(false);
         set != self.complement
     }
-
-    /// The "filter out" view used by the Boolean bit kernels — `true` where
-    /// the output must be suppressed — written into a caller-supplied
-    /// (typically workspace-pooled) buffer.
-    pub fn suppressed_into(&self, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend((0..self.structure.len()).map(|i| !self.allows(i)));
-    }
 }
 
 /// Operation descriptor: the handful of GraphBLAS descriptor switches the
@@ -120,9 +112,6 @@ mod tests {
         assert!(!m.allows(1));
         assert!(m.allows(2));
         assert!(!m.allows(7), "out of range defaults to not allowed");
-        let mut sup = Vec::new();
-        m.suppressed_into(&mut sup);
-        assert_eq!(sup, vec![false, true, false]);
         assert!(!m.is_complemented());
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
@@ -138,9 +127,6 @@ mod tests {
             m.allows(9),
             "out of range counts as unset, which a complemented mask allows"
         );
-        let mut sup = Vec::new();
-        m.suppressed_into(&mut sup);
-        assert_eq!(sup, vec![true, false, true]);
         assert!(m.is_complemented());
     }
 
@@ -158,8 +144,5 @@ mod tests {
         assert!(m.allows(1));
         m.set(1, true);
         assert!(!m.allows(1));
-        let mut buf = vec![true; 8];
-        m.suppressed_into(&mut buf);
-        assert_eq!(buf, vec![false, true]);
     }
 }

@@ -84,9 +84,7 @@ pub fn scatter_penalty(device: &DeviceProfile) -> f64 {
 /// late to matter and too often to be cheap.  With the sharded engine both
 /// sides scale, the ratio is 1 and α returns to the base penalty.
 ///
-/// α is [`scatter_penalty`] of the device profile until
-/// [`Context::calibrate`](super::Context::calibrate) replaces it with the
-/// host's *measured* random-vs-sequential bandwidth ratio (PR 9).
+/// α is [`scatter_penalty`] of the context's device profile.
 pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_threads: usize) -> f64 {
     let ratio = (pull_threads.max(1) as f64 / push_threads.max(1) as f64).max(1.0);
     (alpha * ratio).clamp(4.0, 256.0)
@@ -95,7 +93,7 @@ pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_thre
 /// Resolve [`Direction::Auto`] for one operation: a frontier priced at
 /// `frontier_nnz` (active nodes of a vector; per product kind below) of an
 /// `n`-node operand against a matrix with `nnz` edges, at base scatter
-/// penalty `alpha` (the context's calibrated profile).
+/// penalty `alpha` ([`scatter_penalty`] of the context's device).
 ///
 /// Returns [`Direction::Pull`] for semirings where identity-valued entries
 /// still contribute (see [`Semiring::push_safe`]); otherwise compares the

@@ -60,8 +60,8 @@
 //! `Context::{evaluate, recycle}` are generic in the [`Operand`] shape, so
 //! batched chains take flat per-lane masks, stages, accumulators and
 //! [`Direction::Auto`] (priced per product kind, see [`choose_direction`])
-//! through the same code as `mxv` chains; `sssp_multi` and batched
-//! betweenness centrality in `bitgblas-algorithms` ride on it.  A Boolean
+//! through the same code as `mxv` chains; `sssp_multi` and `ppr_multi` in
+//! `bitgblas-algorithms` ride on it.  A Boolean
 //! batch does not have to come back to `f32` between operations at all:
 //! [`LaneBits`] holds the `n × k` lanes as words and [`Op::mxm_lanes`] is the
 //! product `next = (A ⊕.⊗ frontier) & !excluded` over them — what

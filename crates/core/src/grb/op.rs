@@ -51,7 +51,6 @@
 
 use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
 
-use crate::calibrate::{CalibratedProfile, CalibrationSamples};
 use crate::faultinject::FaultInjector;
 use crate::kernels::simd::SimdPolicy;
 use crate::semiring::{BinaryOp, Semiring};
@@ -92,45 +91,35 @@ pub struct Context {
     /// polls the `grb.mxv_dispatch` / `grb.mxm_dispatch` fail points before
     /// each product.  Interior-mutable so tests can arm a shared context.
     fault: std::sync::Mutex<Option<std::sync::Arc<crate::faultinject::FaultInjector>>>,
-    /// The empirical device model (PR 9): defaults to the static constants
-    /// derived from `device`, replaced by [`Context::calibrate`].
-    /// Interior-mutable like the fault injector slot.
-    profile: std::sync::Mutex<CalibratedProfile>,
 }
 
 impl Default for Context {
     fn default() -> Self {
-        let device = pascal_gtx1080();
-        let profile = CalibratedProfile::from_device(&device);
         Context {
-            device,
+            device: pascal_gtx1080(),
             sample_rows: 256,
             seed: 0xB17,
             workspace: Workspace::new(),
             fault: std::sync::Mutex::new(None),
-            profile: std::sync::Mutex::new(profile),
         }
     }
 }
 
 impl Clone for Context {
     /// Clones carry the configuration only — including the push-engine
-    /// thread budget, the SIMD policy, the calibrated profile and any
-    /// installed fault injector: the workspace is per-context scratch
-    /// state, so each clone starts with an empty pool and zeroed counters.
+    /// thread budget, the SIMD policy and any installed fault injector: the
+    /// workspace is per-context scratch state, so each clone starts with an
+    /// empty pool and zeroed counters.
     fn clone(&self) -> Self {
         let workspace = Workspace::new();
         workspace.set_push_threads(self.threads());
         workspace.set_simd_policy(self.simd_policy());
-        let profile = self.profile();
-        workspace.set_simd_auto(profile.simd_lane_mask);
         Context {
             device: self.device.clone(),
             sample_rows: self.sample_rows,
             seed: self.seed,
             workspace,
             fault: std::sync::Mutex::new(self.fault_injector()),
-            profile: std::sync::Mutex::new(profile),
         }
     }
 }
@@ -141,13 +130,11 @@ impl Context {
         Self::default()
     }
 
-    /// A context modelling the given device.  The calibrated profile starts
-    /// as that device's static constants (until [`Context::calibrate`]).
+    /// A context modelling the given device: its constants price
+    /// [`Direction::Auto`]'s scattered writes and size the shard plans.
     pub fn with_device(device: DeviceProfile) -> Self {
-        let profile = CalibratedProfile::from_device(&device);
         Context {
             device,
-            profile: std::sync::Mutex::new(profile),
             ..Self::default()
         }
     }
@@ -213,13 +200,9 @@ impl Context {
 
     /// The shard-planning parameters matrices built with this context hand
     /// to their backends ([`GrbBackend::replan_shards`](super::GrbBackend::replan_shards)):
-    /// the thread budget plus the calibrated profile's cache size (the
-    /// device profile's L2 until [`Context::calibrate`] measures the host).
+    /// the thread budget plus the device profile's L2 size.
     pub fn shard_config(&self) -> ShardConfig {
-        ShardConfig {
-            threads: self.threads().max(1),
-            cache_bytes: self.profile().l2_bytes,
-        }
+        ShardConfig::from_device(&self.device, self.threads())
     }
 
     /// The current scalar/vector kernel selection policy (see
@@ -236,53 +219,6 @@ impl Context {
     /// which code executes, never what it computes.
     pub fn set_simd_policy(&self, policy: SimdPolicy) {
         self.workspace.set_simd_policy(policy);
-    }
-
-    /// The current empirical device model: the static device-derived
-    /// constants until [`Context::calibrate`] (or
-    /// [`Context::set_profile`]) replaces them.
-    pub fn profile(&self) -> CalibratedProfile {
-        *self.profile.lock().expect("calibration slot poisoned")
-    }
-
-    /// Install a calibrated profile: future direction decisions price
-    /// scattered writes at its `scatter_alpha`, shard plans size against its
-    /// `l2_bytes`, and [`SimdPolicy::Auto`] consults its lane mask.
-    pub fn set_profile(&self, profile: CalibratedProfile) {
-        *self.profile.lock().expect("calibration slot poisoned") = profile;
-        self.workspace.set_simd_auto(profile.simd_lane_mask);
-    }
-
-    /// Micro-bench the executing host and install the distilled profile
-    /// (see [`crate::calibrate`]).  Takes a few milliseconds; degenerate
-    /// timings (e.g. a zero-resolution clock) fall back to the static
-    /// device constants, so calibration can only refine the model.  Returns
-    /// the installed profile.
-    ///
-    /// ```
-    /// use bitgblas_core::grb::Context;
-    ///
-    /// let ctx = Context::default();
-    /// let profile = ctx.calibrate();
-    /// // Whatever the host measured, the model stays in its sane ranges…
-    /// assert!((4.0..=32.0).contains(&profile.scatter_alpha));
-    /// assert!(profile.l2_bytes > 0);
-    /// // …and the planner now consumes the measured numbers.
-    /// assert_eq!(ctx.profile(), profile);
-    /// assert_eq!(ctx.shard_config().cache_bytes, profile.l2_bytes);
-    /// ```
-    pub fn calibrate(&self) -> CalibratedProfile {
-        self.calibrate_from(&CalibrationSamples::measure())
-    }
-
-    /// The deterministic half of [`Context::calibrate`]: distill
-    /// already-collected measurement `samples` into a profile and install
-    /// it.  Pure given the samples — the hook tests use to pin the
-    /// measurement side.
-    pub fn calibrate_from(&self, samples: &CalibrationSamples) -> CalibratedProfile {
-        let profile = CalibratedProfile::from_samples(samples, &self.device);
-        self.set_profile(profile);
-        profile
     }
 
     /// The buffer pool operations executed against this context draw from.
@@ -1455,6 +1391,29 @@ mod tests {
         let clone = ctx.clone();
         assert_eq!(clone.stats(), crate::grb::ExecCounts::default());
         assert_eq!(clone.device, ctx.device);
+    }
+
+    /// What the planner prices with is a constant of the context's device —
+    /// two contexts on one input always plan alike.
+    #[test]
+    fn contexts_plan_on_the_device_constants() {
+        for ctx in [
+            Context::default(),
+            Context::with_device(bitgblas_perfmodel::volta_titanv()),
+        ] {
+            assert_eq!(
+                ctx.shard_config(),
+                ShardConfig::from_device(&ctx.device, ctx.threads())
+            );
+            ctx.set_simd_policy(SimdPolicy::Auto);
+            let ws = ctx.workspace();
+            assert!(ws.simd_enabled(4) && ws.simd_enabled(8) && ws.simd_enabled(16));
+            assert!(!ws.simd_enabled(32), "S32 is below the SWAR crossover");
+        }
+        assert_eq!(
+            crate::grb::scatter_penalty(&Context::default().device),
+            16.0
+        );
     }
 
     // -- lazy-chain tests (PR 3) --------------------------------------------

@@ -35,7 +35,7 @@
 //! A batched (`mxm`) **pull** is always the bare product — one batched
 //! sweep, mask applied by the kernel — followed by **one** collapsed
 //! epilogue pass over the flat `n × k` output: the batched sweeps do not
-//! finish in their store (folding the epilogue into them is ROADMAP item 5).
+//! finish in their store (folding the epilogue into them is ROADMAP item 6).
 //! A batched **push** takes the chain in the one case a scatter can finish
 //! it — the monoid accumulator, seeded exactly as for a single vector (the
 //! `sssp_multi` round: no fill-identity pass and no separate `n · k`
@@ -71,7 +71,7 @@ use crate::semiring::{BinaryOp, Semiring};
 
 use super::backend::{BitB2sr, FloatCsr, GrbBackend};
 use super::descriptor::{Descriptor, Mask};
-use super::direction::{scan_and_choose, scan_and_choose_lanes, Direction};
+use super::direction::{scan_and_choose, scan_and_choose_lanes, scatter_penalty, Direction};
 use super::error::GrbError;
 use super::expr::shape::{FrontierSize, Shape};
 use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
@@ -490,9 +490,8 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     // push on an unsafe semiring is coerced back to pull.  The threshold is
     // parallelism-aware (PR 5): the push side is priced at the context's
     // scatter thread budget, the pull side at the host parallelism its
-    // rayon sweeps fan out to.  The base scatter penalty comes from the
-    // context's calibrated profile (PR 9) — the static device constant
-    // until `Context::calibrate` measures the host.
+    // rayon sweeps fan out to.  The base scatter penalty is the context's
+    // device constant (`scatter_penalty`).
     let requested = if semiring.push_safe() {
         desc.direction
     } else {
@@ -508,7 +507,7 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             semiring,
             scatter_is_lane_sparse(state),
             a.nnz(),
-            ctx.profile().scatter_alpha,
+            scatter_penalty(&ctx.device),
             effective_push_threads(state, !transpose, ctx),
             crate::shard::machine_parallelism(),
             list,
@@ -622,7 +621,7 @@ pub(crate) fn execute_lane_product(
         scan_and_choose_lanes(
             x,
             a.nnz(),
-            ctx.profile().scatter_alpha,
+            scatter_penalty(&ctx.device),
             effective_push_threads(state, !transpose, ctx),
             crate::shard::machine_parallelism(),
             list,

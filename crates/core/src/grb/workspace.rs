@@ -129,10 +129,6 @@ pub struct Workspace {
     /// The scalar/vector selection policy, stored as the [`SimdPolicy`]
     /// discriminant (0 = auto, 1 = force-scalar, 2 = force-vector).
     simd_mode: AtomicU8,
-    /// Under [`SimdPolicy::Auto`], which tile widths take the vector path:
-    /// bit `i` enables dim `4 << i` (see [`lane_mask_bit`]).  Seeded from
-    /// [`DEFAULT_LANE_MASK`] and overwritten by calibration.
-    simd_auto: AtomicU8,
     stats: ExecStats,
 }
 
@@ -158,7 +154,6 @@ impl Workspace {
                 .collect(),
             push_threads: AtomicUsize::new(machine_parallelism()),
             simd_mode: AtomicU8::new(policy as u8),
-            simd_auto: AtomicU8::new(DEFAULT_LANE_MASK),
             stats: ExecStats::default(),
         }
     }
@@ -203,26 +198,15 @@ impl Workspace {
         self.simd_mode.store(policy as u8, Ordering::Relaxed);
     }
 
-    /// The [`SimdPolicy::Auto`] per-tile-size profitability mask (bit `i`
-    /// enables the vector path for tiles of dimension `4 << i`).
-    pub fn simd_auto_mask(&self) -> u8 {
-        self.simd_auto.load(Ordering::Relaxed)
-    }
-
-    /// Replace the auto-mode profitability mask — calibration's hook.
-    pub fn set_simd_auto(&self, mask: u8) {
-        self.simd_auto.store(mask, Ordering::Relaxed);
-    }
-
     /// Whether the single-vector Boolean pull sweep over tiles of dimension
     /// `tile_dim` — the one kernel with a SWAR form — should take it right
     /// now: the forced policies answer directly, and [`SimdPolicy::Auto`]
-    /// consults the per-tile-size mask.
+    /// consults the constant per-tile-size mask ([`DEFAULT_LANE_MASK`]).
     pub fn simd_enabled(&self, tile_dim: usize) -> bool {
         match self.simd_policy() {
             SimdPolicy::ForceScalar => false,
             SimdPolicy::ForceVector => true,
-            SimdPolicy::Auto => self.simd_auto_mask() & lane_mask_bit(tile_dim) != 0,
+            SimdPolicy::Auto => DEFAULT_LANE_MASK & lane_mask_bit(tile_dim) != 0,
         }
     }
 
@@ -631,7 +615,6 @@ mod tests {
         // Fresh workspaces default to Auto with the static mask (unless the
         // env var is set, which the test environment does not do globally).
         ws.set_simd_policy(SimdPolicy::Auto);
-        ws.set_simd_auto(DEFAULT_LANE_MASK);
         assert_eq!(ws.simd_policy(), SimdPolicy::Auto);
         assert!(ws.simd_enabled(4));
         assert!(ws.simd_enabled(8));
@@ -642,11 +625,6 @@ mod tests {
         assert!(!ws.simd_enabled(8));
         ws.set_simd_policy(SimdPolicy::ForceVector);
         assert!(ws.simd_enabled(32), "forcing overrides the mask");
-        ws.set_simd_policy(SimdPolicy::Auto);
-        ws.set_simd_auto(0b1000);
-        assert!(!ws.simd_enabled(8));
-        assert!(ws.simd_enabled(32));
-        assert_eq!(ws.simd_auto_mask(), 0b1000);
     }
 
     #[test]

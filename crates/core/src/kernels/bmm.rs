@@ -1003,7 +1003,8 @@ mod tests {
 
     // -- matrix × multivector kernels ---------------------------------------
 
-    use crate::kernels::bmv::{bmv_bin_full_full, bmv_push_bin_full, pack_vector_bits};
+    use crate::kernels::bmv::tests::pull_full;
+    use crate::kernels::bmv::{bmv_push_bin_full, pack_vector_bits};
 
     /// A deterministic n × k operand with a mix of active and identity lanes.
     fn sample_multi(n: usize, k: usize, semiring: Semiring) -> Vec<f32> {
@@ -1064,7 +1065,7 @@ mod tests {
 
     /// One `(matrix, operand)` pull case: the batched kernel, with and
     /// without the active-skip words, against per-lane single-vector sweeps
-    /// (`bmv_bin_full_full`, which `kernels::bmv`'s tests pin to the per-bit
+    /// (`bmv_bin_full_full_into`, which `kernels::bmv`'s tests pin to the per-bit
     /// definition).
     fn check_pull_against_per_lane<W: BitWord>(
         a: &Csr,
@@ -1086,7 +1087,7 @@ mod tests {
             let mut y = vec![42.0f32; b.n_tile_rows() * dim * k];
             bmm_bin_full_into(&b, x, k, semiring, xa_opt, &mut y);
             for l in 0..k {
-                let want = bmv_bin_full_full(&b, &lane_of(x, k, l), semiring);
+                let want = pull_full(&b, &lane_of(x, k, l), semiring);
                 for (i, &w) in want.iter().enumerate() {
                     assert_same_bits(
                         y[i * k + l],
@@ -1453,7 +1454,7 @@ mod tests {
         let b = from_csr::<u16>(&a, 16);
         let mut y = vec![0.0f32; b.n_tile_rows() * 16];
         bmm_bin_full_into(&b, &x, 1, Semiring::Arithmetic, None, &mut y);
-        let want = bmv_bin_full_full(&b, &x, Semiring::Arithmetic);
+        let want = pull_full(&b, &x, Semiring::Arithmetic);
         assert_eq!(&y[..39], &want[..]);
     }
 }

@@ -3,7 +3,7 @@
 //! The adjacency matrix is in B2SR; the vector comes in one of two layouts:
 //!
 //! * **binarized** (`bin` input): packed one tile-segment per word, produced
-//!   by [`pack_vector_bits`] / [`pack_vector_tilewise`] — word `t` holds the
+//!   by [`pack_vector_bits`] / [`pack_vector_tilewise_into`] — word `t` holds the
 //!   `tile_dim` vector entries of tile-column `t` in its low bits;
 //! * **full-precision** (`full` input): a plain `f32` slice.
 //!
@@ -20,7 +20,7 @@
 //!   workspace pool can recycle them across iterations.  Each scheme and
 //!   its masked twin are one generic body whose store-side mask hook the
 //!   compiler specialises (a no-op when unmasked): the `_masked` name
-//!   takes `Option<mask>`, the un-suffixed name is the `None` shorthand.
+//!   takes `Option<mask>`.
 //! * **push** (`bmv_push_*`) — sparse-frontier scatter: only the tiles of
 //!   the frontier's tile-rows are visited and their row words scattered into
 //!   the output, so the cost is proportional to the frontier's edge count.
@@ -54,22 +54,14 @@ pub fn pack_vector_bits_into<W: BitWord>(v: &[bool], tile_dim: usize, words: &mu
 
 /// Pack a dense `f32` vector into tile-granular words (bit set where the
 /// entry is nonzero) — the "binarize the multiplier vector" step of the
-/// paper's BMV schemes.
-pub fn pack_vector_tilewise<W: BitWord>(v: &[f32], tile_dim: usize) -> Vec<W> {
-    let mut words = Vec::new();
-    pack_vector_tilewise_into(v, tile_dim, &mut words);
-    words
-}
-
-/// As [`pack_vector_tilewise`], writing into a caller-supplied buffer
-/// (resized to the word count) instead of allocating.  Branch-free like
-/// [`pack_vector_bits_into`].
+/// paper's BMV schemes — into a caller-supplied buffer (resized to the word
+/// count).  Branch-free like [`pack_vector_bits_into`].
 pub fn pack_vector_tilewise_into<W: BitWord>(v: &[f32], tile_dim: usize, words: &mut Vec<W>) {
     pack_segments_into(v, tile_dim, words, |&x| x != 0.0);
 }
 
 /// The one packer body: word `t` collects `set(entry)` of tile-segment `t`.
-fn pack_segments_into<T, W: BitWord>(
+pub(crate) fn pack_segments_into<T, W: BitWord>(
     v: &[T],
     tile_dim: usize,
     words: &mut Vec<W>,
@@ -86,35 +78,18 @@ fn pack_segments_into<T, W: BitWord>(
     }));
 }
 
-/// Unpack tile-granular words back into `len` booleans.
-pub fn unpack_vector_bits<W: BitWord>(words: &[W], tile_dim: usize, len: usize) -> Vec<bool> {
-    (0..len)
-        .map(|i| {
-            let w = i / tile_dim;
-            w < words.len() && words[w].bit((i % tile_dim) as u32)
-        })
-        .collect()
-}
-
-/// `bmv_bin_bin_bin()`: binarized matrix × binarized vector → binarized
+/// The bin/bin/bin scheme: binarized matrix × binarized vector → binarized
 /// vector, over the Boolean semiring.
 ///
-/// `x` must hold one word per tile-column ([`pack_vector_bits`]); the result
-/// holds one word per tile-row, bit `r` set iff output row `tr*dim + r` is
-/// reachable.  This is the minimal-footprint scheme used by BFS.
-pub fn bmv_bin_bin_bin<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<W> {
-    let mut y = vec![W::ZERO; a.n_tile_rows()];
-    bmv_bin_bin_bin_into(a, x, &mut y);
-    y
-}
-
-/// As [`bmv_bin_bin_bin`], writing into a caller-supplied slice of
-/// `n_tile_rows` words (every word is overwritten).
+/// `x` must hold one word per tile-column ([`pack_vector_bits`]); `y` is a
+/// caller-supplied slice of `n_tile_rows` words (every word is overwritten),
+/// bit `r` of word `tr` set iff output row `tr*dim + r` is reachable.  This
+/// is the minimal-footprint scheme used by BFS.
 pub fn bmv_bin_bin_bin_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
     bin_bin_bin_sweep(a, x, y, |_| !W::ZERO);
 }
 
-/// `bmv_bin_bin_bin_masked()`: as [`bmv_bin_bin_bin_into`] but with the
+/// As [`bmv_bin_bin_bin_into`] but with the
 /// output ANDed against the *negation* of `mask` right before the store —
 /// the visited-vertex filter of BFS (§V).  `mask` is packed per tile-row
 /// like the output; `None` is the unmasked scheme.
@@ -168,17 +143,12 @@ fn bin_bin_bin_sweep<W: BitWord>(
     });
 }
 
-/// `bmv_bin_bin_full()`: binarized matrix × binarized vector → full-precision
-/// vector.  Output row `i` counts how many active columns row `i` reaches
-/// (`__popc(A & b)` accumulated per tile), i.e. the arithmetic semiring over
-/// binary operands.
-pub fn bmv_bin_bin_full<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<f32> {
-    bmv_bin_bin_full_masked(a, x, None)
-}
-
-/// `bmv_bin_bin_full_masked()`: as [`bmv_bin_bin_full`] but output rows whose
-/// mask bit is set are forced to `0.0` (bit `r` of `mask[tr]` covers row
-/// `tr*dim + r`); `None` is the unmasked scheme.
+/// The bin/bin/full scheme: binarized matrix × binarized vector →
+/// full-precision vector.  Output row `i` counts how many active columns row
+/// `i` reaches (`__popc(A & b)` accumulated per tile), i.e. the arithmetic
+/// semiring over binary operands.  Output rows whose mask bit is set are
+/// forced to `0.0` (bit `r` of `mask[tr]` covers row `tr*dim + r`); `None` is
+/// the unmasked scheme.
 pub fn bmv_bin_bin_full_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: Option<&[W]>) -> Vec<f32> {
     debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
     debug_assert!(
@@ -209,7 +179,7 @@ pub fn bmv_bin_bin_full_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: Option<&[
     y
 }
 
-/// `bmv_bin_full_full()`: binarized matrix × full-precision vector →
+/// The bin/full/full scheme: binarized matrix × full-precision vector →
 /// full-precision vector, generic over the semiring (Table IV).
 ///
 /// * `Arithmetic` — `y[i] = Σ_{j : A[i][j]=1} x[j]` (PageRank, with the
@@ -218,15 +188,9 @@ pub fn bmv_bin_bin_full_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: Option<&[
 ///   as `+∞` exactly as the paper's SSSP relaxation treats the 0s of the
 ///   adjacency matrix;
 /// * `Boolean` / `MaxTimes` analogous.
-pub fn bmv_bin_full_full<W: BitWord>(a: &B2sr<W>, x: &[f32], semiring: Semiring) -> Vec<f32> {
-    let mut y = vec![semiring.identity(); a.n_tile_rows() * a.tile_dim()];
-    bmv_bin_full_full_into(a, x, semiring, &mut y);
-    y.truncate(a.nrows());
-    y
-}
-
-/// As [`bmv_bin_full_full`], writing into a caller-supplied slice of padded
-/// length `n_tile_rows * tile_dim` (every entry is overwritten; the caller
+///
+/// Writes into a caller-supplied slice of padded length
+/// `n_tile_rows * tile_dim` (every entry is overwritten; the caller
 /// truncates to `nrows`) — the identity-finish shorthand of
 /// [`bmv_bin_full_full_fused_into`].
 pub fn bmv_bin_full_full_into<W: BitWord>(
@@ -512,7 +476,7 @@ pub fn bmv_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use crate::grb::{Mask, MxvPipeline};
@@ -558,6 +522,32 @@ mod tests {
         }
     }
 
+    // Allocating test forms of the packer and the two `_into` sweeps.
+    fn packed<W: BitWord>(x: &[f32], dim: usize) -> Vec<W> {
+        let mut words = Vec::new();
+        pack_vector_tilewise_into(x, dim, &mut words);
+        words
+    }
+
+    fn unpacked<W: BitWord>(words: &[W], dim: usize, len: usize) -> Vec<bool> {
+        (0..len)
+            .map(|i| words[i / dim].bit((i % dim) as u32))
+            .collect()
+    }
+
+    fn pull_bits<W: BitWord>(a: &B2sr<W>, x: &[W]) -> Vec<W> {
+        let mut y = vec![W::ZERO; a.n_tile_rows()];
+        bmv_bin_bin_bin_into(a, x, &mut y);
+        y
+    }
+
+    pub(crate) fn pull_full<W: BitWord>(a: &B2sr<W>, x: &[f32], semiring: Semiring) -> Vec<f32> {
+        let mut y = vec![semiring.identity(); a.n_tile_rows() * a.tile_dim()];
+        bmv_bin_full_full_into(a, x, semiring, &mut y);
+        y.truncate(a.nrows());
+        y
+    }
+
     fn sample_x(n: usize) -> Vec<f32> {
         (0..n)
             .map(|i| {
@@ -585,9 +575,9 @@ mod tests {
         macro_rules! check {
             ($w:ty, $dim:expr) => {{
                 let b = from_csr::<$w>(&a, $dim);
-                let xp = pack_vector_tilewise::<$w>(&x, $dim);
-                let y = bmv_bin_bin_bin(&b, &xp);
-                let yb = unpack_vector_bits(&y, $dim, a.nrows());
+                let xp = packed::<$w>(&x, $dim);
+                let y = pull_bits(&b, &xp);
+                let yb = unpacked(&y, $dim, a.nrows());
                 assert_eq!(yb, expected, "dim {}", $dim);
             }};
         }
@@ -606,12 +596,16 @@ mod tests {
             .collect();
         for dim in [4usize, 8] {
             let b = from_csr::<u8>(&a, dim);
-            let xp = pack_vector_tilewise::<u8>(&x, dim);
-            assert_eq!(bmv_bin_bin_full(&b, &xp), expected, "dim {dim}");
+            let xp = packed::<u8>(&x, dim);
+            assert_eq!(
+                bmv_bin_bin_full_masked(&b, &xp, None),
+                expected,
+                "dim {dim}"
+            );
         }
         let b = from_csr::<u32>(&a, 32);
-        let xp = pack_vector_tilewise::<u32>(&x, 32);
-        assert_eq!(bmv_bin_bin_full(&b, &xp), expected);
+        let xp = packed::<u32>(&x, 32);
+        assert_eq!(bmv_bin_bin_full_masked(&b, &xp, None), expected);
     }
 
     #[test]
@@ -621,7 +615,7 @@ mod tests {
         let reference = ops::spmv(&a, &DenseVec::from_vec(x.clone())).unwrap();
         for dim in [4usize, 8] {
             let b = from_csr::<u8>(&a, dim);
-            let y = bmv_bin_full_full(&b, &x, Semiring::Arithmetic);
+            let y = pull_full(&b, &x, Semiring::Arithmetic);
             for (i, (&got, &want)) in y.iter().zip(reference.as_slice()).enumerate() {
                 assert!(
                     (got - want).abs() < 1e-4,
@@ -630,7 +624,7 @@ mod tests {
             }
         }
         let b = from_csr::<u16>(&a, 16);
-        let y = bmv_bin_full_full(&b, &x, Semiring::Arithmetic);
+        let y = pull_full(&b, &x, Semiring::Arithmetic);
         for (&got, &want) in y.iter().zip(reference.as_slice()) {
             assert!((got - want).abs() < 1e-4);
         }
@@ -650,7 +644,7 @@ mod tests {
         )
         .unwrap();
         let b = from_csr::<u32>(&a, 32);
-        let y = bmv_bin_full_full(&b, &x, Semiring::MinPlus(1.0));
+        let y = pull_full(&b, &x, Semiring::MinPlus(1.0));
         assert_eq!(
             y,
             reference.as_slice(),
@@ -663,7 +657,7 @@ mod tests {
         let a = sample(48, 13);
         let x: Vec<f32> = (0..48).map(|i| (i % 5) as f32).collect();
         let b = from_csr::<u8>(&a, 8);
-        let ymax = bmv_bin_full_full(&b, &x, Semiring::MaxTimes(1.0));
+        let ymax = pull_full(&b, &x, Semiring::MaxTimes(1.0));
         let reference = ops::spmv_semiring(
             &a,
             &DenseVec::from_vec(x.clone()),
@@ -672,7 +666,7 @@ mod tests {
         .unwrap();
         assert_eq!(ymax, reference.as_slice());
 
-        let ybool = bmv_bin_full_full(&b, &x, Semiring::Boolean);
+        let ybool = pull_full(&b, &x, Semiring::Boolean);
         let refbool = reference_bool(&a, &x);
         for (got, want) in ybool.iter().zip(refbool) {
             assert_eq!(*got != 0.0, want);
@@ -685,14 +679,14 @@ mod tests {
         let x = sample_x(40);
         let dim = 8usize;
         let b = from_csr::<u8>(&a, dim);
-        let xp = pack_vector_tilewise::<u8>(&x, dim);
+        let xp = packed::<u8>(&x, dim);
         // Mask out every even row.
         let visited: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
         let mask = pack_vector_bits::<u8>(&visited, dim);
         let mut y = vec![0xFFu8; b.n_tile_rows()];
         bmv_bin_bin_bin_masked_into(&b, &xp, Some(&mask), &mut y);
-        let yb = unpack_vector_bits(&y, dim, 40);
-        let unmasked = unpack_vector_bits(&bmv_bin_bin_bin(&b, &xp), dim, 40);
+        let yb = unpacked(&y, dim, 40);
+        let unmasked = unpacked(&pull_bits(&b, &xp), dim, 40);
         for i in 0..40 {
             if visited[i] {
                 assert!(!yb[i], "masked row {i} must be filtered");
@@ -708,11 +702,11 @@ mod tests {
         let x = sample_x(40);
         let dim = 4usize;
         let b = from_csr::<u8>(&a, dim);
-        let xp = pack_vector_tilewise::<u8>(&x, dim);
+        let xp = packed::<u8>(&x, dim);
         let visited: Vec<bool> = (0..40).map(|i| i % 3 == 0).collect();
         let mask = pack_vector_bits::<u8>(&visited, dim);
         let y = bmv_bin_bin_full_masked(&b, &xp, Some(&mask));
-        let unmasked = bmv_bin_bin_full(&b, &xp);
+        let unmasked = bmv_bin_bin_full_masked(&b, &xp, None);
         for i in 0..40 {
             if visited[i] {
                 assert_eq!(y[i], 0.0);
@@ -733,7 +727,7 @@ mod tests {
         let p = bare_pipeline(&x, semiring, Some(&visited));
         let mut y = vec![42.0f32; 32];
         bmv_bin_full_full_fused_into(&b, &x, semiring, |i, t| p.finish(i, t), &mut y);
-        let unmasked = bmv_bin_full_full(&b, &x, semiring);
+        let unmasked = pull_full(&b, &x, semiring);
         for (i, &v) in y.iter().enumerate() {
             if visited.allows(i) {
                 assert_eq!(v, unmasked[i]);
@@ -764,7 +758,7 @@ mod tests {
                 let b = from_csr::<$w>(&a, $dim);
                 let mut y = vec![<$w>::default(); b.n_tile_cols()];
                 bmv_push_bin_bin(&b, &frontier, &mut y);
-                let yb = unpack_vector_bits(&y, $dim, a.ncols());
+                let yb = unpacked(&y, $dim, a.ncols());
                 assert_eq!(yb, expected, "dim {}", $dim);
             }};
         }
@@ -786,12 +780,12 @@ mod tests {
             .collect();
         // Pull runs on Aᵀ, push scatters the rows of A — same product x·A.
         let at = from_csr::<u8>(&a.transpose(), 8);
-        let xp = pack_vector_tilewise::<u8>(&x, 8);
-        let pull = unpack_vector_bits(&bmv_bin_bin_bin(&at, &xp), 8, a.ncols());
+        let xp = packed::<u8>(&x, 8);
+        let pull = unpacked(&pull_bits(&at, &xp), 8, a.ncols());
         let af = from_csr::<u8>(&a, 8);
         let mut y = vec![0u8; af.n_tile_cols()];
         bmv_push_bin_bin(&af, &frontier, &mut y);
-        let push = unpack_vector_bits(&y, 8, a.ncols());
+        let push = unpacked(&y, 8, a.ncols());
         assert_eq!(push, pull);
     }
 
@@ -805,7 +799,7 @@ mod tests {
         let semiring = Semiring::MinPlus(1.0);
         let frontier: Vec<usize> = (0..64).filter(|&i| x[i].is_finite()).collect();
         let at = from_csr::<u16>(&a.transpose(), 16);
-        let pull = bmv_bin_full_full(&at, &x, semiring);
+        let pull = pull_full(&at, &x, semiring);
         let af = from_csr::<u16>(&a, 16);
         let mut y = vec![semiring.identity(); a.ncols()];
         bmv_push_bin_full(&af, &x, &frontier, semiring, |_| true, &mut y);
@@ -813,7 +807,7 @@ mod tests {
 
         let xa = sample_x(64);
         let fa: Vec<usize> = (0..64).filter(|&i| xa[i] != 0.0).collect();
-        let pull_sum = bmv_bin_full_full(&at, &xa, Semiring::Arithmetic);
+        let pull_sum = pull_full(&at, &xa, Semiring::Arithmetic);
         let mut ys = vec![0.0f32; a.ncols()];
         bmv_push_bin_full(&af, &xa, &fa, Semiring::Arithmetic, |_| true, &mut ys);
         for (i, (g, w)) in ys.iter().zip(&pull_sum).enumerate() {
@@ -867,10 +861,10 @@ mod tests {
         let a = sample(50, 47);
         let x = sample_x(50);
         let b = from_csr::<u8>(&a, 8);
-        let xp = pack_vector_tilewise::<u8>(&x, 8);
+        let xp = packed::<u8>(&x, 8);
         let mut yw = vec![0xFFu8; b.n_tile_rows()];
         bmv_bin_bin_bin_into(&b, &xp, &mut yw);
-        assert_eq!(yw, bmv_bin_bin_bin(&b, &xp));
+        assert_eq!(yw, pull_bits(&b, &xp));
 
         let visited: Vec<bool> = (0..50).map(|i| i % 2 == 0).collect();
         let mp = pack_vector_bits::<u8>(&visited, 8);
@@ -878,10 +872,7 @@ mod tests {
         let padded = b.n_tile_rows() * 8;
         let mut yf = vec![42.0f32; padded];
         bmv_bin_full_full_into(&b, &x, Semiring::Arithmetic, &mut yf);
-        assert_eq!(
-            &yf[..50],
-            &bmv_bin_full_full(&b, &x, Semiring::Arithmetic)[..]
-        );
+        assert_eq!(&yf[..50], &pull_full(&b, &x, Semiring::Arithmetic)[..]);
 
         let mut packed = vec![0u8; 1];
         pack_vector_tilewise_into(&x, 8, &mut packed);
@@ -908,7 +899,7 @@ mod tests {
                     let padded = b.n_tile_rows() * $dim;
                     let mut fused = vec![42.0f32; padded];
                     bmv_bin_full_full_fused_into(&b, &x, semiring, epilogue, &mut fused);
-                    let generic = bmv_bin_full_full(&b, &x, semiring);
+                    let generic = pull_full(&b, &x, semiring);
                     for (r, &want_raw) in generic.iter().enumerate() {
                         let want = epilogue(r, want_raw);
                         let got = fused[r];
@@ -938,7 +929,7 @@ mod tests {
         let v: Vec<bool> = (0..37).map(|i| i % 4 == 0).collect();
         for dim in [4usize, 8, 16, 32] {
             let packed = pack_vector_bits::<u32>(&v, dim);
-            assert_eq!(unpack_vector_bits(&packed, dim, v.len()), v, "dim {dim}");
+            assert_eq!(unpacked(&packed, dim, v.len()), v, "dim {dim}");
         }
         let flags: Vec<bool> = (0..101).map(|i| i % 7 < 3).collect();
         // `-0.0` packs as clear and NaN as set: the test is `x != 0.0`.
@@ -956,14 +947,9 @@ mod tests {
                 let mut words: Vec<$w> = vec![<$w>::MAX; 3];
                 pack_vector_bits_into(&flags, $dim, &mut words);
                 assert_eq!(words.len(), 101usize.div_ceil($dim));
-                assert_eq!(
-                    unpack_vector_bits(&words, $dim, 101),
-                    flags,
-                    "bits {}",
-                    $dim
-                );
+                assert_eq!(unpacked(&words, $dim, 101), flags, "bits {}", $dim);
                 pack_vector_tilewise_into(&f, $dim, &mut words);
-                assert_eq!(unpack_vector_bits(&words, $dim, 101), flags, "f32 {}", $dim);
+                assert_eq!(unpacked(&words, $dim, 101), flags, "f32 {}", $dim);
             }};
         }
         check!(u8, 4);
@@ -976,10 +962,12 @@ mod tests {
     fn empty_matrix_yields_identity_outputs() {
         let a = Csr::empty(20, 20);
         let b = from_csr::<u8>(&a, 4);
-        let xp = pack_vector_tilewise::<u8>(&[1.0; 20], 4);
-        assert!(bmv_bin_bin_bin(&b, &xp).iter().all(|&w| w == 0));
-        assert!(bmv_bin_bin_full(&b, &xp).iter().all(|&v| v == 0.0));
-        let y = bmv_bin_full_full(&b, &[1.0; 20], Semiring::MinPlus(1.0));
+        let xp = packed::<u8>(&[1.0; 20], 4);
+        assert!(pull_bits(&b, &xp).iter().all(|&w| w == 0));
+        assert!(bmv_bin_bin_full_masked(&b, &xp, None)
+            .iter()
+            .all(|&v| v == 0.0));
+        let y = pull_full(&b, &[1.0; 20], Semiring::MinPlus(1.0));
         assert!(y.iter().all(|&v| v == f32::INFINITY));
     }
 
@@ -995,7 +983,7 @@ mod tests {
         macro_rules! check {
             ($w:ty, $dim:expr) => {{
                 let b = from_csr::<$w>(&a, $dim);
-                let xp = pack_vector_tilewise::<$w>(&x, $dim);
+                let xp = packed::<$w>(&x, $dim);
                 let mut scalar = vec![<$w>::MAX; b.n_tile_rows()];
                 let mut vector = vec![0 as $w; b.n_tile_rows()];
                 bmv_bin_bin_bin_into(&b, &xp, &mut scalar);
@@ -1017,7 +1005,7 @@ mod tests {
 
     // -- the one full-precision sweep vs its per-bit definition -------------
 
-    /// `bmv_bin_full_full()` as the paper states it: every tile row word's
+    /// The bin/full/full scheme as the paper states it: every tile row word's
     /// set bits in ascending order, the semiring dispatched per bit, masked
     /// rows overwritten with the identity afterwards.  Serial; padded
     /// length.
@@ -1133,7 +1121,7 @@ mod tests {
     fn simd_kernels_handle_empty_and_tiny_inputs() {
         let a = Csr::empty(20, 20);
         let b = from_csr::<u8>(&a, 4);
-        let xp = pack_vector_tilewise::<u8>(&[1.0; 20], 4);
+        let xp = packed::<u8>(&[1.0; 20], 4);
         let mut y = vec![0xFFu8; b.n_tile_rows()];
         bmv_bin_bin_bin_simd_into(&b, &xp, &mut y);
         assert!(y.iter().all(|&w| w == 0));

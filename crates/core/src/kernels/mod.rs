@@ -4,9 +4,8 @@
 //!   covering the Boolean, arithmetic and tropical semirings of Table IV.
 //!   The two bit-output schemes and their masked twins are one body each:
 //!   the `_masked` names (`bmv_bin_bin_bin_masked_into`,
-//!   `bmv_bin_bin_full_masked`) take an `Option` mask, the un-suffixed
-//!   names are the `None` shorthands, and the sweep behind both is generic
-//!   over a store-side mask hook the compiler specialises.  The
+//!   `bmv_bin_bin_full_masked`) take an `Option` mask, and the sweep behind
+//!   both is generic over a store-side mask hook the compiler specialises.  The
 //!   full-precision scheme has one sweep, `bmv_bin_full_full_fused_into`,
 //!   which finishes each row through a closure (mask, epilogue stages,
 //!   accumulator); `bmv_bin_full_full_into` is its identity-finish
@@ -53,11 +52,9 @@ pub use bmm::{
     bmm_bin_full_into, bmm_push_bin_full, bmm_push_bits,
 };
 pub use bmv::{
-    bmv_bin_bin_bin, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into,
-    bmv_bin_bin_bin_masked_simd_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full,
-    bmv_bin_bin_full_masked, bmv_bin_full_full, bmv_bin_full_full_fused_into,
+    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
+    bmv_bin_bin_bin_simd_into, bmv_bin_bin_full_masked, bmv_bin_full_full_fused_into,
     bmv_bin_full_full_into, bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full,
-    pack_vector_bits, pack_vector_bits_into, pack_vector_tilewise, pack_vector_tilewise_into,
-    unpack_vector_bits,
+    pack_vector_bits, pack_vector_bits_into, pack_vector_tilewise_into,
 };
 pub use simd::{SimdPolicy, DEFAULT_LANE_MASK};

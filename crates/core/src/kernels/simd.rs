@@ -17,8 +17,8 @@
 //! Which of the two runs is a per-[`Context`](crate::grb::Context) decision
 //! ([`SimdPolicy`], stored on the workspace, seeded per process by the
 //! `BITGBLAS_SIMD` environment variable), and under [`SimdPolicy::Auto`]
-//! the per-tile-size profitability mask comes from the device calibration
-//! pass ([`crate::calibrate`]).  The policy selects the single-vector
+//! the per-tile-size profitability mask is a constant
+//! ([`DEFAULT_LANE_MASK`]).  The policy selects the single-vector
 //! Boolean pull sweep (`bmv_bin_bin_bin*_into`) and nothing else: the
 //! full-precision pull has one body, and the batched kernels never
 //! consulted it.
@@ -29,8 +29,8 @@ use bitgblas_bitops::BitWord;
 /// single-vector Boolean pull sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdPolicy {
-    /// Use the vector path where the (calibrated) per-tile-size
-    /// profitability mask says it wins — the default.
+    /// Use the vector path where the per-tile-size profitability mask
+    /// ([`DEFAULT_LANE_MASK`]) says it wins — the default.
     #[default]
     Auto,
     /// Always run the scalar sweep (the differential baseline).
@@ -70,7 +70,7 @@ impl std::str::FromStr for SimdPolicy {
 /// `i` of the mask enables the vector path for tile size `4 << i`.  S4/S8
 /// tiles pack 8–16 rows per SWAR word and S16 packs 4, so they default on;
 /// a 32×32 tile leaves only two rows per `u64`, below the SWAR crossover,
-/// so S32 defaults to the scalar sweep until calibration says otherwise.
+/// so S32 takes the scalar sweep.
 pub const DEFAULT_LANE_MASK: u8 = 0b0111;
 
 /// The bit of a per-tile-size lane mask covering tiles of dimension
@@ -113,28 +113,6 @@ pub fn nonzero_lane_msbs<W: BitWord>(t: u64) -> u64 {
     let msb = lsb << (W::BITS - 1);
     let low = msb - lsb;
     (((t & low).wrapping_add(low)) | t) & msb
-}
-
-/// Per-lane population count: returns a `u64` holding, in each `W`-wide
-/// lane, the popcount of the corresponding lane of `t` — the classic
-/// bit-sliced popcount folded once more per doubling of the lane width.
-///
-/// No kernel calls this: its one caller is [`crate::calibrate`]'s
-/// SIMD-crossover micro-bench, so the lane mask that pass yields is measured
-/// on this helper, not on the sweep [`SimdPolicy`] selects.
-#[inline(always)]
-pub fn lane_popcounts<W: BitWord>(t: u64) -> u64 {
-    debug_assert!(W::BITS <= 32, "SWAR lanes are at most 32 bits");
-    let mut v = t - ((t >> 1) & 0x5555_5555_5555_5555);
-    v = (v & 0x3333_3333_3333_3333) + ((v >> 2) & 0x3333_3333_3333_3333);
-    v = (v + (v >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
-    if W::BITS >= 16 {
-        v = (v + (v >> 8)) & 0x00ff_00ff_00ff_00ff;
-    }
-    if W::BITS >= 32 {
-        v = (v + (v >> 16)) & 0x0000_ffff_0000_ffff;
-    }
-    v
 }
 
 /// `dst[i] |= src[i]` over paired slices, unrolled into 4-word blocks so
@@ -220,27 +198,6 @@ mod tests {
         check_nonzero_msbs::<u8>();
         check_nonzero_msbs::<u16>();
         check_nonzero_msbs::<u32>();
-    }
-
-    fn check_popcounts<W: BitWord>() {
-        for &t in &exhaustive_words() {
-            let got = lane_popcounts::<W>(t);
-            for (k, lane) in lanes::<W>(t).into_iter().enumerate() {
-                let lane_bits = (got >> (k as u32 * W::BITS)) & (((1u128 << W::BITS) - 1) as u64);
-                assert_eq!(
-                    lane_bits,
-                    lane.count_ones() as u64,
-                    "word {t:#018x} lane {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_popcounts_match_count_ones() {
-        check_popcounts::<u8>();
-        check_popcounts::<u16>();
-        check_popcounts::<u32>();
     }
 
     #[test]

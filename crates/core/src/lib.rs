@@ -16,10 +16,10 @@
 //!   tile-size selector of Algorithm 1.
 //!
 //! * **RQ-2 (computation)** — [`kernels`] implements the BMV and BMM schemes of
-//!   Tables II and III: `bmv_bin_bin_bin`, `bmv_bin_bin_full` (each one
-//!   body with its masked twin), `bmv_bin_full_full` (one sweep that
-//!   finishes each row through a closure — mask, fused epilogue or
-//!   nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
+//!   Tables II and III: `bmv_bin_bin_bin_into`, `bmv_bin_bin_full_masked`
+//!   (each one body with its masked twin), `bmv_bin_full_full_fused_into`
+//!   (one sweep that finishes each row through a closure — mask, fused
+//!   epilogue or nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
 //!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
@@ -45,19 +45,16 @@
 //!   explicit compaction that re-tiles the base and re-plans row shards
 //!   incrementally.
 //!
-//! * **Vector kernel + calibration** — [`kernels::simd`] holds the SWAR
-//!   helpers behind the `_simd` form of the Boolean pull sweep
-//!   (runtime-selected, with the scalar form always compiled as fallback
-//!   and differential reference), and [`calibrate`] micro-benches the
-//!   executing host into a [`CalibratedProfile`] that replaces the static
-//!   device constants in direction choice, shard sizing, and the
-//!   scalar/vector crossover.
+//! * **Vector kernel** — [`kernels::simd`] holds the SWAR helpers behind the
+//!   `_simd` form of the Boolean pull sweep (runtime-selected, with the
+//!   scalar form always compiled as fallback and differential reference).
+//!   Direction choice, shard sizing and the scalar/vector crossover all read
+//!   constants: the context's `DeviceProfile` and `DEFAULT_LANE_MASK`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod b2sr;
-pub mod calibrate;
 pub mod delta;
 pub mod faultinject;
 pub mod grb;
@@ -66,7 +63,6 @@ pub mod semiring;
 pub mod shard;
 
 pub use b2sr::{B2sr, B2srMatrix, TileSize};
-pub use calibrate::{CalibratedProfile, CalibrationSamples, CalibrationSource};
 pub use delta::{
     CompactReport, DeltaOp, DeltaOverlay, DeltaSnapshot, EdgeDelta, StagedRows, VersionCell,
     DELTA_MERGE_POINT,

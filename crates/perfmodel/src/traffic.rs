@@ -183,7 +183,7 @@ pub fn csr_spmv_traffic(csr: &Csr, profile: &DeviceProfile) -> MemoryTraffic {
     }
 }
 
-/// Model the memory traffic of one B2SR BMV (`bmv_bin_full_full` shape: the
+/// Model the memory traffic of one B2SR BMV (the bin/full/full shape: the
 /// matrix is bit-packed, the vector is full precision and loaded one
 /// `tile_dim`-entry segment per non-empty tile).
 pub fn b2sr_bmv_traffic(layout: &B2srLayout, profile: &DeviceProfile) -> MemoryTraffic {

@@ -451,33 +451,6 @@ impl Csr {
         }
         coo
     }
-
-    /// Extract the dense `dim × dim` tile whose top-left corner is at
-    /// `(tile_row * dim, tile_col * dim)`, padding with zeros at the matrix
-    /// edge.  This is the per-tile step of the CSR→B2SR conversion
-    /// (the `cusparseScsr2bsr` analogue).
-    pub fn extract_tile(&self, tile_row: usize, tile_col: usize, dim: usize) -> Vec<f32> {
-        let mut tile = vec![0.0f32; dim * dim];
-        let r0 = tile_row * dim;
-        let c0 = tile_col * dim;
-        for dr in 0..dim {
-            let r = r0 + dr;
-            if r >= self.nrows {
-                break;
-            }
-            let (cols, vals) = self.row(r);
-            // Binary-search the start of the tile's column range.
-            let start = cols.partition_point(|&c| c < c0);
-            for i in start..cols.len() {
-                let c = cols[i];
-                if c >= c0 + dim {
-                    break;
-                }
-                tile[dr * dim + (c - c0)] = vals[i];
-            }
-        }
-        tile
-    }
 }
 
 #[cfg(test)]
@@ -606,33 +579,6 @@ mod tests {
         assert!((a.density() - 6.0 / 16.0).abs() < 1e-12);
         assert_eq!(a.storage_bytes(), 4 * (5 + 6 + 6));
         assert_eq!(Csr::empty(0, 0).density(), 0.0);
-    }
-
-    #[test]
-    fn extract_tile_reads_correct_block() {
-        let a = small();
-        let t00 = a.extract_tile(0, 0, 2);
-        assert_eq!(t00, vec![1.0, 0.0, 0.0, 0.0]);
-        let t01 = a.extract_tile(0, 1, 2);
-        assert_eq!(t01, vec![2.0, 0.0, 0.0, 3.0]);
-        let t10 = a.extract_tile(1, 0, 2);
-        assert_eq!(t10, vec![4.0, 5.0, 0.0, 0.0]);
-        let t11 = a.extract_tile(1, 1, 2);
-        assert_eq!(t11, vec![0.0, 0.0, 0.0, 6.0]);
-        // Tile partially outside the matrix is zero-padded.
-        let edge = a.extract_tile(1, 1, 3);
-        assert_eq!(edge.len(), 9);
-        // Global (3,3) = 6.0 lands at local (0,0) of the tile anchored at (3,3).
-        assert_eq!(edge[0], 6.0);
-        assert!(edge[1..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn extract_tile_edge_padding() {
-        // 3x3 matrix with dim-2 tiles: bottom-right tile covers only (2,2).
-        let a = Csr::from_dense(&[1., 0., 0., 0., 1., 0., 0., 0., 1.], 3, 3);
-        let t = a.extract_tile(1, 1, 2);
-        assert_eq!(t, vec![1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

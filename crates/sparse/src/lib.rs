@@ -7,11 +7,10 @@
 //! Neither library is available here, so this crate implements the substrate
 //! from scratch:
 //!
-//! * the classic storage formats — [`coo::Coo`], [`csr::Csr`], and the
-//!   block format [`bsr::Bsr`] that inspired B2SR's upper level;
-//! * conversions between them (including the `csr2bsr` step the paper obtains
-//!   from `cusparseXcsr2bsrNnz`/`cusparseScsr2bsr`; `csr2csc` is
-//!   [`csr::Csr::transpose`]);
+//! * the classic storage formats — [`coo::Coo`] and [`csr::Csr`];
+//! * conversions between them (`csr2csc` is [`csr::Csr::transpose`]; the
+//!   block-level `csr2bsr` step the paper obtains from cuSPARSE is the upper
+//!   level of `bitgblas-core`'s B2SR converter);
 //! * dense vectors ([`dense::DenseVec`]) and sparse vectors
 //!   ([`dense::SparseVec`]) used as frontiers;
 //! * Matrix Market I/O ([`io`]) so real SuiteSparse files can be loaded when
@@ -26,7 +25,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bsr;
 pub mod coo;
 pub mod csr;
 pub mod dense;
@@ -34,7 +32,6 @@ pub mod error;
 pub mod io;
 pub mod ops;
 
-pub use bsr::Bsr;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::{DenseVec, SparseVec};

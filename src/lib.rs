@@ -18,11 +18,11 @@
 //! | Module | Source crate | Contents |
 //! |---|---|---|
 //! | [`bitops`] | `bitgblas-bitops` | packing words (`BitWord`), tile packing and bit intrinsics |
-//! | [`sparse`] | `bitgblas-sparse` | COO/CSR/BSR, Matrix Market I/O, float baseline kernels |
+//! | [`sparse`] | `bitgblas-sparse` | COO/CSR, Matrix Market I/O, float baseline kernels |
 //! | [`datagen`] | `bitgblas-datagen` | synthetic corpus generators and pattern classifier |
 //! | [`perfmodel`] | `bitgblas-perfmodel` | Pascal/Volta device profiles and the memory-traffic model |
 //! | [`core`] | `bitgblas-core` | B2SR, BMV/BMM kernels, semirings, GrB-style API, streaming edge-delta mutations |
-//! | [`algorithms`] | `bitgblas-algorithms` | BFS, SSSP, PageRank, PPR, CC, TC on both backends, incremental CC |
+//! | [`algorithms`] | `bitgblas-algorithms` | BFS, SSSP, PageRank, PPR, CC, TC on both backends |
 //! | [`serve`] | `bitgblas-serve` | query service: lane-coalescing scheduler over the batched engine, coalesced writer path |
 //!
 //! # Quickstart
@@ -79,9 +79,8 @@ pub use bitgblas_sparse as sparse;
 /// The most commonly used items, for `use bit_graphblas::prelude::*`.
 pub mod prelude {
     pub use bitgblas_algorithms::{
-        betweenness_centrality, bfs, bfs_dir, bfs_multi, connected_components, pagerank, ppr,
-        ppr_multi, sssp, sssp_dir, sssp_multi, sssp_with, triangle_count, DynamicCc,
-        PageRankConfig, PprConfig,
+        bfs, bfs_dir, bfs_multi, connected_components, pagerank, ppr, ppr_multi, sssp, sssp_dir,
+        sssp_multi, sssp_with, triangle_count, PageRankConfig, PprConfig,
     };
     pub use bitgblas_core::grb::{
         Context, Descriptor, Direction, Expr, Fusion, GrbBackend, LaneBits, Mask, MultiVec, Op,

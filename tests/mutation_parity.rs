@@ -1,7 +1,7 @@
 //! Parity and snapshot-isolation proptests for the streaming-mutation
 //! subsystem (PR 8).
 //!
-//! Three invariants, each over random base graphs and random edge-delta
+//! Two invariants, each over random base graphs and random edge-delta
 //! streams:
 //!
 //! * **overlay parity** — traversals through a `base ⊕ delta` overlay
@@ -10,10 +10,7 @@
 //! * **snapshot isolation** — a reader pinned to epoch E observes
 //!   bit-identical results no matter how many writer appends and
 //!   compactions land after E was taken (including appends racing from
-//!   another thread);
-//! * **incremental CC** — the union-find overlay of
-//!   [`DynamicCc`] tracks FastSV exactly along insert-only streams and
-//!   reconciles cleanly on compaction.
+//!   another thread).
 //!
 //! And plain tests on what the paths *cost* and how they are planned, on
 //! exact counters: `refolded_positions` follows what the operand reaches, a
@@ -463,43 +460,5 @@ proptest! {
             prop_assert_eq!(overlay.delta(), &DeltaSnapshot::build(&base, &deltas[..seen]));
             prop_assert_eq!(m.entries_normalized(), seen as u64);
         }
-    }
-
-    /// Dynamic CC: the union-find overlay tracks FastSV exactly along an
-    /// insert-only stream (edges mirrored, as CC treats graphs undirected)
-    /// and reconciliation on compaction confirms no drift.
-    #[test]
-    fn dynamic_cc_tracks_insert_streams(
-        (base, deltas) in graph_and_deltas(),
-        check_every in 1usize..8,
-    ) {
-        let sym = {
-            // Symmetrize the base so FastSV's undirected view and the
-            // union-find overlay agree edge for edge.
-            let mut coo = Coo::new(base.nrows(), base.ncols());
-            for (r, c, _) in base.iter() {
-                coo.push_undirected_edge(r, c).expect("in bounds");
-            }
-            coo.to_binary_csr()
-        };
-        let m = Matrix::from_csr(&sym, Backend::Bit(TileSize::S8));
-        let mut cc = DynamicCc::new(&m);
-        for (i, d) in deltas.iter().enumerate() {
-            // Insert-only: reuse each delta's endpoints as an undirected
-            // insertion regardless of its original op.
-            m.apply_deltas(&[
-                EdgeDelta::insert(d.row, d.col),
-                EdgeDelta::insert(d.col, d.row),
-            ])
-            .unwrap();
-            cc.insert_edge(d.row, d.col);
-            if i % check_every == 0 {
-                let fresh = connected_components(&m.snapshot());
-                prop_assert_eq!(cc.n_components(), fresh.n_components);
-                prop_assert_eq!(cc.labels(), fresh.labels);
-            }
-        }
-        m.compact(m.context()).unwrap();
-        prop_assert!(cc.reconcile(&m.snapshot()), "insert-only stream must not drift");
     }
 }

@@ -5,13 +5,22 @@
 use proptest::prelude::*;
 
 use bit_graphblas::core::b2sr::convert::from_csr;
+use bit_graphblas::core::b2sr::B2sr;
 use bit_graphblas::core::kernels::{
-    bmm_bin_bin_sum, bmv_bin_bin_bin, bmv_bin_bin_full, bmv_bin_full_full, pack_vector_tilewise,
-    unpack_vector_bits,
+    bmm_bin_bin_sum, bmv_bin_bin_bin_into, bmv_bin_bin_full_masked, bmv_bin_full_full_into,
+    pack_vector_tilewise_into,
 };
 use bit_graphblas::core::{DeltaSnapshot, Semiring};
 use bit_graphblas::prelude::*;
 use bit_graphblas::sparse::ops;
+
+/// The full-precision pull sweep into a fresh vector of `nrows` entries.
+fn pull_full<W: bit_graphblas::bitops::BitWord>(b: &B2sr<W>, x: &[f32], s: Semiring) -> Vec<f32> {
+    let mut y = vec![s.identity(); b.n_tile_rows() * b.tile_dim()];
+    bmv_bin_full_full_into(b, x, s, &mut y);
+    y.truncate(b.nrows());
+    y
+}
 
 /// Strategy: a random binary square matrix as an edge list.
 fn matrix_strategy(max_n: usize, max_edges: usize) -> impl Strategy<Value = Csr> {
@@ -101,7 +110,7 @@ proptest! {
         }
     }
 
-    /// bmv_bin_full_full over the arithmetic semiring equals the float SpMV.
+    /// The bin/full/full sweep over the arithmetic semiring equals the float SpMV.
     #[test]
     fn bmv_arithmetic_matches_float_spmv(
         csr in matrix_strategy(90, 500),
@@ -111,7 +120,7 @@ proptest! {
         let x: Vec<f32> = (0..n).map(|i| ((i as u64 * 31 + seed) % 7) as f32).collect();
         let expected = ops::spmv(&csr, &DenseVec::from_vec(x.clone())).unwrap();
         let b = from_csr::<u8>(&csr, 8);
-        let got = bmv_bin_full_full(&b, &x, Semiring::Arithmetic);
+        let got = pull_full(&b, &x, Semiring::Arithmetic);
         for (g, e) in got.iter().zip(expected.as_slice()) {
             prop_assert!((g - e).abs() < 1e-3, "{} vs {}", g, e);
         }
@@ -123,14 +132,16 @@ proptest! {
         let n = csr.ncols();
         let x: Vec<f32> = (0..n).map(|i| if *active.get(i).unwrap_or(&false) { 1.0 } else { 0.0 }).collect();
         let b = from_csr::<u32>(&csr, 32);
-        let xp = pack_vector_tilewise::<u32>(&x, 32);
-        let got = unpack_vector_bits(&bmv_bin_bin_bin(&b, &xp), 32, csr.nrows());
-        for (r, &bit) in got.iter().enumerate() {
+        let mut xp: Vec<u32> = Vec::new();
+        pack_vector_tilewise_into(&x, 32, &mut xp);
+        let mut got = vec![0u32; b.n_tile_rows()];
+        bmv_bin_bin_bin_into(&b, &xp, &mut got);
+        for r in 0..csr.nrows() {
             let expect = csr.row(r).0.iter().any(|&c| x[c] != 0.0);
-            prop_assert_eq!(bit, expect, "row {}", r);
+            prop_assert_eq!(got[r / 32] >> (r % 32) & 1 == 1, expect, "row {}", r);
         }
         // And the counting variant agrees with an explicit count.
-        let counts = bmv_bin_bin_full(&b, &xp);
+        let counts = bmv_bin_bin_full_masked(&b, &xp, None);
         for (r, &cnt) in counts.iter().enumerate() {
             let expect = csr.row(r).0.iter().filter(|&&c| x[c] != 0.0).count() as f32;
             prop_assert_eq!(cnt, expect);
@@ -146,7 +157,7 @@ proptest! {
         x[src] = 0.0;
         let expected = ops::spmv_semiring(&csr, &DenseVec::from_vec(x.clone()), ops::SemiringKind::MinPlus).unwrap();
         let b = from_csr::<u16>(&csr, 16);
-        let got = bmv_bin_full_full(&b, &x, Semiring::MinPlus(1.0));
+        let got = pull_full(&b, &x, Semiring::MinPlus(1.0));
         prop_assert_eq!(got, expected.as_slice().to_vec());
     }
 

@@ -13,15 +13,13 @@
 //! `backend_parity.rs` pins it against `FloatCsr` at the op layer.
 //!
 //! Also covered here: the `BITGBLAS_SIMD` env knob (which seeds a fresh
-//! context; `Context::set_simd_policy` overrides it) and the `Context`
-//! calibration surface the runtime selection feeds on.
+//! context; `Context::set_simd_policy` overrides it).
 
 mod common;
 
 use proptest::prelude::*;
 
 use bit_graphblas::core::grb::SIMD_ENV_VAR;
-use bit_graphblas::core::{CalibratedProfile, CalibrationSamples, CalibrationSource};
 use bit_graphblas::datagen::generators;
 use bit_graphblas::prelude::*;
 
@@ -189,84 +187,4 @@ fn context_policy_pins_one_op_and_both_sides_agree_bitwise() {
     let scalar = pinned(SimdPolicy::ForceScalar);
     let vector = pinned(SimdPolicy::ForceVector);
     assert_eq!(bits(vector.as_slice()), bits(scalar.as_slice()));
-}
-
-/// Pinned samples the decision logic distills deterministically — the same
-/// fixture as the crate's unit tests, exercised through the public
-/// `Context` surface.
-fn pinned_samples() -> CalibrationSamples {
-    CalibrationSamples {
-        seq_ns_per_word: 1.0,
-        rand_ns_per_word: 12.5,
-        l2_curve: vec![
-            (1 << 14, 1.0),
-            (1 << 16, 1.05),
-            (1 << 18, 1.2),
-            (1 << 20, 1.4),
-            (1 << 22, 9.0),
-        ],
-        simd_speedup: [2.0, 3.0, 1.5, 0.7],
-    }
-}
-
-/// Calibration from a pinned measurement stub is deterministic, persists in
-/// the context, survives a `Context` clone, and feeds the shard sizing.
-#[test]
-fn calibration_is_deterministic_and_round_trips_through_clone() {
-    let ctx = Context::default();
-    let a = ctx.calibrate_from(&pinned_samples());
-    let b = Context::default().calibrate_from(&pinned_samples());
-    assert_eq!(a, b, "same samples must distill to the same profile");
-    assert_eq!(a.source, CalibrationSource::Measured);
-    assert_eq!(a.scatter_alpha, 12.5);
-    assert_eq!(a.l2_bytes, 1 << 20);
-    assert_eq!(a.simd_lane_mask, 0b0111);
-    assert_eq!(ctx.profile(), a, "calibrate_from must persist its result");
-
-    let cloned = ctx.clone();
-    assert_eq!(cloned.profile(), a, "profiles must survive a context clone");
-    assert_eq!(
-        cloned.shard_config().cache_bytes,
-        a.l2_bytes,
-        "shard sizing must follow the calibrated L2"
-    );
-
-    // The persistence format round-trips the profile exactly.
-    let text = a.to_string();
-    let back: CalibratedProfile = text.parse().unwrap();
-    assert_eq!(back, a, "{text}");
-}
-
-/// Degenerate timings (a zero-resolution clock) degrade to the static
-/// device-derived profile — calibration can refine the model, never break it.
-#[test]
-fn degenerate_calibration_degrades_to_the_static_profile() {
-    let ctx = Context::default();
-    let static_profile = ctx.profile();
-    assert_eq!(static_profile.source, CalibrationSource::Static);
-    let p = ctx.calibrate_from(&CalibrationSamples::degenerate());
-    assert_eq!(p, static_profile);
-    assert_eq!(ctx.profile(), static_profile);
-}
-
-/// A live `Context::calibrate` on this host stays inside the model's sane
-/// ranges, and the calibrated lane mask cannot perturb results: auto
-/// dispatch under the measured profile equals the forced-scalar run.
-#[test]
-fn live_calibration_stays_in_range_and_preserves_parity() {
-    let adj = generators::erdos_renyi(140, 0.04, true, 5);
-    let ctx = Context::default();
-    let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &ctx);
-
-    ctx.set_simd_policy(SimdPolicy::ForceScalar);
-    let reference = bfs_dir(&m, 0, Direction::Pull).levels;
-
-    let p = ctx.calibrate();
-    assert!((4.0..=32.0).contains(&p.scatter_alpha), "{p}");
-    assert!(p.l2_bytes > 0, "{p}");
-    assert_eq!(ctx.profile(), p);
-
-    ctx.set_simd_policy(SimdPolicy::Auto);
-    let auto = bfs_dir(&m, 0, Direction::Pull).levels;
-    assert_eq!(auto, reference, "calibrated auto dispatch must stay exact");
 }
