@@ -1,21 +1,28 @@
 //! Breadth-First Search over the Boolean semiring (§V of the paper).
 //!
 //! Each iteration performs a one-hop edge traversal of the current frontier
-//! with `vxm()` over the Boolean semiring, then filters out already-visited
-//! vertices with a complemented mask.  On the bit backend the pull sweep
-//! maps to `bmv_bin_bin_bin_masked()`: the frontier and the visited mask are
-//! both binarized, and the mask is applied with a bitwise AND-NOT right
-//! before the output store (no early exit, to avoid warp divergence — §V).
+//! with `vxm()` over the Boolean semiring and filters out already-visited
+//! vertices with a complemented mask.  On a bit backend the traversal is the
+//! paper's scheme as it stands: frontier and visited set stay binarized from
+//! one round to the next ([`NodeBits`], [`Op::vxm_bits`]), the pull sweep is
+//! `bmv_bin_bin_bin_masked_into()` and the mask is a bitwise AND-NOT right
+//! before the output store.  The paper's GPU kernel walks every tile whatever
+//! the mask says, to keep a warp from diverging; the CPU sweep has no warp
+//! and leaves a tile-row once every row the mask lets through is reached
+//! (`kernels::bmv`) — same words stored, fewer tiles read.  Any other backend
+//! runs the same rounds over `f32` vectors.
 //!
 //! The traversal is **direction-optimizing**: with the default
 //! [`Direction::Auto`] each iteration picks the push (sparse-frontier
 //! scatter) or pull (dense sweep) kernel from the frontier density, the
 //! classic Beamer-style switch.  The inner loop is allocation-free in steady
-//! state — the frontier vectors cycle through the matrix context's workspace
-//! pool and the visited mask is updated in place (proved by the
+//! state — the frontier words cycle through the matrix context's workspace
+//! pool and the visited set is updated in place (proved by the
 //! allocation-counter test in `bitgblas-core`).
 
-use bitgblas_core::grb::{Direction, GrbError, LaneBits, Mask, Matrix, MultiVec, Op, Vector};
+use bitgblas_core::grb::{
+    Direction, GrbError, LaneBits, Mask, Matrix, MultiVec, NodeBits, Op, Vector,
+};
 use bitgblas_core::Semiring;
 
 use crate::validate::{check_batch_nonempty, check_sources};
@@ -56,60 +63,106 @@ pub fn bfs_dir(a: &Matrix, source: usize, direction: Direction) -> BfsResult {
 /// As [`bfs_dir`], reporting an out-of-range source as a typed
 /// [`GrbError`] instead of panicking — the entry point a serving stack
 /// validates through.
+///
+/// On a bit backend — built, or read through pending deltas — the rounds run
+/// in bits and convert nothing; any other backend runs them over `f32`.
 pub fn try_bfs_dir(a: &Matrix, source: usize, direction: Direction) -> Result<BfsResult, GrbError> {
     let n = a.nrows();
     check_sources(n, std::slice::from_ref(&source), "source vertex")?;
-    // The matrix's own context supplies the workspace pool, so the frontier
-    // buffers recycle across iterations instead of being reallocated.
     let ctx = a.context();
-
     let mut levels = vec![-1i64; n];
     levels[source] = 0;
+    let bits = bit_rounds(a, source, &mut levels, |frontier, visited| {
+        Op::vxm_bits(frontier, a)
+            .and_not(visited)
+            .direction(direction)
+            .try_run(ctx)
+    })?;
+    let (iterations, found) = match bits {
+        Some(done) => done,
+        // No word product on this backend (the float baseline, an external
+        // backend).
+        None => vector_rounds(a, source, direction, &mut levels)?,
+    };
+    Ok(BfsResult {
+        levels,
+        iterations,
+        n_reached: 1 + found,
+    })
+}
+
+/// The rounds of one traversal in bits: `next = (frontier ⊕.⊗ A) & !visited`
+/// as one word `product(frontier, visited)`, levels written from the set bits
+/// of `next` only, `visited |= next`.  `None` when the backend has no word
+/// product.  The caller picks which product it is — `bfs`'s `vxm`, or the
+/// one-lane `mxm` of a one-source `bfs_multi`.
+fn bit_rounds(
+    a: &Matrix,
+    source: usize,
+    levels: &mut [i64],
+    product: impl Fn(&NodeBits, &NodeBits) -> Result<Option<NodeBits>, GrbError>,
+) -> Result<Option<(usize, usize)>, GrbError> {
+    let n = a.nrows();
+    // The matrix's own context supplies the workspace pool, so the frontier
+    // words recycle across iterations instead of being reallocated.
+    let ctx = a.context();
+    let mut frontier = NodeBits::from_indices(n, &[source]);
+    let mut visited = frontier.clone();
+    let done = run_rounds(n, |level| {
+        let Some(next) = product(&frontier, &visited)? else {
+            return Ok(None);
+        };
+        let mut found = 0usize;
+        for v in next.ones() {
+            levels[v] = level;
+            found += 1;
+        }
+        visited.or_assign(&next);
+        std::mem::replace(&mut frontier, next).recycle(ctx);
+        Ok(Some(found))
+    });
+    frontier.recycle(ctx);
+    done
+}
+
+/// The same rounds over an `f32` vector: a masked Boolean `vxm` and a scan
+/// of its output.
+fn vector_rounds(
+    a: &Matrix,
+    source: usize,
+    direction: Direction,
+    levels: &mut [i64],
+) -> Result<(usize, usize), GrbError> {
+    let n = a.nrows();
+    let ctx = a.context();
     let mut visited = {
         let mut flags = vec![false; n];
         flags[source] = true;
         // ¬visited, updated in place each level — never rebuilt.
         Mask::complemented(flags)
     };
-
     let mut frontier = Vector::indicator(n, &[source]);
-    let mut level = 0i64;
-    let mut iterations = 0usize;
-    let mut n_reached = 1usize;
-
-    loop {
-        iterations += 1;
-        level += 1;
-
+    let done = run_rounds(n, |level| {
         // next = frontier ⊕.⊗ A over the Boolean semiring, masked by ¬visited.
         let next = Op::vxm(&frontier, a)
             .semiring(Semiring::Boolean)
             .mask(&visited)
             .direction(direction)
             .try_run(ctx)?;
-
-        // Record levels and update the visited set.
-        let mut any = false;
+        let mut found = 0usize;
         for (v, &x) in next.as_slice().iter().enumerate() {
             if x != 0.0 {
                 visited.set(v, true);
                 levels[v] = level;
-                n_reached += 1;
-                any = true;
+                found += 1;
             }
         }
         // The previous frontier's buffer goes back to the pool.
         ctx.recycle(std::mem::replace(&mut frontier, next));
-        if !any || iterations >= n {
-            break;
-        }
-    }
-
-    Ok(BfsResult {
-        levels,
-        iterations,
-        n_reached,
-    })
+        Ok(Some(found))
+    });
+    ctx.recycle(frontier);
+    Ok(done?.expect("the f32 step runs on every backend"))
 }
 
 /// The result of a batched multi-source BFS run.
@@ -169,7 +222,9 @@ pub fn bfs_multi_dir(a: &Matrix, sources: &[usize], direction: Direction) -> Mul
 /// and the visited set stay in lane words from round to round
 /// ([`LaneBits`]: one bit per traversal, the paper's binarized vectors for
 /// `k` traversals) and a round converts nothing; any other backend runs the
-/// same rounds over `f32` lanes.
+/// same rounds over `f32` lanes.  A batch of one source runs [`bfs`]'s rounds
+/// in [`NodeBits`] — a bit per vertex, not a `u64` per vertex carrying one —
+/// through [`Op::mxm_bits`], so it still counts and fails as the batch it is.
 pub fn try_bfs_multi_dir(
     a: &Matrix,
     sources: &[usize],
@@ -184,7 +239,17 @@ pub fn try_bfs_multi_dir(
     for (l, &s) in sources.iter().enumerate() {
         levels[s * k + l] = 0;
     }
-    let (iterations, found) = match word_rounds(a, sources, direction, &mut levels)? {
+    let words = match *sources {
+        [source] => bit_rounds(a, source, &mut levels, |frontier, visited| {
+            Op::mxm_bits(a, frontier)
+                .transpose()
+                .and_not(visited)
+                .direction(direction)
+                .try_run(a.context())
+        })?,
+        _ => word_rounds(a, sources, direction, &mut levels)?,
+    };
+    let (iterations, found) = match words {
         Some(done) => done,
         // No word product on this backend (the float baseline, an external
         // backend).
@@ -198,7 +263,7 @@ pub fn try_bfs_multi_dir(
     })
 }
 
-/// Drive the rounds of a batched traversal over `n` vertices: `step(level)`
+/// Drive the rounds of a traversal over `n` vertices: `step(level)`
 /// advances every lane one hop, records `level` for what it newly reached
 /// and returns how many `(vertex, lane)` pairs that was — or `None`, before
 /// it has changed anything, when it cannot run on this matrix at all.
@@ -486,14 +551,15 @@ mod tests {
 
     // -- the word loop against the f32 loop ----------------------------------
 
-    /// One of `try_bfs_multi_dir`'s two loops, run to completion on `m`.
+    /// One of the traversal loops, run to completion on `m`.
     #[derive(Debug, PartialEq)]
     struct LoopRun {
         levels: Vec<i64>,
         /// `(iterations, pairs reached beyond the sources)`.
         done: (usize, usize),
-        /// `(pull_mxm, push_mxm)` the run added: its per-round directions.
-        directions: (u64, u64),
+        /// `[pull_mxv, push_mxv, pull_mxm, push_mxm]` the run added: its
+        /// per-round directions, under the product kind it counts as.
+        directions: [u64; 4],
     }
 
     /// Run one loop from seeded levels; returns it with the `converted_elems`
@@ -511,10 +577,12 @@ mod tests {
         let before = m.context().stats();
         let done = run(&mut levels);
         let after = m.context().stats();
-        let directions = (
+        let directions = [
+            after.pull_mxv - before.pull_mxv,
+            after.push_mxv - before.push_mxv,
             after.pull_mxm - before.pull_mxm,
             after.push_mxm - before.push_mxm,
-        );
+        ];
         let run = LoopRun {
             levels,
             done,
@@ -657,6 +725,137 @@ mod tests {
                                 let (flat, _) = flat_loop(&view, &sources, dir);
                                 assert_eq!(words, flat, "{what} k={k} {dir:?}");
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // -- the single-source bit loop against the f32 loop ----------------------
+
+    /// `bfs`'s bit loop on `m`, measured.
+    fn bit_loop(m: &Matrix, source: usize, dir: Direction) -> (LoopRun, u64) {
+        measure_loop(m, &[source], |levels| {
+            bit_rounds(m, source, levels, |frontier, visited| {
+                Op::vxm_bits(frontier, m)
+                    .and_not(visited)
+                    .direction(dir)
+                    .try_run(m.context())
+            })
+            .unwrap()
+            .expect("a bit backend has the word product")
+        })
+    }
+
+    /// `bfs`'s `f32` loop on `m`, measured.
+    fn vector_loop(m: &Matrix, source: usize, dir: Direction) -> (LoopRun, u64) {
+        measure_loop(m, &[source], |levels| {
+            vector_rounds(m, source, dir, levels).unwrap()
+        })
+    }
+
+    /// The public single-source entry points on `m` against one measured run
+    /// of the bit loop: `bfs` is it, and a one-source `bfs_multi` is it
+    /// counted as a batch; neither converts anything.
+    fn assert_entry_points_run_the_bit_loop(
+        m: &Matrix,
+        source: usize,
+        dir: Direction,
+        bits: &LoopRun,
+        what: &str,
+    ) {
+        let before = m.context().stats();
+        let got = bfs_dir(m, source, dir);
+        let mid = m.context().stats();
+        let batch = bfs_multi_dir(m, &[source], dir);
+        let after = m.context().stats();
+        assert_eq!(got.levels, bits.levels, "{what}");
+        assert_eq!(
+            (got.iterations, got.n_reached),
+            (bits.done.0, 1 + bits.done.1),
+            "{what}"
+        );
+        // Column 0 of an `n × 1` level matrix is the matrix.
+        assert_eq!(batch.levels, got.levels, "{what}");
+        assert_eq!(
+            (batch.iterations, batch.n_reached, batch.n_sources),
+            (got.iterations, got.n_reached, 1),
+            "{what}"
+        );
+        let [pull, push, ..] = bits.directions;
+        assert_eq!(
+            (
+                mid.pull_mxv - before.pull_mxv,
+                mid.push_mxv - before.push_mxv
+            ),
+            (pull, push),
+            "{what}"
+        );
+        assert_eq!(
+            (after.pull_mxm - mid.pull_mxm, after.push_mxm - mid.push_mxm),
+            (pull, push),
+            "{what}"
+        );
+        assert_eq!(
+            (mid.total_mxm(), after.total_mxv()),
+            (before.total_mxm(), mid.total_mxv()),
+            "{what}"
+        );
+        assert_eq!(after.converted_elems, before.converted_elems, "{what}");
+    }
+
+    #[test]
+    fn bit_loop_equals_the_f32_loop_and_the_reference_on_every_bit_backend_and_direction() {
+        for (what, adj) in parity_graphs() {
+            let n = adj.nrows();
+            for ts in [TileSize::S4, TileSize::S8, TileSize::S16, TileSize::S32] {
+                let m = Matrix::from_csr(&adj, Backend::Bit(ts));
+                // A vertex inside the graph, and the last one: alone in a
+                // ragged last tile on most of these.
+                for source in [5 % n, n - 1] {
+                    let want = reference::bfs_levels(&adj, source);
+                    for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                        let what = format!("{what} {ts:?} from {source} {dir:?}");
+                        let (bits, packed) = bit_loop(&m, source, dir);
+                        let (flat, unpacked) = vector_loop(&m, source, dir);
+                        assert_eq!(bits, flat, "{what}");
+                        assert_eq!(bits.levels, want, "{what}");
+                        assert_eq!(packed, 0, "the bit loop converts nothing");
+                        assert!(unpacked >= (flat.done.0 * n) as u64, "{what} {unpacked}");
+                        assert_entry_points_run_the_bit_loop(&m, source, dir, &bits, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Through pending deltas — [`hostile_log`]: self-loops, a row emptied,
+    /// an empty row filled — `bfs` and a one-source `bfs_multi` are the bit
+    /// loop of a rebuild and the `f32` loop of the same snapshot, converting
+    /// nothing: every tile size × direction, on the snapshot and on its
+    /// transpose view.
+    #[test]
+    fn bit_loop_through_pending_deltas_equals_the_f32_loop_and_a_rebuild() {
+        for (what, adj) in parity_graphs() {
+            let n = adj.nrows();
+            let (base, log) = hostile_log(&adj);
+            for ts in [TileSize::S4, TileSize::S8, TileSize::S16, TileSize::S32] {
+                let live = Matrix::from_csr(&base, Backend::Bit(ts));
+                live.apply_deltas(&log).unwrap();
+                let snap = live.snapshot();
+                for view in [snap.matrix().clone(), snap.transpose()] {
+                    let rebuilt = Matrix::from_csr(view.csr(), Backend::Bit(ts));
+                    for source in [0, n.saturating_sub(2)] {
+                        for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                            let what = format!("{what} {ts:?} from {source} {dir:?}");
+                            let (bits, packed) = bit_loop(&view, source, dir);
+                            let (scratch, _) = bit_loop(&rebuilt, source, dir);
+                            let (flat, _) = vector_loop(&view, source, dir);
+                            assert_eq!(bits, scratch, "{what}");
+                            assert_eq!(bits, flat, "{what}");
+                            assert_eq!(packed, 0, "the bit loop converts nothing");
+                            assert_entry_points_run_the_bit_loop(&view, source, dir, &bits, &what);
                         }
                     }
                 }
@@ -831,6 +1030,43 @@ mod tests {
         let retry = try_bfs_multi_dir(&m, &[0, 7], Direction::Auto).unwrap();
         assert_eq!(retry.level(19, 0), 19);
         assert_eq!(m.context().stats().converted_elems, 0);
+    }
+
+    /// … and the same of the bit loop, at the point of the product it stands
+    /// in for: `grb.mxv_dispatch` under `bfs`, `grb.mxm_dispatch` under a
+    /// one-source `bfs_multi` (what serve injects at on a one-lane batch).
+    #[test]
+    fn injected_dispatch_transients_surface_from_the_bit_loop() {
+        use bitgblas_core::{FailSpec, FaultAction, FaultInjector, FaultPlan};
+        let m = Matrix::from_csr(&generators::path(20), Backend::Bit(TileSize::S8));
+        type Run = fn(&Matrix) -> Result<i64, GrbError>;
+        let runs: [(&'static str, Run); 2] = [
+            ("grb.mxv_dispatch", |m| {
+                try_bfs_dir(m, 0, Direction::Auto).map(|r| r.levels[19])
+            }),
+            ("grb.mxm_dispatch", |m| {
+                try_bfs_multi_dir(m, &[0], Direction::Auto).map(|r| r.level(19, 0))
+            }),
+        ];
+        for (point, run) in runs {
+            // Let two rounds through, fail the third.
+            let plan = FaultPlan::new()
+                .with(FailSpec::always(point, FaultAction::Latency(1)).with_max_fires(2))
+                .with(FailSpec::always(point, FaultAction::Transient).with_max_fires(1));
+            let inj = std::sync::Arc::new(FaultInjector::new(7, plan));
+            m.context().set_fault_injector(Some(inj));
+            let before = m.context().stats();
+            assert_eq!(run(&m), Err(GrbError::FaultInjected { point }));
+            let after = m.context().stats();
+            assert_eq!(
+                after.total_mxv() + after.total_mxm() - before.total_mxv() - before.total_mxm(),
+                2,
+                "{point}"
+            );
+            // The plan is spent: the retry runs clean, in bits.
+            assert_eq!(run(&m), Ok(19), "{point}");
+            assert_eq!(m.context().stats().converted_elems, 0);
+        }
     }
 
     #[test]

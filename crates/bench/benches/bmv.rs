@@ -1,14 +1,17 @@
 //! Criterion bench: BMV kernel schemes vs the float CSR SpMV baseline
 //! (the statistically-sound counterpart of Figures 6a–c / 7a–c), and the
-//! scalar-vs-SWAR Boolean pull sweep across frontier densities.
+//! scalar-vs-SWAR Boolean pull sweep across frontier densities and across
+//! how much of a BFS is already visited.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
+use bitgblas_algorithms::reference;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmv_bin_bin_bin_into, bmv_bin_bin_bin_simd_into, bmv_bin_bin_full_masked,
-    bmv_bin_full_full_into, pack_vector_bits, pack_vector_tilewise_into,
+    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
+    bmv_bin_bin_bin_simd_into, bmv_bin_bin_full_masked, bmv_bin_full_full_into, pack_vector_bits,
+    pack_vector_tilewise_into,
 };
 use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
@@ -122,5 +125,62 @@ fn bmv_pull_density_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bmv_benches, bmv_pull_density_benches);
+/// The masked Boolean pull as a BFS meets it: the sweep stops walking a
+/// tile-row once every unsuppressed row is reached, so its cost follows what
+/// is left to find.  Suppressed rows are the first 0 / 50 / 95 % of the
+/// vertices in the order a BFS from the highest-degree vertex visits them —
+/// so on R-MAT the visited tile-rows are the hubs', which hold most of the
+/// tiles — at 1 % and 50 % frontiers, both tile bodies, B2SR-8, on the repo
+/// benchmark's two graphs.
+fn bmv_pull_masked_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmv_pull_masked");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let graphs = [
+        ("mesh", generators::banded(2048, 32, 0.7, 5)),
+        (
+            "rmat",
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+        ),
+    ];
+    for (name, csr) in graphs {
+        let n = csr.nrows();
+        let bt = from_csr::<u8>(&csr.transpose(), 8);
+        let mut y = vec![0u8; bt.n_tile_rows()];
+        // BFS visiting order: by level, unreached vertices last.
+        let hub = (0..n).max_by_key(|&r| csr.row(r).0.len()).unwrap();
+        let levels = reference::bfs_levels(&csr, hub);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| (levels[v] < 0, levels[v], v));
+        for visited_pct in [0usize, 50, 95] {
+            let mut flags = vec![false; n];
+            for &v in &order[..n * visited_pct / 100] {
+                flags[v] = true;
+            }
+            let visited = pack_vector_bits::<u8>(&flags, 8);
+            for (frontier, stride) in [("frontier_1pct", 100usize), ("frontier_half", 2)] {
+                let flags: Vec<bool> = (0..n).map(|i| i % stride == 0).collect();
+                let x = pack_vector_bits::<u8>(&flags, 8);
+                let id = |body: &str| format!("{name}/{body}/visited_{visited_pct}");
+                group.bench_function(BenchmarkId::new(id("scalar"), frontier), |b| {
+                    b.iter(|| bmv_bin_bin_bin_masked_into(&bt, &x, Some(&visited), &mut y))
+                });
+                group.bench_function(BenchmarkId::new(id("swar"), frontier), |b| {
+                    b.iter(|| bmv_bin_bin_bin_masked_simd_into(&bt, &x, Some(&visited), &mut y))
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bmv_benches,
+    bmv_pull_density_benches,
+    bmv_pull_masked_benches
+);
 criterion_main!(benches);

@@ -548,6 +548,37 @@ impl DeltaOverlay {
         }
         ws.stats().record_refolded(refolded);
     }
+
+    /// [`refold_dirty_words`](Self::refold_dirty_words) at one bit per node,
+    /// for the node-word product the base [`BitB2sr`] just ran
+    /// ([`BitB2sr::bits_product`], same arguments): a dirty row one of whose
+    /// patched columns is set in `xw` becomes `(OR of xw[c] over the sorted
+    /// merge of base row and patch) & !excluded[i]`; every other dirty row
+    /// keeps the base's bit.  Counts the bits it re-folded.
+    pub(crate) fn refold_dirty_bits(
+        &self,
+        xw: &[u64],
+        excluded: Option<&[u64]>,
+        transpose: bool,
+        ws: &Workspace,
+        yw: &mut [u64],
+    ) {
+        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
+        let (staged, base) = self.dirty(transpose);
+        let mut refolded = 0usize;
+        for (i, patch) in staged.iter() {
+            if patch.iter().all(|&(c, _)| bit(xw, c) == 0) {
+                continue;
+            }
+            refolded += 1;
+            let mut reached = 0u64;
+            for_each_merged(base.row(i).0, patch, &mut |c| reached |= bit(xw, c));
+            let keep = excluded.map_or(1, |e| bit(e, i) ^ 1);
+            let at = i % 64;
+            yw[i / 64] = (yw[i / 64] & !(1 << at)) | ((reached & keep) << at);
+        }
+        ws.stats().record_refolded(refolded);
+    }
 }
 
 impl GrbBackend for DeltaOverlay {

@@ -56,7 +56,6 @@ use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
     bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
     bmv_bin_full_full_fused_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits_into,
-    pack_vector_tilewise_into,
 };
 use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -65,6 +64,7 @@ use super::descriptor::Mask;
 use super::lanebits::{expand_lane_words_into, pack_lane_words_from};
 use super::matrix::Backend;
 use super::multivec::lane_words_per_node;
+use super::nodebits::{join_tile_words, split_into_tile_words};
 use super::plan::{self, MxvPipeline};
 use super::workspace::{Poolable, Workspace};
 
@@ -195,23 +195,16 @@ pub(crate) fn csr_mxm_reduce_masked(
         .expect("operand dimensions checked by the caller")
 }
 
-/// Expand packed Boolean output words into a dense `f32` indicator, with an
-/// optional mask filter — the common tail of the Boolean pull and push paths
-/// (`out` must be resized to the produced length, filled with `0.0`).
-fn expand_bits_into<W: BitWord>(yw: &[W], dim: usize, mask: Option<&Mask>, out: &mut [f32]) {
-    match mask {
-        Some(mk) => {
-            for (i, o) in out.iter_mut().enumerate() {
-                if yw[i / dim].bit((i % dim) as u32) && mk.allows(i) {
-                    *o = 1.0;
-                }
-            }
-        }
-        None => {
-            for (i, o) in out.iter_mut().enumerate() {
-                if yw[i / dim].bit((i % dim) as u32) {
-                    *o = 1.0;
-                }
+/// Expand Boolean node words ([`NodeBits`](super::NodeBits)' layout) into a
+/// dense `f32` indicator, with an optional mask filter — the common tail of
+/// the `f32` Boolean pull and push arms (`out` must hold `n` zeros).  Costs
+/// the words plus the set bits.
+fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
+    for (at, &word) in yw.iter().enumerate() {
+        for b in word.iter_ones() {
+            let i = at * 64 + b as usize;
+            if mask.is_none_or(|mk| mk.allows(i)) {
+                out[i] = 1.0;
             }
         }
     }
@@ -475,6 +468,32 @@ impl BitB2sr {
             )),
         }
     }
+
+    /// The single-vector Boolean product in node words, `yw = (A ⊕.⊗ xw) &
+    /// !excluded` (on `Aᵀ` with `transpose`): `xw` and `excluded` are in
+    /// [`NodeBits`](super::NodeBits)' layout, `frontier` is `mxv_into`'s —
+    /// `Some(ascending set indices of xw)` for push — and `yw` is a pooled
+    /// buffer sized here.  [`lane_product`](Self::lane_product)'s one-bit
+    /// sibling, found the same way ([`Op::vxm_bits`](super::Op::vxm_bits));
+    /// the `f32` Boolean arms of `mxv_into` run the same two bodies between a
+    /// pack and an expand.
+    pub(crate) fn bits_product(
+        &self,
+        xw: &[u64],
+        frontier: Option<&[usize]>,
+        excluded: Option<&[u64]>,
+        transpose: bool,
+        ws: &Workspace,
+        yw: &mut Vec<u64>,
+    ) {
+        match frontier {
+            Some(frontier) => {
+                let (rep, plan, avg) = self.scatter_rep(transpose);
+                with_b2sr!(rep, |m| bits_push(m, frontier, plan, avg, excluded, ws, yw))
+            }
+            None => with_b2sr!(self.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw)),
+        }
+    }
 }
 
 /// Evaluate `$body` with `$allow: Fn(usize) -> bool` bound to the flat
@@ -546,38 +565,102 @@ fn bit_pull<W: BitWord + Poolable>(
         out.truncate(m.nrows());
         return;
     }
-    // Boolean: binarize the operand and use the minimal-footprint
-    // bin/bin/bin scheme; the collapsed epilogue (if any) runs over the
-    // expansion.  Scalar vs SWAR sweep is the workspace policy's decision
-    // (forced, env-seeded, or the constant Auto mask); the two are
-    // word-identical — tests/simd_parity.rs.
-    let mut xp: Vec<W> = ws.take_empty();
-    pack_vector_tilewise_into(p.x, dim, &mut xp);
-    // The kernel takes the mask as packed suppressed-row words.
-    let mp = p.mask.map(|mk| {
-        let mut mp: Vec<W> = ws.take_empty();
+    // Boolean: pack → the node-word sweep → expand; the collapsed epilogue
+    // (if any) runs over the expansion.  The mask rides into the kernel as
+    // suppressed-row words, so the expansion has nothing left to filter.
+    let mut xw: Vec<u64> = ws.take_empty();
+    pack_segments_into(p.x, 64, &mut xw, |&v| v != 0.0);
+    let sup = p.mask.map(|mk| {
+        let mut mw: Vec<u64> = ws.take_empty();
         let complemented = mk.is_complemented();
-        pack_segments_into(mk.structure(), dim, &mut mp, |&set| set == complemented);
-        mp
+        pack_segments_into(mk.structure(), 64, &mut mw, |&set| set == complemented);
+        mw
     });
-    let mut yw: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
-    if ws.simd_enabled(dim) {
-        bmv_bin_bin_bin_masked_simd_into(m, &xp, mp.as_deref(), &mut yw);
-    } else {
-        bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut yw);
-    }
+    let mut yw: Vec<u64> = ws.take_empty();
+    bits_pull(m, &xw, sup.as_deref(), ws, &mut yw);
     out.clear();
     out.resize(m.nrows(), 0.0);
-    // The mask was already applied word-wise by the kernel.
-    expand_bits_into(&yw, dim, None, out);
+    expand_node_words_into(&yw, None, out);
     ws.stats()
         .record_converted(p.x.len() + p.mask.map_or(0, Mask::len) + out.len());
-    ws.give(xp);
+    ws.give(xw);
     ws.give(yw);
+    if let Some(mw) = sup {
+        ws.give(mw);
+    }
+    p.finish_in_place(out);
+}
+
+/// The single-vector Boolean pull sweep in node words on one B2SR width —
+/// `yw = (m ⊕.⊗ xw) & !sup`, the minimal-footprint bin/bin/bin scheme — the
+/// one body under [`BitB2sr::bits_product`] and the `f32` Boolean arm of
+/// [`bit_pull`].  Operand and suppressed rows are re-laid out as tile words
+/// (`n / 8` bytes each), the sweep stops where the answer is known
+/// (`kernels::bmv`), and `yw` (a pooled buffer, sized here) receives the
+/// node words of `nrows` entries.  Scalar vs SWAR tile body is the workspace
+/// policy's decision (forced, env-seeded, or the constant Auto mask); the
+/// two are word-identical — tests/simd_parity.rs.
+fn bits_pull<W: BitWord + Poolable>(
+    m: &B2sr<W>,
+    xw: &[u64],
+    sup: Option<&[u64]>,
+    ws: &Workspace,
+    yw: &mut Vec<u64>,
+) {
+    let dim = m.tile_dim();
+    let mut xp: Vec<W> = ws.take_empty();
+    split_into_tile_words(xw, dim, m.n_tile_cols(), &mut xp);
+    let mp = sup.map(|sup| {
+        let mut mp: Vec<W> = ws.take_empty();
+        split_into_tile_words(sup, dim, m.n_tile_rows(), &mut mp);
+        mp
+    });
+    let mut tiles: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
+    if ws.simd_enabled(dim) {
+        bmv_bin_bin_bin_masked_simd_into(m, &xp, mp.as_deref(), &mut tiles);
+    } else {
+        bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut tiles);
+    }
+    join_tile_words(&tiles, dim, m.nrows(), yw);
+    ws.give(xp);
+    ws.give(tiles);
     if let Some(mp) = mp {
         ws.give(mp);
     }
-    p.finish_in_place(out);
+}
+
+/// The single-vector Boolean push scatter in node words over the rows of one
+/// B2SR width (`m` is the scatter representation), finished with the AND-NOT
+/// of `excluded` — the push half of [`bits_pull`]'s contract.  The scatter
+/// and its merge are word-granular: one OR covers `tile_dim` outputs, so the
+/// engagement test counts tile words.  `yw` receives the node words of
+/// `ncols` entries.
+fn bits_push<W: BitWord + Poolable>(
+    m: &B2sr<W>,
+    frontier: &[usize],
+    plan: &ShardPlan,
+    avg_deg: usize,
+    excluded: Option<&[u64]>,
+    ws: &Workspace,
+    yw: &mut Vec<u64>,
+) {
+    let mut tiles: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
+    push_scatter(
+        ws,
+        plan,
+        frontier,
+        avg_deg,
+        1,
+        W::ZERO,
+        &mut tiles,
+        |segment, chunk| bmv_push_bin_bin(m, segment, chunk),
+        |acc, v| acc | v,
+    );
+    join_tile_words(&tiles, m.tile_dim(), m.ncols(), yw);
+    if let Some(excluded) = excluded {
+        simd::andnot_into(yw, excluded);
+    }
+    ws.give(tiles);
 }
 
 /// The push scatter of a single-vector pipeline over the rows of one B2SR
@@ -593,27 +676,17 @@ fn bit_push<W: BitWord + Poolable>(
 ) {
     let produced = m.ncols();
     if p.semiring == Semiring::Boolean {
-        // Word-granular OR scatter.  The merge is word-granular too: one OR
-        // covers `tile_dim` outputs, so the engagement test counts words.
-        // Every Boolean pipeline scatters from the identity and runs the
-        // collapsed epilogue over the expansion: `Or` would normalise a
-        // seeded baseline (`push_folds_accum` excludes it) and the packed
-        // words could not carry one anyway.
-        let mut yw: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
-        push_scatter(
-            ws,
-            plan,
-            frontier,
-            avg_deg,
-            1,
-            W::ZERO,
-            &mut yw,
-            |segment, chunk| bmv_push_bin_bin(m, segment, chunk),
-            |acc, v| acc | v,
-        );
+        // The node-word scatter → expand.  Every Boolean pipeline scatters
+        // from the identity and runs the collapsed epilogue over the
+        // expansion: `Or` would normalise a seeded baseline
+        // (`push_folds_accum` excludes it) and the packed words could not
+        // carry one anyway.  The mask filters the expansion, which visits
+        // the set bits only.
+        let mut yw: Vec<u64> = ws.take_empty();
+        bits_push(m, frontier, plan, avg_deg, None, ws, &mut yw);
         out.clear();
         out.resize(produced, 0.0);
-        expand_bits_into(&yw, m.tile_dim(), p.mask, out);
+        expand_node_words_into(&yw, p.mask, out);
         ws.stats().record_converted(out.len());
         ws.give(yw);
         p.finish_in_place(out);

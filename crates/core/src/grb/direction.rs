@@ -41,7 +41,6 @@ use bitgblas_perfmodel::DeviceProfile;
 use crate::semiring::Semiring;
 
 use super::expr::shape::{FrontierSize, Shape};
-use super::lanebits::LaneBits;
 
 /// Which traversal direction an `mxv`/`vxm` executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -241,19 +240,21 @@ pub(crate) fn scan_and_choose<V: Shape>(
     scan_within_budget(x.shape(), semiring, by_entries, nnz, alpha, threads, scan)
 }
 
-/// [`scan_and_choose`] for a Boolean batch already held in lane words: the
-/// same budget, the same inequality, over the nodes holding a non-zero word
-/// — so a round of `bfs_multi` resolves as it does through `f32` lanes.
-pub(crate) fn scan_and_choose_lanes(
-    x: &LaneBits,
+/// [`scan_and_choose`] for a Boolean operand already held in words
+/// (`LaneBits`, `NodeBits`) of `shape = (nodes, lanes)`: the same budget, the
+/// same inequality, over the nodes holding a set bit — so a round of `bfs` /
+/// `bfs_multi` resolves as it does through `f32`.  `scan(stop_past_nodes)`
+/// is the operand's frontier scan.
+pub(crate) fn scan_and_choose_words(
+    shape: (usize, usize),
     nnz: usize,
     alpha: f64,
     push_threads: usize,
     pull_threads: usize,
-    frontier: &mut Vec<usize>,
+    scan: impl FnOnce(usize) -> FrontierSize,
 ) -> (Direction, FrontierSize) {
-    let scan = |stop_past: FrontierSize| x.frontier_into(stop_past.nodes, frontier);
-    let (shape, threads) = ((x.n_nodes(), x.n_lanes()), (push_threads, pull_threads));
+    let scan = |stop_past: FrontierSize| scan(stop_past.nodes);
+    let threads = (push_threads, pull_threads);
     scan_within_budget(shape, Semiring::Boolean, false, nnz, alpha, threads, scan)
 }
 

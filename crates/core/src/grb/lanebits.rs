@@ -24,10 +24,16 @@
 
 use bitgblas_bitops::BitWord;
 
+use crate::delta::DeltaOverlay;
+
+use super::backend::BitB2sr;
 use super::descriptor::Mask;
+use super::error::GrbError;
 use super::expr::shape::FrontierSize;
 use super::multivec::{lane_words_per_node, MultiVec};
 use super::op::Context;
+use super::plan::words::WordOps;
+use super::workspace::Workspace;
 
 /// `n × k` Boolean lanes packed into per-node `u64` words.
 ///
@@ -151,16 +157,28 @@ impl LaneBits {
     pub fn recycle(self, ctx: &Context) {
         ctx.workspace().give(self.words);
     }
+}
 
-    /// The planner's operand scan over words: **replace** `out` with the
-    /// indices, ascending, of the nodes holding a set lane and count those
-    /// lanes, giving up once the node count passes `stop_past_nodes` (what
-    /// it returns then is a prefix, enough to know the product pulls).
-    pub(crate) fn frontier_into(
+impl WordOps for LaneBits {
+    fn shape(&self) -> (usize, usize) {
+        (self.n, self.k)
+    }
+
+    fn check_excluded(
         &self,
-        stop_past_nodes: usize,
-        out: &mut Vec<usize>,
-    ) -> FrontierSize {
+        excluded: &Self,
+        produced: usize,
+        _op: &'static str,
+    ) -> Result<(), GrbError> {
+        let what = "excluded lanes must have one row per output node";
+        GrbError::check_len(what, produced, excluded.n)?;
+        let what = "excluded lanes must have the operand's lane count";
+        GrbError::check_len(what, self.k, excluded.k)
+    }
+
+    /// Counts the set lanes of the nodes it lists as `entries`; what it
+    /// returns past the limit is a prefix, enough to know the product pulls.
+    fn frontier_into(&self, stop_past_nodes: usize, out: &mut Vec<usize>) -> FrontierSize {
         out.clear();
         let mut entries = 0usize;
         for (i, words) in self
@@ -181,6 +199,25 @@ impl LaneBits {
             nodes: out.len(),
             entries,
         }
+    }
+
+    fn product(
+        &self,
+        bit: &BitB2sr,
+        overlay: Option<&DeltaOverlay>,
+        frontier: Option<&[usize]>,
+        excluded: Option<&Self>,
+        transpose: bool,
+        produced: usize,
+        ws: &Workspace,
+    ) -> Self {
+        let (xw, excluded) = (&self.words[..], excluded.map(LaneBits::as_words));
+        let mut yw = ws.take_empty::<u64>();
+        bit.lane_product(xw, self.k, frontier, excluded, transpose, ws, &mut yw);
+        if let Some(overlay) = overlay {
+            overlay.refold_dirty_words(xw, self.k, excluded, transpose, ws, &mut yw);
+        }
+        LaneBits::from_words(yw, produced, self.k)
     }
 }
 

@@ -65,7 +65,12 @@
 //! batch does not have to come back to `f32` between operations at all:
 //! [`LaneBits`] holds the `n × k` lanes as words and [`Op::mxm_lanes`] is the
 //! product `next = (A ⊕.⊗ frontier) & !excluded` over them — what
-//! `bfs_multi` runs on a built bit backend.
+//! `bfs_multi` runs on a bit backend.  The single vector has the same:
+//! [`NodeBits`] is `n` Boolean entries in words and [`Op::vxm_bits`] the
+//! masked Boolean `vxm` over them — what `bfs` runs, with frontier and
+//! visited set binarized from round to round as in the paper (§V) — and a
+//! batch of one lane is that vector ([`Op::mxm_bits`]).  All three are one
+//! builder and one planner path over the sealed [`WordOperand`] kinds.
 //!
 //! # Sharded parallel push execution (PR 5)
 //!
@@ -95,6 +100,7 @@ pub mod expr;
 pub mod lanebits;
 pub mod matrix;
 pub mod multivec;
+pub mod nodebits;
 pub mod op;
 pub mod plan;
 pub mod vector;
@@ -110,7 +116,8 @@ pub use expr::{Expr, Fusion, Operand, Stage, MAX_STAGES};
 pub use lanebits::LaneBits;
 pub use matrix::{Backend, Matrix, Snapshot};
 pub use multivec::{lane_words_per_node, MultiVec};
+pub use nodebits::NodeBits;
 pub use op::{Context, Op};
-pub use plan::MxvPipeline;
+pub use plan::{MxvPipeline, WordOperand};
 pub use vector::Vector;
 pub use workspace::{ExecCounts, ExecStats, Workspace, SIMD_ENV_VAR};

@@ -63,7 +63,8 @@ use super::expr::{Expr, Fusion, Operand, Producer, Stage, MAX_STAGES};
 use super::lanebits::LaneBits;
 use super::matrix::Matrix;
 use super::multivec::MultiVec;
-use super::plan;
+use super::nodebits::NodeBits;
+use super::plan::{self, WordOperand};
 use super::vector::Vector;
 use super::workspace::{ExecCounts, Workspace};
 
@@ -371,12 +372,67 @@ impl Op {
     /// ```
     #[must_use = "builders do nothing until try_run(&ctx)"]
     pub fn mxm_lanes<'a>(a: &'a Matrix, x: &'a LaneBits) -> LaneProductBuilder<'a> {
-        LaneProductBuilder {
-            a,
-            x,
-            excluded: None,
-            desc: Descriptor::default(),
-        }
+        WordProductBuilder::new(a, x, false)
+    }
+
+    /// `next = (frontier ⊕.⊗ A) & !excluded` over the Boolean semiring with
+    /// the vector held as bits ([`NodeBits`]) on both sides — the masked
+    /// Boolean [`Op::vxm`] of a traversal that keeps its frontier and visited
+    /// set binarized between rounds (`bfs`), as the paper's BFS does (§V).
+    /// Same builder as [`Op::mxm_lanes`]: the
+    /// [`and_not`](WordProductBuilder::and_not),
+    /// [`transpose`](WordProductBuilder::transpose) and
+    /// [`direction`](WordProductBuilder::direction) switches, and
+    /// [`try_run`](WordProductBuilder::try_run) reports whether the matrix's
+    /// backend has a word product at all.  It counts (`pull_mxv` /
+    /// `push_mxv`) and fails (`grb.mxv_dispatch`) as the `vxm` it replaces.
+    ///
+    /// ```
+    /// use bitgblas_core::grb::{Context, NodeBits, Op};
+    /// use bitgblas_core::{Backend, Matrix, TileSize};
+    /// # use bitgblas_sparse::Coo;
+    /// # let mut coo = Coo::new(4, 4);
+    /// # coo.push_edge(0, 1).unwrap();
+    /// # coo.push_edge(1, 2).unwrap();
+    /// # coo.push_edge(1, 0).unwrap();
+    /// # let csr = coo.to_binary_csr();
+    ///
+    /// let ctx = Context::default();
+    /// let a = Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx);
+    /// // One traversal, at vertex 1, having seen 0 and 1.
+    /// let frontier = NodeBits::from_indices(4, &[1]);
+    /// let visited = NodeBits::from_indices(4, &[0, 1]);
+    /// let next = Op::vxm_bits(&frontier, &a)
+    ///     .and_not(&visited)
+    ///     .try_run(&ctx)
+    ///     .unwrap()
+    ///     .expect("a built bit backend has the word product");
+    /// assert_eq!(next.ones().collect::<Vec<_>>(), vec![2]);
+    /// assert_eq!(ctx.stats().converted_elems, 0);
+    ///
+    /// // The float baseline has none: run the `f32` chain instead.
+    /// let f = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+    /// assert!(Op::vxm_bits(&frontier, &f).try_run(&ctx).unwrap().is_none());
+    /// ```
+    #[must_use = "builders do nothing until try_run(&ctx)"]
+    pub fn vxm_bits<'a>(x: &'a NodeBits, a: &'a Matrix) -> WordProductBuilder<'a, NodeBits> {
+        WordProductBuilder::new(a, x, true)
+    }
+
+    /// [`Op::mxm_lanes`] for a batch of **one** lane, held as [`NodeBits`]
+    /// rather than as a `u64` per node carrying one bit: `next = (A ⊕.⊗
+    /// frontier) & !excluded` ([`transpose`](WordProductBuilder::transpose)
+    /// advances along the edges, as on [`Op::mxm`]).  The product is
+    /// [`Op::vxm_bits`]'s; what makes it a batch is what it tells the rest of
+    /// the system — it counts `pull_mxm` / `push_mxm` and polls
+    /// `grb.mxm_dispatch`, like every other `mxm` — so a one-source
+    /// `bfs_multi` keeps the observable contract of the batch it is.
+    #[must_use = "builders do nothing until try_run(&ctx)"]
+    pub fn mxm_bits<'a>(
+        a: &'a Matrix,
+        x: &'a NodeBits,
+    ) -> WordProductBuilder<'a, NodeBits, MultiVec> {
+        WordProductBuilder::new(a, x, false)
     }
 
     /// `Σ (mask .* (A · B))`: masked matrix product reduced to a scalar (the
@@ -609,33 +665,54 @@ impl<'a, V: Operand> ProductBuilder<'a, V> {
     }
 }
 
-/// Builder for the batched Boolean product over lane words (created by
-/// [`Op::mxm_lanes`]).
+/// Builder for the Boolean product over words: `X` is the operand kept in
+/// bits between operations — [`LaneBits`] ([`Op::mxm_lanes`]) or [`NodeBits`]
+/// ([`Op::vxm_bits`], [`Op::mxm_bits`]) — and `V` the [`Operand`] shape whose
+/// `f32` product it stands in for: it names the counters the product moves
+/// and the fail point it polls.
 #[must_use = "builders do nothing until try_run(&ctx)"]
-pub struct LaneProductBuilder<'a> {
+pub struct WordProductBuilder<'a, X, V = Vector> {
     a: &'a Matrix,
-    x: &'a LaneBits,
-    excluded: Option<&'a LaneBits>,
+    x: &'a X,
+    excluded: Option<&'a X>,
     desc: Descriptor,
+    flip: bool,
+    replaces: std::marker::PhantomData<V>,
 }
 
-impl<'a> LaneProductBuilder<'a> {
-    /// Clear the set lanes of `excluded` (the output's shape) from the
+/// Builder for the batched Boolean product over lane words (created by
+/// [`Op::mxm_lanes`]).
+pub type LaneProductBuilder<'a> = WordProductBuilder<'a, LaneBits, MultiVec>;
+
+impl<'a, X: WordOperand, V: Operand> WordProductBuilder<'a, X, V> {
+    fn new(a: &'a Matrix, x: &'a X, flip: bool) -> Self {
+        WordProductBuilder {
+            a,
+            x,
+            excluded: None,
+            desc: Descriptor::default(),
+            flip,
+            replaces: std::marker::PhantomData,
+        }
+    }
+
+    /// Clear the set bits of `excluded` (the output's shape) from the
     /// result — a complemented mask, applied as a word AND-NOT at the store.
-    pub fn and_not(mut self, excluded: &'a LaneBits) -> Self {
+    pub fn and_not(mut self, excluded: &'a X) -> Self {
         self.excluded = Some(excluded);
         self
     }
 
-    /// `Aᵀ ⊕.⊗ X`: advance along the edges, as on [`Op::mxm`].
+    /// Set the descriptor's transpose flag, as on [`Op::mxm`] / [`Op::vxm`]:
+    /// `Aᵀ ⊕.⊗ X` advances a batch along the edges.
     pub fn transpose(mut self) -> Self {
         self.desc.transpose = true;
         self
     }
 
     /// Use the given traversal direction (default: [`Direction::Auto`],
-    /// priced by the nodes holding a set lane — exactly as the Boolean
-    /// [`Op::mxm`] prices the same frontier).
+    /// priced by the nodes holding a set bit — exactly as the Boolean `f32`
+    /// product prices the same frontier).
     pub fn direction(mut self, direction: Direction) -> Self {
         self.desc.direction = direction;
         self
@@ -644,14 +721,14 @@ impl<'a> LaneProductBuilder<'a> {
     /// Run the product.  `Ok(None)` means the matrix's backend has no word
     /// product — the float baseline, a backend defined outside this crate —
     /// and nothing ran (no counter moved, no fail point was polled): run the
-    /// [`Op::mxm`] chain instead.  A bit backend has it built or read
-    /// through pending deltas.
+    /// `f32` chain instead.  A bit backend has it built or read through
+    /// pending deltas.
     /// `Ok(Some(next))` draws `next`'s buffer from the context's pool
-    /// ([`LaneBits::recycle`] returns it).  Shape violations and an injected
-    /// `grb.mxm_dispatch` transient come back as a typed [`GrbError`].
+    /// (`next.recycle(&ctx)` returns it).  Shape violations and an injected
+    /// dispatch transient come back as a typed [`GrbError`].
     #[must_use = "the typed error must be handled, not dropped"]
-    pub fn try_run(self, ctx: &Context) -> Result<Option<LaneBits>, GrbError> {
-        plan::execute_lane_product(self.a, self.x, self.excluded, self.desc, ctx)
+    pub fn try_run(self, ctx: &Context) -> Result<Option<X>, GrbError> {
+        plan::execute_word_product::<X, V>(self.a, self.x, self.excluded, self.desc, self.flip, ctx)
     }
 }
 
@@ -1902,10 +1979,11 @@ mod tests {
     /// `transpose_view`, with a log of duplicate inserts, an insert then
     /// deleted, a delete of an absent edge, self-loops, a row emptied and an
     /// empty row filled.
-    #[test]
-    fn mxm_lanes_through_pending_deltas_equals_a_rebuild_and_the_masked_boolean_mxm() {
+    /// A 53 × 38 pattern whose row 6 is empty, and a log over it with
+    /// duplicate inserts, an insert then deleted, a delete of an absent edge,
+    /// self-loops, a row emptied (11) and the empty row filled.
+    fn hostile_rect_log() -> (Csr, Vec<crate::delta::EdgeDelta>) {
         use crate::delta::EdgeDelta;
-        // Row 6 starts empty; the log empties row 11.
         let full = sample_rect(53, 38, 17);
         let mut coo = Coo::new(53, 38);
         for (r, c, _) in full.iter().filter(|&(r, _, _)| r != 6) {
@@ -1926,6 +2004,16 @@ mod tests {
             EdgeDelta::insert(52, 0),
         ];
         log.extend(csr.row(11).0.iter().map(|&c| EdgeDelta::delete(11, c)));
+        (csr, log)
+    }
+
+    /// Run `check` on every tile size over [`hostile_rect_log`]'s pending
+    /// snapshot, its `transpose_view` and a rebuild of each, and require the
+    /// two to agree in what `check` returns.
+    fn pending_equals_rebuilt<R: PartialEq + std::fmt::Debug>(
+        check: impl Fn(&Matrix, &Context) -> R,
+    ) {
+        let (csr, log) = hostile_rect_log();
         let ctx = Context::default();
         for ts in TileSize::ALL {
             let live = Matrix::from_csr_ctx(&csr, Backend::Bit(ts), &ctx);
@@ -1934,14 +2022,19 @@ mod tests {
             for view in [snap.matrix().clone(), snap.transpose()] {
                 let rebuilt = Matrix::from_csr_ctx(view.csr(), Backend::Bit(ts), &ctx);
                 assert_eq!(
-                    lane_products_equal_the_masked_boolean_mxm(&view, &ctx),
-                    lane_products_equal_the_masked_boolean_mxm(&rebuilt, &ctx),
+                    check(&view, &ctx),
+                    check(&rebuilt, &ctx),
                     "{ts:?} {}x{}",
                     view.nrows(),
                     view.ncols()
                 );
             }
         }
+    }
+
+    #[test]
+    fn mxm_lanes_through_pending_deltas_equals_a_rebuild_and_the_masked_boolean_mxm() {
+        pending_equals_rebuilt(lane_products_equal_the_masked_boolean_mxm);
     }
 
     #[test]
@@ -2014,6 +2107,201 @@ mod tests {
         ctx.set_fault_injector(None);
         let got = Op::mxm_lanes(&pending.snapshot(), &x).try_run(&ctx);
         assert_eq!(got, Ok(Some(LaneBits::zeros(20, 3))));
+    }
+
+    /// Check the node-bit products on `a` against the Boolean `vxm` — and
+    /// the one-lane `mxm` — under a complemented mask, bit for bit and
+    /// decision for decision: either orientation × a thin, a dense and an
+    /// empty frontier × direction.  Returns what it computed and how often
+    /// it pushed, for comparing two matrices that hold the same edges.
+    fn bit_products_equal_the_masked_boolean_vxm(
+        a: &Matrix,
+        ctx: &Context,
+    ) -> Vec<(NodeBits, u64)> {
+        let bits = |v: &[f32]| {
+            let set: Vec<usize> = (0..v.len()).filter(|&i| v[i] != 0.0).collect();
+            NodeBits::from_indices(v.len(), &set)
+        };
+        let mut results = Vec::new();
+        for transpose in [false, true] {
+            // `vxm` flips: plain contracts the rows.
+            let (contracted, produced) = if transpose {
+                (a.ncols(), a.nrows())
+            } else {
+                (a.nrows(), a.ncols())
+            };
+            for every in [9usize, 2, usize::MAX] {
+                let x: Vector = operand(contracted, 1, |i, _| ((i + 1) % every == 0) as u8 as f32);
+                let seen: Vector = operand(produced, 1, |i, _| (i % 4 == 0) as u8 as f32);
+                let (xb, sb) = (bits(x.as_slice()), bits(seen.as_slice()));
+                let mask = Mask::complemented(seen.as_slice().iter().map(|&v| v != 0.0).collect());
+                let x1 = MultiVec::from_vec(x.as_slice().to_vec(), contracted, 1);
+                for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
+                    let what = format!("{:?} transpose={transpose} 1/{every} {dir:?}", a.backend());
+                    let mut flat = Op::vxm(&x, a).semiring(Semiring::Boolean).direction(dir);
+                    let mut words = Op::vxm_bits(&xb, a).direction(dir);
+                    // `mxm` does not flip: its transpose is the other one.
+                    let mut flat1 = Op::mxm(a, &x1).semiring(Semiring::Boolean).direction(dir);
+                    let mut words1 = Op::mxm_bits(a, &xb).direction(dir);
+                    if transpose {
+                        (flat, words) = (flat.transpose(), words.transpose());
+                    } else {
+                        (flat1, words1) = (flat1.transpose(), words1.transpose());
+                    }
+                    let resolved = |a: &ExecCounts, b: &ExecCounts| {
+                        (
+                            (b.pull_mxv - a.pull_mxv, b.push_mxv - a.push_mxv),
+                            (b.pull_mxm - a.pull_mxm, b.push_mxm - a.push_mxm),
+                            b.push_frontier_nodes - a.push_frontier_nodes,
+                            b.push_frontier_entries - a.push_frontier_entries,
+                        )
+                    };
+                    let before = ctx.stats();
+                    let want = flat.mask(&mask).run(ctx);
+                    let mid = ctx.stats();
+                    let got = words.and_not(&sb).try_run(ctx).unwrap().unwrap();
+                    let after = ctx.stats();
+                    assert_eq!(got, bits(want.as_slice()), "{what}");
+                    assert_eq!(got.len(), produced, "{what}");
+                    // Same direction, same frontier counts, no conversion.
+                    assert_eq!(resolved(&mid, &after), resolved(&before, &mid), "{what}");
+                    assert_eq!(after.total_mxm(), before.total_mxm(), "{what}");
+                    assert_eq!(after.converted_elems, mid.converted_elems, "{what}");
+                    let converted = mid.converted_elems > before.converted_elems;
+                    assert_eq!(converted, produced > 0, "{what}");
+
+                    // The one-lane batch: the same bits, counted as an `mxm`.
+                    let want1 = flat1.mask(&mask).run(ctx);
+                    assert_eq!(want1.as_slice(), want.as_slice(), "{what}");
+                    let mid1 = ctx.stats();
+                    let got1 = words1.and_not(&sb).try_run(ctx).unwrap().unwrap();
+                    let after1 = ctx.stats();
+                    assert_eq!(got1, got, "{what}");
+                    assert_eq!(resolved(&mid1, &after1), resolved(&after, &mid1), "{what}");
+                    assert_eq!(after1.total_mxv(), after.total_mxv(), "{what}");
+                    assert_eq!(after1.converted_elems, mid1.converted_elems, "{what}");
+                    results.push((got, after.push_mxv - mid.push_mxv));
+                }
+                // Without `and_not` it is the unmasked product.
+                let bare = Op::vxm(&x, a).semiring(Semiring::Boolean);
+                let words = Op::vxm_bits(&xb, a);
+                let (want, got) = if transpose {
+                    (bare.transpose().run(ctx), words.transpose().try_run(ctx))
+                } else {
+                    (bare.run(ctx), words.try_run(ctx))
+                };
+                assert_eq!(got.unwrap().unwrap(), bits(want.as_slice()));
+            }
+        }
+        results
+    }
+
+    /// The node-bit product is the Boolean `vxm` under a complemented mask on
+    /// every tile size: rectangular operands, an empty matrix, fewer nodes
+    /// than a tile holds, self-loops, and a last vertex alone in a ragged
+    /// last tile.
+    #[test]
+    fn vxm_bits_equals_the_masked_boolean_vxm() {
+        let mut loops = Coo::new(3, 3);
+        for (r, c) in [(0, 0), (0, 1), (1, 1), (2, 0)] {
+            loops.push_edge(r, c).unwrap();
+        }
+        let mut ragged = Coo::new(65, 65);
+        for i in 0..64 {
+            ragged.push_undirected_edge(i, 64).unwrap();
+            ragged.push_edge(i, (i * 7 + 1) % 64).unwrap();
+        }
+        let graphs = [
+            sample_rect(53, 38, 17),
+            Csr::empty(0, 0),
+            Csr::empty(5, 9),
+            loops.to_binary_csr(),
+            ragged.to_binary_csr(),
+        ];
+        let ctx = Context::default();
+        for csr in &graphs {
+            for ts in TileSize::ALL {
+                let a = Matrix::from_csr_ctx(csr, Backend::Bit(ts), &ctx);
+                bit_products_equal_the_masked_boolean_vxm(&a, &ctx);
+            }
+        }
+    }
+
+    /// … and through pending deltas it is, besides, the node-bit product of
+    /// a rebuild, to the same per-call directions.
+    #[test]
+    fn vxm_bits_through_pending_deltas_equals_a_rebuild_and_the_masked_boolean_vxm() {
+        pending_equals_rebuilt(bit_products_equal_the_masked_boolean_vxm);
+    }
+
+    #[test]
+    fn vxm_bits_reports_shape_violations_and_backends_without_a_word_product() {
+        let csr = sample_rect(20, 12, 5);
+        let ctx = Context::default();
+        let a = Matrix::from_csr_ctx(&csr, Backend::default_bit(), &ctx);
+        let (x, y) = (NodeBits::zeros(20), NodeBits::zeros(12));
+        // A wrong-length frontier or `excluded`, in either orientation and
+        // under either name, is a typed error.
+        let mismatch = |op, expected, got| Err(GrbError::DimensionMismatch { op, expected, got });
+        assert_eq!(Op::vxm_bits(&y, &a).try_run(&ctx), mismatch("vxm", 20, 12));
+        assert_eq!(
+            Op::vxm_bits(&x, &a).transpose().try_run(&ctx),
+            mismatch("vxm", 12, 20)
+        );
+        assert_eq!(
+            Op::vxm_bits(&x, &a).and_not(&x).try_run(&ctx),
+            mismatch("vxm", 12, 20)
+        );
+        assert_eq!(Op::mxm_bits(&a, &x).try_run(&ctx), mismatch("mxm", 12, 20));
+        assert_eq!(
+            Op::mxm_bits(&a, &y).and_not(&y).try_run(&ctx),
+            mismatch("mxm", 20, 12)
+        );
+        assert_eq!(
+            (ctx.stats().total_mxv(), ctx.stats().total_mxm()),
+            (0, 0),
+            "a rejected product does not run"
+        );
+
+        // No word product: the float baseline — built or read through
+        // pending deltas — and an external backend.  Nothing runs and no fail
+        // point is polled …
+        let plan = FaultPlan::new()
+            .with(FailSpec::always("grb.mxv_dispatch", FaultAction::Transient))
+            .with(FailSpec::always("grb.mxm_dispatch", FaultAction::Transient));
+        let inj = std::sync::Arc::new(FaultInjector::new(1, plan));
+        ctx.set_fault_injector(Some(inj.clone()));
+        let float = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+        let float_pending = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
+        float_pending.insert_edge(0, 0).unwrap();
+        let external = Matrix::from_backend(Box::new(Spy::new(&csr)));
+        for m in [&float, &*float_pending.snapshot(), &external] {
+            assert_eq!(Op::vxm_bits(&x, m).try_run(&ctx), Ok(None));
+            assert_eq!(Op::mxm_bits(m, &y).try_run(&ctx), Ok(None));
+            // … while a wrong shape is still an error.
+            assert!(Op::vxm_bits(&y, m).try_run(&ctx).is_err());
+        }
+        assert_eq!(inj.counts().transients, 0);
+        // … and the bit matrix polls its shape's point once per call, built
+        // or read through pending deltas.
+        let pending = Matrix::from_csr_ctx(&csr, Backend::default_bit(), &ctx);
+        pending.insert_edge(0, 0).unwrap();
+        for m in [&a, &*pending.snapshot()] {
+            let injected = |point| Err(GrbError::FaultInjected { point });
+            assert_eq!(
+                Op::vxm_bits(&x, m).try_run(&ctx),
+                injected("grb.mxv_dispatch")
+            );
+            assert_eq!(
+                Op::mxm_bits(m, &y).try_run(&ctx),
+                injected("grb.mxm_dispatch")
+            );
+        }
+        assert_eq!(inj.counts().transients, 4);
+        assert_eq!((ctx.stats().total_mxv(), ctx.stats().total_mxm()), (0, 0));
+        ctx.set_fault_injector(None);
+        let got = Op::vxm_bits(&x, &pending.snapshot()).try_run(&ctx);
+        assert_eq!(got, Ok(Some(NodeBits::zeros(12))));
     }
 
     /// `build()` produces an inert expression that `ctx.evaluate` runs.

@@ -71,13 +71,13 @@ use crate::semiring::{BinaryOp, Semiring};
 
 use super::backend::{BitB2sr, FloatCsr, GrbBackend};
 use super::descriptor::{Descriptor, Mask};
-use super::direction::{scan_and_choose, scan_and_choose_lanes, scatter_penalty, Direction};
+use super::direction::{scan_and_choose, scan_and_choose_words, scatter_penalty, Direction};
 use super::error::GrbError;
-use super::expr::shape::{FrontierSize, Shape};
+use super::expr::shape::FrontierSize;
 use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
 use super::lanebits::LaneBits;
 use super::matrix::Matrix;
-use super::multivec::MultiVec;
+use super::nodebits::NodeBits;
 use super::op::Context;
 use super::workspace::{ExecStats, Workspace};
 
@@ -569,71 +569,119 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     Ok(V::from_flat(out, produced, k))
 }
 
-/// The batched Boolean product over lane words (the implementation of
-/// [`Op::mxm_lanes`](super::Op::mxm_lanes)): `next = (A ⊕.⊗ x) & !excluded`,
-/// on `Aᵀ` with `desc.transpose`.  `Ok(None)` when the matrix's backend has
-/// no word product — found by downcast, like [`scatter_is_lane_sparse`]: a
-/// built [`BitB2sr`] does, and so does a `DeltaOverlay` over one
-/// ([`BitB2sr::lane_product`], then the overlay's word re-fold of the dirty
-/// rows the frontier reaches).  Checks, the `grb.mxm_dispatch` fail point,
-/// direction resolution and the counters are `execute_product`'s for a
-/// Boolean `mxm` with a complemented mask, so a caller that falls back to
-/// that chain when this declines resolves every round the same way.
-pub(crate) fn execute_lane_product(
+/// The two Boolean operands held in words between operations: [`LaneBits`]
+/// (`k` lanes per node) and [`NodeBits`] (one bit per node).
+///
+/// The type parameter of the word-product builder
+/// ([`WordProductBuilder`](super::op::WordProductBuilder)) — not an extension
+/// point.  Sealed like [`Operand`]: everything the one word product path
+/// (`execute_word_product`) needs of either lives on a crate-private
+/// supertrait.
+pub trait WordOperand: words::WordOps {}
+impl WordOperand for LaneBits {}
+impl WordOperand for NodeBits {}
+
+pub(crate) mod words {
+    use super::*;
+
+    /// What `execute_word_product` needs of a [`WordOperand`].  Not nameable
+    /// outside the crate — that is what seals it.
+    pub trait WordOps: Sized {
+        /// `(nodes, lanes)`.
+        fn shape(&self) -> (usize, usize);
+        /// Check `excluded` has the shape of `self`'s product over `produced`
+        /// output nodes (`op` names the product in the error).
+        fn check_excluded(
+            &self,
+            excluded: &Self,
+            produced: usize,
+            op: &'static str,
+        ) -> Result<(), GrbError>;
+        /// The planner's operand scan over words: **replace** `out` with the
+        /// indices, ascending, of the nodes holding a set bit — the push
+        /// frontier — giving up once their count passes `stop_past_nodes`.
+        fn frontier_into(&self, stop_past_nodes: usize, out: &mut Vec<usize>) -> FrontierSize;
+        /// `(A ⊕.⊗ self) & !excluded` over `produced` output nodes on the
+        /// built bit backend (on `Aᵀ` with `transpose`; `frontier` is `Some`
+        /// for push), then the overlay's word re-fold of the dirty rows the
+        /// operand reaches.  The result's buffer comes from the pool.
+        #[allow(clippy::too_many_arguments)]
+        fn product(
+            &self,
+            bit: &BitB2sr,
+            overlay: Option<&DeltaOverlay>,
+            frontier: Option<&[usize]>,
+            excluded: Option<&Self>,
+            transpose: bool,
+            produced: usize,
+            ws: &Workspace,
+        ) -> Self;
+    }
+}
+
+/// The Boolean product over words (the implementation of
+/// [`Op::mxm_lanes`](super::Op::mxm_lanes) on [`LaneBits`] and of
+/// [`Op::vxm_bits`](super::Op::vxm_bits) / [`Op::mxm_bits`](super::Op::mxm_bits)
+/// on [`NodeBits`]): `next = (A ⊕.⊗ x) & !excluded`, on `Aᵀ` when
+/// `desc.transpose != flip`.  `Ok(None)` when the matrix's backend has no
+/// word product — found by downcast, like [`scatter_is_lane_sparse`]: a
+/// built [`BitB2sr`] does, and so does a `DeltaOverlay` over one (the base's
+/// product, then the overlay's word re-fold of the dirty rows the frontier
+/// reaches).  Checks, fail point, direction resolution and counters are
+/// `execute_product::<V>`'s for a Boolean product with a complemented mask —
+/// `V` is the operand-shape marker they are read off, [`Vector`](super::Vector)
+/// for `vxm` and [`MultiVec`](super::MultiVec) for a batch of any lane count,
+/// one included — so a caller that falls back to that chain when this
+/// declines resolves, counts and fails every round the same way.
+pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
     a: &Matrix,
-    x: &LaneBits,
-    excluded: Option<&LaneBits>,
+    x: &X,
+    excluded: Option<&X>,
     desc: Descriptor,
+    flip: bool,
     ctx: &Context,
-) -> Result<Option<LaneBits>, GrbError> {
-    let transpose = desc.transpose;
-    let k = x.n_lanes();
+) -> Result<Option<X>, GrbError> {
+    let transpose = desc.transpose != flip;
+    let op = V::OP_NAMES[flip as usize];
+    let (x_nodes, k) = x.shape();
     let (contracted, produced) = if transpose {
         (a.nrows(), a.ncols())
     } else {
         (a.ncols(), a.nrows())
     };
-    if contracted != x.n_nodes() {
+    if contracted != x_nodes {
         return Err(GrbError::DimensionMismatch {
-            op: "mxm",
+            op,
             expected: contracted,
-            got: x.n_nodes(),
+            got: x_nodes,
         });
     }
     if let Some(e) = excluded {
-        let what = "excluded lanes must have one row per output node";
-        GrbError::check_len(what, produced, e.n_nodes())?;
-        let what = "excluded lanes must have the operand's lane count";
-        GrbError::check_len(what, k, e.n_lanes())?;
+        x.check_excluded(e, produced, op)?;
     }
     let state = a.state();
     let (built, overlay) = built_under(state);
     let Some(bit) = built.downcast_ref::<BitB2sr>() else {
         return Ok(None);
     };
-    poll_fail_point(ctx, MultiVec::FAIL_POINT)?;
+    poll_fail_point(ctx, V::FAIL_POINT)?;
 
     let ws = ctx.workspace();
     let frontier = resolve_frontier(desc.direction, ws, |auto, list| {
         if !auto {
             return (Direction::Push, x.frontier_into(usize::MAX, list));
         }
-        scan_and_choose_lanes(
-            x,
+        scan_and_choose_words(
+            (x_nodes, k),
             a.nnz(),
             scatter_penalty(&ctx.device),
             effective_push_threads(state, !transpose, ctx),
             crate::shard::machine_parallelism(),
-            list,
+            |stop_past_nodes| x.frontier_into(stop_past_nodes, list),
         )
     });
-    let mut yw = ws.take_empty::<u64>();
-    let (xw, excluded) = (x.as_words(), excluded.map(LaneBits::as_words));
     let list = frontier.as_ref().map(|(list, _)| list.as_slice());
-    bit.lane_product(xw, k, list, excluded, transpose, ws, &mut yw);
-    if let Some(overlay) = overlay {
-        overlay.refold_dirty_words(xw, k, excluded, transpose, ws, &mut yw);
-    }
-    record_direction(ws, MultiVec::record_product, frontier);
-    Ok(Some(LaneBits::from_words(yw, produced, k)))
+    let next = x.product(bit, overlay, list, excluded, transpose, produced, ws);
+    record_direction(ws, V::record_product, frontier);
+    Ok(Some(next))
 }

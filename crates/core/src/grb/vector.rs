@@ -1,10 +1,14 @@
 //! The GrB-style vector object.
 //!
 //! Bit-GraphBLAS keeps frontier vectors dense: binarized for Boolean
-//! semirings, full-precision for the others (§V).  `Vector` wraps a dense
-//! `f32` buffer and provides the frontier-style constructors and queries the
-//! algorithms need; the binarized packing is produced on demand inside the
-//! ops layer.
+//! semirings, full-precision for the others (§V).  `Vector` is the
+//! full-precision one: it wraps a dense `f32` buffer and provides the
+//! frontier-style constructors and queries the algorithms need.  The
+//! binarized one is [`NodeBits`](super::NodeBits), which a Boolean traversal
+//! on a bit backend keeps from round to round
+//! ([`Op::vxm_bits`](super::Op::vxm_bits)); a Boolean product handed a
+//! `Vector` packs it on the way in and expands its result on the way out
+//! (`ExecCounts::converted_elems` counts that).
 
 use bitgblas_sparse::DenseVec;
 

@@ -431,10 +431,11 @@ pub struct ExecCounts {
     /// `f32` / `bool` elements packed to, or expanded from, bits at an op
     /// boundary of a bit backend's Boolean products (operand pack, mask
     /// staging, output expand): the exact cost of *not* keeping a Boolean
-    /// vector binarized between operations.  `bfs_multi` on a built bit
-    /// backend — with or without pending deltas — adds **0**: its frontier
-    /// and visited lanes stay in words ([`LaneBits`](super::LaneBits)); the
-    /// same traversal through `f32` multi-vectors (an external backend)
+    /// vector binarized between operations.  `bfs` and `bfs_multi` on a
+    /// built bit backend — with or without pending deltas — add **0**: their
+    /// frontier and visited sets stay in words
+    /// ([`NodeBits`](super::NodeBits), [`LaneBits`](super::LaneBits)); the
+    /// same traversal through `f32` (multi-)vectors (an external backend)
     /// adds at least `n · k` per round.
     pub converted_elems: u64,
     /// Dirty output positions a `DeltaOverlay` re-folded after its base's

@@ -14,13 +14,20 @@
 //!
 //! Two kernel families live here:
 //!
-//! * **pull** (`bmv_bin_*`, `bmv_..._into`) — the dense sweep described
-//!   above: cost independent of how many vector entries are active.  The
-//!   `_into` variants write into caller-supplied buffers so the GrB layer's
-//!   workspace pool can recycle them across iterations.  Each scheme and
-//!   its masked twin are one generic body whose store-side mask hook the
-//!   compiler specialises (a no-op when unmasked): the `_masked` name
-//!   takes `Option<mask>`.
+//! * **pull** (`bmv_bin_*`, `bmv_..._into`) — the sweep described above,
+//!   over every tile-row.  The `_into` variants write into caller-supplied
+//!   buffers so the GrB layer's workspace pool can recycle them across
+//!   iterations.  Each scheme and its masked twin are one generic body whose
+//!   store-side mask hook the compiler specialises (a no-op when unmasked):
+//!   the `_masked` name takes `Option<mask>`.  The full-precision schemes
+//!   cost the matrix whatever the vector holds.  The Boolean bin/bin/bin
+//!   sweep costs what is left to find: it skips a tile whose column word is
+//!   empty, a tile-row whose every row the mask suppresses, and the rest of a
+//!   tile-row once every unsuppressed row is reached — Beamer's bottom-up
+//!   step, which is what a late BFS round is (most rows visited, the
+//!   unvisited ones low-degree).  The mask is still applied at the store, as
+//!   the paper's scheme has it; the paper's kernel does not exit early only
+//!   because a GPU warp would diverge, and a CPU tile-row loop has no warp.
 //! * **push** (`bmv_push_*`) — sparse-frontier scatter: only the tiles of
 //!   the frontier's tile-rows are visited and their row words scattered into
 //!   the output, so the cost is proportional to the frontier's edge count.
@@ -86,7 +93,7 @@ pub(crate) fn pack_segments_into<T, W: BitWord>(
 /// bit `r` of word `tr` set iff output row `tr*dim + r` is reachable.  This
 /// is the minimal-footprint scheme used by BFS.
 pub fn bmv_bin_bin_bin_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
-    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO);
+    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO, reach_scalar);
 }
 
 /// As [`bmv_bin_bin_bin_into`] but with the
@@ -102,45 +109,89 @@ pub fn bmv_bin_bin_bin_masked_into<W: BitWord>(
     match mask {
         Some(m) => {
             debug_assert!(m.len() >= a.n_tile_rows(), "mask has too few tile words");
-            bin_bin_bin_sweep(a, x, y, |tr| !m[tr]);
+            bin_bin_bin_sweep(a, x, y, |tr| !m[tr], reach_scalar);
         }
         None => bmv_bin_bin_bin_into(a, x, y),
     }
 }
 
-/// The one body behind the scalar bin/bin/bin scheme and its masked twin:
-/// `keep(tr)` is the word of rows of tile-row `tr` the store lets through
-/// (all ones when unmasked — the compiler specialises each case).
+/// The one sweep behind the Boolean pull schemes — scalar or SWAR, masked
+/// or not: `keep(tr)` is the word of rows of tile-row `tr` the store lets
+/// through (all ones when unmasked — the compiler specialises each case) and
+/// `reach(tile words, x word)` the rows of one tile that reach an active
+/// column.  Each tile-row is one [`bin_bin_bin_tile_row`]; the tiles it
+/// walked are a test's business and dropped here, so the sweep carries no
+/// counter.
 fn bin_bin_bin_sweep<W: BitWord>(
     a: &B2sr<W>,
     x: &[W],
     y: &mut [W],
     keep: impl Fn(usize) -> W + Sync,
+    reach: impl Fn(&[W], W) -> W + Sync,
 ) {
     debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
     debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
-    let dim = a.tile_dim();
     y.par_iter_mut().enumerate().for_each(|(tr, out)| {
-        if tr >= a.n_tile_rows() {
-            *out = W::ZERO;
-            return;
-        }
-        let mut acc = W::ZERO;
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let xw = x[tc];
-            let words = a.tile_words(idx);
-            // Lane r: does row r of this tile reach any active column?
-            for (r, &aw) in words.iter().enumerate().take(dim) {
-                if (aw & xw) != W::ZERO {
-                    acc = acc.with_bit(r as u32);
-                }
-            }
-        }
-        // Bitmask applied right before the output store (no early exit, to
-        // avoid the warp divergence the paper describes).
-        *out = acc & keep(tr);
+        *out = if tr < a.n_tile_rows() {
+            bin_bin_bin_tile_row(a, x, tr, keep(tr), &reach).0
+        } else {
+            W::ZERO
+        };
     });
+}
+
+/// One tile-row of the Boolean pull: `(reached rows & keep, tiles walked)`.
+///
+/// This is Beamer's bottom-up step on tiles.  A row the store suppresses
+/// needs no edge and a row already reached needs no second one (OR is
+/// idempotent), so the walk covers what is left to find: nothing when every
+/// row that exists is suppressed, no tile whose column word is empty, and no
+/// tile past the one that reaches the last wanted row.  The store is still
+/// `acc & keep` — the paper's mask-at-the-store scheme (§V), bit for bit;
+/// what the paper avoids by not exiting early is warp divergence, and a CPU
+/// tile-row loop has no warp.  "Rows that exist" are `dim` per tile-row and
+/// fewer in a ragged last one, so neither B2SR-4's spare `u8` bits nor
+/// padding rows (which hold no edge) block saturation.
+#[inline(always)]
+fn bin_bin_bin_tile_row<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[W],
+    tr: usize,
+    keep: W,
+    reach: impl Fn(&[W], W) -> W,
+) -> (W, usize) {
+    let dim = a.tile_dim();
+    let rows = dim.min(a.nrows() - tr * dim);
+    let want = keep & W::from_u64(u64::MAX >> (64 - rows));
+    let (mut acc, mut walked) = (W::ZERO, 0usize);
+    if want == W::ZERO {
+        return (acc, walked);
+    }
+    for idx in a.tile_row_range(tr) {
+        let xw = x[a.tile_colind()[idx]];
+        if xw == W::ZERO {
+            continue;
+        }
+        walked += 1;
+        acc |= reach(a.tile_words(idx), xw);
+        if acc & want == want {
+            break;
+        }
+    }
+    (acc & keep, walked)
+}
+
+/// The scalar tile body: lane `r` tests row `r` of the tile against the
+/// vector word of its tile-column.
+#[inline(always)]
+fn reach_scalar<W: BitWord>(words: &[W], xw: W) -> W {
+    let mut rows = W::ZERO;
+    for (r, &aw) in words.iter().enumerate() {
+        if (aw & xw) != W::ZERO {
+            rows = rows.with_bit(r as u32);
+        }
+    }
+    rows
 }
 
 /// The bin/bin/full scheme: binarized matrix × binarized vector →
@@ -325,11 +376,13 @@ fn bit_fused_sweep<W, C, R, F>(
 // SWAR-vector Boolean pull kernel
 // ---------------------------------------------------------------------------
 //
-// The Boolean sweep has a second, SWAR form: bit-for-bit the same output as
-// `bin_bin_bin_sweep` — it tests up to `64 / BITS` tile rows per ALU op on
-// whole 64-bit tile chunks ([`BitWord::pack_chunk_u64`]) with the branch-free
-// lane arithmetic of [`super::simd`].  Which of the two runs is the backend's
-// per-context `SimdPolicy` decision — the only thing that policy selects.
+// The Boolean sweep has a second, SWAR tile body: bit-for-bit the same
+// output as [`reach_scalar`] — it tests up to `64 / BITS` tile rows per ALU op
+// on whole 64-bit tile chunks ([`BitWord::pack_chunk_u64`]) with the
+// branch-free lane arithmetic of [`super::simd`].  Which of the two runs is
+// the backend's per-context `SimdPolicy` decision — the only thing that
+// policy selects.  The tile-row walk around them, early exit included, is
+// the one `bin_bin_bin_tile_row`.
 
 use super::simd::{broadcast_lanes, nonzero_lane_msbs};
 
@@ -338,7 +391,7 @@ use super::simd::{broadcast_lanes, nonzero_lane_msbs};
 /// ANDed against the broadcast vector word and a single SWAR non-zero-lane
 /// test yields the reachable rows of up to `64 / BITS` tile rows at once.
 pub fn bmv_bin_bin_bin_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
-    bin_bin_bin_simd_sweep(a, x, y, |_| !W::ZERO);
+    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO, reach_swar);
 }
 
 /// SWAR-vector variant of [`bmv_bin_bin_bin_masked_into`] — the
@@ -353,48 +406,29 @@ pub fn bmv_bin_bin_bin_masked_simd_into<W: BitWord>(
     match mask {
         Some(m) => {
             debug_assert!(m.len() >= a.n_tile_rows(), "mask has too few tile words");
-            bin_bin_bin_simd_sweep(a, x, y, |tr| !m[tr]);
+            bin_bin_bin_sweep(a, x, y, |tr| !m[tr], reach_swar);
         }
         None => bmv_bin_bin_bin_simd_into(a, x, y),
     }
 }
 
-/// The one body behind the SWAR bin/bin/bin scheme and its masked twin
-/// (`keep` as in the scalar sweep).
-fn bin_bin_bin_simd_sweep<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[W],
-    y: &mut [W],
-    keep: impl Fn(usize) -> W + Sync,
-) {
-    debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
-    debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
-    let dim = a.tile_dim();
+/// The SWAR tile body: one AND + one SWAR non-zero test covers `64 / BITS`
+/// tile rows; each surviving lane MSB is one reachable row.
+#[inline(always)]
+fn reach_swar<W: BitWord>(words: &[W], xw: W) -> W {
     let per = (64 / W::BITS) as usize;
-    y.par_iter_mut().enumerate().for_each(|(tr, out)| {
-        if tr >= a.n_tile_rows() {
-            *out = W::ZERO;
-            return;
+    let xb = broadcast_lanes::<W>(xw);
+    let mut rows = W::ZERO;
+    for (ci, chunk) in words.chunks(per).enumerate() {
+        let mut nz = nonzero_lane_msbs::<W>(W::pack_chunk_u64(chunk) & xb);
+        let r0 = (ci * per) as u32;
+        while nz != 0 {
+            let b = nz.trailing_zeros();
+            nz &= nz - 1;
+            rows = rows.with_bit(r0 + b / W::BITS);
         }
-        let mut acc = W::ZERO;
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let xb = broadcast_lanes::<W>(x[tc]);
-            let words = a.tile_words(idx);
-            for (ci, chunk) in words[..dim.min(words.len())].chunks(per).enumerate() {
-                // One AND + one SWAR non-zero test covers `per` tile rows;
-                // each surviving lane MSB is one reachable row.
-                let mut nz = nonzero_lane_msbs::<W>(W::pack_chunk_u64(chunk) & xb);
-                let r0 = (ci * per) as u32;
-                while nz != 0 {
-                    let b = nz.trailing_zeros();
-                    nz &= nz - 1;
-                    acc = acc.with_bit(r0 + b / W::BITS);
-                }
-            }
-        }
-        *out = acc & keep(tr);
-    });
+    }
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,6 +1035,164 @@ pub(crate) mod tests {
         check!(u8, 8);
         check!(u16, 16);
         check!(u32, 32);
+    }
+
+    // -- the Boolean sweep vs its per-bit definition, and what it walks -------
+
+    /// `(frontier bits, suppressed bits)` → the words both Boolean bodies
+    /// store, against the per-bit definition on the CSR: row `i` is set iff
+    /// it is not suppressed and has an edge into the frontier.
+    fn check_boolean_sweep<W: BitWord>(a: &Csr, dim: usize, x: &[bool], sup: Option<&[bool]>) {
+        let b = from_csr::<W>(a, dim);
+        let want: Vec<bool> = (0..a.nrows())
+            .map(|r| !sup.is_some_and(|s| s[r]) && a.row(r).0.iter().any(|&c| x[c]))
+            .collect();
+        let want = pack_vector_bits::<W>(&want, dim);
+        let xp = pack_vector_bits::<W>(x, dim);
+        // Suppressed words with every bit past the rows that exist set too:
+        // spare `u8` bits at B2SR-4 and padding rows must not matter.
+        let mp = sup.map(|s| {
+            let mut mp = pack_vector_bits::<W>(s, dim);
+            for (tr, w) in mp.iter_mut().enumerate() {
+                let rows = dim.min(a.nrows() - tr * dim);
+                *w |= !W::from_u64(u64::MAX >> (64 - rows));
+            }
+            mp
+        });
+        let what = format!("{}x{} dim {dim}", a.nrows(), a.ncols());
+        let mut y = vec![W::ONES; b.n_tile_rows()];
+        bmv_bin_bin_bin_masked_into(&b, &xp, mp.as_deref(), &mut y);
+        assert_eq!(y, want, "scalar {what}");
+        y.fill(W::ONES);
+        bmv_bin_bin_bin_masked_simd_into(&b, &xp, mp.as_deref(), &mut y);
+        assert_eq!(y, want, "swar {what}");
+    }
+
+    #[test]
+    fn early_exit_sweep_equals_the_per_bit_reference() {
+        // 53 × 38: ragged last tile-row and tile-column at every width; and
+        // a graph whose column 0 reaches every row, so that with vertex 0 in
+        // the frontier the first tile of each tile-row saturates it.
+        let scattered = sample_rect(53, 38, 7);
+        let mut coo = Coo::new(53, 38);
+        for (r, c, _) in scattered.iter() {
+            coo.push_edge(r, c).unwrap();
+        }
+        for r in 0..53 {
+            coo.push_edge(r, 0).unwrap();
+        }
+        let saturating = coo.to_binary_csr();
+        for a in [&scattered, &saturating, &Csr::empty(21, 38)] {
+            let (nrows, ncols) = (a.nrows(), a.ncols());
+            let operands: [Vec<bool>; 4] = [
+                vec![false; ncols],
+                vec![true; ncols],
+                (0..ncols).map(|c| c == 0).collect(),
+                (0..ncols).map(|c| c % 3 == 1).collect(),
+            ];
+            let has_edge = |r: usize| !a.row(r).0.is_empty();
+            let masks: [Option<Vec<bool>>; 5] = [
+                None,
+                Some(vec![true; nrows]),
+                Some(vec![false; nrows]),
+                // One row left per tile-row of every width.
+                Some((0..nrows).map(|r| r % 4 != 1).collect()),
+                // Exactly the rows that have edges.
+                Some((0..nrows).map(has_edge).collect()),
+            ];
+            for x in &operands {
+                for sup in &masks {
+                    check_boolean_sweep::<u8>(a, 4, x, sup.as_deref());
+                    check_boolean_sweep::<u8>(a, 8, x, sup.as_deref());
+                    check_boolean_sweep::<u16>(a, 16, x, sup.as_deref());
+                    check_boolean_sweep::<u32>(a, 32, x, sup.as_deref());
+                }
+            }
+        }
+    }
+
+    /// Tiles whose words one Boolean pull reads, summed over tile-rows, under
+    /// both tile bodies (which must agree: the walk is not theirs).
+    fn tiles_walked<W: BitWord>(b: &B2sr<W>, x: &[bool], sup: &[bool]) -> usize {
+        let xp = pack_vector_bits::<W>(x, b.tile_dim());
+        let mp = pack_vector_bits::<W>(sup, b.tile_dim());
+        let walk = |reach: fn(&[W], W) -> W| -> usize {
+            (0..b.n_tile_rows())
+                .map(|tr| bin_bin_bin_tile_row(b, &xp, tr, !mp[tr], reach).1)
+                .sum()
+        };
+        let walked = walk(reach_scalar);
+        assert_eq!(walked, walk(reach_swar));
+        walked
+    }
+
+    /// "A pull walks what is left", as counts: removing the early exit, the
+    /// empty-column skip or the nothing-wanted return fails one of these.
+    #[test]
+    fn a_boolean_pull_walks_what_is_left_to_find() {
+        let a = sample(97, 3);
+        let n = a.nrows();
+        // Column 0 reaches every row.
+        let mut coo = Coo::new(n, n);
+        for (r, c, _) in a.iter() {
+            coo.push_edge(r, c).unwrap();
+        }
+        for r in 0..n {
+            coo.push_edge(r, 0).unwrap();
+        }
+        let hub = coo.to_binary_csr();
+        fn pins<W: BitWord>(a: &Csr, hub: &Csr, dim: usize) {
+            let n = a.nrows();
+            let (b, h) = (from_csr::<W>(a, dim), from_csr::<W>(hub, dim));
+            let (all, none) = (vec![true; n], vec![false; n]);
+            assert!(b.n_tiles() > b.n_tile_rows(), "precondition");
+            // Every row suppressed: nothing to find, nothing read.
+            assert_eq!(tiles_walked(&b, &all, &all), 0, "dim {dim}");
+            // Nothing suppressed, empty operand: no tile passes `x[tc]`.
+            assert_eq!(tiles_walked(&b, &none, &none), 0, "dim {dim}");
+            // Every row reached in its first tile, every later tile active
+            // too: one tile per tile-row.
+            assert_eq!(tiles_walked(&h, &all, &none), h.n_tile_rows(), "dim {dim}");
+            // One active tile-column: exactly its tiles, the rest skipped.
+            let last: Vec<bool> = (0..n).map(|c| c == n - 1).collect();
+            let in_last = (0..b.n_tile_rows())
+                .flat_map(|tr| b.tile_row_range(tr))
+                .filter(|&idx| b.tile_colind()[idx] == (n - 1) / dim)
+                .count();
+            assert_eq!(tiles_walked(&b, &last, &none), in_last, "dim {dim}");
+        }
+        pins::<u8>(&a, &hub, 4);
+        pins::<u8>(&a, &hub, 8);
+        pins::<u16>(&a, &hub, 16);
+        pins::<u32>(&a, &hub, 32);
+
+        // A BFS on R-MAT two rounds out from a hub: the visited set is the
+        // high-degree core, whose tile-rows hold most of the tiles, and what
+        // is left is low-degree — the bottom-up step's whole point.
+        let g = bitgblas_datagen::generators::rmat(10, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+        let n = g.nrows();
+        let source = (0..n).max_by_key(|&r| g.row(r).0.len()).unwrap();
+        let mut level = vec![usize::MAX; n];
+        level[source] = 0;
+        for round in 0..2 {
+            for u in (0..n).filter(|&u| level[u] == round).collect::<Vec<_>>() {
+                for &v in g.row(u).0 {
+                    level[v] = level[v].min(round + 1);
+                }
+            }
+        }
+        let frontier: Vec<bool> = level.iter().map(|&l| l == 2).collect();
+        let visited: Vec<bool> = level.iter().map(|&l| l <= 2).collect();
+        // `g` is symmetric: it is its own transpose.
+        let b = from_csr::<u8>(&g, 8);
+        let walked = tiles_walked(&b, &frontier, &visited);
+        assert!(
+            walked > 0 && 3 * walked < b.n_tiles(),
+            "walked {walked} of {} tiles",
+            b.n_tiles()
+        );
+        // The same frontier with no visited set walks most of them.
+        assert!(2 * tiles_walked(&b, &frontier, &vec![false; n]) > b.n_tiles());
     }
 
     // -- the one full-precision sweep vs its per-bit definition -------------

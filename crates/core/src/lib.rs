@@ -70,7 +70,7 @@ pub use delta::{
 pub use faultinject::{FailSpec, FaultAction, FaultInjector, FaultPlan, InjectedPanic};
 pub use grb::{
     Backend, Context, Descriptor, Direction, Expr, Fusion, GrbBackend, GrbError, LaneBits, Matrix,
-    MultiVec, Op, Snapshot, Vector,
+    MultiVec, NodeBits, Op, Snapshot, Vector,
 };
 pub use kernels::simd::SimdPolicy;
 pub use semiring::{BinaryOp, Semiring};

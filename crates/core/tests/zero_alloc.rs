@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase fills the context's workspace pool, the exact BFS inner-loop
-//! sequence (masked Boolean `vxm` in the push direction, level recording,
-//! frontier recycling) must perform **zero** heap allocations per iteration.
+//! sequence (the Boolean `vxm` in bits in the push direction, level
+//! recording, frontier recycling) must perform **zero** heap allocations per
+//! iteration.
 //!
 //! The push paths are the ones certified here — the serial scatter of tiny
 //! frontiers and, since PR 5, the sharded path at a serial execution budget
@@ -30,7 +31,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bitgblas_core::grb::{Context, Direction, LaneBits, Mask, MultiVec, Op, Snapshot, Vector};
+use bitgblas_core::grb::{
+    Context, Direction, LaneBits, Mask, MultiVec, NodeBits, Op, Snapshot, Vector,
+};
 use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, SimdPolicy, TileSize};
 use bitgblas_sparse::Coo;
 
@@ -115,49 +118,53 @@ fn chain_snapshot(n: usize, pending: bool) -> Snapshot {
 }
 
 /// One BFS level: exactly the inner-loop body of
-/// `bitgblas_algorithms::bfs_dir` (masked Boolean vxm, level recording,
+/// `bitgblas_algorithms::bfs_dir` on a bit backend (the Boolean `vxm` in
+/// bits with `¬visited` as an AND-NOT, level recording from the set bits,
 /// visited update, frontier recycle).
 fn bfs_level(
     a: &Matrix,
     ctx: &Context,
-    frontier: &mut Vector,
-    visited: &mut Mask,
+    direction: Direction,
+    frontier: &mut NodeBits,
+    visited: &mut NodeBits,
     levels: &mut [i64],
     level: i64,
 ) {
-    let next = Op::vxm(frontier, a)
-        .semiring(Semiring::Boolean)
-        .mask(visited)
-        .direction(Direction::Push)
-        .run(ctx);
-    for (v, &x) in next.as_slice().iter().enumerate() {
-        if x != 0.0 {
-            visited.set(v, true);
-            levels[v] = level;
-        }
+    let next = Op::vxm_bits(frontier, a)
+        .and_not(visited)
+        .direction(direction)
+        .try_run(ctx)
+        .expect("well-shaped operands")
+        .expect("a bit backend has the word product");
+    for v in next.ones() {
+        levels[v] = level;
     }
-    ctx.recycle(std::mem::replace(frontier, next));
+    visited.or_assign(&next);
+    std::mem::replace(frontier, next).recycle(ctx);
 }
 
-#[test]
-fn bfs_inner_loop_is_allocation_free_after_warmup() {
-    let n = 512;
-    let a = chain(n);
+/// Forty levels of [`bfs_level`] down the chain `a`, the last thirty-two of
+/// them measured: zero allocations, real work, nothing converted.
+fn assert_bfs_levels_allocation_free(a: &Matrix, direction: Direction, what: &str) {
+    let n = a.nrows();
     let ctx = a.context();
-
     let mut levels = vec![-1i64; n];
     levels[0] = 0;
-    let mut visited = {
-        let mut flags = vec![false; n];
-        flags[0] = true;
-        Mask::complemented(flags)
-    };
-    let mut frontier = Vector::indicator(n, &[0]);
+    let mut frontier = NodeBits::from_indices(n, &[0]);
+    let mut visited = frontier.clone();
 
-    // Warm-up: the first iterations grow the pool (frontier list, packed
-    // scatter words, output buffers) to their steady-state capacities.
+    // Warm-up: the first iterations grow the pool (frontier list, tile
+    // words, node words) to their steady-state capacities.
     for level in 1..=8i64 {
-        bfs_level(&a, ctx, &mut frontier, &mut visited, &mut levels, level);
+        bfs_level(
+            a,
+            ctx,
+            direction,
+            &mut frontier,
+            &mut visited,
+            &mut levels,
+            level,
+        );
     }
 
     // Steady state: the same sequence must touch the allocator zero times.
@@ -167,19 +174,41 @@ fn bfs_inner_loop_is_allocation_free_after_warmup() {
         "set-up and warm-up allocate: the counter is live"
     );
     for level in 9..=40i64 {
-        bfs_level(&a, ctx, &mut frontier, &mut visited, &mut levels, level);
+        bfs_level(
+            a,
+            ctx,
+            direction,
+            &mut frontier,
+            &mut visited,
+            &mut levels,
+            level,
+        );
     }
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "BFS inner loop allocated {} times in 32 steady-state iterations",
+        "{what}: BFS inner loop allocated {} times in 32 steady-state iterations",
         after - before
     );
 
-    // The traversal still did real work while being measured.
+    // The traversal still did real work while being measured, in bits.
     assert_eq!(levels[40], 40);
     assert_eq!(levels[41], -1);
+    assert_eq!(ctx.stats().converted_elems, 0);
+}
+
+/// The push rounds of `bfs` — on a built matrix, and read through pending
+/// deltas, where the walk only gets past vertex 9 if the overlay's bit
+/// re-fold ran.
+#[test]
+fn bfs_inner_loop_is_allocation_free_after_warmup() {
+    for pending in [false, true] {
+        let a = &chain_snapshot(512, pending);
+        let what = if pending { "pending log" } else { "built" };
+        assert_bfs_levels_allocation_free(a, Direction::Push, what);
+        assert_eq!(a.context().stats().refolded_positions > 0, pending);
+    }
 }
 
 /// A small scatter-pattern graph for the PageRank pipeline (every vertex
@@ -350,55 +379,16 @@ fn sharded_push_path_is_allocation_free_after_warmup() {
 }
 
 /// The SWAR-vector pull path (PR 9) must meet the same bar as the scalar
-/// paths: after warm-up, a masked Boolean pull sweep with the vector
-/// kernels forced allocates **zero** bytes per iteration — the packed
-/// frontier words, the tile-row output words and the result vector all
-/// cycle through the workspace pool exactly as on the scalar path.
+/// paths: after warm-up, a pull round of `bfs` with the vector kernels
+/// forced allocates **zero** bytes per iteration — the frontier and
+/// suppressed-row tile words, the tile-row output words and the result's
+/// node words all cycle through the workspace pool exactly as on the scalar
+/// path.
 #[test]
 fn simd_pull_bfs_inner_loop_is_allocation_free_after_warmup() {
-    let n = 512;
-    let a = chain(n);
-    let ctx = a.context();
-    ctx.set_simd_policy(SimdPolicy::ForceVector);
-
-    let mut levels = vec![-1i64; n];
-    levels[0] = 0;
-    let mut visited = {
-        let mut flags = vec![false; n];
-        flags[0] = true;
-        Mask::complemented(flags)
-    };
-    let mut frontier = Vector::indicator(n, &[0]);
-
-    let mut level_pull = |frontier: &mut Vector, visited: &mut Mask, level: i64| {
-        let next = Op::vxm(&*frontier, &a)
-            .semiring(Semiring::Boolean)
-            .mask(visited)
-            .direction(Direction::Pull)
-            .run(ctx);
-        for (v, &x) in next.as_slice().iter().enumerate() {
-            if x != 0.0 {
-                visited.set(v, true);
-                levels[v] = level;
-            }
-        }
-        ctx.recycle(std::mem::replace(frontier, next));
-    };
-
-    for level in 1..=8i64 {
-        level_pull(&mut frontier, &mut visited, level);
-    }
-    let before = allocations();
-    for level in 9..=40i64 {
-        level_pull(&mut frontier, &mut visited, level);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "vector-forced pull BFS loop allocated in steady state"
-    );
-    assert_eq!(levels[40], 40);
-    assert_eq!(levels[41], -1);
+    let a = chain(512);
+    a.context().set_simd_policy(SimdPolicy::ForceVector);
+    assert_bfs_levels_allocation_free(&a, Direction::Pull, "vector-forced pull");
 }
 
 /// A masked bare full-precision pull — the min-plus relaxation sweep with a

@@ -868,18 +868,14 @@ fn try_execute_batch(
     Ok(match key {
         CoalescingKey::Bfs => {
             let r = try_bfs_multi_dir(graph, sources, direction)?;
-            (0..k)
-                .map(|l| QueryResult::Bfs {
-                    levels: unflatten(&r.levels, k, l),
-                })
-                .collect()
+            let lanes = demux(r.levels, k).into_iter();
+            lanes.map(|levels| QueryResult::Bfs { levels }).collect()
         }
         CoalescingKey::Sssp => {
             let r = try_sssp_multi_dir(graph, sources, direction)?;
-            (0..k)
-                .map(|l| QueryResult::Sssp {
-                    distances: unflatten(&r.distances, k, l),
-                })
+            let lanes = demux(r.distances, k).into_iter();
+            lanes
+                .map(|distances| QueryResult::Sssp { distances })
                 .collect()
         }
         CoalescingKey::Ppr {
@@ -897,11 +893,8 @@ fn try_execute_batch(
                 },
             };
             let r = try_ppr_multi_dir(graph, sources, &config, direction)?;
-            (0..k)
-                .map(|l| QueryResult::Ppr {
-                    scores: unflatten(&r.scores, k, l),
-                })
-                .collect()
+            let lanes = demux(r.scores, k).into_iter();
+            lanes.map(|scores| QueryResult::Ppr { scores }).collect()
         }
         // Mutation segments never reach the batched read engine: the
         // service applies them on the live graph in `run_segment`.
@@ -909,9 +902,27 @@ fn try_execute_batch(
     })
 }
 
-/// Copy lane `l` out of a flat node-major `n × k` result matrix.
-fn unflatten<T: Copy>(flat: &[T], k: usize, l: usize) -> Vec<T> {
-    flat.iter().skip(l).step_by(k).copied().collect()
+/// Node rows read per block of [`demux`]: `64 · k` elements stay in cache
+/// while the `k` lanes each take their stride of them.
+const DEMUX_BLOCK_ROWS: usize = 64;
+
+/// Split a flat node-major `n × k` result matrix into its `k` lane vectors
+/// in one pass over `flat` — a block of node rows at a time, each lane
+/// copying its column of the block — rather than `k` strided walks of the
+/// whole matrix.  A one-lane result is its own lane and is handed over as it
+/// is.
+fn demux<T: Copy>(flat: Vec<T>, k: usize) -> Vec<Vec<T>> {
+    if k == 1 {
+        return vec![flat];
+    }
+    let n = flat.len() / k;
+    let mut lanes: Vec<Vec<T>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
+    for block in flat.chunks(DEMUX_BLOCK_ROWS * k) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            lane.extend(block[l..].iter().step_by(k));
+        }
+    }
+    lanes
 }
 
 #[cfg(test)]
@@ -926,6 +937,20 @@ mod tests {
             &generators::erdos_renyi(80, 0.05, true, 3),
             Backend::Bit(TileSize::S8),
         )
+    }
+
+    #[test]
+    fn demux_equals_a_strided_walk_per_lane() {
+        // 150 rows: two whole blocks and a ragged third.
+        let n = 2 * DEMUX_BLOCK_ROWS + 22;
+        for k in [1usize, 2, 16, 48, 64, 65] {
+            let flat: Vec<i64> = (0..n * k).map(|f| (f as i64 * 7) % 1001 - 3).collect();
+            let want: Vec<Vec<i64>> = (0..k)
+                .map(|l| flat.iter().skip(l).step_by(k).copied().collect())
+                .collect();
+            assert_eq!(demux(flat, k), want, "k = {k}");
+        }
+        assert_eq!(demux(Vec::<f32>::new(), 3), vec![Vec::<f32>::new(); 3]);
     }
 
     #[test]
