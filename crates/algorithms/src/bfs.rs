@@ -798,8 +798,8 @@ mod tests {
             "{what}"
         );
         assert_eq!(
-            (mid.total_mxm(), after.total_mxv()),
-            (before.total_mxm(), mid.total_mxv()),
+            (mid.pull_mxm, mid.push_mxm, after.pull_mxv, after.push_mxv),
+            (before.pull_mxm, before.push_mxm, mid.pull_mxv, mid.push_mxv),
             "{what}"
         );
         assert_eq!(after.converted_elems, before.converted_elems, "{what}");
@@ -868,6 +868,12 @@ mod tests {
     #[derive(Debug)]
     struct Wrapped(BitB2sr);
 
+    impl Wrapped {
+        fn new(csr: &bitgblas_sparse::Csr, tile_size: TileSize) -> Self {
+            Wrapped(BitB2sr::new(csr, tile_size, ShardConfig::default()))
+        }
+    }
+
     impl GrbBackend for Wrapped {
         fn kind(&self) -> Backend {
             self.0.kind()
@@ -901,7 +907,6 @@ mod tests {
         ) -> f64 {
             self.0.mxm_reduce_masked(b, mask, transpose_b)
         }
-        fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
         fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {
             None
         }
@@ -909,10 +914,10 @@ mod tests {
             self.0.storage_bytes()
         }
         fn transpose_view(&self) -> Box<dyn GrbBackend> {
-            Box::new(Wrapped(BitB2sr::new(self.0.csr_t(), self.0.tile_size())))
+            Box::new(Wrapped::new(self.0.csr_t(), self.0.tile_size()))
         }
         fn clone_box(&self) -> Box<dyn GrbBackend> {
-            Box::new(Wrapped(BitB2sr::new(self.0.csr(), self.0.tile_size())))
+            Box::new(Wrapped::new(self.0.csr(), self.0.tile_size()))
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self
@@ -964,7 +969,7 @@ mod tests {
         }
 
         // The external backend: a `BitB2sr` behind a type of its own.
-        let external = Matrix::from_backend(Box::new(Wrapped(BitB2sr::new(&adj, TileSize::S8))));
+        let external = Matrix::from_backend(Box::new(Wrapped::new(&adj, TileSize::S8)));
         for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
             let (want, _) = converted(&rebuilt, dir);
             let (got, added) = converted(&snap, dir);
@@ -1025,7 +1030,11 @@ mod tests {
                 point: "grb.mxm_dispatch"
             })
         );
-        assert_eq!(m.context().stats().total_mxm() - before.total_mxm(), 2);
+        let after = m.context().stats();
+        assert_eq!(
+            after.pull_mxm + after.push_mxm - before.pull_mxm - before.push_mxm,
+            2
+        );
         // The plan is spent: the retry runs clean, in words.
         let retry = try_bfs_multi_dir(&m, &[0, 7], Direction::Auto).unwrap();
         assert_eq!(retry.level(19, 0), 19);
@@ -1058,11 +1067,10 @@ mod tests {
             let before = m.context().stats();
             assert_eq!(run(&m), Err(GrbError::FaultInjected { point }));
             let after = m.context().stats();
-            assert_eq!(
-                after.total_mxv() + after.total_mxm() - before.total_mxv() - before.total_mxm(),
-                2,
-                "{point}"
-            );
+            let products = |c: &bitgblas_core::grb::ExecCounts| {
+                c.pull_mxv + c.push_mxv + c.pull_mxm + c.push_mxm
+            };
+            assert_eq!(products(&after) - products(&before), 2, "{point}");
             // The plan is spent: the retry runs clean, in bits.
             assert_eq!(run(&m), Ok(19), "{point}");
             assert_eq!(m.context().stats().converted_elems, 0);

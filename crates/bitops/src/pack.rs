@@ -10,8 +10,7 @@
 //!
 //! The functions here implement both packings for a generic square tile of
 //! dimension `dim ≤ 32` stored as a row-major `f32` slice, plus the nibble
-//! packing (two 4-bit rows per `u8`) used by B2SR-4, and dense bit-vector
-//! packing/unpacking for the binarized frontier vectors of the BMV kernels.
+//! packing (two 4-bit rows per `u8`) used by B2SR-4.
 
 use crate::intrinsics::{ballot_from, brev_u32};
 use crate::word::BitWord;
@@ -184,48 +183,6 @@ pub fn unpack_nibbles(packed: &[u8], n_rows: usize) -> Vec<u8> {
     out
 }
 
-/// Pack a dense `f32` vector into a bit-vector of `W` words: bit `i % BITS` of
-/// word `i / BITS` is set iff `v[i] != 0`.  This is the "binarized vector"
-/// layout consumed by `bmv_bin_bin_*`.
-pub fn pack_bitvector<W: BitWord>(v: &[f32]) -> Vec<W> {
-    let bits = W::BITS as usize;
-    let mut words = vec![W::ZERO; v.len().div_ceil(bits)];
-    for (i, &x) in v.iter().enumerate() {
-        if x != 0.0 {
-            words[i / bits] = words[i / bits].with_bit((i % bits) as u32);
-        }
-    }
-    words
-}
-
-/// Pack a boolean slice into a bit-vector of `W` words.
-pub fn pack_bools<W: BitWord>(v: &[bool]) -> Vec<W> {
-    let bits = W::BITS as usize;
-    let mut words = vec![W::ZERO; v.len().div_ceil(bits)];
-    for (i, &b) in v.iter().enumerate() {
-        if b {
-            words[i / bits] = words[i / bits].with_bit((i % bits) as u32);
-        }
-    }
-    words
-}
-
-/// Unpack a bit-vector into `len` booleans (inverse of [`pack_bools`]).
-pub fn unpack_bools<W: BitWord>(words: &[W], len: usize) -> Vec<bool> {
-    let bits = W::BITS as usize;
-    (0..len)
-        .map(|i| {
-            let w = i / bits;
-            w < words.len() && words[w].bit((i % bits) as u32)
-        })
-        .collect()
-}
-
-/// Count the set bits of a packed bit-vector.
-pub fn count_ones<W: BitWord>(words: &[W]) -> u64 {
-    words.iter().map(|w| w.popcount() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,32 +268,6 @@ mod tests {
     fn nibble_packing_halves_storage() {
         let rows = vec![0x0Fu8; 64];
         assert_eq!(pack_nibbles(&rows).len(), 32);
-    }
-
-    #[test]
-    fn bitvector_pack_counts_nonzeros() {
-        let v: Vec<f32> = (0..100)
-            .map(|i| if i % 3 == 0 { 1.0 } else { 0.0 })
-            .collect();
-        let packed = pack_bitvector::<u32>(&v);
-        assert_eq!(packed.len(), 4);
-        assert_eq!(
-            count_ones(&packed),
-            v.iter().filter(|&&x| x != 0.0).count() as u64
-        );
-    }
-
-    #[test]
-    fn bools_roundtrip() {
-        let v: Vec<bool> = (0..77).map(|i| i % 5 == 0 || i % 7 == 0).collect();
-        for_each_word_width(&v);
-    }
-
-    fn for_each_word_width(v: &[bool]) {
-        assert_eq!(unpack_bools(&pack_bools::<u8>(v), v.len()), v);
-        assert_eq!(unpack_bools(&pack_bools::<u16>(v), v.len()), v);
-        assert_eq!(unpack_bools(&pack_bools::<u32>(v), v.len()), v);
-        assert_eq!(unpack_bools(&pack_bools::<u64>(v), v.len()), v);
     }
 
     #[test]

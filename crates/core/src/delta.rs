@@ -42,11 +42,10 @@
 //!   CSR copies clean row runs whole, a [`BitB2sr`] base re-tiles only the
 //!   tile-rows holding a dirty row and splices the others' tiles verbatim
 //!   ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows); the
-//!   [`CompactReport`] counts both), and the row shards re-plan
-//!   *incrementally*: only shards whose row ranges intersect the dirty rows
-//!   are recut
-//!   ([`ShardPlan::replan_rows`](crate::shard::ShardPlan::replan_rows)); clean shard boundaries survive
-//!   verbatim.  The `grb.delta_merge` fail point fires before any shared
+//!   [`CompactReport`] counts both), and the new base's constructor cuts
+//!   its row-shard plan from the result, so a compacted base equals a
+//!   from-scratch build of the same CSR, plans included.  The
+//!   `grb.delta_merge` fail point fires before any shared
 //!   state is touched, so an injected panic or transient error leaves the
 //!   pre-compaction epoch — and every outstanding snapshot — fully
 //!   readable (no torn epoch; see the chaos suite in `bitgblas-serve`).
@@ -84,7 +83,7 @@ use crate::grb::plan::MxvPipeline;
 use crate::grb::workspace::Workspace;
 use crate::kernels::simd::{andnot_into, or_into};
 use crate::semiring::with_semiring_ops;
-use crate::shard::{ShardConfig, ShardPlan};
+use crate::shard::ShardPlan;
 
 /// The compaction fail point: fired once per [`VersionCell::compact`] with
 /// pending deltas, after the fold is staged but **before** any shared state
@@ -629,10 +628,6 @@ impl GrbBackend for DeltaOverlay {
         csr_mxm_reduce_masked(self, b, mask, transpose_b)
     }
 
-    /// An overlay is never compacted *into* — compaction builds a fresh
-    /// base and installs that base's plan — so there is nothing to install.
-    fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
-
     /// The base's plan: the base runs the overlay's scatter, so
     /// `Direction::Auto` prices an overlay's push as it prices the base's.
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
@@ -675,8 +670,7 @@ pub struct CompactReport {
     pub inserted: usize,
     /// Edges the fold removed from the base.
     pub deleted: usize,
-    /// Rows the fold touched — the dirty set of the incremental re-tiling
-    /// and shard replan.
+    /// Rows the fold touched — the dirty set of the incremental re-tiling.
     pub dirty_rows: usize,
     /// Tile-rows converted from the merged CSR (`≤ dirty_rows`; 0 on a
     /// float base).
@@ -819,8 +813,8 @@ impl VersionCell {
     /// Fold the pending log into a fresh base of the same backend kind and
     /// publish it as a new epoch.
     ///
-    /// The fold (CSR merge, re-tiling of the dirty tile-rows, incremental
-    /// shard replan) runs *outside* the inner critical section against the
+    /// The fold (CSR merge, re-tiling of the dirty tile-rows, shard plan)
+    /// runs *outside* the inner critical section against the
     /// pinned `(base, staged log prefix)` — the head's own staged view, not
     /// a second normalization — so writers keep appending during it; entries
     /// that race in are re-normalized against the new base and stay pending.
@@ -832,9 +826,8 @@ impl VersionCell {
     /// and copies the rest of the old tiles
     /// ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows)); the new base
     /// shares nothing with the old, so pinned snapshots keep reading their
-    /// own.  Shard plans rebuild the same way: the new base adopts the old
-    /// plan's boundaries for every shard without dirty rows and recuts only
-    /// the dirty runs ([`ShardPlan::replan_rows`](crate::shard::ShardPlan::replan_rows)).
+    /// own.  Either constructor cuts the new base's shard plan from what it
+    /// built, as a from-scratch build does.
     pub fn compact(&self, ctx: &Context) -> Result<CompactReport, GrbError> {
         let _gate = self
             .compact_gate
@@ -892,23 +885,22 @@ fn fold(
     ctx: &Context,
 ) -> (Arc<dyn GrbBackend>, RetileCounts) {
     let merged = delta.merge_csr(base.csr(), false);
-    let dirty_rows = delta.dirty_rows();
-    let (new_base, retiled): (Arc<dyn GrbBackend>, _) = match base.kind() {
+    let cfg = ctx.shard_config();
+    match base.kind() {
         Backend::Bit(ts) => {
             // The old tiles, when the base is this crate's bit backend (an
             // external one of that kind converts in full).
             let old = base.as_any().downcast_ref::<BitB2sr>();
-            let (bit, counts) = BitB2sr::retiled(merged, ts, old.map(|old| (old, dirty_rows)));
+            let prev = old.map(|old| (old, delta.dirty_rows()));
+            let (bit, counts) = BitB2sr::retiled(merged, ts, cfg, prev);
             (Arc::new(bit), counts)
         }
         Backend::FloatCsr => (
-            Arc::new(FloatCsr::from_binary(merged)),
+            Arc::new(FloatCsr::from_binary(merged, cfg)),
             RetileCounts::default(),
         ),
         Backend::Auto => unreachable!("backend kinds are always resolved"),
-    };
-    new_base.replan_shards(base.shard_plan(false), ctx.shard_config(), dirty_rows);
-    (new_base, retiled)
+    }
 }
 
 /// Poll [`DELTA_MERGE_POINT`] on the context's injector, mirroring the
@@ -1432,50 +1424,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compact_replans_only_dirty_shards() {
-        // A graph big enough for a multi-shard plan under 4 threads.
-        let n = 4096;
-        let edges: Vec<(usize, usize)> = (0..n)
-            .flat_map(|r| [(r, (r + 1) % n), (r, (r + 7) % n)])
-            .collect();
-        let base = csr(n, &edges);
-        let ctx = Context::with_threads(4);
-        let a = Matrix::from_csr_ctx(&base, Backend::FloatCsr, &ctx);
-        let before = a
-            .state()
-            .shard_plan(false)
-            .expect("plan built at construction")
-            .clone();
-        assert!(before.n_shards() >= 4, "precondition: {before:?}");
-
-        // Mutate rows confined to the first shard only.
-        let hi = before.bounds()[1];
-        let cell = VersionCell::new(Arc::from(a.state().clone_box()));
-        cell.append(&[
-            EdgeDelta::insert(0, n - 1),
-            EdgeDelta::insert(hi / 2, n - 2),
-        ]);
-        cell.compact(&ctx).unwrap();
-        let (compacted, _) = cell.head();
-        let after = compacted.shard_plan(false).expect("replanned").clone();
-        // Every boundary outside the dirty shard survives verbatim.
-        for &b in &before.bounds()[1..] {
-            assert!(
-                after.bounds().contains(&b),
-                "clean boundary {b} lost: {before:?} -> {after:?}"
-            );
-        }
-        for &b in after.bounds() {
-            if !before.bounds().contains(&b) {
-                assert!(b < hi, "new cut {b} escaped the dirty shard");
-            }
-        }
-    }
-
-    /// `replan_rows`' `threads` floor (ROADMAP's case): 200 scattered
-    /// inserts dirty every shard of R-MAT(11,12), the one dirty run weighs
-    /// less than a shard's target, and the plan still feeds four workers.
+    /// 200 scattered inserts dirty every shard of R-MAT(11,12), whose whole
+    /// weight is below one shard's target: the compacted plan still feeds
+    /// four workers (`from_weights`' `threads` clamp).
     #[test]
     fn scattered_inserts_do_not_collapse_the_shard_plan() {
         let n = 1usize << 11;
@@ -1491,7 +1442,7 @@ mod tests {
             a.apply_deltas(&inserts).unwrap();
             a.compact(&ctx).unwrap();
             let after = a.snapshot();
-            let plan = after.state().shard_plan(false).expect("replanned");
+            let plan = after.state().shard_plan(false).expect("planned");
             assert_eq!(plan.n_shards(), 4, "{backend:?}: {plan:?}");
         }
     }

@@ -17,7 +17,7 @@
 //!
 //! plus the merge-on-read [`DeltaOverlay`](crate::delta::DeltaOverlay),
 //! which forwards to a base backend and re-folds its dirty rows.  Backends
-//! defined outside this crate implement the same fifteen methods; neither
+//! defined outside this crate implement the same fourteen methods; neither
 //! the [`super::Matrix`] object nor the algorithms know which one they are
 //! running on.
 //!
@@ -152,19 +152,11 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
         transpose_b: bool,
     ) -> f64;
 
-    /// Install the row-shard plan of the forward scatter representation
-    /// (`A`'s rows, the `vxm` push hot path) — the one shard hook, called
-    /// once per built backend: by [`Matrix`](super::Matrix) construction
-    /// with no `prev`, and by compaction with the pre-compaction plan, from
-    /// which clean shard boundaries are kept verbatim and only the runs
-    /// intersecting `dirty_rows` are recut ([`ShardPlan::replan_rows`]).  A
-    /// backend without a sharded scatter ignores the call.
-    fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]);
-
     /// The row-shard plan of a scatter representation, if one has been
-    /// built: `of_transpose` selects the plan over `Aᵀ`'s rows (the `mxv`
+    /// cut: `of_transpose` selects the plan over `Aᵀ`'s rows (the `mxv`
     /// push representation) instead of `A`'s.  `None` means pushes on that
-    /// representation run (and are priced by `Direction::Auto` as) serial.
+    /// representation run (and are priced by `Direction::Auto` as) serial —
+    /// what a backend without a sharded scatter always reports.
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
 
     /// Storage bytes of the active representation.
@@ -287,66 +279,59 @@ fn b2sr_weights(m: &B2srMatrix) -> RowWeights<'_> {
 }
 
 /// The row-shard plans of a backend's two scatter representations, shared
-/// by both built-in backends.  Plans are built at most once; clones and
-/// transpose views carry the built ones along.
-#[derive(Debug, Default, Clone)]
+/// by both built-in backends.  Each is [`ShardPlan::from_weights`] of its
+/// representation under the one stored config — a function of what was
+/// built, whichever way it was built.
+#[derive(Debug, Clone)]
 struct ScatterPlans {
-    /// The config the plans are built with (set by `replan`, defaulting to
-    /// the host config on first use).
-    cfg: OnceLock<ShardConfig>,
-    /// Plan over `A`'s rows (the `vxm` push representation).
-    forward: OnceLock<ShardPlan>,
-    /// Plan over `Aᵀ`'s rows (the `mxv` push representation).
+    cfg: ShardConfig,
+    /// Plan over `A`'s rows (the `vxm` push representation), cut by the
+    /// backend's constructor.
+    forward: ShardPlan,
+    /// Plan over `Aᵀ`'s rows (the `mxv` push representation), cut when
+    /// `Aᵀ` is first scattered.
     transposed: OnceLock<ShardPlan>,
 }
 
 impl ScatterPlans {
-    fn slot(&self, of_transpose: bool) -> &OnceLock<ShardPlan> {
+    fn cut(cfg: ShardConfig, (ptr, align, nrows): RowWeights<'_>) -> ShardPlan {
+        ShardPlan::from_weights(ptr, align, nrows, cfg)
+    }
+
+    fn new(cfg: ShardConfig, forward: RowWeights<'_>) -> Self {
+        ScatterPlans {
+            cfg,
+            forward: Self::cut(cfg, forward),
+            transposed: OnceLock::new(),
+        }
+    }
+
+    /// The plan of one representation, if cut.
+    fn get(&self, of_transpose: bool) -> Option<&ShardPlan> {
         if of_transpose {
-            &self.transposed
+            self.transposed.get()
+        } else {
+            Some(&self.forward)
+        }
+    }
+
+    /// The plan of one representation; `weights` are that representation's
+    /// (by the time a push executes, the representation itself exists).
+    fn get_or_plan(&self, of_transpose: bool, weights: RowWeights<'_>) -> &ShardPlan {
+        if of_transpose {
+            self.transposed.get_or_init(|| Self::cut(self.cfg, weights))
         } else {
             &self.forward
         }
     }
 
-    /// The plan of one representation, if built.
-    fn get(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        self.slot(of_transpose).get()
-    }
-
-    /// The plan of one representation, cut from its weights on first use —
-    /// by the time a push executes, the representation itself exists.
-    fn get_or_plan(&self, of_transpose: bool, (ptr, align, nrows): RowWeights<'_>) -> &ShardPlan {
-        self.slot(of_transpose).get_or_init(|| {
-            let cfg = *self.cfg.get_or_init(ShardConfig::default);
-            ShardPlan::from_weights(ptr, align, nrows, cfg)
-        })
-    }
-
-    /// The body of [`GrbBackend::replan_shards`]: fix the config and install
-    /// the forward plan, recutting `prev` around `dirty_rows` when given.
-    /// The transpose plan builds on first use.
-    fn replan(
-        &self,
-        prev: Option<&ShardPlan>,
-        cfg: ShardConfig,
-        dirty_rows: &[usize],
-        (ptr, align, nrows): RowWeights<'_>,
-    ) {
-        let _ = self.cfg.set(cfg);
-        let _ = self.forward.get_or_init(|| match prev {
-            Some(p) => p.replan_rows(ptr, align, nrows, cfg, dirty_rows),
-            None => ShardPlan::from_weights(ptr, align, nrows, cfg),
-        });
-    }
-
     /// The plans of the transpose view: the view's `A` is this matrix's
-    /// `Aᵀ`, so the two plans swap roles.
-    fn swapped(&self) -> Self {
+    /// `Aᵀ` (whose weights are `transposed`), so the two plans swap roles.
+    fn swapped(&self, transposed: RowWeights<'_>) -> Self {
         ScatterPlans {
-            cfg: self.cfg.clone(),
-            forward: self.transposed.clone(),
-            transposed: self.forward.clone(),
+            cfg: self.cfg,
+            forward: self.get_or_plan(true, transposed).clone(),
+            transposed: OnceLock::from(self.forward.clone()),
         }
     }
 }
@@ -366,37 +351,40 @@ pub struct BitB2sr {
 }
 
 impl BitB2sr {
-    /// Convert a binary CSR matrix into B2SR with the given tile size.  The
-    /// conversion is eager (the "one-time conversion cost" the paper
-    /// amortizes); the transpose representations are built lazily.
-    pub fn new(csr: &Csr, tile_size: TileSize) -> Self {
+    /// Convert a binary CSR matrix into B2SR with the given tile size and
+    /// cut its row-shard plan under `cfg`.  The conversion is eager (the
+    /// "one-time conversion cost" the paper amortizes); the transpose
+    /// representations and their plan are built lazily.
+    pub fn new(csr: &Csr, tile_size: TileSize, cfg: ShardConfig) -> Self {
         let bin = if csr.is_binary() {
             csr.clone()
         } else {
             csr.binarized()
         };
-        BitB2sr::retiled(bin, tile_size, None).0
+        BitB2sr::retiled(bin, tile_size, cfg, None).0
     }
 
     /// The backend of `bin`, an all-ones CSR taken by value and on trust
     /// (the compaction path hands over the merge it just wrote).  With
     /// `prev` — the backend of the same matrix before its ascending dirty
     /// rows changed — only the tile-rows holding a dirty row are converted
-    /// ([`B2srMatrix::retile`]).
+    /// ([`B2srMatrix::retile`]); the shard plan is cut from the result
+    /// either way.
     pub(crate) fn retiled(
         bin: Csr,
         tile_size: TileSize,
+        cfg: ShardConfig,
         prev: Option<(&BitB2sr, &[usize])>,
     ) -> (Self, RetileCounts) {
         debug_assert!(bin.is_binary());
         let prev = prev.map(|(old, dirty_rows)| (&old.b2sr, dirty_rows));
         let (b2sr, counts) = B2srMatrix::retile(&bin, tile_size, prev);
         let backend = BitB2sr {
+            shards: ScatterPlans::new(cfg, b2sr_weights(&b2sr)),
             csr: bin,
             b2sr,
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
-            shards: ScatterPlans::default(),
         };
         (backend, counts)
     }
@@ -960,11 +948,6 @@ impl GrbBackend for BitB2sr {
         })
     }
 
-    fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]) {
-        self.shards
-            .replan(prev, cfg, dirty_rows, b2sr_weights(&self.b2sr));
-    }
-
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
         self.shards.get(of_transpose)
     }
@@ -979,7 +962,7 @@ impl GrbBackend for BitB2sr {
             b2sr: self.b2sr_t().clone(),
             csr_t: OnceLock::from(self.csr.clone()),
             b2sr_t: OnceLock::from(self.b2sr.clone()),
-            shards: self.shards.swapped(),
+            shards: self.shards.swapped(b2sr_weights(self.b2sr_t())),
         })
     }
 
@@ -1070,23 +1053,25 @@ pub struct FloatCsr {
 }
 
 impl FloatCsr {
-    /// Wrap a binary CSR matrix (binarizing if needed).
-    pub fn new(csr: &Csr) -> Self {
-        FloatCsr::from_binary(if csr.is_binary() {
+    /// Wrap a binary CSR matrix (binarizing if needed) and cut its
+    /// row-shard plan under `cfg`.
+    pub fn new(csr: &Csr, cfg: ShardConfig) -> Self {
+        let bin = if csr.is_binary() {
             csr.clone()
         } else {
             csr.binarized()
-        })
+        };
+        FloatCsr::from_binary(bin, cfg)
     }
 
     /// Wrap `bin`, an all-ones CSR taken by value and on trust (the
     /// compaction path hands over the merge it just wrote).
-    pub(crate) fn from_binary(bin: Csr) -> Self {
+    pub(crate) fn from_binary(bin: Csr, cfg: ShardConfig) -> Self {
         debug_assert!(bin.is_binary());
         FloatCsr {
+            shards: ScatterPlans::new(cfg, csr_weights(&bin)),
             csr: bin,
             csr_t: OnceLock::new(),
-            shards: ScatterPlans::default(),
         }
     }
 
@@ -1300,11 +1285,6 @@ impl GrbBackend for FloatCsr {
         csr_mxm_reduce_masked(self, b, mask, transpose_b)
     }
 
-    fn replan_shards(&self, prev: Option<&ShardPlan>, cfg: ShardConfig, dirty_rows: &[usize]) {
-        self.shards
-            .replan(prev, cfg, dirty_rows, csr_weights(&self.csr));
-    }
-
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
         self.shards.get(of_transpose)
     }
@@ -1317,7 +1297,7 @@ impl GrbBackend for FloatCsr {
         Box::new(FloatCsr {
             csr: self.csr_t().clone(),
             csr_t: OnceLock::from(self.csr.clone()),
-            shards: self.shards.swapped(),
+            shards: self.shards.swapped(csr_weights(self.csr_t())),
         })
     }
 
@@ -1360,6 +1340,14 @@ pub(super) mod tests {
         coo.to_binary_csr()
     }
 
+    fn bit_b2sr(csr: &Csr, tile_size: TileSize) -> BitB2sr {
+        BitB2sr::new(csr, tile_size, ShardConfig::default())
+    }
+
+    fn float_csr(csr: &Csr) -> FloatCsr {
+        FloatCsr::new(csr, ShardConfig::default())
+    }
+
     /// The bare pull product `A ⊕.⊗ x` through the trait.
     fn product(b: &dyn GrbBackend, x: &[f32], semiring: Semiring) -> Vec<f32> {
         let p = MxvPipeline {
@@ -1382,9 +1370,9 @@ pub(super) mod tests {
         let csr = sample(70, 5);
         let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32).collect();
         let backends: Vec<Box<dyn GrbBackend>> = vec![
-            Box::new(FloatCsr::new(&csr)),
-            Box::new(BitB2sr::new(&csr, TileSize::S4)),
-            Box::new(BitB2sr::new(&csr, TileSize::S16)),
+            Box::new(float_csr(&csr)),
+            Box::new(bit_b2sr(&csr, TileSize::S4)),
+            Box::new(bit_b2sr(&csr, TileSize::S16)),
         ];
         let reference = product(&*backends[0], &x, Semiring::Arithmetic);
         for b in &backends[1..] {
@@ -1406,10 +1394,10 @@ pub(super) mod tests {
         let l = adj.lower_triangle();
         let lt = l.transpose();
 
-        let a_bit = BitB2sr::new(&l, TileSize::S8);
-        let b_bit = BitB2sr::new(&lt, TileSize::S8);
-        let a_f = FloatCsr::new(&l);
-        let b_f = FloatCsr::new(&lt);
+        let a_bit = bit_b2sr(&l, TileSize::S8);
+        let b_bit = bit_b2sr(&lt, TileSize::S8);
+        let a_f = float_csr(&l);
+        let b_f = float_csr(&lt);
 
         // The pure bit path (popcount BMM) is the reference.
         let expected = a_bit.mxm_reduce_masked(&b_bit, &a_bit, false);
@@ -1450,19 +1438,19 @@ pub(super) mod tests {
     fn mixed_tile_sizes_fall_back_instead_of_panicking() {
         let adj = sample(50, 3).symmetrized().without_diagonal();
         let l_csr = adj.lower_triangle();
-        let a = BitB2sr::new(&l_csr, TileSize::S8);
-        let b = BitB2sr::new(&l_csr.transpose(), TileSize::S16);
-        let m = FloatCsr::new(&l_csr);
+        let a = bit_b2sr(&l_csr, TileSize::S8);
+        let b = bit_b2sr(&l_csr.transpose(), TileSize::S16);
+        let m = float_csr(&l_csr);
         let mixed = a.mxm_reduce_masked(&b, &m, false);
-        let uniform_b = BitB2sr::new(&l_csr.transpose(), TileSize::S8);
+        let uniform_b = bit_b2sr(&l_csr.transpose(), TileSize::S8);
         let bit = a.mxm_reduce_masked(&uniform_b, &a, false);
         assert_eq!(mixed, bit, "fallback must produce the same triangle sum");
         // B2SR-4 and B2SR-8 share the `u8` packing word but not the kernel.
-        let b4 = BitB2sr::new(&l_csr.transpose(), TileSize::S4);
+        let b4 = bit_b2sr(&l_csr.transpose(), TileSize::S4);
         assert_eq!(a.mxm_reduce_masked(&b4, &a, false), bit);
         // The same operands by rows: `L · (L)ᵀ` with a mismatched `L`.
-        let l16 = BitB2sr::new(&l_csr, TileSize::S16);
-        let l4 = BitB2sr::new(&l_csr, TileSize::S4);
+        let l16 = bit_b2sr(&l_csr, TileSize::S16);
+        let l4 = bit_b2sr(&l_csr, TileSize::S4);
         assert_eq!(a.mxm_reduce_masked(&l16, &a, true), bit);
         assert_eq!(a.mxm_reduce_masked(&l4, &a, true), bit);
         assert_eq!(a.mxm_reduce_masked(&a, &l16, true), bit);
@@ -1475,8 +1463,8 @@ pub(super) mod tests {
         coo.push_edge(0, 3).unwrap();
         let csr = coo.to_binary_csr();
         for backend in [
-            Box::new(BitB2sr::new(&csr, TileSize::S4)) as Box<dyn GrbBackend>,
-            Box::new(FloatCsr::new(&csr)) as Box<dyn GrbBackend>,
+            Box::new(bit_b2sr(&csr, TileSize::S4)) as Box<dyn GrbBackend>,
+            Box::new(float_csr(&csr)) as Box<dyn GrbBackend>,
         ] {
             let t = backend.transpose_view();
             assert_eq!(t.nrows(), 4);
@@ -1490,7 +1478,7 @@ pub(super) mod tests {
     #[test]
     fn clone_box_preserves_kind_and_contents() {
         let csr = sample(30, 11);
-        let b: Box<dyn GrbBackend> = Box::new(BitB2sr::new(&csr, TileSize::S32));
+        let b: Box<dyn GrbBackend> = Box::new(bit_b2sr(&csr, TileSize::S32));
         let c = b.clone_box();
         assert_eq!(c.kind(), Backend::Bit(TileSize::S32));
         assert_eq!(c.nnz(), b.nnz());
@@ -1511,7 +1499,7 @@ pub(super) mod tests {
     impl Spy {
         pub(crate) fn new(csr: &Csr) -> Self {
             Spy {
-                inner: FloatCsr::new(csr),
+                inner: float_csr(csr),
                 mxv_calls: AtomicUsize::new(0),
                 mxm_calls: AtomicUsize::new(0),
             }
@@ -1553,7 +1541,6 @@ pub(super) mod tests {
         ) -> f64 {
             self.inner.mxm_reduce_masked(b, mask, transpose_b)
         }
-        fn replan_shards(&self, _: Option<&ShardPlan>, _: ShardConfig, _: &[usize]) {}
         fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {
             None
         }

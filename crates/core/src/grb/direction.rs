@@ -22,23 +22,20 @@
 //! size, `d̄` = average degree), but every scattered write lands on a random
 //! cache line, so each push edge costs a whole memory transaction where a
 //! pull edge costs its coalesced share — a penalty of
-//! `transaction_bytes / edge_bytes` taken from the device profile the
-//! [`Context`](super::Context) already carries for format selection.  Push
-//! wins while
+//! `transaction_bytes / edge_bytes`, the constant
+//! [`SCATTER_EDGE_WEIGHT`].  Push wins while
 //!
 //! ```text
-//! f · d̄ · penalty  <  nnz + n        (penalty = transaction_bytes / 8,
-//!                                      clamped to [4, 32]; 16 on both
-//!                                      Table-VI devices)
+//! f · d̄ · penalty  <  nnz + n        (penalty = 128 / 8 = 16, the value
+//!                                      on both Table-VI devices)
 //! ```
 //!
 //! which for `nnz ≫ n` reduces to the familiar Beamer-style `f < n / α`
 //! with `α ≈ penalty` — the textbook α ≈ 14 rediscovered from the traffic
 //! model.
 
-use bitgblas_perfmodel::DeviceProfile;
-
 use crate::semiring::Semiring;
+use crate::shard::SCATTER_EDGE_WEIGHT;
 
 use super::expr::shape::{FrontierSize, Shape};
 
@@ -64,26 +61,14 @@ impl std::fmt::Display for Direction {
     }
 }
 
-/// The modelled cost multiplier of one scattered (push) edge relative to one
-/// streamed (pull) edge: a random write wastes a whole global-memory
-/// transaction where the pull sweep pays ~8 coalesced bytes per edge.
-pub fn scatter_penalty(device: &DeviceProfile) -> f64 {
-    (device.transaction_bytes as f64 / 8.0).clamp(4.0, 32.0)
-}
-
-/// The parallelism-aware scatter penalty (PR 5) over a base penalty α.
+/// The parallelism-aware scatter penalty over a base penalty α.
 ///
 /// The base penalty prices one scattered edge against one streamed pull
 /// edge *at equal parallelism*.  When the push engine runs on fewer worker
 /// threads than the pull sweep fans out to (`push_threads <
 /// pull_threads`), every push edge is additionally slower by the thread
-/// ratio — this is exactly the miscalibration the pre-PR-5 model had
-/// baked in permanently: it compared a parallel pull against a serial push
-/// with the equal-parallelism α, overpricing pull and flipping to push too
-/// late to matter and too often to be cheap.  With the sharded engine both
-/// sides scale, the ratio is 1 and α returns to the base penalty.
-///
-/// α is [`scatter_penalty`] of the context's device profile.
+/// ratio; when both sides scale alike the ratio is 1 and α is the base
+/// penalty.  [`choose_direction`] passes [`SCATTER_EDGE_WEIGHT`] as α.
 pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_threads: usize) -> f64 {
     let ratio = (pull_threads.max(1) as f64 / push_threads.max(1) as f64).max(1.0);
     (alpha * ratio).clamp(4.0, 256.0)
@@ -92,7 +77,7 @@ pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_thre
 /// Resolve [`Direction::Auto`] for one operation: a frontier priced at
 /// `frontier_nnz` (active nodes of a vector; per product kind below) of an
 /// `n`-node operand against a matrix with `nnz` edges, at base scatter
-/// penalty `alpha` ([`scatter_penalty`] of the context's device).
+/// penalty [`SCATTER_EDGE_WEIGHT`].
 ///
 /// Returns [`Direction::Pull`] for semirings where identity-valued entries
 /// still contribute (see [`Semiring::push_safe`]); otherwise compares the
@@ -146,14 +131,13 @@ pub fn choose_direction(
     n: usize,
     nnz: usize,
     semiring: Semiring,
-    alpha: f64,
     push_threads: usize,
     pull_threads: usize,
 ) -> Direction {
     if !semiring.push_safe() {
         return Direction::Pull;
     }
-    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, alpha, push_threads, pull_threads);
+    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, push_threads, pull_threads);
     let push_cost = frontier_nnz as f64 * avg_deg * alpha + merge;
     let pull_cost = nnz as f64 + n as f64;
     if push_cost < pull_cost {
@@ -168,12 +152,12 @@ pub fn choose_direction(
 fn push_cost_terms(
     n: usize,
     nnz: usize,
-    alpha: f64,
     push_threads: usize,
     pull_threads: usize,
 ) -> (f64, f64, f64) {
     let avg_deg = (nnz as f64 / n.max(1) as f64).max(1.0);
-    let alpha = scatter_penalty_parallel_alpha(alpha, push_threads, pull_threads);
+    let alpha =
+        scatter_penalty_parallel_alpha(SCATTER_EDGE_WEIGHT as f64, push_threads, pull_threads);
     let merge = if push_threads > 1 { n as f64 } else { 0.0 };
     (avg_deg, alpha, merge)
 }
@@ -201,14 +185,8 @@ impl FrontierSize {
 /// pulls.  (The break-even of the inequality, rounded up with one unit of
 /// slack for the float division — the decision itself is always
 /// [`choose_direction`] on the count the scan returns.)
-fn push_scan_budget(
-    n: usize,
-    nnz: usize,
-    alpha: f64,
-    push_threads: usize,
-    pull_threads: usize,
-) -> usize {
-    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, alpha, push_threads, pull_threads);
+fn push_scan_budget(n: usize, nnz: usize, push_threads: usize, pull_threads: usize) -> usize {
+    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, push_threads, pull_threads);
     ((nnz as f64 + n as f64 - merge) / (avg_deg * alpha)).ceil() as usize + 1
 }
 
@@ -223,13 +201,11 @@ fn push_scan_budget(
 /// scatter folds active lanes only, i.e. whether such a product is priced
 /// by entries.  The caller has already ruled out a semiring that is not
 /// push-safe.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_and_choose<V: Shape>(
     x: &V,
     semiring: Semiring,
     lane_sparse_scatter: bool,
     nnz: usize,
-    alpha: f64,
     push_threads: usize,
     pull_threads: usize,
     frontier: &mut Vec<usize>,
@@ -237,7 +213,7 @@ pub(crate) fn scan_and_choose<V: Shape>(
     let by_entries = lane_sparse_scatter && semiring != Semiring::Boolean;
     let scan = |stop_past| x.frontier_into(semiring, stop_past, frontier);
     let threads = (push_threads, pull_threads);
-    scan_within_budget(x.shape(), semiring, by_entries, nnz, alpha, threads, scan)
+    scan_within_budget(x.shape(), semiring, by_entries, nnz, threads, scan)
 }
 
 /// [`scan_and_choose`] for a Boolean operand already held in words
@@ -248,14 +224,13 @@ pub(crate) fn scan_and_choose<V: Shape>(
 pub(crate) fn scan_and_choose_words(
     shape: (usize, usize),
     nnz: usize,
-    alpha: f64,
     push_threads: usize,
     pull_threads: usize,
     scan: impl FnOnce(usize) -> FrontierSize,
 ) -> (Direction, FrontierSize) {
     let scan = |stop_past: FrontierSize| scan(stop_past.nodes);
     let threads = (push_threads, pull_threads);
-    scan_within_budget(shape, Semiring::Boolean, false, nnz, alpha, threads, scan)
+    scan_within_budget(shape, Semiring::Boolean, false, nnz, threads, scan)
 }
 
 /// The body of the two scans above: hand `scan` the counts past which no
@@ -265,13 +240,12 @@ fn scan_within_budget(
     semiring: Semiring,
     by_entries: bool,
     nnz: usize,
-    alpha: f64,
     (push_threads, pull_threads): (usize, usize),
     scan: impl FnOnce(FrontierSize) -> FrontierSize,
 ) -> (Direction, FrontierSize) {
     // Stop once the priced count is past `budget`: nodes, or for a product
     // priced by entries, entries / k > budget  ⇔  entries ≥ (budget + 1) · k.
-    let budget = push_scan_budget(n, nnz, alpha, push_threads, pull_threads);
+    let budget = push_scan_budget(n, nnz, push_threads, pull_threads);
     let mut stop_past = FrontierSize::UNBOUNDED;
     if by_entries {
         stop_past.entries = budget.saturating_add(1).saturating_mul(k) - 1;
@@ -280,14 +254,15 @@ fn scan_within_budget(
     }
     let size = scan(stop_past);
     let priced = size.priced(k, by_entries);
-    let direction = choose_direction(priced, n, nnz, semiring, alpha, push_threads, pull_threads);
+    let direction = choose_direction(priced, n, nnz, semiring, push_threads, pull_threads);
     (direction, size)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitgblas_perfmodel::{pascal_gtx1080, volta_titanv};
+    use crate::shard::SHARD_CACHE_BYTES;
+    use bitgblas_perfmodel::pascal_gtx1080;
 
     #[test]
     fn default_is_auto_and_display_is_lowercase() {
@@ -297,18 +272,19 @@ mod tests {
         assert_eq!(Direction::Auto.to_string(), "auto");
     }
 
+    /// The two planning constants are what the default profile yields: its
+    /// transaction width over 8 coalesced bytes, and its L2.
     #[test]
     fn penalty_comes_from_the_transaction_width() {
-        // 128-byte transactions on both Table-VI devices → penalty 16.
-        assert_eq!(scatter_penalty(&pascal_gtx1080()), 16.0);
-        assert_eq!(scatter_penalty(&volta_titanv()), 16.0);
+        let pascal = pascal_gtx1080();
+        assert_eq!(SCATTER_EDGE_WEIGHT, pascal.transaction_bytes / 8);
+        assert_eq!(SHARD_CACHE_BYTES, pascal.l2_kb * 1024);
     }
 
     #[test]
     fn sparse_frontiers_push_and_dense_frontiers_pull() {
-        let alpha = scatter_penalty(&pascal_gtx1080());
         let (n, nnz) = (8192, 8192 * 16);
-        let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, alpha, 1, 1);
+        let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, 1, 1);
         assert_eq!(choose(1), Direction::Push);
         assert_eq!(choose(0), Direction::Push);
         assert_eq!(choose(n), Direction::Pull);
@@ -320,7 +296,7 @@ mod tests {
 
     #[test]
     fn serial_push_on_a_parallel_host_is_penalized() {
-        let alpha = scatter_penalty(&pascal_gtx1080());
+        let alpha = SCATTER_EDGE_WEIGHT as f64;
         // Equal parallelism: the pure transaction penalty.
         assert_eq!(scatter_penalty_parallel_alpha(alpha, 8, 8), 16.0);
         assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 1), 16.0);
@@ -335,10 +311,8 @@ mod tests {
 
     #[test]
     fn configured_threshold_flips_earlier_for_serial_push() {
-        let alpha = scatter_penalty(&pascal_gtx1080());
         let (n, nnz) = (8192, 8192 * 16);
-        let choose =
-            |f, push, pull| choose_direction(f, n, nnz, Semiring::Boolean, alpha, push, pull);
+        let choose = |f, push, pull| choose_direction(f, n, nnz, Semiring::Boolean, push, pull);
         // A frontier that pushes under equal parallelism…
         let f = (nnz + n) / (16 * 16) / 2;
         assert_eq!(choose(f, 8, 8), Direction::Push);
@@ -351,14 +325,10 @@ mod tests {
 
     #[test]
     fn tuned_threshold_honors_a_measured_alpha() {
-        let (n, nnz) = (8192, 8192 * 16);
-        let sr = Semiring::Boolean;
-        // A frontier right between the α=8 and α=32 crossovers flips with
-        // the measured penalty.
-        let f = (nnz + n) / (16 * 16);
-        assert_eq!(choose_direction(f, n, nnz, sr, 8.0, 1, 1), Direction::Push);
-        assert_eq!(choose_direction(f, n, nnz, sr, 32.0, 1, 1), Direction::Pull);
-        // α is still clamped (a degenerate measurement cannot zero it out).
+        // The thread-ratio scaling works on whatever base α it is handed…
+        assert_eq!(scatter_penalty_parallel_alpha(8.0, 1, 1), 8.0);
+        assert_eq!(scatter_penalty_parallel_alpha(32.0, 1, 4), 128.0);
+        // …and clamps it (a degenerate α cannot zero the penalty out).
         assert_eq!(scatter_penalty_parallel_alpha(0.0, 1, 1), 4.0);
         assert_eq!(scatter_penalty_parallel_alpha(1e9, 1, 1), 256.0);
     }
@@ -366,7 +336,7 @@ mod tests {
     #[test]
     fn push_unsafe_semirings_always_pull() {
         // MaxTimes with a non-positive factor cannot skip identity entries.
-        let choose = |sr| choose_direction(1, 1000, 16_000, sr, 16.0, 1, 1);
+        let choose = |sr| choose_direction(1, 1000, 16_000, sr, 1, 1);
         assert_eq!(choose(Semiring::MaxTimes(-2.0)), Direction::Pull);
         assert_eq!(choose(Semiring::MaxTimes(2.0)), Direction::Push);
     }
@@ -374,11 +344,11 @@ mod tests {
 
     use crate::grb::{MultiVec, Vector};
 
-    /// `scan_and_choose` at equal parallelism and the device α.
+    /// `scan_and_choose` at equal parallelism.
     fn auto<V: Shape>(x: &V, semiring: Semiring, nnz: usize) -> (Direction, FrontierSize) {
         // A stale list: the scan replaces it.
         let mut list = vec![usize::MAX; 3];
-        let (direction, size) = scan_and_choose(x, semiring, true, nnz, 16.0, 1, 1, &mut list);
+        let (direction, size) = scan_and_choose(x, semiring, true, nnz, 1, 1, &mut list);
         assert!(
             list.windows(2).all(|w| w[0] < w[1]),
             "ascending, no stale entry"
@@ -429,13 +399,13 @@ mod tests {
         assert_eq!(auto(&few, Semiring::Boolean, nnz).0, Direction::Push);
         // A backend whose scatter is not lane-sparse prices the union.
         let mut list = Vec::new();
-        let by_nodes = scan_and_choose(&sparse, min_plus, false, nnz, 16.0, 1, 1, &mut list);
+        let by_nodes = scan_and_choose(&sparse, min_plus, false, nnz, 1, 1, &mut list);
         assert_eq!(by_nodes.0, Direction::Pull);
         let mut few = MultiVec::identity(n, k, min_plus);
         for l in 0..k {
             few.set(7, l, 1.0);
         }
-        let by_nodes = scan_and_choose(&few, min_plus, false, nnz, 16.0, 1, 1, &mut list);
+        let by_nodes = scan_and_choose(&few, min_plus, false, nnz, 1, 1, &mut list);
         assert_eq!(by_nodes.0, Direction::Push);
     }
 
@@ -458,7 +428,7 @@ mod tests {
                 let (batch, _) = auto(&mv, semiring, nnz);
                 // Stopping the scan early never changes the decision made
                 // on the full count.
-                let counted = choose_direction(f, n, nnz, semiring, 16.0, 1, 1);
+                let counted = choose_direction(f, n, nnz, semiring, 1, 1);
                 assert_eq!((vector, batch), (counted, counted), "{semiring:?} f={f}");
             }
         }
@@ -473,25 +443,16 @@ mod tests {
             (8192, 8192 * 16),
             (2048, 92_000),
         ] {
-            for alpha in [4.0, 16.0, 200.0] {
-                for (push, pull) in [(1, 1), (1, 8), (8, 8)] {
-                    let budget = push_scan_budget(n, nnz, alpha, push, pull);
-                    let choose =
-                        |f| choose_direction(f, n, nnz, Semiring::Boolean, alpha, push, pull);
-                    assert_eq!(
-                        choose(budget + 1),
-                        Direction::Pull,
-                        "n={n} nnz={nnz} α={alpha}"
-                    );
-                    // One unit of slack, no more: the scan stops near the
-                    // break-even, not after the whole operand.
-                    if budget > 2 {
-                        assert_eq!(
-                            choose(budget - 3),
-                            Direction::Push,
-                            "n={n} nnz={nnz} α={alpha}"
-                        );
-                    }
+            // Thread ratios 1, 8 and past the clamp: α = 16, 128, 256.
+            for (push, pull) in [(1, 1), (1, 8), (8, 8), (1, 64)] {
+                let budget = push_scan_budget(n, nnz, push, pull);
+                let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, push, pull);
+                let what = format!("n={n} nnz={nnz} threads={push}/{pull}");
+                assert_eq!(choose(budget + 1), Direction::Pull, "{what}");
+                // One unit of slack, no more: the scan stops near the
+                // break-even, not after the whole operand.
+                if budget > 2 {
+                    assert_eq!(choose(budget - 3), Direction::Push, "{what}");
                 }
             }
         }

@@ -165,23 +165,22 @@ impl Matrix {
             Backend::Auto => auto::auto_decision(csr, ctx).chosen,
             other => other,
         };
+        // Row-shard plans are part of format selection: the constructors
+        // cut them from what they build, under the context's thread budget.
+        let cfg = ctx.shard_config();
         let state: Box<dyn GrbBackend> = match resolved {
-            Backend::Bit(ts) => Box::new(BitB2sr::new(csr, ts)),
-            Backend::FloatCsr => Box::new(FloatCsr::new(csr)),
+            Backend::Bit(ts) => Box::new(BitB2sr::new(csr, ts, cfg)),
+            Backend::FloatCsr => Box::new(FloatCsr::new(csr, cfg)),
             Backend::Auto => unreachable!("auto_decision returns a resolved backend"),
         };
-        // Row-shard plans are part of format selection: sized here, at
-        // build time, from the context's device profile and thread budget.
-        state.replan_shards(None, ctx.shard_config(), &[]);
         Matrix::from_parts(backend, Arc::from(state), Arc::new(ctx.clone()))
     }
 
     /// Wrap an existing backend implementation (the extension point for
     /// backends defined outside this crate).
     pub fn from_backend(state: Box<dyn GrbBackend>) -> Self {
-        let ctx = Context::default();
-        state.replan_shards(None, ctx.shard_config(), &[]);
-        Matrix::from_parts(state.kind(), Arc::from(state), Arc::new(ctx))
+        let ctx = Arc::new(Context::default());
+        Matrix::from_parts(state.kind(), Arc::from(state), ctx)
     }
 
     /// Assemble a matrix around `state` with a fresh version cell pinned at

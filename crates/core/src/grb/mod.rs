@@ -72,13 +72,13 @@
 //! batch of one lane is that vector ([`Op::mxm_bits`]).  All three are one
 //! builder and one planner path over the sealed [`WordOperand`] kinds.
 //!
-//! # Sharded parallel push execution (PR 5)
+//! # Sharded parallel push execution
 //!
 //! Push (sparse-frontier scatter) operations execute over the row-shard
 //! partition of [`crate::shard`] through one sharded-or-serial routine
 //! shared by every push shape of both built-in backends: matrices carry
-//! a per-representation [`crate::shard::ShardPlan`] (built at construction
-//! from the context's device profile and thread budget), the frontier is
+//! a per-representation [`crate::shard::ShardPlan`] (cut by the backend's
+//! constructor under the context's thread budget), the frontier is
 //! cut at shard boundaries, segments scatter into privatized
 //! workspace-pooled buffers on up to [`Context::threads`] workers, and a
 //! fixed-segment-order monoid merge makes the results **bit-identical
@@ -109,7 +109,7 @@ pub mod workspace;
 pub use auto::{auto_decision, AutoDecision, TileCandidate};
 pub use backend::{BitB2sr, FloatCsr, GrbBackend};
 pub use descriptor::{Descriptor, Mask};
-pub use direction::{choose_direction, scatter_penalty, scatter_penalty_parallel_alpha, Direction};
+pub use direction::{choose_direction, scatter_penalty_parallel_alpha, Direction};
 pub use error::GrbError;
 pub use ewise::assign_masked;
 pub use expr::{Expr, Fusion, Operand, Stage, MAX_STAGES};

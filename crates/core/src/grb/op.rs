@@ -54,7 +54,7 @@ use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
 use crate::faultinject::FaultInjector;
 use crate::kernels::simd::SimdPolicy;
 use crate::semiring::{BinaryOp, Semiring};
-use crate::shard::ShardConfig;
+use crate::shard::{ShardConfig, SHARD_CACHE_BYTES};
 
 use super::descriptor::{Descriptor, Mask};
 use super::direction::Direction;
@@ -71,8 +71,8 @@ use super::workspace::{ExecCounts, Workspace};
 /// Cross-operation execution configuration *and* execution resource.
 ///
 /// Besides the device profile and sampling parameters that
-/// [`Backend::Auto`](super::Backend::Auto) and [`Direction::Auto`] score
-/// against, a context owns a [`Workspace`]: the pool of reusable buffers
+/// [`Backend::Auto`](super::Backend::Auto) scores against, a context owns a
+/// [`Workspace`]: the pool of reusable buffers
 /// every evaluation draws its output, packing and mask scratch from, plus
 /// the execution counters.  Reusing one context across a traversal loop
 /// (e.g. via [`Matrix::context`](super::Matrix::context)) makes the loop's
@@ -80,7 +80,7 @@ use super::workspace::{ExecCounts, Workspace};
 #[derive(Debug)]
 pub struct Context {
     /// Device profile used by the performance model when resolving
-    /// [`Backend::Auto`](super::Backend::Auto) and [`Direction::Auto`].
+    /// [`Backend::Auto`](super::Backend::Auto).
     pub device: DeviceProfile,
     /// Rows sampled by the Algorithm-1 profile during auto selection.
     pub sample_rows: usize,
@@ -131,8 +131,8 @@ impl Context {
         Self::default()
     }
 
-    /// A context modelling the given device: its constants price
-    /// [`Direction::Auto`]'s scattered writes and size the shard plans.
+    /// A context modelling the given device: its constants feed
+    /// [`Backend::Auto`](super::Backend::Auto)'s traffic model.
     pub fn with_device(device: DeviceProfile) -> Self {
         Context {
             device,
@@ -199,11 +199,14 @@ impl Context {
         self.workspace.set_push_threads(threads);
     }
 
-    /// The shard-planning parameters matrices built with this context hand
-    /// to their backends ([`GrbBackend::replan_shards`](super::GrbBackend::replan_shards)):
-    /// the thread budget plus the device profile's L2 size.
+    /// The shard-planning parameters matrices built (and compacted) with
+    /// this context hand to their backends' constructors: the thread budget
+    /// plus the constant cache budget.
     pub fn shard_config(&self) -> ShardConfig {
-        ShardConfig::from_device(&self.device, self.threads())
+        ShardConfig {
+            threads: self.threads(),
+            cache_bytes: SHARD_CACHE_BYTES,
+        }
     }
 
     /// The current scalar/vector kernel selection policy (see
@@ -1403,25 +1406,25 @@ mod tests {
     fn auto_direction_switches_and_is_counted<V: Operand>(
         k: usize,
         op: MakeOp<'_, V>,
-        counts: fn(&ExecCounts) -> (u64, u64, u64),
+        counts: fn(&ExecCounts) -> (u64, u64),
     ) {
         let csr = sample(512, 29);
         let a = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
         let ctx = Context::default();
-        assert_eq!(counts(&ctx.stats()), (0, 0, 0));
+        assert_eq!(counts(&ctx.stats()), (0, 0));
 
         let sparse: V = operand(512, k, |i, _| (i == 7) as u8 as f32);
         let _ = op(&a, &sparse).semiring(Semiring::Boolean).run(&ctx);
-        assert_eq!(counts(&ctx.stats()), (1, 0, 1), "sparse frontier must push");
+        assert_eq!(counts(&ctx.stats()), (1, 0), "sparse frontier must push");
 
         let dense: V = operand(512, k, |_, _| 1.0);
         let _ = op(&a, &dense).semiring(Semiring::Boolean).run(&ctx);
-        assert_eq!(counts(&ctx.stats()), (1, 1, 2), "dense frontier must pull");
+        assert_eq!(counts(&ctx.stats()), (1, 1), "dense frontier must pull");
     }
 
     #[test]
     fn auto_direction_switches_on_frontier_density_and_is_counted() {
-        auto_direction_switches_and_is_counted(1, VXM, |c| (c.push_mxv, c.pull_mxv, c.total_mxv()));
+        auto_direction_switches_and_is_counted(1, VXM, |c| (c.push_mxv, c.pull_mxv));
     }
 
     #[test]
@@ -1470,8 +1473,8 @@ mod tests {
         assert_eq!(clone.device, ctx.device);
     }
 
-    /// What the planner prices with is a constant of the context's device —
-    /// two contexts on one input always plan alike.
+    /// What the planner prices and shards with is constant — whatever the
+    /// device, two contexts on one input always plan alike.
     #[test]
     fn contexts_plan_on_the_device_constants() {
         for ctx in [
@@ -1480,17 +1483,16 @@ mod tests {
         ] {
             assert_eq!(
                 ctx.shard_config(),
-                ShardConfig::from_device(&ctx.device, ctx.threads())
+                ShardConfig {
+                    threads: ctx.threads(),
+                    ..ShardConfig::default()
+                }
             );
             ctx.set_simd_policy(SimdPolicy::Auto);
             let ws = ctx.workspace();
             assert!(ws.simd_enabled(4) && ws.simd_enabled(8) && ws.simd_enabled(16));
             assert!(!ws.simd_enabled(32), "S32 is below the SWAR crossover");
         }
-        assert_eq!(
-            crate::grb::scatter_penalty(&Context::default().device),
-            16.0
-        );
     }
 
     // -- lazy-chain tests (PR 3) --------------------------------------------
@@ -1848,9 +1850,7 @@ mod tests {
     #[test]
     fn mxm_auto_direction_switches_and_is_counted() {
         for k in LANES {
-            auto_direction_switches_and_is_counted(k, MXM, |c| {
-                (c.push_mxm, c.pull_mxm, c.total_mxm())
-            });
+            auto_direction_switches_and_is_counted(k, MXM, |c| (c.push_mxm, c.pull_mxm));
         }
     }
 
@@ -2067,9 +2067,10 @@ mod tests {
             );
             assert!(err.to_string().contains("excluded lanes"), "{err}");
         }
+        let c = ctx.stats();
         assert_eq!(
-            ctx.stats().total_mxm(),
-            0,
+            (c.pull_mxm, c.push_mxm),
+            (0, 0),
             "a rejected product does not run"
         );
 
@@ -2090,7 +2091,8 @@ mod tests {
             assert!(Op::mxm_lanes(m, &x).transpose().try_run(&ctx).is_err());
         }
         assert_eq!(inj.counts().transients, 0);
-        assert_eq!(ctx.stats().total_mxm(), 0);
+        let c = ctx.stats();
+        assert_eq!((c.pull_mxm, c.push_mxm), (0, 0));
         // … and the bit matrix polls it once per call, built or read through
         // pending deltas: an overlay over a `BitB2sr` has the word product.
         let pending = Matrix::from_csr_ctx(&csr, Backend::default_bit(), &ctx);
@@ -2165,7 +2167,11 @@ mod tests {
                     assert_eq!(got.len(), produced, "{what}");
                     // Same direction, same frontier counts, no conversion.
                     assert_eq!(resolved(&mid, &after), resolved(&before, &mid), "{what}");
-                    assert_eq!(after.total_mxm(), before.total_mxm(), "{what}");
+                    assert_eq!(
+                        (after.pull_mxm, after.push_mxm),
+                        (before.pull_mxm, before.push_mxm),
+                        "{what}"
+                    );
                     assert_eq!(after.converted_elems, mid.converted_elems, "{what}");
                     let converted = mid.converted_elems > before.converted_elems;
                     assert_eq!(converted, produced > 0, "{what}");
@@ -2178,7 +2184,11 @@ mod tests {
                     let after1 = ctx.stats();
                     assert_eq!(got1, got, "{what}");
                     assert_eq!(resolved(&mid1, &after1), resolved(&after, &mid1), "{what}");
-                    assert_eq!(after1.total_mxv(), after.total_mxv(), "{what}");
+                    assert_eq!(
+                        (after1.pull_mxv, after1.push_mxv),
+                        (after.pull_mxv, after.push_mxv),
+                        "{what}"
+                    );
                     assert_eq!(after1.converted_elems, mid1.converted_elems, "{what}");
                     results.push((got, after.push_mxv - mid.push_mxv));
                 }
@@ -2257,9 +2267,10 @@ mod tests {
             Op::mxm_bits(&a, &y).and_not(&y).try_run(&ctx),
             mismatch("mxm", 20, 12)
         );
+        let c = ctx.stats();
         assert_eq!(
-            (ctx.stats().total_mxv(), ctx.stats().total_mxm()),
-            (0, 0),
+            (c.pull_mxv, c.push_mxv, c.pull_mxm, c.push_mxm),
+            (0, 0, 0, 0),
             "a rejected product does not run"
         );
 
@@ -2298,7 +2309,11 @@ mod tests {
             );
         }
         assert_eq!(inj.counts().transients, 4);
-        assert_eq!((ctx.stats().total_mxv(), ctx.stats().total_mxm()), (0, 0));
+        let c = ctx.stats();
+        assert_eq!(
+            (c.pull_mxv, c.push_mxv, c.pull_mxm, c.push_mxm),
+            (0, 0, 0, 0)
+        );
         ctx.set_fault_injector(None);
         let got = Op::vxm_bits(&x, &pending.snapshot()).try_run(&ctx);
         assert_eq!(got, Ok(Some(NodeBits::zeros(12))));
@@ -2311,9 +2326,9 @@ mod tests {
         let a = Matrix::from_csr(&csr, Backend::FloatCsr);
         let ctx = Context::default();
         let x = Vector::from_vec((0..30).map(|i| i as f32).collect());
-        let before = ctx.stats().total_mxv();
+        let before = ctx.stats();
         let expr = Op::mxv(&a, &x).affine(2.0, 0.0).build();
-        assert_eq!(ctx.stats().total_mxv(), before, "build must not execute");
+        assert_eq!(ctx.stats(), before, "build must not execute");
         let via_evaluate = ctx.evaluate(expr);
         let via_run = Op::mxv(&a, &x).affine(2.0, 0.0).run(&ctx);
         assert_eq!(via_evaluate, via_run);

@@ -71,7 +71,7 @@ use crate::semiring::{BinaryOp, Semiring};
 
 use super::backend::{BitB2sr, FloatCsr, GrbBackend};
 use super::descriptor::{Descriptor, Mask};
-use super::direction::{scan_and_choose, scan_and_choose_words, scatter_penalty, Direction};
+use super::direction::{scan_and_choose, scan_and_choose_words, Direction};
 use super::error::GrbError;
 use super::expr::shape::FrontierSize;
 use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
@@ -488,10 +488,9 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     // prices the count the scatter's cost follows (`choose_direction`) and
     // lets the scan give up once the count is past any push.  An explicit
     // push on an unsafe semiring is coerced back to pull.  The threshold is
-    // parallelism-aware (PR 5): the push side is priced at the context's
-    // scatter thread budget, the pull side at the host parallelism its
-    // rayon sweeps fan out to.  The base scatter penalty is the context's
-    // device constant (`scatter_penalty`).
+    // parallelism-aware: the push side is priced at the context's scatter
+    // thread budget, the pull side at the host parallelism its rayon sweeps
+    // fan out to.
     let requested = if semiring.push_safe() {
         desc.direction
     } else {
@@ -507,7 +506,6 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             semiring,
             scatter_is_lane_sparse(state),
             a.nnz(),
-            scatter_penalty(&ctx.device),
             effective_push_threads(state, !transpose, ctx),
             crate::shard::machine_parallelism(),
             list,
@@ -674,7 +672,6 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
         scan_and_choose_words(
             (x_nodes, k),
             a.nnz(),
-            scatter_penalty(&ctx.device),
             effective_push_threads(state, !transpose, ctx),
             crate::shard::machine_parallelism(),
             |stop_past_nodes| x.frontier_into(stop_past_nodes, list),

@@ -469,18 +469,6 @@ pub struct ExecCounts {
     pub select: u64,
 }
 
-impl ExecCounts {
-    /// Total `mxv`/`vxm` executions across both directions.
-    pub fn total_mxv(&self) -> u64 {
-        self.pull_mxv + self.push_mxv
-    }
-
-    /// Total batched `mxm` executions across both directions.
-    pub fn total_mxm(&self) -> u64 {
-        self.pull_mxm + self.push_mxm
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,7 +652,6 @@ mod tests {
         assert_eq!(s.refolded_positions, 9);
         assert_eq!(s.push_mxv, 2);
         assert_eq!(s.pull_mxv, 1);
-        assert_eq!(s.total_mxv(), 3);
         assert_eq!(s.sharded_push, 2);
         assert_eq!(s.shard_segments, 8);
     }

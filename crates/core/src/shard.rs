@@ -1,15 +1,16 @@
 //! Row-shard partition plans for the parallel push (scatter) engine.
 //!
-//! Until PR 5 every push kernel was serial: the scatter writes of different
-//! frontier rows can land on the same output position, so the kernels simply
-//! processed the frontier in ascending order on one core.  This module
-//! supplies the partitioning scheme that parallelises the scatter without
-//! giving up determinism:
+//! The scatter writes of different frontier rows can land on the same
+//! output position, so a serial push kernel processes the frontier in
+//! ascending order on one core.  This module supplies the partitioning
+//! scheme that parallelises the scatter without giving up determinism:
 //!
 //! * a [`ShardPlan`] splits a scatter representation's **rows** into
-//!   contiguous, edge-balanced, cache-sized ranges ("row shards"), chosen
-//!   once per matrix from a [`ShardConfig`] (device cache budget + worker
-//!   thread count);
+//!   contiguous, edge-balanced, cache-sized ranges ("row shards"), cut by
+//!   the backend's constructor from a [`ShardConfig`] (worker thread count +
+//!   cache budget) — a function of the built representation and the config,
+//!   so a compacted matrix and a from-scratch build of the same CSR carry
+//!   the same plan;
 //! * at execution time the ascending frontier is cut at the shard boundaries
 //!   into **segments** ([`ShardPlan::segment_frontier`]); each segment
 //!   scatters serially into a *privatized* output buffer, segments run on
@@ -29,8 +30,6 @@
 //! idempotent/exact monoids (`min`, `max`, `or`) the sharded result is
 //! additionally bit-identical to the fully serial scatter.
 
-use bitgblas_perfmodel::DeviceProfile;
-
 /// Upper bound on the number of shards in one plan.  Bounds both the merge
 /// cost (one privatized buffer per *active* segment is folded into the
 /// output) and the scratch footprint (`n_segments × output_width`).
@@ -40,11 +39,16 @@ pub const MAX_SHARDS: usize = 32;
 /// dimension (4/8/16/32), so a bit-tile row never straddles two shards.
 pub const SHARD_ALIGN: usize = 32;
 
-/// The modelled cost of one scattered edge relative to one streamed output
-/// element, reused by [`worth_sharding`] as the scatter-vs-merge work ratio
-/// (the same first-order transaction penalty `Direction::Auto` prices push
-/// edges with — see `grb::direction::scatter_penalty`).
+/// The modelled cost of one scattered edge relative to one streamed
+/// element: a random write wastes a whole 128-byte memory transaction where
+/// a streamed edge pays ~8 coalesced bytes.  `Direction::Auto` prices push
+/// edges with it (the base α of `grb::choose_direction`) and
+/// [`worth_sharding`] uses it as the scatter-vs-merge work ratio.
 pub const SCATTER_EDGE_WEIGHT: usize = 16;
+
+/// The cache budget shards are sized against (2 MiB, a last-level-cache
+/// slice): what every [`Context`](crate::grb::Context) plans with.
+pub(crate) const SHARD_CACHE_BYTES: usize = 2 << 20;
 
 /// The effective parallelism of this host — what the rayon stand-in's pull
 /// sweeps fan out to.  Cached after the first query:
@@ -71,23 +75,12 @@ pub struct ShardConfig {
     pub cache_bytes: usize,
 }
 
-impl ShardConfig {
-    /// Derive a config from a device profile (the L2 size of the modelled
-    /// device is the cache budget) and an explicit thread count.
-    pub fn from_device(device: &DeviceProfile, threads: usize) -> Self {
-        ShardConfig {
-            threads: threads.max(1),
-            cache_bytes: (device.l2_kb.max(1)) * 1024,
-        }
-    }
-}
-
 impl Default for ShardConfig {
     /// Host parallelism and a 2 MiB cache budget.
     fn default() -> Self {
         ShardConfig {
             threads: machine_parallelism(),
-            cache_bytes: 2 << 20,
+            cache_bytes: SHARD_CACHE_BYTES,
         }
     }
 }
@@ -175,113 +168,6 @@ impl ShardPlan {
         bounds.push(nrows);
         if bounds.len() < 3 {
             return ShardPlan::single(nrows);
-        }
-        ShardPlan { bounds }
-    }
-
-    /// Re-plan incrementally after a compaction (PR 8): shards whose row
-    /// ranges contain no dirty row keep their boundaries **verbatim**, and
-    /// every maximal run of dirty shards has its interior boundaries recut
-    /// from the new weights with the same sizing rule as
-    /// [`ShardPlan::from_weights`], restricted to the run's row range.
-    ///
-    /// `cum`/`rows_per_unit`/`nrows` describe the *compacted* matrix (same
-    /// dimensions as the one this plan was built for — compaction never
-    /// changes the vertex set, only the edges); `dirty_rows` is the
-    /// ascending list of rows the fold touched.  A dirty run may gain
-    /// shards when its edge weight grew past the per-shard target (and
-    /// lose them when it shrank) — but, as in `from_weights`, never below
-    /// its weight's share of `threads` shards, so a light run keeps every
-    /// worker fed — bounded so the whole plan never exceeds
-    /// [`MAX_SHARDS`]; boundaries stay [`SHARD_ALIGN`]-aligned because
-    /// clean boundaries are reused and new cuts are aligned the same way
-    /// `from_weights` aligns them.
-    ///
-    /// With no dirty rows the plan is returned unchanged; single-shard
-    /// plans (and serial configs) fall back to a full
-    /// [`ShardPlan::from_weights`] pass, since their only shard is dirty
-    /// whenever anything is.
-    pub fn replan_rows(
-        &self,
-        cum: &[usize],
-        rows_per_unit: usize,
-        nrows: usize,
-        cfg: ShardConfig,
-        dirty_rows: &[usize],
-    ) -> ShardPlan {
-        debug_assert_eq!(
-            self.bounds.last().copied(),
-            Some(nrows),
-            "replan must cover the same row count as the original plan"
-        );
-        if dirty_rows.is_empty() {
-            return self.clone();
-        }
-        let n = self.n_shards();
-        if n <= 1 || cfg.threads <= 1 {
-            return ShardPlan::from_weights(cum, rows_per_unit, nrows, cfg);
-        }
-        let rpu = rows_per_unit.max(1);
-        let units = cum.len().saturating_sub(1);
-        let align_units = SHARD_ALIGN.div_ceil(rpu).max(1);
-        let target = (cfg.cache_bytes / 64).max(1024);
-        let total = cum[units].max(1);
-        // Weight of the unit range covering rows [lo, hi).
-        let weight_of = |lo: usize, hi: usize| -> (usize, usize, usize) {
-            let ulo = (lo / rpu).min(units);
-            let uhi = hi.div_ceil(rpu).min(units);
-            (ulo, uhi, cum[uhi] - cum[ulo])
-        };
-        // A shard is dirty iff any dirty row falls inside it; `dirty_rows`
-        // is ascending, so one forward sweep marks them all.
-        let mut dirty_shard = vec![false; n];
-        let mut pos = 0usize;
-        for (s, flag) in dirty_shard.iter_mut().enumerate() {
-            let hi = self.bounds[s + 1];
-            let end = pos + dirty_rows[pos..].partition_point(|&r| r < hi);
-            *flag = end > pos;
-            pos = end;
-        }
-        let mut headroom = MAX_SHARDS.saturating_sub(n);
-        let mut bounds = Vec::with_capacity(self.bounds.len());
-        bounds.push(0usize);
-        let mut s = 0;
-        while s < n {
-            if !dirty_shard[s] {
-                bounds.push(self.bounds[s + 1]);
-                s += 1;
-                continue;
-            }
-            let run_start = s;
-            while s < n && dirty_shard[s] {
-                s += 1;
-            }
-            let old_count = s - run_start;
-            let (lo, hi) = (self.bounds[run_start], self.bounds[s]);
-            let (ulo, _, run_w) = weight_of(lo, hi);
-            // The run's shard count follows the same weight-vs-target rule
-            // as `from_weights`, clamped as there — between `threads` and
-            // `4 · threads` shards, here scaled to the run's share of the
-            // whole weight, and never narrower than `SHARD_ALIGN` rows — and
-            // capped by the plan-wide headroom so the merged plan never
-            // exceeds MAX_SHARDS.
-            let share = |of: usize| (of * run_w).div_ceil(total);
-            let k = (run_w / target)
-                .clamp(share(cfg.threads), share(cfg.threads.saturating_mul(4)))
-                .min((hi - lo) / SHARD_ALIGN)
-                .max(1)
-                .min(old_count + headroom);
-            headroom -= k.saturating_sub(old_count).min(headroom);
-            for i in 1..k {
-                let want = cum[ulo] + run_w / k * i;
-                let u = cum.partition_point(|&c| c < want);
-                let ua = u.div_ceil(align_units) * align_units;
-                let row = (ua * rpu).min(hi);
-                if row > *bounds.last().expect("bounds never empty") && row < hi {
-                    bounds.push(row);
-                }
-            }
-            bounds.push(hi);
         }
         ShardPlan { bounds }
     }
@@ -532,61 +418,6 @@ mod tests {
             assert_eq!(b % 8, 0, "bounds must fall on tile rows");
         }
         assert_eq!(*plan.bounds().last().unwrap(), 4096);
-    }
-
-    #[test]
-    fn replan_preserves_clean_bounds_and_recuts_dirty_runs() {
-        let nrows = 8192;
-        let rp = uniform_rowptr(nrows, 16);
-        let plan = ShardPlan::from_weights(&rp, 1, nrows, cfg(4));
-        assert!(plan.n_shards() >= 4, "precondition: several shards");
-
-        // No dirty rows → identical plan.
-        assert_eq!(plan.replan_rows(&rp, 1, nrows, cfg(4), &[]), plan);
-
-        // Inflate the weight of shard 1's rows by 16x and dirty one of its
-        // rows: every boundary outside shard 1 must survive verbatim, and
-        // the heavier shard must split.
-        let (lo, hi) = (plan.bounds()[1], plan.bounds()[2]);
-        let mut heavy = vec![0usize; nrows + 1];
-        for r in 0..nrows {
-            let deg = if (lo..hi).contains(&r) { 256 } else { 16 };
-            heavy[r + 1] = heavy[r] + deg;
-        }
-        let replanned = plan.replan_rows(&heavy, 1, nrows, cfg(4), &[lo]);
-        for &b in plan.bounds() {
-            assert!(
-                replanned.bounds().contains(&b),
-                "clean boundary {b} was not preserved: {replanned:?}"
-            );
-        }
-        assert!(
-            replanned.n_shards() > plan.n_shards(),
-            "16x heavier dirty shard should split: {replanned:?}"
-        );
-        assert!(replanned.n_shards() <= MAX_SHARDS);
-        for &b in &replanned.bounds()[1..replanned.bounds().len() - 1] {
-            assert_eq!(b % SHARD_ALIGN, 0, "new cuts must stay aligned");
-        }
-        for w in replanned.bounds().windows(2) {
-            assert!(w[0] < w[1], "bounds must stay strictly ascending");
-        }
-        // Every new boundary lies inside the dirty shard's row range.
-        for &b in replanned.bounds() {
-            if !plan.bounds().contains(&b) {
-                assert!((lo..hi).contains(&b), "cut {b} escaped the dirty run");
-            }
-        }
-    }
-
-    #[test]
-    fn replan_of_single_shard_plans_falls_back_to_full_replan() {
-        let nrows = 8192;
-        let rp = uniform_rowptr(nrows, 16);
-        let single = ShardPlan::single(nrows);
-        let replanned = single.replan_rows(&rp, 1, nrows, cfg(4), &[0]);
-        assert_eq!(replanned, ShardPlan::from_weights(&rp, 1, nrows, cfg(4)));
-        assert!(replanned.n_shards() > 1);
     }
 
     #[test]

@@ -44,32 +44,6 @@ impl Coo {
         }
     }
 
-    /// Build a COO matrix from parallel triplet slices.
-    ///
-    /// Returns an error if any index is out of bounds or the slices have
-    /// mismatched lengths.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        rows: &[usize],
-        cols: &[usize],
-        vals: &[f32],
-    ) -> Result<Self, SparseError> {
-        if rows.len() != cols.len() || rows.len() != vals.len() {
-            return Err(SparseError::MalformedStructure(format!(
-                "triplet arrays have mismatched lengths: {} rows, {} cols, {} vals",
-                rows.len(),
-                cols.len(),
-                vals.len()
-            )));
-        }
-        let mut coo = Coo::with_capacity(nrows, ncols, rows.len());
-        for ((&r, &c), &v) in rows.iter().zip(cols).zip(vals) {
-            coo.push(r, c, v)?;
-        }
-        Ok(coo)
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -178,15 +152,6 @@ mod tests {
         ));
         assert!(coo.push(0, 5, 1.0).is_err());
         assert_eq!(coo.nnz(), 0);
-    }
-
-    #[test]
-    fn from_triplets_validates_lengths() {
-        let err = Coo::from_triplets(2, 2, &[0, 1], &[0], &[1.0, 2.0]);
-        assert!(matches!(err, Err(SparseError::MalformedStructure(_))));
-
-        let ok = Coo::from_triplets(2, 2, &[0, 1], &[1, 0], &[1.0, 2.0]).unwrap();
-        assert_eq!(ok.nnz(), 2);
     }
 
     #[test]

@@ -372,30 +372,6 @@ impl Csr {
         }
     }
 
-    /// Upper-triangular part (`c > r`).
-    pub fn upper_triangle(&self) -> Csr {
-        let mut rowptr = vec![0usize; self.nrows + 1];
-        let mut colind = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c > r {
-                    colind.push(c);
-                    values.push(v);
-                }
-            }
-            rowptr[r + 1] = colind.len();
-        }
-        Csr {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            rowptr,
-            colind,
-            values,
-        }
-    }
-
     /// A copy without diagonal entries.
     pub fn without_diagonal(&self) -> Csr {
         let mut rowptr = vec![0usize; self.nrows + 1];
@@ -441,15 +417,6 @@ impl Csr {
             dense[r * self.ncols + c] = v;
         }
         dense
-    }
-
-    /// Convert back to COO triplets.
-    pub fn to_coo(&self) -> Coo {
-        let mut coo = Coo::with_capacity(self.nrows, self.ncols, self.nnz());
-        for (r, c, v) in self.iter() {
-            coo.push(r, c, v).expect("indices already validated");
-        }
-        coo
     }
 }
 
@@ -546,12 +513,8 @@ mod tests {
         let a = small();
         let lower = a.lower_triangle();
         assert_eq!(lower.nnz(), 2); // (2,0) and (2,1)
-        let upper = a.upper_triangle();
-        assert_eq!(upper.nnz(), 2); // (0,2) and (1,3)
         let nodiag = a.without_diagonal();
         assert_eq!(nodiag.nnz(), 4);
-        // lower + upper + 2 diagonal entries account for every stored entry.
-        assert_eq!(lower.nnz() + upper.nnz() + 2, a.nnz());
     }
 
     #[test]

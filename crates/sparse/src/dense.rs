@@ -1,10 +1,7 @@
-//! Dense and sparse vectors — the frontier/result vectors of GraphBLAS ops.
+//! Dense vectors — the operand/result vectors of the reference kernels.
 //!
-//! GraphBLAST switches between dense and sparse vector representations
-//! depending on frontier sparsity; the baseline algorithms in
-//! `bitgblas-algorithms` do the same.  Bit-GraphBLAS keeps frontiers dense
-//! (binarized or full-precision), so [`DenseVec`] is the main type; the
-//! [`SparseVec`] is used by the baseline's push-direction SpMSpV.
+//! Bit-GraphBLAS keeps frontiers dense (binarized or full-precision), so
+//! [`DenseVec`] is the one vector type of this crate.
 
 use std::ops::{Index, IndexMut};
 
@@ -25,12 +22,6 @@ impl DenseVec {
         DenseVec {
             data: vec![value; n],
         }
-    }
-
-    /// Vector of `n` copies of `f32::INFINITY` — the identity of the min-plus
-    /// (tropical) semiring used by SSSP and CC.
-    pub fn infinities(n: usize) -> Self {
-        Self::filled(n, f32::INFINITY)
     }
 
     /// Wrap an existing buffer.
@@ -77,41 +68,9 @@ impl DenseVec {
         self.data.iter().filter(|&&x| x != 0.0).count()
     }
 
-    /// Number of finite entries (used with the min-plus semiring where the
-    /// "empty" value is +inf rather than 0).
-    pub fn n_finite(&self) -> usize {
-        self.data.iter().filter(|x| x.is_finite()).count()
-    }
-
     /// Sum of all entries.
     pub fn sum(&self) -> f64 {
         self.data.iter().map(|&x| x as f64).sum()
-    }
-
-    /// Indices of nonzero entries.
-    pub fn nonzero_indices(&self) -> Vec<usize> {
-        self.data
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &x)| (x != 0.0).then_some(i))
-            .collect()
-    }
-
-    /// Convert to a [`SparseVec`] holding the nonzero entries.
-    pub fn to_sparse(&self) -> SparseVec {
-        let mut idx = Vec::new();
-        let mut vals = Vec::new();
-        for (i, &x) in self.data.iter().enumerate() {
-            if x != 0.0 {
-                idx.push(i);
-                vals.push(x);
-            }
-        }
-        SparseVec {
-            len: self.data.len(),
-            indices: idx,
-            values: vals,
-        }
     }
 
     /// Element-wise maximum-norm distance to another vector (used for
@@ -128,23 +87,6 @@ impl DenseVec {
     /// Set every entry to `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
-    }
-
-    /// Element-wise in-place minimum with another vector (the accumulate step
-    /// of the min-plus semiring).
-    pub fn ewise_min_assign(&mut self, other: &DenseVec) {
-        assert_eq!(self.len(), other.len());
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a = a.min(b);
-        }
-    }
-
-    /// Element-wise in-place addition.
-    pub fn ewise_add_assign(&mut self, other: &DenseVec) {
-        assert_eq!(self.len(), other.len());
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
     }
 
     /// Scale all entries by `s`.
@@ -172,87 +114,6 @@ impl From<Vec<f32>> for DenseVec {
     }
 }
 
-/// A sparse vector: sorted indices plus values, with an explicit logical
-/// length.  Used by the baseline's push-direction SpMSpV when the frontier is
-/// small.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseVec {
-    len: usize,
-    indices: Vec<usize>,
-    values: Vec<f32>,
-}
-
-impl SparseVec {
-    /// Empty sparse vector of logical length `len`.
-    pub fn empty(len: usize) -> Self {
-        SparseVec {
-            len,
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Build from parallel index/value arrays (indices must be strictly
-    /// increasing and in range).
-    pub fn from_parts(len: usize, indices: Vec<usize>, values: Vec<f32>) -> Self {
-        assert_eq!(indices.len(), values.len());
-        debug_assert!(
-            indices.windows(2).all(|w| w[0] < w[1]),
-            "indices must be sorted"
-        );
-        debug_assert!(indices.iter().all(|&i| i < len), "index out of range");
-        SparseVec {
-            len,
-            indices,
-            values,
-        }
-    }
-
-    /// Sparse vector with a single nonzero entry.
-    pub fn single(len: usize, index: usize, value: f32) -> Self {
-        Self::from_parts(len, vec![index], vec![value])
-    }
-
-    /// Logical length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the logical length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Stored indices.
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Stored values.
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Iterate over `(index, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
-        self.indices.iter().zip(&self.values).map(|(&i, &v)| (i, v))
-    }
-
-    /// Expand to a dense vector.
-    pub fn to_dense(&self) -> DenseVec {
-        let mut v = DenseVec::zeros(self.len);
-        for (i, x) in self.iter() {
-            v[i] = x;
-        }
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,10 +122,6 @@ mod tests {
     fn constructors() {
         assert_eq!(DenseVec::zeros(4).as_slice(), &[0.0; 4]);
         assert_eq!(DenseVec::filled(3, 2.5).as_slice(), &[2.5; 3]);
-        assert!(DenseVec::infinities(2)
-            .as_slice()
-            .iter()
-            .all(|x| x.is_infinite()));
         let ind = DenseVec::indicator(5, &[1, 3]);
         assert_eq!(ind.as_slice(), &[0.0, 1.0, 0.0, 1.0, 0.0]);
         assert_eq!(ind.nnz(), 2);
@@ -282,50 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dense_roundtrip() {
-        let d = DenseVec::from_vec(vec![0.0, 3.0, 0.0, -1.0, 0.0]);
-        let s = d.to_sparse();
-        assert_eq!(s.nnz(), 2);
-        assert_eq!(s.indices(), &[1, 3]);
-        assert_eq!(s.to_dense(), d);
-        assert_eq!(d.nonzero_indices(), vec![1, 3]);
-    }
-
-    #[test]
-    fn ewise_operations() {
-        let mut a = DenseVec::from_vec(vec![1.0, 5.0, f32::INFINITY]);
-        let b = DenseVec::from_vec(vec![2.0, 3.0, 7.0]);
-        a.ewise_min_assign(&b);
-        assert_eq!(a.as_slice(), &[1.0, 3.0, 7.0]);
-        a.ewise_add_assign(&b);
-        assert_eq!(a.as_slice(), &[3.0, 6.0, 14.0]);
-    }
-
-    #[test]
     fn diff_and_counts() {
         let a = DenseVec::from_vec(vec![1.0, 2.0, 3.0]);
         let b = DenseVec::from_vec(vec![1.5, 2.0, 2.0]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
         let c = DenseVec::from_vec(vec![f32::INFINITY, 0.0, 1.0]);
-        assert_eq!(c.n_finite(), 2);
         assert_eq!(c.nnz(), 2); // inf counts as nonzero, 0.0 does not
-    }
-
-    #[test]
-    fn sparse_vec_basics() {
-        let s = SparseVec::single(10, 4, 2.0);
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.nnz(), 1);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(4, 2.0)]);
-        let e = SparseVec::empty(0);
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_ewise_panics() {
-        let mut a = DenseVec::zeros(2);
-        let b = DenseVec::zeros(3);
-        a.ewise_add_assign(&b);
     }
 }

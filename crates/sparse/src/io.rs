@@ -33,6 +33,10 @@ enum MmSymmetry {
     Symmetric,
 }
 
+/// The most entries the size line may reserve room for before any entry has
+/// been read; past it the triplet arrays grow as entries arrive.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 /// Read a Matrix Market stream into a COO matrix.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
     let mut lines = BufReader::new(reader).lines();
@@ -94,8 +98,13 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
         )));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nnz > nrows.saturating_mul(ncols) {
+        return Err(SparseError::Parse(format!(
+            "size line declares {nnz} entries for a {nrows} x {ncols} matrix"
+        )));
+    }
 
-    let mut coo = Coo::with_capacity(nrows, ncols, nnz);
+    let mut coo = Coo::with_capacity(nrows, ncols, nnz.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -241,6 +250,30 @@ mod tests {
         // unsupported field
         let complex = "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n";
         assert!(read_matrix_market(complex.as_bytes()).is_err());
+    }
+
+    /// A size line is outside input: whatever it declares, the answer is a
+    /// typed error — never a capacity-overflow panic or an allocation abort.
+    #[test]
+    fn hostile_size_lines_are_parse_errors() {
+        for size_line in [
+            "4 4 18446744073709551615",
+            "4 4 1000000000000",
+            "4 4 17",
+            "99999999999999999999999 4 1",
+        ] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate pattern general\n{size_line}\n1 1\n");
+            let got = read_matrix_market(text.as_bytes());
+            assert!(
+                matches!(got, Err(SparseError::Parse(_))),
+                "{size_line}: {got:?}"
+            );
+        }
+        // Huge dimensions with an honest count reserve nothing up front.
+        let sparse = "%%MatrixMarket matrix coordinate pattern general\n\
+            18446744073709551615 18446744073709551615 1\n7 9\n";
+        assert_eq!(read_matrix_market(sparse.as_bytes()).unwrap().nnz(), 1);
     }
 
     #[test]

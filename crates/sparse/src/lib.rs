@@ -11,13 +11,12 @@
 //! * conversions between them (`csr2csc` is [`csr::Csr::transpose`]; the
 //!   block-level `csr2bsr` step the paper obtains from cuSPARSE is the upper
 //!   level of `bitgblas-core`'s B2SR converter);
-//! * dense vectors ([`dense::DenseVec`]) and sparse vectors
-//!   ([`dense::SparseVec`]) used as frontiers;
+//! * dense vectors ([`dense::DenseVec`]);
 //! * Matrix Market I/O ([`io`]) so real SuiteSparse files can be loaded when
 //!   available;
 //! * reference full-precision kernels ([`ops`]): row-parallel CSR SpMV,
-//!   masked SpMV, sparse-vector SpMSpV, and Gustavson SpGEMM.  These are the
-//!   stand-ins for the cuSPARSE/GraphBLAST baselines in every experiment.
+//!   semiring SpMV and Gustavson SpGEMM.  These are the stand-ins for the
+//!   cuSPARSE/GraphBLAST baselines in every experiment.
 //!
 //! All matrices store `f32` values, matching the "32-bit floating-point CSR"
 //! baseline configuration used throughout the paper's evaluation.
@@ -34,5 +33,5 @@ pub mod ops;
 
 pub use coo::Coo;
 pub use csr::Csr;
-pub use dense::{DenseVec, SparseVec};
+pub use dense::DenseVec;
 pub use error::SparseError;

@@ -6,9 +6,6 @@
 //! (Tables VII–IX).  This module implements those baselines from scratch:
 //!
 //! * [`spmv`] / [`spmv_parallel`] — row-parallel CSR SpMV (`y = A·x`),
-//! * [`spmv_masked`] — SpMV with a complemented-mask output filter, the core
-//!   of GraphBLAST's pull-direction BFS step,
-//! * [`spmspv`] — sparse-vector (push-direction) SpMV,
 //! * [`spmv_semiring`] — SpMV over min-plus / arithmetic semirings for
 //!   SSSP/CC/PR baselines,
 //! * [`spgemm`] / [`spgemm_parallel`] — Gustavson row-by-row SpGEMM,
@@ -18,7 +15,7 @@
 use rayon::prelude::*;
 
 use crate::csr::Csr;
-use crate::dense::{DenseVec, SparseVec};
+use crate::dense::DenseVec;
 use crate::error::SparseError;
 
 /// Check that `A` (`m×n`) and `x` (length `n`) are compatible for SpMV.
@@ -67,68 +64,6 @@ pub fn spmv_parallel(a: &Csr, x: &DenseVec) -> Result<DenseVec, SparseError> {
         *out = acc;
     });
     Ok(DenseVec::from_vec(y))
-}
-
-/// Masked SpMV: `y = (A · x) .* ¬mask` — entries whose mask bit is set are
-/// forced to zero.  GraphBLAST's BFS applies the visited-vertex mask this way
-/// (with early exit); the paper's BFS applies the same mask inside the bit
-/// kernel right before the store.
-pub fn spmv_masked(a: &Csr, x: &DenseVec, mask: &[bool]) -> Result<DenseVec, SparseError> {
-    check_spmv_dims(a, x.len())?;
-    if mask.len() != a.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spmv_masked",
-            left: (a.nrows(), a.ncols()),
-            right: (mask.len(), 1),
-        });
-    }
-    let xs = x.as_slice();
-    let mut y = vec![0.0f32; a.nrows()];
-    y.par_iter_mut().enumerate().for_each(|(r, out)| {
-        if mask[r] {
-            // Early exit on masked rows, as GraphBLAST does.
-            *out = 0.0;
-            return;
-        }
-        let (cols, vals) = a.row(r);
-        let mut acc = 0.0f32;
-        for (&c, &v) in cols.iter().zip(vals) {
-            acc += v * xs[c];
-        }
-        *out = acc;
-    });
-    Ok(DenseVec::from_vec(y))
-}
-
-/// Push-direction sparse-vector SpMV: `y = A^T · x` over a sparse frontier
-/// `x`, computed by scattering each frontier vertex's out-neighbour list
-/// (row of `A`).  Returns a sparse result.
-///
-/// GraphBLAST switches to this kernel when the frontier is sparse; the
-/// baseline BFS/SSSP use it for their push iterations.
-pub fn spmspv(a: &Csr, x: &SparseVec) -> Result<SparseVec, SparseError> {
-    if a.nrows() != x.len() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spmspv",
-            left: (a.nrows(), a.ncols()),
-            right: (x.len(), 1),
-        });
-    }
-    let mut acc: Vec<f32> = vec![0.0; a.ncols()];
-    let mut touched: Vec<usize> = Vec::new();
-    for (i, xv) in x.iter() {
-        let (cols, vals) = a.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            if acc[c] == 0.0 {
-                touched.push(c);
-            }
-            acc[c] += v * xv;
-        }
-    }
-    touched.sort_unstable();
-    touched.dedup();
-    let values: Vec<f32> = touched.iter().map(|&c| acc[c]).collect();
-    Ok(SparseVec::from_parts(a.ncols(), touched, values))
 }
 
 /// The semiring selector for [`spmv_semiring`].
@@ -340,32 +275,6 @@ mod tests {
         let x = DenseVec::zeros(5);
         assert!(spmv(&a, &x).is_err());
         assert!(spmv_parallel(&a, &x).is_err());
-    }
-
-    #[test]
-    fn masked_spmv_zeroes_masked_rows() {
-        let a = sample_a();
-        let x = DenseVec::filled(3, 1.0);
-        let mask = vec![false, true, false];
-        let y = spmv_masked(&a, &x, &mask).unwrap();
-        assert_eq!(y.as_slice(), &[3.0, 0.0, 9.0]);
-        assert!(spmv_masked(&a, &x, &[false; 2]).is_err());
-    }
-
-    #[test]
-    fn spmspv_matches_dense_spmv_on_transpose() {
-        // Pushing a sparse frontier along A's out-edges equals A^T · x.
-        let a = sample_a();
-        let frontier = SparseVec::single(3, 0, 1.0);
-        let pushed = spmspv(&a, &frontier).unwrap();
-        let dense_ref = spmv(&a.transpose(), &frontier.to_dense()).unwrap();
-        assert_eq!(pushed.to_dense(), dense_ref);
-
-        // A multi-entry frontier exercises accumulation across pushed rows.
-        let frontier2 = SparseVec::from_parts(3, vec![0, 2], vec![1.0, 2.0]);
-        let pushed2 = spmspv(&a, &frontier2).unwrap();
-        let dense_ref2 = spmv(&a.transpose(), &frontier2.to_dense()).unwrap();
-        assert_eq!(pushed2.to_dense(), dense_ref2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ mod common;
 use proptest::prelude::*;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, reference, sssp_multi_dir};
-use bit_graphblas::core::grb::scatter_penalty;
+use bit_graphblas::core::shard::SCATTER_EDGE_WEIGHT;
 use bit_graphblas::datagen::generators;
 use bit_graphblas::prelude::*;
 
@@ -452,7 +452,7 @@ fn full_density_and_threshold_frontiers_agree() {
     // The crossover frontier size of the traffic model (see
     // grb::choose_direction): f * d̄ * penalty = nnz + n.
     let threshold = ((nnz + 256) as f64
-        / ((nnz as f64 / 256.0).max(1.0) * scatter_penalty(&ctx.device)))
+        / ((nnz as f64 / 256.0).max(1.0) * SCATTER_EDGE_WEIGHT as f64))
         as usize;
     let sizes = [threshold.saturating_sub(1), threshold, threshold + 1, 256];
     for backend in [Backend::Bit(TileSize::S16), Backend::FloatCsr] {
@@ -732,5 +732,6 @@ fn shape_violations_are_the_same_error_from_both_shapes() {
         });
         assert_eq!((single, batched), (expected, expected), "{what}");
     }
-    assert_eq!(ctx.stats().total_mxv() + ctx.stats().total_mxm(), 0);
+    let c = ctx.stats();
+    assert_eq!(c.pull_mxv + c.push_mxv + c.pull_mxm + c.push_mxm, 0);
 }

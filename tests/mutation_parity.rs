@@ -15,8 +15,9 @@
 //! And plain tests on what the paths *cost* and how they are planned, on
 //! exact counters: `refolded_positions` follows what the operand reaches, a
 //! sharded context resolves every batched round as the compacted matrix
-//! does, an append normalizes its own batch (`entries_normalized`) and a
-//! compaction re-tiles the tile-rows its batch dirtied (`CompactReport`).
+//! does, an append normalizes its own batch (`entries_normalized`), a
+//! compaction re-tiles the tile-rows its batch dirtied (`CompactReport`) and
+//! cuts the shard plans a from-scratch build cuts.
 
 use proptest::prelude::*;
 
@@ -181,7 +182,7 @@ fn overlay_refolds_what_the_operand_reaches() {
             let before = snap.context().stats();
             run();
             let after = snap.context().stats();
-            let ops = after.total_mxv() - before.total_mxv();
+            let ops = after.pull_mxv + after.push_mxv - before.pull_mxv - before.push_mxv;
             (after.refolded_positions - before.refolded_positions, ops)
         };
 
@@ -231,9 +232,7 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     let n = adj.nrows();
     let ctx = Context::with_threads(4);
     let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &ctx);
-    // Dirty rows stay inside the first shard, so the compaction's
-    // incremental replan keeps the plan partitioned (a dirty run is re-cut
-    // by weight alone and may lose its shards).
+    // Dirty rows stay inside the first shard.
     let first_shard = m
         .state()
         .shard_plan(false)
@@ -296,6 +295,70 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
         sssp_multi_dir(&pending, &sources, Direction::Auto),
         sssp_multi_dir(&compacted, &sources, Direction::Auto)
     );
+}
+
+/// A compacted matrix is a from-scratch build of the same CSR, shard plans
+/// included — so every sharded product, whose float fold grouping follows
+/// the plan, equals the rebuild's bit for bit.  A batch that skews the edge
+/// weight towards the first rows moves every cut.
+#[test]
+fn compacted_plans_and_sharded_products_equal_a_rebuild() {
+    let n = 8192usize;
+    let mut ring = Coo::new(n, n);
+    for r in 0..n {
+        for d in 1..=4 {
+            ring.push_edge(r, (r + d) % n).unwrap();
+        }
+    }
+    let ring = ring.to_binary_csr();
+    let skew: Vec<EdgeDelta> = (0..1024)
+        .flat_map(|r| (0..24).map(move |i| EdgeDelta::insert(r, (r * 37 + i * 331 + 7) % n)))
+        .collect();
+    let x = Vector::from_vec((0..n).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect());
+    let xk = MultiVec::from_vec(
+        (0..n * 3).map(|f| (f % 7) as f32 * 0.21 + 0.5).collect(),
+        n,
+        3,
+    );
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+    // Forced-push Arithmetic products over both scatter representations,
+    // and how many of them the sharded engine ran.
+    let products = |m: &Matrix| {
+        let ctx = m.context();
+        let before = ctx.stats().sharded_push;
+        let push = Direction::Push;
+        let vxm = Op::vxm(&x, m)
+            .semiring(Semiring::Arithmetic)
+            .direction(push);
+        let mxm = || {
+            Op::mxm(m, &xk)
+                .semiring(Semiring::Arithmetic)
+                .direction(push)
+        };
+        let out = [
+            bits(vxm.run(ctx).as_slice()),
+            bits(mxm().transpose().run(ctx).as_slice()),
+            bits(mxm().run(ctx).as_slice()),
+        ];
+        (out, ctx.stats().sharded_push - before)
+    };
+    for backend in [Backend::FloatCsr, Backend::Bit(TileSize::S8)] {
+        let m = Matrix::from_csr_ctx(&ring, backend, &Context::with_threads(4));
+        m.apply_deltas(&skew).unwrap();
+        m.compact(m.context()).unwrap();
+        let compacted = m.snapshot();
+        let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
+
+        let (got, got_sharded) = products(&compacted);
+        let (want, want_sharded) = products(&rebuilt);
+        assert_eq!((got_sharded, want_sharded), (3, 3), "{backend:?}");
+        assert!(got == want, "{backend:?}: a sharded product differs");
+        for of_transpose in [false, true] {
+            let plan = |m: &Matrix| m.state().shard_plan(of_transpose).cloned();
+            assert!(plan(&rebuilt).is_some_and(|p| p.n_shards() >= 4));
+            assert_eq!(plan(&compacted), plan(&rebuilt), "{backend:?}");
+        }
+    }
 }
 
 const BACKENDS: [Backend; 3] = [Backend::Bit(TileSize::S8), Backend::FloatCsr, Backend::Auto];
