@@ -1,5 +1,6 @@
 //! Criterion bench: BMV kernel schemes vs the float CSR SpMV baseline
-//! (the statistically-sound counterpart of Figures 6a–c / 7a–c), and the
+//! (the statistically-sound counterpart of Figures 6a–c / 7a–c), the
+//! full-precision pull on the repo benchmark's two graphs, and the
 //! scalar-vs-SWAR Boolean pull sweep across frontier densities and across
 //! how much of a BFS is already visited.
 
@@ -125,6 +126,48 @@ fn bmv_pull_density_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// The full-precision pull — the product behind PageRank, CC and dense SSSP
+/// rounds — at B2SR-8 on the repo benchmark's two graphs, beside the float
+/// CSR `spmv` the benchmark's `kernels.bmv_speedup` divides by.  On R-MAT
+/// most tiles hold one or two bits, so the sweep's cost is how it enumerates
+/// them; on the mesh every tile holds five or more.
+fn bmv_pull_full_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmv_pull_full");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let graphs = [
+        ("banded_2k_w32", generators::banded(2048, 32, 0.7, 5)),
+        (
+            "rmat_s14",
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+        ),
+    ];
+    for (name, csr) in graphs {
+        // Pull sweeps run on the transpose (`mxv` on `Aᵀ` is `vxm` on `A`).
+        let t = csr.transpose();
+        let bt = from_csr::<u8>(&t, 8);
+        let x: Vec<f32> = (0..t.ncols()).map(|i| (i % 5 + 1) as f32).collect();
+        let x_dense = DenseVec::from_vec(x.clone());
+        let mut y = vec![0.0f32; bt.n_tile_rows() * 8];
+        group.bench_function(BenchmarkId::new("csr_spmv", name), |b| {
+            b.iter(|| ops::spmv(&t, &x_dense).unwrap())
+        });
+        for (label, semiring) in [
+            ("arithmetic", Semiring::Arithmetic),
+            ("min_plus", Semiring::MinPlus(1.0)),
+        ] {
+            group.bench_function(
+                BenchmarkId::new(format!("bmv_bin_full_full_into/{label}"), name),
+                |b| b.iter(|| bmv_bin_full_full_into(&bt, &x, semiring, &mut y)),
+            );
+        }
+    }
+    group.finish();
+}
+
 /// The masked Boolean pull as a BFS meets it: the sweep stops walking a
 /// tile-row once every unsuppressed row is reached, so its cost follows what
 /// is left to find.  Suppressed rows are the first 0 / 50 / 95 % of the
@@ -181,6 +224,7 @@ criterion_group!(
     benches,
     bmv_benches,
     bmv_pull_density_benches,
+    bmv_pull_full_benches,
     bmv_pull_masked_benches
 );
 criterion_main!(benches);

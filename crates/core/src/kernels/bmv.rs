@@ -40,6 +40,7 @@ use rayon::prelude::*;
 
 use bitgblas_bitops::BitWord;
 
+use super::simd::broadcast_lanes;
 use crate::b2sr::B2sr;
 use crate::semiring::{with_semiring_ops, Semiring};
 
@@ -276,14 +277,15 @@ pub fn bmv_bin_full_full_simd_into<W: BitWord>(
 /// semiring gets a monomorphised inner loop.  The sweep is tile-granular:
 /// each tile's row words are packed into 64-bit chunks
 /// ([`BitWord::pack_chunk_u64`]) and the set bits of a whole 8×8 tile (half
-/// of a 16×16 one, …) are enumerated by one `trailing_zeros` loop — on
-/// scatter-pattern matrices, where most tiles hold only a couple of bits,
-/// this replaces a per-row word scan (mostly hitting empty words) with a
-/// single load-test-extract.  A chunk's bits come out row-major, so each
-/// row folds its columns in ascending order, tile after tile — the order of
-/// the per-bit definition the tests pin it against.  Row accumulators live
-/// in a stack-local tile buffer instead of read-modify-writing `y` once per
-/// tile.
+/// of a 16×16 one, …) are read off the chunk with `trailing_zeros` — the
+/// first two branch-free, any further ones in a loop (see
+/// `bin_full_full_tile_row`).  On scatter-pattern matrices, where most tiles
+/// hold one or two bits, that is a load and two unconditional folds per
+/// tile, with no per-row word scan and no data-dependent loop exit.  A
+/// chunk's bits come out row-major, so each row folds its columns in
+/// ascending order, tile after tile — the order of the per-bit definition
+/// the tests pin it against.  Row accumulators live in a stack-local tile
+/// buffer instead of read-modify-writing `y` once per tile.
 ///
 /// `y` must have the padded length `n_tile_rows * tile_dim`; rows past
 /// `nrows` receive the semiring identity and are truncated by the caller.
@@ -322,44 +324,16 @@ fn bit_fused_sweep<W, C, R, F>(
         y.len() >= padded,
         "output shorter than the padded row count"
     );
-    debug_assert!(dim <= 32, "B2SR tiles are at most 32x32");
+    debug_assert!(dim <= ROW_SLOTS, "B2SR tiles are at most 32x32");
     y.par_chunks_mut(dim).enumerate().for_each(|(tr, out)| {
         if tr >= a.n_tile_rows() {
-            for v in out.iter_mut() {
-                *v = identity;
-            }
+            out.fill(identity);
             return;
         }
         // Row accumulators for this tile-row, in registers/L1 instead of a
         // per-tile read-modify-write of `y`.
-        let mut acc = [0.0f32; 32];
-        for slot in acc[..dim].iter_mut() {
-            *slot = identity;
-        }
-        // Words per 64-bit chunk: a whole 8×8 tile, half a 16×16 one, …
-        let per = (64 / W::BITS) as usize;
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
-            let base = tc * dim;
-            let words = a.tile_words(idx);
-            for (ci, chunk) in words[..dim.min(words.len())].chunks(per).enumerate() {
-                // Tile-granular scan: every set bit of the chunk in one
-                // trailing_zeros loop; bit `b` is row `b / BITS` (within
-                // the chunk), column `b % BITS` of the tile.
-                let mut w64 = W::pack_chunk_u64(chunk);
-                let r0 = ci * per;
-                while w64 != 0 {
-                    let b = w64.trailing_zeros();
-                    w64 &= w64 - 1;
-                    let r = r0 + (b / W::BITS) as usize;
-                    let j = base + (b % W::BITS) as usize;
-                    // Guard the ragged last tile-column (ncols % dim != 0).
-                    if j < x.len() {
-                        acc[r] = reduce(acc[r], combine(x[j]));
-                    }
-                }
-            }
-        }
+        let mut acc = [identity; ROW_SLOTS + JUNK_SLOTS];
+        bin_full_full_tile_row(a, x, tr, &combine, &reduce, &mut acc);
         let row0 = tr * dim;
         for (r, v) in out.iter_mut().enumerate() {
             let gr = row0 + r;
@@ -370,6 +344,88 @@ fn bit_fused_sweep<W, C, R, F>(
             };
         }
     });
+}
+
+/// Row accumulator slots of [`bin_full_full_tile_row`]: one per row of the
+/// widest tile.
+const ROW_SLOTS: usize = 32;
+
+/// Junk accumulator slots past the row slots, where the branch-free second
+/// fold of a one-bit chunk lands.  Consecutive tiles rotate through them, so
+/// their junk folds are independent dependency chains rather than one.  As
+/// many as there are row slots: a power-of-two total lets the compiler prove
+/// every row index of a chunk in bounds once per chunk, not once per bit.
+const JUNK_SLOTS: usize = ROW_SLOTS;
+
+/// One tile-row of the full-precision pull: folds every set bit of tile-row
+/// `tr` into the row slots of `acc` (holding the identity on entry).
+///
+/// Most tiles of a scatter-pattern matrix hold one or two bits, so a loop
+/// that runs until the chunk is empty exits after a data-dependent trip
+/// count and its exit branch mispredicts tile after tile — the CPU's form of
+/// a GPU warp's divergence.  Instead the first two set bits of every
+/// non-empty 64-bit chunk fold unconditionally: the lowest is there, and the
+/// second, when absent, folds `combine(x[base])` into a junk slot that
+/// nothing ever stores.  Only a chunk with three or more bits enters the
+/// loop.  The bits still come out lowest first, so each row folds its
+/// columns in ascending order, tile after tile — bit for bit the per-bit
+/// definition, with no select on identity values.  Empty chunks (a 16×16 or
+/// 32×32 tile's rows past its last bit) are skipped; an 8×8 or 4×4 tile is
+/// one chunk and never empty, so at those widths that test never fires.
+///
+/// Kept out of line, like `bmm::bin_full_tile_row`, so that `x` and `acc`
+/// are distinct function arguments rather than state behind the parallel
+/// closure's environment pointer.
+#[inline(never)]
+fn bin_full_full_tile_row<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    tr: usize,
+    combine: impl Fn(f32) -> f32,
+    reduce: impl Fn(f32, f32) -> f32,
+    acc: &mut [f32; ROW_SLOTS + JUNK_SLOTS],
+) {
+    let dim = a.tile_dim();
+    // Words per 64-bit chunk: a whole 8×8 tile, half a 16×16 one, …
+    let per = (64 / W::BITS) as usize;
+    let tiles = a.tile_row_range(tr);
+    let words = &a.bit_tiles()[tiles.start * dim..tiles.end * dim];
+    let colind = &a.tile_colind()[tiles.clone()];
+    for ((idx, tile), &tc) in tiles.zip(words.chunks_exact(dim)).zip(colind) {
+        let base = tc * dim;
+        // Guard the ragged last tile-column (ncols % dim != 0): its columns
+        // at or past `x.len()` are cleared from every row before any fold.
+        let cols = if base + dim <= x.len() {
+            u64::MAX
+        } else {
+            let real = x.len().saturating_sub(base);
+            broadcast_lanes(W::from_u64((1u64 << real) - 1))
+        };
+        let junk = ROW_SLOTS + idx % JUNK_SLOTS;
+        for (ci, chunk) in tile.chunks(per).enumerate() {
+            let mut w64 = W::pack_chunk_u64(chunk) & cols;
+            if w64 == 0 {
+                continue;
+            }
+            // Bit `b` of the chunk is row `b / BITS` (within the chunk),
+            // column `b % BITS` of the tile.  `trailing_zeros` of an empty
+            // word is 64: column 0, in bounds because the chunk had a bit.
+            let r0 = ci * per;
+            let at = |b: u32| (r0 + (b / W::BITS) as usize, base + (b % W::BITS) as usize);
+            let (r, j) = at(w64.trailing_zeros());
+            acc[r] = reduce(acc[r], combine(x[j]));
+            w64 &= w64 - 1;
+            let (r, j) = at(w64.trailing_zeros());
+            let slot = if w64 != 0 { r } else { junk };
+            acc[slot] = reduce(acc[slot], combine(x[j]));
+            w64 &= w64.wrapping_sub(1);
+            while w64 != 0 {
+                let (r, j) = at(w64.trailing_zeros());
+                acc[r] = reduce(acc[r], combine(x[j]));
+                w64 &= w64 - 1;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +440,7 @@ fn bit_fused_sweep<W, C, R, F>(
 // policy selects.  The tile-row walk around them, early exit included, is
 // the one `bin_bin_bin_tile_row`.
 
-use super::simd::{broadcast_lanes, nonzero_lane_msbs};
+use super::simd::nonzero_lane_msbs;
 
 /// SWAR-vector variant of [`bmv_bin_bin_bin_into`]: instead of testing the
 /// `dim` row words of a tile one by one, each 64-bit chunk of the tile is
@@ -1268,6 +1324,25 @@ pub(crate) mod tests {
         }
     }
 
+    /// A mixed finite / infinite operand, so tropical identities flow
+    /// through, and the same with NaN, −inf and −0.0 beside them.
+    fn sweep_operands(ncols: usize) -> (Vec<f32>, Vec<f32>) {
+        let x: Vec<f32> = (0..ncols)
+            .map(|i| match i % 5 {
+                0 => 0.25 * i as f32,
+                1 => f32::INFINITY,
+                2 => -1.5,
+                _ => (i % 11) as f32,
+            })
+            .collect();
+        const HOSTILE: [f32; 4] = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0];
+        let mut hostile = x.clone();
+        for (i, v) in hostile.iter_mut().enumerate().filter(|(i, _)| i % 3 == 1) {
+            *v = HOSTILE[(i / 3) % HOSTILE.len()];
+        }
+        (x, hostile)
+    }
+
     #[test]
     fn one_sweep_equals_the_per_bit_reference_bitwise() {
         // Empty, one vertex, one past a tile edge of every width, and a
@@ -1275,23 +1350,10 @@ pub(crate) mod tests {
         let shapes = [(0, 0), (1, 1), (17, 17), (33, 33), (65, 65), (21, 38)];
         for (nrows, ncols) in shapes {
             let a = sample_rect(nrows, ncols, (nrows * 64 + ncols) as u64 + 41);
-            // Mixed finite/infinite operand so tropical identities flow
-            // through; and one with NaN, -inf and -0.0 beside them, for the
-            // tropical semirings — `min` / `max` drop a NaN, whereas which
-            // payload `NaN + NaN` keeps is the compiler's choice.
-            let x: Vec<f32> = (0..ncols)
-                .map(|i| match i % 5 {
-                    0 => 0.25 * i as f32,
-                    1 => f32::INFINITY,
-                    2 => -1.5,
-                    _ => (i % 11) as f32,
-                })
-                .collect();
-            const HOSTILE: [f32; 4] = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0];
-            let mut hostile = x.clone();
-            for (i, v) in hostile.iter_mut().enumerate().filter(|(i, _)| i % 3 == 1) {
-                *v = HOSTILE[(i / 3) % HOSTILE.len()];
-            }
+            // The hostile operand for the tropical semirings only: `min` /
+            // `max` drop a NaN, whereas which payload `NaN + NaN` keeps is
+            // the compiler's choice.
+            let (x, hostile) = sweep_operands(ncols);
             let cases = [
                 (Semiring::Arithmetic, &x),
                 (Semiring::Boolean, &x),
@@ -1305,6 +1367,122 @@ pub(crate) mod tests {
                 check_sweep_against_reference::<u8>(&a, 8, x, semiring);
                 check_sweep_against_reference::<u16>(&a, 16, x, semiring);
                 check_sweep_against_reference::<u32>(&a, 32, x, semiring);
+            }
+        }
+    }
+
+    /// 4×4 bit patterns, bit `4r + c` for (row `r`, column `c`), of 1, 2, 3,
+    /// 5 and 16 bits: the second branch-free fold absent, present in the same
+    /// row and in another row, and the loop after it entered once and many
+    /// times.
+    const BLOCKS: [u16; 6] = [0x8000, 0x0006, 0x0810, 0x0209, 0x9043, 0xFFFF];
+
+    /// 70 × 99 — ragged last tile-row and tile-column at every width.  One
+    /// 4×4 pattern sits at each 32-aligned corner and 28 rows / columns past
+    /// it, so each lands alone in one tile at every width (at 16 and 32 with
+    /// the tile's later, or earlier, chunks empty).  The last tile-column
+    /// holds 1, 3 and 2 bits in columns 96..=98, 98 being the last real one,
+    /// in rows no pattern touches.
+    fn branch_free_edges() -> Csr {
+        let (nrows, ncols) = (70, 99);
+        let mut coo = Coo::new(nrows, ncols);
+        let mut pattern = BLOCKS.iter().cycle();
+        for r0 in [0, 28, 32, 60, 64] {
+            for c0 in [0, 28, 32, 60, 64, 92] {
+                let bits = *pattern.next().unwrap();
+                for b in (0..16).filter(|b| bits >> b & 1 == 1) {
+                    if r0 + b / 4 < nrows {
+                        coo.push_edge(r0 + b / 4, c0 + b % 4).unwrap();
+                    }
+                }
+            }
+        }
+        for (r, c) in [(5, 98), (37, 96), (37, 97), (37, 98), (68, 98), (69, 97)] {
+            coo.push_edge(r, c).unwrap();
+        }
+        coo.to_binary_csr()
+    }
+
+    /// Bits per tile of `b`, and whether some tile has an empty 64-bit chunk
+    /// after a non-empty one.
+    fn tile_bit_counts<W: BitWord>(b: &B2sr<W>) -> (Vec<u32>, bool) {
+        let per = (64 / W::BITS) as usize;
+        let mut empty_after = false;
+        let counts = (0..b.n_tiles())
+            .map(|idx| {
+                let chunks: Vec<u64> = b
+                    .tile_words(idx)
+                    .chunks(per)
+                    .map(W::pack_chunk_u64)
+                    .collect();
+                empty_after |= chunks.iter().skip_while(|&&c| c == 0).any(|&c| c == 0);
+                chunks.iter().map(|c| c.count_ones()).sum()
+            })
+            .collect();
+        (counts, empty_after)
+    }
+
+    /// The branch-free arm's edges, against the per-bit definition by
+    /// `to_bits`, at every width and for all four semirings on the hostile
+    /// operand: tiles of exactly 1, 2, 3, 5 and 16 bits, 16×16 and 32×32
+    /// tiles with empty chunks, a bit in the last real column of a ragged
+    /// last tile-column, and matrices with no column at all (no junk column
+    /// may be derived from `x.len() - 1`).  Where two NaNs meet in a sum the
+    /// hardware picks the payload, so a NaN matches any NaN.
+    #[test]
+    fn branch_free_fold_edges_equal_the_per_bit_reference_bitwise() {
+        let a = branch_free_edges();
+        let (_, hostile) = sweep_operands(a.ncols());
+        // Finite in the last real column, so every semiring sees it folded.
+        assert!(hostile[a.ncols() - 1].is_finite());
+        fn same(got: &[f32], want: &[f32]) -> bool {
+            got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+        }
+        fn check<W: BitWord>(a: &Csr, dim: usize, x: &[f32]) {
+            let b = from_csr::<W>(a, dim);
+            let (counts, empty_after) = tile_bit_counts(&b);
+            for k in [1, 2, 3] {
+                assert!(counts.contains(&k), "dim {dim}: no {k}-bit tile");
+            }
+            assert!(counts.iter().any(|&k| k >= 5), "dim {dim}: no dense tile");
+            assert_eq!(empty_after, dim >= 16, "dim {dim}: empty later chunks");
+            let last = (a.ncols() - 1) / dim;
+            assert!(
+                (0..b.n_tiles()).any(|idx| b.tile_colind()[idx] == last
+                    && b.tile_words(idx)
+                        .iter()
+                        .any(|w| w.bit(((a.ncols() - 1) % dim) as u32))),
+                "dim {dim}: no bit in the last real column"
+            );
+            for semiring in [
+                Semiring::Arithmetic,
+                Semiring::Boolean,
+                Semiring::MinPlus(1.0),
+                Semiring::MaxTimes(0.5),
+            ] {
+                let mut y = vec![42.0f32; b.n_tile_rows() * dim];
+                bmv_bin_full_full_into(&b, x, semiring, &mut y);
+                let want = reference_bin_full_full(&b, x, semiring, None);
+                assert!(same(&y, &want), "dim {dim} {semiring:?}: {y:?} vs {want:?}");
+            }
+        }
+        check::<u8>(&a, 4, &hostile);
+        check::<u8>(&a, 8, &hostile);
+        check::<u16>(&a, 16, &hostile);
+        check::<u32>(&a, 32, &hostile);
+
+        // No column: nothing to fold, every output the identity.
+        for (nrows, ncols) in [(0, 0), (9, 0)] {
+            let a = Csr::empty(nrows, ncols);
+            for dim in [4usize, 8] {
+                let b = from_csr::<u8>(&a, dim);
+                let mut y = vec![42.0f32; b.n_tile_rows() * dim];
+                bmv_bin_full_full_into(&b, &[], Semiring::MinPlus(1.0), &mut y);
+                assert!(y.iter().all(|&v| v == f32::INFINITY), "{nrows}x{ncols}");
             }
         }
     }
