@@ -1,8 +1,8 @@
 //! Criterion bench: BMV kernel schemes vs the float CSR SpMV baseline
 //! (the statistically-sound counterpart of Figures 6a–c / 7a–c), the
-//! full-precision pull on the repo benchmark's two graphs, and the
-//! scalar-vs-SWAR Boolean pull sweep across frontier densities and across
-//! how much of a BFS is already visited.
+//! full-precision pull on the repo benchmark's two graphs, and the Boolean
+//! pull sweep across frontier densities and across how much of a BFS is
+//! already visited.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -10,9 +10,8 @@ use std::time::Duration;
 use bitgblas_algorithms::reference;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
-    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
-    bmv_bin_bin_bin_simd_into, bmv_bin_bin_full_masked, bmv_bin_full_full_into, pack_vector_bits,
-    pack_vector_tilewise_into,
+    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full_masked,
+    bmv_bin_full_full_into, pack_vector_bits, pack_vector_tilewise_into,
 };
 use bitgblas_core::Semiring;
 use bitgblas_datagen::generators;
@@ -83,10 +82,10 @@ fn bmv_benches(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two forms of the Boolean pull sweep `SimdPolicy` chooses between, at
-/// B2SR-8 on the repo benchmark's two graphs, from a 1 % frontier — what the
-/// benchmark's `kernels.bmv_pull_bool*_ms` probes time — to the half and
-/// full frontiers at which `Direction::Auto` actually picks pull.
+/// The Boolean pull sweep at B2SR-8 on the repo benchmark's two graphs, from
+/// a 1 % frontier — what the benchmark's `kernels.bmv_pull_bool*_ms` probes
+/// time — to the half and full frontiers at which `Direction::Auto`
+/// actually picks pull.
 fn bmv_pull_density_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmv_pull_density");
     group
@@ -116,10 +115,6 @@ fn bmv_pull_density_benches(c: &mut Criterion) {
             group.bench_function(
                 BenchmarkId::new(format!("bmv_bin_bin_bin_into/{label}"), name),
                 |b| b.iter(|| bmv_bin_bin_bin_into(&bt, &x, &mut y)),
-            );
-            group.bench_function(
-                BenchmarkId::new(format!("bmv_bin_bin_bin_simd_into/{label}"), name),
-                |b| b.iter(|| bmv_bin_bin_bin_simd_into(&bt, &x, &mut y)),
             );
         }
     }
@@ -173,8 +168,8 @@ fn bmv_pull_full_benches(c: &mut Criterion) {
 /// is left to find.  Suppressed rows are the first 0 / 50 / 95 % of the
 /// vertices in the order a BFS from the highest-degree vertex visits them —
 /// so on R-MAT the visited tile-rows are the hubs', which hold most of the
-/// tiles — at 1 % and 50 % frontiers, both tile bodies, B2SR-8, on the repo
-/// benchmark's two graphs.
+/// tiles — at 1 % and 50 % frontiers, B2SR-8, on the repo benchmark's two
+/// graphs.
 fn bmv_pull_masked_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmv_pull_masked");
     group
@@ -207,12 +202,9 @@ fn bmv_pull_masked_benches(c: &mut Criterion) {
             for (frontier, stride) in [("frontier_1pct", 100usize), ("frontier_half", 2)] {
                 let flags: Vec<bool> = (0..n).map(|i| i % stride == 0).collect();
                 let x = pack_vector_bits::<u8>(&flags, 8);
-                let id = |body: &str| format!("{name}/{body}/visited_{visited_pct}");
-                group.bench_function(BenchmarkId::new(id("scalar"), frontier), |b| {
+                let id = format!("{name}/visited_{visited_pct}");
+                group.bench_function(BenchmarkId::new(id, frontier), |b| {
                     b.iter(|| bmv_bin_bin_bin_masked_into(&bt, &x, Some(&visited), &mut y))
-                });
-                group.bench_function(BenchmarkId::new(id("swar"), frontier), |b| {
-                    b.iter(|| bmv_bin_bin_bin_masked_simd_into(&bt, &x, Some(&visited), &mut y))
                 });
             }
         }

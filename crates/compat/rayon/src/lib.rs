@@ -8,12 +8,14 @@
 //! * `slice.par_chunks_mut(n).enumerate().for_each(..)`
 //! * `range.into_par_iter().map(..).collect() / .sum()`
 //! * `range.into_par_iter().map_init(init, ..).sum()`
+//! * `current_num_threads()`
 //!
 //! Work is split into one contiguous chunk per available core; small inputs
 //! run sequentially to avoid thread-spawn overhead.  The observable behavior
 //! (ordering of `collect`, exclusivity of `&mut` access) matches rayon.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Everything a `use rayon::prelude::*` caller expects.
 pub mod prelude {
@@ -23,15 +25,24 @@ pub mod prelude {
 /// Inputs shorter than this run sequentially.
 const SEQ_CUTOFF: usize = 2048;
 
-fn n_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+/// The number of workers a parallel call fans out to: the host's available
+/// parallelism, queried once per process.  `available_parallelism` reads the
+/// cgroup filesystem on Linux, which allocates and costs microseconds, and
+/// this is asked on every parallel call, zero-allocation hot paths included.
+/// A process that restricts its own CPU affinity must do so before its
+/// first parallel call.
+pub fn current_num_threads() -> usize {
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Split `len` items into per-thread contiguous ranges of near-equal size.
 fn split_ranges(len: usize) -> Vec<std::ops::Range<usize>> {
-    let threads = n_threads().min(len).max(1);
+    let threads = current_num_threads().min(len).max(1);
     let chunk = len.div_ceil(threads);
     (0..threads)
         .map(|t| (t * chunk).min(len)..((t + 1) * chunk).min(len))
@@ -96,7 +107,7 @@ impl<T: Send> EnumerateParIterMut<'_, T> {
         F: Fn((usize, &mut T)) + Sync,
     {
         let len = self.slice.len();
-        if len < SEQ_CUTOFF || n_threads() == 1 {
+        if len < SEQ_CUTOFF || current_num_threads() == 1 {
             for (i, v) in self.slice.iter_mut().enumerate() {
                 f((i, v));
             }
@@ -162,7 +173,7 @@ impl<T: Send> EnumerateParChunksMut<'_, T> {
         F: Fn((usize, &mut [T])) + Sync,
     {
         let n_chunks = self.slice.len().div_ceil(self.chunk_size.max(1));
-        if self.slice.len() < SEQ_CUTOFF || n_threads() == 1 {
+        if self.slice.len() < SEQ_CUTOFF || current_num_threads() == 1 {
             for (i, c) in self.slice.chunks_mut(self.chunk_size).enumerate() {
                 f((i, c));
             }
@@ -260,7 +271,7 @@ where
 {
     let start = range.start;
     let len = range.end.saturating_sub(start);
-    if len < 64 || n_threads() == 1 {
+    if len < 64 || current_num_threads() == 1 {
         return vec![piece(start, start + len)];
     }
     let piece = &piece;
@@ -361,7 +372,7 @@ mod tests {
             )
             .sum();
         assert_eq!(total, (3..10_003u64).sum::<u64>());
-        assert!((1..=super::n_threads()).contains(&inits.load(Ordering::Relaxed)));
+        assert!((1..=super::current_num_threads()).contains(&inits.load(Ordering::Relaxed)));
     }
 
     #[test]

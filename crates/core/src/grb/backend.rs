@@ -54,8 +54,8 @@ use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
-    bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
-    bmv_bin_full_full_fused_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits_into,
+    bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin,
+    bmv_push_bin_full, pack_vector_bits_into,
 };
 use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -585,9 +585,7 @@ fn bit_pull<W: BitWord + Poolable>(
 /// [`bit_pull`].  Operand and suppressed rows are re-laid out as tile words
 /// (`n / 8` bytes each), the sweep stops where the answer is known
 /// (`kernels::bmv`), and `yw` (a pooled buffer, sized here) receives the
-/// node words of `nrows` entries.  Scalar vs SWAR tile body is the workspace
-/// policy's decision (forced, env-seeded, or the constant Auto mask); the
-/// two are word-identical — tests/simd_parity.rs.
+/// node words of `nrows` entries.
 fn bits_pull<W: BitWord + Poolable>(
     m: &B2sr<W>,
     xw: &[u64],
@@ -604,11 +602,7 @@ fn bits_pull<W: BitWord + Poolable>(
         mp
     });
     let mut tiles: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
-    if ws.simd_enabled(dim) {
-        bmv_bin_bin_bin_masked_simd_into(m, &xp, mp.as_deref(), &mut tiles);
-    } else {
-        bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut tiles);
-    }
+    bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut tiles);
     join_tile_words(&tiles, dim, m.nrows(), yw);
     ws.give(xp);
     ws.give(tiles);

@@ -120,4 +120,4 @@ pub use nodebits::NodeBits;
 pub use op::{Context, Op};
 pub use plan::{MxvPipeline, WordOperand};
 pub use vector::Vector;
-pub use workspace::{ExecCounts, ExecStats, Workspace, SIMD_ENV_VAR};
+pub use workspace::{ExecCounts, ExecStats, Workspace};

@@ -52,7 +52,6 @@
 use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
 
 use crate::faultinject::FaultInjector;
-use crate::kernels::simd::SimdPolicy;
 use crate::semiring::{BinaryOp, Semiring};
 use crate::shard::{ShardConfig, SHARD_CACHE_BYTES};
 
@@ -108,13 +107,12 @@ impl Default for Context {
 
 impl Clone for Context {
     /// Clones carry the configuration only — including the push-engine
-    /// thread budget, the SIMD policy and any installed fault injector: the
+    /// thread budget and any installed fault injector: the
     /// workspace is per-context scratch state, so each clone starts with an
     /// empty pool and zeroed counters.
     fn clone(&self) -> Self {
         let workspace = Workspace::new();
         workspace.set_push_threads(self.threads());
-        workspace.set_simd_policy(self.simd_policy());
         Context {
             device: self.device.clone(),
             sample_rows: self.sample_rows,
@@ -207,22 +205,6 @@ impl Context {
             threads: self.threads(),
             cache_bytes: SHARD_CACHE_BYTES,
         }
-    }
-
-    /// The current scalar/vector kernel selection policy (see
-    /// [`SimdPolicy`]).  Two layers select it: the
-    /// [`SIMD_ENV_VAR`](super::SIMD_ENV_VAR) environment variable seeds a
-    /// fresh context, [`Context::set_simd_policy`] overrides it.
-    pub fn simd_policy(&self) -> SimdPolicy {
-        self.workspace.simd_policy()
-    }
-
-    /// Set the scalar/vector selection policy (interior mutability, like
-    /// [`Context::set_threads`]).  Both paths produce bit-identical results
-    /// — `tests/simd_parity.rs` holds that line — so this only changes
-    /// which code executes, never what it computes.
-    pub fn set_simd_policy(&self, policy: SimdPolicy) {
-        self.workspace.set_simd_policy(policy);
     }
 
     /// The buffer pool operations executed against this context draw from.
@@ -1488,10 +1470,6 @@ mod tests {
                     ..ShardConfig::default()
                 }
             );
-            ctx.set_simd_policy(SimdPolicy::Auto);
-            let ws = ctx.workspace();
-            assert!(ws.simd_enabled(4) && ws.simd_enabled(8) && ws.simd_enabled(16));
-            assert!(!ws.simd_enabled(32), "S32 is below the SWAR crossover");
         }
     }
 

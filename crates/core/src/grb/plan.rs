@@ -507,7 +507,7 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             scatter_is_lane_sparse(state),
             a.nnz(),
             effective_push_threads(state, !transpose, ctx),
-            crate::shard::machine_parallelism(),
+            rayon::current_num_threads(),
             list,
         )
     });
@@ -673,7 +673,7 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
             (x_nodes, k),
             a.nnz(),
             effective_push_threads(state, !transpose, ctx),
-            crate::shard::machine_parallelism(),
+            rayon::current_num_threads(),
             |stop_past_nodes| x.frontier_into(stop_past_nodes, list),
         )
     });

@@ -56,17 +56,8 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use crate::kernels::simd::{lane_mask_bit, SimdPolicy, DEFAULT_LANE_MASK};
-use crate::shard::machine_parallelism;
-
-/// Environment variable overriding the workspace's initial [`SimdPolicy`]
-/// (values as accepted by `SimdPolicy::from_str`: `auto`, `scalar`,
-/// `vector`, …).  Read once per [`Workspace::new`], so a test or an operator
-/// can flip it between context constructions.
-pub const SIMD_ENV_VAR: &str = "BITGBLAS_SIMD";
 
 /// Maximum number of recycled buffers kept per element type (per stripe).
 pub const SHELF_CAP: usize = 32;
@@ -126,9 +117,6 @@ poolable!(u64, u64s);
 pub struct Workspace {
     stripes: Box<[Mutex<BufferPool>]>,
     push_threads: AtomicUsize,
-    /// The scalar/vector selection policy, stored as the [`SimdPolicy`]
-    /// discriminant (0 = auto, 1 = force-scalar, 2 = force-vector).
-    simd_mode: AtomicU8,
     stats: ExecStats,
 }
 
@@ -140,20 +128,15 @@ impl Default for Workspace {
 
 impl Workspace {
     /// A fresh, empty workspace: one pool stripe per unit of (bounded) host
-    /// parallelism, push threads defaulting to the host parallelism, SIMD
-    /// policy from [`SIMD_ENV_VAR`] (default [`SimdPolicy::Auto`]).
+    /// parallelism, push threads defaulting to the host parallelism.
     pub fn new() -> Self {
-        let stripes = machine_parallelism().max(4).next_power_of_two().min(32);
-        let policy = std::env::var(SIMD_ENV_VAR)
-            .ok()
-            .and_then(|v| v.parse::<SimdPolicy>().ok())
-            .unwrap_or(SimdPolicy::Auto);
+        let threads = rayon::current_num_threads();
+        let stripes = threads.max(4).next_power_of_two().min(32);
         Workspace {
             stripes: (0..stripes)
                 .map(|_| Mutex::new(BufferPool::default()))
                 .collect(),
-            push_threads: AtomicUsize::new(machine_parallelism()),
-            simd_mode: AtomicU8::new(policy as u8),
+            push_threads: AtomicUsize::new(threads),
             stats: ExecStats::default(),
         }
     }
@@ -183,31 +166,10 @@ impl Workspace {
         self.push_threads.store(threads.max(1), Ordering::Relaxed);
     }
 
-    /// The current scalar/vector kernel selection policy.
-    pub fn simd_policy(&self) -> SimdPolicy {
-        match self.simd_mode.load(Ordering::Relaxed) {
-            1 => SimdPolicy::ForceScalar,
-            2 => SimdPolicy::ForceVector,
-            _ => SimdPolicy::Auto,
-        }
-    }
-
-    /// Set the scalar/vector selection policy (interior mutability, like
-    /// [`set_push_threads`](Self::set_push_threads)).
-    pub fn set_simd_policy(&self, policy: SimdPolicy) {
-        self.simd_mode.store(policy as u8, Ordering::Relaxed);
-    }
-
-    /// Whether the single-vector Boolean pull sweep over tiles of dimension
-    /// `tile_dim` — the one kernel with a SWAR form — should take it right
-    /// now: the forced policies answer directly, and [`SimdPolicy::Auto`]
-    /// consults the constant per-tile-size mask ([`DEFAULT_LANE_MASK`]).
-    pub fn simd_enabled(&self, tile_dim: usize) -> bool {
-        match self.simd_policy() {
-            SimdPolicy::ForceScalar => false,
-            SimdPolicy::ForceVector => true,
-            SimdPolicy::Auto => DEFAULT_LANE_MASK & lane_mask_bit(tile_dim) != 0,
-        }
+    /// Always `false`: no kernel has a second, SWAR body to select.  The
+    /// method exists only because `benchmark/src/layers.rs` calls it.
+    pub fn simd_enabled(&self, _tile_dim: usize) -> bool {
+        false
     }
 
     /// Check out a cleared buffer (length 0); capacity comes from the pool
@@ -596,40 +558,6 @@ mod tests {
         assert_eq!(ws.push_threads(), 8);
         ws.set_push_threads(0);
         assert_eq!(ws.push_threads(), 1, "zero must clamp to serial");
-    }
-
-    #[test]
-    fn simd_policy_round_trips_and_auto_consults_the_mask() {
-        let ws = Workspace::new();
-        // Fresh workspaces default to Auto with the static mask (unless the
-        // env var is set, which the test environment does not do globally).
-        ws.set_simd_policy(SimdPolicy::Auto);
-        assert_eq!(ws.simd_policy(), SimdPolicy::Auto);
-        assert!(ws.simd_enabled(4));
-        assert!(ws.simd_enabled(8));
-        assert!(ws.simd_enabled(16));
-        assert!(!ws.simd_enabled(32), "S32 is below the SWAR crossover");
-        ws.set_simd_policy(SimdPolicy::ForceScalar);
-        assert_eq!(ws.simd_policy(), SimdPolicy::ForceScalar);
-        assert!(!ws.simd_enabled(8));
-        ws.set_simd_policy(SimdPolicy::ForceVector);
-        assert!(ws.simd_enabled(32), "forcing overrides the mask");
-    }
-
-    #[test]
-    fn simd_env_var_seeds_new_workspaces() {
-        // Other tests never assert a *fresh* workspace's policy, so briefly
-        // setting the process-wide variable here cannot flake them (and both
-        // paths are bit-identical anyway).
-        std::env::set_var(SIMD_ENV_VAR, "scalar");
-        let ws = Workspace::new();
-        assert_eq!(ws.simd_policy(), SimdPolicy::ForceScalar);
-        std::env::set_var(SIMD_ENV_VAR, "not-a-policy");
-        let ws = Workspace::new();
-        assert_eq!(ws.simd_policy(), SimdPolicy::Auto, "garbage falls back");
-        std::env::remove_var(SIMD_ENV_VAR);
-        let ws = Workspace::new();
-        assert_eq!(ws.simd_policy(), SimdPolicy::Auto);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub(crate) fn pack_segments_into<T, W: BitWord>(
 /// bit `r` of word `tr` set iff output row `tr*dim + r` is reachable.  This
 /// is the minimal-footprint scheme used by BFS.
 pub fn bmv_bin_bin_bin_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
-    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO, reach_scalar);
+    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO);
 }
 
 /// As [`bmv_bin_bin_bin_into`] but with the
@@ -110,31 +110,34 @@ pub fn bmv_bin_bin_bin_masked_into<W: BitWord>(
     match mask {
         Some(m) => {
             debug_assert!(m.len() >= a.n_tile_rows(), "mask has too few tile words");
-            bin_bin_bin_sweep(a, x, y, |tr| !m[tr], reach_scalar);
+            bin_bin_bin_sweep(a, x, y, |tr| !m[tr]);
         }
         None => bmv_bin_bin_bin_into(a, x, y),
     }
 }
 
-/// The one sweep behind the Boolean pull schemes — scalar or SWAR, masked
-/// or not: `keep(tr)` is the word of rows of tile-row `tr` the store lets
-/// through (all ones when unmasked — the compiler specialises each case) and
-/// `reach(tile words, x word)` the rows of one tile that reach an active
-/// column.  Each tile-row is one [`bin_bin_bin_tile_row`]; the tiles it
-/// walked are a test's business and dropped here, so the sweep carries no
-/// counter.
+/// Forwards to [`bmv_bin_bin_bin_into`].  The Boolean pull has one tile
+/// body; the name exists only because `benchmark/src/layers.rs` imports it.
+pub fn bmv_bin_bin_bin_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
+    bmv_bin_bin_bin_into(a, x, y);
+}
+
+/// The one sweep behind the Boolean pull schemes, masked or not: `keep(tr)`
+/// is the word of rows of tile-row `tr` the store lets through (all ones
+/// when unmasked — the compiler specialises each case).  Each tile-row is
+/// one [`bin_bin_bin_tile_row`]; the tiles it walked are a test's business
+/// and dropped here, so the sweep carries no counter.
 fn bin_bin_bin_sweep<W: BitWord>(
     a: &B2sr<W>,
     x: &[W],
     y: &mut [W],
     keep: impl Fn(usize) -> W + Sync,
-    reach: impl Fn(&[W], W) -> W + Sync,
 ) {
     debug_assert!(x.len() >= a.n_tile_cols(), "vector has too few tile words");
     debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
     y.par_iter_mut().enumerate().for_each(|(tr, out)| {
         *out = if tr < a.n_tile_rows() {
-            bin_bin_bin_tile_row(a, x, tr, keep(tr), &reach).0
+            bin_bin_bin_tile_row(a, x, tr, keep(tr)).0
         } else {
             W::ZERO
         };
@@ -152,15 +155,10 @@ fn bin_bin_bin_sweep<W: BitWord>(
 /// what the paper avoids by not exiting early is warp divergence, and a CPU
 /// tile-row loop has no warp.  "Rows that exist" are `dim` per tile-row and
 /// fewer in a ragged last one, so neither B2SR-4's spare `u8` bits nor
-/// padding rows (which hold no edge) block saturation.
+/// padding rows (which hold no edge) block saturation.  Within a tile, lane
+/// `r` tests row word `r` against the vector word of its tile-column.
 #[inline(always)]
-fn bin_bin_bin_tile_row<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[W],
-    tr: usize,
-    keep: W,
-    reach: impl Fn(&[W], W) -> W,
-) -> (W, usize) {
+fn bin_bin_bin_tile_row<W: BitWord>(a: &B2sr<W>, x: &[W], tr: usize, keep: W) -> (W, usize) {
     let dim = a.tile_dim();
     let rows = dim.min(a.nrows() - tr * dim);
     let want = keep & W::from_u64(u64::MAX >> (64 - rows));
@@ -174,25 +172,16 @@ fn bin_bin_bin_tile_row<W: BitWord>(
             continue;
         }
         walked += 1;
-        acc |= reach(a.tile_words(idx), xw);
+        for (r, &aw) in a.tile_words(idx).iter().enumerate() {
+            if (aw & xw) != W::ZERO {
+                acc = acc.with_bit(r as u32);
+            }
+        }
         if acc & want == want {
             break;
         }
     }
     (acc & keep, walked)
-}
-
-/// The scalar tile body: lane `r` tests row `r` of the tile against the
-/// vector word of its tile-column.
-#[inline(always)]
-fn reach_scalar<W: BitWord>(words: &[W], xw: W) -> W {
-    let mut rows = W::ZERO;
-    for (r, &aw) in words.iter().enumerate() {
-        if (aw & xw) != W::ZERO {
-            rows = rows.with_bit(r as u32);
-        }
-    }
-    rows
 }
 
 /// The bin/bin/full scheme: binarized matrix × binarized vector →
@@ -426,65 +415,6 @@ fn bin_full_full_tile_row<W: BitWord>(
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// SWAR-vector Boolean pull kernel
-// ---------------------------------------------------------------------------
-//
-// The Boolean sweep has a second, SWAR tile body: bit-for-bit the same
-// output as [`reach_scalar`] — it tests up to `64 / BITS` tile rows per ALU op
-// on whole 64-bit tile chunks ([`BitWord::pack_chunk_u64`]) with the
-// branch-free lane arithmetic of [`super::simd`].  Which of the two runs is
-// the backend's per-context `SimdPolicy` decision — the only thing that
-// policy selects.  The tile-row walk around them, early exit included, is
-// the one `bin_bin_bin_tile_row`.
-
-use super::simd::nonzero_lane_msbs;
-
-/// SWAR-vector variant of [`bmv_bin_bin_bin_into`]: instead of testing the
-/// `dim` row words of a tile one by one, each 64-bit chunk of the tile is
-/// ANDed against the broadcast vector word and a single SWAR non-zero-lane
-/// test yields the reachable rows of up to `64 / BITS` tile rows at once.
-pub fn bmv_bin_bin_bin_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) {
-    bin_bin_bin_sweep(a, x, y, |_| !W::ZERO, reach_swar);
-}
-
-/// SWAR-vector variant of [`bmv_bin_bin_bin_masked_into`] — the
-/// [`bmv_bin_bin_bin_simd_into`] sweep with the visited filter ANDed in
-/// right before the store, exactly like the scalar kernel.
-pub fn bmv_bin_bin_bin_masked_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[W],
-    mask: Option<&[W]>,
-    y: &mut [W],
-) {
-    match mask {
-        Some(m) => {
-            debug_assert!(m.len() >= a.n_tile_rows(), "mask has too few tile words");
-            bin_bin_bin_sweep(a, x, y, |tr| !m[tr], reach_swar);
-        }
-        None => bmv_bin_bin_bin_simd_into(a, x, y),
-    }
-}
-
-/// The SWAR tile body: one AND + one SWAR non-zero test covers `64 / BITS`
-/// tile rows; each surviving lane MSB is one reachable row.
-#[inline(always)]
-fn reach_swar<W: BitWord>(words: &[W], xw: W) -> W {
-    let per = (64 / W::BITS) as usize;
-    let xb = broadcast_lanes::<W>(xw);
-    let mut rows = W::ZERO;
-    for (ci, chunk) in words.chunks(per).enumerate() {
-        let mut nz = nonzero_lane_msbs::<W>(W::pack_chunk_u64(chunk) & xb);
-        let r0 = (ci * per) as u32;
-        while nz != 0 {
-            let b = nz.trailing_zeros();
-            nz &= nz - 1;
-            rows = rows.with_bit(r0 + b / W::BITS);
-        }
-    }
-    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,42 +991,10 @@ pub(crate) mod tests {
         assert!(y.iter().all(|&v| v == f32::INFINITY));
     }
 
-    // -- the Boolean sweep's SWAR form vs its scalar form -------------------
-    //
-    // Size 103 straddles tile boundaries for every dim, so the ragged last
-    // tile-row/-column is exercised on both.
-
-    #[test]
-    fn simd_bin_bin_bin_is_bit_identical_to_scalar() {
-        let a = sample(103, 31);
-        let x = sample_x(103);
-        macro_rules! check {
-            ($w:ty, $dim:expr) => {{
-                let b = from_csr::<$w>(&a, $dim);
-                let xp = packed::<$w>(&x, $dim);
-                let mut scalar = vec![<$w>::MAX; b.n_tile_rows()];
-                let mut vector = vec![0 as $w; b.n_tile_rows()];
-                bmv_bin_bin_bin_into(&b, &xp, &mut scalar);
-                bmv_bin_bin_bin_simd_into(&b, &xp, &mut vector);
-                assert_eq!(scalar, vector, "dim {}", $dim);
-                // Masked: identical word for word too.
-                let visited: Vec<bool> = (0..103).map(|i| i % 2 == 0).collect();
-                let mp = pack_vector_bits::<$w>(&visited, $dim);
-                bmv_bin_bin_bin_masked_into(&b, &xp, Some(&mp), &mut scalar);
-                bmv_bin_bin_bin_masked_simd_into(&b, &xp, Some(&mp), &mut vector);
-                assert_eq!(scalar, vector, "masked dim {}", $dim);
-            }};
-        }
-        check!(u8, 4);
-        check!(u8, 8);
-        check!(u16, 16);
-        check!(u32, 32);
-    }
-
     // -- the Boolean sweep vs its per-bit definition, and what it walks -------
 
-    /// `(frontier bits, suppressed bits)` → the words both Boolean bodies
-    /// store, against the per-bit definition on the CSR: row `i` is set iff
+    /// `(frontier bits, suppressed bits)` → the words the Boolean sweep
+    /// stores, against the per-bit definition on the CSR: row `i` is set iff
     /// it is not suppressed and has an edge into the frontier.
     fn check_boolean_sweep<W: BitWord>(a: &Csr, dim: usize, x: &[bool], sup: Option<&[bool]>) {
         let b = from_csr::<W>(a, dim);
@@ -1118,10 +1016,7 @@ pub(crate) mod tests {
         let what = format!("{}x{} dim {dim}", a.nrows(), a.ncols());
         let mut y = vec![W::ONES; b.n_tile_rows()];
         bmv_bin_bin_bin_masked_into(&b, &xp, mp.as_deref(), &mut y);
-        assert_eq!(y, want, "scalar {what}");
-        y.fill(W::ONES);
-        bmv_bin_bin_bin_masked_simd_into(&b, &xp, mp.as_deref(), &mut y);
-        assert_eq!(y, want, "swar {what}");
+        assert_eq!(y, want, "{what}");
     }
 
     #[test]
@@ -1167,19 +1062,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Tiles whose words one Boolean pull reads, summed over tile-rows, under
-    /// both tile bodies (which must agree: the walk is not theirs).
+    /// Tiles whose words one Boolean pull reads, summed over tile-rows.
     fn tiles_walked<W: BitWord>(b: &B2sr<W>, x: &[bool], sup: &[bool]) -> usize {
         let xp = pack_vector_bits::<W>(x, b.tile_dim());
         let mp = pack_vector_bits::<W>(sup, b.tile_dim());
-        let walk = |reach: fn(&[W], W) -> W| -> usize {
-            (0..b.n_tile_rows())
-                .map(|tr| bin_bin_bin_tile_row(b, &xp, tr, !mp[tr], reach).1)
-                .sum()
-        };
-        let walked = walk(reach_scalar);
-        assert_eq!(walked, walk(reach_swar));
-        walked
+        (0..b.n_tile_rows())
+            .map(|tr| bin_bin_bin_tile_row(b, &xp, tr, !mp[tr]).1)
+            .sum()
     }
 
     /// "A pull walks what is left", as counts: removing the early exit, the

@@ -10,9 +10,8 @@
 //!   which finishes each row through a closure (mask, epilogue stages,
 //!   accumulator); `bmv_bin_full_full_into` is its identity-finish
 //!   shorthand.  Plus the push-direction (sparse-frontier) kernels
-//!   `bmv_push_bin_bin` / `bmv_push_bin_full`.  Only the Boolean pull
-//!   sweep keeps a scalar and a SWAR (`_simd`) form, and [`SimdPolicy`]
-//!   picks between them per tile size.
+//!   `bmv_push_bin_bin` / `bmv_push_bin_full`.  Every scheme has one tile
+//!   body; the two `_simd` names are forwards the repo benchmark imports.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
 //!   product to a full-precision scalar as required by Triangle Counting.
@@ -52,9 +51,8 @@ pub use bmm::{
     bmm_bin_full_into, bmm_push_bin_full, bmm_push_bits,
 };
 pub use bmv::{
-    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_masked_simd_into,
-    bmv_bin_bin_bin_simd_into, bmv_bin_bin_full_masked, bmv_bin_full_full_fused_into,
-    bmv_bin_full_full_into, bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full,
-    pack_vector_bits, pack_vector_bits_into, pack_vector_tilewise_into,
+    bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,
+    bmv_bin_bin_full_masked, bmv_bin_full_full_fused_into, bmv_bin_full_full_into,
+    bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits,
+    pack_vector_bits_into, pack_vector_tilewise_into,
 };
-pub use simd::{SimdPolicy, DEFAULT_LANE_MASK};

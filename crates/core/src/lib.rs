@@ -44,12 +44,6 @@
 //!   versioned epoch publication behind [`grb::Matrix::snapshot`], and
 //!   explicit compaction that re-tiles the base and re-plans row shards
 //!   incrementally.
-//!
-//! * **Vector kernel** — [`kernels::simd`] holds the SWAR helpers behind the
-//!   `_simd` form of the Boolean pull sweep (runtime-selected, with the
-//!   scalar form always compiled as fallback and differential reference).
-//!   Direction choice, shard sizing and the scalar/vector crossover all read
-//!   constants: the context's `DeviceProfile` and `DEFAULT_LANE_MASK`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -72,6 +66,5 @@ pub use grb::{
     Backend, Context, Descriptor, Direction, Expr, Fusion, GrbBackend, GrbError, LaneBits, Matrix,
     MultiVec, NodeBits, Op, Snapshot, Vector,
 };
-pub use kernels::simd::SimdPolicy;
 pub use semiring::{BinaryOp, Semiring};
 pub use shard::{ShardConfig, ShardPlan};

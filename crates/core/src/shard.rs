@@ -50,19 +50,6 @@ pub const SCATTER_EDGE_WEIGHT: usize = 16;
 /// slice): what every [`Context`](crate::grb::Context) plans with.
 pub(crate) const SHARD_CACHE_BYTES: usize = 2 << 20;
 
-/// The effective parallelism of this host — what the rayon stand-in's pull
-/// sweeps fan out to.  Cached after the first query:
-/// `available_parallelism` consults the cgroup filesystem on Linux, which
-/// allocates, and this is called on zero-allocation hot paths.
-pub fn machine_parallelism() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 /// Parameters a [`ShardPlan`] is derived from: the scatter-side worker
 /// thread budget and the cache budget the per-shard working set should fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +66,7 @@ impl Default for ShardConfig {
     /// Host parallelism and a 2 MiB cache budget.
     fn default() -> Self {
         ShardConfig {
-            threads: machine_parallelism(),
+            threads: rayon::current_num_threads(),
             cache_bytes: SHARD_CACHE_BYTES,
         }
     }

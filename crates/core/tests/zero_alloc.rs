@@ -34,7 +34,7 @@ use std::cell::Cell;
 use bitgblas_core::grb::{
     Context, Direction, LaneBits, Mask, MultiVec, NodeBits, Op, Snapshot, Vector,
 };
-use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, SimdPolicy, TileSize};
+use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, TileSize};
 use bitgblas_sparse::Coo;
 
 /// Counts, per thread, every allocation and reallocation passing through
@@ -378,17 +378,13 @@ fn sharded_push_path_is_allocation_free_after_warmup() {
     );
 }
 
-/// The SWAR-vector pull path (PR 9) must meet the same bar as the scalar
-/// paths: after warm-up, a pull round of `bfs` with the vector kernels
-/// forced allocates **zero** bytes per iteration — the frontier and
-/// suppressed-row tile words, the tile-row output words and the result's
-/// node words all cycle through the workspace pool exactly as on the scalar
-/// path.
+/// The pull direction must meet the same bar as the push paths: after
+/// warm-up, a pull round of `bfs` allocates **zero** bytes per iteration —
+/// the frontier and suppressed-row tile words, the tile-row output words and
+/// the result's node words all cycle through the workspace pool.
 #[test]
-fn simd_pull_bfs_inner_loop_is_allocation_free_after_warmup() {
-    let a = chain(512);
-    a.context().set_simd_policy(SimdPolicy::ForceVector);
-    assert_bfs_levels_allocation_free(&a, Direction::Pull, "vector-forced pull");
+fn pull_bfs_inner_loop_is_allocation_free_after_warmup() {
+    assert_bfs_levels_allocation_free(&chain(512), Direction::Pull, "pull");
 }
 
 /// A masked bare full-precision pull — the min-plus relaxation sweep with a

@@ -108,19 +108,27 @@ impl Csr {
     /// Build from a COO matrix, summing duplicate entries and sorting column
     /// indices within each row.
     pub fn from_coo(coo: &Coo) -> Self {
+        Self::try_from_coo(coo).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`Csr::from_coo`], but a row count whose row pointer cannot be
+    /// allocated is an error rather than an overflow panic or an allocation
+    /// abort: a read matrix's dimensions come from outside.
+    pub(crate) fn try_from_coo(coo: &Coo) -> Result<Self, SparseError> {
         let nrows = coo.nrows();
         let ncols = coo.ncols();
         let (rows, cols, vals) = coo.raw();
 
         // Counting sort by row.
-        let mut rowptr = vec![0usize; nrows + 1];
+        let mut rowptr = zeroed_rowptr(nrows)?;
         for &r in rows {
             rowptr[r + 1] += 1;
         }
         for i in 0..nrows {
             rowptr[i + 1] += rowptr[i];
         }
-        let mut next = rowptr.clone();
+        let mut next = zeroed_rowptr(nrows)?;
+        next.copy_from_slice(&rowptr);
         let nnz = rows.len();
         let mut colind = vec![0usize; nnz];
         let mut values = vec![0f32; nnz];
@@ -134,7 +142,7 @@ impl Csr {
         // Sort within each row and merge duplicates.
         let mut out_colind = Vec::with_capacity(nnz);
         let mut out_values = Vec::with_capacity(nnz);
-        let mut out_rowptr = vec![0usize; nrows + 1];
+        let mut out_rowptr = zeroed_rowptr(nrows)?;
         let mut scratch: Vec<(usize, f32)> = Vec::new();
         for r in 0..nrows {
             scratch.clear();
@@ -161,13 +169,13 @@ impl Csr {
             out_rowptr[r + 1] = out_colind.len();
         }
 
-        Csr {
+        Ok(Csr {
             nrows,
             ncols,
             rowptr: out_rowptr,
             colind: out_colind,
             values: out_values,
-        }
+        })
     }
 
     /// Build a dense matrix (row-major `nrows × ncols` slice) into CSR,
@@ -418,6 +426,21 @@ impl Csr {
         }
         dense
     }
+}
+
+/// A zeroed row pointer of `nrows + 1` entries, or an error when that
+/// length overflows or cannot be allocated.
+fn zeroed_rowptr(nrows: usize) -> Result<Vec<usize>, SparseError> {
+    let too_large = || {
+        SparseError::MalformedStructure(format!(
+            "a {nrows}-row matrix needs a row pointer larger than can be allocated"
+        ))
+    };
+    let len = nrows.checked_add(1).ok_or_else(too_large)?;
+    let mut rowptr = Vec::new();
+    rowptr.try_reserve_exact(len).map_err(|_| too_large())?;
+    rowptr.resize(len, 0);
+    Ok(rowptr)
 }
 
 #[cfg(test)]

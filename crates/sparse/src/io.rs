@@ -157,9 +157,10 @@ pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<Coo, SparseErr
 }
 
 /// Read a Matrix Market file and return its binary CSR form (the view the
-/// paper's pipeline starts from).
+/// paper's pipeline starts from).  Dimensions whose row pointer cannot be
+/// allocated are an error, as every other hostile size line is.
 pub fn read_binary_csr<P: AsRef<Path>>(path: P) -> Result<Csr, SparseError> {
-    Ok(read_matrix_market_file(path)?.to_binary_csr())
+    Ok(Csr::try_from_coo(&read_matrix_market_file(path)?)?.binarized())
 }
 
 /// Write a CSR matrix as a `general real coordinate` Matrix Market stream.
@@ -274,6 +275,27 @@ mod tests {
         let sparse = "%%MatrixMarket matrix coordinate pattern general\n\
             18446744073709551615 18446744073709551615 1\n7 9\n";
         assert_eq!(read_matrix_market(sparse.as_bytes()).unwrap().nnz(), 1);
+    }
+
+    /// Dimensions the reader accepts but no row pointer can hold: the CSR
+    /// conversion behind `read_binary_csr` answers with a typed error.
+    #[test]
+    fn unallocatable_dimensions_are_errors_through_read_binary_csr() {
+        let path = std::env::temp_dir().join("bitgblas_io_huge_dims.mtx");
+        for size_line in [
+            "18446744073709551615 18446744073709551615 1",
+            "1000000000000 4 1",
+        ] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate pattern general\n{size_line}\n1 1\n");
+            std::fs::write(&path, text).unwrap();
+            let got = read_binary_csr(&path);
+            assert!(
+                matches!(got, Err(SparseError::MalformedStructure(_))),
+                "{size_line}: {got:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

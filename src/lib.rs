@@ -87,7 +87,7 @@ pub mod prelude {
         NodeBits, Op, Snapshot,
     };
     pub use bitgblas_core::{
-        B2srMatrix, Backend, BinaryOp, EdgeDelta, Matrix, Semiring, SimdPolicy, TileSize, Vector,
+        B2srMatrix, Backend, BinaryOp, EdgeDelta, Matrix, Semiring, TileSize, Vector,
     };
     pub use bitgblas_sparse::{Coo, Csr, DenseVec};
 }

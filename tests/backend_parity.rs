@@ -411,7 +411,12 @@ fn empty_frontier_is_identity_in_every_direction() {
     let ctx = Context::default();
     let zero = Vector::zeros(96);
     let inf = Vector::identity(96, Semiring::MinPlus(1.0));
-    for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+    for backend in [
+        Backend::Bit(TileSize::S4),
+        Backend::Bit(TileSize::S8),
+        Backend::Bit(TileSize::S16),
+        Backend::FloatCsr,
+    ] {
         let m = Matrix::from_csr(&adj, backend);
         for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
             let bool_out = Op::vxm(&zero, &m)
@@ -438,6 +443,33 @@ fn empty_frontier_is_identity_in_every_direction() {
         let r = bfs_dir(&m, 0, dir);
         assert_eq!(r.n_reached, 1, "{dir:?}");
         assert_eq!(r.iterations, 1, "{dir:?}");
+    }
+}
+
+/// Shapes that straddle tile boundaries (n = 17, 33, 65: one row/column
+/// past a tile edge for every tile size) — the ragged last tile-row and
+/// tile-column of the Boolean pull — reach the reference BFS levels at every
+/// tile width, pulled and under the per-iteration switch.
+#[test]
+fn tile_straddling_shapes_match_the_reference() {
+    for n in [17usize, 33, 65] {
+        for adj in [
+            generators::erdos_renyi(n, 0.15, true, n as u64),
+            generators::cycle(n),
+        ] {
+            let expected = reference::bfs_levels(&adj, 0);
+            for backend in TileSize::ALL
+                .map(Backend::Bit)
+                .into_iter()
+                .chain([Backend::Auto])
+            {
+                let m = Matrix::from_csr(&adj, backend);
+                for dir in [Direction::Pull, Direction::Auto] {
+                    let got = bfs_dir(&m, 0, dir);
+                    assert_eq!(got.levels, expected, "n={n} {backend:?} {dir:?}");
+                }
+            }
+        }
     }
 }
 

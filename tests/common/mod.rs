@@ -1,5 +1,5 @@
 //! Shared strategies and assertions for the repo-level parity suites
-//! (`backend_parity.rs`, `simd_parity.rs`): the structured-graph generator
+//! (`backend_parity.rs`, `mutation_parity.rs`): the structured-graph generator
 //! strategies and the backend lists every differential harness iterates.
 //!
 //! Each integration-test binary compiles its own copy and uses a subset.
@@ -29,18 +29,6 @@ pub fn direction_backends() -> Vec<Backend> {
         Backend::Bit(TileSize::S8),
         Backend::Bit(TileSize::S16),
         Backend::FloatCsr,
-    ]
-}
-
-/// The backends with a vector (SWAR) kernel path: every bit tile size the
-/// default lane mask enables, plus `Auto` (which resolves to one of them or
-/// to CSR — either way the scalar/vector choice must be invisible).
-pub fn simd_backends() -> Vec<Backend> {
-    vec![
-        Backend::Bit(TileSize::S4),
-        Backend::Bit(TileSize::S8),
-        Backend::Bit(TileSize::S16),
-        Backend::Auto,
     ]
 }
 
