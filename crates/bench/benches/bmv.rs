@@ -1,6 +1,7 @@
 //! Criterion bench: BMV kernel schemes vs the float CSR SpMV baseline
 //! (the statistically-sound counterpart of Figures 6a–c / 7a–c), the
-//! full-precision pull on the repo benchmark's two graphs, and the Boolean
+//! full-precision pull on the repo benchmark's two graphs and across tile
+//! fill beside the CSR row pull, and the Boolean
 //! pull sweep across frontier densities and across how much of a BFS is
 //! already visited.
 
@@ -13,9 +14,10 @@ use bitgblas_core::kernels::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full_masked,
     bmv_bin_full_full_into, pack_vector_bits, pack_vector_tilewise_into,
 };
-use bitgblas_core::Semiring;
+use bitgblas_core::{Semiring, TileSize};
 use bitgblas_datagen::generators;
-use bitgblas_sparse::{ops, Csr, DenseVec};
+use bitgblas_sparse::ops::{self, SemiringKind};
+use bitgblas_sparse::{Coo, Csr, DenseVec};
 
 fn bench_matrices() -> Vec<(&'static str, Csr)> {
     vec![
@@ -163,6 +165,118 @@ fn bmv_pull_full_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fill sweep behind `grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`: the
+/// full-precision tile sweep beside the CSR row pull of the same matrix,
+/// both bare serial kernels (`bmv_bin_full_full_into`,
+/// `ops::spmv_semiring`), at every tile width under Arithmetic and MinPlus.
+/// `tiles{d}x{d}_{b}bits` lays R-MAT(14, 16)'s edge count out in scattered
+/// `d × d` tiles of `b` bits each, so that fill is the one variable; R-MAT
+/// itself and the benchmark's mesh pattern run at every width.  16 384
+/// vertices throughout; a sweep's id ends in its mean bits per non-empty
+/// tile.  Not in CI (≈ 3 min): `-- bmv_pull_fill`.
+fn bmv_pull_fill_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmv_pull_fill");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let n = 16384;
+    let mut graphs: Vec<(String, Csr, Vec<TileSize>)> = vec![
+        (
+            "rmat".into(),
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+            TileSize::ALL.into(),
+        ),
+        (
+            "mesh".into(),
+            generators::banded(n, 32, 0.7, 5),
+            TileSize::ALL.into(),
+        ),
+    ];
+    for ts in TileSize::ALL {
+        let d = ts.dim();
+        for bits in [1, 2, 4, 6, 8, 16, 64, 256] {
+            if bits <= d * d && bits <= 16 * d {
+                let name = format!("tiles{d}x{d}_{bits}bits");
+                graphs.push((name, scattered_tiles(n, d, bits), vec![ts]));
+            }
+        }
+    }
+    let x: Vec<f32> = (0..n).map(|i| (i % 5 + 1) as f32).collect();
+    let x_dense = DenseVec::from_vec(x.clone());
+    let mut y = vec![0.0f32; n];
+    let semirings = [
+        ("arithmetic", Semiring::Arithmetic, SemiringKind::Arithmetic),
+        ("min_plus", Semiring::MinPlus(1.0), SemiringKind::MinPlus),
+    ];
+    for (name, csr, widths) in &graphs {
+        for (label, semiring, kind) in semirings {
+            group.bench_function(format!("{name}/{label}/csr_pull"), |b| {
+                b.iter(|| ops::spmv_semiring(csr, &x_dense, kind).unwrap())
+            });
+            for &ts in widths {
+                let mut sweep = |tiles: usize, run: &mut dyn FnMut()| {
+                    let bits = csr.nnz() as f64 / tiles as f64;
+                    let id = format!("{name}/{label}/tile_sweep/{ts}_{bits:.1}_bits");
+                    group.bench_function(id, |b| b.iter(&mut *run));
+                };
+                let y = &mut y;
+                match ts {
+                    TileSize::S4 | TileSize::S8 => {
+                        let m = from_csr::<u8>(csr, ts.dim());
+                        sweep(m.n_tiles(), &mut || {
+                            bmv_bin_full_full_into(&m, &x, semiring, y)
+                        });
+                    }
+                    TileSize::S16 => {
+                        let m = from_csr::<u16>(csr, 16);
+                        sweep(m.n_tiles(), &mut || {
+                            bmv_bin_full_full_into(&m, &x, semiring, y)
+                        });
+                    }
+                    TileSize::S32 => {
+                        let m = from_csr::<u32>(csr, 32);
+                        sweep(m.n_tiles(), &mut || {
+                            bmv_bin_full_full_into(&m, &x, semiring, y)
+                        });
+                    }
+                }
+            }
+        }
+    }
+    group.finish();
+}
+
+/// An `n × n` matrix of `dim × dim` tiles at scattered places holding `bits`
+/// set bits each: every tile-row holds `16 · dim / bits` tiles at hashed
+/// tile columns, so the edge count stays near R-MAT(14, 16)'s (16 a row)
+/// whatever the fill, and the fill is the one thing that varies.
+fn scattered_tiles(n: usize, dim: usize, bits: usize) -> Csr {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    let mut coo = Coo::new(n, n);
+    for tr in 0..n / dim {
+        for _ in 0..16 * dim / bits {
+            let tc = next() % (n / dim);
+            let start = next();
+            // 23 is odd and `dim²` a power of two, so the `bits ≤ dim²`
+            // positions are distinct.
+            for i in 0..bits {
+                let at = (start + i * 23) % (dim * dim);
+                coo.push_edge(tr * dim + at / dim, tc * dim + at % dim)
+                    .unwrap();
+            }
+        }
+    }
+    coo.to_binary_csr()
+}
+
 /// The masked Boolean pull as a BFS meets it: the sweep stops walking a
 /// tile-row once every unsuppressed row is reached, so its cost follows what
 /// is left to find.  Suppressed rows are the first 0 / 50 / 95 % of the
@@ -217,6 +331,7 @@ criterion_group!(
     bmv_benches,
     bmv_pull_density_benches,
     bmv_pull_full_benches,
+    bmv_pull_fill_benches,
     bmv_pull_masked_benches
 );
 criterion_main!(benches);

@@ -202,8 +202,8 @@ impl<W: BitWord> B2sr<W> {
 
     /// Number of set bits across all tiles — equals the nnz of the original
     /// binary matrix.  This is a popcount sweep over every tile word, not a
-    /// stored count: per-operation paths take the edge count from the CSR
-    /// view instead.
+    /// stored count, and not for hot paths: per-operation paths and the bit
+    /// backend's pull route take the edge count from the CSR view instead.
     pub fn nnz(&self) -> u64 {
         self.bit_tiles.iter().map(|w| w.popcount() as u64).sum()
     }
@@ -397,7 +397,7 @@ impl B2srMatrix {
     }
 
     /// Number of set bits (nnz of the binary matrix) — a popcount sweep over
-    /// every tile word, see [`B2sr::nnz`].
+    /// every tile word, not for hot paths; see [`B2sr::nnz`].
     pub fn nnz(&self) -> u64 {
         with_b2sr!(self, |m| m.nnz())
     }

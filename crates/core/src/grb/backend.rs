@@ -11,7 +11,9 @@
 //! to a slower path.  The layer ships two implementations —
 //!
 //! * [`BitB2sr`] — B2SR storage + the bit kernels of [`crate::kernels`]
-//!   (the paper's contribution);
+//!   (the paper's contribution), whose full-precision pulls read the CSR it
+//!   also holds when its tiles are too sparse to sweep
+//!   ([`CSR_PULL_BELOW_BITS_PER_TILE`]);
 //! * [`FloatCsr`] — 32-bit-float CSR + row-parallel reference sweeps (the
 //!   GraphBLAST/cuSPARSE stand-in baseline) —
 //!
@@ -340,7 +342,55 @@ impl ScatterPlans {
 // BitB2sr
 // ---------------------------------------------------------------------------
 
-/// The Bit-GraphBLAS backend: B2SR storage, bit kernels (Tables II and III).
+/// The mean bits per non-empty tile below which a [`BitB2sr`]'s
+/// full-precision pulls read its CSR instead of sweeping its tiles (see
+/// [`BitB2sr::full_pull_reads_csr`]) — the paper's Table V fill classes,
+/// where a scatter-pattern matrix's tiles hold one or two bits and the tile
+/// sweep pays a tile's load, chunk packing and junk fold for each.
+///
+/// Why a selector and not one path: with every non-Boolean pull routed
+/// (this constant at +∞), ten alternating pairs of the repo benchmark's mesh
+/// workloads (B2SR-8, one pinned core) against the tile sweep read, on
+/// `mesh_read` / `mesh_mixed`, `cc_ms` +36 % / +25 % (a MinPlus pull, which
+/// the sweep wins on dense tiles), `query_p95_ms` 2.2× / 2.1× (the batched
+/// PPR lanes), `setup_s` +40 % / +38 % and `peak_rss_mb` +5 % / +4 % (the
+/// `csr_t` the route builds) — three bounds broken — against `pagerank_ms`
+/// −34 % / −29 %.  So dense tiles keep the sweep.
+///
+/// The number: `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv --
+/// bmv_pull_fill` (bare serial kernels, 16 384 vertices, one pinned core of
+/// a 2-vCPU Xeon VM, two runs) times the tile sweep beside the CSR row pull
+/// of the same matrix.  With R-MAT's edge count laid out in scattered tiles
+/// of `b` bits each, so that fill is the one variable, row pull ÷ sweep at
+/// B2SR-8 is:
+///
+/// | bits / tile | 1 | 2 | 4 | 6 | 8 | 16 | 64 |
+/// |---|---|---|---|---|---|---|---|
+/// | Arithmetic | 0.32–0.35 | 0.57–0.59 | 0.81–0.84 | 0.98 | 0.94–1.06 | 1.14–1.16 | 0.65–0.68 |
+/// | MinPlus | 0.37–0.39 | 0.65–0.66 | 0.83–0.84 | 0.91–0.93 | 1.00–1.01 | 1.03–1.06 | 0.75–0.86 |
+///
+/// They cross between 6 and 8 bits (a full tile's rows are eight-column
+/// runs, the row pull's best case); the constant routes only where the row
+/// pull wins by a sixth or more.  The benchmark's graphs sit far from it:
+/// R-MAT at 2.0 bits per tile (0.23–0.27, MinPlus 0.58–0.62) routes, the
+/// mesh at 51.8 (0.65–0.73, but MinPlus 1.29–1.34) does not
+/// (`crossover_separates_the_benchmark_graphs`).
+///
+/// One number serves every width because it never routes to a slower pull:
+/// at B2SR-4, -16 and -32 the row pull wins or ties at every fill of the
+/// sweep (≤ 0.80 at B2SR-4's full 16 bits, 0.77–1.04 at 64 bits of
+/// B2SR-16, ≤ 0.93 at 256 of B2SR-32), and R-MAT (1.5 and 3.2 bits) routes
+/// at B2SR-4 and -16.  It routes too little there instead: R-MAT at B2SR-32
+/// reads 6.0 bits and keeps a sweep 4–10× slower than the row pull.  Not
+/// measured: the batched pull against fill (only end to end, above), more
+/// than one core, and any width but B2SR-8 end to end — the benchmark runs
+/// B2SR-8 only.
+pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
+
+/// The Bit-GraphBLAS backend: B2SR storage, bit kernels (Tables II and III),
+/// and the binary CSR it was built from (the interchange view), which its
+/// full-precision pulls read when the tiles are hypersparse
+/// ([`BitB2sr::full_pull_reads_csr`]).
 #[derive(Debug)]
 pub struct BitB2sr {
     csr: Csr,
@@ -348,6 +398,9 @@ pub struct BitB2sr {
     csr_t: OnceLock<Csr>,
     b2sr_t: OnceLock<B2srMatrix>,
     shards: ScatterPlans,
+    /// Whether full-precision pulls read `csr` / `csr_t` (see
+    /// [`BitB2sr::full_pull_reads_csr`]); fixed when the tiles are built.
+    full_pull_reads_csr: bool,
 }
 
 impl BitB2sr {
@@ -381,12 +434,45 @@ impl BitB2sr {
         let (b2sr, counts) = B2srMatrix::retile(&bin, tile_size, prev);
         let backend = BitB2sr {
             shards: ScatterPlans::new(cfg, b2sr_weights(&b2sr)),
+            full_pull_reads_csr: (bin.nnz() as f64)
+                < CSR_PULL_BELOW_BITS_PER_TILE * b2sr.n_tiles() as f64,
             csr: bin,
             b2sr,
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
         };
         (backend, counts)
+    }
+
+    /// Whether this matrix's full-precision pulls — `mxv` and `vxm`, bare,
+    /// fused, masked or not, and batched — read the CSR the backend already
+    /// holds (`csr`, or `csr_t` for the transposed sweep) through the same
+    /// row pull as [`FloatCsr`], instead of sweeping the tiles.  True when
+    /// the mean bits per non-empty tile is under
+    /// [`CSR_PULL_BELOW_BITS_PER_TILE`]; decided once, where the tiles are
+    /// built, from two stored counts (never from [`B2srMatrix::nnz`], a
+    /// popcount sweep).  `Aᵀ` has the same edges and tiles, so the transpose
+    /// view keeps the flag.  Boolean products, push scatters and the masked
+    /// product reduction stay in bits either way.  Both pulls fold a row's
+    /// columns in ascending order, so the two paths agree bit for bit.
+    pub fn full_pull_reads_csr(&self) -> bool {
+        self.full_pull_reads_csr
+    }
+
+    /// The CSR of the pull sweep's representation: `Aᵀ`'s iff `transposed`
+    /// (the row-pull counterpart of [`rep`](Self::rep)).
+    fn pull_csr(&self, transposed: bool) -> &Csr {
+        if transposed {
+            self.csr_t()
+        } else {
+            &self.csr
+        }
+    }
+
+    /// Whether the pull of `p` reads the CSR: a full-precision product on a
+    /// matrix whose tiles are too sparse to sweep.
+    fn routes_pull(&self, p: &MxvPipeline<'_>) -> bool {
+        self.full_pull_reads_csr && p.semiring != Semiring::Boolean
     }
 
     /// The B2SR representation.
@@ -904,6 +990,7 @@ impl GrbBackend for BitB2sr {
                 let (rep, plan, avg) = self.scatter_rep(p.transpose);
                 with_b2sr!(rep, |m| bit_push(m, p, frontier, plan, avg, ws, out))
             }
+            None if self.routes_pull(p) => csr_pull(self.pull_csr(p.transpose), p, out),
             None => with_b2sr!(self.rep(p.transpose), |m| bit_pull(m, p, ws, out)),
         }
     }
@@ -914,6 +1001,7 @@ impl GrbBackend for BitB2sr {
                 let (rep, plan, avg) = self.scatter_rep(p.transpose);
                 with_b2sr!(rep, |m| bit_mxm_push(m, p, frontier, plan, avg, ws, out))
             }
+            None if self.routes_pull(p) => csr_mxm_pull(self.pull_csr(p.transpose), p, out),
             None => with_b2sr!(self.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
         }
     }
@@ -957,6 +1045,7 @@ impl GrbBackend for BitB2sr {
             csr_t: OnceLock::from(self.csr.clone()),
             b2sr_t: OnceLock::from(self.b2sr.clone()),
             shards: self.shards.swapped(b2sr_weights(self.b2sr_t())),
+            full_pull_reads_csr: self.full_pull_reads_csr,
         })
     }
 
@@ -967,6 +1056,7 @@ impl GrbBackend for BitB2sr {
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
             shards: self.shards.clone(),
+            full_pull_reads_csr: self.full_pull_reads_csr,
         })
     }
 
@@ -1031,6 +1121,34 @@ impl plan::FinishSink for CsrPullSink<'_, '_> {
             })
         });
     }
+}
+
+/// The row pull of a single-vector pipeline over `csr`, bare or fused alike
+/// ([`CsrPullSink`]) — [`FloatCsr`]'s pull, and a [`BitB2sr`]'s
+/// full-precision one when its tiles are too sparse to sweep.
+fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(csr.nrows(), 0.0);
+    plan::dispatch_finish(
+        p,
+        CsrPullSink {
+            csr,
+            semiring: p.semiring,
+            x: p.x,
+            mask: p.mask,
+            out,
+        },
+    );
+}
+
+/// The batched row pull of a pipeline over `csr`
+/// ([`FloatCsr::float_mxm_into`]) and its epilogue pass — the batched
+/// counterpart of [`csr_pull`], shared the same way.
+fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(csr.nrows() * p.k, p.semiring.identity());
+    FloatCsr::float_mxm_into(csr, p.x, p.k, p.semiring, p.mask, out);
+    p.finish_in_place(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1237,37 +1355,17 @@ impl GrbBackend for FloatCsr {
     }
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        let semiring = p.semiring;
-        let Some(frontier) = p.frontier else {
-            // Pull: one row sweep, bare or fused alike.
-            let csr = self.rep(p.transpose);
-            out.clear();
-            out.resize(csr.nrows(), 0.0);
-            plan::dispatch_finish(
-                p,
-                CsrPullSink {
-                    csr,
-                    semiring,
-                    x: p.x,
-                    mask: p.mask,
-                    out,
-                },
-            );
-            return;
-        };
-        self.push_into(p, 1, frontier, ws, out);
+        match p.frontier {
+            Some(frontier) => self.push_into(p, 1, frontier, ws, out),
+            None => csr_pull(self.rep(p.transpose), p, out),
+        }
     }
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        let Some(frontier) = p.frontier else {
-            let csr = self.rep(p.transpose);
-            out.clear();
-            out.resize(csr.nrows() * p.k, p.semiring.identity());
-            Self::float_mxm_into(csr, p.x, p.k, p.semiring, p.mask, out);
-            p.finish_in_place(out);
-            return;
-        };
-        self.push_into(p, p.k, frontier, ws, out);
+        match p.frontier {
+            Some(frontier) => self.push_into(p, p.k, frontier, ws, out),
+            None => csr_mxm_pull(self.rep(p.transpose), p, out),
+        }
     }
 
     fn mxm_reduce_masked(
@@ -1318,7 +1416,12 @@ pub(super) mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample(n: usize, seed: u64) -> Csr {
-        let mut coo = Coo::new(n, n);
+        sample_coo(n, n, n * 4, seed).to_binary_csr()
+    }
+
+    /// `edges` random edges of an `nrows × ncols` matrix.
+    fn sample_coo(nrows: usize, ncols: usize, edges: usize, seed: u64) -> Coo {
+        let mut coo = Coo::new(nrows, ncols);
         let mut state = seed | 1;
         let mut next = || {
             state ^= state << 13;
@@ -1326,10 +1429,24 @@ pub(super) mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..n * 4 {
-            let r = (next() % n as u64) as usize;
-            let c = (next() % n as u64) as usize;
+        for _ in 0..edges {
+            let r = (next() % nrows as u64) as usize;
+            let c = (next() % ncols as u64) as usize;
             coo.push_edge(r, c).unwrap();
+        }
+        coo
+    }
+
+    /// Every `(r, c)` with `0 < |r − c| ≤ width`: B2SR tiles holding tens of
+    /// bits, which the full-precision pull sweeps.
+    fn banded(n: usize, width: usize) -> Csr {
+        let mut coo = Coo::new(n, n);
+        for r in 0..n {
+            for c in r.saturating_sub(width)..(r + width + 1).min(n) {
+                if c != r {
+                    coo.push_edge(r, c).unwrap();
+                }
+            }
         }
         coo.to_binary_csr()
     }
@@ -1359,20 +1476,149 @@ pub(super) mod tests {
         out
     }
 
+    /// The flag of a built matrix's pull route: `Some` on a [`BitB2sr`].
+    fn pull_reads_csr(b: &dyn GrbBackend) -> Option<bool> {
+        b.as_any()
+            .downcast_ref::<BitB2sr>()
+            .map(BitB2sr::full_pull_reads_csr)
+    }
+
     #[test]
     fn backends_agree_through_the_trait_object() {
-        let csr = sample(70, 5);
-        let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32).collect();
-        let backends: Vec<Box<dyn GrbBackend>> = vec![
-            Box::new(float_csr(&csr)),
-            Box::new(bit_b2sr(&csr, TileSize::S4)),
-            Box::new(bit_b2sr(&csr, TileSize::S16)),
-        ];
-        let reference = product(&*backends[0], &x, Semiring::Arithmetic);
-        for b in &backends[1..] {
-            let got = product(&**b, &x, Semiring::Arithmetic);
-            for (g, r) in got.iter().zip(&reference) {
-                assert!((g - r).abs() < 1e-4, "{:?}", b.kind());
+        // A scattered graph, whose pulls read the CSR, and a banded one,
+        // whose pulls sweep the tiles.
+        for (csr, routed) in [(sample(70, 5), true), (banded(70, 6), false)] {
+            let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32).collect();
+            let backends: Vec<Box<dyn GrbBackend>> = vec![
+                Box::new(float_csr(&csr)),
+                Box::new(bit_b2sr(&csr, TileSize::S4)),
+                Box::new(bit_b2sr(&csr, TileSize::S8)),
+            ];
+            let reference = product(&*backends[0], &x, Semiring::Arithmetic);
+            for b in &backends[1..] {
+                assert_eq!(pull_reads_csr(&**b), Some(routed), "{:?}", b.kind());
+                let got = product(&**b, &x, Semiring::Arithmetic);
+                for (g, r) in got.iter().zip(&reference) {
+                    assert!((g - r).abs() < 1e-4, "{:?}", b.kind());
+                }
+            }
+        }
+    }
+
+    /// The crossover lies strictly between the repo benchmark's two fills —
+    /// R-MAT(14, 16) at 2.0 bits per B2SR-8 tile, the banded mesh at 51.8 —
+    /// so the one routes and a retune cannot silently route the other.  The
+    /// flag follows its definition on both sides, and the transpose view and
+    /// a clone keep it: `Aᵀ` has the same edges and tiles.
+    #[test]
+    fn crossover_separates_the_benchmark_graphs() {
+        const CROSSOVER: f64 = CSR_PULL_BELOW_BITS_PER_TILE;
+        const { assert!(2.0 < CROSSOVER && CROSSOVER < 51.8) };
+        for (csr, routed) in [(sample(300, 7), true), (banded(300, 6), false)] {
+            let b = bit_b2sr(&csr, TileSize::S8);
+            let fill = csr.nnz() as f64 / b.b2sr().n_tiles() as f64;
+            assert_eq!(b.full_pull_reads_csr(), routed, "{fill} bits per tile");
+            assert_eq!(pull_reads_csr(&*b.transpose_view()), Some(routed));
+            assert_eq!(pull_reads_csr(&*b.clone_box()), Some(routed));
+        }
+    }
+
+    /// A routed pull is the tile sweep, bit for bit.  The backend no longer
+    /// sweeps the tiles of a matrix whose full-precision pulls read the CSR,
+    /// so the sweep bodies are called here directly — `bit_pull` (over
+    /// `bmv_bin_full_full_fused_into`) and `bit_mxm_pull` (over
+    /// `bmm_bin_full_into`) — against `mxv_into` / `mxm_into`: every width,
+    /// both orientations of a ragged rectangular matrix, one lane and batches
+    /// of 3 and 64; bare, affine (PageRank), `min`-accumulated (SSSP), masked
+    /// and complemented-mask pipelines; operands and baselines holding NaN,
+    /// ±inf and −0.0, under Arithmetic, MinPlus and MaxTimes of either sign.
+    #[test]
+    fn routed_pull_equals_the_tile_sweep_bitwise() {
+        use crate::grb::expr::Stage;
+
+        // Scattered edges of a ragged rectangular matrix plus eight hub rows
+        // and eight hub columns of 60 edges: a bit or two per tile at every
+        // width, and lines long enough that another fold order would change
+        // their float sums.
+        let (nrows, ncols) = (2001, 1501);
+        let mut coo = sample_coo(nrows, ncols, 1500, 17);
+        for hub in 0..8 {
+            for i in 0..60 {
+                coo.push_edge(hub * 250, (i * 97 + hub * 13) % ncols)
+                    .unwrap();
+                coo.push_edge((i * 131 + hub * 7) % nrows, hub * 180 + 1)
+                    .unwrap();
+            }
+        }
+        let csr = coo.to_binary_csr();
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let value = |f: usize, semiring: Semiring| match f % 7 {
+            0 | 1 => hostile[(f / 7) % hostile.len()],
+            2 | 3 => semiring.identity(),
+            _ => 0.37 * (f % 11) as f32 - 1.5,
+        };
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let ws = Workspace::new();
+        let affine = [Stage::Affine {
+            mul: 0.85,
+            add: 0.01,
+        }];
+        for ts in TileSize::ALL {
+            let b = bit_b2sr(&csr, ts);
+            assert!(b.full_pull_reads_csr(), "{ts:?}");
+            for transpose in [false, true] {
+                let (produced, contracted) = if transpose {
+                    (csr.ncols(), csr.nrows())
+                } else {
+                    (csr.nrows(), csr.ncols())
+                };
+                for semiring in [
+                    Semiring::Arithmetic,
+                    Semiring::MinPlus(1.0),
+                    Semiring::MaxTimes(0.75),
+                    Semiring::MaxTimes(-0.5),
+                ] {
+                    for k in [1usize, 3, 64] {
+                        let x: Vec<f32> = (0..contracted * k).map(|f| value(f, semiring)).collect();
+                        let base: Vec<f32> =
+                            (0..produced * k).map(|f| value(f + 3, semiring)).collect();
+                        let structure: Vec<bool> = (0..produced * k).map(|f| f % 3 != 1).collect();
+                        let mask = Mask::new(structure.clone());
+                        let complemented = Mask::complemented(structure);
+                        let min = Some((BinaryOp::Min, base.as_slice()));
+                        let shapes: [(&[Stage<'_>], _, Option<&Mask>); 5] = [
+                            (&[], None, None),
+                            (&affine, None, None),
+                            (&[], min, None),
+                            (&[], None, Some(&mask)),
+                            (&affine, min, Some(&complemented)),
+                        ];
+                        for (shape, (stages, accum, mask)) in shapes.into_iter().enumerate() {
+                            let p = MxvPipeline {
+                                x: &x,
+                                k,
+                                frontier: None,
+                                semiring,
+                                mask,
+                                transpose,
+                                stages,
+                                accum,
+                            };
+                            let what = format!(
+                                "{ts:?} transpose={transpose} {semiring:?} k={k} shape {shape}"
+                            );
+                            let (mut got, mut want) = (Vec::new(), Vec::new());
+                            b.mxm_into(&p, &ws, &mut got);
+                            with_b2sr!(b.rep(transpose), |m| bit_mxm_pull(m, &p, &ws, &mut want));
+                            assert_eq!(bits(&got), bits(&want), "mxm {what}");
+                            if k == 1 {
+                                b.mxv_into(&p, &ws, &mut got);
+                                with_b2sr!(b.rep(transpose), |m| bit_pull(m, &p, &ws, &mut want));
+                                assert_eq!(bits(&got), bits(&want), "mxv {what}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }

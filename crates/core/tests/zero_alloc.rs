@@ -32,10 +32,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bitgblas_core::grb::{
-    Context, Direction, LaneBits, Mask, MultiVec, NodeBits, Op, Snapshot, Vector,
+    BitB2sr, Context, Direction, LaneBits, Mask, MultiVec, NodeBits, Op, Snapshot, Vector,
 };
 use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, TileSize};
-use bitgblas_sparse::Coo;
+use bitgblas_sparse::{Coo, Csr};
 
 /// Counts, per thread, every allocation and reallocation passing through
 /// the global allocator of this test binary.
@@ -81,37 +81,79 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A directed chain 0 → 1 → … → n-1: the frontier stays a single vertex, so
-/// every iteration exercises the identical push-path code with stable buffer
-/// sizes.  Built with a serial thread budget (single-shard plan): these
-/// tests certify the *serial* push path regardless of how many cores the
-/// test host has; the sharded path has its own proof below.
-fn chain(n: usize) -> Matrix {
-    chain_without(n, &[])
+/// How a fixture is tiled, relative to the crossover below which a bit
+/// backend's full-precision pulls read its CSR instead of sweeping its tiles
+/// (`grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`).  The full-precision pull
+/// tests run on both sides, so both routes keep their proof.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tiles {
+    /// B2SR-8, the graph alone: what the Boolean tests run on.
+    Plain,
+    /// Hypersparse tiles: full-precision pulls read the CSR.
+    Sparse,
+    /// Dense tiles: full-precision pulls sweep them.
+    Dense,
 }
 
-/// [`chain`] with the links out of `missing` left out.
-fn chain_without(n: usize, missing: &[usize]) -> Matrix {
+/// Build `csr` on a serial thread budget (single-shard plans: these tests
+/// certify the *serial* push path regardless of how many cores the test
+/// host has; the sharded path has its own proof below) at B2SR-`ts`, and
+/// check that its full-precision pulls take the route `tiles` is for.
+fn build(csr: &Csr, ts: TileSize, tiles: Tiles) -> Matrix {
+    let a = Matrix::from_csr_ctx(csr, Backend::Bit(ts), &Context::with_threads(1));
+    let reads_csr = a
+        .state()
+        .as_any()
+        .downcast_ref::<BitB2sr>()
+        .map(BitB2sr::full_pull_reads_csr);
+    match tiles {
+        Tiles::Plain => {}
+        Tiles::Sparse => assert_eq!(reads_csr, Some(true), "a hypersparse fixture"),
+        Tiles::Dense => assert_eq!(reads_csr, Some(false), "a dense-tile fixture"),
+    }
+    a
+}
+
+/// A directed chain 0 → 1 → … → n-1: the frontier stays a single vertex, so
+/// every iteration exercises the identical push-path code with stable buffer
+/// sizes.
+fn chain(n: usize) -> Matrix {
+    chain_tiled(n, &[], Tiles::Plain)
+}
+
+/// [`chain`] with the links out of `missing` left out, tiled as `tiles`
+/// says: B2SR-4 for [`Tiles::Sparse`] (2 bits per tile), and for
+/// [`Tiles::Dense`] B2SR-8 with every link back inside an 8-vertex block
+/// added (≈ 18 bits per tile) — a back link shortens no path out of a lower
+/// vertex, so levels and distances from vertex 0 are the chain's.
+fn chain_tiled(n: usize, missing: &[usize], tiles: Tiles) -> Matrix {
     let mut coo = Coo::new(n, n);
     for i in (0..n - 1).filter(|i| !missing.contains(i)) {
         coo.push_edge(i, i + 1).unwrap();
     }
-    Matrix::from_csr_ctx(
-        &coo.to_binary_csr(),
-        Backend::Bit(TileSize::S8),
-        &Context::with_threads(1),
-    )
+    if tiles == Tiles::Dense {
+        for i in 0..n {
+            for j in i - i % 8..i {
+                coo.push_edge(i, j).unwrap();
+            }
+        }
+    }
+    let ts = match tiles {
+        Tiles::Sparse => TileSize::S4,
+        Tiles::Plain | Tiles::Dense => TileSize::S8,
+    };
+    build(&coo.to_binary_csr(), ts, tiles)
 }
 
-/// [`chain`] as a snapshot: built, or — `pending` — read through pending
-/// deltas: a base missing the links out of vertices 9 and 14 with a log that
-/// inserts them, so every product goes through the `DeltaOverlay` and a
-/// traversal only gets past vertex 9 if its re-fold ran.
-fn chain_snapshot(n: usize, pending: bool) -> Snapshot {
+/// [`chain_tiled`] as a snapshot: built, or — `pending` — read through
+/// pending deltas: a base missing the links out of vertices 9 and 14 with a
+/// log that inserts them, so every product goes through the `DeltaOverlay`
+/// and a traversal only gets past vertex 9 if its re-fold ran.
+fn chain_snapshot(n: usize, pending: bool, tiles: Tiles) -> Snapshot {
     if !pending {
-        return chain(n).snapshot();
+        return chain_tiled(n, &[], tiles).snapshot();
     }
-    let a = chain_without(n, &[9, 14]);
+    let a = chain_tiled(n, &[9, 14], tiles);
     a.insert_edge(9, 10).unwrap();
     a.insert_edge(14, 15).unwrap();
     a.snapshot()
@@ -204,36 +246,53 @@ fn assert_bfs_levels_allocation_free(a: &Matrix, direction: Direction, what: &st
 #[test]
 fn bfs_inner_loop_is_allocation_free_after_warmup() {
     for pending in [false, true] {
-        let a = &chain_snapshot(512, pending);
+        let a = &chain_snapshot(512, pending, Tiles::Plain);
         let what = if pending { "pending log" } else { "built" };
         assert_bfs_levels_allocation_free(a, Direction::Push, what);
         assert_eq!(a.context().stats().refolded_positions > 0, pending);
     }
 }
 
-/// A small scatter-pattern graph for the PageRank pipeline (every vertex
-/// has out-edges, sizes stay identical across iterations).  Serial thread
-/// budget, like [`chain`].
-fn ring_with_chords(n: usize) -> Matrix {
+/// A small graph for the PageRank pipelines (every vertex has out-edges,
+/// sizes stay identical across iterations): for [`Tiles::Sparse`] a ring
+/// with a scattered chord out of every vertex at B2SR-4, for
+/// [`Tiles::Dense`] a ring linking every vertex to the three on either side
+/// at B2SR-8.
+fn ring_graph(n: usize, tiles: Tiles) -> Matrix {
     let mut coo = Coo::new(n, n);
     for i in 0..n {
-        coo.push_edge(i, (i + 1) % n).unwrap();
-        coo.push_edge(i, (i * 7 + 3) % n).unwrap();
+        match tiles {
+            Tiles::Dense => {
+                for d in [1, 2, 3, n - 3, n - 2, n - 1] {
+                    coo.push_edge(i, (i + d) % n).unwrap();
+                }
+            }
+            Tiles::Plain | Tiles::Sparse => {
+                coo.push_edge(i, (i + 1) % n).unwrap();
+                coo.push_edge(i, (i * 7 + 3) % n).unwrap();
+            }
+        }
     }
-    Matrix::from_csr_ctx(
-        &coo.to_binary_csr(),
-        Backend::Bit(TileSize::S8),
-        &Context::with_threads(1),
-    )
+    let ts = match tiles {
+        Tiles::Dense => TileSize::S8,
+        Tiles::Plain | Tiles::Sparse => TileSize::S4,
+    };
+    build(&coo.to_binary_csr(), ts, tiles)
 }
 
 /// The fused PageRank pipeline — dangling dot (fused chain-reduce), the
 /// scale+mxv+affine expression (one fused sweep) and the rank recycle —
-/// must allocate zero bytes per iteration once the pool is warm.
+/// must allocate zero bytes per iteration once the pool is warm, whether
+/// the pull reads the CSR or sweeps the tiles.
 #[test]
 fn fused_pagerank_pipeline_is_allocation_free_after_warmup() {
-    let n = 512;
-    let a = ring_with_chords(n);
+    for tiles in [Tiles::Sparse, Tiles::Dense] {
+        fused_pagerank_rounds(ring_graph(512, tiles), tiles);
+    }
+}
+
+fn fused_pagerank_rounds(a: Matrix, tiles: Tiles) {
+    let n = a.nrows();
     let ctx = a.context();
     let inv_deg = Vector::from_vec(
         a.out_degrees()
@@ -267,7 +326,7 @@ fn fused_pagerank_pipeline_is_allocation_free_after_warmup() {
     assert_eq!(
         allocations() - before,
         0,
-        "fused PageRank pipeline allocated in steady state"
+        "fused PageRank pipeline allocated in steady state ({tiles:?})"
     );
     let total: f32 = rank.as_slice().iter().sum();
     assert!((total - 1.0).abs() < 1e-3, "ranks still sum to 1: {total}");
@@ -391,11 +450,16 @@ fn pull_bfs_inner_loop_is_allocation_free_after_warmup() {
 /// mask and nothing fused behind it — must also run allocation-free in
 /// steady state: the mask rides in the sweep's finishing closure, so the
 /// only buffer is the pooled output (no staged `Vec<bool>`, no packed mask
-/// words).
+/// words) — whether the pull reads the CSR or sweeps the tiles.
 #[test]
 fn masked_bare_full_precision_pull_is_allocation_free_after_warmup() {
-    let n = 256;
-    let a = chain(n);
+    for tiles in [Tiles::Sparse, Tiles::Dense] {
+        masked_min_plus_rounds(chain_tiled(256, &[], tiles), tiles);
+    }
+}
+
+fn masked_min_plus_rounds(a: Matrix, tiles: Tiles) {
+    let n = a.nrows();
     let ctx = a.context();
     let semiring = Semiring::MinPlus(1.0);
     let mut dist = Vector::identity(n, semiring);
@@ -428,7 +492,7 @@ fn masked_bare_full_precision_pull_is_allocation_free_after_warmup() {
     assert_eq!(
         allocations() - before,
         0,
-        "masked bare min-plus pull allocated in steady state"
+        "masked bare min-plus pull allocated in steady state ({tiles:?})"
     );
     assert_eq!(dist.get(2), 2.0);
     assert!(dist.get(3).is_infinite() && dist.get(4).is_infinite());
@@ -443,12 +507,16 @@ fn masked_bare_full_precision_pull_is_allocation_free_after_warmup() {
 /// the pooled output; a per-call scratch buffer would show here.  The node
 /// count shrinks as the batch widens so that `n · k` stays below the
 /// sequential cut-off of the sweeps and of the epilogue pass (see the
-/// module docs).
+/// module docs).  The pulls run on both sides of the CSR-pull crossover.
 #[test]
 fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
-    for (k, n) in [(3usize, 256usize), (64, 24)] {
+    let cases = [(3usize, 256usize), (64, 24)];
+    for ((k, n), tiles) in cases
+        .into_iter()
+        .flat_map(|c| [(c, Tiles::Sparse), (c, Tiles::Dense)])
+    {
         // sssp_multi: lane l starts at chain vertex l mod n.
-        let a = chain(n);
+        let a = chain_tiled(n, &[], tiles);
         let ctx = a.context();
         let semiring = Semiring::MinPlus(1.0);
         for direction in [Direction::Push, Direction::Pull] {
@@ -480,7 +548,7 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
             assert_eq!(
                 allocations() - before,
                 0,
-                "sssp_multi round allocated in steady state (k={k}, {direction:?})"
+                "sssp_multi round allocated in steady state (k={k}, {direction:?}, {tiles:?})"
             );
             assert_eq!(
                 ctx.stats().push_mxm - pushes_before,
@@ -492,7 +560,7 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
         }
 
         // ppr_multi: lane l teleports to vertex l mod n.
-        let a = ring_with_chords(n);
+        let a = ring_graph(n, tiles);
         let ctx = a.context();
         let inv_deg = Vector::from_vec(
             a.out_degrees()
@@ -527,7 +595,7 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
         assert_eq!(
             allocations() - before,
             0,
-            "ppr_multi round allocated in steady state (k={k})"
+            "ppr_multi round allocated in steady state (k={k}, {tiles:?})"
         );
         let mass: f32 = rank.as_slice().chunks_exact(k).map(|lanes| lanes[0]).sum();
         assert!((mass - 1.0).abs() < 1e-3, "lane 0 still sums to 1: {mass}");
@@ -543,7 +611,7 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
 fn batched_bfs_rounds_are_allocation_free_after_warmup() {
     let cases = [(3usize, 256usize), (70, 24)];
     for ((k, n), pending) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
-        let a = &chain_snapshot(n, pending);
+        let a = &chain_snapshot(n, pending, Tiles::Plain);
         let ctx = a.context();
         let refolded_before = ctx.stats().refolded_positions;
         for direction in [Direction::Push, Direction::Pull] {
@@ -642,20 +710,24 @@ fn assert_changed_set_rounds_allocation_free(
 /// and one in-place pass rebuilds `delta` — single vector, a few lanes and
 /// a full batch, forced push and forced pull.  The merged count-and-collect
 /// frontier scan and the lane enumeration of the batched scatter run here;
-/// a per-call buffer in either would show.
+/// a per-call buffer in either would show.  Both sides of the CSR-pull
+/// crossover.
 #[test]
 fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
     let semiring = Semiring::MinPlus(1.0);
-    for direction in [Direction::Push, Direction::Pull] {
+    let sides = [Direction::Push, Direction::Pull]
+        .into_iter()
+        .flat_map(|d| [(d, Tiles::Sparse), (d, Tiles::Dense)]);
+    for (direction, tiles) in sides {
         // Single vector: the changed set is one chain vertex per round.
         let n = 256;
-        let a = chain(n);
+        let a = chain_tiled(n, &[], tiles);
         let ctx = a.context();
         let mut dist = Vector::identity(n, semiring);
         dist.set(0, 0.0);
         let mut delta = dist.clone();
         assert_changed_set_rounds_allocation_free(
-            "vector",
+            &format!("vector {tiles:?}"),
             ctx,
             direction,
             |ctx| ctx.stats().push_mxv,
@@ -680,7 +752,7 @@ fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
         // re-fold after the base's scatter).
         let cases = [(3usize, 256usize), (64, 24)];
         for ((k, n), pending) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
-            let a = &chain_snapshot(n, pending);
+            let a = &chain_snapshot(n, pending, tiles);
             let ctx = a.context();
             let mut dist = MultiVec::identity(n, k, semiring);
             for l in 0..k {
@@ -688,7 +760,7 @@ fn changed_set_sssp_rounds_are_allocation_free_after_warmup() {
             }
             let mut delta = dist.clone();
             assert_changed_set_rounds_allocation_free(
-                &format!("k={k} pending={pending}"),
+                &format!("k={k} pending={pending} {tiles:?}"),
                 ctx,
                 direction,
                 |ctx| ctx.stats().push_mxm,

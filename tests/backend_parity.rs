@@ -13,6 +13,7 @@ mod common;
 use proptest::prelude::*;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, reference, sssp_multi_dir};
+use bit_graphblas::core::grb::BitB2sr;
 use bit_graphblas::core::shard::SCATTER_EDGE_WEIGHT;
 use bit_graphblas::datagen::generators;
 use bit_graphblas::prelude::*;
@@ -575,10 +576,31 @@ fn auto_selection_differs_across_corpus_patterns() {
 /// pull on every bit width, and through the overlay, is bit-identical to
 /// `FloatCsr` on the same graph.  The batched row — four lanes under a
 /// per-(node, lane) mask — holds that against `FloatCsr` in both directions.
+/// Two graphs, so that every width pulls on both sides of the crossover
+/// below which a bit backend's full-precision pulls read its CSR: a scatter
+/// pattern (routed at B2SR-4) and a band (tiles at every width).
 #[test]
 fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
-    let n = 96;
-    let base = generators::erdos_renyi(n, 0.05, true, 131);
+    let scatter = generators::erdos_renyi(96, 0.05, true, 131);
+    let band = generators::banded(96, 6, 0.8, 131);
+    for ts in TileSize::ALL {
+        let reads_csr = |adj: &Csr| {
+            let m = Matrix::from_csr(adj, Backend::Bit(ts));
+            let bit = m.state().as_any().downcast_ref::<BitB2sr>();
+            bit.map(BitB2sr::full_pull_reads_csr)
+        };
+        assert_eq!(reads_csr(&band), Some(false), "{ts:?}");
+        if ts == TileSize::S4 {
+            assert_eq!(reads_csr(&scatter), Some(true));
+        }
+    }
+    for base in [scatter, band] {
+        assert_one_lane_parity(base);
+    }
+}
+
+fn assert_one_lane_parity(base: Csr) {
+    let n = base.nrows();
     let ctx = Context::default();
     let live = Matrix::from_csr(&base, Backend::Bit(TileSize::S8));
     let mut deltas: Vec<EdgeDelta> = (0..n)

@@ -24,6 +24,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, sssp_multi_dir};
+use bit_graphblas::core::grb::BitB2sr;
 use bit_graphblas::core::{DeltaOverlay, DeltaSnapshot};
 use bit_graphblas::prelude::*;
 
@@ -300,7 +301,11 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
 /// A compacted matrix is a from-scratch build of the same CSR, shard plans
 /// included — so every sharded product, whose float fold grouping follows
 /// the plan, equals the rebuild's bit for bit.  A batch that skews the edge
-/// weight towards the first rows moves every cut.
+/// weight towards the first rows moves every cut.  The bit backend's pull
+/// route is the rebuild's too: the skew scatters a ring of dense tiles into
+/// hypersparse ones, so its compaction moves the fill across the crossover
+/// below which full-precision pulls read the CSR, and deleting the skew
+/// (and the ring links it landed on) moves it back.
 #[test]
 fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     let n = 8192usize;
@@ -342,12 +347,28 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
         ];
         (out, ctx.stats().sharded_push - before)
     };
+    let reads_csr = |m: &Matrix| {
+        let bit = m.state().as_any().downcast_ref::<BitB2sr>();
+        bit.map(BitB2sr::full_pull_reads_csr)
+    };
     for backend in [Backend::FloatCsr, Backend::Bit(TileSize::S8)] {
         let m = Matrix::from_csr_ctx(&ring, backend, &Context::with_threads(4));
+        let bit = backend != Backend::FloatCsr;
+        assert_eq!(
+            reads_csr(&m),
+            bit.then_some(false),
+            "the ring's tiles are dense"
+        );
         m.apply_deltas(&skew).unwrap();
         m.compact(m.context()).unwrap();
         let compacted = m.snapshot();
         let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
+        assert_eq!(
+            reads_csr(&compacted),
+            bit.then_some(true),
+            "the skew's are not"
+        );
+        assert_eq!(reads_csr(&compacted), reads_csr(&rebuilt));
 
         let (got, got_sharded) = products(&compacted);
         let (want, want_sharded) = products(&rebuilt);
@@ -358,6 +379,17 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
             assert!(plan(&rebuilt).is_some_and(|p| p.n_shards() >= 4));
             assert_eq!(plan(&compacted), plan(&rebuilt), "{backend:?}");
         }
+
+        let unskew: Vec<EdgeDelta> = skew
+            .iter()
+            .map(|d| EdgeDelta::delete(d.row, d.col))
+            .collect();
+        m.apply_deltas(&unskew).unwrap();
+        m.compact(m.context()).unwrap();
+        let compacted = m.snapshot();
+        let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
+        assert_eq!(reads_csr(&compacted), bit.then_some(false), "{backend:?}");
+        assert_eq!(reads_csr(&compacted), reads_csr(&rebuilt));
     }
 }
 
