@@ -12,9 +12,12 @@
 //! size of the intersection of `L`'s rows `i` and `j`, so the product is
 //! asked for as `A · Bᵀ` (`.transpose_b()`) and `Lᵀ` is never built: `L` is
 //! all three operands.  They are binary, so on the bit backend the whole
-//! computation is a single `bmm_bin_bin_sum_masked_nt()` call whose per-tile
-//! popcounts are accumulated straight into the global sum — the paper fuses
-//! the reduction into the `mxm()` the same way.
+//! computation is one reducing call — the paper fuses the reduction into the
+//! `mxm()` the same way: `bmm_bin_bin_sum_masked_nt()`, whose per-tile
+//! popcounts are accumulated straight into the global sum, or, when `L`'s
+//! tiles are hypersparse (`CSR_REDUCE_BELOW_BITS_PER_TILE`, R-MAT's case),
+//! the exact count over the CSR the backend holds
+//! (`ops::spgemm_masked_count`, which `FloatCsr` runs too).
 
 use bitgblas_core::grb::{Matrix, Op};
 
@@ -36,7 +39,7 @@ mod tests {
     use crate::reference;
     use bitgblas_core::{Backend, TileSize};
     use bitgblas_datagen::generators;
-    use bitgblas_sparse::Coo;
+    use bitgblas_sparse::{ops, Coo};
 
     fn backends() -> Vec<Backend> {
         vec![
@@ -81,12 +84,16 @@ mod tests {
     }
 
     /// Large enough (≥ 64 tile-rows at every tile size) that the kernel's
-    /// tile-row sweep splits across workers on a multi-core host.
+    /// tile-row sweep splits across workers on a multi-core host.  `L`'s
+    /// B2SR-4 and B2SR-8 tiles hold 1.5 and 2.3 bits, so those two backends
+    /// count over the CSR, which is also pinned to the merge bare.
     #[test]
     fn matches_reference_on_power_law_graph() {
         let adj = generators::rmat(11, 6, 0.57, 0.19, 0.19, 77).symmetrized();
         let expected = reference::triangle_count(&adj);
         assert!(expected > 0);
+        let l = adj.lower_triangle();
+        assert_eq!(ops::spgemm_masked_count(&l, &l, &l).unwrap(), expected);
         for backend in backends() {
             let m = Matrix::from_csr(&adj, backend);
             assert_eq!(triangle_count(&m), expected, "{backend:?}");

@@ -1,13 +1,15 @@
 //! Criterion bench: BMM (bit SpGEMM) vs the float Gustavson SpGEMM baseline
-//! (the counterpart of Figures 6d / 7d), the batched full-precision
-//! matrix × multivector kernels behind `sssp_multi` / `ppr_multi`, the
-//! lane-density sweep of the batched scatter, and the lane-word step of
-//! `bfs_multi` at a thin and at a full frontier.
+//! (the counterpart of Figures 6d / 7d), the Triangle Counting reduction's
+//! tile kernel beside the CSR count across tile fill, the batched
+//! full-precision matrix × multivector kernels behind `sssp_multi` /
+//! `ppr_multi`, the lane-density sweep of the batched scatter, and the
+//! lane-word step of `bfs_multi` at a thin and at a full frontier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::grb::{LaneBits, Op};
 use bitgblas_core::kernels::{
@@ -72,6 +74,82 @@ fn bmm_benches(c: &mut Criterion) {
                 b.iter(|| ops::spgemm_masked_sum(l, l, l).unwrap());
             },
         );
+        group.bench_with_input(
+            BenchmarkId::new("csr_spgemm_masked_count/tc_shape", name),
+            &l,
+            |b, l| {
+                b.iter(|| ops::spgemm_masked_count(l, l, l).unwrap());
+            },
+        );
+    }
+    group.finish();
+}
+
+/// The fill sweep behind `grb::backend::CSR_REDUCE_BELOW_BITS_PER_TILE`:
+/// Triangle Counting's masked reduction `Σ (L · Lᵀ) .* L` as the tile kernel
+/// (`bmm_bin_bin_sum_masked_nt`, `L` all three operands) at every tile width
+/// beside the CSR count of the same `L` (`ops::spgemm_masked_count`), both
+/// bare.  `L` is the lower triangle of a symmetric graph: R-MAT(14, 16), the
+/// benchmark's mesh pattern, and `tiles{d}x{d}_{b}bits` — R-MAT's edge count
+/// laid out in scattered `d × d` tiles of `b` bits each, mirrored, so that
+/// fill is the one variable.  16 384 vertices throughout; a tile row's id
+/// ends in `L`'s mean bits per non-empty tile.  Not in CI (≈ 2 min):
+/// `-- bmm_tc_fill`.
+fn bmm_tc_fill_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmm_tc_fill");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let n = 16384;
+    let lower = |csr: Csr| csr.symmetrized().lower_triangle();
+    let mut graphs: Vec<(String, Csr, Vec<TileSize>)> = vec![
+        (
+            "rmat".into(),
+            lower(generators::rmat(14, 16, 0.57, 0.19, 0.19, 5)),
+            TileSize::ALL.into(),
+        ),
+        (
+            "mesh".into(),
+            lower(generators::banded(n, 32, 0.7, 5)),
+            TileSize::ALL.into(),
+        ),
+    ];
+    for ts in TileSize::ALL {
+        let d = ts.dim();
+        for bits in [1, 2, 3, 4, 6, 8, 16, 64] {
+            if bits <= d * d && bits <= 16 * d {
+                let name = format!("tiles{d}x{d}_{bits}bits");
+                graphs.push((name, lower(scattered_tiles(n, d, bits)), vec![ts]));
+            }
+        }
+    }
+    for (name, l, widths) in &graphs {
+        group.bench_function(format!("{name}/count"), |b| {
+            b.iter(|| ops::spgemm_masked_count(l, l, l).unwrap())
+        });
+        for &ts in widths {
+            let mut tile = |tiles: usize, run: &mut dyn FnMut() -> u64| {
+                let bits = l.nnz() as f64 / tiles as f64;
+                let id = format!("{name}/tile/{ts}_{bits:.1}_bits");
+                group.bench_function(id, |b| b.iter(&mut *run));
+            };
+            match ts {
+                TileSize::S4 | TileSize::S8 => {
+                    let m = from_csr::<u8>(l, ts.dim());
+                    tile(m.n_tiles(), &mut || bmm_bin_bin_sum_masked_nt(&m, &m, &m));
+                }
+                TileSize::S16 => {
+                    let m = from_csr::<u16>(l, 16);
+                    tile(m.n_tiles(), &mut || bmm_bin_bin_sum_masked_nt(&m, &m, &m));
+                }
+                TileSize::S32 => {
+                    let m = from_csr::<u32>(l, 32);
+                    tile(m.n_tiles(), &mut || bmm_bin_bin_sum_masked_nt(&m, &m, &m));
+                }
+            }
+        }
     }
     group.finish();
 }
@@ -275,6 +353,7 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
 criterion_group!(
     benches,
     bmm_benches,
+    bmm_tc_fill_benches,
     bmm_batched_benches,
     bmm_lane_density_benches,
     bmm_lane_word_benches

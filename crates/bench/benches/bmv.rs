@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use bitgblas_algorithms::reference;
+use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full_masked,
@@ -17,7 +18,7 @@ use bitgblas_core::kernels::{
 use bitgblas_core::{Semiring, TileSize};
 use bitgblas_datagen::generators;
 use bitgblas_sparse::ops::{self, SemiringKind};
-use bitgblas_sparse::{Coo, Csr, DenseVec};
+use bitgblas_sparse::{Csr, DenseVec};
 
 fn bench_matrices() -> Vec<(&'static str, Csr)> {
     vec![
@@ -246,35 +247,6 @@ fn bmv_pull_fill_benches(c: &mut Criterion) {
         }
     }
     group.finish();
-}
-
-/// An `n × n` matrix of `dim × dim` tiles at scattered places holding `bits`
-/// set bits each: every tile-row holds `16 · dim / bits` tiles at hashed
-/// tile columns, so the edge count stays near R-MAT(14, 16)'s (16 a row)
-/// whatever the fill, and the fill is the one thing that varies.
-fn scattered_tiles(n: usize, dim: usize, bits: usize) -> Csr {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state as usize
-    };
-    let mut coo = Coo::new(n, n);
-    for tr in 0..n / dim {
-        for _ in 0..16 * dim / bits {
-            let tc = next() % (n / dim);
-            let start = next();
-            // 23 is odd and `dim²` a power of two, so the `bits ≤ dim²`
-            // positions are distinct.
-            for i in 0..bits {
-                let at = (start + i * 23) % (dim * dim);
-                coo.push_edge(tr * dim + at / dim, tc * dim + at % dim)
-                    .unwrap();
-            }
-        }
-    }
-    coo.to_binary_csr()
 }
 
 /// The masked Boolean pull as a BFS meets it: the sweep stops walking a

@@ -21,13 +21,14 @@
 //! | `conversion_overhead` | §III-B — CSR→B2SR conversion cost |
 //!
 //! This library holds the small shared utilities: wall-clock timing with
-//! warm-up, geometric means, and the fixed matrix lists used by the tables.
+//! warm-up, geometric means, the fixed matrix lists used by the tables, and
+//! the scattered-tile generator the fill sweeps share.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
-use bitgblas_sparse::Csr;
+use bitgblas_sparse::{Coo, Csr};
 
 /// Number of timed repetitions used by the harness binaries (the paper
 /// reports the average of 5 runs).
@@ -135,6 +136,36 @@ pub fn fig3_matrices() -> Vec<&'static str> {
 pub fn load(name: &str) -> Csr {
     bitgblas_datagen::corpus::named_matrix(name)
         .unwrap_or_else(|| panic!("matrix {name} is not in the synthetic corpus"))
+}
+
+/// An `n × n` matrix of `dim × dim` tiles at scattered places holding `bits`
+/// set bits each: every tile-row holds `16 · dim / bits` tiles at hashed
+/// tile columns, so the edge count stays near R-MAT(14, 16)'s (16 a row)
+/// whatever the fill, and the fill is the one thing that varies — the
+/// operand of the `bmv_pull_fill` and `bmm_tc_fill` bench sweeps.
+pub fn scattered_tiles(n: usize, dim: usize, bits: usize) -> Csr {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    let mut coo = Coo::new(n, n);
+    for tr in 0..n / dim {
+        for _ in 0..16 * dim / bits {
+            let tc = next() % (n / dim);
+            let start = next();
+            // 23 is odd and `dim²` a power of two, so the `bits ≤ dim²`
+            // positions are distinct.
+            for i in 0..bits {
+                let at = (start + i * 23) % (dim * dim);
+                coo.push_edge(tr * dim + at / dim, tc * dim + at % dim)
+                    .unwrap();
+            }
+        }
+    }
+    coo.to_binary_csr()
 }
 
 /// Pretty-print a speedup ("3.1x", "0.8x").

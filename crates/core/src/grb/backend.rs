@@ -11,9 +11,10 @@
 //! to a slower path.  The layer ships two implementations —
 //!
 //! * [`BitB2sr`] — B2SR storage + the bit kernels of [`crate::kernels`]
-//!   (the paper's contribution), whose full-precision pulls read the CSR it
-//!   also holds when its tiles are too sparse to sweep
-//!   ([`CSR_PULL_BELOW_BITS_PER_TILE`]);
+//!   (the paper's contribution), whose full-precision pulls and masked
+//!   product reduction read the CSR it also holds when its tiles are too
+//!   sparse to sweep ([`CSR_PULL_BELOW_BITS_PER_TILE`],
+//!   [`CSR_REDUCE_BELOW_BITS_PER_TILE`]);
 //! * [`FloatCsr`] — 32-bit-float CSR + row-parallel reference sweeps (the
 //!   GraphBLAST/cuSPARSE stand-in baseline) —
 //!
@@ -26,7 +27,8 @@
 //! The trait is object-safe: matrices hold an `Arc<dyn GrbBackend>`, and
 //! cross-backend operations (`mxm_reduce_masked` with mixed operands)
 //! negotiate through [`GrbBackend::as_any`] downcasts, falling back to the
-//! always-available CSR view when the operands' concrete types differ.
+//! count over the always-available CSR views when the operands' concrete
+//! types differ.
 //!
 //! # Sharded push execution
 //!
@@ -144,9 +146,9 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// orientation the kernels run in (they intersect rows of `A` with rows
     /// of the second factor's transpose, so `transpose_b` reads `b` itself
     /// and the plain product reads its cached transpose).  `b` and `mask`
-    /// may be any backend; the implementation downcasts and falls back to
-    /// the CSR reference kernel when the concrete types (or tile sizes)
-    /// differ.  The caller checks the shapes.
+    /// may be any backend; the implementation downcasts and counts over the
+    /// CSR views when the concrete types (or tile sizes) differ.  The caller
+    /// checks the shapes.
     fn mxm_reduce_masked(
         &self,
         b: &dyn GrbBackend,
@@ -174,10 +176,14 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// Reference-kernel `mxm_reduce_masked` over the CSR views — the
-/// cross-backend fallback path.  `spgemm_masked_sum` treats its second
-/// operand as the second factor's transpose stored by rows: `b`'s transpose
-/// CSR for `A · B`, `b`'s own CSR for `A · Bᵀ`.
+/// `mxm_reduce_masked` over the CSR views: [`FloatCsr`]'s and
+/// [`DeltaOverlay`](crate::delta::DeltaOverlay)'s product, the cross-backend
+/// fallback, and a hypersparse [`BitB2sr`]'s route
+/// ([`BitB2sr::masked_reduce_reads_csr`]).  `spgemm_masked_count` takes its
+/// second operand as the second factor's transpose stored by rows: `b`'s
+/// transpose CSR for `A · B`, `b`'s own CSR for `A · Bᵀ`.  Every backend's
+/// `csr()` is all-ones, so the exact count is the sum of `1.0 · 1.0`
+/// products the arithmetic semiring would form.
 pub(crate) fn csr_mxm_reduce_masked(
     a: &dyn GrbBackend,
     b: &dyn GrbBackend,
@@ -185,8 +191,17 @@ pub(crate) fn csr_mxm_reduce_masked(
     transpose_b: bool,
 ) -> f64 {
     let bt = if transpose_b { b.csr() } else { b.csr_t() };
-    float_ops::spgemm_masked_sum(a.csr(), bt, mask.csr())
-        .expect("operand dimensions checked by the caller")
+    float_ops::spgemm_masked_count(a.csr(), bt, mask.csr())
+        .expect("operand dimensions checked by the caller") as f64
+}
+
+/// `csr` as the all-ones CSR a backend holds: a clone when it already is one.
+pub(crate) fn binary_copy(csr: &Csr) -> Csr {
+    if csr.is_binary() {
+        csr.clone()
+    } else {
+        csr.binarized()
+    }
 }
 
 /// Expand Boolean node words ([`NodeBits`](super::NodeBits)' layout) into a
@@ -387,10 +402,49 @@ impl ScatterPlans {
 /// B2SR-8 only.
 pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
 
+/// The mean bits per non-empty tile below which a [`BitB2sr`]'s masked
+/// product reduction counts over the operands' CSRs instead of intersecting
+/// tiles (see [`BitB2sr::masked_reduce_reads_csr`]) — Triangle Counting's
+/// `Σ (L · Lᵀ) .* L` on a scatter-pattern `L`, whose tiles hold a bit or two
+/// and give the tile kernel one popcount per mask bit for a word or two of
+/// work.  The count is exact, so routing moves time, never the result.
+///
+/// Not [`CSR_PULL_BELOW_BITS_PER_TILE`]: the reduction's kernels cross at a
+/// lower fill.  `taskset -c 1 cargo bench -p bitgblas-bench --bench bmm --
+/// bmm_tc_fill` (bare kernels, 16 384 vertices, one pinned core of a 2-vCPU
+/// Xeon VM, two runs) times `bmm_bin_bin_sum_masked_nt` beside
+/// `ops::spgemm_masked_count` on the lower triangle `L` of a symmetric
+/// graph.  With R-MAT(14, 16)'s edge count laid out in scattered mirrored
+/// tiles, so that fill is the one variable, count ÷ tile kernel at `L`'s
+/// fill (bits per tile) is:
+///
+/// | width | ≈ 1 | ≈ 2 | ≈ 3 | ≈ 4 | ≈ 6 | ≈ 9 | ≈ 16 |
+/// |---|---|---|---|---|---|---|---|
+/// | B2SR-4 | 0.35–0.36 | 0.88–0.89 | 1.38–1.49 | 1.60–2.16 | 2.00–2.60 | 3.20–4.91 | 4.07–6.15 |
+/// | B2SR-8 | 0.18–0.20 | 0.40–0.54 | 1.01–1.33 | 1.20–1.38 | 1.99–2.03 | 2.90–3.25 | 5.78–6.05 |
+/// | B2SR-16 | 0.05 | 0.18 | 0.28–0.36 | 0.60–0.76 | 1.16–1.17 | 1.72–1.76 | 4.07–4.10 |
+/// | B2SR-32 | — | 0.05–0.06 | 0.07–0.08 | 0.11 | 0.27–0.33 | 0.57–0.62 | 1.95–2.35 |
+///
+/// (The columns are nominal: `L`'s measured fills are 1.0–1.3, 2.0–2.3,
+/// 3.0–3.2, 4.0–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The two kernels cross
+/// between 2 and 3 bits at B2SR-4, just under 3 at B2SR-8, between 4 and 6
+/// at B2SR-16 and between 9 and 16 at B2SR-32 — about a third of a bit per
+/// tile row from B2SR-8 up.  The constant routes only below every width's
+/// crossing, so it never routes to the slower kernel; the closest measured
+/// fill under it, 2.0 at B2SR-4, still reads 0.88–0.89.  The benchmark's
+/// graphs sit far from it: R-MAT's `L` at 2.03 bits per B2SR-8 tile (0.28)
+/// routes, the mesh's at 46.5 (3.6–4.3) does not
+/// (`crossover_separates_the_benchmark_graphs`).  It routes too little at
+/// the wide widths: R-MAT's `L` at B2SR-16 (3.2 bits, 0.36–0.38) and
+/// B2SR-32 (6.0 bits, 0.57–0.61) keeps the tile kernel.  Not measured: more
+/// than one core, and any width but B2SR-8 end to end.
+pub const CSR_REDUCE_BELOW_BITS_PER_TILE: f64 = 2.5;
+
 /// The Bit-GraphBLAS backend: B2SR storage, bit kernels (Tables II and III),
 /// and the binary CSR it was built from (the interchange view), which its
-/// full-precision pulls read when the tiles are hypersparse
-/// ([`BitB2sr::full_pull_reads_csr`]).
+/// full-precision pulls and its masked product reduction read when the tiles
+/// are hypersparse ([`BitB2sr::full_pull_reads_csr`],
+/// [`BitB2sr::masked_reduce_reads_csr`]).
 #[derive(Debug)]
 pub struct BitB2sr {
     csr: Csr,
@@ -398,9 +452,10 @@ pub struct BitB2sr {
     csr_t: OnceLock<Csr>,
     b2sr_t: OnceLock<B2srMatrix>,
     shards: ScatterPlans,
-    /// Whether full-precision pulls read `csr` / `csr_t` (see
-    /// [`BitB2sr::full_pull_reads_csr`]); fixed when the tiles are built.
-    full_pull_reads_csr: bool,
+    /// Mean bits per non-empty tile, `csr.nnz() / b2sr.n_tiles()` (NaN for
+    /// an empty matrix, which routes nothing); fixed when the tiles are
+    /// built, and what both CSR routes are decided from.
+    bits_per_tile: f64,
 }
 
 impl BitB2sr {
@@ -409,12 +464,7 @@ impl BitB2sr {
     /// "one-time conversion cost" the paper amortizes); the transpose
     /// representations and their plan are built lazily.
     pub fn new(csr: &Csr, tile_size: TileSize, cfg: ShardConfig) -> Self {
-        let bin = if csr.is_binary() {
-            csr.clone()
-        } else {
-            csr.binarized()
-        };
-        BitB2sr::retiled(bin, tile_size, cfg, None).0
+        BitB2sr::retiled(binary_copy(csr), tile_size, cfg, None).0
     }
 
     /// The backend of `bin`, an all-ones CSR taken by value and on trust
@@ -434,8 +484,7 @@ impl BitB2sr {
         let (b2sr, counts) = B2srMatrix::retile(&bin, tile_size, prev);
         let backend = BitB2sr {
             shards: ScatterPlans::new(cfg, b2sr_weights(&b2sr)),
-            full_pull_reads_csr: (bin.nnz() as f64)
-                < CSR_PULL_BELOW_BITS_PER_TILE * b2sr.n_tiles() as f64,
+            bits_per_tile: bin.nnz() as f64 / b2sr.n_tiles() as f64,
             csr: bin,
             b2sr,
             csr_t: OnceLock::new(),
@@ -452,11 +501,22 @@ impl BitB2sr {
     /// [`CSR_PULL_BELOW_BITS_PER_TILE`]; decided once, where the tiles are
     /// built, from two stored counts (never from [`B2srMatrix::nnz`], a
     /// popcount sweep).  `Aᵀ` has the same edges and tiles, so the transpose
-    /// view keeps the flag.  Boolean products, push scatters and the masked
-    /// product reduction stay in bits either way.  Both pulls fold a row's
-    /// columns in ascending order, so the two paths agree bit for bit.
+    /// view keeps the flag.  Boolean products and push scatters stay in bits
+    /// either way.  Both pulls fold a row's columns in ascending order, so
+    /// the two paths agree bit for bit.
     pub fn full_pull_reads_csr(&self) -> bool {
-        self.full_pull_reads_csr
+        self.bits_per_tile < CSR_PULL_BELOW_BITS_PER_TILE
+    }
+
+    /// Whether this matrix's masked product reduction
+    /// ([`GrbBackend::mxm_reduce_masked`] with this matrix as `A`) counts
+    /// over the operands' CSRs instead of intersecting tiles: true when the
+    /// mean bits per non-empty tile is under
+    /// [`CSR_REDUCE_BELOW_BITS_PER_TILE`], decided from the same stored fill
+    /// as [`full_pull_reads_csr`](Self::full_pull_reads_csr).  The count is
+    /// exact, so the two paths return the same number.
+    pub fn masked_reduce_reads_csr(&self) -> bool {
+        self.bits_per_tile < CSR_REDUCE_BELOW_BITS_PER_TILE
     }
 
     /// The CSR of the pull sweep's representation: `Aᵀ`'s iff `transposed`
@@ -472,7 +532,7 @@ impl BitB2sr {
     /// Whether the pull of `p` reads the CSR: a full-precision product on a
     /// matrix whose tiles are too sparse to sweep.
     fn routes_pull(&self, p: &MxvPipeline<'_>) -> bool {
-        self.full_pull_reads_csr && p.semiring != Semiring::Boolean
+        self.full_pull_reads_csr() && p.semiring != Semiring::Boolean
     }
 
     /// The B2SR representation.
@@ -1012,13 +1072,15 @@ impl GrbBackend for BitB2sr {
         mask: &dyn GrbBackend,
         transpose_b: bool,
     ) -> f64 {
-        // The one-call bit path needs all three operands in B2SR with the
-        // same tile size; anything else goes through the CSR fallback.
+        // Hypersparse tiles count over the CSRs.  Otherwise the one-call bit
+        // path needs all three operands in B2SR with the same tile size;
+        // anything else goes through the CSR count too.
         fn bit(o: &dyn GrbBackend) -> Option<&BitB2sr> {
             o.as_any().downcast_ref()
         }
-        let (Some(bb), Some(mb)) = (bit(b), bit(mask)) else {
-            return csr_mxm_reduce_masked(self, b, mask, transpose_b);
+        let (bb, mb) = match (bit(b), bit(mask)) {
+            (Some(bb), Some(mb)) if !self.masked_reduce_reads_csr() => (bb, mb),
+            _ => return csr_mxm_reduce_masked(self, b, mask, transpose_b),
         };
         // The kernel reads the second factor's transpose by rows.
         let bt = bb.rep(!transpose_b);
@@ -1045,7 +1107,7 @@ impl GrbBackend for BitB2sr {
             csr_t: OnceLock::from(self.csr.clone()),
             b2sr_t: OnceLock::from(self.b2sr.clone()),
             shards: self.shards.swapped(b2sr_weights(self.b2sr_t())),
-            full_pull_reads_csr: self.full_pull_reads_csr,
+            bits_per_tile: self.bits_per_tile,
         })
     }
 
@@ -1056,7 +1118,7 @@ impl GrbBackend for BitB2sr {
             csr_t: OnceLock::new(),
             b2sr_t: OnceLock::new(),
             shards: self.shards.clone(),
-            full_pull_reads_csr: self.full_pull_reads_csr,
+            bits_per_tile: self.bits_per_tile,
         })
     }
 
@@ -1168,12 +1230,7 @@ impl FloatCsr {
     /// Wrap a binary CSR matrix (binarizing if needed) and cut its
     /// row-shard plan under `cfg`.
     pub fn new(csr: &Csr, cfg: ShardConfig) -> Self {
-        let bin = if csr.is_binary() {
-            csr.clone()
-        } else {
-            csr.binarized()
-        };
-        FloatCsr::from_binary(bin, cfg)
+        FloatCsr::from_binary(binary_copy(csr), cfg)
     }
 
     /// Wrap `bin`, an all-ones CSR taken by value and on trust (the
@@ -1505,21 +1562,53 @@ pub(super) mod tests {
         }
     }
 
-    /// The crossover lies strictly between the repo benchmark's two fills —
-    /// R-MAT(14, 16) at 2.0 bits per B2SR-8 tile, the banded mesh at 51.8 —
-    /// so the one routes and a retune cannot silently route the other.  The
-    /// flag follows its definition on both sides, and the transpose view and
-    /// a clone keep it: `Aᵀ` has the same edges and tiles.
+    /// Both crossovers lie strictly between the repo benchmark's two fills,
+    /// so the one graph routes and a retune cannot silently route the other.
+    /// The pull's: R-MAT(14, 16) at 2.0 bits per B2SR-8 tile, the banded
+    /// mesh at 51.8.  The masked reduction's, on the lower triangles
+    /// Triangle Counting reduces: R-MAT's `L` at 2.03, the mesh's at 46.5 —
+    /// built here as the benchmark builds them, through
+    /// `Matrix::lower_triangle`.  The flags follow their definition on both
+    /// sides, the transpose view and a clone keep them (`Aᵀ` has the same
+    /// edges and tiles), and a compaction re-derives them from its tiles.
     #[test]
     fn crossover_separates_the_benchmark_graphs() {
-        const CROSSOVER: f64 = CSR_PULL_BELOW_BITS_PER_TILE;
-        const { assert!(2.0 < CROSSOVER && CROSSOVER < 51.8) };
+        use crate::delta::EdgeDelta;
+        use bitgblas_datagen::generators;
+
+        const PULL: f64 = CSR_PULL_BELOW_BITS_PER_TILE;
+        const REDUCE: f64 = CSR_REDUCE_BELOW_BITS_PER_TILE;
+        const { assert!(2.0 < PULL && PULL < 51.8) };
+        const { assert!(2.03 < REDUCE && REDUCE < 46.5) };
         for (csr, routed) in [(sample(300, 7), true), (banded(300, 6), false)] {
             let b = bit_b2sr(&csr, TileSize::S8);
             let fill = csr.nnz() as f64 / b.b2sr().n_tiles() as f64;
             assert_eq!(b.full_pull_reads_csr(), routed, "{fill} bits per tile");
             assert_eq!(pull_reads_csr(&*b.transpose_view()), Some(routed));
             assert_eq!(pull_reads_csr(&*b.clone_box()), Some(routed));
+        }
+
+        let reduce_reads_csr = |b: &dyn GrbBackend| {
+            b.as_any()
+                .downcast_ref::<BitB2sr>()
+                .map(BitB2sr::masked_reduce_reads_csr)
+        };
+        let rmat = generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized();
+        let mesh = generators::banded(2048, 32, 0.7, 5);
+        for (adj, (lo, hi), routed) in [(rmat, (2.0, 2.1), true), (mesh, (46.0, 47.0), false)] {
+            let l = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8)).lower_triangle();
+            let fill = l.nnz() as f64 / l.b2sr().unwrap().n_tiles() as f64;
+            assert!(lo < fill && fill < hi, "{fill} bits per tile");
+            let b = l.state();
+            assert_eq!(reduce_reads_csr(b), Some(routed), "{fill} bits per tile");
+            assert_eq!(reduce_reads_csr(&*b.transpose_view()), Some(routed));
+            assert_eq!(reduce_reads_csr(&*b.clone_box()), Some(routed));
+            let n = l.nrows();
+            let deltas = [EdgeDelta::insert(n - 1, 0), EdgeDelta::insert(n / 2, 1)];
+            l.apply_deltas(&deltas).unwrap();
+            l.compact(l.context()).unwrap();
+            assert_eq!(l.compactions(), 1);
+            assert_eq!(reduce_reads_csr(l.snapshot().state()), Some(routed));
         }
     }
 
@@ -1623,55 +1712,68 @@ pub(super) mod tests {
         }
     }
 
+    /// The tile kernel's triangle sum over `L`, called directly — the
+    /// reference for every `mxm_reduce_masked` path, whichever way `l`'s
+    /// own reduction routes.
+    fn tile_kernel_triangles(l: &BitB2sr) -> f64 {
+        with_b2sr!(l.b2sr(), |m| bmm_bin_bin_sum_masked_nt(m, m, m)) as f64
+    }
+
     /// Direct coverage of the `csr_mxm_reduce_masked` fallback: every
     /// mixed-backend operand combination must produce the same triangle sum
-    /// as the pure bit path, straight through the free function (not just
+    /// as the tile kernel, straight through the free function (not just
     /// incidentally via TC parity runs) — in both orientations of the second
-    /// operand (`L · (Lᵀ)` and `L · (L)ᵀ`).
+    /// operand (`L · (Lᵀ)` and `L · (L)ᵀ`) — on an `L` whose own reduction
+    /// intersects tiles and on one (under 2.5 bits per tile) whose own
+    /// reduction counts over the CSRs.
     #[test]
     fn csr_fallback_is_exact_for_every_mixed_operand_combination() {
-        let adj = sample(72, 21).symmetrized().without_diagonal();
-        let l = adj.lower_triangle();
-        let lt = l.transpose();
+        for (n, seed, routed) in [(72, 21, false), (300, 7, true)] {
+            let adj = sample(n, seed).symmetrized().without_diagonal();
+            let l = adj.lower_triangle();
+            let lt = l.transpose();
 
-        let a_bit = bit_b2sr(&l, TileSize::S8);
-        let b_bit = bit_b2sr(&lt, TileSize::S8);
-        let a_f = float_csr(&l);
-        let b_f = float_csr(&lt);
+            let a_bit = bit_b2sr(&l, TileSize::S8);
+            let b_bit = bit_b2sr(&lt, TileSize::S8);
+            let a_f = float_csr(&l);
+            let b_f = float_csr(&lt);
+            assert_eq!(a_bit.masked_reduce_reads_csr(), routed, "n = {n}");
 
-        // The pure bit path (popcount BMM) is the reference.
-        let expected = a_bit.mxm_reduce_masked(&b_bit, &a_bit, false);
-        assert!(expected > 0.0, "sample graph must contain triangles");
-        assert_eq!(a_bit.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
+            // The popcount BMM, called directly, is the reference.
+            let expected = tile_kernel_triangles(&a_bit);
+            assert!(expected > 0.0, "sample graph must contain triangles");
+            assert_eq!(a_bit.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
+            assert_eq!(a_bit.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
 
-        // (a, b for `A · B`, b for `A · Bᵀ`, mask)
-        type Dyn<'a> = &'a dyn GrbBackend;
-        let combos: [(Dyn, Dyn, Dyn, Dyn, &str); 5] = [
-            (&a_f, &b_f, &a_f, &a_f, "float/float/float"),
-            (&a_bit, &b_f, &a_f, &a_f, "bit/float/float"),
-            (&a_f, &b_bit, &a_bit, &a_f, "float/bit/float"),
-            (&a_f, &b_f, &a_f, &a_bit, "float/float/bit"),
-            (&a_bit, &b_bit, &a_bit, &a_f, "bit/bit/float"),
-        ];
-        for (a, b, b_nt, m, what) in combos {
-            assert_eq!(
-                csr_mxm_reduce_masked(a, b, m, false),
-                expected,
-                "fallback diverges for {what}"
-            );
-            assert_eq!(
-                csr_mxm_reduce_masked(a, b_nt, m, true),
-                expected,
-                "transposed-b fallback diverges for {what}"
-            );
+            // (a, b for `A · B`, b for `A · Bᵀ`, mask)
+            type Dyn<'a> = &'a dyn GrbBackend;
+            let combos: [(Dyn, Dyn, Dyn, Dyn, &str); 5] = [
+                (&a_f, &b_f, &a_f, &a_f, "float/float/float"),
+                (&a_bit, &b_f, &a_f, &a_f, "bit/float/float"),
+                (&a_f, &b_bit, &a_bit, &a_f, "float/bit/float"),
+                (&a_f, &b_f, &a_f, &a_bit, "float/float/bit"),
+                (&a_bit, &b_bit, &a_bit, &a_f, "bit/bit/float"),
+            ];
+            for (a, b, b_nt, m, what) in combos {
+                assert_eq!(
+                    csr_mxm_reduce_masked(a, b, m, false),
+                    expected,
+                    "fallback diverges for {what}"
+                );
+                assert_eq!(
+                    csr_mxm_reduce_masked(a, b_nt, m, true),
+                    expected,
+                    "transposed-b fallback diverges for {what}"
+                );
+            }
+
+            // The trait entry point routes mixed operands through the
+            // fallback and must agree too.
+            assert_eq!(a_bit.mxm_reduce_masked(&b_f, &a_bit, false), expected);
+            assert_eq!(a_f.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
+            assert_eq!(a_bit.mxm_reduce_masked(&a_f, &a_bit, true), expected);
+            assert_eq!(a_f.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
         }
-
-        // The trait entry point routes mixed operands through the fallback
-        // and must agree too.
-        assert_eq!(a_bit.mxm_reduce_masked(&b_f, &a_bit, false), expected);
-        assert_eq!(a_f.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
-        assert_eq!(a_bit.mxm_reduce_masked(&a_f, &a_bit, true), expected);
-        assert_eq!(a_f.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
     }
 
     #[test]
@@ -1684,6 +1786,7 @@ pub(super) mod tests {
         let mixed = a.mxm_reduce_masked(&b, &m, false);
         let uniform_b = bit_b2sr(&l_csr.transpose(), TileSize::S8);
         let bit = a.mxm_reduce_masked(&uniform_b, &a, false);
+        assert_eq!(bit, tile_kernel_triangles(&a));
         assert_eq!(mixed, bit, "fallback must produce the same triangle sum");
         // B2SR-4 and B2SR-8 share the `u8` packing word but not the kernel.
         let b4 = bit_b2sr(&l_csr.transpose(), TileSize::S4);

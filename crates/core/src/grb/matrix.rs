@@ -9,7 +9,7 @@ use crate::b2sr::{B2srMatrix, TileSize};
 use crate::delta::{CompactReport, EdgeDelta, VersionCell};
 
 use super::auto;
-use super::backend::{BitB2sr, FloatCsr, GrbBackend};
+use super::backend::{binary_copy, BitB2sr, FloatCsr, GrbBackend};
 use super::error::GrbError;
 use super::op::Context;
 
@@ -161,16 +161,22 @@ impl Matrix {
     /// shard-planning parameters (thread budget, cache budget) the parallel
     /// push engine partitions the scatter representations with.
     pub fn from_csr_ctx(csr: &Csr, backend: Backend, ctx: &Context) -> Self {
+        Matrix::from_binary_ctx(binary_copy(csr), backend, ctx)
+    }
+
+    /// [`from_csr_ctx`](Matrix::from_csr_ctx) of `bin`, an all-ones CSR
+    /// taken by value and on trust: the backend keeps it as its CSR view.
+    fn from_binary_ctx(bin: Csr, backend: Backend, ctx: &Context) -> Self {
         let resolved = match backend {
-            Backend::Auto => auto::auto_decision(csr, ctx).chosen,
+            Backend::Auto => auto::auto_decision(&bin, ctx).chosen,
             other => other,
         };
         // Row-shard plans are part of format selection: the constructors
         // cut them from what they build, under the context's thread budget.
         let cfg = ctx.shard_config();
         let state: Box<dyn GrbBackend> = match resolved {
-            Backend::Bit(ts) => Box::new(BitB2sr::new(csr, ts, cfg)),
-            Backend::FloatCsr => Box::new(FloatCsr::new(csr, cfg)),
+            Backend::Bit(ts) => Box::new(BitB2sr::retiled(bin, ts, cfg, None).0),
+            Backend::FloatCsr => Box::new(FloatCsr::from_binary(bin, cfg)),
             Backend::Auto => unreachable!("auto_decision returns a resolved backend"),
         };
         Matrix::from_parts(backend, Arc::from(state), Arc::new(ctx.clone()))
@@ -375,9 +381,10 @@ impl Matrix {
 
     /// A new matrix holding the strictly lower triangle (Triangle Counting's
     /// `L`).  The requested backend is preserved — under [`Backend::Auto`]
-    /// the framework re-decides on the new structure.
+    /// the framework re-decides on the new structure.  A backend's CSR view
+    /// is all-ones, so its lower triangle is handed over as built.
     pub fn lower_triangle(&self) -> Matrix {
-        Matrix::from_csr_ctx(&self.csr().lower_triangle(), self.requested, &self.ctx)
+        Matrix::from_binary_ctx(self.csr().lower_triangle(), self.requested, &self.ctx)
     }
 
     /// A new matrix holding `A^T`, sharing the backend's cached transpose

@@ -724,8 +724,9 @@ mod tests {
         coo.to_binary_csr()
     }
 
-    /// The masked `A · Bᵀ` kernel at every tile size.
-    fn masked_nt_all_widths(a: &Csr, bt: &Csr, mask: &Csr) -> [u64; 4] {
+    /// The masked `A · Bᵀ` kernel at every tile size, then the CSR count a
+    /// hypersparse matrix routes to (`ops::spgemm_masked_count`).
+    fn masked_nt_all_widths(a: &Csr, bt: &Csr, mask: &Csr) -> [u64; 5] {
         macro_rules! at {
             ($w:ty, $dim:expr) => {
                 bmm_bin_bin_sum_masked_nt(
@@ -735,7 +736,8 @@ mod tests {
                 )
             };
         }
-        [at!(u8, 4), at!(u8, 8), at!(u16, 16), at!(u32, 32)]
+        let count = ops::spgemm_masked_count(a, bt, mask).unwrap();
+        [at!(u8, 4), at!(u8, 8), at!(u16, 16), at!(u32, 32), count]
     }
 
     /// Reference: sum of all entries of the float SpGEMM product.
@@ -839,13 +841,13 @@ mod tests {
         );
         assert_eq!(tri, 4);
         // The same count with `Lᵀ` never built: `L` by rows, three times.
-        assert_eq!(masked_nt_all_widths(&l, &l, &l), [4; 4]);
+        assert_eq!(masked_nt_all_widths(&l, &l, &l), [4; 5]);
     }
 
     /// Rectangular `A (m×p)`, `Bᵀ (q×p)` and a non-triangular `mask (m×q)`
     /// with no dimension a tile multiple and three different tile-row
-    /// counts, against the float row-merge kernel and against the `A · B`
-    /// entry point.
+    /// counts: the kernel and the CSR count against the float row-merge
+    /// kernel, and against the `A · B` entry point.
     #[test]
     fn masked_nt_matches_float_reference_on_rectangular_operands() {
         for (m, p, q) in [(37, 61, 83), (83, 37, 61), (70, 70, 9), (5, 130, 5)] {
@@ -856,7 +858,7 @@ mod tests {
             assert!(expected > 0, "({m},{p},{q}) must not be vacuous");
             assert_eq!(
                 masked_nt_all_widths(&a, &bt, &mask),
-                [expected; 4],
+                [expected; 5],
                 "({m},{p},{q})"
             );
             assert_eq!(
@@ -872,7 +874,8 @@ mod tests {
 
     /// Empty tile-rows in each operand — including mask tiles over an empty
     /// `A` tile-row and mask tiles whose `Bᵀ` tile-row is empty — contribute
-    /// nothing and leave the tile-column table clean for the next row.
+    /// nothing and leave the tile-column table clean for the next row; the
+    /// CSR count skips the same empty rows.
     #[test]
     fn masked_nt_skips_empty_tile_rows_of_every_operand() {
         let (m, p, q) = (96, 100, 90);
@@ -886,12 +889,12 @@ mod tests {
         assert!(mask.iter().any(|(r, c, _)| r < 32 && c < 32));
         let expected = ops::spgemm_masked_sum(&a, &bt, &mask).unwrap() as u64;
         assert!(expected > 0);
-        assert_eq!(masked_nt_all_widths(&a, &bt, &mask), [expected; 4]);
+        assert_eq!(masked_nt_all_widths(&a, &bt, &mask), [expected; 5]);
         // Whole operands empty.
         let none = Csr::empty(q, p);
-        assert_eq!(masked_nt_all_widths(&a, &none, &mask), [0; 4]);
-        assert_eq!(masked_nt_all_widths(&Csr::empty(m, p), &bt, &mask), [0; 4]);
-        assert_eq!(masked_nt_all_widths(&a, &bt, &Csr::empty(m, q)), [0; 4]);
+        assert_eq!(masked_nt_all_widths(&a, &none, &mask), [0; 5]);
+        assert_eq!(masked_nt_all_widths(&Csr::empty(m, p), &bt, &mask), [0; 5]);
+        assert_eq!(masked_nt_all_widths(&a, &bt, &Csr::empty(m, q)), [0; 5]);
     }
 
     /// One worker sweeping every tile-row with one scratch, two workers
@@ -906,6 +909,8 @@ mod tests {
         assert!(lb.n_tile_rows() >= 64, "must reach the parallel split");
         let parallel = bmm_bin_bin_sum_masked_nt(&lb, &lb, &lb);
         assert_eq!(parallel, ops::spgemm_masked_sum(&l, &l, &l).unwrap() as u64);
+        // The CSR count's per-worker stamps are never reset either.
+        assert_eq!(parallel, ops::spgemm_masked_count(&l, &l, &l).unwrap());
 
         let scratch = || (vec![usize::MAX; lb.n_tile_cols()], Vec::new());
         let (mut table, mut pairs) = scratch();

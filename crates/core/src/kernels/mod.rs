@@ -18,7 +18,9 @@
 //!   The masked scheme's body is `bmm_bin_bin_sum_masked_nt`, a tile-row
 //!   intersection that takes its second operand as `Bᵀ` stored by rows
 //!   (Triangle Counting hands it `L` three times); the `A·B` form
-//!   transposes `b` and calls it.  Also here:
+//!   transposes `b` and calls it.  A bit matrix whose tiles are hypersparse
+//!   runs the CSR count `sparse::ops::spgemm_masked_count` instead
+//!   (`grb::backend::CSR_REDUCE_BELOW_BITS_PER_TILE`).  Also here:
 //!   the batched matrix-times-multivector kernels of the multi-source
 //!   traversal engine (`bmm_bin_bits_into` / `bmm_push_bits` for Boolean
 //!   lane words, `bmm_bin_full_into` / `bmm_push_bin_full` for the other

@@ -20,7 +20,8 @@
 //!   (each one body with its masked twin), `bmv_bin_full_full_fused_into`
 //!   (one sweep that finishes each row through a closure — mask, fused
 //!   epilogue or nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
-//!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows),
+//!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows, and
+//!   which a matrix of hypersparse tiles trades for a count over its CSR),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
 //!   kernels parallelise through [`shard`]: row-shard partition plans,

@@ -10,7 +10,8 @@
 //!   SSSP/CC/PR baselines,
 //! * [`spgemm`] / [`spgemm_parallel`] — Gustavson row-by-row SpGEMM,
 //! * [`spgemm_masked_sum`] — masked SpGEMM reduced to a scalar, the baseline
-//!   for Triangle Counting.
+//!   for Triangle Counting, and [`spgemm_masked_count`], its pattern count
+//!   by rows (what a CSR-held Triangle Count runs).
 
 use rayon::prelude::*;
 
@@ -180,6 +181,26 @@ fn assemble_rows(nrows: usize, ncols: usize, rows: Vec<(Vec<usize>, Vec<f32>)>) 
         .expect("gustavson assembly produces valid CSR")
 }
 
+/// Check the operands of a masked `A · Bᵀ` reduction: `a` is `m × p`, `b`
+/// (`Bᵀ` by rows) is `q × p`, `mask` is `m × q`.
+fn check_masked_dims(op: &'static str, a: &Csr, b: &Csr, mask: &Csr) -> Result<(), SparseError> {
+    if a.ncols() != b.ncols() {
+        return Err(SparseError::DimensionMismatch {
+            op,
+            left: (a.nrows(), a.ncols()),
+            right: (b.ncols(), b.nrows()),
+        });
+    }
+    if mask.nrows() != a.nrows() || mask.ncols() != b.nrows() {
+        return Err(SparseError::DimensionMismatch {
+            op,
+            left: (a.nrows(), b.nrows()),
+            right: (mask.nrows(), mask.ncols()),
+        });
+    }
+    Ok(())
+}
+
 /// Masked SpGEMM reduced to a scalar: `sum(mask .* (A · B))`, counting each
 /// product only where the mask has a stored entry.  The second operand is
 /// `Bᵀ` stored by rows (`a` is `m × p`, `b` is `q × p`, `mask` is `m × q`):
@@ -187,20 +208,7 @@ fn assemble_rows(nrows: usize, ncols: usize, rows: Vec<(Vec<usize>, Vec<f32>)>) 
 /// `b`'s row `c`.  With `a = b = mask = L` this is exactly the GraphBLAS
 /// triangle-counting formulation `Σ (L · Lᵀ) .* L` the baseline TC uses.
 pub fn spgemm_masked_sum(a: &Csr, b: &Csr, mask: &Csr) -> Result<f64, SparseError> {
-    if a.ncols() != b.ncols() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spgemm_masked_sum",
-            left: (a.nrows(), a.ncols()),
-            right: (b.ncols(), b.nrows()),
-        });
-    }
-    if mask.nrows() != a.nrows() || mask.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spgemm_masked_sum",
-            left: (a.nrows(), b.nrows()),
-            right: (mask.nrows(), mask.ncols()),
-        });
-    }
+    check_masked_dims("spgemm_masked_sum", a, b, mask)?;
     let total: f64 = (0..a.nrows())
         .into_par_iter()
         .map(|r| {
@@ -233,6 +241,44 @@ pub fn spgemm_masked_sum(a: &Csr, b: &Csr, mask: &Csr) -> Result<f64, SparseErro
         })
         .sum();
     Ok(total)
+}
+
+/// The pattern count of [`spgemm_masked_sum`]: `Σ_{(r, c) ∈ mask} |a_r ∩ b_c|`
+/// over the operands' stored positions, values ignored — the same number
+/// for all-ones operands, exactly.  Same shapes: `b` is `Bᵀ` by rows.
+///
+/// Read by rows with a marker array in place of a merge per mask entry:
+/// row `a_r` is stamped into a per-worker `stamp` (`stamp[k] = r` for every
+/// `k ∈ a_r`), then every `b_c` with `c ∈ mask_r` is walked adding
+/// `stamp[k] == r`, branch-free.  A row is stamped once and rows are
+/// distinct, so no reset pass is needed; the stamps are `usize`, like the
+/// row ids they hold.  Work is `Σ_r |a_r| + Σ_{(r, c) ∈ mask} |b_c|` against
+/// the merge's `Σ_{(r, c) ∈ mask} (|a_r| + |b_c|)`, with no data-dependent
+/// branch in the inner loop.
+pub fn spgemm_masked_count(a: &Csr, b: &Csr, mask: &Csr) -> Result<u64, SparseError> {
+    check_masked_dims("spgemm_masked_count", a, b, mask)?;
+    Ok((0..a.nrows())
+        .into_par_iter()
+        .map_init(
+            || vec![usize::MAX; a.ncols()],
+            |stamp, r| {
+                let (mask_cols, a_cols) = (mask.row(r).0, a.row(r).0);
+                if mask_cols.is_empty() || a_cols.is_empty() {
+                    return 0u64;
+                }
+                for &k in a_cols {
+                    stamp[k] = r;
+                }
+                let mut count = 0u64;
+                for &c in mask_cols {
+                    for &k in b.row(c).0 {
+                        count += u64::from(stamp[k] == r);
+                    }
+                }
+                count
+            },
+        )
+        .sum())
 }
 
 /// Sum all stored values of a matrix (the reduction step of TC).
@@ -349,12 +395,28 @@ mod tests {
         // of B), so passing `l` directly gives rows of L = columns of L^T.
         let tri = spgemm_masked_sum(&l, &l, &l).unwrap();
         assert_eq!(tri, 1.0);
+        assert_eq!(spgemm_masked_count(&l, &l, &l).unwrap(), 1);
     }
 
     #[test]
     fn masked_sum_dimension_checks() {
         let a = sample_a();
         assert!(spgemm_masked_sum(&a, &a, &Csr::identity(2)).is_err());
+        assert!(spgemm_masked_count(&a, &a, &Csr::identity(2)).is_err());
+        assert!(spgemm_masked_count(&a, &sample_b(), &Csr::identity(3)).is_err());
+    }
+
+    /// The count reads patterns: on weighted operands it counts the pairs
+    /// the merge multiplies, and on their all-ones copies both agree.
+    #[test]
+    fn masked_count_counts_the_pairs_the_merge_multiplies() {
+        let a = sample_a();
+        let mask = Csr::from_dense(&[1., 1., 0., 0., 1., 1., 1., 0., 1.], 3, 3);
+        // Rows of `a`: {0,1}, {2}, {0,2}; pairs (r,c) in the mask:
+        // (0,0) 2, (0,1) 0, (1,1) 1, (1,2) 1, (2,0) 1, (2,2) 2.
+        assert_eq!(spgemm_masked_count(&a, &a, &mask).unwrap(), 7);
+        let bin = a.binarized();
+        assert_eq!(spgemm_masked_sum(&bin, &bin, &mask).unwrap(), 7.0);
     }
 
     #[test]
@@ -381,8 +443,10 @@ mod tests {
             .sum();
         assert_eq!(expected, 5.0);
         assert_eq!(spgemm_masked_sum(&a, &bt, &mask).unwrap(), expected);
+        assert_eq!(spgemm_masked_count(&a, &bt, &mask).unwrap(), 5);
         // The inner dimension is the *column* count of both operands.
         assert!(spgemm_masked_sum(&a, &bt.transpose(), &mask).is_err());
+        assert!(spgemm_masked_count(&a, &bt.transpose(), &mask).is_err());
     }
 
     #[test]
