@@ -2,8 +2,8 @@
 //! (the counterpart of Figures 6d / 7d), the Triangle Counting reduction's
 //! tile kernel beside the CSR count across tile fill, the batched
 //! full-precision matrix × multivector kernels behind `sssp_multi` /
-//! `ppr_multi`, the lane-density sweep of the batched scatter, and the
-//! lane-word step of `bfs_multi` at a thin and at a full frontier.
+//! `ppr_multi`, the lane-density sweep of the full-precision push scatter,
+//! and the lane-word step of `bfs_multi` at a thin and at a full frontier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
@@ -13,8 +13,8 @@ use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::grb::{LaneBits, Op};
 use bitgblas_core::kernels::{
-    bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmm_push_bin_full,
-    bmv_bin_full_full_fused_into,
+    bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_fused_into,
+    csr_push_full,
 };
 use bitgblas_core::{Backend, EdgeDelta, Matrix, Semiring, TileSize};
 use bitgblas_datagen::generators;
@@ -154,11 +154,12 @@ fn bmm_tc_fill_benches(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batched full-precision product at B2SR-8: the pull sweep at three
-/// batch widths under both served semirings, the fused single-vector sweep
-/// it must stay close to at `k = 1`, and the push scatter from a 1 %
-/// frontier.  `rmat_s14` is the repo benchmark's R-MAT graph, where two
-/// thirds of the tiles hold one bit.
+/// The batched full-precision product: the B2SR-8 pull sweep at three batch
+/// widths under both served semirings, the fused single-vector sweep it
+/// must stay close to at `k = 1`, and the push scatter (over the CSR, as
+/// every backend pushes full precision) from a 1 % frontier.  `rmat_s14` is
+/// the repo benchmark's R-MAT graph, where two thirds of the B2SR-8 tiles
+/// hold one bit.
 fn bmm_batched_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmm_batched");
     group
@@ -200,11 +201,11 @@ fn bmm_batched_benches(c: &mut Criterion) {
         }
         let mut y = vec![semiring.identity(); n * k];
         group.bench_function(
-            BenchmarkId::new("bmm_push_bin_full/MinPlus/k16/frontier_1pct", name),
+            BenchmarkId::new("csr_push_full/MinPlus/k16/frontier_1pct", name),
             |b| {
                 b.iter(|| {
                     y.fill(semiring.identity());
-                    bmm_push_bin_full(&b8, &x, k, &frontier, semiring, |_| true, &mut y)
+                    csr_push_full(&csr, &x, k, &frontier, semiring, |_| true, &mut y)
                 })
             },
         );
@@ -212,15 +213,15 @@ fn bmm_batched_benches(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lane-density sweep behind `bmm_push_bin_full`'s dense-versus-
-/// enumerated crossover (`DENSE_LANE_DIVISOR` in `kernels/bmm.rs`): `k = 64`
-/// min-plus lanes, every node in the frontier — sixty-four SSSP lanes'
-/// changed sets union to the whole graph — with 1, 4, 16, 32 or all 64 lanes
-/// active per node, on the repo benchmark's banded mesh and R-MAT graph.
-/// The enumerated arm's time grows with the active lanes; from the
-/// crossover on the rows sit at the dense arm's flat cost.  `ppr_dense` is
-/// the PPR-shaped case (arithmetic, every lane active): the dense arm must
-/// cost what the kernel cost before it had a second arm.
+/// The lane-density sweep behind `csr_push_full`'s dense-versus-enumerated
+/// crossover (`DENSE_LANE_DIVISOR` in `kernels/bmm.rs`, whose doc holds the
+/// numbers): `k = 64` min-plus lanes, every node in the frontier — sixty-four
+/// SSSP lanes' changed sets union to the whole graph — with 1, 4, 8, 12, 16,
+/// 32 or all 64 lanes active per node, on the repo benchmark's banded mesh and
+/// R-MAT graph.  The enumerated arm's time grows with the active lanes; from
+/// the crossover on the rows sit at the dense arm's flat cost.  `ppr_dense`
+/// is the PPR-shaped case (arithmetic, every lane active), which runs the
+/// dense arm only.  ≈ 20 s.
 fn bmm_lane_density_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmm_lane_density");
     group
@@ -238,7 +239,6 @@ fn bmm_lane_density_benches(c: &mut Criterion) {
     ];
     for (name, csr) in graphs {
         let n = csr.nrows();
-        let b8 = from_csr::<u8>(&csr, 8);
         let frontier: Vec<usize> = (0..n).collect();
         let mut bench = |label: String, semiring: Semiring, active: usize| {
             // Node u's active lanes are spread evenly, rotated by u.
@@ -252,19 +252,19 @@ fn bmm_lane_density_benches(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(label, name), |b| {
                 b.iter(|| {
                     y.fill(semiring.identity());
-                    bmm_push_bin_full(&b8, &x, k, &frontier, semiring, |_| true, &mut y)
+                    csr_push_full(&csr, &x, k, &frontier, semiring, |_| true, &mut y)
                 })
             });
         };
-        for active in [1usize, 4, 16, 32, 64] {
+        for active in [1usize, 4, 8, 12, 16, 32, 64] {
             bench(
-                format!("bmm_push_bin_full/MinPlus/k64/active{active}"),
+                format!("csr_push_full/MinPlus/k64/active{active}"),
                 Semiring::MinPlus(1.0),
                 active,
             );
         }
         bench(
-            "bmm_push_bin_full/Arithmetic/k64/ppr_dense".to_string(),
+            "csr_push_full/Arithmetic/k64/ppr_dense".to_string(),
             Semiring::Arithmetic,
             k,
         );

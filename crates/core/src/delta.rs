@@ -1183,11 +1183,13 @@ mod tests {
                         let frontier: Vec<usize> = (0..n)
                             .filter(|&i| x[i * k..][..k].iter().any(|&v| !semiring.is_identity(v)))
                             .collect();
-                        // (No `-0.0` / NaN baseline: a seeded push keeps it
-                        // where a pull stores `w ⊕ identity`, on a built
-                        // matrix already.)
+                        // No NaN baseline under `+`: which payload `NaN + NaN`
+                        // keeps depends on the operand order a path compiled.
+                        let nan = [f32::NAN, 2.0][(semiring == Semiring::Arithmetic) as usize];
                         let w: Vec<f32> = (0..n * k)
-                            .map(|f| [1.5, -3.0, f32::INFINITY, 0.0, f32::NEG_INFINITY][f % 5])
+                            .map(|f| {
+                                [1.5, -3.0, f32::INFINITY, 0.0, f32::NEG_INFINITY, -0.0, nan][f % 7]
+                            })
                             .collect();
                         let mask = Mask::new((0..n * k).map(|f| f % 3 != 0).collect());
                         for transpose in [false, true] {

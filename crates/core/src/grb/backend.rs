@@ -14,7 +14,8 @@
 //!   (the paper's contribution), whose full-precision pulls and masked
 //!   product reduction read the CSR it also holds when its tiles are too
 //!   sparse to sweep ([`CSR_PULL_BELOW_BITS_PER_TILE`],
-//!   [`CSR_REDUCE_BELOW_BITS_PER_TILE`]);
+//!   [`CSR_REDUCE_BELOW_BITS_PER_TILE`]), and whose full-precision pushes
+//!   always scatter from it;
 //! * [`FloatCsr`] — 32-bit-float CSR + row-parallel reference sweeps (the
 //!   GraphBLAST/cuSPARSE stand-in baseline) —
 //!
@@ -33,7 +34,9 @@
 //! # Sharded push execution
 //!
 //! Every push (sparse-frontier) product of both built-in backends runs
-//! through one routine, `push_scatter`: cut the ascending frontier at the
+//! through one routine, `push_scatter` — the Boolean word scatters of
+//! [`BitB2sr`] and the one full-precision scatter, [`csr_push_full`]: cut
+//! the ascending frontier at the
 //! plan's row-shard boundaries, decide — from the frontier and the plan
 //! alone, never from the thread count — whether the modelled scatter work
 //! dominates the fixed-order merge ([`worth_sharding`]), and either run the
@@ -53,13 +56,12 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 use crate::b2sr::convert::RetileCounts;
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
-use crate::kernels::bmm::{fold_all_lanes, lanes_are_dense, ActiveLanes, LANE_BLOCK};
 use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
-    bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bin_full,
-    bmm_push_bits, bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin,
-    bmv_push_bin_full, pack_vector_bits_into,
+    bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bits,
+    bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin, csr_push_full,
+    pack_vector_bits_into,
 };
 use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -195,6 +197,16 @@ pub(crate) fn csr_mxm_reduce_masked(
         .expect("operand dimensions checked by the caller") as f64
 }
 
+/// `b`'s CSR, or `Aᵀ`'s iff `transposed`: the representation a row pull
+/// reads, and a full-precision push scatters for the opposite flag.
+fn csr_rep(b: &dyn GrbBackend, transposed: bool) -> &Csr {
+    if transposed {
+        b.csr_t()
+    } else {
+        b.csr()
+    }
+}
+
 /// `csr` as the all-ones CSR a backend holds: a clone when it already is one.
 pub(crate) fn binary_copy(csr: &Csr) -> Csr {
     if csr.is_binary() {
@@ -223,12 +235,12 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 // Sharded-or-serial push scatter
 // ---------------------------------------------------------------------------
 
-/// Average out-degree of a scatter representation with `nnz` edges over
-/// `nrows` rows — the frontier-edge estimate [`worth_sharding`] weighs
-/// against the merge cost.  `nnz` is the backend's O(1) edge count (equal
-/// for `A` and `Aᵀ`), never a sweep over the representation.
-fn avg_degree(nnz: usize, nrows: usize) -> usize {
-    (nnz / nrows.max(1)).max(1)
+/// Average out-degree of a scatter representation with `nnz` edges over the
+/// rows `plan` partitions — the frontier-edge estimate [`worth_sharding`]
+/// weighs against the merge cost.  `nnz` is the backend's O(1) edge count
+/// (equal for `A` and `Aᵀ`), never a sweep over the representation.
+fn avg_degree(nnz: usize, plan: &ShardPlan) -> usize {
+    (nnz / plan.bounds()[plan.n_shards()].max(1)).max(1)
 }
 
 /// One push scatter into `y`, sharded when the plan and the frontier
@@ -332,11 +344,16 @@ impl ScatterPlans {
         }
     }
 
-    /// The plan of one representation; `weights` are that representation's
-    /// (by the time a push executes, the representation itself exists).
-    fn get_or_plan(&self, of_transpose: bool, weights: RowWeights<'_>) -> &ShardPlan {
+    /// The plan of one representation; `weights` yields that
+    /// representation's, and runs only when the plan is first cut.
+    fn get_or_plan<'w>(
+        &self,
+        of_transpose: bool,
+        weights: impl FnOnce() -> RowWeights<'w>,
+    ) -> &ShardPlan {
         if of_transpose {
-            self.transposed.get_or_init(|| Self::cut(self.cfg, weights))
+            self.transposed
+                .get_or_init(|| Self::cut(self.cfg, weights()))
         } else {
             &self.forward
         }
@@ -347,7 +364,7 @@ impl ScatterPlans {
     fn swapped(&self, transposed: RowWeights<'_>) -> Self {
         ScatterPlans {
             cfg: self.cfg,
-            forward: self.get_or_plan(true, transposed).clone(),
+            forward: self.get_or_plan(true, || transposed).clone(),
             transposed: OnceLock::from(self.forward.clone()),
         }
     }
@@ -501,9 +518,9 @@ impl BitB2sr {
     /// [`CSR_PULL_BELOW_BITS_PER_TILE`]; decided once, where the tiles are
     /// built, from two stored counts (never from [`B2srMatrix::nnz`], a
     /// popcount sweep).  `Aᵀ` has the same edges and tiles, so the transpose
-    /// view keeps the flag.  Boolean products and push scatters stay in bits
-    /// either way.  Both pulls fold a row's columns in ascending order, so
-    /// the two paths agree bit for bit.
+    /// view keeps the flag.  Boolean products stay in bits either way, and
+    /// full-precision pushes read the CSR either way.  Both pulls fold a
+    /// row's columns in ascending order, so the two paths agree bit for bit.
     pub fn full_pull_reads_csr(&self) -> bool {
         self.bits_per_tile < CSR_PULL_BELOW_BITS_PER_TILE
     }
@@ -517,16 +534,6 @@ impl BitB2sr {
     /// exact, so the two paths return the same number.
     pub fn masked_reduce_reads_csr(&self) -> bool {
         self.bits_per_tile < CSR_REDUCE_BELOW_BITS_PER_TILE
-    }
-
-    /// The CSR of the pull sweep's representation: `Aᵀ`'s iff `transposed`
-    /// (the row-pull counterpart of [`rep`](Self::rep)).
-    fn pull_csr(&self, transposed: bool) -> &Csr {
-        if transposed {
-            self.csr_t()
-        } else {
-            &self.csr
-        }
     }
 
     /// Whether the pull of `p` reads the CSR: a full-precision product on a
@@ -562,12 +569,28 @@ impl BitB2sr {
         }
     }
 
-    /// The scatter representation of a push product with its shard plan and
-    /// average degree.
+    /// The shard plan of a push product's scatter representation — cut
+    /// from its tiles, the Boolean word scatter's unit — and its average
+    /// degree.
+    fn scatter_plan(&self, transpose: bool) -> (&ShardPlan, usize) {
+        let plan = self
+            .shards
+            .get_or_plan(!transpose, || b2sr_weights(self.rep(!transpose)));
+        (plan, avg_degree(self.csr.nnz(), plan))
+    }
+
+    /// The tile scatter representation of a Boolean push product with its
+    /// shard plan and average degree.
     fn scatter_rep(&self, transpose: bool) -> (&B2srMatrix, &ShardPlan, usize) {
-        let rep = self.rep(!transpose);
-        let plan = self.shards.get_or_plan(!transpose, b2sr_weights(rep));
-        (rep, plan, avg_degree(self.csr.nnz(), rep.nrows()))
+        let (plan, avg) = self.scatter_plan(transpose);
+        (self.rep(!transpose), plan, avg)
+    }
+
+    /// The CSR scatter representation of a full-precision push product, with
+    /// the same shard plan as the tiles' ([`csr_push`]).
+    fn csr_scatter_rep(&self, transpose: bool) -> CsrScatter<'_> {
+        let (plan, avg) = self.scatter_plan(transpose);
+        (csr_rep(self, !transpose), plan, avg)
     }
 
     /// The batched Boolean product in lane words, `yw = (A ⊕.⊗ xw) &
@@ -632,8 +655,8 @@ impl BitB2sr {
 
 /// Evaluate `$body` with `$allow: Fn(usize) -> bool` bound to the flat
 /// output mask test, once with the mask and once without: the unmasked
-/// expansion is `|_| true`, which the batched scatter kernels' lane loops
-/// compile away (SSSP and PPR never carry a mask).
+/// expansion is `|_| true`, which the scatter's lane loops compile away
+/// (SSSP and PPR never carry a mask).
 macro_rules! with_mask_hook {
     ($mask:expr, |$allow:ident| $body:expr) => {
         match $mask {
@@ -650,18 +673,21 @@ macro_rules! with_mask_hook {
 }
 
 /// Seed the output of a full-precision push scatter.  A foldable accumulator
-/// ([`MxvPipeline::push_folds_accum`]) seeds it with the baseline, so the
-/// scatter ⊕-folds straight into it and finishes the pipeline (sharded
+/// ([`MxvPipeline::push_folds_accum`]) seeds it with `base ⊕ identity`, so
+/// the scatter ⊕-folds straight into it and finishes the pipeline (sharded
 /// segments fold from the identity and merge into the seed with the monoid,
-/// exactly like the serial kernel) — returns `true`.  Everything else
-/// scatters from the identity and still owes the collapsed epilogue
-/// ([`MxvPipeline::finish_in_place`]) — returns `false`.
+/// exactly like the serial kernel) — returns `true`.  `base ⊕ identity` is
+/// what the pull stores where no term arrives, so unreached and masked-out
+/// positions read alike both ways (a NaN or `−0.0` baseline is not kept).
+/// Everything else scatters from the identity and still owes the collapsed
+/// epilogue ([`MxvPipeline::finish_in_place`]) — returns `false`.
 fn seed_push_output(p: &MxvPipeline<'_>, produced: usize, out: &mut Vec<f32>) -> bool {
     out.clear();
     match p.accum {
         Some((op, base)) if p.push_folds_accum() => {
-            debug_assert!(op.matches_monoid(p.semiring));
-            out.extend_from_slice(base);
+            debug_assert!(op.matches_monoid(p.semiring), "`reduce` is `op`");
+            with_semiring_ops!(p.semiring, |identity, _combine, reduce| out
+                .extend(base.iter().map(|&b| reduce(b, identity))));
             true
         }
         _ => {
@@ -791,8 +817,13 @@ fn bits_push<W: BitWord + Poolable>(
     ws.give(tiles);
 }
 
-/// The push scatter of a single-vector pipeline over the rows of one B2SR
-/// width (`m` is the scatter representation).
+/// The `f32` Boolean push of a single-vector pipeline over the rows of one
+/// B2SR width (`m` is the scatter representation): the node-word scatter →
+/// expand.  Every Boolean pipeline scatters from the identity and runs the
+/// collapsed epilogue over the expansion: `Or` would normalise a seeded
+/// baseline (`push_folds_accum` excludes it) and the packed words could not
+/// carry one anyway.  The mask filters the expansion, which visits the set
+/// bits only.
 fn bit_push<W: BitWord + Poolable>(
     m: &B2sr<W>,
     p: &MxvPipeline<'_>,
@@ -802,41 +833,14 @@ fn bit_push<W: BitWord + Poolable>(
     ws: &Workspace,
     out: &mut Vec<f32>,
 ) {
-    let produced = m.ncols();
-    if p.semiring == Semiring::Boolean {
-        // The node-word scatter → expand.  Every Boolean pipeline scatters
-        // from the identity and runs the collapsed epilogue over the
-        // expansion: `Or` would normalise a seeded baseline
-        // (`push_folds_accum` excludes it) and the packed words could not
-        // carry one anyway.  The mask filters the expansion, which visits
-        // the set bits only.
-        let mut yw: Vec<u64> = ws.take_empty();
-        bits_push(m, frontier, plan, avg_deg, None, ws, &mut yw);
-        out.clear();
-        out.resize(produced, 0.0);
-        expand_node_words_into(&yw, p.mask, out);
-        ws.stats().record_converted(out.len());
-        ws.give(yw);
-        p.finish_in_place(out);
-        return;
-    }
-    let semiring = p.semiring;
-    let finished = seed_push_output(p, produced, out);
-    let allow = |j: usize| p.mask.is_none_or(|mk| mk.allows(j));
-    push_scatter(
-        ws,
-        plan,
-        frontier,
-        avg_deg,
-        1,
-        semiring.identity(),
-        out,
-        |segment, chunk| bmv_push_bin_full(m, p.x, segment, semiring, allow, chunk),
-        |acc, v| semiring.reduce(acc, v),
-    );
-    if !finished {
-        p.finish_in_place(out);
-    }
+    let mut yw: Vec<u64> = ws.take_empty();
+    bits_push(m, frontier, plan, avg_deg, None, ws, &mut yw);
+    out.clear();
+    out.resize(m.ncols(), 0.0);
+    expand_node_words_into(&yw, p.mask, out);
+    ws.stats().record_converted(out.len());
+    ws.give(yw);
+    p.finish_in_place(out);
 }
 
 /// The batched Boolean pull sweep in lane words on one B2SR width —
@@ -971,8 +975,11 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
     p.finish_in_place(out);
 }
 
-/// The batched push scatter over the rows of one B2SR width (`m` is the
-/// scatter representation).
+/// The `f32` Boolean push of a batched pipeline over the rows of one B2SR
+/// width (`m` is the scatter representation): pack → the lane-word scatter
+/// → expand.  The mask filters the expansion (which skips all-zero nodes)
+/// instead of being staged into words: after a thin frontier most nodes
+/// are.
 fn bit_mxm_push<W: BitWord>(
     m: &B2sr<W>,
     p: &MxvPipeline<'_>,
@@ -982,40 +989,18 @@ fn bit_mxm_push<W: BitWord>(
     ws: &Workspace,
     out: &mut Vec<f32>,
 ) {
-    let (x, k, semiring, mask) = (p.x, p.k, p.semiring, p.mask);
-    let produced = m.ncols();
+    let (x, k) = (p.x, p.k);
+    let wpn = lane_words_per_node(k);
+    let mut xw: Vec<u64> = ws.take_empty();
+    pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
+    let mut yw: Vec<u64> = ws.take_empty();
+    lane_push(m, &xw, wpn, frontier, plan, avg_deg, None, ws, &mut yw);
     out.clear();
-    if semiring == Semiring::Boolean {
-        // Pack → the word scatter → expand.  The mask filters the expansion
-        // (which skips all-zero nodes) instead of being staged into words:
-        // after a thin frontier most nodes are.
-        let wpn = lane_words_per_node(k);
-        let mut xw: Vec<u64> = ws.take_empty();
-        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-        let mut yw: Vec<u64> = ws.take_empty();
-        lane_push(m, &xw, wpn, frontier, plan, avg_deg, None, ws, &mut yw);
-        out.resize(produced * k, 0.0);
-        expand_lane_words_into(&yw, k, mask, out);
-        ws.stats().record_converted(x.len() + out.len());
-        ws.give(xw);
-        ws.give(yw);
-    } else {
-        let finished = seed_push_output(p, produced * k, out);
-        with_mask_hook!(mask, |allow| push_scatter(
-            ws,
-            plan,
-            frontier,
-            avg_deg,
-            k,
-            semiring.identity(),
-            out,
-            |segment, chunk| bmm_push_bin_full(m, x, k, segment, semiring, allow, chunk),
-            |acc, v| semiring.reduce(acc, v),
-        ));
-        if finished {
-            return;
-        }
-    }
+    out.resize(m.ncols() * k, 0.0);
+    expand_lane_words_into(&yw, k, p.mask, out);
+    ws.stats().record_converted(x.len() + out.len());
+    ws.give(xw);
+    ws.give(yw);
     p.finish_in_place(out);
 }
 
@@ -1046,22 +1031,28 @@ impl GrbBackend for BitB2sr {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            Some(frontier) => {
+            Some(frontier) if p.semiring == Semiring::Boolean => {
                 let (rep, plan, avg) = self.scatter_rep(p.transpose);
                 with_b2sr!(rep, |m| bit_push(m, p, frontier, plan, avg, ws, out))
             }
-            None if self.routes_pull(p) => csr_pull(self.pull_csr(p.transpose), p, out),
+            Some(frontier) => {
+                csr_push_vector(self.csr_scatter_rep(p.transpose), p, frontier, ws, out)
+            }
+            None if self.routes_pull(p) => csr_pull(csr_rep(self, p.transpose), p, out),
             None => with_b2sr!(self.rep(p.transpose), |m| bit_pull(m, p, ws, out)),
         }
     }
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            Some(frontier) => {
+            Some(frontier) if p.semiring == Semiring::Boolean => {
                 let (rep, plan, avg) = self.scatter_rep(p.transpose);
                 with_b2sr!(rep, |m| bit_mxm_push(m, p, frontier, plan, avg, ws, out))
             }
-            None if self.routes_pull(p) => csr_mxm_pull(self.pull_csr(p.transpose), p, out),
+            Some(frontier) => {
+                csr_push_batch(self.csr_scatter_rep(p.transpose), p, frontier, ws, out)
+            }
+            None if self.routes_pull(p) => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
             None => with_b2sr!(self.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
         }
     }
@@ -1213,6 +1204,68 @@ fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     p.finish_in_place(out);
 }
 
+/// The scatter representation of a full-precision push: the CSR whose rows
+/// are the frontier's domain, the shard plan its scatter is cut by, and its
+/// average degree.
+type CsrScatter<'a> = (&'a Csr, &'a ShardPlan, usize);
+
+/// Every full-precision push of [`FloatCsr`] and [`BitB2sr`] (and so of a
+/// `DeltaOverlay` over either): seed the output ([`seed_push_output`]), run
+/// [`csr_push_full`] through `push_scatter` on the representation's shard
+/// plan, and finish what the seed did not.  `k` is `p.k`, passed apart, so
+/// the single-vector entry point's literal `1` folds the lane loop away.
+#[inline(always)]
+fn csr_push(
+    (csr, plan, avg): CsrScatter<'_>,
+    p: &MxvPipeline<'_>,
+    k: usize,
+    frontier: &[usize],
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    let semiring = p.semiring;
+    let finished = seed_push_output(p, csr.ncols() * k, out);
+    with_mask_hook!(p.mask, |allow| push_scatter(
+        ws,
+        plan,
+        frontier,
+        avg,
+        k,
+        semiring.identity(),
+        out,
+        |segment, chunk| csr_push_full(csr, p.x, k, segment, semiring, allow, chunk),
+        |acc, v| semiring.reduce(acc, v),
+    ));
+    if !finished {
+        p.finish_in_place(out);
+    }
+}
+
+/// [`csr_push`] at `k = 1`.  Out of line: inlined into `mxv_into`, the
+/// scatter reshapes the code of the pull arms beside it.
+#[inline(never)]
+fn csr_push_vector(
+    rep: CsrScatter<'_>,
+    p: &MxvPipeline<'_>,
+    frontier: &[usize],
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    csr_push(rep, p, 1, frontier, ws, out)
+}
+
+/// [`csr_push`] at `p.k`, out of line like [`csr_push_vector`].
+#[inline(never)]
+fn csr_push_batch(
+    rep: CsrScatter<'_>,
+    p: &MxvPipeline<'_>,
+    frontier: &[usize],
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    csr_push(rep, p, p.k, frontier, ws, out)
+}
+
 // ---------------------------------------------------------------------------
 // FloatCsr
 // ---------------------------------------------------------------------------
@@ -1244,24 +1297,13 @@ impl FloatCsr {
         }
     }
 
-    /// `Aᵀ`'s representation iff `transposed` (pull runs on
-    /// `rep(transpose)`, push scatters the rows of `rep(!transpose)` — see
-    /// [`BitB2sr`]).
-    fn rep(&self, transposed: bool) -> &Csr {
-        if transposed {
-            self.csr_t()
-        } else {
-            &self.csr
-        }
-    }
-
     /// The scatter representation of a push product with its shard plan
     /// (edge counts per row, [`crate::shard::SHARD_ALIGN`]-aligned
     /// boundaries) and average degree.
-    fn scatter_rep(&self, transpose: bool) -> (&Csr, &ShardPlan, usize) {
-        let rep = self.rep(!transpose);
-        let plan = self.shards.get_or_plan(!transpose, csr_weights(rep));
-        (rep, plan, avg_degree(self.csr.nnz(), rep.nrows()))
+    fn scatter_rep(&self, transpose: bool) -> CsrScatter<'_> {
+        let rep = csr_rep(self, !transpose);
+        let plan = self.shards.get_or_plan(!transpose, || csr_weights(rep));
+        (rep, plan, avg_degree(self.csr.nnz(), plan))
     }
 
     /// Batched pull sweep: row-parallel CSR matrix × multivector over an
@@ -1306,84 +1348,6 @@ impl FloatCsr {
             })
         });
     }
-
-    /// Push scatter over the rows of `csr` (the representation whose rows are
-    /// the frontier's domain), single-vector (`k = 1`) and batched alike:
-    /// every frontier node's edge list is walked once and its lane
-    /// contributions fold into each out-neighbour — all `k` of them when the
-    /// node's lanes are dense, only the enumerated non-identity ones
-    /// otherwise: the two arms, the crossover and the exactness argument of
-    /// [`bmm_push_bin_full`], whose lane helpers this shares.  `allow` is
-    /// the flat mask hook (`with_mask_hook!`) and the semiring is resolved
-    /// once per call.  Serial and allocation-free, like the B2SR push
-    /// kernels.  Always inlined, so the single-vector caller's `k = 1` folds
-    /// the lane loop (a frontier node's one lane is active: always the dense
-    /// arm).
-    #[inline(always)]
-    fn float_mxm_push_into(
-        csr: &Csr,
-        x: &[f32],
-        k: usize,
-        frontier: &[usize],
-        semiring: Semiring,
-        allow: impl Fn(usize) -> bool,
-        y: &mut [f32],
-    ) {
-        with_semiring_ops!(semiring, |identity, combine, reduce| {
-            for &u in frontier {
-                let src = &x[u * k..][..k];
-                let cols = csr.row(u).0;
-                if lanes_are_dense(src, identity) {
-                    for &j in cols {
-                        fold_all_lanes(&mut y[j * k..][..k], src, j * k, &allow, combine, reduce);
-                    }
-                    continue;
-                }
-                for (b, block) in src.chunks(LANE_BLOCK).enumerate() {
-                    let Some(lanes) = ActiveLanes::of(block, identity, combine) else {
-                        continue;
-                    };
-                    for &j in cols {
-                        let flat0 = j * k + b * LANE_BLOCK;
-                        lanes.fold_into(&mut y[flat0..], flat0, &allow, reduce);
-                    }
-                }
-            }
-        });
-    }
-
-    /// The push scatter of a pipeline, single-vector and batched alike.  `k`
-    /// is `p.k`, passed apart and the body always inlined, so `mxv_into`'s
-    /// literal `1` folds the lane loop away.
-    #[inline(always)]
-    fn push_into(
-        &self,
-        p: &MxvPipeline<'_>,
-        k: usize,
-        frontier: &[usize],
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let semiring = p.semiring;
-        let (csr, plan, avg) = self.scatter_rep(p.transpose);
-        let finished = seed_push_output(p, csr.ncols() * k, out);
-        with_mask_hook!(p.mask, |allow| push_scatter(
-            ws,
-            plan,
-            frontier,
-            avg,
-            k,
-            semiring.identity(),
-            out,
-            |segment, chunk| Self::float_mxm_push_into(
-                csr, p.x, k, segment, semiring, allow, chunk
-            ),
-            |acc, v| semiring.reduce(acc, v),
-        ));
-        if !finished {
-            p.finish_in_place(out);
-        }
-    }
 }
 
 impl GrbBackend for FloatCsr {
@@ -1413,15 +1377,15 @@ impl GrbBackend for FloatCsr {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            Some(frontier) => self.push_into(p, 1, frontier, ws, out),
-            None => csr_pull(self.rep(p.transpose), p, out),
+            Some(frontier) => csr_push_vector(self.scatter_rep(p.transpose), p, frontier, ws, out),
+            None => csr_pull(csr_rep(self, p.transpose), p, out),
         }
     }
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            Some(frontier) => self.push_into(p, p.k, frontier, ws, out),
-            None => csr_mxm_pull(self.rep(p.transpose), p, out),
+            Some(frontier) => csr_push_batch(self.scatter_rep(p.transpose), p, frontier, ws, out),
+            None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
         }
     }
 
@@ -1712,6 +1676,86 @@ pub(super) mod tests {
         }
     }
 
+    /// A seeded push stores what the pull stores wherever no term arrives —
+    /// `base ⊕ identity`, `finish` of the identity — on both backends, through
+    /// `mxv_into` (one lane) and `mxm_into` (three): MinPlus, MaxTimes and
+    /// Arithmetic accumulations over NaN, ±∞ and ±0.0 baselines, at the
+    /// positions a thin frontier does not reach and those the mask drops,
+    /// both orientations of a rectangular matrix.  Everywhere else the two
+    /// backends' pushes (one scatter body) agree bit for bit.
+    #[test]
+    fn seeded_push_stores_the_pull_baseline_where_the_frontier_does_not_reach() {
+        let csr = sample_coo(61, 47, 150, 29).to_binary_csr();
+        let (bit, float) = (bit_b2sr(&csr, TileSize::S8), float_csr(&csr));
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.5];
+        let ws = Workspace::new();
+        for semiring in [
+            Semiring::MinPlus(1.0),
+            Semiring::MaxTimes(2.0),
+            Semiring::Arithmetic,
+        ] {
+            let id = semiring.identity();
+            for (transpose, k) in [(false, 1), (true, 1), (false, 3), (true, 3)] {
+                let scattered = if transpose {
+                    csr.clone()
+                } else {
+                    csr.transpose()
+                };
+                let (contracted, produced) = (scattered.nrows(), scattered.ncols());
+                // Every seventh node carries one lane.
+                let x: Vec<f32> = (0..contracted * k)
+                    .map(|f| match (f / k, f % k) {
+                        (u, l) if u % 7 == 0 && l == u % k => 0.5 + (f % 5) as f32,
+                        _ => id,
+                    })
+                    .collect();
+                let frontier: Vec<usize> = (0..contracted)
+                    .filter(|&u| x[u * k..][..k].iter().any(|&v| v != id))
+                    .collect();
+                // A position is untouched unless a term reaches it unmasked.
+                let mask = Mask::new((0..produced * k).map(|f| f % 4 != 1).collect());
+                let mut untouched = vec![true; produced * k];
+                for &u in &frontier {
+                    for &j in scattered.row(u).0 {
+                        for f in (j * k..j * k + k).filter(|&f| x[u * k + f % k] != id) {
+                            untouched[f] = !mask.allows(f);
+                        }
+                    }
+                }
+                assert!(untouched.iter().filter(|&&t| t).count() > produced * k / 2);
+                let base: Vec<f32> = (0..produced * k)
+                    .map(|f| hostile[f % hostile.len()])
+                    .collect();
+                let run = |b: &dyn GrbBackend, push: bool| {
+                    let p = MxvPipeline {
+                        x: &x,
+                        k,
+                        frontier: push.then_some(frontier.as_slice()),
+                        semiring,
+                        mask: Some(&mask),
+                        transpose,
+                        stages: &[],
+                        accum: Some((BinaryOp::monoid_of(semiring), base.as_slice())),
+                    };
+                    let mut out = Vec::new();
+                    match k {
+                        1 => b.mxv_into(&p, &ws, &mut out),
+                        _ => b.mxm_into(&p, &ws, &mut out),
+                    }
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                };
+                for b in [&bit as &dyn GrbBackend, &float] {
+                    let (pull, push) = (run(b, false), run(b, true));
+                    for f in (0..produced * k).filter(|&f| untouched[f]) {
+                        let what = format!("{:?} {semiring:?} {transpose} k={k} at {f}", b.kind());
+                        assert_eq!(push[f], pull[f], "{what}: base {}", base[f]);
+                    }
+                }
+                assert_eq!(run(&bit, true), run(&float, true), "{semiring:?}");
+            }
+        }
+    }
+
     /// The tile kernel's triangle sum over `L`, called directly — the
     /// reference for every `mxm_reduce_masked` path, whichever way `l`'s
     /// own reduction routes.
@@ -1965,14 +2009,14 @@ pub(super) mod tests {
     }
 
     /// The one sharded-or-serial routine over its four scatter shapes
-    /// (Boolean words, full precision, Boolean lane words, batched full
-    /// precision): engaged on a multi-shard plan, its output is
-    /// bit-identical at 1/2/4/8 threads, and for exact monoids equal to the
-    /// serial kernel on the whole frontier.
+    /// (Boolean tile words, Boolean lane words, and the CSR scatter at one
+    /// lane and at three): engaged on a multi-shard plan of a rectangular
+    /// matrix, its output is bit-identical at 1/2/4/8 threads, and for exact
+    /// monoids equal to the serial kernel on the whole frontier.
     #[test]
     fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
-        let a = sample(300, 53);
-        let n = a.nrows();
+        let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
+        let (n, ncols) = (a.nrows(), a.ncols());
         let b = from_csr::<u8>(&a, 8);
         let cfg = ShardConfig {
             threads: 4,
@@ -1980,12 +2024,19 @@ pub(super) mod tests {
         };
         let plan = ShardPlan::from_weights(a.rowptr(), 1, n, cfg);
         assert!(plan.n_shards() >= 4, "precondition: {plan:?}");
-        let avg = avg_degree(a.nnz(), n);
+        let avg = avg_degree(a.nnz(), &plan);
         let frontier: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
         let k = 70;
         let wpn = lane_words_per_node(k);
-        let x: Vec<f32> = (0..n).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect();
-        let xk: Vec<f32> = (0..n * 3).map(|f| (f % 7) as f32 * 0.21 + 0.5).collect();
+        let mut x: Vec<f32> = (0..n).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect();
+        let mut xk: Vec<f32> = (0..n * 3).map(|f| (f % 7) as f32 * 0.21 + 0.5).collect();
+        // −0.0 and +∞ among the terms (−∞ too would put NaN, which `==`
+        // cannot compare, into the Arithmetic outputs).
+        for (f, v) in x.iter_mut().chain(&mut xk).enumerate() {
+            if f % 13 < 2 {
+                *v = [-0.0, f32::INFINITY][f % 13];
+            }
+        }
         let mut xw = vec![0u64; n * wpn];
         for (f, w) in xw.iter_mut().enumerate() {
             *w = (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7;
@@ -2033,9 +2084,9 @@ pub(super) mod tests {
         let got = at_every_budget(
             "lane words",
             |ws, y| push_scatter(ws, &plan, &frontier, avg, wpn, 0u64, y, lanes, |p, q| p | q),
-            vec![0u64; n * wpn],
+            vec![0u64; ncols * wpn],
         );
-        let mut serial = vec![0u64; n * wpn];
+        let mut serial = vec![0u64; ncols * wpn];
         lanes(&frontier, &mut serial);
         assert_eq!(got, serial);
 
@@ -2049,26 +2100,26 @@ pub(super) mod tests {
             let id = semiring.identity();
             let fold = |p: f32, q: f32| semiring.reduce(p, q);
             let full = |seg: &[usize], chunk: &mut [f32]| {
-                bmv_push_bin_full(&b, &x, seg, semiring, |j| j % 5 != 0, chunk)
+                csr_push_full(&a, &x, 1, seg, semiring, |j| j % 5 != 0, chunk)
             };
             let multi = |seg: &[usize], chunk: &mut [f32]| {
-                bmm_push_bin_full(&b, &xk, 3, seg, semiring, |_| true, chunk)
+                csr_push_full(&a, &xk, 3, seg, semiring, |_| true, chunk)
             };
             let got_full = at_every_budget(
                 "full",
                 |ws, y| push_scatter(ws, &plan, &frontier, avg, 1, id, y, full, fold),
-                vec![id; n],
+                vec![id; ncols],
             );
             let got_multi = at_every_budget(
                 "multi full",
                 |ws, y| push_scatter(ws, &plan, &frontier, avg, 3, id, y, multi, fold),
-                vec![id; n * 3],
+                vec![id; ncols * 3],
             );
             if semiring != Semiring::Arithmetic {
-                let mut serial = vec![id; n];
+                let mut serial = vec![id; ncols];
                 full(&frontier, &mut serial);
                 assert_eq!(bits(&got_full), bits(&serial), "{semiring:?}");
-                let mut serial = vec![id; n * 3];
+                let mut serial = vec![id; ncols * 3];
                 multi(&frontier, &mut serial);
                 assert_eq!(bits(&got_multi), bits(&serial), "{semiring:?}");
             }

@@ -110,7 +110,7 @@ pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_thre
 ///   `nodes · d̄ · α < nnz + n`;
 /// * **full-precision batch on a lane-sparse scatter** — the built-in
 ///   backends' scatter folds only a node's non-identity lanes per out-edge
-///   (`kernels::bmm_push_bin_full`) while the sweep folds all `k` lanes of
+///   (`kernels::csr_push_full`) while the sweep folds all `k` lanes of
 ///   every edge, so push costs `entries · d̄ · α` against pull's
 ///   `(nnz + n) · k`; dividing by `k`, `frontier_nnz = entries / k`:
 ///   `(entries / k) · d̄ · α < nnz + n`.  Sixty-four SSSP lanes that each

@@ -171,11 +171,12 @@ impl MxvPipeline<'_> {
     /// True when the scatter may ⊕-fold straight into the accumulation
     /// baseline (monoid accumulator, no intervening stages).
     ///
-    /// Besides matching the monoid, the fold requires `⊕(base, identity) ==
-    /// base` for *every* base so untouched positions keep their seeded
-    /// value: true for `+`/`min`/`max`, but **not** for `Or`, which
-    /// normalises any nonzero baseline to `1.0` — Boolean accumulations
-    /// therefore always take the scatter + epilogue path.
+    /// The output is seeded with `⊕(base, identity)` — what the pull stores
+    /// where no term arrives, not `base` itself for a NaN (`min` / `max`)
+    /// or `−0.0` (`+`) base — and the terms fold into it: `⊕(base, t)` for
+    /// `+` / `min` / `max`, but **not** for `Or`, which normalises any
+    /// nonzero baseline to `1.0` — Boolean accumulations therefore always
+    /// take the scatter + epilogue path.
     pub fn push_folds_accum(&self) -> bool {
         self.stages.is_empty()
             && self

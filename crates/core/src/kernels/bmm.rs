@@ -2,7 +2,7 @@
 //! batched matrix-times-multivector kernels behind the multi-source
 //! traversal engine.
 //!
-//! Two kernel families live here:
+//! Three kernel families live here:
 //!
 //! * **Scalar-reducing SpGEMM** — Triangle Counting is the paper's SpGEMM
 //!   consumer: both operands and the mask are binary, and the only output
@@ -24,21 +24,25 @@
 //!   traversals stacked into an `n × k` multi-vector advance with a single
 //!   sweep that loads each adjacency tile **once** and applies it to all
 //!   `k` lanes, amortizing the matrix traffic across queries the same way
-//!   the bit kernels amortize it across packed elements.  Pull
-//!   (`bmm_bin_bits_into`, `bmm_bin_full_into`) and push
-//!   (`bmm_push_bits`, `bmm_push_bin_full` — serial, run per frontier
-//!   segment by the GrB layer's sharded scatter) variants mirror the
-//!   single-vector BMV family; for the Boolean semiring the lanes pack
-//!   into `u64` *lane words* (`k.div_ceil(64)` words per node), so one
-//!   `OR` per edge advances up to 64 traversals at once.  The
-//!   full-precision pair — every served SSSP and PPR query — dispatches
-//!   its semiring once per call into a monomorphic sweep, enumerates a
-//!   tile's set bits tile-granular like the fused single-vector sweep, and
-//!   folds each hit's `k` lanes with a plain loop the compiler vectorises.
+//!   the bit kernels amortize it across packed elements.  The Boolean pull
+//!   and push (`bmm_bin_bits_into`, `bmm_push_bits` — the push serial, run
+//!   per frontier segment by the GrB layer's sharded scatter) pack the
+//!   lanes into `u64` *lane words* (`k.div_ceil(64)` words per node), so
+//!   one `OR` per edge advances up to 64 traversals at once.  The
+//!   full-precision pull `bmm_bin_full_into` — every served SSSP and PPR
+//!   query on dense tiles — dispatches its semiring once per call into a
+//!   monomorphic sweep, enumerates a tile's set bits tile-granular like the
+//!   fused single-vector sweep, and folds each hit's `k` lanes with a plain
+//!   loop the compiler vectorises.
+//!
+//! * **The full-precision push** — `csr_push_full`, one lane-sparse scatter
+//!   over the rows of the CSR every built-in backend holds, for every `k`:
+//!   it folds one `f32` per edge whichever layout lists the edges.
 
 use rayon::prelude::*;
 
 use bitgblas_bitops::BitWord;
+use bitgblas_sparse::Csr;
 
 use super::simd;
 use crate::b2sr::B2sr;
@@ -479,24 +483,40 @@ fn bin_full_tile_row<W: BitWord>(
     }
 }
 
-/// Lanes the enumerated arm of the full-precision batched scatter handles
-/// per pass over a frontier node's edges: one stack block
-/// ([`ActiveLanes`]).  A wider batch takes `k.div_ceil(LANE_BLOCK)` passes.
-pub(crate) const LANE_BLOCK: usize = 64;
+/// Lanes the enumerated arm of [`csr_push_full`] handles per pass over a
+/// frontier node's edges: one stack block ([`ActiveLanes`]).  A wider batch
+/// takes `k.div_ceil(LANE_BLOCK)` passes.
+const LANE_BLOCK: usize = 64;
 
-/// The dense-versus-enumerated crossover of the full-precision batched
-/// scatter: a frontier node folds all `k` lanes per out-edge — the
-/// contiguous loop that vectorises — from `⌈k / DENSE_LANE_DIVISOR⌉`
-/// non-identity lanes on, and only its enumerated non-identity lanes below
-/// that.  Measured, not guessed: see [`bmm_push_bin_full`].
+/// The dense-versus-enumerated crossover of [`csr_push_full`]: a frontier
+/// node folds all `k` lanes per out-edge — the contiguous loop that
+/// vectorises — from `⌈k / DENSE_LANE_DIVISOR⌉` non-identity lanes on, and
+/// only its enumerated non-identity lanes below that.
+///
+/// Measured: `taskset -c 1 cargo bench -p bitgblas-bench --bench bmm --
+/// bmm_lane_density` (`k = 64` min-plus, every node in the frontier, each
+/// arm forced in turn; per-call medians in ms, ranges over four runs — two
+/// at 12 lanes — on one pinned core of a 2-vCPU Xeon VM):
+///
+/// | active lanes per node | 1 | 4 | 8 | 12 | 16 | 32 | 64 |
+/// |---|---|---|---|---|---|---|---|
+/// | mesh, enumerated | 0.54–0.59 | 1.06–1.17 | 1.37–1.92 | 1.70–2.75 | 2.76–3.63 | 5.05–7.14 | 7.98–15.7 |
+/// | mesh, dense | 1.92–3.23 | 2.08–3.23 | 2.43–3.06 | 2.70–2.95 | 2.41–2.97 | 2.84–3.10 | 2.83–3.45 |
+/// | R-MAT, enumerated | 3.39–4.73 | 5.66–7.44 | 7.89–12.1 | 13.5–16.1 | 14.1–19.3 | 20.0–32.2 | 44.6–62.1 |
+/// | R-MAT, dense | 13.5–15.4 | 15.0–15.3 | 12.2–15.3 | 15.2–15.4 | 10.6–15.7 | 11.5–15.2 | 12.9–15.4 |
+///
+/// The arms meet near 12 lanes on R-MAT and between 12 and 16 on the mesh,
+/// so at the switch, 8 lanes, the enumerated arm is still the cheaper.  The
+/// divisor was set where they met on the tile scatter this body replaced
+/// (8 and 11 lanes); it stays until a workload shows what `⌈k / 5⌉` buys.
 const DENSE_LANE_DIVISOR: usize = 8;
 
-/// Whether a frontier node with lanes `src` takes the dense arm of the
-/// full-precision batched scatter.  Counts non-identity lanes sixteen at a
-/// time and stops at the threshold, so a dense node (a PPR batch) pays for
-/// one or two chunks, not for all `k` lanes.
+/// Whether a frontier node with lanes `src` takes the dense arm of
+/// [`csr_push_full`].  Counts non-identity lanes sixteen at a time and stops
+/// at the threshold, so a dense node (a PPR batch) pays for one or two
+/// chunks, not for all `k` lanes.
 #[inline(always)]
-pub(crate) fn lanes_are_dense(src: &[f32], identity: f32) -> bool {
+fn lanes_are_dense(src: &[f32], identity: f32) -> bool {
     let need = src.len().div_ceil(DENSE_LANE_DIVISOR);
     let mut active = 0;
     for chunk in src.chunks(16) {
@@ -511,7 +531,7 @@ pub(crate) fn lanes_are_dense(src: &[f32], identity: f32) -> bool {
 /// The non-identity lanes of one frontier node within a block of at most
 /// [`LANE_BLOCK`] lanes, each with its contribution `⊗(x)` taken once —
 /// the stack scratch of the enumerated arm (no per-call buffer exists).
-pub(crate) struct ActiveLanes {
+struct ActiveLanes {
     lane: [u8; LANE_BLOCK],
     term: [f32; LANE_BLOCK],
     len: usize,
@@ -521,7 +541,7 @@ impl ActiveLanes {
     /// Enumerate `block` (`≤ LANE_BLOCK` lanes of one node); `None` when
     /// every lane holds the identity.
     #[inline(always)]
-    pub(crate) fn of(block: &[f32], identity: f32, combine: impl Fn(f32) -> f32) -> Option<Self> {
+    fn of(block: &[f32], identity: f32, combine: impl Fn(f32) -> f32) -> Option<Self> {
         let mut lanes = ActiveLanes {
             lane: [0; LANE_BLOCK],
             term: [0.0; LANE_BLOCK],
@@ -540,7 +560,7 @@ impl ActiveLanes {
     /// Fold the enumerated lanes into the same block of an out-neighbour's
     /// lanes, `dst`, whose first lane is flat output position `flat0`.
     #[inline(always)]
-    pub(crate) fn fold_into(
+    fn fold_into(
         &self,
         dst: &mut [f32],
         flat0: usize,
@@ -560,7 +580,7 @@ impl ActiveLanes {
 /// lanes `dst` (flat output positions `flat0..`): the dense arm's per-edge
 /// loop over two contiguous `k`-slices.
 #[inline(always)]
-pub(crate) fn fold_all_lanes(
+fn fold_all_lanes(
     dst: &mut [f32],
     src: &[f32],
     flat0: usize,
@@ -575,77 +595,45 @@ pub(crate) fn fold_all_lanes(
     }
 }
 
-/// Call `f(j)` for every out-neighbour `j` of row `u`, tiles ascending and
-/// columns ascending within a tile.  May yield `j ≥ ncols` from the ragged
-/// last tile-column; the caller's slice test drops those.
-#[inline(always)]
-fn for_each_out_neighbour<W: BitWord>(a: &B2sr<W>, u: usize, mut f: impl FnMut(usize)) {
-    let dim = a.tile_dim();
-    let (tr, r) = (u / dim, u % dim);
-    for idx in a.tile_row_range(tr) {
-        let base = a.tile_colind()[idx] * dim;
-        for dc in a.tile_words(idx)[r].iter_ones() {
-            f(base + dc as usize);
-        }
-    }
-}
-
-/// `bmm_push_bin_full()`: push-direction full-precision matrix ×
-/// multivector.  For every frontier node `u` (any lane active) and every
-/// out-neighbour `j`, the lane contributions `⊗(x[u*k+l])` fold into
-/// `y[j*k+l]` with the additive monoid; `allow` filters flat output
-/// positions (`j*k + l`, the flat per-lane mask — pass `|_| true` when
-/// there is none and the test compiles away) and `y`, `ncols * k` entries,
-/// must be pre-filled with the semiring identity — or, to fold a monoid
-/// accumulator in the same pass, with its baseline.  The semiring is
-/// resolved once per call like [`bmm_bin_full_into`]'s.  Only valid for
-/// [`Semiring::push_safe`] semirings; serial and allocation-free, and a
-/// per-segment worker of the sharded scatter.
+/// `csr_push_full()`: push-direction full-precision matrix × multivector
+/// over the rows of a CSR matrix — the one full-precision push scatter of
+/// the built-in backends, single-vector (`k = 1`) and batched alike.  For
+/// every frontier node `u` (any lane active) and every out-neighbour
+/// `j`, the lane contributions `⊗(x[u*k+l])` fold into `y[j*k+l]` with the
+/// additive monoid; `allow` filters flat output positions (`j*k + l`, the
+/// flat per-lane mask — pass `|_| true` when there is none and the test
+/// compiles away) and `y`, `ncols * k` entries, must be pre-filled with the
+/// semiring identity — or, to fold a monoid accumulator in the same pass,
+/// with `baseline ⊕ identity`.  The semiring is resolved once per call.
+/// Only valid for [`Semiring::push_safe`] semirings; serial and
+/// allocation-free, and a per-segment worker of the sharded scatter.
+/// Always inlined, so a caller's literal `k = 1` folds the lane loop (a
+/// frontier node's one lane is active: always the dense arm).
 ///
 /// # Lane-sparse
 ///
-/// The scatter is **lane-sparse**: per frontier node it tests how many
-/// lanes differ from the identity and takes one of two arms.  A node with at
-/// least an eighth of its lanes active folds all `k` per out-edge — two
-/// contiguous `k`-slices, vectorised; a dense batch (PPR) runs only this
-/// arm.  Below that the node's non-identity lanes are enumerated once into a
-/// stack block (`ActiveLanes`, `LANE_BLOCK` = 64 lanes a pass) together with
-/// their `⊗(x)` terms and only those fold per out-edge: sixty-four SSSP
-/// lanes that each changed a few dozen vertices union to every node, but a
-/// node carries one or two of them.
-///
-/// The crossover is measured: `cargo bench -p bitgblas-bench --bench bmm`,
-/// rows `bmm_lane_density/*` (`k = 64` min-plus, every node in the frontier,
-/// B2SR-8), each arm forced in turn, per-call medians on the repo
-/// benchmark's banded mesh / R-MAT graph:
-///
-/// | active lanes per node | 1 | 4 | 16 | 32 | 64 |
-/// |---|---|---|---|---|---|
-/// | enumerated arm, ms | 0.82 / 15.4 | 1.09 / 14.5 | 2.77 / 23.7 | 7.58 / 34.8 | 13.9 / 50.9 |
-/// | dense arm, ms | 2.1 / 17.1 | 2.2 / 20.0 | 2.3 / 17.3 | 2.3 / 17.8 | 2.6 / 16.8 |
-///
-/// The enumerated arm grows by ≈ 0.13 ms (mesh) / ≈ 0.85 ms (R-MAT) per
-/// active lane and meets the dense arm's flat cost near 11 lanes on the
-/// mesh and 8 on R-MAT; under `+` (a cheaper fold than `min`) it is nearer
-/// 12.  The kernel switches at `⌈k / 8⌉`.  The density test stops counting
-/// at the threshold, and the dense arm measures the same as the one-arm
-/// kernel it replaced (mesh 1.85 vs 1.85–1.91 ms, `ppr_dense` 1.05 vs
-/// 1.09 ms).
+/// Per frontier node the scatter tests how many lanes differ from the
+/// identity and takes one of two arms.  A node with at least an eighth of
+/// its lanes active ([`DENSE_LANE_DIVISOR`]) folds all `k` per out-edge —
+/// two contiguous `k`-slices, vectorised; a dense batch (PPR) runs only
+/// this arm.  Below that the node's non-identity lanes are enumerated once
+/// into a stack block ([`ActiveLanes`], [`LANE_BLOCK`] lanes a pass)
+/// together with their `⊗(x)` terms and only those fold per out-edge:
+/// sixty-four SSSP lanes that each changed a few dozen vertices union to
+/// every node, but a node carries one or two of them.
 ///
 /// Both arms produce the same bits.  For a push-safe semiring an identity
-/// lane's term is a no-op on anything the scatter can hold (`d + 0`, `min(d,
-/// ∞)`, `max(d, −∞)`, `d ∨ 0`; NaN never survives `min` / `max` and stays
-/// NaN under `+`), which is what already makes the pull sweep's `xa` skip
-/// and the per-lane single-vector push exact; and per output position the
-/// surviving terms still arrive in frontier order, edges ascending, so a
-/// non-associative float `+` keeps its grouping.  (One documented corner: a
-/// `−0.0` *baseline* under `+` stays `−0.0` where the dense arm — like the
-/// pull sweep's `base + t` — would store `+0.0`.)
+/// lane's term is a no-op on anything `y` can hold (`d + 0`, `min(d, ∞)`,
+/// `max(d, −∞)`; NaN never survives `min` / `max` and stays NaN under `+`,
+/// and neither a seed nor a fold leaves `−0.0` under `+`), and per output
+/// position the surviving terms arrive in frontier order, columns
+/// ascending, so a non-associative float `+` keeps its grouping.
 ///
 /// # Panics
 /// Panics if `x` or `y` is shorter than the matrix requires.
-pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
-    a: &B2sr<W>,
+#[inline(always)]
+pub fn csr_push_full<M: Fn(usize) -> bool>(
+    csr: &Csr,
     x: &[f32],
     k: usize,
     frontier: &[usize],
@@ -653,35 +641,32 @@ pub fn bmm_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
     allow: M,
     y: &mut [f32],
 ) {
-    assert!(x.len() >= a.nrows() * k, "operand x shorter than nrows * k");
-    assert!(y.len() >= a.ncols() * k, "output y shorter than ncols * k");
-    let ncols = a.ncols();
-    let y = &mut y[..ncols * k];
+    assert!(
+        x.len() >= csr.nrows() * k,
+        "operand x shorter than nrows * k"
+    );
+    assert!(
+        y.len() >= csr.ncols() * k,
+        "output y shorter than ncols * k"
+    );
     with_semiring_ops!(semiring, |identity, combine, reduce| {
         for &u in frontier {
-            debug_assert!(u < a.nrows(), "frontier node out of range");
             let src = &x[u * k..][..k];
+            let cols = csr.row(u).0;
             if lanes_are_dense(src, identity) {
-                for_each_out_neighbour(a, u, |j| {
-                    // The slice test doubles as the guard of the ragged last
-                    // tile-column, as in the pull sweep.
-                    if let Some(dst) = y.get_mut(j * k..) {
-                        fold_all_lanes(dst, src, j * k, &allow, combine, reduce);
-                    }
-                });
+                for &j in cols {
+                    fold_all_lanes(&mut y[j * k..][..k], src, j * k, &allow, combine, reduce);
+                }
                 continue;
             }
             for (b, block) in src.chunks(LANE_BLOCK).enumerate() {
                 let Some(lanes) = ActiveLanes::of(block, identity, combine) else {
                     continue;
                 };
-                let first = b * LANE_BLOCK;
-                for_each_out_neighbour(a, u, |j| {
-                    if j < ncols {
-                        let flat0 = j * k + first;
-                        lanes.fold_into(&mut y[flat0..], flat0, &allow, reduce);
-                    }
-                });
+                for &j in cols {
+                    let flat0 = j * k + b * LANE_BLOCK;
+                    lanes.fold_into(&mut y[flat0..], flat0, &allow, reduce);
+                }
             }
         }
     });
@@ -1008,8 +993,8 @@ mod tests {
 
     // -- matrix × multivector kernels ---------------------------------------
 
+    use crate::kernels::bmv::pack_vector_bits;
     use crate::kernels::bmv::tests::pull_full;
-    use crate::kernels::bmv::{bmv_push_bin_full, pack_vector_bits};
 
     /// A deterministic n × k operand with a mix of active and identity lanes.
     fn sample_multi(n: usize, k: usize, semiring: Semiring) -> Vec<f32> {
@@ -1145,16 +1130,9 @@ mod tests {
     /// One `(matrix, operand, seed)` push case: the batched scatter, with and
     /// without a flat mask, against per-lane single-vector scatters from each
     /// lane's own frontier.  `seed` is what `y` holds on entry, cycled over
-    /// the flat output: the identity, or an accumulation baseline.
-    fn check_push_against_per_lane<W: BitWord>(
-        a: &Csr,
-        dim: usize,
-        k: usize,
-        semiring: Semiring,
-        x: &[f32],
-        seed: &[f32],
-    ) {
-        let b = from_csr::<W>(a, dim);
+    /// the flat output and taken through `⊕ identity` as the backends seed
+    /// it: the identity, or an accumulation baseline.
+    fn check_push_against_per_lane(a: &Csr, k: usize, semiring: Semiring, x: &[f32], seed: &[f32]) {
         let active = |v: f32| !semiring.is_identity(v);
         let frontier: Vec<usize> = (0..a.nrows())
             .filter(|&i| x[i * k..][..k].iter().any(|&v| active(v)))
@@ -1162,21 +1140,23 @@ mod tests {
         let seeded = |len: usize, stride: usize, first: usize| -> Vec<f32> {
             (0..len)
                 .map(|j| seed[(j * stride + first) % seed.len()])
+                .map(|b| semiring.reduce(b, semiring.identity()))
                 .collect()
         };
         // Unmasked, and a mask that drops a third of the flat positions.
         let masks: [&dyn Fn(usize) -> bool; 2] = [&|_| true, &|flat| flat % 3 != 1];
         for (mi, allow) in masks.into_iter().enumerate() {
             let mut y = seeded(a.ncols() * k, 1, 0);
-            bmm_push_bin_full(&b, x, k, &frontier, semiring, allow, &mut y);
+            csr_push_full(a, x, k, &frontier, semiring, allow, &mut y);
             for l in 0..k {
                 let lane = lane_of(x, k, l);
                 let lane_frontier: Vec<usize> =
                     (0..a.nrows()).filter(|&i| active(lane[i])).collect();
                 let mut want = seeded(a.ncols(), k, l);
-                bmv_push_bin_full(
-                    &b,
+                csr_push_full(
+                    a,
                     &lane,
+                    1,
                     &lane_frontier,
                     semiring,
                     |j| allow(j * k + l),
@@ -1186,7 +1166,7 @@ mod tests {
                     assert_same_bits(
                         y[j * k + l],
                         w,
-                        format_args!("{semiring:?} k={k} dim={dim} mask {mi} lane {l} node {j}"),
+                        format_args!("{semiring:?} k={k} mask {mi} lane {l} node {j}"),
                     );
                 }
             }
@@ -1194,13 +1174,14 @@ mod tests {
     }
 
     /// The batched push scatter equals k independent single-vector pushes,
-    /// bit for bit, for every push-safe semiring, batch width and tile size,
-    /// on a rectangular matrix with a ragged last tile-column, with and
-    /// without a flat mask.
+    /// bit for bit, for every push-safe semiring and batch width, on a
+    /// rectangular matrix, with and without a flat mask, from the identity
+    /// and from baselines holding NaN, ±∞ and −0.0.
     #[test]
     fn push_multi_full_equals_per_lane_push() {
         let (nrows, ncols) = (53, 61);
         let a = sample_rect(nrows, ncols, 11, 3, |_, _| true);
+        let baseline = [f32::NAN, 2.0, f32::INFINITY, -0.0, f32::NEG_INFINITY, 0.0];
         for k in WIDTHS {
             for semiring in [
                 Semiring::Arithmetic,
@@ -1208,15 +1189,13 @@ mod tests {
                 Semiring::MinPlus(1.0),
                 Semiring::MaxTimes(2.0),
             ] {
-                let identity = [semiring.identity()];
                 for x in [
                     sample_multi(nrows, k, semiring),
                     sample_multi_hostile(nrows, k, semiring),
                 ] {
-                    check_push_against_per_lane::<u8>(&a, 4, k, semiring, &x, &identity);
-                    check_push_against_per_lane::<u8>(&a, 8, k, semiring, &x, &identity);
-                    check_push_against_per_lane::<u16>(&a, 16, k, semiring, &x, &identity);
-                    check_push_against_per_lane::<u32>(&a, 32, k, semiring, &x, &identity);
+                    for seed in [&[semiring.identity()][..], &baseline] {
+                        check_push_against_per_lane(&a, k, semiring, &x, seed);
+                    }
                 }
             }
         }
@@ -1225,9 +1204,9 @@ mod tests {
     /// Both arms of the lane-sparse scatter, and the switch between them:
     /// every frontier node carries one lane, one fewer than the dense
     /// threshold, exactly the threshold, one more, or all `k` — with NaN,
-    /// ±∞ and −0.0 among the values, widths that span one, two and three
-    /// lane blocks, a seeded (accumulator-baseline) output as well as the
-    /// identity, and a column count that is no tile multiple.
+    /// ±∞ and −0.0 among the values and the baselines, widths that span one,
+    /// two and three lane blocks, a seeded (accumulator-baseline) output as
+    /// well as the identity, on a rectangular matrix.
     #[test]
     fn lane_sparse_push_equals_per_lane_push_at_every_density() {
         const VALUES: [f32; 8] = [
@@ -1252,8 +1231,8 @@ mod tests {
                 Semiring::MaxTimes(2.0),
             ] {
                 // A baseline a monoid accumulator could seed the scatter
-                // with (no −0.0: under `+` the arms may differ on it).
-                let baseline = [3.0, semiring.identity(), 0.5, 7.0, 1.5];
+                // with, hostile values included.
+                let baseline = [3.0, semiring.identity(), -0.0, f32::NAN, 0.5, 7.0, 1.5];
                 for &active in &densities {
                     let mut x = vec![semiring.identity(); nrows * k];
                     // Every fifth node stays out of the frontier; the rest
@@ -1264,8 +1243,7 @@ mod tests {
                         }
                     }
                     for seed in [&[semiring.identity()][..], &baseline] {
-                        check_push_against_per_lane::<u8>(&a, 8, k, semiring, &x, seed);
-                        check_push_against_per_lane::<u32>(&a, 32, k, semiring, &x, seed);
+                        check_push_against_per_lane(&a, k, semiring, &x, seed);
                     }
                 }
             }
@@ -1339,22 +1317,25 @@ mod tests {
         bmm_bin_full_into(&b, &x, 3, Semiring::Arithmetic, Some(&[0xff, 0xff]), &mut y);
     }
 
+    /// The push scatter's shape checks, on a rectangular matrix: the operand
+    /// is read by rows (`nrows · k`), the output written by columns
+    /// (`ncols · k`).
     #[test]
     #[should_panic(expected = "output y shorter than ncols * k")]
     fn batched_push_rejects_a_short_output() {
-        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let a = sample_rect(24, 29, 3, 2, |_, _| true);
         let x = vec![1.0f32; 24 * 3];
-        let mut y = vec![0.0f32; 24 * 3 - 1];
-        bmm_push_bin_full(&b, &x, 3, &[], Semiring::Arithmetic, |_| true, &mut y);
+        let mut y = vec![0.0f32; 29 * 3 - 1];
+        csr_push_full(&a, &x, 3, &[], Semiring::Arithmetic, |_| true, &mut y);
     }
 
     #[test]
     #[should_panic(expected = "operand x shorter than nrows * k")]
     fn batched_push_rejects_a_short_operand() {
-        let b = from_csr::<u8>(&sample(24, 3, 2), 8);
+        let a = sample_rect(24, 29, 3, 2, |_, _| true);
         let x = vec![1.0f32; 24 * 3 - 1];
-        let mut y = vec![0.0f32; 24 * 3];
-        bmm_push_bin_full(&b, &x, 3, &[], Semiring::Arithmetic, |_| true, &mut y);
+        let mut y = vec![0.0f32; 29 * 3];
+        csr_push_full(&a, &x, 3, &[], Semiring::Arithmetic, |_| true, &mut y);
     }
 
     /// The lane-word Boolean kernels (pull and push) equal the flat

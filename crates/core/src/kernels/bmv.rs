@@ -28,13 +28,13 @@
 //!   unvisited ones low-degree).  The mask is still applied at the store, as
 //!   the paper's scheme has it; the paper's kernel does not exit early only
 //!   because a GPU warp would diverge, and a CPU tile-row loop has no warp.
-//! * **push** (`bmv_push_*`) — sparse-frontier scatter: only the tiles of
-//!   the frontier's tile-rows are visited and their row words scattered into
-//!   the output, so the cost is proportional to the frontier's edge count.
-//!   The kernels are serial and allocation-free (the right shape for tiny
-//!   frontiers); the GrB layer runs them per frontier segment over a
-//!   [`crate::shard::ShardPlan`]'s row shards when a scatter is large
-//!   enough to parallelise (`grb::backend`'s sharded-or-serial routine).
+//! * **push** (`bmv_push_bin_bin`) — the Boolean sparse-frontier scatter:
+//!   only the tiles of the frontier's tile-rows are visited and their row
+//!   words OR-ed into the output, so the cost is proportional to the
+//!   frontier's edge count.  Serial and allocation-free; the GrB layer runs
+//!   it per frontier segment over a [`crate::shard::ShardPlan`]'s row shards
+//!   (`grb::backend`'s sharded-or-serial routine).  The full-precision push
+//!   is `kernels::bmm::csr_push_full` at `k = 1`.
 
 use rayon::prelude::*;
 
@@ -457,49 +457,12 @@ pub fn bmv_push_bin_bin<W: BitWord>(a: &B2sr<W>, frontier: &[usize], y: &mut [W]
     }
 }
 
-/// `bmv_push_bin_full()`: push-direction BMV with full-precision output,
-/// generic over the semiring.  For every frontier row `u`, the contribution
-/// `⊗(x[u])` is folded into each out-neighbour `j` of `u` with the additive
-/// monoid: `y[j] = ⊕(y[j], ⊗(x[u]))`.  `allow` filters output positions
-/// (the mask); `y` must be pre-filled with the semiring identity (or, on the
-/// seeded fused-accumulator path, with the accumulation baseline).
-///
-/// Only valid for [`Semiring::push_safe`] semirings, where skipping the
-/// non-frontier (identity-valued) entries cannot change the result.  Serial
-/// and allocation-free like [`bmv_push_bin_bin`], and likewise a
-/// per-segment worker of the sharded scatter.
-pub fn bmv_push_bin_full<W: BitWord, M: Fn(usize) -> bool>(
-    a: &B2sr<W>,
-    x: &[f32],
-    frontier: &[usize],
-    semiring: Semiring,
-    allow: M,
-    y: &mut [f32],
-) {
-    debug_assert!(x.len() >= a.nrows(), "vector shorter than frontier rows");
-    let dim = a.tile_dim();
-    for &u in frontier {
-        let contrib = semiring.combine(x[u]);
-        let (tr, r) = (u / dim, u % dim);
-        for idx in a.tile_row_range(tr) {
-            let base = a.tile_colind()[idx] * dim;
-            let w = a.tile_words(idx)[r];
-            for dc in w.iter_ones() {
-                let j = base + dc as usize;
-                // Guard the ragged last tile-column (ncols % dim != 0).
-                if j < y.len() && allow(j) {
-                    y[j] = semiring.reduce(y[j], contrib);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use crate::grb::{Mask, MxvPipeline};
+    use crate::kernels::bmm::csr_push_full;
     use bitgblas_sparse::{ops, Coo, Csr, DenseVec};
 
     fn sample(n: usize, seed: u64) -> Csr {
@@ -809,29 +772,29 @@ pub(crate) mod tests {
         assert_eq!(push, pull);
     }
 
+    /// The single-vector push (`csr_push_full` at `k = 1`, over the rows of
+    /// a rectangular `A`) equals the pull sweep over `Aᵀ`, bit for bit: both
+    /// fold a position's terms in ascending source order, and the terms the
+    /// push skips are identities.  The operand holds NaN, ±∞ and −0.0.
     #[test]
     fn push_bin_full_matches_pull_for_minplus_and_arithmetic() {
-        let a = sample(64, 37);
-        let mut x = vec![f32::INFINITY; 64];
-        x[0] = 0.0;
-        x[13] = 3.0;
-        x[40] = 1.0;
-        let semiring = Semiring::MinPlus(1.0);
-        let frontier: Vec<usize> = (0..64).filter(|&i| x[i].is_finite()).collect();
+        let a = sample_rect(64, 53, 37);
         let at = from_csr::<u16>(&a.transpose(), 16);
-        let pull = pull_full(&at, &x, semiring);
-        let af = from_csr::<u16>(&a, 16);
-        let mut y = vec![semiring.identity(); a.ncols()];
-        bmv_push_bin_full(&af, &x, &frontier, semiring, |_| true, &mut y);
-        assert_eq!(y, pull, "min-plus push must equal the pull sweep exactly");
-
-        let xa = sample_x(64);
-        let fa: Vec<usize> = (0..64).filter(|&i| xa[i] != 0.0).collect();
-        let pull_sum = pull_full(&at, &xa, Semiring::Arithmetic);
-        let mut ys = vec![0.0f32; a.ncols()];
-        bmv_push_bin_full(&af, &xa, &fa, Semiring::Arithmetic, |_| true, &mut ys);
-        for (i, (g, w)) in ys.iter().zip(&pull_sum).enumerate() {
-            assert!((g - w).abs() < 1e-4, "position {i}: {g} vs {w}");
+        let hostile = [f32::NAN, f32::NEG_INFINITY, -0.0, 3.0, 1.0, f32::INFINITY];
+        for semiring in [Semiring::MinPlus(1.0), Semiring::Arithmetic] {
+            let x: Vec<f32> = (0..64)
+                .map(|i| match i % 4 {
+                    0 => hostile[(i / 4) % hostile.len()],
+                    1 => 0.25 * i as f32,
+                    _ => semiring.identity(),
+                })
+                .collect();
+            let frontier: Vec<usize> = (0..64).filter(|&i| !semiring.is_identity(x[i])).collect();
+            let pull = pull_full(&at, &x, semiring);
+            let mut y = vec![semiring.identity(); a.ncols()];
+            csr_push_full(&a, &x, 1, &frontier, semiring, |_| true, &mut y);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&y), bits(&pull), "{semiring:?}");
         }
     }
 
@@ -840,16 +803,9 @@ pub(crate) mod tests {
         let a = sample(40, 41);
         let x = sample_x(40);
         let frontier: Vec<usize> = (0..40).filter(|&i| x[i] != 0.0).collect();
-        let b = from_csr::<u8>(&a, 8);
         let mut y = vec![0.0f32; a.ncols()];
-        bmv_push_bin_full(
-            &b,
-            &x,
-            &frontier,
-            Semiring::Arithmetic,
-            |j| j % 2 == 0,
-            &mut y,
-        );
+        let even = |j: usize| j.is_multiple_of(2);
+        csr_push_full(&a, &x, 1, &frontier, Semiring::Arithmetic, even, &mut y);
         for (j, &v) in y.iter().enumerate() {
             if j % 2 != 0 {
                 assert_eq!(v, 0.0, "filtered position {j} must stay identity");
@@ -865,14 +821,8 @@ pub(crate) mod tests {
         bmv_push_bin_bin(&b, &[], &mut yw);
         assert!(yw.iter().all(|&w| w == 0));
         let mut y = vec![f32::INFINITY; a.ncols()];
-        bmv_push_bin_full(
-            &b,
-            &[0.0; 32],
-            &[],
-            Semiring::MinPlus(1.0),
-            |_| true,
-            &mut y,
-        );
+        let minplus = Semiring::MinPlus(1.0);
+        csr_push_full(&a, &[0.0; 32], 1, &[], minplus, |_| true, &mut y);
         assert!(y.iter().all(|v| v.is_infinite()));
     }
 

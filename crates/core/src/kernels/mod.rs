@@ -9,9 +9,9 @@
 //!   full-precision scheme has one sweep, `bmv_bin_full_full_fused_into`,
 //!   which finishes each row through a closure (mask, epilogue stages,
 //!   accumulator); `bmv_bin_full_full_into` is its identity-finish
-//!   shorthand.  Plus the push-direction (sparse-frontier) kernels
-//!   `bmv_push_bin_bin` / `bmv_push_bin_full`.  Every scheme has one tile
-//!   body; the two `_simd` names are forwards the repo benchmark imports.
+//!   shorthand.  Plus the Boolean push-direction (sparse-frontier) kernel
+//!   `bmv_push_bin_bin`.  Every scheme has one tile body; the two `_simd`
+//!   names are forwards the repo benchmark imports.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
 //!   product to a full-precision scalar as required by Triangle Counting.
@@ -23,12 +23,16 @@
 //!   (`grb::backend::CSR_REDUCE_BELOW_BITS_PER_TILE`).  Also here:
 //!   the batched matrix-times-multivector kernels of the multi-source
 //!   traversal engine (`bmm_bin_bits_into` / `bmm_push_bits` for Boolean
-//!   lane words, `bmm_bin_full_into` / `bmm_push_bin_full` for the other
-//!   semirings) — each adjacency tile is loaded once and applied to all
-//!   `k` frontier lanes.  The full-precision pair resolves its semiring
-//!   once per call (`semiring::with_semiring_ops!`, shared with the fused
-//!   single-vector sweep) and the pull sweep enumerates set bits
-//!   tile-granular, one `trailing_zeros` loop per packed 64-bit chunk.
+//!   lane words, `bmm_bin_full_into` for the other semirings' pull) — each
+//!   adjacency tile is loaded once and applied to all `k` frontier lanes;
+//!   the full-precision pull resolves its semiring once per call
+//!   (`semiring::with_semiring_ops!`, shared with the fused single-vector
+//!   sweep) and enumerates set bits tile-granular, one `trailing_zeros`
+//!   loop per packed 64-bit chunk.  And the one full-precision push,
+//!   `csr_push_full`: a lane-sparse scatter over the rows of the CSR every
+//!   backend holds, single-vector and batched — a scatter folds one `f32`
+//!   per edge whichever layout lists the edges, so only the Boolean pushes
+//!   scatter tile words.
 //!
 //! Each kernel is structured like the paper's CUDA listings: the tile-rows
 //! of the B2SR matrix are the unit of work (one warp per tile-row), the
@@ -50,11 +54,11 @@ pub mod simd;
 
 pub use bmm::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into,
-    bmm_bin_full_into, bmm_push_bin_full, bmm_push_bits,
+    bmm_bin_full_into, bmm_push_bits, csr_push_full,
 };
 pub use bmv::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,
     bmv_bin_bin_full_masked, bmv_bin_full_full_fused_into, bmv_bin_full_full_into,
-    bmv_bin_full_full_simd_into, bmv_push_bin_bin, bmv_push_bin_full, pack_vector_bits,
-    pack_vector_bits_into, pack_vector_tilewise_into,
+    bmv_bin_full_full_simd_into, bmv_push_bin_bin, pack_vector_bits, pack_vector_bits_into,
+    pack_vector_tilewise_into,
 };

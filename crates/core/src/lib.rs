@@ -24,7 +24,9 @@
 //!   which a matrix of hypersparse tiles trades for a count over its CSR),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
-//!   kernels parallelise through [`shard`]: row-shard partition plans,
+//!   kernels — word ORs of tile rows for the Boolean semiring, one CSR
+//!   scatter for full precision, which folds one `f32` per edge whatever
+//!   the layout — parallelise through [`shard`]: row-shard partition plans,
 //!   privatized per-segment scatter and a fixed-order monoid merge that
 //!   keeps results bit-identical across thread counts.
 //!
