@@ -13,11 +13,11 @@ use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::kernels::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_full_masked,
-    bmv_bin_full_full_into, pack_vector_bits, pack_vector_tilewise_into,
+    bmv_bin_full_full_into, csr_pull_full, pack_vector_bits, pack_vector_tilewise_into,
 };
 use bitgblas_core::{Semiring, TileSize};
 use bitgblas_datagen::generators;
-use bitgblas_sparse::ops::{self, SemiringKind};
+use bitgblas_sparse::ops;
 use bitgblas_sparse::{Csr, DenseVec};
 
 fn bench_matrices() -> Vec<(&'static str, Csr)> {
@@ -125,10 +125,12 @@ fn bmv_pull_density_benches(c: &mut Criterion) {
 }
 
 /// The full-precision pull — the product behind PageRank, CC and dense SSSP
-/// rounds — at B2SR-8 on the repo benchmark's two graphs, beside the float
-/// CSR `spmv` the benchmark's `kernels.bmv_speedup` divides by.  On R-MAT
-/// most tiles hold one or two bits, so the sweep's cost is how it enumerates
-/// them; on the mesh every tile holds five or more.
+/// rounds — at B2SR-8 on the repo benchmark's two graphs, beside the CSR
+/// row pull the engine runs where tiles are hypersparse (`csr_pull_full`,
+/// bare) and the float CSR `spmv` the benchmark's `kernels.bmv_speedup`
+/// divides by.  On R-MAT most tiles hold one or two bits, so the sweep's
+/// cost is how it enumerates them; on the mesh every tile holds five or
+/// more.
 fn bmv_pull_full_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmv_pull_full");
     group
@@ -161,6 +163,9 @@ fn bmv_pull_full_benches(c: &mut Criterion) {
                 BenchmarkId::new(format!("bmv_bin_full_full_into/{label}"), name),
                 |b| b.iter(|| bmv_bin_full_full_into(&bt, &x, semiring, &mut y)),
             );
+            group.bench_function(BenchmarkId::new(format!("csr_pull/{label}"), name), |b| {
+                b.iter(|| csr_pull_full(&t, &x, semiring, |_| true, |_, v| v, &mut y))
+            });
         }
     }
     group.finish();
@@ -168,8 +173,9 @@ fn bmv_pull_full_benches(c: &mut Criterion) {
 
 /// The fill sweep behind `grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`: the
 /// full-precision tile sweep beside the CSR row pull of the same matrix,
-/// both bare serial kernels (`bmv_bin_full_full_into`,
-/// `ops::spmv_semiring`), at every tile width under Arithmetic and MinPlus.
+/// both bare kernels as the engine runs them (`bmv_bin_full_full_into`,
+/// `csr_pull_full`; serial under `taskset -c 1`), at every tile width under
+/// Arithmetic and MinPlus.
 /// `tiles{d}x{d}_{b}bits` lays R-MAT(14, 16)'s edge count out in scattered
 /// `d × d` tiles of `b` bits each, so that fill is the one variable; R-MAT
 /// itself and the benchmark's mesh pattern run at every width.  16 384
@@ -205,16 +211,15 @@ fn bmv_pull_fill_benches(c: &mut Criterion) {
         }
     }
     let x: Vec<f32> = (0..n).map(|i| (i % 5 + 1) as f32).collect();
-    let x_dense = DenseVec::from_vec(x.clone());
     let mut y = vec![0.0f32; n];
     let semirings = [
-        ("arithmetic", Semiring::Arithmetic, SemiringKind::Arithmetic),
-        ("min_plus", Semiring::MinPlus(1.0), SemiringKind::MinPlus),
+        ("arithmetic", Semiring::Arithmetic),
+        ("min_plus", Semiring::MinPlus(1.0)),
     ];
     for (name, csr, widths) in &graphs {
-        for (label, semiring, kind) in semirings {
+        for (label, semiring) in semirings {
             group.bench_function(format!("{name}/{label}/csr_pull"), |b| {
-                b.iter(|| ops::spmv_semiring(csr, &x_dense, kind).unwrap())
+                b.iter(|| csr_pull_full(csr, &x, semiring, |_| true, |_, v| v, &mut y))
             });
             for &ts in widths {
                 let mut sweep = |tiles: usize, run: &mut dyn FnMut()| {

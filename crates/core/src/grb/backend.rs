@@ -60,8 +60,8 @@ use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bits,
-    bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin, csr_push_full,
-    pack_vector_bits_into,
+    bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin, csr_pull_full,
+    csr_push_full, pack_vector_bits_into,
 };
 use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -384,39 +384,46 @@ impl ScatterPlans {
 /// (this constant at +∞), ten alternating pairs of the repo benchmark's mesh
 /// workloads (B2SR-8, one pinned core) against the tile sweep read, on
 /// `mesh_read` / `mesh_mixed`, `cc_ms` +36 % / +25 % (a MinPlus pull, which
-/// the sweep wins on dense tiles), `query_p95_ms` 2.2× / 2.1× (the batched
-/// PPR lanes), `setup_s` +40 % / +38 % and `peak_rss_mb` +5 % / +4 % (the
-/// `csr_t` the route builds) — three bounds broken — against `pagerank_ms`
-/// −34 % / −29 %.  So dense tiles keep the sweep.
+/// the sweep then won on dense tiles), `query_p95_ms` 2.2× / 2.1× (the
+/// batched PPR lanes), `setup_s` +40 % / +38 % and `peak_rss_mb` +5 % / +4 %
+/// (the `csr_t` the route builds) — three bounds broken — against
+/// `pagerank_ms` −34 % / −29 %.  So dense tiles keep the sweep.  That was
+/// measured before the row pull folded MinPlus in four chains
+/// ([`csr_pull_full`]); the kernels below say the `cc_ms` loss has gone,
+/// the other two stand until measured again.
 ///
-/// The number: `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv --
-/// bmv_pull_fill` (bare serial kernels, 16 384 vertices, one pinned core of
-/// a 2-vCPU Xeon VM, two runs) times the tile sweep beside the CSR row pull
-/// of the same matrix.  With R-MAT's edge count laid out in scattered tiles
-/// of `b` bits each, so that fill is the one variable, row pull ÷ sweep at
-/// B2SR-8 is:
+/// The kernels: `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv --
+/// bmv_pull_fill` (bare kernels, 16 384 vertices, one pinned core of a
+/// 2-vCPU Xeon VM, two runs) times the tile sweep beside the row pull the
+/// engine runs, [`csr_pull_full`].  With R-MAT's edge count laid out in
+/// scattered tiles of `b` bits each, so that fill is the one variable, row
+/// pull ÷ sweep at B2SR-8 is:
 ///
 /// | bits / tile | 1 | 2 | 4 | 6 | 8 | 16 | 64 |
 /// |---|---|---|---|---|---|---|---|
-/// | Arithmetic | 0.32–0.35 | 0.57–0.59 | 0.81–0.84 | 0.98 | 0.94–1.06 | 1.14–1.16 | 0.65–0.68 |
-/// | MinPlus | 0.37–0.39 | 0.65–0.66 | 0.83–0.84 | 0.91–0.93 | 1.00–1.01 | 1.03–1.06 | 0.75–0.86 |
+/// | Arithmetic | 0.24–0.35 | 0.45–0.67 | 0.65–0.71 | 0.76–0.86 | 0.69–0.88 | 0.95–0.98 | 0.76–1.07 |
+/// | MinPlus | 0.30–0.45 | 0.56–0.57 | 0.73–0.74 | 0.84–0.95 | 0.84–0.89 | 0.80–0.86 | 0.59–0.65 |
 ///
-/// They cross between 6 and 8 bits (a full tile's rows are eight-column
-/// runs, the row pull's best case); the constant routes only where the row
-/// pull wins by a sixth or more.  The benchmark's graphs sit far from it:
-/// R-MAT at 2.0 bits per tile (0.23–0.27, MinPlus 0.58–0.62) routes, the
-/// mesh at 51.8 (0.65–0.73, but MinPlus 1.29–1.34) does not
-/// (`crossover_separates_the_benchmark_graphs`).
+/// The row pull wins or ties at every fill.  The MinPlus crossover is gone:
+/// with one `f32::min` chain per row the two crossed between 6 and 8 bits
+/// and the sweep won the mesh's MinPlus pull (1.29–1.34); four chains put
+/// the mesh at 0.49–0.63 (Arithmetic 0.68–0.77).  (Until then these rows
+/// timed `sparse::ops::spmv_semiring`, which reads the values array and
+/// matches the semiring per entry, and put the Arithmetic crossing at 6–8
+/// bits as well.)  So the bare kernels no longer place the constant; it
+/// stays at 4 for the end-to-end losses above, and routes only where the
+/// row pull wins by a quarter or more.  The benchmark's graphs sit far from
+/// it: R-MAT at 2.0 bits per tile (0.28, MinPlus 0.22–0.30) routes, the
+/// mesh at 51.8 does not (`crossover_separates_the_benchmark_graphs`).
 ///
 /// One number serves every width because it never routes to a slower pull:
 /// at B2SR-4, -16 and -32 the row pull wins or ties at every fill of the
-/// sweep (≤ 0.80 at B2SR-4's full 16 bits, 0.77–1.04 at 64 bits of
-/// B2SR-16, ≤ 0.93 at 256 of B2SR-32), and R-MAT (1.5 and 3.2 bits) routes
-/// at B2SR-4 and -16.  It routes too little there instead: R-MAT at B2SR-32
-/// reads 6.0 bits and keeps a sweep 4–10× slower than the row pull.  Not
-/// measured: the batched pull against fill (only end to end, above), more
-/// than one core, and any width but B2SR-8 end to end — the benchmark runs
-/// B2SR-8 only.
+/// sweep (≤ 0.64, 1.14 and 0.99 Arithmetic; ≤ 0.89 MinPlus), and R-MAT
+/// (1.5 and 3.2 bits) routes at B2SR-4 and -16.  It routes too little
+/// there instead: R-MAT at B2SR-32 reads 6.0 bits and keeps a sweep about
+/// 10× slower than the row pull.  Not measured: the batched pull against
+/// fill (only end to end, above), more than one core, and any width but
+/// B2SR-8 end to end — the benchmark runs B2SR-8 only.
 pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
 
 /// The mean bits per non-empty tile below which a [`BitB2sr`]'s masked
@@ -1136,12 +1143,11 @@ impl<W: BitWord> plan::FinishSink for BitPullSink<'_, '_, W> {
     }
 }
 
-/// [`FinishSink`](plan::FinishSink) for the FloatCsr pull sweep: one pass
-/// over the rows with the semiring dispatched **once per call** — each
-/// semiring gets a monomorphised gather loop — and the pipeline epilogue
-/// (handed in by [`plan::dispatch_finish`], itself monomorphised for the
-/// common shapes) folded into the store.  Masked rows skip their edge walk
-/// entirely (GraphBLAST's early exit).
+/// [`FinishSink`](plan::FinishSink) for the CSR row pull: runs
+/// [`csr_pull_full`] with the pipeline epilogue (handed in by
+/// [`plan::dispatch_finish`], itself monomorphised for the common shapes)
+/// folded into the store.  Masked rows skip their edge walk entirely
+/// (GraphBLAST's early exit).
 struct CsrPullSink<'a, 'b> {
     csr: &'a Csr,
     semiring: Semiring,
@@ -1152,33 +1158,16 @@ struct CsrPullSink<'a, 'b> {
 
 impl plan::FinishSink for CsrPullSink<'_, '_> {
     fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin) {
-        use rayon::prelude::*;
-        let (csr, x, mask, out) = (self.csr, self.x, self.mask, self.out);
-        with_semiring_ops!(self.semiring, |identity, combine, reduce| {
-            out.par_iter_mut().enumerate().for_each(|(r, slot)| {
-                let masked = match mask {
-                    Some(m) => !m.allows(r),
-                    None => false,
-                };
-                let raw = if masked {
-                    identity
-                } else {
-                    let (cols, _) = csr.row(r);
-                    let mut acc = identity;
-                    for &c in cols {
-                        acc = reduce(acc, combine(x[c]));
-                    }
-                    acc
-                };
-                *slot = fin(r, raw);
-            })
-        });
+        let mask = self.mask;
+        let allow = |r: usize| mask.is_none_or(|m| m.allows(r));
+        csr_pull_full(self.csr, self.x, self.semiring, allow, fin, self.out);
     }
 }
 
 /// The row pull of a single-vector pipeline over `csr`, bare or fused alike
-/// ([`CsrPullSink`]) — [`FloatCsr`]'s pull, and a [`BitB2sr`]'s
-/// full-precision one when its tiles are too sparse to sweep.
+/// ([`CsrPullSink`]) — [`FloatCsr`]'s pull, a [`BitB2sr`]'s full-precision
+/// one when its tiles are too sparse to sweep, and a one-lane batch's on
+/// either ([`csr_mxm_pull`]).
 fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     out.clear();
     out.resize(csr.nrows(), 0.0);
@@ -1194,10 +1183,14 @@ fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     );
 }
 
-/// The batched row pull of a pipeline over `csr`
-/// ([`FloatCsr::float_mxm_into`]) and its epilogue pass — the batched
-/// counterpart of [`csr_pull`], shared the same way.
+/// The batched row pull of a pipeline over `csr`.  One lane is the vector
+/// pull, [`csr_pull`]: at `k = 1` the operand, the output and the flat mask
+/// index `r·k + l = r` are laid out as a vector's.  Wider batches run
+/// [`FloatCsr::float_mxm_into`] and the epilogue pass.
 fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
+    if p.k == 1 {
+        return csr_pull(csr, p, out);
+    }
     out.clear();
     out.resize(csr.nrows() * p.k, p.semiring.identity());
     FloatCsr::float_mxm_into(csr, p.x, p.k, p.semiring, p.mask, out);
@@ -1310,7 +1303,8 @@ impl FloatCsr {
     /// arbitrary semiring.  `y` has `nrows · k` entries; each row's `k` lane
     /// accumulators advance together so the row's column list is walked
     /// exactly once for the whole batch, under a semiring resolved once per
-    /// call.
+    /// call.  Never one lane: that batch is the vector pull
+    /// ([`csr_mxm_pull`]).
     fn float_mxm_into(
         csr: &Csr,
         x: &[f32],
@@ -1320,6 +1314,7 @@ impl FloatCsr {
         y: &mut [f32],
     ) {
         use rayon::prelude::*;
+        debug_assert!(k > 1, "a one-lane batch is the vector pull");
         with_semiring_ops!(semiring, |identity, combine, reduce| {
             y.par_chunks_mut(k).enumerate().for_each(|(r, out)| {
                 out.fill(identity);
@@ -1584,10 +1579,14 @@ pub(super) mod tests {
     /// both orientations of a ragged rectangular matrix, one lane and batches
     /// of 3 and 64; bare, affine (PageRank), `min`-accumulated (SSSP), masked
     /// and complemented-mask pipelines; operands and baselines holding NaN,
-    /// ±inf and −0.0, under Arithmetic, MinPlus and MaxTimes of either sign.
+    /// ±inf, −0.0, subnormals and the extremes, under Arithmetic, MaxTimes of
+    /// either sign and MinPlus at every hostile weight — 0, 1, −2.5, −0.0,
+    /// ±∞ and NaN, so the four-chain fold and the one chain of
+    /// `MinPlus(−0.0)` both meet the sweep.
     #[test]
     fn routed_pull_equals_the_tile_sweep_bitwise() {
         use crate::grb::expr::Stage;
+        use crate::kernels::bmm::tests::{HOSTILE_GRID, HOSTILE_WEIGHTS};
 
         // Scattered edges of a ragged rectangular matrix plus eight hub rows
         // and eight hub columns of 60 edges: a bit or two per tile at every
@@ -1604,9 +1603,8 @@ pub(super) mod tests {
             }
         }
         let csr = coo.to_binary_csr();
-        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
         let value = |f: usize, semiring: Semiring| match f % 7 {
-            0 | 1 => hostile[(f / 7) % hostile.len()],
+            0 | 1 => HOSTILE_GRID[(f / 7) % HOSTILE_GRID.len()],
             2 | 3 => semiring.identity(),
             _ => 0.37 * (f % 11) as f32 - 1.5,
         };
@@ -1625,12 +1623,13 @@ pub(super) mod tests {
                 } else {
                     (csr.nrows(), csr.ncols())
                 };
-                for semiring in [
+                let min_plus = HOSTILE_WEIGHTS.map(Semiring::MinPlus);
+                let others = [
                     Semiring::Arithmetic,
-                    Semiring::MinPlus(1.0),
                     Semiring::MaxTimes(0.75),
                     Semiring::MaxTimes(-0.5),
-                ] {
+                ];
+                for semiring in min_plus.into_iter().chain(others) {
                     for k in [1usize, 3, 64] {
                         let x: Vec<f32> = (0..contracted * k).map(|f| value(f, semiring)).collect();
                         let base: Vec<f32> =

@@ -37,7 +37,9 @@
 //!
 //! * **The full-precision push** — `csr_push_full`, one lane-sparse scatter
 //!   over the rows of the CSR every built-in backend holds, for every `k`:
-//!   it folds one `f32` per edge whichever layout lists the edges.
+//!   it folds one `f32` per edge whichever layout lists the edges.  Beside
+//!   it, the single-vector row pull over the same rows, `csr_pull_full`,
+//!   which a hypersparse bit matrix runs in place of its tile sweep.
 
 use rayon::prelude::*;
 
@@ -614,10 +616,10 @@ fn fold_all_lanes(
 ///
 /// Per frontier node the scatter tests how many lanes differ from the
 /// identity and takes one of two arms.  A node with at least an eighth of
-/// its lanes active ([`DENSE_LANE_DIVISOR`]) folds all `k` per out-edge —
+/// its lanes active (`DENSE_LANE_DIVISOR`) folds all `k` per out-edge —
 /// two contiguous `k`-slices, vectorised; a dense batch (PPR) runs only
 /// this arm.  Below that the node's non-identity lanes are enumerated once
-/// into a stack block ([`ActiveLanes`], [`LANE_BLOCK`] lanes a pass)
+/// into a stack block (`ActiveLanes`, `LANE_BLOCK` lanes a pass)
 /// together with their `⊗(x)` terms and only those fold per out-edge:
 /// sixty-four SSSP lanes that each changed a few dozen vertices union to
 /// every node, but a node carries one or two of them.
@@ -672,8 +674,115 @@ pub fn csr_push_full<M: Fn(usize) -> bool>(
     });
 }
 
+/// The weight `w` of a `MinPlus(w)` pull whose row fold may run in four
+/// chains ([`csr_pull_full`]): every `w` but `−0.0` (by bits).  Under it
+/// `⊕ = min` over `⊗` outputs gives the same bits in any order and
+/// grouping, since
+///
+/// * `x + w` is `−0.0` only when both operands are `−0.0`
+///   (round-to-nearest), so no term is `−0.0`;
+/// * `f32::min` returns its non-NaN operand, so an accumulator that starts
+///   at `+∞` never holds NaN;
+/// * `min` over non-NaN values with no `−0.0` is a total order's minimum.
+///
+/// `MinPlus(−0.0)` is refused: `−0.0 + −0.0` is `−0.0`, and
+/// `min(0.0, −0.0)` answers by operand position.
+#[inline(always)]
+fn min_plus_any_order(semiring: Semiring) -> Option<f32> {
+    match semiring {
+        Semiring::MinPlus(w) if w.to_bits() != (-0.0f32).to_bits() => Some(w),
+        _ => None,
+    }
+}
+
+/// `min` over `x[c] + w` for the columns of one row, dealt round-robin into
+/// four accumulators merged at the row's end: four independent `f32::min`
+/// chains in place of one.  Exact only under [`min_plus_any_order`].
+#[inline(always)]
+fn min_plus_four_chains(cols: &[usize], x: &[f32], w: f32) -> f32 {
+    let mut acc = [f32::INFINITY; 4];
+    let (quads, rest) = cols.as_chunks::<4>();
+    for quad in quads {
+        for (a, &c) in acc.iter_mut().zip(quad) {
+            *a = a.min(x[c] + w);
+        }
+    }
+    for (a, &c) in acc.iter_mut().zip(rest) {
+        *a = a.min(x[c] + w);
+    }
+    acc[0].min(acc[1]).min(acc[2].min(acc[3]))
+}
+
+/// The row-parallel sweep of [`csr_pull_full`] under one row fold: a row
+/// `allow` admits stores `fin(r, fold(columns))`, any other
+/// `fin(r, identity)` without walking its edges.
+#[inline(always)]
+fn pull_rows(
+    csr: &Csr,
+    identity: f32,
+    allow: impl Fn(usize) -> bool + Sync,
+    fin: impl Fn(usize, f32) -> f32 + Sync,
+    fold: impl Fn(&[usize]) -> f32 + Sync,
+    y: &mut [f32],
+) {
+    y.par_iter_mut().enumerate().for_each(|(r, slot)| {
+        let raw = if allow(r) {
+            fold(csr.row(r).0)
+        } else {
+            identity
+        };
+        *slot = fin(r, raw);
+    });
+}
+
+/// `csr_pull_full()`: pull-direction full-precision matrix × vector over
+/// the rows of a CSR matrix — the one row pull of the built-in backends
+/// (`FloatCsr`'s, a hypersparse bit matrix's, and a one-lane batch's on
+/// either), bare or fused alike.  Row `r` of `y` (the first `nrows`
+/// entries) receives `fin(r, ⊕_c ⊗(x[c]))` over its columns `c`, or
+/// `fin(r, identity)` without an edge walk where `allow(r)` is false (a
+/// masked row: GraphBLAST's early exit).  `fin` is the pipeline's finish,
+/// monomorphised by the caller (`grb::plan::dispatch_finish`).
+///
+/// A row folds in one ascending chain, under a semiring resolved once per
+/// call — except `MinPlus(w)` with `w` not `−0.0`, whose columns are dealt
+/// into four accumulators (`min_plus_four_chains`): `min`'s latency, not
+/// the loads, bounds a one-chain fold.  That is exact
+/// (`min_plus_any_order`), so every semiring's result keeps the bits of
+/// the ascending chain — and of the tile sweep — and the four-chain body is
+/// matched before the semiring dispatch, out of every other semiring's loop.
+///
+/// # Panics
+/// Panics if `x` is shorter than `ncols` or `y` shorter than `nrows`.
+pub fn csr_pull_full<A, Fin>(
+    csr: &Csr,
+    x: &[f32],
+    semiring: Semiring,
+    allow: A,
+    fin: Fin,
+    y: &mut [f32],
+) where
+    A: Fn(usize) -> bool + Sync,
+    Fin: Fn(usize, f32) -> f32 + Sync,
+{
+    assert!(x.len() >= csr.ncols(), "operand x shorter than ncols");
+    assert!(y.len() >= csr.nrows(), "output y shorter than nrows");
+    let y = &mut y[..csr.nrows()];
+    if let Some(w) = min_plus_any_order(semiring) {
+        let fold = |cols: &[usize]| min_plus_four_chains(cols, x, w);
+        return pull_rows(csr, f32::INFINITY, allow, fin, fold, y);
+    }
+    with_semiring_ops!(semiring, |identity, combine, reduce| {
+        let fold = |cols: &[usize]| {
+            cols.iter()
+                .fold(identity, |acc, &c| reduce(acc, combine(x[c])))
+        };
+        pull_rows(csr, identity, allow, fin, fold, y)
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use bitgblas_sparse::{ops, Coo, Csr};
@@ -1442,5 +1551,180 @@ mod tests {
         bmm_bin_full_into(&b, &x, 1, Semiring::Arithmetic, None, &mut y);
         let want = pull_full(&b, &x, Semiring::Arithmetic);
         assert_eq!(&y[..39], &want[..]);
+    }
+
+    // -- the CSR row pull ---------------------------------------------------
+
+    /// Operand values no fold may reorder around: NaN, ±∞, ±0.0, subnormals
+    /// of both signs, the extremes and a few finite values.
+    pub(crate) const HOSTILE_GRID: [f32; 16] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1e-45,
+        -1e-45,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+        f32::MAX,
+        f32::MIN,
+        1.0,
+        -1.0,
+        2.5,
+        -2.5,
+        0.37,
+    ];
+
+    /// Every weight the pins run: 0, 1, −2.5, −0.0, ±∞ and NaN.
+    pub(crate) const HOSTILE_WEIGHTS: [f32; 7] = [
+        0.0,
+        1.0,
+        -2.5,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+
+    /// Every semiring, each weighted one at every hostile weight.
+    fn hostile_semirings() -> Vec<Semiring> {
+        let mut all = vec![Semiring::Boolean, Semiring::Arithmetic];
+        for w in HOSTILE_WEIGHTS {
+            all.extend([Semiring::MinPlus(w), Semiring::MaxTimes(w)]);
+        }
+        all
+    }
+
+    /// The exactness predicate of the four-chain fold.  For every semiring
+    /// and weight it accepts, `⊕` over `⊗` outputs on the hostile grid gives
+    /// the same bits in any order and grouping: an accumulator (the
+    /// identity, or a non-NaN term) ⊕ a term is again an accumulator; on
+    /// accumulators `⊕` is commutative and associative by `to_bits`; and a
+    /// term enters as `identity ⊕ term` does (a NaN term is the identity).
+    /// `MinPlus(−0.0)` is refused, and this is why: `min(0.0, −0.0)` answers
+    /// by position.
+    #[test]
+    fn four_chain_fold_accepts_only_what_any_order_keeps_bitwise() {
+        let bits = |v: f32| v.to_bits();
+        let mut accepted = 0;
+        for semiring in hostile_semirings() {
+            if min_plus_any_order(semiring).is_none() {
+                continue;
+            }
+            accepted += 1;
+            let reduce = |a, b| semiring.reduce(a, b);
+            let terms: Vec<f32> = HOSTILE_GRID.iter().map(|&x| semiring.combine(x)).collect();
+            let accs: Vec<f32> = std::iter::once(semiring.identity())
+                .chain(terms.iter().copied().filter(|t| !t.is_nan()))
+                .collect();
+            for &a in &accs {
+                for &t in &terms {
+                    let folded = reduce(a, t);
+                    assert!(
+                        !folded.is_nan() && bits(folded) != bits(-0.0),
+                        "{semiring:?}: {a:?} ⊕ {t:?} = {folded:?} leaves the accumulators"
+                    );
+                    let entered = reduce(a, reduce(semiring.identity(), t));
+                    assert_eq!(bits(folded), bits(entered), "{semiring:?}: {a:?} ⊕ {t:?}");
+                }
+                for &b in &accs {
+                    let ab = reduce(a, b);
+                    assert_eq!(bits(ab), bits(reduce(b, a)), "{semiring:?}: {a:?} ⊕ {b:?}");
+                    for &c in &accs {
+                        assert_eq!(
+                            bits(reduce(ab, c)),
+                            bits(reduce(a, reduce(b, c))),
+                            "{semiring:?}: ({a:?} ⊕ {b:?}) ⊕ {c:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Every MinPlus weight of the grid but −0.0.
+        assert_eq!(accepted, HOSTILE_WEIGHTS.len() - 1);
+        let zero_weight = Semiring::MinPlus(-0.0);
+        assert_eq!(min_plus_any_order(zero_weight), None);
+        assert_eq!(min_plus_any_order(Semiring::MinPlus(0.0)), Some(0.0));
+        let (pos, neg) = (zero_weight.combine(0.0), zero_weight.combine(-0.0));
+        assert_ne!(
+            bits(zero_weight.reduce(pos, neg)),
+            bits(zero_weight.reduce(neg, pos)),
+            "min(0.0, −0.0) answers by position"
+        );
+    }
+
+    /// The row pull against the ascending chain by the enum methods, bit for
+    /// bit: rows of 0 to 9 entries (every remainder of the four-chain deal),
+    /// the hostile grid dealt across the operand at several offsets and an
+    /// operand of signed zeros, every semiring at every hostile weight, with
+    /// and without a row mask, bare and under a `min` finish over a hostile
+    /// baseline.
+    #[test]
+    fn csr_pull_full_equals_the_ascending_chain_bitwise() {
+        let (nrows, ncols) = (120usize, 97usize);
+        let mut coo = Coo::new(nrows, ncols);
+        for r in 0..nrows {
+            for i in 0..r % 10 {
+                coo.push_edge(r, (r * 5 + i * 17) % ncols).unwrap();
+            }
+        }
+        let a = coo.to_binary_csr();
+        assert!((0..nrows).all(|r| a.row(r).0.len() == r % 10));
+        let grid = |f: usize| HOSTILE_GRID[f % HOSTILE_GRID.len()];
+        let base: Vec<f32> = (0..nrows).map(|r| grid(r * 3 + 1)).collect();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        // Signed zeros with nothing below them, so that a row's minimum is
+        // `min(0.0, −0.0)` — where `MinPlus(−0.0)`'s answer is positional.
+        let zeros = |c: usize| [0.0, -0.0, 1.0, f32::NAN][c % 4];
+        let operands: Vec<Vec<f32>> = [0usize, 5, 11]
+            .map(|offset| (0..ncols).map(|c| grid(c * 7 + offset)).collect())
+            .into_iter()
+            .chain([(0..ncols).map(zeros).collect()])
+            .collect();
+        for semiring in hostile_semirings() {
+            for (o, x) in operands.iter().enumerate() {
+                let chain: Vec<f32> = (0..nrows)
+                    .map(|r| {
+                        a.row(r).0.iter().fold(semiring.identity(), |acc, &c| {
+                            semiring.reduce(acc, semiring.combine(x[c]))
+                        })
+                    })
+                    .collect();
+                for masked in [false, true] {
+                    let allow = |r: usize| !masked || r % 3 != 1;
+                    let raw = |r: usize| {
+                        if allow(r) {
+                            chain[r]
+                        } else {
+                            semiring.identity()
+                        }
+                    };
+                    let what = format!("{semiring:?} operand {o} masked={masked}");
+                    let mut y = vec![7.0f32; nrows + 3];
+                    csr_pull_full(&a, x, semiring, allow, |_, t| t, &mut y);
+                    let want: Vec<f32> = (0..nrows).map(raw).collect();
+                    assert_eq!(bits(&y[..nrows]), bits(&want), "bare {what}");
+                    assert_eq!(bits(&y[nrows..]), bits(&[7.0; 3]), "past nrows {what}");
+                    csr_pull_full(&a, x, semiring, allow, |r, t| base[r].min(t), &mut y);
+                    let want: Vec<f32> = (0..nrows).map(|r| base[r].min(raw(r))).collect();
+                    assert_eq!(bits(&y[..nrows]), bits(&want), "min finish {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "operand x shorter than ncols")]
+    fn csr_pull_rejects_a_short_operand() {
+        let a = sample(9, 3, 2);
+        csr_pull_full(
+            &a,
+            &[0.0; 8],
+            Semiring::Arithmetic,
+            |_| true,
+            |_, t| t,
+            &mut [0.0; 9],
+        );
     }
 }

@@ -38,6 +38,13 @@ enum MmSymmetry {
 const MAX_RESERVED_ENTRIES: usize = 1 << 20;
 
 /// Read a Matrix Market stream into a COO matrix.
+///
+/// The body is checked as it streams: an entry past the count the size line
+/// declares, or a token past the last field of an entry line (`1 1 1.0
+/// junk`, a value on a `pattern` line), is a parse error at that line, so a
+/// body longer than declared is never read to its end.  A `real` value
+/// that Rust's `f32` parser accepts is kept as read, NaN and `±inf`
+/// included.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
     let mut lines = BufReader::new(reader).lines();
 
@@ -112,6 +119,11 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
         if trimmed.is_empty() || trimmed.starts_with('%') {
             continue;
         }
+        if seen == nnz {
+            return Err(SparseError::Parse(format!(
+                "header declares {nnz} entries but the body holds more: {trimmed}"
+            )));
+        }
         let mut parts = trimmed.split_whitespace();
         let r: usize = parts
             .next()
@@ -131,6 +143,11 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
                 .parse()
                 .map_err(|_| SparseError::Parse(format!("bad value: {trimmed}")))?,
         };
+        if parts.next().is_some() {
+            return Err(SparseError::Parse(format!(
+                "tokens past the entry's last field: {trimmed}"
+            )));
+        }
         if r == 0 || c == 0 {
             return Err(SparseError::Parse(
                 "MatrixMarket indices are 1-based".into(),
@@ -142,7 +159,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
         }
         seen += 1;
     }
-    if seen != nnz {
+    if seen < nnz {
         return Err(SparseError::Parse(format!(
             "header declares {nnz} entries but {seen} were found"
         )));
@@ -275,6 +292,64 @@ mod tests {
         let sparse = "%%MatrixMarket matrix coordinate pattern general\n\
             18446744073709551615 18446744073709551615 1\n7 9\n";
         assert_eq!(read_matrix_market(sparse.as_bytes()).unwrap().nnz(), 1);
+    }
+
+    /// A reader that fails if asked for more bytes: what stands after the
+    /// first line the parser must refuse.
+    struct FailsIfRead;
+
+    impl Read for FailsIfRead {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("read past the refused line"))
+        }
+    }
+
+    /// Entry lines are checked as they stream: a body longer than the size
+    /// line declares is refused at its first surplus entry, before anything
+    /// after it is read, and an entry line with a token past its field's
+    /// last one is refused — all as `SparseError::Parse`.
+    #[test]
+    fn surplus_entries_and_trailing_tokens_are_parse_errors() {
+        for text in [
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 0\n% none\n1 1\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 junk\n",
+            "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3 4\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1 1.0\n",
+        ] {
+            let got = read_matrix_market(text.as_bytes().chain(FailsIfRead));
+            assert!(
+                matches!(got, Err(SparseError::Parse(_))),
+                "{text:?}: {got:?}"
+            );
+        }
+        // The count still binds from below, and an honest body ends cleanly.
+        let short = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n";
+        assert!(matches!(
+            read_matrix_market(short.as_bytes()),
+            Err(SparseError::Parse(_))
+        ));
+        let exact = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n% end\n";
+        assert_eq!(read_matrix_market(exact.as_bytes()).unwrap().nnz(), 1);
+    }
+
+    /// What a `real` file with NaN or `±inf` values yields: the values as
+    /// read, which the binary CSR view (`read_binary_csr`) keeps as edges —
+    /// only an explicit zero is dropped.
+    #[test]
+    fn non_finite_real_values_are_kept_as_read() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 3 4\n\
+            1 1 NaN\n1 2 inf\n2 3 -inf\n2 1 0.0\n";
+        let csr = read_matrix_market(text.as_bytes()).unwrap().to_csr();
+        assert!(csr.get(0, 0).unwrap().is_nan());
+        assert_eq!(csr.get(0, 1), Some(f32::INFINITY));
+        assert_eq!(csr.get(1, 2), Some(f32::NEG_INFINITY));
+        let binary = csr.binarized();
+        assert_eq!(binary.nnz(), 3);
+        assert_eq!(
+            [(0, 0), (0, 1), (1, 2), (1, 0)].map(|(r, c)| binary.get(r, c)),
+            [Some(1.0), Some(1.0), Some(1.0), None]
+        );
     }
 
     /// Dimensions the reader accepts but no row pointer can hold: the CSR

@@ -578,7 +578,9 @@ fn auto_selection_differs_across_corpus_patterns() {
 /// per-(node, lane) mask — holds that against `FloatCsr` in both directions.
 /// Two graphs, so that every width pulls on both sides of the crossover
 /// below which a bit backend's full-precision pulls read its CSR: a scatter
-/// pattern (routed at B2SR-4) and a band (tiles at every width).
+/// pattern (routed at B2SR-4) and a band (tiles at every width).  MinPlus
+/// over hostile operands holds the same on both
+/// ([`assert_min_plus_one_lane_parity`]).
 #[test]
 fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
     let scatter = generators::erdos_renyi(96, 0.05, true, 131);
@@ -595,14 +597,16 @@ fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
         }
     }
     for base in [scatter, band] {
+        assert_min_plus_one_lane_parity(&base);
         assert_one_lane_parity(base);
     }
 }
 
-fn assert_one_lane_parity(base: Csr) {
+/// A snapshot of `base` on `backend` with inserts and deletes pending: a
+/// `DeltaOverlay` over the built backend.
+fn with_pending_deltas(base: &Csr, backend: Backend) -> Snapshot {
     let n = base.nrows();
-    let ctx = Context::default();
-    let live = Matrix::from_csr(&base, Backend::Bit(TileSize::S8));
+    let live = Matrix::from_csr(base, backend);
     let mut deltas: Vec<EdgeDelta> = (0..n)
         .step_by(5)
         .map(|i| EdgeDelta::insert(i, (i * 7 + 3) % n))
@@ -614,7 +618,121 @@ fn assert_one_lane_parity(base: Csr) {
     );
     live.apply_deltas(&deltas).unwrap();
     let overlay = live.snapshot();
-    assert_ne!(overlay.csr(), &base, "the deltas must be pending");
+    assert_ne!(overlay.csr(), base, "the deltas must be pending");
+    overlay
+}
+
+/// MinPlus over hostile operands, the row pull's four-chain fold and its
+/// one-chain `MinPlus(−0.0)`: an operand holding NaN, ±∞, −0.0 and
+/// subnormals beside unreached nodes, every weight in {0, 1, −2.5, −0.0,
+/// ±∞, NaN}; bare, masked (plain and complemented), `min`-accumulated over
+/// a hostile baseline (SSSP's shape) and affine (PPR's).  On `FloatCsr`,
+/// B2SR-4 (which routes on the scatter pattern), B2SR-8, and an overlay
+/// over `FloatCsr` and over B2SR-4: the one-lane `Op::mxm` is bit-identical
+/// to `Op::mxv` / `Op::vxm` both ways, and every pull to `FloatCsr`'s on the
+/// same graph.
+fn assert_min_plus_one_lane_parity(base: &Csr) {
+    let n = base.nrows();
+    let ctx = Context::default();
+    let built = [
+        Backend::FloatCsr,
+        Backend::Bit(TileSize::S4),
+        Backend::Bit(TileSize::S8),
+    ]
+    .map(|b| Matrix::from_csr(base, b));
+    let overlays =
+        [Backend::FloatCsr, Backend::Bit(TileSize::S4)].map(|b| with_pending_deltas(base, b));
+    let merged_float = Matrix::from_csr(overlays[0].csr(), Backend::FloatCsr);
+    let float = &built[0];
+    // (name, matrix, `FloatCsr` on the same graph)
+    let matrices: [(&str, &Matrix, &Matrix); 5] = [
+        ("FloatCsr", float, float),
+        ("Bit(S4)", &built[1], float),
+        ("Bit(S8)", &built[2], float),
+        ("overlay on FloatCsr", &overlays[0], &merged_float),
+        ("overlay on Bit(S4)", &overlays[1], &merged_float),
+    ];
+    let grid = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e-45,
+        -f32::MIN_POSITIVE / 2.0,
+        1.5,
+        -2.5,
+    ];
+    // A third of the nodes unreached (`+∞`, the identity), the rest the grid.
+    let x: Vector = (0..n)
+        .map(|i| match i % 3 {
+            0 => f32::INFINITY,
+            _ => grid[(i * 5) % grid.len()],
+        })
+        .collect::<Vec<f32>>()
+        .into();
+    let dist: Vector = (0..n)
+        .map(|i| grid[(i * 7 + 2) % grid.len()])
+        .collect::<Vec<f32>>()
+        .into();
+    let structure: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+    let masks = [Mask::new(structure.clone()), Mask::complemented(structure)];
+    let lane = MultiVec::from_columns(std::slice::from_ref(&x));
+    let lane_dist = MultiVec::from_columns(std::slice::from_ref(&dist));
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+    for (backend, a, float) in matrices {
+        for w in [
+            0.0,
+            1.0,
+            -2.5,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ] {
+            let semiring = Semiring::MinPlus(w);
+            for dir in [Direction::Push, Direction::Pull] {
+                for flip in [false, true] {
+                    for shape in 0..5 {
+                        let single = |a: &Matrix| {
+                            let mut one = if flip { Op::vxm(&x, a) } else { Op::mxv(a, &x) };
+                            one = one.semiring(semiring).direction(dir);
+                            one = match shape {
+                                1 | 2 => one.mask(&masks[shape - 1]),
+                                3 => one.accum(BinaryOp::Min, &dist),
+                                4 => one.affine(0.85, 0.01),
+                                _ => one,
+                            };
+                            bits(one.run(&ctx).as_slice())
+                        };
+                        let mut many = Op::mxm(a, &lane).semiring(semiring).direction(dir);
+                        if flip {
+                            many = many.transpose();
+                        }
+                        many = match shape {
+                            1 | 2 => many.mask(&masks[shape - 1]),
+                            3 => many.accum(BinaryOp::Min, &lane_dist),
+                            4 => many.affine(0.85, 0.01),
+                            _ => many,
+                        };
+                        let what =
+                            format!("{backend} MinPlus({w:?}) {dir:?} flip={flip} shape {shape}");
+                        let one = single(a);
+                        assert_eq!(bits(many.run(&ctx).as_slice()), one, "{what}");
+                        if dir == Direction::Pull {
+                            assert_eq!(one, single(float), "vs FloatCsr: {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn assert_one_lane_parity(base: Csr) {
+    let n = base.nrows();
+    let ctx = Context::default();
+    let overlay = with_pending_deltas(&base, Backend::Bit(TileSize::S8));
     let built = [
         Backend::Bit(TileSize::S4),
         Backend::Bit(TileSize::S8),
