@@ -4,13 +4,17 @@
 //! with `vxm()` over the Boolean semiring and filters out already-visited
 //! vertices with a complemented mask.  On a bit backend the traversal is the
 //! paper's scheme as it stands: frontier and visited set stay binarized from
-//! one round to the next ([`NodeBits`], [`Op::vxm_bits`]), the pull sweep is
-//! `bmv_bin_bin_bin_masked_into()` and the mask is a bitwise AND-NOT right
-//! before the output store.  The paper's GPU kernel walks every tile whatever
-//! the mask says, to keep a warp from diverging; the CPU sweep has no warp
-//! and leaves a tile-row once every row the mask lets through is reached
-//! (`kernels::bmv`) — same words stored, fewer tiles read.  Any other backend
-//! runs the same rounds over `f32` vectors.
+//! one round to the next ([`NodeBits`], [`Op::vxm_bits`]), and the mask is a
+//! bitwise AND-NOT right before the output store.  The pull runs on the
+//! format whose fill wins (Table V): dense tiles sweep
+//! `bmv_bin_bin_bin_masked_into()`, hypersparse ones read the CSR the
+//! backend also holds (`csr_bits_pull()`), and the pushes scatter tile words
+//! or CSR node words the same way.  The paper's GPU kernel walks every tile
+//! whatever the mask says, to keep a warp from diverging; the CPU sweep has
+//! no warp and leaves a tile-row once every row the mask lets through is
+//! reached, and the CSR pull stops a row at its first frontier in-neighbour
+//! (Beamer's bottom-up step) — same words stored, less read.  Any other
+//! backend runs the same rounds over `f32` vectors.
 //!
 //! The traversal is **direction-optimizing**: with the default
 //! [`Direction::Auto`] each iteration picks the push (sparse-frontier

@@ -11,9 +11,9 @@
 //! to a slower path.  The layer ships two implementations —
 //!
 //! * [`BitB2sr`] — B2SR storage + the bit kernels of [`crate::kernels`]
-//!   (the paper's contribution), whose full-precision pulls and masked
-//!   product reduction read the CSR it also holds when its tiles are too
-//!   sparse to sweep ([`CSR_PULL_BELOW_BITS_PER_TILE`],
+//!   (the paper's contribution), whose full-precision pulls, Boolean
+//!   products and masked product reduction read the CSR it also holds when
+//!   its tiles are too sparse to sweep ([`CSR_PULL_BELOW_BITS_PER_TILE`],
 //!   [`CSR_REDUCE_BELOW_BITS_PER_TILE`]), and whose full-precision pushes
 //!   always scatter from it;
 //! * [`FloatCsr`] — 32-bit-float CSR + row-parallel reference sweeps (the
@@ -35,7 +35,8 @@
 //!
 //! Every push (sparse-frontier) product of both built-in backends runs
 //! through one routine, `push_scatter` — the Boolean word scatters of
-//! [`BitB2sr`] and the one full-precision scatter, [`csr_push_full`]: cut
+//! [`BitB2sr`] (tile words, or node and lane words from the CSR) and the
+//! one full-precision scatter, [`csr_push_full`]: cut
 //! the ascending frontier at the
 //! plan's row-shard boundaries, decide — from the frontier and the plan
 //! alone, never from the thread count — whether the modelled scatter work
@@ -60,8 +61,9 @@ use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bits,
-    bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin, csr_pull_full,
-    csr_push_full, pack_vector_bits_into,
+    bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin, csr_bits_pull,
+    csr_bits_push, csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full,
+    pack_vector_bits_into,
 };
 use crate::semiring::{with_semiring_ops, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
@@ -165,7 +167,9 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     /// what a backend without a sharded scatter always reports.
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
 
-    /// Storage bytes of the active representation.
+    /// Storage bytes of the backend's primary representation: the B2SR
+    /// tiles for [`BitB2sr`] (also when its products read the CSR it holds,
+    /// which is not counted), the float CSR for [`FloatCsr`].
     fn storage_bytes(&self) -> usize;
 
     /// A new backend of the same kind holding `Aᵀ`.
@@ -424,6 +428,43 @@ impl ScatterPlans {
 /// 10× slower than the row pull.  Not measured: the batched pull against
 /// fill (only end to end, above), more than one core, and any width but
 /// B2SR-8 end to end — the benchmark runs B2SR-8 only.
+///
+/// # The Boolean products
+///
+/// The same constant routes the Boolean products
+/// ([`BitB2sr::boolean_reads_csr`]).  `taskset -c 1 cargo bench -p
+/// bitgblas-bench --bench bmv -- bmv_bool_fill` (same graphs, host and core,
+/// two runs) times the tile Boolean pull and push beside the four CSR word
+/// kernels — node words at `k = 1` ([`csr_bits_pull`], [`csr_bits_push`]),
+/// lane words at `k = 64` ([`csr_lanes_pull`], [`csr_lanes_push`]) — at a
+/// 1 % frontier as a BFS's first rounds meet it, a half frontier with
+/// three quarters visited and a full frontier with nothing visited.  CSR ÷
+/// tiles at B2SR-8, each cell over the states named and both runs:
+///
+/// | bits / tile | node pull 1 % | node pull ½, full | node push | lane pull 1 % | lane pull ½, full | lane push |
+/// |---|---|---|---|---|---|---|
+/// | 1 | 0.42–0.46 | 0.22–0.32 | 0.11–0.15 | 0.06–0.09 | 0.02–0.29 | 0.06–0.07 |
+/// | 2 | 0.99–1.25 | 0.39–0.63 | 0.25–0.30 | 0.13–0.19 | 0.02–0.60 | 0.07–0.09 |
+/// | 4 | 2.59–3.02 | 0.42–0.70 | 0.43–0.68 | 0.22 | 0.05–0.18 | 0.08–0.14 |
+/// | 8 | 5.13–5.92 | 0.71–2.35 | 0.74–1.17 | 0.33–0.40 | 0.08–0.22 | 0.18–0.29 |
+/// | 16 | 12–14 | 2.96–3.47 | 1.88–2.42 | 0.53–0.56 | 0.07–0.56 | 0.29–0.43 |
+/// | 64 | 19–27 | 3.13–5.55 | 3.41–7.89 | 1.52–2.47 | 0.19–0.88 | 0.53–0.67 |
+/// | R-MAT, 2.0 | 0.65–0.73 | 0.08–0.23 | 0.17–0.40 | 0.08 | 0.01–0.27 | 0.06–0.09 |
+/// | mesh, 51.8 | 33–36 | 2.92–38 | 5.80–9.61 | 0.92–1.04 | 0.05–0.56 | 0.32–0.40 |
+///
+/// The single-vector products cross between 4 and 8 bits, except the node
+/// pull at a 1 % frontier, which crosses near 2 — but a BFS pulls at large
+/// frontiers (`Direction::Auto` is Beamer's switch), where the CSR wins to
+/// 4 bits.  So the pull's constant serves, and no second one is needed.  At
+/// the other widths, under 4 bits, every cell is ≤ 0.70 but that same node
+/// pull at a 1 % frontier at 2 bits per tile (B2SR-4 1.45–1.49, B2SR-16
+/// 0.82–1.05); R-MAT routes at B2SR-4 and -16 (1.5 and 3.2 bits: ≤ 0.85),
+/// and at B2SR-32 (6.0 bits) keeps tiles that lose every cell but that one
+/// (1.24–1.60; the rest 0.01–0.97).  The lane products cross higher — the
+/// tile lane push walks every tile of a node's tile-row — and win the mesh
+/// too (½ and full pulls 0.05–0.56, pushes 0.32–0.40), which the constant
+/// leaves on tiles: the mesh's single-vector products, where tiles win by
+/// 2.9–38×, decide its BFS.
 pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
 
 /// The mean bits per non-empty tile below which a [`BitB2sr`]'s masked
@@ -466,8 +507,9 @@ pub const CSR_REDUCE_BELOW_BITS_PER_TILE: f64 = 2.5;
 
 /// The Bit-GraphBLAS backend: B2SR storage, bit kernels (Tables II and III),
 /// and the binary CSR it was built from (the interchange view), which its
-/// full-precision pulls and its masked product reduction read when the tiles
-/// are hypersparse ([`BitB2sr::full_pull_reads_csr`],
+/// full-precision pulls, its Boolean products and its masked product
+/// reduction read when the tiles are hypersparse
+/// ([`BitB2sr::full_pull_reads_csr`], [`BitB2sr::boolean_reads_csr`],
 /// [`BitB2sr::masked_reduce_reads_csr`]).
 #[derive(Debug)]
 pub struct BitB2sr {
@@ -525,8 +567,9 @@ impl BitB2sr {
     /// [`CSR_PULL_BELOW_BITS_PER_TILE`]; decided once, where the tiles are
     /// built, from two stored counts (never from [`B2srMatrix::nnz`], a
     /// popcount sweep).  `Aᵀ` has the same edges and tiles, so the transpose
-    /// view keeps the flag.  Boolean products stay in bits either way, and
-    /// full-precision pushes read the CSR either way.  Both pulls fold a
+    /// view keeps the flag.  Full-precision pushes read the CSR either way;
+    /// the Boolean products route under the same constant
+    /// ([`boolean_reads_csr`](Self::boolean_reads_csr)).  Both pulls fold a
     /// row's columns in ascending order, so the two paths agree bit for bit.
     pub fn full_pull_reads_csr(&self) -> bool {
         self.bits_per_tile < CSR_PULL_BELOW_BITS_PER_TILE
@@ -543,10 +586,17 @@ impl BitB2sr {
         self.bits_per_tile < CSR_REDUCE_BELOW_BITS_PER_TILE
     }
 
-    /// Whether the pull of `p` reads the CSR: a full-precision product on a
-    /// matrix whose tiles are too sparse to sweep.
-    fn routes_pull(&self, p: &MxvPipeline<'_>) -> bool {
-        self.full_pull_reads_csr() && p.semiring != Semiring::Boolean
+    /// Whether this matrix's Boolean products — pull and push, in node
+    /// words (`bits_product`: [`Op::vxm_bits`](super::Op::vxm_bits)) and lane
+    /// words (`lane_product`: [`Op::mxm_lanes`](super::Op::mxm_lanes)), and
+    /// so the `f32` Boolean arms of `mxv_into` / `mxm_into` — read the CSR the backend already holds
+    /// (`csr_t` or `csr`, whichever the product walks) instead of the tiles.
+    /// Decided from the same stored fill as
+    /// [`full_pull_reads_csr`](Self::full_pull_reads_csr), under
+    /// [`CSR_PULL_BELOW_BITS_PER_TILE`].  OR is exact, so the two paths give
+    /// the same words.
+    pub fn boolean_reads_csr(&self) -> bool {
+        self.bits_per_tile < CSR_PULL_BELOW_BITS_PER_TILE
     }
 
     /// The B2SR representation.
@@ -606,8 +656,13 @@ impl BitB2sr {
     /// layout), `frontier` is `mxm_into`'s — `Some(ascending nodes holding a
     /// set lane)` for push — and `yw` is a pooled buffer sized here.  Not a
     /// trait method: the op layer ([`Op::mxm_lanes`](super::Op::mxm_lanes))
-    /// finds it by downcast, and the `f32` Boolean arms of `mxm_into` run the
-    /// same two bodies between a pack and an expand.
+    /// finds it by downcast, and the `f32` Boolean arm of `mxm_into`
+    /// ([`boolean_batch`](Self::boolean_batch)) runs it between a pack and an
+    /// expand.  A matrix whose Boolean products read the CSR
+    /// ([`boolean_reads_csr`](Self::boolean_reads_csr)) runs
+    /// [`csr_lanes_pull`] on `csr_rep(transpose)` or scatters
+    /// [`csr_lanes_push`] from `csr_rep(!transpose)`; any other sweeps or
+    /// scatters its tiles.  Both give the same words.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn lane_product(
         &self,
@@ -619,13 +674,31 @@ impl BitB2sr {
         ws: &Workspace,
         yw: &mut Vec<u64>,
     ) {
+        let wpn = lane_words_per_node(k);
         match frontier {
+            Some(frontier) if self.boolean_reads_csr() => {
+                let (csr, plan, avg) = self.csr_scatter_rep(transpose);
+                let scatter = |segment: &[usize], chunk: &mut [u64]| {
+                    csr_lanes_push(csr, segment, xw, wpn, chunk)
+                };
+                let words = csr.ncols() * wpn;
+                or_scatter(ws, plan, frontier, avg, wpn, words, excluded, yw, scatter)
+            }
             Some(frontier) => {
-                let wpn = lane_words_per_node(k);
                 let (rep, plan, avg) = self.scatter_rep(transpose);
-                with_b2sr!(rep, |m| lane_push(
-                    m, xw, wpn, frontier, plan, avg, excluded, ws, yw
-                ))
+                with_b2sr!(rep, |m| {
+                    let scatter = |segment: &[usize], chunk: &mut [u64]| {
+                        bmm_push_bits(m, segment, xw, wpn, chunk)
+                    };
+                    let words = m.ncols() * wpn;
+                    or_scatter(ws, plan, frontier, avg, wpn, words, excluded, yw, scatter)
+                })
+            }
+            None if self.boolean_reads_csr() => {
+                let csr = csr_rep(self, transpose);
+                yw.clear();
+                yw.resize(csr.nrows() * wpn, 0);
+                csr_lanes_pull(csr, xw, k, excluded, yw);
             }
             None => with_b2sr!(self.rep(transpose), |m| lane_pull(
                 m, xw, k, excluded, ws, yw
@@ -636,11 +709,13 @@ impl BitB2sr {
     /// The single-vector Boolean product in node words, `yw = (A ⊕.⊗ xw) &
     /// !excluded` (on `Aᵀ` with `transpose`): `xw` and `excluded` are in
     /// [`NodeBits`](super::NodeBits)' layout, `frontier` is `mxv_into`'s —
-    /// `Some(ascending set indices of xw)` for push — and `yw` is a pooled
-    /// buffer sized here.  [`lane_product`](Self::lane_product)'s one-bit
-    /// sibling, found the same way ([`Op::vxm_bits`](super::Op::vxm_bits));
-    /// the `f32` Boolean arms of `mxv_into` run the same two bodies between a
-    /// pack and an expand.
+    /// `Some(ascending set indices of xw)` for push, which reads no `xw` —
+    /// and `yw` is a pooled buffer sized here.
+    /// [`lane_product`](Self::lane_product)'s one-bit sibling, found the same
+    /// way ([`Op::vxm_bits`](super::Op::vxm_bits)) and routed the same way
+    /// ([`csr_bits_pull`], [`csr_bits_push`]); the `f32` Boolean arm of
+    /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
+    /// a pack and an expand.
     pub(crate) fn bits_product(
         &self,
         xw: &[u64],
@@ -651,12 +726,146 @@ impl BitB2sr {
         yw: &mut Vec<u64>,
     ) {
         match frontier {
+            Some(frontier) if self.boolean_reads_csr() => {
+                let (csr, plan, avg) = self.csr_scatter_rep(transpose);
+                let scatter =
+                    |segment: &[usize], chunk: &mut [u64]| csr_bits_push(csr, segment, chunk);
+                let words = csr.ncols().div_ceil(64);
+                or_scatter(ws, plan, frontier, avg, 1, words, excluded, yw, scatter)
+            }
             Some(frontier) => {
                 let (rep, plan, avg) = self.scatter_rep(transpose);
                 with_b2sr!(rep, |m| bits_push(m, frontier, plan, avg, excluded, ws, yw))
             }
+            None if self.boolean_reads_csr() => {
+                let csr = csr_rep(self, transpose);
+                yw.clear();
+                yw.resize(csr.nrows().div_ceil(64), 0);
+                csr_bits_pull(csr, xw, excluded, yw);
+            }
             None => with_b2sr!(self.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw)),
         }
+    }
+
+    /// The `f32` Boolean product of a single-vector pipeline: the operand
+    /// packed into node words → [`bits_product`](Self::bits_product) → the
+    /// words expanded to a `0.0` / `1.0` indicator, and the collapsed
+    /// epilogue (if any) over the expansion.  A pull takes the mask into the
+    /// product as suppressed rows, so the expansion has nothing left to
+    /// filter; a push packs neither (its frontier is the operand's set
+    /// entries) and the mask filters the expansion, which visits the set
+    /// bits only.  Every Boolean pipeline scatters from the identity: `Or`
+    /// would normalise a seeded baseline (`push_folds_accum` excludes it)
+    /// and the words could not carry one anyway.  Out of line, like
+    /// [`csr_push_vector`]: the full-precision arms of `mxv_into` keep their
+    /// code.
+    #[inline(never)]
+    fn boolean_vector(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        let mut xw: Vec<u64> = ws.take_empty();
+        let mut sup = None;
+        let mut converted = 0;
+        if p.frontier.is_none() {
+            pack_segments_into(p.x, 64, &mut xw, |&v| v != 0.0);
+            sup = p.mask.map(|mk| {
+                let mut mw: Vec<u64> = ws.take_empty();
+                let complemented = mk.is_complemented();
+                pack_segments_into(mk.structure(), 64, &mut mw, |&set| set == complemented);
+                mw
+            });
+            converted = p.x.len() + p.mask.map_or(0, Mask::len);
+        }
+        let mut yw: Vec<u64> = ws.take_empty();
+        self.bits_product(&xw, p.frontier, sup.as_deref(), p.transpose, ws, &mut yw);
+        out.clear();
+        out.resize(self.produced(p.transpose), 0.0);
+        let filter = p.mask.filter(|_| p.frontier.is_some());
+        expand_node_words_into(&yw, filter, out);
+        ws.stats().record_converted(converted + out.len());
+        ws.give(xw);
+        ws.give(yw);
+        if let Some(mw) = sup {
+            ws.give(mw);
+        }
+        p.finish_in_place(out);
+    }
+
+    /// The `f32` Boolean product of a batched pipeline:
+    /// [`boolean_vector`](Self::boolean_vector) in lane words, through
+    /// [`lane_product`](Self::lane_product).  A pull takes the flat mask as
+    /// suppressed lane words, so fully-masked rows (every lane visited, the
+    /// common late-traversal state) walk nothing; a push filters the
+    /// expansion (which skips all-zero nodes) instead of staging the mask:
+    /// after a thin frontier most nodes are.
+    #[inline(never)]
+    fn boolean_batch(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        let (x, k) = (p.x, p.k);
+        let mut xw: Vec<u64> = ws.take_empty();
+        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
+        let mut sup = None;
+        let mut converted = x.len();
+        if let (None, Some(mk)) = (p.frontier, p.mask) {
+            let mut mw: Vec<u64> = ws.take_empty();
+            let complemented = mk.is_complemented();
+            pack_lane_words_from(mk.structure(), k, |set| set == complemented, &mut mw);
+            sup = Some(mw);
+            converted += mk.len();
+        }
+        let mut yw: Vec<u64> = ws.take_empty();
+        self.lane_product(&xw, k, p.frontier, sup.as_deref(), p.transpose, ws, &mut yw);
+        out.clear();
+        out.resize(self.produced(p.transpose) * k, 0.0);
+        let filter = p.mask.filter(|_| p.frontier.is_some());
+        expand_lane_words_into(&yw, k, filter, out);
+        ws.stats().record_converted(converted + out.len());
+        ws.give(xw);
+        ws.give(yw);
+        if let Some(mw) = sup {
+            ws.give(mw);
+        }
+        p.finish_in_place(out);
+    }
+
+    /// Entries a product produces: `A`'s rows, or `Aᵀ`'s with `transpose`.
+    fn produced(&self, transpose: bool) -> usize {
+        if transpose {
+            self.ncols()
+        } else {
+            self.nrows()
+        }
+    }
+}
+
+/// A Boolean word scatter through [`push_scatter`]: `yw` is sized to `words`
+/// zeros, `scatter` ORs a frontier segment's edges into its chunk (`lanes`
+/// words per output node), and the result is finished with the AND-NOT of
+/// `excluded`.
+#[allow(clippy::too_many_arguments)]
+fn or_scatter(
+    ws: &Workspace,
+    plan: &ShardPlan,
+    frontier: &[usize],
+    avg_deg: usize,
+    lanes: usize,
+    words: usize,
+    excluded: Option<&[u64]>,
+    yw: &mut Vec<u64>,
+    scatter: impl Fn(&[usize], &mut [u64]) + Sync,
+) {
+    yw.clear();
+    yw.resize(words, 0);
+    push_scatter(
+        ws,
+        plan,
+        frontier,
+        avg_deg,
+        lanes,
+        0u64,
+        yw,
+        scatter,
+        |acc, v| acc | v,
+    );
+    if let Some(excluded) = excluded {
+        simd::andnot_into(yw, excluded);
     }
 }
 
@@ -704,67 +913,38 @@ fn seed_push_output(p: &MxvPipeline<'_>, produced: usize, out: &mut Vec<f32>) ->
     }
 }
 
-/// The pull sweep of a single-vector pipeline on one B2SR width.
-fn bit_pull<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    p: &MxvPipeline<'_>,
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
+/// The full-precision pull sweep of a single-vector pipeline on one B2SR
+/// width: one tile-granular sweep, bare or fused alike, with the semiring
+/// and the finish both dispatched once per call (see
+/// `bmv_bin_full_full_fused_into`).  The mask rides inside the finishing
+/// closure — the bit sweep computes every row's raw value regardless,
+/// exactly like the masked bit kernels.
+fn bit_pull<W: BitWord>(m: &B2sr<W>, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
+    debug_assert!(
+        p.semiring != Semiring::Boolean,
+        "a Boolean pull runs in words"
+    );
     let dim = m.tile_dim();
-    if p.semiring != Semiring::Boolean {
-        // Full precision: one tile-granular sweep, bare or fused alike, with
-        // the semiring and the finish both dispatched once per call (see
-        // `bmv_bin_full_full_fused_into`).  The mask rides inside the
-        // finishing closure — the bit sweep computes every row's raw value
-        // regardless, exactly like the masked bit kernels.
-        out.clear();
-        out.resize(m.n_tile_rows() * dim, 0.0);
-        plan::dispatch_finish(
-            p,
-            BitPullSink {
-                m,
-                semiring: p.semiring,
-                x: p.x,
-                out: out.as_mut_slice(),
-            },
-        );
-        out.truncate(m.nrows());
-        return;
-    }
-    // Boolean: pack → the node-word sweep → expand; the collapsed epilogue
-    // (if any) runs over the expansion.  The mask rides into the kernel as
-    // suppressed-row words, so the expansion has nothing left to filter.
-    let mut xw: Vec<u64> = ws.take_empty();
-    pack_segments_into(p.x, 64, &mut xw, |&v| v != 0.0);
-    let sup = p.mask.map(|mk| {
-        let mut mw: Vec<u64> = ws.take_empty();
-        let complemented = mk.is_complemented();
-        pack_segments_into(mk.structure(), 64, &mut mw, |&set| set == complemented);
-        mw
-    });
-    let mut yw: Vec<u64> = ws.take_empty();
-    bits_pull(m, &xw, sup.as_deref(), ws, &mut yw);
     out.clear();
-    out.resize(m.nrows(), 0.0);
-    expand_node_words_into(&yw, None, out);
-    ws.stats()
-        .record_converted(p.x.len() + p.mask.map_or(0, Mask::len) + out.len());
-    ws.give(xw);
-    ws.give(yw);
-    if let Some(mw) = sup {
-        ws.give(mw);
-    }
-    p.finish_in_place(out);
+    out.resize(m.n_tile_rows() * dim, 0.0);
+    plan::dispatch_finish(
+        p,
+        BitPullSink {
+            m,
+            semiring: p.semiring,
+            x: p.x,
+            out: out.as_mut_slice(),
+        },
+    );
+    out.truncate(m.nrows());
 }
 
 /// The single-vector Boolean pull sweep in node words on one B2SR width —
 /// `yw = (m ⊕.⊗ xw) & !sup`, the minimal-footprint bin/bin/bin scheme — the
-/// one body under [`BitB2sr::bits_product`] and the `f32` Boolean arm of
-/// [`bit_pull`].  Operand and suppressed rows are re-laid out as tile words
-/// (`n / 8` bytes each), the sweep stops where the answer is known
-/// (`kernels::bmv`), and `yw` (a pooled buffer, sized here) receives the
-/// node words of `nrows` entries.
+/// tile body under [`BitB2sr::bits_product`].  Operand and suppressed rows
+/// are re-laid out as tile words (`n / 8` bytes each), the sweep stops where
+/// the answer is known (`kernels::bmv`), and `yw` (a pooled buffer, sized
+/// here) receives the node words of `nrows` entries.
 fn bits_pull<W: BitWord + Poolable>(
     m: &B2sr<W>,
     xw: &[u64],
@@ -824,36 +1004,10 @@ fn bits_push<W: BitWord + Poolable>(
     ws.give(tiles);
 }
 
-/// The `f32` Boolean push of a single-vector pipeline over the rows of one
-/// B2SR width (`m` is the scatter representation): the node-word scatter →
-/// expand.  Every Boolean pipeline scatters from the identity and runs the
-/// collapsed epilogue over the expansion: `Or` would normalise a seeded
-/// baseline (`push_folds_accum` excludes it) and the packed words could not
-/// carry one anyway.  The mask filters the expansion, which visits the set
-/// bits only.
-fn bit_push<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    p: &MxvPipeline<'_>,
-    frontier: &[usize],
-    plan: &ShardPlan,
-    avg_deg: usize,
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
-    let mut yw: Vec<u64> = ws.take_empty();
-    bits_push(m, frontier, plan, avg_deg, None, ws, &mut yw);
-    out.clear();
-    out.resize(m.ncols(), 0.0);
-    expand_node_words_into(&yw, p.mask, out);
-    ws.stats().record_converted(out.len());
-    ws.give(yw);
-    p.finish_in_place(out);
-}
-
 /// The batched Boolean pull sweep in lane words on one B2SR width —
-/// `yw = (m ⊕.⊗ xw) & !sup` — the one body under [`BitB2sr::lane_product`]
-/// and the `f32` Boolean arm of [`bit_mxm_pull`].  `yw` (a pooled buffer,
-/// sized here) receives `nrows · wpn` words.
+/// `yw = (m ⊕.⊗ xw) & !sup` — the tile body under
+/// [`BitB2sr::lane_product`].  `yw` (a pooled buffer, sized here) receives
+/// `nrows · wpn` words.
 fn lane_pull<W: BitWord + Poolable>(
     m: &B2sr<W>,
     xw: &[u64],
@@ -882,41 +1036,10 @@ fn lane_pull<W: BitWord + Poolable>(
     ws.give(xa);
 }
 
-/// The batched Boolean push scatter in lane words over the rows of one B2SR
-/// width (`m` is the scatter representation), finished with the AND-NOT of
-/// `excluded` — the push half of [`lane_pull`]'s contract.  `yw` receives
-/// `ncols · wpn` words.
-#[allow(clippy::too_many_arguments)]
-fn lane_push<W: BitWord>(
-    m: &B2sr<W>,
-    xw: &[u64],
-    wpn: usize,
-    frontier: &[usize],
-    plan: &ShardPlan,
-    avg_deg: usize,
-    excluded: Option<&[u64]>,
-    ws: &Workspace,
-    yw: &mut Vec<u64>,
-) {
-    yw.clear();
-    yw.resize(m.ncols() * wpn, 0);
-    push_scatter(
-        ws,
-        plan,
-        frontier,
-        avg_deg,
-        wpn,
-        0u64,
-        yw,
-        |segment, chunk| bmm_push_bits(m, segment, xw, wpn, chunk),
-        |acc, v| acc | v,
-    );
-    if let Some(excluded) = excluded {
-        simd::andnot_into(yw, excluded);
-    }
-}
-
-/// The batched pull sweep on one B2SR width.
+/// The batched full-precision pull sweep on one B2SR width.  The tilewise
+/// any-lane-active indicator lets the sweep skip inactive columns at word
+/// granularity (exact for push-safe semirings, where identity entries
+/// contribute nothing).
 fn bit_mxm_pull<W: BitWord + Poolable>(
     m: &B2sr<W>,
     p: &MxvPipeline<'_>,
@@ -924,90 +1047,35 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
     out: &mut Vec<f32>,
 ) {
     let (x, k, semiring, mask) = (p.x, p.k, p.semiring, p.mask);
+    debug_assert!(
+        semiring != Semiring::Boolean,
+        "a Boolean pull runs in words"
+    );
     let dim = m.tile_dim();
-    let nrows = m.nrows();
+    let mut active: Vec<bool> = ws.take_empty();
+    let mut xa: Vec<W> = ws.take_empty();
+    if semiring.push_safe() {
+        active.extend(
+            x.chunks_exact(k)
+                .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
+        );
+        pack_vector_bits_into(&active, dim, &mut xa);
+    }
     out.clear();
-    if semiring == Semiring::Boolean {
-        // Pack → the word sweep → expand.  The flat mask rides into the
-        // kernel as suppressed lane words, so fully-masked rows (every lane
-        // visited, the common late-traversal state) are skipped at word
-        // granularity and the expansion has nothing left to filter.
-        let mut xw: Vec<u64> = ws.take_empty();
-        pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-        let sup: Option<Vec<u64>> = mask.map(|mk| {
-            let mut mw: Vec<u64> = ws.take_empty();
-            let complemented = mk.is_complemented();
-            pack_lane_words_from(mk.structure(), k, |set| set == complemented, &mut mw);
-            mw
-        });
-        let mut yw: Vec<u64> = ws.take_empty();
-        lane_pull(m, &xw, k, sup.as_deref(), ws, &mut yw);
-        out.resize(nrows * k, 0.0);
-        expand_lane_words_into(&yw, k, None, out);
-        ws.stats()
-            .record_converted(x.len() + mask.map_or(0, Mask::len) + out.len());
-        ws.give(xw);
-        ws.give(yw);
-        if let Some(mw) = sup {
-            ws.give(mw);
-        }
-    } else {
-        // The tilewise any-lane-active indicator lets the sweep skip
-        // inactive columns at word granularity (exact for push-safe
-        // semirings, where identity entries contribute nothing).
-        let mut active: Vec<bool> = ws.take_empty();
-        let mut xa: Vec<W> = ws.take_empty();
-        if semiring.push_safe() {
-            active.extend(
-                x.chunks_exact(k)
-                    .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
-            );
-            pack_vector_bits_into(&active, dim, &mut xa);
-        }
-        out.resize(m.n_tile_rows() * dim * k, semiring.identity());
-        let xa_opt = semiring.push_safe().then_some(xa.as_slice());
-        bmm_bin_full_into(m, x, k, semiring, xa_opt, out);
-        out.truncate(nrows * k);
-        if let Some(mk) = mask {
-            let identity = semiring.identity();
-            for (flat, v) in out.iter_mut().enumerate() {
-                if !mk.allows(flat) {
-                    *v = identity;
-                }
+    out.resize(m.n_tile_rows() * dim * k, semiring.identity());
+    let xa_opt = semiring.push_safe().then_some(xa.as_slice());
+    bmm_bin_full_into(m, x, k, semiring, xa_opt, out);
+    out.truncate(m.nrows() * k);
+    if let Some(mk) = mask {
+        let identity = semiring.identity();
+        for (flat, v) in out.iter_mut().enumerate() {
+            if !mk.allows(flat) {
+                *v = identity;
             }
         }
-        ws.give(active);
-        ws.give(xa);
     }
-    p.finish_in_place(out);
-}
-
-/// The `f32` Boolean push of a batched pipeline over the rows of one B2SR
-/// width (`m` is the scatter representation): pack → the lane-word scatter
-/// → expand.  The mask filters the expansion (which skips all-zero nodes)
-/// instead of being staged into words: after a thin frontier most nodes
-/// are.
-fn bit_mxm_push<W: BitWord>(
-    m: &B2sr<W>,
-    p: &MxvPipeline<'_>,
-    frontier: &[usize],
-    plan: &ShardPlan,
-    avg_deg: usize,
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
-    let (x, k) = (p.x, p.k);
-    let wpn = lane_words_per_node(k);
-    let mut xw: Vec<u64> = ws.take_empty();
-    pack_lane_words_from(x, k, |v| v != 0.0, &mut xw);
-    let mut yw: Vec<u64> = ws.take_empty();
-    lane_push(m, &xw, wpn, frontier, plan, avg_deg, None, ws, &mut yw);
-    out.clear();
-    out.resize(m.ncols() * k, 0.0);
-    expand_lane_words_into(&yw, k, p.mask, out);
-    ws.stats().record_converted(x.len() + out.len());
-    ws.give(xw);
-    ws.give(yw);
+    ws.give(active);
+    ws.give(xa);
     p.finish_in_place(out);
 }
 
@@ -1038,28 +1106,22 @@ impl GrbBackend for BitB2sr {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            Some(frontier) if p.semiring == Semiring::Boolean => {
-                let (rep, plan, avg) = self.scatter_rep(p.transpose);
-                with_b2sr!(rep, |m| bit_push(m, p, frontier, plan, avg, ws, out))
-            }
+            _ if p.semiring == Semiring::Boolean => self.boolean_vector(p, ws, out),
             Some(frontier) => {
                 csr_push_vector(self.csr_scatter_rep(p.transpose), p, frontier, ws, out)
             }
-            None if self.routes_pull(p) => csr_pull(csr_rep(self, p.transpose), p, out),
-            None => with_b2sr!(self.rep(p.transpose), |m| bit_pull(m, p, ws, out)),
+            None if self.full_pull_reads_csr() => csr_pull(csr_rep(self, p.transpose), p, out),
+            None => with_b2sr!(self.rep(p.transpose), |m| bit_pull(m, p, out)),
         }
     }
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            Some(frontier) if p.semiring == Semiring::Boolean => {
-                let (rep, plan, avg) = self.scatter_rep(p.transpose);
-                with_b2sr!(rep, |m| bit_mxm_push(m, p, frontier, plan, avg, ws, out))
-            }
+            _ if p.semiring == Semiring::Boolean => self.boolean_batch(p, ws, out),
             Some(frontier) => {
                 csr_push_batch(self.csr_scatter_rep(p.transpose), p, frontier, ws, out)
             }
-            None if self.routes_pull(p) => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
+            None if self.full_pull_reads_csr() => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
             None => with_b2sr!(self.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
         }
     }
@@ -1523,8 +1585,9 @@ pub(super) mod tests {
 
     /// Both crossovers lie strictly between the repo benchmark's two fills,
     /// so the one graph routes and a retune cannot silently route the other.
-    /// The pull's: R-MAT(14, 16) at 2.0 bits per B2SR-8 tile, the banded
-    /// mesh at 51.8.  The masked reduction's, on the lower triangles
+    /// The pull's, which the Boolean products share: R-MAT(14, 16) at 2.0
+    /// bits per B2SR-8 tile, the banded mesh at 51.8 — the Boolean flag is
+    /// checked on the two graphs themselves.  The masked reduction's, on the lower triangles
     /// Triangle Counting reduces: R-MAT's `L` at 2.03, the mesh's at 46.5 —
     /// built here as the benchmark builds them, through
     /// `Matrix::lower_triangle`.  The flags follow their definition on both
@@ -1552,8 +1615,28 @@ pub(super) mod tests {
                 .downcast_ref::<BitB2sr>()
                 .map(BitB2sr::masked_reduce_reads_csr)
         };
+        // The Boolean products' flag, on the graphs themselves.
+        let boolean_reads_csr = |b: &dyn GrbBackend| {
+            b.as_any()
+                .downcast_ref::<BitB2sr>()
+                .map(BitB2sr::boolean_reads_csr)
+        };
         let rmat = generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized();
         let mesh = generators::banded(2048, 32, 0.7, 5);
+        for (adj, (lo, hi), routed) in [(&rmat, (1.9, 2.1), true), (&mesh, (51.0, 52.0), false)] {
+            let a = Matrix::from_csr(adj, Backend::Bit(TileSize::S8));
+            let fill = a.nnz() as f64 / a.b2sr().unwrap().n_tiles() as f64;
+            assert!(lo < fill && fill < hi, "{fill} bits per tile");
+            let b = a.state();
+            assert_eq!(boolean_reads_csr(b), Some(routed), "{fill} bits per tile");
+            assert_eq!(boolean_reads_csr(&*b.transpose_view()), Some(routed));
+            assert_eq!(boolean_reads_csr(&*b.clone_box()), Some(routed));
+            let n = a.nrows();
+            a.apply_deltas(&[EdgeDelta::insert(n - 1, 0)]).unwrap();
+            a.compact(a.context()).unwrap();
+            assert_eq!(boolean_reads_csr(a.snapshot().state()), Some(routed));
+        }
+
         for (adj, (lo, hi), routed) in [(rmat, (2.0, 2.1), true), (mesh, (46.0, 47.0), false)] {
             let l = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8)).lower_triangle();
             let fill = l.nnz() as f64 / l.b2sr().unwrap().n_tiles() as f64;
@@ -1569,6 +1652,25 @@ pub(super) mod tests {
             assert_eq!(l.compactions(), 1);
             assert_eq!(reduce_reads_csr(l.snapshot().state()), Some(routed));
         }
+    }
+
+    /// Scattered edges of a ragged rectangular matrix (2001 × 1501, no side
+    /// a tile multiple) plus eight hub rows and eight hub columns of 60
+    /// edges: a bit or two per tile at every width, so every product routes
+    /// to the CSR, and lines long enough that another fold order would
+    /// change their float sums.
+    fn ragged_with_hubs() -> Csr {
+        let (nrows, ncols) = (2001, 1501);
+        let mut coo = sample_coo(nrows, ncols, 1500, 17);
+        for hub in 0..8 {
+            for i in 0..60 {
+                coo.push_edge(hub * 250, (i * 97 + hub * 13) % ncols)
+                    .unwrap();
+                coo.push_edge((i * 131 + hub * 7) % nrows, hub * 180 + 1)
+                    .unwrap();
+            }
+        }
+        coo.to_binary_csr()
     }
 
     /// A routed pull is the tile sweep, bit for bit.  The backend no longer
@@ -1588,21 +1690,7 @@ pub(super) mod tests {
         use crate::grb::expr::Stage;
         use crate::kernels::bmm::tests::{HOSTILE_GRID, HOSTILE_WEIGHTS};
 
-        // Scattered edges of a ragged rectangular matrix plus eight hub rows
-        // and eight hub columns of 60 edges: a bit or two per tile at every
-        // width, and lines long enough that another fold order would change
-        // their float sums.
-        let (nrows, ncols) = (2001, 1501);
-        let mut coo = sample_coo(nrows, ncols, 1500, 17);
-        for hub in 0..8 {
-            for i in 0..60 {
-                coo.push_edge(hub * 250, (i * 97 + hub * 13) % ncols)
-                    .unwrap();
-                coo.push_edge((i * 131 + hub * 7) % nrows, hub * 180 + 1)
-                    .unwrap();
-            }
-        }
-        let csr = coo.to_binary_csr();
+        let csr = ragged_with_hubs();
         let value = |f: usize, semiring: Semiring| match f % 7 {
             0 | 1 => HOSTILE_GRID[(f / 7) % HOSTILE_GRID.len()],
             2 | 3 => semiring.identity(),
@@ -1665,11 +1753,155 @@ pub(super) mod tests {
                             assert_eq!(bits(&got), bits(&want), "mxm {what}");
                             if k == 1 {
                                 b.mxv_into(&p, &ws, &mut got);
-                                with_b2sr!(b.rep(transpose), |m| bit_pull(m, &p, &ws, &mut want));
+                                with_b2sr!(b.rep(transpose), |m| bit_pull(m, &p, &mut want));
                                 assert_eq!(bits(&got), bits(&want), "mxv {what}");
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `b` with its stored fill replaced: `0.0` routes every product that
+    /// can read the CSR there, NaN none — the same arrays on the other
+    /// route.
+    fn refilled(b: &BitB2sr, bits_per_tile: f64) -> BitB2sr {
+        BitB2sr {
+            csr: b.csr.clone(),
+            b2sr: b.b2sr.clone(),
+            csr_t: OnceLock::new(),
+            b2sr_t: OnceLock::new(),
+            shards: b.shards.clone(),
+            bits_per_tile,
+        }
+    }
+
+    /// A routed Boolean product is the tile kernels' product, word for word:
+    /// node words ([`BitB2sr::bits_product`]), lane words
+    /// ([`BitB2sr::lane_product`]) and the `f32` arms of `mxv_into` /
+    /// `mxm_into`, pull and push, on a matrix and its twin on the other
+    /// route — the ragged hub matrix (routed) and a banded one of 301
+    /// vertices (tiled) at every width, both orientations, `k` of 1, 3, 64,
+    /// 65 and 130 (one, two and three words per node, ragged last words);
+    /// bare, masked and fully suppressed, from an empty, a thin and a
+    /// half-full frontier.
+    #[test]
+    fn routed_boolean_products_equal_the_tile_kernels_bitwise() {
+        let ws = Workspace::new();
+        for (csr, routed) in [(ragged_with_hubs(), true), (banded(301, 6), false)] {
+            for ts in TileSize::ALL {
+                let b = bit_b2sr(&csr, ts);
+                assert_eq!(b.boolean_reads_csr(), routed, "{ts:?}");
+                let twin = refilled(&b, if routed { f64::NAN } else { 0.0 });
+                assert_eq!(twin.boolean_reads_csr(), !routed);
+                for transpose in [false, true] {
+                    let (produced, contracted) = if transpose {
+                        (csr.ncols(), csr.nrows())
+                    } else {
+                        (csr.nrows(), csr.ncols())
+                    };
+                    for k in [1usize, 3, 64, 65, 130] {
+                        let what = format!("{ts:?} routed={routed} transpose={transpose} k={k}");
+                        assert_boolean_twins_agree(
+                            &b,
+                            &twin,
+                            (produced, contracted),
+                            k,
+                            transpose,
+                            &ws,
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`routed_boolean_products_equal_the_tile_kernels_bitwise`] at one
+    /// width, orientation and lane count.
+    fn assert_boolean_twins_agree(
+        b: &BitB2sr,
+        twin: &BitB2sr,
+        (produced, contracted): (usize, usize),
+        k: usize,
+        transpose: bool,
+        ws: &Workspace,
+        what: &str,
+    ) {
+        // Operands: flat `contracted × k` lane flags.
+        let empty = |_: usize| false;
+        let thin = |f: usize| (f / k) % 37 == 5 && (f % k) % 3 != 1;
+        let half = |f: usize| (f * 7 + f / k).is_multiple_of(2);
+        // Masks over the flat `produced × k` output: `true` is allowed.
+        let partial = |f: usize| !(f * 5 + f / k).is_multiple_of(3);
+        type Flags<'a> = &'a dyn Fn(usize) -> bool;
+        let cases: [(Flags, Option<Flags>); 6] = [
+            (&empty, Some(&partial)),
+            (&thin, None),
+            (&thin, Some(&partial)),
+            (&half, None),
+            (&half, Some(&partial)),
+            (&half, Some(&empty)),
+        ];
+        for (case, (active, allowed)) in cases.into_iter().enumerate() {
+            let flags: Vec<bool> = (0..contracted * k).map(active).collect();
+            let x: Vec<f32> = flags.iter().map(|&a| if a { 1.0 } else { 0.0 }).collect();
+            let mask = allowed.map(|allowed| Mask::new((0..produced * k).map(allowed).collect()));
+            let frontier: Vec<usize> = (0..contracted)
+                .filter(|&u| flags[u * k..][..k].iter().any(|&a| a))
+                .collect();
+            // The words: node words at one lane, lane words at any.
+            let (mut xw, mut lw, mut sup, mut lsup) = (Vec::new(), Vec::new(), None, None);
+            pack_segments_into(&flags, 64, &mut xw, |&a| a);
+            pack_lane_words_from(&flags, k, |a| a, &mut lw);
+            if let Some(mk) = &mask {
+                let (mut s, mut ls) = (Vec::new(), Vec::new());
+                pack_segments_into(mk.structure(), 64, &mut s, |&a| !a);
+                pack_lane_words_from(mk.structure(), k, |a| !a, &mut ls);
+                (sup, lsup) = (Some(s), Some(ls));
+            }
+            for push in [false, true] {
+                let front = push.then_some(frontier.as_slice());
+                let what = format!("{what} case {case} push={push}");
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                if k == 1 {
+                    b.bits_product(&xw, front, sup.as_deref(), transpose, ws, &mut got);
+                    twin.bits_product(&xw, front, sup.as_deref(), transpose, ws, &mut want);
+                    assert_eq!(got, want, "node words {what}");
+                    assert_eq!(got.len(), produced.div_ceil(64));
+                }
+                b.lane_product(&lw, k, front, lsup.as_deref(), transpose, ws, &mut got);
+                twin.lane_product(&lw, k, front, lsup.as_deref(), transpose, ws, &mut want);
+                assert_eq!(got, want, "lane words {what}");
+                assert_eq!(got.len(), produced * lane_words_per_node(k));
+                if case == 0 {
+                    assert!(
+                        got.iter().all(|&w| w == 0),
+                        "an empty frontier reaches nothing"
+                    );
+                }
+                let p = MxvPipeline {
+                    x: &x,
+                    k,
+                    frontier: front,
+                    semiring: Semiring::Boolean,
+                    mask: mask.as_ref(),
+                    transpose,
+                    stages: &[],
+                    accum: None,
+                };
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                b.mxm_into(&p, ws, &mut got);
+                twin.mxm_into(&p, ws, &mut want);
+                assert_eq!(got, want, "mxm {what}");
+                if k == 1 {
+                    b.mxv_into(&p, ws, &mut got);
+                    twin.mxv_into(&p, ws, &mut want);
+                    assert_eq!(got, want, "mxv {what}");
+                }
+                if case == 5 {
+                    assert!(got.iter().all(|&v| v == 0.0), "every row suppressed");
                 }
             }
         }
@@ -2007,11 +2239,12 @@ pub(super) mod tests {
         assert_eq!(spy(&external), (expected_calls, 4));
     }
 
-    /// The one sharded-or-serial routine over its four scatter shapes
-    /// (Boolean tile words, Boolean lane words, and the CSR scatter at one
-    /// lane and at three): engaged on a multi-shard plan of a rectangular
-    /// matrix, its output is bit-identical at 1/2/4/8 threads, and for exact
-    /// monoids equal to the serial kernel on the whole frontier.
+    /// The one sharded-or-serial routine over its six scatter shapes
+    /// (Boolean tile words and tile lane words, the CSR node words and lane
+    /// words, and the full-precision CSR scatter at one lane and at three):
+    /// engaged on a multi-shard plan of a rectangular matrix, its output is
+    /// bit-identical at 1/2/4/8 threads, and for exact monoids equal to the
+    /// serial kernel on the whole frontier.
     #[test]
     fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
         let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
@@ -2085,9 +2318,50 @@ pub(super) mod tests {
             |ws, y| push_scatter(ws, &plan, &frontier, avg, wpn, 0u64, y, lanes, |p, q| p | q),
             vec![0u64; ncols * wpn],
         );
-        let mut serial = vec![0u64; ncols * wpn];
-        lanes(&frontier, &mut serial);
+        let mut serial_lanes = vec![0u64; ncols * wpn];
+        lanes(&frontier, &mut serial_lanes);
+        assert_eq!(got, serial_lanes);
+
+        // The CSR node-word and lane-word scatters of a routed matrix: the
+        // same ORs as the tile scatters above (the bits of `words` and
+        // `lanes`), and the engagement test counts node words.
+        let node_words = |seg: &[usize], chunk: &mut [u64]| csr_bits_push(&a, seg, chunk);
+        let got = at_every_budget(
+            "csr node words",
+            |ws, y| {
+                push_scatter(ws, &plan, &frontier, avg, 1, 0u64, y, node_words, |p, q| {
+                    p | q
+                })
+            },
+            vec![0u64; ncols.div_ceil(64)],
+        );
+        let mut serial = vec![0u64; ncols.div_ceil(64)];
+        node_words(&frontier, &mut serial);
         assert_eq!(got, serial);
+        let mut tiles = vec![0u8; b.n_tile_cols()];
+        words(&frontier, &mut tiles);
+        let mut joined = Vec::new();
+        join_tile_words(&tiles, 8, ncols, &mut joined);
+        assert_eq!(got, joined, "the tile scatter's bits");
+        let csr_lanes = |seg: &[usize], chunk: &mut [u64]| csr_lanes_push(&a, seg, &xw, wpn, chunk);
+        let got = at_every_budget(
+            "csr lane words",
+            |ws, y| {
+                push_scatter(
+                    ws,
+                    &plan,
+                    &frontier,
+                    avg,
+                    wpn,
+                    0u64,
+                    y,
+                    csr_lanes,
+                    |p, q| p | q,
+                )
+            },
+            vec![0u64; ncols * wpn],
+        );
+        assert_eq!(got, serial_lanes, "the tile lane scatter's words");
 
         // Full precision, single vector and batched; the float `+` is only
         // bit-stable across budgets, the exact monoids also equal serial.

@@ -273,8 +273,11 @@ impl Matrix {
         self.csr().out_degrees()
     }
 
-    /// Storage bytes of the active representation (B2SR for bit backends,
-    /// float CSR for the baseline, base + staged patches for overlays).
+    /// Storage bytes of the backend's primary representation: the B2SR
+    /// tiles for bit backends (whatever route a product reads — a
+    /// hypersparse bit matrix runs its products on the CSR it also holds,
+    /// which is not counted), the float CSR for the baseline, base + staged
+    /// patches for overlays.
     pub fn storage_bytes(&self) -> usize {
         self.state.storage_bytes()
     }

@@ -781,6 +781,169 @@ pub fn csr_pull_full<A, Fin>(
     })
 }
 
+// ---------------------------------------------------------------------------
+// Boolean products over CSR rows (binarized operand, word in and word out)
+// ---------------------------------------------------------------------------
+
+/// `csr_bits_pull()`: pull-direction Boolean matrix × vector over the rows
+/// of a CSR matrix, in node words (bit `i % 64` of word `i / 64` is entry
+/// `i`).  Bit `r` of `yw` is set iff row `r` has an in-neighbour set in
+/// `xw` and is not set in `sup` (the suppressed rows: BFS's visited set) —
+/// the tile sweep's `(A ⊕.⊗ x) & !sup`, bit for bit.  `yw`, `nrows / 64`
+/// words rounded up, is fully overwritten.
+///
+/// This is the bottom-up step of Beamer, Asanović & Patterson
+/// ("Direction-Optimizing BFS", SC'12) over a bitmap frontier: a row stops
+/// at its first frontier in-neighbour, and an output word whose 64 rows are
+/// all suppressed costs one word test.  Rayon parallelises over output
+/// words.
+///
+/// # Panics
+/// Panics if `xw`, `sup` or `yw` holds too few words.
+pub fn csr_bits_pull(csr: &Csr, xw: &[u64], sup: Option<&[u64]>, yw: &mut [u64]) {
+    let nrows = csr.nrows();
+    let words = nrows.div_ceil(64);
+    assert!(
+        xw.len() >= csr.ncols().div_ceil(64),
+        "operand has too few node words"
+    );
+    assert!(yw.len() >= words, "output has too few node words");
+    assert!(
+        sup.is_none_or(|s| s.len() >= words),
+        "mask has too few node words"
+    );
+    let set = |c: usize| xw[c / 64] >> (c % 64) & 1 != 0;
+    yw[..words]
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(at, out)| {
+            let rows = (nrows - at * 64).min(64);
+            let want = (u64::MAX >> (64 - rows)) & !sup.map_or(0, |s| s[at]);
+            let mut acc = 0u64;
+            for b in want.iter_ones() {
+                if csr.row(at * 64 + b as usize).0.iter().any(|&c| set(c)) {
+                    acc |= 1 << b;
+                }
+            }
+            *out = acc;
+        });
+}
+
+/// `csr_bits_push()`: push-direction Boolean matrix × vector over the rows
+/// of a CSR matrix, in node words: every out-neighbour of the ascending
+/// frontier rows is OR-ed into `yw` (`ncols / 64` words rounded up, zeroed
+/// by the caller).  Serial and allocation-free — the per-segment worker of
+/// the GrB layer's sharded scatter.
+///
+/// # Panics
+/// Panics if `yw` holds too few words.
+pub fn csr_bits_push(csr: &Csr, frontier: &[usize], yw: &mut [u64]) {
+    assert!(
+        yw.len() >= csr.ncols().div_ceil(64),
+        "output has too few node words"
+    );
+    for &u in frontier {
+        for &c in csr.row(u).0 {
+            yw[c / 64] |= 1 << (c % 64);
+        }
+    }
+}
+
+/// `csr_lanes_pull()`: pull-direction Boolean matrix × multivector over the
+/// rows of a CSR matrix, in lane words (`k.div_ceil(64)` words per node, bit
+/// `l` of a node's word `l / 64` is lane `l`; bits past lane `k - 1` are
+/// never set).  Row `r`'s lane words are the OR of its in-neighbours' lane
+/// words, AND-NOT its suppressed lanes in `sup` — [`bmm_bin_bits_into`]'s
+/// result, word for word.  `yw` (`nrows · wpn` words) is fully overwritten.
+///
+/// One OR per edge advances up to 64 traversals.  A row whose every lane is
+/// suppressed walks no edge, and at one word per node a row stops once
+/// every lane it still wants is set (the bottom-up early exit, per batch).
+/// Rayon parallelises over rows.
+///
+/// # Panics
+/// Panics if `xw`, `sup` or `yw` holds too few words.
+pub fn csr_lanes_pull(csr: &Csr, xw: &[u64], k: usize, sup: Option<&[u64]>, yw: &mut [u64]) {
+    let wpn = k.div_ceil(64);
+    let nrows = csr.nrows();
+    assert!(
+        xw.len() >= csr.ncols() * wpn,
+        "operand has too few lane words"
+    );
+    assert!(yw.len() >= nrows * wpn, "output has too few lane words");
+    assert!(
+        sup.is_none_or(|s| s.len() >= nrows * wpn),
+        "mask has too few lane words"
+    );
+    let tail = u64::MAX >> ((64 - k % 64) % 64);
+    let lanes = |t: usize| if t + 1 == wpn { tail } else { u64::MAX };
+    yw[..nrows * wpn]
+        .par_chunks_mut(wpn)
+        .enumerate()
+        .for_each(|(r, out)| {
+            let cols = csr.row(r).0;
+            if wpn == 1 {
+                let want = tail & !sup.map_or(0, |s| s[r]);
+                let mut acc = 0u64;
+                if want != 0 {
+                    for &c in cols {
+                        acc |= xw[c];
+                        if acc & want == want {
+                            break;
+                        }
+                    }
+                }
+                out[0] = acc & want;
+                return;
+            }
+            out.fill(0);
+            let sup = sup.map(|s| &s[r * wpn..][..wpn]);
+            if sup.is_some_and(|s| s.iter().enumerate().all(|(t, &w)| !w & lanes(t) == 0)) {
+                return;
+            }
+            for &c in cols {
+                simd::or_into(out, &xw[c * wpn..][..wpn]);
+            }
+            if let Some(s) = sup {
+                simd::andnot_into(out, s);
+            }
+        });
+}
+
+/// `csr_lanes_push()`: push-direction Boolean matrix × multivector over the
+/// rows of a CSR matrix: each ascending frontier node's lane words are
+/// OR-ed into every out-neighbour's, so one scatter advances all of that
+/// node's traversals.  `yw` (`ncols · wpn` words) must be zeroed by the
+/// caller.  Serial and allocation-free — the per-segment worker of the GrB
+/// layer's sharded scatter.
+///
+/// # Panics
+/// Panics if `xw` or `yw` holds too few words.
+pub fn csr_lanes_push(csr: &Csr, frontier: &[usize], xw: &[u64], wpn: usize, yw: &mut [u64]) {
+    assert!(
+        xw.len() >= csr.nrows() * wpn,
+        "operand has too few lane words"
+    );
+    assert!(
+        yw.len() >= csr.ncols() * wpn,
+        "output has too few lane words"
+    );
+    for &u in frontier {
+        let cols = csr.row(u).0;
+        if wpn == 1 {
+            let src = xw[u];
+            for &c in cols {
+                yw[c] |= src;
+            }
+            continue;
+        }
+        let src = &xw[u * wpn..][..wpn];
+        for &c in cols {
+            simd::or_into(&mut yw[c * wpn..][..wpn], src);
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

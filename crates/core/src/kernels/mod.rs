@@ -32,9 +32,14 @@
 //!   `csr_push_full`: a lane-sparse scatter over the rows of the CSR every
 //!   backend holds, single-vector and batched — a scatter folds one `f32`
 //!   per edge whichever layout lists the edges, so only the Boolean pushes
-//!   scatter tile words — and the single-vector row pull over the same
+//!   of dense tiles scatter tile words — and the single-vector row pull over the same
 //!   rows, `csr_pull_full` (`FloatCsr`'s pull, a hypersparse bit matrix's,
 //!   and a one-lane batch's), whose MinPlus fold runs four `min` chains.
+//!   Beside them the Boolean products over the same rows, operand and
+//!   output binarized as §V prescribes: `csr_bits_pull` / `csr_bits_push`
+//!   in node words (one bit per vertex) and `csr_lanes_pull` /
+//!   `csr_lanes_push` in lane words (one bit per traversal) — what a bit
+//!   matrix whose tiles are hypersparse runs instead of the tile kernels.
 //!
 //! Each kernel is structured like the paper's CUDA listings: the tile-rows
 //! of the B2SR matrix are the unit of work (one warp per tile-row), the
@@ -56,7 +61,8 @@ pub mod simd;
 
 pub use bmm::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into,
-    bmm_bin_full_into, bmm_push_bits, csr_pull_full, csr_push_full,
+    bmm_bin_full_into, bmm_push_bits, csr_bits_pull, csr_bits_push, csr_lanes_pull, csr_lanes_push,
+    csr_pull_full, csr_push_full,
 };
 pub use bmv::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,

@@ -82,34 +82,34 @@ fn allocations() -> u64 {
 }
 
 /// How a fixture is tiled, relative to the crossover below which a bit
-/// backend's full-precision pulls read its CSR instead of sweeping its tiles
-/// (`grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`).  The full-precision pull
-/// tests run on both sides, so both routes keep their proof.
+/// backend's full-precision pulls and Boolean products read its CSR instead
+/// of its tiles (`grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`).  The
+/// full-precision pull and the Boolean round tests run on both sides, so
+/// both routes keep their proof.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Tiles {
-    /// B2SR-8, the graph alone: what the Boolean tests run on.
+    /// B2SR-8, the graph alone (a chain or ring: hypersparse, so routed).
     Plain,
-    /// Hypersparse tiles: full-precision pulls read the CSR.
+    /// Hypersparse tiles: full-precision pulls and Boolean products read
+    /// the CSR.
     Sparse,
-    /// Dense tiles: full-precision pulls sweep them.
+    /// Dense tiles: full-precision pulls and Boolean products read them.
     Dense,
 }
 
 /// Build `csr` on a serial thread budget (single-shard plans: these tests
 /// certify the *serial* push path regardless of how many cores the test
 /// host has; the sharded path has its own proof below) at B2SR-`ts`, and
-/// check that its full-precision pulls take the route `tiles` is for.
+/// check that its full-precision pulls and Boolean products take the route
+/// `tiles` is for.
 fn build(csr: &Csr, ts: TileSize, tiles: Tiles) -> Matrix {
     let a = Matrix::from_csr_ctx(csr, Backend::Bit(ts), &Context::with_threads(1));
-    let reads_csr = a
-        .state()
-        .as_any()
-        .downcast_ref::<BitB2sr>()
-        .map(BitB2sr::full_pull_reads_csr);
+    let bit = a.state().as_any().downcast_ref::<BitB2sr>();
+    let reads_csr = bit.map(|b| (b.full_pull_reads_csr(), b.boolean_reads_csr()));
     match tiles {
         Tiles::Plain => {}
-        Tiles::Sparse => assert_eq!(reads_csr, Some(true), "a hypersparse fixture"),
-        Tiles::Dense => assert_eq!(reads_csr, Some(false), "a dense-tile fixture"),
+        Tiles::Sparse => assert_eq!(reads_csr, Some((true, true)), "a hypersparse fixture"),
+        Tiles::Dense => assert_eq!(reads_csr, Some((false, false)), "a dense-tile fixture"),
     }
     a
 }
@@ -612,55 +612,79 @@ fn batched_bfs_rounds_are_allocation_free_after_warmup() {
     let cases = [(3usize, 256usize), (70, 24)];
     for ((k, n), pending) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
         let a = &chain_snapshot(n, pending, Tiles::Plain);
-        let ctx = a.context();
-        let refolded_before = ctx.stats().refolded_positions;
+        let refolded_before = a.context().stats().refolded_positions;
         for direction in [Direction::Push, Direction::Pull] {
-            // Lane l starts at chain vertex l mod n.
-            let sources: Vec<usize> = (0..k).map(|l| l % n).collect();
-            let mut frontier = LaneBits::from_sources(n, &sources);
-            let mut visited = frontier.clone();
-            let mut levels = vec![-1i64; n * k];
-            // A frontier list big enough for the run, as above.
-            ctx.workspace().give::<usize>(Vec::with_capacity(n));
-            let mut round = |level: i64| {
-                let next = Op::mxm_lanes(a, &frontier)
-                    .transpose()
-                    .and_not(&visited)
-                    .direction(direction)
-                    .try_run(ctx)
-                    .expect("well-shaped operands")
-                    .expect("a bit backend has the word product");
-                for (v, l) in next.ones() {
-                    levels[v * k + l] = level;
-                }
-                visited.or_assign(&next);
-                std::mem::replace(&mut frontier, next).recycle(ctx);
-            };
-            for level in 1..=6 {
-                round(level);
-            }
-            let counts_before = ctx.stats();
-            let before = allocations();
-            for level in 7..=20 {
-                round(level);
-            }
-            assert_eq!(
-                allocations() - before,
-                0,
-                "bfs_multi round allocated in steady state (k={k}, {direction:?})"
-            );
-            let counts = ctx.stats();
-            assert_eq!(
-                counts.push_mxm - counts_before.push_mxm,
-                if direction == Direction::Push { 14 } else { 0 },
-                "every measured round must have taken the forced direction"
-            );
-            assert_eq!(counts.converted_elems, 0);
-            // Lane 1 started at vertex 1: vertex 20 is 19 hops out.
-            assert_eq!(levels[20 * k + 1], 19);
+            assert_bfs_multi_rounds_allocation_free(a, k, direction, "");
         }
-        let refolded = ctx.stats().refolded_positions - refolded_before;
+        let refolded = a.context().stats().refolded_positions - refolded_before;
         assert_eq!(refolded > 0, pending, "the overlay re-folds in words");
+    }
+}
+
+/// Twenty `bfs_multi` rounds of `k` lanes down the chain `a` (lane `l` from
+/// vertex `l mod n`), the last fourteen measured: zero allocations, the
+/// forced direction every round, nothing converted, and the levels right.
+fn assert_bfs_multi_rounds_allocation_free(a: &Matrix, k: usize, direction: Direction, what: &str) {
+    let n = a.nrows();
+    let ctx = a.context();
+    let sources: Vec<usize> = (0..k).map(|l| l % n).collect();
+    let mut frontier = LaneBits::from_sources(n, &sources);
+    let mut visited = frontier.clone();
+    let mut levels = vec![-1i64; n * k];
+    // A frontier list big enough for the run, as above.
+    ctx.workspace().give::<usize>(Vec::with_capacity(n));
+    let mut round = |level: i64| {
+        let next = Op::mxm_lanes(a, &frontier)
+            .transpose()
+            .and_not(&visited)
+            .direction(direction)
+            .try_run(ctx)
+            .expect("well-shaped operands")
+            .expect("a bit backend has the word product");
+        for (v, l) in next.ones() {
+            levels[v * k + l] = level;
+        }
+        visited.or_assign(&next);
+        std::mem::replace(&mut frontier, next).recycle(ctx);
+    };
+    for level in 1..=6 {
+        round(level);
+    }
+    let counts_before = ctx.stats();
+    let before = allocations();
+    for level in 7..=20 {
+        round(level);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "bfs_multi round allocated in steady state (k={k}, {direction:?}{what})"
+    );
+    let counts = ctx.stats();
+    assert_eq!(
+        counts.push_mxm - counts_before.push_mxm,
+        if direction == Direction::Push { 14 } else { 0 },
+        "every measured round must have taken the forced direction"
+    );
+    assert_eq!(counts.converted_elems, 0);
+    // Lane 1 started at vertex 1: vertex 20 is 19 hops out.
+    assert_eq!(levels[20 * k + 1], 19);
+}
+
+/// `bfs` and a three-source `bfs_multi`, pushed and pulled, allocate nothing
+/// in steady state on both sides of the Boolean route: the CSR word kernels
+/// of a hypersparse matrix and the tile kernels of a dense one (`n · k`
+/// stays under the pull sweeps' sequential cut-off, see the module docs).
+#[test]
+fn boolean_rounds_are_allocation_free_on_both_routes() {
+    for tiles in [Tiles::Sparse, Tiles::Dense] {
+        for direction in [Direction::Push, Direction::Pull] {
+            let what = format!(" {tiles:?}");
+            let a = chain_tiled(512, &[], tiles);
+            assert_bfs_levels_allocation_free(&a, direction, &what);
+            let a = chain_tiled(256, &[], tiles);
+            assert_bfs_multi_rounds_allocation_free(&a, 3, direction, &what);
+        }
     }
 }
 
