@@ -918,10 +918,8 @@ mod tests {
             self.0.storage_bytes()
         }
         fn transpose_view(&self) -> Box<dyn GrbBackend> {
-            Box::new(Wrapped::new(self.0.csr_t(), self.0.tile_size()))
-        }
-        fn clone_box(&self) -> Box<dyn GrbBackend> {
-            Box::new(Wrapped::new(self.0.csr(), self.0.tile_size()))
+            let tile_size = self.0.tile_size().expect("built with tiles");
+            Box::new(Wrapped::new(self.0.csr_t(), tile_size))
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self

@@ -3,15 +3,17 @@
 //! tile kernel beside the CSR count across tile fill, the batched
 //! full-precision matrix × multivector kernels behind `sssp_multi` /
 //! `ppr_multi`, the lane-density sweep of the full-precision push scatter,
-//! and the lane-word step of `bfs_multi` at a thin and at a full frontier.
+//! the lane-word step of `bfs_multi` at a thin and at a full frontier, and
+//! forced-push traversals at one and at two threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use bitgblas_algorithms::{bfs_dir, bfs_multi_dir, sssp_dir, sssp_multi_dir};
 use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
-use bitgblas_core::grb::{LaneBits, Op};
+use bitgblas_core::grb::{Context, Direction, LaneBits, Op};
 use bitgblas_core::kernels::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_fused_into,
     csr_push_full,
@@ -350,12 +352,69 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// Forced-push traversals — `bfs_dir`, `bfs_multi_dir` (64 sources),
+/// `sssp_dir` and `sssp_multi_dir` (64 sources) — on the repo benchmark's two
+/// graphs at B2SR-8, each on a matrix built and run at
+/// `Context::with_threads(1)` and at `(2)`: the standing instrument for the
+/// sharded word scatter's verdict (ROADMAP item 7).  Only the Boolean rows
+/// can shard; the full-precision pushes scatter serially at any budget, so
+/// their two rows read alike.  Unpinned, ≈ 40 s;
+/// `cargo bench -p bitgblas-bench --bench bmm -- push_threads/mesh` runs the
+/// mesh half.
+fn push_threads_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("push_threads");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300));
+
+    let graphs = [
+        ("mesh", generators::banded(2048, 32, 0.7, 5)),
+        (
+            "rmat",
+            generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
+        ),
+    ];
+    type Run = fn(&Matrix, &[usize]);
+    let algorithms: [(&str, Run); 4] = [
+        ("bfs_dir", |m, s| drop(bfs_dir(m, s[0], Direction::Push))),
+        ("bfs_multi_dir", |m, s| {
+            drop(bfs_multi_dir(m, s, Direction::Push))
+        }),
+        ("sssp_dir", |m, s| drop(sssp_dir(m, s[0], Direction::Push))),
+        ("sssp_multi_dir", |m, s| {
+            drop(sssp_multi_dir(m, s, Direction::Push))
+        }),
+    ];
+    for (name, csr) in graphs {
+        let n = csr.nrows();
+        let sources: Vec<usize> = (0..64).map(|l| (l * 997 + 3) % n).collect();
+        let built = [1usize, 2].map(|threads| {
+            let ctx = Context::with_threads(threads);
+            (
+                threads,
+                Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx),
+            )
+        });
+        // The two budgets of one traversal run back to back, so host drift
+        // between rows of the group does not read as a thread-count effect.
+        for (alg, run) in algorithms {
+            for (threads, m) in &built {
+                let id = BenchmarkId::new(format!("{name}/{alg}"), format!("t{threads}"));
+                group.bench_function(id, |b| b.iter(|| run(m, &sources)));
+            }
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bmm_benches,
     bmm_tc_fill_benches,
     bmm_batched_benches,
     bmm_lane_density_benches,
-    bmm_lane_word_benches
+    bmm_lane_word_benches,
+    push_threads_benches
 );
 criterion_main!(benches);

@@ -74,7 +74,7 @@ use bitgblas_sparse::Csr;
 
 use crate::b2sr::convert::RetileCounts;
 use crate::faultinject::{FaultAction, InjectedPanic};
-use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, FloatCsr, GrbBackend};
+use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, GrbBackend};
 use crate::grb::error::GrbError;
 use crate::grb::matrix::Backend;
 use crate::grb::multivec::lane_words_per_node;
@@ -413,7 +413,8 @@ impl DeltaSnapshot {
 /// materialize lazily (first `csr()`/`csr_t()` call) for the fallback paths
 /// that need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
 ///
-/// Push (sparse-frontier) sweeps delegate to the base's sharded scatter and
+/// Push (sparse-frontier) sweeps delegate to the base's scatter — the
+/// serial full-precision one, or a tiled base's sharded word scatter — and
 /// patch the dirty output rows with the same pull re-fold — exact, because
 /// the planner guarantees off-frontier operand entries contribute the
 /// semiring identity.
@@ -649,10 +650,6 @@ impl GrbBackend for DeltaOverlay {
         })
     }
 
-    fn clone_box(&self) -> Box<dyn GrbBackend> {
-        Box::new(self.clone())
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -826,7 +823,7 @@ impl VersionCell {
     /// and copies the rest of the old tiles
     /// ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows)); the new base
     /// shares nothing with the old, so pinned snapshots keep reading their
-    /// own.  Either constructor cuts the new base's shard plan from what it
+    /// own.  The constructor cuts the new base's shard plan from the tiles it
     /// built, as a from-scratch build does.
     pub fn compact(&self, ctx: &Context) -> Result<CompactReport, GrbError> {
         let _gate = self
@@ -885,22 +882,12 @@ fn fold(
     ctx: &Context,
 ) -> (Arc<dyn GrbBackend>, RetileCounts) {
     let merged = delta.merge_csr(base.csr(), false);
-    let cfg = ctx.shard_config();
-    match base.kind() {
-        Backend::Bit(ts) => {
-            // The old tiles, when the base is this crate's bit backend (an
-            // external one of that kind converts in full).
-            let old = base.as_any().downcast_ref::<BitB2sr>();
-            let prev = old.map(|old| (old, delta.dirty_rows()));
-            let (bit, counts) = BitB2sr::retiled(merged, ts, cfg, prev);
-            (Arc::new(bit), counts)
-        }
-        Backend::FloatCsr => (
-            Arc::new(FloatCsr::from_binary(merged, cfg)),
-            RetileCounts::default(),
-        ),
-        Backend::Auto => unreachable!("backend kinds are always resolved"),
-    }
+    // The old tiles, when the base is this crate's backend (an external one
+    // of a tiled kind converts in full).
+    let old = base.as_any().downcast_ref::<BitB2sr>();
+    let prev = old.map(|old| (old, delta.dirty_rows()));
+    let (folded, counts) = BitB2sr::of_kind(merged, base.kind(), ctx.shard_config(), prev);
+    (Arc::new(folded), counts)
 }
 
 /// Poll [`DELTA_MERGE_POINT`] on the context's injector, mirroring the
@@ -1043,7 +1030,7 @@ mod tests {
         for backend in backends {
             let a = Matrix::from_csr(&base, backend);
             let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
-            let overlay = DeltaOverlay::new(Arc::from(a.state().clone_box()), snap);
+            let overlay = DeltaOverlay::new(a.shared_state(), snap);
             let fresh = Matrix::from_csr(&scratch, backend);
             assert_eq!(overlay.nnz(), fresh.nnz());
             assert_eq!(overlay.csr(), fresh.csr());
@@ -1164,7 +1151,7 @@ mod tests {
         for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
             let a = Matrix::from_csr(&base, backend);
             let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
-            let overlay = DeltaOverlay::new(Arc::from(a.state().clone_box()), snap);
+            let overlay = DeltaOverlay::new(a.shared_state(), snap);
             let fresh = Matrix::from_csr(&scratch, backend);
             for semiring in semirings {
                 let monoid = BinaryOp::monoid_of(semiring);
@@ -1243,7 +1230,7 @@ mod tests {
             EdgeDelta::insert(30, 2),
         ];
         let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
-        let overlay = DeltaOverlay::new(Arc::from(a.state().clone_box()), snap);
+        let overlay = DeltaOverlay::new(a.shared_state(), snap);
         let ws = Workspace::new();
         let refolded = |semiring: Semiring, k: usize, x: &[f32]| {
             let frontier: Vec<usize> = (0..n)
@@ -1297,7 +1284,7 @@ mod tests {
     fn version_cell_publishes_epochs_and_pins_snapshots() {
         let base = csr(4, &[(0, 1), (1, 2)]);
         let a = Matrix::from_csr(&base, Backend::FloatCsr);
-        let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+        let cell = VersionCell::new(a.shared_state());
         let (head0, e0) = cell.head();
         assert_eq!(e0, 0);
         assert_eq!(cell.append(&[]), 0, "empty append publishes nothing");
@@ -1317,7 +1304,7 @@ mod tests {
     fn compact_folds_the_log_and_keeps_old_snapshots_readable() {
         let base = csr(4, &[(0, 1), (1, 2), (3, 0)]);
         let a = Matrix::from_csr(&base, Backend::default_bit());
-        let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+        let cell = VersionCell::new(a.shared_state());
         cell.append(&[EdgeDelta::insert(2, 3), EdgeDelta::delete(3, 0)]);
         let (overlay_head, e_overlay) = cell.head();
 
@@ -1366,7 +1353,7 @@ mod tests {
         ];
         for batch in 1..=log.len() {
             let a = Matrix::from_csr(&base, Backend::FloatCsr);
-            let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+            let cell = VersionCell::new(a.shared_state());
             let mut seen = 0;
             for chunk in log.chunks(batch) {
                 cell.append(chunk);
@@ -1394,11 +1381,11 @@ mod tests {
         let ctx = Context::default();
         for backend in [Backend::default_bit(), Backend::FloatCsr] {
             let a = Matrix::from_csr(&base, backend);
-            let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+            let cell = VersionCell::new(a.shared_state());
             cell.append(&folded);
 
             // Nothing raced in: nothing normalized.
-            let quiet = VersionCell::new(Arc::from(a.state().clone_box()));
+            let quiet = VersionCell::new(a.shared_state());
             quiet.append(&folded);
             quiet.compact(&ctx).unwrap();
             assert_eq!(quiet.entries_normalized(), folded.len() as u64);
@@ -1428,25 +1415,31 @@ mod tests {
 
     /// 200 scattered inserts dirty every shard of R-MAT(11,12), whose whole
     /// weight is below one shard's target: the compacted plan still feeds
-    /// four workers (`from_weights`' `threads` clamp).
+    /// four workers (`from_weights`' `threads` clamp).  Only a tiled matrix
+    /// has a plan; the float baseline's compaction cuts none.
     #[test]
     fn scattered_inserts_do_not_collapse_the_shard_plan() {
         let n = 1usize << 11;
         let adj = bitgblas_datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 5).symmetrized();
         let ctx = Context::with_threads(4);
-        for backend in [Backend::default_bit(), Backend::FloatCsr] {
-            let a = Matrix::from_csr_ctx(&adj, backend, &ctx);
-            let before = a.state().shard_plan(false).expect("planned").n_shards();
-            assert_eq!(before, 4, "precondition: {backend:?}");
-            let inserts: Vec<EdgeDelta> = (0..200)
-                .map(|i| EdgeDelta::insert(i * 10 % n, (i * 37 + 5) % n))
-                .collect();
-            a.apply_deltas(&inserts).unwrap();
-            a.compact(&ctx).unwrap();
-            let after = a.snapshot();
-            let plan = after.state().shard_plan(false).expect("planned");
-            assert_eq!(plan.n_shards(), 4, "{backend:?}: {plan:?}");
-        }
+        let inserts: Vec<EdgeDelta> = (0..200)
+            .map(|i| EdgeDelta::insert(i * 10 % n, (i * 37 + 5) % n))
+            .collect();
+        let a = Matrix::from_csr_ctx(&adj, Backend::default_bit(), &ctx);
+        let before = a.state().shard_plan(false).expect("planned").n_shards();
+        assert_eq!(before, 4, "precondition");
+        a.apply_deltas(&inserts).unwrap();
+        a.compact(&ctx).unwrap();
+        let after = a.snapshot();
+        let plan = after.state().shard_plan(false).expect("planned");
+        assert_eq!(plan.n_shards(), 4, "{plan:?}");
+
+        let f = Matrix::from_csr_ctx(&adj, Backend::FloatCsr, &ctx);
+        f.apply_deltas(&inserts).unwrap();
+        f.compact(&ctx).unwrap();
+        let after = f.snapshot();
+        assert_eq!(after.state().kind(), Backend::FloatCsr);
+        assert!(after.state().shard_plan(false).is_none());
     }
 
     #[test]
@@ -1455,7 +1448,7 @@ mod tests {
 
         let base = csr(4, &[(0, 1), (1, 2)]);
         let a = Matrix::from_csr(&base, Backend::FloatCsr);
-        let cell = VersionCell::new(Arc::from(a.state().clone_box()));
+        let cell = VersionCell::new(a.shared_state());
         cell.append(&[EdgeDelta::insert(2, 3)]);
         let epoch_before = cell.epoch();
 

@@ -1,5 +1,5 @@
-//! The pluggable storage/kernel backend trait and its two built-in
-//! implementations.
+//! The pluggable storage/kernel backend trait and its built-in
+//! implementation.
 //!
 //! [`GrbBackend`] is the seam between the planner (`grb::plan`) and a storage
 //! format.  It lists what a backend must do and nothing else: report its
@@ -8,45 +8,51 @@
 //! `n × k` multi-vector), the masked product reduction of Triangle
 //! Counting, and expose its row-shard plans.  Every method is required — no
 //! provided body computes a product, so a backend can never drop silently
-//! to a slower path.  The layer ships two implementations —
+//! to a slower path.  The layer ships one implementation, [`BitB2sr`]: the
+//! binary CSR every matrix holds, plus — under [`Backend::Bit`] — B2SR tiles
+//! and the bit kernels of [`crate::kernels`] (the paper's contribution).
+//! Its full-precision pulls, Boolean products and masked product reduction
+//! read the CSR when the tiles are too sparse to sweep
+//! ([`CSR_PULL_BELOW_BITS_PER_TILE`], [`CSR_REDUCE_BELOW_BITS_PER_TILE`]),
+//! and its full-precision pushes always scatter from it.  A matrix without
+//! tiles — [`Backend::FloatCsr`] — is the paper's float baseline (the
+//! GraphBLAST/cuSPARSE stand-in): every product, the Boolean ones included,
+//! runs on `f32` over the CSR, and it has no word product and no shard plan.
 //!
-//! * [`BitB2sr`] — B2SR storage + the bit kernels of [`crate::kernels`]
-//!   (the paper's contribution), whose full-precision pulls, Boolean
-//!   products and masked product reduction read the CSR it also holds when
-//!   its tiles are too sparse to sweep ([`CSR_PULL_BELOW_BITS_PER_TILE`],
-//!   [`CSR_REDUCE_BELOW_BITS_PER_TILE`]), and whose full-precision pushes
-//!   always scatter from it;
-//! * [`FloatCsr`] — 32-bit-float CSR + row-parallel reference sweeps (the
-//!   GraphBLAST/cuSPARSE stand-in baseline) —
+//! Beside it sits the merge-on-read
+//! [`DeltaOverlay`](crate::delta::DeltaOverlay), which forwards to a base
+//! backend and re-folds its dirty rows.  Backends defined outside this crate
+//! implement the same thirteen methods; neither the [`super::Matrix`] object
+//! nor the algorithms know which one they are running on.
 //!
-//! plus the merge-on-read [`DeltaOverlay`](crate::delta::DeltaOverlay),
-//! which forwards to a base backend and re-folds its dirty rows.  Backends
-//! defined outside this crate implement the same fourteen methods; neither
-//! the [`super::Matrix`] object nor the algorithms know which one they are
-//! running on.
-//!
-//! The trait is object-safe: matrices hold an `Arc<dyn GrbBackend>`, and
-//! cross-backend operations (`mxm_reduce_masked` with mixed operands)
-//! negotiate through [`GrbBackend::as_any`] downcasts, falling back to the
-//! count over the always-available CSR views when the operands' concrete
-//! types differ.
+//! The trait is object-safe: matrices share an `Arc<dyn GrbBackend>`, which
+//! is never mutated once built (its lazy views are `OnceLock`s), and
+//! `mxm_reduce_masked` with mixed operands negotiates through
+//! [`GrbBackend::as_any`] downcasts, falling back to the count over the
+//! always-available CSR views when the operands' tiles differ or are
+//! missing.
 //!
 //! # Sharded push execution
 //!
-//! Every push (sparse-frontier) product of both built-in backends runs
-//! through one routine, `push_scatter` — the Boolean word scatters of
-//! [`BitB2sr`] (tile words, or node and lane words from the CSR) and the
-//! one full-precision scatter, [`csr_push_full`]: cut
-//! the ascending frontier at the
-//! plan's row-shard boundaries, decide — from the frontier and the plan
-//! alone, never from the thread count — whether the modelled scatter work
-//! dominates the fixed-order merge ([`worth_sharding`]), and either run the
-//! serial kernel once per segment into privatized buffers (checked out of
-//! the workspace pool *before* the fan-out, so workers never touch the pool)
-//! and merge them in ascending segment order, or run the serial kernel on
-//! the whole frontier.  Scratch and cut buffers cycle through the pool, so
-//! the sharded steady state stays allocation-free at `threads == 1` (the
-//! parallel path additionally pays the scoped thread spawns).
+//! The Boolean word scatters of a tiled matrix — tile words, or node and
+//! lane words from the CSR — run through one routine, `push_scatter`: cut
+//! the ascending frontier at the plan's row-shard boundaries, decide — from
+//! the frontier and the plan alone, never from the thread count — whether
+//! the modelled scatter work dominates the fixed-order merge
+//! ([`worth_sharding`]), and either run the serial kernel once per segment
+//! into privatized buffers (checked out of the workspace pool *before* the
+//! fan-out, so workers never touch the pool) and OR them together in
+//! ascending segment order, or run the serial kernel on the whole frontier.
+//! Scratch and cut buffers cycle through the pool, so the sharded steady
+//! state stays allocation-free at `threads == 1` (the parallel path
+//! additionally pays the scoped thread spawns).
+//!
+//! Every full-precision push — any `f32` semiring, one lane or a batch,
+//! and the float baseline's `f32` Boolean push — runs [`csr_push_full`] once
+//! over the whole ascending frontier: serial by construction, so its float
+//! folds group alike at every thread budget.  At two threads the sharded
+//! scatter it replaced measured 1.6–3× slower than this serial one on
+//! batched pushes (the `push_threads` bench group).
 
 use std::any::Any;
 use std::sync::OnceLock;
@@ -160,29 +166,27 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
         transpose_b: bool,
     ) -> f64;
 
-    /// The row-shard plan of a scatter representation, if one has been
-    /// cut: `of_transpose` selects the plan over `Aᵀ`'s rows (the `mxv`
-    /// push representation) instead of `A`'s.  `None` means pushes on that
-    /// representation run (and are priced by `Direction::Auto` as) serial —
-    /// what a backend without a sharded scatter always reports.
+    /// The row-shard plan of a Boolean word scatter's representation, if
+    /// one has been cut: `of_transpose` selects the plan over `Aᵀ`'s rows
+    /// (the `mxv` push representation) instead of `A`'s.  `None` means
+    /// pushes on that representation run (and are priced by
+    /// `Direction::Auto` as) serial — what a backend without a sharded
+    /// scatter always reports.  Full-precision pushes never shard.
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
 
-    /// Storage bytes of the backend's primary representation: the B2SR
-    /// tiles for [`BitB2sr`] (also when its products read the CSR it holds,
-    /// which is not counted), the float CSR for [`FloatCsr`].
+    /// Storage bytes of the backend's primary representation: a
+    /// [`BitB2sr`]'s B2SR tiles (also when its products read the CSR it
+    /// holds, which is not counted), or its float CSR when it has no tiles.
     fn storage_bytes(&self) -> usize;
 
     /// A new backend of the same kind holding `Aᵀ`.
     fn transpose_view(&self) -> Box<dyn GrbBackend>;
 
-    /// Clone into a boxed backend (object-safe `Clone`).
-    fn clone_box(&self) -> Box<dyn GrbBackend>;
-
     /// Downcast support for cross-backend negotiation.
     fn as_any(&self) -> &dyn Any;
 }
 
-/// `mxm_reduce_masked` over the CSR views: [`FloatCsr`]'s and
+/// `mxm_reduce_masked` over the CSR views: the float baseline's and
 /// [`DeltaOverlay`](crate::delta::DeltaOverlay)'s product, the cross-backend
 /// fallback, and a hypersparse [`BitB2sr`]'s route
 /// ([`BitB2sr::masked_reduce_reads_csr`]).  `spgemm_masked_count` takes its
@@ -236,7 +240,7 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-or-serial push scatter
+// Sharded-or-serial word scatter
 // ---------------------------------------------------------------------------
 
 /// Average out-degree of a scatter representation with `nnz` edges over the
@@ -247,46 +251,42 @@ fn avg_degree(nnz: usize, plan: &ShardPlan) -> usize {
     (nnz / plan.bounds()[plan.n_shards()].max(1)).max(1)
 }
 
-/// One push scatter into `y`, sharded when the plan and the frontier
-/// warrant it and serial otherwise (see the module docs for the recipe).
+/// One Boolean word scatter into `y`, sharded when the plan and the
+/// frontier warrant it and serial otherwise (see the module docs for the
+/// recipe).
 ///
-/// `scatter(segment, chunk)` is the serial kernel: it folds the edges of the
+/// `scatter(segment, chunk)` is the serial kernel: it ORs the edges of the
 /// ascending frontier rows `segment` into `chunk`, which is shaped like `y`.
-/// `y` arrives pre-seeded (zeros, the semiring identity, or an accumulation
-/// baseline); the privatized chunks start from `fill`, the identity of
-/// `merge`, and fold into `y` in ascending segment order, so per position
-/// the fold grouping depends only on the plan and the frontier — results
-/// are bit-identical across thread counts, and for exact monoids equal to
-/// the serial scatter outright.
+/// `y` arrives zeroed; the privatized chunks start from zero and OR into `y`
+/// in ascending segment order.  OR is exact, so the result equals the
+/// serial scatter at every thread count.
 ///
-/// `lanes` is the number of `y` positions per output node (1 for a single
-/// vector, `k` or the lane-word count for a batch): per-edge work and
-/// per-position merge both scale by it, so the engagement test runs on node
-/// counts and the lanes enter only the scratch-footprint bound.
-#[allow(clippy::too_many_arguments)]
-fn push_scatter<T: Poolable + Sync>(
+/// `lanes` is the number of `y` words per output node (1 for node or tile
+/// words, the lane-word count for a batch): per-edge work and per-position
+/// merge both scale by it, so the engagement test runs on node counts and
+/// the lanes enter only the scratch-footprint bound.
+fn push_scatter<T>(
     ws: &Workspace,
-    plan: &ShardPlan,
+    (plan, avg_deg): (&ShardPlan, usize),
     frontier: &[usize],
-    avg_deg: usize,
     lanes: usize,
-    fill: T,
     y: &mut [T],
     scatter: impl Fn(&[usize], &mut [T]) + Sync,
-    merge: impl Fn(T, T) -> T + Sync,
-) {
+) where
+    T: Poolable + Sync + Copy + Default + std::ops::BitOr<Output = T>,
+{
     let mut cuts: Vec<usize> = ws.take_empty();
     plan.segment_frontier(frontier, &mut cuts);
     let n_seg = cuts.len().saturating_sub(1);
     let width = y.len();
     let elem_bytes = lanes * std::mem::size_of::<T>();
     if worth_sharding(frontier.len(), avg_deg, n_seg, width / lanes, elem_bytes) {
-        let mut scratch = ws.take(n_seg * width, fill);
+        let mut scratch = ws.take(n_seg * width, T::default());
         let threads = ws.push_threads();
         scatter_segments(threads, n_seg, &mut scratch, width, |s, chunk| {
             scatter(&frontier[cuts[s]..cuts[s + 1]], chunk)
         });
-        merge_segments(threads, n_seg, &scratch, width, y, merge);
+        merge_segments(threads, n_seg, &scratch, width, y, |acc, v| acc | v);
         ws.stats().record_sharded_push(n_seg);
         ws.give(scratch);
     } else {
@@ -295,27 +295,21 @@ fn push_scatter<T: Poolable + Sync>(
     ws.give(cuts);
 }
 
-/// The per-row scatter weights a shard plan is cut from: the cumulative
-/// weight pointer, the boundary alignment, and the row count (see
-/// [`ShardPlan::from_weights`]).
-type RowWeights<'a> = (&'a [usize], usize, usize);
-
-/// Row weights of a CSR scatter representation: edges per row.
-fn csr_weights(csr: &Csr) -> RowWeights<'_> {
-    (csr.rowptr(), 1, csr.nrows())
-}
-
-/// Row weights of a B2SR scatter representation: tile counts are the
+/// The row-shard plan of a B2SR scatter representation: tile counts are the
 /// per-tile-row weight proxy, and boundaries fall on tile rows.
-fn b2sr_weights(m: &B2srMatrix) -> RowWeights<'_> {
-    with_b2sr!(m, |m| (m.tile_rowptr(), m.tile_dim(), m.nrows()))
+fn cut_plan(m: &B2srMatrix, cfg: ShardConfig) -> ShardPlan {
+    with_b2sr!(m, |m| ShardPlan::from_weights(
+        m.tile_rowptr(),
+        m.tile_dim(),
+        m.nrows(),
+        cfg
+    ))
 }
 
-/// The row-shard plans of a backend's two scatter representations, shared
-/// by both built-in backends.  Each is [`ShardPlan::from_weights`] of its
-/// representation under the one stored config — a function of what was
-/// built, whichever way it was built.
-#[derive(Debug, Clone)]
+/// The row-shard plans of a tiled matrix's two scatter representations.
+/// Each is [`cut_plan`] of its tiles under the one stored config — a
+/// function of what was built, whichever way it was built.
+#[derive(Debug)]
 struct ScatterPlans {
     cfg: ShardConfig,
     /// Plan over `A`'s rows (the `vxm` push representation), cut by the
@@ -327,14 +321,10 @@ struct ScatterPlans {
 }
 
 impl ScatterPlans {
-    fn cut(cfg: ShardConfig, (ptr, align, nrows): RowWeights<'_>) -> ShardPlan {
-        ShardPlan::from_weights(ptr, align, nrows, cfg)
-    }
-
-    fn new(cfg: ShardConfig, forward: RowWeights<'_>) -> Self {
+    fn new(cfg: ShardConfig, forward: &B2srMatrix) -> Self {
         ScatterPlans {
             cfg,
-            forward: Self::cut(cfg, forward),
+            forward: cut_plan(forward, cfg),
             transposed: OnceLock::new(),
         }
     }
@@ -348,24 +338,23 @@ impl ScatterPlans {
         }
     }
 
-    /// The plan of one representation; `weights` yields that
+    /// The plan of one representation; `tiles` yields that
     /// representation's, and runs only when the plan is first cut.
-    fn get_or_plan<'w>(
+    fn get_or_plan<'t>(
         &self,
         of_transpose: bool,
-        weights: impl FnOnce() -> RowWeights<'w>,
+        tiles: impl FnOnce() -> &'t B2srMatrix,
     ) -> &ShardPlan {
         if of_transpose {
-            self.transposed
-                .get_or_init(|| Self::cut(self.cfg, weights()))
+            self.transposed.get_or_init(|| cut_plan(tiles(), self.cfg))
         } else {
             &self.forward
         }
     }
 
     /// The plans of the transpose view: the view's `A` is this matrix's
-    /// `Aᵀ` (whose weights are `transposed`), so the two plans swap roles.
-    fn swapped(&self, transposed: RowWeights<'_>) -> Self {
+    /// `Aᵀ` (whose tiles are `transposed`), so the two plans swap roles.
+    fn swapped(&self, transposed: &B2srMatrix) -> Self {
         ScatterPlans {
             cfg: self.cfg,
             forward: self.get_or_plan(true, || transposed).clone(),
@@ -505,23 +494,84 @@ pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
 /// than one core, and any width but B2SR-8 end to end.
 pub const CSR_REDUCE_BELOW_BITS_PER_TILE: f64 = 2.5;
 
-/// The Bit-GraphBLAS backend: B2SR storage, bit kernels (Tables II and III),
-/// and the binary CSR it was built from (the interchange view), which its
-/// full-precision pulls, its Boolean products and its masked product
-/// reduction read when the tiles are hypersparse
+/// The built-in backend: the binary CSR every matrix holds (the interchange
+/// view, and what every full-precision push scatters from) plus, under
+/// [`Backend::Bit`], B2SR tiles and their bit kernels (Tables II and III).
+/// Its full-precision pulls, Boolean products and masked product reduction
+/// read the CSR when the tiles are hypersparse
 /// ([`BitB2sr::full_pull_reads_csr`], [`BitB2sr::boolean_reads_csr`],
-/// [`BitB2sr::masked_reduce_reads_csr`]).
+/// [`BitB2sr::masked_reduce_reads_csr`]).  Without tiles it is the float
+/// baseline, [`Backend::FloatCsr`]: every product runs on `f32` over the CSR
+/// — the Boolean ones through the same row pull and scatter as the other
+/// semirings — and it has no word product and no shard plan.
 #[derive(Debug)]
 pub struct BitB2sr {
     csr: Csr,
-    b2sr: B2srMatrix,
     csr_t: OnceLock<Csr>,
+    /// The B2SR tiles under `Backend::Bit`; `None` is the float baseline.
+    tiles: Option<Tiles>,
+}
+
+/// What a tiled [`BitB2sr`] holds beside its CSR.
+#[derive(Debug)]
+struct Tiles {
+    b2sr: B2srMatrix,
     b2sr_t: OnceLock<B2srMatrix>,
+    /// The row-shard plans of the Boolean word scatters.
     shards: ScatterPlans,
     /// Mean bits per non-empty tile, `csr.nnz() / b2sr.n_tiles()` (NaN for
     /// an empty matrix, which routes nothing); fixed when the tiles are
-    /// built, and what both CSR routes are decided from.
+    /// built, and what every CSR route is decided from.
     bits_per_tile: f64,
+}
+
+impl Tiles {
+    /// The tiles of an `nnz`-edge matrix, with the shard plan of their rows
+    /// cut under `cfg`.
+    fn new(b2sr: B2srMatrix, nnz: usize, cfg: ShardConfig) -> Self {
+        Tiles {
+            shards: ScatterPlans::new(cfg, &b2sr),
+            bits_per_tile: nnz as f64 / b2sr.n_tiles() as f64,
+            b2sr,
+            b2sr_t: OnceLock::new(),
+        }
+    }
+
+    /// Whether a product routed below `below` bits per tile reads the CSR
+    /// instead of these tiles.
+    fn reads_csr(&self, below: f64) -> bool {
+        self.bits_per_tile < below
+    }
+
+    /// `Aᵀ`'s tiles iff `transposed`, built and cached on first use.  The
+    /// pull sweep of a product runs on `rep(transpose)`; the push scatter
+    /// walks the *rows* of the representation whose rows are the
+    /// frontier's domain — `rep(!transpose)`.
+    fn rep(&self, transposed: bool) -> &B2srMatrix {
+        if transposed {
+            self.b2sr_t.get_or_init(|| self.b2sr.transpose())
+        } else {
+            &self.b2sr
+        }
+    }
+
+    /// The shard plan of a Boolean push product's scatter representation —
+    /// cut from its tiles, the tile word scatter's unit — and its average
+    /// degree over the matrix's `nnz` edges.
+    fn scatter_plan(&self, transpose: bool, nnz: usize) -> (&ShardPlan, usize) {
+        let plan = self.shards.get_or_plan(!transpose, || self.rep(!transpose));
+        (plan, avg_degree(nnz, plan))
+    }
+
+    /// The tiles of the transpose view, whose `A` is this matrix's `Aᵀ`.
+    fn transposed(&self) -> Tiles {
+        Tiles {
+            b2sr: self.rep(true).clone(),
+            b2sr_t: OnceLock::from(self.b2sr.clone()),
+            shards: self.shards.swapped(self.rep(true)),
+            bits_per_tile: self.bits_per_tile,
+        }
+    }
 }
 
 impl BitB2sr {
@@ -530,41 +580,62 @@ impl BitB2sr {
     /// "one-time conversion cost" the paper amortizes); the transpose
     /// representations and their plan are built lazily.
     pub fn new(csr: &Csr, tile_size: TileSize, cfg: ShardConfig) -> Self {
-        BitB2sr::retiled(binary_copy(csr), tile_size, cfg, None).0
+        BitB2sr::of_kind(binary_copy(csr), Backend::Bit(tile_size), cfg, None).0
     }
 
-    /// The backend of `bin`, an all-ones CSR taken by value and on trust
-    /// (the compaction path hands over the merge it just wrote).  With
-    /// `prev` — the backend of the same matrix before its ascending dirty
-    /// rows changed — only the tile-rows holding a dirty row are converted
-    /// ([`B2srMatrix::retile`]); the shard plan is cut from the result
-    /// either way.
-    pub(crate) fn retiled(
+    /// The backend of `kind` over `bin`, an all-ones CSR taken by value and
+    /// on trust (the compaction path hands over the merge it just wrote):
+    /// tiled under `Backend::Bit`, the float baseline under
+    /// `Backend::FloatCsr`.  With `prev` — the backend of the same matrix
+    /// before its ascending dirty rows changed — only the tile-rows holding
+    /// a dirty row are converted ([`B2srMatrix::retile`]); the shard plan is
+    /// cut from the result either way.
+    pub(crate) fn of_kind(
         bin: Csr,
-        tile_size: TileSize,
+        kind: Backend,
         cfg: ShardConfig,
         prev: Option<(&BitB2sr, &[usize])>,
     ) -> (Self, RetileCounts) {
         debug_assert!(bin.is_binary());
-        let prev = prev.map(|(old, dirty_rows)| (&old.b2sr, dirty_rows));
-        let (b2sr, counts) = B2srMatrix::retile(&bin, tile_size, prev);
+        let (tiles, counts) = match kind {
+            Backend::Bit(ts) => {
+                let prev = prev.and_then(|(old, dirty_rows)| Some((old.b2sr()?, dirty_rows)));
+                let (b2sr, counts) = B2srMatrix::retile(&bin, ts, prev);
+                (Some(Tiles::new(b2sr, bin.nnz(), cfg)), counts)
+            }
+            Backend::FloatCsr => (None, RetileCounts::default()),
+            Backend::Auto => unreachable!("a backend is built of a resolved kind"),
+        };
         let backend = BitB2sr {
-            shards: ScatterPlans::new(cfg, b2sr_weights(&b2sr)),
-            bits_per_tile: bin.nnz() as f64 / b2sr.n_tiles() as f64,
             csr: bin,
-            b2sr,
             csr_t: OnceLock::new(),
-            b2sr_t: OnceLock::new(),
+            tiles,
         };
         (backend, counts)
     }
 
+    /// The tiles a product routed below `below` bits per tile sweeps:
+    /// `None` when it reads the CSR instead — the matrix has no tiles, or
+    /// they are too sparse.
+    fn swept(&self, below: f64) -> Option<&Tiles> {
+        self.tiles.as_ref().filter(|t| !t.reads_csr(below))
+    }
+
+    /// The tiles of a matrix asked for a word product — only a tiled one
+    /// ever is (`plan::execute_word_product` and the `f32` Boolean arms
+    /// check), though the product may route to the CSR.
+    fn word_tiles(&self) -> &Tiles {
+        self.tiles
+            .as_ref()
+            .expect("a word product runs on a tiled matrix")
+    }
+
     /// Whether this matrix's full-precision pulls — `mxv` and `vxm`, bare,
     /// fused, masked or not, and batched — read the CSR the backend already
-    /// holds (`csr`, or `csr_t` for the transposed sweep) through the same
-    /// row pull as [`FloatCsr`], instead of sweeping the tiles.  True when
-    /// the mean bits per non-empty tile is under
-    /// [`CSR_PULL_BELOW_BITS_PER_TILE`]; decided once, where the tiles are
+    /// holds (`csr`, or `csr_t` for the transposed sweep) through the row
+    /// pull instead of sweeping tiles.  Always, without tiles; with tiles,
+    /// when their mean bits per non-empty tile is under
+    /// [`CSR_PULL_BELOW_BITS_PER_TILE`] — decided once, where the tiles are
     /// built, from two stored counts (never from [`B2srMatrix::nnz`], a
     /// popcount sweep).  `Aᵀ` has the same edges and tiles, so the transpose
     /// view keeps the flag.  Full-precision pushes read the CSR either way;
@@ -572,82 +643,48 @@ impl BitB2sr {
     /// ([`boolean_reads_csr`](Self::boolean_reads_csr)).  Both pulls fold a
     /// row's columns in ascending order, so the two paths agree bit for bit.
     pub fn full_pull_reads_csr(&self) -> bool {
-        self.bits_per_tile < CSR_PULL_BELOW_BITS_PER_TILE
+        self.swept(CSR_PULL_BELOW_BITS_PER_TILE).is_none()
     }
 
     /// Whether this matrix's masked product reduction
     /// ([`GrbBackend::mxm_reduce_masked`] with this matrix as `A`) counts
-    /// over the operands' CSRs instead of intersecting tiles: true when the
-    /// mean bits per non-empty tile is under
+    /// over the operands' CSRs instead of intersecting tiles: always without
+    /// tiles, and when their mean bits per non-empty tile is under
     /// [`CSR_REDUCE_BELOW_BITS_PER_TILE`], decided from the same stored fill
     /// as [`full_pull_reads_csr`](Self::full_pull_reads_csr).  The count is
     /// exact, so the two paths return the same number.
     pub fn masked_reduce_reads_csr(&self) -> bool {
-        self.bits_per_tile < CSR_REDUCE_BELOW_BITS_PER_TILE
+        self.swept(CSR_REDUCE_BELOW_BITS_PER_TILE).is_none()
     }
 
-    /// Whether this matrix's Boolean products — pull and push, in node
-    /// words (`bits_product`: [`Op::vxm_bits`](super::Op::vxm_bits)) and lane
-    /// words (`lane_product`: [`Op::mxm_lanes`](super::Op::mxm_lanes)), and
-    /// so the `f32` Boolean arms of `mxv_into` / `mxm_into` — read the CSR the backend already holds
-    /// (`csr_t` or `csr`, whichever the product walks) instead of the tiles.
-    /// Decided from the same stored fill as
-    /// [`full_pull_reads_csr`](Self::full_pull_reads_csr), under
-    /// [`CSR_PULL_BELOW_BITS_PER_TILE`].  OR is exact, so the two paths give
-    /// the same words.
+    /// Whether this matrix's Boolean products read the CSR the backend
+    /// already holds (`csr_t` or `csr`, whichever the product walks) instead
+    /// of tiles.  Without tiles they do, on `f32`, like every other product.
+    /// With tiles — pull and push, in node words (`bits_product`:
+    /// [`Op::vxm_bits`](super::Op::vxm_bits)) and lane words
+    /// (`lane_product`: [`Op::mxm_lanes`](super::Op::mxm_lanes)), and so the
+    /// `f32` Boolean arms of `mxv_into` / `mxm_into` — when the fill is under
+    /// [`CSR_PULL_BELOW_BITS_PER_TILE`], decided as for
+    /// [`full_pull_reads_csr`](Self::full_pull_reads_csr).  OR is exact, so
+    /// the two paths give the same words.
     pub fn boolean_reads_csr(&self) -> bool {
-        self.bits_per_tile < CSR_PULL_BELOW_BITS_PER_TILE
+        self.full_pull_reads_csr()
     }
 
-    /// The B2SR representation.
-    pub fn b2sr(&self) -> &B2srMatrix {
-        &self.b2sr
+    /// The B2SR representation, if the matrix has tiles.
+    pub fn b2sr(&self) -> Option<&B2srMatrix> {
+        self.tiles.as_ref().map(|t| &t.b2sr)
     }
 
-    /// The B2SR representation of `Aᵀ`, built and cached on first use.
-    pub fn b2sr_t(&self) -> &B2srMatrix {
-        self.b2sr_t.get_or_init(|| self.b2sr.transpose())
+    /// The B2SR representation of `Aᵀ`, built and cached on first use, if
+    /// the matrix has tiles.
+    pub fn b2sr_t(&self) -> Option<&B2srMatrix> {
+        self.tiles.as_ref().map(|t| t.rep(true))
     }
 
-    /// The tile size of the underlying B2SR matrix.
-    pub fn tile_size(&self) -> TileSize {
-        self.b2sr.tile_size()
-    }
-
-    /// `Aᵀ`'s representation iff `transposed`.  The pull sweep of a product
-    /// runs on `rep(transpose)`; the push scatter walks the *rows* of the
-    /// representation whose rows are the frontier's domain —
-    /// `rep(!transpose)`.
-    fn rep(&self, transposed: bool) -> &B2srMatrix {
-        if transposed {
-            self.b2sr_t()
-        } else {
-            &self.b2sr
-        }
-    }
-
-    /// The shard plan of a push product's scatter representation — cut
-    /// from its tiles, the Boolean word scatter's unit — and its average
-    /// degree.
-    fn scatter_plan(&self, transpose: bool) -> (&ShardPlan, usize) {
-        let plan = self
-            .shards
-            .get_or_plan(!transpose, || b2sr_weights(self.rep(!transpose)));
-        (plan, avg_degree(self.csr.nnz(), plan))
-    }
-
-    /// The tile scatter representation of a Boolean push product with its
-    /// shard plan and average degree.
-    fn scatter_rep(&self, transpose: bool) -> (&B2srMatrix, &ShardPlan, usize) {
-        let (plan, avg) = self.scatter_plan(transpose);
-        (self.rep(!transpose), plan, avg)
-    }
-
-    /// The CSR scatter representation of a full-precision push product, with
-    /// the same shard plan as the tiles' ([`csr_push`]).
-    fn csr_scatter_rep(&self, transpose: bool) -> CsrScatter<'_> {
-        let (plan, avg) = self.scatter_plan(transpose);
-        (csr_rep(self, !transpose), plan, avg)
+    /// The tile size of the B2SR representation, if the matrix has tiles.
+    pub fn tile_size(&self) -> Option<TileSize> {
+        self.b2sr().map(B2srMatrix::tile_size)
     }
 
     /// The batched Boolean product in lane words, `yw = (A ⊕.⊗ xw) &
@@ -656,9 +693,9 @@ impl BitB2sr {
     /// layout), `frontier` is `mxm_into`'s — `Some(ascending nodes holding a
     /// set lane)` for push — and `yw` is a pooled buffer sized here.  Not a
     /// trait method: the op layer ([`Op::mxm_lanes`](super::Op::mxm_lanes))
-    /// finds it by downcast, and the `f32` Boolean arm of `mxm_into`
-    /// ([`boolean_batch`](Self::boolean_batch)) runs it between a pack and an
-    /// expand.  A matrix whose Boolean products read the CSR
+    /// finds it by downcast on a tiled matrix, and the `f32` Boolean arm of
+    /// `mxm_into` ([`boolean_batch`](Self::boolean_batch)) runs it between a
+    /// pack and an expand.  A matrix whose Boolean products read the CSR
     /// ([`boolean_reads_csr`](Self::boolean_reads_csr)) runs
     /// [`csr_lanes_pull`] on `csr_rep(transpose)` or scatters
     /// [`csr_lanes_push`] from `csr_rep(!transpose)`; any other sweeps or
@@ -675,32 +712,33 @@ impl BitB2sr {
         yw: &mut Vec<u64>,
     ) {
         let wpn = lane_words_per_node(k);
+        let tiles = self.word_tiles();
+        let routed = tiles.reads_csr(CSR_PULL_BELOW_BITS_PER_TILE);
         match frontier {
-            Some(frontier) if self.boolean_reads_csr() => {
-                let (csr, plan, avg) = self.csr_scatter_rep(transpose);
+            Some(frontier) if routed => {
+                let csr = csr_rep(self, !transpose);
                 let scatter = |segment: &[usize], chunk: &mut [u64]| {
                     csr_lanes_push(csr, segment, xw, wpn, chunk)
                 };
+                let plan = tiles.scatter_plan(transpose, self.nnz());
                 let words = csr.ncols() * wpn;
-                or_scatter(ws, plan, frontier, avg, wpn, words, excluded, yw, scatter)
+                or_scatter(ws, plan, frontier, wpn, words, excluded, yw, scatter)
             }
-            Some(frontier) => {
-                let (rep, plan, avg) = self.scatter_rep(transpose);
-                with_b2sr!(rep, |m| {
-                    let scatter = |segment: &[usize], chunk: &mut [u64]| {
-                        bmm_push_bits(m, segment, xw, wpn, chunk)
-                    };
-                    let words = m.ncols() * wpn;
-                    or_scatter(ws, plan, frontier, avg, wpn, words, excluded, yw, scatter)
-                })
-            }
-            None if self.boolean_reads_csr() => {
+            Some(frontier) => with_b2sr!(tiles.rep(!transpose), |m| {
+                let scatter = |segment: &[usize], chunk: &mut [u64]| {
+                    bmm_push_bits(m, segment, xw, wpn, chunk)
+                };
+                let plan = tiles.scatter_plan(transpose, self.nnz());
+                let words = m.ncols() * wpn;
+                or_scatter(ws, plan, frontier, wpn, words, excluded, yw, scatter)
+            }),
+            None if routed => {
                 let csr = csr_rep(self, transpose);
                 yw.clear();
                 yw.resize(csr.nrows() * wpn, 0);
                 csr_lanes_pull(csr, xw, k, excluded, yw);
             }
-            None => with_b2sr!(self.rep(transpose), |m| lane_pull(
+            None => with_b2sr!(tiles.rep(transpose), |m| lane_pull(
                 m, xw, k, excluded, ws, yw
             )),
         }
@@ -725,40 +763,45 @@ impl BitB2sr {
         ws: &Workspace,
         yw: &mut Vec<u64>,
     ) {
+        let tiles = self.word_tiles();
+        let routed = tiles.reads_csr(CSR_PULL_BELOW_BITS_PER_TILE);
         match frontier {
-            Some(frontier) if self.boolean_reads_csr() => {
-                let (csr, plan, avg) = self.csr_scatter_rep(transpose);
+            Some(frontier) if routed => {
+                let csr = csr_rep(self, !transpose);
                 let scatter =
                     |segment: &[usize], chunk: &mut [u64]| csr_bits_push(csr, segment, chunk);
+                let plan = tiles.scatter_plan(transpose, self.nnz());
                 let words = csr.ncols().div_ceil(64);
-                or_scatter(ws, plan, frontier, avg, 1, words, excluded, yw, scatter)
+                or_scatter(ws, plan, frontier, 1, words, excluded, yw, scatter)
             }
             Some(frontier) => {
-                let (rep, plan, avg) = self.scatter_rep(transpose);
-                with_b2sr!(rep, |m| bits_push(m, frontier, plan, avg, excluded, ws, yw))
+                let plan = tiles.scatter_plan(transpose, self.nnz());
+                with_b2sr!(tiles.rep(!transpose), |m| bits_push(
+                    m, frontier, plan, excluded, ws, yw
+                ))
             }
-            None if self.boolean_reads_csr() => {
+            None if routed => {
                 let csr = csr_rep(self, transpose);
                 yw.clear();
                 yw.resize(csr.nrows().div_ceil(64), 0);
                 csr_bits_pull(csr, xw, excluded, yw);
             }
-            None => with_b2sr!(self.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw)),
+            None => with_b2sr!(tiles.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw)),
         }
     }
 
-    /// The `f32` Boolean product of a single-vector pipeline: the operand
-    /// packed into node words → [`bits_product`](Self::bits_product) → the
-    /// words expanded to a `0.0` / `1.0` indicator, and the collapsed
-    /// epilogue (if any) over the expansion.  A pull takes the mask into the
-    /// product as suppressed rows, so the expansion has nothing left to
-    /// filter; a push packs neither (its frontier is the operand's set
-    /// entries) and the mask filters the expansion, which visits the set
-    /// bits only.  Every Boolean pipeline scatters from the identity: `Or`
-    /// would normalise a seeded baseline (`push_folds_accum` excludes it)
-    /// and the words could not carry one anyway.  Out of line, like
-    /// [`csr_push_vector`]: the full-precision arms of `mxv_into` keep their
-    /// code.
+    /// The `f32` Boolean product of a single-vector pipeline on a tiled
+    /// matrix: the operand packed into node words →
+    /// [`bits_product`](Self::bits_product) → the words expanded to a `0.0`
+    /// / `1.0` indicator, and the collapsed epilogue (if any) over the
+    /// expansion.  A pull takes the mask into the product as suppressed
+    /// rows, so the expansion has nothing left to filter; a push packs
+    /// neither (its frontier is the operand's set entries) and the mask
+    /// filters the expansion, which visits the set bits only.  Every Boolean
+    /// pipeline scatters from the identity: `Or` would normalise a seeded
+    /// baseline (`push_folds_accum` excludes it) and the words could not
+    /// carry one anyway.  Out of line, like [`csr_push_vector`]: the
+    /// full-precision arms of `mxv_into` keep their code.
     #[inline(never)]
     fn boolean_vector(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         let mut xw: Vec<u64> = ws.take_empty();
@@ -789,7 +832,7 @@ impl BitB2sr {
         p.finish_in_place(out);
     }
 
-    /// The `f32` Boolean product of a batched pipeline:
+    /// The `f32` Boolean product of a batched pipeline on a tiled matrix:
     /// [`boolean_vector`](Self::boolean_vector) in lane words, through
     /// [`lane_product`](Self::lane_product).  A pull takes the flat mask as
     /// suppressed lane words, so fully-masked rows (every lane visited, the
@@ -835,16 +878,15 @@ impl BitB2sr {
     }
 }
 
-/// A Boolean word scatter through [`push_scatter`]: `yw` is sized to `words`
-/// zeros, `scatter` ORs a frontier segment's edges into its chunk (`lanes`
-/// words per output node), and the result is finished with the AND-NOT of
-/// `excluded`.
+/// A Boolean word scatter through [`push_scatter`] on a shard plan and its
+/// average degree: `yw` is sized to `words` zeros, `scatter` ORs a frontier
+/// segment's edges into its chunk (`lanes` words per output node), and the
+/// result is finished with the AND-NOT of `excluded`.
 #[allow(clippy::too_many_arguments)]
 fn or_scatter(
     ws: &Workspace,
-    plan: &ShardPlan,
+    plan: (&ShardPlan, usize),
     frontier: &[usize],
-    avg_deg: usize,
     lanes: usize,
     words: usize,
     excluded: Option<&[u64]>,
@@ -853,17 +895,7 @@ fn or_scatter(
 ) {
     yw.clear();
     yw.resize(words, 0);
-    push_scatter(
-        ws,
-        plan,
-        frontier,
-        avg_deg,
-        lanes,
-        0u64,
-        yw,
-        scatter,
-        |acc, v| acc | v,
-    );
+    push_scatter(ws, plan, frontier, lanes, yw, scatter);
     if let Some(excluded) = excluded {
         simd::andnot_into(yw, excluded);
     }
@@ -890,9 +922,8 @@ macro_rules! with_mask_hook {
 
 /// Seed the output of a full-precision push scatter.  A foldable accumulator
 /// ([`MxvPipeline::push_folds_accum`]) seeds it with `base ⊕ identity`, so
-/// the scatter ⊕-folds straight into it and finishes the pipeline (sharded
-/// segments fold from the identity and merge into the seed with the monoid,
-/// exactly like the serial kernel) — returns `true`.  `base ⊕ identity` is
+/// the scatter ⊕-folds straight into it and finishes the pipeline — returns
+/// `true`.  `base ⊕ identity` is
 /// what the pull stores where no term arrives, so unreached and masked-out
 /// positions read alike both ways (a NaN or `−0.0` baseline is not kept).
 /// Everything else scatters from the identity and still owes the collapsed
@@ -979,24 +1010,15 @@ fn bits_pull<W: BitWord + Poolable>(
 fn bits_push<W: BitWord + Poolable>(
     m: &B2sr<W>,
     frontier: &[usize],
-    plan: &ShardPlan,
-    avg_deg: usize,
+    plan: (&ShardPlan, usize),
     excluded: Option<&[u64]>,
     ws: &Workspace,
     yw: &mut Vec<u64>,
 ) {
     let mut tiles: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
-    push_scatter(
-        ws,
-        plan,
-        frontier,
-        avg_deg,
-        1,
-        W::ZERO,
-        &mut tiles,
-        |segment, chunk| bmv_push_bin_bin(m, segment, chunk),
-        |acc, v| acc | v,
-    );
+    push_scatter(ws, plan, frontier, 1, &mut tiles, |segment, chunk| {
+        bmv_push_bin_bin(m, segment, chunk)
+    });
     join_tile_words(&tiles, m.tile_dim(), m.ncols(), yw);
     if let Some(excluded) = excluded {
         simd::andnot_into(yw, excluded);
@@ -1081,7 +1103,7 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
 
 impl GrbBackend for BitB2sr {
     fn kind(&self) -> Backend {
-        Backend::Bit(self.b2sr.tile_size())
+        self.tile_size().map_or(Backend::FloatCsr, Backend::Bit)
     }
 
     fn nrows(&self) -> usize {
@@ -1106,23 +1128,27 @@ impl GrbBackend for BitB2sr {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            _ if p.semiring == Semiring::Boolean => self.boolean_vector(p, ws, out),
-            Some(frontier) => {
-                csr_push_vector(self.csr_scatter_rep(p.transpose), p, frontier, ws, out)
+            _ if p.semiring == Semiring::Boolean && self.tiles.is_some() => {
+                self.boolean_vector(p, ws, out)
             }
-            None if self.full_pull_reads_csr() => csr_pull(csr_rep(self, p.transpose), p, out),
-            None => with_b2sr!(self.rep(p.transpose), |m| bit_pull(m, p, out)),
+            Some(frontier) => csr_push_vector(csr_rep(self, !p.transpose), p, frontier, out),
+            None => match self.swept(CSR_PULL_BELOW_BITS_PER_TILE) {
+                Some(tiles) => with_b2sr!(tiles.rep(p.transpose), |m| bit_pull(m, p, out)),
+                None => csr_pull(csr_rep(self, p.transpose), p, out),
+            },
         }
     }
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            _ if p.semiring == Semiring::Boolean => self.boolean_batch(p, ws, out),
-            Some(frontier) => {
-                csr_push_batch(self.csr_scatter_rep(p.transpose), p, frontier, ws, out)
+            _ if p.semiring == Semiring::Boolean && self.tiles.is_some() => {
+                self.boolean_batch(p, ws, out)
             }
-            None if self.full_pull_reads_csr() => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
-            None => with_b2sr!(self.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
+            Some(frontier) => csr_push_batch(csr_rep(self, !p.transpose), p, frontier, out),
+            None => match self.swept(CSR_PULL_BELOW_BITS_PER_TILE) {
+                Some(tiles) => with_b2sr!(tiles.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
+                None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
+            },
         }
     }
 
@@ -1132,20 +1158,24 @@ impl GrbBackend for BitB2sr {
         mask: &dyn GrbBackend,
         transpose_b: bool,
     ) -> f64 {
-        // Hypersparse tiles count over the CSRs.  Otherwise the one-call bit
-        // path needs all three operands in B2SR with the same tile size;
+        // Missing or hypersparse tiles count over the CSRs.  Otherwise the
+        // one-call bit path needs all three operands tiled at the same size;
         // anything else goes through the CSR count too.
-        fn bit(o: &dyn GrbBackend) -> Option<&BitB2sr> {
-            o.as_any().downcast_ref()
+        fn tiles(o: &dyn GrbBackend) -> Option<&Tiles> {
+            o.as_any().downcast_ref::<BitB2sr>()?.tiles.as_ref()
         }
-        let (bb, mb) = match (bit(b), bit(mask)) {
-            (Some(bb), Some(mb)) if !self.masked_reduce_reads_csr() => (bb, mb),
-            _ => return csr_mxm_reduce_masked(self, b, mask, transpose_b),
+        let operands = (
+            self.swept(CSR_REDUCE_BELOW_BITS_PER_TILE),
+            tiles(b),
+            tiles(mask),
+        );
+        let (Some(at), Some(bt), Some(mt)) = operands else {
+            return csr_mxm_reduce_masked(self, b, mask, transpose_b);
         };
         // The kernel reads the second factor's transpose by rows.
-        let bt = bb.rep(!transpose_b);
-        with_b2sr!(&self.b2sr, |a| {
-            match (bt.inner(a.tile_dim()), mb.b2sr.inner(a.tile_dim())) {
+        let bt = bt.rep(!transpose_b);
+        with_b2sr!(&at.b2sr, |a| {
+            match (bt.inner(a.tile_dim()), mt.b2sr.inner(a.tile_dim())) {
                 (Some(bt), Some(m)) => bmm_bin_bin_sum_masked_nt(a, bt, m) as f64,
                 _ => csr_mxm_reduce_masked(self, b, mask, transpose_b),
             }
@@ -1153,32 +1183,19 @@ impl GrbBackend for BitB2sr {
     }
 
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        self.shards.get(of_transpose)
+        self.tiles.as_ref()?.shards.get(of_transpose)
     }
 
     fn storage_bytes(&self) -> usize {
-        self.b2sr.storage_bytes()
+        self.b2sr()
+            .map_or_else(|| self.csr.storage_bytes(), B2srMatrix::storage_bytes)
     }
 
     fn transpose_view(&self) -> Box<dyn GrbBackend> {
         Box::new(BitB2sr {
             csr: self.csr_t().clone(),
-            b2sr: self.b2sr_t().clone(),
             csr_t: OnceLock::from(self.csr.clone()),
-            b2sr_t: OnceLock::from(self.b2sr.clone()),
-            shards: self.shards.swapped(b2sr_weights(self.b2sr_t())),
-            bits_per_tile: self.bits_per_tile,
-        })
-    }
-
-    fn clone_box(&self) -> Box<dyn GrbBackend> {
-        Box::new(BitB2sr {
-            csr: self.csr.clone(),
-            b2sr: self.b2sr.clone(),
-            csr_t: OnceLock::new(),
-            b2sr_t: OnceLock::new(),
-            shards: self.shards.clone(),
-            bits_per_tile: self.bits_per_tile,
+            tiles: self.tiles.as_ref().map(Tiles::transposed),
         })
     }
 
@@ -1227,9 +1244,9 @@ impl plan::FinishSink for CsrPullSink<'_, '_> {
 }
 
 /// The row pull of a single-vector pipeline over `csr`, bare or fused alike
-/// ([`CsrPullSink`]) — [`FloatCsr`]'s pull, a [`BitB2sr`]'s full-precision
-/// one when its tiles are too sparse to sweep, and a one-lane batch's on
-/// either ([`csr_mxm_pull`]).
+/// ([`CsrPullSink`]) — every pull of a matrix without tiles, a tiled one's
+/// full-precision pull when its tiles are too sparse to sweep, and a
+/// one-lane batch's on either ([`csr_mxm_pull`]).
 fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     out.clear();
     out.resize(csr.nrows(), 0.0);
@@ -1247,49 +1264,57 @@ fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
 
 /// The batched row pull of a pipeline over `csr`.  One lane is the vector
 /// pull, [`csr_pull`]: at `k = 1` the operand, the output and the flat mask
-/// index `r·k + l = r` are laid out as a vector's.  Wider batches run
-/// [`FloatCsr::float_mxm_into`] and the epilogue pass.
+/// index `r·k + l = r` are laid out as a vector's.  Wider batches walk each
+/// row once for all `k` lanes, under a semiring resolved once per call, and
+/// finish in one epilogue pass.
 fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
-    if p.k == 1 {
+    use rayon::prelude::*;
+    let (x, k, mask) = (p.x, p.k, p.mask);
+    if k == 1 {
         return csr_pull(csr, p, out);
     }
     out.clear();
-    out.resize(csr.nrows() * p.k, p.semiring.identity());
-    FloatCsr::float_mxm_into(csr, p.x, p.k, p.semiring, p.mask, out);
+    out.resize(csr.nrows() * k, p.semiring.identity());
+    with_semiring_ops!(p.semiring, |identity, combine, reduce| {
+        out.par_chunks_mut(k).enumerate().for_each(|(r, lanes)| {
+            // A row whose every lane is masked out produces only identities
+            // — skip its edge walk entirely (GraphBLAST's early exit, per
+            // batch: the common state of late traversal iterations).
+            if let Some(m) = mask {
+                if (0..k).all(|l| !m.allows(r * k + l)) {
+                    return;
+                }
+            }
+            for &c in csr.row(r).0 {
+                for (d, &s) in lanes.iter_mut().zip(&x[c * k..][..k]) {
+                    *d = reduce(*d, combine(s));
+                }
+            }
+            if let Some(m) = mask {
+                for (l, v) in lanes.iter_mut().enumerate() {
+                    if !m.allows(r * k + l) {
+                        *v = identity;
+                    }
+                }
+            }
+        })
+    });
     p.finish_in_place(out);
 }
 
-/// The scatter representation of a full-precision push: the CSR whose rows
-/// are the frontier's domain, the shard plan its scatter is cut by, and its
-/// average degree.
-type CsrScatter<'a> = (&'a Csr, &'a ShardPlan, usize);
-
-/// Every full-precision push of [`FloatCsr`] and [`BitB2sr`] (and so of a
-/// `DeltaOverlay` over either): seed the output ([`seed_push_output`]), run
-/// [`csr_push_full`] through `push_scatter` on the representation's shard
-/// plan, and finish what the seed did not.  `k` is `p.k`, passed apart, so
-/// the single-vector entry point's literal `1` folds the lane loop away.
+/// Every full-precision push — any `f32` semiring on a tiled matrix, every
+/// semiring on one without tiles, and so a `DeltaOverlay`'s over either:
+/// seed the output ([`seed_push_output`]), run [`csr_push_full`] once over
+/// the whole ascending frontier of `csr`, the representation whose rows are
+/// the frontier's domain, and finish what the seed did not.  Serial by
+/// construction, so the folds group alike at every thread budget.  `k` is
+/// `p.k`, passed apart, so the single-vector entry point's literal `1`
+/// folds the lane loop away.
 #[inline(always)]
-fn csr_push(
-    (csr, plan, avg): CsrScatter<'_>,
-    p: &MxvPipeline<'_>,
-    k: usize,
-    frontier: &[usize],
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
-    let semiring = p.semiring;
+fn csr_push(csr: &Csr, p: &MxvPipeline<'_>, k: usize, frontier: &[usize], out: &mut Vec<f32>) {
     let finished = seed_push_output(p, csr.ncols() * k, out);
-    with_mask_hook!(p.mask, |allow| push_scatter(
-        ws,
-        plan,
-        frontier,
-        avg,
-        k,
-        semiring.identity(),
-        out,
-        |segment, chunk| csr_push_full(csr, p.x, k, segment, semiring, allow, chunk),
-        |acc, v| semiring.reduce(acc, v),
+    with_mask_hook!(p.mask, |allow| csr_push_full(
+        csr, p.x, k, frontier, p.semiring, allow, out
     ));
     if !finished {
         p.finish_in_place(out);
@@ -1299,189 +1324,14 @@ fn csr_push(
 /// [`csr_push`] at `k = 1`.  Out of line: inlined into `mxv_into`, the
 /// scatter reshapes the code of the pull arms beside it.
 #[inline(never)]
-fn csr_push_vector(
-    rep: CsrScatter<'_>,
-    p: &MxvPipeline<'_>,
-    frontier: &[usize],
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
-    csr_push(rep, p, 1, frontier, ws, out)
+fn csr_push_vector(csr: &Csr, p: &MxvPipeline<'_>, frontier: &[usize], out: &mut Vec<f32>) {
+    csr_push(csr, p, 1, frontier, out)
 }
 
 /// [`csr_push`] at `p.k`, out of line like [`csr_push_vector`].
 #[inline(never)]
-fn csr_push_batch(
-    rep: CsrScatter<'_>,
-    p: &MxvPipeline<'_>,
-    frontier: &[usize],
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
-    csr_push(rep, p, p.k, frontier, ws, out)
-}
-
-// ---------------------------------------------------------------------------
-// FloatCsr
-// ---------------------------------------------------------------------------
-
-/// The baseline backend: 32-bit-float CSR + reference kernels (the
-/// GraphBLAST / cuSPARSE stand-in).
-#[derive(Debug)]
-pub struct FloatCsr {
-    csr: Csr,
-    csr_t: OnceLock<Csr>,
-    shards: ScatterPlans,
-}
-
-impl FloatCsr {
-    /// Wrap a binary CSR matrix (binarizing if needed) and cut its
-    /// row-shard plan under `cfg`.
-    pub fn new(csr: &Csr, cfg: ShardConfig) -> Self {
-        FloatCsr::from_binary(binary_copy(csr), cfg)
-    }
-
-    /// Wrap `bin`, an all-ones CSR taken by value and on trust (the
-    /// compaction path hands over the merge it just wrote).
-    pub(crate) fn from_binary(bin: Csr, cfg: ShardConfig) -> Self {
-        debug_assert!(bin.is_binary());
-        FloatCsr {
-            shards: ScatterPlans::new(cfg, csr_weights(&bin)),
-            csr: bin,
-            csr_t: OnceLock::new(),
-        }
-    }
-
-    /// The scatter representation of a push product with its shard plan
-    /// (edge counts per row, [`crate::shard::SHARD_ALIGN`]-aligned
-    /// boundaries) and average degree.
-    fn scatter_rep(&self, transpose: bool) -> CsrScatter<'_> {
-        let rep = csr_rep(self, !transpose);
-        let plan = self.shards.get_or_plan(!transpose, || csr_weights(rep));
-        (rep, plan, avg_degree(self.csr.nnz(), plan))
-    }
-
-    /// Batched pull sweep: row-parallel CSR matrix × multivector over an
-    /// arbitrary semiring.  `y` has `nrows · k` entries; each row's `k` lane
-    /// accumulators advance together so the row's column list is walked
-    /// exactly once for the whole batch, under a semiring resolved once per
-    /// call.  Never one lane: that batch is the vector pull
-    /// ([`csr_mxm_pull`]).
-    fn float_mxm_into(
-        csr: &Csr,
-        x: &[f32],
-        k: usize,
-        semiring: Semiring,
-        mask: Option<&Mask>,
-        y: &mut [f32],
-    ) {
-        use rayon::prelude::*;
-        debug_assert!(k > 1, "a one-lane batch is the vector pull");
-        with_semiring_ops!(semiring, |identity, combine, reduce| {
-            y.par_chunks_mut(k).enumerate().for_each(|(r, out)| {
-                out.fill(identity);
-                // A row whose every lane is masked out produces only
-                // identities — skip its edge walk entirely (GraphBLAST's
-                // early exit, per batch: the common state of late traversal
-                // iterations).
-                if let Some(m) = mask {
-                    if (0..k).all(|l| !m.allows(r * k + l)) {
-                        return;
-                    }
-                }
-                let (cols, _) = csr.row(r);
-                for &c in cols {
-                    for (d, &s) in out.iter_mut().zip(&x[c * k..][..k]) {
-                        *d = reduce(*d, combine(s));
-                    }
-                }
-                if let Some(m) = mask {
-                    for (l, v) in out.iter_mut().enumerate() {
-                        if !m.allows(r * k + l) {
-                            *v = identity;
-                        }
-                    }
-                }
-            })
-        });
-    }
-}
-
-impl GrbBackend for FloatCsr {
-    fn kind(&self) -> Backend {
-        Backend::FloatCsr
-    }
-
-    fn nrows(&self) -> usize {
-        self.csr.nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.csr.ncols()
-    }
-
-    fn nnz(&self) -> usize {
-        self.csr.nnz()
-    }
-
-    fn csr(&self) -> &Csr {
-        &self.csr
-    }
-
-    fn csr_t(&self) -> &Csr {
-        self.csr_t.get_or_init(|| self.csr.transpose())
-    }
-
-    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
-            Some(frontier) => csr_push_vector(self.scatter_rep(p.transpose), p, frontier, ws, out),
-            None => csr_pull(csr_rep(self, p.transpose), p, out),
-        }
-    }
-
-    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
-            Some(frontier) => csr_push_batch(self.scatter_rep(p.transpose), p, frontier, ws, out),
-            None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
-        }
-    }
-
-    fn mxm_reduce_masked(
-        &self,
-        b: &dyn GrbBackend,
-        mask: &dyn GrbBackend,
-        transpose_b: bool,
-    ) -> f64 {
-        csr_mxm_reduce_masked(self, b, mask, transpose_b)
-    }
-
-    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        self.shards.get(of_transpose)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.csr.storage_bytes()
-    }
-
-    fn transpose_view(&self) -> Box<dyn GrbBackend> {
-        Box::new(FloatCsr {
-            csr: self.csr_t().clone(),
-            csr_t: OnceLock::from(self.csr.clone()),
-            shards: self.shards.swapped(csr_weights(self.csr_t())),
-        })
-    }
-
-    fn clone_box(&self) -> Box<dyn GrbBackend> {
-        Box::new(FloatCsr {
-            csr: self.csr.clone(),
-            csr_t: OnceLock::new(),
-            shards: self.shards.clone(),
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
+fn csr_push_batch(csr: &Csr, p: &MxvPipeline<'_>, frontier: &[usize], out: &mut Vec<f32>) {
+    csr_push(csr, p, p.k, frontier, out)
 }
 
 #[cfg(test)]
@@ -1533,8 +1383,10 @@ pub(super) mod tests {
         BitB2sr::new(csr, tile_size, ShardConfig::default())
     }
 
-    fn float_csr(csr: &Csr) -> FloatCsr {
-        FloatCsr::new(csr, ShardConfig::default())
+    /// The float baseline: the backend without tiles.
+    fn float_csr(csr: &Csr) -> BitB2sr {
+        let kind = Backend::FloatCsr;
+        BitB2sr::of_kind(binary_copy(csr), kind, ShardConfig::default(), None).0
     }
 
     /// The bare pull product `A ⊕.⊗ x` through the trait.
@@ -1587,12 +1439,13 @@ pub(super) mod tests {
     /// so the one graph routes and a retune cannot silently route the other.
     /// The pull's, which the Boolean products share: R-MAT(14, 16) at 2.0
     /// bits per B2SR-8 tile, the banded mesh at 51.8 — the Boolean flag is
-    /// checked on the two graphs themselves.  The masked reduction's, on the lower triangles
-    /// Triangle Counting reduces: R-MAT's `L` at 2.03, the mesh's at 46.5 —
-    /// built here as the benchmark builds them, through
+    /// checked on the two graphs themselves.  The masked reduction's, on the
+    /// lower triangles Triangle Counting reduces: R-MAT's `L` at 2.03, the
+    /// mesh's at 46.5 — built here as the benchmark builds them, through
     /// `Matrix::lower_triangle`.  The flags follow their definition on both
-    /// sides, the transpose view and a clone keep them (`Aᵀ` has the same
-    /// edges and tiles), and a compaction re-derives them from its tiles.
+    /// sides, the transpose view and a matrix clone keep them (`Aᵀ` has the
+    /// same edges and tiles), and a compaction re-derives them from its
+    /// tiles.  A matrix without tiles reads the CSR for everything.
     #[test]
     fn crossover_separates_the_benchmark_graphs() {
         use crate::delta::EdgeDelta;
@@ -1604,10 +1457,15 @@ pub(super) mod tests {
         const { assert!(2.03 < REDUCE && REDUCE < 46.5) };
         for (csr, routed) in [(sample(300, 7), true), (banded(300, 6), false)] {
             let b = bit_b2sr(&csr, TileSize::S8);
-            let fill = csr.nnz() as f64 / b.b2sr().n_tiles() as f64;
+            let fill = csr.nnz() as f64 / b.b2sr().unwrap().n_tiles() as f64;
             assert_eq!(b.full_pull_reads_csr(), routed, "{fill} bits per tile");
             assert_eq!(pull_reads_csr(&*b.transpose_view()), Some(routed));
-            assert_eq!(pull_reads_csr(&*b.clone_box()), Some(routed));
+            let f = float_csr(&csr);
+            let flags = |b: &BitB2sr| {
+                let flags = [b.full_pull_reads_csr(), b.boolean_reads_csr()];
+                (flags, b.masked_reduce_reads_csr())
+            };
+            assert_eq!(flags(&f), ([true, true], true), "no tiles");
         }
 
         let reduce_reads_csr = |b: &dyn GrbBackend| {
@@ -1630,7 +1488,7 @@ pub(super) mod tests {
             let b = a.state();
             assert_eq!(boolean_reads_csr(b), Some(routed), "{fill} bits per tile");
             assert_eq!(boolean_reads_csr(&*b.transpose_view()), Some(routed));
-            assert_eq!(boolean_reads_csr(&*b.clone_box()), Some(routed));
+            assert_eq!(boolean_reads_csr(a.clone().state()), Some(routed));
             let n = a.nrows();
             a.apply_deltas(&[EdgeDelta::insert(n - 1, 0)]).unwrap();
             a.compact(a.context()).unwrap();
@@ -1644,7 +1502,7 @@ pub(super) mod tests {
             let b = l.state();
             assert_eq!(reduce_reads_csr(b), Some(routed), "{fill} bits per tile");
             assert_eq!(reduce_reads_csr(&*b.transpose_view()), Some(routed));
-            assert_eq!(reduce_reads_csr(&*b.clone_box()), Some(routed));
+            assert_eq!(reduce_reads_csr(l.clone().state()), Some(routed));
             let n = l.nrows();
             let deltas = [EdgeDelta::insert(n - 1, 0), EdgeDelta::insert(n / 2, 1)];
             l.apply_deltas(&deltas).unwrap();
@@ -1749,11 +1607,12 @@ pub(super) mod tests {
                             );
                             let (mut got, mut want) = (Vec::new(), Vec::new());
                             b.mxm_into(&p, &ws, &mut got);
-                            with_b2sr!(b.rep(transpose), |m| bit_mxm_pull(m, &p, &ws, &mut want));
+                            let rep = b.word_tiles().rep(transpose);
+                            with_b2sr!(rep, |m| bit_mxm_pull(m, &p, &ws, &mut want));
                             assert_eq!(bits(&got), bits(&want), "mxm {what}");
                             if k == 1 {
                                 b.mxv_into(&p, &ws, &mut got);
-                                with_b2sr!(b.rep(transpose), |m| bit_pull(m, &p, &mut want));
+                                with_b2sr!(rep, |m| bit_pull(m, &p, &mut want));
                                 assert_eq!(bits(&got), bits(&want), "mxv {what}");
                             }
                         }
@@ -1767,14 +1626,9 @@ pub(super) mod tests {
     /// can read the CSR there, NaN none — the same arrays on the other
     /// route.
     fn refilled(b: &BitB2sr, bits_per_tile: f64) -> BitB2sr {
-        BitB2sr {
-            csr: b.csr.clone(),
-            b2sr: b.b2sr.clone(),
-            csr_t: OnceLock::new(),
-            b2sr_t: OnceLock::new(),
-            shards: b.shards.clone(),
-            bits_per_tile,
-        }
+        let (mut twin, _) = BitB2sr::of_kind(b.csr.clone(), b.kind(), ShardConfig::default(), None);
+        twin.tiles.as_mut().unwrap().bits_per_tile = bits_per_tile;
+        twin
     }
 
     /// A routed Boolean product is the tile kernels' product, word for word:
@@ -1908,12 +1762,13 @@ pub(super) mod tests {
     }
 
     /// A seeded push stores what the pull stores wherever no term arrives —
-    /// `base ⊕ identity`, `finish` of the identity — on both backends, through
-    /// `mxv_into` (one lane) and `mxm_into` (three): MinPlus, MaxTimes and
-    /// Arithmetic accumulations over NaN, ±∞ and ±0.0 baselines, at the
-    /// positions a thin frontier does not reach and those the mask drops,
-    /// both orientations of a rectangular matrix.  Everywhere else the two
-    /// backends' pushes (one scatter body) agree bit for bit.
+    /// `base ⊕ identity`, `finish` of the identity — on a tiled matrix and on
+    /// the float baseline, through `mxv_into` (one lane) and `mxm_into`
+    /// (three): MinPlus, MaxTimes and Arithmetic accumulations over NaN, ±∞
+    /// and ±0.0 baselines, at the positions a thin frontier does not reach
+    /// and those the mask drops, both orientations of a rectangular matrix.
+    /// Everywhere else the two matrices' pushes (one scatter body) agree bit
+    /// for bit.
     #[test]
     fn seeded_push_stores_the_pull_baseline_where_the_frontier_does_not_reach() {
         let csr = sample_coo(61, 47, 150, 29).to_binary_csr();
@@ -1991,7 +1846,7 @@ pub(super) mod tests {
     /// reference for every `mxm_reduce_masked` path, whichever way `l`'s
     /// own reduction routes.
     fn tile_kernel_triangles(l: &BitB2sr) -> f64 {
-        with_b2sr!(l.b2sr(), |m| bmm_bin_bin_sum_masked_nt(m, m, m)) as f64
+        with_b2sr!(l.b2sr().unwrap(), |m| bmm_bin_bin_sum_masked_nt(m, m, m)) as f64
     }
 
     /// Direct coverage of the `csr_mxm_reduce_masked` fallback: every
@@ -2093,23 +1948,30 @@ pub(super) mod tests {
         }
     }
 
+    /// A matrix clone shares the built backend — kind, contents and lazy
+    /// views alike — under a context and a mutation history of its own.
     #[test]
-    fn clone_box_preserves_kind_and_contents() {
+    fn matrix_clone_shares_the_backend_and_keeps_kind_and_contents() {
         let csr = sample(30, 11);
-        let b: Box<dyn GrbBackend> = Box::new(bit_b2sr(&csr, TileSize::S32));
-        let c = b.clone_box();
-        assert_eq!(c.kind(), Backend::Bit(TileSize::S32));
-        assert_eq!(c.nnz(), b.nnz());
-        assert_eq!(c.csr(), b.csr());
+        for kind in [Backend::Bit(TileSize::S32), Backend::FloatCsr] {
+            let a = Matrix::from_csr(&csr, kind);
+            let c = a.clone();
+            assert_eq!(c.resolved_backend(), kind);
+            assert_eq!((c.nnz(), c.csr()), (a.nnz(), a.csr()));
+            assert!(std::ptr::eq(a.csr_t(), c.csr_t()), "one backend");
+            assert_eq!(c.b2sr().is_some(), kind != Backend::FloatCsr);
+            c.insert_edge(0, 1).unwrap();
+            assert_eq!((a.delta_len(), c.delta_len()), (0, 1));
+        }
     }
 
-    /// A backend defined outside the built-in pair is a page: it implements
-    /// the required methods — here by forwarding to a `FloatCsr` and
+    /// A backend defined outside this crate is a page: it implements the
+    /// required methods — here by forwarding to the float baseline and
     /// counting the two product entry points — and every `Op` shape reaches
     /// it through exactly those.
     #[derive(Debug)]
     pub(crate) struct Spy {
-        inner: FloatCsr,
+        inner: BitB2sr,
         mxv_calls: AtomicUsize,
         mxm_calls: AtomicUsize,
     }
@@ -2167,9 +2029,6 @@ pub(super) mod tests {
         }
         fn transpose_view(&self) -> Box<dyn GrbBackend> {
             Box::new(Spy::new(self.inner.csr_t()))
-        }
-        fn clone_box(&self) -> Box<dyn GrbBackend> {
-            Box::new(Spy::new(self.inner.csr()))
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -2239,12 +2098,12 @@ pub(super) mod tests {
         assert_eq!(spy(&external), (expected_calls, 4));
     }
 
-    /// The one sharded-or-serial routine over its six scatter shapes
+    /// The one sharded-or-serial routine over its four scatter shapes
     /// (Boolean tile words and tile lane words, the CSR node words and lane
-    /// words, and the full-precision CSR scatter at one lane and at three):
-    /// engaged on a multi-shard plan of a rectangular matrix, its output is
-    /// bit-identical at 1/2/4/8 threads, and for exact monoids equal to the
-    /// serial kernel on the whole frontier.
+    /// words): engaged on a multi-shard plan of a rectangular matrix, its
+    /// output is the serial kernel's on the whole frontier at 1/2/4/8
+    /// threads.  Full-precision pushes never reach it
+    /// (`tests/backend_parity.rs::full_precision_push_scatters_serially_on_a_sharded_context`).
     #[test]
     fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
         let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
@@ -2256,19 +2115,10 @@ pub(super) mod tests {
         };
         let plan = ShardPlan::from_weights(a.rowptr(), 1, n, cfg);
         assert!(plan.n_shards() >= 4, "precondition: {plan:?}");
-        let avg = avg_degree(a.nnz(), &plan);
+        let plan = (&plan, avg_degree(a.nnz(), &plan));
         let frontier: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
         let k = 70;
         let wpn = lane_words_per_node(k);
-        let mut x: Vec<f32> = (0..n).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect();
-        let mut xk: Vec<f32> = (0..n * 3).map(|f| (f % 7) as f32 * 0.21 + 0.5).collect();
-        // −0.0 and +∞ among the terms (−∞ too would put NaN, which `==`
-        // cannot compare, into the Arithmetic outputs).
-        for (f, v) in x.iter_mut().chain(&mut xk).enumerate() {
-            if f % 13 < 2 {
-                *v = [-0.0, f32::INFINITY][f % 13];
-            }
-        }
         let mut xw = vec![0u64; n * wpn];
         for (f, w) in xw.iter_mut().enumerate() {
             *w = (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7;
@@ -2298,13 +2148,12 @@ pub(super) mod tests {
             }
             reference.unwrap()
         }
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
 
         // Boolean tile words.
         let words = |seg: &[usize], chunk: &mut [u8]| bmv_push_bin_bin(&b, seg, chunk);
         let got = at_every_budget(
             "bin words",
-            |ws, y| push_scatter(ws, &plan, &frontier, avg, 1, 0u8, y, words, |p, q| p | q),
+            |ws, y| push_scatter(ws, plan, &frontier, 1, y, words),
             vec![0u8; b.n_tile_cols()],
         );
         let mut serial = vec![0u8; b.n_tile_cols()];
@@ -2315,7 +2164,7 @@ pub(super) mod tests {
         let lanes = |seg: &[usize], chunk: &mut [u64]| bmm_push_bits(&b, seg, &xw, wpn, chunk);
         let got = at_every_budget(
             "lane words",
-            |ws, y| push_scatter(ws, &plan, &frontier, avg, wpn, 0u64, y, lanes, |p, q| p | q),
+            |ws, y| push_scatter(ws, plan, &frontier, wpn, y, lanes),
             vec![0u64; ncols * wpn],
         );
         let mut serial_lanes = vec![0u64; ncols * wpn];
@@ -2328,11 +2177,7 @@ pub(super) mod tests {
         let node_words = |seg: &[usize], chunk: &mut [u64]| csr_bits_push(&a, seg, chunk);
         let got = at_every_budget(
             "csr node words",
-            |ws, y| {
-                push_scatter(ws, &plan, &frontier, avg, 1, 0u64, y, node_words, |p, q| {
-                    p | q
-                })
-            },
+            |ws, y| push_scatter(ws, plan, &frontier, 1, y, node_words),
             vec![0u64; ncols.div_ceil(64)],
         );
         let mut serial = vec![0u64; ncols.div_ceil(64)];
@@ -2346,63 +2191,16 @@ pub(super) mod tests {
         let csr_lanes = |seg: &[usize], chunk: &mut [u64]| csr_lanes_push(&a, seg, &xw, wpn, chunk);
         let got = at_every_budget(
             "csr lane words",
-            |ws, y| {
-                push_scatter(
-                    ws,
-                    &plan,
-                    &frontier,
-                    avg,
-                    wpn,
-                    0u64,
-                    y,
-                    csr_lanes,
-                    |p, q| p | q,
-                )
-            },
+            |ws, y| push_scatter(ws, plan, &frontier, wpn, y, csr_lanes),
             vec![0u64; ncols * wpn],
         );
         assert_eq!(got, serial_lanes, "the tile lane scatter's words");
-
-        // Full precision, single vector and batched; the float `+` is only
-        // bit-stable across budgets, the exact monoids also equal serial.
-        for semiring in [
-            Semiring::Arithmetic,
-            Semiring::MinPlus(1.0),
-            Semiring::Boolean,
-        ] {
-            let id = semiring.identity();
-            let fold = |p: f32, q: f32| semiring.reduce(p, q);
-            let full = |seg: &[usize], chunk: &mut [f32]| {
-                csr_push_full(&a, &x, 1, seg, semiring, |j| j % 5 != 0, chunk)
-            };
-            let multi = |seg: &[usize], chunk: &mut [f32]| {
-                csr_push_full(&a, &xk, 3, seg, semiring, |_| true, chunk)
-            };
-            let got_full = at_every_budget(
-                "full",
-                |ws, y| push_scatter(ws, &plan, &frontier, avg, 1, id, y, full, fold),
-                vec![id; ncols],
-            );
-            let got_multi = at_every_budget(
-                "multi full",
-                |ws, y| push_scatter(ws, &plan, &frontier, avg, 3, id, y, multi, fold),
-                vec![id; ncols * 3],
-            );
-            if semiring != Semiring::Arithmetic {
-                let mut serial = vec![id; ncols];
-                full(&frontier, &mut serial);
-                assert_eq!(bits(&got_full), bits(&serial), "{semiring:?}");
-                let mut serial = vec![id; ncols * 3];
-                multi(&frontier, &mut serial);
-                assert_eq!(bits(&got_multi), bits(&serial), "{semiring:?}");
-            }
-        }
 
         // A frontier too thin to pay for the merge stays serial.
         let ws = Workspace::new();
         ws.set_push_threads(4);
         let mut y = vec![0u8; b.n_tile_cols()];
-        push_scatter(&ws, &plan, &[7], avg, 1, 0u8, &mut y, words, |p, q| p | q);
+        push_scatter(&ws, plan, &[7], 1, &mut y, words);
         assert_eq!(ws.stats().snapshot().sharded_push, 0);
     }
 }

@@ -9,7 +9,7 @@ use crate::b2sr::{B2srMatrix, TileSize};
 use crate::delta::{CompactReport, EdgeDelta, VersionCell};
 
 use super::auto;
-use super::backend::{binary_copy, BitB2sr, FloatCsr, GrbBackend};
+use super::backend::{binary_copy, BitB2sr, GrbBackend};
 use super::error::GrbError;
 use super::op::Context;
 
@@ -19,7 +19,7 @@ pub enum Backend {
     /// Bit-GraphBLAS: B2SR storage + bit kernels (the paper's contribution).
     Bit(TileSize),
     /// The baseline: 32-bit-float CSR + reference kernels (GraphBLAST /
-    /// cuSPARSE stand-in).
+    /// cuSPARSE stand-in) — the built-in backend without tiles.
     FloatCsr,
     /// Let the framework decide per matrix, the way the paper's Figure 5
     /// selects a tile size per matrix: the Table-V pattern classifier, the
@@ -87,15 +87,16 @@ impl std::fmt::Debug for Matrix {
 }
 
 impl Clone for Matrix {
-    /// A deep, independent copy: the backend state is cloned, the context
-    /// restarts with an empty workspace pool, and the clone begins a fresh
-    /// mutation history pinned at the cloned state (pending deltas of the
-    /// original's version cell are *not* carried over — clone a
-    /// [`snapshot`](Matrix::snapshot) to capture them).
+    /// An independent handle on the same graph: the clone shares the
+    /// backend state (a built backend is never mutated — its lazy views are
+    /// `OnceLock`s), restarts the context with an empty workspace pool, and
+    /// begins a fresh mutation history pinned at the shared state (pending
+    /// deltas of the original's version cell are *not* carried over — clone
+    /// a [`snapshot`](Matrix::snapshot) to capture them).
     fn clone(&self) -> Self {
         Matrix::from_parts(
             self.requested,
-            Arc::from(self.state.clone_box()),
+            self.state.clone(),
             Arc::new(Context::clone(&self.ctx)),
         )
     }
@@ -113,8 +114,8 @@ pub struct Snapshot {
 }
 
 impl Clone for Snapshot {
-    /// Cheap: clones the Arc pins, not the storage (unlike
-    /// [`Matrix::clone`], which deep-copies).
+    /// Cheap: clones the Arc pins, not the storage — and, unlike
+    /// [`Matrix::clone`], keeps the context and the version cell.
     fn clone(&self) -> Self {
         Snapshot {
             matrix: Matrix {
@@ -171,15 +172,10 @@ impl Matrix {
             Backend::Auto => auto::auto_decision(&bin, ctx).chosen,
             other => other,
         };
-        // Row-shard plans are part of format selection: the constructors
-        // cut them from what they build, under the context's thread budget.
-        let cfg = ctx.shard_config();
-        let state: Box<dyn GrbBackend> = match resolved {
-            Backend::Bit(ts) => Box::new(BitB2sr::retiled(bin, ts, cfg, None).0),
-            Backend::FloatCsr => Box::new(FloatCsr::from_binary(bin, cfg)),
-            Backend::Auto => unreachable!("auto_decision returns a resolved backend"),
-        };
-        Matrix::from_parts(backend, Arc::from(state), Arc::new(ctx.clone()))
+        // Row-shard plans are part of format selection: the constructor cuts
+        // them from the tiles it builds, under the context's thread budget.
+        let (state, _) = BitB2sr::of_kind(bin, resolved, ctx.shard_config(), None);
+        Matrix::from_parts(backend, Arc::new(state), Arc::new(ctx.clone()))
     }
 
     /// Wrap an existing backend implementation (the extension point for
@@ -237,6 +233,12 @@ impl Matrix {
         self.state.as_ref()
     }
 
+    /// The backend state as the matrix shares it.
+    #[cfg(test)]
+    pub(crate) fn shared_state(&self) -> Arc<dyn GrbBackend> {
+        self.state.clone()
+    }
+
     /// The binary CSR view (always available).
     pub fn csr(&self) -> &Csr {
         self.state.csr()
@@ -251,7 +253,7 @@ impl Matrix {
         self.state
             .as_any()
             .downcast_ref::<BitB2sr>()
-            .map(BitB2sr::b2sr)
+            .and_then(BitB2sr::b2sr)
     }
 
     /// The CSR view of `A^T`, built and cached on first use.
@@ -265,7 +267,7 @@ impl Matrix {
         self.state
             .as_any()
             .downcast_ref::<BitB2sr>()
-            .map(BitB2sr::b2sr_t)
+            .and_then(BitB2sr::b2sr_t)
     }
 
     /// Out-degree of every vertex (row nnz), used by PageRank.

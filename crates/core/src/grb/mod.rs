@@ -13,9 +13,8 @@
 //!   operations run on the bit kernels of [`crate::kernels`] (the paper's
 //!   contribution), implemented by [`BitB2sr`];
 //! * [`Backend::FloatCsr`] — the adjacency matrix stays in 32-bit-float CSR
-//!   and the operations run on the reference kernels of `bitgblas-sparse`
-//!   (the GraphBLAST/cuSPARSE stand-in baseline), implemented by
-//!   [`FloatCsr`];
+//!   and every operation runs on `f32` over it (the GraphBLAST/cuSPARSE
+//!   stand-in baseline), implemented by the same [`BitB2sr`] without tiles;
 //! * [`Backend::Auto`] — the framework decides per matrix, combining the
 //!   Table-V pattern classifier, the Algorithm-1 sampling profile and the
 //!   memory-traffic model (see [`auto`]).
@@ -74,16 +73,18 @@
 //!
 //! # Sharded parallel push execution
 //!
-//! Push (sparse-frontier scatter) operations execute over the row-shard
-//! partition of [`crate::shard`] through one sharded-or-serial routine
-//! shared by every push shape of both built-in backends: matrices carry
-//! a per-representation [`crate::shard::ShardPlan`] (cut by the backend's
-//! constructor under the context's thread budget), the frontier is
-//! cut at shard boundaries, segments scatter into privatized
-//! workspace-pooled buffers on up to [`Context::threads`] workers, and a
-//! fixed-segment-order monoid merge makes the results **bit-identical
-//! across thread counts**.  [`Direction::Auto`]'s scatter penalty is
-//! parallelism-aware accordingly ([`choose_direction`]).
+//! Boolean word pushes (sparse-frontier scatters) of a tiled matrix execute
+//! over the row-shard partition of [`crate::shard`] through one
+//! sharded-or-serial routine: the tiles carry a per-representation
+//! [`crate::shard::ShardPlan`] (cut by the constructor under the context's
+//! thread budget), the frontier is cut at shard boundaries, segments
+//! scatter into privatized workspace-pooled buffers on up to
+//! [`Context::threads`] workers, and an ordered OR merge makes the words
+//! **bit-identical across thread counts**.  Every full-precision push
+//! scatters serially, once over the whole frontier, so its float folds are
+//! bit-identical across thread counts by construction.
+//! [`Direction::Auto`]'s scatter penalty is parallelism-aware for the word
+//! pushes alone ([`choose_direction`]).
 //!
 //! `bitgblas-algorithms` writes each graph algorithm once against this API
 //! and the benchmarks toggle the backend, exactly as the paper compares
@@ -107,7 +108,7 @@ pub mod vector;
 pub mod workspace;
 
 pub use auto::{auto_decision, AutoDecision, TileCandidate};
-pub use backend::{BitB2sr, FloatCsr, GrbBackend};
+pub use backend::{BitB2sr, GrbBackend};
 pub use descriptor::{Descriptor, Mask};
 pub use direction::{choose_direction, scatter_penalty_parallel_alpha, Direction};
 pub use error::GrbError;

@@ -139,7 +139,9 @@ impl Context {
     }
 
     /// A context whose sharded push engine fans out over `threads` worker
-    /// threads (PR 5).  `1` keeps every push scatter on the serial kernels;
+    /// threads — the Boolean word scatters of tiled matrices; every
+    /// full-precision push is serial.  `1` keeps every push scatter on the
+    /// serial kernels;
     /// the default context uses the host parallelism.  Matrices built with
     /// this context size their row-shard plans for the budget; the budget
     /// itself can be retuned mid-run with [`Context::set_threads`], and any
@@ -177,7 +179,7 @@ impl Context {
         ctx
     }
 
-    /// Worker threads the sharded push scatter may fan out to (≥ 1).
+    /// Worker threads the sharded word scatter may fan out to (≥ 1).
     pub fn threads(&self) -> usize {
         self.workspace.push_threads()
     }

@@ -69,7 +69,7 @@ use crate::delta::DeltaOverlay;
 use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::semiring::{BinaryOp, Semiring};
 
-use super::backend::{BitB2sr, FloatCsr, GrbBackend};
+use super::backend::{BitB2sr, GrbBackend};
 use super::descriptor::{Descriptor, Mask};
 use super::direction::{scan_and_choose, scan_and_choose_words, Direction};
 use super::error::GrbError;
@@ -238,17 +238,27 @@ pub fn run_chain_in_place_parallel(
 }
 
 /// The thread budget [`Direction::Auto`]'s pricing should assume for the
-/// push side: the context's budget when the scatter representation's
-/// build-time shard plan is actually partitioned, and serial otherwise —
-/// single-shard plans (serial build budget, tiny matrices) and backends
-/// that report no plan run the serial scatter no matter what the run-time
-/// budget says, so pricing them at the budget would repeat the very serial-push /
-/// parallel-pull miscalibration this model exists to fix.
-/// `of_transpose` selects the representation the push path would scatter
-/// (`Aᵀ`'s rows for effective-`mxv`); its plan is built lazily, so the
-/// eagerly-built forward plan of the same matrix and config stands in as a
-/// scale proxy until then.
-fn effective_push_threads(state: &dyn GrbBackend, of_transpose: bool, ctx: &Context) -> usize {
+/// push side of a `semiring` product: the context's budget when it is a
+/// Boolean word scatter and the scatter representation's build-time shard
+/// plan is actually partitioned, and serial otherwise — every
+/// full-precision push scatters serially, and single-shard plans (serial
+/// build budget, tiny matrices) and backends that report no plan run the
+/// serial scatter no matter what the run-time budget says, so pricing them
+/// at the budget would repeat the very serial-push / parallel-pull
+/// miscalibration this model exists to fix.  `of_transpose` selects the
+/// representation the push path would scatter (`Aᵀ`'s rows for
+/// effective-`mxv`); its plan is built lazily, so the eagerly-built forward
+/// plan of the same matrix and config stands in as a scale proxy until
+/// then.
+fn effective_push_threads(
+    state: &dyn GrbBackend,
+    semiring: Semiring,
+    of_transpose: bool,
+    ctx: &Context,
+) -> usize {
+    if semiring != Semiring::Boolean {
+        return 1;
+    }
     let plan = state
         .shard_plan(of_transpose)
         .or_else(|| state.shard_plan(!of_transpose));
@@ -270,14 +280,14 @@ fn built_under(state: &dyn GrbBackend) -> (&dyn std::any::Any, Option<&DeltaOver
 
 /// Whether `state`'s full-precision batched push costs what its operand's
 /// non-identity entries say, so that [`Direction::Auto`] may price it by
-/// them: true of the two built-in representations, whose scatter folds a
-/// node's active lanes only — bare or under a `DeltaOverlay`, whose re-fold
+/// them: true of the built-in backend, whose scatter folds a node's active
+/// lanes only — bare or under a `DeltaOverlay`, whose re-fold
 /// touches only the dirty positions a patched column's non-identity entry
 /// reaches (idle lanes fail its identity probe).  Not of an external
 /// backend, which keeps the node-granular price.
 fn scatter_is_lane_sparse(state: &dyn GrbBackend) -> bool {
     let (built, _) = built_under(state);
-    built.is::<BitB2sr>() || built.is::<FloatCsr>()
+    built.is::<BitB2sr>()
 }
 
 /// Resolve the direction of one product into its push frontier: `None` is
@@ -507,7 +517,7 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             semiring,
             scatter_is_lane_sparse(state),
             a.nnz(),
-            effective_push_threads(state, !transpose, ctx),
+            effective_push_threads(state, semiring, !transpose, ctx),
             rayon::current_num_threads(),
             list,
         )
@@ -624,9 +634,10 @@ pub(crate) mod words {
 /// on [`NodeBits`]): `next = (A ⊕.⊗ x) & !excluded`, on `Aᵀ` when
 /// `desc.transpose != flip`.  `Ok(None)` when the matrix's backend has no
 /// word product — found by downcast, like [`scatter_is_lane_sparse`]: a
-/// built [`BitB2sr`] does, and so does a `DeltaOverlay` over one (the base's
-/// product, then the overlay's word re-fold of the dirty rows the frontier
-/// reaches).  Checks, fail point, direction resolution and counters are
+/// built [`BitB2sr`] with tiles does, and so does a `DeltaOverlay` over one
+/// (the base's product, then the overlay's word re-fold of the dirty rows
+/// the frontier reaches); the float baseline, a [`BitB2sr`] without tiles,
+/// does not.  Checks, fail point, direction resolution and counters are
 /// `execute_product::<V>`'s for a Boolean product with a complemented mask —
 /// `V` is the operand-shape marker they are read off, [`Vector`](super::Vector)
 /// for `vxm` and [`MultiVec`](super::MultiVec) for a batch of any lane count,
@@ -660,7 +671,10 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
     }
     let state = a.state();
     let (built, overlay) = built_under(state);
-    let Some(bit) = built.downcast_ref::<BitB2sr>() else {
+    let tiled = built
+        .downcast_ref::<BitB2sr>()
+        .filter(|b| b.b2sr().is_some());
+    let Some(bit) = tiled else {
         return Ok(None);
     };
     poll_fail_point(ctx, V::FAIL_POINT)?;
@@ -673,7 +687,7 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
         scan_and_choose_words(
             (x_nodes, k),
             a.nnz(),
-            effective_push_threads(state, !transpose, ctx),
+            effective_push_threads(state, Semiring::Boolean, !transpose, ctx),
             rayon::current_num_threads(),
             |stop_past_nodes| x.frontier_into(stop_past_nodes, list),
         )

@@ -608,7 +608,9 @@ fn fold_all_lanes(
 /// semiring identity — or, to fold a monoid accumulator in the same pass,
 /// with `baseline ⊕ identity`.  The semiring is resolved once per call.
 /// Only valid for [`Semiring::push_safe`] semirings; serial and
-/// allocation-free, and a per-segment worker of the sharded scatter.
+/// allocation-free, and run once over the whole frontier — full-precision
+/// pushes never shard, so their float folds group alike at every thread
+/// budget.
 /// Always inlined, so a caller's literal `k = 1` folds the lane loop (a
 /// frontier node's one lane is active: always the dense arm).
 ///
@@ -736,9 +738,9 @@ fn pull_rows(
 }
 
 /// `csr_pull_full()`: pull-direction full-precision matrix × vector over
-/// the rows of a CSR matrix — the one row pull of the built-in backends
-/// (`FloatCsr`'s, a hypersparse bit matrix's, and a one-lane batch's on
-/// either), bare or fused alike.  Row `r` of `y` (the first `nrows`
+/// the rows of a CSR matrix — the one row pull of the built-in backend
+/// (every pull of the float baseline, a hypersparse bit matrix's, and a
+/// one-lane batch's on either), bare or fused alike.  Row `r` of `y` (the first `nrows`
 /// entries) receives `fin(r, ⊕_c ⊗(x[c]))` over its columns `c`, or
 /// `fin(r, identity)` without an edge walk where `allow(r)` is false (a
 /// masked row: GraphBLAST's early exit).  `fin` is the pipeline's finish,

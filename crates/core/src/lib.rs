@@ -24,11 +24,12 @@
 //!   which a matrix of hypersparse tiles trades for a count over its CSR),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
-//!   kernels — word ORs of tile rows for the Boolean semiring, one CSR
-//!   scatter for full precision, which folds one `f32` per edge whatever
-//!   the layout — parallelise through [`shard`]: row-shard partition plans,
-//!   privatized per-segment scatter and a fixed-order monoid merge that
-//!   keeps results bit-identical across thread counts.
+//!   kernels are serial: one CSR scatter for full precision, which folds
+//!   one `f32` per edge whatever the layout and runs once over the whole
+//!   frontier, and word ORs of tile rows (or CSR rows) for the Boolean
+//!   semiring, which parallelise through [`shard`]: row-shard partition
+//!   plans, privatized per-segment scatter and an ordered OR merge that
+//!   keeps the words bit-identical across thread counts.
 //!
 //! * **Graph-algorithm support** — [`semiring`] provides the semiring domains
 //!   of Table IV (Boolean, arithmetic, tropical min-plus, tropical max-times)

@@ -1,9 +1,12 @@
-//! Row-shard partition plans for the parallel push (scatter) engine.
+//! Row-shard partition plans for the parallel Boolean word scatter.
 //!
 //! The scatter writes of different frontier rows can land on the same
 //! output position, so a serial push kernel processes the frontier in
 //! ascending order on one core.  This module supplies the partitioning
-//! scheme that parallelises the scatter without giving up determinism:
+//! scheme that parallelises the Boolean word scatters of a tiled matrix
+//! (tile, node and lane words, whose merge is OR) without giving up
+//! determinism; a full-precision push never shards — it scatters serially,
+//! once over the whole frontier:
 //!
 //! * a [`ShardPlan`] splits a scatter representation's **rows** into
 //!   contiguous, edge-balanced, cache-sized ranges ("row shards"), cut by
@@ -22,13 +25,13 @@
 //!
 //! Per output position, the merge folds the segment contributions in
 //! ascending segment order, and within a segment the scatter folds in
-//! ascending frontier order — so the grouping of the semiring-monoid folds
-//! is a pure function of the *plan and the frontier*, never of how many
-//! threads executed the segments.  Results are therefore **bit-identical
-//! across thread counts** (1, 2, 4, 8, …), including for float semirings
-//! where fold grouping matters (`+` is not associative in `f32`); for
-//! idempotent/exact monoids (`min`, `max`, `or`) the sharded result is
-//! additionally bit-identical to the fully serial scatter.
+//! ascending frontier order — so the grouping of the folds is a pure
+//! function of the *plan and the frontier*, never of how many threads
+//! executed the segments.  The engine folds with OR, which is exact: a
+//! sharded word scatter is **bit-identical to the serial one** at every
+//! thread count (1, 2, 4, 8, …).  The routines themselves take any fold and
+//! keep its grouping fixed (`scatter_and_merge_are_deterministic_across_thread_counts`
+//! pins it with a float `+`).
 
 /// Upper bound on the number of shards in one plan.  Bounds both the merge
 /// cost (one privatized buffer per *active* segment is folded into the
@@ -206,6 +209,24 @@ pub const SCRATCH_BYTE_CAP: usize = 64 << 20;
 /// The predicate is a pure function of the frontier, the plan and the
 /// output shape — never of the executing thread count — which is what
 /// keeps results bit-identical across thread counts.
+///
+/// It has no term for the fan-out itself (the scoped spawns), and the one
+/// two-core measurement says that term matters.  The `push_threads` bench
+/// group (`cargo bench -p bitgblas-bench --bench bmm -- push_threads`:
+/// forced-push traversals at B2SR-8, a matrix built and run at one and at
+/// two threads, unpinned on a 2-vCPU Xeon VM, six runs: three each before
+/// and after full-precision pushes went serial, over the same Boolean path)
+/// reads these Boolean rows, the only pushes that can shard:
+///
+/// | traversal | mesh, 1 thread | mesh, 2 | R-MAT, 1 | R-MAT, 2 |
+/// |---|---|---|---|---|
+/// | `bfs_dir` | 0.13–0.15 ms | 0.16–0.36 ms | 0.82–1.06 ms | 0.80–1.72 ms |
+/// | `bfs_multi_dir`, 64 sources | 17–21 ms | 11–19 ms | 5.4–6.0 ms | 5.5–11.5 ms |
+///
+/// Only the mesh's batched BFS wins at two threads (≈ 0.74× its one-thread median); the single BFS
+/// loses on both graphs (≈ 1.45×) and R-MAT's batch loses too (≈ 1.17×).
+/// The full-precision pushes no longer reach this predicate: sharded, their
+/// batched rows read 1.6–3× slower at two threads than at one.
 pub fn worth_sharding(
     frontier_len: usize,
     avg_deg: usize,

@@ -321,39 +321,106 @@ proptest! {
             prop_assert_eq!(&auto, ref_levels.as_ref().unwrap(), "{:?} auto≠push", backend);
         }
     }
+}
 
-    /// The arithmetic semiring's float `+` is where merge grouping matters
-    /// most: a fat forced-push product must still be bit-identical across
-    /// thread counts (the grouping is pinned by the plan, not the threads).
-    #[test]
-    fn sharded_arithmetic_push_is_bit_identical(adj in shardable_graph_strategy(), seed in 1u64..1_000) {
-        let n = adj.nrows();
-        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
-            let ctx = Context::with_threads(8);
-            let m = Matrix::from_csr_ctx(&adj, backend, &ctx);
-            // A fat, irregular frontier with varied float values.
-            let x = Vector::from_vec(
-                (0..n)
-                    .map(|i| {
-                        let h = (i as u64).wrapping_mul(seed) % 7;
-                        if h < 3 { h as f32 * 0.321 + 0.1 } else { 0.0 }
+/// Every full-precision push scatters serially, whatever the thread budget:
+/// at `Context::with_threads(4)`, on the multi-shard plans of a dense-tile
+/// matrix (the mesh at B2SR-8), of a routed one (R-MAT at B2SR-8, whose
+/// full-precision pulls read the CSR) and on the float baseline (R-MAT, no
+/// tiles and no plan), forced-push Arithmetic, MinPlus and MaxTimes products
+/// — one lane (`vxm`) and three (`mxm`, both orientations), each seeded by
+/// its monoid accumulator over a baseline of NaN, ±∞ and ±0.0, with NaN, ±∞
+/// and −0.0 among the operand entries — leave `sharded_push` at 0 and equal,
+/// by `to_bits`, the seed `base ⊕ identity` plus one `csr_push_full` call
+/// over the whole ascending frontier.  A Boolean word push on each tiled
+/// matrix still shards.
+#[test]
+fn full_precision_push_scatters_serially_on_a_sharded_context() {
+    use bit_graphblas::core::kernels::csr_push_full;
+
+    let mesh = generators::banded(2048, 32, 0.7, 5);
+    let rmat = generators::rmat(11, 12, 0.57, 0.19, 0.19, 17).symmetrized();
+    let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.5];
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+    for (adj, backend, routed) in [
+        (&mesh, Backend::Bit(TileSize::S8), false),
+        (&rmat, Backend::Bit(TileSize::S8), true),
+        (&rmat, Backend::FloatCsr, true),
+    ] {
+        let ctx = Context::with_threads(4);
+        let m = Matrix::from_csr_ctx(adj, backend, &ctx);
+        let n = m.nrows();
+        let bit = m.state().as_any().downcast_ref::<BitB2sr>().unwrap();
+        assert_eq!(bit.full_pull_reads_csr(), routed, "{backend:?}");
+        let tiled = backend != Backend::FloatCsr;
+        let shards = m.state().shard_plan(false).map(|p| p.n_shards());
+        assert_eq!(shards > Some(1), tiled, "{backend:?}: {shards:?}");
+        for semiring in [
+            Semiring::Arithmetic,
+            Semiring::MinPlus(1.0),
+            Semiring::MaxTimes(0.5),
+        ] {
+            let id = semiring.identity();
+            let op = BinaryOp::monoid_of(semiring);
+            for k in [1usize, 3] {
+                // Two nodes in three carry terms, a few of them hostile —
+                // few enough that most outputs stay finite.
+                let x: Vec<f32> = (0..n * k)
+                    .map(|f| match (f / k % 3, f % 211) {
+                        (0, _) => id,
+                        (_, 0) => hostile[(f / 211) % 4],
+                        (_, r) => 0.37 * (r % 7) as f32 - 1.1,
                     })
-                    .collect(),
-            );
-            let mut reference: Option<Vec<u32>> = None;
-            for threads in [1usize, 2, 4, 8] {
-                ctx.set_threads(threads);
-                let y = Op::vxm(&x, &m)
-                    .semiring(Semiring::Arithmetic)
-                    .direction(Direction::Push)
-                    .run(&ctx);
-                let bits: Vec<u32> = y.as_slice().iter().map(|v| v.to_bits()).collect();
-                match &reference {
-                    None => reference = Some(bits),
-                    Some(r) => prop_assert_eq!(&bits, r, "{:?} threads={}", backend, threads),
+                    .collect();
+                let base: Vec<f32> = (0..n * k).map(|f| hostile[f % hostile.len()]).collect();
+                let frontier: Vec<usize> = (0..n)
+                    .filter(|&u| x[u * k..][..k].iter().any(|&v| !semiring.is_identity(v)))
+                    .collect();
+                // The seed plus one serial scatter over the rows of `scattered`.
+                let serial = |scattered: &Csr| {
+                    let mut y: Vec<f32> = base.iter().map(|&b| semiring.reduce(b, id)).collect();
+                    csr_push_full(scattered, &x, k, &frontier, semiring, |_| true, &mut y);
+                    bits(&y)
+                };
+                let before = ctx.stats().sharded_push;
+                let what = format!("{backend:?} {semiring:?} k={k}");
+                if k == 1 {
+                    let (xv, bv) = (Vector::from_vec(x.clone()), Vector::from_vec(base.clone()));
+                    let got = Op::vxm(&xv, &m)
+                        .semiring(semiring)
+                        .direction(Direction::Push)
+                        .accum(op, &bv)
+                        .run(&ctx);
+                    assert_eq!(bits(got.as_slice()), serial(m.csr()), "vxm {what}");
                 }
+                let xk = MultiVec::from_vec(x.clone(), n, k);
+                let bk = MultiVec::from_vec(base.clone(), n, k);
+                for transpose in [false, true] {
+                    let mut product = Op::mxm(&m, &xk)
+                        .semiring(semiring)
+                        .direction(Direction::Push)
+                        .accum(op, &bk);
+                    if transpose {
+                        product = product.transpose();
+                    }
+                    let scattered = if transpose { m.csr() } else { m.csr_t() };
+                    let got = product.run(&ctx);
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        serial(scattered),
+                        "mxm {what} {transpose}"
+                    );
+                }
+                assert_eq!(ctx.stats().sharded_push, before, "{what}: sharded");
             }
         }
+        // A Boolean word push on a tiled matrix still shards.
+        let x = Vector::indicator(n, &(0..n).step_by(3).collect::<Vec<_>>());
+        Op::vxm(&x, &m)
+            .semiring(Semiring::Boolean)
+            .direction(Direction::Push)
+            .run(&ctx);
+        assert_eq!(ctx.stats().sharded_push > 0, tiled, "{backend:?}");
     }
 }
 

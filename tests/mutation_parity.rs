@@ -299,13 +299,15 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
 }
 
 /// A compacted matrix is a from-scratch build of the same CSR, shard plans
-/// included — so every sharded product, whose float fold grouping follows
-/// the plan, equals the rebuild's bit for bit.  A batch that skews the edge
+/// included — so every sharded Boolean word push, which the plans cut,
+/// equals the rebuild's, and every full-precision push, one serial scatter
+/// on either backend, equals it bit for bit.  A batch that skews the edge
 /// weight towards the first rows moves every cut.  The bit backend's pull
 /// route is the rebuild's too: the skew scatters a ring of dense tiles into
 /// hypersparse ones, so its compaction moves the fill across the crossover
 /// below which full-precision pulls read the CSR, and deleting the skew
-/// (and the ring links it landed on) moves it back.
+/// (and the ring links it landed on) moves it back.  The float baseline
+/// reads the CSR throughout and has no plan.
 #[test]
 fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     let n = 8192usize;
@@ -325,9 +327,13 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
         n,
         3,
     );
+    let active: Vec<usize> = (0..n).filter(|i| i % 11 != 3).collect();
+    let node_words = NodeBits::from_indices(n, &active);
+    let lane_words = LaneBits::from_multivec(&xk);
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-    // Forced-push Arithmetic products over both scatter representations,
-    // and how many of them the sharded engine ran.
+    // Forced-push products over both scatter representations — Arithmetic,
+    // and the Boolean word products (none on the float baseline) — and how
+    // many of them the sharded engine ran.
     let products = |m: &Matrix| {
         let ctx = m.context();
         let before = ctx.stats().sharded_push;
@@ -340,12 +346,19 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
                 .semiring(Semiring::Arithmetic)
                 .direction(push)
         };
-        let out = [
+        let arithmetic = [
             bits(vxm.run(ctx).as_slice()),
             bits(mxm().transpose().run(ctx).as_slice()),
             bits(mxm().run(ctx).as_slice()),
         ];
-        (out, ctx.stats().sharded_push - before)
+        let serial = ctx.stats().sharded_push - before;
+        let lanes = || Op::mxm_lanes(m, &lane_words).direction(push);
+        let words = (
+            Op::vxm_bits(&node_words, m).direction(push).try_run(ctx),
+            lanes().transpose().try_run(ctx),
+            lanes().try_run(ctx),
+        );
+        (arithmetic, serial, words, ctx.stats().sharded_push - before)
     };
     let reads_csr = |m: &Matrix| {
         let bit = m.state().as_any().downcast_ref::<BitB2sr>();
@@ -354,30 +367,35 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     for backend in [Backend::FloatCsr, Backend::Bit(TileSize::S8)] {
         let m = Matrix::from_csr_ctx(&ring, backend, &Context::with_threads(4));
         let bit = backend != Backend::FloatCsr;
-        assert_eq!(
-            reads_csr(&m),
-            bit.then_some(false),
-            "the ring's tiles are dense"
-        );
+        assert_eq!(reads_csr(&m), Some(!bit), "the ring's tiles are dense");
         m.apply_deltas(&skew).unwrap();
         m.compact(m.context()).unwrap();
         let compacted = m.snapshot();
         let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
-        assert_eq!(
-            reads_csr(&compacted),
-            bit.then_some(true),
-            "the skew's are not"
-        );
+        assert_eq!(reads_csr(&compacted), Some(true), "the skew's are not");
         assert_eq!(reads_csr(&compacted), reads_csr(&rebuilt));
 
-        let (got, got_sharded) = products(&compacted);
-        let (want, want_sharded) = products(&rebuilt);
-        assert_eq!((got_sharded, want_sharded), (3, 3), "{backend:?}");
-        assert!(got == want, "{backend:?}: a sharded product differs");
+        let (got, got_serial, got_words, got_sharded) = products(&compacted);
+        let (want, want_serial, want_words, want_sharded) = products(&rebuilt);
+        assert_eq!((got_serial, want_serial), (0, 0), "{backend:?}");
+        assert!(got == want, "{backend:?}: a full-precision push differs");
+        assert_eq!(got_words, want_words, "{backend:?}");
+        let engaged = if bit { 3 } else { 0 };
+        assert_eq!(
+            (got_sharded, want_sharded),
+            (engaged, engaged),
+            "{backend:?}"
+        );
+        if bit {
+            let (node, transposed, lanes) = got_words;
+            assert!(node.unwrap().is_some() && transposed.unwrap().is_some());
+            assert!(lanes.unwrap().is_some(), "a tiled matrix has word products");
+        }
         for of_transpose in [false, true] {
             let plan = |m: &Matrix| m.state().shard_plan(of_transpose).cloned();
-            assert!(plan(&rebuilt).is_some_and(|p| p.n_shards() >= 4));
             assert_eq!(plan(&compacted), plan(&rebuilt), "{backend:?}");
+            let shards = plan(&rebuilt).map(|p| p.n_shards());
+            assert_eq!(shards >= Some(4), bit, "{backend:?}: {shards:?}");
         }
 
         let unskew: Vec<EdgeDelta> = skew
@@ -388,7 +406,7 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
         m.compact(m.context()).unwrap();
         let compacted = m.snapshot();
         let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
-        assert_eq!(reads_csr(&compacted), bit.then_some(false), "{backend:?}");
+        assert_eq!(reads_csr(&compacted), Some(!bit), "{backend:?}");
         assert_eq!(reads_csr(&compacted), reads_csr(&rebuilt));
     }
 }
