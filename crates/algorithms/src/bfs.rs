@@ -5,11 +5,12 @@
 //! vertices with a complemented mask.  On a bit backend the traversal is the
 //! paper's scheme as it stands: frontier and visited set stay binarized from
 //! one round to the next ([`NodeBits`], [`Op::vxm_bits`]), and the mask is a
-//! bitwise AND-NOT right before the output store.  The pull runs on the
-//! format whose fill wins (Table V): dense tiles sweep
-//! `bmv_bin_bin_bin_masked_into()`, hypersparse ones read the CSR the
-//! backend also holds (`csr_bits_pull()`), and the pushes scatter tile words
-//! or CSR node words the same way.  The paper's GPU kernel walks every tile
+//! bitwise AND-NOT right before the output store.  The rounds run on the
+//! format whose fill wins (Table V): a matrix that holds tiles sweeps them
+//! (`bmv_bin_bin_bin_masked_into()`) and scatters tile words, one too
+//! sparse to hold any (`MIN_TILE_FILL`) pulls from its CSR
+//! (`csr_bits_pull()`) and scatters CSR node words serially
+//! (`csr_bits_push()`).  The paper's GPU kernel walks every tile
 //! whatever the mask says, to keep a warp from diverging; the CPU sweep has
 //! no warp and leaves a tile-row once every row the mask lets through is
 //! reached, and the CSR pull stops a row at its first frontier in-neighbour
@@ -918,7 +919,9 @@ mod tests {
             self.0.storage_bytes()
         }
         fn transpose_view(&self) -> Box<dyn GrbBackend> {
-            let tile_size = self.0.tile_size().expect("built with tiles");
+            let Backend::Bit(tile_size) = self.0.kind() else {
+                unreachable!("built as a bit matrix")
+            };
             Box::new(Wrapped::new(self.0.csr_t(), tile_size))
         }
         fn as_any(&self) -> &dyn std::any::Any {
@@ -986,13 +989,15 @@ mod tests {
     }
 
     /// The word loop computes the same thing however many threads the
-    /// sharded scatter fans out to, and in either direction.
+    /// sharded scatter fans out to, and in either direction — on R-MAT at
+    /// B2SR-16, whose 5.5 bits per tile it holds (at B2SR-8, 2.9 bits, it
+    /// would hold no tiles and push serially).
     #[test]
     fn word_loop_is_identical_across_push_threads_and_directions() {
         let adj = generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
         let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % adj.nrows()).collect();
         let ctx = Context::with_threads(4);
-        let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &ctx);
+        let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
         let want = bfs_multi_dir(&m, &sources, Direction::Push);
         assert!(
             m.context().stats().sharded_push > 0,

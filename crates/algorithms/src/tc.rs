@@ -14,10 +14,10 @@
 //! all three operands.  They are binary, so on the bit backend the whole
 //! computation is one reducing call — the paper fuses the reduction into the
 //! `mxm()` the same way: `bmm_bin_bin_sum_masked_nt()`, whose per-tile
-//! popcounts are accumulated straight into the global sum, or, when `L`'s
-//! tiles are hypersparse (`CSR_REDUCE_BELOW_BITS_PER_TILE`, R-MAT's case),
-//! the exact count over the CSR the backend holds
-//! (`ops::spgemm_masked_count`, which `FloatCsr` runs too).
+//! popcounts are accumulated straight into the global sum, or, when `L` is
+//! too sparse to hold tiles (`MIN_TILE_FILL`, R-MAT's case: its
+//! `L` is built without them), the exact count over the CSR the backend
+//! holds (`ops::spgemm_masked_count`, which `FloatCsr` runs too).
 
 use bitgblas_core::grb::{Matrix, Op};
 

@@ -87,8 +87,9 @@ fn bmm_benches(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fill sweep behind `grb::backend::CSR_REDUCE_BELOW_BITS_PER_TILE`:
-/// Triangle Counting's masked reduction `Σ (L · Lᵀ) .* L` as the tile kernel
+/// The fill sweep behind the masked-reduction table of
+/// `grb::backend::MIN_TILE_FILL`: Triangle Counting's masked
+/// reduction `Σ (L · Lᵀ) .* L` as the tile kernel
 /// (`bmm_bin_bin_sum_masked_nt`, `L` all three operands) at every tile width
 /// beside the CSR count of the same `L` (`ops::spgemm_masked_count`), both
 /// bare.  `L` is the lower triangle of a symmetric graph: R-MAT(14, 16), the

@@ -176,8 +176,8 @@ fn bmv_pull_full_benches(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fill sweep behind `grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`: the
-/// full-precision tile sweep beside the CSR row pull of the same matrix,
+/// The fill sweep behind the pull table of
+/// `grb::backend::MIN_TILE_FILL`: the full-precision tile sweep beside the CSR row pull of the same matrix,
 /// both bare kernels as the engine runs them (`bmv_bin_full_full_into`,
 /// `csr_pull_full`; serial under `taskset -c 1`), at every tile width under
 /// Arithmetic and MinPlus.
@@ -477,8 +477,8 @@ fn bool_tile_rows<W: BitWord>(
     }
 }
 
-/// The fill sweep behind `grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`'s
-/// Boolean route: the tile Boolean pull and push beside the four CSR word
+/// The fill sweep behind the Boolean table of
+/// `grb::backend::MIN_TILE_FILL`: the tile Boolean pull and push beside the four CSR word
 /// kernels (`csr_bits_pull` / `csr_bits_push` at `k = 1`, `csr_lanes_pull` /
 /// `csr_lanes_push` at `k = 64`), bare and serial under `taskset -c 1`, on
 /// the graphs of `bmv_pull_fill` — R-MAT(14, 16) and the benchmark's mesh

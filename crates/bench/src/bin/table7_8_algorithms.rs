@@ -15,7 +15,8 @@ use std::time::Instant;
 use bitgblas_algorithms::{bfs, connected_components, pagerank, sssp, PageRankConfig};
 use bitgblas_bench::{device_from_args, fmt_speedup, load, table7_matrices};
 use bitgblas_core::grb::{Context, Matrix, Op, Vector};
-use bitgblas_core::{Backend, Semiring, TileSize};
+
+use bitgblas_core::{B2srMatrix, Backend, Semiring, TileSize};
 use bitgblas_perfmodel::traffic::compare_traffic;
 
 /// Wall-clock milliseconds of one invocation.
@@ -64,7 +65,10 @@ fn main() {
         let csr = load(name);
         let baseline = Matrix::from_csr(&csr, Backend::FloatCsr);
         let ours = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
-        let cmp = compare_traffic(&csr, &ours.b2sr().unwrap().layout(), &device);
+        // The model's layout is the B2SR-8 conversion itself, whether or
+        // not the engine holds tiles for this matrix.
+        let layout = B2srMatrix::from_csr(&csr, TileSize::S8).layout();
+        let cmp = compare_traffic(&csr, &layout, &device);
 
         // Algorithm-level timings.
         let (_, bfs_base) = ms(|| bfs(&baseline, 0));

@@ -27,6 +27,8 @@
 //! tile-rows — `tile_colind` and words verbatim, `tile_rowptr` shifted by
 //! what the dirty tile-rows before it gained or lost — from the matrix being
 //! replaced; the result is `==` to a full conversion, field for field.
+//! `count_tiles` runs the discover step alone, for the tile count a matrix
+//! is tiled by (`grb::backend::MIN_TILE_FILL`).
 
 use bitgblas_bitops::BitWord;
 use bitgblas_sparse::Csr;
@@ -97,9 +99,8 @@ pub(crate) fn retile<W: BitWord>(
     let n_tile_cols = ncols.div_ceil(dim);
     let (rowptr, colind, values) = (csr.rowptr(), csr.colind(), csr.values());
 
-    // Reused across tile-rows; the bitmap is all clear between them.
-    let mut marks = vec![0u64; n_tile_cols.div_ceil(64)];
-    let mut summary = vec![0u64; marks.len().div_ceil(64)];
+    // Reused across tile-rows.
+    let mut marks = TileMarks::new(ncols, dim);
     let mut slot_of = vec![0usize; n_tile_cols];
 
     // The tile-rows to convert, ascending: all of them without a `prev`.
@@ -137,28 +138,17 @@ pub(crate) fn retile<W: BitWord>(
         clean_from = tr + 1;
 
         let rows = tr * dim..((tr + 1) * dim).min(nrows);
-        // Discover.
-        for &c in &colind[rowptr[rows.start]..rowptr[rows.end]] {
-            let tc = c / dim;
-            marks[tc >> 6] |= 1 << (tc & 63);
-            summary[tc >> 12] |= 1 << ((tc >> 6) & 63);
-        }
+        marks.discover(&colind[rowptr[rows.start]..rowptr[rows.end]]);
         // Number.
         let first = out.colind.len();
-        for (si, s) in summary.iter_mut().enumerate() {
-            let mut live = std::mem::take(s);
-            while live != 0 {
-                let wi = si * 64 + live.trailing_zeros() as usize;
-                live &= live - 1;
-                let mut word = std::mem::take(&mut marks[wi]);
-                while word != 0 {
-                    let tc = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    slot_of[tc] = out.colind.len() - first;
-                    out.colind.push(tc);
-                }
+        marks.drain(|wi, mut word| {
+            while word != 0 {
+                let tc = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                slot_of[tc] = out.colind.len() - first;
+                out.colind.push(tc);
             }
-        }
+        });
         out.rowptr[tr + 1] = out.colind.len();
         // Pack.
         out.words.resize(out.colind.len() * dim, W::ZERO);
@@ -167,8 +157,9 @@ pub(crate) fn retile<W: BitWord>(
             let span = rowptr[r]..rowptr[r + 1];
             for (&c, &v) in colind[span.clone()].iter().zip(&values[span]) {
                 if v != 0.0 {
-                    let w = &mut words[slot_of[c / dim] * dim + local_r];
-                    *w = w.with_bit((c % dim) as u32);
+                    let tc = marks.tile_of(c);
+                    let w = &mut words[slot_of[tc] * dim + local_r];
+                    *w = w.with_bit((c - tc * dim) as u32);
                 }
             }
         }
@@ -181,6 +172,89 @@ pub(crate) fn retile<W: BitWord>(
 
     let m = B2sr::from_parts(nrows, ncols, dim, out.rowptr, out.colind, out.words);
     (m, counts)
+}
+
+/// The number of non-empty `dim × dim` tiles of `csr`: the converter's
+/// discover step on every tile-row, numbering and packing nothing.
+pub(crate) fn count_tiles(csr: &Csr, dim: usize) -> usize {
+    let (nrows, rowptr, colind) = (csr.nrows(), csr.rowptr(), csr.colind());
+    let mut marks = TileMarks::new(csr.ncols(), dim);
+    let mut tiles = 0;
+    for start in (0..nrows).step_by(dim) {
+        let end = (start + dim).min(nrows);
+        marks.discover(&colind[rowptr[start]..rowptr[end]]);
+        marks.drain(|_, word| tiles += word.count_ones() as usize);
+    }
+    tiles
+}
+
+/// The tile columns one tile-row's entries reach, as a two-level bitmap: a
+/// word per 64 tile columns and a summary word per 64 of those.  All clear
+/// between tile-rows.
+struct TileMarks {
+    dim: usize,
+    marks: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl TileMarks {
+    fn new(ncols: usize, dim: usize) -> Self {
+        let marks = vec![0u64; ncols.div_ceil(dim).div_ceil(64)];
+        let summary = vec![0u64; marks.len().div_ceil(64)];
+        TileMarks {
+            dim,
+            marks,
+            summary,
+        }
+    }
+
+    /// The tile column of column `c`: a shift for the power-of-two
+    /// dimensions of Table I, a division for any other.
+    #[inline(always)]
+    fn tile_of(&self, c: usize) -> usize {
+        if self.dim.is_power_of_two() {
+            c >> self.dim.trailing_zeros()
+        } else {
+            c / self.dim
+        }
+    }
+
+    /// Discover: mark the tile column of every entry of `cols`.  A row's
+    /// columns ascend, so its bits gather in a register, stored once per
+    /// mark word.
+    fn discover(&mut self, cols: &[usize]) {
+        let (mut at, mut bits) = (0, 0u64);
+        for &c in cols {
+            let tc = self.tile_of(c);
+            if tc >> 6 != at {
+                self.mark(at, bits);
+                (at, bits) = (tc >> 6, 0);
+            }
+            bits |= 1 << (tc & 63);
+        }
+        self.mark(at, bits);
+    }
+
+    /// OR `bits` into mark word `at`, and its summary bit if any is set.
+    fn mark(&mut self, at: usize, bits: u64) {
+        if bits != 0 {
+            self.marks[at] |= bits;
+            self.summary[at >> 6] |= 1 << (at & 63);
+        }
+    }
+
+    /// Hand every non-zero mark word `wi` (bit `b` is tile column
+    /// `wi · 64 + b`) to `each`, ascending, and leave the bitmap clear.
+    fn drain(&mut self, mut each: impl FnMut(usize, u64)) {
+        for (si, s) in self.summary.iter_mut().enumerate() {
+            let mut live = std::mem::take(s);
+            while live != 0 {
+                let wi = si * 64 + live.trailing_zeros() as usize;
+                live &= live - 1;
+                each(wi, std::mem::take(&mut self.marks[wi]));
+            }
+        }
+    }
 }
 
 /// The three B2SR arrays under construction, filled tile-row by tile-row.
@@ -398,6 +472,26 @@ mod tests {
                 .map(|r| EdgeDelta::insert(r, (r * 7 + 1) % n))
                 .collect();
             assert_retile_parity(&hollow, &refill);
+        }
+    }
+
+    #[test]
+    fn count_tiles_equals_the_converted_tile_count() {
+        let shapes = [
+            (0, 0),
+            (9, 0),
+            (1, 1),
+            (63, 65),
+            (200, 130),
+            (40, 4096 * 32 + 77),
+        ];
+        for (seed, (nrows, ncols)) in shapes.into_iter().enumerate() {
+            let a = rectangular(nrows, ncols, 7, seed as u64);
+            for dim in [4, 5, 8] {
+                assert_eq!(count_tiles(&a, dim), from_csr::<u8>(&a, dim).n_tiles());
+            }
+            assert_eq!(count_tiles(&a, 16), from_csr::<u16>(&a, 16).n_tiles());
+            assert_eq!(count_tiles(&a, 32), from_csr::<u32>(&a, 32).n_tiles());
         }
     }
 

@@ -203,7 +203,7 @@ impl<W: BitWord> B2sr<W> {
     /// Number of set bits across all tiles — equals the nnz of the original
     /// binary matrix.  This is a popcount sweep over every tile word, not a
     /// stored count, and not for hot paths: per-operation paths and the bit
-    /// backend's pull route take the edge count from the CSR view instead.
+    /// backend's tile decision take the edge count from the CSR view instead.
     pub fn nnz(&self) -> u64 {
         self.bit_tiles.iter().map(|w| w.popcount() as u64).sum()
     }

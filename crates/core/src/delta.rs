@@ -39,10 +39,11 @@
 //!   how many writes land after it was taken.
 //! * **Compaction** — [`VersionCell::compact`] folds the log into a fresh
 //!   base of the same kind at the cost of what the log touched: the merged
-//!   CSR copies clean row runs whole, a [`BitB2sr`] base re-tiles only the
-//!   tile-rows holding a dirty row and splices the others' tiles verbatim
-//!   ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows); the
-//!   [`CompactReport`] counts both), and the new base's constructor cuts
+//!   CSR copies clean row runs whole, a tiled [`BitB2sr`] base re-tiles only
+//!   the tile-rows holding a dirty row and splices the others' tiles
+//!   verbatim ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows); the
+//!   [`CompactReport`] counts both), tiles kept only where they fill, and
+//!   the new base's constructor cuts
 //!   its row-shard plan from the result, so a compacted base equals a
 //!   from-scratch build of the same CSR, plans included.  The
 //!   `grb.delta_merge` fail point fires before any shared
@@ -669,8 +670,8 @@ pub struct CompactReport {
     pub deleted: usize,
     /// Rows the fold touched — the dirty set of the incremental re-tiling.
     pub dirty_rows: usize,
-    /// Tile-rows converted from the merged CSR (`≤ dirty_rows`; 0 on a
-    /// float base).
+    /// Tile-rows converted from the merged CSR (`≤ dirty_rows` over a tiled
+    /// base; 0, like the tile counts, when the new base holds no tiles).
     pub tile_rows_retiled: usize,
     /// Tiles of the new base those tile-rows hold.
     pub tiles_retiled: usize,
@@ -1416,16 +1417,19 @@ mod tests {
     /// 200 scattered inserts dirty every shard of R-MAT(11,12), whose whole
     /// weight is below one shard's target: the compacted plan still feeds
     /// four workers (`from_weights`' `threads` clamp).  Only a tiled matrix
-    /// has a plan; the float baseline's compaction cuts none.
+    /// has a plan — R-MAT at B2SR-16 (5.5 bits per tile; at B2SR-8, 2.9, it
+    /// holds no tiles) — and the float baseline's compaction cuts none.
     #[test]
     fn scattered_inserts_do_not_collapse_the_shard_plan() {
+        use crate::b2sr::TileSize;
+
         let n = 1usize << 11;
         let adj = bitgblas_datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 5).symmetrized();
         let ctx = Context::with_threads(4);
         let inserts: Vec<EdgeDelta> = (0..200)
             .map(|i| EdgeDelta::insert(i * 10 % n, (i * 37 + 5) % n))
             .collect();
-        let a = Matrix::from_csr_ctx(&adj, Backend::default_bit(), &ctx);
+        let a = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
         let before = a.state().shard_plan(false).expect("planned").n_shards();
         assert_eq!(before, 4, "precondition");
         a.apply_deltas(&inserts).unwrap();

@@ -11,13 +11,14 @@
 //! to a slower path.  The layer ships one implementation, [`BitB2sr`]: the
 //! binary CSR every matrix holds, plus — under [`Backend::Bit`] — B2SR tiles
 //! and the bit kernels of [`crate::kernels`] (the paper's contribution).
-//! Its full-precision pulls, Boolean products and masked product reduction
-//! read the CSR when the tiles are too sparse to sweep
-//! ([`CSR_PULL_BELOW_BITS_PER_TILE`], [`CSR_REDUCE_BELOW_BITS_PER_TILE`]),
-//! and its full-precision pushes always scatter from it.  A matrix without
-//! tiles — [`Backend::FloatCsr`] — is the paper's float baseline (the
-//! GraphBLAST/cuSPARSE stand-in): every product, the Boolean ones included,
-//! runs on `f32` over the CSR, and it has no word product and no shard plan.
+//! Tiles exist only where a product sweeps them: a `Backend::Bit` matrix
+//! under [`MIN_TILE_FILL`] bits per non-empty tile builds none and runs
+//! every product on its CSR — its Boolean ones in words — and every
+//! full-precision push scatters from the CSR on any matrix.  A
+//! [`Backend::FloatCsr`] matrix is the paper's float baseline (the
+//! GraphBLAST/cuSPARSE stand-in): never tiled, every product, the Boolean
+//! ones included, runs on `f32` over the CSR, and it has no word product.
+//! Only a tiled matrix has a shard plan.
 //!
 //! Beside it sits the merge-on-read
 //! [`DeltaOverlay`](crate::delta::DeltaOverlay), which forwards to a base
@@ -34,8 +35,8 @@
 //!
 //! # Sharded push execution
 //!
-//! The Boolean word scatters of a tiled matrix — tile words, or node and
-//! lane words from the CSR — run through one routine, `push_scatter`: cut
+//! The Boolean word scatters of a tiled matrix — node and lane words over
+//! its tiles — run through one routine, `push_scatter`: cut
 //! the ascending frontier at the plan's row-shard boundaries, decide — from
 //! the frontier and the plan alone, never from the thread count — whether
 //! the modelled scatter work dominates the fixed-order merge
@@ -45,7 +46,11 @@
 //! ascending segment order, or run the serial kernel on the whole frontier.
 //! Scratch and cut buffers cycle through the pool, so the sharded steady
 //! state stays allocation-free at `threads == 1` (the parallel path
-//! additionally pays the scoped thread spawns).
+//! additionally pays the scoped thread spawns).  A `Backend::Bit` matrix
+//! without tiles scatters its Boolean words from the CSR ([`csr_bits_push`],
+//! [`csr_lanes_push`]) serially, with no plan: sharded at two threads, those
+//! pushes read 1.44× (`bfs_dir`) and 1.17× (`bfs_multi_dir`) slower on R-MAT
+//! than at one (the `push_threads` bench group).
 //!
 //! Every full-precision push — any `f32` semiring, one lane or a batch,
 //! and the float baseline's `f32` Boolean push — runs [`csr_push_full`] once
@@ -60,7 +65,7 @@ use std::sync::OnceLock;
 use bitgblas_bitops::BitWord;
 use bitgblas_sparse::{ops as float_ops, Csr};
 
-use crate::b2sr::convert::RetileCounts;
+use crate::b2sr::convert::{count_tiles, RetileCounts};
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::bmv::pack_segments_into;
@@ -175,8 +180,8 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
 
     /// Storage bytes of the backend's primary representation: a
-    /// [`BitB2sr`]'s B2SR tiles (also when its products read the CSR it
-    /// holds, which is not counted), or its float CSR when it has no tiles.
+    /// [`BitB2sr`]'s B2SR tiles when it holds them (its CSR, which every
+    /// matrix holds, is not counted then), its CSR otherwise.
     fn storage_bytes(&self) -> usize;
 
     /// A new backend of the same kind holding `Aᵀ`.
@@ -186,10 +191,10 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// `mxm_reduce_masked` over the CSR views: the float baseline's and
-/// [`DeltaOverlay`](crate::delta::DeltaOverlay)'s product, the cross-backend
-/// fallback, and a hypersparse [`BitB2sr`]'s route
-/// ([`BitB2sr::masked_reduce_reads_csr`]).  `spgemm_masked_count` takes its
+/// `mxm_reduce_masked` over the CSR views: the product of every operand
+/// triple that is not three [`BitB2sr`]s tiled alike — a matrix without
+/// tiles, a [`DeltaOverlay`](crate::delta::DeltaOverlay), mixed backends or
+/// tile sizes.  `spgemm_masked_count` takes its
 /// second operand as the second factor's transpose stored by rows: `b`'s
 /// transpose CSR for `A · B`, `b`'s own CSR for `A · Bᵀ`.  Every backend's
 /// `csr()` is all-ones, so the exact count is the sum of `1.0 · 1.0`
@@ -367,19 +372,29 @@ impl ScatterPlans {
 // BitB2sr
 // ---------------------------------------------------------------------------
 
-/// The mean bits per non-empty tile below which a [`BitB2sr`]'s
-/// full-precision pulls read its CSR instead of sweeping its tiles (see
-/// [`BitB2sr::full_pull_reads_csr`]) — the paper's Table V fill classes,
-/// where a scatter-pattern matrix's tiles hold one or two bits and the tile
-/// sweep pays a tile's load, chunk packing and junk fold for each.
+/// The fill, in mean bits per non-empty tile, from which a [`Backend::Bit`]
+/// matrix holds B2SR tiles: [`BitB2sr`] builds them iff `nnz ≥
+/// MIN_TILE_FILL · n_tiles`, counting the tiles before it converts (the
+/// converter's discover step, which packs nothing), and a compaction
+/// decides again from what it folded.  Under it — the paper's
+/// Table V scatter class, whose tiles hold a bit or two — no product would
+/// sweep them: every product reads the CSR the matrix holds, the Boolean
+/// ones in node or lane words.  The two paths agree bit for bit (both pulls
+/// fold a row's columns in ascending order, OR is exact, the count is
+/// exact), so the choice moves time and memory, never a result.  The
+/// benchmark's graphs sit far from it: R-MAT(14, 16) at 2.0 bits per B2SR-8
+/// tile and its `L` at 2.03 hold none, the mesh at 51.8 and its `L` at
+/// 46.5 hold tiles (`tiles_exist_only_where_a_product_sweeps_them`).
 ///
-/// Why a selector and not one path: with every non-Boolean pull routed
+/// # The full-precision pulls
+///
+/// Why a fill and not one path: with every non-Boolean pull on the CSR
 /// (this constant at +∞), ten alternating pairs of the repo benchmark's mesh
 /// workloads (B2SR-8, one pinned core) against the tile sweep read, on
 /// `mesh_read` / `mesh_mixed`, `cc_ms` +36 % / +25 % (a MinPlus pull, which
 /// the sweep then won on dense tiles), `query_p95_ms` 2.2× / 2.1× (the
 /// batched PPR lanes), `setup_s` +40 % / +38 % and `peak_rss_mb` +5 % / +4 %
-/// (the `csr_t` the route builds) — three bounds broken — against
+/// (the `csr_t` the row pull builds) — three bounds broken — against
 /// `pagerank_ms` −34 % / −29 %.  So dense tiles keep the sweep.  That was
 /// measured before the row pull folded MinPlus in four chains
 /// ([`csr_pull_full`]); the kernels below say the `cc_ms` loss has gone,
@@ -397,38 +412,31 @@ impl ScatterPlans {
 /// | Arithmetic | 0.24–0.35 | 0.45–0.67 | 0.65–0.71 | 0.76–0.86 | 0.69–0.88 | 0.95–0.98 | 0.76–1.07 |
 /// | MinPlus | 0.30–0.45 | 0.56–0.57 | 0.73–0.74 | 0.84–0.95 | 0.84–0.89 | 0.80–0.86 | 0.59–0.65 |
 ///
-/// The row pull wins or ties at every fill.  The MinPlus crossover is gone:
-/// with one `f32::min` chain per row the two crossed between 6 and 8 bits
-/// and the sweep won the mesh's MinPlus pull (1.29–1.34); four chains put
-/// the mesh at 0.49–0.63 (Arithmetic 0.68–0.77).  (Until then these rows
-/// timed `sparse::ops::spmv_semiring`, which reads the values array and
-/// matches the semiring per entry, and put the Arithmetic crossing at 6–8
-/// bits as well.)  So the bare kernels no longer place the constant; it
-/// stays at 4 for the end-to-end losses above, and routes only where the
-/// row pull wins by a quarter or more.  The benchmark's graphs sit far from
-/// it: R-MAT at 2.0 bits per tile (0.28, MinPlus 0.22–0.30) routes, the
-/// mesh at 51.8 does not (`crossover_separates_the_benchmark_graphs`).
+/// The row pull wins or ties at every fill, the mesh included (0.49–0.63,
+/// Arithmetic 0.68–0.77).  So the bare kernels do not place the constant;
+/// it stays at 4 for the end-to-end losses above, and leaves tiles out only
+/// where the row pull wins by a quarter or more: R-MAT at 2.0 bits per tile
+/// (0.28, MinPlus 0.22–0.30).
 ///
-/// One number serves every width because it never routes to a slower pull:
-/// at B2SR-4, -16 and -32 the row pull wins or ties at every fill of the
-/// sweep (≤ 0.64, 1.14 and 0.99 Arithmetic; ≤ 0.89 MinPlus), and R-MAT
-/// (1.5 and 3.2 bits) routes at B2SR-4 and -16.  It routes too little
-/// there instead: R-MAT at B2SR-32 reads 6.0 bits and keeps a sweep about
+/// One number serves every width because it never sends a pull to the
+/// slower kernel: at B2SR-4, -16 and -32 the row pull wins or ties at every
+/// fill of the sweep (≤ 0.64, 1.14 and 0.99 Arithmetic; ≤ 0.89 MinPlus), and
+/// R-MAT (1.5 and 3.2 bits) holds no tiles at B2SR-4 and -16.  It tiles too
+/// much instead: R-MAT at B2SR-32 reads 6.0 bits and keeps a sweep about
 /// 10× slower than the row pull.  Not measured: the batched pull against
 /// fill (only end to end, above), more than one core, and any width but
 /// B2SR-8 end to end — the benchmark runs B2SR-8 only.
 ///
 /// # The Boolean products
 ///
-/// The same constant routes the Boolean products
-/// ([`BitB2sr::boolean_reads_csr`]).  `taskset -c 1 cargo bench -p
-/// bitgblas-bench --bench bmv -- bmv_bool_fill` (same graphs, host and core,
-/// two runs) times the tile Boolean pull and push beside the four CSR word
-/// kernels — node words at `k = 1` ([`csr_bits_pull`], [`csr_bits_push`]),
-/// lane words at `k = 64` ([`csr_lanes_pull`], [`csr_lanes_push`]) — at a
-/// 1 % frontier as a BFS's first rounds meet it, a half frontier with
-/// three quarters visited and a full frontier with nothing visited.  CSR ÷
-/// tiles at B2SR-8, each cell over the states named and both runs:
+/// `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv -- bmv_bool_fill`
+/// (same graphs, host and core, two runs) times the tile Boolean pull and
+/// push beside the four CSR word kernels — node words at `k = 1`
+/// ([`csr_bits_pull`], [`csr_bits_push`]), lane words at `k = 64`
+/// ([`csr_lanes_pull`], [`csr_lanes_push`]) — at a 1 % frontier as a BFS's
+/// first rounds meet it, a half frontier with three quarters visited and a
+/// full frontier with nothing visited.  CSR ÷ tiles at B2SR-8, each cell
+/// over the states named and both runs:
 ///
 /// | bits / tile | node pull 1 % | node pull ½, full | node push | lane pull 1 % | lane pull ½, full | lane push |
 /// |---|---|---|---|---|---|---|
@@ -444,33 +452,26 @@ impl ScatterPlans {
 /// The single-vector products cross between 4 and 8 bits, except the node
 /// pull at a 1 % frontier, which crosses near 2 — but a BFS pulls at large
 /// frontiers (`Direction::Auto` is Beamer's switch), where the CSR wins to
-/// 4 bits.  So the pull's constant serves, and no second one is needed.  At
-/// the other widths, under 4 bits, every cell is ≤ 0.70 but that same node
-/// pull at a 1 % frontier at 2 bits per tile (B2SR-4 1.45–1.49, B2SR-16
-/// 0.82–1.05); R-MAT routes at B2SR-4 and -16 (1.5 and 3.2 bits: ≤ 0.85),
-/// and at B2SR-32 (6.0 bits) keeps tiles that lose every cell but that one
-/// (1.24–1.60; the rest 0.01–0.97).  The lane products cross higher — the
-/// tile lane push walks every tile of a node's tile-row — and win the mesh
-/// too (½ and full pulls 0.05–0.56, pushes 0.32–0.40), which the constant
-/// leaves on tiles: the mesh's single-vector products, where tiles win by
-/// 2.9–38×, decide its BFS.
-pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
-
-/// The mean bits per non-empty tile below which a [`BitB2sr`]'s masked
-/// product reduction counts over the operands' CSRs instead of intersecting
-/// tiles (see [`BitB2sr::masked_reduce_reads_csr`]) — Triangle Counting's
-/// `Σ (L · Lᵀ) .* L` on a scatter-pattern `L`, whose tiles hold a bit or two
-/// and give the tile kernel one popcount per mask bit for a word or two of
-/// work.  The count is exact, so routing moves time, never the result.
+/// 4 bits.  So the pull's fill serves.  At the other widths, under 4 bits,
+/// every cell is ≤ 0.70 but that same node pull at a 1 % frontier at 2 bits
+/// per tile (B2SR-4 1.45–1.49, B2SR-16 0.82–1.05); R-MAT holds no tiles at
+/// B2SR-4 and -16 (1.5 and 3.2 bits: ≤ 0.85), and at B2SR-32 (6.0 bits)
+/// keeps tiles that lose every cell but that one (1.24–1.60; the rest
+/// 0.01–0.97).  The lane products cross higher — the tile lane push walks
+/// every tile of a node's tile-row — and win the mesh too (½ and full pulls
+/// 0.05–0.56, pushes 0.32–0.40), which keeps its tiles: the mesh's
+/// single-vector products, where tiles win by 2.9–38×, decide its BFS.
 ///
-/// Not [`CSR_PULL_BELOW_BITS_PER_TILE`]: the reduction's kernels cross at a
-/// lower fill.  `taskset -c 1 cargo bench -p bitgblas-bench --bench bmm --
-/// bmm_tc_fill` (bare kernels, 16 384 vertices, one pinned core of a 2-vCPU
-/// Xeon VM, two runs) times `bmm_bin_bin_sum_masked_nt` beside
-/// `ops::spgemm_masked_count` on the lower triangle `L` of a symmetric
-/// graph.  With R-MAT(14, 16)'s edge count laid out in scattered mirrored
-/// tiles, so that fill is the one variable, count ÷ tile kernel at `L`'s
-/// fill (bits per tile) is:
+/// # The masked reduction
+///
+/// Triangle Counting's `Σ (L · Lᵀ) .* L` intersects tiles
+/// ([`bmm_bin_bin_sum_masked_nt`]) when all three operands hold them and
+/// counts over the CSRs (`ops::spgemm_masked_count`) otherwise.  `taskset
+/// -c 1 cargo bench -p bitgblas-bench --bench bmm -- bmm_tc_fill` (bare
+/// kernels, 16 384 vertices, one pinned core of a 2-vCPU Xeon VM, two runs)
+/// times the two on the lower triangle `L` of a symmetric graph: R-MAT(14,
+/// 16)'s edge count laid out in scattered mirrored tiles, so that fill is
+/// the one variable.  Count ÷ tile kernel at `L`'s fill (bits per tile):
 ///
 /// | width | ≈ 1 | ≈ 2 | ≈ 3 | ≈ 4 | ≈ 6 | ≈ 9 | ≈ 16 |
 /// |---|---|---|---|---|---|---|---|
@@ -482,33 +483,31 @@ pub const CSR_PULL_BELOW_BITS_PER_TILE: f64 = 4.0;
 /// (The columns are nominal: `L`'s measured fills are 1.0–1.3, 2.0–2.3,
 /// 3.0–3.2, 4.0–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The two kernels cross
 /// between 2 and 3 bits at B2SR-4, just under 3 at B2SR-8, between 4 and 6
-/// at B2SR-16 and between 9 and 16 at B2SR-32 — about a third of a bit per
-/// tile row from B2SR-8 up.  The constant routes only below every width's
-/// crossing, so it never routes to the slower kernel; the closest measured
-/// fill under it, 2.0 at B2SR-4, still reads 0.88–0.89.  The benchmark's
-/// graphs sit far from it: R-MAT's `L` at 2.03 bits per B2SR-8 tile (0.28)
-/// routes, the mesh's at 46.5 (3.6–4.3) does not
-/// (`crossover_separates_the_benchmark_graphs`).  It routes too little at
-/// the wide widths: R-MAT's `L` at B2SR-16 (3.2 bits, 0.36–0.38) and
-/// B2SR-32 (6.0 bits, 0.57–0.61) keeps the tile kernel.  Not measured: more
-/// than one core, and any width but B2SR-8 end to end.
-pub const CSR_REDUCE_BELOW_BITS_PER_TILE: f64 = 2.5;
+/// at B2SR-16 and between 9 and 16 at B2SR-32.  One fill for every product
+/// trades this: an `L` of 2.5 to 4 bits per tile holds no tiles and counts
+/// over its CSR, which costs 1.38–1.49× the tile kernel at B2SR-4 and
+/// 1.01–1.33× at B2SR-8 (≈ 3 bits), and saves at B2SR-16 (0.28–0.36; R-MAT's
+/// `L` at 3.2 bits, 0.36–0.38, now counts).  No benchmark workload's `L` is
+/// in that band.  From 4 bits up the tile kernel keeps `L` at every width,
+/// the slower one at B2SR-16 to about 6 bits and at B2SR-32 to about 12
+/// (R-MAT's `L` at 6.0 bits, 0.57–0.61).  Not measured: more than one core,
+/// and any width but B2SR-8 end to end.
+pub const MIN_TILE_FILL: usize = 4;
 
 /// The built-in backend: the binary CSR every matrix holds (the interchange
 /// view, and what every full-precision push scatters from) plus, under
-/// [`Backend::Bit`], B2SR tiles and their bit kernels (Tables II and III).
-/// Its full-precision pulls, Boolean products and masked product reduction
-/// read the CSR when the tiles are hypersparse
-/// ([`BitB2sr::full_pull_reads_csr`], [`BitB2sr::boolean_reads_csr`],
-/// [`BitB2sr::masked_reduce_reads_csr`]).  Without tiles it is the float
-/// baseline, [`Backend::FloatCsr`]: every product runs on `f32` over the CSR
-/// — the Boolean ones through the same row pull and scatter as the other
-/// semirings — and it has no word product and no shard plan.
+/// [`Backend::Bit`] at [`MIN_TILE_FILL`] bits per tile or more,
+/// B2SR tiles and their bit kernels (Tables II and III).  Without tiles
+/// every product runs on the CSR — in bit words for a `Backend::Bit`
+/// matrix's Boolean ones, on `f32` for everything of the float baseline,
+/// [`Backend::FloatCsr`].
 #[derive(Debug)]
 pub struct BitB2sr {
+    /// What the matrix was built as, tiled or not.
+    kind: Backend,
     csr: Csr,
     csr_t: OnceLock<Csr>,
-    /// The B2SR tiles under `Backend::Bit`; `None` is the float baseline.
+    /// The B2SR tiles, under `Backend::Bit` at a fill worth sweeping.
     tiles: Option<Tiles>,
 }
 
@@ -519,28 +518,16 @@ struct Tiles {
     b2sr_t: OnceLock<B2srMatrix>,
     /// The row-shard plans of the Boolean word scatters.
     shards: ScatterPlans,
-    /// Mean bits per non-empty tile, `csr.nnz() / b2sr.n_tiles()` (NaN for
-    /// an empty matrix, which routes nothing); fixed when the tiles are
-    /// built, and what every CSR route is decided from.
-    bits_per_tile: f64,
 }
 
 impl Tiles {
-    /// The tiles of an `nnz`-edge matrix, with the shard plan of their rows
-    /// cut under `cfg`.
-    fn new(b2sr: B2srMatrix, nnz: usize, cfg: ShardConfig) -> Self {
+    /// The tiles `b2sr`, with the shard plan of their rows cut under `cfg`.
+    fn new(b2sr: B2srMatrix, cfg: ShardConfig) -> Self {
         Tiles {
             shards: ScatterPlans::new(cfg, &b2sr),
-            bits_per_tile: nnz as f64 / b2sr.n_tiles() as f64,
             b2sr,
             b2sr_t: OnceLock::new(),
         }
-    }
-
-    /// Whether a product routed below `below` bits per tile reads the CSR
-    /// instead of these tiles.
-    fn reads_csr(&self, below: f64) -> bool {
-        self.bits_per_tile < below
     }
 
     /// `Aᵀ`'s tiles iff `transposed`, built and cached on first use.  The
@@ -569,27 +556,28 @@ impl Tiles {
             b2sr: self.rep(true).clone(),
             b2sr_t: OnceLock::from(self.b2sr.clone()),
             shards: self.shards.swapped(self.rep(true)),
-            bits_per_tile: self.bits_per_tile,
         }
     }
 }
 
 impl BitB2sr {
-    /// Convert a binary CSR matrix into B2SR with the given tile size and
-    /// cut its row-shard plan under `cfg`.  The conversion is eager (the
-    /// "one-time conversion cost" the paper amortizes); the transpose
-    /// representations and their plan are built lazily.
+    /// The `Backend::Bit(tile_size)` backend of a CSR matrix, its row-shard
+    /// plan cut under `cfg` if it holds tiles.  The conversion is eager (the
+    /// "one-time conversion cost" the paper amortizes) where the matrix is
+    /// worth tiling ([`MIN_TILE_FILL`]); the transpose representations and
+    /// their plan are built lazily.
     pub fn new(csr: &Csr, tile_size: TileSize, cfg: ShardConfig) -> Self {
         BitB2sr::of_kind(binary_copy(csr), Backend::Bit(tile_size), cfg, None).0
     }
 
     /// The backend of `kind` over `bin`, an all-ones CSR taken by value and
-    /// on trust (the compaction path hands over the merge it just wrote):
-    /// tiled under `Backend::Bit`, the float baseline under
-    /// `Backend::FloatCsr`.  With `prev` — the backend of the same matrix
-    /// before its ascending dirty rows changed — only the tile-rows holding
-    /// a dirty row are converted ([`B2srMatrix::retile`]); the shard plan is
-    /// cut from the result either way.
+    /// on trust (the compaction path hands over the merge it just wrote).
+    /// Under `Backend::Bit` it holds tiles iff they fill to [`MIN_TILE_FILL`]
+    /// bits each, counted ([`count_tiles`]) before converting.  With a tiled
+    /// `prev` — the backend of the same matrix before its ascending dirty
+    /// rows changed — only the tile-rows holding a dirty row convert
+    /// ([`B2srMatrix::retile`]), and the result is kept if it still fills.
+    /// The counts are zero when no tiles are.
     pub(crate) fn of_kind(
         bin: Csr,
         kind: Backend,
@@ -597,78 +585,30 @@ impl BitB2sr {
         prev: Option<(&BitB2sr, &[usize])>,
     ) -> (Self, RetileCounts) {
         debug_assert!(bin.is_binary());
-        let (tiles, counts) = match kind {
+        let fills = |n_tiles: usize| bin.nnz() >= MIN_TILE_FILL * n_tiles;
+        let built = match kind {
             Backend::Bit(ts) => {
-                let prev = prev.and_then(|(old, dirty_rows)| Some((old.b2sr()?, dirty_rows)));
-                let (b2sr, counts) = B2srMatrix::retile(&bin, ts, prev);
-                (Some(Tiles::new(b2sr, bin.nnz(), cfg)), counts)
+                match prev.and_then(|(old, dirty_rows)| Some((old.b2sr()?, dirty_rows))) {
+                    Some(prev) => Some(B2srMatrix::retile(&bin, ts, Some(prev)))
+                        .filter(|(b2sr, _)| fills(b2sr.n_tiles())),
+                    None => fills(count_tiles(&bin, ts.dim()))
+                        .then(|| B2srMatrix::retile(&bin, ts, None)),
+                }
             }
-            Backend::FloatCsr => (None, RetileCounts::default()),
+            Backend::FloatCsr => None,
             Backend::Auto => unreachable!("a backend is built of a resolved kind"),
         };
+        let (tiles, counts) = match built {
+            Some((b2sr, counts)) => (Some(Tiles::new(b2sr, cfg)), counts),
+            None => (None, RetileCounts::default()),
+        };
         let backend = BitB2sr {
+            kind,
             csr: bin,
             csr_t: OnceLock::new(),
             tiles,
         };
         (backend, counts)
-    }
-
-    /// The tiles a product routed below `below` bits per tile sweeps:
-    /// `None` when it reads the CSR instead — the matrix has no tiles, or
-    /// they are too sparse.
-    fn swept(&self, below: f64) -> Option<&Tiles> {
-        self.tiles.as_ref().filter(|t| !t.reads_csr(below))
-    }
-
-    /// The tiles of a matrix asked for a word product — only a tiled one
-    /// ever is (`plan::execute_word_product` and the `f32` Boolean arms
-    /// check), though the product may route to the CSR.
-    fn word_tiles(&self) -> &Tiles {
-        self.tiles
-            .as_ref()
-            .expect("a word product runs on a tiled matrix")
-    }
-
-    /// Whether this matrix's full-precision pulls — `mxv` and `vxm`, bare,
-    /// fused, masked or not, and batched — read the CSR the backend already
-    /// holds (`csr`, or `csr_t` for the transposed sweep) through the row
-    /// pull instead of sweeping tiles.  Always, without tiles; with tiles,
-    /// when their mean bits per non-empty tile is under
-    /// [`CSR_PULL_BELOW_BITS_PER_TILE`] — decided once, where the tiles are
-    /// built, from two stored counts (never from [`B2srMatrix::nnz`], a
-    /// popcount sweep).  `Aᵀ` has the same edges and tiles, so the transpose
-    /// view keeps the flag.  Full-precision pushes read the CSR either way;
-    /// the Boolean products route under the same constant
-    /// ([`boolean_reads_csr`](Self::boolean_reads_csr)).  Both pulls fold a
-    /// row's columns in ascending order, so the two paths agree bit for bit.
-    pub fn full_pull_reads_csr(&self) -> bool {
-        self.swept(CSR_PULL_BELOW_BITS_PER_TILE).is_none()
-    }
-
-    /// Whether this matrix's masked product reduction
-    /// ([`GrbBackend::mxm_reduce_masked`] with this matrix as `A`) counts
-    /// over the operands' CSRs instead of intersecting tiles: always without
-    /// tiles, and when their mean bits per non-empty tile is under
-    /// [`CSR_REDUCE_BELOW_BITS_PER_TILE`], decided from the same stored fill
-    /// as [`full_pull_reads_csr`](Self::full_pull_reads_csr).  The count is
-    /// exact, so the two paths return the same number.
-    pub fn masked_reduce_reads_csr(&self) -> bool {
-        self.swept(CSR_REDUCE_BELOW_BITS_PER_TILE).is_none()
-    }
-
-    /// Whether this matrix's Boolean products read the CSR the backend
-    /// already holds (`csr_t` or `csr`, whichever the product walks) instead
-    /// of tiles.  Without tiles they do, on `f32`, like every other product.
-    /// With tiles — pull and push, in node words (`bits_product`:
-    /// [`Op::vxm_bits`](super::Op::vxm_bits)) and lane words
-    /// (`lane_product`: [`Op::mxm_lanes`](super::Op::mxm_lanes)), and so the
-    /// `f32` Boolean arms of `mxv_into` / `mxm_into` — when the fill is under
-    /// [`CSR_PULL_BELOW_BITS_PER_TILE`], decided as for
-    /// [`full_pull_reads_csr`](Self::full_pull_reads_csr).  OR is exact, so
-    /// the two paths give the same words.
-    pub fn boolean_reads_csr(&self) -> bool {
-        self.full_pull_reads_csr()
     }
 
     /// The B2SR representation, if the matrix has tiles.
@@ -682,24 +622,18 @@ impl BitB2sr {
         self.tiles.as_ref().map(|t| t.rep(true))
     }
 
-    /// The tile size of the B2SR representation, if the matrix has tiles.
-    pub fn tile_size(&self) -> Option<TileSize> {
-        self.b2sr().map(B2srMatrix::tile_size)
-    }
-
     /// The batched Boolean product in lane words, `yw = (A ⊕.⊗ xw) &
     /// !excluded` (on `Aᵀ` with `transpose`): `xw` and `excluded` hold
     /// `k.div_ceil(64)` words per node ([`LaneBits`](super::LaneBits)'s
     /// layout), `frontier` is `mxm_into`'s — `Some(ascending nodes holding a
     /// set lane)` for push — and `yw` is a pooled buffer sized here.  Not a
     /// trait method: the op layer ([`Op::mxm_lanes`](super::Op::mxm_lanes))
-    /// finds it by downcast on a tiled matrix, and the `f32` Boolean arm of
-    /// `mxm_into` ([`boolean_batch`](Self::boolean_batch)) runs it between a
-    /// pack and an expand.  A matrix whose Boolean products read the CSR
-    /// ([`boolean_reads_csr`](Self::boolean_reads_csr)) runs
-    /// [`csr_lanes_pull`] on `csr_rep(transpose)` or scatters
-    /// [`csr_lanes_push`] from `csr_rep(!transpose)`; any other sweeps or
-    /// scatters its tiles.  Both give the same words.
+    /// finds it by downcast on a `Backend::Bit` matrix, and the `f32` Boolean
+    /// arm of `mxm_into` ([`boolean_batch`](Self::boolean_batch)) runs it
+    /// between a pack and an expand.  A tiled matrix sweeps or scatters its
+    /// tiles; one without runs [`csr_lanes_pull`] on `csr_rep(transpose)` or
+    /// scatters [`csr_lanes_push`] serially from `csr_rep(!transpose)`.  Both
+    /// give the same words.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn lane_product(
         &self,
@@ -712,35 +646,30 @@ impl BitB2sr {
         yw: &mut Vec<u64>,
     ) {
         let wpn = lane_words_per_node(k);
-        let tiles = self.word_tiles();
-        let routed = tiles.reads_csr(CSR_PULL_BELOW_BITS_PER_TILE);
-        match frontier {
-            Some(frontier) if routed => {
-                let csr = csr_rep(self, !transpose);
-                let scatter = |segment: &[usize], chunk: &mut [u64]| {
-                    csr_lanes_push(csr, segment, xw, wpn, chunk)
-                };
+        match (frontier, &self.tiles) {
+            (Some(frontier), Some(tiles)) => with_b2sr!(tiles.rep(!transpose), |m| {
                 let plan = tiles.scatter_plan(transpose, self.nnz());
-                let words = csr.ncols() * wpn;
-                or_scatter(ws, plan, frontier, wpn, words, excluded, yw, scatter)
-            }
-            Some(frontier) => with_b2sr!(tiles.rep(!transpose), |m| {
-                let scatter = |segment: &[usize], chunk: &mut [u64]| {
-                    bmm_push_bits(m, segment, xw, wpn, chunk)
-                };
-                let plan = tiles.scatter_plan(transpose, self.nnz());
-                let words = m.ncols() * wpn;
-                or_scatter(ws, plan, frontier, wpn, words, excluded, yw, scatter)
+                or_into(yw, m.ncols() * wpn, excluded, |y| {
+                    push_scatter(ws, plan, frontier, wpn, y, |segment, chunk| {
+                        bmm_push_bits(m, segment, xw, wpn, chunk)
+                    })
+                })
             }),
-            None if routed => {
+            (Some(frontier), None) => {
+                let csr = csr_rep(self, !transpose);
+                or_into(yw, csr.ncols() * wpn, excluded, |y| {
+                    csr_lanes_push(csr, frontier, xw, wpn, y)
+                })
+            }
+            (None, Some(tiles)) => with_b2sr!(tiles.rep(transpose), |m| lane_pull(
+                m, xw, k, excluded, ws, yw
+            )),
+            (None, None) => {
                 let csr = csr_rep(self, transpose);
                 yw.clear();
                 yw.resize(csr.nrows() * wpn, 0);
                 csr_lanes_pull(csr, xw, k, excluded, yw);
             }
-            None => with_b2sr!(tiles.rep(transpose), |m| lane_pull(
-                m, xw, k, excluded, ws, yw
-            )),
         }
     }
 
@@ -750,10 +679,10 @@ impl BitB2sr {
     /// `Some(ascending set indices of xw)` for push, which reads no `xw` —
     /// and `yw` is a pooled buffer sized here.
     /// [`lane_product`](Self::lane_product)'s one-bit sibling, found the same
-    /// way ([`Op::vxm_bits`](super::Op::vxm_bits)) and routed the same way
-    /// ([`csr_bits_pull`], [`csr_bits_push`]); the `f32` Boolean arm of
-    /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
-    /// a pack and an expand.
+    /// way ([`Op::vxm_bits`](super::Op::vxm_bits)) and run without tiles the
+    /// same way ([`csr_bits_pull`], [`csr_bits_push`]); the `f32` Boolean arm
+    /// of `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it
+    /// between a pack and an expand.
     pub(crate) fn bits_product(
         &self,
         xw: &[u64],
@@ -763,35 +692,33 @@ impl BitB2sr {
         ws: &Workspace,
         yw: &mut Vec<u64>,
     ) {
-        let tiles = self.word_tiles();
-        let routed = tiles.reads_csr(CSR_PULL_BELOW_BITS_PER_TILE);
-        match frontier {
-            Some(frontier) if routed => {
-                let csr = csr_rep(self, !transpose);
-                let scatter =
-                    |segment: &[usize], chunk: &mut [u64]| csr_bits_push(csr, segment, chunk);
-                let plan = tiles.scatter_plan(transpose, self.nnz());
-                let words = csr.ncols().div_ceil(64);
-                or_scatter(ws, plan, frontier, 1, words, excluded, yw, scatter)
-            }
-            Some(frontier) => {
+        match (frontier, &self.tiles) {
+            (Some(frontier), Some(tiles)) => {
                 let plan = tiles.scatter_plan(transpose, self.nnz());
                 with_b2sr!(tiles.rep(!transpose), |m| bits_push(
                     m, frontier, plan, excluded, ws, yw
                 ))
             }
-            None if routed => {
+            (Some(frontier), None) => {
+                let csr = csr_rep(self, !transpose);
+                or_into(yw, csr.ncols().div_ceil(64), excluded, |y| {
+                    csr_bits_push(csr, frontier, y)
+                })
+            }
+            (None, Some(tiles)) => {
+                with_b2sr!(tiles.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw))
+            }
+            (None, None) => {
                 let csr = csr_rep(self, transpose);
                 yw.clear();
                 yw.resize(csr.nrows().div_ceil(64), 0);
                 csr_bits_pull(csr, xw, excluded, yw);
             }
-            None => with_b2sr!(tiles.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw)),
         }
     }
 
-    /// The `f32` Boolean product of a single-vector pipeline on a tiled
-    /// matrix: the operand packed into node words →
+    /// The `f32` Boolean product of a single-vector pipeline on a
+    /// `Backend::Bit` matrix: the operand packed into node words →
     /// [`bits_product`](Self::bits_product) → the words expanded to a `0.0`
     /// / `1.0` indicator, and the collapsed epilogue (if any) over the
     /// expansion.  A pull takes the mask into the product as suppressed
@@ -832,7 +759,8 @@ impl BitB2sr {
         p.finish_in_place(out);
     }
 
-    /// The `f32` Boolean product of a batched pipeline on a tiled matrix:
+    /// The `f32` Boolean product of a batched pipeline on a `Backend::Bit`
+    /// matrix:
     /// [`boolean_vector`](Self::boolean_vector) in lane words, through
     /// [`lane_product`](Self::lane_product).  A pull takes the flat mask as
     /// suppressed lane words, so fully-masked rows (every lane visited, the
@@ -878,24 +806,17 @@ impl BitB2sr {
     }
 }
 
-/// A Boolean word scatter through [`push_scatter`] on a shard plan and its
-/// average degree: `yw` is sized to `words` zeros, `scatter` ORs a frontier
-/// segment's edges into its chunk (`lanes` words per output node), and the
-/// result is finished with the AND-NOT of `excluded`.
-#[allow(clippy::too_many_arguments)]
-fn or_scatter(
-    ws: &Workspace,
-    plan: (&ShardPlan, usize),
-    frontier: &[usize],
-    lanes: usize,
+/// A Boolean word push into `yw`: sized to `words` zeros, ORed into by
+/// `scatter`, and finished with the AND-NOT of `excluded`.
+fn or_into(
+    yw: &mut Vec<u64>,
     words: usize,
     excluded: Option<&[u64]>,
-    yw: &mut Vec<u64>,
-    scatter: impl Fn(&[usize], &mut [u64]) + Sync,
+    scatter: impl FnOnce(&mut [u64]),
 ) {
     yw.clear();
     yw.resize(words, 0);
-    push_scatter(ws, plan, frontier, lanes, yw, scatter);
+    scatter(yw);
     if let Some(excluded) = excluded {
         simd::andnot_into(yw, excluded);
     }
@@ -1103,7 +1024,7 @@ fn bit_mxm_pull<W: BitWord + Poolable>(
 
 impl GrbBackend for BitB2sr {
     fn kind(&self) -> Backend {
-        self.tile_size().map_or(Backend::FloatCsr, Backend::Bit)
+        self.kind
     }
 
     fn nrows(&self) -> usize {
@@ -1128,11 +1049,11 @@ impl GrbBackend for BitB2sr {
 
     fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            _ if p.semiring == Semiring::Boolean && self.tiles.is_some() => {
+            _ if p.semiring == Semiring::Boolean && matches!(self.kind, Backend::Bit(_)) => {
                 self.boolean_vector(p, ws, out)
             }
             Some(frontier) => csr_push_vector(csr_rep(self, !p.transpose), p, frontier, out),
-            None => match self.swept(CSR_PULL_BELOW_BITS_PER_TILE) {
+            None => match &self.tiles {
                 Some(tiles) => with_b2sr!(tiles.rep(p.transpose), |m| bit_pull(m, p, out)),
                 None => csr_pull(csr_rep(self, p.transpose), p, out),
             },
@@ -1141,11 +1062,11 @@ impl GrbBackend for BitB2sr {
 
     fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         match p.frontier {
-            _ if p.semiring == Semiring::Boolean && self.tiles.is_some() => {
+            _ if p.semiring == Semiring::Boolean && matches!(self.kind, Backend::Bit(_)) => {
                 self.boolean_batch(p, ws, out)
             }
             Some(frontier) => csr_push_batch(csr_rep(self, !p.transpose), p, frontier, out),
-            None => match self.swept(CSR_PULL_BELOW_BITS_PER_TILE) {
+            None => match &self.tiles {
                 Some(tiles) => with_b2sr!(tiles.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
                 None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
             },
@@ -1158,18 +1079,12 @@ impl GrbBackend for BitB2sr {
         mask: &dyn GrbBackend,
         transpose_b: bool,
     ) -> f64 {
-        // Missing or hypersparse tiles count over the CSRs.  Otherwise the
-        // one-call bit path needs all three operands tiled at the same size;
-        // anything else goes through the CSR count too.
+        // The one-call bit path needs all three operands tiled at the same
+        // size; anything else counts over the CSRs.
         fn tiles(o: &dyn GrbBackend) -> Option<&Tiles> {
             o.as_any().downcast_ref::<BitB2sr>()?.tiles.as_ref()
         }
-        let operands = (
-            self.swept(CSR_REDUCE_BELOW_BITS_PER_TILE),
-            tiles(b),
-            tiles(mask),
-        );
-        let (Some(at), Some(bt), Some(mt)) = operands else {
+        let (Some(at), Some(bt), Some(mt)) = (self.tiles.as_ref(), tiles(b), tiles(mask)) else {
             return csr_mxm_reduce_masked(self, b, mask, transpose_b);
         };
         // The kernel reads the second factor's transpose by rows.
@@ -1193,6 +1108,7 @@ impl GrbBackend for BitB2sr {
 
     fn transpose_view(&self) -> Box<dyn GrbBackend> {
         Box::new(BitB2sr {
+            kind: self.kind,
             csr: self.csr_t().clone(),
             csr_t: OnceLock::from(self.csr.clone()),
             tiles: self.tiles.as_ref().map(Tiles::transposed),
@@ -1244,9 +1160,9 @@ impl plan::FinishSink for CsrPullSink<'_, '_> {
 }
 
 /// The row pull of a single-vector pipeline over `csr`, bare or fused alike
-/// ([`CsrPullSink`]) — every pull of a matrix without tiles, a tiled one's
-/// full-precision pull when its tiles are too sparse to sweep, and a
-/// one-lane batch's on either ([`csr_mxm_pull`]).
+/// ([`CsrPullSink`]) — every full-precision pull of a matrix without tiles
+/// (and the float baseline's Boolean one), a one-lane batch's included
+/// ([`csr_mxm_pull`]).
 fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     out.clear();
     out.resize(csr.nrows(), 0.0);
@@ -1302,8 +1218,9 @@ fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     p.finish_in_place(out);
 }
 
-/// Every full-precision push — any `f32` semiring on a tiled matrix, every
-/// semiring on one without tiles, and so a `DeltaOverlay`'s over either:
+/// Every full-precision push — any `f32` semiring on a `Backend::Bit`
+/// matrix, tiled or not, every semiring on the float baseline, and so a
+/// `DeltaOverlay`'s over either:
 /// seed the output ([`seed_push_output`]), run [`csr_push_full`] once over
 /// the whole ascending frontier of `csr`, the representation whose rows are
 /// the frontier's domain, and finish what the seed did not.  Serial by
@@ -1406,18 +1323,31 @@ pub(super) mod tests {
         out
     }
 
-    /// The flag of a built matrix's pull route: `Some` on a [`BitB2sr`].
-    fn pull_reads_csr(b: &dyn GrbBackend) -> Option<bool> {
-        b.as_any()
-            .downcast_ref::<BitB2sr>()
-            .map(BitB2sr::full_pull_reads_csr)
+    /// Whether a built matrix holds no tiles: `Some` on a [`BitB2sr`].
+    fn untiled(b: &dyn GrbBackend) -> Option<bool> {
+        let bit = b.as_any().downcast_ref::<BitB2sr>();
+        bit.map(|b| b.b2sr().is_none())
+    }
+
+    /// `csr`'s `Backend::Bit(ts)` backend with the tile choice forced: the
+    /// same CSR with tiles or without, whatever its fill — twins whose
+    /// products must agree bit for bit.
+    fn twin(csr: &Csr, ts: TileSize, tiled: bool) -> BitB2sr {
+        let csr = binary_copy(csr);
+        let b2sr = tiled.then(|| B2srMatrix::from_csr(&csr, ts));
+        BitB2sr {
+            kind: Backend::Bit(ts),
+            csr,
+            csr_t: OnceLock::new(),
+            tiles: b2sr.map(|b2sr| Tiles::new(b2sr, ShardConfig::default())),
+        }
     }
 
     #[test]
     fn backends_agree_through_the_trait_object() {
-        // A scattered graph, whose pulls read the CSR, and a banded one,
-        // whose pulls sweep the tiles.
-        for (csr, routed) in [(sample(70, 5), true), (banded(70, 6), false)] {
+        // A scattered graph, which holds no tiles, and a banded one, whose
+        // pulls sweep its tiles.
+        for (csr, hypersparse) in [(sample(70, 5), true), (banded(70, 6), false)] {
             let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32).collect();
             let backends: Vec<Box<dyn GrbBackend>> = vec![
                 Box::new(float_csr(&csr)),
@@ -1426,7 +1356,7 @@ pub(super) mod tests {
             ];
             let reference = product(&*backends[0], &x, Semiring::Arithmetic);
             for b in &backends[1..] {
-                assert_eq!(pull_reads_csr(&**b), Some(routed), "{:?}", b.kind());
+                assert_eq!(untiled(&**b), Some(hypersparse), "{:?}", b.kind());
                 let got = product(&**b, &x, Semiring::Arithmetic);
                 for (g, r) in got.iter().zip(&reference) {
                     assert!((g - r).abs() < 1e-4, "{:?}", b.kind());
@@ -1435,88 +1365,161 @@ pub(super) mod tests {
         }
     }
 
-    /// Both crossovers lie strictly between the repo benchmark's two fills,
-    /// so the one graph routes and a retune cannot silently route the other.
-    /// The pull's, which the Boolean products share: R-MAT(14, 16) at 2.0
-    /// bits per B2SR-8 tile, the banded mesh at 51.8 — the Boolean flag is
-    /// checked on the two graphs themselves.  The masked reduction's, on the
-    /// lower triangles Triangle Counting reduces: R-MAT's `L` at 2.03, the
-    /// mesh's at 46.5 — built here as the benchmark builds them, through
-    /// `Matrix::lower_triangle`.  The flags follow their definition on both
-    /// sides, the transpose view and a matrix clone keep them (`Aᵀ` has the
-    /// same edges and tiles), and a compaction re-derives them from its
-    /// tiles.  A matrix without tiles reads the CSR for everything.
+    /// Tiles exist exactly where they fill to [`MIN_TILE_FILL`]
+    /// bits — the counted `nnz / n_tiles` — at every width, on the repo
+    /// benchmark's two graphs and on the lower triangles Triangle Counting
+    /// reduces, built as the benchmark builds them
+    /// (`Matrix::lower_triangle`).  At B2SR-8, R-MAT(14, 16) at 2.0 bits per
+    /// tile and its `L` at 2.03 hold none; the mesh at 51.8 and its `L` at
+    /// 46.5 hold tiles, so a retune of the constant between the two cannot
+    /// silently tile the one or untile the other.  The choice survives the
+    /// transpose view, a matrix clone and a compaction, and a compaction
+    /// that crosses the fill re-decides it either way.  A `Backend::Bit`
+    /// matrix without tiles keeps its kind and its word product, has no
+    /// shard plan, reports its CSR's bytes, and pushes its Boolean words
+    /// serially on a four-thread context.
     #[test]
-    fn crossover_separates_the_benchmark_graphs() {
+    fn tiles_exist_only_where_a_product_sweeps_them() {
         use crate::delta::EdgeDelta;
+        use crate::grb::{LaneBits, NodeBits};
         use bitgblas_datagen::generators;
 
-        const PULL: f64 = CSR_PULL_BELOW_BITS_PER_TILE;
-        const REDUCE: f64 = CSR_REDUCE_BELOW_BITS_PER_TILE;
-        const { assert!(2.0 < PULL && PULL < 51.8) };
-        const { assert!(2.03 < REDUCE && REDUCE < 46.5) };
-        for (csr, routed) in [(sample(300, 7), true), (banded(300, 6), false)] {
-            let b = bit_b2sr(&csr, TileSize::S8);
-            let fill = csr.nnz() as f64 / b.b2sr().unwrap().n_tiles() as f64;
-            assert_eq!(b.full_pull_reads_csr(), routed, "{fill} bits per tile");
-            assert_eq!(pull_reads_csr(&*b.transpose_view()), Some(routed));
-            let f = float_csr(&csr);
-            let flags = |b: &BitB2sr| {
-                let flags = [b.full_pull_reads_csr(), b.boolean_reads_csr()];
-                (flags, b.masked_reduce_reads_csr())
-            };
-            assert_eq!(flags(&f), ([true, true], true), "no tiles");
-        }
-
-        let reduce_reads_csr = |b: &dyn GrbBackend| {
-            b.as_any()
-                .downcast_ref::<BitB2sr>()
-                .map(BitB2sr::masked_reduce_reads_csr)
-        };
-        // The Boolean products' flag, on the graphs themselves.
-        let boolean_reads_csr = |b: &dyn GrbBackend| {
-            b.as_any()
-                .downcast_ref::<BitB2sr>()
-                .map(BitB2sr::boolean_reads_csr)
-        };
+        const { assert!(2 < MIN_TILE_FILL && MIN_TILE_FILL < 46) };
         let rmat = generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized();
         let mesh = generators::banded(2048, 32, 0.7, 5);
-        for (adj, (lo, hi), routed) in [(&rmat, (1.9, 2.1), true), (&mesh, (51.0, 52.0), false)] {
-            let a = Matrix::from_csr(adj, Backend::Bit(TileSize::S8));
-            let fill = a.nnz() as f64 / a.b2sr().unwrap().n_tiles() as f64;
-            assert!(lo < fill && fill < hi, "{fill} bits per tile");
-            let b = a.state();
-            assert_eq!(boolean_reads_csr(b), Some(routed), "{fill} bits per tile");
-            assert_eq!(boolean_reads_csr(&*b.transpose_view()), Some(routed));
-            assert_eq!(boolean_reads_csr(a.clone().state()), Some(routed));
-            let n = a.nrows();
-            a.apply_deltas(&[EdgeDelta::insert(n - 1, 0)]).unwrap();
-            a.compact(a.context()).unwrap();
-            assert_eq!(boolean_reads_csr(a.snapshot().state()), Some(routed));
+        let fills = |m: &Matrix, ts: TileSize| {
+            let n_tiles = count_tiles(m.csr(), ts.dim());
+            (
+                m.nnz() >= MIN_TILE_FILL * n_tiles,
+                m.nnz() as f64 / n_tiles as f64,
+            )
+        };
+        for ts in TileSize::ALL {
+            for adj in [&rmat, &mesh] {
+                let a = Matrix::from_csr(adj, Backend::Bit(ts));
+                for m in [a.lower_triangle(), a] {
+                    let (tiled, fill) = fills(&m, ts);
+                    let what = format!("{ts:?}: {fill} bits per tile");
+                    assert_eq!(m.b2sr().is_some(), tiled, "{what}");
+                    assert_eq!(m.resolved_backend(), Backend::Bit(ts), "{what}");
+                    let t = m.state().transpose_view();
+                    assert_eq!(
+                        (untiled(&*t), t.kind()),
+                        (Some(!tiled), m.resolved_backend())
+                    );
+                    assert_eq!(m.clone().b2sr().is_some(), tiled, "{what}");
+                    let n = m.nrows();
+                    m.apply_deltas(&[EdgeDelta::insert(n - 1, 0)]).unwrap();
+                    let report = m.compact(m.context()).unwrap();
+                    assert_eq!(m.snapshot().b2sr().is_some(), tiled, "{what}");
+                    if !tiled {
+                        assert_eq!(report.tiles_retiled + report.tiles_spliced, 0);
+                    }
+                }
+            }
         }
+        // The pins: where the benchmark's graphs sit at B2SR-8.
+        let s8 = |adj: &Csr| Matrix::from_csr(adj, Backend::Bit(TileSize::S8));
+        for (adj, (lo, hi), (l_lo, l_hi)) in [
+            (&rmat, (1.9, 2.1), (2.0, 2.1)),
+            (&mesh, (51.0, 52.0), (46.0, 47.0)),
+        ] {
+            let a = s8(adj);
+            let (_, fill) = fills(&a, TileSize::S8);
+            assert!(lo < fill && fill < hi, "{fill} bits per tile");
+            let (_, fill) = fills(&a.lower_triangle(), TileSize::S8);
+            assert!(l_lo < fill && fill < l_hi, "L: {fill} bits per tile");
+        }
+        let (r, m) = (s8(&rmat), s8(&mesh));
+        assert!(r.b2sr().is_none() && r.lower_triangle().b2sr().is_none());
+        assert!(m.b2sr().is_some() && m.lower_triangle().b2sr().is_some());
 
-        for (adj, (lo, hi), routed) in [(rmat, (2.0, 2.1), true), (mesh, (46.0, 47.0), false)] {
-            let l = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8)).lower_triangle();
-            let fill = l.nnz() as f64 / l.b2sr().unwrap().n_tiles() as f64;
-            assert!(lo < fill && fill < hi, "{fill} bits per tile");
-            let b = l.state();
-            assert_eq!(reduce_reads_csr(b), Some(routed), "{fill} bits per tile");
-            assert_eq!(reduce_reads_csr(&*b.transpose_view()), Some(routed));
-            assert_eq!(reduce_reads_csr(l.clone().state()), Some(routed));
-            let n = l.nrows();
-            let deltas = [EdgeDelta::insert(n - 1, 0), EdgeDelta::insert(n / 2, 1)];
-            l.apply_deltas(&deltas).unwrap();
-            l.compact(l.context()).unwrap();
-            assert_eq!(l.compactions(), 1);
-            assert_eq!(reduce_reads_csr(l.snapshot().state()), Some(routed));
+        // A tile-less bit matrix: its kind, its word product, its CSR's
+        // bytes, no shard plan, and serial Boolean pushes at four threads.
+        let ctx = Context::with_threads(4);
+        let a = Matrix::from_csr_ctx(&rmat, Backend::Bit(TileSize::S8), &ctx);
+        assert_eq!(a.resolved_backend(), Backend::Bit(TileSize::S8));
+        assert_eq!(a.storage_bytes(), a.csr().storage_bytes());
+        let n = a.nrows();
+        let half: Vec<usize> = (0..n).step_by(2).collect();
+        let frontier = NodeBits::from_indices(n, &half);
+        let lanes = LaneBits::from_sources(n, &half[..64]);
+        for d in [Direction::Push, Direction::Pull] {
+            let next = Op::vxm_bits(&frontier, &a).direction(d).try_run(&ctx);
+            assert!(next.unwrap().is_some(), "{d:?}");
+            let next = Op::mxm_lanes(&a, &lanes)
+                .transpose()
+                .direction(d)
+                .try_run(&ctx);
+            assert!(next.unwrap().is_some(), "{d:?}");
+            let x = Vector::indicator(n, &half);
+            let _ = Op::vxm(&x, &a)
+                .semiring(Semiring::Boolean)
+                .direction(d)
+                .run(&ctx);
         }
+        assert_eq!(ctx.stats().push_mxv, 2);
+        assert_eq!(ctx.stats().sharded_push, 0);
+        let b = a.state();
+        assert!(b.shard_plan(false).is_none() && b.shard_plan(true).is_none());
+        // The same pushes on the tiled mesh do shard: the check can fail.
+        let m = Matrix::from_csr_ctx(&mesh, Backend::Bit(TileSize::S8), &ctx);
+        let frontier = NodeBits::from_indices(m.nrows(), &(0..m.nrows()).collect::<Vec<_>>());
+        let next = Op::vxm_bits(&frontier, &m)
+            .direction(Direction::Push)
+            .try_run(&ctx);
+        assert!(next.unwrap().is_some());
+        assert!(ctx.stats().sharded_push > 0);
+
+        // A compaction across the fill: 64 tiles of one bit each gain four
+        // bits each (5 bits per tile: tiled), then lose them again.
+        let mut thin = Coo::new(64, 64);
+        for t in 0..64 {
+            thin.push_edge((t / 8) * 8, (t % 8) * 8).unwrap();
+        }
+        let thin = thin.to_binary_csr();
+        let fill_in: Vec<EdgeDelta> = (0..64)
+            .flat_map(|t| (1..5).map(move |i| EdgeDelta::insert((t / 8) * 8 + i, (t % 8) * 8 + i)))
+            .collect();
+        let a = s8(&thin);
+        assert!(a.b2sr().is_none());
+        a.apply_deltas(&fill_in).unwrap();
+        let gained = a.compact(a.context()).unwrap();
+        let dense = a.snapshot();
+        assert_eq!(dense.b2sr(), s8(dense.csr()).b2sr());
+        assert_eq!(dense.b2sr().map(B2srMatrix::n_tiles), Some(64));
+        assert_eq!(
+            (
+                gained.tile_rows_retiled,
+                gained.tiles_retiled,
+                gained.tiles_spliced
+            ),
+            (8, 64, 0)
+        );
+        let thinning: Vec<EdgeDelta> = fill_in
+            .iter()
+            .map(|d| EdgeDelta::delete(d.row, d.col))
+            .collect();
+        a.apply_deltas(&thinning).unwrap();
+        let lost = a.compact(a.context()).unwrap();
+        assert_eq!(a.snapshot().csr(), &thin);
+        assert!(a.snapshot().b2sr().is_none());
+        assert_eq!(
+            (
+                lost.tile_rows_retiled,
+                lost.tiles_retiled,
+                lost.tiles_spliced
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(a.snapshot().resolved_backend(), Backend::Bit(TileSize::S8));
     }
 
     /// Scattered edges of a ragged rectangular matrix (2001 × 1501, no side
     /// a tile multiple) plus eight hub rows and eight hub columns of 60
-    /// edges: a bit or two per tile at every width, so every product routes
-    /// to the CSR, and lines long enough that another fold order would
-    /// change their float sums.
+    /// edges: a bit or two per tile at every width, so it holds no tiles,
+    /// and lines long enough that another fold order would change their
+    /// float sums.
     fn ragged_with_hubs() -> Csr {
         let (nrows, ncols) = (2001, 1501);
         let mut coo = sample_coo(nrows, ncols, 1500, 17);
@@ -1531,11 +1534,10 @@ pub(super) mod tests {
         coo.to_binary_csr()
     }
 
-    /// A routed pull is the tile sweep, bit for bit.  The backend no longer
-    /// sweeps the tiles of a matrix whose full-precision pulls read the CSR,
-    /// so the sweep bodies are called here directly — `bit_pull` (over
-    /// `bmv_bin_full_full_fused_into`) and `bit_mxm_pull` (over
-    /// `bmm_bin_full_into`) — against `mxv_into` / `mxm_into`: every width,
+    /// A pull without tiles is the tile sweep, bit for bit: `mxv_into` /
+    /// `mxm_into` of the untiled ragged matrix against its tiled twin's,
+    /// which sweeps — `bit_pull` (over `bmv_bin_full_full_fused_into`) and
+    /// `bit_mxm_pull` (over `bmm_bin_full_into`) — at every width,
     /// both orientations of a ragged rectangular matrix, one lane and batches
     /// of 3 and 64; bare, affine (PageRank), `min`-accumulated (SSSP), masked
     /// and complemented-mask pipelines; operands and baselines holding NaN,
@@ -1562,7 +1564,8 @@ pub(super) mod tests {
         }];
         for ts in TileSize::ALL {
             let b = bit_b2sr(&csr, ts);
-            assert!(b.full_pull_reads_csr(), "{ts:?}");
+            assert!(b.b2sr().is_none(), "{ts:?}");
+            let tiled = twin(&csr, ts, true);
             for transpose in [false, true] {
                 let (produced, contracted) = if transpose {
                     (csr.ncols(), csr.nrows())
@@ -1607,12 +1610,11 @@ pub(super) mod tests {
                             );
                             let (mut got, mut want) = (Vec::new(), Vec::new());
                             b.mxm_into(&p, &ws, &mut got);
-                            let rep = b.word_tiles().rep(transpose);
-                            with_b2sr!(rep, |m| bit_mxm_pull(m, &p, &ws, &mut want));
+                            tiled.mxm_into(&p, &ws, &mut want);
                             assert_eq!(bits(&got), bits(&want), "mxm {what}");
                             if k == 1 {
                                 b.mxv_into(&p, &ws, &mut got);
-                                with_b2sr!(rep, |m| bit_pull(m, &p, &mut want));
+                                tiled.mxv_into(&p, &ws, &mut want);
                                 assert_eq!(bits(&got), bits(&want), "mxv {what}");
                             }
                         }
@@ -1622,20 +1624,11 @@ pub(super) mod tests {
         }
     }
 
-    /// `b` with its stored fill replaced: `0.0` routes every product that
-    /// can read the CSR there, NaN none — the same arrays on the other
-    /// route.
-    fn refilled(b: &BitB2sr, bits_per_tile: f64) -> BitB2sr {
-        let (mut twin, _) = BitB2sr::of_kind(b.csr.clone(), b.kind(), ShardConfig::default(), None);
-        twin.tiles.as_mut().unwrap().bits_per_tile = bits_per_tile;
-        twin
-    }
-
-    /// A routed Boolean product is the tile kernels' product, word for word:
-    /// node words ([`BitB2sr::bits_product`]), lane words
+    /// A Boolean product without tiles is the tile kernels' product, word
+    /// for word: node words ([`BitB2sr::bits_product`]), lane words
     /// ([`BitB2sr::lane_product`]) and the `f32` arms of `mxv_into` /
-    /// `mxm_into`, pull and push, on a matrix and its twin on the other
-    /// route — the ragged hub matrix (routed) and a banded one of 301
+    /// `mxm_into`, pull and push, on a matrix and its twin with the other
+    /// tile choice — the ragged hub matrix (untiled) and a banded one of 301
     /// vertices (tiled) at every width, both orientations, `k` of 1, 3, 64,
     /// 65 and 130 (one, two and three words per node, ragged last words);
     /// bare, masked and fully suppressed, from an empty, a thin and a
@@ -1643,12 +1636,11 @@ pub(super) mod tests {
     #[test]
     fn routed_boolean_products_equal_the_tile_kernels_bitwise() {
         let ws = Workspace::new();
-        for (csr, routed) in [(ragged_with_hubs(), true), (banded(301, 6), false)] {
+        for (csr, tiled) in [(ragged_with_hubs(), false), (banded(301, 6), true)] {
             for ts in TileSize::ALL {
                 let b = bit_b2sr(&csr, ts);
-                assert_eq!(b.boolean_reads_csr(), routed, "{ts:?}");
-                let twin = refilled(&b, if routed { f64::NAN } else { 0.0 });
-                assert_eq!(twin.boolean_reads_csr(), !routed);
+                assert_eq!(b.b2sr().is_some(), tiled, "{ts:?}");
+                let twin = twin(&csr, ts, !tiled);
                 for transpose in [false, true] {
                     let (produced, contracted) = if transpose {
                         (csr.ncols(), csr.nrows())
@@ -1656,7 +1648,7 @@ pub(super) mod tests {
                         (csr.nrows(), csr.ncols())
                     };
                     for k in [1usize, 3, 64, 65, 130] {
-                        let what = format!("{ts:?} routed={routed} transpose={transpose} k={k}");
+                        let what = format!("{ts:?} tiled={tiled} transpose={transpose} k={k}");
                         assert_boolean_twins_agree(
                             &b,
                             &twin,
@@ -1842,23 +1834,69 @@ pub(super) mod tests {
         }
     }
 
-    /// The tile kernel's triangle sum over `L`, called directly — the
-    /// reference for every `mxm_reduce_masked` path, whichever way `l`'s
-    /// own reduction routes.
-    fn tile_kernel_triangles(l: &BitB2sr) -> f64 {
-        with_b2sr!(l.b2sr().unwrap(), |m| bmm_bin_bin_sum_masked_nt(m, m, m)) as f64
+    /// The tile kernel's triangle sum over `L`, called directly on its tiled
+    /// B2SR-8 twin — the reference for every `mxm_reduce_masked` path,
+    /// whether or not `l` holds tiles itself.
+    fn tile_kernel_triangles(l: &Csr) -> f64 {
+        let tiled = twin(l, TileSize::S8, true);
+        with_b2sr!(tiled.b2sr().unwrap(), |m| bmm_bin_bin_sum_masked_nt(
+            m, m, m
+        )) as f64
+    }
+
+    /// A masked reduction without tiles is the tile kernel's, bit for bit:
+    /// `mxm_reduce_masked` over untiled twins (the CSR count) against tiled
+    /// ones (`bmm_bin_bin_sum_masked_nt`) at every width, `A · B` and
+    /// `A · Bᵀ`.  On the ragged hub matrix (`A · Aᵀ` under a scattered
+    /// square mask) and on Triangle Counting's `L` of a thin band at 3.6
+    /// bits per B2SR-8 tile — inside the 2.5–4 band where a matrix holds no
+    /// tiles although the tile kernel is the faster one at B2SR-4 and -8.
+    #[test]
+    fn masked_reduction_twins_agree_bitwise() {
+        use bitgblas_datagen::generators;
+
+        let ragged = ragged_with_hubs();
+        let ragged_t = ragged.transpose();
+        let mask = sample_coo(2001, 2001, 200_000, 41).to_binary_csr();
+        let l = generators::banded(2048, 32, 0.035, 5).lower_triangle();
+        let fill = l.nnz() as f64 / count_tiles(&l, 8) as f64;
+        assert!(2.5 < fill && fill < 4.0, "{fill} bits per tile");
+        // (a, b for `A · B`, b for `A · Bᵀ`, mask)
+        let cases = [
+            (&ragged, &ragged_t, &ragged, &mask),
+            (&l, &l.transpose(), &l, &l),
+        ];
+        for (case, (a, b, b_nt, mask)) in cases.into_iter().enumerate() {
+            for ts in TileSize::ALL {
+                let [got, want] = [false, true].map(|tiled| {
+                    let [a, b, b_nt, mask] = [a, b, b_nt, mask].map(|m| twin(m, ts, tiled));
+                    let product = a.mxm_reduce_masked(&b, &mask, false);
+                    (product, a.mxm_reduce_masked(&b_nt, &mask, true))
+                });
+                assert_eq!(
+                    got.0.to_bits(),
+                    want.0.to_bits(),
+                    "case {case} {ts:?} A · B"
+                );
+                assert_eq!(
+                    got.1.to_bits(),
+                    want.1.to_bits(),
+                    "case {case} {ts:?} A · Bᵀ"
+                );
+                assert!(got.0 > 0.0 && got.0 == got.1, "case {case} {ts:?}: {got:?}");
+            }
+        }
     }
 
     /// Direct coverage of the `csr_mxm_reduce_masked` fallback: every
     /// mixed-backend operand combination must produce the same triangle sum
     /// as the tile kernel, straight through the free function (not just
     /// incidentally via TC parity runs) — in both orientations of the second
-    /// operand (`L · (Lᵀ)` and `L · (L)ᵀ`) — on an `L` whose own reduction
-    /// intersects tiles and on one (under 2.5 bits per tile) whose own
-    /// reduction counts over the CSRs.
+    /// operand (`L · (Lᵀ)` and `L · (L)ᵀ`) — on an `L` that holds tiles and
+    /// on one (under 4 bits per tile) that does not.
     #[test]
     fn csr_fallback_is_exact_for_every_mixed_operand_combination() {
-        for (n, seed, routed) in [(72, 21, false), (300, 7, true)] {
+        for (n, seed, untiled) in [(72, 21, false), (300, 7, true)] {
             let adj = sample(n, seed).symmetrized().without_diagonal();
             let l = adj.lower_triangle();
             let lt = l.transpose();
@@ -1867,10 +1905,10 @@ pub(super) mod tests {
             let b_bit = bit_b2sr(&lt, TileSize::S8);
             let a_f = float_csr(&l);
             let b_f = float_csr(&lt);
-            assert_eq!(a_bit.masked_reduce_reads_csr(), routed, "n = {n}");
+            assert_eq!(a_bit.b2sr().is_none(), untiled, "n = {n}");
 
             // The popcount BMM, called directly, is the reference.
-            let expected = tile_kernel_triangles(&a_bit);
+            let expected = tile_kernel_triangles(&l);
             assert!(expected > 0.0, "sample graph must contain triangles");
             assert_eq!(a_bit.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
             assert_eq!(a_bit.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
@@ -1916,7 +1954,7 @@ pub(super) mod tests {
         let mixed = a.mxm_reduce_masked(&b, &m, false);
         let uniform_b = bit_b2sr(&l_csr.transpose(), TileSize::S8);
         let bit = a.mxm_reduce_masked(&uniform_b, &a, false);
-        assert_eq!(bit, tile_kernel_triangles(&a));
+        assert_eq!(bit, tile_kernel_triangles(&l_csr));
         assert_eq!(mixed, bit, "fallback must produce the same triangle sum");
         // B2SR-4 and B2SR-8 share the `u8` packing word but not the kernel.
         let b4 = bit_b2sr(&l_csr.transpose(), TileSize::S4);
@@ -2098,11 +2136,12 @@ pub(super) mod tests {
         assert_eq!(spy(&external), (expected_calls, 4));
     }
 
-    /// The one sharded-or-serial routine over its four scatter shapes
-    /// (Boolean tile words and tile lane words, the CSR node words and lane
-    /// words): engaged on a multi-shard plan of a rectangular matrix, its
-    /// output is the serial kernel's on the whole frontier at 1/2/4/8
-    /// threads.  Full-precision pushes never reach it
+    /// The one sharded-or-serial routine over its two scatter shapes
+    /// (Boolean tile words and tile lane words): engaged on a multi-shard
+    /// plan of a rectangular matrix, its output is the serial kernel's on
+    /// the whole frontier at 1/2/4/8 threads.  The CSR node-word and
+    /// lane-word pushes of a matrix without tiles never reach it and OR the
+    /// same bits serially; neither do full-precision pushes
     /// (`tests/backend_parity.rs::full_precision_push_scatters_serially_on_a_sharded_context`).
     #[test]
     fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
@@ -2171,30 +2210,19 @@ pub(super) mod tests {
         lanes(&frontier, &mut serial_lanes);
         assert_eq!(got, serial_lanes);
 
-        // The CSR node-word and lane-word scatters of a routed matrix: the
-        // same ORs as the tile scatters above (the bits of `words` and
-        // `lanes`), and the engagement test counts node words.
-        let node_words = |seg: &[usize], chunk: &mut [u64]| csr_bits_push(&a, seg, chunk);
-        let got = at_every_budget(
-            "csr node words",
-            |ws, y| push_scatter(ws, plan, &frontier, 1, y, node_words),
-            vec![0u64; ncols.div_ceil(64)],
-        );
-        let mut serial = vec![0u64; ncols.div_ceil(64)];
-        node_words(&frontier, &mut serial);
-        assert_eq!(got, serial);
+        // The serial CSR node-word and lane-word pushes of a matrix without
+        // tiles: the same ORs as the tile scatters above (the bits of
+        // `words` and `lanes`).
+        let mut node_words = vec![0u64; ncols.div_ceil(64)];
+        csr_bits_push(&a, &frontier, &mut node_words);
         let mut tiles = vec![0u8; b.n_tile_cols()];
         words(&frontier, &mut tiles);
         let mut joined = Vec::new();
         join_tile_words(&tiles, 8, ncols, &mut joined);
-        assert_eq!(got, joined, "the tile scatter's bits");
-        let csr_lanes = |seg: &[usize], chunk: &mut [u64]| csr_lanes_push(&a, seg, &xw, wpn, chunk);
-        let got = at_every_budget(
-            "csr lane words",
-            |ws, y| push_scatter(ws, plan, &frontier, wpn, y, csr_lanes),
-            vec![0u64; ncols * wpn],
-        );
-        assert_eq!(got, serial_lanes, "the tile lane scatter's words");
+        assert_eq!(node_words, joined, "the tile scatter's bits");
+        let mut csr_lanes = vec![0u64; ncols * wpn];
+        csr_lanes_push(&a, &frontier, &xw, wpn, &mut csr_lanes);
+        assert_eq!(csr_lanes, serial_lanes, "the tile lane scatter's words");
 
         // A frontier too thin to pay for the merge stays serial.
         let ws = Workspace::new();

@@ -16,7 +16,10 @@ use super::op::Context;
 /// Which storage format and kernel family a [`Matrix`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Bit-GraphBLAS: B2SR storage + bit kernels (the paper's contribution).
+    /// Bit-GraphBLAS: B2SR storage + bit kernels (the paper's contribution)
+    /// where the tiles fill; a sparser matrix keeps the kind, holds no tiles
+    /// and runs on its CSR, its Boolean products in bit words
+    /// ([`MIN_TILE_FILL`](super::backend::MIN_TILE_FILL)).
     Bit(TileSize),
     /// The baseline: 32-bit-float CSR + reference kernels (GraphBLAST /
     /// cuSPARSE stand-in) — the built-in backend without tiles.
@@ -41,8 +44,9 @@ impl Backend {
 ///
 /// The matrix owns an [`Arc`]'d [`GrbBackend`] — the storage representation
 /// plus the kernels operating on it.  Construction with [`Backend::Bit`]
-/// builds the B2SR representation eagerly (the "one-time conversion cost"
-/// the paper amortizes); [`Backend::Auto`] first runs the format-selection
+/// builds the B2SR representation eagerly where its tiles fill (the
+/// "one-time conversion cost" the paper amortizes); [`Backend::Auto`] first
+/// runs the format-selection
 /// procedure of [`auto::auto_decision`].  Transposed representations are
 /// cached lazily inside the backend.
 ///
@@ -63,8 +67,8 @@ impl Backend {
 ///   matter how many writes land afterwards.  Each `Matrix` value is itself
 ///   such a pinned view (its own kernels never observe later epochs);
 /// * **compaction** — [`compact`](Matrix::compact) explicitly folds the log
-///   into fresh tiles of the same backend kind and re-plans row shards
-///   incrementally (only dirty shards are recut).
+///   into a fresh base of the same backend kind — tiles where they fill —
+///   and re-plans row shards incrementally (only dirty shards are recut).
 pub struct Matrix {
     requested: Backend,
     state: Arc<dyn GrbBackend>,
@@ -244,10 +248,10 @@ impl Matrix {
         self.state.csr()
     }
 
-    /// The B2SR view, present only when a bit backend is active *and* this
-    /// handle reads the compacted base directly (a snapshot with staged
-    /// deltas reads through the merge-on-read overlay instead, which serves
-    /// [`Matrix::csr`] but no B2SR view until the next
+    /// The B2SR view, present only when a [`Backend::Bit`] matrix holds
+    /// tiles (they fill) *and* this handle reads the compacted base directly
+    /// (a snapshot with staged deltas reads through the merge-on-read overlay
+    /// instead, which serves [`Matrix::csr`] but no B2SR view until the next
     /// [`compact`](Matrix::compact)).
     pub fn b2sr(&self) -> Option<&B2srMatrix> {
         self.state
@@ -262,7 +266,7 @@ impl Matrix {
     }
 
     /// The B2SR view of `A^T`, built and cached on first use (bit backends
-    /// only; see [`Matrix::b2sr`] for the overlay caveat).
+    /// that hold tiles only; see [`Matrix::b2sr`]).
     pub fn b2sr_t(&self) -> Option<&B2srMatrix> {
         self.state
             .as_any()
@@ -276,10 +280,9 @@ impl Matrix {
     }
 
     /// Storage bytes of the backend's primary representation: the B2SR
-    /// tiles for bit backends (whatever route a product reads — a
-    /// hypersparse bit matrix runs its products on the CSR it also holds,
-    /// which is not counted), the float CSR for the baseline, base + staged
-    /// patches for overlays.
+    /// tiles of a bit backend that holds them (the CSR it also holds is not
+    /// counted), the CSR of one that does not and of the float baseline,
+    /// base + staged patches for overlays.
     pub fn storage_bytes(&self) -> usize {
         self.state.storage_bytes()
     }
@@ -423,15 +426,23 @@ mod tests {
         Csr::from_coo(&coo)
     }
 
+    /// The sample fills its one B2SR-32 tile with 7 bits, and its four
+    /// B2SR-4 tiles with 1.75 bits each: tiles at the first width, none at
+    /// the second, the kind kept at both.
     #[test]
     fn construction_binarizes_and_builds_backend() {
-        let a = Matrix::from_csr(&sample(), Backend::Bit(TileSize::S4));
+        let a = Matrix::from_csr(&sample(), Backend::Bit(TileSize::S32));
         assert!(a.csr().is_binary());
         assert_eq!(a.nnz(), 7);
         assert!(a.b2sr().is_some());
         assert_eq!(a.b2sr().unwrap().nnz(), 7);
-        assert_eq!(a.b2sr().unwrap().tile_size(), TileSize::S4);
-        assert_eq!(a.resolved_backend(), Backend::Bit(TileSize::S4));
+        assert_eq!(a.b2sr().unwrap().tile_size(), TileSize::S32);
+        assert_eq!(a.resolved_backend(), Backend::Bit(TileSize::S32));
+
+        let thin = Matrix::from_csr(&sample(), Backend::Bit(TileSize::S4));
+        assert!(thin.csr().is_binary());
+        assert!(thin.b2sr().is_none() && thin.b2sr_t().is_none());
+        assert_eq!(thin.resolved_backend(), Backend::Bit(TileSize::S4));
 
         let f = Matrix::from_csr(&sample(), Backend::FloatCsr);
         assert!(f.b2sr().is_none());
@@ -488,13 +499,19 @@ mod tests {
         assert!(sym.is_symmetric());
     }
 
+    /// The tiles' bytes where a bit matrix holds tiles (14 bits in one
+    /// B2SR-32 tile), the CSR's where it does not (3.5 bits per B2SR-4 tile)
+    /// and on the float baseline.
     #[test]
     fn storage_bytes_reflect_backend() {
         let csr = sample().symmetrized();
-        let bit = Matrix::from_csr(&csr, Backend::Bit(TileSize::S4));
+        let bit = Matrix::from_csr(&csr, Backend::Bit(TileSize::S32));
+        let thin = Matrix::from_csr(&csr, Backend::Bit(TileSize::S4));
         let float = Matrix::from_csr(&csr, Backend::FloatCsr);
         assert_eq!(float.storage_bytes(), float.csr().storage_bytes());
         assert_eq!(bit.storage_bytes(), bit.b2sr().unwrap().storage_bytes());
+        assert!(thin.b2sr().is_none());
+        assert_eq!(thin.storage_bytes(), thin.csr().storage_bytes());
     }
 
     #[test]

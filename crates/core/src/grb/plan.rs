@@ -76,7 +76,7 @@ use super::error::GrbError;
 use super::expr::shape::FrontierSize;
 use super::expr::{eval_stages, Expr, Fusion, Operand, Producer, Stage};
 use super::lanebits::LaneBits;
-use super::matrix::Matrix;
+use super::matrix::{Backend, Matrix};
 use super::nodebits::NodeBits;
 use super::op::Context;
 use super::workspace::{ExecStats, Workspace};
@@ -634,10 +634,10 @@ pub(crate) mod words {
 /// on [`NodeBits`]): `next = (A ⊕.⊗ x) & !excluded`, on `Aᵀ` when
 /// `desc.transpose != flip`.  `Ok(None)` when the matrix's backend has no
 /// word product — found by downcast, like [`scatter_is_lane_sparse`]: a
-/// built [`BitB2sr`] with tiles does, and so does a `DeltaOverlay` over one
-/// (the base's product, then the overlay's word re-fold of the dirty rows
-/// the frontier reaches); the float baseline, a [`BitB2sr`] without tiles,
-/// does not.  Checks, fail point, direction resolution and counters are
+/// built [`BitB2sr`] of kind `Backend::Bit`, tiled or not, does, and so does
+/// a `DeltaOverlay` over one (the base's product, then the overlay's word
+/// re-fold of the dirty rows the frontier reaches); the float baseline does
+/// not.  Checks, fail point, direction resolution and counters are
 /// `execute_product::<V>`'s for a Boolean product with a complemented mask —
 /// `V` is the operand-shape marker they are read off, [`Vector`](super::Vector)
 /// for `vxm` and [`MultiVec`](super::MultiVec) for a batch of any lane count,
@@ -671,10 +671,10 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
     }
     let state = a.state();
     let (built, overlay) = built_under(state);
-    let tiled = built
+    let in_words = built
         .downcast_ref::<BitB2sr>()
-        .filter(|b| b.b2sr().is_some());
-    let Some(bit) = tiled else {
+        .filter(|b| matches!(b.kind(), Backend::Bit(_)));
+    let Some(bit) = in_words else {
         return Ok(None);
     };
     poll_fail_point(ctx, V::FAIL_POINT)?;

@@ -39,7 +39,7 @@
 //!   over the rows of the CSR every built-in backend holds, for every `k`:
 //!   it folds one `f32` per edge whichever layout lists the edges.  Beside
 //!   it, the single-vector row pull over the same rows, `csr_pull_full`,
-//!   which a hypersparse bit matrix runs in place of its tile sweep.
+//!   which a bit matrix too sparse to hold tiles runs instead of a sweep.
 
 use rayon::prelude::*;
 
@@ -739,8 +739,8 @@ fn pull_rows(
 
 /// `csr_pull_full()`: pull-direction full-precision matrix × vector over
 /// the rows of a CSR matrix — the one row pull of the built-in backend
-/// (every pull of the float baseline, a hypersparse bit matrix's, and a
-/// one-lane batch's on either), bare or fused alike.  Row `r` of `y` (the first `nrows`
+/// (every pull of a matrix without tiles, and a one-lane batch's), bare or
+/// fused alike.  Row `r` of `y` (the first `nrows`
 /// entries) receives `fin(r, ⊕_c ⊗(x[c]))` over its columns `c`, or
 /// `fin(r, identity)` without an edge walk where `allow(r)` is false (a
 /// masked row: GraphBLAST's early exit).  `fin` is the pipeline's finish,

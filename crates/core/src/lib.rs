@@ -21,7 +21,7 @@
 //!   (one sweep that finishes each row through a closure — mask, fused
 //!   epilogue or nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
 //!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows, and
-//!   which a matrix of hypersparse tiles trades for a count over its CSR),
+//!   which a matrix too sparse to hold tiles replaces with a CSR count),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
 //!   kernels are serial: one CSR scatter for full precision, which folds

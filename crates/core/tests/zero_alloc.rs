@@ -32,7 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bitgblas_core::grb::{
-    BitB2sr, Context, Direction, LaneBits, Mask, MultiVec, NodeBits, Op, Snapshot, Vector,
+    Context, Direction, LaneBits, Mask, MultiVec, NodeBits, Op, Snapshot, Vector,
 };
 use bitgblas_core::{Backend, BinaryOp, Matrix, Semiring, TileSize};
 use bitgblas_sparse::{Coo, Csr};
@@ -81,35 +81,32 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// How a fixture is tiled, relative to the crossover below which a bit
-/// backend's full-precision pulls and Boolean products read its CSR instead
-/// of its tiles (`grb::backend::CSR_PULL_BELOW_BITS_PER_TILE`).  The
-/// full-precision pull and the Boolean round tests run on both sides, so
-/// both routes keep their proof.
+/// How a fixture is tiled, relative to the fill under which a bit matrix
+/// holds no tiles and runs its full-precision pulls and Boolean products on
+/// its CSR (`grb::backend::MIN_TILE_FILL`).  The full-precision
+/// pull and the Boolean round tests run on both sides, so both paths keep
+/// their proof.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Tiles {
-    /// B2SR-8, the graph alone (a chain or ring: hypersparse, so routed).
+    /// B2SR-8, the graph alone (a chain or ring: hypersparse, no tiles).
     Plain,
-    /// Hypersparse tiles: full-precision pulls and Boolean products read
-    /// the CSR.
+    /// Hypersparse: no tiles, so full-precision pulls and Boolean products
+    /// read the CSR.
     Sparse,
-    /// Dense tiles: full-precision pulls and Boolean products read them.
+    /// Dense tiles: full-precision pulls and Boolean products sweep them.
     Dense,
 }
 
 /// Build `csr` on a serial thread budget (single-shard plans: these tests
 /// certify the *serial* push path regardless of how many cores the test
 /// host has; the sharded path has its own proof below) at B2SR-`ts`, and
-/// check that its full-precision pulls and Boolean products take the route
-/// `tiles` is for.
+/// check that it holds tiles as `tiles` says.
 fn build(csr: &Csr, ts: TileSize, tiles: Tiles) -> Matrix {
     let a = Matrix::from_csr_ctx(csr, Backend::Bit(ts), &Context::with_threads(1));
-    let bit = a.state().as_any().downcast_ref::<BitB2sr>();
-    let reads_csr = bit.map(|b| (b.full_pull_reads_csr(), b.boolean_reads_csr()));
     match tiles {
         Tiles::Plain => {}
-        Tiles::Sparse => assert_eq!(reads_csr, Some((true, true)), "a hypersparse fixture"),
-        Tiles::Dense => assert_eq!(reads_csr, Some((false, false)), "a dense-tile fixture"),
+        Tiles::Sparse => assert!(a.b2sr().is_none(), "a hypersparse fixture"),
+        Tiles::Dense => assert!(a.b2sr().is_some(), "a dense-tile fixture"),
     }
     a
 }
@@ -388,10 +385,14 @@ fn fused_sssp_accum_pipeline_is_allocation_free_after_warmup() {
 /// this exercises exactly the code the parallel path runs.
 #[test]
 fn sharded_push_path_is_allocation_free_after_warmup() {
+    // Eight ring links and one scattered edge per vertex: 7.2 bits per
+    // B2SR-8 tile, so the matrix holds tiles and their plan.
     let n = 4096;
     let mut coo = Coo::new(n, n);
     for i in 0..n {
-        coo.push_edge(i, (i + 1) % n).unwrap();
+        for d in 1..=8 {
+            coo.push_edge(i, (i + d) % n).unwrap();
+        }
         coo.push_edge(i, (i * 7 + 3) % n).unwrap();
     }
     // Build with a 4-thread budget so the plan is actually sharded…

@@ -1190,25 +1190,33 @@ mod tests {
         assert_eq!(bfs(&g, 0).levels, baseline);
     }
 
+    /// On a band, whose B2SR-8 tiles fill (18.6 bits each), the fold
+    /// re-tiles; on a scatter at B2SR-4 (2.0 bits per tile) it keeps the
+    /// kind and builds no tiles.
     #[test]
     fn compact_after_folds_the_log_on_the_writer_path() {
-        let g = graph();
-        let mut svc = GraphService::builder(&g)
-            .coalescing_window(0)
-            .compact_after(2)
-            .build();
-        let _ = svc.submit(Query::insert_edge(1, 0), Tick(0), None).unwrap();
-        svc.pump(Tick(0));
-        // One pending delta: below the threshold, no fold.
-        assert_eq!(g.delta_len(), 1);
-        assert_eq!(svc.stats().snapshot().compactions, 0);
-        let _ = svc.submit(Query::insert_edge(2, 0), Tick(1), None).unwrap();
-        svc.pump(Tick(1));
-        assert_eq!(g.delta_len(), 0, "threshold reached, log folded");
-        let s = svc.stats().snapshot();
-        assert_eq!(s.compactions, 1);
-        assert_eq!(s.epochs_published, 3); // two mutation batches + one fold
-        assert!(g.snapshot().b2sr().is_some(), "compaction re-tiled");
+        let band = generators::banded(80, 4, 0.6, 3);
+        let scatter = generators::erdos_renyi(80, 0.05, true, 3);
+        for (adj, ts, tiled) in [(band, TileSize::S8, true), (scatter, TileSize::S4, false)] {
+            let g = Matrix::from_csr(&adj, Backend::Bit(ts));
+            let mut svc = GraphService::builder(&g)
+                .coalescing_window(0)
+                .compact_after(2)
+                .build();
+            let _ = svc.submit(Query::insert_edge(1, 0), Tick(0), None).unwrap();
+            svc.pump(Tick(0));
+            // One pending delta: below the threshold, no fold.
+            assert_eq!(g.delta_len(), 1);
+            assert_eq!(svc.stats().snapshot().compactions, 0);
+            let _ = svc.submit(Query::insert_edge(2, 0), Tick(1), None).unwrap();
+            svc.pump(Tick(1));
+            assert_eq!(g.delta_len(), 0, "threshold reached, log folded");
+            let s = svc.stats().snapshot();
+            assert_eq!(s.compactions, 1);
+            assert_eq!(s.epochs_published, 3); // two mutation batches + one fold
+            assert_eq!(g.snapshot().b2sr().is_some(), tiled, "{ts:?}");
+            assert_eq!(g.snapshot().resolved_backend(), Backend::Bit(ts));
+        }
     }
 
     #[test]

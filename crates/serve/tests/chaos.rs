@@ -472,15 +472,26 @@ fn panicking_compaction_leaves_the_pre_compaction_snapshot_readable() {
 /// appends, survives a panicking and a transiently failing fold — epoch,
 /// log, `entries_normalized` and every outstanding snapshot unchanged — and
 /// then the fold that succeeds, which copies the clean tile-rows out of the
-/// very tiles the snapshot reads.
+/// very tiles the snapshot reads.  On a band, whose B2SR-8 tiles fill (18.6
+/// bits each); on a scatter at B2SR-4 (2.1 bits per tile) every base holds
+/// no tiles and the fold converts and counts none.
 #[test]
 fn pinned_snapshots_survive_failed_and_incremental_compactions() {
     quiet_injected_panics();
-    let g = graph();
+    let band = generators::banded(60, 4, 0.6, 5);
+    let scatter = generators::erdos_renyi(60, 0.06, true, 5);
+    for (adj, ts) in [(band, TileSize::S8), (scatter, TileSize::S4)] {
+        survive_failed_and_incremental_compactions(Matrix::from_csr(&adj, Backend::Bit(ts)));
+    }
+}
+
+/// [`pinned_snapshots_survive_failed_and_incremental_compactions`] on `g`.
+fn survive_failed_and_incremental_compactions(g: Matrix) {
     g.insert_edge(59, 0).unwrap();
     g.compact(g.context()).unwrap();
     let pinned_base = g.snapshot();
-    let base_tiles = pinned_base.b2sr().expect("compacted").clone();
+    let base_tiles = pinned_base.b2sr().cloned();
+    let tiled = base_tiles.is_some();
     let base_csr = pinned_base.csr().clone();
 
     for i in 0..10 {
@@ -503,7 +514,7 @@ fn pinned_snapshots_survive_failed_and_incremental_compactions() {
             before,
             "{what}"
         );
-        assert_eq!(pinned_base.b2sr(), Some(&base_tiles), "{what}");
+        assert_eq!(pinned_base.b2sr(), base_tiles.as_ref(), "{what}");
         assert_eq!(pinned_base.csr(), &base_csr, "{what}");
         assert_eq!(pinned_overlay.csr(), &overlay_csr, "{what}");
         assert_eq!(
@@ -527,17 +538,27 @@ fn pinned_snapshots_survive_failed_and_incremental_compactions() {
     let report = g.compact(g.context()).unwrap();
     assert_eq!(report.folded, 10);
     assert!(report.tile_rows_retiled <= report.dirty_rows);
-    assert!(report.tiles_spliced > 0, "clean tile-rows are copied over");
+    if tiled {
+        assert!(report.tiles_spliced > 0, "clean tile-rows are copied over");
+    } else {
+        let counts = (
+            report.tile_rows_retiled,
+            report.tiles_retiled,
+            report.tiles_spliced,
+        );
+        assert_eq!(counts, (0, 0, 0), "no tiles, nothing converted");
+    }
     assert_eq!(g.entries_normalized(), before.2, "nothing raced in");
     // The new base is the overlay's graph in fresh arrays; the old base and
     // the overlay still read their own.
     let head = g.snapshot();
     assert_eq!(head.csr(), &overlay_csr);
+    assert_eq!(head.b2sr().is_some(), tiled);
     assert_eq!(
         head.b2sr(),
-        Matrix::from_csr(&overlay_csr, Backend::Bit(TileSize::S8)).b2sr()
+        Matrix::from_csr(&overlay_csr, g.resolved_backend()).b2sr()
     );
-    assert_eq!(pinned_base.b2sr(), Some(&base_tiles));
+    assert_eq!(pinned_base.b2sr(), base_tiles.as_ref());
     assert_eq!(pinned_base.csr(), &base_csr);
     assert_eq!(bitgblas_algorithms::bfs(&pinned_overlay, 0).levels, levels);
 }

@@ -13,7 +13,6 @@ mod common;
 use proptest::prelude::*;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, reference, sssp_multi_dir};
-use bit_graphblas::core::grb::BitB2sr;
 use bit_graphblas::core::shard::SCATTER_EDGE_WEIGHT;
 use bit_graphblas::datagen::generators;
 use bit_graphblas::prelude::*;
@@ -325,15 +324,15 @@ proptest! {
 
 /// Every full-precision push scatters serially, whatever the thread budget:
 /// at `Context::with_threads(4)`, on the multi-shard plans of a dense-tile
-/// matrix (the mesh at B2SR-8), of a routed one (R-MAT at B2SR-8, whose
-/// full-precision pulls read the CSR) and on the float baseline (R-MAT, no
-/// tiles and no plan), forced-push Arithmetic, MinPlus and MaxTimes products
+/// matrix (the mesh at B2SR-8), on a hypersparse bit matrix (R-MAT at
+/// B2SR-8, 2.9 bits per tile: no tiles and no plan) and on the float
+/// baseline (R-MAT), forced-push Arithmetic, MinPlus and MaxTimes products
 /// — one lane (`vxm`) and three (`mxm`, both orientations), each seeded by
 /// its monoid accumulator over a baseline of NaN, ±∞ and ±0.0, with NaN, ±∞
 /// and −0.0 among the operand entries — leave `sharded_push` at 0 and equal,
 /// by `to_bits`, the seed `base ⊕ identity` plus one `csr_push_full` call
-/// over the whole ascending frontier.  A Boolean word push on each tiled
-/// matrix still shards.
+/// over the whole ascending frontier.  A Boolean word push shards on the
+/// tiled matrix only.
 #[test]
 fn full_precision_push_scatters_serially_on_a_sharded_context() {
     use bit_graphblas::core::kernels::csr_push_full;
@@ -342,17 +341,15 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
     let rmat = generators::rmat(11, 12, 0.57, 0.19, 0.19, 17).symmetrized();
     let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.5];
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-    for (adj, backend, routed) in [
-        (&mesh, Backend::Bit(TileSize::S8), false),
-        (&rmat, Backend::Bit(TileSize::S8), true),
-        (&rmat, Backend::FloatCsr, true),
+    for (adj, backend, tiled) in [
+        (&mesh, Backend::Bit(TileSize::S8), true),
+        (&rmat, Backend::Bit(TileSize::S8), false),
+        (&rmat, Backend::FloatCsr, false),
     ] {
         let ctx = Context::with_threads(4);
         let m = Matrix::from_csr_ctx(adj, backend, &ctx);
         let n = m.nrows();
-        let bit = m.state().as_any().downcast_ref::<BitB2sr>().unwrap();
-        assert_eq!(bit.full_pull_reads_csr(), routed, "{backend:?}");
-        let tiled = backend != Backend::FloatCsr;
+        assert_eq!(m.b2sr().is_some(), tiled, "{backend:?}");
         let shards = m.state().shard_plan(false).map(|p| p.n_shards());
         assert_eq!(shards > Some(1), tiled, "{backend:?}: {shards:?}");
         for semiring in [
@@ -414,7 +411,8 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
                 assert_eq!(ctx.stats().sharded_push, before, "{what}: sharded");
             }
         }
-        // A Boolean word push on a tiled matrix still shards.
+        // A Boolean word push on a tiled matrix still shards; without tiles
+        // it scatters serially.
         let x = Vector::indicator(n, &(0..n).step_by(3).collect::<Vec<_>>());
         Op::vxm(&x, &m)
             .semiring(Semiring::Boolean)
@@ -424,12 +422,13 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
     }
 }
 
-/// The sharded path must actually *run* on a shard-worthy push (engagement
-/// is observable through the context counters), and a serial-budget context
-/// must keep every scatter on the serial kernels.
+/// The sharded path must actually *run* on a shard-worthy push of a tiled
+/// matrix (engagement is observable through the context counters), and a
+/// serial-budget context — or a bit matrix without tiles, which has no plan
+/// (R-MAT at B2SR-8) — must keep every scatter on the serial kernels.
 #[test]
 fn sharded_push_engages_and_serial_contexts_stay_serial() {
-    let adj = generators::rmat(11, 12, 0.57, 0.19, 0.19, 17).symmetrized();
+    let adj = generators::banded(2048, 32, 0.7, 5);
     let n = adj.nrows();
     // A fat frontier spread across the whole row range spans many shards.
     let positions: Vec<usize> = (0..n).step_by(3).collect();
@@ -468,6 +467,16 @@ fn sharded_push_engages_and_serial_contexts_stay_serial() {
         0,
         "serial plans must never fan out"
     );
+
+    let rmat = generators::rmat(11, 12, 0.57, 0.19, 0.19, 17).symmetrized();
+    let ctx = Context::with_threads(8);
+    let untiled = Matrix::from_csr_ctx(&rmat, Backend::Bit(TileSize::S8), &ctx);
+    assert!(untiled.b2sr().is_none() && untiled.state().shard_plan(false).is_none());
+    Op::vxm(&x, &untiled)
+        .semiring(Semiring::Boolean)
+        .direction(Direction::Push)
+        .run(&ctx);
+    assert_eq!(ctx.stats().sharded_push, 0, "no tiles, no plan: serial");
 }
 
 /// Edge case: an all-identity operand (empty frontier) produces the
@@ -643,9 +652,8 @@ fn auto_selection_differs_across_corpus_patterns() {
 /// pull on every bit width, and through the overlay, is bit-identical to
 /// `FloatCsr` on the same graph.  The batched row — four lanes under a
 /// per-(node, lane) mask — holds that against `FloatCsr` in both directions.
-/// Two graphs, so that every width pulls on both sides of the crossover
-/// below which a bit backend's full-precision pulls read its CSR: a scatter
-/// pattern (routed at B2SR-4) and a band (tiles at every width).  MinPlus
+/// Two graphs, so that bit matrices pull with tiles and without: a scatter
+/// pattern (no tiles at B2SR-4) and a band (tiles at every width).  MinPlus
 /// over hostile operands holds the same on both
 /// ([`assert_min_plus_one_lane_parity`]).
 #[test]
@@ -653,14 +661,10 @@ fn one_lane_mxm_equals_mxv_and_vxm_bitwise() {
     let scatter = generators::erdos_renyi(96, 0.05, true, 131);
     let band = generators::banded(96, 6, 0.8, 131);
     for ts in TileSize::ALL {
-        let reads_csr = |adj: &Csr| {
-            let m = Matrix::from_csr(adj, Backend::Bit(ts));
-            let bit = m.state().as_any().downcast_ref::<BitB2sr>();
-            bit.map(BitB2sr::full_pull_reads_csr)
-        };
-        assert_eq!(reads_csr(&band), Some(false), "{ts:?}");
+        let tiled = |adj: &Csr| Matrix::from_csr(adj, Backend::Bit(ts)).b2sr().is_some();
+        assert!(tiled(&band), "{ts:?}");
         if ts == TileSize::S4 {
-            assert_eq!(reads_csr(&scatter), Some(true));
+            assert!(!tiled(&scatter));
         }
     }
     for base in [scatter, band] {
@@ -694,7 +698,7 @@ fn with_pending_deltas(base: &Csr, backend: Backend) -> Snapshot {
 /// subnormals beside unreached nodes, every weight in {0, 1, −2.5, −0.0,
 /// ±∞, NaN}; bare, masked (plain and complemented), `min`-accumulated over
 /// a hostile baseline (SSSP's shape) and affine (PPR's).  On `FloatCsr`,
-/// B2SR-4 (which routes on the scatter pattern), B2SR-8, and an overlay
+/// B2SR-4 (no tiles on the scatter pattern), B2SR-8, and an overlay
 /// over `FloatCsr` and over B2SR-4: the one-lane `Op::mxm` is bit-identical
 /// to `Op::mxv` / `Op::vxm` both ways, and every pull to `FloatCsr`'s on the
 /// same graph.

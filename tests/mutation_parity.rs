@@ -24,7 +24,6 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, sssp_multi_dir};
-use bit_graphblas::core::grb::BitB2sr;
 use bit_graphblas::core::{DeltaOverlay, DeltaSnapshot};
 use bit_graphblas::prelude::*;
 
@@ -95,10 +94,12 @@ fn mesh_with_pending_deltas(backend: Backend) -> (Matrix, Vec<EdgeDelta>) {
 
 /// ROADMAP item 5's gates, on exact counters: a compaction re-tiles the
 /// tile-rows its dirty rows fall in and copies the rest; the result is a
-/// from-scratch build, array for array.
+/// from-scratch build, array for array.  On a band, whose tiles fill; a
+/// hypersparse R-MAT holds no tiles, so its compaction builds none and
+/// counts none, like the float baseline's.
 #[test]
 fn compaction_retiles_what_the_batch_dirtied() {
-    let adj = bit_graphblas::datagen::generators::rmat(12, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+    let adj = bit_graphblas::datagen::generators::banded(4096, 16, 0.5, 5);
     let n = adj.nrows();
     let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
     let tiles_before = m.b2sr().expect("bit backend").n_tiles();
@@ -138,19 +139,28 @@ fn compaction_retiles_what_the_batch_dirtied() {
     assert_eq!(head.csr(), scratch.csr());
     assert_eq!(head.b2sr(), scratch.b2sr());
 
-    // A float base has no tiles to count.
-    let f = Matrix::from_csr(&adj, Backend::FloatCsr);
-    f.apply_deltas(&deltas).unwrap();
-    let report = f.compact(f.context()).unwrap();
-    assert_eq!(
-        (
-            report.tile_rows_retiled,
-            report.tiles_retiled,
-            report.tiles_spliced
-        ),
-        (0, 0, 0)
-    );
-    assert_eq!(f.snapshot().csr(), scratch.csr());
+    // A float base and a hypersparse bit base have no tiles to count.
+    let rmat = bit_graphblas::datagen::generators::rmat(12, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+    for (adj, backend) in [
+        (&adj, Backend::FloatCsr),
+        (&rmat, Backend::Bit(TileSize::S8)),
+    ] {
+        let f = Matrix::from_csr(adj, backend);
+        f.apply_deltas(&deltas).unwrap();
+        let report = f.compact(f.context()).unwrap();
+        assert_eq!(
+            (
+                report.tile_rows_retiled,
+                report.tiles_retiled,
+                report.tiles_spliced
+            ),
+            (0, 0, 0),
+            "{backend:?}"
+        );
+        assert!(f.snapshot().b2sr().is_none(), "{backend:?}");
+        let scratch = Matrix::from_csr(&folded_csr(adj, &deltas), backend);
+        assert_eq!(f.snapshot().csr(), scratch.csr());
+    }
 }
 
 /// An append normalizes its own batch, however deep the log under it.
@@ -226,13 +236,15 @@ fn overlay_refolds_what_the_operand_reaches() {
 
 /// ROADMAP item 4's mispricing: an overlay forwards its base's shard plan,
 /// so on a sharded context `Direction::Auto` resolves every batched round
-/// through pending deltas as it does on the compacted matrix.
+/// through pending deltas as it does on the compacted matrix.  R-MAT at
+/// B2SR-16 (5.5 bits per tile) holds tiles and so a plan; at B2SR-8 (2.9)
+/// it would hold neither.
 #[test]
 fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     let adj = bit_graphblas::datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
     let n = adj.nrows();
     let ctx = Context::with_threads(4);
-    let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &ctx);
+    let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
     // Dirty rows stay inside the first shard.
     let first_shard = m
         .state()
@@ -298,16 +310,17 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     );
 }
 
-/// A compacted matrix is a from-scratch build of the same CSR, shard plans
-/// included — so every sharded Boolean word push, which the plans cut,
-/// equals the rebuild's, and every full-precision push, one serial scatter
-/// on either backend, equals it bit for bit.  A batch that skews the edge
-/// weight towards the first rows moves every cut.  The bit backend's pull
-/// route is the rebuild's too: the skew scatters a ring of dense tiles into
-/// hypersparse ones, so its compaction moves the fill across the crossover
-/// below which full-precision pulls read the CSR, and deleting the skew
-/// (and the ring links it landed on) moves it back.  The float baseline
-/// reads the CSR throughout and has no plan.
+/// A compacted matrix is a from-scratch build of the same CSR: its tiles or
+/// their absence, its shard plans — so every sharded Boolean word push,
+/// which the plans cut, equals the rebuild's — and every full-precision
+/// push, one serial scatter on either backend, bit for bit.  Three
+/// compactions of a ring of dense tiles: dense rows beside the diagonal
+/// skew the edge weight towards the first rows and move every cut;
+/// scattered edges on the same rows drop the fill under
+/// `MIN_TILE_FILL`, so the bit backend's compaction keeps no
+/// tiles and no plan and pushes its words serially; deleting them (and the
+/// ring links they landed on) brings the tiles back.  The float baseline
+/// never has tiles or a plan.
 #[test]
 fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     let n = 8192usize;
@@ -319,6 +332,9 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     }
     let ring = ring.to_binary_csr();
     let skew: Vec<EdgeDelta> = (0..1024)
+        .flat_map(|r| (0..24).map(move |i| EdgeDelta::insert(r, r + 5 + i)))
+        .collect();
+    let scatter: Vec<EdgeDelta> = (0..1024)
         .flat_map(|r| (0..24).map(move |i| EdgeDelta::insert(r, (r * 37 + i * 331 + 7) % n)))
         .collect();
     let x = Vector::from_vec((0..n).map(|i| (i % 11) as f32 * 0.37 + 0.01).collect());
@@ -360,54 +376,46 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
         );
         (arithmetic, serial, words, ctx.stats().sharded_push - before)
     };
-    let reads_csr = |m: &Matrix| {
-        let bit = m.state().as_any().downcast_ref::<BitB2sr>();
-        bit.map(BitB2sr::full_pull_reads_csr)
-    };
+    let tiled = |m: &Matrix| m.b2sr().is_some();
     for backend in [Backend::FloatCsr, Backend::Bit(TileSize::S8)] {
         let m = Matrix::from_csr_ctx(&ring, backend, &Context::with_threads(4));
         let bit = backend != Backend::FloatCsr;
-        assert_eq!(reads_csr(&m), Some(!bit), "the ring's tiles are dense");
-        m.apply_deltas(&skew).unwrap();
-        m.compact(m.context()).unwrap();
-        let compacted = m.snapshot();
-        let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
-        assert_eq!(reads_csr(&compacted), Some(true), "the skew's are not");
-        assert_eq!(reads_csr(&compacted), reads_csr(&rebuilt));
-
-        let (got, got_serial, got_words, got_sharded) = products(&compacted);
-        let (want, want_serial, want_words, want_sharded) = products(&rebuilt);
-        assert_eq!((got_serial, want_serial), (0, 0), "{backend:?}");
-        assert!(got == want, "{backend:?}: a full-precision push differs");
-        assert_eq!(got_words, want_words, "{backend:?}");
-        let engaged = if bit { 3 } else { 0 };
-        assert_eq!(
-            (got_sharded, want_sharded),
-            (engaged, engaged),
-            "{backend:?}"
-        );
-        if bit {
-            let (node, transposed, lanes) = got_words;
-            assert!(node.unwrap().is_some() && transposed.unwrap().is_some());
-            assert!(lanes.unwrap().is_some(), "a tiled matrix has word products");
-        }
-        for of_transpose in [false, true] {
-            let plan = |m: &Matrix| m.state().shard_plan(of_transpose).cloned();
-            assert_eq!(plan(&compacted), plan(&rebuilt), "{backend:?}");
-            let shards = plan(&rebuilt).map(|p| p.n_shards());
-            assert_eq!(shards >= Some(4), bit, "{backend:?}: {shards:?}");
-        }
-
-        let unskew: Vec<EdgeDelta> = skew
+        assert_eq!(tiled(&m), bit, "the ring's tiles are dense");
+        let unscatter: Vec<EdgeDelta> = scatter
             .iter()
             .map(|d| EdgeDelta::delete(d.row, d.col))
             .collect();
-        m.apply_deltas(&unskew).unwrap();
-        m.compact(m.context()).unwrap();
-        let compacted = m.snapshot();
-        let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
-        assert_eq!(reads_csr(&compacted), Some(!bit), "{backend:?}");
-        assert_eq!(reads_csr(&compacted), reads_csr(&rebuilt));
+        for (batch, holds_tiles) in [(&skew, bit), (&scatter, false), (&unscatter, bit)] {
+            m.apply_deltas(batch).unwrap();
+            m.compact(m.context()).unwrap();
+            let compacted = m.snapshot();
+            let rebuilt = Matrix::from_csr_ctx(compacted.csr(), backend, m.context());
+            assert_eq!(tiled(&compacted), holds_tiles, "{backend:?}");
+            assert_eq!(compacted.b2sr(), rebuilt.b2sr(), "{backend:?}");
+
+            let (got, got_serial, got_words, got_sharded) = products(&compacted);
+            let (want, want_serial, want_words, want_sharded) = products(&rebuilt);
+            assert_eq!((got_serial, want_serial), (0, 0), "{backend:?}");
+            assert!(got == want, "{backend:?}: a full-precision push differs");
+            assert_eq!(got_words, want_words, "{backend:?}");
+            let engaged = if holds_tiles { 3 } else { 0 };
+            assert_eq!(
+                (got_sharded, want_sharded),
+                (engaged, engaged),
+                "{backend:?}"
+            );
+            if bit {
+                let (node, transposed, lanes) = got_words;
+                assert!(node.unwrap().is_some() && transposed.unwrap().is_some());
+                assert!(lanes.unwrap().is_some(), "a bit matrix has word products");
+            }
+            for of_transpose in [false, true] {
+                let plan = |m: &Matrix| m.state().shard_plan(of_transpose).cloned();
+                assert_eq!(plan(&compacted), plan(&rebuilt), "{backend:?}");
+                let shards = plan(&rebuilt).map(|p| p.n_shards());
+                assert_eq!(shards >= Some(4), holds_tiles, "{backend:?}: {shards:?}");
+            }
+        }
     }
 }
 

@@ -64,10 +64,13 @@ proptest! {
     /// clean ones equals converting the merged matrix from scratch, field
     /// for field, at every width — for random logs (duplicates, phantom
     /// deletes and self-loops included) over sizes on both sides of every
-    /// tile boundary.
+    /// tile boundary, on scattered edges with or without a band of width 3.
+    /// So does a compaction: its base holds the rebuild's tiles — none where
+    /// they would not fill — and a compaction that keeps none counts none.
     #[test]
     fn retile_rows_equals_a_full_conversion(
         size in 0usize..6,
+        band in any::<bool>(),
         edges in proptest::collection::vec((0usize..200, 0usize..200), 0..500),
         log in proptest::collection::vec((any::<bool>(), 0usize..200, 0usize..200), 0..60),
     ) {
@@ -75,6 +78,11 @@ proptest! {
         let mut coo = Coo::new(n, n);
         for (r, c) in edges.into_iter().filter(|_| n > 0) {
             coo.push_edge(r % n, c % n).expect("in bounds");
+        }
+        for r in (0..n).filter(|_| band) {
+            for c in r.saturating_sub(3)..(r + 4).min(n) {
+                coo.push_edge(r, c).expect("in bounds");
+            }
         }
         let base = coo.to_binary_csr();
         let log: Vec<EdgeDelta> = log
@@ -93,6 +101,20 @@ proptest! {
             prop_assert_eq!(&retiled, &B2srMatrix::from_csr(&merged, ts));
             prop_assert!(counts.tile_rows_retiled <= delta.dirty_rows().len());
             prop_assert_eq!(counts.tiles_retiled + counts.tiles_spliced, retiled.n_tiles());
+
+            let m = Matrix::from_csr(&base, Backend::Bit(ts));
+            m.apply_deltas(&log).unwrap();
+            let report = m.compact(m.context()).unwrap();
+            let head = m.snapshot();
+            prop_assert_eq!(head.b2sr(), Matrix::from_csr(&merged, Backend::Bit(ts)).b2sr());
+            let counts = (report.tile_rows_retiled, report.tiles_retiled, report.tiles_spliced);
+            match head.b2sr() {
+                None => prop_assert_eq!(counts, (0, 0, 0)),
+                Some(b) if !log.is_empty() => {
+                    prop_assert_eq!(counts.1 + counts.2, b.n_tiles())
+                }
+                Some(_) => {}
+            }
         }
     }
 
