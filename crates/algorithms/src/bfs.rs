@@ -988,26 +988,35 @@ mod tests {
         }
     }
 
-    /// The word loop computes the same thing however many threads the
+    /// The word loops compute the same thing however many threads the
     /// sharded scatter fans out to, and in either direction — on R-MAT at
     /// B2SR-16, whose 5.5 bits per tile it holds (at B2SR-8, 2.9 bits, it
-    /// would hold no tiles and push serially).
+    /// would hold no tiles and push serially).  The node-word push of `bfs`
+    /// is the one that shards; the lane words of `bfs_multi` scatter
+    /// serially from the CSR at every budget.
     #[test]
     fn word_loop_is_identical_across_push_threads_and_directions() {
         let adj = generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
         let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % adj.nrows()).collect();
         let ctx = Context::with_threads(4);
         let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
-        let want = bfs_multi_dir(&m, &sources, Direction::Push);
+        let want_one = bfs_dir(&m, sources[0], Direction::Push);
         assert!(
             m.context().stats().sharded_push > 0,
-            "precondition: the sharded scatter engages on this graph"
+            "precondition: the node-word scatter shards on this graph"
         );
+        let want = bfs_multi_dir(&m, &sources, Direction::Push);
         for threads in [1usize, 2, 8] {
             m.context().set_threads(threads);
+            let got = bfs_dir(&m, sources[0], Direction::Push);
+            assert_eq!(got, want_one, "{threads} push threads");
             let got = bfs_multi_dir(&m, &sources, Direction::Push);
             assert_eq!(got, want, "{threads} push threads");
         }
+        assert_eq!(
+            bfs_dir(&m, sources[0], Direction::Pull).levels,
+            want_one.levels
+        );
         assert_eq!(
             bfs_multi_dir(&m, &sources, Direction::Pull).levels,
             want.levels

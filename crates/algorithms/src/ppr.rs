@@ -6,9 +6,10 @@
 //! related-content primitive a graph service answers millions of times with
 //! different seeds.  Each seed is an independent query over the *same*
 //! adjacency matrix, which makes PPR a natural [`MultiVec`] workload: `k`
-//! personalization lanes advance through one batched sweep per iteration
-//! that loads each adjacency tile once (the same traffic-amortization
-//! argument the paper makes for bit-packing, applied across queries).
+//! personalization lanes advance through one batched pull per iteration
+//! that walks each adjacency row once for all lanes (the same
+//! traffic-amortization argument the paper makes for bit-packing, applied
+//! across queries).
 //!
 //! Like the PageRank module, the per-iteration update rides the `Op::mxm`
 //! expression fusion: the out-degree normalisation is the product's input

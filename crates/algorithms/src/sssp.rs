@@ -55,8 +55,8 @@
 //!
 //! Like BFS, the relaxation is direction-optimizing: while the changed set
 //! is small, [`Direction::Auto`] walks only its out-edges (push); a round
-//! that lowers a large share of the graph takes the pull sweep, which skips
-//! the identity entries of `delta` tile-wise.  Because min is exact under
+//! that lowers a large share of the graph takes the row pull over the
+//! whole matrix.  Because min is exact under
 //! reordering, push and pull produce bit-equal distances.  The inner loop is
 //! allocation-free in steady state (`crates/core/tests/zero_alloc.rs`).
 

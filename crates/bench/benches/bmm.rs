@@ -357,9 +357,11 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
 /// `sssp_dir` and `sssp_multi_dir` (64 sources) — on the repo benchmark's two
 /// graphs at B2SR-8, each on a matrix built and run at
 /// `Context::with_threads(1)` and at `(2)`: the standing instrument for the
-/// sharded word scatter's verdict (ROADMAP item 7).  Only the Boolean rows
-/// can shard; the full-precision pushes scatter serially at any budget, so
-/// their two rows read alike.  Unpinned, ≈ 40 s;
+/// sharded word scatter's verdict (ROADMAP item 7).  Only `bfs_dir` on the
+/// mesh can shard — the node-word push of a tiled matrix; the lane words of
+/// `bfs_multi_dir` and every full-precision push scatter serially from the
+/// CSR at any budget, and R-MAT holds no tiles at B2SR-8, so those rows'
+/// two budgets read alike.  Unpinned, ≈ 40 s;
 /// `cargo bench -p bitgblas-bench --bench bmm -- push_threads/mesh` runs the
 /// mesh half.
 fn push_threads_benches(c: &mut Criterion) {

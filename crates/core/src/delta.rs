@@ -408,9 +408,9 @@ impl DeltaSnapshot {
 /// keeps what the base stored, which is already right.  So a read costs
 /// the base product plus one probe per staged patch entry and lane, and
 /// the planner treats the overlay as it treats its base: entry pricing,
-/// the shard plan and — over a [`BitB2sr`] — the lane-word product
-/// (`plan::execute_lane_product`, whose dirty rows
-/// `refold_dirty_words` patches) all carry through.  The merged CSR views
+/// the shard plan and — over a [`BitB2sr`] — the word products
+/// (`plan::execute_word_product`, whose dirty rows `refold_dirty_bits` and
+/// `refold_dirty_words` patch) all carry through.  The merged CSR views
 /// materialize lazily (first `csr()`/`csr_t()` call) for the fallback paths
 /// that need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
 ///
@@ -515,10 +515,10 @@ impl DeltaOverlay {
 
     /// [`refold_dirty`](Self::refold_dirty)'s `u64` sibling, for the lane-word
     /// product the base [`BitB2sr`] just ran
-    /// ([`BitB2sr::lane_product`], same arguments): a dirty row one of whose
-    /// patched columns holds a set lane becomes `(OR of xw[c] over the sorted
-    /// merge of base row and patch) & !excluded[i]`; every other dirty row
-    /// keeps the base's words.  Counts the words it re-folded.
+    /// ([`BitB2sr::lane_product`], same operand, exclusion and orientation):
+    /// a dirty row one of whose patched columns holds a set lane becomes
+    /// `(OR of xw[c] over the sorted merge of base row and patch) &
+    /// !excluded[i]`; every other dirty row keeps the base's words.  Counts the words it re-folded.
     pub(crate) fn refold_dirty_words(
         &self,
         xw: &[u64],
@@ -552,10 +552,10 @@ impl DeltaOverlay {
 
     /// [`refold_dirty_words`](Self::refold_dirty_words) at one bit per node,
     /// for the node-word product the base [`BitB2sr`] just ran
-    /// ([`BitB2sr::bits_product`], same arguments): a dirty row one of whose
-    /// patched columns is set in `xw` becomes `(OR of xw[c] over the sorted
-    /// merge of base row and patch) & !excluded[i]`; every other dirty row
-    /// keeps the base's bit.  Counts the bits it re-folded.
+    /// ([`BitB2sr::bits_product`], same operand, exclusion and orientation):
+    /// a dirty row one of whose patched columns is set in `xw` becomes `(OR
+    /// of xw[c] over the sorted merge of base row and patch) & !excluded[i]`;
+    /// every other dirty row keeps the base's bit.  Counts the bits it re-folded.
     pub(crate) fn refold_dirty_bits(
         &self,
         xw: &[u64],

@@ -11,10 +11,12 @@
 //! to a slower path.  The layer ships one implementation, [`BitB2sr`]: the
 //! binary CSR every matrix holds, plus — under [`Backend::Bit`] — B2SR tiles
 //! and the bit kernels of [`crate::kernels`] (the paper's contribution).
-//! Tiles exist only where a product sweeps them: a `Backend::Bit` matrix
-//! under [`MIN_TILE_FILL`] bits per non-empty tile builds none and runs
-//! every product on its CSR — its Boolean ones in words — and every
-//! full-precision push scatters from the CSR on any matrix.  A
+//! Tiles serve two products — the single-vector Boolean product in node
+//! words and the masked reduction — and exist only where they fill: a
+//! `Backend::Bit` matrix under [`MIN_TILE_FILL`] bits per non-empty tile
+//! builds none and runs those two on its CSR as well.  Every other product
+//! reads the CSR on every matrix: every full-precision pull and push, and
+//! every lane-word product, the `f32` Boolean batch included.  A
 //! [`Backend::FloatCsr`] matrix is the paper's float baseline (the
 //! GraphBLAST/cuSPARSE stand-in): never tiled, every product, the Boolean
 //! ones included, runs on `f32` over the CSR, and it has no word product.
@@ -35,22 +37,25 @@
 //!
 //! # Sharded push execution
 //!
-//! The Boolean word scatters of a tiled matrix — node and lane words over
-//! its tiles — run through one routine, `push_scatter`: cut
-//! the ascending frontier at the plan's row-shard boundaries, decide — from
-//! the frontier and the plan alone, never from the thread count — whether
-//! the modelled scatter work dominates the fixed-order merge
-//! ([`worth_sharding`]), and either run the serial kernel once per segment
-//! into privatized buffers (checked out of the workspace pool *before* the
-//! fan-out, so workers never touch the pool) and OR them together in
-//! ascending segment order, or run the serial kernel on the whole frontier.
+//! One push shards: the node-word scatter of a tiled matrix over its tiles,
+//! through `push_scatter`: cut the ascending frontier at the plan's
+//! row-shard boundaries, decide — from the frontier and the plan alone,
+//! never from the thread count — whether the modelled scatter work
+//! dominates the fixed-order merge ([`worth_sharding`]), and either run the
+//! serial kernel once per segment into privatized buffers (checked out of
+//! the workspace pool *before* the fan-out, so workers never touch the
+//! pool) and OR them together in ascending segment order, or run the serial
+//! kernel on the whole frontier.
 //! Scratch and cut buffers cycle through the pool, so the sharded steady
 //! state stays allocation-free at `threads == 1` (the parallel path
 //! additionally pays the scoped thread spawns).  A `Backend::Bit` matrix
-//! without tiles scatters its Boolean words from the CSR ([`csr_bits_push`],
-//! [`csr_lanes_push`]) serially, with no plan: sharded at two threads, those
+//! without tiles scatters its node words from the CSR ([`csr_bits_push`])
+//! serially, with no plan, and every matrix scatters its lane words from
+//! the CSR ([`csr_lanes_push`]) serially: sharded at two threads, those
 //! pushes read 1.44× (`bfs_dir`) and 1.17× (`bfs_multi_dir`) slower on R-MAT
-//! than at one (the `push_threads` bench group).
+//! than at one (the `push_threads` bench group), and on the mesh's dense
+//! tiles the serial CSR lane push reads 0.32–0.40 of the tile lane scatter
+//! at one thread ([`MIN_TILE_FILL`]'s Boolean table).
 //!
 //! Every full-precision push — any `f32` semiring, one lane or a batch,
 //! and the float baseline's `f32` Boolean push — runs [`csr_push_full`] once
@@ -71,20 +76,19 @@ use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
-    bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into, bmm_bin_full_into, bmm_push_bits,
-    bmv_bin_bin_bin_masked_into, bmv_bin_full_full_fused_into, bmv_push_bin_bin, csr_bits_pull,
+    bmm_bin_bin_sum_masked_nt, bmv_bin_bin_bin_masked_into, bmv_push_bin_bin, csr_bits_pull,
     csr_bits_push, csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full,
-    pack_vector_bits_into,
 };
-use crate::semiring::{with_semiring_ops, Semiring};
+use crate::semiring::{with_semiring_ops, BinaryOp, Semiring};
 use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
 
 use super::descriptor::Mask;
+use super::expr::Stage;
 use super::lanebits::{expand_lane_words_into, pack_lane_words_from};
 use super::matrix::Backend;
 use super::multivec::lane_words_per_node;
 use super::nodebits::{join_tile_words, split_into_tile_words};
-use super::plan::{self, MxvPipeline};
+use super::plan::MxvPipeline;
 use super::workspace::{Poolable, Workspace};
 
 /// A storage format plus the kernels implementing the matrix products on
@@ -138,8 +142,8 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
 
     /// Run one batched product pipeline — [`mxv_into`] over `p.k` lanes:
     /// `p.x` is a flat node-major `n × k` frontier matrix (`x[i*k + l]` =
-    /// node `i`, lane `l`), and **one** sweep loads each tile once and
-    /// applies it to every lane.
+    /// node `i`, lane `l`), and **one** pass over the matrix applies each
+    /// edge to every lane.
     ///
     /// `p.frontier` lists, in ascending order, the *node* indices with at
     /// least one lane differing from the semiring identity; only those
@@ -171,12 +175,12 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
         transpose_b: bool,
     ) -> f64;
 
-    /// The row-shard plan of a Boolean word scatter's representation, if
-    /// one has been cut: `of_transpose` selects the plan over `Aᵀ`'s rows
-    /// (the `mxv` push representation) instead of `A`'s.  `None` means
-    /// pushes on that representation run (and are priced by
-    /// `Direction::Auto` as) serial — what a backend without a sharded
-    /// scatter always reports.  Full-precision pushes never shard.
+    /// The row-shard plan of a node-word scatter's representation, if one
+    /// has been cut: `of_transpose` selects the plan over `Aᵀ`'s rows (the
+    /// `mxv` push representation) instead of `A`'s.  `None` means pushes on
+    /// that representation run (and are priced by `Direction::Auto` as)
+    /// serial — what a backend without a sharded scatter always reports.
+    /// Lane-word and full-precision pushes never shard.
     fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
 
     /// Storage bytes of the backend's primary representation: a
@@ -256,25 +260,19 @@ fn avg_degree(nnz: usize, plan: &ShardPlan) -> usize {
     (nnz / plan.bounds()[plan.n_shards()].max(1)).max(1)
 }
 
-/// One Boolean word scatter into `y`, sharded when the plan and the
-/// frontier warrant it and serial otherwise (see the module docs for the
-/// recipe).
+/// The tile word scatter of a node-word push into `y`, sharded when the
+/// plan and the frontier warrant it and serial otherwise (see the module
+/// docs for the recipe).
 ///
 /// `scatter(segment, chunk)` is the serial kernel: it ORs the edges of the
 /// ascending frontier rows `segment` into `chunk`, which is shaped like `y`.
 /// `y` arrives zeroed; the privatized chunks start from zero and OR into `y`
 /// in ascending segment order.  OR is exact, so the result equals the
 /// serial scatter at every thread count.
-///
-/// `lanes` is the number of `y` words per output node (1 for node or tile
-/// words, the lane-word count for a batch): per-edge work and per-position
-/// merge both scale by it, so the engagement test runs on node counts and
-/// the lanes enter only the scratch-footprint bound.
 fn push_scatter<T>(
     ws: &Workspace,
     (plan, avg_deg): (&ShardPlan, usize),
     frontier: &[usize],
-    lanes: usize,
     y: &mut [T],
     scatter: impl Fn(&[usize], &mut [T]) + Sync,
 ) where
@@ -283,9 +281,8 @@ fn push_scatter<T>(
     let mut cuts: Vec<usize> = ws.take_empty();
     plan.segment_frontier(frontier, &mut cuts);
     let n_seg = cuts.len().saturating_sub(1);
-    let width = y.len();
-    let elem_bytes = lanes * std::mem::size_of::<T>();
-    if worth_sharding(frontier.len(), avg_deg, n_seg, width / lanes, elem_bytes) {
+    let (width, elem_bytes) = (y.len(), std::mem::size_of::<T>());
+    if worth_sharding(frontier.len(), avg_deg, n_seg, width, elem_bytes) {
         let mut scratch = ws.take(n_seg * width, T::default());
         let threads = ws.push_threads();
         scatter_segments(threads, n_seg, &mut scratch, width, |s, chunk| {
@@ -376,36 +373,67 @@ impl ScatterPlans {
 /// matrix holds B2SR tiles: [`BitB2sr`] builds them iff `nnz ≥
 /// MIN_TILE_FILL · n_tiles`, counting the tiles before it converts (the
 /// converter's discover step, which packs nothing), and a compaction
-/// decides again from what it folded.  Under it — the paper's
-/// Table V scatter class, whose tiles hold a bit or two — no product would
-/// sweep them: every product reads the CSR the matrix holds, the Boolean
-/// ones in node or lane words.  The two paths agree bit for bit (both pulls
-/// fold a row's columns in ascending order, OR is exact, the count is
-/// exact), so the choice moves time and memory, never a result.  The
-/// benchmark's graphs sit far from it: R-MAT(14, 16) at 2.0 bits per B2SR-8
-/// tile and its `L` at 2.03 hold none, the mesh at 51.8 and its `L` at
-/// 46.5 hold tiles (`tiles_exist_only_where_a_product_sweeps_them`).
+/// decides again from what it folded.  Tiles serve two products: the
+/// single-vector Boolean product in node words (pull and push) and the
+/// masked reduction of Triangle Counting.  Under the fill — the paper's
+/// Table V scatter class, whose tiles hold a bit or two — those two read
+/// the CSR the matrix holds as well, in node words and as the CSR count.
+/// Every other product reads the CSR on every matrix, tiled or not.  The
+/// paths agree bit for bit (both pulls fold a row's columns in ascending
+/// order, OR is exact, the count is exact), so the choice moves time and
+/// memory, never a result.  The benchmark's graphs sit far from it:
+/// R-MAT(14, 16) at 2.0 bits per B2SR-8 tile and its `L` at 2.03 hold none,
+/// the mesh at 51.8 and its `L` at 46.5 hold tiles
+/// (`tiles_exist_only_where_a_product_sweeps_them`).
 ///
-/// # The full-precision pulls
+/// # The Boolean products
 ///
-/// Why a fill and not one path: with every non-Boolean pull on the CSR
-/// (this constant at +∞), ten alternating pairs of the repo benchmark's mesh
-/// workloads (B2SR-8, one pinned core) against the tile sweep read, on
-/// `mesh_read` / `mesh_mixed`, `cc_ms` +36 % / +25 % (a MinPlus pull, which
-/// the sweep then won on dense tiles), `query_p95_ms` 2.2× / 2.1× (the
-/// batched PPR lanes), `setup_s` +40 % / +38 % and `peak_rss_mb` +5 % / +4 %
-/// (the `csr_t` the row pull builds) — three bounds broken — against
-/// `pagerank_ms` −34 % / −29 %.  So dense tiles keep the sweep.  That was
-/// measured before the row pull folded MinPlus in four chains
-/// ([`csr_pull_full`]); the kernels below say the `cc_ms` loss has gone,
-/// the other two stand until measured again.
+/// `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv -- bmv_bool_fill`
+/// (bare kernels, 16 384 vertices, one pinned core of a 2-vCPU Xeon VM, two
+/// runs) times the tile Boolean pull and push beside the CSR word kernels —
+/// node words at `k = 1` ([`csr_bits_pull`], [`csr_bits_push`]), lane words
+/// at `k = 64` ([`csr_lanes_pull`], [`csr_lanes_push`]) — with R-MAT's edge
+/// count laid out in scattered tiles of `b` bits each, so that fill is the
+/// one variable, at a 1 % frontier as a BFS's first rounds meet it, a half
+/// frontier with three quarters visited and a full frontier with nothing
+/// visited.  CSR ÷ tiles of the node words at B2SR-8, each cell over the
+/// states named and both runs:
 ///
-/// The kernels: `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv --
-/// bmv_pull_fill` (bare kernels, 16 384 vertices, one pinned core of a
-/// 2-vCPU Xeon VM, two runs) times the tile sweep beside the row pull the
-/// engine runs, [`csr_pull_full`].  With R-MAT's edge count laid out in
-/// scattered tiles of `b` bits each, so that fill is the one variable, row
-/// pull ÷ sweep at B2SR-8 is:
+/// | bits / tile | node pull 1 % | node pull ½, full | node push |
+/// |---|---|---|---|
+/// | 1 | 0.42–0.46 | 0.22–0.32 | 0.11–0.15 |
+/// | 2 | 0.99–1.25 | 0.39–0.63 | 0.25–0.30 |
+/// | 4 | 2.59–3.02 | 0.42–0.70 | 0.43–0.68 |
+/// | 8 | 5.13–5.92 | 0.71–2.35 | 0.74–1.17 |
+/// | 16 | 12–14 | 2.96–3.47 | 1.88–2.42 |
+/// | 64 | 19–27 | 3.13–5.55 | 3.41–7.89 |
+/// | R-MAT, 2.0 | 0.65–0.73 | 0.08–0.23 | 0.17–0.40 |
+/// | mesh, 51.8 | 33–36 | 2.92–38 | 5.80–9.61 |
+///
+/// The node-word products cross between 4 and 8 bits, except the pull at a
+/// 1 % frontier, which crosses near 2 — but a BFS pulls at large frontiers
+/// (`Direction::Auto` is Beamer's switch), where the CSR wins to 4 bits.
+/// So the fill serves.  At the other widths, under 4 bits, every cell is ≤
+/// 0.70 but that same pull at a 1 % frontier at 2 bits per tile (B2SR-4
+/// 1.45–1.49, B2SR-16 0.82–1.05); R-MAT holds no tiles at B2SR-4 and -16
+/// (1.5 and 3.2 bits: ≤ 0.85), and at B2SR-32 (6.0 bits) keeps tiles that
+/// lose every cell but that one (1.24–1.60; the rest 0.01–0.97).
+///
+/// The lane words read the CSR at every fill: the tile lane push walks every
+/// tile of a node's tile-row, and the lane products lose to the CSR through
+/// 16 bits per tile in every state (½ and full pulls 0.02–0.60, pushes
+/// 0.06–0.43, 1 % pulls 0.06–0.56) and on the mesh, which holds tiles (½
+/// and full pulls 0.05–0.56, pushes 0.32–0.40, 1 % pulls 0.92–1.04).  Only
+/// the 1 % pull at 64 bits per tile favours the tiles (1.52–2.47), a fill
+/// no benchmark graph reaches.
+///
+/// # The full-precision products
+///
+/// Every full-precision pull reads the CSR on every matrix, as every push
+/// does.  `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv --
+/// bmv_pull_fill` (same graphs, host and core, two runs) times the tile
+/// sweep beside the row pull the engine runs, [`csr_pull_full`].  Row pull
+/// ÷ sweep at B2SR-8:
 ///
 /// | bits / tile | 1 | 2 | 4 | 6 | 8 | 16 | 64 |
 /// |---|---|---|---|---|---|---|---|
@@ -413,54 +441,18 @@ impl ScatterPlans {
 /// | MinPlus | 0.30–0.45 | 0.56–0.57 | 0.73–0.74 | 0.84–0.95 | 0.84–0.89 | 0.80–0.86 | 0.59–0.65 |
 ///
 /// The row pull wins or ties at every fill, the mesh included (0.49–0.63,
-/// Arithmetic 0.68–0.77).  So the bare kernels do not place the constant;
-/// it stays at 4 for the end-to-end losses above, and leaves tiles out only
-/// where the row pull wins by a quarter or more: R-MAT at 2.0 bits per tile
-/// (0.28, MinPlus 0.22–0.30).
-///
-/// One number serves every width because it never sends a pull to the
-/// slower kernel: at B2SR-4, -16 and -32 the row pull wins or ties at every
-/// fill of the sweep (≤ 0.64, 1.14 and 0.99 Arithmetic; ≤ 0.89 MinPlus), and
-/// R-MAT (1.5 and 3.2 bits) holds no tiles at B2SR-4 and -16.  It tiles too
-/// much instead: R-MAT at B2SR-32 reads 6.0 bits and keeps a sweep about
-/// 10× slower than the row pull.  Not measured: the batched pull against
-/// fill (only end to end, above), more than one core, and any width but
-/// B2SR-8 end to end — the benchmark runs B2SR-8 only.
-///
-/// # The Boolean products
-///
-/// `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv -- bmv_bool_fill`
-/// (same graphs, host and core, two runs) times the tile Boolean pull and
-/// push beside the four CSR word kernels — node words at `k = 1`
-/// ([`csr_bits_pull`], [`csr_bits_push`]), lane words at `k = 64`
-/// ([`csr_lanes_pull`], [`csr_lanes_push`]) — at a 1 % frontier as a BFS's
-/// first rounds meet it, a half frontier with three quarters visited and a
-/// full frontier with nothing visited.  CSR ÷ tiles at B2SR-8, each cell
-/// over the states named and both runs:
-///
-/// | bits / tile | node pull 1 % | node pull ½, full | node push | lane pull 1 % | lane pull ½, full | lane push |
-/// |---|---|---|---|---|---|---|
-/// | 1 | 0.42–0.46 | 0.22–0.32 | 0.11–0.15 | 0.06–0.09 | 0.02–0.29 | 0.06–0.07 |
-/// | 2 | 0.99–1.25 | 0.39–0.63 | 0.25–0.30 | 0.13–0.19 | 0.02–0.60 | 0.07–0.09 |
-/// | 4 | 2.59–3.02 | 0.42–0.70 | 0.43–0.68 | 0.22 | 0.05–0.18 | 0.08–0.14 |
-/// | 8 | 5.13–5.92 | 0.71–2.35 | 0.74–1.17 | 0.33–0.40 | 0.08–0.22 | 0.18–0.29 |
-/// | 16 | 12–14 | 2.96–3.47 | 1.88–2.42 | 0.53–0.56 | 0.07–0.56 | 0.29–0.43 |
-/// | 64 | 19–27 | 3.13–5.55 | 3.41–7.89 | 1.52–2.47 | 0.19–0.88 | 0.53–0.67 |
-/// | R-MAT, 2.0 | 0.65–0.73 | 0.08–0.23 | 0.17–0.40 | 0.08 | 0.01–0.27 | 0.06–0.09 |
-/// | mesh, 51.8 | 33–36 | 2.92–38 | 5.80–9.61 | 0.92–1.04 | 0.05–0.56 | 0.32–0.40 |
-///
-/// The single-vector products cross between 4 and 8 bits, except the node
-/// pull at a 1 % frontier, which crosses near 2 — but a BFS pulls at large
-/// frontiers (`Direction::Auto` is Beamer's switch), where the CSR wins to
-/// 4 bits.  So the pull's fill serves.  At the other widths, under 4 bits,
-/// every cell is ≤ 0.70 but that same node pull at a 1 % frontier at 2 bits
-/// per tile (B2SR-4 1.45–1.49, B2SR-16 0.82–1.05); R-MAT holds no tiles at
-/// B2SR-4 and -16 (1.5 and 3.2 bits: ≤ 0.85), and at B2SR-32 (6.0 bits)
-/// keeps tiles that lose every cell but that one (1.24–1.60; the rest
-/// 0.01–0.97).  The lane products cross higher — the tile lane push walks
-/// every tile of a node's tile-row — and win the mesh too (½ and full pulls
-/// 0.05–0.56, pushes 0.32–0.40), which keeps its tiles: the mesh's
-/// single-vector products, where tiles win by 2.9–38×, decide its BFS.
+/// Arithmetic 0.68–0.77), and at every other width (≤ 0.64, 1.14 and 0.99
+/// Arithmetic at B2SR-4, -16 and -32; ≤ 0.89 MinPlus).  End to end, ten
+/// alternating pairs of the repo benchmark's mesh workloads (B2SR-8, one
+/// pinned core of the same VM), every full-precision pull and every lane
+/// product on the CSR against the tile sweeps, read in medians
+/// (`mesh_read` / `mesh_mixed`): `pagerank_ms` 0.62× / 0.66× and `cc_ms`
+/// 0.65× / 0.71× in every pair, `drain_qps` 1.11× / 1.07×, `peak_rss_mb`
+/// +6.7 % / +3.2 % (the `csr_t` the row pulls build beside `b2sr_t`), a
+/// served query's p50 and p95 1.07× and 1.10× / 0.99× and 1.04×, and every
+/// other end-to-end metric 0.92–1.06× — none past its bound.  Not measured:
+/// the batched pull against fill (only end to end), and more than one
+/// core.
 ///
 /// # The masked reduction
 ///
@@ -495,12 +487,14 @@ impl ScatterPlans {
 pub const MIN_TILE_FILL: usize = 4;
 
 /// The built-in backend: the binary CSR every matrix holds (the interchange
-/// view, and what every full-precision push scatters from) plus, under
-/// [`Backend::Bit`] at [`MIN_TILE_FILL`] bits per tile or more,
-/// B2SR tiles and their bit kernels (Tables II and III).  Without tiles
-/// every product runs on the CSR — in bit words for a `Backend::Bit`
-/// matrix's Boolean ones, on `f32` for everything of the float baseline,
-/// [`Backend::FloatCsr`].
+/// view, and what every full-precision product and every lane-word product
+/// reads) plus, under [`Backend::Bit`] at [`MIN_TILE_FILL`] bits per tile
+/// or more, B2SR tiles and the two bit kernels that read them: the node-word
+/// Boolean pull and push (Table II's bin/bin/bin) and the masked count
+/// (Table III).  Without tiles those two run on the CSR too — in node words,
+/// and as the CSR count.  The Boolean products of a `Backend::Bit` matrix
+/// run in bit words; the float baseline, [`Backend::FloatCsr`], runs
+/// everything on `f32`.
 #[derive(Debug)]
 pub struct BitB2sr {
     /// What the matrix was built as, tiled or not.
@@ -516,7 +510,7 @@ pub struct BitB2sr {
 struct Tiles {
     b2sr: B2srMatrix,
     b2sr_t: OnceLock<B2srMatrix>,
-    /// The row-shard plans of the Boolean word scatters.
+    /// The row-shard plans of the node-word scatters.
     shards: ScatterPlans,
 }
 
@@ -542,9 +536,9 @@ impl Tiles {
         }
     }
 
-    /// The shard plan of a Boolean push product's scatter representation —
-    /// cut from its tiles, the tile word scatter's unit — and its average
-    /// degree over the matrix's `nnz` edges.
+    /// The shard plan of a node-word push's scatter representation — cut
+    /// from its tiles, the tile word scatter's unit — and its average degree
+    /// over the matrix's `nnz` edges.
     fn scatter_plan(&self, transpose: bool, nnz: usize) -> (&ShardPlan, usize) {
         let plan = self.shards.get_or_plan(!transpose, || self.rep(!transpose));
         (plan, avg_degree(nnz, plan))
@@ -630,11 +624,10 @@ impl BitB2sr {
     /// trait method: the op layer ([`Op::mxm_lanes`](super::Op::mxm_lanes))
     /// finds it by downcast on a `Backend::Bit` matrix, and the `f32` Boolean
     /// arm of `mxm_into` ([`boolean_batch`](Self::boolean_batch)) runs it
-    /// between a pack and an expand.  A tiled matrix sweeps or scatters its
-    /// tiles; one without runs [`csr_lanes_pull`] on `csr_rep(transpose)` or
-    /// scatters [`csr_lanes_push`] serially from `csr_rep(!transpose)`.  Both
-    /// give the same words.
-    #[allow(clippy::too_many_arguments)]
+    /// between a pack and an expand.  Tiled or not, it runs
+    /// [`csr_lanes_pull`] on `csr_rep(transpose)` or scatters
+    /// [`csr_lanes_push`] serially from `csr_rep(!transpose)`: the lane
+    /// products lose to the CSR even on dense tiles ([`MIN_TILE_FILL`]).
     pub(crate) fn lane_product(
         &self,
         xw: &[u64],
@@ -642,32 +635,20 @@ impl BitB2sr {
         frontier: Option<&[usize]>,
         excluded: Option<&[u64]>,
         transpose: bool,
-        ws: &Workspace,
         yw: &mut Vec<u64>,
     ) {
-        let wpn = lane_words_per_node(k);
-        match (frontier, &self.tiles) {
-            (Some(frontier), Some(tiles)) => with_b2sr!(tiles.rep(!transpose), |m| {
-                let plan = tiles.scatter_plan(transpose, self.nnz());
-                or_into(yw, m.ncols() * wpn, excluded, |y| {
-                    push_scatter(ws, plan, frontier, wpn, y, |segment, chunk| {
-                        bmm_push_bits(m, segment, xw, wpn, chunk)
-                    })
-                })
-            }),
-            (Some(frontier), None) => {
+        match frontier {
+            Some(frontier) => {
                 let csr = csr_rep(self, !transpose);
+                let wpn = lane_words_per_node(k);
                 or_into(yw, csr.ncols() * wpn, excluded, |y| {
                     csr_lanes_push(csr, frontier, xw, wpn, y)
                 })
             }
-            (None, Some(tiles)) => with_b2sr!(tiles.rep(transpose), |m| lane_pull(
-                m, xw, k, excluded, ws, yw
-            )),
-            (None, None) => {
+            None => {
                 let csr = csr_rep(self, transpose);
                 yw.clear();
-                yw.resize(csr.nrows() * wpn, 0);
+                yw.resize(csr.nrows() * lane_words_per_node(k), 0);
                 csr_lanes_pull(csr, xw, k, excluded, yw);
             }
         }
@@ -679,10 +660,12 @@ impl BitB2sr {
     /// `Some(ascending set indices of xw)` for push, which reads no `xw` —
     /// and `yw` is a pooled buffer sized here.
     /// [`lane_product`](Self::lane_product)'s one-bit sibling, found the same
-    /// way ([`Op::vxm_bits`](super::Op::vxm_bits)) and run without tiles the
-    /// same way ([`csr_bits_pull`], [`csr_bits_push`]); the `f32` Boolean arm
-    /// of `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it
-    /// between a pack and an expand.
+    /// way ([`Op::vxm_bits`](super::Op::vxm_bits)); the `f32` Boolean arm of
+    /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
+    /// a pack and an expand.  The one product tiles serve beside the masked
+    /// reduction: a tiled matrix sweeps them ([`bits_pull`]) or scatters
+    /// them sharded ([`bits_push`]); one without runs [`csr_bits_pull`] or
+    /// [`csr_bits_push`] on its CSR, serially.
     pub(crate) fn bits_product(
         &self,
         xw: &[u64],
@@ -782,7 +765,7 @@ impl BitB2sr {
             converted += mk.len();
         }
         let mut yw: Vec<u64> = ws.take_empty();
-        self.lane_product(&xw, k, p.frontier, sup.as_deref(), p.transpose, ws, &mut yw);
+        self.lane_product(&xw, k, p.frontier, sup.as_deref(), p.transpose, &mut yw);
         out.clear();
         out.resize(self.produced(p.transpose) * k, 0.0);
         let filter = p.mask.filter(|_| p.frontier.is_some());
@@ -865,32 +848,6 @@ fn seed_push_output(p: &MxvPipeline<'_>, produced: usize, out: &mut Vec<f32>) ->
     }
 }
 
-/// The full-precision pull sweep of a single-vector pipeline on one B2SR
-/// width: one tile-granular sweep, bare or fused alike, with the semiring
-/// and the finish both dispatched once per call (see
-/// `bmv_bin_full_full_fused_into`).  The mask rides inside the finishing
-/// closure — the bit sweep computes every row's raw value regardless,
-/// exactly like the masked bit kernels.
-fn bit_pull<W: BitWord>(m: &B2sr<W>, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
-    debug_assert!(
-        p.semiring != Semiring::Boolean,
-        "a Boolean pull runs in words"
-    );
-    let dim = m.tile_dim();
-    out.clear();
-    out.resize(m.n_tile_rows() * dim, 0.0);
-    plan::dispatch_finish(
-        p,
-        BitPullSink {
-            m,
-            semiring: p.semiring,
-            x: p.x,
-            out: out.as_mut_slice(),
-        },
-    );
-    out.truncate(m.nrows());
-}
-
 /// The single-vector Boolean pull sweep in node words on one B2SR width —
 /// `yw = (m ⊕.⊗ xw) & !sup`, the minimal-footprint bin/bin/bin scheme — the
 /// tile body under [`BitB2sr::bits_product`].  Operand and suppressed rows
@@ -937,7 +894,7 @@ fn bits_push<W: BitWord + Poolable>(
     yw: &mut Vec<u64>,
 ) {
     let mut tiles: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
-    push_scatter(ws, plan, frontier, 1, &mut tiles, |segment, chunk| {
+    push_scatter(ws, plan, frontier, &mut tiles, |segment, chunk| {
         bmv_push_bin_bin(m, segment, chunk)
     });
     join_tile_words(&tiles, m.tile_dim(), m.ncols(), yw);
@@ -945,81 +902,6 @@ fn bits_push<W: BitWord + Poolable>(
         simd::andnot_into(yw, excluded);
     }
     ws.give(tiles);
-}
-
-/// The batched Boolean pull sweep in lane words on one B2SR width —
-/// `yw = (m ⊕.⊗ xw) & !sup` — the tile body under
-/// [`BitB2sr::lane_product`].  `yw` (a pooled buffer, sized here) receives
-/// `nrows · wpn` words.
-fn lane_pull<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    xw: &[u64],
-    k: usize,
-    sup: Option<&[u64]>,
-    ws: &Workspace,
-    yw: &mut Vec<u64>,
-) {
-    let dim = m.tile_dim();
-    let wpn = lane_words_per_node(k);
-    // The any-lane-active tile word per tile column lets the sweep skip
-    // inactive columns at word granularity.
-    let mut xa: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
-    for (active, nodes) in xa.iter_mut().zip(xw.chunks(dim * wpn)) {
-        for (c, lanes) in nodes.chunks_exact(wpn).enumerate() {
-            if lanes.iter().any(|&w| w != 0) {
-                *active = active.with_bit(c as u32);
-            }
-        }
-    }
-    // The kernel writes whole tile-rows; the padding rows hold no edge.
-    yw.clear();
-    yw.resize(m.n_tile_rows() * dim * wpn, 0);
-    bmm_bin_bits_into(m, xw, k, &xa, sup, yw);
-    yw.truncate(m.nrows() * wpn);
-    ws.give(xa);
-}
-
-/// The batched full-precision pull sweep on one B2SR width.  The tilewise
-/// any-lane-active indicator lets the sweep skip inactive columns at word
-/// granularity (exact for push-safe semirings, where identity entries
-/// contribute nothing).
-fn bit_mxm_pull<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    p: &MxvPipeline<'_>,
-    ws: &Workspace,
-    out: &mut Vec<f32>,
-) {
-    let (x, k, semiring, mask) = (p.x, p.k, p.semiring, p.mask);
-    debug_assert!(
-        semiring != Semiring::Boolean,
-        "a Boolean pull runs in words"
-    );
-    let dim = m.tile_dim();
-    let mut active: Vec<bool> = ws.take_empty();
-    let mut xa: Vec<W> = ws.take_empty();
-    if semiring.push_safe() {
-        active.extend(
-            x.chunks_exact(k)
-                .map(|lanes| lanes.iter().any(|&v| !semiring.is_identity(v))),
-        );
-        pack_vector_bits_into(&active, dim, &mut xa);
-    }
-    out.clear();
-    out.resize(m.n_tile_rows() * dim * k, semiring.identity());
-    let xa_opt = semiring.push_safe().then_some(xa.as_slice());
-    bmm_bin_full_into(m, x, k, semiring, xa_opt, out);
-    out.truncate(m.nrows() * k);
-    if let Some(mk) = mask {
-        let identity = semiring.identity();
-        for (flat, v) in out.iter_mut().enumerate() {
-            if !mk.allows(flat) {
-                *v = identity;
-            }
-        }
-    }
-    ws.give(active);
-    ws.give(xa);
-    p.finish_in_place(out);
 }
 
 impl GrbBackend for BitB2sr {
@@ -1053,10 +935,7 @@ impl GrbBackend for BitB2sr {
                 self.boolean_vector(p, ws, out)
             }
             Some(frontier) => csr_push_vector(csr_rep(self, !p.transpose), p, frontier, out),
-            None => match &self.tiles {
-                Some(tiles) => with_b2sr!(tiles.rep(p.transpose), |m| bit_pull(m, p, out)),
-                None => csr_pull(csr_rep(self, p.transpose), p, out),
-            },
+            None => csr_pull(csr_rep(self, p.transpose), p, out),
         }
     }
 
@@ -1066,10 +945,7 @@ impl GrbBackend for BitB2sr {
                 self.boolean_batch(p, ws, out)
             }
             Some(frontier) => csr_push_batch(csr_rep(self, !p.transpose), p, frontier, out),
-            None => match &self.tiles {
-                Some(tiles) => with_b2sr!(tiles.rep(p.transpose), |m| bit_mxm_pull(m, p, ws, out)),
-                None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
-            },
+            None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
         }
     }
 
@@ -1120,62 +996,39 @@ impl GrbBackend for BitB2sr {
     }
 }
 
-/// [`FinishSink`](plan::FinishSink) for the BitB2sr full-precision pull
-/// sweep: runs the tile-granular [`bmv_bin_full_full_fused_into`] kernel with
-/// the finishing closure [`plan::dispatch_finish`] monomorphised for the
-/// pipeline's epilogue shape (the identity for a bare product).  `out` has
-/// the padded length.
-struct BitPullSink<'a, 'b, W: BitWord> {
-    m: &'a B2sr<W>,
-    semiring: Semiring,
-    x: &'a [f32],
-    out: &'b mut [f32],
-}
-
-impl<W: BitWord> plan::FinishSink for BitPullSink<'_, '_, W> {
-    fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin) {
-        bmv_bin_full_full_fused_into(self.m, self.x, self.semiring, fin, self.out);
-    }
-}
-
-/// [`FinishSink`](plan::FinishSink) for the CSR row pull: runs
-/// [`csr_pull_full`] with the pipeline epilogue (handed in by
-/// [`plan::dispatch_finish`], itself monomorphised for the common shapes)
-/// folded into the store.  Masked rows skip their edge walk entirely
-/// (GraphBLAST's early exit).
-struct CsrPullSink<'a, 'b> {
-    csr: &'a Csr,
-    semiring: Semiring,
-    x: &'a [f32],
-    mask: Option<&'a Mask>,
-    out: &'b mut [f32],
-}
-
-impl plan::FinishSink for CsrPullSink<'_, '_> {
-    fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin) {
-        let mask = self.mask;
-        let allow = |r: usize| mask.is_none_or(|m| m.allows(r));
-        csr_pull_full(self.csr, self.x, self.semiring, allow, fin, self.out);
-    }
-}
-
 /// The row pull of a single-vector pipeline over `csr`, bare or fused alike
-/// ([`CsrPullSink`]) — every full-precision pull of a matrix without tiles
-/// (and the float baseline's Boolean one), a one-lane batch's included
-/// ([`csr_mxm_pull`]).
+/// — every full-precision pull (and the float baseline's Boolean one), a
+/// one-lane batch's included ([`csr_mxm_pull`]).  Masked rows skip their
+/// edge walk ([`csr_pull_full`]'s `allow`: GraphBLAST's early exit), and
+/// the pipeline's epilogue folds into the store through a finishing closure
+/// monomorphised for its shape: the common fused shapes — a single affine
+/// stage (PageRank's update), a monoid accumulator (SSSP's `min`), the bare
+/// product — get dedicated closures, so the row loop carries no per-row
+/// stage interpretation; everything else runs the general
+/// [`MxvPipeline::finish`] interpreter, which is always correct.  The
+/// closures keep `finish`'s operand order (baseline first): `min` / `max` of
+/// `0.0` and `-0.0` answer by position, and a `DeltaOverlay` re-folds with
+/// `finish` what this pull stored.
 fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     out.clear();
     out.resize(csr.nrows(), 0.0);
-    plan::dispatch_finish(
-        p,
-        CsrPullSink {
-            csr,
-            semiring: p.semiring,
-            x: p.x,
-            mask: p.mask,
-            out,
-        },
-    );
+    let allow = |r: usize| p.mask.is_none_or(|m| m.allows(r));
+    macro_rules! pull {
+        ($fin:expr) => {
+            csr_pull_full(csr, p.x, p.semiring, allow, $fin, out)
+        };
+    }
+    match (p.stages, p.accum, p.mask) {
+        ([Stage::Affine { mul, add }], None, None) => {
+            let (mul, add) = (*mul, *add);
+            pull!(move |_, t| mul * t + add)
+        }
+        ([], Some((BinaryOp::Min, base)), None) => pull!(move |i, t| base[i].min(t)),
+        ([], Some((BinaryOp::Max, base)), None) => pull!(move |i, t| base[i].max(t)),
+        ([], Some((BinaryOp::Plus, base)), None) => pull!(move |i, t| base[i] + t),
+        ([], None, None) => pull!(|_, t| t),
+        _ => pull!(|i, t| p.finish(i, t)),
+    }
 }
 
 /// The batched row pull of a pipeline over `csr`.  One lane is the vector
@@ -1252,7 +1105,7 @@ fn csr_push_batch(csr: &Csr, p: &MxvPipeline<'_>, frontier: &[usize], out: &mut 
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use crate::grb::{Context, Direction, Fusion, Matrix, MultiVec, Op, Vector};
@@ -1283,8 +1136,8 @@ pub(super) mod tests {
     }
 
     /// Every `(r, c)` with `0 < |r − c| ≤ width`: B2SR tiles holding tens of
-    /// bits, which the full-precision pull sweeps.
-    fn banded(n: usize, width: usize) -> Csr {
+    /// bits.
+    pub(crate) fn banded(n: usize, width: usize) -> Csr {
         let mut coo = Coo::new(n, n);
         for r in 0..n {
             for c in r.saturating_sub(width)..(r + width + 1).min(n) {
@@ -1345,8 +1198,8 @@ pub(super) mod tests {
 
     #[test]
     fn backends_agree_through_the_trait_object() {
-        // A scattered graph, which holds no tiles, and a banded one, whose
-        // pulls sweep its tiles.
+        // A scattered graph, which holds no tiles, and a banded one, which
+        // holds them.
         for (csr, hypersparse) in [(sample(70, 5), true), (banded(70, 6), false)] {
             let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32).collect();
             let backends: Vec<Box<dyn GrbBackend>> = vec![
@@ -1520,7 +1373,7 @@ pub(super) mod tests {
     /// edges: a bit or two per tile at every width, so it holds no tiles,
     /// and lines long enough that another fold order would change their
     /// float sums.
-    fn ragged_with_hubs() -> Csr {
+    pub(crate) fn ragged_with_hubs() -> Csr {
         let (nrows, ncols) = (2001, 1501);
         let mut coo = sample_coo(nrows, ncols, 1500, 17);
         for hub in 0..8 {
@@ -1534,105 +1387,19 @@ pub(super) mod tests {
         coo.to_binary_csr()
     }
 
-    /// A pull without tiles is the tile sweep, bit for bit: `mxv_into` /
-    /// `mxm_into` of the untiled ragged matrix against its tiled twin's,
-    /// which sweeps — `bit_pull` (over `bmv_bin_full_full_fused_into`) and
-    /// `bit_mxm_pull` (over `bmm_bin_full_into`) — at every width,
-    /// both orientations of a ragged rectangular matrix, one lane and batches
-    /// of 3 and 64; bare, affine (PageRank), `min`-accumulated (SSSP), masked
-    /// and complemented-mask pipelines; operands and baselines holding NaN,
-    /// ±inf, −0.0, subnormals and the extremes, under Arithmetic, MaxTimes of
-    /// either sign and MinPlus at every hostile weight — 0, 1, −2.5, −0.0,
-    /// ±∞ and NaN, so the four-chain fold and the one chain of
-    /// `MinPlus(−0.0)` both meet the sweep.
-    #[test]
-    fn routed_pull_equals_the_tile_sweep_bitwise() {
-        use crate::grb::expr::Stage;
-        use crate::kernels::bmm::tests::{HOSTILE_GRID, HOSTILE_WEIGHTS};
-
-        let csr = ragged_with_hubs();
-        let value = |f: usize, semiring: Semiring| match f % 7 {
-            0 | 1 => HOSTILE_GRID[(f / 7) % HOSTILE_GRID.len()],
-            2 | 3 => semiring.identity(),
-            _ => 0.37 * (f % 11) as f32 - 1.5,
-        };
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-        let ws = Workspace::new();
-        let affine = [Stage::Affine {
-            mul: 0.85,
-            add: 0.01,
-        }];
-        for ts in TileSize::ALL {
-            let b = bit_b2sr(&csr, ts);
-            assert!(b.b2sr().is_none(), "{ts:?}");
-            let tiled = twin(&csr, ts, true);
-            for transpose in [false, true] {
-                let (produced, contracted) = if transpose {
-                    (csr.ncols(), csr.nrows())
-                } else {
-                    (csr.nrows(), csr.ncols())
-                };
-                let min_plus = HOSTILE_WEIGHTS.map(Semiring::MinPlus);
-                let others = [
-                    Semiring::Arithmetic,
-                    Semiring::MaxTimes(0.75),
-                    Semiring::MaxTimes(-0.5),
-                ];
-                for semiring in min_plus.into_iter().chain(others) {
-                    for k in [1usize, 3, 64] {
-                        let x: Vec<f32> = (0..contracted * k).map(|f| value(f, semiring)).collect();
-                        let base: Vec<f32> =
-                            (0..produced * k).map(|f| value(f + 3, semiring)).collect();
-                        let structure: Vec<bool> = (0..produced * k).map(|f| f % 3 != 1).collect();
-                        let mask = Mask::new(structure.clone());
-                        let complemented = Mask::complemented(structure);
-                        let min = Some((BinaryOp::Min, base.as_slice()));
-                        let shapes: [(&[Stage<'_>], _, Option<&Mask>); 5] = [
-                            (&[], None, None),
-                            (&affine, None, None),
-                            (&[], min, None),
-                            (&[], None, Some(&mask)),
-                            (&affine, min, Some(&complemented)),
-                        ];
-                        for (shape, (stages, accum, mask)) in shapes.into_iter().enumerate() {
-                            let p = MxvPipeline {
-                                x: &x,
-                                k,
-                                frontier: None,
-                                semiring,
-                                mask,
-                                transpose,
-                                stages,
-                                accum,
-                            };
-                            let what = format!(
-                                "{ts:?} transpose={transpose} {semiring:?} k={k} shape {shape}"
-                            );
-                            let (mut got, mut want) = (Vec::new(), Vec::new());
-                            b.mxm_into(&p, &ws, &mut got);
-                            tiled.mxm_into(&p, &ws, &mut want);
-                            assert_eq!(bits(&got), bits(&want), "mxm {what}");
-                            if k == 1 {
-                                b.mxv_into(&p, &ws, &mut got);
-                                tiled.mxv_into(&p, &ws, &mut want);
-                                assert_eq!(bits(&got), bits(&want), "mxv {what}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// A Boolean product without tiles is the tile kernels' product, word
-    /// for word: node words ([`BitB2sr::bits_product`]), lane words
-    /// ([`BitB2sr::lane_product`]) and the `f32` arms of `mxv_into` /
-    /// `mxm_into`, pull and push, on a matrix and its twin with the other
-    /// tile choice — the ragged hub matrix (untiled) and a banded one of 301
-    /// vertices (tiled) at every width, both orientations, `k` of 1, 3, 64,
-    /// 65 and 130 (one, two and three words per node, ragged last words);
-    /// bare, masked and fully suppressed, from an empty, a thin and a
-    /// half-full frontier.
+    /// for word: node words ([`BitB2sr::bits_product`]) and the `f32` arm of
+    /// `mxv_into` over them, pull and push, on a matrix and its twin with the
+    /// other tile choice — the ragged hub matrix (untiled) and a banded one
+    /// of 301 vertices (tiled) at every width, both orientations; bare,
+    /// masked and fully suppressed, from an empty, a thin and a half-full
+    /// frontier.  Lane words run the CSR tiled or not, and their kernels
+    /// are pinned to the tile lane kernels in `kernels::bmm`
+    /// (`csr_lane_products_equal_the_tile_lane_kernels_bitwise`); here the
+    /// `f32` arm of `mxm_into` over them ([`BitB2sr::lane_product`] between a
+    /// pack and an expand) equals the float baseline's `f32` Boolean
+    /// product, at `k` of 1, 3, 64, 65 and 130 (one, two and three words per
+    /// node, ragged last words).
     #[test]
     fn routed_boolean_products_equal_the_tile_kernels_bitwise() {
         let ws = Workspace::new();
@@ -1641,6 +1408,7 @@ pub(super) mod tests {
                 let b = bit_b2sr(&csr, ts);
                 assert_eq!(b.b2sr().is_some(), tiled, "{ts:?}");
                 let twin = twin(&csr, ts, !tiled);
+                let float = float_csr(&csr);
                 for transpose in [false, true] {
                     let (produced, contracted) = if transpose {
                         (csr.ncols(), csr.nrows())
@@ -1651,7 +1419,7 @@ pub(super) mod tests {
                         let what = format!("{ts:?} tiled={tiled} transpose={transpose} k={k}");
                         assert_boolean_twins_agree(
                             &b,
-                            &twin,
+                            (&twin, &float),
                             (produced, contracted),
                             k,
                             transpose,
@@ -1668,7 +1436,7 @@ pub(super) mod tests {
     /// width, orientation and lane count.
     fn assert_boolean_twins_agree(
         b: &BitB2sr,
-        twin: &BitB2sr,
+        (twin, float): (&BitB2sr, &BitB2sr),
         (produced, contracted): (usize, usize),
         k: usize,
         transpose: bool,
@@ -1697,15 +1465,13 @@ pub(super) mod tests {
             let frontier: Vec<usize> = (0..contracted)
                 .filter(|&u| flags[u * k..][..k].iter().any(|&a| a))
                 .collect();
-            // The words: node words at one lane, lane words at any.
-            let (mut xw, mut lw, mut sup, mut lsup) = (Vec::new(), Vec::new(), None, None);
+            // The node words, at one lane.
+            let (mut xw, mut sup) = (Vec::new(), None);
             pack_segments_into(&flags, 64, &mut xw, |&a| a);
-            pack_lane_words_from(&flags, k, |a| a, &mut lw);
             if let Some(mk) = &mask {
-                let (mut s, mut ls) = (Vec::new(), Vec::new());
+                let mut s = Vec::new();
                 pack_segments_into(mk.structure(), 64, &mut s, |&a| !a);
-                pack_lane_words_from(mk.structure(), k, |a| !a, &mut ls);
-                (sup, lsup) = (Some(s), Some(ls));
+                sup = Some(s);
             }
             for push in [false, true] {
                 let front = push.then_some(frontier.as_slice());
@@ -1716,16 +1482,12 @@ pub(super) mod tests {
                     twin.bits_product(&xw, front, sup.as_deref(), transpose, ws, &mut want);
                     assert_eq!(got, want, "node words {what}");
                     assert_eq!(got.len(), produced.div_ceil(64));
-                }
-                b.lane_product(&lw, k, front, lsup.as_deref(), transpose, ws, &mut got);
-                twin.lane_product(&lw, k, front, lsup.as_deref(), transpose, ws, &mut want);
-                assert_eq!(got, want, "lane words {what}");
-                assert_eq!(got.len(), produced * lane_words_per_node(k));
-                if case == 0 {
-                    assert!(
-                        got.iter().all(|&w| w == 0),
-                        "an empty frontier reaches nothing"
-                    );
+                    if case == 0 {
+                        assert!(
+                            got.iter().all(|&w| w == 0),
+                            "an empty frontier reaches nothing"
+                        );
+                    }
                 }
                 let p = MxvPipeline {
                     x: &x,
@@ -1739,8 +1501,9 @@ pub(super) mod tests {
                 };
                 let (mut got, mut want) = (Vec::new(), Vec::new());
                 b.mxm_into(&p, ws, &mut got);
-                twin.mxm_into(&p, ws, &mut want);
+                float.mxm_into(&p, ws, &mut want);
                 assert_eq!(got, want, "mxm {what}");
+                assert!(got.iter().all(|&v| v == 0.0 || v == 1.0), "an indicator");
                 if k == 1 {
                     b.mxv_into(&p, ws, &mut got);
                     twin.mxv_into(&p, ws, &mut want);
@@ -2136,13 +1899,14 @@ pub(super) mod tests {
         assert_eq!(spy(&external), (expected_calls, 4));
     }
 
-    /// The one sharded-or-serial routine over its two scatter shapes
-    /// (Boolean tile words and tile lane words): engaged on a multi-shard
-    /// plan of a rectangular matrix, its output is the serial kernel's on
-    /// the whole frontier at 1/2/4/8 threads.  The CSR node-word and
-    /// lane-word pushes of a matrix without tiles never reach it and OR the
-    /// same bits serially; neither do full-precision pushes
-    /// (`tests/backend_parity.rs::full_precision_push_scatters_serially_on_a_sharded_context`).
+    /// The one sharded-or-serial routine over the node-word push's tile
+    /// words: engaged on a multi-shard plan of a rectangular matrix, its
+    /// output is the serial kernel's on the whole frontier at 1/2/4/8
+    /// threads.  The CSR node-word push of a matrix without tiles never
+    /// reaches it and ORs the same bits serially; neither do lane-word or
+    /// full-precision pushes
+    /// (`tests/backend_parity.rs::full_precision_push_scatters_serially_on_a_sharded_context`,
+    /// `lane_word_push_scatters_serially_on_a_sharded_context`).
     #[test]
     fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
         let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
@@ -2156,79 +1920,34 @@ pub(super) mod tests {
         assert!(plan.n_shards() >= 4, "precondition: {plan:?}");
         let plan = (&plan, avg_degree(a.nnz(), &plan));
         let frontier: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
-        let k = 70;
-        let wpn = lane_words_per_node(k);
-        let mut xw = vec![0u64; n * wpn];
-        for (f, w) in xw.iter_mut().enumerate() {
-            *w = (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7;
-        }
 
-        // Run one shape at every thread budget; returns the common output.
-        fn at_every_budget<T: Poolable + Sync + PartialEq + std::fmt::Debug>(
-            what: &str,
-            run: impl Fn(&Workspace, &mut [T]),
-            seed: Vec<T>,
-        ) -> Vec<T> {
-            let mut reference: Option<Vec<T>> = None;
-            for threads in [1usize, 2, 4, 8] {
-                let ws = Workspace::new();
-                ws.set_push_threads(threads);
-                let mut y = seed.clone();
-                run(&ws, &mut y);
-                assert_eq!(
-                    ws.stats().snapshot().sharded_push,
-                    1,
-                    "{what}: the sharded path must engage"
-                );
-                match &reference {
-                    None => reference = Some(y),
-                    Some(r) => assert_eq!(&y, r, "{what} threads={threads}"),
-                }
-            }
-            reference.unwrap()
-        }
-
-        // Boolean tile words.
+        // The node-word push's tile words at every thread budget.
         let words = |seg: &[usize], chunk: &mut [u8]| bmv_push_bin_bin(&b, seg, chunk);
-        let got = at_every_budget(
-            "bin words",
-            |ws, y| push_scatter(ws, plan, &frontier, 1, y, words),
-            vec![0u8; b.n_tile_cols()],
-        );
         let mut serial = vec![0u8; b.n_tile_cols()];
         words(&frontier, &mut serial);
-        assert_eq!(got, serial);
+        for threads in [1usize, 2, 4, 8] {
+            let ws = Workspace::new();
+            ws.set_push_threads(threads);
+            let mut y = vec![0u8; b.n_tile_cols()];
+            push_scatter(&ws, plan, &frontier, &mut y, words);
+            let sharded = ws.stats().snapshot().sharded_push;
+            assert_eq!(sharded, 1, "the sharded path must engage");
+            assert_eq!(y, serial, "threads={threads}");
+        }
 
-        // Boolean lane words (k > 64: two words per node).
-        let lanes = |seg: &[usize], chunk: &mut [u64]| bmm_push_bits(&b, seg, &xw, wpn, chunk);
-        let got = at_every_budget(
-            "lane words",
-            |ws, y| push_scatter(ws, plan, &frontier, wpn, y, lanes),
-            vec![0u64; ncols * wpn],
-        );
-        let mut serial_lanes = vec![0u64; ncols * wpn];
-        lanes(&frontier, &mut serial_lanes);
-        assert_eq!(got, serial_lanes);
-
-        // The serial CSR node-word and lane-word pushes of a matrix without
-        // tiles: the same ORs as the tile scatters above (the bits of
-        // `words` and `lanes`).
+        // The serial CSR node-word push of a matrix without tiles: the same
+        // ORs as the tile scatter above.
         let mut node_words = vec![0u64; ncols.div_ceil(64)];
         csr_bits_push(&a, &frontier, &mut node_words);
-        let mut tiles = vec![0u8; b.n_tile_cols()];
-        words(&frontier, &mut tiles);
         let mut joined = Vec::new();
-        join_tile_words(&tiles, 8, ncols, &mut joined);
+        join_tile_words(&serial, 8, ncols, &mut joined);
         assert_eq!(node_words, joined, "the tile scatter's bits");
-        let mut csr_lanes = vec![0u64; ncols * wpn];
-        csr_lanes_push(&a, &frontier, &xw, wpn, &mut csr_lanes);
-        assert_eq!(csr_lanes, serial_lanes, "the tile lane scatter's words");
 
         // A frontier too thin to pay for the merge stays serial.
         let ws = Workspace::new();
         ws.set_push_threads(4);
         let mut y = vec![0u8; b.n_tile_cols()];
-        push_scatter(&ws, plan, &[7], 1, &mut y, words);
+        push_scatter(&ws, plan, &[7], &mut y, words);
         assert_eq!(ws.stats().snapshot().sharded_push, 0);
     }
 }

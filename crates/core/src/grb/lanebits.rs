@@ -19,7 +19,7 @@
 //!
 //! [`lane_words_per_node`]`(k)` `u64` words per node, node-major: bit
 //! `l % 64` of word `i * wpn + l / 64` is lane `l` of node `i` — the operand
-//! layout of `kernels::bmm::{bmm_bin_bits_into, bmm_push_bits}`.  Bits past
+//! layout of `kernels::bmm::{csr_lanes_pull, csr_lanes_push}`.  Bits past
 //! lane `k - 1` in a node's last word are never set.
 
 use bitgblas_bitops::BitWord;
@@ -160,6 +160,8 @@ impl LaneBits {
 }
 
 impl WordOps for LaneBits {
+    const NODE_WORDS: bool = false;
+
     fn shape(&self) -> (usize, usize) {
         (self.n, self.k)
     }
@@ -213,7 +215,7 @@ impl WordOps for LaneBits {
     ) -> Self {
         let (xw, excluded) = (&self.words[..], excluded.map(LaneBits::as_words));
         let mut yw = ws.take_empty::<u64>();
-        bit.lane_product(xw, self.k, frontier, excluded, transpose, ws, &mut yw);
+        bit.lane_product(xw, self.k, frontier, excluded, transpose, &mut yw);
         if let Some(overlay) = overlay {
             overlay.refold_dirty_words(xw, self.k, excluded, transpose, ws, &mut yw);
         }

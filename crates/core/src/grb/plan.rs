@@ -185,39 +185,6 @@ impl MxvPipeline<'_> {
     }
 }
 
-/// Receiver for a monomorphised finishing closure (see [`dispatch_finish`]).
-///
-/// Backends implement this on a small struct holding their sweep state;
-/// `run` is called exactly once with the closure that finishes each output
-/// position.
-pub trait FinishSink {
-    /// Run the backend's sweep with the given finishing closure.
-    fn run<Fin: Fn(usize, f32) -> f32 + Sync>(self, fin: Fin);
-}
-
-/// Hand `sink` a finishing closure specialised for the pipeline's epilogue
-/// shape.  The common fused shapes — a single affine stage (PageRank's
-/// update), a monoid accumulator (SSSP's `min`), a bare scaled product —
-/// get dedicated monomorphic closures, so the hot sweep loop carries no
-/// per-row stage interpretation; everything else falls back to the general
-/// [`MxvPipeline::finish`] interpreter, which is always correct.  The
-/// closures keep `finish`'s operand order (baseline first): `min` / `max` of
-/// `0.0` and `-0.0` answer by position, and a `DeltaOverlay` re-folds with
-/// `finish` what these sweeps stored.
-pub fn dispatch_finish<S: FinishSink>(p: &MxvPipeline<'_>, sink: S) {
-    match (p.stages, p.accum, p.mask) {
-        ([Stage::Affine { mul, add }], None, None) => {
-            let (mul, add) = (*mul, *add);
-            sink.run(move |_, t| mul * t + add)
-        }
-        ([], Some((BinaryOp::Min, base)), None) => sink.run(move |i, t| base[i].min(t)),
-        ([], Some((BinaryOp::Max, base)), None) => sink.run(move |i, t| base[i].max(t)),
-        ([], Some((BinaryOp::Plus, base)), None) => sink.run(move |i, t| base[i] + t),
-        ([], None, None) => sink.run(|_, t| t),
-        _ => sink.run(|i, t| p.finish(i, t)),
-    }
-}
-
 /// Run a collapsed element-wise chain in place, split across cores for long
 /// vectors: `out[i] = w[i] ⊕ stages(out[i])` — leaf-chain evaluation, the
 /// epilogue of partially fused push pipelines and of batched products.
@@ -238,13 +205,15 @@ pub fn run_chain_in_place_parallel(
 }
 
 /// The thread budget [`Direction::Auto`]'s pricing should assume for the
-/// push side of a `semiring` product: the context's budget when it is a
-/// Boolean word scatter and the scatter representation's build-time shard
-/// plan is actually partitioned, and serial otherwise — every
-/// full-precision push scatters serially, and single-shard plans (serial
-/// build budget, tiny matrices) and backends that report no plan run the
-/// serial scatter no matter what the run-time budget says, so pricing them
-/// at the budget would repeat the very serial-push / parallel-pull
+/// push side of a product: the context's budget when it scatters node words
+/// (`node_words`: a single-vector Boolean product) and the scatter
+/// representation's build-time shard plan is actually partitioned — the
+/// tile word scatter of a tiled matrix, the one push that shards — and
+/// serial otherwise.  Every full-precision push and every lane-word push
+/// scatters serially from the CSR, and single-shard plans (serial build
+/// budget, tiny matrices) and backends that report no plan run the serial
+/// scatter no matter what the run-time budget says, so pricing them at the
+/// budget would repeat the very serial-push / parallel-pull
 /// miscalibration this model exists to fix.  `of_transpose` selects the
 /// representation the push path would scatter (`Aᵀ`'s rows for
 /// effective-`mxv`); its plan is built lazily, so the eagerly-built forward
@@ -252,11 +221,11 @@ pub fn run_chain_in_place_parallel(
 /// then.
 fn effective_push_threads(
     state: &dyn GrbBackend,
-    semiring: Semiring,
+    node_words: bool,
     of_transpose: bool,
     ctx: &Context,
 ) -> usize {
-    if semiring != Semiring::Boolean {
+    if !node_words {
         return 1;
     }
     let plan = state
@@ -517,7 +486,12 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             semiring,
             scatter_is_lane_sparse(state),
             a.nnz(),
-            effective_push_threads(state, semiring, !transpose, ctx),
+            effective_push_threads(
+                state,
+                V::NODE_WORDS && semiring == Semiring::Boolean,
+                !transpose,
+                ctx,
+            ),
             rayon::current_num_threads(),
             list,
         )
@@ -596,6 +570,9 @@ pub(crate) mod words {
     /// What `execute_word_product` needs of a [`WordOperand`].  Not nameable
     /// outside the crate — that is what seals it.
     pub trait WordOps: Sized {
+        /// Whether the operand is node words, one bit per node — the one
+        /// word push a tiled matrix shards — rather than lane words.
+        const NODE_WORDS: bool;
         /// `(nodes, lanes)`.
         fn shape(&self) -> (usize, usize);
         /// Check `excluded` has the shape of `self`'s product over `produced`
@@ -687,7 +664,7 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
         scan_and_choose_words(
             (x_nodes, k),
             a.nnz(),
-            effective_push_threads(state, Semiring::Boolean, !transpose, ctx),
+            effective_push_threads(state, X::NODE_WORDS, !transpose, ctx),
             rayon::current_num_threads(),
             |stop_past_nodes| x.frontier_into(stop_past_nodes, list),
         )

@@ -25,21 +25,25 @@
 //!   sweep that loads each adjacency tile **once** and applies it to all
 //!   `k` lanes, amortizing the matrix traffic across queries the same way
 //!   the bit kernels amortize it across packed elements.  The Boolean pull
-//!   and push (`bmm_bin_bits_into`, `bmm_push_bits` — the push serial, run
-//!   per frontier segment by the GrB layer's sharded scatter) pack the
-//!   lanes into `u64` *lane words* (`k.div_ceil(64)` words per node), so
-//!   one `OR` per edge advances up to 64 traversals at once.  The
-//!   full-precision pull `bmm_bin_full_into` — every served SSSP and PPR
-//!   query on dense tiles — dispatches its semiring once per call into a
-//!   monomorphic sweep, enumerates a tile's set bits tile-granular like the
-//!   fused single-vector sweep, and folds each hit's `k` lanes with a plain
-//!   loop the compiler vectorises.
+//!   and push (`bmm_bin_bits_into`, `bmm_push_bits`, the push serial) pack
+//!   the lanes into `u64` *lane words* (`k.div_ceil(64)` words per node),
+//!   so one `OR` per edge advances up to 64 traversals at once.  The
+//!   full-precision pull `bmm_bin_full_into` dispatches its semiring once
+//!   per call into a monomorphic sweep, enumerates a tile's set bits
+//!   tile-granular like the fused single-vector sweep, and folds each hit's
+//!   `k` lanes with a plain loop the compiler vectorises.  The GrB layer
+//!   runs the CSR bodies below instead, which win at every fill the benches
+//!   sweep; these stay for the benches and the repo benchmark's probes,
+//!   pinned to the CSR bodies bit for bit by the tests at the end of this
+//!   file.
 //!
-//! * **The full-precision push** — `csr_push_full`, one lane-sparse scatter
-//!   over the rows of the CSR every built-in backend holds, for every `k`:
-//!   it folds one `f32` per edge whichever layout lists the edges.  Beside
-//!   it, the single-vector row pull over the same rows, `csr_pull_full`,
-//!   which a bit matrix too sparse to hold tiles runs instead of a sweep.
+//! * **The CSR bodies** — `csr_push_full`, one lane-sparse scatter over the
+//!   rows of the CSR every built-in backend holds, for every `k`: it folds
+//!   one `f32` per edge whichever layout lists the edges.  Beside it, the
+//!   single-vector row pull over the same rows, `csr_pull_full`, which runs
+//!   every full-precision pull, and the Boolean products in node words
+//!   (`csr_bits_pull`, `csr_bits_push`: a bit matrix without tiles) and in
+//!   lane words (`csr_lanes_pull`, `csr_lanes_push`: every bit matrix).
 
 use rayon::prelude::*;
 
@@ -318,9 +322,8 @@ pub fn bmm_bin_bits_into<W: BitWord>(
 /// OR-scattered into every out-neighbour, so one scatter advances all of
 /// that node's active traversals at once.  `yw` holds `ncols * wpn` lane
 /// words and must be zeroed by the caller.  Serial and allocation-free like
-/// the single-vector push kernels — the right shape for tiny frontiers, and
-/// the per-segment worker of the GrB layer's sharded scatter for everything
-/// else.
+/// the single-vector push kernels; [`csr_lanes_push`] is the same scatter
+/// over CSR rows, word for word.
 pub fn bmm_push_bits<W: BitWord>(
     a: &B2sr<W>,
     frontier: &[usize],
@@ -744,7 +747,7 @@ fn pull_rows(
 /// entries) receives `fin(r, ⊕_c ⊗(x[c]))` over its columns `c`, or
 /// `fin(r, identity)` without an edge walk where `allow(r)` is false (a
 /// masked row: GraphBLAST's early exit).  `fin` is the pipeline's finish,
-/// monomorphised by the caller (`grb::plan::dispatch_finish`).
+/// monomorphised by the caller (`grb::backend`'s `csr_pull`).
 ///
 /// A row folds in one ascending chain, under a semiring resolved once per
 /// call — except `MinPlus(w)` with `w` not `−0.0`, whose columns are dealt
@@ -834,8 +837,8 @@ pub fn csr_bits_pull(csr: &Csr, xw: &[u64], sup: Option<&[u64]>, yw: &mut [u64])
 /// `csr_bits_push()`: push-direction Boolean matrix × vector over the rows
 /// of a CSR matrix, in node words: every out-neighbour of the ascending
 /// frontier rows is OR-ed into `yw` (`ncols / 64` words rounded up, zeroed
-/// by the caller).  Serial and allocation-free — the per-segment worker of
-/// the GrB layer's sharded scatter.
+/// by the caller).  Serial and allocation-free; the GrB layer runs it once
+/// over the whole frontier.
 ///
 /// # Panics
 /// Panics if `yw` holds too few words.
@@ -916,8 +919,8 @@ pub fn csr_lanes_pull(csr: &Csr, xw: &[u64], k: usize, sup: Option<&[u64]>, yw: 
 /// rows of a CSR matrix: each ascending frontier node's lane words are
 /// OR-ed into every out-neighbour's, so one scatter advances all of that
 /// node's traversals.  `yw` (`ncols · wpn` words) must be zeroed by the
-/// caller.  Serial and allocation-free — the per-segment worker of the GrB
-/// layer's sharded scatter.
+/// caller.  Serial and allocation-free; the GrB layer runs it once over the
+/// whole frontier.
 ///
 /// # Panics
 /// Panics if `xw` or `yw` holds too few words.
@@ -1529,7 +1532,6 @@ pub(crate) mod tests {
     /// bit for bit, at every tile size — what retiring one of the two needs.
     #[test]
     fn k_equals_one_equals_the_fused_single_vector_sweep_bitwise() {
-        use crate::kernels::bmv::bmv_bin_full_full_fused_into;
         fn check<W: BitWord>(a: &Csr, dim: usize, semiring: Semiring, x: &[f32]) {
             let b = from_csr::<W>(a, dim);
             let padded = b.n_tile_rows() * dim;
@@ -1891,5 +1893,281 @@ pub(crate) mod tests {
             |_, t| t,
             &mut [0.0; 9],
         );
+    }
+
+    // -- the tile kernels against the CSR bodies the engine runs ------------
+
+    use crate::b2sr::format::with_b2sr;
+    use crate::grb::MxvPipeline;
+    use crate::kernels::bmv::bmv_bin_full_full_fused_into;
+
+    /// The full-precision pull of one tiled B2SR width as a pipeline runs on
+    /// it: the single-vector sweep finishing each row with the pipeline
+    /// (`k = 1`), or the batched sweep with the any-lane-active skip of a
+    /// push-safe semiring, its masked lanes set to the identity and the
+    /// epilogue run in one pass.
+    fn tile_pull<W: BitWord>(m: &B2sr<W>, p: &MxvPipeline<'_>, single: bool) -> Vec<f32> {
+        let (dim, k, semiring) = (m.tile_dim(), p.k, p.semiring);
+        let mut out = vec![semiring.identity(); m.n_tile_rows() * dim * k];
+        if single {
+            bmv_bin_full_full_fused_into(m, p.x, semiring, |i, t| p.finish(i, t), &mut out);
+            out.truncate(m.nrows());
+            return out;
+        }
+        let xa = semiring
+            .push_safe()
+            .then(|| active_words::<W>(p.x, k, semiring, dim));
+        bmm_bin_full_into(m, p.x, k, semiring, xa.as_deref(), &mut out);
+        out.truncate(m.nrows() * k);
+        for (flat, v) in out.iter_mut().enumerate() {
+            if p.mask.is_some_and(|mk| !mk.allows(flat)) {
+                *v = semiring.identity();
+            }
+        }
+        p.finish_in_place(&mut out);
+        out
+    }
+
+    /// The engine's row pulls are the tile sweeps, bit for bit: `mxv_into`
+    /// and `mxm_into` of the built-in backend — every full-precision pull
+    /// reads the CSR ([`csr_pull_full`], and the batched row pull) — against
+    /// [`bmv_bin_full_full_fused_into`] and [`bmm_bin_full_into`] at every
+    /// width, both orientations of a ragged rectangular matrix with hub rows
+    /// and columns, one lane and batches of 3 and 64; bare, affine
+    /// (PageRank), `min`-accumulated (SSSP), masked and complemented-mask
+    /// pipelines; operands and baselines holding NaN, ±inf, −0.0, subnormals
+    /// and the extremes, under Arithmetic, MaxTimes of either sign and
+    /// MinPlus at every hostile weight — 0, 1, −2.5, −0.0, ±∞ and NaN, so the
+    /// four-chain fold and the one chain of `MinPlus(−0.0)` both meet the
+    /// sweeps.
+    #[test]
+    fn row_pulls_equal_the_tile_sweeps_bitwise() {
+        use crate::b2sr::{B2srMatrix, TileSize};
+        use crate::grb::backend::tests::ragged_with_hubs;
+        use crate::grb::{BitB2sr, GrbBackend, Mask, Stage, Workspace};
+        use crate::semiring::BinaryOp;
+        use crate::shard::ShardConfig;
+
+        let csr = ragged_with_hubs();
+        let csr_t = csr.transpose();
+        let value = |f: usize, semiring: Semiring| match f % 7 {
+            0 | 1 => HOSTILE_GRID[(f / 7) % HOSTILE_GRID.len()],
+            2 | 3 => semiring.identity(),
+            _ => 0.37 * (f % 11) as f32 - 1.5,
+        };
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let ws = Workspace::new();
+        let affine = [Stage::Affine {
+            mul: 0.85,
+            add: 0.01,
+        }];
+        for ts in TileSize::ALL {
+            let b = BitB2sr::new(&csr, ts, ShardConfig::default());
+            let tiles = [&csr, &csr_t].map(|m| B2srMatrix::from_csr(m, ts));
+            for transpose in [false, true] {
+                let (produced, contracted) = if transpose {
+                    (csr.ncols(), csr.nrows())
+                } else {
+                    (csr.nrows(), csr.ncols())
+                };
+                let min_plus = HOSTILE_WEIGHTS.map(Semiring::MinPlus);
+                let others = [
+                    Semiring::Arithmetic,
+                    Semiring::MaxTimes(0.75),
+                    Semiring::MaxTimes(-0.5),
+                ];
+                for semiring in min_plus.into_iter().chain(others) {
+                    for k in [1usize, 3, 64] {
+                        let x: Vec<f32> = (0..contracted * k).map(|f| value(f, semiring)).collect();
+                        let base: Vec<f32> =
+                            (0..produced * k).map(|f| value(f + 3, semiring)).collect();
+                        let structure: Vec<bool> = (0..produced * k).map(|f| f % 3 != 1).collect();
+                        let mask = Mask::new(structure.clone());
+                        let complemented = Mask::complemented(structure);
+                        let min = Some((BinaryOp::Min, base.as_slice()));
+                        let shapes: [(&[Stage<'_>], _, Option<&Mask>); 5] = [
+                            (&[], None, None),
+                            (&affine, None, None),
+                            (&[], min, None),
+                            (&[], None, Some(&mask)),
+                            (&affine, min, Some(&complemented)),
+                        ];
+                        for (shape, (stages, accum, mask)) in shapes.into_iter().enumerate() {
+                            let p = MxvPipeline {
+                                x: &x,
+                                k,
+                                frontier: None,
+                                semiring,
+                                mask,
+                                transpose,
+                                stages,
+                                accum,
+                            };
+                            let what = format!(
+                                "{ts:?} transpose={transpose} {semiring:?} k={k} shape {shape}"
+                            );
+                            let m = &tiles[transpose as usize];
+                            let mut got = Vec::new();
+                            b.mxm_into(&p, &ws, &mut got);
+                            let want = with_b2sr!(m, |m| tile_pull(m, &p, false));
+                            assert_eq!(bits(&got), bits(&want), "mxm {what}");
+                            if k == 1 {
+                                b.mxv_into(&p, &ws, &mut got);
+                                let want = with_b2sr!(m, |m| tile_pull(m, &p, true));
+                                assert_eq!(bits(&got), bits(&want), "mxv {what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane-word Boolean product on one tiled B2SR width: the pull sweep
+    /// [`bmm_bin_bits_into`] over `pull` (with the any-lane-active tile
+    /// words it skips by) when `frontier` is `None`, else the push scatter
+    /// [`bmm_push_bits`] over the rows of `scatter`, AND-NOT `sup`.
+    fn tile_lanes<W: BitWord>(
+        (pull, scatter): (&B2sr<W>, &B2sr<W>),
+        xw: &[u64],
+        k: usize,
+        frontier: Option<&[usize]>,
+        sup: Option<&[u64]>,
+    ) -> Vec<u64> {
+        let wpn = k.div_ceil(64);
+        let Some(frontier) = frontier else {
+            let dim = pull.tile_dim();
+            let mut xa = vec![W::ZERO; pull.n_tile_cols()];
+            for (active, nodes) in xa.iter_mut().zip(xw.chunks(dim * wpn)) {
+                for (c, lanes) in nodes.chunks_exact(wpn).enumerate() {
+                    if lanes.iter().any(|&w| w != 0) {
+                        *active = active.with_bit(c as u32);
+                    }
+                }
+            }
+            let mut yw = vec![u64::MAX; pull.n_tile_rows() * dim * wpn];
+            bmm_bin_bits_into(pull, xw, k, &xa, sup, &mut yw);
+            yw.truncate(pull.nrows() * wpn);
+            return yw;
+        };
+        let mut yw = vec![0u64; scatter.ncols() * wpn];
+        bmm_push_bits(scatter, frontier, xw, wpn, &mut yw);
+        if let Some(sup) = sup {
+            simd::andnot_into(&mut yw, sup);
+        }
+        yw
+    }
+
+    /// The CSR lane-word products are the tile kernels', word for word:
+    /// [`csr_lanes_pull`] against [`bmm_bin_bits_into`] and
+    /// [`csr_lanes_push`] against [`bmm_push_bits`] — the ragged hub matrix
+    /// and a banded one of 301 vertices at every width, both orientations,
+    /// `k` of 1, 3, 64, 65 and 130 (one, two and three words per node,
+    /// ragged last words); bare, masked and fully suppressed, from an empty,
+    /// a thin and a half-full frontier.
+    #[test]
+    fn csr_lane_products_equal_the_tile_lane_kernels_bitwise() {
+        use crate::b2sr::{B2srMatrix, TileSize};
+        use crate::grb::backend::tests::{banded, ragged_with_hubs};
+
+        for a in [ragged_with_hubs(), banded(301, 6)] {
+            let at = a.transpose();
+            for ts in TileSize::ALL {
+                let tiles = [&a, &at].map(|m| B2srMatrix::from_csr(m, ts));
+                // (the representation pulled, the one scattered)
+                for (pulled, scattered, t) in [(&a, &at, false), (&at, &a, true)] {
+                    let (produced, contracted) = (pulled.nrows(), pulled.ncols());
+                    for k in [1usize, 3, 64, 65, 130] {
+                        let what =
+                            format!("{}x{} {ts:?} transpose={t} k={k}", a.nrows(), a.ncols());
+                        let reps = (&tiles[t as usize], &tiles[!t as usize]);
+                        let csr = |frontier: Option<&[usize]>, xw: &[u64], sup: Option<&[u64]>| {
+                            let wpn = k.div_ceil(64);
+                            match frontier {
+                                None => {
+                                    let mut yw = vec![u64::MAX; produced * wpn];
+                                    csr_lanes_pull(pulled, xw, k, sup, &mut yw);
+                                    yw
+                                }
+                                Some(frontier) => {
+                                    let mut yw = vec![0u64; produced * wpn];
+                                    csr_lanes_push(scattered, frontier, xw, wpn, &mut yw);
+                                    if let Some(sup) = sup {
+                                        simd::andnot_into(&mut yw, sup);
+                                    }
+                                    yw
+                                }
+                            }
+                        };
+                        let tile = |frontier: Option<&[usize]>, xw: &[u64], sup: Option<&[u64]>| {
+                            let (pull, scatter) = reps;
+                            with_b2sr!(pull, |p| {
+                                let s = scatter.inner(p.tile_dim()).unwrap();
+                                tile_lanes((p, s), xw, k, frontier, sup)
+                            })
+                        };
+                        assert_lane_cases_agree((produced, contracted), k, csr, tile, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`csr_lane_products_equal_the_tile_lane_kernels_bitwise`] at one
+    /// width, orientation and lane count: `csr` and `tile` map `(frontier,
+    /// lane words, suppressed lane words)` to the product's lane words.
+    fn assert_lane_cases_agree(
+        (produced, contracted): (usize, usize),
+        k: usize,
+        csr: impl Fn(Option<&[usize]>, &[u64], Option<&[u64]>) -> Vec<u64>,
+        tile: impl Fn(Option<&[usize]>, &[u64], Option<&[u64]>) -> Vec<u64>,
+        what: &str,
+    ) {
+        let wpn = k.div_ceil(64);
+        // Operands: flat `contracted × k` lane flags.
+        let empty = |_: usize| false;
+        let thin = |f: usize| (f / k) % 37 == 5 && (f % k) % 3 != 1;
+        let half = |f: usize| (f * 7 + f / k).is_multiple_of(2);
+        // Masks over the flat `produced × k` output: `true` is allowed.
+        let partial = |f: usize| !(f * 5 + f / k).is_multiple_of(3);
+        type Flags<'a> = &'a dyn Fn(usize) -> bool;
+        let cases: [(Flags, Option<Flags>); 6] = [
+            (&empty, Some(&partial)),
+            (&thin, None),
+            (&thin, Some(&partial)),
+            (&half, None),
+            (&half, Some(&partial)),
+            (&half, Some(&empty)),
+        ];
+        let words = |n: usize, set: &dyn Fn(usize) -> bool| {
+            let mut w = vec![0u64; n * wpn];
+            for f in (0..n * k).filter(|&f| set(f)) {
+                w[(f / k) * wpn + (f % k) / 64] |= 1 << (f % k % 64);
+            }
+            w
+        };
+        for (case, (active, allowed)) in cases.into_iter().enumerate() {
+            let xw = words(contracted, active);
+            let sup = allowed.map(|allowed| words(produced, &|f| !allowed(f)));
+            let frontier: Vec<usize> = (0..contracted)
+                .filter(|&u| xw[u * wpn..][..wpn].iter().any(|&w| w != 0))
+                .collect();
+            for push in [false, true] {
+                let front = push.then_some(frontier.as_slice());
+                let got = csr(front, &xw, sup.as_deref());
+                assert_eq!(
+                    got,
+                    tile(front, &xw, sup.as_deref()),
+                    "{what} case {case} push={push}"
+                );
+                assert_eq!(got.len(), produced * wpn);
+                if case == 0 || case == 5 {
+                    assert!(
+                        got.iter().all(|&w| w == 0),
+                        "{what} case {case}: nothing reached"
+                    );
+                }
+            }
+        }
     }
 }

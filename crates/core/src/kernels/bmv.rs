@@ -257,10 +257,12 @@ pub fn bmv_bin_full_full_simd_into<W: BitWord>(
 
 /// `bmv_bin_full_full_fused_into()`: the full-precision pull sweep, bare or
 /// fused alike.  Computes each output row's raw semiring value `t_r` and
-/// stores `y[r] = finish(r, t_r)` — the planner packs the mask test, every
+/// stores `y[r] = finish(r, t_r)` — a caller packs the mask test, every
 /// element-wise epilogue stage and the accumulator into `finish`, so a whole
 /// `mxv → apply → accum` chain is one sweep over the matrix, and the bare
-/// product is the `|_, t| t` instantiation.
+/// product is the `|_, t| t` instantiation.  The GrB layer runs the CSR row
+/// pull `kernels::bmm::csr_pull_full` in its place, which wins at every
+/// fill (`grb::backend::MIN_TILE_FILL`) and gives the same bits.
 ///
 /// The semiring is dispatched **once per call** (not once per set bit): each
 /// semiring gets a monomorphised inner loop.  The sweep is tile-granular:

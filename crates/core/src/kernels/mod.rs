@@ -11,7 +11,10 @@
 //!   accumulator); `bmv_bin_full_full_into` is its identity-finish
 //!   shorthand.  Plus the Boolean push-direction (sparse-frontier) kernel
 //!   `bmv_push_bin_bin`.  Every scheme has one tile body; the two `_simd`
-//!   names are forwards the repo benchmark imports.
+//!   names are forwards the repo benchmark imports.  The GrB layer runs the
+//!   bin/bin/bin pull (`bmv_bin_bin_bin_masked_into`) and the push on a
+//!   tiled matrix's node words; the other schemes serve the paper's tables
+//!   (`fig6_7_kernels`), the benches and the repo benchmark's kernel probes.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
 //!   product to a full-precision scalar as required by Triangle Counting.
@@ -21,25 +24,28 @@
 //!   transposes `b` and calls it.  A bit matrix too sparse to hold tiles
 //!   (`grb::backend::MIN_TILE_FILL`) runs the CSR count
 //!   `sparse::ops::spgemm_masked_count` instead.  Also here:
-//!   the batched matrix-times-multivector kernels of the multi-source
-//!   traversal engine (`bmm_bin_bits_into` / `bmm_push_bits` for Boolean
-//!   lane words, `bmm_bin_full_into` for the other semirings' pull) — each
-//!   adjacency tile is loaded once and applied to all `k` frontier lanes;
-//!   the full-precision pull resolves its semiring once per call
-//!   (`semiring::with_semiring_ops!`, shared with the fused single-vector
-//!   sweep) and enumerates set bits tile-granular, one `trailing_zeros`
-//!   loop per packed 64-bit chunk.  And the one full-precision push,
-//!   `csr_push_full`: a lane-sparse scatter over the rows of the CSR every
-//!   backend holds, single-vector and batched — a scatter folds one `f32`
-//!   per edge whichever layout lists the edges, so only the Boolean pushes
-//!   of dense tiles scatter tile words — and the single-vector row pull over the same
-//!   rows, `csr_pull_full` (the pull of every matrix without tiles, and a
-//!   one-lane batch's), whose MinPlus fold runs four `min` chains.
-//!   Beside them the Boolean products over the same rows, operand and
-//!   output binarized as §V prescribes: `csr_bits_pull` / `csr_bits_push`
-//!   in node words (one bit per vertex) and `csr_lanes_pull` /
-//!   `csr_lanes_push` in lane words (one bit per traversal) — what a bit
-//!   matrix without tiles runs instead of the tile kernels.
+//!   the batched matrix-times-multivector tile kernels (`bmm_bin_bits_into`
+//!   / `bmm_push_bits` for Boolean lane words, `bmm_bin_full_into` for the
+//!   other semirings' pull) — each adjacency tile is loaded once and applied
+//!   to all `k` frontier lanes; the full-precision pull resolves its
+//!   semiring once per call (`semiring::with_semiring_ops!`, shared with the
+//!   fused single-vector sweep) and enumerates set bits tile-granular, one
+//!   `trailing_zeros` loop per packed 64-bit chunk.  The GrB layer runs none
+//!   of the three: the CSR bodies below beat them at every fill the benches
+//!   sweep (`grb::backend::MIN_TILE_FILL`), and they stay for the benches
+//!   and the repo benchmark's kernel probes, pinned to those CSR bodies bit
+//!   for bit (`kernels::bmm`'s tests).  The CSR bodies: the one
+//!   full-precision push, `csr_push_full`, a lane-sparse scatter over the
+//!   rows of the CSR every backend holds, single-vector and batched — a
+//!   scatter folds one `f32` per edge whichever layout lists the edges —
+//!   and the single-vector row pull over the same rows, `csr_pull_full`
+//!   (every full-precision pull, and a one-lane batch's), whose MinPlus
+//!   fold runs four `min` chains.  Beside them the Boolean products over
+//!   the same rows, operand and output binarized as §V prescribes:
+//!   `csr_bits_pull` / `csr_bits_push` in node words (one bit per vertex),
+//!   what a bit matrix without tiles runs instead of the bin/bin/bin tile
+//!   kernels, and `csr_lanes_pull` / `csr_lanes_push` in lane words (one bit
+//!   per traversal), what every bit matrix's batched Boolean product runs.
 //!
 //! Each kernel is structured like the paper's CUDA listings: the tile-rows
 //! of the B2SR matrix are the unit of work (one warp per tile-row), the
@@ -48,15 +54,15 @@
 //! warp scheduling of the GPU is replaced by Rayon parallelism over
 //! tile-rows; everything inside a tile-row is deterministic.
 //!
-//! The push kernels are serial by construction.  Only the tile word
-//! scatters (`bmv_push_bin_bin`, `bmm_push_bits`) parallelise one level up:
-//! `grb::backend` cuts the frontier at a [`crate::shard::ShardPlan`]'s
-//! row-shard boundaries and runs the same serial kernel per segment into
-//! privatized buffers, ORed together in segment order — exact, so the words
-//! equal the serial scatter's at every thread count.  The CSR pushes run
-//! once over the whole frontier: `csr_bits_push` and `csr_lanes_push`
-//! sharded at two threads read 1.44× and 1.17× slower on R-MAT than at one,
-//! and `csr_push_full` 1.6–3× slower on batched pushes — serial, its float
+//! The push kernels are serial by construction.  Only the node-word tile
+//! scatter (`bmv_push_bin_bin`) parallelises one level up: `grb::backend`
+//! cuts the frontier at a [`crate::shard::ShardPlan`]'s row-shard
+//! boundaries and runs the same serial kernel per segment into privatized
+//! buffers, ORed together in segment order — exact, so the words equal the
+//! serial scatter's at every thread count.  The CSR pushes run once over
+//! the whole frontier: `csr_bits_push` and `csr_lanes_push` sharded at two
+//! threads read 1.44× and 1.17× slower on R-MAT than at one, and
+//! `csr_push_full` 1.6–3× slower on batched pushes — serial, its float
 //! folds need no merge order to stay bit-identical across thread budgets.
 
 pub mod bmm;

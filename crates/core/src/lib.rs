@@ -23,13 +23,17 @@
 //!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows, and
 //!   which a matrix too sparse to hold tiles replaces with a CSR count),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
-//!   — and parallelised across tile-rows with Rayon.  The push (sparse-frontier scatter)
-//!   kernels are serial: one CSR scatter for full precision, which folds
-//!   one `f32` per edge whatever the layout and runs once over the whole
-//!   frontier, and word ORs of tile rows (or CSR rows) for the Boolean
-//!   semiring, which parallelise through [`shard`]: row-shard partition
-//!   plans, privatized per-segment scatter and an ordered OR merge that
-//!   keeps the words bit-identical across thread counts.
+//!   — and parallelised across tile-rows with Rayon.  The engine reads
+//!   tiles for the bin/bin/bin node-word products and the masked count
+//!   only; every full-precision product and every batched Boolean product
+//!   runs on the CSR rows every matrix holds, where it is faster at every
+//!   fill measured.  The push (sparse-frontier scatter) kernels are serial:
+//!   one CSR scatter for full precision, which folds one `f32` per edge
+//!   whatever the layout and runs once over the whole frontier, and word
+//!   ORs of CSR rows or tile rows for the Boolean semiring; the node-word
+//!   tile scatter alone parallelises, through [`shard`]: row-shard
+//!   partition plans, privatized per-segment scatter and an ordered OR
+//!   merge that keeps the words bit-identical across thread counts.
 //!
 //! * **Graph-algorithm support** — [`semiring`] provides the semiring domains
 //!   of Table IV (Boolean, arithmetic, tropical min-plus, tropical max-times)

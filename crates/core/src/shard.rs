@@ -3,9 +3,9 @@
 //! The scatter writes of different frontier rows can land on the same
 //! output position, so a serial push kernel processes the frontier in
 //! ascending order on one core.  This module supplies the partitioning
-//! scheme that parallelises the Boolean word scatters of a tiled matrix
-//! (tile, node and lane words, whose merge is OR) without giving up
-//! determinism; a full-precision push never shards — it scatters serially,
+//! scheme that parallelises the node-word scatter of a tiled matrix (tile
+//! words, whose merge is OR) without giving up determinism; a lane-word or
+//! full-precision push never shards — it scatters serially from the CSR,
 //! once over the whole frontier:
 //!
 //! * a [`ShardPlan`] splits a scatter representation's **rows** into
@@ -214,19 +214,23 @@ pub const SCRATCH_BYTE_CAP: usize = 64 << 20;
 /// two-core measurement says that term matters.  The `push_threads` bench
 /// group (`cargo bench -p bitgblas-bench --bench bmm -- push_threads`:
 /// forced-push traversals at B2SR-8, a matrix built and run at one and at
-/// two threads, unpinned on a 2-vCPU Xeon VM, six runs: three each before
-/// and after full-precision pushes went serial, over the same Boolean path)
-/// reads these Boolean rows, the only pushes that can shard:
+/// two threads, unpinned on a 2-vCPU Xeon VM, three runs) reads these
+/// Boolean rows:
 ///
 /// | traversal | mesh, 1 thread | mesh, 2 | R-MAT, 1 | R-MAT, 2 |
 /// |---|---|---|---|---|
-/// | `bfs_dir` | 0.13–0.15 ms | 0.16–0.36 ms | 0.82–1.06 ms | 0.80–1.72 ms |
-/// | `bfs_multi_dir`, 64 sources | 17–21 ms | 11–19 ms | 5.4–6.0 ms | 5.5–11.5 ms |
+/// | `bfs_dir` | 0.12–0.18 ms | 0.23–0.26 ms | 0.90–1.19 ms | 1.00–1.19 ms |
+/// | `bfs_multi_dir`, 64 sources | 9.7–10.7 ms | 8.3–10.8 ms | 6.0–8.0 ms | 6.1–8.2 ms |
 ///
-/// Only the mesh's batched BFS wins at two threads (≈ 0.74× its one-thread median); the single BFS
-/// loses on both graphs (≈ 1.45×) and R-MAT's batch loses too (≈ 1.17×).
-/// The full-precision pushes no longer reach this predicate: sharded, their
-/// batched rows read 1.6–3× slower at two threads than at one.
+/// Only the mesh's `bfs_dir` reaches this predicate — the node-word push of
+/// a tiled matrix, the one push that shards — and it loses at two threads
+/// (1.38–1.92× its one-thread median).  Every other row scatters serially
+/// at both budgets: R-MAT holds no tiles at B2SR-8, and every lane-word and
+/// full-precision push scatters from the CSR (the mesh's `bfs_multi_dir`,
+/// which won at two threads while its lane words sharded over tiles, read
+/// 16–41 ms that way; its two-thread rows now differ from one only by the
+/// pulls' fan-out).  Sharded, the batched full-precision pushes read 1.6–3×
+/// slower at two threads than at one.
 pub fn worth_sharding(
     frontier_len: usize,
     avg_deg: usize,

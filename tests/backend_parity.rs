@@ -422,6 +422,89 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
     }
 }
 
+/// Every lane-word push scatters serially from the CSR, whatever the thread
+/// budget, and `Direction::Auto` prices it so.  On the mesh at B2SR-8,
+/// whose tiles carry multi-shard plans at `Context::with_threads(4)`,
+/// forced-push lane products — `Op::mxm_lanes` in words and the `f32`
+/// Boolean batch, both orientations, 64 lanes — leave `sharded_push` at 0
+/// and equal their pulls; and Auto resolves frontiers of 1 to 160 nodes,
+/// which cross its push/pull threshold, to the same directions at budgets
+/// 1 and 4.  The node-word push on the same matrix does shard: the check
+/// can fail.
+#[test]
+fn lane_word_push_scatters_serially_on_a_sharded_context() {
+    let mesh = generators::banded(2048, 32, 0.7, 5);
+    let ctx = Context::with_threads(4);
+    let m = Matrix::from_csr_ctx(&mesh, Backend::Bit(TileSize::S8), &ctx);
+    let n = m.nrows();
+    let shards = m.state().shard_plan(false).map(|p| p.n_shards());
+    assert!(shards > Some(1), "precondition: {shards:?}");
+
+    // Lane `l` of node `i` is set in a fifth of the (node, lane) pairs.
+    let k = 64;
+    let flat = (0..n * k).map(|f| ((f / k * 7 + f % k) % 5 == 0) as u8 as f32);
+    let xk = MultiVec::from_vec(flat.collect(), n, k);
+    let lanes = LaneBits::from_multivec(&xk);
+    for transpose in [false, true] {
+        let run = |d: Direction| {
+            let (mut words, mut batch) = (
+                Op::mxm_lanes(&m, &lanes).direction(d),
+                Op::mxm(&m, &xk).semiring(Semiring::Boolean).direction(d),
+            );
+            if transpose {
+                (words, batch) = (words.transpose(), batch.transpose());
+            }
+            (words.try_run(&ctx).unwrap().unwrap(), batch.run(&ctx))
+        };
+        let push = run(Direction::Push);
+        assert_eq!(ctx.stats().sharded_push, 0, "transpose={transpose}");
+        assert_eq!(push, run(Direction::Pull), "transpose={transpose}");
+    }
+
+    // Auto at one budget: per frontier size, whether each product pushed.
+    let resolved = |threads: usize| {
+        ctx.set_threads(threads);
+        (1..=160usize)
+            .map(|f| {
+                let mut x = vec![0.0f32; n];
+                for i in 0..f {
+                    x[i * (n / f)] = 1.0;
+                }
+                let xk = MultiVec::from_vec(x, n, 1);
+                let lanes = LaneBits::from_multivec(&xk);
+                let pushed = |run: &dyn Fn()| {
+                    let before = ctx.stats().push_mxm;
+                    run();
+                    ctx.stats().push_mxm > before
+                };
+                let words = || {
+                    let next = Op::mxm_lanes(&m, &lanes).transpose().try_run(&ctx);
+                    next.unwrap().unwrap().recycle(&ctx);
+                };
+                let batch = || {
+                    let next = Op::mxm(&m, &xk).semiring(Semiring::Boolean).transpose();
+                    ctx.recycle(next.run(&ctx));
+                };
+                (pushed(&words), pushed(&batch))
+            })
+            .collect::<Vec<_>>()
+    };
+    let (serial, sharded) = (resolved(1), resolved(4));
+    assert!(
+        serial.contains(&(true, true)) && serial.contains(&(false, false)),
+        "precondition: the sweep crosses the threshold: {serial:?}"
+    );
+    assert_eq!(serial, sharded, "Auto's directions by frontier size");
+    assert_eq!(ctx.stats().sharded_push, 0);
+
+    let all = NodeBits::from_indices(n, &(0..n).collect::<Vec<_>>());
+    let next = Op::vxm_bits(&all, &m)
+        .direction(Direction::Push)
+        .try_run(&ctx);
+    assert!(next.unwrap().is_some());
+    assert!(ctx.stats().sharded_push > 0, "the node-word push shards");
+}
+
 /// The sharded path must actually *run* on a shard-worthy push of a tiled
 /// matrix (engagement is observable through the context counters), and a
 /// serial-budget context — or a bit matrix without tiles, which has no plan

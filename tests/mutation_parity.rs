@@ -234,11 +234,12 @@ fn overlay_refolds_what_the_operand_reaches() {
     }
 }
 
-/// ROADMAP item 4's mispricing: an overlay forwards its base's shard plan,
-/// so on a sharded context `Direction::Auto` resolves every batched round
-/// through pending deltas as it does on the compacted matrix.  R-MAT at
-/// B2SR-16 (5.5 bits per tile) holds tiles and so a plan; at B2SR-8 (2.9)
-/// it would hold neither.
+/// An overlay forwards its base's shard plan, so on a sharded context
+/// `Direction::Auto` resolves every round through pending deltas as it does
+/// on the compacted matrix: the node-word rounds of `bfs`, the one push a
+/// plan shards, and the batched rounds of `bfs_multi` and `sssp_multi`,
+/// which scatter serially at every budget.  R-MAT at B2SR-16 (5.5 bits per
+/// tile) holds tiles and so a plan; at B2SR-8 (2.9) it would hold neither.
 #[test]
 fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     let adj = bit_graphblas::datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
@@ -272,30 +273,44 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     assert_eq!(pending.csr(), compacted.csr());
 
     let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % n).collect();
-    // `(push, pull)` rounds a run added on the context the snapshots share.
+    // `(push, pull)` rounds a run added on the context the snapshots share,
+    // single-vector and batched.
     let rounds = |run: &dyn Fn()| {
         let before = m.context().stats();
         run();
         let after = m.context().stats();
         (
+            after.push_mxv - before.push_mxv,
+            after.pull_mxv - before.pull_mxv,
             after.push_mxm - before.push_mxm,
             after.pull_mxm - before.pull_mxm,
         )
     };
     for snap in [&pending, &compacted] {
-        let _ = bfs_multi_dir(snap, &sources, Direction::Push);
+        let _ = bfs_dir(snap, sources[0], Direction::Push);
     }
     assert!(
         m.context().stats().sharded_push >= 2,
-        "precondition: the sharded scatter engages, through the overlay too"
+        "precondition: the node-word scatter shards, through the overlay too"
     );
+    let bfs_one = |snap: &Matrix| bfs_dir(snap, sources[0], Direction::Auto);
+    let (on_pending, on_compacted) = (
+        rounds(&|| drop(bfs_one(&pending))),
+        rounds(&|| drop(bfs_one(&compacted))),
+    );
+    assert!(
+        on_pending.0 > 0 && on_pending.1 > 0,
+        "both directions occur: {on_pending:?}"
+    );
+    assert_eq!(on_pending, on_compacted, "bfs");
+    assert_eq!(bfs_one(&pending), bfs_one(&compacted));
     let bfs_rounds =
         |snap: &Matrix| rounds(&|| drop(bfs_multi_dir(snap, &sources, Direction::Auto)));
     let sssp_rounds =
         |snap: &Matrix| rounds(&|| drop(sssp_multi_dir(snap, &sources, Direction::Auto)));
     let (on_pending, on_compacted) = (bfs_rounds(&pending), bfs_rounds(&compacted));
     assert!(
-        on_pending.0 > 0 && on_pending.1 > 0,
+        on_pending.2 > 0 && on_pending.3 > 0,
         "both directions occur: {on_pending:?}"
     );
     assert_eq!(on_pending, on_compacted, "bfs_multi");
@@ -311,9 +326,9 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
 }
 
 /// A compacted matrix is a from-scratch build of the same CSR: its tiles or
-/// their absence, its shard plans — so every sharded Boolean word push,
-/// which the plans cut, equals the rebuild's — and every full-precision
-/// push, one serial scatter on either backend, bit for bit.  Three
+/// their absence, its shard plans — so every sharded node-word push, which
+/// the plans cut, equals the rebuild's — and every lane-word and
+/// full-precision push, one serial scatter on either backend, bit for bit.  Three
 /// compactions of a ring of dense tiles: dense rows beside the diagonal
 /// skew the edge weight towards the first rows and move every cut;
 /// scattered edges on the same rows drop the fill under
@@ -349,7 +364,8 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
     // Forced-push products over both scatter representations — Arithmetic,
     // and the Boolean word products (none on the float baseline) — and how
-    // many of them the sharded engine ran.
+    // many of them the sharded engine ran: the node-word pushes of a tiled
+    // matrix, one per representation.
     let products = |m: &Matrix| {
         let ctx = m.context();
         let before = ctx.stats().sharded_push;
@@ -368,9 +384,10 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
             bits(mxm().run(ctx).as_slice()),
         ];
         let serial = ctx.stats().sharded_push - before;
+        let nodes = || Op::vxm_bits(&node_words, m).direction(push);
         let lanes = || Op::mxm_lanes(m, &lane_words).direction(push);
         let words = (
-            Op::vxm_bits(&node_words, m).direction(push).try_run(ctx),
+            (nodes().try_run(ctx), nodes().transpose().try_run(ctx)),
             lanes().transpose().try_run(ctx),
             lanes().try_run(ctx),
         );
@@ -398,16 +415,16 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
             assert_eq!((got_serial, want_serial), (0, 0), "{backend:?}");
             assert!(got == want, "{backend:?}: a full-precision push differs");
             assert_eq!(got_words, want_words, "{backend:?}");
-            let engaged = if holds_tiles { 3 } else { 0 };
+            let engaged = if holds_tiles { 2 } else { 0 };
             assert_eq!(
                 (got_sharded, want_sharded),
                 (engaged, engaged),
                 "{backend:?}"
             );
             if bit {
-                let (node, transposed, lanes) = got_words;
-                assert!(node.unwrap().is_some() && transposed.unwrap().is_some());
-                assert!(lanes.unwrap().is_some(), "a bit matrix has word products");
+                let ((node, node_t), transposed, lanes) = got_words;
+                assert!(node.unwrap().is_some() && node_t.unwrap().is_some());
+                assert!(transposed.unwrap().is_some() && lanes.unwrap().is_some());
             }
             for of_transpose in [false, true] {
                 let plan = |m: &Matrix| m.state().shard_plan(of_transpose).cloned();
