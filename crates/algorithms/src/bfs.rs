@@ -373,8 +373,8 @@ fn flat_rounds(
 mod tests {
     use super::*;
     use crate::reference;
-    use bitgblas_core::grb::{BitB2sr, Context, GrbBackend, MxvPipeline, Workspace};
-    use bitgblas_core::{Backend, EdgeDelta, ShardConfig, ShardPlan, TileSize};
+    use bitgblas_core::grb::{BitB2sr, GrbBackend, MxvPipeline, Workspace};
+    use bitgblas_core::{Backend, EdgeDelta, TileSize};
     use bitgblas_datagen::generators;
     use bitgblas_sparse::Coo;
 
@@ -875,7 +875,7 @@ mod tests {
 
     impl Wrapped {
         fn new(csr: &bitgblas_sparse::Csr, tile_size: TileSize) -> Self {
-            Wrapped(BitB2sr::new(csr, tile_size, ShardConfig::default()))
+            Wrapped(BitB2sr::new(csr, tile_size))
         }
     }
 
@@ -911,9 +911,6 @@ mod tests {
             transpose_b: bool,
         ) -> f64 {
             self.0.mxm_reduce_masked(b, mask, transpose_b)
-        }
-        fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {
-            None
         }
         fn storage_bytes(&self) -> usize {
             self.0.storage_bytes()
@@ -988,37 +985,32 @@ mod tests {
         }
     }
 
-    /// The word loops compute the same thing however many threads the
-    /// sharded scatter fans out to, and in either direction — on R-MAT at
-    /// B2SR-16, whose 5.5 bits per tile it holds (at B2SR-8, 2.9 bits, it
-    /// would hold no tiles and push serially).  The node-word push of `bfs`
-    /// is the one that shards; the lane words of `bfs_multi` scatter
-    /// serially from the CSR at every budget.
+    /// The word loops compute the same thing in either direction — on R-MAT
+    /// at B2SR-16, whose 5.5 bits per tile it holds (at B2SR-8, 2.9 bits, it
+    /// would hold no tiles), so the node-word push of `bfs` scatters tile
+    /// words; the lane words of `bfs_multi` scatter from the CSR.
     #[test]
-    fn word_loop_is_identical_across_push_threads_and_directions() {
+    fn word_loop_is_identical_across_directions() {
         let adj = generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
         let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % adj.nrows()).collect();
-        let ctx = Context::with_threads(4);
-        let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
+        let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S16));
+        assert!(m.b2sr().is_some(), "precondition: the matrix holds tiles");
         let want_one = bfs_dir(&m, sources[0], Direction::Push);
-        assert!(
-            m.context().stats().sharded_push > 0,
-            "precondition: the node-word scatter shards on this graph"
-        );
         let want = bfs_multi_dir(&m, &sources, Direction::Push);
-        for threads in [1usize, 2, 8] {
-            m.context().set_threads(threads);
-            let got = bfs_dir(&m, sources[0], Direction::Push);
-            assert_eq!(got, want_one, "{threads} push threads");
-            let got = bfs_multi_dir(&m, &sources, Direction::Push);
-            assert_eq!(got, want, "{threads} push threads");
-        }
         assert_eq!(
             bfs_dir(&m, sources[0], Direction::Pull).levels,
             want_one.levels
         );
         assert_eq!(
             bfs_multi_dir(&m, &sources, Direction::Pull).levels,
+            want.levels
+        );
+        assert_eq!(
+            bfs_dir(&m, sources[0], Direction::Auto).levels,
+            want_one.levels
+        );
+        assert_eq!(
+            bfs_multi_dir(&m, &sources, Direction::Auto).levels,
             want.levels
         );
     }

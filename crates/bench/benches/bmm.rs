@@ -13,7 +13,7 @@ use std::time::Duration;
 use bitgblas_algorithms::{bfs_dir, bfs_multi_dir, sssp_dir, sssp_multi_dir};
 use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
-use bitgblas_core::grb::{Context, Direction, LaneBits, Op};
+use bitgblas_core::grb::{Direction, LaneBits, Op};
 use bitgblas_core::kernels::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_fused_into,
     csr_push_full,
@@ -355,17 +355,13 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
 
 /// Forced-push traversals — `bfs_dir`, `bfs_multi_dir` (64 sources),
 /// `sssp_dir` and `sssp_multi_dir` (64 sources) — on the repo benchmark's two
-/// graphs at B2SR-8, each on a matrix built and run at
-/// `Context::with_threads(1)` and at `(2)`: the standing instrument for the
-/// sharded word scatter's verdict (ROADMAP item 7).  Only `bfs_dir` on the
-/// mesh can shard — the node-word push of a tiled matrix; the lane words of
-/// `bfs_multi_dir` and every full-precision push scatter serially from the
-/// CSR at any budget, and R-MAT holds no tiles at B2SR-8, so those rows'
-/// two budgets read alike.  Unpinned, ≈ 40 s;
-/// `cargo bench -p bitgblas-bench --bench bmm -- push_threads/mesh` runs the
+/// graphs at B2SR-8, one build each.  Every push is one serial scatter: the
+/// node words of `bfs_dir` on the mesh's tiles, everything else from the
+/// CSR (R-MAT holds no tiles at B2SR-8).  Unpinned, ≈ 20 s;
+/// `cargo bench -p bitgblas-bench --bench bmm -- push_dir/mesh` runs the
 /// mesh half.
-fn push_threads_benches(c: &mut Criterion) {
-    let mut group = c.benchmark_group("push_threads");
+fn push_dir_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("push_dir");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(1))
@@ -392,20 +388,10 @@ fn push_threads_benches(c: &mut Criterion) {
     for (name, csr) in graphs {
         let n = csr.nrows();
         let sources: Vec<usize> = (0..64).map(|l| (l * 997 + 3) % n).collect();
-        let built = [1usize, 2].map(|threads| {
-            let ctx = Context::with_threads(threads);
-            (
-                threads,
-                Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx),
-            )
-        });
-        // The two budgets of one traversal run back to back, so host drift
-        // between rows of the group does not read as a thread-count effect.
+        let m = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
         for (alg, run) in algorithms {
-            for (threads, m) in &built {
-                let id = BenchmarkId::new(format!("{name}/{alg}"), format!("t{threads}"));
-                group.bench_function(id, |b| b.iter(|| run(m, &sources)));
-            }
+            let id = BenchmarkId::new(name, alg);
+            group.bench_function(id, |b| b.iter(|| run(&m, &sources)));
         }
     }
     group.finish();
@@ -418,6 +404,6 @@ criterion_group!(
     bmm_batched_benches,
     bmm_lane_density_benches,
     bmm_lane_word_benches,
-    push_threads_benches
+    push_dir_benches
 );
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //! overlay, and versioned snapshot publication.
 //!
 //! Every layer below this one assumes a matrix frozen at build time — the
-//! B2SR tiles, the shard plans, the batched engine all pay their conversion
-//! and planning cost once, at construction.  This module makes the graph
+//! B2SR tiles, their transposes, the batched engine all pay their
+//! conversion cost once, at construction.  This module makes the graph
 //! *mutable under live serving* without giving that amortization up:
 //!
 //! * **Delta log** — writers append [`EdgeDelta`]s (insert/delete) to an
@@ -42,10 +42,8 @@
 //!   CSR copies clean row runs whole, a tiled [`BitB2sr`] base re-tiles only
 //!   the tile-rows holding a dirty row and splices the others' tiles
 //!   verbatim ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows); the
-//!   [`CompactReport`] counts both), tiles kept only where they fill, and
-//!   the new base's constructor cuts
-//!   its row-shard plan from the result, so a compacted base equals a
-//!   from-scratch build of the same CSR, plans included.  The
+//!   [`CompactReport`] counts both), tiles kept only where they fill, so a
+//!   compacted base equals a from-scratch build of the same CSR.  The
 //!   `grb.delta_merge` fail point fires before any shared
 //!   state is touched, so an injected panic or transient error leaves the
 //!   pre-compaction epoch — and every outstanding snapshot — fully
@@ -84,7 +82,6 @@ use crate::grb::plan::MxvPipeline;
 use crate::grb::workspace::Workspace;
 use crate::kernels::simd::{andnot_into, or_into};
 use crate::semiring::with_semiring_ops;
-use crate::shard::ShardPlan;
 
 /// The compaction fail point: fired once per [`VersionCell::compact`] with
 /// pending deltas, after the fold is staged but **before** any shared state
@@ -327,7 +324,7 @@ impl DeltaSnapshot {
     }
 
     /// Ascending rows with at least one staged entry — the compaction
-    /// fold's dirty set, and what the incremental shard replan keys on.
+    /// fold's dirty set, and what the incremental re-tiling keys on.
     pub fn dirty_rows(&self) -> &[usize] {
         self.rows.dirty()
     }
@@ -407,15 +404,14 @@ impl DeltaSnapshot {
 /// [`MxvPipeline::finish`]; a dirty position the operand does not reach
 /// keeps what the base stored, which is already right.  So a read costs
 /// the base product plus one probe per staged patch entry and lane, and
-/// the planner treats the overlay as it treats its base: entry pricing,
-/// the shard plan and — over a [`BitB2sr`] — the word products
+/// the planner treats the overlay as it treats its base: entry pricing
+/// and — over a [`BitB2sr`] — the word products
 /// (`plan::execute_word_product`, whose dirty rows `refold_dirty_bits` and
 /// `refold_dirty_words` patch) all carry through.  The merged CSR views
 /// materialize lazily (first `csr()`/`csr_t()` call) for the fallback paths
 /// that need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
 ///
-/// Push (sparse-frontier) sweeps delegate to the base's scatter — the
-/// serial full-precision one, or a tiled base's sharded word scatter — and
+/// Push (sparse-frontier) sweeps delegate to the base's serial scatter and
 /// patch the dirty output rows with the same pull re-fold — exact, because
 /// the planner guarantees off-frontier operand entries contribute the
 /// semiring identity.
@@ -632,10 +628,6 @@ impl GrbBackend for DeltaOverlay {
 
     /// The base's plan: the base runs the overlay's scatter, so
     /// `Direction::Auto` prices an overlay's push as it prices the base's.
-    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        self.base.shard_plan(of_transpose)
-    }
-
     fn storage_bytes(&self) -> usize {
         self.base.storage_bytes() + self.delta.storage_bytes()
     }
@@ -811,7 +803,7 @@ impl VersionCell {
     /// Fold the pending log into a fresh base of the same backend kind and
     /// publish it as a new epoch.
     ///
-    /// The fold (CSR merge, re-tiling of the dirty tile-rows, shard plan)
+    /// The fold (CSR merge, re-tiling of the dirty tile-rows)
     /// runs *outside* the inner critical section against the
     /// pinned `(base, staged log prefix)` — the head's own staged view, not
     /// a second normalization — so writers keep appending during it; entries
@@ -824,8 +816,7 @@ impl VersionCell {
     /// and copies the rest of the old tiles
     /// ([`B2sr::retile_rows`](crate::b2sr::B2sr::retile_rows)); the new base
     /// shares nothing with the old, so pinned snapshots keep reading their
-    /// own.  The constructor cuts the new base's shard plan from the tiles it
-    /// built, as a from-scratch build does.
+    /// own.
     pub fn compact(&self, ctx: &Context) -> Result<CompactReport, GrbError> {
         let _gate = self
             .compact_gate
@@ -842,7 +833,7 @@ impl VersionCell {
             (inner.base.clone(), delta)
         };
         poll_delta_merge(ctx)?;
-        let (new_base, retiled) = fold(&base, &delta, ctx);
+        let (new_base, retiled) = fold(&base, &delta);
         Ok(self.install(new_base, &delta, retiled))
     }
 
@@ -875,19 +866,15 @@ impl VersionCell {
     }
 }
 
-/// `base ⊕ delta` as a fresh backend of `base`'s kind, shard plan included:
-/// the part of a compaction that runs outside the version lock.
-fn fold(
-    base: &Arc<dyn GrbBackend>,
-    delta: &DeltaSnapshot,
-    ctx: &Context,
-) -> (Arc<dyn GrbBackend>, RetileCounts) {
+/// `base ⊕ delta` as a fresh backend of `base`'s kind: the part of a
+/// compaction that runs outside the version lock.
+fn fold(base: &Arc<dyn GrbBackend>, delta: &DeltaSnapshot) -> (Arc<dyn GrbBackend>, RetileCounts) {
     let merged = delta.merge_csr(base.csr(), false);
     // The old tiles, when the base is this crate's backend (an external one
     // of a tiled kind converts in full).
     let old = base.as_any().downcast_ref::<BitB2sr>();
     let prev = old.map(|old| (old, delta.dirty_rows()));
-    let (folded, counts) = BitB2sr::of_kind(merged, base.kind(), ctx.shard_config(), prev);
+    let (folded, counts) = BitB2sr::of_kind(merged, base.kind(), prev);
     (Arc::new(folded), counts)
 }
 
@@ -1396,7 +1383,7 @@ mod tests {
                 let inner = cell.lock();
                 (inner.base.clone(), inner.staged.clone().expect("pending"))
             };
-            let (new_base, retiled) = fold(&pinned_base, &delta, &ctx);
+            let (new_base, retiled) = fold(&pinned_base, &delta);
             cell.append(&raced);
             let before = cell.entries_normalized();
             let report = cell.install(new_base, &delta, retiled);
@@ -1412,38 +1399,6 @@ mod tests {
             assert_eq!(*staged, DeltaSnapshot::build(&new_base_csr, &raced));
             assert_eq!((staged.inserted(), staged.deleted()), (2, 1));
         }
-    }
-
-    /// 200 scattered inserts dirty every shard of R-MAT(11,12), whose whole
-    /// weight is below one shard's target: the compacted plan still feeds
-    /// four workers (`from_weights`' `threads` clamp).  Only a tiled matrix
-    /// has a plan — R-MAT at B2SR-16 (5.5 bits per tile; at B2SR-8, 2.9, it
-    /// holds no tiles) — and the float baseline's compaction cuts none.
-    #[test]
-    fn scattered_inserts_do_not_collapse_the_shard_plan() {
-        use crate::b2sr::TileSize;
-
-        let n = 1usize << 11;
-        let adj = bitgblas_datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 5).symmetrized();
-        let ctx = Context::with_threads(4);
-        let inserts: Vec<EdgeDelta> = (0..200)
-            .map(|i| EdgeDelta::insert(i * 10 % n, (i * 37 + 5) % n))
-            .collect();
-        let a = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
-        let before = a.state().shard_plan(false).expect("planned").n_shards();
-        assert_eq!(before, 4, "precondition");
-        a.apply_deltas(&inserts).unwrap();
-        a.compact(&ctx).unwrap();
-        let after = a.snapshot();
-        let plan = after.state().shard_plan(false).expect("planned");
-        assert_eq!(plan.n_shards(), 4, "{plan:?}");
-
-        let f = Matrix::from_csr_ctx(&adj, Backend::FloatCsr, &ctx);
-        f.apply_deltas(&inserts).unwrap();
-        f.compact(&ctx).unwrap();
-        let after = f.snapshot();
-        assert_eq!(after.state().kind(), Backend::FloatCsr);
-        assert!(after.state().shard_plan(false).is_none());
     }
 
     #[test]

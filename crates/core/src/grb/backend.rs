@@ -6,7 +6,7 @@
 //! shape and CSR views, run one product pipeline per operand shape
 //! ([`GrbBackend::mxv_into`] for a vector, [`GrbBackend::mxm_into`] for an
 //! `n × k` multi-vector), the masked product reduction of Triangle
-//! Counting, and expose its row-shard plans.  Every method is required — no
+//! Counting.  Every method is required — no
 //! provided body computes a product, so a backend can never drop silently
 //! to a slower path.  The layer ships one implementation, [`BitB2sr`]: the
 //! binary CSR every matrix holds, plus — under [`Backend::Bit`] — B2SR tiles
@@ -20,12 +20,11 @@
 //! [`Backend::FloatCsr`] matrix is the paper's float baseline (the
 //! GraphBLAST/cuSPARSE stand-in): never tiled, every product, the Boolean
 //! ones included, runs on `f32` over the CSR, and it has no word product.
-//! Only a tiled matrix has a shard plan.
 //!
 //! Beside it sits the merge-on-read
 //! [`DeltaOverlay`](crate::delta::DeltaOverlay), which forwards to a base
 //! backend and re-folds its dirty rows.  Backends defined outside this crate
-//! implement the same thirteen methods; neither the [`super::Matrix`] object
+//! implement the same twelve methods; neither the [`super::Matrix`] object
 //! nor the algorithms know which one they are running on.
 //!
 //! The trait is object-safe: matrices share an `Arc<dyn GrbBackend>`, which
@@ -35,34 +34,18 @@
 //! always-available CSR views when the operands' tiles differ or are
 //! missing.
 //!
-//! # Sharded push execution
+//! # Serial push execution
 //!
-//! One push shards: the node-word scatter of a tiled matrix over its tiles,
-//! through `push_scatter`: cut the ascending frontier at the plan's
-//! row-shard boundaries, decide — from the frontier and the plan alone,
-//! never from the thread count — whether the modelled scatter work
-//! dominates the fixed-order merge ([`worth_sharding`]), and either run the
-//! serial kernel once per segment into privatized buffers (checked out of
-//! the workspace pool *before* the fan-out, so workers never touch the
-//! pool) and OR them together in ascending segment order, or run the serial
-//! kernel on the whole frontier.
-//! Scratch and cut buffers cycle through the pool, so the sharded steady
-//! state stays allocation-free at `threads == 1` (the parallel path
-//! additionally pays the scoped thread spawns).  A `Backend::Bit` matrix
-//! without tiles scatters its node words from the CSR ([`csr_bits_push`])
-//! serially, with no plan, and every matrix scatters its lane words from
-//! the CSR ([`csr_lanes_push`]) serially: sharded at two threads, those
-//! pushes read 1.44× (`bfs_dir`) and 1.17× (`bfs_multi_dir`) slower on R-MAT
-//! than at one (the `push_threads` bench group), and on the mesh's dense
-//! tiles the serial CSR lane push reads 0.32–0.40 of the tile lane scatter
-//! at one thread ([`MIN_TILE_FILL`]'s Boolean table).
-//!
-//! Every full-precision push — any `f32` semiring, one lane or a batch,
-//! and the float baseline's `f32` Boolean push — runs [`csr_push_full`] once
-//! over the whole ascending frontier: serial by construction, so its float
-//! folds group alike at every thread budget.  At two threads the sharded
-//! scatter it replaced measured 1.6–3× slower than this serial one on
-//! batched pushes (the `push_threads` bench group).
+//! Every push runs its serial kernel once over the whole ascending frontier:
+//! the node-word scatter of a tiled matrix over its tiles
+//! ([`bmv_push_bin_bin`]), the node-word scatter of a matrix without tiles
+//! ([`csr_bits_push`]), every lane-word scatter ([`csr_lanes_push`]) and
+//! every full-precision push — any `f32` semiring, one lane or a batch, and
+//! the float baseline's `f32` Boolean push — through [`csr_push_full`].  The
+//! fold order is the frontier's, so a push's result never depends on the
+//! host's thread count.  A row-shard scatter of the tile words, privatized
+//! per segment and ORed in order, measured 1.38–1.97× slower at two threads
+//! than this serial one on the mesh, and went.
 
 use std::any::Any;
 use std::sync::OnceLock;
@@ -80,7 +63,6 @@ use crate::kernels::{
     csr_bits_push, csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full,
 };
 use crate::semiring::{with_semiring_ops, BinaryOp, Semiring};
-use crate::shard::{merge_segments, scatter_segments, worth_sharding, ShardConfig, ShardPlan};
 
 use super::descriptor::Mask;
 use super::expr::Stage;
@@ -175,14 +157,6 @@ pub trait GrbBackend: std::fmt::Debug + Send + Sync {
         transpose_b: bool,
     ) -> f64;
 
-    /// The row-shard plan of a node-word scatter's representation, if one
-    /// has been cut: `of_transpose` selects the plan over `Aᵀ`'s rows (the
-    /// `mxv` push representation) instead of `A`'s.  `None` means pushes on
-    /// that representation run (and are priced by `Direction::Auto` as)
-    /// serial — what a backend without a sharded scatter always reports.
-    /// Lane-word and full-precision pushes never shard.
-    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan>;
-
     /// Storage bytes of the backend's primary representation: a
     /// [`BitB2sr`]'s B2SR tiles when it holds them (its CSR, which every
     /// matrix holds, is not counted then), its CSR otherwise.
@@ -244,123 +218,6 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
             if mask.is_none_or(|mk| mk.allows(i)) {
                 out[i] = 1.0;
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-or-serial word scatter
-// ---------------------------------------------------------------------------
-
-/// Average out-degree of a scatter representation with `nnz` edges over the
-/// rows `plan` partitions — the frontier-edge estimate [`worth_sharding`]
-/// weighs against the merge cost.  `nnz` is the backend's O(1) edge count
-/// (equal for `A` and `Aᵀ`), never a sweep over the representation.
-fn avg_degree(nnz: usize, plan: &ShardPlan) -> usize {
-    (nnz / plan.bounds()[plan.n_shards()].max(1)).max(1)
-}
-
-/// The tile word scatter of a node-word push into `y`, sharded when the
-/// plan and the frontier warrant it and serial otherwise (see the module
-/// docs for the recipe).
-///
-/// `scatter(segment, chunk)` is the serial kernel: it ORs the edges of the
-/// ascending frontier rows `segment` into `chunk`, which is shaped like `y`.
-/// `y` arrives zeroed; the privatized chunks start from zero and OR into `y`
-/// in ascending segment order.  OR is exact, so the result equals the
-/// serial scatter at every thread count.
-fn push_scatter<T>(
-    ws: &Workspace,
-    (plan, avg_deg): (&ShardPlan, usize),
-    frontier: &[usize],
-    y: &mut [T],
-    scatter: impl Fn(&[usize], &mut [T]) + Sync,
-) where
-    T: Poolable + Sync + Copy + Default + std::ops::BitOr<Output = T>,
-{
-    let mut cuts: Vec<usize> = ws.take_empty();
-    plan.segment_frontier(frontier, &mut cuts);
-    let n_seg = cuts.len().saturating_sub(1);
-    let (width, elem_bytes) = (y.len(), std::mem::size_of::<T>());
-    if worth_sharding(frontier.len(), avg_deg, n_seg, width, elem_bytes) {
-        let mut scratch = ws.take(n_seg * width, T::default());
-        let threads = ws.push_threads();
-        scatter_segments(threads, n_seg, &mut scratch, width, |s, chunk| {
-            scatter(&frontier[cuts[s]..cuts[s + 1]], chunk)
-        });
-        merge_segments(threads, n_seg, &scratch, width, y, |acc, v| acc | v);
-        ws.stats().record_sharded_push(n_seg);
-        ws.give(scratch);
-    } else {
-        scatter(frontier, y);
-    }
-    ws.give(cuts);
-}
-
-/// The row-shard plan of a B2SR scatter representation: tile counts are the
-/// per-tile-row weight proxy, and boundaries fall on tile rows.
-fn cut_plan(m: &B2srMatrix, cfg: ShardConfig) -> ShardPlan {
-    with_b2sr!(m, |m| ShardPlan::from_weights(
-        m.tile_rowptr(),
-        m.tile_dim(),
-        m.nrows(),
-        cfg
-    ))
-}
-
-/// The row-shard plans of a tiled matrix's two scatter representations.
-/// Each is [`cut_plan`] of its tiles under the one stored config — a
-/// function of what was built, whichever way it was built.
-#[derive(Debug)]
-struct ScatterPlans {
-    cfg: ShardConfig,
-    /// Plan over `A`'s rows (the `vxm` push representation), cut by the
-    /// backend's constructor.
-    forward: ShardPlan,
-    /// Plan over `Aᵀ`'s rows (the `mxv` push representation), cut when
-    /// `Aᵀ` is first scattered.
-    transposed: OnceLock<ShardPlan>,
-}
-
-impl ScatterPlans {
-    fn new(cfg: ShardConfig, forward: &B2srMatrix) -> Self {
-        ScatterPlans {
-            cfg,
-            forward: cut_plan(forward, cfg),
-            transposed: OnceLock::new(),
-        }
-    }
-
-    /// The plan of one representation, if cut.
-    fn get(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        if of_transpose {
-            self.transposed.get()
-        } else {
-            Some(&self.forward)
-        }
-    }
-
-    /// The plan of one representation; `tiles` yields that
-    /// representation's, and runs only when the plan is first cut.
-    fn get_or_plan<'t>(
-        &self,
-        of_transpose: bool,
-        tiles: impl FnOnce() -> &'t B2srMatrix,
-    ) -> &ShardPlan {
-        if of_transpose {
-            self.transposed.get_or_init(|| cut_plan(tiles(), self.cfg))
-        } else {
-            &self.forward
-        }
-    }
-
-    /// The plans of the transpose view: the view's `A` is this matrix's
-    /// `Aᵀ` (whose tiles are `transposed`), so the two plans swap roles.
-    fn swapped(&self, transposed: &B2srMatrix) -> Self {
-        ScatterPlans {
-            cfg: self.cfg,
-            forward: self.get_or_plan(true, || transposed).clone(),
-            transposed: OnceLock::from(self.forward.clone()),
         }
     }
 }
@@ -510,15 +367,12 @@ pub struct BitB2sr {
 struct Tiles {
     b2sr: B2srMatrix,
     b2sr_t: OnceLock<B2srMatrix>,
-    /// The row-shard plans of the node-word scatters.
-    shards: ScatterPlans,
 }
 
 impl Tiles {
-    /// The tiles `b2sr`, with the shard plan of their rows cut under `cfg`.
-    fn new(b2sr: B2srMatrix, cfg: ShardConfig) -> Self {
+    /// The tiles `b2sr`, their transpose not yet built.
+    fn new(b2sr: B2srMatrix) -> Self {
         Tiles {
-            shards: ScatterPlans::new(cfg, &b2sr),
             b2sr,
             b2sr_t: OnceLock::new(),
         }
@@ -536,32 +390,22 @@ impl Tiles {
         }
     }
 
-    /// The shard plan of a node-word push's scatter representation — cut
-    /// from its tiles, the tile word scatter's unit — and its average degree
-    /// over the matrix's `nnz` edges.
-    fn scatter_plan(&self, transpose: bool, nnz: usize) -> (&ShardPlan, usize) {
-        let plan = self.shards.get_or_plan(!transpose, || self.rep(!transpose));
-        (plan, avg_degree(nnz, plan))
-    }
-
     /// The tiles of the transpose view, whose `A` is this matrix's `Aᵀ`.
     fn transposed(&self) -> Tiles {
         Tiles {
             b2sr: self.rep(true).clone(),
             b2sr_t: OnceLock::from(self.b2sr.clone()),
-            shards: self.shards.swapped(self.rep(true)),
         }
     }
 }
 
 impl BitB2sr {
-    /// The `Backend::Bit(tile_size)` backend of a CSR matrix, its row-shard
-    /// plan cut under `cfg` if it holds tiles.  The conversion is eager (the
-    /// "one-time conversion cost" the paper amortizes) where the matrix is
-    /// worth tiling ([`MIN_TILE_FILL`]); the transpose representations and
-    /// their plan are built lazily.
-    pub fn new(csr: &Csr, tile_size: TileSize, cfg: ShardConfig) -> Self {
-        BitB2sr::of_kind(binary_copy(csr), Backend::Bit(tile_size), cfg, None).0
+    /// The `Backend::Bit(tile_size)` backend of a CSR matrix.  The
+    /// conversion is eager (the "one-time conversion cost" the paper
+    /// amortizes) where the matrix is worth tiling ([`MIN_TILE_FILL`]); the
+    /// transpose representations are built lazily.
+    pub fn new(csr: &Csr, tile_size: TileSize) -> Self {
+        BitB2sr::of_kind(binary_copy(csr), Backend::Bit(tile_size), None).0
     }
 
     /// The backend of `kind` over `bin`, an all-ones CSR taken by value and
@@ -575,7 +419,6 @@ impl BitB2sr {
     pub(crate) fn of_kind(
         bin: Csr,
         kind: Backend,
-        cfg: ShardConfig,
         prev: Option<(&BitB2sr, &[usize])>,
     ) -> (Self, RetileCounts) {
         debug_assert!(bin.is_binary());
@@ -593,7 +436,7 @@ impl BitB2sr {
             Backend::Auto => unreachable!("a backend is built of a resolved kind"),
         };
         let (tiles, counts) = match built {
-            Some((b2sr, counts)) => (Some(Tiles::new(b2sr, cfg)), counts),
+            Some((b2sr, counts)) => (Some(Tiles::new(b2sr)), counts),
             None => (None, RetileCounts::default()),
         };
         let backend = BitB2sr {
@@ -664,8 +507,8 @@ impl BitB2sr {
     /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
     /// a pack and an expand.  The one product tiles serve beside the masked
     /// reduction: a tiled matrix sweeps them ([`bits_pull`]) or scatters
-    /// them sharded ([`bits_push`]); one without runs [`csr_bits_pull`] or
-    /// [`csr_bits_push`] on its CSR, serially.
+    /// them ([`bits_push`]); one without runs [`csr_bits_pull`] or
+    /// [`csr_bits_push`] on its CSR.
     pub(crate) fn bits_product(
         &self,
         xw: &[u64],
@@ -677,9 +520,8 @@ impl BitB2sr {
     ) {
         match (frontier, &self.tiles) {
             (Some(frontier), Some(tiles)) => {
-                let plan = tiles.scatter_plan(transpose, self.nnz());
                 with_b2sr!(tiles.rep(!transpose), |m| bits_push(
-                    m, frontier, plan, excluded, ws, yw
+                    m, frontier, excluded, ws, yw
                 ))
             }
             (Some(frontier), None) => {
@@ -881,22 +723,17 @@ fn bits_pull<W: BitWord + Poolable>(
 
 /// The single-vector Boolean push scatter in node words over the rows of one
 /// B2SR width (`m` is the scatter representation), finished with the AND-NOT
-/// of `excluded` — the push half of [`bits_pull`]'s contract.  The scatter
-/// and its merge are word-granular: one OR covers `tile_dim` outputs, so the
-/// engagement test counts tile words.  `yw` receives the node words of
-/// `ncols` entries.
+/// of `excluded` — the push half of [`bits_pull`]'s contract.  One OR covers
+/// `tile_dim` outputs.  `yw` receives the node words of `ncols` entries.
 fn bits_push<W: BitWord + Poolable>(
     m: &B2sr<W>,
     frontier: &[usize],
-    plan: (&ShardPlan, usize),
     excluded: Option<&[u64]>,
     ws: &Workspace,
     yw: &mut Vec<u64>,
 ) {
     let mut tiles: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
-    push_scatter(ws, plan, frontier, &mut tiles, |segment, chunk| {
-        bmv_push_bin_bin(m, segment, chunk)
-    });
+    bmv_push_bin_bin(m, frontier, &mut tiles);
     join_tile_words(&tiles, m.tile_dim(), m.ncols(), yw);
     if let Some(excluded) = excluded {
         simd::andnot_into(yw, excluded);
@@ -971,10 +808,6 @@ impl GrbBackend for BitB2sr {
                 _ => csr_mxm_reduce_masked(self, b, mask, transpose_b),
             }
         })
-    }
-
-    fn shard_plan(&self, of_transpose: bool) -> Option<&ShardPlan> {
-        self.tiles.as_ref()?.shards.get(of_transpose)
     }
 
     fn storage_bytes(&self) -> usize {
@@ -1150,13 +983,13 @@ pub(crate) mod tests {
     }
 
     fn bit_b2sr(csr: &Csr, tile_size: TileSize) -> BitB2sr {
-        BitB2sr::new(csr, tile_size, ShardConfig::default())
+        BitB2sr::new(csr, tile_size)
     }
 
     /// The float baseline: the backend without tiles.
     fn float_csr(csr: &Csr) -> BitB2sr {
         let kind = Backend::FloatCsr;
-        BitB2sr::of_kind(binary_copy(csr), kind, ShardConfig::default(), None).0
+        BitB2sr::of_kind(binary_copy(csr), kind, None).0
     }
 
     /// The bare pull product `A ⊕.⊗ x` through the trait.
@@ -1192,7 +1025,7 @@ pub(crate) mod tests {
             kind: Backend::Bit(ts),
             csr,
             csr_t: OnceLock::new(),
-            tiles: b2sr.map(|b2sr| Tiles::new(b2sr, ShardConfig::default())),
+            tiles: b2sr.map(Tiles::new),
         }
     }
 
@@ -1228,9 +1061,8 @@ pub(crate) mod tests {
     /// silently tile the one or untile the other.  The choice survives the
     /// transpose view, a matrix clone and a compaction, and a compaction
     /// that crosses the fill re-decides it either way.  A `Backend::Bit`
-    /// matrix without tiles keeps its kind and its word product, has no
-    /// shard plan, reports its CSR's bytes, and pushes its Boolean words
-    /// serially on a four-thread context.
+    /// matrix without tiles keeps its kind and its word product, reports its
+    /// CSR's bytes, and pushes its Boolean words from the CSR.
     #[test]
     fn tiles_exist_only_where_a_product_sweeps_them() {
         use crate::delta::EdgeDelta;
@@ -1288,8 +1120,8 @@ pub(crate) mod tests {
         assert!(m.b2sr().is_some() && m.lower_triangle().b2sr().is_some());
 
         // A tile-less bit matrix: its kind, its word product, its CSR's
-        // bytes, no shard plan, and serial Boolean pushes at four threads.
-        let ctx = Context::with_threads(4);
+        // bytes, and its Boolean pushes.
+        let ctx = Context::default();
         let a = Matrix::from_csr_ctx(&rmat, Backend::Bit(TileSize::S8), &ctx);
         assert_eq!(a.resolved_backend(), Backend::Bit(TileSize::S8));
         assert_eq!(a.storage_bytes(), a.csr().storage_bytes());
@@ -1312,17 +1144,6 @@ pub(crate) mod tests {
                 .run(&ctx);
         }
         assert_eq!(ctx.stats().push_mxv, 2);
-        assert_eq!(ctx.stats().sharded_push, 0);
-        let b = a.state();
-        assert!(b.shard_plan(false).is_none() && b.shard_plan(true).is_none());
-        // The same pushes on the tiled mesh do shard: the check can fail.
-        let m = Matrix::from_csr_ctx(&mesh, Backend::Bit(TileSize::S8), &ctx);
-        let frontier = NodeBits::from_indices(m.nrows(), &(0..m.nrows()).collect::<Vec<_>>());
-        let next = Op::vxm_bits(&frontier, &m)
-            .direction(Direction::Push)
-            .try_run(&ctx);
-        assert!(next.unwrap().is_some());
-        assert!(ctx.stats().sharded_push > 0);
 
         // A compaction across the fill: 64 tiles of one bit each gain four
         // bits each (5 bits per tile: tiled), then lose them again.
@@ -1822,9 +1643,6 @@ pub(crate) mod tests {
         ) -> f64 {
             self.inner.mxm_reduce_masked(b, mask, transpose_b)
         }
-        fn shard_plan(&self, _: bool) -> Option<&ShardPlan> {
-            None
-        }
         fn storage_bytes(&self) -> usize {
             self.inner.storage_bytes()
         }
@@ -1899,55 +1717,28 @@ pub(crate) mod tests {
         assert_eq!(spy(&external), (expected_calls, 4));
     }
 
-    /// The one sharded-or-serial routine over the node-word push's tile
-    /// words: engaged on a multi-shard plan of a rectangular matrix, its
-    /// output is the serial kernel's on the whole frontier at 1/2/4/8
-    /// threads.  The CSR node-word push of a matrix without tiles never
-    /// reaches it and ORs the same bits serially; neither do lane-word or
-    /// full-precision pushes
-    /// (`tests/backend_parity.rs::full_precision_push_scatters_serially_on_a_sharded_context`,
-    /// `lane_word_push_scatters_serially_on_a_sharded_context`).
+    /// The node-word push's tile scatter on a rectangular matrix ORs the
+    /// same bits as the CSR node-word push of a matrix without tiles, both
+    /// run once over the whole frontier — thin and fat — and [`bits_push`]
+    /// joins them into those node words.
     #[test]
-    fn push_scatter_is_bit_identical_across_threads_and_equals_serial() {
+    fn tile_node_word_push_equals_the_csr_push() {
         let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
         let (n, ncols) = (a.nrows(), a.ncols());
         let b = from_csr::<u8>(&a, 8);
-        let cfg = ShardConfig {
-            threads: 4,
-            cache_bytes: 2 << 20,
-        };
-        let plan = ShardPlan::from_weights(a.rowptr(), 1, n, cfg);
-        assert!(plan.n_shards() >= 4, "precondition: {plan:?}");
-        let plan = (&plan, avg_degree(a.nnz(), &plan));
-        let frontier: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        let fat: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        for frontier in [vec![7], vec![0, 150, 299], fat] {
+            let mut tile_words = vec![0u8; b.n_tile_cols()];
+            bmv_push_bin_bin(&b, &frontier, &mut tile_words);
+            let mut node_words = vec![0u64; ncols.div_ceil(64)];
+            csr_bits_push(&a, &frontier, &mut node_words);
+            let mut joined = Vec::new();
+            join_tile_words(&tile_words, 8, ncols, &mut joined);
+            assert_eq!(node_words, joined, "the tile scatter's bits");
 
-        // The node-word push's tile words at every thread budget.
-        let words = |seg: &[usize], chunk: &mut [u8]| bmv_push_bin_bin(&b, seg, chunk);
-        let mut serial = vec![0u8; b.n_tile_cols()];
-        words(&frontier, &mut serial);
-        for threads in [1usize, 2, 4, 8] {
-            let ws = Workspace::new();
-            ws.set_push_threads(threads);
-            let mut y = vec![0u8; b.n_tile_cols()];
-            push_scatter(&ws, plan, &frontier, &mut y, words);
-            let sharded = ws.stats().snapshot().sharded_push;
-            assert_eq!(sharded, 1, "the sharded path must engage");
-            assert_eq!(y, serial, "threads={threads}");
+            let mut yw = Vec::new();
+            bits_push(&b, &frontier, None, &Workspace::new(), &mut yw);
+            assert_eq!(yw, node_words, "bits_push over {} nodes", frontier.len());
         }
-
-        // The serial CSR node-word push of a matrix without tiles: the same
-        // ORs as the tile scatter above.
-        let mut node_words = vec![0u64; ncols.div_ceil(64)];
-        csr_bits_push(&a, &frontier, &mut node_words);
-        let mut joined = Vec::new();
-        join_tile_words(&serial, 8, ncols, &mut joined);
-        assert_eq!(node_words, joined, "the tile scatter's bits");
-
-        // A frontier too thin to pay for the merge stays serial.
-        let ws = Workspace::new();
-        ws.set_push_threads(4);
-        let mut y = vec![0u8; b.n_tile_cols()];
-        push_scatter(&ws, plan, &[7], &mut y, words);
-        assert_eq!(ws.stats().snapshot().sharded_push, 0);
     }
 }

@@ -33,9 +33,11 @@
 //! which for `nnz ≫ n` reduces to the familiar Beamer-style `f < n / α`
 //! with `α ≈ penalty` — the textbook α ≈ 14 rediscovered from the traffic
 //! model.
+//!
+//! Every push runs serially while the pull sweep fans out over the host's
+//! cores, so the planner scales the penalty by the pull's parallelism.
 
 use crate::semiring::Semiring;
-use crate::shard::SCATTER_EDGE_WEIGHT;
 
 use super::expr::shape::{FrontierSize, Shape};
 
@@ -61,41 +63,37 @@ impl std::fmt::Display for Direction {
     }
 }
 
-/// The parallelism-aware scatter penalty over a base penalty α.
-///
-/// The base penalty prices one scattered edge against one streamed pull
-/// edge *at equal parallelism*.  When the push engine runs on fewer worker
-/// threads than the pull sweep fans out to (`push_threads <
-/// pull_threads`), every push edge is additionally slower by the thread
-/// ratio; when both sides scale alike the ratio is 1 and α is the base
-/// penalty.  [`choose_direction`] passes [`SCATTER_EDGE_WEIGHT`] as α.
-pub fn scatter_penalty_parallel_alpha(alpha: f64, push_threads: usize, pull_threads: usize) -> f64 {
-    let ratio = (pull_threads.max(1) as f64 / push_threads.max(1) as f64).max(1.0);
-    (alpha * ratio).clamp(4.0, 256.0)
+/// The modelled cost of one scattered edge relative to one streamed
+/// element: a random write wastes a whole 128-byte memory transaction where
+/// a streamed edge pays ~8 coalesced bytes.  The base of the push penalty
+/// [`choose_direction`] prices with.
+pub const SCATTER_EDGE_WEIGHT: usize = 16;
+
+/// The scatter penalty α of a serial push against a pull sweep that fans
+/// out to `pull_threads` workers: [`SCATTER_EDGE_WEIGHT`] prices one
+/// scattered edge against one streamed pull edge at equal parallelism, and
+/// every push edge is slower again by the pull's parallelism.  Clamped, so
+/// a pathological thread count cannot drive the penalty to infinity.
+fn scatter_alpha(pull_threads: usize) -> f64 {
+    (SCATTER_EDGE_WEIGHT as f64 * pull_threads.max(1) as f64).clamp(4.0, 256.0)
 }
 
 /// Resolve [`Direction::Auto`] for one operation: a frontier priced at
 /// `frontier_nnz` (active nodes of a vector; per product kind below) of an
-/// `n`-node operand against a matrix with `nnz` edges, at base scatter
-/// penalty [`SCATTER_EDGE_WEIGHT`].
+/// `n`-node operand against a matrix with `nnz` edges.
 ///
 /// Returns [`Direction::Pull`] for semirings where identity-valued entries
 /// still contribute (see [`Semiring::push_safe`]); otherwise compares the
 /// modelled push traffic against the pull sweep:
 ///
 /// ```text
-/// f · d̄ · α(push_threads, pull_threads)  [+ n]   <   nnz + n
+/// f · d̄ · α(pull_threads)   <   nnz + n
 /// ```
 ///
-/// `push_threads` is the sharded scatter's worker budget
-/// ([`Context::threads`](super::Context::threads)), `pull_threads` the
-/// parallelism of the dense sweep (the host's, since the pull kernels fan
-/// out through the global rayon pool).  α becomes
-/// [`scatter_penalty_parallel_alpha`], so a serial push on a parallel host
-/// is priced α·P and flips to pull earlier; and when the sharded engine can
-/// engage (`push_threads > 1`) the push side carries one extra streamed
-/// output pass (`+ n`) for the deterministic fixed-order merge of the
-/// privatized shard buffers.
+/// `pull_threads` is the parallelism of the dense sweep (the host's, since
+/// the pull kernels fan out through the global rayon pool).  Every push is
+/// serial, so α is [`SCATTER_EDGE_WEIGHT`] · `pull_threads` (clamped to
+/// 256): a push on a parallel host is priced α·P and flips to pull earlier.
 ///
 /// # What `frontier_nnz` is, per product kind
 ///
@@ -131,14 +129,12 @@ pub fn choose_direction(
     n: usize,
     nnz: usize,
     semiring: Semiring,
-    push_threads: usize,
     pull_threads: usize,
 ) -> Direction {
     if !semiring.push_safe() {
         return Direction::Pull;
     }
-    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, push_threads, pull_threads);
-    let push_cost = frontier_nnz as f64 * avg_deg * alpha + merge;
+    let push_cost = frontier_nnz as f64 * push_edge_cost(n, nnz, pull_threads);
     let pull_cost = nnz as f64 + n as f64;
     if push_cost < pull_cost {
         Direction::Push
@@ -147,19 +143,11 @@ pub fn choose_direction(
     }
 }
 
-/// The push side of [`choose_direction`]'s inequality: `(d̄, α(push_threads,
-/// pull_threads), merge surcharge)`.
-fn push_cost_terms(
-    n: usize,
-    nnz: usize,
-    push_threads: usize,
-    pull_threads: usize,
-) -> (f64, f64, f64) {
+/// The push side of [`choose_direction`]'s inequality per frontier node:
+/// `d̄ · α(pull_threads)`.
+fn push_edge_cost(n: usize, nnz: usize, pull_threads: usize) -> f64 {
     let avg_deg = (nnz as f64 / n.max(1) as f64).max(1.0);
-    let alpha =
-        scatter_penalty_parallel_alpha(SCATTER_EDGE_WEIGHT as f64, push_threads, pull_threads);
-    let merge = if push_threads > 1 { n as f64 } else { 0.0 };
-    (avg_deg, alpha, merge)
+    avg_deg * scatter_alpha(pull_threads)
 }
 
 impl FrontierSize {
@@ -185,9 +173,8 @@ impl FrontierSize {
 /// pulls.  (The break-even of the inequality, rounded up with one unit of
 /// slack for the float division — the decision itself is always
 /// [`choose_direction`] on the count the scan returns.)
-fn push_scan_budget(n: usize, nnz: usize, push_threads: usize, pull_threads: usize) -> usize {
-    let (avg_deg, alpha, merge) = push_cost_terms(n, nnz, push_threads, pull_threads);
-    ((nnz as f64 + n as f64 - merge) / (avg_deg * alpha)).ceil() as usize + 1
+fn push_scan_budget(n: usize, nnz: usize, pull_threads: usize) -> usize {
+    ((nnz as f64 + n as f64) / push_edge_cost(n, nnz, pull_threads)).ceil() as usize + 1
 }
 
 /// Resolve [`Direction::Auto`] for the operand `x` of a product with an
@@ -206,14 +193,12 @@ pub(crate) fn scan_and_choose<V: Shape>(
     semiring: Semiring,
     lane_sparse_scatter: bool,
     nnz: usize,
-    push_threads: usize,
     pull_threads: usize,
     frontier: &mut Vec<usize>,
 ) -> (Direction, FrontierSize) {
     let by_entries = lane_sparse_scatter && semiring != Semiring::Boolean;
     let scan = |stop_past| x.frontier_into(semiring, stop_past, frontier);
-    let threads = (push_threads, pull_threads);
-    scan_within_budget(x.shape(), semiring, by_entries, nnz, threads, scan)
+    scan_within_budget(x.shape(), semiring, by_entries, nnz, pull_threads, scan)
 }
 
 /// [`scan_and_choose`] for a Boolean operand already held in words
@@ -224,13 +209,11 @@ pub(crate) fn scan_and_choose<V: Shape>(
 pub(crate) fn scan_and_choose_words(
     shape: (usize, usize),
     nnz: usize,
-    push_threads: usize,
     pull_threads: usize,
     scan: impl FnOnce(usize) -> FrontierSize,
 ) -> (Direction, FrontierSize) {
     let scan = |stop_past: FrontierSize| scan(stop_past.nodes);
-    let threads = (push_threads, pull_threads);
-    scan_within_budget(shape, Semiring::Boolean, false, nnz, threads, scan)
+    scan_within_budget(shape, Semiring::Boolean, false, nnz, pull_threads, scan)
 }
 
 /// The body of the two scans above: hand `scan` the counts past which no
@@ -240,12 +223,12 @@ fn scan_within_budget(
     semiring: Semiring,
     by_entries: bool,
     nnz: usize,
-    (push_threads, pull_threads): (usize, usize),
+    pull_threads: usize,
     scan: impl FnOnce(FrontierSize) -> FrontierSize,
 ) -> (Direction, FrontierSize) {
     // Stop once the priced count is past `budget`: nodes, or for a product
     // priced by entries, entries / k > budget  ⇔  entries ≥ (budget + 1) · k.
-    let budget = push_scan_budget(n, nnz, push_threads, pull_threads);
+    let budget = push_scan_budget(n, nnz, pull_threads);
     let mut stop_past = FrontierSize::UNBOUNDED;
     if by_entries {
         stop_past.entries = budget.saturating_add(1).saturating_mul(k) - 1;
@@ -254,14 +237,13 @@ fn scan_within_budget(
     }
     let size = scan(stop_past);
     let priced = size.priced(k, by_entries);
-    let direction = choose_direction(priced, n, nnz, semiring, push_threads, pull_threads);
+    let direction = choose_direction(priced, n, nnz, semiring, pull_threads);
     (direction, size)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::SHARD_CACHE_BYTES;
     use bitgblas_perfmodel::pascal_gtx1080;
 
     #[test]
@@ -272,19 +254,18 @@ mod tests {
         assert_eq!(Direction::Auto.to_string(), "auto");
     }
 
-    /// The two planning constants are what the default profile yields: its
-    /// transaction width over 8 coalesced bytes, and its L2.
+    /// The planning constant is what the default profile yields: its
+    /// transaction width over 8 coalesced bytes.
     #[test]
     fn penalty_comes_from_the_transaction_width() {
         let pascal = pascal_gtx1080();
         assert_eq!(SCATTER_EDGE_WEIGHT, pascal.transaction_bytes / 8);
-        assert_eq!(SHARD_CACHE_BYTES, pascal.l2_kb * 1024);
     }
 
     #[test]
     fn sparse_frontiers_push_and_dense_frontiers_pull() {
         let (n, nnz) = (8192, 8192 * 16);
-        let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, 1, 1);
+        let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, 1);
         assert_eq!(choose(1), Direction::Push);
         assert_eq!(choose(0), Direction::Push);
         assert_eq!(choose(n), Direction::Pull);
@@ -296,47 +277,56 @@ mod tests {
 
     #[test]
     fn serial_push_on_a_parallel_host_is_penalized() {
-        let alpha = SCATTER_EDGE_WEIGHT as f64;
-        // Equal parallelism: the pure transaction penalty.
-        assert_eq!(scatter_penalty_parallel_alpha(alpha, 8, 8), 16.0);
-        assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 1), 16.0);
-        // Serial push vs an 8-wide pull: α scales by the thread ratio.
-        assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 8), 128.0);
-        // More push than pull workers never *discounts* below the device α.
-        assert_eq!(scatter_penalty_parallel_alpha(alpha, 16, 8), 16.0);
-        // The ratio is clamped so a pathological configuration cannot
-        // drive the penalty to infinity.
-        assert_eq!(scatter_penalty_parallel_alpha(alpha, 1, 1_000_000), 256.0);
+        // One pull worker: the pure transaction penalty.
+        assert_eq!(scatter_alpha(1), 16.0);
+        assert_eq!(scatter_alpha(0), 16.0);
+        // An 8-wide pull sweep: α scales by its parallelism.
+        assert_eq!(scatter_alpha(8), 128.0);
+        // Clamped, so a pathological configuration cannot drive the penalty
+        // to infinity.
+        assert_eq!(scatter_alpha(64), 256.0);
+        assert_eq!(scatter_alpha(1_000_000), 256.0);
     }
 
     #[test]
     fn configured_threshold_flips_earlier_for_serial_push() {
         let (n, nnz) = (8192, 8192 * 16);
-        let choose = |f, push, pull| choose_direction(f, n, nnz, Semiring::Boolean, push, pull);
-        // A frontier that pushes under equal parallelism…
+        let choose = |f, pull| choose_direction(f, n, nnz, Semiring::Boolean, pull);
+        // A frontier that pushes against a one-wide pull sweep…
         let f = (nnz + n) / (16 * 16) / 2;
-        assert_eq!(choose(f, 8, 8), Direction::Push);
-        // …pulls when the push side would run serially against an 8-wide
-        // pull sweep (α × 8 prices it out).
-        assert_eq!(choose(f, 1, 8), Direction::Pull);
-        // Tiny frontiers still push even with the merge surcharge.
-        assert_eq!(choose(1, 8, 8), Direction::Push);
+        assert_eq!(choose(f, 1), Direction::Push);
+        // …pulls against an 8-wide one (α × 8 prices it out).
+        assert_eq!(choose(f, 8), Direction::Pull);
+        // Tiny frontiers still push.
+        assert_eq!(choose(1, 8), Direction::Push);
+        assert_eq!(choose(1, 64), Direction::Push);
     }
 
+    /// The break-even sits at `(nnz + n) / (d̄ · α·P)` for the measured
+    /// α = [`SCATTER_EDGE_WEIGHT`] at every pull parallelism `P`.
     #[test]
     fn tuned_threshold_honors_a_measured_alpha() {
-        // The thread-ratio scaling works on whatever base α it is handed…
-        assert_eq!(scatter_penalty_parallel_alpha(8.0, 1, 1), 8.0);
-        assert_eq!(scatter_penalty_parallel_alpha(32.0, 1, 4), 128.0);
-        // …and clamps it (a degenerate α cannot zero the penalty out).
-        assert_eq!(scatter_penalty_parallel_alpha(0.0, 1, 1), 4.0);
-        assert_eq!(scatter_penalty_parallel_alpha(1e9, 1, 1), 256.0);
+        let (n, nnz) = (8192usize, 8192 * 16);
+        for (pull, alpha_p) in [(1, 16.0), (8, 128.0), (64, 256.0)] {
+            let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, pull);
+            let even = (nnz + n) as f64 / (16.0 * alpha_p);
+            assert_eq!(
+                choose(even.floor() as usize - 1),
+                Direction::Push,
+                "P={pull}"
+            );
+            assert_eq!(
+                choose(even.ceil() as usize + 1),
+                Direction::Pull,
+                "P={pull}"
+            );
+        }
     }
 
     #[test]
     fn push_unsafe_semirings_always_pull() {
         // MaxTimes with a non-positive factor cannot skip identity entries.
-        let choose = |sr| choose_direction(1, 1000, 16_000, sr, 1, 1);
+        let choose = |sr| choose_direction(1, 1000, 16_000, sr, 1);
         assert_eq!(choose(Semiring::MaxTimes(-2.0)), Direction::Pull);
         assert_eq!(choose(Semiring::MaxTimes(2.0)), Direction::Push);
     }
@@ -344,11 +334,11 @@ mod tests {
 
     use crate::grb::{MultiVec, Vector};
 
-    /// `scan_and_choose` at equal parallelism.
+    /// `scan_and_choose` against a one-wide pull sweep.
     fn auto<V: Shape>(x: &V, semiring: Semiring, nnz: usize) -> (Direction, FrontierSize) {
         // A stale list: the scan replaces it.
         let mut list = vec![usize::MAX; 3];
-        let (direction, size) = scan_and_choose(x, semiring, true, nnz, 1, 1, &mut list);
+        let (direction, size) = scan_and_choose(x, semiring, true, nnz, 1, &mut list);
         assert!(
             list.windows(2).all(|w| w[0] < w[1]),
             "ascending, no stale entry"
@@ -399,13 +389,13 @@ mod tests {
         assert_eq!(auto(&few, Semiring::Boolean, nnz).0, Direction::Push);
         // A backend whose scatter is not lane-sparse prices the union.
         let mut list = Vec::new();
-        let by_nodes = scan_and_choose(&sparse, min_plus, false, nnz, 1, 1, &mut list);
+        let by_nodes = scan_and_choose(&sparse, min_plus, false, nnz, 1, &mut list);
         assert_eq!(by_nodes.0, Direction::Pull);
         let mut few = MultiVec::identity(n, k, min_plus);
         for l in 0..k {
             few.set(7, l, 1.0);
         }
-        let by_nodes = scan_and_choose(&few, min_plus, false, nnz, 1, 1, &mut list);
+        let by_nodes = scan_and_choose(&few, min_plus, false, nnz, 1, &mut list);
         assert_eq!(by_nodes.0, Direction::Push);
     }
 
@@ -428,7 +418,7 @@ mod tests {
                 let (batch, _) = auto(&mv, semiring, nnz);
                 // Stopping the scan early never changes the decision made
                 // on the full count.
-                let counted = choose_direction(f, n, nnz, semiring, 1, 1);
+                let counted = choose_direction(f, n, nnz, semiring, 1);
                 assert_eq!((vector, batch), (counted, counted), "{semiring:?} f={f}");
             }
         }
@@ -443,11 +433,11 @@ mod tests {
             (8192, 8192 * 16),
             (2048, 92_000),
         ] {
-            // Thread ratios 1, 8 and past the clamp: α = 16, 128, 256.
-            for (push, pull) in [(1, 1), (1, 8), (8, 8), (1, 64)] {
-                let budget = push_scan_budget(n, nnz, push, pull);
-                let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, push, pull);
-                let what = format!("n={n} nnz={nnz} threads={push}/{pull}");
+            // Pull parallelism 1, 8 and past the clamp: α = 16, 128, 256.
+            for pull in [1, 8, 64] {
+                let budget = push_scan_budget(n, nnz, pull);
+                let choose = |f| choose_direction(f, n, nnz, Semiring::Boolean, pull);
+                let what = format!("n={n} nnz={nnz} pull threads={pull}");
                 assert_eq!(choose(budget + 1), Direction::Pull, "{what}");
                 // One unit of slack, no more: the scan stops near the
                 // break-even, not after the whole operand.

@@ -203,10 +203,6 @@ pub(crate) mod shape {
         /// batched kernels produce the bare product and the planner
         /// collapses the epilogue into one pass over the flat output.
         const FUSES_INTO_SWEEP: bool;
-        /// Whether a Boolean product of this shape runs in node words on a
-        /// bit matrix — the one push a tiled matrix shards; a batch runs in
-        /// lane words, which scatter serially from the CSR.
-        const NODE_WORDS: bool;
         /// The operation name a `GrbError::DimensionMismatch` reports, by
         /// the producer's `flip`.
         const OP_NAMES: [&'static str; 2];
@@ -254,7 +250,6 @@ impl shape::Shape for Vector {
     const FAIL_POINT: &'static str = "grb.mxv_dispatch";
     const OP_NAMES: [&'static str; 2] = ["mxv", "vxm"];
     const FUSES_INTO_SWEEP: bool = true;
-    const NODE_WORDS: bool = true;
 
     fn shape(&self) -> (usize, usize) {
         (self.len(), 1)
@@ -314,7 +309,6 @@ impl shape::Shape for MultiVec {
     const FAIL_POINT: &'static str = "grb.mxm_dispatch";
     const OP_NAMES: [&'static str; 2] = ["mxm", "mxm"];
     const FUSES_INTO_SWEEP: bool = false;
-    const NODE_WORDS: bool = false;
 
     fn shape(&self) -> (usize, usize) {
         (self.n_nodes(), self.n_lanes())

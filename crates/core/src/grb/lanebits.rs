@@ -160,8 +160,6 @@ impl LaneBits {
 }
 
 impl WordOps for LaneBits {
-    const NODE_WORDS: bool = false;
-
     fn shape(&self) -> (usize, usize) {
         (self.n, self.k)
     }

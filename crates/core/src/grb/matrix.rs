@@ -67,8 +67,8 @@ impl Backend {
 ///   matter how many writes land afterwards.  Each `Matrix` value is itself
 ///   such a pinned view (its own kernels never observe later epochs);
 /// * **compaction** — [`compact`](Matrix::compact) explicitly folds the log
-///   into a fresh base of the same backend kind — tiles where they fill —
-///   and re-plans row shards incrementally (only dirty shards are recut).
+///   into a fresh base of the same backend kind — tiles where they fill,
+///   only the tile-rows holding a dirty row re-tiled.
 pub struct Matrix {
     requested: Backend,
     state: Arc<dyn GrbBackend>,
@@ -162,9 +162,7 @@ impl Matrix {
     }
 
     /// Build a matrix from any CSR; the context supplies the device profile
-    /// and sampling parameters [`Backend::Auto`] selects with, plus the
-    /// shard-planning parameters (thread budget, cache budget) the parallel
-    /// push engine partitions the scatter representations with.
+    /// and sampling parameters [`Backend::Auto`] selects with.
     pub fn from_csr_ctx(csr: &Csr, backend: Backend, ctx: &Context) -> Self {
         Matrix::from_binary_ctx(binary_copy(csr), backend, ctx)
     }
@@ -176,9 +174,7 @@ impl Matrix {
             Backend::Auto => auto::auto_decision(&bin, ctx).chosen,
             other => other,
         };
-        // Row-shard plans are part of format selection: the constructor cuts
-        // them from the tiles it builds, under the context's thread budget.
-        let (state, _) = BitB2sr::of_kind(bin, resolved, ctx.shard_config(), None);
+        let (state, _) = BitB2sr::of_kind(bin, resolved, None);
         Matrix::from_parts(backend, Arc::new(state), Arc::new(ctx.clone()))
     }
 
@@ -377,8 +373,8 @@ impl Matrix {
     /// Fold the pending delta log into a fresh base representation of the
     /// same backend kind and publish it as a new epoch — the explicit
     /// re-tiling step that restores full kernel speed after a mutation
-    /// burst.  Row-shard plans rebuild *incrementally*: only shards whose
-    /// row ranges intersect the fold's dirty rows are recut.  Outstanding
+    /// burst.  Tiles rebuild *incrementally*: only the tile-rows holding a
+    /// dirty row are re-tiled.  Outstanding
     /// snapshots are untouched, and the `grb.delta_merge` fail point (fired
     /// through `ctx`'s injector before publication) can prove it: a
     /// panicking or transiently-failing compaction leaves the current epoch

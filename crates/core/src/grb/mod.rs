@@ -71,20 +71,13 @@
 //! batch of one lane is that vector ([`Op::mxm_bits`]).  All three are one
 //! builder and one planner path over the sealed [`WordOperand`] kinds.
 //!
-//! # Sharded parallel push execution
+//! # Serial push execution
 //!
-//! Boolean word pushes (sparse-frontier scatters) of a tiled matrix execute
-//! over the row-shard partition of [`crate::shard`] through one
-//! sharded-or-serial routine: the tiles carry a per-representation
-//! [`crate::shard::ShardPlan`] (cut by the constructor under the context's
-//! thread budget), the frontier is cut at shard boundaries, segments
-//! scatter into privatized workspace-pooled buffers on up to
-//! [`Context::threads`] workers, and an ordered OR merge makes the words
-//! **bit-identical across thread counts**.  Every full-precision push
-//! scatters serially, once over the whole frontier, so its float folds are
-//! bit-identical across thread counts by construction.
-//! [`Direction::Auto`]'s scatter penalty is parallelism-aware for the word
-//! pushes alone ([`choose_direction`]).
+//! Every push (sparse-frontier scatter) runs its serial kernel once over the
+//! whole ascending frontier, so its folds group alike whatever the host's
+//! thread count; the pulls fan out over rayon.  [`Direction::Auto`]'s
+//! scatter penalty is therefore parallelism-aware: a push edge is priced
+//! against the pull sweep's parallelism ([`choose_direction`]).
 //!
 //! `bitgblas-algorithms` writes each graph algorithm once against this API
 //! and the benchmarks toggle the backend, exactly as the paper compares
@@ -110,7 +103,7 @@ pub mod workspace;
 pub use auto::{auto_decision, AutoDecision, TileCandidate};
 pub use backend::{BitB2sr, GrbBackend};
 pub use descriptor::{Descriptor, Mask};
-pub use direction::{choose_direction, scatter_penalty_parallel_alpha, Direction};
+pub use direction::{choose_direction, Direction};
 pub use error::GrbError;
 pub use ewise::assign_masked;
 pub use expr::{Expr, Fusion, Operand, Stage, MAX_STAGES};

@@ -138,8 +138,6 @@ impl NodeBits {
 }
 
 impl WordOps for NodeBits {
-    const NODE_WORDS: bool = true;
-
     fn shape(&self) -> (usize, usize) {
         (self.n, 1)
     }

@@ -53,7 +53,6 @@ use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
 
 use crate::faultinject::FaultInjector;
 use crate::semiring::{BinaryOp, Semiring};
-use crate::shard::{ShardConfig, SHARD_CACHE_BYTES};
 
 use super::descriptor::{Descriptor, Mask};
 use super::direction::Direction;
@@ -106,18 +105,15 @@ impl Default for Context {
 }
 
 impl Clone for Context {
-    /// Clones carry the configuration only — including the push-engine
-    /// thread budget and any installed fault injector: the
-    /// workspace is per-context scratch state, so each clone starts with an
-    /// empty pool and zeroed counters.
+    /// Clones carry the configuration only — including any installed fault
+    /// injector: the workspace is per-context scratch state, so each clone
+    /// starts with an empty pool and zeroed counters.
     fn clone(&self) -> Self {
-        let workspace = Workspace::new();
-        workspace.set_push_threads(self.threads());
         Context {
             device: self.device.clone(),
             sample_rows: self.sample_rows,
             seed: self.seed,
-            workspace,
+            workspace: Workspace::new(),
             fault: std::sync::Mutex::new(self.fault_injector()),
         }
     }
@@ -138,16 +134,10 @@ impl Context {
         }
     }
 
-    /// A context whose sharded push engine fans out over `threads` worker
-    /// threads — the Boolean word scatters of tiled matrices; every
-    /// full-precision push is serial.  `1` keeps every push scatter on the
-    /// serial kernels;
-    /// the default context uses the host parallelism.  Matrices built with
-    /// this context size their row-shard plans for the budget; the budget
-    /// itself can be retuned mid-run with [`Context::set_threads`], and any
-    /// *resolved* scatter produces bit-identical results whichever budget
-    /// executes it (see `set_threads` for the one budget-sensitive
-    /// decision: `Direction::Auto`'s push/pull pricing).
+    /// [`Context::default`], whatever `threads` says: no product reads a
+    /// thread budget any more — every push runs its serial kernel and every
+    /// pull fans out over the host's rayon pool.  Kept only because the repo
+    /// benchmark's probes name it.
     ///
     /// ```
     /// use bitgblas_core::grb::{Context, Direction, Op};
@@ -157,56 +147,20 @@ impl Context {
     /// # for i in 0..512 { coo.push_edge(i, (i + 1) % 512).unwrap(); }
     /// # let csr = coo.to_binary_csr();
     ///
-    /// let ctx = Context::with_threads(4);
-    /// assert_eq!(ctx.threads(), 4);
-    /// let a = Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx);
-    ///
     /// let frontier = Vector::indicator(512, &[0, 130, 260, 390]);
-    /// let next = Op::vxm(&frontier, &a)
-    ///     .semiring(Semiring::Boolean)
-    ///     .direction(Direction::Push)
-    ///     .run(&ctx);
+    /// let push = |ctx: &Context| {
+    ///     let a = Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), ctx);
+    ///     Op::vxm(&frontier, &a)
+    ///         .semiring(Semiring::Boolean)
+    ///         .direction(Direction::Push)
+    ///         .run(ctx)
+    /// };
+    /// let next = push(&Context::with_threads(4));
     /// assert_eq!(next.get(1), 1.0);
-    ///
-    /// // Drop to the serial scatter for the next operations — the numbers
-    /// // a traversal produces do not change, only who computes them.
-    /// ctx.set_threads(1);
-    /// assert_eq!(ctx.threads(), 1);
+    /// assert_eq!(next, push(&Context::default()));
     /// ```
-    pub fn with_threads(threads: usize) -> Self {
-        let ctx = Self::default();
-        ctx.set_threads(threads);
-        ctx
-    }
-
-    /// Worker threads the sharded word scatter may fan out to (≥ 1).
-    pub fn threads(&self) -> usize {
-        self.workspace.push_threads()
-    }
-
-    /// Set the push-engine thread budget (interior mutability — callable on
-    /// a shared context between runs; clamped to ≥ 1).  Shard *plans* are
-    /// sized when a matrix is built, so for a **resolved** direction this
-    /// changes only how wide already planned scatters execute — never what
-    /// they compute: forced-push (and forced-pull) results are bit-identical
-    /// at every budget.  The one thing the budget *does* influence is
-    /// [`Direction::Auto`]'s pricing
-    /// ([`choose_direction`](super::choose_direction)): retuning can
-    /// flip a near-threshold operation between push and pull, and for
-    /// non-exact monoids (float `+`) the two directions fold in different
-    /// orders.  Pin the direction when bit-stability across retunes matters.
-    pub fn set_threads(&self, threads: usize) {
-        self.workspace.set_push_threads(threads);
-    }
-
-    /// The shard-planning parameters matrices built (and compacted) with
-    /// this context hand to their backends' constructors: the thread budget
-    /// plus the constant cache budget.
-    pub fn shard_config(&self) -> ShardConfig {
-        ShardConfig {
-            threads: self.threads(),
-            cache_bytes: SHARD_CACHE_BYTES,
-        }
+    pub fn with_threads(_threads: usize) -> Self {
+        Self::default()
     }
 
     /// The buffer pool operations executed against this context draw from.
@@ -258,7 +212,7 @@ impl Context {
     /// Install (or with `None`, remove) a seeded [`FaultInjector`] — the
     /// planner will poll its `grb.mxv_dispatch` / `grb.mxm_dispatch` fail
     /// points before every product dispatched through this context.
-    /// Interior-mutable, like [`Context::set_threads`].
+    /// Interior-mutable: callable on a shared context between runs.
     pub fn set_fault_injector(&self, injector: Option<std::sync::Arc<FaultInjector>>) {
         *self.fault.lock().expect("fault injector slot poisoned") = injector;
     }
@@ -1457,22 +1411,27 @@ mod tests {
         assert_eq!(clone.device, ctx.device);
     }
 
-    /// What the planner prices and shards with is constant — whatever the
-    /// device, two contexts on one input always plan alike.
+    /// What the planner prices with is constant — whatever the device, two
+    /// contexts on one input resolve every `Direction::Auto` alike.
     #[test]
     fn contexts_plan_on_the_device_constants() {
-        for ctx in [
-            Context::default(),
-            Context::with_device(bitgblas_perfmodel::volta_titanv()),
-        ] {
-            assert_eq!(
-                ctx.shard_config(),
-                ShardConfig {
-                    threads: ctx.threads(),
-                    ..ShardConfig::default()
-                }
-            );
-        }
+        let csr = sample(300, 17);
+        let plans = |ctx: Context| {
+            let a = Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx);
+            for f in [1usize, 4, 16, 64, 300] {
+                let x = Vector::indicator(300, &(0..f).collect::<Vec<_>>());
+                let _ = Op::vxm(&x, &a).semiring(Semiring::Boolean).run(&ctx);
+                let _ = Op::vxm(&x, &a).semiring(Semiring::MinPlus(1.0)).run(&ctx);
+            }
+            let s = ctx.stats();
+            (s.push_mxv, s.pull_mxv)
+        };
+        let pascal = plans(Context::default());
+        assert!(pascal.0 > 0 && pascal.1 > 0, "both directions: {pascal:?}");
+        assert_eq!(
+            plans(Context::with_device(bitgblas_perfmodel::volta_titanv())),
+            pascal
+        );
     }
 
     // -- lazy-chain tests (PR 3) --------------------------------------------

@@ -204,39 +204,6 @@ pub fn run_chain_in_place_parallel(
     }
 }
 
-/// The thread budget [`Direction::Auto`]'s pricing should assume for the
-/// push side of a product: the context's budget when it scatters node words
-/// (`node_words`: a single-vector Boolean product) and the scatter
-/// representation's build-time shard plan is actually partitioned — the
-/// tile word scatter of a tiled matrix, the one push that shards — and
-/// serial otherwise.  Every full-precision push and every lane-word push
-/// scatters serially from the CSR, and single-shard plans (serial build
-/// budget, tiny matrices) and backends that report no plan run the serial
-/// scatter no matter what the run-time budget says, so pricing them at the
-/// budget would repeat the very serial-push / parallel-pull
-/// miscalibration this model exists to fix.  `of_transpose` selects the
-/// representation the push path would scatter (`Aᵀ`'s rows for
-/// effective-`mxv`); its plan is built lazily, so the eagerly-built forward
-/// plan of the same matrix and config stands in as a scale proxy until
-/// then.
-fn effective_push_threads(
-    state: &dyn GrbBackend,
-    node_words: bool,
-    of_transpose: bool,
-    ctx: &Context,
-) -> usize {
-    if !node_words {
-        return 1;
-    }
-    let plan = state
-        .shard_plan(of_transpose)
-        .or_else(|| state.shard_plan(!of_transpose));
-    match plan {
-        Some(p) if p.n_shards() > 1 => ctx.threads(),
-        _ => 1,
-    }
-}
-
 /// `state` split into the built representation that runs its kernels and
 /// the `DeltaOverlay` reading through it, if `state` is one: an overlay hands
 /// every product to its base and then patches what the operand reaches, so
@@ -468,9 +435,8 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     // prices the count the scatter's cost follows (`choose_direction`) and
     // lets the scan give up once the count is past any push.  An explicit
     // push on an unsafe semiring is coerced back to pull.  The threshold is
-    // parallelism-aware: the push side is priced at the context's scatter
-    // thread budget, the pull side at the host parallelism its rayon sweeps
-    // fan out to.
+    // parallelism-aware: every push is serial, the pull side is priced at
+    // the host parallelism its rayon sweeps fan out to.
     let requested = if semiring.push_safe() {
         desc.direction
     } else {
@@ -486,12 +452,6 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             semiring,
             scatter_is_lane_sparse(state),
             a.nnz(),
-            effective_push_threads(
-                state,
-                V::NODE_WORDS && semiring == Semiring::Boolean,
-                !transpose,
-                ctx,
-            ),
             rayon::current_num_threads(),
             list,
         )
@@ -570,9 +530,6 @@ pub(crate) mod words {
     /// What `execute_word_product` needs of a [`WordOperand`].  Not nameable
     /// outside the crate — that is what seals it.
     pub trait WordOps: Sized {
-        /// Whether the operand is node words, one bit per node — the one
-        /// word push a tiled matrix shards — rather than lane words.
-        const NODE_WORDS: bool;
         /// `(nodes, lanes)`.
         fn shape(&self) -> (usize, usize);
         /// Check `excluded` has the shape of `self`'s product over `produced`
@@ -664,7 +621,6 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
         scan_and_choose_words(
             (x_nodes, k),
             a.nnz(),
-            effective_push_threads(state, X::NODE_WORDS, !transpose, ctx),
             rayon::current_num_threads(),
             |stop_past_nodes| x.frontier_into(stop_past_nodes, list),
         )

@@ -10,23 +10,16 @@
 //! **zero** heap allocations after its first couple of iterations — see
 //! `crates/core/tests/zero_alloc.rs` for the allocation-counter proof.
 //!
-//! # Sharded shelves (PR 5)
+//! # Striped shelves
 //!
-//! The pool used to be one global `Mutex<BufferPool>`; with the sharded
-//! parallel push engine, concurrent evaluations against one context (the
-//! heavy-traffic serving shape) would all serialize on that lock.  The pool
-//! is now **striped**: several independently locked [`BufferPool`] shelves,
-//! and each thread is hashed to a *home stripe* it takes from and gives to,
-//! so concurrent callers on different threads touch different locks.  The
-//! sharded scatter kernels additionally check their per-segment buffers out
-//! *before* fanning out (one flat scratch buffer, split into per-segment
-//! chunks), so worker threads never touch the pool at all mid-kernel.
-//!
-//! The workspace also carries the push-engine thread budget
-//! ([`Workspace::push_threads`], configured through
-//! [`Context::set_threads`](super::Context::set_threads)) so the backends —
-//! which only see the workspace — know how wide the sharded scatter may fan
-//! out.
+//! One context may serve several callers at once (a `Context` is `Sync`:
+//! threads reading one `&Matrix` share its context), and a single
+//! `Mutex<BufferPool>` would serialize them all on its lock.  The pool is
+//! **striped**: several independently locked [`BufferPool`] shelves, and
+//! each thread is hashed to a *home stripe* it takes from and gives to, so
+//! concurrent callers on different threads touch different locks.  Kernels
+//! check their buffers out before they fan out, so rayon's workers never
+//! touch the pool mid-kernel.
 //!
 //! # Ownership rules
 //!
@@ -56,7 +49,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Maximum number of recycled buffers kept per element type (per stripe).
@@ -111,12 +104,11 @@ poolable!(u16, u16s);
 poolable!(u32, u32s);
 poolable!(u64, u64s);
 
-/// The per-context execution workspace: striped buffer pools, the
-/// push-engine thread budget, and op counters.
+/// The per-context execution workspace: striped buffer pools and op
+/// counters.
 #[derive(Debug)]
 pub struct Workspace {
     stripes: Box<[Mutex<BufferPool>]>,
-    push_threads: AtomicUsize,
     stats: ExecStats,
 }
 
@@ -128,7 +120,7 @@ impl Default for Workspace {
 
 impl Workspace {
     /// A fresh, empty workspace: one pool stripe per unit of (bounded) host
-    /// parallelism, push threads defaulting to the host parallelism.
+    /// parallelism.
     pub fn new() -> Self {
         let threads = rayon::current_num_threads();
         let stripes = threads.max(4).next_power_of_two().min(32);
@@ -136,7 +128,6 @@ impl Workspace {
             stripes: (0..stripes)
                 .map(|_| Mutex::new(BufferPool::default()))
                 .collect(),
-            push_threads: AtomicUsize::new(threads),
             stats: ExecStats::default(),
         }
     }
@@ -153,17 +144,6 @@ impl Workspace {
             };
         }
         (HOME_HASH.with(|h| *h) as usize) & (self.stripes.len() - 1)
-    }
-
-    /// Worker threads the sharded push scatter may fan out to (≥ 1).
-    pub fn push_threads(&self) -> usize {
-        self.push_threads.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Set the push-engine thread budget (interior mutability: callable on a
-    /// shared context mid-run).
-    pub fn set_push_threads(&self, threads: usize) {
-        self.push_threads.store(threads.max(1), Ordering::Relaxed);
     }
 
     /// Always `false`: no kernel has a second, SWAR body to select.  The
@@ -253,9 +233,7 @@ impl Workspace {
 /// tests (and the perf harness) read a [`snapshot`](ExecStats::snapshot)
 /// before and after a run and assert how many iterations resolved to push
 /// vs pull, how many frontier nodes and operand entries the push products
-/// scattered from (work that a test can assert, not only time), and how
-/// many push executions took the sharded parallel path over how many
-/// frontier segments.
+/// scattered from (work that a test can assert, not only time).
 ///
 /// Every counter is a plain relaxed atomic, so parallel kernels bump them
 /// without taking any lock (and without riding the pool stripes'
@@ -270,8 +248,6 @@ pub struct ExecStats {
     push_frontier_entries: AtomicU64,
     converted_elems: AtomicU64,
     refolded_positions: AtomicU64,
-    sharded_push: AtomicU64,
-    shard_segments: AtomicU64,
     fused_mxv: AtomicU64,
     ewise_chain: AtomicU64,
     mxm_reduce: AtomicU64,
@@ -313,13 +289,6 @@ impl ExecStats {
         self.refolded_positions
             .fetch_add(positions as u64, Ordering::Relaxed);
     }
-    /// One push execution took the sharded parallel path, fanning out over
-    /// `segments` frontier segments.
-    pub(crate) fn record_sharded_push(&self, segments: usize) {
-        self.sharded_push.fetch_add(1, Ordering::Relaxed);
-        self.shard_segments
-            .fetch_add(segments as u64, Ordering::Relaxed);
-    }
     pub(crate) fn record_fused_mxv(&self) {
         self.fused_mxv.fetch_add(1, Ordering::Relaxed);
     }
@@ -353,8 +322,8 @@ impl ExecStats {
             push_frontier_entries: self.push_frontier_entries.load(Ordering::Relaxed),
             converted_elems: self.converted_elems.load(Ordering::Relaxed),
             refolded_positions: self.refolded_positions.load(Ordering::Relaxed),
-            sharded_push: self.sharded_push.load(Ordering::Relaxed),
-            shard_segments: self.shard_segments.load(Ordering::Relaxed),
+            sharded_push: 0,
+            shard_segments: 0,
             fused_mxv: self.fused_mxv.load(Ordering::Relaxed),
             ewise_chain: self.ewise_chain.load(Ordering::Relaxed),
             mxm_reduce: self.mxm_reduce.load(Ordering::Relaxed),
@@ -408,10 +377,10 @@ pub struct ExecCounts {
     /// (PageRank) adds `dirty rows · k` per op, and a forced-push `bfs` adds
     /// at most one per staged patch entry over the whole traversal.
     pub refolded_positions: u64,
-    /// Push executions (single-vector or batched) that took the sharded
-    /// parallel scatter path instead of the serial kernel.
+    /// Always 0: every push runs its serial kernel.  Kept only because the
+    /// repo benchmark's counter layer reads it.
     pub sharded_push: u64,
-    /// Total frontier segments fanned out by sharded push executions.
+    /// Always 0, like `sharded_push`.
     pub shard_segments: u64,
     /// Matrix-vector pipelines executed as a single fused sweep (also
     /// counted in `pull_mxv`/`push_mxv` by resolved direction).
@@ -434,6 +403,7 @@ pub struct ExecCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn take_give_recycles_capacity() {
@@ -537,11 +507,12 @@ mod tests {
         // A buffer given back on a worker thread lands in that thread's home
         // stripe; a later take on the main thread must still find it (stripe
         // probing) instead of allocating a fresh one.
-        let ws = Workspace::new();
+        let ws = Arc::new(Workspace::new());
         let cap = 4096;
-        std::thread::scope(|scope| {
-            scope.spawn(|| ws.give::<f32>(Vec::with_capacity(cap)));
-        });
+        let worker = Arc::clone(&ws);
+        std::thread::spawn(move || worker.give::<f32>(Vec::with_capacity(cap)))
+            .join()
+            .unwrap();
         let buf = ws.take_empty::<f32>();
         assert_eq!(
             buf.capacity(),
@@ -551,23 +522,11 @@ mod tests {
     }
 
     #[test]
-    fn push_threads_round_trip_and_floor_at_one() {
-        let ws = Workspace::new();
-        assert!(ws.push_threads() >= 1);
-        ws.set_push_threads(8);
-        assert_eq!(ws.push_threads(), 8);
-        ws.set_push_threads(0);
-        assert_eq!(ws.push_threads(), 1, "zero must clamp to serial");
-    }
-
-    #[test]
     fn stats_counters_accumulate() {
         let ws = Workspace::new();
         ws.stats().record_mxv(true);
         ws.stats().record_mxv(true);
         ws.stats().record_mxv(false);
-        ws.stats().record_sharded_push(5);
-        ws.stats().record_sharded_push(3);
         ws.stats().record_push_frontier(4, 9);
         ws.stats().record_push_frontier(1, 1);
         ws.stats().record_converted(12);
@@ -580,28 +539,32 @@ mod tests {
         assert_eq!(s.refolded_positions, 9);
         assert_eq!(s.push_mxv, 2);
         assert_eq!(s.pull_mxv, 1);
-        assert_eq!(s.sharded_push, 2);
-        assert_eq!(s.shard_segments, 8);
     }
 
     #[test]
     fn counters_are_lock_free_under_contention() {
-        // Parallel bumps from scoped threads must all land (atomics, no
+        // Parallel bumps from several threads must all land (atomics, no
         // lock, no tearing).
-        let ws = Workspace::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
+        let ws = Arc::new(Workspace::new());
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let ws = Arc::clone(&ws);
+                std::thread::spawn(move || {
                     for _ in 0..1000 {
                         ws.stats().record_mxv(true);
-                        ws.stats().record_sharded_push(2);
+                        ws.stats().record_push_frontier(1, 2);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
         let s = ws.stats().snapshot();
         assert_eq!(s.push_mxv, 4000);
-        assert_eq!(s.sharded_push, 4000);
-        assert_eq!(s.shard_segments, 8000);
+        assert_eq!(
+            (s.push_frontier_nodes, s.push_frontier_entries),
+            (4000, 8000)
+        );
     }
 }

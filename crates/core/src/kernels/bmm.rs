@@ -611,9 +611,8 @@ fn fold_all_lanes(
 /// semiring identity — or, to fold a monoid accumulator in the same pass,
 /// with `baseline ⊕ identity`.  The semiring is resolved once per call.
 /// Only valid for [`Semiring::push_safe`] semirings; serial and
-/// allocation-free, and run once over the whole frontier — full-precision
-/// pushes never shard, so their float folds group alike at every thread
-/// budget.
+/// allocation-free, and run once over the whole frontier, so its float
+/// folds group alike whatever the host's thread count.
 /// Always inlined, so a caller's literal `k = 1` folds the lane loop (a
 /// frontier node's one lane is active: always the dense arm).
 ///
@@ -1946,7 +1945,6 @@ pub(crate) mod tests {
         use crate::grb::backend::tests::ragged_with_hubs;
         use crate::grb::{BitB2sr, GrbBackend, Mask, Stage, Workspace};
         use crate::semiring::BinaryOp;
-        use crate::shard::ShardConfig;
 
         let csr = ragged_with_hubs();
         let csr_t = csr.transpose();
@@ -1962,7 +1960,7 @@ pub(crate) mod tests {
             add: 0.01,
         }];
         for ts in TileSize::ALL {
-            let b = BitB2sr::new(&csr, ts, ShardConfig::default());
+            let b = BitB2sr::new(&csr, ts);
             let tiles = [&csr, &csr_t].map(|m| B2srMatrix::from_csr(m, ts));
             for transpose in [false, true] {
                 let (produced, contracted) = if transpose {

@@ -32,9 +32,8 @@
 //!   only the tiles of the frontier's tile-rows are visited and their row
 //!   words OR-ed into the output, so the cost is proportional to the
 //!   frontier's edge count.  Serial and allocation-free; the GrB layer runs
-//!   it per frontier segment over a [`crate::shard::ShardPlan`]'s row shards
-//!   (`grb::backend`'s sharded-or-serial routine).  The full-precision push
-//!   is `kernels::bmm::csr_push_full` at `k = 1`.
+//!   it once over the whole frontier.  The full-precision push is
+//!   `kernels::bmm::csr_push_full` at `k = 1`.
 
 use rayon::prelude::*;
 
@@ -431,9 +430,8 @@ fn bin_full_full_tile_row<W: BitWord>(
 ///
 /// Because the bits of a B2SR tile row *are* that row's column indicator,
 /// the scatter is a plain word-OR of the frontier rows' tile words — no
-/// per-edge index arithmetic at all.  Serial and allocation-free — the
-/// right shape for tiny frontiers, and the per-segment worker of the GrB
-/// layer's sharded scatter for everything else.
+/// per-edge index arithmetic at all.  Serial and allocation-free; the GrB
+/// layer runs it once over the whole ascending frontier.
 pub fn bmv_push_bin_bin<W: BitWord>(a: &B2sr<W>, frontier: &[usize], y: &mut [W]) {
     debug_assert!(y.len() >= a.n_tile_cols(), "output has too few tile words");
     let dim = a.tile_dim();

@@ -54,16 +54,13 @@
 //! warp scheduling of the GPU is replaced by Rayon parallelism over
 //! tile-rows; everything inside a tile-row is deterministic.
 //!
-//! The push kernels are serial by construction.  Only the node-word tile
-//! scatter (`bmv_push_bin_bin`) parallelises one level up: `grb::backend`
-//! cuts the frontier at a [`crate::shard::ShardPlan`]'s row-shard
-//! boundaries and runs the same serial kernel per segment into privatized
-//! buffers, ORed together in segment order — exact, so the words equal the
-//! serial scatter's at every thread count.  The CSR pushes run once over
-//! the whole frontier: `csr_bits_push` and `csr_lanes_push` sharded at two
-//! threads read 1.44× and 1.17× slower on R-MAT than at one, and
-//! `csr_push_full` 1.6–3× slower on batched pushes — serial, its float
-//! folds need no merge order to stay bit-identical across thread budgets.
+//! The push kernels are serial by construction, and the GrB layer runs each
+//! once over the whole ascending frontier, so a push's folds group alike
+//! whatever the host's thread count.  Row-shard scatters run on two threads
+//! measured slower than these serial ones on every push they served:
+//! `csr_bits_push` and `csr_lanes_push` 1.44× and 1.17× on R-MAT,
+//! `csr_push_full` 1.6–3× on batched pushes, and the node-word tile scatter
+//! (`bmv_push_bin_bin`) 1.38–1.97× on the mesh.
 
 pub mod bmm;
 pub mod bmv;

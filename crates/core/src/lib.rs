@@ -29,11 +29,9 @@
 //!   runs on the CSR rows every matrix holds, where it is faster at every
 //!   fill measured.  The push (sparse-frontier scatter) kernels are serial:
 //!   one CSR scatter for full precision, which folds one `f32` per edge
-//!   whatever the layout and runs once over the whole frontier, and word
-//!   ORs of CSR rows or tile rows for the Boolean semiring; the node-word
-//!   tile scatter alone parallelises, through [`shard`]: row-shard
-//!   partition plans, privatized per-segment scatter and an ordered OR
-//!   merge that keeps the words bit-identical across thread counts.
+//!   whatever the layout, and word ORs of CSR rows or tile rows for the
+//!   Boolean semiring; each runs once over the whole ascending frontier,
+//!   so a push's result never depends on the host's thread count.
 //!
 //! * **Graph-algorithm support** — [`semiring`] provides the semiring domains
 //!   of Table IV (Boolean, arithmetic, tropical min-plus, tropical max-times)
@@ -50,8 +48,7 @@
 //!   live serving: an append-only edge-delta log with DCSR-style staged
 //!   rows, a merge-on-read overlay backend (`base ⊕ delta`, no rebuild),
 //!   versioned epoch publication behind [`grb::Matrix::snapshot`], and
-//!   explicit compaction that re-tiles the base and re-plans row shards
-//!   incrementally.
+//!   explicit compaction that re-tiles the base incrementally.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -62,7 +59,6 @@ pub mod faultinject;
 pub mod grb;
 pub mod kernels;
 pub mod semiring;
-pub mod shard;
 
 pub use b2sr::{B2sr, B2srMatrix, TileSize};
 pub use delta::{
@@ -75,4 +71,3 @@ pub use grb::{
     MultiVec, NodeBits, Op, Snapshot, Vector,
 };
 pub use semiring::{BinaryOp, Semiring};
-pub use shard::{ShardConfig, ShardPlan};

@@ -6,12 +6,10 @@
 //! recording, frontier recycling) must perform **zero** heap allocations per
 //! iteration.
 //!
-//! The push paths are the ones certified here — the serial scatter of tiny
-//! frontiers and, since PR 5, the sharded path at a serial execution budget
-//! (same segments, same merge, no scoped-thread spawns): every buffer — the
-//! frontier index list, the shard cut list, the privatized per-segment
-//! scratch, the scatter words, the output vector — cycles through the
-//! workspace pool.
+//! The push paths are the ones certified here — every push is one serial
+//! scatter over the whole frontier: every buffer — the frontier index list,
+//! the scatter words, the output vector — cycles through the workspace
+//! pool.
 //!
 //! # What is counted
 //!
@@ -24,8 +22,8 @@
 //! binary failing on a 2-core host, and the parent's process-wide counter
 //! fails even under `--test-threads=1`.  Nothing the claim covers is lost:
 //! every operation measured here runs on the calling thread (inputs below
-//! the pull sweeps' sequential cut-off, push scatters at a serial thread
-//! budget), and a sweep that did fan out would be caught on this thread
+//! the pull sweeps' sequential cut-off, push scatters serial by
+//! construction), and a sweep that did fan out would be caught on this thread
 //! too, because spawning a scoped worker allocates on the spawning thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -97,12 +95,9 @@ enum Tiles {
     Dense,
 }
 
-/// Build `csr` on a serial thread budget (single-shard plans: these tests
-/// certify the *serial* push path regardless of how many cores the test
-/// host has; the sharded path has its own proof below) at B2SR-`ts`, and
-/// check that it holds tiles as `tiles` says.
+/// Build `csr` at B2SR-`ts`, and check that it holds tiles as `tiles` says.
 fn build(csr: &Csr, ts: TileSize, tiles: Tiles) -> Matrix {
-    let a = Matrix::from_csr_ctx(csr, Backend::Bit(ts), &Context::with_threads(1));
+    let a = Matrix::from_csr(csr, Backend::Bit(ts));
     match tiles {
         Tiles::Plain => {}
         Tiles::Sparse => assert!(a.b2sr().is_none(), "a hypersparse fixture"),
@@ -372,70 +367,6 @@ fn fused_sssp_accum_pipeline_is_allocation_free_after_warmup() {
         "fused SSSP accumulation pipeline allocated in steady state"
     );
     assert_eq!(dist.get(20), 20.0);
-}
-
-/// The sharded parallel push path (PR 5) must also be allocation-free in
-/// steady state: the frontier cut list, the per-segment privatized scratch
-/// and the output all cycle through the workspace pool, checked out before
-/// the fan-out.  The loop runs with a 1-thread execution budget so the
-/// segments execute inline — the scoped thread spawns of the offline rayon
-/// stand-in are the only allocating part of the parallel path, and real
-/// rayon's persistent pool would not pay them either.  The shard *grouping*
-/// is identical at every budget (that is the determinism guarantee), so
-/// this exercises exactly the code the parallel path runs.
-#[test]
-fn sharded_push_path_is_allocation_free_after_warmup() {
-    // Eight ring links and one scattered edge per vertex: 7.2 bits per
-    // B2SR-8 tile, so the matrix holds tiles and their plan.
-    let n = 4096;
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        for d in 1..=8 {
-            coo.push_edge(i, (i + d) % n).unwrap();
-        }
-        coo.push_edge(i, (i * 7 + 3) % n).unwrap();
-    }
-    // Build with a 4-thread budget so the plan is actually sharded…
-    let ctx = Context::with_threads(4);
-    let a = Matrix::from_csr_ctx(&coo.to_binary_csr(), Backend::Bit(TileSize::S8), &ctx);
-    assert!(
-        a.state().shard_plan(false).map(|p| p.n_shards()) > Some(1),
-        "the plan must be sharded for this test to mean anything"
-    );
-    // …and execute with a serial budget: same segments, same merge, no spawns.
-    ctx.set_threads(1);
-
-    // A fat fixed frontier spanning every shard keeps the sharded scatter
-    // engaged with stable buffer sizes on each iteration.
-    let positions: Vec<usize> = (0..n).step_by(4).collect();
-    let x = Vector::indicator(n, &positions);
-
-    let iteration = || {
-        let y = Op::vxm(&x, &a)
-            .semiring(Semiring::Boolean)
-            .direction(Direction::Push)
-            .run(&ctx);
-        ctx.recycle(y);
-    };
-
-    for _ in 0..8 {
-        iteration();
-    }
-    let sharded_before = ctx.stats().sharded_push;
-    let before = allocations();
-    for _ in 0..32 {
-        iteration();
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "sharded push path allocated in steady state"
-    );
-    assert_eq!(
-        ctx.stats().sharded_push - sharded_before,
-        32,
-        "every measured iteration must have taken the sharded path"
-    );
 }
 
 /// The pull direction must meet the same bar as the push paths: after

@@ -13,13 +13,13 @@ mod common;
 use proptest::prelude::*;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, reference, sssp_multi_dir};
-use bit_graphblas::core::shard::SCATTER_EDGE_WEIGHT;
+use bit_graphblas::core::grb::direction::SCATTER_EDGE_WEIGHT;
 use bit_graphblas::datagen::generators;
 use bit_graphblas::prelude::*;
 
 use common::{
-    assert_f32_slices_match, direction_backends, graph_strategy, parity_backends,
-    shardable_graph_strategy,
+    assert_f32_slices_match, direction_backends, graph_strategy, large_graph_strategy,
+    parity_backends,
 };
 
 proptest! {
@@ -269,72 +269,46 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded parallel push determinism (PR 5)
+// Serial push execution
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// PR-5 acceptance: on every bit tile size and the float baseline,
-    /// forced-push BFS and SSSP produce **bit-identical** outputs whether
-    /// the sharded scatter executes on 1, 2, 4 or 8 threads — including
-    /// SSSP's min-plus float semiring, where the fixed-segment-order merge
-    /// is what pins the fold grouping — and push ≡ pull ≡ auto parity
-    /// holds throughout.
+    /// On every bit tile size and the float baseline, forced-push BFS and
+    /// SSSP on larger graphs equal the pull (SSSP by `to_bits`: its
+    /// min-plus sums of unit weights are exact) and BFS equals Auto.
     #[test]
-    fn sharded_push_is_bit_identical_across_thread_counts(
-        adj in shardable_graph_strategy(),
+    fn forced_push_equals_pull_and_auto_on_large_graphs(
+        adj in large_graph_strategy(),
         src in 0usize..1_000,
     ) {
         let src = src % adj.nrows();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
         for backend in direction_backends() {
-            // Build with an 8-thread budget so the plan is actually sharded.
-            let ctx = Context::with_threads(8);
-            let m = Matrix::from_csr_ctx(&adj, backend, &ctx);
-
-            let mut ref_levels: Option<Vec<i64>> = None;
-            let mut ref_dist_bits: Option<Vec<u32>> = None;
-            for threads in [1usize, 2, 4, 8] {
-                m.context().set_threads(threads);
-                let levels = bfs_dir(&m, src, Direction::Push).levels;
-                let dist = sssp_dir(&m, src, Direction::Push).distances;
-                let dist_bits: Vec<u32> = dist.iter().map(|v| v.to_bits()).collect();
-                match (&ref_levels, &ref_dist_bits) {
-                    (None, _) => {
-                        ref_levels = Some(levels);
-                        ref_dist_bits = Some(dist_bits);
-                    }
-                    (Some(rl), Some(rd)) => {
-                        prop_assert_eq!(&levels, rl, "{:?} BFS diverged at {} threads", backend, threads);
-                        prop_assert_eq!(&dist_bits, rd, "{:?} SSSP diverged at {} threads", backend, threads);
-                    }
-                    _ => unreachable!(),
-                }
-            }
-
-            // Push ≡ pull ≡ auto on the same (sharded) matrix.
-            m.context().set_threads(8);
+            let m = Matrix::from_csr(&adj, backend);
+            let levels = bfs_dir(&m, src, Direction::Push).levels;
+            let dist = bits(&sssp_dir(&m, src, Direction::Push).distances);
             let pull = bfs_dir(&m, src, Direction::Pull).levels;
             let auto = bfs_dir(&m, src, Direction::Auto).levels;
-            prop_assert_eq!(&pull, ref_levels.as_ref().unwrap(), "{:?} push≠pull", backend);
-            prop_assert_eq!(&auto, ref_levels.as_ref().unwrap(), "{:?} auto≠push", backend);
+            prop_assert_eq!(&pull, &levels, "{:?} push≠pull", backend);
+            prop_assert_eq!(&auto, &levels, "{:?} auto≠push", backend);
+            let pull = bits(&sssp_dir(&m, src, Direction::Pull).distances);
+            prop_assert_eq!(&pull, &dist, "{:?} SSSP push≠pull", backend);
         }
     }
 }
 
-/// Every full-precision push scatters serially, whatever the thread budget:
-/// at `Context::with_threads(4)`, on the multi-shard plans of a dense-tile
-/// matrix (the mesh at B2SR-8), on a hypersparse bit matrix (R-MAT at
-/// B2SR-8, 2.9 bits per tile: no tiles and no plan) and on the float
-/// baseline (R-MAT), forced-push Arithmetic, MinPlus and MaxTimes products
-/// — one lane (`vxm`) and three (`mxm`, both orientations), each seeded by
-/// its monoid accumulator over a baseline of NaN, ±∞ and ±0.0, with NaN, ±∞
-/// and −0.0 among the operand entries — leave `sharded_push` at 0 and equal,
-/// by `to_bits`, the seed `base ⊕ identity` plus one `csr_push_full` call
-/// over the whole ascending frontier.  A Boolean word push shards on the
-/// tiled matrix only.
+/// Every full-precision push is one serial scatter: on a dense-tile matrix
+/// (the mesh at B2SR-8), on a hypersparse bit matrix (R-MAT at B2SR-8, 2.9
+/// bits per tile: no tiles) and on the float baseline (R-MAT), forced-push
+/// Arithmetic, MinPlus and MaxTimes products — one lane (`vxm`) and three
+/// (`mxm`, both orientations), each seeded by its monoid accumulator over a
+/// baseline of NaN, ±∞ and ±0.0, with NaN, ±∞ and −0.0 among the operand
+/// entries — equal, by `to_bits`, the seed `base ⊕ identity` plus one
+/// `csr_push_full` call over the whole ascending frontier.
 #[test]
-fn full_precision_push_scatters_serially_on_a_sharded_context() {
+fn full_precision_push_equals_one_serial_scatter() {
     use bit_graphblas::core::kernels::csr_push_full;
 
     let mesh = generators::banded(2048, 32, 0.7, 5);
@@ -346,12 +320,10 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
         (&rmat, Backend::Bit(TileSize::S8), false),
         (&rmat, Backend::FloatCsr, false),
     ] {
-        let ctx = Context::with_threads(4);
+        let ctx = Context::default();
         let m = Matrix::from_csr_ctx(adj, backend, &ctx);
         let n = m.nrows();
         assert_eq!(m.b2sr().is_some(), tiled, "{backend:?}");
-        let shards = m.state().shard_plan(false).map(|p| p.n_shards());
-        assert_eq!(shards > Some(1), tiled, "{backend:?}: {shards:?}");
         for semiring in [
             Semiring::Arithmetic,
             Semiring::MinPlus(1.0),
@@ -379,7 +351,6 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
                     csr_push_full(scattered, &x, k, &frontier, semiring, |_| true, &mut y);
                     bits(&y)
                 };
-                let before = ctx.stats().sharded_push;
                 let what = format!("{backend:?} {semiring:?} k={k}");
                 if k == 1 {
                     let (xv, bv) = (Vector::from_vec(x.clone()), Vector::from_vec(base.clone()));
@@ -408,37 +379,23 @@ fn full_precision_push_scatters_serially_on_a_sharded_context() {
                         "mxm {what} {transpose}"
                     );
                 }
-                assert_eq!(ctx.stats().sharded_push, before, "{what}: sharded");
             }
         }
-        // A Boolean word push on a tiled matrix still shards; without tiles
-        // it scatters serially.
-        let x = Vector::indicator(n, &(0..n).step_by(3).collect::<Vec<_>>());
-        Op::vxm(&x, &m)
-            .semiring(Semiring::Boolean)
-            .direction(Direction::Push)
-            .run(&ctx);
-        assert_eq!(ctx.stats().sharded_push > 0, tiled, "{backend:?}");
     }
 }
 
-/// Every lane-word push scatters serially from the CSR, whatever the thread
-/// budget, and `Direction::Auto` prices it so.  On the mesh at B2SR-8,
-/// whose tiles carry multi-shard plans at `Context::with_threads(4)`,
-/// forced-push lane products — `Op::mxm_lanes` in words and the `f32`
-/// Boolean batch, both orientations, 64 lanes — leave `sharded_push` at 0
-/// and equal their pulls; and Auto resolves frontiers of 1 to 160 nodes,
-/// which cross its push/pull threshold, to the same directions at budgets
-/// 1 and 4.  The node-word push on the same matrix does shard: the check
-/// can fail.
+/// Every lane-word push scatters from the CSR.  On the mesh at B2SR-8,
+/// which holds tiles, forced-push lane products — `Op::mxm_lanes` in words
+/// and the `f32` Boolean batch, both orientations, 64 lanes — equal their
+/// pulls; and `Direction::Auto` resolves the two alike for frontiers of 1
+/// to 160 nodes, which cross its push/pull threshold.
 #[test]
-fn lane_word_push_scatters_serially_on_a_sharded_context() {
+fn lane_word_push_equals_its_pull() {
     let mesh = generators::banded(2048, 32, 0.7, 5);
-    let ctx = Context::with_threads(4);
+    let ctx = Context::default();
     let m = Matrix::from_csr_ctx(&mesh, Backend::Bit(TileSize::S8), &ctx);
     let n = m.nrows();
-    let shards = m.state().shard_plan(false).map(|p| p.n_shards());
-    assert!(shards > Some(1), "precondition: {shards:?}");
+    assert!(m.b2sr().is_some(), "precondition: the mesh holds tiles");
 
     // Lane `l` of node `i` is set in a fifth of the (node, lane) pairs.
     let k = 64;
@@ -457,109 +414,112 @@ fn lane_word_push_scatters_serially_on_a_sharded_context() {
             (words.try_run(&ctx).unwrap().unwrap(), batch.run(&ctx))
         };
         let push = run(Direction::Push);
-        assert_eq!(ctx.stats().sharded_push, 0, "transpose={transpose}");
         assert_eq!(push, run(Direction::Pull), "transpose={transpose}");
     }
 
-    // Auto at one budget: per frontier size, whether each product pushed.
-    let resolved = |threads: usize| {
-        ctx.set_threads(threads);
-        (1..=160usize)
-            .map(|f| {
-                let mut x = vec![0.0f32; n];
-                for i in 0..f {
-                    x[i * (n / f)] = 1.0;
-                }
-                let xk = MultiVec::from_vec(x, n, 1);
-                let lanes = LaneBits::from_multivec(&xk);
-                let pushed = |run: &dyn Fn()| {
-                    let before = ctx.stats().push_mxm;
-                    run();
-                    ctx.stats().push_mxm > before
-                };
-                let words = || {
-                    let next = Op::mxm_lanes(&m, &lanes).transpose().try_run(&ctx);
-                    next.unwrap().unwrap().recycle(&ctx);
-                };
-                let batch = || {
-                    let next = Op::mxm(&m, &xk).semiring(Semiring::Boolean).transpose();
-                    ctx.recycle(next.run(&ctx));
-                };
-                (pushed(&words), pushed(&batch))
-            })
-            .collect::<Vec<_>>()
-    };
-    let (serial, sharded) = (resolved(1), resolved(4));
+    // Auto: per frontier size, whether each product pushed.
+    let resolved: Vec<(bool, bool)> = (1..=160usize)
+        .map(|f| {
+            let mut x = vec![0.0f32; n];
+            for i in 0..f {
+                x[i * (n / f)] = 1.0;
+            }
+            let xk = MultiVec::from_vec(x, n, 1);
+            let lanes = LaneBits::from_multivec(&xk);
+            let pushed = |run: &dyn Fn()| {
+                let before = ctx.stats().push_mxm;
+                run();
+                ctx.stats().push_mxm > before
+            };
+            let words = || {
+                let next = Op::mxm_lanes(&m, &lanes).transpose().try_run(&ctx);
+                next.unwrap().unwrap().recycle(&ctx);
+            };
+            let batch = || {
+                let next = Op::mxm(&m, &xk).semiring(Semiring::Boolean).transpose();
+                ctx.recycle(next.run(&ctx));
+            };
+            (pushed(&words), pushed(&batch))
+        })
+        .collect();
     assert!(
-        serial.contains(&(true, true)) && serial.contains(&(false, false)),
-        "precondition: the sweep crosses the threshold: {serial:?}"
+        resolved.contains(&(true, true)) && resolved.contains(&(false, false)),
+        "precondition: the sweep crosses the threshold: {resolved:?}"
     );
-    assert_eq!(serial, sharded, "Auto's directions by frontier size");
-    assert_eq!(ctx.stats().sharded_push, 0);
-
-    let all = NodeBits::from_indices(n, &(0..n).collect::<Vec<_>>());
-    let next = Op::vxm_bits(&all, &m)
-        .direction(Direction::Push)
-        .try_run(&ctx);
-    assert!(next.unwrap().is_some());
-    assert!(ctx.stats().sharded_push > 0, "the node-word push shards");
+    assert!(
+        resolved.iter().all(|(words, batch)| words == batch),
+        "the word and f32 batches resolve alike: {resolved:?}"
+    );
 }
 
-/// The sharded path must actually *run* on a shard-worthy push of a tiled
-/// matrix (engagement is observable through the context counters), and a
-/// serial-budget context — or a bit matrix without tiles, which has no plan
-/// (R-MAT at B2SR-8) — must keep every scatter on the serial kernels.
+/// The node-word push runs on tiles where the matrix holds them (the mesh
+/// at B2SR-8) and on the CSR where it does not (R-MAT at B2SR-8): on both, a
+/// fat frontier spread across the whole row range pushes to what it pulls.
 #[test]
-fn sharded_push_engages_and_serial_contexts_stay_serial() {
-    let adj = generators::banded(2048, 32, 0.7, 5);
-    let n = adj.nrows();
-    // A fat frontier spread across the whole row range spans many shards.
-    let positions: Vec<usize> = (0..n).step_by(3).collect();
-    let x = Vector::indicator(n, &positions);
-
-    let parallel_ctx = Context::with_threads(8);
-    let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &parallel_ctx);
-    let plan = m
-        .state()
-        .shard_plan(false)
-        .expect("an 8-thread context must shard a 2048-row matrix");
-    assert!(plan.n_shards() > 1, "plan must be partitioned: {plan:?}");
-    Op::vxm(&x, &m)
-        .semiring(Semiring::Boolean)
-        .direction(Direction::Push)
-        .run(&parallel_ctx);
-    let stats = parallel_ctx.stats();
-    assert!(
-        stats.sharded_push > 0 && stats.shard_segments > 1,
-        "shard-worthy push must take the sharded path: {stats:?}"
-    );
-
-    let serial_ctx = Context::with_threads(1);
-    let ms = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S8), &serial_ctx);
-    assert_eq!(
-        ms.state().shard_plan(false).map(|p| p.n_shards()),
-        Some(1),
-        "a serial-budget context must build single-shard plans"
-    );
-    Op::vxm(&x, &ms)
-        .semiring(Semiring::Boolean)
-        .direction(Direction::Push)
-        .run(&serial_ctx);
-    assert_eq!(
-        serial_ctx.stats().sharded_push,
-        0,
-        "serial plans must never fan out"
-    );
-
+fn node_word_push_equals_pull_with_and_without_tiles() {
+    let mesh = generators::banded(2048, 32, 0.7, 5);
     let rmat = generators::rmat(11, 12, 0.57, 0.19, 0.19, 17).symmetrized();
-    let ctx = Context::with_threads(8);
-    let untiled = Matrix::from_csr_ctx(&rmat, Backend::Bit(TileSize::S8), &ctx);
-    assert!(untiled.b2sr().is_none() && untiled.state().shard_plan(false).is_none());
-    Op::vxm(&x, &untiled)
-        .semiring(Semiring::Boolean)
-        .direction(Direction::Push)
-        .run(&ctx);
-    assert_eq!(ctx.stats().sharded_push, 0, "no tiles, no plan: serial");
+    let ctx = Context::default();
+    for (adj, tiled) in [(&mesh, true), (&rmat, false)] {
+        let n = adj.nrows();
+        let positions: Vec<usize> = (0..n).step_by(3).collect();
+        let x = Vector::indicator(n, &positions);
+        let m = Matrix::from_csr_ctx(adj, Backend::Bit(TileSize::S8), &ctx);
+        assert_eq!(m.b2sr().is_some(), tiled);
+        let run = |d: Direction| {
+            Op::vxm(&x, &m)
+                .semiring(Semiring::Boolean)
+                .direction(d)
+                .run(&ctx)
+        };
+        assert_eq!(run(Direction::Push), run(Direction::Pull), "tiled={tiled}");
+    }
+}
+
+/// `Context::with_threads` is the default context: on the mesh at B2SR-8,
+/// built under `Context::with_threads(4)` and under `Context::default()`,
+/// forced-push `bfs_dir`, `bfs_multi_dir` (64 sources) and `Op::vxm_bits`
+/// agree bit for bit between the two contexts and with their pulls, and
+/// neither context counts a sharded push or a shard segment.
+#[test]
+fn with_threads_context_pushes_as_the_default_one() {
+    let mesh = generators::banded(2048, 32, 0.7, 5);
+    let sources: Vec<usize> = (0..64).map(|l| (l * 31 + 7) % mesh.nrows()).collect();
+    let frontier = NodeBits::from_indices(mesh.nrows(), &sources);
+    // A matrix runs its traversals on its own copy of the context it was
+    // built with; the word product runs on the context handed to it.
+    let run = |ctx: &Context, d: Direction| {
+        let m = Matrix::from_csr_ctx(&mesh, Backend::Bit(TileSize::S8), ctx);
+        assert!(m.b2sr().is_some(), "precondition: the mesh holds tiles");
+        let next = Op::vxm_bits(&frontier, &m)
+            .direction(d)
+            .try_run(ctx)
+            .unwrap()
+            .unwrap();
+        let got = (
+            bfs_dir(&m, sources[0], d).levels,
+            bfs_multi_dir(&m, &sources, d).levels,
+            next,
+        );
+        for s in [ctx.stats(), m.context().stats()] {
+            assert_eq!((s.sharded_push, s.shard_segments), (0, 0), "{d:?}");
+        }
+        let s = m.context().stats();
+        let pushed = (s.push_mxv > 0, s.push_mxm > 0);
+        assert_eq!(pushed, (d == Direction::Push, d == Direction::Push));
+        got
+    };
+    let (threaded, default) = (Context::with_threads(4), Context::default());
+    let push = run(&threaded, Direction::Push);
+    assert!(
+        push == run(&default, Direction::Push),
+        "with_threads(4) ≠ default"
+    );
+    assert!(push == run(&threaded, Direction::Pull), "push ≠ pull");
+    assert!(
+        push == run(&default, Direction::Pull),
+        "push ≠ pull (default)"
+    );
 }
 
 /// Edge case: an all-identity operand (empty frontier) produces the

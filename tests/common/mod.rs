@@ -52,10 +52,10 @@ pub fn graph_strategy() -> impl Strategy<Value = Csr> {
     })
 }
 
-/// Strategy: graphs large enough that the shard planner actually partitions
-/// them (≥ `threads × SHARD_ALIGN` rows) — the small `graph_strategy`
-/// corpus stays on single-shard plans by design.
-pub fn shardable_graph_strategy() -> impl Strategy<Value = Csr> {
+/// Strategy: graphs of 1536 to 2048 rows — R-MAT, Erdős–Rényi and a banded
+/// mesh — larger than the small `graph_strategy` corpus, so a traversal
+/// runs many rounds on either side of `Direction::Auto`'s threshold.
+pub fn large_graph_strategy() -> impl Strategy<Value = Csr> {
     (0usize..3, 1u64..1_000).prop_map(|(family, seed)| match family {
         0 => generators::rmat(11, 12, 0.57, 0.19, 0.19, seed).symmetrized(),
         1 => generators::erdos_renyi(1536 + (seed % 512) as usize, 0.008, seed % 2 == 0, seed),

@@ -13,11 +13,11 @@
 //!   another thread).
 //!
 //! And plain tests on what the paths *cost* and how they are planned, on
-//! exact counters: `refolded_positions` follows what the operand reaches, a
-//! sharded context resolves every batched round as the compacted matrix
-//! does, an append normalizes its own batch (`entries_normalized`), a
-//! compaction re-tiles the tile-rows its batch dirtied (`CompactReport`) and
-//! cuts the shard plans a from-scratch build cuts.
+//! exact counters: `refolded_positions` follows what the operand reaches,
+//! `Direction::Auto` resolves every round through pending deltas as on the
+//! compacted matrix, an append normalizes its own batch
+//! (`entries_normalized`), and a compaction re-tiles the tile-rows its batch
+//! dirtied (`CompactReport`) and equals a from-scratch build.
 
 use proptest::prelude::*;
 
@@ -234,27 +234,21 @@ fn overlay_refolds_what_the_operand_reaches() {
     }
 }
 
-/// An overlay forwards its base's shard plan, so on a sharded context
 /// `Direction::Auto` resolves every round through pending deltas as it does
-/// on the compacted matrix: the node-word rounds of `bfs`, the one push a
-/// plan shards, and the batched rounds of `bfs_multi` and `sssp_multi`,
-/// which scatter serially at every budget.  R-MAT at B2SR-16 (5.5 bits per
-/// tile) holds tiles and so a plan; at B2SR-8 (2.9) it would hold neither.
+/// on the compacted matrix: the node-word rounds of `bfs`, which push tile
+/// words on the compacted matrix, and the batched rounds of `bfs_multi` and
+/// `sssp_multi`.  R-MAT at B2SR-16 (5.5 bits per tile) holds tiles; at
+/// B2SR-8 (2.9) it would hold none.
 #[test]
-fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
+fn auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     let adj = bit_graphblas::datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
     let n = adj.nrows();
-    let ctx = Context::with_threads(4);
-    let m = Matrix::from_csr_ctx(&adj, Backend::Bit(TileSize::S16), &ctx);
-    // Dirty rows stay inside the first shard.
-    let first_shard = m
-        .state()
-        .shard_plan(false)
-        .expect("planned at build")
-        .bounds()[1];
+    let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S16));
+    // Dirty rows stay among the first eighth.
+    let dirty = n / 8;
     let deltas: Vec<EdgeDelta> = (0..200)
         .flat_map(|i| {
-            let (r, c) = ((i * 37 + 5) % first_shard, (i * 101 + 11) % first_shard);
+            let (r, c) = ((i * 37 + 5) % dirty, (i * 101 + 11) % dirty);
             [EdgeDelta::insert(r, c), EdgeDelta::insert(c, r)]
         })
         .collect();
@@ -262,12 +256,6 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
     let pending = m.snapshot();
     m.compact(m.context()).unwrap();
     let compacted = m.snapshot();
-    let shards = |m: &Matrix| m.state().shard_plan(false).map(|p| p.n_shards());
-    assert!(
-        shards(&compacted) > Some(1),
-        "precondition: {:?}",
-        shards(&compacted)
-    );
     // One reads through the overlay (no B2SR view of its own), one is built.
     assert!(pending.b2sr().is_none() && compacted.b2sr().is_some());
     assert_eq!(pending.csr(), compacted.csr());
@@ -286,13 +274,6 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
             after.pull_mxm - before.pull_mxm,
         )
     };
-    for snap in [&pending, &compacted] {
-        let _ = bfs_dir(snap, sources[0], Direction::Push);
-    }
-    assert!(
-        m.context().stats().sharded_push >= 2,
-        "precondition: the node-word scatter shards, through the overlay too"
-    );
     let bfs_one = |snap: &Matrix| bfs_dir(snap, sources[0], Direction::Auto);
     let (on_pending, on_compacted) = (
         rounds(&|| drop(bfs_one(&pending))),
@@ -326,18 +307,15 @@ fn sharded_auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
 }
 
 /// A compacted matrix is a from-scratch build of the same CSR: its tiles or
-/// their absence, its shard plans — so every sharded node-word push, which
-/// the plans cut, equals the rebuild's — and every lane-word and
-/// full-precision push, one serial scatter on either backend, bit for bit.  Three
-/// compactions of a ring of dense tiles: dense rows beside the diagonal
-/// skew the edge weight towards the first rows and move every cut;
-/// scattered edges on the same rows drop the fill under
-/// `MIN_TILE_FILL`, so the bit backend's compaction keeps no
-/// tiles and no plan and pushes its words serially; deleting them (and the
-/// ring links they landed on) brings the tiles back.  The float baseline
-/// never has tiles or a plan.
+/// their absence, and every push — node-word, lane-word and full-precision,
+/// one serial scatter each — bit for bit.  Three compactions of a ring of
+/// dense tiles: dense rows beside the diagonal densify the first rows;
+/// scattered edges on the same rows drop the fill under `MIN_TILE_FILL`, so
+/// the bit backend's compaction keeps no tiles and pushes its words from the
+/// CSR; deleting them (and the ring links they landed on) brings the tiles
+/// back.  The float baseline never has tiles.
 #[test]
-fn compacted_plans_and_sharded_products_equal_a_rebuild() {
+fn compacted_tiles_and_push_products_equal_a_rebuild() {
     let n = 8192usize;
     let mut ring = Coo::new(n, n);
     for r in 0..n {
@@ -363,12 +341,9 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
     let lane_words = LaneBits::from_multivec(&xk);
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
     // Forced-push products over both scatter representations — Arithmetic,
-    // and the Boolean word products (none on the float baseline) — and how
-    // many of them the sharded engine ran: the node-word pushes of a tiled
-    // matrix, one per representation.
+    // and the Boolean word products (none on the float baseline).
     let products = |m: &Matrix| {
         let ctx = m.context();
-        let before = ctx.stats().sharded_push;
         let push = Direction::Push;
         let vxm = Op::vxm(&x, m)
             .semiring(Semiring::Arithmetic)
@@ -383,7 +358,6 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
             bits(mxm().transpose().run(ctx).as_slice()),
             bits(mxm().run(ctx).as_slice()),
         ];
-        let serial = ctx.stats().sharded_push - before;
         let nodes = || Op::vxm_bits(&node_words, m).direction(push);
         let lanes = || Op::mxm_lanes(m, &lane_words).direction(push);
         let words = (
@@ -391,11 +365,11 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
             lanes().transpose().try_run(ctx),
             lanes().try_run(ctx),
         );
-        (arithmetic, serial, words, ctx.stats().sharded_push - before)
+        (arithmetic, words)
     };
     let tiled = |m: &Matrix| m.b2sr().is_some();
     for backend in [Backend::FloatCsr, Backend::Bit(TileSize::S8)] {
-        let m = Matrix::from_csr_ctx(&ring, backend, &Context::with_threads(4));
+        let m = Matrix::from_csr(&ring, backend);
         let bit = backend != Backend::FloatCsr;
         assert_eq!(tiled(&m), bit, "the ring's tiles are dense");
         let unscatter: Vec<EdgeDelta> = scatter
@@ -410,27 +384,14 @@ fn compacted_plans_and_sharded_products_equal_a_rebuild() {
             assert_eq!(tiled(&compacted), holds_tiles, "{backend:?}");
             assert_eq!(compacted.b2sr(), rebuilt.b2sr(), "{backend:?}");
 
-            let (got, got_serial, got_words, got_sharded) = products(&compacted);
-            let (want, want_serial, want_words, want_sharded) = products(&rebuilt);
-            assert_eq!((got_serial, want_serial), (0, 0), "{backend:?}");
+            let (got, got_words) = products(&compacted);
+            let (want, want_words) = products(&rebuilt);
             assert!(got == want, "{backend:?}: a full-precision push differs");
             assert_eq!(got_words, want_words, "{backend:?}");
-            let engaged = if holds_tiles { 2 } else { 0 };
-            assert_eq!(
-                (got_sharded, want_sharded),
-                (engaged, engaged),
-                "{backend:?}"
-            );
             if bit {
                 let ((node, node_t), transposed, lanes) = got_words;
                 assert!(node.unwrap().is_some() && node_t.unwrap().is_some());
                 assert!(transposed.unwrap().is_some() && lanes.unwrap().is_some());
-            }
-            for of_transpose in [false, true] {
-                let plan = |m: &Matrix| m.state().shard_plan(of_transpose).cloned();
-                assert_eq!(plan(&compacted), plan(&rebuilt), "{backend:?}");
-                let shards = plan(&rebuilt).map(|p| p.n_shards());
-                assert_eq!(shards >= Some(4), holds_tiles, "{backend:?}: {shards:?}");
             }
         }
     }
