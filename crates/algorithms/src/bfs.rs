@@ -85,8 +85,7 @@ pub fn try_bfs_dir(a: &Matrix, source: usize, direction: Direction) -> Result<Bf
     })?;
     let (iterations, found) = match bits {
         Some(done) => done,
-        // No word product on this backend (the float baseline, an external
-        // backend).
+        // No word product: the float baseline runs on `f32`.
         None => vector_rounds(a, source, direction, &mut levels)?,
     };
     Ok(BfsResult {
@@ -256,8 +255,7 @@ pub fn try_bfs_multi_dir(
     };
     let (iterations, found) = match words {
         Some(done) => done,
-        // No word product on this backend (the float baseline, an external
-        // backend).
+        // No word product: the float baseline runs on `f32`.
         None => flat_rounds(a, sources, direction, &mut levels)?,
     };
     Ok(MultiBfsResult {
@@ -373,7 +371,6 @@ fn flat_rounds(
 mod tests {
     use super::*;
     use crate::reference;
-    use bitgblas_core::grb::{BitB2sr, GrbBackend, MxvPipeline, Workspace};
     use bitgblas_core::{Backend, EdgeDelta, TileSize};
     use bitgblas_datagen::generators;
     use bitgblas_sparse::Coo;
@@ -706,7 +703,7 @@ mod tests {
     /// Through pending deltas the word loop is the `f32` loop of the same
     /// snapshot and the word loop of a rebuild — levels, rounds, reached
     /// pairs and per-round directions — converting nothing: every tile size
-    /// × lane count × direction, on the snapshot and on its transpose view.
+    /// × lane count × direction, on the snapshot and on its transpose.
     #[test]
     fn word_loop_through_pending_deltas_equals_the_f32_loop_and_a_rebuild() {
         for (what, adj) in parity_graphs() {
@@ -716,18 +713,19 @@ mod tests {
                 let live = Matrix::from_csr(&base, Backend::Bit(ts));
                 live.apply_deltas(&log).unwrap();
                 let snap = live.snapshot();
-                for view in [snap.matrix().clone(), snap.transpose()] {
+                let transposed = snap.transpose();
+                for view in [snap.matrix(), &transposed] {
                     let rebuilt = Matrix::from_csr(view.csr(), Backend::Bit(ts));
                     for k in [1usize, 5, 64, 70] {
                         let sources: Vec<usize> = (0..k).map(|l| (l * 13 + 5) % n).collect();
                         for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
-                            let (words, packed) = word_loop(&view, &sources, dir);
+                            let (words, packed) = word_loop(view, &sources, dir);
                             let (scratch, _) = word_loop(&rebuilt, &sources, dir);
                             assert_eq!(words, scratch, "{what} {ts:?} k={k} {dir:?}");
                             assert_eq!(packed, 0, "the word loop converts nothing");
                             // The f32 loop is the slow side: one width.
                             if ts == TileSize::S8 {
-                                let (flat, _) = flat_loop(&view, &sources, dir);
+                                let (flat, _) = flat_loop(view, &sources, dir);
                                 assert_eq!(words, flat, "{what} k={k} {dir:?}");
                             }
                         }
@@ -839,7 +837,7 @@ mod tests {
     /// an empty row filled — `bfs` and a one-source `bfs_multi` are the bit
     /// loop of a rebuild and the `f32` loop of the same snapshot, converting
     /// nothing: every tile size × direction, on the snapshot and on its
-    /// transpose view.
+    /// transpose.
     #[test]
     fn bit_loop_through_pending_deltas_equals_the_f32_loop_and_a_rebuild() {
         for (what, adj) in parity_graphs() {
@@ -849,18 +847,19 @@ mod tests {
                 let live = Matrix::from_csr(&base, Backend::Bit(ts));
                 live.apply_deltas(&log).unwrap();
                 let snap = live.snapshot();
-                for view in [snap.matrix().clone(), snap.transpose()] {
+                let transposed = snap.transpose();
+                for view in [snap.matrix(), &transposed] {
                     let rebuilt = Matrix::from_csr(view.csr(), Backend::Bit(ts));
                     for source in [0, n.saturating_sub(2)] {
                         for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
                             let what = format!("{what} {ts:?} from {source} {dir:?}");
-                            let (bits, packed) = bit_loop(&view, source, dir);
+                            let (bits, packed) = bit_loop(view, source, dir);
                             let (scratch, _) = bit_loop(&rebuilt, source, dir);
-                            let (flat, _) = vector_loop(&view, source, dir);
+                            let (flat, _) = vector_loop(view, source, dir);
                             assert_eq!(bits, scratch, "{what}");
                             assert_eq!(bits, flat, "{what}");
                             assert_eq!(packed, 0, "the bit loop converts nothing");
-                            assert_entry_points_run_the_bit_loop(&view, source, dir, &bits, &what);
+                            assert_entry_points_run_the_bit_loop(view, source, dir, &bits, &what);
                         }
                     }
                 }
@@ -868,75 +867,14 @@ mod tests {
         }
     }
 
-    /// A forwarding page around a `BitB2sr`: same storage, same kernels,
-    /// same `kind()` — but not the type the op layer's downcast looks for.
-    #[derive(Debug)]
-    struct Wrapped(BitB2sr);
-
-    impl Wrapped {
-        fn new(csr: &bitgblas_sparse::Csr, tile_size: TileSize) -> Self {
-            Wrapped(BitB2sr::new(csr, tile_size))
-        }
-    }
-
-    impl GrbBackend for Wrapped {
-        fn kind(&self) -> Backend {
-            self.0.kind()
-        }
-        fn nrows(&self) -> usize {
-            self.0.nrows()
-        }
-        fn ncols(&self) -> usize {
-            self.0.ncols()
-        }
-        fn nnz(&self) -> usize {
-            self.0.nnz()
-        }
-        fn csr(&self) -> &bitgblas_sparse::Csr {
-            self.0.csr()
-        }
-        fn csr_t(&self) -> &bitgblas_sparse::Csr {
-            self.0.csr_t()
-        }
-        fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-            self.0.mxv_into(p, ws, out);
-        }
-        fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-            self.0.mxm_into(p, ws, out);
-        }
-        fn mxm_reduce_masked(
-            &self,
-            b: &dyn GrbBackend,
-            mask: &dyn GrbBackend,
-            transpose_b: bool,
-        ) -> f64 {
-            self.0.mxm_reduce_masked(b, mask, transpose_b)
-        }
-        fn storage_bytes(&self) -> usize {
-            self.0.storage_bytes()
-        }
-        fn transpose_view(&self) -> Box<dyn GrbBackend> {
-            let Backend::Bit(tile_size) = self.0.kind() else {
-                unreachable!("built as a bit matrix")
-            };
-            Box::new(Wrapped::new(self.0.csr_t(), tile_size))
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-    }
-
     /// The work counters that gate the representation: a bit backend converts
-    /// nothing, built or read through pending deltas; an external backend
-    /// takes the `f32` loop (≥ `n · k` elements per round); both agree with
-    /// a rebuild; forced push scatters from every reached `(vertex, lane)`
+    /// nothing, built or read through pending deltas, and agrees with a
+    /// rebuild; forced push scatters from every reached `(vertex, lane)`
     /// exactly once.
     #[test]
     fn a_bit_backend_runs_in_words_through_pending_deltas_and_the_counters_say_so() {
         let adj = generators::erdos_renyi(90, 0.04, true, 4);
-        let n = adj.nrows();
         let sources = [5usize, 0, 77, 5, 31];
-        let k = sources.len();
         let built = Matrix::from_csr(&adj, Backend::Bit(TileSize::S8));
         let converted = |m: &Matrix, dir: Direction| {
             let before = m.context().stats();
@@ -970,18 +908,11 @@ mod tests {
             assert_eq!(after.push_mxm - before.push_mxm, r.iterations as u64);
         }
 
-        // The external backend: a `BitB2sr` behind a type of its own.
-        let external = Matrix::from_backend(Box::new(Wrapped::new(&adj, TileSize::S8)));
         for dir in [Direction::Push, Direction::Pull, Direction::Auto] {
             let (want, _) = converted(&rebuilt, dir);
             let (got, added) = converted(&snap, dir);
             assert_eq!(got, want, "overlay {dir:?}");
             assert_eq!(added, 0, "overlay {dir:?}");
-
-            let (want, _) = converted(&built, dir);
-            let (got, added) = converted(&external, dir);
-            assert_eq!(got, want, "external {dir:?}");
-            assert!(added >= (got.iterations * n * k) as u64, "external {added}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! The five graph algorithms of the paper's evaluation — Breadth-First
 //! Search, Single-Source Shortest Path, PageRank, Connected Components and
 //! Triangle Counting — written once against the builder API
-//! (`Op::mxv(..).run(&ctx)`) of `bitgblas-core`'s pluggable `GrbBackend`
-//! layer, and runnable on any backend:
+//! (`Op::mxv(..).run(&ctx)`) of `bitgblas-core`'s GraphBLAS layer, and
+//! runnable on every backend kind:
 //!
 //! * `Backend::Bit(tile_size)` — Bit-GraphBLAS (B2SR + bit kernels), the
 //!   paper's system;

@@ -17,22 +17,22 @@
 //!   appends, so an append normalizes its own batch and flattens the staged
 //!   view by a linear copy of what is pending
 //!   ([`VersionCell::entries_normalized`] counts the entries normalized).
-//! * **Merge-on-read overlay** — [`DeltaOverlay`] implements
-//!   [`GrbBackend`] over `base ⊕ delta`: it forwards each product — whole
-//!   fused pipelines included — to the unchanged base representation (B2SR
-//!   bit kernels or float CSR), then re-folds the dirty positions the
-//!   operand reaches — those with a non-identity entry in a *patched*
-//!   column; every other one already holds its value — through a sorted
-//!   merge of the base row and its patch and finishes them with the
-//!   pipeline's own store semantics ([`MxvPipeline::finish`]).  The batched
-//!   Boolean product in lane words (`Op::mxm_lanes`) goes the same way over
-//!   a [`BitB2sr`] base: the base's word product, then a word re-fold.
+//! * **Merge-on-read overlay** — [`DeltaOverlay`] presents `base ⊕ delta`
+//!   beside the unchanged built base (a [`BitB2sr`]): the planner runs each
+//!   product — whole fused pipelines included — on the base, then the
+//!   overlay re-folds the dirty positions the operand reaches — those with
+//!   a non-identity entry in a *patched* column; every other one already
+//!   holds its value — through a sorted merge of the base row and its patch
+//!   and finishes them with the pipeline's own store semantics
+//!   ([`MxvPipeline::finish`]).  The Boolean products in words
+//!   (`Op::vxm_bits`, `Op::mxm_lanes`) go the same way: the base's word
+//!   product, then a word re-fold.
 //!   Traversals see the mutated graph with no rebuild, no per-clean-row
 //!   overhead, no loss of operator fusion and nothing converted between
 //!   `f32` and bits; a read costs the base product plus the patches the
 //!   frontier touches (`ExecCounts::refolded_positions` counts them).
 //! * **Versioned publication** — a [`VersionCell`] owns `(epoch, base,
-//!   log, normalized log, head)` behind one mutex; appends and compactions
+//!   log, normalized log, overlay)` behind one mutex; appends and compactions
 //!   swap a fully constructed head in a single critical section, so
 //!   `Matrix::snapshot()` (an Arc-pinned epoch view) is always internally
 //!   consistent and bit-stable for the lifetime of the handle, no matter
@@ -73,9 +73,9 @@ use bitgblas_sparse::Csr;
 
 use crate::b2sr::convert::RetileCounts;
 use crate::faultinject::{FaultAction, InjectedPanic};
-use crate::grb::backend::{csr_mxm_reduce_masked, BitB2sr, GrbBackend};
+use crate::grb::backend::BitB2sr;
 use crate::grb::error::GrbError;
-use crate::grb::matrix::Backend;
+use crate::grb::lanebits::LaneBits;
 use crate::grb::multivec::lane_words_per_node;
 use crate::grb::op::Context;
 use crate::grb::plan::MxvPipeline;
@@ -396,43 +396,40 @@ impl DeltaSnapshot {
     }
 }
 
-/// A merge-on-read [`GrbBackend`] presenting `base ⊕ delta` without a
-/// rebuild: every product runs on the untouched base representation first
-/// — the base executes the whole pipeline it is handed, fused or bare —
-/// then the dirty positions a patched column's non-identity operand entry
-/// reaches are re-folded through the sorted patch merge and finished by
-/// [`MxvPipeline::finish`]; a dirty position the operand does not reach
-/// keeps what the base stored, which is already right.  So a read costs
-/// the base product plus one probe per staged patch entry and lane, and
-/// the planner treats the overlay as it treats its base: entry pricing
-/// and — over a [`BitB2sr`] — the word products
+/// The merge-on-read view of a pending log: `base ⊕ delta` without a
+/// rebuild, beside a built base it does not hold.  Every product runs on the
+/// untouched base first — the base executes the whole pipeline it is handed,
+/// fused or bare — then the dirty positions a patched column's non-identity
+/// operand entry reaches are re-folded through the sorted patch merge and
+/// finished by [`MxvPipeline::finish`]; a dirty position the operand does
+/// not reach keeps what the base stored, which is already right.  So a read
+/// costs the base product plus one probe per staged patch entry and lane,
+/// and the planner treats a matrix with pending deltas as it treats its
+/// base: entry pricing and — on a `Backend::Bit` base — the word products
 /// (`plan::execute_word_product`, whose dirty rows `refold_dirty_bits` and
 /// `refold_dirty_words` patch) all carry through.  The merged CSR views
-/// materialize lazily (first `csr()`/`csr_t()` call) for the fallback paths
-/// that need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
+/// materialize lazily (first `csr()`/`csr_t()` call) for the paths that
+/// need whole-matrix structure (`mxm_reduce_masked`, `out_degrees`).
 ///
-/// Push (sparse-frontier) sweeps delegate to the base's serial scatter and
-/// patch the dirty output rows with the same pull re-fold — exact, because
-/// the planner guarantees off-frontier operand entries contribute the
-/// semiring identity.
-#[derive(Debug, Clone)]
+/// Push (sparse-frontier) sweeps run the base's serial scatter and patch the
+/// dirty output rows with the same pull re-fold — exact, because the
+/// planner guarantees off-frontier operand entries contribute the semiring
+/// identity.
+///
+/// The overlay is paired with the base of the [`VersionCell`] that staged
+/// it: every method taking a `base` expects that one.
+#[derive(Debug)]
 pub struct DeltaOverlay {
-    base: Arc<dyn GrbBackend>,
-    delta: Arc<DeltaSnapshot>,
-    /// Whether this view is the transpose of the delta's logical
-    /// orientation (set by [`GrbBackend::transpose_view`]).
-    transposed: bool,
+    delta: DeltaSnapshot,
     merged: OnceLock<Csr>,
     merged_t: OnceLock<Csr>,
 }
 
 impl DeltaOverlay {
-    /// Overlay `delta` on `base` (in the delta's logical orientation).
-    pub fn new(base: Arc<dyn GrbBackend>, delta: Arc<DeltaSnapshot>) -> Self {
+    /// Overlay the staged `delta` on the base it was normalized against.
+    pub(crate) fn new(delta: DeltaSnapshot) -> Self {
         DeltaOverlay {
-            base,
             delta,
-            transposed: false,
             merged: OnceLock::new(),
             merged_t: OnceLock::new(),
         }
@@ -443,21 +440,51 @@ impl DeltaOverlay {
         &self.delta
     }
 
-    /// The built representation under the patches: it runs every product
-    /// first, so its kernels are what the planner prices.
-    pub(crate) fn base(&self) -> &dyn GrbBackend {
-        &*self.base
+    /// Edges of `base ⊕ delta`.
+    pub(crate) fn nnz(&self, base: &BitB2sr) -> usize {
+        (base.nnz() as isize + self.delta.nnz_delta()) as usize
+    }
+
+    /// The merged CSR of `base ⊕ delta`, built and cached on first use.
+    pub(crate) fn csr(&self, base: &BitB2sr) -> &Csr {
+        self.merged
+            .get_or_init(|| self.delta.merge_csr(base.csr(), false))
+    }
+
+    /// The merged CSR of `(base ⊕ delta)ᵀ`, built and cached on first use.
+    pub(crate) fn csr_t(&self, base: &BitB2sr) -> &Csr {
+        self.merged_t
+            .get_or_init(|| self.delta.merge_csr(base.csr_t(), true))
+    }
+
+    /// Bytes of the staged patches (the base's are counted apart).
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.delta.storage_bytes()
     }
 
     /// The staged patches and the base CSR of the representation a product
     /// with this `transpose` flag pulls from.
-    fn dirty(&self, transpose: bool) -> (&StagedRows, &Csr) {
-        let base = if transpose {
-            self.base.csr_t()
-        } else {
-            self.base.csr()
-        };
-        (self.delta.staged(transpose ^ self.transposed), base)
+    fn dirty<'a>(&'a self, base: &'a BitB2sr, transpose: bool) -> (&'a StagedRows, &'a Csr) {
+        let csr = if transpose { base.csr_t() } else { base.csr() };
+        (self.delta.staged(transpose), csr)
+    }
+
+    /// Re-fold, after `base` ran the pipeline `p` into `out`, the dirty
+    /// output positions its operand reaches ([`refold_lanes`](Self::refold_lanes)
+    /// at `p.k` lanes, a literal one for a single vector).  Out of line: the
+    /// planner calls it only for a matrix with pending deltas.
+    #[inline(never)]
+    pub(crate) fn refold_dirty(
+        &self,
+        base: &BitB2sr,
+        p: &MxvPipeline<'_>,
+        ws: &Workspace,
+        out: &mut [f32],
+    ) {
+        match p.k {
+            1 => self.refold_lanes(base, p, 1, ws, out),
+            k => self.refold_lanes(base, p, k, ws, out),
+        }
     }
 
     /// Re-fold the dirty output positions the operand reaches of a pipeline
@@ -480,8 +507,15 @@ impl DeltaOverlay {
     /// `k` is `p.k`, passed apart and the body always inlined, so the
     /// single-vector caller's literal `1` folds the lane arithmetic away.
     #[inline(always)]
-    fn refold_dirty(&self, p: &MxvPipeline<'_>, k: usize, ws: &Workspace, out: &mut [f32]) {
-        let (staged, base) = self.dirty(p.transpose);
+    fn refold_lanes(
+        &self,
+        base: &BitB2sr,
+        p: &MxvPipeline<'_>,
+        k: usize,
+        ws: &Workspace,
+        out: &mut [f32],
+    ) {
+        let (staged, base) = self.dirty(base, p.transpose);
         let mut refolded = 0usize;
         with_semiring_ops!(p.semiring, |identity, combine, reduce| {
             for (i, patch) in staged.iter() {
@@ -510,23 +544,24 @@ impl DeltaOverlay {
     }
 
     /// [`refold_dirty`](Self::refold_dirty)'s `u64` sibling, for the lane-word
-    /// product the base [`BitB2sr`] just ran
+    /// product the base [`BitB2sr`] just ran on `x`
     /// ([`BitB2sr::lane_product`], same operand, exclusion and orientation):
     /// a dirty row one of whose patched columns holds a set lane becomes
     /// `(OR of xw[c] over the sorted merge of base row and patch) &
-    /// !excluded[i]`; every other dirty row keeps the base's words.  Counts the words it re-folded.
+    /// !excluded[i]`; every other dirty row keeps the base's words.  Counts
+    /// the words it re-folded.
     pub(crate) fn refold_dirty_words(
         &self,
-        xw: &[u64],
-        k: usize,
+        base: &BitB2sr,
+        x: &LaneBits,
         excluded: Option<&[u64]>,
         transpose: bool,
         ws: &Workspace,
         yw: &mut [u64],
     ) {
-        let wpn = lane_words_per_node(k);
+        let (xw, wpn) = (x.as_words(), lane_words_per_node(x.n_lanes()));
         let node = |i: usize| i * wpn..(i + 1) * wpn;
-        let (staged, base) = self.dirty(transpose);
+        let (staged, base) = self.dirty(base, transpose);
         let mut refolded = 0usize;
         for (i, patch) in staged.iter() {
             if patch
@@ -554,6 +589,7 @@ impl DeltaOverlay {
     /// every other dirty row keeps the base's bit.  Counts the bits it re-folded.
     pub(crate) fn refold_dirty_bits(
         &self,
+        base: &BitB2sr,
         xw: &[u64],
         excluded: Option<&[u64]>,
         transpose: bool,
@@ -561,7 +597,7 @@ impl DeltaOverlay {
         yw: &mut [u64],
     ) {
         let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
-        let (staged, base) = self.dirty(transpose);
+        let (staged, base) = self.dirty(base, transpose);
         let mut refolded = 0usize;
         for (i, patch) in staged.iter() {
             if patch.iter().all(|&(c, _)| bit(xw, c) == 0) {
@@ -575,76 +611,6 @@ impl DeltaOverlay {
             yw[i / 64] = (yw[i / 64] & !(1 << at)) | ((reached & keep) << at);
         }
         ws.stats().record_refolded(refolded);
-    }
-}
-
-impl GrbBackend for DeltaOverlay {
-    fn kind(&self) -> Backend {
-        self.base.kind()
-    }
-
-    fn nrows(&self) -> usize {
-        self.base.nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.base.ncols()
-    }
-
-    fn nnz(&self) -> usize {
-        (self.base.nnz() as isize + self.delta.nnz_delta()) as usize
-    }
-
-    fn csr(&self) -> &Csr {
-        self.merged
-            .get_or_init(|| self.delta.merge_csr(self.base.csr(), self.transposed))
-    }
-
-    fn csr_t(&self) -> &Csr {
-        self.merged_t
-            .get_or_init(|| self.delta.merge_csr(self.base.csr_t(), !self.transposed))
-    }
-
-    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        self.base.mxv_into(p, ws, out);
-        self.refold_dirty(p, 1, ws, out);
-    }
-
-    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        self.base.mxm_into(p, ws, out);
-        self.refold_dirty(p, p.k, ws, out);
-    }
-
-    fn mxm_reduce_masked(
-        &self,
-        b: &dyn GrbBackend,
-        mask: &dyn GrbBackend,
-        transpose_b: bool,
-    ) -> f64 {
-        // The merged CSR view makes the overlay a plain CSR operand for the
-        // reference Triangle Counting kernel.
-        csr_mxm_reduce_masked(self, b, mask, transpose_b)
-    }
-
-    /// The base's plan: the base runs the overlay's scatter, so
-    /// `Direction::Auto` prices an overlay's push as it prices the base's.
-    fn storage_bytes(&self) -> usize {
-        self.base.storage_bytes() + self.delta.storage_bytes()
-    }
-
-    fn transpose_view(&self) -> Box<dyn GrbBackend> {
-        Box::new(DeltaOverlay {
-            base: Arc::from(self.base.transpose_view()),
-            delta: self.delta.clone(),
-            transposed: !self.transposed,
-            // The merged views swap roles, carrying any already-built one.
-            merged: self.merged_t.clone(),
-            merged_t: self.merged.clone(),
-        })
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -674,8 +640,8 @@ pub struct CompactReport {
 
 /// The shared mutable version state behind a
 /// [`Matrix`](crate::grb::Matrix): the current epoch, the compacted base,
-/// the pending delta log, and the published head (`base` when the log is
-/// empty, a [`DeltaOverlay`] otherwise).
+/// the pending delta log, and the published head — the base, plus a
+/// [`DeltaOverlay`] of the log when one is pending.
 ///
 /// Publication protocol: every write path constructs its new head *fully*
 /// before swapping it in under the one inner mutex, so readers pinning the
@@ -693,14 +659,13 @@ pub struct VersionCell {
 #[derive(Debug)]
 struct VersionInner {
     epoch: u64,
-    base: Arc<dyn GrbBackend>,
+    base: Arc<BitB2sr>,
     log: Vec<EdgeDelta>,
     /// `log`, normalized against `base` (empty when `log` is).
     norm: LogNormalizer,
     /// The staged view of `norm` the head overlays on `base`; `None` when
     /// the log is empty and the head is the base itself.
-    staged: Option<Arc<DeltaSnapshot>>,
-    head: Arc<dyn GrbBackend>,
+    overlay: Option<Arc<DeltaOverlay>>,
     epochs_published: u64,
     compactions: u64,
     entries_normalized: u64,
@@ -714,11 +679,8 @@ impl VersionInner {
         let tail = &self.log[self.log.len() - tail_len..];
         self.norm.apply(self.base.csr(), tail);
         self.entries_normalized += tail_len as u64;
-        self.staged = (!self.log.is_empty()).then(|| Arc::new(self.norm.snapshot()));
-        self.head = match &self.staged {
-            Some(delta) => Arc::new(DeltaOverlay::new(self.base.clone(), delta.clone())),
-            None => self.base.clone(),
-        };
+        self.overlay =
+            (!self.log.is_empty()).then(|| Arc::new(DeltaOverlay::new(self.norm.snapshot())));
         self.epoch += 1;
         self.epochs_published += 1;
     }
@@ -727,15 +689,14 @@ impl VersionInner {
 impl VersionCell {
     /// A fresh cell at epoch 0 with an empty log: `base` is the published
     /// head.
-    pub fn new(base: Arc<dyn GrbBackend>) -> Self {
+    pub fn new(base: Arc<BitB2sr>) -> Self {
         VersionCell {
             inner: Mutex::new(VersionInner {
                 epoch: 0,
-                base: base.clone(),
+                base,
                 log: Vec::new(),
                 norm: LogNormalizer::default(),
-                staged: None,
-                head: base,
+                overlay: None,
                 epochs_published: 0,
                 compactions: 0,
                 entries_normalized: 0,
@@ -752,10 +713,11 @@ impl VersionCell {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The published head and its epoch, pinned atomically.
-    pub fn head(&self) -> (Arc<dyn GrbBackend>, u64) {
+    /// The published head — the base and the overlay of the pending log, if
+    /// any — and its epoch, pinned atomically.
+    pub fn head(&self) -> (Arc<BitB2sr>, Option<Arc<DeltaOverlay>>, u64) {
         let inner = self.lock();
-        (inner.head.clone(), inner.epoch)
+        (inner.base.clone(), inner.overlay.clone(), inner.epoch)
     }
 
     /// The current epoch.
@@ -822,19 +784,19 @@ impl VersionCell {
             .compact_gate
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let (base, delta) = {
+        let (base, overlay) = {
             let inner = self.lock();
-            let Some(delta) = inner.staged.clone() else {
+            let Some(overlay) = inner.overlay.clone() else {
                 return Ok(CompactReport {
                     epoch: inner.epoch,
                     ..CompactReport::default()
                 });
             };
-            (inner.base.clone(), delta)
+            (inner.base.clone(), overlay)
         };
         poll_delta_merge(ctx)?;
-        let (new_base, retiled) = fold(&base, &delta);
-        Ok(self.install(new_base, &delta, retiled))
+        let (new_base, retiled) = fold(&base, overlay.delta());
+        Ok(self.install(new_base, overlay.delta(), retiled))
     }
 
     /// Publish `new_base` — [`fold`]'s result for the pinned prefix `delta`
@@ -842,7 +804,7 @@ impl VersionCell {
     /// raced in behind it is normalized afresh against the new base.
     fn install(
         &self,
-        new_base: Arc<dyn GrbBackend>,
+        new_base: Arc<BitB2sr>,
         delta: &DeltaSnapshot,
         retiled: RetileCounts,
     ) -> CompactReport {
@@ -866,14 +828,12 @@ impl VersionCell {
     }
 }
 
-/// `base ⊕ delta` as a fresh backend of `base`'s kind: the part of a
-/// compaction that runs outside the version lock.
-fn fold(base: &Arc<dyn GrbBackend>, delta: &DeltaSnapshot) -> (Arc<dyn GrbBackend>, RetileCounts) {
+/// `base ⊕ delta` as a fresh backend of `base`'s kind, re-tiling only the
+/// tile-rows holding a dirty row: the part of a compaction that runs outside
+/// the version lock.
+fn fold(base: &BitB2sr, delta: &DeltaSnapshot) -> (Arc<BitB2sr>, RetileCounts) {
     let merged = delta.merge_csr(base.csr(), false);
-    // The old tiles, when the base is this crate's backend (an external one
-    // of a tiled kind converts in full).
-    let old = base.as_any().downcast_ref::<BitB2sr>();
-    let prev = old.map(|old| (old, delta.dirty_rows()));
+    let prev = Some((base, delta.dirty_rows()));
     let (folded, counts) = BitB2sr::of_kind(merged, base.kind(), prev);
     (Arc::new(folded), counts)
 }
@@ -902,7 +862,8 @@ fn poll_delta_merge(ctx: &Context) -> Result<(), GrbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grb::Matrix;
+    use crate::grb::plan::product_into;
+    use crate::grb::{Backend, Matrix, MultiVec, Vector};
     use bitgblas_sparse::Coo;
 
     fn csr(n: usize, edges: &[(usize, usize)]) -> Csr {
@@ -949,16 +910,41 @@ mod tests {
         assert_eq!(snap.merge_csr(&base.transpose(), true), expect.transpose());
     }
 
-    /// One pipeline through a backend (`mxv` for one lane, `mxm` for more),
-    /// as bits.
-    fn run(b: &dyn GrbBackend, p: &MxvPipeline<'_>) -> Vec<u32> {
+    /// One pipeline on a matrix's pinned view, as the planner runs it
+    /// (`mxv` for one lane, `mxm` for more): the base's product, then the
+    /// overlay's re-fold when deltas are pending.
+    fn run_into(m: &Matrix, p: &MxvPipeline<'_>, ws: &Workspace) -> Vec<f32> {
         let mut out = Vec::new();
         if p.k == 1 {
-            b.mxv_into(p, &Workspace::new(), &mut out);
+            product_into::<Vector>(m, p, ws, &mut out);
         } else {
-            b.mxm_into(p, &Workspace::new(), &mut out);
+            product_into::<MultiVec>(m, p, ws, &mut out);
         }
+        out
+    }
+
+    /// [`run_into`] on a fresh workspace, as bits.
+    fn run(m: &Matrix, p: &MxvPipeline<'_>) -> Vec<u32> {
+        let out = run_into(m, p, &Workspace::new());
         out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `base` with `log` pending: a snapshot reading through an overlay.
+    fn pending(base: &Csr, backend: Backend, log: &[EdgeDelta]) -> crate::grb::Snapshot {
+        let a = Matrix::from_csr(base, backend);
+        a.apply_deltas(log).unwrap();
+        let snap = a.snapshot();
+        assert!(snap.overlay().is_some());
+        snap
+    }
+
+    /// What a cell's pinned head reads: the merged CSR through its overlay,
+    /// the base's otherwise.
+    fn read(head: &(Arc<BitB2sr>, Option<Arc<DeltaOverlay>>, u64)) -> &Csr {
+        match &head.1 {
+            Some(overlay) => overlay.csr(&head.0),
+            None => head.0.csr(),
+        }
     }
 
     #[test]
@@ -1016,9 +1002,7 @@ mod tests {
             .into_iter()
             .chain([Backend::FloatCsr]);
         for backend in backends {
-            let a = Matrix::from_csr(&base, backend);
-            let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
-            let overlay = DeltaOverlay::new(a.shared_state(), snap);
+            let overlay = pending(&base, backend, &log);
             let fresh = Matrix::from_csr(&scratch, backend);
             assert_eq!(overlay.nnz(), fresh.nnz());
             assert_eq!(overlay.csr(), fresh.csr());
@@ -1054,18 +1038,16 @@ mod tests {
                                 stages,
                                 accum,
                             };
-                            assert_eq!(
-                                run(&overlay, &p),
-                                run(fresh.state(), &p),
-                                "{backend:?} {p:?}"
-                            );
+                            assert_eq!(run(&overlay, &p), run(&fresh, &p), "{backend:?} {p:?}");
                         }
                     }
                 }
             }
 
-            // The transpose view flips orientation consistently.
-            let tv = overlay.transpose_view();
+            // The transpose starts from a built base of the merged
+            // transpose, and flips orientation consistently.
+            let tv = overlay.transpose();
+            assert!(tv.overlay().is_none());
             assert_eq!(tv.csr(), &fresh.csr().transpose());
             let p = MxvPipeline {
                 x: &x_bool,
@@ -1081,7 +1063,7 @@ mod tests {
                 transpose: true,
                 ..p
             };
-            assert_eq!(run(&*tv, &p), run(fresh.state(), &flipped));
+            assert_eq!(run(&tv, &p), run(&fresh, &flipped));
         }
     }
 
@@ -1137,9 +1119,7 @@ mod tests {
             Semiring::MaxTimes(2.0),
         ];
         for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
-            let a = Matrix::from_csr(&base, backend);
-            let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
-            let overlay = DeltaOverlay::new(a.shared_state(), snap);
+            let overlay = pending(&base, backend, &log);
             let fresh = Matrix::from_csr(&scratch, backend);
             for semiring in semirings {
                 let monoid = BinaryOp::monoid_of(semiring);
@@ -1186,7 +1166,7 @@ mod tests {
                                         };
                                         assert_eq!(
                                             run(&overlay, &p),
-                                            run(fresh.state(), &p),
+                                            run(&fresh, &p),
                                             "{backend:?} pick {pick} {p:?}"
                                         );
                                     }
@@ -1208,7 +1188,6 @@ mod tests {
         use crate::semiring::Semiring;
         let n = 32;
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let a = Matrix::from_csr(&csr(n, &edges), Backend::default_bit());
         // Four dirty rows; row 3 is patched in two columns.
         let log = [
             EdgeDelta::insert(3, 10),
@@ -1217,8 +1196,7 @@ mod tests {
             EdgeDelta::insert(15, 20),
             EdgeDelta::insert(30, 2),
         ];
-        let snap = Arc::new(DeltaSnapshot::build(a.csr(), &log));
-        let overlay = DeltaOverlay::new(a.shared_state(), snap);
+        let overlay = pending(&csr(n, &edges), Backend::default_bit(), &log);
         let ws = Workspace::new();
         let refolded = |semiring: Semiring, k: usize, x: &[f32]| {
             let frontier: Vec<usize> = (0..n)
@@ -1236,12 +1214,7 @@ mod tests {
                     accum: None,
                 };
                 let before = ws.stats().snapshot().refolded_positions;
-                let mut out = Vec::new();
-                if k == 1 {
-                    overlay.mxv_into(&p, &ws, &mut out);
-                } else {
-                    overlay.mxm_into(&p, &ws, &mut out);
-                }
+                run_into(&overlay, &p, &ws);
                 ws.stats().snapshot().refolded_positions - before
             });
             assert_eq!(
@@ -1272,18 +1245,19 @@ mod tests {
     fn version_cell_publishes_epochs_and_pins_snapshots() {
         let base = csr(4, &[(0, 1), (1, 2)]);
         let a = Matrix::from_csr(&base, Backend::FloatCsr);
-        let cell = VersionCell::new(a.shared_state());
-        let (head0, e0) = cell.head();
-        assert_eq!(e0, 0);
+        let cell = VersionCell::new(a.base().clone());
+        let head0 = cell.head();
+        assert_eq!(head0.2, 0);
         assert_eq!(cell.append(&[]), 0, "empty append publishes nothing");
 
         let e1 = cell.append(&[EdgeDelta::insert(2, 3)]);
         assert_eq!(e1, 1);
-        let (head1, _) = cell.head();
-        assert_eq!(head1.nnz(), 3);
+        let head1 = cell.head();
+        assert_eq!(head1.1.as_ref().unwrap().nnz(&head1.0), 3);
+        assert_eq!(read(&head1).nnz(), 3);
         // The pinned pre-append head is untouched.
-        assert_eq!(head0.nnz(), 2);
-        assert!(head0.csr().get(2, 3).is_none());
+        assert_eq!(read(&head0).nnz(), 2);
+        assert!(read(&head0).get(2, 3).is_none());
         assert_eq!(cell.log_len(), 1);
         assert_eq!(cell.epochs_published(), 1);
     }
@@ -1292,9 +1266,10 @@ mod tests {
     fn compact_folds_the_log_and_keeps_old_snapshots_readable() {
         let base = csr(4, &[(0, 1), (1, 2), (3, 0)]);
         let a = Matrix::from_csr(&base, Backend::default_bit());
-        let cell = VersionCell::new(a.shared_state());
+        let cell = VersionCell::new(a.base().clone());
         cell.append(&[EdgeDelta::insert(2, 3), EdgeDelta::delete(3, 0)]);
-        let (overlay_head, e_overlay) = cell.head();
+        let overlay_head = cell.head();
+        let e_overlay = overlay_head.2;
 
         let ctx = Context::default();
         let report = cell.compact(&ctx).unwrap();
@@ -1305,13 +1280,14 @@ mod tests {
         assert_eq!(cell.log_len(), 0);
         assert_eq!(cell.compactions(), 1);
 
-        let (compacted, _) = cell.head();
-        // The compacted base is a real backend of the original kind again.
-        assert!(compacted.as_any().downcast_ref::<BitB2sr>().is_some());
-        assert_eq!(compacted.csr(), overlay_head.csr());
+        let compacted = cell.head();
+        // The compacted head is a built base of the original kind again.
+        assert!(compacted.1.is_none());
+        assert_eq!(compacted.0.kind(), Backend::default_bit());
+        assert_eq!(read(&compacted), read(&overlay_head));
         // The pre-compaction overlay snapshot still reads the same bits.
-        assert_eq!(overlay_head.nnz(), 3);
-        assert!(overlay_head.csr().get(2, 3).is_some());
+        assert_eq!(read(&overlay_head).nnz(), 3);
+        assert!(read(&overlay_head).get(2, 3).is_some());
 
         // Compacting an empty log publishes nothing.
         let again = cell.compact(&ctx).unwrap();
@@ -1341,13 +1317,13 @@ mod tests {
         ];
         for batch in 1..=log.len() {
             let a = Matrix::from_csr(&base, Backend::FloatCsr);
-            let cell = VersionCell::new(a.shared_state());
+            let cell = VersionCell::new(a.base().clone());
             let mut seen = 0;
             for chunk in log.chunks(batch) {
                 cell.append(chunk);
                 seen += chunk.len();
-                let staged = cell.lock().staged.clone().expect("pending");
-                assert_eq!(*staged, DeltaSnapshot::build(&base, &log[..seen]));
+                let overlay = cell.lock().overlay.clone().expect("pending");
+                assert_eq!(*overlay.delta(), DeltaSnapshot::build(&base, &log[..seen]));
                 assert_eq!(cell.entries_normalized(), seen as u64);
             }
         }
@@ -1369,36 +1345,91 @@ mod tests {
         let ctx = Context::default();
         for backend in [Backend::default_bit(), Backend::FloatCsr] {
             let a = Matrix::from_csr(&base, backend);
-            let cell = VersionCell::new(a.shared_state());
+            let cell = VersionCell::new(a.base().clone());
             cell.append(&folded);
 
             // Nothing raced in: nothing normalized.
-            let quiet = VersionCell::new(a.shared_state());
+            let quiet = VersionCell::new(a.base().clone());
             quiet.append(&folded);
             quiet.compact(&ctx).unwrap();
             assert_eq!(quiet.entries_normalized(), folded.len() as u64);
 
             // `compact`, with an append between its fold and its install.
-            let (pinned_base, delta) = {
+            let (pinned_base, overlay) = {
                 let inner = cell.lock();
-                (inner.base.clone(), inner.staged.clone().expect("pending"))
+                (inner.base.clone(), inner.overlay.clone().expect("pending"))
             };
-            let (new_base, retiled) = fold(&pinned_base, &delta);
+            let (new_base, retiled) = fold(&pinned_base, overlay.delta());
             cell.append(&raced);
             let before = cell.entries_normalized();
-            let report = cell.install(new_base, &delta, retiled);
+            let report = cell.install(new_base, overlay.delta(), retiled);
             assert_eq!(cell.entries_normalized() - before, raced.len() as u64);
             assert_eq!(report.folded, folded.len());
             assert_eq!(cell.log_len(), raced.len());
 
-            let (head, _) = cell.head();
-            assert_eq!(head.csr(), &scratch, "{backend:?}");
-            assert_eq!(head.nnz(), scratch.nnz());
-            let staged = cell.lock().staged.clone().expect("the tail stays pending");
-            let new_base_csr = cell.lock().base.csr().clone();
-            assert_eq!(*staged, DeltaSnapshot::build(&new_base_csr, &raced));
+            let head = cell.head();
+            assert_eq!(read(&head), &scratch, "{backend:?}");
+            let overlay = head.1.as_ref().expect("the tail stays pending");
+            assert_eq!(overlay.nnz(&head.0), scratch.nnz());
+            let staged = overlay.delta();
+            assert_eq!(*staged, DeltaSnapshot::build(head.0.csr(), &raced));
             assert_eq!((staged.inserted(), staged.deleted()), (2, 1));
         }
+    }
+
+    /// The transpose of a pending view starts its history from a built base
+    /// of the merged transpose, never from an overlay: mutated and compacted,
+    /// it re-tiles only the dirty tile-rows and equals a from-scratch build
+    /// of the same edges, array for array.
+    #[test]
+    fn a_transposed_pending_view_compacts_to_a_rebuild() {
+        use crate::b2sr::TileSize;
+        use std::collections::BTreeSet;
+
+        // An upper band of four, 8.5 bits per B2SR-8 tile: tiled.
+        let n = 64;
+        let mut edges: BTreeSet<(usize, usize)> = (0..n)
+            .flat_map(|i| (i + 1..(i + 5).min(n)).map(move |j| (i, j)))
+            .collect();
+        let backend = Backend::Bit(TileSize::S8);
+        let a = Matrix::from_csr(&csr(n, &Vec::from_iter(edges.iter().copied())), backend);
+        let log = [
+            EdgeDelta::insert(3, 40),
+            EdgeDelta::delete(10, 11),
+            EdgeDelta::insert(60, 2),
+        ];
+        a.apply_deltas(&log).unwrap();
+        let snap = a.snapshot();
+        let t = snap.transpose();
+        assert!(t.overlay().is_none(), "a built base");
+        assert_eq!(t.csr(), snap.csr_t());
+        assert_eq!(t.resolved_backend(), backend);
+        assert!(t.b2sr().is_some());
+        assert_eq!(t.b2sr(), Matrix::from_csr(snap.csr_t(), backend).b2sr());
+
+        // In `Aᵀ`'s coordinates: rows 0 and 5, both in tile-row 0.
+        let t_log = [EdgeDelta::insert(0, 63), EdgeDelta::delete(5, 2)];
+        t.apply_deltas(&t_log).unwrap();
+        let report = t.compact(t.context()).unwrap();
+        assert_eq!((report.folded, report.dirty_rows), (2, 2));
+        assert_eq!(report.tile_rows_retiled, 1, "{report:?}");
+        assert!(report.tiles_spliced > 0, "{report:?}");
+
+        for d in &log {
+            match d.op {
+                DeltaOp::Insert => edges.insert((d.row, d.col)),
+                DeltaOp::Delete => edges.remove(&(d.row, d.col)),
+            };
+        }
+        let mut edges_t: BTreeSet<(usize, usize)> = edges.iter().map(|&(r, c)| (c, r)).collect();
+        assert!(edges_t.insert((0, 63)) && edges_t.remove(&(5, 2)));
+        let rebuilt = Matrix::from_csr(&csr(n, &Vec::from_iter(edges_t)), backend);
+        let compacted = t.snapshot();
+        assert!(compacted.overlay().is_none());
+        assert_eq!(compacted.csr(), rebuilt.csr());
+        assert_eq!(compacted.b2sr(), rebuilt.b2sr());
+        assert_eq!(compacted.b2sr_t(), rebuilt.b2sr_t());
+        assert_eq!(compacted.storage_bytes(), rebuilt.storage_bytes());
     }
 
     #[test]
@@ -1407,7 +1438,7 @@ mod tests {
 
         let base = csr(4, &[(0, 1), (1, 2)]);
         let a = Matrix::from_csr(&base, Backend::FloatCsr);
-        let cell = VersionCell::new(a.shared_state());
+        let cell = VersionCell::new(a.base().clone());
         cell.append(&[EdgeDelta::insert(2, 3)]);
         let epoch_before = cell.epoch();
 

@@ -1,38 +1,27 @@
-//! The pluggable storage/kernel backend trait and its built-in
-//! implementation.
+//! The built backend: one storage type, [`BitB2sr`], and the products on it.
 //!
-//! [`GrbBackend`] is the seam between the planner (`grb::plan`) and a storage
-//! format.  It lists what a backend must do and nothing else: report its
-//! shape and CSR views, run one product pipeline per operand shape
-//! ([`GrbBackend::mxv_into`] for a vector, [`GrbBackend::mxm_into`] for an
-//! `n × k` multi-vector), the masked product reduction of Triangle
-//! Counting.  Every method is required — no
-//! provided body computes a product, so a backend can never drop silently
-//! to a slower path.  The layer ships one implementation, [`BitB2sr`]: the
-//! binary CSR every matrix holds, plus — under [`Backend::Bit`] — B2SR tiles
-//! and the bit kernels of [`crate::kernels`] (the paper's contribution).
-//! Tiles serve two products — the single-vector Boolean product in node
-//! words and the masked reduction — and exist only where they fill: a
-//! `Backend::Bit` matrix under [`MIN_TILE_FILL`] bits per non-empty tile
-//! builds none and runs those two on its CSR as well.  Every other product
-//! reads the CSR on every matrix: every full-precision pull and push, and
-//! every lane-word product, the `f32` Boolean batch included.  A
-//! [`Backend::FloatCsr`] matrix is the paper's float baseline (the
-//! GraphBLAST/cuSPARSE stand-in): never tiled, every product, the Boolean
-//! ones included, runs on `f32` over the CSR, and it has no word product.
+//! Every matrix is built as a [`BitB2sr`]: the binary CSR every matrix
+//! holds, plus — under [`Backend::Bit`] — B2SR tiles and the bit kernels of
+//! [`crate::kernels`] (the paper's contribution).  It runs one product
+//! pipeline per operand shape ([`BitB2sr::mxv_into`] for a vector,
+//! [`BitB2sr::mxm_into`] for an `n × k` multi-vector) and the masked product
+//! reduction of Triangle Counting ([`BitB2sr::mxm_reduce_masked`]).  Tiles
+//! serve two products — the single-vector Boolean product in node words and
+//! the masked reduction — and exist only where they fill: a `Backend::Bit`
+//! matrix under [`MIN_TILE_FILL`] bits per non-empty tile builds none and
+//! runs those two on its CSR as well.  Every other product reads the CSR on
+//! every matrix: every full-precision pull and push, and every lane-word
+//! product, the `f32` Boolean batch included.  A [`Backend::FloatCsr`]
+//! matrix is the paper's float baseline (the GraphBLAST/cuSPARSE stand-in):
+//! never tiled, every product, the Boolean ones included, runs on `f32` over
+//! the CSR, and it has no word product.
 //!
-//! Beside it sits the merge-on-read
-//! [`DeltaOverlay`](crate::delta::DeltaOverlay), which forwards to a base
-//! backend and re-folds its dirty rows.  Backends defined outside this crate
-//! implement the same twelve methods; neither the [`super::Matrix`] object
-//! nor the algorithms know which one they are running on.
-//!
-//! The trait is object-safe: matrices share an `Arc<dyn GrbBackend>`, which
-//! is never mutated once built (its lazy views are `OnceLock`s), and
-//! `mxm_reduce_masked` with mixed operands negotiates through
-//! [`GrbBackend::as_any`] downcasts, falling back to the count over the
-//! always-available CSR views when the operands' tiles differ or are
-//! missing.
+//! A matrix with pending edge deltas reads through a
+//! [`DeltaOverlay`](crate::delta::DeltaOverlay) beside its built base: the
+//! planner runs the base's product, then the overlay re-folds the dirty
+//! rows the operand reaches.  A built backend is never mutated once built
+//! (its lazy views are `OnceLock`s), so matrices, snapshots and clones share
+//! it behind an `Arc`.
 //!
 //! # Serial push execution
 //!
@@ -47,7 +36,6 @@
 //! per segment and ORed in order, measured 1.38–1.97× slower at two threads
 //! than this serial one on the mesh, and went.
 
-use std::any::Any;
 use std::sync::OnceLock;
 
 use bitgblas_bitops::BitWord;
@@ -73,129 +61,17 @@ use super::nodebits::{join_tile_words, split_into_tile_words};
 use super::plan::MxvPipeline;
 use super::workspace::{Poolable, Workspace};
 
-/// A storage format plus the kernels implementing the matrix products on
-/// it.
-///
-/// All vector operands are dense `f32` slices (the GrB layer's
-/// [`super::Vector`] wraps one); binarized packing for the Boolean semiring
-/// happens inside the backend, where the storage format is known.  The
-/// `transpose` flags are in `mxv` convention (the planner folds the `vxm`
-/// flip in) and select the cached `Aᵀ` representation, so both traversal
-/// directions are one call.  Vector-only operations (`reduce`, `ewise_*`,
-/// `apply`, `select`) never reach a backend — the planner runs them.
-pub trait GrbBackend: std::fmt::Debug + Send + Sync {
-    /// The resolved backend kind (never [`Backend::Auto`]).
-    fn kind(&self) -> Backend;
-
-    /// Number of rows.
-    fn nrows(&self) -> usize;
-
-    /// Number of columns.
-    fn ncols(&self) -> usize;
-
-    /// Number of stored edges.
-    fn nnz(&self) -> usize;
-
-    /// The binary CSR view.  Always available: it is the interchange format
-    /// conversions and cross-backend fallbacks go through.
-    fn csr(&self) -> &Csr;
-
-    /// The binary CSR view of `Aᵀ`, built and cached on first use.
-    fn csr_t(&self) -> &Csr;
-
-    /// Run one single-vector product pipeline (`p.k == 1`):
-    /// `out[i] = p.finish(i, t[i])` where `t = A ⊕.⊗ p.x` (on `Aᵀ` with
-    /// `p.transpose`), in as few sweeps as the storage allows.  The backend
-    /// sizes `out` itself and draws its scratch from the workspace pool.
-    ///
-    /// * `p.frontier` is the direction: `None` is the dense pull sweep;
-    ///   `Some(active indices, ascending)` is the push scatter, which
-    ///   traverses only those entries' edges and walks the *opposite*
-    ///   representation from the pull sweep (a pure-push `vxm` traversal
-    ///   never builds `Aᵀ`).  The planner only requests push for
-    ///   [`Semiring::push_safe`] semirings.
-    /// * Empty `p.stages` and no `p.accum` is the bare (masked) product —
-    ///   what [`Fusion::NodeAtATime`](super::Fusion::NodeAtATime) and
-    ///   partially fused push shapes ask for.
-    /// * Anything else is a fused pipeline the planner proved fusable (see
-    ///   `grb::plan`); [`MxvPipeline::finish`] is the single definition of
-    ///   its store semantics.
-    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
-
-    /// Run one batched product pipeline — [`mxv_into`] over `p.k` lanes:
-    /// `p.x` is a flat node-major `n × k` frontier matrix (`x[i*k + l]` =
-    /// node `i`, lane `l`), and **one** pass over the matrix applies each
-    /// edge to every lane.
-    ///
-    /// `p.frontier` lists, in ascending order, the *node* indices with at
-    /// least one lane differing from the semiring identity; only those
-    /// nodes' edges are traversed and each edge scatters all `k` lane
-    /// non-identity lane contributions at once.  The planner hands this
-    /// entry point the bare product (the shape's `FUSES_INTO_SWEEP` is
-    /// `false`) and one fused shape: a push whose monoid accumulator the
-    /// scatter can fold ([`MxvPipeline::push_folds_accum`] — the built-in
-    /// backends seed the output with the baseline and scatter straight into
-    /// it).  Any other pipeline a backend is handed it may finish with one
-    /// [`MxvPipeline::finish_in_place`] pass over the flat output, which is
-    /// always correct.
-    ///
-    /// [`mxv_into`]: GrbBackend::mxv_into
-    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
-
-    /// `Σ_{(i,j) ∈ mask} (A · B)[i][j]` over the arithmetic semiring — the
-    /// Triangle Counting primitive — or `A · Bᵀ` with `transpose_b`, the
-    /// orientation the kernels run in (they intersect rows of `A` with rows
-    /// of the second factor's transpose, so `transpose_b` reads `b` itself
-    /// and the plain product reads its cached transpose).  `b` and `mask`
-    /// may be any backend; the implementation downcasts and counts over the
-    /// CSR views when the concrete types (or tile sizes) differ.  The caller
-    /// checks the shapes.
-    fn mxm_reduce_masked(
-        &self,
-        b: &dyn GrbBackend,
-        mask: &dyn GrbBackend,
-        transpose_b: bool,
-    ) -> f64;
-
-    /// Storage bytes of the backend's primary representation: a
-    /// [`BitB2sr`]'s B2SR tiles when it holds them (its CSR, which every
-    /// matrix holds, is not counted then), its CSR otherwise.
-    fn storage_bytes(&self) -> usize;
-
-    /// A new backend of the same kind holding `Aᵀ`.
-    fn transpose_view(&self) -> Box<dyn GrbBackend>;
-
-    /// Downcast support for cross-backend negotiation.
-    fn as_any(&self) -> &dyn Any;
-}
-
-/// `mxm_reduce_masked` over the CSR views: the product of every operand
-/// triple that is not three [`BitB2sr`]s tiled alike — a matrix without
-/// tiles, a [`DeltaOverlay`](crate::delta::DeltaOverlay), mixed backends or
-/// tile sizes.  `spgemm_masked_count` takes its
-/// second operand as the second factor's transpose stored by rows: `b`'s
-/// transpose CSR for `A · B`, `b`'s own CSR for `A · Bᵀ`.  Every backend's
-/// `csr()` is all-ones, so the exact count is the sum of `1.0 · 1.0`
-/// products the arithmetic semiring would form.
-pub(crate) fn csr_mxm_reduce_masked(
-    a: &dyn GrbBackend,
-    b: &dyn GrbBackend,
-    mask: &dyn GrbBackend,
-    transpose_b: bool,
-) -> f64 {
-    let bt = if transpose_b { b.csr() } else { b.csr_t() };
-    float_ops::spgemm_masked_count(a.csr(), bt, mask.csr())
-        .expect("operand dimensions checked by the caller") as f64
-}
-
-/// `b`'s CSR, or `Aᵀ`'s iff `transposed`: the representation a row pull
-/// reads, and a full-precision push scatters for the opposite flag.
-fn csr_rep(b: &dyn GrbBackend, transposed: bool) -> &Csr {
-    if transposed {
-        b.csr_t()
-    } else {
-        b.csr()
-    }
+/// The masked product reduction over CSR views: `Σ_{(i,j) ∈ mask} (A ·
+/// B)[i][j]` with `bt` the second factor's transpose stored by rows (`B`'s
+/// transpose CSR for `A · B`, `B`'s own CSR for `A · Bᵀ`) — what
+/// `spgemm_masked_count` takes.  The product of every operand triple that is
+/// not three [`BitB2sr`]s tiled alike: a matrix without tiles, one with
+/// pending deltas (its merged views), mixed tile sizes.  Every CSR a matrix
+/// holds is all-ones, so the exact count is the sum of `1.0 · 1.0` products
+/// the arithmetic semiring would form.
+pub(crate) fn csr_mxm_reduce_masked(a: &Csr, bt: &Csr, mask: &Csr) -> f64 {
+    float_ops::spgemm_masked_count(a, bt, mask).expect("operand dimensions checked by the caller")
+        as f64
 }
 
 /// `csr` as the all-ones CSR a backend holds: a clone when it already is one.
@@ -343,7 +219,7 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// and any width but B2SR-8 end to end.
 pub const MIN_TILE_FILL: usize = 4;
 
-/// The built-in backend: the binary CSR every matrix holds (the interchange
+/// The built backend every matrix holds: the binary CSR (the interchange
 /// view, and what every full-precision product and every lane-word product
 /// reads) plus, under [`Backend::Bit`] at [`MIN_TILE_FILL`] bits per tile
 /// or more, B2SR tiles and the two bit kernels that read them: the node-word
@@ -459,15 +335,157 @@ impl BitB2sr {
         self.tiles.as_ref().map(|t| t.rep(true))
     }
 
+    /// The resolved backend kind (never [`Backend::Auto`]).
+    pub fn kind(&self) -> Backend {
+        self.kind
+    }
+
+    /// Number of rows.
+    pub fn nrows(&self) -> usize {
+        self.csr.nrows()
+    }
+
+    /// Number of columns.
+    pub fn ncols(&self) -> usize {
+        self.csr.ncols()
+    }
+
+    /// Number of stored edges.
+    pub fn nnz(&self) -> usize {
+        self.csr.nnz()
+    }
+
+    /// The binary CSR view: every matrix holds it, and it is what every
+    /// full-precision and every lane-word product reads.
+    pub fn csr(&self) -> &Csr {
+        &self.csr
+    }
+
+    /// The binary CSR view of `Aᵀ`, built and cached on first use.
+    pub fn csr_t(&self) -> &Csr {
+        self.csr_t.get_or_init(|| self.csr.transpose())
+    }
+
+    /// The CSR of `A`, or of `Aᵀ` iff `transposed`: the representation a row
+    /// pull reads, and a push scatters for the opposite flag.
+    fn csr_rep(&self, transposed: bool) -> &Csr {
+        if transposed {
+            self.csr_t()
+        } else {
+            &self.csr
+        }
+    }
+
+    /// Storage bytes of the primary representation: the B2SR tiles when the
+    /// matrix holds them (its CSR, which every matrix holds, is not counted
+    /// then), its CSR otherwise.
+    pub fn storage_bytes(&self) -> usize {
+        self.b2sr()
+            .map_or_else(|| self.csr.storage_bytes(), B2srMatrix::storage_bytes)
+    }
+
+    /// A backend of the same kind holding `Aᵀ`: the cached transposes become
+    /// the views, tiles included.
+    pub fn transpose_view(&self) -> BitB2sr {
+        BitB2sr {
+            kind: self.kind,
+            csr: self.csr_t().clone(),
+            csr_t: OnceLock::from(self.csr.clone()),
+            tiles: self.tiles.as_ref().map(Tiles::transposed),
+        }
+    }
+
+    /// Run one single-vector product pipeline (`p.k == 1`):
+    /// `out[i] = p.finish(i, t[i])` where `t = A ⊕.⊗ p.x` (on `Aᵀ` with
+    /// `p.transpose`), in as few sweeps as the storage allows.  `out` is
+    /// sized here and scratch comes from the workspace pool.
+    ///
+    /// * `p.frontier` is the direction: `None` is the dense pull sweep;
+    ///   `Some(active indices, ascending)` is the push scatter, which
+    ///   traverses only those entries' edges and walks the *opposite*
+    ///   representation from the pull sweep (a pure-push `vxm` traversal
+    ///   never builds `Aᵀ`).  The planner only requests push for
+    ///   [`Semiring::push_safe`] semirings.
+    /// * Empty `p.stages` and no `p.accum` is the bare (masked) product —
+    ///   what [`Fusion::NodeAtATime`](super::Fusion::NodeAtATime) and
+    ///   partially fused push shapes ask for.
+    /// * Anything else is a fused pipeline the planner proved fusable (see
+    ///   `grb::plan`); [`MxvPipeline::finish`] is the single definition of
+    ///   its store semantics.
+    ///
+    /// The Boolean semiring on a `Backend::Bit` matrix runs in node words;
+    /// every other product reads the CSR — the row pull, or the serial
+    /// scatter.
+    pub fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        match p.frontier {
+            _ if p.semiring == Semiring::Boolean && matches!(self.kind, Backend::Bit(_)) => {
+                self.boolean_vector(p, ws, out)
+            }
+            Some(frontier) => csr_push_vector(self.csr_rep(!p.transpose), p, frontier, out),
+            None => csr_pull(self.csr_rep(p.transpose), p, out),
+        }
+    }
+
+    /// Run one batched product pipeline — [`mxv_into`](Self::mxv_into) over
+    /// `p.k` lanes: `p.x` is a flat node-major `n × k` frontier matrix
+    /// (`x[i*k + l]` = node `i`, lane `l`), and **one** pass over the matrix
+    /// applies each edge to every lane.
+    ///
+    /// `p.frontier` lists, in ascending order, the *node* indices with at
+    /// least one lane differing from the semiring identity; only those
+    /// nodes' edges are traversed, and the scatter folds a node's
+    /// non-identity lanes only.  The planner hands this entry point the bare
+    /// product (the shape's `FUSES_INTO_SWEEP` is `false`) and one fused
+    /// shape: a push whose monoid accumulator the scatter can fold
+    /// ([`MxvPipeline::push_folds_accum`] — the output is seeded with the
+    /// baseline and the scatter folds straight into it).  Any other pipeline
+    /// finishes with one [`MxvPipeline::finish_in_place`] pass over the flat
+    /// output.
+    pub fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        match p.frontier {
+            _ if p.semiring == Semiring::Boolean && matches!(self.kind, Backend::Bit(_)) => {
+                self.boolean_batch(p, ws, out)
+            }
+            Some(frontier) => csr_push_batch(self.csr_rep(!p.transpose), p, frontier, out),
+            None => csr_mxm_pull(self.csr_rep(p.transpose), p, out),
+        }
+    }
+
+    /// `Σ_{(i,j) ∈ mask} (A · B)[i][j]` over the arithmetic semiring — the
+    /// Triangle Counting primitive — or `A · Bᵀ` with `transpose_b`, the
+    /// orientation the kernels run in (they intersect rows of `A` with rows
+    /// of the second factor's transpose, so `transpose_b` reads `b` itself
+    /// and the plain product reads its cached transpose).  Three operands
+    /// tiled at one size intersect tiles ([`bmm_bin_bin_sum_masked_nt`]);
+    /// any other triple counts over the CSR views
+    /// (`ops::spgemm_masked_count`).  The caller checks the shapes.
+    pub fn mxm_reduce_masked(&self, b: &BitB2sr, mask: &BitB2sr, transpose_b: bool) -> f64 {
+        let count = || {
+            let bt = b.csr_rep(!transpose_b);
+            csr_mxm_reduce_masked(&self.csr, bt, &mask.csr)
+        };
+        let (Some(at), Some(bt), Some(mt)) = (&self.tiles, &b.tiles, &mask.tiles) else {
+            return count();
+        };
+        // The kernel reads the second factor's transpose by rows.
+        let bt = bt.rep(!transpose_b);
+        with_b2sr!(&at.b2sr, |a| {
+            match (bt.inner(a.tile_dim()), mt.b2sr.inner(a.tile_dim())) {
+                (Some(bt), Some(m)) => bmm_bin_bin_sum_masked_nt(a, bt, m) as f64,
+                _ => count(),
+            }
+        })
+    }
+
     /// The batched Boolean product in lane words, `yw = (A ⊕.⊗ xw) &
     /// !excluded` (on `Aᵀ` with `transpose`): `xw` and `excluded` hold
     /// `k.div_ceil(64)` words per node ([`LaneBits`](super::LaneBits)'s
     /// layout), `frontier` is `mxm_into`'s — `Some(ascending nodes holding a
-    /// set lane)` for push — and `yw` is a pooled buffer sized here.  Not a
-    /// trait method: the op layer ([`Op::mxm_lanes`](super::Op::mxm_lanes))
-    /// finds it by downcast on a `Backend::Bit` matrix, and the `f32` Boolean
-    /// arm of `mxm_into` ([`boolean_batch`](Self::boolean_batch)) runs it
-    /// between a pack and an expand.  Tiled or not, it runs
+    /// set lane)` for push — and `yw` is a pooled buffer sized here.  The op
+    /// layer ([`Op::mxm_lanes`](super::Op::mxm_lanes)) runs it on a
+    /// `Backend::Bit` matrix, and the `f32` Boolean arm of `mxm_into`
+    /// ([`boolean_batch`](Self::boolean_batch)) runs it between a pack and an
+    /// expand.  Tiled or not, it runs
     /// [`csr_lanes_pull`] on `csr_rep(transpose)` or scatters
     /// [`csr_lanes_push`] serially from `csr_rep(!transpose)`: the lane
     /// products lose to the CSR even on dense tiles ([`MIN_TILE_FILL`]).
@@ -482,14 +500,14 @@ impl BitB2sr {
     ) {
         match frontier {
             Some(frontier) => {
-                let csr = csr_rep(self, !transpose);
+                let csr = self.csr_rep(!transpose);
                 let wpn = lane_words_per_node(k);
                 or_into(yw, csr.ncols() * wpn, excluded, |y| {
                     csr_lanes_push(csr, frontier, xw, wpn, y)
                 })
             }
             None => {
-                let csr = csr_rep(self, transpose);
+                let csr = self.csr_rep(transpose);
                 yw.clear();
                 yw.resize(csr.nrows() * lane_words_per_node(k), 0);
                 csr_lanes_pull(csr, xw, k, excluded, yw);
@@ -502,7 +520,7 @@ impl BitB2sr {
     /// [`NodeBits`](super::NodeBits)' layout, `frontier` is `mxv_into`'s —
     /// `Some(ascending set indices of xw)` for push, which reads no `xw` —
     /// and `yw` is a pooled buffer sized here.
-    /// [`lane_product`](Self::lane_product)'s one-bit sibling, found the same
+    /// [`lane_product`](Self::lane_product)'s one-bit sibling, run the same
     /// way ([`Op::vxm_bits`](super::Op::vxm_bits)); the `f32` Boolean arm of
     /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
     /// a pack and an expand.  The one product tiles serve beside the masked
@@ -525,7 +543,7 @@ impl BitB2sr {
                 ))
             }
             (Some(frontier), None) => {
-                let csr = csr_rep(self, !transpose);
+                let csr = self.csr_rep(!transpose);
                 or_into(yw, csr.ncols().div_ceil(64), excluded, |y| {
                     csr_bits_push(csr, frontier, y)
                 })
@@ -534,7 +552,7 @@ impl BitB2sr {
                 with_b2sr!(tiles.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw))
             }
             (None, None) => {
-                let csr = csr_rep(self, transpose);
+                let csr = self.csr_rep(transpose);
                 yw.clear();
                 yw.resize(csr.nrows().div_ceil(64), 0);
                 csr_bits_pull(csr, xw, excluded, yw);
@@ -741,94 +759,6 @@ fn bits_push<W: BitWord + Poolable>(
     ws.give(tiles);
 }
 
-impl GrbBackend for BitB2sr {
-    fn kind(&self) -> Backend {
-        self.kind
-    }
-
-    fn nrows(&self) -> usize {
-        self.csr.nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.csr.ncols()
-    }
-
-    fn nnz(&self) -> usize {
-        self.csr.nnz()
-    }
-
-    fn csr(&self) -> &Csr {
-        &self.csr
-    }
-
-    fn csr_t(&self) -> &Csr {
-        self.csr_t.get_or_init(|| self.csr.transpose())
-    }
-
-    fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
-            _ if p.semiring == Semiring::Boolean && matches!(self.kind, Backend::Bit(_)) => {
-                self.boolean_vector(p, ws, out)
-            }
-            Some(frontier) => csr_push_vector(csr_rep(self, !p.transpose), p, frontier, out),
-            None => csr_pull(csr_rep(self, p.transpose), p, out),
-        }
-    }
-
-    fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-        match p.frontier {
-            _ if p.semiring == Semiring::Boolean && matches!(self.kind, Backend::Bit(_)) => {
-                self.boolean_batch(p, ws, out)
-            }
-            Some(frontier) => csr_push_batch(csr_rep(self, !p.transpose), p, frontier, out),
-            None => csr_mxm_pull(csr_rep(self, p.transpose), p, out),
-        }
-    }
-
-    fn mxm_reduce_masked(
-        &self,
-        b: &dyn GrbBackend,
-        mask: &dyn GrbBackend,
-        transpose_b: bool,
-    ) -> f64 {
-        // The one-call bit path needs all three operands tiled at the same
-        // size; anything else counts over the CSRs.
-        fn tiles(o: &dyn GrbBackend) -> Option<&Tiles> {
-            o.as_any().downcast_ref::<BitB2sr>()?.tiles.as_ref()
-        }
-        let (Some(at), Some(bt), Some(mt)) = (self.tiles.as_ref(), tiles(b), tiles(mask)) else {
-            return csr_mxm_reduce_masked(self, b, mask, transpose_b);
-        };
-        // The kernel reads the second factor's transpose by rows.
-        let bt = bt.rep(!transpose_b);
-        with_b2sr!(&at.b2sr, |a| {
-            match (bt.inner(a.tile_dim()), mt.b2sr.inner(a.tile_dim())) {
-                (Some(bt), Some(m)) => bmm_bin_bin_sum_masked_nt(a, bt, m) as f64,
-                _ => csr_mxm_reduce_masked(self, b, mask, transpose_b),
-            }
-        })
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.b2sr()
-            .map_or_else(|| self.csr.storage_bytes(), B2srMatrix::storage_bytes)
-    }
-
-    fn transpose_view(&self) -> Box<dyn GrbBackend> {
-        Box::new(BitB2sr {
-            kind: self.kind,
-            csr: self.csr_t().clone(),
-            csr_t: OnceLock::from(self.csr.clone()),
-            tiles: self.tiles.as_ref().map(Tiles::transposed),
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 /// The row pull of a single-vector pipeline over `csr`, bare or fused alike
 /// — every full-precision pull (and the float baseline's Boolean one), a
 /// one-lane batch's included ([`csr_mxm_pull`]).  Masked rows skip their
@@ -941,10 +871,10 @@ fn csr_push_batch(csr: &Csr, p: &MxvPipeline<'_>, frontier: &[usize], out: &mut 
 pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
-    use crate::grb::{Context, Direction, Fusion, Matrix, MultiVec, Op, Vector};
+    use crate::grb::{Context, Direction, Matrix, Op, Vector};
     use crate::semiring::BinaryOp;
     use bitgblas_sparse::Coo;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn sample(n: usize, seed: u64) -> Csr {
         sample_coo(n, n, n * 4, seed).to_binary_csr()
@@ -992,8 +922,8 @@ pub(crate) mod tests {
         BitB2sr::of_kind(binary_copy(csr), kind, None).0
     }
 
-    /// The bare pull product `A ⊕.⊗ x` through the trait.
-    fn product(b: &dyn GrbBackend, x: &[f32], semiring: Semiring) -> Vec<f32> {
+    /// The bare pull product `A ⊕.⊗ x`.
+    fn product(b: &BitB2sr, x: &[f32], semiring: Semiring) -> Vec<f32> {
         let p = MxvPipeline {
             x,
             k: 1,
@@ -1007,12 +937,6 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         b.mxv_into(&p, &Workspace::new(), &mut out);
         out
-    }
-
-    /// Whether a built matrix holds no tiles: `Some` on a [`BitB2sr`].
-    fn untiled(b: &dyn GrbBackend) -> Option<bool> {
-        let bit = b.as_any().downcast_ref::<BitB2sr>();
-        bit.map(|b| b.b2sr().is_none())
     }
 
     /// `csr`'s `Backend::Bit(ts)` backend with the tile choice forced: the
@@ -1030,20 +954,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn backends_agree_through_the_trait_object() {
+    fn backend_kinds_agree_on_the_product() {
         // A scattered graph, which holds no tiles, and a banded one, which
         // holds them.
         for (csr, hypersparse) in [(sample(70, 5), true), (banded(70, 6), false)] {
             let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32).collect();
-            let backends: Vec<Box<dyn GrbBackend>> = vec![
-                Box::new(float_csr(&csr)),
-                Box::new(bit_b2sr(&csr, TileSize::S4)),
-                Box::new(bit_b2sr(&csr, TileSize::S8)),
+            let backends = [
+                float_csr(&csr),
+                bit_b2sr(&csr, TileSize::S4),
+                bit_b2sr(&csr, TileSize::S8),
             ];
-            let reference = product(&*backends[0], &x, Semiring::Arithmetic);
+            let reference = product(&backends[0], &x, Semiring::Arithmetic);
             for b in &backends[1..] {
-                assert_eq!(untiled(&**b), Some(hypersparse), "{:?}", b.kind());
-                let got = product(&**b, &x, Semiring::Arithmetic);
+                assert_eq!(b.b2sr().is_none(), hypersparse, "{:?}", b.kind());
+                let got = product(b, &x, Semiring::Arithmetic);
                 for (g, r) in got.iter().zip(&reference) {
                     assert!((g - r).abs() < 1e-4, "{:?}", b.kind());
                 }
@@ -1087,10 +1011,10 @@ pub(crate) mod tests {
                     let what = format!("{ts:?}: {fill} bits per tile");
                     assert_eq!(m.b2sr().is_some(), tiled, "{what}");
                     assert_eq!(m.resolved_backend(), Backend::Bit(ts), "{what}");
-                    let t = m.state().transpose_view();
+                    let t = m.transpose();
                     assert_eq!(
-                        (untiled(&*t), t.kind()),
-                        (Some(!tiled), m.resolved_backend())
+                        (t.b2sr().is_some(), t.resolved_backend()),
+                        (tiled, m.resolved_backend())
                     );
                     assert_eq!(m.clone().b2sr().is_some(), tiled, "{what}");
                     let n = m.nrows();
@@ -1388,7 +1312,7 @@ pub(crate) mod tests {
                 let base: Vec<f32> = (0..produced * k)
                     .map(|f| hostile[f % hostile.len()])
                     .collect();
-                let run = |b: &dyn GrbBackend, push: bool| {
+                let run = |b: &BitB2sr, push: bool| {
                     let p = MxvPipeline {
                         x: &x,
                         k,
@@ -1406,7 +1330,7 @@ pub(crate) mod tests {
                     }
                     out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
                 };
-                for b in [&bit as &dyn GrbBackend, &float] {
+                for b in [&bit, &float] {
                     let (pull, push) = (run(b, false), run(b, true));
                     for f in (0..produced * k).filter(|&f| untouched[f]) {
                         let what = format!("{:?} {semiring:?} {transpose} k={k} at {f}", b.kind());
@@ -1473,8 +1397,8 @@ pub(crate) mod tests {
     }
 
     /// Direct coverage of the `csr_mxm_reduce_masked` fallback: every
-    /// mixed-backend operand combination must produce the same triangle sum
-    /// as the tile kernel, straight through the free function (not just
+    /// mixed-kind operand combination must produce the same triangle sum as
+    /// the tile kernel, straight through the free function (not just
     /// incidentally via TC parity runs) — in both orientations of the second
     /// operand (`L · (Lᵀ)` and `L · (L)ᵀ`) — on an `L` that holds tiles and
     /// on one (under 4 bits per tile) that does not.
@@ -1498,8 +1422,8 @@ pub(crate) mod tests {
             assert_eq!(a_bit.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
 
             // (a, b for `A · B`, b for `A · Bᵀ`, mask)
-            type Dyn<'a> = &'a dyn GrbBackend;
-            let combos: [(Dyn, Dyn, Dyn, Dyn, &str); 5] = [
+            type B<'a> = &'a BitB2sr;
+            let combos: [(B, B, B, B, &str); 5] = [
                 (&a_f, &b_f, &a_f, &a_f, "float/float/float"),
                 (&a_bit, &b_f, &a_f, &a_f, "bit/float/float"),
                 (&a_f, &b_bit, &a_bit, &a_f, "float/bit/float"),
@@ -1508,19 +1432,19 @@ pub(crate) mod tests {
             ];
             for (a, b, b_nt, m, what) in combos {
                 assert_eq!(
-                    csr_mxm_reduce_masked(a, b, m, false),
+                    csr_mxm_reduce_masked(a.csr(), b.csr_t(), m.csr()),
                     expected,
                     "fallback diverges for {what}"
                 );
                 assert_eq!(
-                    csr_mxm_reduce_masked(a, b_nt, m, true),
+                    csr_mxm_reduce_masked(a.csr(), b_nt.csr(), m.csr()),
                     expected,
                     "transposed-b fallback diverges for {what}"
                 );
             }
 
-            // The trait entry point routes mixed operands through the
-            // fallback and must agree too.
+            // The method routes mixed operands through the fallback and
+            // must agree too.
             assert_eq!(a_bit.mxm_reduce_masked(&b_f, &a_bit, false), expected);
             assert_eq!(a_f.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
             assert_eq!(a_bit.mxm_reduce_masked(&a_f, &a_bit, true), expected);
@@ -1557,10 +1481,7 @@ pub(crate) mod tests {
         coo.push_edge(5, 1).unwrap();
         coo.push_edge(0, 3).unwrap();
         let csr = coo.to_binary_csr();
-        for backend in [
-            Box::new(bit_b2sr(&csr, TileSize::S4)) as Box<dyn GrbBackend>,
-            Box::new(float_csr(&csr)) as Box<dyn GrbBackend>,
-        ] {
+        for backend in [bit_b2sr(&csr, TileSize::S4), float_csr(&csr)] {
             let t = backend.transpose_view();
             assert_eq!(t.nrows(), 4);
             assert_eq!(t.ncols(), 6);
@@ -1572,6 +1493,10 @@ pub(crate) mod tests {
 
     /// A matrix clone shares the built backend — kind, contents and lazy
     /// views alike — under a context and a mutation history of its own.
+    /// The one `BitB2sr` a version cell holds is what its handles read: the
+    /// matrix, a snapshot with an empty log, a clone of either and the base
+    /// under a pending overlay hold it (so storage is never copied); a
+    /// compaction's new base is another.
     #[test]
     fn matrix_clone_shares_the_backend_and_keeps_kind_and_contents() {
         let csr = sample(30, 11);
@@ -1584,137 +1509,25 @@ pub(crate) mod tests {
             assert_eq!(c.b2sr().is_some(), kind != Backend::FloatCsr);
             c.insert_edge(0, 1).unwrap();
             assert_eq!((a.delta_len(), c.delta_len()), (0, 1));
-        }
-    }
 
-    /// A backend defined outside this crate is a page: it implements the
-    /// required methods — here by forwarding to the float baseline and
-    /// counting the two product entry points — and every `Op` shape reaches
-    /// it through exactly those.
-    #[derive(Debug)]
-    pub(crate) struct Spy {
-        inner: BitB2sr,
-        mxv_calls: AtomicUsize,
-        mxm_calls: AtomicUsize,
-    }
-
-    impl Spy {
-        pub(crate) fn new(csr: &Csr) -> Self {
-            Spy {
-                inner: float_csr(csr),
-                mxv_calls: AtomicUsize::new(0),
-                mxm_calls: AtomicUsize::new(0),
+            let idle = a.snapshot();
+            let pending = c.snapshot();
+            assert!(idle.overlay().is_none() && pending.overlay().is_some());
+            let idle_clone = idle.matrix().clone();
+            for shared in [&c, idle.matrix(), &*idle.clone(), &idle_clone] {
+                assert!(Arc::ptr_eq(a.base(), shared.base()), "{kind:?}");
             }
-        }
-    }
+            assert!(Arc::ptr_eq(a.base(), pending.base()), "under the overlay");
+            assert!(std::ptr::eq(a.csr(), pending.base().csr()));
 
-    impl GrbBackend for Spy {
-        fn kind(&self) -> Backend {
-            self.inner.kind()
+            c.compact(c.context()).unwrap();
+            let compacted = c.snapshot();
+            assert!(compacted.overlay().is_none());
+            assert!(!Arc::ptr_eq(a.base(), compacted.base()), "a new base");
+            assert_eq!(compacted.csr(), pending.csr());
+            // The pinned pending view still reads the old base.
+            assert!(Arc::ptr_eq(a.base(), pending.base()));
         }
-        fn nrows(&self) -> usize {
-            self.inner.nrows()
-        }
-        fn ncols(&self) -> usize {
-            self.inner.ncols()
-        }
-        fn nnz(&self) -> usize {
-            self.inner.nnz()
-        }
-        fn csr(&self) -> &Csr {
-            self.inner.csr()
-        }
-        fn csr_t(&self) -> &Csr {
-            self.inner.csr_t()
-        }
-        fn mxv_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-            self.mxv_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.mxv_into(p, ws, out);
-        }
-        fn mxm_into(&self, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
-            self.mxm_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.mxm_into(p, ws, out);
-        }
-        fn mxm_reduce_masked(
-            &self,
-            b: &dyn GrbBackend,
-            mask: &dyn GrbBackend,
-            transpose_b: bool,
-        ) -> f64 {
-            self.inner.mxm_reduce_masked(b, mask, transpose_b)
-        }
-        fn storage_bytes(&self) -> usize {
-            self.inner.storage_bytes()
-        }
-        fn transpose_view(&self) -> Box<dyn GrbBackend> {
-            Box::new(Spy::new(self.inner.csr_t()))
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    #[test]
-    fn op_layer_reaches_an_external_backend_through_the_required_methods() {
-        let csr = sample(36, 101);
-        let ctx = Context::default();
-        let external = Matrix::from_backend(Box::new(Spy::new(&csr)));
-        let reference = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
-        let spy = |m: &Matrix| -> (usize, usize) {
-            let s = m.state().as_any().downcast_ref::<Spy>().unwrap();
-            (
-                s.mxv_calls.load(Ordering::Relaxed),
-                s.mxm_calls.load(Ordering::Relaxed),
-            )
-        };
-
-        // Single-vector: mxv and vxm, both directions, bare / fused /
-        // node-at-a-time — one `mxv_into` call each, results as built in.
-        let x = Vector::indicator(36, &[0, 5, 11]);
-        let dist = Vector::from_vec((0..36).map(|i| (i % 5) as f32).collect());
-        let mut expected_calls = 0;
-        for dir in [Direction::Push, Direction::Pull] {
-            for fusion in [Fusion::Fused, Fusion::NodeAtATime] {
-                let run = |m: &Matrix| {
-                    let bare = Op::vxm(&x, m).direction(dir).fusion(fusion).run(&ctx);
-                    let chain = Op::mxv(m, &dist)
-                        .semiring(Semiring::MinPlus(1.0))
-                        .direction(dir)
-                        .fusion(fusion)
-                        .affine(2.0, 1.0)
-                        .accum(BinaryOp::Min, &dist)
-                        .run(&ctx);
-                    (bare, chain)
-                };
-                assert_eq!(run(&external), run(&reference), "{dir:?} {fusion:?}");
-                expected_calls += 2;
-            }
-        }
-        assert_eq!(spy(&external), (expected_calls, 0));
-
-        // Batched: one `mxm_into` call per op, flat per-lane mask included.
-        let mv = MultiVec::from_sources(36, &[0, 5, 11]);
-        let mask = Mask::new((0..36 * 3).map(|f| f % 4 != 1).collect());
-        for dir in [Direction::Push, Direction::Pull] {
-            for transpose in [false, true] {
-                let run = |m: &Matrix| {
-                    let mut op = Op::mxm(m, &mv)
-                        .semiring(Semiring::Boolean)
-                        .mask(&mask)
-                        .direction(dir);
-                    if transpose {
-                        op = op.transpose();
-                    }
-                    op.run(&ctx)
-                };
-                assert_eq!(
-                    run(&external),
-                    run(&reference),
-                    "{dir:?} transpose={transpose}"
-                );
-            }
-        }
-        assert_eq!(spy(&external), (expected_calls, 4));
     }
 
     /// The node-word push's tile scatter on a rectangular matrix ORs the

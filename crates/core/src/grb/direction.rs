@@ -106,21 +106,17 @@ fn scatter_alpha(pull_threads: usize) -> f64 {
 ///   whatever lanes are set, against a sweep doing the same per edge, so the
 ///   lane factor cancels and `frontier_nnz = nodes`:
 ///   `nodes · d̄ · α < nnz + n`;
-/// * **full-precision batch on a lane-sparse scatter** — the built-in
-///   backends' scatter folds only a node's non-identity lanes per out-edge
+/// * **full-precision batch** — the scatter folds only a node's
+///   non-identity lanes per out-edge
 ///   (`kernels::csr_push_full`) while the sweep folds all `k` lanes of
 ///   every edge, so push costs `entries · d̄ · α` against pull's
 ///   `(nnz + n) · k`; dividing by `k`, `frontier_nnz = entries / k`:
 ///   `(entries / k) · d̄ · α < nnz + n`.  Sixty-four SSSP lanes that each
 ///   changed 32 vertices push even when the union of those vertices is the
 ///   whole graph; the same union with every lane active (a PPR batch) pulls.
-///   A `DeltaOverlay` over a built-in backend is priced the same way: after
-///   the base's scatter it re-folds only the dirty positions an active entry
-///   reaches;
-/// * **full-precision batch on any other backend** — an external
-///   [`GrbBackend`](super::GrbBackend), whose scatter is not known to be
-///   lane-sparse.  Priced by nodes, like the Boolean batch:
-///   `nodes · d̄ · α < nnz + n`.
+///   A matrix with pending deltas is priced the same way: after the base's
+///   scatter its overlay re-folds only the dirty positions an active entry
+///   reaches.
 ///
 /// At `k = 1` all of these coincide, so a one-lane batch decides exactly
 /// as the vector does.
@@ -183,20 +179,17 @@ fn push_scan_budget(n: usize, nnz: usize, pull_threads: usize) -> usize {
 /// the count is past any push it stops, so a dense operand (a PageRank
 /// vector) costs a bounded prefix rather than a count and then a collect.
 /// On [`Direction::Push`] `frontier` is the complete push frontier and the
-/// returned size is exact; on [`Direction::Pull`] both are partial.
-/// `lane_sparse_scatter` says whether the backend's full-precision batched
-/// scatter folds active lanes only, i.e. whether such a product is priced
-/// by entries.  The caller has already ruled out a semiring that is not
-/// push-safe.
+/// returned size is exact; on [`Direction::Pull`] both are partial.  A
+/// full-precision product is priced by entries, a Boolean one by nodes.
+/// The caller has already ruled out a semiring that is not push-safe.
 pub(crate) fn scan_and_choose<V: Shape>(
     x: &V,
     semiring: Semiring,
-    lane_sparse_scatter: bool,
     nnz: usize,
     pull_threads: usize,
     frontier: &mut Vec<usize>,
 ) -> (Direction, FrontierSize) {
-    let by_entries = lane_sparse_scatter && semiring != Semiring::Boolean;
+    let by_entries = semiring != Semiring::Boolean;
     let scan = |stop_past| x.frontier_into(semiring, stop_past, frontier);
     scan_within_budget(x.shape(), semiring, by_entries, nnz, pull_threads, scan)
 }
@@ -338,7 +331,7 @@ mod tests {
     fn auto<V: Shape>(x: &V, semiring: Semiring, nnz: usize) -> (Direction, FrontierSize) {
         // A stale list: the scan replaces it.
         let mut list = vec![usize::MAX; 3];
-        let (direction, size) = scan_and_choose(x, semiring, true, nnz, 1, &mut list);
+        let (direction, size) = scan_and_choose(x, semiring, nnz, 1, &mut list);
         assert!(
             list.windows(2).all(|w| w[0] < w[1]),
             "ascending, no stale entry"
@@ -387,16 +380,6 @@ mod tests {
             few.set(900, l, 1.0);
         }
         assert_eq!(auto(&few, Semiring::Boolean, nnz).0, Direction::Push);
-        // A backend whose scatter is not lane-sparse prices the union.
-        let mut list = Vec::new();
-        let by_nodes = scan_and_choose(&sparse, min_plus, false, nnz, 1, &mut list);
-        assert_eq!(by_nodes.0, Direction::Pull);
-        let mut few = MultiVec::identity(n, k, min_plus);
-        for l in 0..k {
-            few.set(7, l, 1.0);
-        }
-        let by_nodes = scan_and_choose(&few, min_plus, false, nnz, 1, &mut list);
-        assert_eq!(by_nodes.0, Direction::Push);
     }
 
     #[test]

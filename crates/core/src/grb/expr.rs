@@ -76,7 +76,7 @@
 
 use crate::semiring::{BinaryOp, Semiring};
 
-use super::backend::GrbBackend;
+use super::backend::BitB2sr;
 use super::descriptor::{Descriptor, Mask};
 use super::error::GrbError;
 use super::matrix::Matrix;
@@ -229,13 +229,9 @@ pub(crate) mod shape {
             stop_past: FrontierSize,
             out: &mut Vec<usize>,
         ) -> FrontierSize;
-        /// Hand the pipeline to the backend entry point of this shape.
-        fn product_into(
-            state: &dyn GrbBackend,
-            p: &MxvPipeline<'_>,
-            ws: &Workspace,
-            out: &mut Vec<f32>,
-        );
+        /// Hand the pipeline to the built backend's entry point of this
+        /// shape.
+        fn product_into(base: &BitB2sr, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>);
         /// Count one resolved product (`{pull,push}_{mxv,mxm}`).
         fn record_product(stats: &ExecStats, push: bool);
         /// Plan and run a chain of this shape.  A per-shape method so the
@@ -289,13 +285,8 @@ impl shape::Shape for Vector {
             entries: out.len(),
         }
     }
-    fn product_into(
-        state: &dyn GrbBackend,
-        p: &MxvPipeline<'_>,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        state.mxv_into(p, ws, out);
+    fn product_into(base: &BitB2sr, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        base.mxv_into(p, ws, out);
     }
     fn record_product(stats: &ExecStats, push: bool) {
         stats.record_mxv(push);
@@ -355,13 +346,8 @@ impl shape::Shape for MultiVec {
             entries,
         }
     }
-    fn product_into(
-        state: &dyn GrbBackend,
-        p: &MxvPipeline<'_>,
-        ws: &Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        state.mxm_into(p, ws, out);
+    fn product_into(base: &BitB2sr, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
+        base.mxm_into(p, ws, out);
     }
     fn record_product(stats: &ExecStats, push: bool) {
         stats.record_mxm(push);

@@ -215,7 +215,7 @@ impl WordOps for LaneBits {
         let mut yw = ws.take_empty::<u64>();
         bit.lane_product(xw, self.k, frontier, excluded, transpose, &mut yw);
         if let Some(overlay) = overlay {
-            overlay.refold_dirty_words(xw, self.k, excluded, transpose, ws, &mut yw);
+            overlay.refold_dirty_words(bit, self, excluded, transpose, ws, &mut yw);
         }
         LaneBits::from_words(yw, produced, self.k)
     }

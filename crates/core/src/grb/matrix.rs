@@ -1,15 +1,15 @@
-//! The GrB-style matrix object with pluggable storage backend and
-//! versioned, snapshot-isolated mutation (PR 8).
+//! The GrB-style matrix object: a built backend, the overlay of its pending
+//! edge deltas, and versioned, snapshot-isolated mutation (PR 8).
 
 use std::sync::Arc;
 
 use bitgblas_sparse::Csr;
 
 use crate::b2sr::{B2srMatrix, TileSize};
-use crate::delta::{CompactReport, EdgeDelta, VersionCell};
+use crate::delta::{CompactReport, DeltaOverlay, EdgeDelta, VersionCell};
 
 use super::auto;
-use super::backend::{binary_copy, BitB2sr, GrbBackend};
+use super::backend::{binary_copy, BitB2sr};
 use super::error::GrbError;
 use super::op::Context;
 
@@ -42,13 +42,14 @@ impl Backend {
 
 /// A binary adjacency matrix held by the GraphBLAS-style layer.
 ///
-/// The matrix owns an [`Arc`]'d [`GrbBackend`] — the storage representation
-/// plus the kernels operating on it.  Construction with [`Backend::Bit`]
-/// builds the B2SR representation eagerly where its tiles fill (the
-/// "one-time conversion cost" the paper amortizes); [`Backend::Auto`] first
-/// runs the format-selection
-/// procedure of [`auto::auto_decision`].  Transposed representations are
-/// cached lazily inside the backend.
+/// The matrix reads a shared, built [`BitB2sr`] — the storage representation
+/// plus the kernels operating on it — and, when edge deltas are pending on
+/// it, the [`DeltaOverlay`] of those deltas.  Construction with
+/// [`Backend::Bit`] builds the B2SR representation eagerly where its tiles
+/// fill (the "one-time conversion cost" the paper amortizes);
+/// [`Backend::Auto`] first runs the format-selection procedure of
+/// [`auto::auto_decision`].  Transposed representations are cached lazily
+/// inside the backend.
 ///
 /// # Mutation and snapshot isolation (PR 8)
 ///
@@ -71,7 +72,11 @@ impl Backend {
 ///   only the tile-rows holding a dirty row re-tiled.
 pub struct Matrix {
     requested: Backend,
-    state: Arc<dyn GrbBackend>,
+    /// The built representation every product runs on first.
+    base: Arc<BitB2sr>,
+    /// The pending deltas this handle reads through, re-folded after each
+    /// product of `base`.
+    overlay: Option<Arc<DeltaOverlay>>,
     /// The context the matrix was constructed with; derived matrices
     /// ([`Matrix::lower_triangle`]) re-run auto selection against the same
     /// device profile and sampling parameters.  Snapshots share the `Arc`
@@ -85,24 +90,27 @@ impl std::fmt::Debug for Matrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Matrix")
             .field("requested", &self.requested)
-            .field("state", &self.state)
+            .field("base", &self.base)
+            .field("overlay", &self.overlay)
             .finish_non_exhaustive()
     }
 }
 
 impl Clone for Matrix {
-    /// An independent handle on the same graph: the clone shares the
-    /// backend state (a built backend is never mutated — its lazy views are
-    /// `OnceLock`s), restarts the context with an empty workspace pool, and
-    /// begins a fresh mutation history pinned at the shared state (pending
-    /// deltas of the original's version cell are *not* carried over — clone
-    /// a [`snapshot`](Matrix::snapshot) to capture them).
+    /// An independent handle on the same graph: the clone restarts the
+    /// context with an empty workspace pool and begins a fresh mutation
+    /// history from what this handle reads.  Without pending deltas that is
+    /// the shared built backend itself (a built backend is never mutated —
+    /// its lazy views are `OnceLock`s); a handle reading through pending
+    /// deltas starts its clone from a backend built of the merged CSR.
+    /// Deltas staged after this handle's view are *not* carried over —
+    /// clone a [`snapshot`](Matrix::snapshot) to capture them.
     fn clone(&self) -> Self {
-        Matrix::from_parts(
-            self.requested,
-            self.state.clone(),
-            Arc::new(Context::clone(&self.ctx)),
-        )
+        let base = match &self.overlay {
+            None => self.base.clone(),
+            Some(_) => Arc::new(self.rebuilt(self.csr().clone())),
+        };
+        Matrix::from_parts(self.requested, base, Arc::new(Context::clone(&self.ctx)))
     }
 }
 
@@ -124,7 +132,8 @@ impl Clone for Snapshot {
         Snapshot {
             matrix: Matrix {
                 requested: self.matrix.requested,
-                state: self.matrix.state.clone(),
+                base: self.matrix.base.clone(),
+                overlay: self.matrix.overlay.clone(),
                 ctx: self.matrix.ctx.clone(),
                 versions: self.matrix.versions.clone(),
             },
@@ -174,27 +183,27 @@ impl Matrix {
             Backend::Auto => auto::auto_decision(&bin, ctx).chosen,
             other => other,
         };
-        let (state, _) = BitB2sr::of_kind(bin, resolved, None);
-        Matrix::from_parts(backend, Arc::new(state), Arc::new(ctx.clone()))
+        let (base, _) = BitB2sr::of_kind(bin, resolved, None);
+        Matrix::from_parts(backend, Arc::new(base), Arc::new(ctx.clone()))
     }
 
-    /// Wrap an existing backend implementation (the extension point for
-    /// backends defined outside this crate).
-    pub fn from_backend(state: Box<dyn GrbBackend>) -> Self {
-        let ctx = Arc::new(Context::default());
-        Matrix::from_parts(state.kind(), Arc::from(state), ctx)
-    }
-
-    /// Assemble a matrix around `state` with a fresh version cell pinned at
-    /// that state (epoch 0, empty log).
-    fn from_parts(requested: Backend, state: Arc<dyn GrbBackend>, ctx: Arc<Context>) -> Matrix {
-        let versions = Arc::new(VersionCell::new(state.clone()));
+    /// Assemble a matrix around `base` with a fresh version cell pinned at
+    /// it (epoch 0, empty log).
+    fn from_parts(requested: Backend, base: Arc<BitB2sr>, ctx: Arc<Context>) -> Matrix {
+        let versions = Arc::new(VersionCell::new(base.clone()));
         Matrix {
             requested,
-            state,
+            base,
+            overlay: None,
             ctx,
             versions,
         }
+    }
+
+    /// A backend of this matrix's resolved kind built of `bin`, an all-ones
+    /// CSR of what this handle reads (or of its transpose).
+    fn rebuilt(&self, bin: Csr) -> BitB2sr {
+        BitB2sr::of_kind(bin, self.resolved_backend(), None).0
     }
 
     /// The context this matrix was constructed with.
@@ -204,17 +213,20 @@ impl Matrix {
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.state.nrows()
+        self.base.nrows()
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        self.state.ncols()
+        self.base.ncols()
     }
 
     /// Number of edges (stored entries) in this handle's pinned view.
     pub fn nnz(&self) -> usize {
-        self.state.nnz()
+        match &self.overlay {
+            Some(overlay) => overlay.nnz(&self.base),
+            None => self.base.nnz(),
+        }
     }
 
     /// The backend this matrix was requested with (possibly
@@ -225,23 +237,29 @@ impl Matrix {
 
     /// The backend actually executing operations (never [`Backend::Auto`]).
     pub fn resolved_backend(&self) -> Backend {
-        self.state.kind()
+        self.base.kind()
     }
 
-    /// The backend state: storage plus kernels.
-    pub fn state(&self) -> &dyn GrbBackend {
-        self.state.as_ref()
+    /// The built representation every product of this handle runs on first
+    /// (under the overlay, if any), as the matrix shares it.
+    pub(crate) fn base(&self) -> &Arc<BitB2sr> {
+        &self.base
     }
 
-    /// The backend state as the matrix shares it.
-    #[cfg(test)]
-    pub(crate) fn shared_state(&self) -> Arc<dyn GrbBackend> {
-        self.state.clone()
+    /// The pending deltas this handle reads through: `Some` for a snapshot
+    /// taken while the shared log held entries, `None` for a handle that
+    /// reads its built base directly.
+    pub fn overlay(&self) -> Option<&DeltaOverlay> {
+        self.overlay.as_deref()
     }
 
-    /// The binary CSR view (always available).
+    /// The binary CSR view (always available; merged on first use through
+    /// pending deltas).
     pub fn csr(&self) -> &Csr {
-        self.state.csr()
+        match &self.overlay {
+            Some(overlay) => overlay.csr(&self.base),
+            None => self.base.csr(),
+        }
     }
 
     /// The B2SR view, present only when a [`Backend::Bit`] matrix holds
@@ -250,24 +268,26 @@ impl Matrix {
     /// instead, which serves [`Matrix::csr`] but no B2SR view until the next
     /// [`compact`](Matrix::compact)).
     pub fn b2sr(&self) -> Option<&B2srMatrix> {
-        self.state
-            .as_any()
-            .downcast_ref::<BitB2sr>()
-            .and_then(BitB2sr::b2sr)
+        self.built().and_then(BitB2sr::b2sr)
     }
 
     /// The CSR view of `A^T`, built and cached on first use.
     pub fn csr_t(&self) -> &Csr {
-        self.state.csr_t()
+        match &self.overlay {
+            Some(overlay) => overlay.csr_t(&self.base),
+            None => self.base.csr_t(),
+        }
     }
 
     /// The B2SR view of `A^T`, built and cached on first use (bit backends
     /// that hold tiles only; see [`Matrix::b2sr`]).
     pub fn b2sr_t(&self) -> Option<&B2srMatrix> {
-        self.state
-            .as_any()
-            .downcast_ref::<BitB2sr>()
-            .and_then(BitB2sr::b2sr_t)
+        self.built().and_then(BitB2sr::b2sr_t)
+    }
+
+    /// The built base, iff this handle reads it directly (no pending deltas).
+    pub(crate) fn built(&self) -> Option<&BitB2sr> {
+        self.overlay.is_none().then_some(&*self.base)
     }
 
     /// Out-degree of every vertex (row nnz), used by PageRank.
@@ -280,7 +300,7 @@ impl Matrix {
     /// counted), the CSR of one that does not and of the float baseline,
     /// base + staged patches for overlays.
     pub fn storage_bytes(&self) -> usize {
-        self.state.storage_bytes()
+        self.base.storage_bytes() + self.overlay.as_ref().map_or(0, |o| o.storage_bytes())
     }
 
     /// Pin the latest published epoch: an immutable view of `base ⊕ log`
@@ -290,11 +310,12 @@ impl Matrix {
     /// cell (so `snapshot().snapshot()` re-pins the head, and mutations
     /// through the snapshot land in the same log).
     pub fn snapshot(&self) -> Snapshot {
-        let (state, epoch) = self.versions.head();
+        let (base, overlay, epoch) = self.versions.head();
         Snapshot {
             matrix: Matrix {
                 requested: self.requested,
-                state,
+                base,
+                overlay,
                 ctx: self.ctx.clone(),
                 versions: self.versions.clone(),
             },
@@ -391,13 +412,19 @@ impl Matrix {
         Matrix::from_binary_ctx(self.csr().lower_triangle(), self.requested, &self.ctx)
     }
 
-    /// A new matrix holding `A^T`, sharing the backend's cached transpose
-    /// representation instead of reconverting.  Starts its own mutation
-    /// history (mutating the transpose does not mutate the original).
+    /// A new matrix holding `A^T`, starting its own mutation history
+    /// (mutating the transpose does not mutate the original).  Without
+    /// pending deltas it takes the built backend's cached transpose
+    /// representations instead of reconverting; through pending deltas it
+    /// starts from a backend built of the merged transpose.
     pub fn transpose(&self) -> Matrix {
+        let base = match &self.overlay {
+            None => self.base.transpose_view(),
+            Some(_) => self.rebuilt(self.csr_t().clone()),
+        };
         Matrix::from_parts(
             self.requested,
-            Arc::from(self.state.transpose_view()),
+            Arc::new(base),
             Arc::new(Context::clone(&self.ctx)),
         )
     }

@@ -6,15 +6,15 @@
 //! element-wise ops with masks), and the framework decides how the adjacency
 //! matrix is stored and which kernel implements each operation.
 //!
-//! This module provides that layer around the [`GrbBackend`] trait — the
-//! pluggable storage/kernel interface — with three ways to pick a backend:
+//! This module provides that layer around one built storage type,
+//! [`BitB2sr`], with three ways to pick what it holds:
 //!
-//! * [`Backend::Bit`] — the adjacency matrix is stored in B2SR and the
-//!   operations run on the bit kernels of [`crate::kernels`] (the paper's
-//!   contribution), implemented by [`BitB2sr`];
-//! * [`Backend::FloatCsr`] — the adjacency matrix stays in 32-bit-float CSR
-//!   and every operation runs on `f32` over it (the GraphBLAST/cuSPARSE
-//!   stand-in baseline), implemented by the same [`BitB2sr`] without tiles;
+//! * [`Backend::Bit`] — the adjacency matrix is stored in B2SR where its
+//!   tiles fill and the operations run on the bit kernels of
+//!   [`crate::kernels`] (the paper's contribution);
+//! * [`Backend::FloatCsr`] — the adjacency matrix stays in CSR and every
+//!   operation runs on `f32` over it (the GraphBLAST/cuSPARSE stand-in
+//!   baseline): a [`BitB2sr`] without tiles;
 //! * [`Backend::Auto`] — the framework decides per matrix, combining the
 //!   Table-V pattern classifier, the Algorithm-1 sampling profile and the
 //!   memory-traffic model (see [`auto`]).
@@ -38,13 +38,13 @@
 //! The planner pattern-matches fusable shapes — mxv+mask+accum into one
 //! masked kernel sweep, apply/select folded into the consuming ewise pass,
 //! ewise chains collapsed into a single loop.  Every product reaches the
-//! backend as one [`MxvPipeline`] — through [`GrbBackend::mxv_into`] for a
-//! vector, [`GrbBackend::mxm_into`] for a multi-vector: the whole chain
-//! when it fuses, the bare product otherwise (and under
+//! built backend as one [`MxvPipeline`] — through [`BitB2sr::mxv_into`] for
+//! a vector, [`BitB2sr::mxm_into`] for a multi-vector: the whole chain when
+//! it fuses, the bare product otherwise (and under
 //! [`expr::Fusion::NodeAtATime`]), with the planner running the rest of the
-//! chain itself — so semantics never depend on what fused, and a backend
-//! (the delta overlay, or one defined outside this crate) has one product
-//! per operand shape to implement.  Pipelines draw all scratch from the
+//! chain itself — so semantics never depend on what fused.  A matrix with
+//! pending edge deltas runs the same call, then its delta overlay re-folds
+//! the dirty rows the operand reaches.  Pipelines draw all scratch from the
 //! context's [`Workspace`] pool and allocate nothing in steady state.
 //!
 //! # Batched multi-source traversal (frontier matrices)
@@ -101,7 +101,7 @@ pub mod vector;
 pub mod workspace;
 
 pub use auto::{auto_decision, AutoDecision, TileCandidate};
-pub use backend::{BitB2sr, GrbBackend};
+pub use backend::BitB2sr;
 pub use descriptor::{Descriptor, Mask};
 pub use direction::{choose_direction, Direction};
 pub use error::GrbError;

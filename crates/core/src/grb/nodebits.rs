@@ -185,7 +185,7 @@ impl WordOps for NodeBits {
         let mut yw = ws.take_empty::<u64>();
         bit.bits_product(xw, frontier, excluded, transpose, ws, &mut yw);
         if let Some(overlay) = overlay {
-            overlay.refold_dirty_bits(xw, excluded, transpose, ws, &mut yw);
+            overlay.refold_dirty_bits(bit, xw, excluded, transpose, ws, &mut yw);
         }
         NodeBits::from_words(yw, produced)
     }

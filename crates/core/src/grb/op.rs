@@ -54,6 +54,7 @@ use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
 use crate::faultinject::FaultInjector;
 use crate::semiring::{BinaryOp, Semiring};
 
+use super::backend::csr_mxm_reduce_masked;
 use super::descriptor::{Descriptor, Mask};
 use super::direction::Direction;
 use super::error::GrbError;
@@ -659,10 +660,11 @@ impl<'a, X: WordOperand, V: Operand> WordProductBuilder<'a, X, V> {
         self
     }
 
-    /// Run the product.  `Ok(None)` means the matrix's backend has no word
-    /// product — the float baseline, a backend defined outside this crate —
-    /// and nothing ran (no counter moved, no fail point was polled): run the
-    /// `f32` chain instead.  A bit backend has it built or read through
+    /// Run the product.  `Ok(None)` means the matrix has no word product —
+    /// it is the float baseline,
+    /// [`Backend::FloatCsr`](super::Backend::FloatCsr) — and nothing ran (no
+    /// counter moved, no fail point was polled): run the `f32` chain
+    /// instead.  A `Backend::Bit` matrix has it, built or read through
     /// pending deltas.
     /// `Ok(Some(next))` draws `next`'s buffer from the context's pool
     /// (`next.recycle(&ctx)` returns it).  Shape violations and an injected
@@ -698,8 +700,10 @@ impl MxmReduceBuilder<'_> {
         self
     }
 
-    /// Execute on the operands' backends (mixed backends fall back to the
-    /// CSR reference kernel).
+    /// Execute on the operands' backends: three operands tiled alike
+    /// intersect tiles, any other triple — mixed backends or tile sizes, a
+    /// matrix without tiles or with pending deltas — counts over the CSR
+    /// views.
     ///
     /// # Panics
     /// Panics on shape violations; [`MxmReduceBuilder::try_run`] is the
@@ -732,8 +736,14 @@ impl MxmReduceBuilder<'_> {
         let what = "mxm mask columns must equal the output columns";
         GrbError::check_len(what, cols, mask.ncols())?;
         ctx.workspace().stats().record_mxm_reduce();
-        Ok(a.state()
-            .mxm_reduce_masked(b.state(), mask.state(), transpose_b))
+        Ok(match (a.built(), b.built(), mask.built()) {
+            (Some(a), Some(b), Some(mask)) => a.mxm_reduce_masked(b, mask, transpose_b),
+            // Pending deltas: count over the merged CSR views.
+            _ => {
+                let bt = if transpose_b { b.csr() } else { b.csr_t() };
+                csr_mxm_reduce_masked(a.csr(), bt, mask.csr())
+            }
+        })
     }
 }
 
@@ -934,7 +944,6 @@ mod tests {
     use super::*;
     use crate::b2sr::TileSize;
     use crate::faultinject::{FailSpec, FaultAction, FaultPlan};
-    use crate::grb::backend::tests::Spy;
     use crate::grb::matrix::Backend;
     use bitgblas_sparse::{Coo, Csr};
 
@@ -1913,11 +1922,6 @@ mod tests {
         }
     }
 
-    /// … and through pending deltas it is, besides, the word product of a
-    /// rebuild, to the same per-call directions — on the snapshot and on its
-    /// `transpose_view`, with a log of duplicate inserts, an insert then
-    /// deleted, a delete of an absent edge, self-loops, a row emptied and an
-    /// empty row filled.
     /// A 53 × 38 pattern whose row 6 is empty, and a log over it with
     /// duplicate inserts, an insert then deleted, a delete of an absent edge,
     /// self-loops, a row emptied (11) and the empty row filled.
@@ -1947,8 +1951,9 @@ mod tests {
     }
 
     /// Run `check` on every tile size over [`hostile_rect_log`]'s pending
-    /// snapshot, its `transpose_view` and a rebuild of each, and require the
-    /// two to agree in what `check` returns.
+    /// snapshot, its transpose (a base built of the merged transpose) and a
+    /// rebuild of each, and require the two to agree in what `check`
+    /// returns.
     fn pending_equals_rebuilt<R: PartialEq + std::fmt::Debug>(
         check: impl Fn(&Matrix, &Context) -> R,
     ) {
@@ -1958,10 +1963,11 @@ mod tests {
             let live = Matrix::from_csr_ctx(&csr, Backend::Bit(ts), &ctx);
             live.apply_deltas(&log).unwrap();
             let snap = live.snapshot();
-            for view in [snap.matrix().clone(), snap.transpose()] {
+            let transposed = snap.transpose();
+            for view in [snap.matrix(), &transposed] {
                 let rebuilt = Matrix::from_csr_ctx(view.csr(), Backend::Bit(ts), &ctx);
                 assert_eq!(
-                    check(&view, &ctx),
+                    check(view, &ctx),
                     check(&rebuilt, &ctx),
                     "{ts:?} {}x{}",
                     view.nrows(),
@@ -1971,6 +1977,10 @@ mod tests {
         }
     }
 
+    /// … and through pending deltas it is, besides, the word product of a
+    /// rebuild, to the same per-call directions, with a log of duplicate
+    /// inserts, an insert then deleted, a delete of an absent edge,
+    /// self-loops, a row emptied and an empty row filled.
     #[test]
     fn mxm_lanes_through_pending_deltas_equals_a_rebuild_and_the_masked_boolean_mxm() {
         pending_equals_rebuilt(lane_products_equal_the_masked_boolean_mxm);
@@ -2013,9 +2023,8 @@ mod tests {
             "a rejected product does not run"
         );
 
-        // No word product: the float baseline — built or read through
-        // pending deltas — and an external backend.  Nothing runs and no fail
-        // point is polled …
+        // No word product: the float baseline, built or read through
+        // pending deltas.  Nothing runs and no fail point is polled …
         let plan =
             FaultPlan::new().with(FailSpec::always("grb.mxm_dispatch", FaultAction::Transient));
         let inj = std::sync::Arc::new(FaultInjector::new(1, plan));
@@ -2023,8 +2032,7 @@ mod tests {
         let float = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
         let float_pending = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
         float_pending.insert_edge(0, 0).unwrap();
-        let external = Matrix::from_backend(Box::new(Spy::new(&csr)));
-        for m in [&float, &*float_pending.snapshot(), &external] {
+        for m in [&float, &*float_pending.snapshot()] {
             assert_eq!(Op::mxm_lanes(m, &x).try_run(&ctx), Ok(None));
             // … while a wrong shape is still an error.
             assert!(Op::mxm_lanes(m, &x).transpose().try_run(&ctx).is_err());
@@ -2033,7 +2041,8 @@ mod tests {
         let c = ctx.stats();
         assert_eq!((c.pull_mxm, c.push_mxm), (0, 0));
         // … and the bit matrix polls it once per call, built or read through
-        // pending deltas: an overlay over a `BitB2sr` has the word product.
+        // pending deltas: a `Backend::Bit` base under an overlay has the
+        // word product.
         let pending = Matrix::from_csr_ctx(&csr, Backend::default_bit(), &ctx);
         pending.insert_edge(0, 0).unwrap();
         for m in [&a, &*pending.snapshot()] {
@@ -2213,9 +2222,8 @@ mod tests {
             "a rejected product does not run"
         );
 
-        // No word product: the float baseline — built or read through
-        // pending deltas — and an external backend.  Nothing runs and no fail
-        // point is polled …
+        // No word product: the float baseline, built or read through
+        // pending deltas.  Nothing runs and no fail point is polled …
         let plan = FaultPlan::new()
             .with(FailSpec::always("grb.mxv_dispatch", FaultAction::Transient))
             .with(FailSpec::always("grb.mxm_dispatch", FaultAction::Transient));
@@ -2224,8 +2232,7 @@ mod tests {
         let float = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
         let float_pending = Matrix::from_csr_ctx(&csr, Backend::FloatCsr, &ctx);
         float_pending.insert_edge(0, 0).unwrap();
-        let external = Matrix::from_backend(Box::new(Spy::new(&csr)));
-        for m in [&float, &*float_pending.snapshot(), &external] {
+        for m in [&float, &*float_pending.snapshot()] {
             assert_eq!(Op::vxm_bits(&x, m).try_run(&ctx), Ok(None));
             assert_eq!(Op::mxm_bits(m, &y).try_run(&ctx), Ok(None));
             // … while a wrong shape is still an error.

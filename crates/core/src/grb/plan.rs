@@ -7,11 +7,13 @@
 //!
 //! # Fusion rules
 //!
-//! Every product reaches the backend as an [`MxvPipeline`]: a
-//! single-vector one through [`GrbBackend::mxv_into`], a batched one
-//! (`k` lanes) through [`GrbBackend::mxm_into`].  One planner path
-//! (`execute_product`) serves both [`Operand`] shapes; what differs is a
-//! constant of the shape, `FUSES_INTO_SWEEP`.  For a
+//! Every product reaches the built backend as an [`MxvPipeline`]: a
+//! single-vector one through [`BitB2sr::mxv_into`], a batched one (`k`
+//! lanes) through [`BitB2sr::mxm_into`] — and, on a matrix with pending
+//! deltas, then the overlay's re-fold of the dirty rows the operand reaches
+//! (`DeltaOverlay::refold_dirty`).  One planner path (`execute_product`)
+//! serves both [`Operand`] shapes; what differs is a constant of the shape,
+//! `FUSES_INTO_SWEEP`.  For a
 //! single-vector chain the planner hands the backend the whole chain — one
 //! sweep — when the direction allows it:
 //!
@@ -56,8 +58,8 @@
 //! is identical for both paths: one scan of the operand builds the pooled
 //! push frontier and counts what
 //! [`choose_direction`](super::choose_direction) prices — entries for a
-//! full-precision batch on a backend whose scatter is lane-sparse, nodes
-//! otherwise; the scan stops early once the count is past any push — and
+//! full-precision batch, whose scatter is lane-sparse, nodes otherwise; the
+//! scan stops early once the count is past any push — and
 //! a push product adds those counts to
 //! [`ExecCounts::push_frontier_nodes`](super::ExecCounts) /
 //! `push_frontier_entries`.  Fused pipelines draw every scratch buffer
@@ -69,7 +71,7 @@ use crate::delta::DeltaOverlay;
 use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::semiring::{BinaryOp, Semiring};
 
-use super::backend::{BitB2sr, GrbBackend};
+use super::backend::BitB2sr;
 use super::descriptor::{Descriptor, Mask};
 use super::direction::{scan_and_choose, scan_and_choose_words, Direction};
 use super::error::GrbError;
@@ -98,8 +100,8 @@ fn poll_fail_point(ctx: &Context, point: &'static str) -> Result<(), GrbError> {
 }
 
 /// Everything a backend needs to execute one product and whatever part of
-/// its chain the planner fused onto it ([`GrbBackend::mxv_into`] for one
-/// lane, [`GrbBackend::mxm_into`] for `k`): the (pre-scaled) flat operand
+/// its chain the planner fused onto it ([`BitB2sr::mxv_into`] for one
+/// lane, [`BitB2sr::mxm_into`] for `k`): the (pre-scaled) flat operand
 /// and its lane count, the resolved direction (`frontier` is `Some` for
 /// push), the semiring, the mask, the collapsed element-wise epilogue and
 /// the accumulator.  With no stages and no accumulator it is the bare
@@ -204,26 +206,21 @@ pub fn run_chain_in_place_parallel(
     }
 }
 
-/// `state` split into the built representation that runs its kernels and
-/// the `DeltaOverlay` reading through it, if `state` is one: an overlay hands
-/// every product to its base and then patches what the operand reaches, so
-/// what the planner asks of a backend's kernels it asks of the base.
-fn built_under(state: &dyn GrbBackend) -> (&dyn std::any::Any, Option<&DeltaOverlay>) {
-    let overlay = state.as_any().downcast_ref::<DeltaOverlay>();
-    let built = overlay.map_or(state, DeltaOverlay::base);
-    (built.as_any(), overlay)
-}
-
-/// Whether `state`'s full-precision batched push costs what its operand's
-/// non-identity entries say, so that [`Direction::Auto`] may price it by
-/// them: true of the built-in backend, whose scatter folds a node's active
-/// lanes only — bare or under a `DeltaOverlay`, whose re-fold
-/// touches only the dirty positions a patched column's non-identity entry
-/// reaches (idle lanes fail its identity probe).  Not of an external
-/// backend, which keeps the node-granular price.
-fn scatter_is_lane_sparse(state: &dyn GrbBackend) -> bool {
-    let (built, _) = built_under(state);
-    built.is::<BitB2sr>()
+/// Run the pipeline `p` on `a`'s pinned view: the product of the built base
+/// through the shape's entry point, then — when `a` reads through pending
+/// deltas — the overlay's re-fold of the dirty positions the operand
+/// reaches.  The one place an `f32` product meets the overlay, as
+/// [`execute_word_product`] is for the word products.
+pub(crate) fn product_into<V: Operand>(
+    a: &Matrix,
+    p: &MxvPipeline<'_>,
+    ws: &Workspace,
+    out: &mut Vec<f32>,
+) {
+    V::product_into(a.base(), p, ws, out);
+    if let Some(overlay) = a.overlay() {
+        overlay.refold_dirty(a.base(), p, ws, out);
+    }
 }
 
 /// Resolve the direction of one product into its push frontier: `None` is
@@ -418,7 +415,6 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
     check_chain_lengths(expr, produced * k)?;
     poll_fail_point(ctx, V::FAIL_POINT)?;
 
-    let state = a.state();
     let ws = ctx.workspace();
     let mut out = ws.take_empty::<f32>();
 
@@ -447,14 +443,7 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             let size = x.frontier_into(semiring, FrontierSize::UNBOUNDED, list);
             return (Direction::Push, size);
         }
-        scan_and_choose(
-            x,
-            semiring,
-            scatter_is_lane_sparse(state),
-            a.nnz(),
-            rayon::current_num_threads(),
-            list,
-        )
+        scan_and_choose(x, semiring, a.nnz(), rayon::current_num_threads(), list)
     });
 
     let accum = expr.accum.map(|(op, w)| (op, w.flat()));
@@ -488,10 +477,10 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
             V::FUSES_INTO_SWEEP
         };
     if fused_sweep {
-        V::product_into(state, &chain, ws, &mut out);
+        product_into::<V>(a, &chain, ws, &mut out);
         ws.stats().record_fused_mxv();
     } else {
-        V::product_into(state, &product, ws, &mut out);
+        product_into::<V>(a, &product, ws, &mut out);
         if !chain.is_bare() {
             if fuse {
                 // Partial fusion (a batched product, or a push with an
@@ -566,12 +555,11 @@ pub(crate) mod words {
 /// [`Op::mxm_lanes`](super::Op::mxm_lanes) on [`LaneBits`] and of
 /// [`Op::vxm_bits`](super::Op::vxm_bits) / [`Op::mxm_bits`](super::Op::mxm_bits)
 /// on [`NodeBits`]): `next = (A ⊕.⊗ x) & !excluded`, on `Aᵀ` when
-/// `desc.transpose != flip`.  `Ok(None)` when the matrix's backend has no
-/// word product — found by downcast, like [`scatter_is_lane_sparse`]: a
-/// built [`BitB2sr`] of kind `Backend::Bit`, tiled or not, does, and so does
-/// a `DeltaOverlay` over one (the base's product, then the overlay's word
-/// re-fold of the dirty rows the frontier reaches); the float baseline does
-/// not.  Checks, fail point, direction resolution and counters are
+/// `desc.transpose != flip`.  `Ok(None)` when the matrix has no word
+/// product, which its `kind()` decides: a `Backend::Bit` matrix, tiled or
+/// not, has it — built, or through pending deltas (the base's product, then
+/// the overlay's word re-fold of the dirty rows the frontier reaches); the
+/// float baseline does not.  Checks, fail point, direction resolution and counters are
 /// `execute_product::<V>`'s for a Boolean product with a complemented mask —
 /// `V` is the operand-shape marker they are read off, [`Vector`](super::Vector)
 /// for `vxm` and [`MultiVec`](super::MultiVec) for a batch of any lane count,
@@ -603,14 +591,9 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
     if let Some(e) = excluded {
         x.check_excluded(e, produced, op)?;
     }
-    let state = a.state();
-    let (built, overlay) = built_under(state);
-    let in_words = built
-        .downcast_ref::<BitB2sr>()
-        .filter(|b| matches!(b.kind(), Backend::Bit(_)));
-    let Some(bit) = in_words else {
+    if !matches!(a.resolved_backend(), Backend::Bit(_)) {
         return Ok(None);
-    };
+    }
     poll_fail_point(ctx, V::FAIL_POINT)?;
 
     let ws = ctx.workspace();
@@ -626,7 +609,15 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
         )
     });
     let list = frontier.as_ref().map(|(list, _)| list.as_slice());
-    let next = x.product(bit, overlay, list, excluded, transpose, produced, ws);
+    let next = x.product(
+        a.base(),
+        a.overlay(),
+        list,
+        excluded,
+        transpose,
+        produced,
+        ws,
+    );
     record_direction(ws, V::record_product, frontier);
     Ok(Some(next))
 }

@@ -366,7 +366,8 @@ pub struct ExecCounts {
     /// built bit backend — with or without pending deltas — add **0**: their
     /// frontier and visited sets stay in words
     /// ([`NodeBits`](super::NodeBits), [`LaneBits`](super::LaneBits)); the
-    /// same traversal through `f32` (multi-)vectors (an external backend)
+    /// same traversal through `f32` (multi-)vectors on a bit backend (the
+    /// Boolean [`Op::vxm`](super::Op::vxm) / [`Op::mxm`](super::Op::mxm))
     /// adds at least `n · k` per round.
     pub converted_elems: u64,
     /// Dirty output positions a `DeltaOverlay` re-folded after its base's

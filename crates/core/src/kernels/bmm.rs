@@ -1943,7 +1943,7 @@ pub(crate) mod tests {
     fn row_pulls_equal_the_tile_sweeps_bitwise() {
         use crate::b2sr::{B2srMatrix, TileSize};
         use crate::grb::backend::tests::ragged_with_hubs;
-        use crate::grb::{BitB2sr, GrbBackend, Mask, Stage, Workspace};
+        use crate::grb::{BitB2sr, Mask, Stage, Workspace};
         use crate::semiring::BinaryOp;
 
         let csr = ragged_with_hubs();

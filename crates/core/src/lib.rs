@@ -36,17 +36,18 @@
 //! * **Graph-algorithm support** — [`semiring`] provides the semiring domains
 //!   of Table IV (Boolean, arithmetic, tropical min-plus, tropical max-times)
 //!   and [`grb`] exposes a GraphBLAS-style object API (`Matrix`, `Vector`,
-//!   the `Op` builders, masks and descriptors) over the pluggable
-//!   [`grb::GrbBackend`] trait.  Two backends ship here — the B2SR bit
-//!   backend (this paper) and the float-CSR baseline (the GraphBLAST
-//!   stand-in) — plus [`grb::Backend::Auto`], which picks format and tile
-//!   size per matrix from the pattern classifier, the Algorithm-1 sampling
-//!   profile and the memory-traffic model.  `bitgblas-algorithms` builds
-//!   BFS/SSSP/PR/CC/TC on this API.
+//!   the `Op` builders, masks and descriptors) over one built backend,
+//!   [`grb::BitB2sr`].  It is built as the B2SR bit backend (this paper) or
+//!   the float-CSR baseline (the GraphBLAST stand-in) — or
+//!   [`grb::Backend::Auto`] picks format and tile size per matrix from the
+//!   pattern classifier, the Algorithm-1 sampling profile and the
+//!   memory-traffic model.  `bitgblas-algorithms` builds BFS/SSSP/PR/CC/TC
+//!   on this API.
 //!
 //! * **Streaming mutations** — [`delta`] keeps the graph mutable under
 //!   live serving: an append-only edge-delta log with DCSR-style staged
-//!   rows, a merge-on-read overlay backend (`base ⊕ delta`, no rebuild),
+//!   rows, a merge-on-read overlay beside the built base (`base ⊕ delta`,
+//!   no rebuild),
 //!   versioned epoch publication behind [`grb::Matrix::snapshot`], and
 //!   explicit compaction that re-tiles the base incrementally.
 
@@ -67,7 +68,7 @@ pub use delta::{
 };
 pub use faultinject::{FailSpec, FaultAction, FaultInjector, FaultPlan, InjectedPanic};
 pub use grb::{
-    Backend, Context, Descriptor, Direction, Expr, Fusion, GrbBackend, GrbError, LaneBits, Matrix,
-    MultiVec, NodeBits, Op, Snapshot, Vector,
+    Backend, Context, Descriptor, Direction, Expr, Fusion, GrbError, LaneBits, Matrix, MultiVec,
+    NodeBits, Op, Snapshot, Vector,
 };
 pub use semiring::{BinaryOp, Semiring};

@@ -83,8 +83,8 @@ pub mod prelude {
         sssp_multi, sssp_with, triangle_count, PageRankConfig, PprConfig,
     };
     pub use bitgblas_core::grb::{
-        Context, Descriptor, Direction, Expr, Fusion, GrbBackend, LaneBits, Mask, MultiVec,
-        NodeBits, Op, Snapshot,
+        Context, Descriptor, Direction, Expr, Fusion, LaneBits, Mask, MultiVec, NodeBits, Op,
+        Snapshot,
     };
     pub use bitgblas_core::{
         B2srMatrix, Backend, BinaryOp, EdgeDelta, Matrix, Semiring, TileSize, Vector,

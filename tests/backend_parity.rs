@@ -1,7 +1,7 @@
 //! Backend-parity property suite: every algorithm must produce identical
 //! results on `Bit(S4)`, `Bit(S8)`, `Bit(S16)`, `FloatCsr` and `Auto` for
 //! random graphs drawn from the `datagen` generators — the acceptance bar of
-//! the `GrbBackend` redesign.
+//! every backend kind.
 //!
 //! Unlike `property_based.rs` (which drives the kernels on uniform random
 //! edge lists), this suite samples *structured* graphs — every generator

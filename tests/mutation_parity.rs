@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, sssp_multi_dir};
-use bit_graphblas::core::{DeltaOverlay, DeltaSnapshot};
+use bit_graphblas::core::DeltaSnapshot;
 use bit_graphblas::prelude::*;
 
 /// A random base graph (edge list) plus a random delta stream over the
@@ -552,9 +552,7 @@ proptest! {
             seen += batch;
             let snap = m.snapshot();
             let overlay = snap
-                .state()
-                .as_any()
-                .downcast_ref::<DeltaOverlay>()
+                .overlay()
                 .expect("a pending log reads through an overlay");
             prop_assert_eq!(overlay.delta(), &DeltaSnapshot::build(&base, &deltas[..seen]));
             prop_assert_eq!(m.entries_normalized(), seen as u64);
