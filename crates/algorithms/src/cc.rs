@@ -3,8 +3,10 @@
 //! The paper follows GraphBLAST's CC, which is based on FastSV (Zhang, Azad,
 //! Buluç): every vertex carries a parent pointer `f`, and each round
 //! 1. gathers the minimum parent of each vertex's neighbours with a tropical
-//!    min `mxv` (the bin/full/full BMV with `Min` reduction on the bit
-//!    backend),
+//!    min `mxv` (`MinPlus(0.0)`: the CSR row pull `csr_pull_full` on every
+//!    backend, its `min` folded in four chains) — and, only when the matrix
+//!    is not symmetric, a second pull on `Aᵀ` min-folded onto the first, so
+//!    a directed input is followed both ways,
 //! 2. *hooks* the grandparent of each vertex onto that minimum
 //!    (`f[f[u]] = min(f[f[u]], mnp[u])`), also hooking the vertex itself, and
 //! 3. *shortcuts* every vertex to its grandparent (`f[u] = f[f[u]]`),
@@ -28,7 +30,9 @@ pub struct CcResult {
 
 /// Run FastSV connected components.  The graph is treated as undirected: if
 /// `a` is not symmetric its transpose edges are still followed because the
-/// neighbour-minimum is computed in both directions.
+/// neighbour-minimum is computed in both directions.  A symmetric `a`
+/// ([`Matrix::is_symmetric`], decided once per matrix) is its own transpose,
+/// so its rounds pull once.
 pub fn connected_components(a: &Matrix) -> CcResult {
     let n = a.nrows();
     if n == 0 {
@@ -44,6 +48,7 @@ pub fn connected_components(a: &Matrix) -> CcResult {
     // recycles the per-round vectors.
     let ctx = a.context();
     let semiring = Semiring::MinPlus(0.0);
+    let symmetric = a.is_symmetric();
 
     let mut parent: Vec<usize> = (0..n).collect();
     let mut parent_f = Vector::zeros(n);
@@ -56,18 +61,24 @@ pub fn connected_components(a: &Matrix) -> CcResult {
         }
 
         // Minimum neighbour parent, in both edge directions so directed
-        // inputs behave as undirected graphs.  The backward sweep min-folds
-        // straight onto the forward result through the fused accumulator,
-        // so no separate "backward" vector is materialised.  The parent
-        // vector is fully dense (every entry finite), so Direction::Auto
-        // resolves to pull.
+        // inputs behave as undirected graphs.  On a symmetric matrix the
+        // backward sweep would recompute the forward one; otherwise it
+        // min-folds straight onto the forward result through the fused
+        // accumulator, so no separate "backward" vector is materialised.
+        // The parent vector is fully dense (every entry finite), so
+        // Direction::Auto resolves to pull.
         let forward = Op::mxv(a, &parent_f).semiring(semiring).run(ctx);
-        let mnp = Op::mxv(a, &parent_f)
-            .semiring(semiring)
-            .transpose()
-            .accum(BinaryOp::Min, &forward)
-            .run(ctx);
-        ctx.recycle(forward);
+        let mnp = if symmetric {
+            forward
+        } else {
+            let both = Op::mxv(a, &parent_f)
+                .semiring(semiring)
+                .transpose()
+                .accum(BinaryOp::Min, &forward)
+                .run(ctx);
+            ctx.recycle(forward);
+            both
+        };
 
         let mut next = parent.clone();
         for (u, &candidate) in mnp.as_slice().iter().enumerate() {
@@ -193,6 +204,54 @@ mod tests {
             let got = connected_components(&m);
             assert_eq!(got.n_components, 1, "{backend:?}");
             assert!(got.labels.iter().all(|&l| l == 0));
+        }
+    }
+
+    /// The mirror pull runs only where `Aᵀ ≠ A`: `iterations` pulls on a
+    /// symmetric matrix, `2 · iterations` on the directed chain of
+    /// [`directed_edges_are_treated_as_undirected`] (the second fused onto
+    /// the first through its `min` accumulator) — with the same labels.
+    #[test]
+    fn only_an_asymmetric_matrix_pulls_its_transpose() {
+        let mut coo = Coo::new(6, 6);
+        for i in 0..5usize {
+            coo.push_edge(i + 1, i).unwrap();
+        }
+        let chain = coo.to_binary_csr();
+        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            for (adj, pulls) in [(&chain, 2), (&chain.symmetrized(), 1)] {
+                let m = Matrix::from_csr(adj, backend);
+                let before = m.context().stats();
+                let got = connected_components(&m);
+                let after = m.context().stats();
+                assert_eq!(got.labels, vec![0; 6], "{backend:?}");
+                let rounds = got.iterations as u64;
+                assert_eq!(after.pull_mxv - before.pull_mxv, pulls * rounds);
+                assert_eq!(after.fused_mxv - before.fused_mxv, (pulls - 1) * rounds);
+            }
+        }
+    }
+
+    /// A symmetric base of two triangles with one pending edge staged in
+    /// one direction only, `1 → 4`: the snapshot is not symmetric, so CC
+    /// pulls `Aᵀ` too and finds one component (the forward pull alone
+    /// never carries 1's label to 4).
+    #[test]
+    fn a_one_directional_pending_insert_joins_two_components() {
+        let mut coo = Coo::new(6, 6);
+        for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+            coo.push_undirected_edge(a, b).unwrap();
+        }
+        let adj = coo.to_binary_csr();
+        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            let m = Matrix::from_csr(&adj, backend);
+            assert_eq!(connected_components(&m).n_components, 2);
+            m.insert_edge(1, 4).unwrap();
+            let snap = m.snapshot();
+            assert!(!snap.is_symmetric());
+            let got = connected_components(&snap);
+            assert_eq!(got.n_components, 1, "{backend:?}");
+            assert_eq!(got.labels, vec![0; 6]);
         }
     }
 

@@ -391,6 +391,26 @@ impl DeltaSnapshot {
             .expect("sorted patch merge preserves the CSR invariants")
     }
 
+    /// True iff every staged entry that alters `base` has its mirror staged
+    /// the same way: then `base ⊕ delta` is symmetric exactly when a
+    /// symmetric `base` is.  An entry whose mirror is staged alike passes
+    /// without a look at the base; any other is looked up once.  Costs the
+    /// pending entries, not the base.
+    fn mirrored(&self, base: &Csr) -> bool {
+        self.rows.iter().all(|(r, patch)| {
+            patch.iter().all(|&(c, present)| {
+                let mirror = self.rows.patch(c).and_then(|m| {
+                    let at = m.binary_search_by_key(&r, |&(other, _)| other).ok()?;
+                    Some(m[at].1)
+                });
+                match mirror {
+                    Some(mirror_present) => mirror_present == present,
+                    None => base.get(r, c).is_some() == present,
+                }
+            })
+        })
+    }
+
     fn storage_bytes(&self) -> usize {
         self.rows.storage_bytes() + self.cols.storage_bytes()
     }
@@ -422,7 +442,11 @@ impl DeltaSnapshot {
 pub struct DeltaOverlay {
     delta: DeltaSnapshot,
     merged: OnceLock<Csr>,
+    /// `(base ⊕ delta)ᵀ`, never built when the view is symmetric.
     merged_t: OnceLock<Csr>,
+    /// Whether `base ⊕ delta` is symmetric, decided on first use — never
+    /// by an append, which publishes a new overlay each time.
+    symmetric: OnceLock<bool>,
 }
 
 impl DeltaOverlay {
@@ -432,6 +456,7 @@ impl DeltaOverlay {
             delta,
             merged: OnceLock::new(),
             merged_t: OnceLock::new(),
+            symmetric: OnceLock::new(),
         }
     }
 
@@ -451,10 +476,29 @@ impl DeltaOverlay {
             .get_or_init(|| self.delta.merge_csr(base.csr(), false))
     }
 
-    /// The merged CSR of `(base ⊕ delta)ᵀ`, built and cached on first use.
+    /// The merged CSR of `(base ⊕ delta)ᵀ`: the merged [`csr`](Self::csr)
+    /// itself over a symmetric base whose changes are all mirrored, built
+    /// and cached on first use otherwise.
     pub(crate) fn csr_t(&self, base: &BitB2sr) -> &Csr {
+        if base.is_symmetric() && self.is_symmetric(base) {
+            return self.csr(base);
+        }
         self.merged_t
             .get_or_init(|| self.delta.merge_csr(base.csr_t(), true))
+    }
+
+    /// True iff `base ⊕ delta` is symmetric, decided once per overlay.
+    /// Over a symmetric base that is the mirror test of the staged entries
+    /// alone, which merges nothing; over an asymmetric one the merged CSR's
+    /// own check.
+    pub(crate) fn is_symmetric(&self, base: &BitB2sr) -> bool {
+        *self.symmetric.get_or_init(|| {
+            if base.is_symmetric() {
+                self.delta.mirrored(base.csr())
+            } else {
+                self.csr(base).is_symmetric()
+            }
+        })
     }
 
     /// Bytes of the staged patches (the base's are counted apart).
@@ -1430,6 +1474,59 @@ mod tests {
         assert_eq!(compacted.b2sr(), rebuilt.b2sr());
         assert_eq!(compacted.b2sr_t(), rebuilt.b2sr_t());
         assert_eq!(compacted.storage_bytes(), rebuilt.storage_bytes());
+    }
+
+    /// An overlay over a symmetric base is symmetric iff every staged change
+    /// that alters the base has its mirror staged the same way — and then
+    /// its `csr_t` is its merged `csr`.  Mirrored pairs (an insert and a
+    /// delete each way) share; one one-directional insert does not; a
+    /// one-directional delete of an absent edge alters nothing and still
+    /// shares.  Over an asymmetric base the merged CSR decides, so deltas
+    /// that mirror its one one-way edge make it symmetric.  Every answer is
+    /// `csr == csr.transpose()`'s.
+    #[test]
+    fn an_overlay_is_symmetric_iff_its_changes_are_mirrored() {
+        use crate::b2sr::TileSize;
+
+        let ring: Vec<(usize, usize)> = (0..12)
+            .flat_map(|i| [(i, (i + 1) % 12), ((i + 1) % 12, i)])
+            .collect();
+        let base = csr(12, &ring);
+        let mirrored = [
+            EdgeDelta::insert(2, 7),
+            EdgeDelta::insert(7, 2),
+            EdgeDelta::delete(4, 5),
+            EdgeDelta::delete(5, 4),
+            EdgeDelta::insert(9, 9),
+        ];
+        let one_way_insert = [EdgeDelta::insert(2, 7), EdgeDelta::insert(3, 8)];
+        let one_way_noop_delete = [
+            EdgeDelta::insert(2, 7),
+            EdgeDelta::insert(7, 2),
+            EdgeDelta::delete(0, 6),
+            EdgeDelta::insert(0, 1),
+        ];
+        let mut one_way = ring.clone();
+        one_way.push((0, 6));
+        let asymmetric = csr(12, &one_way);
+        let mirror_it = [EdgeDelta::insert(6, 0)];
+        let cases: [(&Csr, &[EdgeDelta], bool); 4] = [
+            (&base, &mirrored, true),
+            (&base, &one_way_insert, false),
+            (&base, &one_way_noop_delete, true),
+            (&asymmetric, &mirror_it, true),
+        ];
+        for backend in [Backend::Bit(TileSize::S4), Backend::FloatCsr] {
+            for (case, &(base, log, symmetric)) in cases.iter().enumerate() {
+                let snap = pending(base, backend, log);
+                let what = format!("{backend:?} case {case}");
+                assert_eq!(snap.is_symmetric(), symmetric, "{what}");
+                assert_eq!(*snap.csr() == snap.csr().transpose(), symmetric, "{what}");
+                let shared = std::ptr::eq(snap.csr_t(), snap.csr());
+                assert_eq!(shared, symmetric && base.is_symmetric(), "{what}");
+                assert_eq!(snap.csr_t(), &snap.csr().transpose(), "{what}");
+            }
+        }
     }
 
     #[test]

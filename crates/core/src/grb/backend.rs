@@ -181,11 +181,12 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// product on the CSR against the tile sweeps, read in medians
 /// (`mesh_read` / `mesh_mixed`): `pagerank_ms` 0.62× / 0.66× and `cc_ms`
 /// 0.65× / 0.71× in every pair, `drain_qps` 1.11× / 1.07×, `peak_rss_mb`
-/// +6.7 % / +3.2 % (the `csr_t` the row pulls build beside `b2sr_t`), a
-/// served query's p50 and p95 1.07× and 1.10× / 0.99× and 1.04×, and every
-/// other end-to-end metric 0.92–1.06× — none past its bound.  Not measured:
-/// the batched pull against fill (only end to end), and more than one
-/// core.
+/// +6.7 % / +3.2 % (the `csr_t` the row pulls built beside `b2sr_t` — an
+/// asymmetric matrix's cost only: a symmetric one, as the mesh is, has since
+/// read its own CSR and tiles as its transpose), a served query's p50 and
+/// p95 1.07× and 1.10× / 0.99× and 1.04×, and every other end-to-end metric
+/// 0.92–1.06× — none past its bound.  Not measured: the batched pull against
+/// fill (only end to end), and more than one core.
 ///
 /// # The masked reduction
 ///
@@ -233,7 +234,12 @@ pub struct BitB2sr {
     /// What the matrix was built as, tiled or not.
     kind: Backend,
     csr: Csr,
+    /// `Aᵀ`'s CSR, built on first use — never for a symmetric matrix, whose
+    /// `csr_t()` is `csr`.
     csr_t: OnceLock<Csr>,
+    /// Whether `A == Aᵀ`, checked ([`Csr::is_symmetric`]) where the first
+    /// transpose would be built: never while building or compacting.
+    symmetric: OnceLock<bool>,
     /// The B2SR tiles, under `Backend::Bit` at a fill worth sweeping.
     tiles: Option<Tiles>,
 }
@@ -242,6 +248,7 @@ pub struct BitB2sr {
 #[derive(Debug)]
 struct Tiles {
     b2sr: B2srMatrix,
+    /// `Aᵀ`'s tiles, built on first use — never for a symmetric matrix.
     b2sr_t: OnceLock<B2srMatrix>,
 }
 
@@ -251,26 +258,6 @@ impl Tiles {
         Tiles {
             b2sr,
             b2sr_t: OnceLock::new(),
-        }
-    }
-
-    /// `Aᵀ`'s tiles iff `transposed`, built and cached on first use.  The
-    /// pull sweep of a product runs on `rep(transpose)`; the push scatter
-    /// walks the *rows* of the representation whose rows are the
-    /// frontier's domain — `rep(!transpose)`.
-    fn rep(&self, transposed: bool) -> &B2srMatrix {
-        if transposed {
-            self.b2sr_t.get_or_init(|| self.b2sr.transpose())
-        } else {
-            &self.b2sr
-        }
-    }
-
-    /// The tiles of the transpose view, whose `A` is this matrix's `Aᵀ`.
-    fn transposed(&self) -> Tiles {
-        Tiles {
-            b2sr: self.rep(true).clone(),
-            b2sr_t: OnceLock::from(self.b2sr.clone()),
         }
     }
 }
@@ -319,6 +306,7 @@ impl BitB2sr {
             kind,
             csr: bin,
             csr_t: OnceLock::new(),
+            symmetric: OnceLock::new(),
             tiles,
         };
         (backend, counts)
@@ -329,10 +317,24 @@ impl BitB2sr {
         self.tiles.as_ref().map(|t| &t.b2sr)
     }
 
-    /// The B2SR representation of `Aᵀ`, built and cached on first use, if
-    /// the matrix has tiles.
+    /// The B2SR representation of `Aᵀ`, if the matrix has tiles: its
+    /// [`b2sr`](Self::b2sr) when it is symmetric, built and cached on first
+    /// use otherwise.
     pub fn b2sr_t(&self) -> Option<&B2srMatrix> {
-        self.tiles.as_ref().map(|t| t.rep(true))
+        self.tile_rep(true)
+    }
+
+    /// The tiles of `A`, or of `Aᵀ` iff `transposed`, if the matrix has
+    /// tiles.  The pull sweep of a product runs on `tile_rep(transpose)`;
+    /// the push scatter walks the *rows* of the representation whose rows
+    /// are the frontier's domain — `tile_rep(!transpose)`.
+    fn tile_rep(&self, transposed: bool) -> Option<&B2srMatrix> {
+        let tiles = self.tiles.as_ref()?;
+        Some(if transposed && !self.is_symmetric() {
+            tiles.b2sr_t.get_or_init(|| tiles.b2sr.transpose())
+        } else {
+            &tiles.b2sr
+        })
     }
 
     /// The resolved backend kind (never [`Backend::Auto`]).
@@ -361,9 +363,22 @@ impl BitB2sr {
         &self.csr
     }
 
-    /// The binary CSR view of `Aᵀ`, built and cached on first use.
+    /// The binary CSR view of `Aᵀ`: [`csr`](Self::csr) itself when the
+    /// matrix is symmetric, built and cached on first use otherwise.
     pub fn csr_t(&self) -> &Csr {
-        self.csr_t.get_or_init(|| self.csr.transpose())
+        if self.is_symmetric() {
+            &self.csr
+        } else {
+            self.csr_t.get_or_init(|| self.csr.transpose())
+        }
+    }
+
+    /// True iff `A == Aᵀ`: one pass over the CSR ([`Csr::is_symmetric`]) on
+    /// first use — the first transposed product, `csr_t()`, `b2sr_t()` or
+    /// this call — and cached.  A symmetric matrix is its own transpose, so
+    /// it never builds a second CSR or a second tile set.
+    pub fn is_symmetric(&self) -> bool {
+        *self.symmetric.get_or_init(|| self.csr.is_symmetric())
     }
 
     /// The CSR of `A`, or of `Aᵀ` iff `transposed`: the representation a row
@@ -385,13 +400,28 @@ impl BitB2sr {
     }
 
     /// A backend of the same kind holding `Aᵀ`: the cached transposes become
-    /// the views, tiles included.
+    /// the views, tiles included.  A symmetric matrix's is a copy, known
+    /// symmetric (`Matrix::transpose` shares the backend instead).
     pub fn transpose_view(&self) -> BitB2sr {
+        // `Aᵀ`'s transpose is `A`, cached unless it is the view itself.
+        let symmetric = self.is_symmetric();
         BitB2sr {
             kind: self.kind,
             csr: self.csr_t().clone(),
-            csr_t: OnceLock::from(self.csr.clone()),
-            tiles: self.tiles.as_ref().map(Tiles::transposed),
+            csr_t: if symmetric {
+                OnceLock::new()
+            } else {
+                OnceLock::from(self.csr.clone())
+            },
+            symmetric: OnceLock::from(symmetric),
+            tiles: self.tiles.as_ref().map(|t| Tiles {
+                b2sr: self.tile_rep(true).expect("tiled").clone(),
+                b2sr_t: if symmetric {
+                    OnceLock::new()
+                } else {
+                    OnceLock::from(t.b2sr.clone())
+                },
+            }),
         }
     }
 
@@ -464,11 +494,13 @@ impl BitB2sr {
             let bt = b.csr_rep(!transpose_b);
             csr_mxm_reduce_masked(&self.csr, bt, &mask.csr)
         };
-        let (Some(at), Some(bt), Some(mt)) = (&self.tiles, &b.tiles, &mask.tiles) else {
+        let (Some(at), Some(mt)) = (&self.tiles, &mask.tiles) else {
             return count();
         };
         // The kernel reads the second factor's transpose by rows.
-        let bt = bt.rep(!transpose_b);
+        let Some(bt) = b.tile_rep(!transpose_b) else {
+            return count();
+        };
         with_b2sr!(&at.b2sr, |a| {
             match (bt.inner(a.tile_dim()), mt.b2sr.inner(a.tile_dim())) {
                 (Some(bt), Some(m)) => bmm_bin_bin_sum_masked_nt(a, bt, m) as f64,
@@ -536,11 +568,10 @@ impl BitB2sr {
         ws: &Workspace,
         yw: &mut Vec<u64>,
     ) {
-        match (frontier, &self.tiles) {
+        // A push scatters the rows of the orientation its pull would not sweep.
+        match (frontier, self.tile_rep(transpose != frontier.is_some())) {
             (Some(frontier), Some(tiles)) => {
-                with_b2sr!(tiles.rep(!transpose), |m| bits_push(
-                    m, frontier, excluded, ws, yw
-                ))
+                with_b2sr!(tiles, |m| bits_push(m, frontier, excluded, ws, yw))
             }
             (Some(frontier), None) => {
                 let csr = self.csr_rep(!transpose);
@@ -549,7 +580,7 @@ impl BitB2sr {
                 })
             }
             (None, Some(tiles)) => {
-                with_b2sr!(tiles.rep(transpose), |m| bits_pull(m, xw, excluded, ws, yw))
+                with_b2sr!(tiles, |m| bits_pull(m, xw, excluded, ws, yw))
             }
             (None, None) => {
                 let csr = self.csr_rep(transpose);
@@ -949,6 +980,7 @@ pub(crate) mod tests {
             kind: Backend::Bit(ts),
             csr,
             csr_t: OnceLock::new(),
+            symmetric: OnceLock::new(),
             tiles: b2sr.map(Tiles::new),
         }
     }
@@ -1527,6 +1559,57 @@ pub(crate) mod tests {
             assert_eq!(compacted.csr(), pending.csr());
             // The pinned pending view still reads the old base.
             assert!(Arc::ptr_eq(a.base(), pending.base()));
+        }
+    }
+
+    /// A symmetric matrix is its own transpose: a tiled `Bit(S8)` mesh and a
+    /// `FloatCsr` R-MAT return their own CSR (and tiles) as `Aᵀ`'s, run a
+    /// transposed product on those arrays, and a `transpose()` shares the
+    /// built backend.  An asymmetric matrix builds a separate `Aᵀ`, and its
+    /// `transpose()` a backend of its own.
+    #[test]
+    fn a_symmetric_matrix_shares_its_own_transpose() {
+        use bitgblas_datagen::generators;
+
+        let mesh = generators::banded(512, 16, 0.7, 5);
+        let rmat = generators::rmat(10, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+        let directed = sample(300, 9);
+        for (adj, kind, tiled) in [
+            (&mesh, Backend::Bit(TileSize::S8), true),
+            (&rmat, Backend::FloatCsr, false),
+        ] {
+            let m = Matrix::from_csr(adj, kind);
+            assert!(m.is_symmetric(), "{kind:?}");
+            assert!(std::ptr::eq(m.csr_t(), m.csr()), "{kind:?}");
+            assert_eq!(m.b2sr().is_some(), tiled);
+            if let (Some(b), Some(bt)) = (m.b2sr(), m.b2sr_t()) {
+                assert!(std::ptr::eq(b, bt), "one tile set");
+            }
+            assert!(Arc::ptr_eq(m.base(), m.transpose().base()), "{kind:?}");
+            let view = m.base().transpose_view();
+            assert_eq!((view.csr(), view.b2sr()), (m.csr(), m.b2sr()));
+            assert!(
+                std::ptr::eq(view.csr_t(), view.csr()),
+                "a copy, known symmetric"
+            );
+            let x: Vec<f32> = (0..m.nrows()).map(|i| (i % 5) as f32).collect();
+            let y = Vector::from_vec(x);
+            let [fwd, back] = [false, true].map(|t| {
+                let op = Op::mxv(&m, &y).semiring(Semiring::MinPlus(0.0));
+                let op = if t { op.transpose() } else { op };
+                op.run(m.context()).as_slice().to_vec()
+            });
+            assert_eq!(fwd, back, "{kind:?}");
+            assert!(m.base().csr_t.get().is_none(), "no second CSR");
+        }
+        for kind in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            let m = Matrix::from_csr(&directed, kind);
+            assert!(!m.is_symmetric());
+            assert_eq!(m.csr_t(), &m.csr().transpose());
+            assert!(!std::ptr::eq(m.csr_t(), m.csr()), "a separate array");
+            let t = m.transpose();
+            assert!(!Arc::ptr_eq(m.base(), t.base()));
+            assert_eq!(t.csr(), m.csr_t());
         }
     }
 

@@ -49,7 +49,8 @@ impl Backend {
 /// fill (the "one-time conversion cost" the paper amortizes);
 /// [`Backend::Auto`] first runs the format-selection procedure of
 /// [`auto::auto_decision`].  Transposed representations are cached lazily
-/// inside the backend.
+/// inside the backend; a symmetric matrix is its own transpose and builds
+/// none.
 ///
 /// # Mutation and snapshot isolation (PR 8)
 ///
@@ -271,7 +272,8 @@ impl Matrix {
         self.built().and_then(BitB2sr::b2sr)
     }
 
-    /// The CSR view of `A^T`, built and cached on first use.
+    /// The CSR view of `A^T`: [`csr`](Matrix::csr) itself when the matrix
+    /// is known symmetric, built and cached on first use otherwise.
     pub fn csr_t(&self) -> &Csr {
         match &self.overlay {
             Some(overlay) => overlay.csr_t(&self.base),
@@ -279,8 +281,9 @@ impl Matrix {
         }
     }
 
-    /// The B2SR view of `A^T`, built and cached on first use (bit backends
-    /// that hold tiles only; see [`Matrix::b2sr`]).
+    /// The B2SR view of `A^T`: [`b2sr`](Matrix::b2sr) itself when the
+    /// matrix is symmetric, built and cached on first use otherwise (bit
+    /// backends that hold tiles only; see [`Matrix::b2sr`]).
     pub fn b2sr_t(&self) -> Option<&B2srMatrix> {
         self.built().and_then(BitB2sr::b2sr_t)
     }
@@ -414,25 +417,28 @@ impl Matrix {
 
     /// A new matrix holding `A^T`, starting its own mutation history
     /// (mutating the transpose does not mutate the original).  Without
-    /// pending deltas it takes the built backend's cached transpose
-    /// representations instead of reconverting; through pending deltas it
-    /// starts from a backend built of the merged transpose.
+    /// pending deltas a symmetric matrix shares its built backend, and any
+    /// other takes the backend's cached transpose representations instead
+    /// of reconverting; through pending deltas it starts from a backend
+    /// built of the merged transpose.
     pub fn transpose(&self) -> Matrix {
         let base = match &self.overlay {
-            None => self.base.transpose_view(),
-            Some(_) => self.rebuilt(self.csr_t().clone()),
+            None if self.base.is_symmetric() => self.base.clone(),
+            None => Arc::new(self.base.transpose_view()),
+            Some(_) => Arc::new(self.rebuilt(self.csr_t().clone())),
         };
-        Matrix::from_parts(
-            self.requested,
-            Arc::new(base),
-            Arc::new(Context::clone(&self.ctx)),
-        )
+        Matrix::from_parts(self.requested, base, Arc::new(Context::clone(&self.ctx)))
     }
 
-    /// True if the matrix equals its transpose (undirected graph).
+    /// True if the matrix equals its transpose (undirected graph).  Decided
+    /// once per built base and once per overlay: a base by one pass over its
+    /// CSR, pending deltas over a symmetric base by whether their changes
+    /// are mirrored, and over an asymmetric base by the merged CSR.
     pub fn is_symmetric(&self) -> bool {
-        let csr = self.csr();
-        csr.iter().all(|(r, c, _)| csr.get(c, r).is_some())
+        match &self.overlay {
+            Some(overlay) => overlay.is_symmetric(&self.base),
+            None => self.base.is_symmetric(),
+        }
     }
 }
 

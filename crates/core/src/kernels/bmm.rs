@@ -749,12 +749,19 @@ fn pull_rows(
 /// monomorphised by the caller (`grb::backend`'s `csr_pull`).
 ///
 /// A row folds in one ascending chain, under a semiring resolved once per
-/// call — except `MinPlus(w)` with `w` not `−0.0`, whose columns are dealt
-/// into four accumulators (`min_plus_four_chains`): `min`'s latency, not
-/// the loads, bounds a one-chain fold.  That is exact
-/// (`min_plus_any_order`), so every semiring's result keeps the bits of
-/// the ascending chain — and of the tile sweep — and the four-chain body is
-/// matched before the semiring dispatch, out of every other semiring's loop.
+/// call, four columns per loop step — except `MinPlus(w)` with `w` not
+/// `−0.0`, whose columns are dealt into four accumulators
+/// (`min_plus_four_chains`): `min`'s latency, not the loads, bounds a
+/// one-chain fold.  That is exact (`min_plus_any_order`), so every
+/// semiring's result keeps the bits of the ascending chain — and of the
+/// tile sweep — and the four-chain body is matched before the semiring
+/// dispatch, out of every other semiring's loop.  The four-column step
+/// keeps the chain's order; it exists because a one-column loop body is so
+/// short that where the linker places it sets its speed: the same source
+/// built in two checkout directories ran the mesh's fused PageRank pull
+/// (Arithmetic) at 1.0 and 1.6 ms, and at 0.7–0.85 ms in both with the
+/// four-column step (repo benchmark, `mesh_read`, one pinned core of a
+/// 2-vCPU Xeon VM).
 ///
 /// # Panics
 /// Panics if `x` is shorter than `ncols` or `y` shorter than `nrows`.
@@ -778,8 +785,12 @@ pub fn csr_pull_full<A, Fin>(
     }
     with_semiring_ops!(semiring, |identity, combine, reduce| {
         let fold = |cols: &[usize]| {
-            cols.iter()
-                .fold(identity, |acc, &c| reduce(acc, combine(x[c])))
+            let step = |acc, &c: &usize| reduce(acc, combine(x[c]));
+            let (quads, rest) = cols.as_chunks::<4>();
+            let acc = quads
+                .iter()
+                .fold(identity, |acc, quad| quad.iter().fold(acc, step));
+            rest.iter().fold(acc, step)
         };
         pull_rows(csr, identity, allow, fin, fold, y)
     })

@@ -314,10 +314,6 @@ pub fn hybrid(n: usize, seed: u64) -> Csr {
 mod tests {
     use super::*;
 
-    fn is_symmetric(a: &Csr) -> bool {
-        a.iter().all(|(r, c, _)| a.get(c, r).is_some())
-    }
-
     #[test]
     fn erdos_renyi_is_seeded_and_binary() {
         let a = erdos_renyi(128, 0.02, true, 7);
@@ -349,7 +345,7 @@ mod tests {
             max as f64 > 3.0 * avg,
             "R-MAT should have hub vertices (max {max}, avg {avg})"
         );
-        assert!(is_symmetric(&a));
+        assert!(a.is_symmetric());
     }
 
     #[test]
@@ -358,7 +354,7 @@ mod tests {
         for (r, c, _) in a.iter() {
             assert!(r.abs_diff(c) <= 3);
         }
-        assert!(is_symmetric(&a));
+        assert!(a.is_symmetric());
     }
 
     #[test]
@@ -387,7 +383,7 @@ mod tests {
         assert_eq!(*degs.iter().max().unwrap(), 4);
         assert_eq!(*degs.iter().min().unwrap(), 2);
         assert_eq!(a.nnz(), 2 * (9 * 10 + 10 * 9));
-        assert!(is_symmetric(&a));
+        assert!(a.is_symmetric());
     }
 
     #[test]
@@ -419,7 +415,7 @@ mod tests {
         assert_eq!(m4.nnz(), 40);
         let m9 = mycielskian(9);
         assert_eq!(m9.nrows(), 383);
-        assert!(is_symmetric(&m9));
+        assert!(m9.is_symmetric());
     }
 
     #[test]

@@ -356,6 +356,30 @@ impl Csr {
         }
     }
 
+    /// True iff the matrix equals its [`transpose`](Csr::transpose), values
+    /// included: square, and every stored `(r, c, v)` has a stored `(c, r,
+    /// v)`.  One pass over the entries in row-major order with a cursor per
+    /// row: the mirrors `(c, r)` of a row-major walk arrive in ascending `r`
+    /// for each `c`, so each must be the next unconsumed entry of row `c`.
+    /// Every match consumes a distinct entry, so `nnz` matches consume them
+    /// all.  Stops at the first entry without its mirror.
+    pub fn is_symmetric(&self) -> bool {
+        if self.nrows != self.ncols {
+            return false;
+        }
+        let mut cursor = self.rowptr[..self.nrows].to_vec();
+        (0..self.nrows).all(|r| {
+            let (cols, vals) = self.row(r);
+            cols.iter().zip(vals).all(|(&c, &v)| {
+                let at = cursor[c];
+                let matched =
+                    at < self.rowptr[c + 1] && self.colind[at] == r && self.values[at] == v;
+                cursor[c] += 1;
+                matched
+            })
+        })
+    }
+
     /// Strictly lower-triangular part (`r > c`), used by Triangle Counting.
     pub fn lower_triangle(&self) -> Csr {
         let mut rowptr = vec![0usize; self.nrows + 1];
@@ -548,6 +572,76 @@ mod tests {
         for (r, c, _) in s.iter() {
             assert_eq!(s.get(c, r), Some(1.0), "missing mirror of ({r},{c})");
         }
+    }
+
+    /// `edges` random weighted entries of an `nrows × ncols` matrix, and the
+    /// same entries mirrored (weights kept) when `mirrored`.
+    fn random(nrows: usize, ncols: usize, edges: usize, mirrored: bool, seed: u64) -> Csr {
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut coo = Coo::new(nrows, ncols);
+        for _ in 0..edges {
+            let (r, c) = (next() as usize % nrows, next() as usize % ncols);
+            let v = (next() % 5) as f32 + 0.5;
+            coo.push(r, c, v).unwrap();
+            if mirrored && r != c {
+                coo.push(c, r, v).unwrap();
+            }
+        }
+        Csr::from_coo(&coo)
+    }
+
+    /// The cursor pass answers what `*a == a.transpose()` answers, values
+    /// compared too, on every shape the pass could get wrong.
+    #[test]
+    fn is_symmetric_equals_comparing_with_the_transpose() {
+        let mut cases = vec![
+            small(),
+            small().symmetrized(),
+            Csr::empty(0, 0),
+            Csr::empty(5, 5),
+            Csr::identity(6),
+            random(7, 11, 30, false, 3),
+            random(11, 7, 30, false, 4),
+            random(9, 9, 0, false, 5),
+        ];
+        for seed in 1..=12 {
+            cases.push(random(40, 40, 90, seed % 2 == 0, seed));
+        }
+        // A symmetric matrix whose one mirrored weight differs.
+        let mut weights = random(30, 30, 60, true, 21);
+        let last = weights.nnz() - 1;
+        weights.values_mut()[last] += 1.0;
+        cases.push(weights);
+        // A mirror missing from the last row only.
+        let mut coo = Coo::new(8, 8);
+        for (r, c) in [(0, 7), (7, 0), (2, 5), (5, 2), (3, 6)] {
+            coo.push_edge(r, c).unwrap();
+        }
+        cases.push(coo.to_binary_csr());
+        let mut coo = Coo::new(8, 8);
+        for (r, c) in [(1, 4), (4, 1), (7, 6)] {
+            coo.push_edge(r, c).unwrap();
+        }
+        cases.push(coo.to_binary_csr());
+        // A directed cycle: every in-degree equals the out-degree.
+        let mut coo = Coo::new(6, 6);
+        for i in 0..6 {
+            coo.push_edge(i, (i + 1) % 6).unwrap();
+        }
+        cases.push(coo.to_binary_csr());
+
+        for (i, a) in cases.iter().enumerate() {
+            assert_eq!(a.is_symmetric(), *a == a.transpose(), "case {i}: {a:?}");
+        }
+        let symmetric = cases.iter().filter(|a| a.is_symmetric()).count();
+        assert_eq!((symmetric, cases.len() - symmetric), (11, 13));
+        assert!(Csr::empty(0, 0).is_symmetric() && !Csr::empty(3, 4).is_symmetric());
     }
 
     #[test]
