@@ -445,8 +445,11 @@ pub struct DeltaOverlay {
     /// `(base ⊕ delta)ᵀ`, never built when the view is symmetric.
     merged_t: OnceLock<Csr>,
     /// Whether `base ⊕ delta` is symmetric, decided on first use — never
-    /// by an append, which publishes a new overlay each time.
+    /// by an append, which publishes a new overlay each time.  A compaction
+    /// of this overlay carries a decided answer to the base it folds.
     symmetric: OnceLock<bool>,
+    /// Triangle Counting's operand of `base ⊕ delta`, built on first use.
+    triangle: OnceLock<Arc<BitB2sr>>,
 }
 
 impl DeltaOverlay {
@@ -457,6 +460,7 @@ impl DeltaOverlay {
             merged: OnceLock::new(),
             merged_t: OnceLock::new(),
             symmetric: OnceLock::new(),
+            triangle: OnceLock::new(),
         }
     }
 
@@ -499,6 +503,15 @@ impl DeltaOverlay {
                 self.csr(base).is_symmetric()
             }
         })
+    }
+
+    /// Triangle Counting's operand of `base ⊕ delta`
+    /// ([`BitB2sr::triangle_operand_of`] of the merged CSR, under the base's
+    /// kind), built on first use and cached: every later count through this
+    /// overlay reads the same one.
+    pub(crate) fn triangle_operand(&self, base: &BitB2sr) -> &Arc<BitB2sr> {
+        self.triangle
+            .get_or_init(|| Arc::new(BitB2sr::triangle_operand_of(self.csr(base), base.kind())))
     }
 
     /// Bytes of the staged patches (the base's are counted apart).
@@ -839,7 +852,7 @@ impl VersionCell {
             (inner.base.clone(), overlay)
         };
         poll_delta_merge(ctx)?;
-        let (new_base, retiled) = fold(&base, overlay.delta());
+        let (new_base, retiled) = fold(&base, &overlay);
         Ok(self.install(new_base, overlay.delta(), retiled))
     }
 
@@ -874,11 +887,17 @@ impl VersionCell {
 
 /// `base ⊕ delta` as a fresh backend of `base`'s kind, re-tiling only the
 /// tile-rows holding a dirty row: the part of a compaction that runs outside
-/// the version lock.
-fn fold(base: &BitB2sr, delta: &DeltaSnapshot) -> (Arc<BitB2sr>, RetileCounts) {
+/// the version lock.  Where `overlay` has already decided whether `base ⊕
+/// delta` is symmetric, the new base takes that answer, so its first
+/// transposed product runs no check; the fold starts none.
+fn fold(base: &BitB2sr, overlay: &DeltaOverlay) -> (Arc<BitB2sr>, RetileCounts) {
+    let delta = overlay.delta();
     let merged = delta.merge_csr(base.csr(), false);
     let prev = Some((base, delta.dirty_rows()));
     let (folded, counts) = BitB2sr::of_kind(merged, base.kind(), prev);
+    if let Some(&symmetric) = overlay.symmetric.get() {
+        folded.carry_symmetry(symmetric);
+    }
     (Arc::new(folded), counts)
 }
 
@@ -1403,7 +1422,7 @@ mod tests {
                 let inner = cell.lock();
                 (inner.base.clone(), inner.overlay.clone().expect("pending"))
             };
-            let (new_base, retiled) = fold(&pinned_base, overlay.delta());
+            let (new_base, retiled) = fold(&pinned_base, &overlay);
             cell.append(&raced);
             let before = cell.entries_normalized();
             let report = cell.install(new_base, overlay.delta(), retiled);

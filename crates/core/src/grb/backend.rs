@@ -5,7 +5,8 @@
 //! [`crate::kernels`] (the paper's contribution).  It runs one product
 //! pipeline per operand shape ([`BitB2sr::mxv_into`] for a vector,
 //! [`BitB2sr::mxm_into`] for an `n × k` multi-vector) and the masked product
-//! reduction of Triangle Counting ([`BitB2sr::mxm_reduce_masked`]).  Tiles
+//! reduction of Triangle Counting ([`BitB2sr::mxm_reduce_masked`]), whose
+//! operand it builds once and keeps ([`BitB2sr::triangle_operand`]).  Tiles
 //! serve two products — the single-vector Boolean product in node words and
 //! the masked reduction — and exist only where they fill: a `Backend::Bit`
 //! matrix under [`MIN_TILE_FILL`] bits per non-empty tile builds none and
@@ -36,7 +37,7 @@
 //! per segment and ORed in order, measured 1.38–1.97× slower at two threads
 //! than this serial one on the mesh, and went.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bitgblas_bitops::BitWord;
 use bitgblas_sparse::{ops as float_ops, Csr};
@@ -217,7 +218,9 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// in that band.  From 4 bits up the tile kernel keeps `L` at every width,
 /// the slower one at B2SR-16 to about 6 bits and at B2SR-32 to about 12
 /// (R-MAT's `L` at 6.0 bits, 0.57–0.61).  Not measured: more than one core,
-/// and any width but B2SR-8 end to end.
+/// and any width but B2SR-8 end to end.  An `L` without tiles is counted in
+/// degree order, not index order ([`BitB2sr::triangle_operand`]); these
+/// columns time the index order on both sides.
 pub const MIN_TILE_FILL: usize = 4;
 
 /// The built backend every matrix holds: the binary CSR (the interchange
@@ -242,6 +245,9 @@ pub struct BitB2sr {
     symmetric: OnceLock<bool>,
     /// The B2SR tiles, under `Backend::Bit` at a fill worth sweeping.
     tiles: Option<Tiles>,
+    /// Triangle Counting's operand, built on first use
+    /// ([`triangle_operand`](Self::triangle_operand)).
+    triangle: OnceLock<Arc<BitB2sr>>,
 }
 
 /// What a tiled [`BitB2sr`] holds beside its CSR.
@@ -302,14 +308,48 @@ impl BitB2sr {
             Some((b2sr, counts)) => (Some(Tiles::new(b2sr)), counts),
             None => (None, RetileCounts::default()),
         };
-        let backend = BitB2sr {
+        (BitB2sr::with_tiles(kind, bin, tiles), counts)
+    }
+
+    /// The backend of `kind` over `bin` holding `tiles`, its lazy views not
+    /// yet built.
+    fn with_tiles(kind: Backend, bin: Csr, tiles: Option<Tiles>) -> Self {
+        BitB2sr {
             kind,
             csr: bin,
             csr_t: OnceLock::new(),
             symmetric: OnceLock::new(),
             tiles,
-        };
-        (backend, counts)
+            triangle: OnceLock::new(),
+        }
+    }
+
+    /// Triangle Counting's `L` of `bin`, an all-ones CSR, as a backend of
+    /// `kind`: the strictly lower triangle, where it holds tiles under
+    /// `kind` (the tile kernel needs the index order's bands), else the same
+    /// graph ranked by degree ([`Csr::degree_ranked_lower_triangle`]),
+    /// without tiles.  Either counts every triangle once; in degree order
+    /// the CSR count walks a hub's long row only from the few rows ranked
+    /// above it.  A matrix that is not square keeps the index order, whose
+    /// shapes the product then rejects.
+    pub(crate) fn triangle_operand_of(bin: &Csr, kind: Backend) -> BitB2sr {
+        let (l, _) = BitB2sr::of_kind(bin.lower_triangle(), kind, None);
+        if l.tiles.is_some() || bin.nrows() != bin.ncols() {
+            return l;
+        }
+        // Free `L` before its ranked copy is built.
+        drop(l);
+        BitB2sr::with_tiles(kind, bin.degree_ranked_lower_triangle(), None)
+    }
+
+    /// Triangle Counting's operand for this matrix — the index-ordered `L`
+    /// where it holds tiles, else `L` ranked by degree, without tiles
+    /// (`triangle_operand_of` of its CSR) — built on first use and cached:
+    /// every later count, and every clone or snapshot sharing this backend,
+    /// reads the same one.
+    pub fn triangle_operand(&self) -> &Arc<BitB2sr> {
+        self.triangle
+            .get_or_init(|| Arc::new(BitB2sr::triangle_operand_of(&self.csr, self.kind)))
     }
 
     /// The B2SR representation, if the matrix has tiles.
@@ -381,6 +421,13 @@ impl BitB2sr {
         *self.symmetric.get_or_init(|| self.csr.is_symmetric())
     }
 
+    /// Take `symmetric` as [`is_symmetric`](Self::is_symmetric)'s answer,
+    /// decided elsewhere of this very matrix (a compaction carries its
+    /// overlay's); an answer already decided stays.
+    pub(crate) fn carry_symmetry(&self, symmetric: bool) {
+        let _ = self.symmetric.set(symmetric);
+    }
+
     /// The CSR of `A`, or of `Aᵀ` iff `transposed`: the representation a row
     /// pull reads, and a push scatters for the opposite flag.
     fn csr_rep(&self, transposed: bool) -> &Csr {
@@ -422,6 +469,7 @@ impl BitB2sr {
                     OnceLock::from(t.b2sr.clone())
                 },
             }),
+            triangle: OnceLock::new(),
         }
     }
 
@@ -976,13 +1024,7 @@ pub(crate) mod tests {
     fn twin(csr: &Csr, ts: TileSize, tiled: bool) -> BitB2sr {
         let csr = binary_copy(csr);
         let b2sr = tiled.then(|| B2srMatrix::from_csr(&csr, ts));
-        BitB2sr {
-            kind: Backend::Bit(ts),
-            csr,
-            csr_t: OnceLock::new(),
-            symmetric: OnceLock::new(),
-            tiles: b2sr.map(Tiles::new),
-        }
+        BitB2sr::with_tiles(Backend::Bit(ts), csr, b2sr.map(Tiles::new))
     }
 
     #[test]
@@ -1014,7 +1056,9 @@ pub(crate) mod tests {
     /// (`Matrix::lower_triangle`).  At B2SR-8, R-MAT(14, 16) at 2.0 bits per
     /// tile and its `L` at 2.03 hold none; the mesh at 51.8 and its `L` at
     /// 46.5 hold tiles, so a retune of the constant between the two cannot
-    /// silently tile the one or untile the other.  The choice survives the
+    /// silently tile the one or untile the other — and Triangle Counting's
+    /// operand is R-MAT's `L` ranked by degree, untiled, and the mesh's
+    /// index-ordered `L`, tiled.  The choice survives the
     /// transpose view, a matrix clone and a compaction, and a compaction
     /// that crosses the fill re-decides it either way.  A `Backend::Bit`
     /// matrix without tiles keeps its kind and its word product, reports its
@@ -1074,6 +1118,15 @@ pub(crate) mod tests {
         let (r, m) = (s8(&rmat), s8(&mesh));
         assert!(r.b2sr().is_none() && r.lower_triangle().b2sr().is_none());
         assert!(m.b2sr().is_some() && m.lower_triangle().b2sr().is_some());
+        // Triangle Counting's operand: R-MAT's degree-ranked and untiled,
+        // the mesh's the index-ordered `L`, tiled.
+        let (r_op, m_op) = (r.triangle_operand(), m.triangle_operand());
+        assert!(r_op.b2sr().is_none());
+        assert_eq!(r_op.csr(), &r.csr().degree_ranked_lower_triangle());
+        assert_ne!(r_op.csr(), &r.csr().lower_triangle());
+        assert!(m_op.b2sr().is_some());
+        assert_eq!(m_op.csr(), &m.csr().lower_triangle());
+        assert_eq!(m_op.b2sr(), m.lower_triangle().b2sr());
 
         // A tile-less bit matrix: its kind, its word product, its CSR's
         // bytes, and its Boolean pushes.
@@ -1610,6 +1663,38 @@ pub(crate) mod tests {
             let t = m.transpose();
             assert!(!Arc::ptr_eq(m.base(), t.base()));
             assert_eq!(t.csr(), m.csr_t());
+        }
+    }
+
+    /// A compaction carries the symmetry answer its overlay has decided to
+    /// the base it folds, and starts no check of its own: a mirrored log
+    /// folds to a base known symmetric, a one-way delete to one known
+    /// asymmetric — each answer `csr().is_symmetric()`'s — and an overlay
+    /// nobody asked leaves the new base undecided.
+    #[test]
+    fn a_compaction_carries_a_decided_symmetry_answer() {
+        use crate::delta::EdgeDelta;
+        use bitgblas_datagen::generators;
+
+        let rmat = generators::rmat(10, 8, 0.57, 0.19, 0.19, 5).symmetrized();
+        let (r, c, _) = rmat.iter().find(|&(r, c, _)| r != c).expect("an edge");
+        let mirrored = [EdgeDelta::delete(r, c), EdgeDelta::delete(c, r)];
+        let one_way = [EdgeDelta::delete(r, c)];
+        for kind in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+            for (log, symmetric) in [(&mirrored[..], true), (&one_way[..], false)] {
+                let what = format!("{kind:?} symmetric {symmetric}");
+                let m = Matrix::from_csr(&rmat, kind);
+                m.apply_deltas(log).unwrap();
+                assert_eq!(m.snapshot().is_symmetric(), symmetric, "{what}");
+                m.compact(m.context()).unwrap();
+                let folded = m.snapshot();
+                assert_eq!(folded.base().symmetric.get(), Some(&symmetric), "{what}");
+                assert_eq!(folded.csr().is_symmetric(), symmetric, "{what}");
+
+                m.apply_deltas(&[EdgeDelta::insert(r, c)]).unwrap();
+                m.compact(m.context()).unwrap();
+                assert_eq!(m.snapshot().base().symmetric.get(), None, "{what}");
+            }
         }
     }
 

@@ -50,7 +50,8 @@ impl Backend {
 /// [`Backend::Auto`] first runs the format-selection procedure of
 /// [`auto::auto_decision`].  Transposed representations are cached lazily
 /// inside the backend; a symmetric matrix is its own transpose and builds
-/// none.
+/// none.  Triangle Counting's operand is cached the same way
+/// ([`Matrix::triangle_operand`]).
 ///
 /// # Mutation and snapshot isolation (PR 8)
 ///
@@ -407,12 +408,31 @@ impl Matrix {
         self.versions.compact(ctx)
     }
 
-    /// A new matrix holding the strictly lower triangle (Triangle Counting's
-    /// `L`).  The requested backend is preserved — under [`Backend::Auto`]
-    /// the framework re-decides on the new structure.  A backend's CSR view
-    /// is all-ones, so its lower triangle is handed over as built.
+    /// A new matrix holding the strictly lower triangle.  The requested
+    /// backend is preserved — under [`Backend::Auto`] the framework
+    /// re-decides on the new structure.  A backend's CSR view is all-ones,
+    /// so its lower triangle is handed over as built.  Triangle Counting
+    /// reads [`triangle_operand`](Matrix::triangle_operand) instead.
     pub fn lower_triangle(&self) -> Matrix {
         Matrix::from_binary_ctx(self.csr().lower_triangle(), self.requested, &self.ctx)
+    }
+
+    /// Triangle Counting's `L`, the one operand of `Σ (L·Lᵀ) .* L`, under
+    /// this matrix's resolved kind: the strictly lower triangle where it
+    /// holds tiles, else the same graph ranked by ascending degree, without
+    /// tiles (`BitB2sr::triangle_operand_of`).  Built on first use and
+    /// cached on the built base — or, through pending deltas, on their
+    /// overlay — so the handle shares it the way [`transpose`](Matrix::transpose)
+    /// shares a symmetric base: every later call, a snapshot of the same
+    /// epoch and, without pending deltas, a clone read the same operand; a
+    /// compaction or a new append builds a fresh one.  The handle shares
+    /// this matrix's context.
+    pub fn triangle_operand(&self) -> Matrix {
+        let operand = match &self.overlay {
+            Some(overlay) => overlay.triangle_operand(&self.base),
+            None => self.base.triangle_operand(),
+        };
+        Matrix::from_parts(self.requested, operand.clone(), self.ctx.clone())
     }
 
     /// A new matrix holding `A^T`, starting its own mutation history
