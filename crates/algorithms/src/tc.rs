@@ -27,10 +27,13 @@
 //! * **tiles** (the mesh): the index-ordered `L`, whose bands the tile
 //!   kernel needs;
 //! * **no tiles** (R-MAT's case, and every `FloatCsr` matrix): `L` relabelled
-//!   by ascending (degree, id), as linear-algebra triangle counters order
-//!   vertices (Azad–Buluç–Gilbert; Wolf et al.'s KokkosKernels), counted
-//!   over its CSR (`ops::spgemm_masked_count`), which then walks a hub's
-//!   long row only from the few rows ranked above it.
+//!   by descending degree, ties by ascending id, as linear-algebra triangle
+//!   counters order vertices (Azad–Buluç–Gilbert), so every row holds only
+//!   its higher-degree neighbours and those sit in the first few 64-column
+//!   words.  A bit matrix counts it as the paper's masked BMM does, AND +
+//!   popcount over row words (`kernels::csr_words_masked_count`, the words
+//!   packed on the first count and kept beside `L`); the float baseline
+//!   counts column indices (`ops::spgemm_masked_count`).
 //!
 //! Every acyclic orientation holds each triangle exactly once, so the two
 //! count the same, on directed input too.
@@ -42,8 +45,10 @@ use bitgblas_core::grb::{Matrix, Op};
 /// The matrix is expected to be symmetric (an undirected adjacency matrix);
 /// self-loops are ignored because only the strictly lower triangle
 /// participates.  The first call builds the operand and caches it on the
-/// matrix (or on its pending deltas); every later call on the same epoch runs
-/// the one reducing product only.
+/// matrix (or on its pending deltas), with, on a bit matrix without tiles,
+/// its row words; every later call on the same epoch runs the one reducing
+/// product only: the tile kernel, the word count or, on the float baseline,
+/// the index count.
 pub fn triangle_count(a: &Matrix) -> u64 {
     let ctx = a.context();
     let l = a.triangle_operand();
@@ -152,9 +157,13 @@ mod tests {
     /// index order exactly where that holds tiles.  Symmetric and directed
     /// inputs, self-loops, `n = 0` and `n = 1`, shapes no tile width
     /// divides, a banded graph that holds tiles at every width, on every
-    /// backend.
+    /// backend.  Through pending deltas — a staged triangle, counted by
+    /// `triangle_count` and by the product over a pending `L` — the counts
+    /// equal a rebuilt matrix's.
     #[test]
     fn either_operand_order_counts_every_triangle_once() {
+        use bitgblas_core::delta::EdgeDelta;
+
         let graphs = [
             Csr::empty(0, 0),
             Csr::empty(1, 1),
@@ -191,6 +200,32 @@ mod tests {
                 };
                 assert_eq!(operand.csr(), &want, "{what}");
                 assert_eq!(operand.resolved_backend(), m.resolved_backend(), "{what}");
+
+                // A triangle on 0, n / 2 and n - 1 staged: through the
+                // overlay's operand, and as the product of a pending `L`.
+                let n = adj.nrows();
+                if n < 3 {
+                    continue;
+                }
+                let log: Vec<EdgeDelta> = [(n / 2, 0), (n - 1, 0), (n - 1, n / 2)]
+                    .iter()
+                    .flat_map(|&(r, c)| [EdgeDelta::insert(r, c), EdgeDelta::insert(c, r)])
+                    .collect();
+                m.apply_deltas(&log).unwrap();
+                l.apply_deltas(&log.iter().step_by(2).copied().collect::<Vec<_>>())
+                    .unwrap();
+                let (snap, l) = (m.snapshot(), l.snapshot());
+                let rebuilt = Matrix::from_csr(snap.csr(), backend);
+                let staged = reference::triangle_count(snap.csr());
+                assert!(staged > expected, "{what}: the log closes a triangle");
+                assert_eq!(triangle_count(&snap), staged, "{what}");
+                assert_eq!(triangle_count(&rebuilt), staged, "{what}");
+                assert!(l.overlay().is_some());
+                let l_rebuilt = Matrix::from_csr(l.csr(), backend);
+                let [pending, built] = [&l, &l_rebuilt]
+                    .map(|l| Op::mxm_reduce(l, l, l).transpose_b().run(m.context()));
+                assert_eq!(pending.round() as u64, staged, "{what}: pending L");
+                assert_eq!(built.to_bits(), pending.to_bits(), "{what}: rebuilt L");
             }
         }
         assert_eq!(orders, [true, true], "both operand orders ran");

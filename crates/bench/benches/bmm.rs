@@ -1,6 +1,6 @@
 //! Criterion bench: BMM (bit SpGEMM) vs the float Gustavson SpGEMM baseline
 //! (the counterpart of Figures 6d / 7d), the Triangle Counting reduction's
-//! tile kernel beside the CSR count across tile fill, the batched
+//! tile kernel beside the index and word counts across tile fill, the batched
 //! full-precision matrix × multivector kernels behind `sssp_multi` /
 //! `ppr_multi`, the lane-density sweep of the full-precision push scatter,
 //! the lane-word step of `bfs_multi` at a thin and at a full frontier, and
@@ -16,7 +16,7 @@ use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::grb::{Direction, LaneBits, Op};
 use bitgblas_core::kernels::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_fused_into,
-    csr_push_full,
+    csr_push_full, csr_words_masked_count, RowWords,
 };
 use bitgblas_core::{Backend, EdgeDelta, Matrix, Semiring, TileSize};
 use bitgblas_datagen::generators;
@@ -83,6 +83,17 @@ fn bmm_benches(c: &mut Criterion) {
                 b.iter(|| ops::spgemm_masked_count(l, l, l).unwrap());
             },
         );
+        // What a bit matrix without tiles runs: the word count over the
+        // degree-ranked `L`, its row words packed once (the engine caches
+        // them).
+        let ranked = l.degree_ranked_lower_triangle();
+        let words = RowWords::from_csr(&ranked);
+        group.bench_function(
+            BenchmarkId::new("csr_words_masked_count/tc_shape", name),
+            |b| {
+                b.iter(|| csr_words_masked_count(&ranked, &words, &ranked));
+            },
+        );
     }
     group.finish();
 }
@@ -91,8 +102,11 @@ fn bmm_benches(c: &mut Criterion) {
 /// `grb::backend::MIN_TILE_FILL`: Triangle Counting's masked
 /// reduction `Σ (L · Lᵀ) .* L` as the tile kernel
 /// (`bmm_bin_bin_sum_masked_nt`, `L` all three operands) at every tile width
-/// beside the CSR count of the same `L` (`ops::spgemm_masked_count`), both
-/// bare.  `L` is the lower triangle of a symmetric graph: R-MAT(14, 16), the
+/// beside the index count of the same `L` (`ops::spgemm_masked_count`,
+/// `{name}/count`) and the word count a bit matrix without tiles runs
+/// (`csr_words_masked_count`, `{name}/words`: over `L` ranked by degree, the
+/// operand such a matrix builds, its row words packed once), all bare.
+/// `L` is the lower triangle of a symmetric graph: R-MAT(14, 16), the
 /// benchmark's mesh pattern, and `tiles{d}x{d}_{b}bits` — R-MAT's edge count
 /// laid out in scattered `d × d` tiles of `b` bits each, mirrored, so that
 /// fill is the one variable.  16 384 vertices throughout; a tile row's id
@@ -131,6 +145,11 @@ fn bmm_tc_fill_benches(c: &mut Criterion) {
     for (name, l, widths) in &graphs {
         group.bench_function(format!("{name}/count"), |b| {
             b.iter(|| ops::spgemm_masked_count(l, l, l).unwrap())
+        });
+        let ranked = l.degree_ranked_lower_triangle();
+        let words = RowWords::from_csr(&ranked);
+        group.bench_function(format!("{name}/words"), |b| {
+            b.iter(|| csr_words_masked_count(&ranked, &words, &ranked))
         });
         for &ts in widths {
             let mut tile = |tiles: usize, run: &mut dyn FnMut() -> u64| {

@@ -10,12 +10,15 @@
 //! serve two products — the single-vector Boolean product in node words and
 //! the masked reduction — and exist only where they fill: a `Backend::Bit`
 //! matrix under [`MIN_TILE_FILL`] bits per non-empty tile builds none and
-//! runs those two on its CSR as well.  Every other product reads the CSR on
+//! runs those two on its CSR as well — the masked reduction as AND +
+//! popcount over the CSR's rows packed into 64-column words
+//! ([`csr_words_masked_count`]).  Every other product reads the CSR on
 //! every matrix: every full-precision pull and push, and every lane-word
 //! product, the `f32` Boolean batch included.  A [`Backend::FloatCsr`]
 //! matrix is the paper's float baseline (the GraphBLAST/cuSPARSE stand-in):
 //! never tiled, every product, the Boolean ones included, runs on `f32` over
-//! the CSR, and it has no word product.
+//! the CSR, and it has no word product; its masked reduction counts column
+//! indices (`ops::spgemm_masked_count`).
 //!
 //! A matrix with pending edge deltas reads through a
 //! [`DeltaOverlay`](crate::delta::DeltaOverlay) beside its built base: the
@@ -50,6 +53,7 @@ use crate::kernels::simd;
 use crate::kernels::{
     bmm_bin_bin_sum_masked_nt, bmv_bin_bin_bin_masked_into, bmv_push_bin_bin, csr_bits_pull,
     csr_bits_push, csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full,
+    csr_words_masked_count, RowWords,
 };
 use crate::semiring::{with_semiring_ops, BinaryOp, Semiring};
 
@@ -64,15 +68,33 @@ use super::workspace::{Poolable, Workspace};
 
 /// The masked product reduction over CSR views: `Σ_{(i,j) ∈ mask} (A ·
 /// B)[i][j]` with `bt` the second factor's transpose stored by rows (`B`'s
-/// transpose CSR for `A · B`, `B`'s own CSR for `A · Bᵀ`) — what
-/// `spgemm_masked_count` takes.  The product of every operand triple that is
-/// not three [`BitB2sr`]s tiled alike: a matrix without tiles, one with
-/// pending deltas (its merged views), mixed tile sizes.  Every CSR a matrix
-/// holds is all-ones, so the exact count is the sum of `1.0 · 1.0` products
-/// the arithmetic semiring would form.
-pub(crate) fn csr_mxm_reduce_masked(a: &Csr, bt: &Csr, mask: &Csr) -> f64 {
-    float_ops::spgemm_masked_count(a, bt, mask).expect("operand dimensions checked by the caller")
-        as f64
+/// transpose CSR for `A · B`, `B`'s own CSR for `A · Bᵀ`).  The product of
+/// every operand triple that is not three [`BitB2sr`]s tiled alike: a
+/// matrix without tiles, one with pending deltas (its merged views), mixed
+/// tile sizes.  Handed `bt`'s row `words` — a triple of `Backend::Bit`
+/// matrices — it ANDs them ([`csr_words_masked_count`]); otherwise — the
+/// float baseline takes part — it counts column indices
+/// (`spgemm_masked_count`).  Every CSR a matrix holds is all-ones, so
+/// either exact count is the sum of `1.0 · 1.0` products the arithmetic
+/// semiring would form.
+pub(crate) fn csr_mxm_reduce_masked(
+    a: &Csr,
+    bt: &Csr,
+    mask: &Csr,
+    words: Option<&RowWords>,
+) -> f64 {
+    match words {
+        Some(words) => csr_words_masked_count(a, words, mask) as f64,
+        None => float_ops::spgemm_masked_count(a, bt, mask)
+            .expect("operand dimensions checked by the caller") as f64,
+    }
+}
+
+/// True iff every one of `kinds` is a `Backend::Bit` matrix: a masked
+/// reduction of such a triple without common tiles reads the second
+/// factor's row words.
+pub(crate) fn all_bit(kinds: [Backend; 3]) -> bool {
+    kinds.iter().all(|k| matches!(k, Backend::Bit(_)))
 }
 
 /// `csr` as the all-ones CSR a backend holds: a clone when it already is one.
@@ -111,7 +133,8 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// single-vector Boolean product in node words (pull and push) and the
 /// masked reduction of Triangle Counting.  Under the fill — the paper's
 /// Table V scatter class, whose tiles hold a bit or two — those two read
-/// the CSR the matrix holds as well, in node words and as the CSR count.
+/// the CSR the matrix holds as well, in node words and as the word count
+/// ([`csr_words_masked_count`]) over its rows packed into 64-column words.
 /// Every other product reads the CSR on every matrix, tiled or not.  The
 /// paths agree bit for bit (both pulls fold a row's columns in ascending
 /// order, OR is exact, the count is exact), so the choice moves time and
@@ -192,35 +215,49 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// # The masked reduction
 ///
 /// Triangle Counting's `Σ (L · Lᵀ) .* L` intersects tiles
-/// ([`bmm_bin_bin_sum_masked_nt`]) when all three operands hold them and
-/// counts over the CSRs (`ops::spgemm_masked_count`) otherwise.  `taskset
-/// -c 1 cargo bench -p bitgblas-bench --bench bmm -- bmm_tc_fill` (bare
-/// kernels, 16 384 vertices, one pinned core of a 2-vCPU Xeon VM, two runs)
-/// times the two on the lower triangle `L` of a symmetric graph: R-MAT(14,
-/// 16)'s edge count laid out in scattered mirrored tiles, so that fill is
-/// the one variable.  Count ÷ tile kernel at `L`'s fill (bits per tile):
+/// ([`bmm_bin_bin_sum_masked_nt`]) when all three operands hold them.
+/// Otherwise a bit matrix's `L` is ranked by degree and counted as AND +
+/// popcount over its CSR's row words ([`csr_words_masked_count`]); the
+/// float baseline counts column indices (`ops::spgemm_masked_count`).
+/// `taskset -c 1 cargo bench -p bitgblas-bench --bench bmm -- bmm_tc_fill`
+/// (bare kernels, 16 384 vertices, one pinned core of a 2-vCPU Xeon VM, two
+/// runs) times them on the lower triangle `L` of a symmetric graph:
+/// R-MAT(14, 16)'s edge count laid out in scattered mirrored tiles, so that
+/// fill is the one variable — the tile kernel on the index-ordered `L`, the
+/// word count on `L` ranked by degree (`{name}/words`, the operand a matrix
+/// without tiles builds) and the index count on the index-ordered `L`
+/// (`{name}/count`).  Word count ÷ tile kernel at `L`'s fill (bits per
+/// tile):
 ///
 /// | width | ≈ 1 | ≈ 2 | ≈ 3 | ≈ 4 | ≈ 6 | ≈ 9 | ≈ 16 |
 /// |---|---|---|---|---|---|---|---|
-/// | B2SR-4 | 0.35–0.36 | 0.88–0.89 | 1.38–1.49 | 1.60–2.16 | 2.00–2.60 | 3.20–4.91 | 4.07–6.15 |
-/// | B2SR-8 | 0.18–0.20 | 0.40–0.54 | 1.01–1.33 | 1.20–1.38 | 1.99–2.03 | 2.90–3.25 | 5.78–6.05 |
-/// | B2SR-16 | 0.05 | 0.18 | 0.28–0.36 | 0.60–0.76 | 1.16–1.17 | 1.72–1.76 | 4.07–4.10 |
-/// | B2SR-32 | — | 0.05–0.06 | 0.07–0.08 | 0.11 | 0.27–0.33 | 0.57–0.62 | 1.95–2.35 |
+/// | B2SR-4 | 0.33–0.35 | 1.09–1.43 | 2.57–2.80 | 4.78–6.40 | 5.95–6.33 | 7.82–7.86 | 4.13–4.30 |
+/// | B2SR-8 | 0.14–0.15 | 0.56–0.59 | 1.23–1.41 | 1.69–2.23 | 4.11–4.17 | 6.18–6.74 | 10.4–10.9 |
+/// | B2SR-16 | 0.04 | 0.19–0.20 | 0.46–0.47 | 0.85–0.86 | 1.79–1.88 | 2.81–2.94 | 7.15–8.43 |
+/// | B2SR-32 | — | 0.04–0.05 | 0.07–0.09 | 0.16–0.18 | 0.56–0.57 | 0.91–1.04 | 3.16–3.34 |
 ///
 /// (The columns are nominal: `L`'s measured fills are 1.0–1.3, 2.0–2.3,
-/// 3.0–3.2, 4.0–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The two kernels cross
-/// between 2 and 3 bits at B2SR-4, just under 3 at B2SR-8, between 4 and 6
-/// at B2SR-16 and between 9 and 16 at B2SR-32.  One fill for every product
-/// trades this: an `L` of 2.5 to 4 bits per tile holds no tiles and counts
-/// over its CSR, which costs 1.38–1.49× the tile kernel at B2SR-4 and
-/// 1.01–1.33× at B2SR-8 (≈ 3 bits), and saves at B2SR-16 (0.28–0.36; R-MAT's
-/// `L` at 3.2 bits, 0.36–0.38, now counts).  No benchmark workload's `L` is
-/// in that band.  From 4 bits up the tile kernel keeps `L` at every width,
-/// the slower one at B2SR-16 to about 6 bits and at B2SR-32 to about 12
-/// (R-MAT's `L` at 6.0 bits, 0.57–0.61).  Not measured: more than one core,
-/// and any width but B2SR-8 end to end.  An `L` without tiles is counted in
-/// degree order, not index order ([`BitB2sr::triangle_operand`]); these
-/// columns time the index order on both sides.
+/// 3.0–3.2, 4.0–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The word count and the
+/// tile kernel cross between 1 and 2 bits at B2SR-4, between 2 and 3 at
+/// B2SR-8, between 4 and 6 at B2SR-16 and near 9 at B2SR-32.  One fill for
+/// every product trades this: an `L` of 2.5 to 4 bits per tile holds no
+/// tiles and is counted in words, which costs 2.57–2.80× the tile kernel at
+/// B2SR-4 and 1.23–1.41× at B2SR-8 (≈ 3 bits), and saves at B2SR-16 and
+/// -32.  No benchmark workload's `L` is in that band.  From 4 bits up the
+/// tile kernel keeps `L` at every width, the slower one at B2SR-16 to about
+/// 6 bits and at B2SR-32 to about 9.  These scattered graphs have no hubs,
+/// so their ranked `L` packs only 1.1–1.3 entries per 64-column word; the
+/// index count, the same runs, reads 0.95–0.96× / 1.47–1.60× the tile
+/// kernel at B2SR-4 and 0.56–0.57× / 0.94–1.05× at B2SR-8 (≈ 2 / 3 bits),
+/// so on such a graph the words cost up to 1.9× the index count — a word
+/// costs a software popcount (the baseline x86-64 target has no `popcnt`)
+/// where an index costs a compare.  A skewed graph's ranked `L` packs and
+/// its words beat both: R-MAT's `L` (1.5, 2.0, 3.2 and 6.0 bits per tile at
+/// B2SR-4 to -32, 2.63 entries per word) 0.06–0.07× the tile kernel through
+/// B2SR-16 and 0.10–0.12× at B2SR-32, against the index count's
+/// 0.27–0.54×; the mesh's (12.9–466 bits) 1.23–4.01×.  Not measured: more
+/// than one core, any width but B2SR-8 end to end, and a graph without hubs
+/// or tiles end to end.
 pub const MIN_TILE_FILL: usize = 4;
 
 /// The built backend every matrix holds: the binary CSR (the interchange
@@ -229,9 +266,11 @@ pub const MIN_TILE_FILL: usize = 4;
 /// or more, B2SR tiles and the two bit kernels that read them: the node-word
 /// Boolean pull and push (Table II's bin/bin/bin) and the masked count
 /// (Table III).  Without tiles those two run on the CSR too — in node words,
-/// and as the CSR count.  The Boolean products of a `Backend::Bit` matrix
-/// run in bit words; the float baseline, [`Backend::FloatCsr`], runs
-/// everything on `f32`.
+/// and as the word count over the CSR's rows packed into 64-column words,
+/// packed on the first count and kept.
+/// The Boolean products of a `Backend::Bit` matrix run in bit words; the
+/// float baseline, [`Backend::FloatCsr`], runs everything on `f32` and
+/// counts its masked reduction by column index.
 #[derive(Debug)]
 pub struct BitB2sr {
     /// What the matrix was built as, tiled or not.
@@ -248,6 +287,8 @@ pub struct BitB2sr {
     /// Triangle Counting's operand, built on first use
     /// ([`triangle_operand`](Self::triangle_operand)).
     triangle: OnceLock<Arc<BitB2sr>>,
+    /// The CSR's rows in bit words, packed on first use (`row_words`).
+    words: OnceLock<RowWords>,
 }
 
 /// What a tiled [`BitB2sr`] holds beside its CSR.
@@ -321,17 +362,19 @@ impl BitB2sr {
             symmetric: OnceLock::new(),
             tiles,
             triangle: OnceLock::new(),
+            words: OnceLock::new(),
         }
     }
 
     /// Triangle Counting's `L` of `bin`, an all-ones CSR, as a backend of
     /// `kind`: the strictly lower triangle, where it holds tiles under
     /// `kind` (the tile kernel needs the index order's bands), else the same
-    /// graph ranked by degree ([`Csr::degree_ranked_lower_triangle`]),
-    /// without tiles.  Either counts every triangle once; in degree order
-    /// the CSR count walks a hub's long row only from the few rows ranked
-    /// above it.  A matrix that is not square keeps the index order, whose
-    /// shapes the product then rejects.
+    /// graph ranked by descending degree
+    /// ([`Csr::degree_ranked_lower_triangle`]), without tiles.  Either
+    /// counts every triangle once; in degree order every row holds only its
+    /// higher-degree neighbours, the hubs' low columns, so it packs into few
+    /// 64-column words for the word count.  A matrix that is not square
+    /// keeps the index order, whose shapes the product then rejects.
     pub(crate) fn triangle_operand_of(bin: &Csr, kind: Backend) -> BitB2sr {
         let (l, _) = BitB2sr::of_kind(bin.lower_triangle(), kind, None);
         if l.tiles.is_some() || bin.nrows() != bin.ncols() {
@@ -350,6 +393,14 @@ impl BitB2sr {
     pub fn triangle_operand(&self) -> &Arc<BitB2sr> {
         self.triangle
             .get_or_init(|| Arc::new(BitB2sr::triangle_operand_of(&self.csr, self.kind)))
+    }
+
+    /// The CSR's rows in bit words, what the masked reduction of a
+    /// `Backend::Bit` matrix without common tiles reads its second factor
+    /// as.  Packed on first use and cached, so building and compacting
+    /// never pay for it and only a masked count asks.
+    pub(crate) fn row_words(&self) -> &RowWords {
+        self.words.get_or_init(|| RowWords::from_csr(&self.csr))
     }
 
     /// The B2SR representation, if the matrix has tiles.
@@ -470,6 +521,7 @@ impl BitB2sr {
                 },
             }),
             triangle: OnceLock::new(),
+            words: OnceLock::new(),
         }
     }
 
@@ -535,12 +587,25 @@ impl BitB2sr {
     /// of the second factor's transpose, so `transpose_b` reads `b` itself
     /// and the plain product reads its cached transpose).  Three operands
     /// tiled at one size intersect tiles ([`bmm_bin_bin_sum_masked_nt`]);
-    /// any other triple counts over the CSR views
-    /// (`ops::spgemm_masked_count`).  The caller checks the shapes.
+    /// any other triple of `Backend::Bit` matrices ANDs the second factor's
+    /// row words ([`csr_words_masked_count`]) — the words it caches of its
+    /// own rows where it reads them (`A · Bᵀ`, or a symmetric `B`), words
+    /// packed for the call otherwise — and every other triple counts column
+    /// indices (`ops::spgemm_masked_count`), the float baseline's count.
+    /// The caller checks the shapes.
     pub fn mxm_reduce_masked(&self, b: &BitB2sr, mask: &BitB2sr, transpose_b: bool) -> f64 {
         let count = || {
             let bt = b.csr_rep(!transpose_b);
-            csr_mxm_reduce_masked(&self.csr, bt, &mask.csr)
+            let packed;
+            let words = if !all_bit([self.kind, b.kind, mask.kind]) {
+                None
+            } else if std::ptr::eq(bt, &b.csr) {
+                Some(b.row_words())
+            } else {
+                packed = RowWords::from_csr(bt);
+                Some(&packed)
+            };
+            csr_mxm_reduce_masked(&self.csr, bt, &mask.csr, words)
         };
         let (Some(at), Some(mt)) = (&self.tiles, &mask.tiles) else {
             return count();
@@ -1124,6 +1189,26 @@ pub(crate) mod tests {
         assert!(r_op.b2sr().is_none());
         assert_eq!(r_op.csr(), &r.csr().degree_ranked_lower_triangle());
         assert_ne!(r_op.csr(), &r.csr().lower_triangle());
+        // The work the ranking saves: hubs first, R-MAT's rows pack into
+        // fewer 64-column words than half their entries (80 918 for
+        // 213 073), and the count ANDs a fifth of the words it would with
+        // the labels reversed, hubs last (1.07 M against 5.30 M).
+        let (words, nnz) = (r_op.base().row_words().n_words(), r_op.nnz());
+        assert!(2 * words < nnz, "{words} row words for {nnz} entries");
+        let ands = |l: &Csr| {
+            let words = RowWords::from_csr(l);
+            l.iter().map(|(_, c, _)| words.row(c).len()).sum::<usize>()
+        };
+        let n = r_op.nrows();
+        let mut reversed = Coo::new(n, n);
+        for (r, c, _) in r_op.csr().iter() {
+            reversed.push_edge(n - 1 - c, n - 1 - r).unwrap();
+        }
+        let (ranked, hubs_last) = (ands(r_op.csr()), ands(&reversed.to_binary_csr()));
+        assert!(
+            4 * ranked < hubs_last,
+            "{ranked} word ANDs, {hubs_last} reversed"
+        );
         assert!(m_op.b2sr().is_some());
         assert_eq!(m_op.csr(), &m.csr().lower_triangle());
         assert_eq!(m_op.b2sr(), m.lower_triangle().b2sr());
@@ -1438,7 +1523,7 @@ pub(crate) mod tests {
     }
 
     /// A masked reduction without tiles is the tile kernel's, bit for bit:
-    /// `mxm_reduce_masked` over untiled twins (the CSR count) against tiled
+    /// `mxm_reduce_masked` over untiled twins (a CSR count) against tiled
     /// ones (`bmm_bin_bin_sum_masked_nt`) at every width, `A · B` and
     /// `A · Bᵀ`.  On the ragged hub matrix (`A · Aᵀ` under a scattered
     /// square mask) and on Triangle Counting's `L` of a thin band at 3.6
@@ -1515,17 +1600,17 @@ pub(crate) mod tests {
                 (&a_f, &b_f, &a_f, &a_bit, "float/float/bit"),
                 (&a_bit, &b_bit, &a_bit, &a_f, "bit/bit/float"),
             ];
-            for (a, b, b_nt, m, what) in combos {
-                assert_eq!(
-                    csr_mxm_reduce_masked(a.csr(), b.csr_t(), m.csr()),
-                    expected,
-                    "fallback diverges for {what}"
-                );
-                assert_eq!(
-                    csr_mxm_reduce_masked(a.csr(), b_nt.csr(), m.csr()),
-                    expected,
-                    "transposed-b fallback diverges for {what}"
-                );
+            // Either count over the same views, whichever kinds they come
+            // from: by index, and over the second factor's words.
+            for words in [false, true] {
+                for &(a, b, b_nt, m, what) in &combos {
+                    let run = |bt: &Csr| {
+                        let packed = words.then(|| RowWords::from_csr(bt));
+                        csr_mxm_reduce_masked(a.csr(), bt, m.csr(), packed.as_ref())
+                    };
+                    assert_eq!(run(b.csr_t()), expected, "{what}, words: {words}");
+                    assert_eq!(run(b_nt.csr()), expected, "{what}ᵀ, words: {words}");
+                }
             }
 
             // The method routes mixed operands through the fallback and
@@ -1534,6 +1619,36 @@ pub(crate) mod tests {
             assert_eq!(a_f.mxm_reduce_masked(&b_bit, &a_bit, false), expected);
             assert_eq!(a_bit.mxm_reduce_masked(&a_f, &a_bit, true), expected);
             assert_eq!(a_f.mxm_reduce_masked(&a_bit, &a_bit, true), expected);
+        }
+    }
+
+    /// A bit matrix without tiles reads its triangle operand's row words,
+    /// packed on the first count and kept, on a skewed graph (R-MAT, hubs
+    /// first) and on one without hubs (Erdős–Rényi) alike; the float
+    /// baseline packs none.  Every count equals both bare kernels'.
+    #[test]
+    fn the_masked_count_reads_words_on_bit_matrices_only() {
+        use bitgblas_datagen::generators;
+
+        let rmat = generators::rmat(12, 16, 0.57, 0.19, 0.19, 5).symmetrized();
+        let er = generators::erdos_renyi(4096, 8.0 / 4096.0, true, 3);
+        for adj in [&rmat, &er] {
+            for kind in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+                let m = Matrix::from_csr(adj, kind);
+                let l = m.triangle_operand();
+                assert!(l.b2sr().is_none(), "{kind:?}");
+                assert!(l.base().words.get().is_none(), "packed before a count");
+                let count = Op::mxm_reduce(&l, &l, &l).transpose_b().run(m.context());
+                let words = RowWords::from_csr(l.csr());
+                let index = float_ops::spgemm_masked_count(l.csr(), l.csr(), l.csr()).unwrap();
+                assert_eq!(csr_words_masked_count(l.csr(), &words, l.csr()), index);
+                assert_eq!(count, index as f64, "{kind:?}");
+                let cached = l.base().words.get().map(RowWords::n_words);
+                match kind {
+                    Backend::FloatCsr => assert_eq!(cached, None, "the baseline packs no words"),
+                    _ => assert_eq!(cached, Some(words.n_words()), "{kind:?}"),
+                }
+            }
         }
     }
 

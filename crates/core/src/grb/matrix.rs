@@ -419,7 +419,7 @@ impl Matrix {
 
     /// Triangle Counting's `L`, the one operand of `Σ (L·Lᵀ) .* L`, under
     /// this matrix's resolved kind: the strictly lower triangle where it
-    /// holds tiles, else the same graph ranked by ascending degree, without
+    /// holds tiles, else the same graph ranked by descending degree, without
     /// tiles (`BitB2sr::triangle_operand_of`).  Built on first use and
     /// cached on the built base — or, through pending deltas, on their
     /// overlay — so the handle shares it the way [`transpose`](Matrix::transpose)

@@ -52,9 +52,10 @@
 use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
 
 use crate::faultinject::FaultInjector;
+use crate::kernels::RowWords;
 use crate::semiring::{BinaryOp, Semiring};
 
-use super::backend::csr_mxm_reduce_masked;
+use super::backend::{all_bit, csr_mxm_reduce_masked};
 use super::descriptor::{Descriptor, Mask};
 use super::direction::Direction;
 use super::error::GrbError;
@@ -703,7 +704,8 @@ impl MxmReduceBuilder<'_> {
     /// Execute on the operands' backends: three operands tiled alike
     /// intersect tiles, any other triple — mixed backends or tile sizes, a
     /// matrix without tiles or with pending deltas — counts over the CSR
-    /// views.
+    /// views: in 64-column row words when all three are `Backend::Bit`, by
+    /// column index otherwise.
     ///
     /// # Panics
     /// Panics on shape violations; [`MxmReduceBuilder::try_run`] is the
@@ -738,10 +740,13 @@ impl MxmReduceBuilder<'_> {
         ctx.workspace().stats().record_mxm_reduce();
         Ok(match (a.built(), b.built(), mask.built()) {
             (Some(a), Some(b), Some(mask)) => a.mxm_reduce_masked(b, mask, transpose_b),
-            // Pending deltas: count over the merged CSR views.
+            // Pending deltas: count over the merged CSR views, in words
+            // packed for this call on bit matrices.
             _ => {
                 let bt = if transpose_b { b.csr() } else { b.csr_t() };
-                csr_mxm_reduce_masked(a.csr(), bt, mask.csr())
+                let bits = all_bit([a, b, mask].map(Matrix::resolved_backend));
+                let words = bits.then(|| RowWords::from_csr(bt));
+                csr_mxm_reduce_masked(a.csr(), bt, mask.csr(), words.as_ref())
             }
         })
     }

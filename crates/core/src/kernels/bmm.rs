@@ -44,6 +44,9 @@
 //!   every full-precision pull, and the Boolean products in node words
 //!   (`csr_bits_pull`, `csr_bits_push`: a bit matrix without tiles) and in
 //!   lane words (`csr_lanes_pull`, `csr_lanes_push`: every bit matrix).
+//!   And the masked count of a bit matrix without tiles,
+//!   `csr_words_masked_count`: Triangle Counting's AND + popcount over
+//!   CSR rows packed into 64-column words (`RowWords`).
 
 use rayon::prelude::*;
 
@@ -959,6 +962,116 @@ pub fn csr_lanes_push(csr: &Csr, frontier: &[usize], xw: &[u64], wpn: usize, yw:
     }
 }
 
+// ---------------------------------------------------------------------------
+// The masked count over CSR rows in bit words
+// ---------------------------------------------------------------------------
+
+/// A CSR matrix's rows in bit words: row `r` is the ascending `(w, bits)`
+/// pairs of its non-empty 64-column words, bit `c % 64` of word `c / 64`
+/// set iff `(r, c)` is stored.  What [`csr_words_masked_count`] reads its
+/// second factor as; a row whose columns cluster (the hub columns of a
+/// degree-ranked triangle) packs into a few words.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowWords {
+    ncols: usize,
+    rowptr: Vec<usize>,
+    words: Vec<(usize, u64)>,
+}
+
+impl RowWords {
+    /// Pack the rows of `csr`, values ignored: one pass over its column
+    /// indices.
+    pub fn from_csr(csr: &Csr) -> Self {
+        let mut rowptr = Vec::with_capacity(csr.nrows() + 1);
+        rowptr.push(0);
+        let mut words = Vec::new();
+        for r in 0..csr.nrows() {
+            for cols in csr.row(r).0.chunk_by(|&a, &b| a / 64 == b / 64) {
+                let bits = cols.iter().fold(0u64, |w, &c| w | 1 << (c % 64));
+                words.push((cols[0] / 64, bits));
+            }
+            rowptr.push(words.len());
+        }
+        RowWords {
+            ncols: csr.ncols(),
+            rowptr,
+            words,
+        }
+    }
+
+    /// Number of rows.
+    pub fn nrows(&self) -> usize {
+        self.rowptr.len() - 1
+    }
+
+    /// Number of columns.
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Number of non-empty row words, over all rows.
+    pub fn n_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Row `r`'s non-empty words, ascending by word index.
+    pub fn row(&self, r: usize) -> &[(usize, u64)] {
+        &self.words[self.rowptr[r]..self.rowptr[r + 1]]
+    }
+}
+
+/// `csr_words_masked_count()`: `Σ_{(r, c) ∈ mask} |a_r ∩ bt_c|` over the
+/// operands' stored positions, values ignored — the pattern count of
+/// `sparse::ops::spgemm_masked_count`, exactly, with the second factor's
+/// transpose `bt` by rows in bit words.  `a` is `m × p`, `bt` is `q × p`,
+/// `mask` is `m × q`; `a = bt = mask = L` is Triangle Counting's
+/// `Σ (L·Lᵀ) .* L`.
+///
+/// Row `a_r` is OR-ed into a dense `p / 64`-word scratch, then every
+/// `bt_c` with `c ∈ mask_r` adds `popcount(dense[w] & bits)` over its
+/// words, and the words `a_r` set are cleared — Table III's AND + popcount
+/// over a row's 64 columns at a time, with no tiles.  Work is
+/// `Σ_r 2 |a_r| + Σ_{(r, c) ∈ mask} words(bt_c)` against the index count's
+/// `Σ_{(r, c) ∈ mask} |bt_c|`.  Rayon parallelises over rows, one scratch
+/// per worker.
+///
+/// # Panics
+/// Panics if the dimensions are incompatible.
+pub fn csr_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
+    assert_eq!(a.ncols(), bt.ncols(), "inner dimensions must agree");
+    assert_eq!(a.nrows(), mask.nrows(), "mask must match the output rows");
+    assert_eq!(
+        bt.nrows(),
+        mask.ncols(),
+        "mask must match the output columns"
+    );
+    (0..a.nrows())
+        .into_par_iter()
+        .map_init(
+            || vec![0u64; a.ncols().div_ceil(64)],
+            |dense, r| {
+                let (mask_cols, a_cols) = (mask.row(r).0, a.row(r).0);
+                if mask_cols.is_empty() || a_cols.is_empty() {
+                    return 0u64;
+                }
+                for &k in a_cols {
+                    dense[k / 64] |= 1 << (k % 64);
+                }
+                let mut count = 0u64;
+                for &c in mask_cols {
+                    for &(w, bits) in bt.row(c) {
+                        count += u64::from((dense[w] & bits).count_ones());
+                    }
+                }
+                for &k in a_cols {
+                    dense[k / 64] = 0;
+                }
+                count
+            },
+        )
+        .sum()
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -996,9 +1109,10 @@ pub(crate) mod tests {
         coo.to_binary_csr()
     }
 
-    /// The masked `A · Bᵀ` kernel at every tile size, then the CSR count a
-    /// hypersparse matrix routes to (`ops::spgemm_masked_count`).
-    fn masked_nt_all_widths(a: &Csr, bt: &Csr, mask: &Csr) -> [u64; 5] {
+    /// The masked `A · Bᵀ` kernel at every tile size, then the index count
+    /// the float baseline runs (`ops::spgemm_masked_count`) and the word
+    /// count a bit matrix without tiles runs (`csr_words_masked_count`).
+    fn masked_nt_all_widths(a: &Csr, bt: &Csr, mask: &Csr) -> [u64; 6] {
         macro_rules! at {
             ($w:ty, $dim:expr) => {
                 bmm_bin_bin_sum_masked_nt(
@@ -1009,7 +1123,93 @@ pub(crate) mod tests {
             };
         }
         let count = ops::spgemm_masked_count(a, bt, mask).unwrap();
-        [at!(u8, 4), at!(u8, 8), at!(u16, 16), at!(u32, 32), count]
+        let words = csr_words_masked_count(a, &RowWords::from_csr(bt), mask);
+        [
+            at!(u8, 4),
+            at!(u8, 8),
+            at!(u16, 16),
+            at!(u32, 32),
+            count,
+            words,
+        ]
+    }
+
+    /// The word count against the index count and the float merge
+    /// (`ops::spgemm_masked_count`, `ops::spgemm_masked_sum`), on all-ones
+    /// operands that cross word boundaries every way: square sizes around
+    /// 64 (`a ≠ bt ≠ mask`, and Triangle Counting's `L` three times in both
+    /// orders, of a directed and of a symmetric graph), a clique on columns
+    /// 63, 64 and 65, rectangular operands, and empty rows beside one full
+    /// 200-entry row.
+    #[test]
+    fn words_masked_count_equals_the_index_count() {
+        let check = |a: &Csr, bt: &Csr, mask: &Csr, what: &str| {
+            let want = ops::spgemm_masked_count(a, bt, mask).unwrap();
+            let sum = ops::spgemm_masked_sum(a, bt, mask).unwrap();
+            assert_eq!(sum as u64, want, "{what}");
+            let words = RowWords::from_csr(bt);
+            assert_eq!(csr_words_masked_count(a, &words, mask), want, "{what}");
+            want
+        };
+        let mut total = 0;
+        for n in [0usize, 1, 63, 64, 65, 127, 129] {
+            let square = |seed: u64| match n {
+                0 => Csr::empty(0, 0),
+                _ => sample(n, seed + n as u64, 5),
+            };
+            let (a, bt, mask) = (square(1), square(2), square(3));
+            total += check(&a, &bt, &mask, &format!("n = {n}"));
+            for adj in [a.clone(), a.symmetrized()] {
+                for l in [adj.lower_triangle(), adj.degree_ranked_lower_triangle()] {
+                    total += check(&l, &l, &l, &format!("L, n = {n}"));
+                }
+            }
+        }
+        assert!(total > 0, "the sizes must not be vacuous");
+
+        // A 5-clique on columns 1, 63, 64, 65 and 128: ten triangles, every
+        // one across a word boundary.
+        let mut clique = Coo::new(130, 130);
+        let at = [1usize, 63, 64, 65, 128];
+        for &u in &at {
+            for &v in at.iter().filter(|&&v| v != u) {
+                clique.push_edge(u, v).unwrap();
+            }
+        }
+        let l = clique.to_binary_csr().lower_triangle();
+        assert_eq!(check(&l, &l, &l, "clique"), 10);
+
+        for (m, p, q) in [(37, 130, 83), (130, 65, 7), (5, 200, 129)] {
+            let a = sample_rect(m, p, 3 + m as u64, 5, |_, _| true);
+            let bt = sample_rect(q, p, 7 + q as u64, 9, |_, _| true);
+            let mask = sample_rect(m, q, 11 + p as u64, 9, |_, _| true);
+            assert!(check(&a, &bt, &mask, &format!("({m},{p},{q})")) > 0);
+        }
+
+        // Rows 0..8 of `a` empty, row 3 of `a` and row 5 of `bt` full.
+        let (m, p, q) = (20, 200, 30);
+        let full = |rows: usize, full_row: usize, seed: u64| {
+            let mut coo = Coo::new(rows, p);
+            for c in 0..p {
+                coo.push_edge(full_row, c).unwrap();
+            }
+            for (r, c, _) in sample_rect(rows, p, seed, 4, |r, _| r >= 8).iter() {
+                coo.push_edge(r, c).unwrap();
+            }
+            coo.to_binary_csr()
+        };
+        let (a, bt) = (full(m, 3, 4), full(q, 5, 5));
+        let mut mask = Coo::new(m, q);
+        mask.push_edge(3, 5).unwrap();
+        for (r, c, _) in sample_rect(m, q, 6, 12, |_, _| true).iter() {
+            mask.push_edge(r, c).unwrap();
+        }
+        let mask = mask.to_binary_csr();
+        assert_eq!(a.row(3).0.len(), 200);
+        assert!(check(&a, &bt, &mask, "full rows") >= 200);
+        let none = Csr::empty(m, q);
+        assert_eq!(check(&a, &bt, &none, "empty mask"), 0);
+        assert_eq!(check(&Csr::empty(m, p), &bt, &mask, "empty a"), 0);
     }
 
     /// Reference: sum of all entries of the float SpGEMM product.
@@ -1113,12 +1313,12 @@ pub(crate) mod tests {
         );
         assert_eq!(tri, 4);
         // The same count with `Lᵀ` never built: `L` by rows, three times.
-        assert_eq!(masked_nt_all_widths(&l, &l, &l), [4; 5]);
+        assert_eq!(masked_nt_all_widths(&l, &l, &l), [4; 6]);
     }
 
     /// Rectangular `A (m×p)`, `Bᵀ (q×p)` and a non-triangular `mask (m×q)`
     /// with no dimension a tile multiple and three different tile-row
-    /// counts: the kernel and the CSR count against the float row-merge
+    /// counts: the kernel and the CSR counts against the float row-merge
     /// kernel, and against the `A · B` entry point.
     #[test]
     fn masked_nt_matches_float_reference_on_rectangular_operands() {
@@ -1130,7 +1330,7 @@ pub(crate) mod tests {
             assert!(expected > 0, "({m},{p},{q}) must not be vacuous");
             assert_eq!(
                 masked_nt_all_widths(&a, &bt, &mask),
-                [expected; 5],
+                [expected; 6],
                 "({m},{p},{q})"
             );
             assert_eq!(
@@ -1147,7 +1347,7 @@ pub(crate) mod tests {
     /// Empty tile-rows in each operand — including mask tiles over an empty
     /// `A` tile-row and mask tiles whose `Bᵀ` tile-row is empty — contribute
     /// nothing and leave the tile-column table clean for the next row; the
-    /// CSR count skips the same empty rows.
+    /// CSR counts skip the same empty rows.
     #[test]
     fn masked_nt_skips_empty_tile_rows_of_every_operand() {
         let (m, p, q) = (96, 100, 90);
@@ -1161,12 +1361,12 @@ pub(crate) mod tests {
         assert!(mask.iter().any(|(r, c, _)| r < 32 && c < 32));
         let expected = ops::spgemm_masked_sum(&a, &bt, &mask).unwrap() as u64;
         assert!(expected > 0);
-        assert_eq!(masked_nt_all_widths(&a, &bt, &mask), [expected; 5]);
+        assert_eq!(masked_nt_all_widths(&a, &bt, &mask), [expected; 6]);
         // Whole operands empty.
         let none = Csr::empty(q, p);
-        assert_eq!(masked_nt_all_widths(&a, &none, &mask), [0; 5]);
-        assert_eq!(masked_nt_all_widths(&Csr::empty(m, p), &bt, &mask), [0; 5]);
-        assert_eq!(masked_nt_all_widths(&a, &bt, &Csr::empty(m, q)), [0; 5]);
+        assert_eq!(masked_nt_all_widths(&a, &none, &mask), [0; 6]);
+        assert_eq!(masked_nt_all_widths(&Csr::empty(m, p), &bt, &mask), [0; 6]);
+        assert_eq!(masked_nt_all_widths(&a, &bt, &Csr::empty(m, q)), [0; 6]);
     }
 
     /// One worker sweeping every tile-row with one scratch, two workers

@@ -22,8 +22,10 @@
 //!   intersection that takes its second operand as `Bᵀ` stored by rows
 //!   (Triangle Counting hands it `L` three times); the `A·B` form
 //!   transposes `b` and calls it.  A bit matrix too sparse to hold tiles
-//!   (`grb::backend::MIN_TILE_FILL`) runs the CSR count
-//!   `sparse::ops::spgemm_masked_count` instead.  Also here:
+//!   (`grb::backend::MIN_TILE_FILL`) runs the same AND + popcount over its
+//!   CSR rows instead, `csr_words_masked_count`: the second factor's rows
+//!   packed into ascending 64-column words (`RowWords`), the first OR-ed
+//!   into a dense word scratch per row.  Also here:
 //!   the batched matrix-times-multivector tile kernels (`bmm_bin_bits_into`
 //!   / `bmm_push_bits` for Boolean lane words, `bmm_bin_full_into` for the
 //!   other semirings' pull) — each adjacency tile is loaded once and applied
@@ -69,7 +71,7 @@ pub mod simd;
 pub use bmm::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into,
     bmm_bin_full_into, bmm_push_bits, csr_bits_pull, csr_bits_push, csr_lanes_pull, csr_lanes_push,
-    csr_pull_full, csr_push_full,
+    csr_pull_full, csr_push_full, csr_words_masked_count, RowWords,
 };
 pub use bmv::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,

@@ -21,7 +21,9 @@
 //!   (one sweep that finishes each row through a closure — mask, fused
 //!   epilogue or nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
 //!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows, and
-//!   which a matrix too sparse to hold tiles replaces with a CSR count),
+//!   which a matrix too sparse to hold tiles replaces with the same AND +
+//!   popcount over its CSR rows packed into 64-column words,
+//!   `csr_words_masked_count`),
 //!   each structured as one-warp-per-tile-row — one `BitWord` per tile row
 //!   — and parallelised across tile-rows with Rayon.  The engine reads
 //!   tiles for the bin/bin/bin node-word products and the masked count

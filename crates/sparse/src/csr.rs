@@ -7,6 +7,8 @@
 //! dense conversion, and helpers used by the tile-extraction step of the
 //! CSR→B2SR converter.
 
+use std::cmp::Reverse;
+
 use crate::coo::Coo;
 use crate::error::SparseError;
 
@@ -406,14 +408,15 @@ impl Csr {
 
     /// The strictly lower triangle in degree order: the undirected graph
     /// whose edges are this square matrix's strictly lower entries `{r, c}`
-    /// (`c < r`), its vertices relabelled by ascending (degree in that
-    /// graph, id), each edge stored once, in the row of its higher-ranked
-    /// end.  Binary (every value `1.0`).  Any acyclic orientation of a graph
-    /// holds each of its triangles once, as `i > j > k`, so Triangle
-    /// Counting's `Σ (L·Lᵀ) .* L` over this `L` counts what it counts over
-    /// [`lower_triangle`](Csr::lower_triangle) — while the marker count
-    /// ([`spgemm_masked_count`](crate::ops::spgemm_masked_count)) walks a
-    /// hub's long row only from the few rows ranked above it.
+    /// (`c < r`), its vertices relabelled by descending degree in that
+    /// graph, ties by ascending id (the hubs get the smallest labels), each
+    /// edge stored once, in the row of its higher-labelled end.  Binary
+    /// (every value `1.0`).  Any acyclic orientation of a graph holds each
+    /// of its triangles once, as `i > j > k`, so Triangle Counting's
+    /// `Σ (L·Lᵀ) .* L` over this `L` counts what it counts over
+    /// [`lower_triangle`](Csr::lower_triangle) — while every row holds only
+    /// the neighbours of higher degree, packed into the first few 64-column
+    /// words, so a row-word count ANDs few words per row.
     ///
     /// Two counting sorts, `O(nnz + n log n)`: the edges are bucketed by
     /// their lower end, then scattered to their higher end's row in that
@@ -434,7 +437,7 @@ impl Csr {
             degree[c] += 1;
         });
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&v| (degree[v], v));
+        order.sort_unstable_by_key(|&v| (Reverse(degree[v]), v));
         let mut rank = degree;
         for (k, &v) in order.iter().enumerate() {
             rank[v] = k;
@@ -652,9 +655,10 @@ mod tests {
 
     /// The degree-ranked triangle is a valid binary CSR (rows strictly
     /// ascending, `from_raw`'s checks), strictly lower, and holds the same
-    /// undirected edges as the strictly lower triangle under the relabel
-    /// ascending (degree, id) — on symmetric and directed inputs, self-loops
-    /// included, and on the empty matrix.
+    /// undirected edges as the strictly lower triangle under the relabel by
+    /// descending degree, ties by ascending id — on symmetric and directed
+    /// inputs, self-loops included, and on the empty matrix.  A star's hub
+    /// is labelled 0 wherever it sits, so every edge lands in column 0.
     #[test]
     fn degree_ranked_lower_triangle_relabels_the_lower_edges() {
         for (n, mirrored, seed) in [(0, true, 1), (1, true, 1), (37, true, 2), (50, false, 3)] {
@@ -675,7 +679,7 @@ mod tests {
                 degree[c] += 1;
             }
             let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&v| (degree[v], v));
+            order.sort_by(|&u, &v| degree[v].cmp(&degree[u]).then(u.cmp(&v)));
             let rank = |v: usize| order.iter().position(|&u| u == v).unwrap();
             let mut relabelled: Vec<(usize, usize)> = l
                 .iter()
@@ -685,6 +689,16 @@ mod tests {
             let stored: Vec<(usize, usize)> = ranked.iter().map(|(r, c, _)| (r, c)).collect();
             assert_eq!(stored, relabelled, "n = {n}");
         }
+        // A star centred on vertex 5: the hub ranks first, and the leaves
+        // keep their id order behind it.
+        let mut star = Coo::new(9, 9);
+        for leaf in (0..9).filter(|&v| v != 5) {
+            star.push(5, leaf, 1.0).unwrap();
+            star.push(leaf, 5, 1.0).unwrap();
+        }
+        let ranked = Csr::from_coo(&star).degree_ranked_lower_triangle();
+        let stored: Vec<(usize, usize)> = ranked.iter().map(|(r, c, _)| (r, c)).collect();
+        assert_eq!(stored, (1..9).map(|r| (r, 0)).collect::<Vec<_>>());
     }
 
     #[test]
