@@ -4,9 +4,10 @@
 //! Buluç): every vertex carries a parent pointer `f`, and each round
 //! 1. gathers the minimum parent of each vertex's neighbours with a tropical
 //!    min `mxv` (`MinPlus(0.0)`: the CSR row pull `csr_pull_full` on every
-//!    backend, its `min` folded in four chains) — and, only when the matrix
-//!    is not symmetric, a second pull on `Aᵀ` min-folded onto the first, so
-//!    a directed input is followed both ways,
+//!    backend, which takes each row's least parent by compare-select in
+//!    four accumulators and adds the weight once per row) — and, only when
+//!    the matrix is not symmetric, a second pull on `Aᵀ` min-folded onto
+//!    the first, so a directed input is followed both ways,
 //! 2. *hooks* the grandparent of each vertex onto that minimum
 //!    (`f[f[u]] = min(f[f[u]], mnp[u])`), also hooking the vertex itself, and
 //! 3. *shortcuts* every vertex to its grandparent (`f[u] = f[f[u]]`),

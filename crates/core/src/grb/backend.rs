@@ -48,6 +48,7 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 use crate::b2sr::convert::{count_tiles, RetileCounts};
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
+use crate::kernels::bmm::{min_plus_any_order, select_min};
 use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
@@ -189,17 +190,22 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// Every full-precision pull reads the CSR on every matrix, as every push
 /// does.  `taskset -c 1 cargo bench -p bitgblas-bench --bench bmv --
 /// bmv_pull_fill` (same graphs, host and core, two runs) times the tile
-/// sweep beside the row pull the engine runs, [`csr_pull_full`].  Row pull
-/// ÷ sweep at B2SR-8:
+/// sweep beside the row pull the engine runs, [`csr_pull_full`], whose
+/// MinPlus fold takes a row's least operand by compare-select and adds the
+/// weight once.  Row pull ÷ sweep at B2SR-8:
 ///
 /// | bits / tile | 1 | 2 | 4 | 6 | 8 | 16 | 64 |
 /// |---|---|---|---|---|---|---|---|
-/// | Arithmetic | 0.24–0.35 | 0.45–0.67 | 0.65–0.71 | 0.76–0.86 | 0.69–0.88 | 0.95–0.98 | 0.76–1.07 |
-/// | MinPlus | 0.30–0.45 | 0.56–0.57 | 0.73–0.74 | 0.84–0.95 | 0.84–0.89 | 0.80–0.86 | 0.59–0.65 |
+/// | Arithmetic | 0.24–0.31 | 0.44–0.49 | 0.57–0.61 | 0.70–0.72 | 0.72–0.75 | 0.81–0.83 | 0.46–0.47 |
+/// | MinPlus | 0.22 | 0.37–0.39 | 0.54–0.57 | 0.55–0.57 | 0.54–0.56 | 0.59–0.67 | 0.30 |
 ///
-/// The row pull wins or ties at every fill, the mesh included (0.49–0.63,
-/// Arithmetic 0.68–0.77), and at every other width (≤ 0.64, 1.14 and 0.99
-/// Arithmetic at B2SR-4, -16 and -32; ≤ 0.89 MinPlus).  End to end, ten
+/// The row pull wins at every fill, the mesh included (MinPlus 0.31–0.37,
+/// Arithmetic 0.49–0.52; R-MAT 0.20–0.21 and 0.23–0.27), and at every other
+/// width (MinPlus ≤ 0.48, 0.58 and 0.65 at B2SR-4, -16 and -32; Arithmetic
+/// ≤ 0.61, 0.72 and 0.62).  The MinPlus row was 0.30–0.95 at B2SR-8 with
+/// the `f32::min` fold.  The Arithmetic row's code did not change, yet its
+/// 64-bit cell read 0.46–0.47 where it had read 0.76–1.07: that is how far
+/// the host moves a cell between sessions.  End to end, ten
 /// alternating pairs of the repo benchmark's mesh workloads (B2SR-8, one
 /// pinned core of the same VM), every full-precision pull and every lane
 /// product on the CSR against the tile sweeps, read in medians
@@ -941,41 +947,65 @@ fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
 /// The batched row pull of a pipeline over `csr`.  One lane is the vector
 /// pull, [`csr_pull`]: at `k = 1` the operand, the output and the flat mask
 /// index `r·k + l = r` are laid out as a vector's.  Wider batches walk each
-/// row once for all `k` lanes, under a semiring resolved once per call, and
-/// finish in one epilogue pass.
+/// row once for all `k` lanes ([`lane_rows`]), under a semiring resolved
+/// once per call, and finish in one epilogue pass.  A `MinPlus(w)` batch
+/// with `w` finite and not `−0.0` folds each lane by compare-select
+/// (`select_min`) in place of `f32::min`: exact, since a lane starts at
+/// `+∞` and, with no term `−0.0`, never holds NaN or `−0.0`
+/// (`min_plus_any_order`).
 fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
-    use rayon::prelude::*;
-    let (x, k, mask) = (p.x, p.k, p.mask);
-    if k == 1 {
+    if p.k == 1 {
         return csr_pull(csr, p, out);
     }
     out.clear();
-    out.resize(csr.nrows() * k, p.semiring.identity());
-    with_semiring_ops!(p.semiring, |identity, combine, reduce| {
-        out.par_chunks_mut(k).enumerate().for_each(|(r, lanes)| {
-            // A row whose every lane is masked out produces only identities
-            // — skip its edge walk entirely (GraphBLAST's early exit, per
-            // batch: the common state of late traversal iterations).
-            if let Some(m) = mask {
-                if (0..k).all(|l| !m.allows(r * k + l)) {
-                    return;
-                }
-            }
-            for &c in csr.row(r).0 {
-                for (d, &s) in lanes.iter_mut().zip(&x[c * k..][..k]) {
-                    *d = reduce(*d, combine(s));
-                }
-            }
-            if let Some(m) = mask {
-                for (l, v) in lanes.iter_mut().enumerate() {
-                    if !m.allows(r * k + l) {
-                        *v = identity;
-                    }
-                }
-            }
-        })
-    });
+    out.resize(csr.nrows() * p.k, p.semiring.identity());
+    if let Some(w) = min_plus_any_order(p.semiring) {
+        lane_rows(csr, p, f32::INFINITY, move |s| s + w, select_min, out);
+    } else {
+        with_semiring_ops!(p.semiring, |identity, combine, reduce| lane_rows(
+            csr, p, identity, combine, reduce, out
+        ));
+    }
     p.finish_in_place(out);
+}
+
+/// The row loop of [`csr_mxm_pull`] under one lane fold: row `r`'s `k`
+/// lanes of `out` (filled with `identity`) fold `reduce(lane, combine(s))`
+/// over the row's operand lanes `s`, and a masked lane is reset to
+/// `identity`.
+#[inline(always)]
+fn lane_rows(
+    csr: &Csr,
+    p: &MxvPipeline<'_>,
+    identity: f32,
+    combine: impl Fn(f32) -> f32 + Sync,
+    reduce: impl Fn(f32, f32) -> f32 + Sync,
+    out: &mut [f32],
+) {
+    use rayon::prelude::*;
+    let (x, k, mask) = (p.x, p.k, p.mask);
+    out.par_chunks_mut(k).enumerate().for_each(|(r, lanes)| {
+        // A row whose every lane is masked out produces only identities
+        // — skip its edge walk entirely (GraphBLAST's early exit, per
+        // batch: the common state of late traversal iterations).
+        if let Some(m) = mask {
+            if (0..k).all(|l| !m.allows(r * k + l)) {
+                return;
+            }
+        }
+        for &c in csr.row(r).0 {
+            for (d, &s) in lanes.iter_mut().zip(&x[c * k..][..k]) {
+                *d = reduce(*d, combine(s));
+            }
+        }
+        if let Some(m) = mask {
+            for (l, v) in lanes.iter_mut().enumerate() {
+                if !m.allows(r * k + l) {
+                    *v = identity;
+                }
+            }
+        }
+    })
 }
 
 /// Every full-precision push — any `f32` semiring on a `Backend::Bit`

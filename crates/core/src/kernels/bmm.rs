@@ -681,43 +681,62 @@ pub fn csr_push_full<M: Fn(usize) -> bool>(
     });
 }
 
-/// The weight `w` of a `MinPlus(w)` pull whose row fold may run in four
-/// chains ([`csr_pull_full`]): every `w` but `−0.0` (by bits).  Under it
-/// `⊕ = min` over `⊗` outputs gives the same bits in any order and
-/// grouping, since
+/// The weight `w` of a `MinPlus(w)` pull whose fold may take the minimum
+/// operand by compare-select and add `w` after it ([`csr_pull_full`], and
+/// the batched row pull of `grb::backend`): every finite `w` but `−0.0` (by
+/// bits).  Under it, over the ascending `f32::min` chain of `x[c] + w` from
+/// `+∞`,
 ///
 /// * `x + w` is `−0.0` only when both operands are `−0.0`
-///   (round-to-nearest), so no term is `−0.0`;
-/// * `f32::min` returns its non-NaN operand, so an accumulator that starts
-///   at `+∞` never holds NaN;
-/// * `min` over non-NaN values with no `−0.0` is a total order's minimum.
+///   (round-to-nearest), so no term is `−0.0`, and `min` over the non-NaN
+///   terms is a total order's minimum, in any order and grouping;
+/// * round-to-nearest is monotone, so that minimum is `fl(m + w)`, `m` the
+///   least non-NaN operand — a `±0.0` tie in `m` gives the same bits once
+///   `w` is added, and a row with no non-NaN operand keeps `+∞`, which
+///   `+ w` leaves `+∞`;
+/// * [`select_min`] never selects a NaN operand, as `f32::min` skips it.
 ///
 /// `MinPlus(−0.0)` is refused: `−0.0 + −0.0` is `−0.0`, and
-/// `min(0.0, −0.0)` answers by operand position.
+/// `min(0.0, −0.0)` answers by operand position.  A `±∞` or NaN `w` is
+/// refused too: there `m + w` may be NaN (`−∞ + ∞`, `m + NaN`) where the
+/// chain skips every NaN term.
 #[inline(always)]
-fn min_plus_any_order(semiring: Semiring) -> Option<f32> {
+pub(crate) fn min_plus_any_order(semiring: Semiring) -> Option<f32> {
     match semiring {
-        Semiring::MinPlus(w) if w.to_bits() != (-0.0f32).to_bits() => Some(w),
+        Semiring::MinPlus(w) if w.is_finite() && w.to_bits() != (-0.0f32).to_bits() => Some(w),
         _ => None,
     }
 }
 
-/// `min` over `x[c] + w` for the columns of one row, dealt round-robin into
-/// four accumulators merged at the row's end: four independent `f32::min`
-/// chains in place of one.  Exact only under [`min_plus_any_order`].
+/// `v` if it is below `acc`, else `acc`: one `minss`, where `f32::min`
+/// lowers to a NaN-guarded sequence on the baseline x86-64 target.  Equal
+/// to `acc.min(v)` while `acc` is not NaN and no `±0.0` pair meets; a NaN
+/// `v` is never selected.
+#[inline(always)]
+pub(crate) fn select_min(acc: f32, v: f32) -> f32 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// `min` over `x[c] + w` for the columns of one row: the operands dealt
+/// round-robin into four [`select_min`] accumulators, merged at the row's
+/// end, and `w` added once.  Exact only under [`min_plus_any_order`].
 #[inline(always)]
 fn min_plus_four_chains(cols: &[usize], x: &[f32], w: f32) -> f32 {
     let mut acc = [f32::INFINITY; 4];
     let (quads, rest) = cols.as_chunks::<4>();
     for quad in quads {
         for (a, &c) in acc.iter_mut().zip(quad) {
-            *a = a.min(x[c] + w);
+            *a = select_min(*a, x[c]);
         }
     }
     for (a, &c) in acc.iter_mut().zip(rest) {
-        *a = a.min(x[c] + w);
+        *a = select_min(*a, x[c]);
     }
-    acc[0].min(acc[1]).min(acc[2].min(acc[3]))
+    select_min(select_min(acc[0], acc[1]), select_min(acc[2], acc[3])) + w
 }
 
 /// The row-parallel sweep of [`csr_pull_full`] under one row fold: a row
@@ -752,19 +771,21 @@ fn pull_rows(
 /// monomorphised by the caller (`grb::backend`'s `csr_pull`).
 ///
 /// A row folds in one ascending chain, under a semiring resolved once per
-/// call, four columns per loop step — except `MinPlus(w)` with `w` not
-/// `−0.0`, whose columns are dealt into four accumulators
-/// (`min_plus_four_chains`): `min`'s latency, not the loads, bounds a
-/// one-chain fold.  That is exact (`min_plus_any_order`), so every
-/// semiring's result keeps the bits of the ascending chain — and of the
-/// tile sweep — and the four-chain body is matched before the semiring
-/// dispatch, out of every other semiring's loop.  The four-column step
-/// keeps the chain's order; it exists because a one-column loop body is so
-/// short that where the linker places it sets its speed: the same source
-/// built in two checkout directories ran the mesh's fused PageRank pull
-/// (Arithmetic) at 1.0 and 1.6 ms, and at 0.7–0.85 ms in both with the
-/// four-column step (repo benchmark, `mesh_read`, one pinned core of a
-/// 2-vCPU Xeon VM).
+/// call, four columns per loop step — except `MinPlus(w)` with `w` finite
+/// and not `−0.0`, whose operands `x[c]` are dealt into four compare-select
+/// accumulators (`select_min`, one `minss` each) merged at the row's end,
+/// with `w` added once per row (`min_plus_four_chains`): `min`'s latency,
+/// not the loads, bounds a one-chain fold, and `f32::min` costs several
+/// instructions where `minss` costs one.  That is exact
+/// (`min_plus_any_order`), so every semiring's result keeps the bits of the
+/// ascending chain — and of the tile sweep — and the MinPlus body is
+/// matched before the semiring dispatch, out of every other semiring's
+/// loop.  The four-column step keeps the chain's order; it exists because
+/// a one-column loop body is so short that where the linker places it sets
+/// its speed: the same source built in two checkout directories ran the
+/// mesh's fused PageRank pull (Arithmetic) at 1.0 and 1.6 ms, and at
+/// 0.7–0.85 ms in both with the four-column step (repo benchmark,
+/// `mesh_read`, one pinned core of a 2-vCPU Xeon VM).
 ///
 /// # Panics
 /// Panics if `x` is shorter than `ncols` or `y` shorter than `nrows`.
@@ -1077,6 +1098,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use bitgblas_sparse::{ops, Coo, Csr};
+    use std::hint::black_box;
 
     fn sample(n: usize, seed: u64, edges_per_row: usize) -> Csr {
         sample_rect(n, n, seed, edges_per_row, |_, _| true)
@@ -1973,14 +1995,18 @@ pub(crate) mod tests {
         all
     }
 
-    /// The exactness predicate of the four-chain fold.  For every semiring
-    /// and weight it accepts, `⊕` over `⊗` outputs on the hostile grid gives
-    /// the same bits in any order and grouping: an accumulator (the
-    /// identity, or a non-NaN term) ⊕ a term is again an accumulator; on
-    /// accumulators `⊕` is commutative and associative by `to_bits`; and a
-    /// term enters as `identity ⊕ term` does (a NaN term is the identity).
-    /// `MinPlus(−0.0)` is refused, and this is why: `min(0.0, −0.0)` answers
-    /// by position.
+    /// The exactness predicate of the MinPlus row folds.  For every
+    /// semiring and weight it accepts, `⊕` over `⊗` outputs on the hostile
+    /// grid gives the same bits in any order and grouping: an accumulator
+    /// (the identity, or a non-NaN term) ⊕ a term is again an accumulator;
+    /// on accumulators `⊕` is commutative and associative by `to_bits`; and
+    /// a term enters as `identity ⊕ term` does (a NaN term is the identity).
+    /// It accepts the finite weights but `−0.0`; the hoist of the weight out
+    /// of the fold is pinned apart
+    /// (`min_plus_hoist_equals_the_min_chain_bitwise`).  `MinPlus(−0.0)` is
+    /// refused, and this is why: `min(0.0, −0.0)` answers by position — the
+    /// operands pass through `black_box`, or the optimiser folds both
+    /// orders to one value.
     #[test]
     fn four_chain_fold_accepts_only_what_any_order_keeps_bitwise() {
         let bits = |v: f32| v.to_bits();
@@ -2018,15 +2044,20 @@ pub(crate) mod tests {
                 }
             }
         }
-        // Every MinPlus weight of the grid but −0.0.
-        assert_eq!(accepted, HOSTILE_WEIGHTS.len() - 1);
+        // Every MinPlus weight of the grid but −0.0, ±∞ and NaN.
+        assert_eq!(accepted, HOSTILE_WEIGHTS.len() - 4);
         let zero_weight = Semiring::MinPlus(-0.0);
         assert_eq!(min_plus_any_order(zero_weight), None);
+        for w in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            assert_eq!(min_plus_any_order(Semiring::MinPlus(w)), None, "{w:?}");
+        }
         assert_eq!(min_plus_any_order(Semiring::MinPlus(0.0)), Some(0.0));
-        let (pos, neg) = (zero_weight.combine(0.0), zero_weight.combine(-0.0));
+        // Each call's operands pass through `black_box` apart: `min` is
+        // commutative to the optimiser, which would compute both orders once.
+        let [pos, neg] = [0.0, -0.0f32].map(|x| zero_weight.combine(x));
         assert_ne!(
-            bits(zero_weight.reduce(pos, neg)),
-            bits(zero_weight.reduce(neg, pos)),
+            bits(zero_weight.reduce(black_box(pos), black_box(neg))),
+            bits(zero_weight.reduce(black_box(neg), black_box(pos))),
             "min(0.0, −0.0) answers by position"
         );
     }
@@ -2091,6 +2122,97 @@ pub(crate) mod tests {
         }
     }
 
+    /// The hoist behind the MinPlus folds, on every pair of hostile
+    /// operands and every finite hostile weight but `−0.0`: compare-select
+    /// from `+∞` (where a row's fold starts) over the pair, then `+ w`,
+    /// equals the ascending `f32::min` chain of `a + w`, `b + w` from `+∞`
+    /// by `to_bits` — a NaN operand is skipped by both, a `±0.0` tie gives
+    /// one sum.  So does the row fold over the pair, dealt into two
+    /// accumulators and into one.  Operands and weight pass through
+    /// `black_box`, so the optimiser folds none of it.
+    #[test]
+    fn min_plus_hoist_equals_the_min_chain_bitwise() {
+        let bits = |v: f32| v.to_bits();
+        let finite = HOSTILE_WEIGHTS
+            .into_iter()
+            .filter(|w| w.is_finite() && bits(*w) != bits(-0.0));
+        let mut weights = 0;
+        for w in finite {
+            assert_eq!(min_plus_any_order(Semiring::MinPlus(w)), Some(w));
+            weights += 1;
+            for a in HOSTILE_GRID {
+                for b in HOSTILE_GRID {
+                    let ([a, b], w) = black_box(([a, b], w));
+                    let chain = f32::INFINITY.min(a + w).min(b + w);
+                    let what = format!("{a:?}, {b:?} + {w:?}");
+                    let hoisted = select_min(select_min(f32::INFINITY, a), b) + w;
+                    assert_eq!(bits(hoisted), bits(chain), "select {what}");
+                    for cols in [&[0, 1][..], &[0, 0, 0, 0, 1]] {
+                        let row = min_plus_four_chains(cols, &[a, b], w);
+                        assert_eq!(bits(row), bits(chain), "row {cols:?} {what}");
+                    }
+                }
+            }
+        }
+        assert_eq!(weights, 3);
+    }
+
+    /// The batched MinPlus row pull (`BitB2sr::mxm_into`, `k > 1`) is `k`
+    /// single-lane row pulls ([`csr_pull_full`] on lane `l` of the operand
+    /// and of the mask), bit for bit: the ragged hub matrix, `k` of 2, 3, 64
+    /// and 65, every hostile weight — the compare-select lane fold and the
+    /// `f32::min` chain of `−0.0`, `±∞` and NaN alike — operands dealing the
+    /// hostile grid and signed-zero ties across the lanes, with no mask and
+    /// with one that masks some lanes of a row and every lane of others.
+    #[test]
+    fn batched_min_plus_pull_equals_single_lane_pulls_bitwise() {
+        use crate::b2sr::TileSize;
+        use crate::grb::backend::tests::ragged_with_hubs;
+        use crate::grb::{BitB2sr, Mask, Workspace};
+
+        let csr = ragged_with_hubs();
+        let b = BitB2sr::new(&csr, TileSize::S8);
+        let ws = Workspace::new();
+        let (nrows, ncols) = (csr.nrows(), csr.ncols());
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        for k in [2usize, 3, 64, 65] {
+            let grid = (0..ncols * k).map(|f| HOSTILE_GRID[(f * 7 + f / k) % HOSTILE_GRID.len()]);
+            let zeros = (0..ncols * k).map(|f| [0.0, -0.0, 1.0, f32::NAN][(f + f / k) % 4]);
+            let operands: [Vec<f32>; 2] = [grid.collect(), zeros.collect()];
+            let structure = (0..nrows * k).map(|f| (f / k) % 5 != 2 && (f * 5 + f / k) % 3 != 0);
+            let mask = Mask::new(structure.collect());
+            for w in HOSTILE_WEIGHTS {
+                let semiring = Semiring::MinPlus(w);
+                for (o, x) in operands.iter().enumerate() {
+                    for mask in [None, Some(&mask)] {
+                        let p = MxvPipeline {
+                            x,
+                            k,
+                            frontier: None,
+                            semiring,
+                            mask,
+                            transpose: false,
+                            stages: &[],
+                            accum: None,
+                        };
+                        let mut got = Vec::new();
+                        b.mxm_into(&p, &ws, &mut got);
+                        assert_eq!(got.len(), nrows * k);
+                        for l in 0..k {
+                            let lane: Vec<f32> = (0..ncols).map(|c| x[c * k + l]).collect();
+                            let allow = |r: usize| mask.is_none_or(|m| m.allows(r * k + l));
+                            let mut y = vec![7.0f32; nrows];
+                            csr_pull_full(&csr, &lane, semiring, allow, |_, t| t, &mut y);
+                            let got: Vec<f32> = (0..nrows).map(|r| got[r * k + l]).collect();
+                            let what = format!("k={k} {w:?} operand {o} lane {l}");
+                            assert_eq!(bits(&got), bits(&y), "{what} masked={}", mask.is_some());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "operand x shorter than ncols")]
     fn csr_pull_rejects_a_short_operand() {
@@ -2148,8 +2270,8 @@ pub(crate) mod tests {
     /// pipelines; operands and baselines holding NaN, ±inf, −0.0, subnormals
     /// and the extremes, under Arithmetic, MaxTimes of either sign and
     /// MinPlus at every hostile weight — 0, 1, −2.5, −0.0, ±∞ and NaN, so the
-    /// four-chain fold and the one chain of `MinPlus(−0.0)` both meet the
-    /// sweeps.
+    /// compare-select fold and the one chain of `MinPlus(−0.0)`, `±∞` and
+    /// NaN all meet the sweeps.
     #[test]
     fn row_pulls_equal_the_tile_sweeps_bitwise() {
         use crate::b2sr::{B2srMatrix, TileSize};

@@ -42,7 +42,9 @@
 //!   scatter folds one `f32` per edge whichever layout lists the edges —
 //!   and the single-vector row pull over the same rows, `csr_pull_full`
 //!   (every full-precision pull, and a one-lane batch's), whose MinPlus
-//!   fold runs four `min` chains.  Beside them the Boolean products over
+//!   fold takes a row's least operand by compare-select (one `minss` per
+//!   edge) in four accumulators and adds the weight once per row.  Beside
+//!   them the Boolean products over
 //!   the same rows, operand and output binarized as §V prescribes:
 //!   `csr_bits_pull` / `csr_bits_push` in node words (one bit per vertex),
 //!   what a bit matrix without tiles runs instead of the bin/bin/bin tile

@@ -736,10 +736,10 @@ fn with_pending_deltas(base: &Csr, backend: Backend) -> Snapshot {
     overlay
 }
 
-/// MinPlus over hostile operands, the row pull's four-chain fold and its
-/// one-chain `MinPlus(−0.0)`: an operand holding NaN, ±∞, −0.0 and
-/// subnormals beside unreached nodes, every weight in {0, 1, −2.5, −0.0,
-/// ±∞, NaN}; bare, masked (plain and complemented), `min`-accumulated over
+/// MinPlus over hostile operands, the row pull's compare-select fold and
+/// the one chain of `MinPlus(−0.0)`, `±∞` and NaN: an operand holding NaN,
+/// ±∞, −0.0 and subnormals beside unreached nodes, every weight in {0, 1,
+/// −2.5, −0.0, ±∞, NaN}; bare, masked (plain and complemented), `min`-accumulated over
 /// a hostile baseline (SSSP's shape) and affine (PPR's).  On `FloatCsr`,
 /// B2SR-4 (no tiles on the scatter pattern), B2SR-8, and an overlay
 /// over `FloatCsr` and over B2SR-4: the one-lane `Op::mxm` is bit-identical
