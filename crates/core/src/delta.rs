@@ -1132,8 +1132,10 @@ mod tests {
 
     /// The identity probe against a rebuild, by `to_bits`: NaN, ±inf and
     /// ±0.0 sitting in the patched columns (what the probe reads), under
-    /// all four semirings × pull / push × masked / unmasked × bare / a monoid
-    /// accumulator (the one a push scatter folds from a seeded output) ×
+    /// all four semirings (`MinPlus(−0.0)`, whose terms tie `±0.0`, too) ×
+    /// pull / push × masked / unmasked × bare / a monoid accumulator over a
+    /// NaN, ±inf and ±0.0 baseline (the one a push scatter folds from a
+    /// seeded output) ×
     /// one lane / three — on a log with duplicate inserts, an insert then
     /// deleted, deletes of absent edges, self-loops, a row emptied and an
     /// empty row filled.
@@ -1179,6 +1181,7 @@ mod tests {
             Semiring::Boolean,
             Semiring::Arithmetic,
             Semiring::MinPlus(1.0),
+            Semiring::MinPlus(-0.0),
             Semiring::MaxTimes(2.0),
         ];
         for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {

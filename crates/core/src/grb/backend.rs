@@ -48,7 +48,6 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 use crate::b2sr::convert::{count_tiles, RetileCounts};
 use crate::b2sr::format::with_b2sr;
 use crate::b2sr::{B2sr, B2srMatrix, TileSize};
-use crate::kernels::bmm::{min_plus_any_order, select_min};
 use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
@@ -837,18 +836,22 @@ macro_rules! with_mask_hook {
 /// Seed the output of a full-precision push scatter.  A foldable accumulator
 /// ([`MxvPipeline::push_folds_accum`]) seeds it with `base ⊕ identity`, so
 /// the scatter ⊕-folds straight into it and finishes the pipeline — returns
-/// `true`.  `base ⊕ identity` is
-/// what the pull stores where no term arrives, so unreached and masked-out
-/// positions read alike both ways (a NaN or `−0.0` baseline is not kept).
-/// Everything else scatters from the identity and still owes the collapsed
-/// epilogue ([`MxvPipeline::finish_in_place`]) — returns `false`.
+/// `true`.  `base ⊕ identity` is `op.apply(base, identity)`, what the
+/// pull's finish stores where no term arrives, so unreached and masked-out
+/// positions read alike both ways: a NaN (`min` / `max`) or `−0.0` (`+`)
+/// baseline is not kept, and the scatter's fold never starts from a NaN.
+/// It is computed as the fold of the one term `base` from the identity,
+/// `reduce(identity, base)` — the same bits, since the identity is never
+/// NaN — so the semiring resolves once per call, not per entry.  Everything
+/// else scatters from the identity and still owes the collapsed epilogue
+/// ([`MxvPipeline::finish_in_place`]) — returns `false`.
 fn seed_push_output(p: &MxvPipeline<'_>, produced: usize, out: &mut Vec<f32>) -> bool {
     out.clear();
     match p.accum {
         Some((op, base)) if p.push_folds_accum() => {
-            debug_assert!(op.matches_monoid(p.semiring), "`reduce` is `op`");
+            debug_assert!(op.matches_monoid(p.semiring), "the scatter folds by `op`");
             with_semiring_ops!(p.semiring, |identity, _combine, reduce| out
-                .extend(base.iter().map(|&b| reduce(b, identity))));
+                .extend(base.iter().map(|&b| reduce(identity, b))));
             true
         }
         _ => {
@@ -919,9 +922,9 @@ fn bits_push<W: BitWord + Poolable>(
 /// product — get dedicated closures, so the row loop carries no per-row
 /// stage interpretation; everything else runs the general
 /// [`MxvPipeline::finish`] interpreter, which is always correct.  The
-/// closures keep `finish`'s operand order (baseline first): `min` / `max` of
-/// `0.0` and `-0.0` answer by position, and a `DeltaOverlay` re-folds with
-/// `finish` what this pull stored.
+/// closures are `finish`'s `op.apply(baseline, t)`, baseline first (the
+/// tie rule of `semiring`), since a `DeltaOverlay` re-folds with `finish`
+/// what this pull stored.
 fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
     out.clear();
     out.resize(csr.nrows(), 0.0);
@@ -936,8 +939,12 @@ fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
             let (mul, add) = (*mul, *add);
             pull!(move |_, t| mul * t + add)
         }
-        ([], Some((BinaryOp::Min, base)), None) => pull!(move |i, t| base[i].min(t)),
-        ([], Some((BinaryOp::Max, base)), None) => pull!(move |i, t| base[i].max(t)),
+        ([], Some((BinaryOp::Min, base)), None) => {
+            pull!(move |i, t| BinaryOp::Min.apply(base[i], t))
+        }
+        ([], Some((BinaryOp::Max, base)), None) => {
+            pull!(move |i, t| BinaryOp::Max.apply(base[i], t))
+        }
         ([], Some((BinaryOp::Plus, base)), None) => pull!(move |i, t| base[i] + t),
         ([], None, None) => pull!(|_, t| t),
         _ => pull!(|i, t| p.finish(i, t)),
@@ -947,65 +954,41 @@ fn csr_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
 /// The batched row pull of a pipeline over `csr`.  One lane is the vector
 /// pull, [`csr_pull`]: at `k = 1` the operand, the output and the flat mask
 /// index `r·k + l = r` are laid out as a vector's.  Wider batches walk each
-/// row once for all `k` lanes ([`lane_rows`]), under a semiring resolved
-/// once per call, and finish in one epilogue pass.  A `MinPlus(w)` batch
-/// with `w` finite and not `−0.0` folds each lane by compare-select
-/// (`select_min`) in place of `f32::min`: exact, since a lane starts at
-/// `+∞` and, with no term `−0.0`, never holds NaN or `−0.0`
-/// (`min_plus_any_order`).
+/// row once for all `k` lanes, under a semiring resolved once per call, and
+/// finish in one epilogue pass.
 fn csr_mxm_pull(csr: &Csr, p: &MxvPipeline<'_>, out: &mut Vec<f32>) {
+    use rayon::prelude::*;
     if p.k == 1 {
         return csr_pull(csr, p, out);
     }
     out.clear();
     out.resize(csr.nrows() * p.k, p.semiring.identity());
-    if let Some(w) = min_plus_any_order(p.semiring) {
-        lane_rows(csr, p, f32::INFINITY, move |s| s + w, select_min, out);
-    } else {
-        with_semiring_ops!(p.semiring, |identity, combine, reduce| lane_rows(
-            csr, p, identity, combine, reduce, out
-        ));
-    }
-    p.finish_in_place(out);
-}
-
-/// The row loop of [`csr_mxm_pull`] under one lane fold: row `r`'s `k`
-/// lanes of `out` (filled with `identity`) fold `reduce(lane, combine(s))`
-/// over the row's operand lanes `s`, and a masked lane is reset to
-/// `identity`.
-#[inline(always)]
-fn lane_rows(
-    csr: &Csr,
-    p: &MxvPipeline<'_>,
-    identity: f32,
-    combine: impl Fn(f32) -> f32 + Sync,
-    reduce: impl Fn(f32, f32) -> f32 + Sync,
-    out: &mut [f32],
-) {
-    use rayon::prelude::*;
     let (x, k, mask) = (p.x, p.k, p.mask);
-    out.par_chunks_mut(k).enumerate().for_each(|(r, lanes)| {
-        // A row whose every lane is masked out produces only identities
-        // — skip its edge walk entirely (GraphBLAST's early exit, per
-        // batch: the common state of late traversal iterations).
-        if let Some(m) = mask {
-            if (0..k).all(|l| !m.allows(r * k + l)) {
-                return;
-            }
-        }
-        for &c in csr.row(r).0 {
-            for (d, &s) in lanes.iter_mut().zip(&x[c * k..][..k]) {
-                *d = reduce(*d, combine(s));
-            }
-        }
-        if let Some(m) = mask {
-            for (l, v) in lanes.iter_mut().enumerate() {
-                if !m.allows(r * k + l) {
-                    *v = identity;
+    with_semiring_ops!(p.semiring, |identity, combine, reduce| {
+        out.par_chunks_mut(k).enumerate().for_each(|(r, lanes)| {
+            // A row whose every lane is masked out produces only identities
+            // — skip its edge walk entirely (GraphBLAST's early exit, per
+            // batch: the common state of late traversal iterations).
+            if let Some(m) = mask {
+                if (0..k).all(|l| !m.allows(r * k + l)) {
+                    return;
                 }
             }
-        }
-    })
+            for &c in csr.row(r).0 {
+                for (d, &s) in lanes.iter_mut().zip(&x[c * k..][..k]) {
+                    *d = reduce(*d, combine(s));
+                }
+            }
+            if let Some(m) = mask {
+                for (l, v) in lanes.iter_mut().enumerate() {
+                    if !m.allows(r * k + l) {
+                        *v = identity;
+                    }
+                }
+            }
+        })
+    });
+    p.finish_in_place(out);
 }
 
 /// Every full-precision push — any `f32` semiring on a `Backend::Bit`

@@ -1496,29 +1496,41 @@ mod tests {
     }
 
     /// The monoid accumulator folds into the sweep and equals the two-op
-    /// formulation (product, then element-wise accumulate).
+    /// formulation (product, then the e-wise `Min` chain `dist ⊕ relaxed`),
+    /// by `to_bits`: from a plain distance vector, and from one holding NaN
+    /// and `±0.0` that `MinPlus(−0.0)` terms tie.
     #[test]
     fn accum_matches_explicit_two_op_accumulate() {
         let csr = sample(64, 43);
         let ctx = Context::default();
-        let semiring = Semiring::MinPlus(1.0);
-        let mut dist = Vector::identity(64, semiring);
-        dist.set(0, 0.0);
-        dist.set(9, 2.0);
-        for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
-            let a = Matrix::from_csr(&csr, backend);
-            for dir in [Direction::Push, Direction::Pull] {
-                let fused = Op::vxm(&dist, &a)
-                    .semiring(semiring)
-                    .direction(dir)
-                    .accum(BinaryOp::Min, &dist)
-                    .run(&ctx);
-                let relaxed = Op::vxm(&dist, &a)
-                    .semiring(semiring)
-                    .direction(dir)
-                    .run(&ctx);
-                let two_op = Op::ewise_add(&relaxed, &dist).semiring(semiring).run(&ctx);
-                assert_eq!(fused, two_op, "{backend:?} {dir:?}");
+        let bits = |v: &Vector| v.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut plain = Vector::identity(64, Semiring::MinPlus(1.0));
+        plain.set(0, 0.0);
+        plain.set(9, 2.0);
+        let hostile = (0..64).map(|i| [f32::INFINITY, f32::NAN, -0.0, 0.0, 1.5][i % 5]);
+        let hostile = Vector::from_vec(hostile.collect());
+        for semiring in [Semiring::MinPlus(1.0), Semiring::MinPlus(-0.0)] {
+            for dist in [&plain, &hostile] {
+                for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+                    let a = Matrix::from_csr(&csr, backend);
+                    for dir in [Direction::Push, Direction::Pull] {
+                        let fused = Op::vxm(dist, &a)
+                            .semiring(semiring)
+                            .direction(dir)
+                            .accum(BinaryOp::Min, dist)
+                            .run(&ctx);
+                        let relaxed = Op::vxm(dist, &a)
+                            .semiring(semiring)
+                            .direction(dir)
+                            .run(&ctx);
+                        let two_op = Op::ewise_add(dist, &relaxed).semiring(semiring).run(&ctx);
+                        assert_eq!(
+                            bits(&fused),
+                            bits(&two_op),
+                            "{semiring:?} {backend:?} {dir:?}"
+                        );
+                    }
+                }
             }
         }
     }

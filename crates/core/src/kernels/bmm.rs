@@ -55,7 +55,7 @@ use bitgblas_sparse::Csr;
 
 use super::simd;
 use crate::b2sr::B2sr;
-use crate::semiring::{with_semiring_ops, Semiring};
+use crate::semiring::{min_plus_any_order, select_min, with_semiring_ops, Semiring};
 
 /// `bmm_bin_bin_sum()`: the sum of all entries of `A · B` over the arithmetic
 /// semiring, with both operands binary (in B2SR with the same tile size).
@@ -612,7 +612,8 @@ fn fold_all_lanes(
 /// flat per-lane mask — pass `|_| true` when there is none and the test
 /// compiles away) and `y`, `ncols * k` entries, must be pre-filled with the
 /// semiring identity — or, to fold a monoid accumulator in the same pass,
-/// with `baseline ⊕ identity`.  The semiring is resolved once per call.
+/// with `baseline ⊕ identity` by `BinaryOp::apply`, never NaN under `min` /
+/// `max`.  The semiring is resolved once per call.
 /// Only valid for [`Semiring::push_safe`] semirings; serial and
 /// allocation-free, and run once over the whole frontier, so its float
 /// folds group alike whatever the host's thread count.
@@ -633,8 +634,8 @@ fn fold_all_lanes(
 ///
 /// Both arms produce the same bits.  For a push-safe semiring an identity
 /// lane's term is a no-op on anything `y` can hold (`d + 0`, `min(d, ∞)`,
-/// `max(d, −∞)`; NaN never survives `min` / `max` and stays NaN under `+`,
-/// and neither a seed nor a fold leaves `−0.0` under `+`), and per output
+/// `max(d, −∞)`; `y` holds no NaN under `min` / `max` and keeps it under
+/// `+`, and neither a seed nor a fold leaves `−0.0` under `+`), and per output
 /// position the surviving terms arrive in frontier order, columns
 /// ascending, so a non-associative float `+` keeps its grouping.
 ///
@@ -679,46 +680,6 @@ pub fn csr_push_full<M: Fn(usize) -> bool>(
             }
         }
     });
-}
-
-/// The weight `w` of a `MinPlus(w)` pull whose fold may take the minimum
-/// operand by compare-select and add `w` after it ([`csr_pull_full`], and
-/// the batched row pull of `grb::backend`): every finite `w` but `−0.0` (by
-/// bits).  Under it, over the ascending `f32::min` chain of `x[c] + w` from
-/// `+∞`,
-///
-/// * `x + w` is `−0.0` only when both operands are `−0.0`
-///   (round-to-nearest), so no term is `−0.0`, and `min` over the non-NaN
-///   terms is a total order's minimum, in any order and grouping;
-/// * round-to-nearest is monotone, so that minimum is `fl(m + w)`, `m` the
-///   least non-NaN operand — a `±0.0` tie in `m` gives the same bits once
-///   `w` is added, and a row with no non-NaN operand keeps `+∞`, which
-///   `+ w` leaves `+∞`;
-/// * [`select_min`] never selects a NaN operand, as `f32::min` skips it.
-///
-/// `MinPlus(−0.0)` is refused: `−0.0 + −0.0` is `−0.0`, and
-/// `min(0.0, −0.0)` answers by operand position.  A `±∞` or NaN `w` is
-/// refused too: there `m + w` may be NaN (`−∞ + ∞`, `m + NaN`) where the
-/// chain skips every NaN term.
-#[inline(always)]
-pub(crate) fn min_plus_any_order(semiring: Semiring) -> Option<f32> {
-    match semiring {
-        Semiring::MinPlus(w) if w.is_finite() && w.to_bits() != (-0.0f32).to_bits() => Some(w),
-        _ => None,
-    }
-}
-
-/// `v` if it is below `acc`, else `acc`: one `minss`, where `f32::min`
-/// lowers to a NaN-guarded sequence on the baseline x86-64 target.  Equal
-/// to `acc.min(v)` while `acc` is not NaN and no `±0.0` pair meets; a NaN
-/// `v` is never selected.
-#[inline(always)]
-pub(crate) fn select_min(acc: f32, v: f32) -> f32 {
-    if v < acc {
-        v
-    } else {
-        acc
-    }
 }
 
 /// `min` over `x[c] + w` for the columns of one row: the operands dealt
@@ -772,11 +733,10 @@ fn pull_rows(
 ///
 /// A row folds in one ascending chain, under a semiring resolved once per
 /// call, four columns per loop step — except `MinPlus(w)` with `w` finite
-/// and not `−0.0`, whose operands `x[c]` are dealt into four compare-select
-/// accumulators (`select_min`, one `minss` each) merged at the row's end,
-/// with `w` added once per row (`min_plus_four_chains`): `min`'s latency,
-/// not the loads, bounds a one-chain fold, and `f32::min` costs several
-/// instructions where `minss` costs one.  That is exact
+/// and not `−0.0`, whose operands `x[c]` are dealt into four `select_min`
+/// accumulators merged at the row's end, with `w` added once per row
+/// (`min_plus_four_chains`): `min`'s latency, not the loads, bounds a
+/// one-chain fold.  That is exact
 /// (`min_plus_any_order`), so every semiring's result keeps the bits of the
 /// ascending chain — and of the tile sweep — and the MinPlus body is
 /// matched before the semiring dispatch, out of every other semiring's
@@ -1097,6 +1057,7 @@ pub fn csr_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
 pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
+    use crate::semiring::BinaryOp;
     use bitgblas_sparse::{ops, Coo, Csr};
     use std::hint::black_box;
 
@@ -1649,7 +1610,7 @@ pub(crate) mod tests {
         let seeded = |len: usize, stride: usize, first: usize| -> Vec<f32> {
             (0..len)
                 .map(|j| seed[(j * stride + first) % seed.len()])
-                .map(|b| semiring.reduce(b, semiring.identity()))
+                .map(|b| BinaryOp::monoid_of(semiring).apply(b, semiring.identity()))
                 .collect()
         };
         // Unmasked, and a mask that drops a third of the flat positions.
@@ -1685,7 +1646,8 @@ pub(crate) mod tests {
     /// The batched push scatter equals k independent single-vector pushes,
     /// bit for bit, for every push-safe semiring and batch width, on a
     /// rectangular matrix, with and without a flat mask, from the identity
-    /// and from baselines holding NaN, ±∞ and −0.0.
+    /// and from baselines holding NaN, ±∞ and ±0.0 — which `MinPlus(−0.0)`
+    /// and `MaxTimes` terms tie.
     #[test]
     fn push_multi_full_equals_per_lane_push() {
         let (nrows, ncols) = (53, 61);
@@ -1696,6 +1658,7 @@ pub(crate) mod tests {
                 Semiring::Arithmetic,
                 Semiring::Boolean,
                 Semiring::MinPlus(1.0),
+                Semiring::MinPlus(-0.0),
                 Semiring::MaxTimes(2.0),
             ] {
                 for x in [
@@ -2004,9 +1967,10 @@ pub(crate) mod tests {
     /// It accepts the finite weights but `−0.0`; the hoist of the weight out
     /// of the fold is pinned apart
     /// (`min_plus_hoist_equals_the_min_chain_bitwise`).  `MinPlus(−0.0)` is
-    /// refused, and this is why: `min(0.0, −0.0)` answers by position — the
-    /// operands pass through `black_box`, or the optimiser folds both
-    /// orders to one value.
+    /// refused, and this is why: the tie rule answers `min(0.0, −0.0)` by
+    /// position — through `Semiring::reduce` and `BinaryOp::apply` alike,
+    /// and `max` too, in debug and release (each call's operands pass
+    /// through `black_box`, so the optimiser folds neither order).
     #[test]
     fn four_chain_fold_accepts_only_what_any_order_keeps_bitwise() {
         let bits = |v: f32| v.to_bits();
@@ -2052,24 +2016,34 @@ pub(crate) mod tests {
             assert_eq!(min_plus_any_order(Semiring::MinPlus(w)), None, "{w:?}");
         }
         assert_eq!(min_plus_any_order(Semiring::MinPlus(0.0)), Some(0.0));
-        // Each call's operands pass through `black_box` apart: `min` is
-        // commutative to the optimiser, which would compute both orders once.
+        // The tie rule keeps the left operand, whichever zero it is.
         let [pos, neg] = [0.0, -0.0f32].map(|x| zero_weight.combine(x));
-        assert_ne!(
-            bits(zero_weight.reduce(black_box(pos), black_box(neg))),
-            bits(zero_weight.reduce(black_box(neg), black_box(pos))),
-            "min(0.0, −0.0) answers by position"
-        );
+        for (a, b) in [(pos, neg), (neg, pos)] {
+            let ops = [
+                zero_weight.reduce(black_box(a), black_box(b)),
+                Semiring::MaxTimes(1.0).reduce(black_box(a), black_box(b)),
+                BinaryOp::Min.apply(black_box(a), black_box(b)),
+                BinaryOp::Max.apply(black_box(a), black_box(b)),
+            ];
+            assert_eq!(
+                ops.map(bits),
+                [bits(a); 4],
+                "⊕({a:?}, {b:?}) keeps the left operand"
+            );
+        }
     }
 
     /// The row pull against the ascending chain by the enum methods, bit for
     /// bit: rows of 0 to 9 entries (every remainder of the four-chain deal),
     /// the hostile grid dealt across the operand at several offsets and an
     /// operand of signed zeros, every semiring at every hostile weight, with
-    /// and without a row mask, bare and under a `min` finish over a hostile
-    /// baseline.
+    /// and without a row mask, bare and under the `min` / `max` finishes
+    /// `grb::backend` passes over a hostile baseline (NaN and `±0.0` among
+    /// it), against `f32::min` / `f32::max`.
     #[test]
+    #[allow(clippy::disallowed_methods)] // `f32::min` / `max`: an independent reference
     fn csr_pull_full_equals_the_ascending_chain_bitwise() {
+        use BinaryOp::{Max, Min};
         let (nrows, ncols) = (120usize, 97usize);
         let mut coo = Coo::new(nrows, ncols);
         for r in 0..nrows {
@@ -2114,9 +2088,12 @@ pub(crate) mod tests {
                     let want: Vec<f32> = (0..nrows).map(raw).collect();
                     assert_eq!(bits(&y[..nrows]), bits(&want), "bare {what}");
                     assert_eq!(bits(&y[nrows..]), bits(&[7.0; 3]), "past nrows {what}");
-                    csr_pull_full(&a, x, semiring, allow, |r, t| base[r].min(t), &mut y);
+                    csr_pull_full(&a, x, semiring, allow, |r, t| Min.apply(base[r], t), &mut y);
                     let want: Vec<f32> = (0..nrows).map(|r| base[r].min(raw(r))).collect();
                     assert_eq!(bits(&y[..nrows]), bits(&want), "min finish {what}");
+                    csr_pull_full(&a, x, semiring, allow, |r, t| Max.apply(base[r], t), &mut y);
+                    let want: Vec<f32> = (0..nrows).map(|r| base[r].max(raw(r))).collect();
+                    assert_eq!(bits(&y[..nrows]), bits(&want), "max finish {what}");
                 }
             }
         }
@@ -2131,6 +2108,7 @@ pub(crate) mod tests {
     /// accumulators and into one.  Operands and weight pass through
     /// `black_box`, so the optimiser folds none of it.
     #[test]
+    #[allow(clippy::disallowed_methods)] // `f32::min`: an independent reference
     fn min_plus_hoist_equals_the_min_chain_bitwise() {
         let bits = |v: f32| v.to_bits();
         let finite = HOSTILE_WEIGHTS
@@ -2160,8 +2138,8 @@ pub(crate) mod tests {
     /// The batched MinPlus row pull (`BitB2sr::mxm_into`, `k > 1`) is `k`
     /// single-lane row pulls ([`csr_pull_full`] on lane `l` of the operand
     /// and of the mask), bit for bit: the ragged hub matrix, `k` of 2, 3, 64
-    /// and 65, every hostile weight — the compare-select lane fold and the
-    /// `f32::min` chain of `−0.0`, `±∞` and NaN alike — operands dealing the
+    /// and 65, every hostile weight — against the four-chain fold and the
+    /// one chain of `−0.0`, `±∞` and NaN alike — operands dealing the
     /// hostile grid and signed-zero ties across the lanes, with no mask and
     /// with one that masks some lanes of a row and every lane of others.
     #[test]
@@ -2277,7 +2255,6 @@ pub(crate) mod tests {
         use crate::b2sr::{B2srMatrix, TileSize};
         use crate::grb::backend::tests::ragged_with_hubs;
         use crate::grb::{BitB2sr, Mask, Stage, Workspace};
-        use crate::semiring::BinaryOp;
 
         let csr = ragged_with_hubs();
         let csr_t = csr.transpose();

@@ -30,26 +30,25 @@
 //!   / `bmm_push_bits` for Boolean lane words, `bmm_bin_full_into` for the
 //!   other semirings' pull) — each adjacency tile is loaded once and applied
 //!   to all `k` frontier lanes; the full-precision pull resolves its
-//!   semiring once per call (`semiring::with_semiring_ops!`, shared with the
-//!   fused single-vector sweep) and enumerates set bits tile-granular, one
-//!   `trailing_zeros` loop per packed 64-bit chunk.  The GrB layer runs none
-//!   of the three: the CSR bodies below beat them at every fill the benches
-//!   sweep (`grb::backend::MIN_TILE_FILL`), and they stay for the benches
-//!   and the repo benchmark's kernel probes, pinned to those CSR bodies bit
-//!   for bit (`kernels::bmm`'s tests).  The CSR bodies: the one
-//!   full-precision push, `csr_push_full`, a lane-sparse scatter over the
-//!   rows of the CSR every backend holds, single-vector and batched — a
-//!   scatter folds one `f32` per edge whichever layout lists the edges —
-//!   and the single-vector row pull over the same rows, `csr_pull_full`
-//!   (every full-precision pull, and a one-lane batch's), whose MinPlus
-//!   fold takes a row's least operand by compare-select (one `minss` per
-//!   edge) in four accumulators and adds the weight once per row.  Beside
-//!   them the Boolean products over
-//!   the same rows, operand and output binarized as §V prescribes:
-//!   `csr_bits_pull` / `csr_bits_push` in node words (one bit per vertex),
-//!   what a bit matrix without tiles runs instead of the bin/bin/bin tile
-//!   kernels, and `csr_lanes_pull` / `csr_lanes_push` in lane words (one bit
-//!   per traversal), what every bit matrix's batched Boolean product runs.
+//!   semiring once per call (`semiring::with_semiring_ops!`, which every sweep
+//!   here shares: one `min` / `max`, one tie rule) and enumerates set bits
+//!   tile-granular, one `trailing_zeros` loop per packed 64-bit chunk.  The GrB
+//!   layer runs none of the three: the CSR bodies below beat them at every
+//!   fill the benches sweep (`grb::backend::MIN_TILE_FILL`), and they stay for
+//!   the benches and the repo benchmark's kernel probes, pinned to those CSR
+//!   bodies bit for bit (`kernels::bmm`'s tests).  The CSR bodies: the one
+//!   full-precision push, `csr_push_full`, a lane-sparse scatter over the rows
+//!   of the CSR every backend holds, single-vector and batched — a scatter
+//!   folds one `f32` per edge whichever layout lists the edges — and the
+//!   single-vector row pull over the same rows, `csr_pull_full` (every
+//!   full-precision pull, and a one-lane batch's), whose MinPlus fold takes a
+//!   row's least operand by compare-select (one `minss` per edge) in four
+//!   accumulators and adds the weight once per row.  Beside them the Boolean
+//!   products over the same rows, operand and output binarized as §V
+//!   prescribes: `csr_bits_pull` / `csr_bits_push` in node words (one bit per
+//!   vertex), what a bit matrix without tiles runs instead of the bin/bin/bin
+//!   tile kernels, and `csr_lanes_pull` / `csr_lanes_push` in lane words (one
+//!   bit per traversal), what every bit matrix's batched Boolean product runs.
 //!
 //! Each kernel is structured like the paper's CUDA listings: the tile-rows
 //! of the B2SR matrix are the unit of work (one warp per tile-row), the

@@ -13,6 +13,20 @@
 //! | Arithmetic    | ℝ               | PR, TC, LGC      | `x`         | +     |
 //! | Min-plus      | ℝ ∪ {+∞}        | SSSP, CC         | `x + w`     | min   |
 //! | Max-times     | ℝ               | MIS, GC          | `x · w`     | max   |
+//!
+//! Every scalar operator is written once, here, and the enum methods,
+//! `with_semiring_ops!` and the kernels call it: `select_min` /
+//! `select_max` (`min` / `max`), `or` (Boolean `⊕`) and `nonzero`
+//! (Boolean `⊗`); the crate's clippy settings refuse `f32::min` / `f32::max`.
+//!
+//! **Tie rule.**  A fold step `select_min(acc, v)` takes `v` only if it is
+//! strictly below `acc` (`select_max`: above): on a `±0.0` tie the
+//! accumulator — the earlier operand in written fold order — is kept, and a
+//! NaN `v` is never selected.  A fold starts at the identity, so its
+//! accumulator is never NaN.  [`BinaryOp::Min`] / [`BinaryOp::Max`] take a
+//! caller's value as left operand (a baseline, an e-wise chain's value) and
+//! skip it when it is NaN: `minNum` / `maxNum` (IEEE 754-2019) for NaN, the
+//! tie rule for `±0.0`.
 
 /// A semiring over `f32` as used by the BMV/BMM kernels and the GrB ops.
 ///
@@ -49,13 +63,7 @@ impl Semiring {
     #[inline]
     pub fn combine(&self, x: f32) -> f32 {
         match self {
-            Semiring::Boolean => {
-                if x != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            Semiring::Boolean => nonzero(x),
             Semiring::Arithmetic => x,
             Semiring::MinPlus(w) => x + w,
             Semiring::MaxTimes(w) => x * w,
@@ -66,16 +74,10 @@ impl Semiring {
     #[inline]
     pub fn reduce(&self, acc: f32, v: f32) -> f32 {
         match self {
-            Semiring::Boolean => {
-                if acc != 0.0 || v != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            Semiring::Boolean => or(acc, v),
             Semiring::Arithmetic => acc + v,
-            Semiring::MinPlus(_) => acc.min(v),
-            Semiring::MaxTimes(_) => acc.max(v),
+            Semiring::MinPlus(_) => select_min(acc, v),
+            Semiring::MaxTimes(_) => select_max(acc, v),
         }
     }
 
@@ -122,15 +124,15 @@ impl Semiring {
 /// `match` per edge.  The closures compute exactly [`Semiring::identity`],
 /// [`Semiring::combine`] and [`Semiring::reduce`] (pinned bit for bit by
 /// `resolved_ops_equal_the_enum_methods_bitwise`), and this is the only
-/// place a sweep resolves its semiring per call (the bare single-vector
-/// kernels call the enum methods per edge).
+/// place a sweep resolves its semiring: no kernel calls the enum methods per
+/// edge (the tests do, as the oracle).
 macro_rules! with_semiring_ops {
     ($semiring:expr, |$identity:ident, $combine:ident, $reduce:ident| $body:expr) => {
         match $semiring {
             $crate::semiring::Semiring::Boolean => {
                 let $identity = 0.0f32;
-                let $combine = |v: f32| if v != 0.0 { 1.0f32 } else { 0.0 };
-                let $reduce = |acc: f32, v: f32| if acc != 0.0 || v != 0.0 { 1.0f32 } else { 0.0 };
+                let $combine = $crate::semiring::nonzero;
+                let $reduce = $crate::semiring::or;
                 $body
             }
             $crate::semiring::Semiring::Arithmetic => {
@@ -142,19 +144,69 @@ macro_rules! with_semiring_ops {
             $crate::semiring::Semiring::MinPlus(w) => {
                 let $identity = f32::INFINITY;
                 let $combine = move |v: f32| v + w;
-                let $reduce = f32::min;
+                let $reduce = $crate::semiring::select_min;
                 $body
             }
             $crate::semiring::Semiring::MaxTimes(w) => {
                 let $identity = f32::NEG_INFINITY;
                 let $combine = move |v: f32| v * w;
-                let $reduce = f32::max;
+                let $reduce = $crate::semiring::select_max;
                 $body
             }
         }
     };
 }
 pub(crate) use with_semiring_ops;
+
+/// The `min` fold step under the tie rule (module doc): one `minss`.
+#[inline(always)]
+pub(crate) fn select_min(acc: f32, v: f32) -> f32 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// The `max` fold step: [`select_min`] with the comparison reversed.
+#[inline(always)]
+pub(crate) fn select_max(acc: f32, v: f32) -> f32 {
+    if v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// Boolean `⊕`: `1.0` iff either operand is nonzero (NaN included).
+#[inline(always)]
+pub(crate) fn or(a: f32, b: f32) -> f32 {
+    f32::from(a != 0.0 || b != 0.0)
+}
+
+/// Boolean `⊗`: `1.0` iff `x` is nonzero (NaN included), else `0.0`.
+#[inline(always)]
+pub(crate) fn nonzero(x: f32) -> f32 {
+    or(x, 0.0)
+}
+
+/// The weight `w` of a `MinPlus(w)` fold that may regroup its operands and
+/// add `w` once (`kernels::csr_pull_full`'s four chains): every finite `w`
+/// but `−0.0` (by bits).  Then no term `x + w` is `−0.0` (round-to-nearest
+/// gives `−0.0` only for `−0.0 + −0.0`), so `min` over the non-NaN terms is
+/// a total order's, in any grouping; rounding is monotone, so it is
+/// `fl(m + w)` for the least non-NaN operand `m`, a `±0.0` tie in `m`
+/// giving one sum; and [`select_min`] from `+∞` skips NaN as the chain does
+/// (`+∞ + w = +∞`).  `MinPlus(−0.0)` is refused: its terms tie `±0.0`, which
+/// the tie rule answers by position.  So is a `±∞` or NaN `w`: `m + w` may
+/// be NaN (`−∞ + ∞`, `m + NaN`) where the chain skips every NaN term.
+#[inline(always)]
+pub(crate) fn min_plus_any_order(semiring: Semiring) -> Option<f32> {
+    match semiring {
+        Semiring::MinPlus(w) if w.is_finite() && w.to_bits() != (-0.0f32).to_bits() => Some(w),
+        _ => None,
+    }
+}
 
 /// A binary scalar operator, as used by the GraphBLAS accumulator
 /// (`w ⊕= t`) and the element-wise stages of the lazy expression IR.
@@ -169,9 +221,9 @@ pub enum BinaryOp {
     Plus,
     /// `a · b`.
     Times,
-    /// `min(a, b)`.
+    /// `min(a, b)`: `select_min` with a NaN `a` skipped (`minNum`).
     Min,
-    /// `max(a, b)`.
+    /// `max(a, b)`: `select_max` with a NaN `a` skipped (`maxNum`).
     Max,
     /// Logical OR over the {0, 1} encoding (`1.0` iff either is nonzero).
     Or,
@@ -186,22 +238,12 @@ impl BinaryOp {
         match self {
             BinaryOp::Plus => a + b,
             BinaryOp::Times => a * b,
-            BinaryOp::Min => a.min(b),
-            BinaryOp::Max => a.max(b),
-            BinaryOp::Or => {
-                if a != 0.0 || b != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            BinaryOp::And => {
-                if a != 0.0 && b != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            BinaryOp::Min if a.is_nan() => b,
+            BinaryOp::Max if a.is_nan() => b,
+            BinaryOp::Min => select_min(a, b),
+            BinaryOp::Max => select_max(a, b),
+            BinaryOp::Or => or(a, b),
+            BinaryOp::And => f32::from(a != 0.0 && b != 0.0),
         }
     }
 
@@ -327,7 +369,8 @@ mod tests {
         assert_eq!(BinaryOp::mult_of(Semiring::MinPlus(0.0)), BinaryOp::Plus);
         assert!(BinaryOp::Min.matches_monoid(Semiring::MinPlus(1.0)));
         assert!(!BinaryOp::Min.matches_monoid(Semiring::Arithmetic));
-        // The monoid op folded with the semiring's reduce must agree.
+        // The monoid op folded with the semiring's reduce must agree, a
+        // signed-zero tie included (both keep the left operand).
         for s in [
             Semiring::Boolean,
             Semiring::Arithmetic,
@@ -335,8 +378,20 @@ mod tests {
             Semiring::MaxTimes(1.0),
         ] {
             let op = BinaryOp::monoid_of(s);
-            for (a, b) in [(0.0f32, 0.0f32), (1.0, 0.0), (2.0, 3.0), (5.0, 1.0)] {
-                assert_eq!(op.apply(a, b), s.reduce(a, b), "{s:?} {a} {b}");
+            let pairs = [
+                (0.0f32, 0.0f32),
+                (1.0, 0.0),
+                (2.0, 3.0),
+                (5.0, 1.0),
+                (0.0, -0.0),
+                (-0.0, 0.0),
+            ];
+            for (a, b) in pairs {
+                assert_eq!(
+                    op.apply(a, b).to_bits(),
+                    s.reduce(a, b).to_bits(),
+                    "{s:?} {a} {b}"
+                );
             }
         }
     }

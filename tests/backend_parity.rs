@@ -347,7 +347,7 @@ fn full_precision_push_equals_one_serial_scatter() {
                     .collect();
                 // The seed plus one serial scatter over the rows of `scattered`.
                 let serial = |scattered: &Csr| {
-                    let mut y: Vec<f32> = base.iter().map(|&b| semiring.reduce(b, id)).collect();
+                    let mut y: Vec<f32> = base.iter().map(|&b| op.apply(b, id)).collect();
                     csr_push_full(scattered, &x, k, &frontier, semiring, |_| true, &mut y);
                     bits(&y)
                 };
