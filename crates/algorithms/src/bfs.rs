@@ -916,13 +916,14 @@ mod tests {
         }
     }
 
-    /// The word loops compute the same thing in either direction — on R-MAT
-    /// at B2SR-16, whose 5.5 bits per tile it holds (at B2SR-8, 2.9 bits, it
-    /// would hold no tiles), so the node-word push of `bfs` scatters tile
-    /// words; the lane words of `bfs_multi` scatter from the CSR.
+    /// The word loops compute the same thing in either direction — on
+    /// R-MAT(10, 16) at B2SR-16, whose 8.5 bits per tile it holds (at B2SR-8,
+    /// 3.8 bits, it would hold no tiles), so the node-word push of `bfs`
+    /// scatters tile words; the lane words of `bfs_multi` scatter from the
+    /// CSR.
     #[test]
     fn word_loop_is_identical_across_directions() {
-        let adj = generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
+        let adj = generators::rmat(10, 16, 0.57, 0.19, 0.19, 9).symmetrized();
         let sources: Vec<usize> = (0..70).map(|l| (l * 29 + 3) % adj.nrows()).collect();
         let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S16));
         assert!(m.b2sr().is_some(), "precondition: the matrix holds tiles");

@@ -9,7 +9,8 @@
 //! * `Backend::Bit(tile_size)` — Bit-GraphBLAS (B2SR + bit kernels), the
 //!   paper's system;
 //! * `Backend::FloatCsr` — the float-CSR baseline standing in for GraphBLAST;
-//! * `Backend::Auto` — the framework picks format and tile size per matrix.
+//! * `Backend::Auto` — the framework picks the tile size per matrix: the
+//!   widest whose counted tiles fill.
 //!
 //! On top of the single-query algorithms, the **batched multi-source
 //! family** serves many concurrent queries with one traversal each

@@ -16,8 +16,9 @@ use bitgblas_algorithms::{bfs, connected_components, pagerank, sssp, PageRankCon
 use bitgblas_bench::{device_from_args, fmt_speedup, load, table7_matrices};
 use bitgblas_core::grb::{Context, Matrix, Op, Vector};
 
-use bitgblas_core::{B2srMatrix, Backend, Semiring, TileSize};
+use bitgblas_core::{Backend, Semiring, TileSize};
 use bitgblas_perfmodel::traffic::compare_traffic;
+use bitgblas_perfmodel::B2srLayout;
 
 /// Wall-clock milliseconds of one invocation.
 fn ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -65,9 +66,9 @@ fn main() {
         let csr = load(name);
         let baseline = Matrix::from_csr(&csr, Backend::FloatCsr);
         let ours = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
-        // The model's layout is the B2SR-8 conversion itself, whether or
-        // not the engine holds tiles for this matrix.
-        let layout = B2srMatrix::from_csr(&csr, TileSize::S8).layout();
+        // The model's layout is the B2SR-8 conversion's tile structure,
+        // whether or not the engine holds tiles for this matrix.
+        let layout = B2srLayout::from_csr(&csr, 8);
         let cmp = compare_traffic(&csr, &layout, &device);
 
         // Algorithm-level timings.

@@ -174,13 +174,17 @@ pub(crate) fn retile<W: BitWord>(
     (m, counts)
 }
 
-/// The number of non-empty `dim × dim` tiles of `csr`: the converter's
-/// discover step on every tile-row, numbering and packing nothing.
-pub(crate) fn count_tiles(csr: &Csr, dim: usize) -> usize {
+/// The number of non-empty `dim × dim` tiles of `csr` — or, once the count
+/// passes `limit`, the count so far: the converter's discover step tile-row
+/// by tile-row, numbering and packing nothing.
+pub(crate) fn count_tiles(csr: &Csr, dim: usize, limit: usize) -> usize {
     let (nrows, rowptr, colind) = (csr.nrows(), csr.rowptr(), csr.colind());
     let mut marks = TileMarks::new(csr.ncols(), dim);
     let mut tiles = 0;
     for start in (0..nrows).step_by(dim) {
+        if tiles > limit {
+            break;
+        }
         let end = (start + dim).min(nrows);
         marks.discover(&colind[rowptr[start]..rowptr[end]]);
         marks.drain(|_, word| tiles += word.count_ones() as usize);
@@ -488,10 +492,19 @@ mod tests {
         for (seed, (nrows, ncols)) in shapes.into_iter().enumerate() {
             let a = rectangular(nrows, ncols, 7, seed as u64);
             for dim in [4, 5, 8] {
-                assert_eq!(count_tiles(&a, dim), from_csr::<u8>(&a, dim).n_tiles());
+                assert_eq!(
+                    count_tiles(&a, dim, usize::MAX),
+                    from_csr::<u8>(&a, dim).n_tiles()
+                );
             }
-            assert_eq!(count_tiles(&a, 16), from_csr::<u16>(&a, 16).n_tiles());
-            assert_eq!(count_tiles(&a, 32), from_csr::<u32>(&a, 32).n_tiles());
+            assert_eq!(
+                count_tiles(&a, 16, usize::MAX),
+                from_csr::<u16>(&a, 16).n_tiles()
+            );
+            assert_eq!(
+                count_tiles(&a, 32, usize::MAX),
+                from_csr::<u32>(&a, 32).n_tiles()
+            );
         }
     }
 

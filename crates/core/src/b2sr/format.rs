@@ -426,17 +426,6 @@ impl B2srMatrix {
             B2srMatrix::B32(m) => B2srMatrix::B32(m.transpose()),
         }
     }
-
-    /// The upper-level tile structure as a `bitgblas-perfmodel` layout, for
-    /// feeding this matrix into the memory-traffic model.
-    pub fn layout(&self) -> bitgblas_perfmodel::B2srLayout {
-        with_b2sr!(self, |m| bitgblas_perfmodel::B2srLayout::from_parts(
-            m.nrows(),
-            m.ncols(),
-            m.tile_dim(),
-            m.tile_colind().to_vec(),
-        ))
-    }
 }
 
 #[cfg(test)]

@@ -1,159 +1,60 @@
-//! Automatic backend/format selection — the paper's format-selection story
-//! ([`Backend::Auto`]) as a first-class API.
+//! [`Backend::Auto`]: the tile gate ([`MIN_TILE_FILL`], scaled to the
+//! width), counted at every width — the paper's per-matrix tile size
+//! (Figure 5).  The tiles are counted widest first with the converter's
+//! discover step, and the matrix resolves to `Bit(ts)` at the first width
+//! whose tiles fill; where none does, to `Bit(S8)` without tiles (every
+//! width runs the same CSR kernels then).  B2SR-4 is never counted: its
+//! gate is B2SR-8's 4 bits per tile, and a matrix has at least as many 4 × 4
+//! tiles as 8 × 8 ones.  Auto never resolves to [`Backend::FloatCsr`]: a
+//! bit matrix without tiles ran BFS 3–18× faster than it on every graph
+//! probed, and lost only Triangle Counting on graphs without hubs or tiles.
 //!
-//! The paper frames Bit-GraphBLAS as a framework that *decides* how the
-//! adjacency matrix is stored (Figure 5's per-matrix optimal tile sizes,
-//! Algorithm 1's sampling profile, Table V's structural categories).  This
-//! module composes those pieces into one decision procedure:
-//!
-//! 1. **Classify** the matrix's structural pattern with
-//!    `bitgblas-datagen`'s Table-V classifier;
-//! 2. **Estimate** the storage payoff of every B2SR variant with the
-//!    Algorithm-1 sampling profile (cheap, row-sample only);
-//! 3. **Model** the per-`mxv` cost of the float-CSR baseline and of every
-//!    B2SR variant with `bitgblas-perfmodel`'s memory-traffic model, using a
-//!    [`B2srLayout`] computed directly from the CSR structure (no conversion
-//!    is performed for rejected candidates);
-//! 4. **Choose** the cheapest modelled backend, with the pattern category
-//!    breaking near-ties the way Figure 5b reports (dense local structure —
-//!    blocks — favors large tiles; thin diagonal/road structure favors small
-//!    tiles).
+//! [`MIN_TILE_FILL`]: super::backend::MIN_TILE_FILL
 
-use bitgblas_datagen::classify::{classify, PatternCategory};
-use bitgblas_perfmodel::{estimate_b2sr_bmv, estimate_csr_spmv, B2srLayout, DeviceProfile};
 use bitgblas_sparse::Csr;
 
-use crate::b2sr::{sample_profile, SamplingProfile, TileSize};
+use crate::b2sr::TileSize;
 
+use super::backend::gate_count;
 use super::matrix::Backend;
 use super::op::Context;
 
-/// Modelled cost of one candidate B2SR variant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileCandidate {
-    /// The tile size this candidate refers to.
-    pub tile_size: TileSize,
-    /// Modelled time of one `mxv` (milliseconds on the context's device).
-    pub modelled_time_ms: f64,
-    /// Estimated `B2SR bytes / CSR bytes` from the sampling profile.
-    pub est_compression_ratio: f64,
-}
-
-/// The full record of one automatic backend decision, for reporting and for
-/// tests that assert the selection logic.
-#[derive(Debug, Clone, PartialEq)]
+/// The record of one automatic backend decision.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AutoDecision {
-    /// The Table-V structural category of the matrix.
-    pub category: PatternCategory,
-    /// Modelled time of one float-CSR `mxv` (milliseconds).
-    pub float_time_ms: f64,
-    /// The four B2SR candidates, ordered as [`TileSize::ALL`].
-    pub candidates: Vec<TileCandidate>,
-    /// Whether the sampling profile judges any variant worth converting.
-    pub worth_converting: bool,
-    /// The chosen backend (never [`Backend::Auto`]).
+    /// The tiles counted at each width, widest first, down to the first
+    /// that fills or to B2SR-8; a width that does not fill stops counting
+    /// once its tiles are too many, so its count is a lower bound.
+    pub tiles: Vec<(TileSize, usize)>,
+    /// Whether the chosen width's tiles fill: false only where none does.
+    pub tiled: bool,
+    /// The chosen backend: always a [`Backend::Bit`].
     pub chosen: Backend,
 }
 
-/// Two modelled times are a "near-tie" when they differ by less than this
-/// factor; within a near-tie the pattern category decides.
-const NEAR_TIE: f64 = 1.15;
-
-/// Run the automatic format selection for one matrix.
-pub fn auto_decision(csr: &Csr, ctx: &Context) -> AutoDecision {
-    let category = classify(csr);
-    let profile: SamplingProfile = sample_profile(csr, ctx.sample_rows, ctx.seed);
-    let device: &DeviceProfile = &ctx.device;
-
-    let float_time_ms = estimate_csr_spmv(csr, device).total_time_ms;
-
-    // Exact layouts and the cache simulation cost a full pass over the
-    // nonzeros per tile size, so the (cheap, sampled) Algorithm-1 estimates
-    // prune the field first: variants whose sampled compression is more than
-    // 2x the best estimate cannot win the traffic model either and are
-    // scored `INFINITY` without a scan.
-    let best_est = TileSize::ALL
-        .iter()
-        .map(|&ts| profile.estimate_for(ts).est_compression_ratio)
-        .fold(f64::INFINITY, f64::min);
-    const PRUNE_FACTOR: f64 = 2.0;
-
-    let candidates: Vec<TileCandidate> = TileSize::ALL
-        .iter()
-        .map(|&ts| {
-            let est_compression_ratio = profile.estimate_for(ts).est_compression_ratio;
-            let modelled_time_ms = if est_compression_ratio <= best_est * PRUNE_FACTOR {
-                let layout = B2srLayout::from_csr(csr, ts.dim());
-                estimate_b2sr_bmv(&layout, device).total_time_ms
-            } else {
-                f64::INFINITY
-            };
-            TileCandidate {
-                tile_size: ts,
-                modelled_time_ms,
-                est_compression_ratio,
-            }
-        })
-        .collect();
-    let worth_converting = profile.worth_converting();
-
-    let chosen = choose(category, float_time_ms, &candidates, worth_converting);
-    AutoDecision {
-        category,
-        float_time_ms,
-        candidates,
-        worth_converting,
-        chosen,
-    }
+/// Decide [`Backend::Auto`] for `csr`'s stored entries.  The context is not
+/// read; the parameter is kept so existing callers compile.
+pub fn auto_decision(csr: &Csr, _ctx: &Context) -> AutoDecision {
+    decide(csr)
 }
 
-/// The decision rule, split out for direct testing.
-fn choose(
-    category: PatternCategory,
-    float_time_ms: f64,
-    candidates: &[TileCandidate],
-    worth_converting: bool,
-) -> Backend {
-    // Fastest modelled bit variant.
-    let best = candidates
-        .iter()
-        .min_by(|a, b| a.modelled_time_ms.partial_cmp(&b.modelled_time_ms).unwrap())
-        .expect("candidates are never empty");
-
-    // Keep CSR when the model gives the bit kernel no edge, or when the
-    // sampling profile says no variant compresses — and, for unstructured
-    // scatter (dot), whenever the modelled win is within the near-tie band:
-    // the conversion cost is not worth a marginal gain on a matrix whose
-    // structure gives B2SR nothing to exploit (the paper's "or keeps the
-    // original format" outcome of Algorithm 1).
-    if best.modelled_time_ms >= float_time_ms || !worth_converting {
-        return Backend::FloatCsr;
+/// [`auto_decision`], as [`BitB2sr`](super::BitB2sr) builds a
+/// `Backend::Auto` matrix.
+pub(crate) fn decide(csr: &Csr) -> AutoDecision {
+    let mut tiles = Vec::with_capacity(3);
+    for ts in [TileSize::S32, TileSize::S16, TileSize::S8] {
+        let (n_tiles, tiled) = gate_count(csr, ts.dim());
+        tiles.push((ts, n_tiles));
+        if tiled || ts == TileSize::S8 {
+            let chosen = Backend::Bit(ts);
+            return AutoDecision {
+                tiles,
+                tiled,
+                chosen,
+            };
+        }
     }
-    if category == PatternCategory::Dot && best.modelled_time_ms * NEAR_TIE >= float_time_ms {
-        return Backend::FloatCsr;
-    }
-
-    // Near-ties between tile sizes are resolved by the structural category,
-    // mirroring Figure 5b: block-dense patterns amortize large tiles, thin
-    // diagonal/road/stripe structure wants small ones.
-    let near: Vec<&TileCandidate> = candidates
-        .iter()
-        .filter(|c| c.modelled_time_ms <= best.modelled_time_ms * NEAR_TIE)
-        .collect();
-    let pick: &TileCandidate = match category {
-        PatternCategory::Block | PatternCategory::Hybrid => near
-            .iter()
-            .copied()
-            .max_by_key(|c| c.tile_size.dim())
-            .unwrap(),
-        PatternCategory::Diagonal | PatternCategory::Road | PatternCategory::Stripe => near
-            .iter()
-            .copied()
-            .min_by_key(|c| c.tile_size.dim())
-            .unwrap(),
-        PatternCategory::Dot => best,
-    };
-    Backend::Bit(pick.tile_size)
+    unreachable!("the loop returns at B2SR-8")
 }
 
 #[cfg(test)]
@@ -161,8 +62,24 @@ mod tests {
     use super::*;
     use bitgblas_datagen::generators;
 
-    fn decide(csr: &Csr) -> AutoDecision {
-        auto_decision(csr, &Context::default())
+    /// One nonzero every third row: every touched tile holds a bit or two.
+    fn scatter() -> Csr {
+        let mut coo = bitgblas_sparse::Coo::new(4096, 4096);
+        for r in (0..4096usize).step_by(3) {
+            coo.push_edge(r, (r * 7 + 13) % 4096).unwrap();
+        }
+        coo.to_binary_csr()
+    }
+
+    /// The oracle: the widest width whose counted tiles fill, else S8.
+    fn widest_filled(csr: &Csr) -> (Backend, bool) {
+        for ts in TileSize::ALL.into_iter().rev() {
+            let n_tiles = crate::B2srMatrix::from_csr(csr, ts).n_tiles();
+            if 8 * csr.nnz() >= 4 * n_tiles * ts.dim().max(8) {
+                return (Backend::Bit(ts), true);
+            }
+        }
+        (Backend::Bit(TileSize::S8), false)
     }
 
     #[test]
@@ -171,22 +88,44 @@ mod tests {
             generators::banded(512, 3, 0.7, 1),
             generators::erdos_renyi(400, 0.01, true, 2),
             generators::block_community(8, 64, 0.4, 1e-5, 3),
+            generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized(),
+            scatter(),
         ] {
             let d1 = decide(&csr);
-            let d2 = decide(&csr);
-            assert_eq!(d1, d2);
-            assert_ne!(d1.chosen, Backend::Auto);
-            assert_eq!(d1.candidates.len(), 4);
+            assert_eq!(d1, auto_decision(&csr, &Context::default()));
+            assert!(matches!(d1.chosen, Backend::Bit(_)), "{d1:?}");
+            assert_eq!(d1.chosen, widest_filled(&csr).0, "{d1:?}");
+            // Counted widest first, down to the choice or to B2SR-8.
+            let widths: Vec<TileSize> = d1.tiles.iter().map(|&(ts, _)| ts).collect();
+            let all = [TileSize::S32, TileSize::S16, TileSize::S8];
+            assert_eq!(widths, all[..widths.len()]);
+            assert_eq!(d1.tiled, widest_filled(&csr).1);
+            // Exact where the tiles fill; past the gate where they do not.
+            for &(ts, n_tiles) in &d1.tiles {
+                let exact = crate::B2srMatrix::from_csr(&csr, ts).n_tiles();
+                if d1.tiled && Backend::Bit(ts) == d1.chosen {
+                    assert_eq!(n_tiles, exact, "{ts}");
+                } else {
+                    assert!(n_tiles <= exact, "{ts}");
+                    assert!(8 * csr.nnz() < 4 * n_tiles * ts.dim().max(8), "{ts}");
+                }
+            }
+            if d1.tiled {
+                assert_eq!(Backend::Bit(*widths.last().unwrap()), d1.chosen);
+            } else {
+                assert_eq!(widths.len(), 3);
+            }
+            let built = crate::Matrix::from_csr(&csr, Backend::Auto);
+            assert_eq!(built.resolved_backend(), d1.chosen);
+            assert_eq!(built.b2sr().is_some(), widest_filled(&csr).1);
         }
     }
 
     #[test]
-    fn banded_matrix_picks_a_small_bit_tile() {
-        let d = decide(&generators::banded(2048, 3, 0.8, 7));
-        match d.chosen {
-            Backend::Bit(ts) => assert!(ts.dim() <= 8, "banded chose {ts}, decision {d:?}"),
-            other => panic!("banded should convert to B2SR, chose {other:?} ({d:?})"),
-        }
+    fn banded_matrix_picks_the_widest_width_that_fills() {
+        let band = generators::banded(2048, 3, 0.8, 7);
+        let d = decide(&band);
+        assert_eq!(widest_filled(&band), (d.chosen, true), "{d:?}");
     }
 
     #[test]
@@ -198,26 +137,30 @@ mod tests {
         }
     }
 
+    /// Scatter and R-MAT fill their tiles at no width: an untiled `Bit(S8)`.
     #[test]
-    fn sparse_scatter_keeps_float_csr() {
-        // One nonzero every few rows: every touched tile holds a single bit,
-        // so the bit kernel has no modelled edge and the original format is
-        // kept (conversion would buy nothing).
-        let mut coo = bitgblas_sparse::Coo::new(4096, 4096);
-        for r in (0..4096usize).step_by(3) {
-            coo.push_edge(r, (r * 7 + 13) % 4096).unwrap();
+    fn sparse_scatter_resolves_to_an_untiled_bit_matrix() {
+        for csr in [
+            scatter(),
+            generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized(),
+        ] {
+            let d = decide(&csr);
+            assert_eq!(
+                (d.chosen, d.tiled),
+                (Backend::Bit(TileSize::S8), false),
+                "{d:?}"
+            );
+            assert_eq!(d.tiles.len(), 3, "{d:?}");
+            assert!(crate::Matrix::from_csr(&csr, Backend::Auto)
+                .b2sr()
+                .is_none());
         }
-        let d = decide(&coo.to_binary_csr());
-        assert_eq!(d.category, bitgblas_datagen::PatternCategory::Dot, "{d:?}");
-        assert_eq!(d.chosen, Backend::FloatCsr, "{d:?}");
     }
 
     #[test]
     fn different_patterns_yield_different_tile_sizes() {
-        // The acceptance criterion: Auto demonstrably picks different tile
-        // sizes for at least two corpus patterns.
-        let banded = decide(&generators::banded(2048, 3, 0.8, 7)).chosen;
         let blocks = decide(&generators::block_community(16, 64, 0.5, 1e-5, 9)).chosen;
-        assert_ne!(banded, blocks, "banded {banded:?} vs blocks {blocks:?}");
+        let scatter = decide(&scatter()).chosen;
+        assert_ne!(scatter, blocks, "scatter {scatter:?} vs blocks {blocks:?}");
     }
 }

@@ -9,7 +9,8 @@
 //! operand it builds once and keeps ([`BitB2sr::triangle_operand`]).  Tiles
 //! serve two products — the single-vector Boolean product in node words and
 //! the masked reduction — and exist only where they fill: a `Backend::Bit`
-//! matrix under [`MIN_TILE_FILL`] bits per non-empty tile builds none and
+//! matrix under [`MIN_TILE_FILL`] bits per non-empty tile (scaled above
+//! B2SR-8) builds none and
 //! runs those two on its CSR as well — the masked reduction as AND +
 //! popcount over the CSR's rows packed into 64-column words
 //! ([`csr_words_masked_count`]).  Every other product reads the CSR on
@@ -57,6 +58,7 @@ use crate::kernels::{
 };
 use crate::semiring::{with_semiring_ops, BinaryOp, Semiring};
 
+use super::auto;
 use super::descriptor::Mask;
 use super::expr::Stage;
 use super::lanebits::{expand_lane_words_into, pack_lane_words_from};
@@ -126,10 +128,11 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 // ---------------------------------------------------------------------------
 
 /// The fill, in mean bits per non-empty tile, from which a [`Backend::Bit`]
-/// matrix holds B2SR tiles: [`BitB2sr`] builds them iff `nnz ≥
-/// MIN_TILE_FILL · n_tiles`, counting the tiles before it converts (the
-/// converter's discover step, which packs nothing), and a compaction
-/// decides again from what it folded.  Tiles serve two products: the
+/// matrix holds B2SR tiles, scaled by `dim / 8` above B2SR-8: [`BitB2sr`]
+/// builds them iff `8 · nnz ≥ MIN_TILE_FILL · n_tiles · max(dim, 8)` (8 bits
+/// per tile at B2SR-16, 16 at B2SR-32), counting the tiles before it
+/// converts (the converter's discover step, which packs nothing), and a
+/// compaction decides again from what it folded.  Tiles serve two products: the
 /// single-vector Boolean product in node words (pull and push) and the
 /// masked reduction of Triangle Counting.  Under the fill — the paper's
 /// Table V scatter class, whose tiles hold a bit or two — those two read
@@ -173,8 +176,11 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// So the fill serves.  At the other widths, under 4 bits, every cell is ≤
 /// 0.70 but that same pull at a 1 % frontier at 2 bits per tile (B2SR-4
 /// 1.45–1.49, B2SR-16 0.82–1.05); R-MAT holds no tiles at B2SR-4 and -16
-/// (1.5 and 3.2 bits: ≤ 0.85), and at B2SR-32 (6.0 bits) keeps tiles that
-/// lose every cell but that one (1.24–1.60; the rest 0.01–0.97).
+/// (1.5 and 3.2 bits: ≤ 0.85), nor at B2SR-32 (6.0 bits, under that
+/// width's 16).  The tiles it held there while the gate was 4 bits at
+/// every width lost every cell but that one (1.24–1.60; the rest
+/// 0.01–0.97), and whole algorithms by more: BFS 2.36–2.49 ms and Triangle
+/// Counting 61–62 ms, against 0.24 and 7.5 ms without tiles.
 ///
 /// The lane words read the CSR at every fill: the tile lane push walks every
 /// tile of a node's tile-row, and the lane products lose to the CSR through
@@ -244,13 +250,13 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// (The columns are nominal: `L`'s measured fills are 1.0–1.3, 2.0–2.3,
 /// 3.0–3.2, 4.0–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The word count and the
 /// tile kernel cross between 1 and 2 bits at B2SR-4, between 2 and 3 at
-/// B2SR-8, between 4 and 6 at B2SR-16 and near 9 at B2SR-32.  One fill for
-/// every product trades this: an `L` of 2.5 to 4 bits per tile holds no
-/// tiles and is counted in words, which costs 2.57–2.80× the tile kernel at
-/// B2SR-4 and 1.23–1.41× at B2SR-8 (≈ 3 bits), and saves at B2SR-16 and
-/// -32.  No benchmark workload's `L` is in that band.  From 4 bits up the
-/// tile kernel keeps `L` at every width, the slower one at B2SR-16 to about
-/// 6 bits and at B2SR-32 to about 9.  These scattered graphs have no hubs,
+/// B2SR-8, between 4 and 6 at B2SR-16 and near 9 at B2SR-32.  The gate
+/// sits above each crossing by the same margin — 4 bits above B2SR-8's 2–3,
+/// 8 above 4–6, 16 above 9 — so an `L` between a crossing and its gate is
+/// counted in words where the tile kernel would be faster: 2.57–2.80× the
+/// tile kernel at B2SR-4 and 1.23–1.41× at B2SR-8 (≈ 3 bits), 1.79–1.88×
+/// at B2SR-16 (≈ 6) and 0.91–1.04× at B2SR-32 (≈ 9).  No benchmark
+/// workload's `L` is in those bands.  These scattered graphs have no hubs,
 /// so their ranked `L` packs only 1.1–1.3 entries per 64-column word; the
 /// index count, the same runs, reads 0.95–0.96× / 1.47–1.60× the tile
 /// kernel at B2SR-4 and 0.56–0.57× / 0.94–1.05× at B2SR-8 (≈ 2 / 3 bits),
@@ -265,10 +271,23 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// or tiles end to end.
 pub const MIN_TILE_FILL: usize = 4;
 
+/// The most non-empty `dim × dim` tiles `nnz` entries fill ([`MIN_TILE_FILL`]).
+pub(crate) fn max_filled_tiles(nnz: usize, dim: usize) -> usize {
+    8 * nnz / (MIN_TILE_FILL * dim.max(8))
+}
+
+/// `bin`'s non-empty `dim × dim` tiles, counted until too many to fill, and
+/// whether they fill: the tile gate.
+pub(crate) fn gate_count(bin: &Csr, dim: usize) -> (usize, bool) {
+    let limit = max_filled_tiles(bin.nnz(), dim);
+    let n_tiles = count_tiles(bin, dim, limit);
+    (n_tiles, n_tiles <= limit)
+}
+
 /// The built backend every matrix holds: the binary CSR (the interchange
 /// view, and what every full-precision product and every lane-word product
-/// reads) plus, under [`Backend::Bit`] at [`MIN_TILE_FILL`] bits per tile
-/// or more, B2SR tiles and the two bit kernels that read them: the node-word
+/// reads) plus, under [`Backend::Bit`] where they fill ([`MIN_TILE_FILL`]),
+/// B2SR tiles and the two bit kernels that read them: the node-word
 /// Boolean pull and push (Table II's bin/bin/bin) and the masked count
 /// (Table III).  Without tiles those two run on the CSR too — in node words,
 /// and as the word count over the CSR's rows packed into 64-column words,
@@ -325,8 +344,9 @@ impl BitB2sr {
 
     /// The backend of `kind` over `bin`, an all-ones CSR taken by value and
     /// on trust (the compaction path hands over the merge it just wrote).
-    /// Under `Backend::Bit` it holds tiles iff they fill to [`MIN_TILE_FILL`]
-    /// bits each, counted ([`count_tiles`]) before converting.  With a tiled
+    /// Under `Backend::Bit` it holds tiles iff they fill, counted
+    /// ([`gate_count`]) before converting; `Backend::Auto` builds the kind
+    /// [`auto::decide`] counted.  With a tiled
     /// `prev` — the backend of the same matrix before its ascending dirty
     /// rows changed — only the tile-rows holding a dirty row convert
     /// ([`B2srMatrix::retile`]), and the result is kept if it still fills.
@@ -337,18 +357,30 @@ impl BitB2sr {
         prev: Option<(&BitB2sr, &[usize])>,
     ) -> (Self, RetileCounts) {
         debug_assert!(bin.is_binary());
-        let fills = |n_tiles: usize| bin.nnz() >= MIN_TILE_FILL * n_tiles;
-        let built = match kind {
-            Backend::Bit(ts) => {
+        let (kind, built) = match kind {
+            Backend::Bit(ts) => (
+                kind,
                 match prev.and_then(|(old, dirty_rows)| Some((old.b2sr()?, dirty_rows))) {
-                    Some(prev) => Some(B2srMatrix::retile(&bin, ts, Some(prev)))
-                        .filter(|(b2sr, _)| fills(b2sr.n_tiles())),
-                    None => fills(count_tiles(&bin, ts.dim()))
-                        .then(|| B2srMatrix::retile(&bin, ts, None)),
-                }
+                    Some(prev) => {
+                        Some(B2srMatrix::retile(&bin, ts, Some(prev))).filter(|(b2sr, _)| {
+                            b2sr.n_tiles() <= max_filled_tiles(bin.nnz(), ts.dim())
+                        })
+                    }
+                    None => {
+                        let (_, fills) = gate_count(&bin, ts.dim());
+                        fills.then(|| B2srMatrix::retile(&bin, ts, None))
+                    }
+                },
+            ),
+            Backend::Auto => {
+                let d = auto::decide(&bin);
+                let Backend::Bit(ts) = d.chosen else {
+                    unreachable!("Auto resolves to a bit backend")
+                };
+                let built = d.tiled.then(|| B2srMatrix::retile(&bin, ts, None));
+                (d.chosen, built)
             }
-            Backend::FloatCsr => None,
-            Backend::Auto => unreachable!("a backend is built of a resolved kind"),
+            Backend::FloatCsr => (kind, None),
         };
         let (tiles, counts) = match built {
             Some((b2sr, counts)) => (Some(Tiles::new(b2sr)), counts),
@@ -1127,14 +1159,16 @@ pub(crate) mod tests {
         }
     }
 
-    /// Tiles exist exactly where they fill to [`MIN_TILE_FILL`]
-    /// bits — the counted `nnz / n_tiles` — at every width, on the repo
-    /// benchmark's two graphs and on the lower triangles Triangle Counting
-    /// reduces, built as the benchmark builds them
+    /// Tiles exist exactly where they fill to [`MIN_TILE_FILL`] bits — the
+    /// counted `nnz / n_tiles` — scaled by `max(dim, 8) / 8`, at every
+    /// width, on the repo benchmark's two graphs and on the lower triangles
+    /// Triangle Counting reduces, built as the benchmark builds them
     /// (`Matrix::lower_triangle`).  At B2SR-8, R-MAT(14, 16) at 2.0 bits per
     /// tile and its `L` at 2.03 hold none; the mesh at 51.8 and its `L` at
     /// 46.5 hold tiles, so a retune of the constant between the two cannot
-    /// silently tile the one or untile the other — and Triangle Counting's
+    /// silently tile the one or untile the other.  At B2SR-32 R-MAT's 5.9
+    /// bits are under that width's 16, so it holds none there either — and
+    /// Triangle Counting's
     /// operand is R-MAT's `L` ranked by degree, untiled, and the mesh's
     /// index-ordered `L`, tiled.  The choice survives the
     /// transpose view, a matrix clone and a compaction, and a compaction
@@ -1151,9 +1185,10 @@ pub(crate) mod tests {
         let rmat = generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized();
         let mesh = generators::banded(2048, 32, 0.7, 5);
         let fills = |m: &Matrix, ts: TileSize| {
-            let n_tiles = count_tiles(m.csr(), ts.dim());
+            let n_tiles = count_tiles(m.csr(), ts.dim(), usize::MAX);
+            let scaled = MIN_TILE_FILL * ts.dim().max(8);
             (
-                m.nnz() >= MIN_TILE_FILL * n_tiles,
+                8 * m.nnz() >= scaled * n_tiles,
                 m.nnz() as f64 / n_tiles as f64,
             )
         };
@@ -1193,6 +1228,14 @@ pub(crate) mod tests {
             let (_, fill) = fills(&a.lower_triangle(), TileSize::S8);
             assert!(l_lo < fill && fill < l_hi, "L: {fill} bits per tile");
         }
+        let (_, fill) = fills(
+            &Matrix::from_csr(&rmat, Backend::Bit(TileSize::S32)),
+            TileSize::S32,
+        );
+        assert!(
+            5.5 < fill && fill < 6.5,
+            "R-MAT: {fill} bits per B2SR-32 tile"
+        );
         let (r, m) = (s8(&rmat), s8(&mesh));
         assert!(r.b2sr().is_none() && r.lower_triangle().b2sr().is_none());
         assert!(m.b2sr().is_some() && m.lower_triangle().b2sr().is_some());
@@ -1313,6 +1356,28 @@ pub(crate) mod tests {
             }
         }
         coo.to_binary_csr()
+    }
+
+    /// The gate at its edge, at every width: two diagonal `dim × dim` tiles
+    /// holding `MIN_TILE_FILL · 2 · max(dim, 8) / 8` entries between them
+    /// build tiles, one entry fewer builds none, and both keep the kind.
+    #[test]
+    fn the_tile_gate_holds_at_its_exact_boundary() {
+        for ts in TileSize::ALL {
+            let dim = ts.dim();
+            let threshold = MIN_TILE_FILL * 2 * dim.max(8) / 8;
+            for (nnz, tiled) in [(threshold, true), (threshold - 1, false)] {
+                let mut coo = Coo::new(2 * dim, 2 * dim);
+                for i in 0..nnz {
+                    let (t, p) = (i % 2, i / 2);
+                    coo.push_edge(t * dim + p / dim, t * dim + p % dim).unwrap();
+                }
+                let m = Matrix::from_csr(&coo.to_binary_csr(), Backend::Bit(ts));
+                assert_eq!(count_tiles(m.csr(), dim, usize::MAX), 2, "{ts} {nnz}");
+                assert_eq!(m.b2sr().is_some(), tiled, "{ts}: {nnz} entries");
+                assert_eq!(m.resolved_backend(), Backend::Bit(ts));
+            }
+        }
     }
 
     /// A Boolean product without tiles is the tile kernels' product, word
@@ -1550,7 +1615,7 @@ pub(crate) mod tests {
         let ragged_t = ragged.transpose();
         let mask = sample_coo(2001, 2001, 200_000, 41).to_binary_csr();
         let l = generators::banded(2048, 32, 0.035, 5).lower_triangle();
-        let fill = l.nnz() as f64 / count_tiles(&l, 8) as f64;
+        let fill = l.nnz() as f64 / count_tiles(&l, 8, usize::MAX) as f64;
         assert!(2.5 < fill && fill < 4.0, "{fill} bits per tile");
         // (a, b for `A · B`, b for `A · Bᵀ`, mask)
         let cases = [

@@ -12,8 +12,7 @@
 //!   walked and their out-edges scattered into the output.  Cost is
 //!   proportional to the frontier's edge count, but the writes are random.
 //! * [`Direction::Auto`] — decide per operation from the frontier density,
-//!   using the same first-order memory-traffic reasoning as the
-//!   [`Backend::Auto`](super::Backend) format selection.
+//!   by the first-order memory-traffic reasoning below.
 //!
 //! # The threshold
 //!

@@ -8,7 +8,6 @@ use bitgblas_sparse::Csr;
 use crate::b2sr::{B2srMatrix, TileSize};
 use crate::delta::{CompactReport, DeltaOverlay, EdgeDelta, VersionCell};
 
-use super::auto;
 use super::backend::{binary_copy, BitB2sr};
 use super::error::GrbError;
 use super::op::Context;
@@ -25,10 +24,10 @@ pub enum Backend {
     /// cuSPARSE stand-in) — the built-in backend without tiles.
     FloatCsr,
     /// Let the framework decide per matrix, the way the paper's Figure 5
-    /// selects a tile size per matrix: the Table-V pattern classifier, the
-    /// Algorithm-1 sampling profile and the memory-traffic model pick the
-    /// format (and tile size) at construction.  Query the outcome with
-    /// [`Matrix::resolved_backend`].
+    /// selects a tile size per matrix: `Bit` at the widest tile size whose
+    /// counted tiles fill, or `Bit(S8)` without tiles where none does
+    /// ([`auto_decision`](super::auto::auto_decision)).  Query the outcome
+    /// with [`Matrix::resolved_backend`].
     Auto,
 }
 
@@ -47,11 +46,11 @@ impl Backend {
 /// it, the [`DeltaOverlay`] of those deltas.  Construction with
 /// [`Backend::Bit`] builds the B2SR representation eagerly where its tiles
 /// fill (the "one-time conversion cost" the paper amortizes);
-/// [`Backend::Auto`] first runs the format-selection procedure of
-/// [`auto::auto_decision`].  Transposed representations are cached lazily
-/// inside the backend; a symmetric matrix is its own transpose and builds
-/// none.  Triangle Counting's operand is cached the same way
-/// ([`Matrix::triangle_operand`]).
+/// [`Backend::Auto`] first counts which width that is
+/// ([`auto_decision`](super::auto::auto_decision)).  Transposed
+/// representations are cached lazily inside the backend; a symmetric matrix
+/// is its own transpose and builds none.  Triangle Counting's operand is
+/// cached the same way ([`Matrix::triangle_operand`]).
 ///
 /// # Mutation and snapshot isolation (PR 8)
 ///
@@ -79,10 +78,8 @@ pub struct Matrix {
     /// The pending deltas this handle reads through, re-folded after each
     /// product of `base`.
     overlay: Option<Arc<DeltaOverlay>>,
-    /// The context the matrix was constructed with; derived matrices
-    /// ([`Matrix::lower_triangle`]) re-run auto selection against the same
-    /// device profile and sampling parameters.  Snapshots share the `Arc`
-    /// (same workspace pool, same fault injector).
+    /// The context the matrix was constructed with.  Snapshots share the
+    /// `Arc` (same workspace pool, same fault injector).
     ctx: Arc<Context>,
     /// The shared version state mutations go through.
     versions: Arc<VersionCell>,
@@ -172,8 +169,8 @@ impl Matrix {
         Self::from_csr_ctx(csr, backend, &Context::default())
     }
 
-    /// Build a matrix from any CSR; the context supplies the device profile
-    /// and sampling parameters [`Backend::Auto`] selects with.
+    /// Build a matrix from any CSR, its operations drawing on `ctx`'s
+    /// workspace pool and fault injector.
     pub fn from_csr_ctx(csr: &Csr, backend: Backend, ctx: &Context) -> Self {
         Matrix::from_binary_ctx(binary_copy(csr), backend, ctx)
     }
@@ -181,11 +178,7 @@ impl Matrix {
     /// [`from_csr_ctx`](Matrix::from_csr_ctx) of `bin`, an all-ones CSR
     /// taken by value and on trust: the backend keeps it as its CSR view.
     fn from_binary_ctx(bin: Csr, backend: Backend, ctx: &Context) -> Self {
-        let resolved = match backend {
-            Backend::Auto => auto::auto_decision(&bin, ctx).chosen,
-            other => other,
-        };
-        let (base, _) = BitB2sr::of_kind(bin, resolved, None);
+        let (base, _) = BitB2sr::of_kind(bin, backend, None);
         Matrix::from_parts(backend, Arc::new(base), Arc::new(ctx.clone()))
     }
 
@@ -475,16 +468,28 @@ mod tests {
         Csr::from_coo(&coo)
     }
 
-    /// The sample fills its one B2SR-32 tile with 7 bits, and its four
-    /// B2SR-4 tiles with 1.75 bits each: tiles at the first width, none at
-    /// the second, the kind kept at both.
+    /// Every off-diagonal entry of a 6 × 6 matrix: 30 bits in one B2SR-32
+    /// tile, over that width's 16.
+    fn dense_sample() -> Csr {
+        let mut coo = Coo::new(6, 6);
+        for r in 0..6 {
+            for c in (0..6).filter(|&c| c != r) {
+                coo.push(r, c, 2.5).unwrap();
+            }
+        }
+        Csr::from_coo(&coo)
+    }
+
+    /// The dense sample fills its one B2SR-32 tile with 30 bits, and the
+    /// sample its four B2SR-4 tiles with 1.75 bits each: tiles at the first
+    /// width, none at the second, the kind kept at both.
     #[test]
     fn construction_binarizes_and_builds_backend() {
-        let a = Matrix::from_csr(&sample(), Backend::Bit(TileSize::S32));
+        let a = Matrix::from_csr(&dense_sample(), Backend::Bit(TileSize::S32));
         assert!(a.csr().is_binary());
-        assert_eq!(a.nnz(), 7);
+        assert_eq!(a.nnz(), 30);
         assert!(a.b2sr().is_some());
-        assert_eq!(a.b2sr().unwrap().nnz(), 7);
+        assert_eq!(a.b2sr().unwrap().nnz(), 30);
         assert_eq!(a.b2sr().unwrap().tile_size(), TileSize::S32);
         assert_eq!(a.resolved_backend(), Backend::Bit(TileSize::S32));
 
@@ -548,13 +553,13 @@ mod tests {
         assert!(sym.is_symmetric());
     }
 
-    /// The tiles' bytes where a bit matrix holds tiles (14 bits in one
+    /// The tiles' bytes where a bit matrix holds tiles (30 bits in one
     /// B2SR-32 tile), the CSR's where it does not (3.5 bits per B2SR-4 tile)
     /// and on the float baseline.
     #[test]
     fn storage_bytes_reflect_backend() {
         let csr = sample().symmetrized();
-        let bit = Matrix::from_csr(&csr, Backend::Bit(TileSize::S32));
+        let bit = Matrix::from_csr(&dense_sample(), Backend::Bit(TileSize::S32));
         let thin = Matrix::from_csr(&csr, Backend::Bit(TileSize::S4));
         let float = Matrix::from_csr(&csr, Backend::FloatCsr);
         assert_eq!(float.storage_bytes(), float.csr().storage_bytes());

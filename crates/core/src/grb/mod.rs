@@ -15,9 +15,8 @@
 //! * [`Backend::FloatCsr`] — the adjacency matrix stays in CSR and every
 //!   operation runs on `f32` over it (the GraphBLAST/cuSPARSE stand-in
 //!   baseline): a [`BitB2sr`] without tiles;
-//! * [`Backend::Auto`] — the framework decides per matrix, combining the
-//!   Table-V pattern classifier, the Algorithm-1 sampling profile and the
-//!   memory-traffic model (see [`auto`]).
+//! * [`Backend::Auto`] — the framework decides per matrix: `Bit` at the
+//!   widest tile size whose counted tiles fill (see [`auto`]).
 //!
 //! # Lazy expressions and fusion (GraphBLAS non-blocking mode)
 //!
@@ -100,7 +99,7 @@ pub mod plan;
 pub mod vector;
 pub mod workspace;
 
-pub use auto::{auto_decision, AutoDecision, TileCandidate};
+pub use auto::{auto_decision, AutoDecision};
 pub use backend::BitB2sr;
 pub use descriptor::{Descriptor, Mask};
 pub use direction::{choose_direction, Direction};

@@ -44,12 +44,8 @@
 //! .accum(BinaryOp::Min, &dist).run(&ctx)` — the GraphBLAS accumulator
 //! (`w ⊕= A·x`) is a first-class node and folds into the same sweep.
 //!
-//! The [`Context`] carries the cross-operation configuration (device
-//! profile, sampling parameters — everything
-//! [`Backend::Auto`](super::Backend::Auto) needs) and owns the
-//! [`Workspace`] buffer pool every evaluation draws from.
-
-use bitgblas_perfmodel::{pascal_gtx1080, DeviceProfile};
+//! The [`Context`] owns the [`Workspace`] buffer pool every evaluation
+//! draws from, and an optional fault injector.
 
 use crate::faultinject::FaultInjector;
 use crate::kernels::RowWords;
@@ -68,24 +64,15 @@ use super::plan::{self, WordOperand};
 use super::vector::Vector;
 use super::workspace::{ExecCounts, Workspace};
 
-/// Cross-operation execution configuration *and* execution resource.
-///
-/// Besides the device profile and sampling parameters that
-/// [`Backend::Auto`](super::Backend::Auto) scores against, a context owns a
-/// [`Workspace`]: the pool of reusable buffers
-/// every evaluation draws its output, packing and mask scratch from, plus
-/// the execution counters.  Reusing one context across a traversal loop
-/// (e.g. via [`Matrix::context`](super::Matrix::context)) makes the loop's
-/// steady state allocation-free.
-#[derive(Debug)]
+/// The execution resource operations run against: a context owns a
+/// [`Workspace`], the pool of reusable buffers every evaluation draws its
+/// output, packing and mask scratch from, plus the execution counters.
+/// Reusing one context across a traversal loop (e.g. via
+/// [`Matrix::context`](super::Matrix::context)) makes the loop's steady
+/// state allocation-free.  [`Context::default`] has an empty pool and no
+/// fault injector.
+#[derive(Debug, Default)]
 pub struct Context {
-    /// Device profile used by the performance model when resolving
-    /// [`Backend::Auto`](super::Backend::Auto).
-    pub device: DeviceProfile,
-    /// Rows sampled by the Algorithm-1 profile during auto selection.
-    pub sample_rows: usize,
-    /// Seed of the deterministic row sample.
-    pub seed: u64,
     /// The buffer pool and op counters (fresh in every clone).
     workspace: Workspace,
     /// Optional seeded fault injector (PR 7): when installed, the planner
@@ -94,27 +81,12 @@ pub struct Context {
     fault: std::sync::Mutex<Option<std::sync::Arc<crate::faultinject::FaultInjector>>>,
 }
 
-impl Default for Context {
-    fn default() -> Self {
-        Context {
-            device: pascal_gtx1080(),
-            sample_rows: 256,
-            seed: 0xB17,
-            workspace: Workspace::new(),
-            fault: std::sync::Mutex::new(None),
-        }
-    }
-}
-
 impl Clone for Context {
-    /// Clones carry the configuration only — including any installed fault
-    /// injector: the workspace is per-context scratch state, so each clone
-    /// starts with an empty pool and zeroed counters.
+    /// Clones carry the installed fault injector only: the workspace is
+    /// per-context scratch state, so each clone starts with an empty pool
+    /// and zeroed counters.
     fn clone(&self) -> Self {
         Context {
-            device: self.device.clone(),
-            sample_rows: self.sample_rows,
-            seed: self.seed,
             workspace: Workspace::new(),
             fault: std::sync::Mutex::new(self.fault_injector()),
         }
@@ -122,20 +94,6 @@ impl Clone for Context {
 }
 
 impl Context {
-    /// The default context (Pascal device profile, 256 sampled rows).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A context modelling the given device: its constants feed
-    /// [`Backend::Auto`](super::Backend::Auto)'s traffic model.
-    pub fn with_device(device: DeviceProfile) -> Self {
-        Context {
-            device,
-            ..Self::default()
-        }
-    }
-
     /// [`Context::default`], whatever `threads` says: no product reads a
     /// thread budget any more — every push runs its serial kernel and every
     /// pull fans out over the host's rayon pool.  Kept only because the repo
@@ -1422,13 +1380,13 @@ mod tests {
         ctx.workspace().stats().record_mxv(true);
         let clone = ctx.clone();
         assert_eq!(clone.stats(), crate::grb::ExecCounts::default());
-        assert_eq!(clone.device, ctx.device);
     }
 
-    /// What the planner prices with is constant — whatever the device, two
-    /// contexts on one input resolve every `Direction::Auto` alike.
+    /// What the planner prices with is constant — two contexts on one input
+    /// resolve every `Direction::Auto` alike, whatever thread budget one
+    /// was asked for.
     #[test]
-    fn contexts_plan_on_the_device_constants() {
+    fn contexts_plan_alike() {
         let csr = sample(300, 17);
         let plans = |ctx: Context| {
             let a = Matrix::from_csr_ctx(&csr, Backend::Bit(TileSize::S8), &ctx);
@@ -1440,12 +1398,12 @@ mod tests {
             let s = ctx.stats();
             (s.push_mxv, s.pull_mxv)
         };
-        let pascal = plans(Context::default());
-        assert!(pascal.0 > 0 && pascal.1 > 0, "both directions: {pascal:?}");
-        assert_eq!(
-            plans(Context::with_device(bitgblas_perfmodel::volta_titanv())),
-            pascal
+        let default = plans(Context::default());
+        assert!(
+            default.0 > 0 && default.1 > 0,
+            "both directions: {default:?}"
         );
+        assert_eq!(plans(Context::with_threads(4)), default);
     }
 
     // -- lazy-chain tests (PR 3) --------------------------------------------

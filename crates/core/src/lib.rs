@@ -41,9 +41,8 @@
 //!   the `Op` builders, masks and descriptors) over one built backend,
 //!   [`grb::BitB2sr`].  It is built as the B2SR bit backend (this paper) or
 //!   the float-CSR baseline (the GraphBLAST stand-in) — or
-//!   [`grb::Backend::Auto`] picks format and tile size per matrix from the
-//!   pattern classifier, the Algorithm-1 sampling profile and the
-//!   memory-traffic model.  `bitgblas-algorithms` builds BFS/SSSP/PR/CC/TC
+//!   [`grb::Backend::Auto`] picks the tile size per matrix: the widest
+//!   whose counted tiles fill.  `bitgblas-algorithms` builds BFS/SSSP/PR/CC/TC
 //!   on this API.
 //!
 //! * **Streaming mutations** — [`delta`] keeps the graph mutable under

@@ -22,9 +22,10 @@
 //!
 //! The B2SR-side entry points take a [`B2srLayout`] — the upper-level tile
 //! structure, computable from a CSR matrix *without* converting it — so the
-//! model can score hypothetical conversions.  `bitgblas-core` builds on this
-//! for its automatic backend selection (`Backend::Auto`); this crate
-//! deliberately does not depend on `bitgblas-core`.
+//! model can score hypothetical conversions.  The paper-figure binaries of
+//! `bitgblas-bench` and the repo benchmark read it; the engine does not
+//! (`bitgblas-core` depends on neither this crate nor `bitgblas-datagen`),
+//! and this crate deliberately does not depend on `bitgblas-core`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

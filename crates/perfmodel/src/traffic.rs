@@ -40,8 +40,8 @@ pub struct B2srLayout {
 }
 
 impl B2srLayout {
-    /// Assemble a layout from raw parts (used by `bitgblas-core` to describe
-    /// an already-converted matrix).
+    /// Assemble a layout from raw parts: an already-converted matrix's
+    /// dimensions and tile columns.
     pub fn from_parts(
         nrows: usize,
         ncols: usize,

@@ -58,8 +58,8 @@ fn main() {
         let actual_best = stats::optimal_tile_size(csr);
         let actual_ratio = stats::stats_for(csr, actual_best).compression_ratio;
 
-        // The end-to-end decision Backend::Auto makes from the same inputs
-        // (plus the memory-traffic model).
+        // The decision Backend::Auto makes instead: the tiles counted at
+        // each width, widest first, and the first width whose tiles fill.
         let decision = auto_decision(csr, &ctx);
 
         println!(
@@ -75,7 +75,11 @@ fn main() {
             } else {
                 "no"
             },
-            format!("{:?}", decision.chosen)
+            format!(
+                "{:?}{}",
+                decision.chosen,
+                if decision.tiled { "" } else { " untiled" }
+            )
         );
     }
 

@@ -35,8 +35,8 @@ fn main() {
     }
 
     // Build the two explicit backends, plus the framework's own choice:
-    // Backend::Auto classifies the pattern, runs the Algorithm-1 sampling
-    // profile and the memory-traffic model, and picks format + tile size.
+    // Backend::Auto counts the tiles at each width and picks the widest
+    // whose tiles fill (B2SR-8 without tiles where none does).
     let bit = Matrix::from_csr(&adjacency, Backend::Bit(TileSize::S8));
     let baseline = Matrix::from_csr(&adjacency, Backend::FloatCsr);
     let auto = Matrix::from_csr(&adjacency, Backend::Auto);

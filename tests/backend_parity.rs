@@ -650,41 +650,54 @@ fn auto_bfs_uses_both_directions_on_a_dense_hump_graph() {
     );
 }
 
-/// The paper's Figure-5 story, end to end: `Backend::Auto` picks *different*
-/// tile sizes for at least two corpus patterns, and keeps CSR for scatter
-/// with nothing to exploit.
+/// The paper's Figure-5 story, end to end: `Backend::Auto` resolves each
+/// pattern to the widest tile size whose counted tiles fill — the band and
+/// the blocks to B2SR-32 — and a pattern whose tiles fill at no width
+/// (R-MAT, unstructured scatter) to `Bit(S8)` without tiles, never to the
+/// float baseline.  The choice is deterministic, and it is the widest width
+/// at which a `Backend::Bit` build of the same graph holds tiles.
 #[test]
 fn auto_selection_differs_across_corpus_patterns() {
-    let banded = Matrix::from_csr(&generators::banded(2048, 3, 0.8, 7), Backend::Auto);
-    let blocks = Matrix::from_csr(
-        &generators::block_community(16, 64, 0.5, 1e-5, 9),
-        Backend::Auto,
-    );
-
-    let banded_ts = match banded.resolved_backend() {
-        Backend::Bit(ts) => ts,
-        other => panic!("banded should resolve to a bit backend, got {other:?}"),
-    };
-    let blocks_ts = match blocks.resolved_backend() {
-        Backend::Bit(ts) => ts,
-        other => panic!("block pattern should resolve to a bit backend, got {other:?}"),
-    };
-    assert_ne!(
-        banded_ts, blocks_ts,
-        "auto selection must adapt the tile size to the pattern"
-    );
-    assert!(
-        banded_ts.dim() < blocks_ts.dim(),
-        "thin bands want smaller tiles than dense blocks"
-    );
-
-    // Unstructured scatter with ~1 bit per touched tile: keep the original CSR.
     let mut coo = Coo::new(4096, 4096);
     for r in (0..4096usize).step_by(3) {
         coo.push_edge(r, (r * 7 + 13) % 4096).unwrap();
     }
-    let scatter = Matrix::from_csr(&coo.to_binary_csr(), Backend::Auto);
-    assert_eq!(scatter.resolved_backend(), Backend::FloatCsr);
+    for (what, adj, want, tiled) in [
+        (
+            "band",
+            generators::banded(2048, 3, 0.8, 7),
+            TileSize::S32,
+            true,
+        ),
+        (
+            "blocks",
+            generators::block_community(16, 64, 0.5, 1e-5, 9),
+            TileSize::S32,
+            true,
+        ),
+        (
+            "R-MAT",
+            generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized(),
+            TileSize::S8,
+            false,
+        ),
+        ("scatter", coo.to_binary_csr(), TileSize::S8, false),
+    ] {
+        let m = Matrix::from_csr(&adj, Backend::Auto);
+        assert_eq!(m.backend(), Backend::Auto, "{what}");
+        assert_eq!(m.resolved_backend(), Backend::Bit(want), "{what}");
+        assert_eq!(m.b2sr().is_some(), tiled, "{what}");
+        assert_eq!(
+            Matrix::from_csr(&adj, Backend::Auto).resolved_backend(),
+            m.resolved_backend(),
+            "{what}"
+        );
+        let widest = TileSize::ALL
+            .into_iter()
+            .rev()
+            .find(|&ts| Matrix::from_csr(&adj, Backend::Bit(ts)).b2sr().is_some());
+        assert_eq!(widest, tiled.then_some(want), "{what}");
+    }
 }
 
 /// The pin that keeps the one planner path honest: the **bare** product of

@@ -237,11 +237,11 @@ fn overlay_refolds_what_the_operand_reaches() {
 /// `Direction::Auto` resolves every round through pending deltas as it does
 /// on the compacted matrix: the node-word rounds of `bfs`, which push tile
 /// words on the compacted matrix, and the batched rounds of `bfs_multi` and
-/// `sssp_multi`.  R-MAT at B2SR-16 (5.5 bits per tile) holds tiles; at
-/// B2SR-8 (2.9) it would hold none.
+/// `sssp_multi`.  R-MAT(10, 16) at B2SR-16 (8.5 bits per tile, over that
+/// width's 8) holds tiles; at B2SR-8 (3.8) it would hold none.
 #[test]
 fn auto_resolves_overlay_rounds_as_the_compacted_matrix_does() {
-    let adj = bit_graphblas::datagen::generators::rmat(11, 12, 0.57, 0.19, 0.19, 9).symmetrized();
+    let adj = bit_graphblas::datagen::generators::rmat(10, 16, 0.57, 0.19, 0.19, 9).symmetrized();
     let n = adj.nrows();
     let m = Matrix::from_csr(&adj, Backend::Bit(TileSize::S16));
     // Dirty rows stay among the first eighth.
