@@ -16,7 +16,7 @@ use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::grb::{Direction, LaneBits, Op};
 use bitgblas_core::kernels::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_fused_into,
-    csr_push_full, csr_words_masked_count, RowWords,
+    csr_push_full, csr_words_masked_count, csr_words_masked_count_portable, RowWords,
 };
 use bitgblas_core::{Backend, EdgeDelta, Matrix, Semiring, TileSize};
 use bitgblas_datagen::generators;
@@ -85,13 +85,23 @@ fn bmm_benches(c: &mut Criterion) {
         );
         // What a bit matrix without tiles runs: the word count over the
         // degree-ranked `L`, its row words packed once (the engine caches
-        // them).
+        // them) — the entry point, which runs the `popcnt` instantiation
+        // where the host has the instruction, beside the portable one.
         let ranked = l.degree_ranked_lower_triangle();
         let words = RowWords::from_csr(&ranked);
         group.bench_function(
             BenchmarkId::new("csr_words_masked_count/tc_shape", name),
             |b| {
                 b.iter(|| csr_words_masked_count(&ranked, &words, &ranked));
+            },
+        );
+        group.bench_function(
+            BenchmarkId::new(
+                "csr_words_masked_count/tc_shape",
+                format!("{name}/portable"),
+            ),
+            |b| {
+                b.iter(|| csr_words_masked_count_portable(&ranked, &words, &ranked));
             },
         );
     }
@@ -107,7 +117,9 @@ fn bmm_benches(c: &mut Criterion) {
 /// (`csr_words_masked_count`, `{name}/words`: over `L` ranked by degree, the
 /// operand such a matrix builds, its row words packed once), all bare.
 /// `L` is the lower triangle of a symmetric graph: R-MAT(14, 16), the
-/// benchmark's mesh pattern, and `tiles{d}x{d}_{b}bits` — R-MAT's edge count
+/// benchmark's mesh pattern, an Erdős–Rényi graph of mean degree 16 (no hubs
+/// and no tiles: the index and word counts only), and
+/// `tiles{d}x{d}_{b}bits` — R-MAT's edge count
 /// laid out in scattered `d × d` tiles of `b` bits each, mirrored, so that
 /// fill is the one variable.  16 384 vertices throughout; a tile row's id
 /// ends in `L`'s mean bits per non-empty tile.  Not in CI (≈ 2 min):
@@ -131,6 +143,11 @@ fn bmm_tc_fill_benches(c: &mut Criterion) {
             "mesh".into(),
             lower(generators::banded(n, 32, 0.7, 5)),
             TileSize::ALL.into(),
+        ),
+        (
+            "erdos_renyi".into(),
+            lower(generators::erdos_renyi(n, 16.0 / n as f64, true, 5)),
+            vec![],
         ),
     ];
     for ts in TileSize::ALL {

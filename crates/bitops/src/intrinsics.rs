@@ -1,7 +1,11 @@
 //! Software forms of the two CUDA bit intrinsics the tile packer in
-//! [`crate::pack`] is built from.  (`__popc` is [`crate::BitWord::popcount`];
-//! the kernels have no use for software shuffles or warp reductions — a
-//! tile-row of the matrix stands where a warp does.)
+//! [`crate::pack`] is built from.  (`__popc` is [`crate::BitWord::popcount`],
+//! `count_ones`: one instruction where the build target has one, a software
+//! bit-twiddle on baseline x86-64, which has no `popcnt` — the row-word
+//! Triangle Counting kernel in `bitgblas-core` is also built with `popcnt`
+//! and runs that build where the host has the instruction.  The kernels have
+//! no use for software shuffles or warp reductions — a tile-row of the
+//! matrix stands where a warp does.)
 
 /// Bit reversal of a 32-bit word — software `__brev()`.
 ///

@@ -133,6 +133,39 @@ pub struct MxvPipeline<'a> {
     pub accum: Option<(BinaryOp, &'a [f32])>,
 }
 
+/// Resolve an accumulator **once per call**, as `with_semiring_ops!`
+/// resolves a semiring: evaluates `$body` with `$acc: Fn(usize, f32) -> f32`
+/// bound to `|i, t| ⊕(base[i], t)` — monomorphic for `Min`, `Max` and
+/// `Plus`, `|_, t| t` with no accumulator, and [`BinaryOp::apply`] per
+/// entry for any other operator.  Each arm computes exactly
+/// `BinaryOp::apply` (pinned by `resolved_epilogues_equal_finish_bitwise`).
+macro_rules! with_accum {
+    ($accum:expr, |$acc:ident| $body:expr) => {
+        match $accum {
+            None => {
+                let $acc = |_: usize, t: f32| t;
+                $body
+            }
+            Some((BinaryOp::Min, base)) => {
+                let $acc = move |i: usize, t: f32| BinaryOp::Min.apply(base[i], t);
+                $body
+            }
+            Some((BinaryOp::Max, base)) => {
+                let $acc = move |i: usize, t: f32| BinaryOp::Max.apply(base[i], t);
+                $body
+            }
+            Some((BinaryOp::Plus, base)) => {
+                let $acc = move |i: usize, t: f32| base[i] + t;
+                $body
+            }
+            Some((op, base)) => {
+                let $acc = move |i: usize, t: f32| op.apply(base[i], t);
+                $body
+            }
+        }
+    };
+}
+
 impl MxvPipeline<'_> {
     /// Finish one output position: mask, stages and accumulator applied to
     /// the raw semiring value `raw` of flat position `i`.  This is the single
@@ -141,15 +174,21 @@ impl MxvPipeline<'_> {
     /// equivalent).
     #[inline]
     pub fn finish(&self, i: usize, raw: f32) -> f32 {
-        let t = match self.mask {
-            Some(m) if !m.allows(i) => self.semiring.identity(),
-            _ => raw,
-        };
-        let t = eval_stages(self.stages, i, t);
+        let t = self.masked_stages(i, raw);
         match self.accum {
             Some((op, base)) => op.apply(base[i], t),
             None => t,
         }
+    }
+
+    /// [`MxvPipeline::finish`] up to the accumulator: mask, then stages.
+    #[inline(always)]
+    fn masked_stages(&self, i: usize, raw: f32) -> f32 {
+        let t = match self.mask {
+            Some(m) if !m.allows(i) => self.semiring.identity(),
+            _ => raw,
+        };
+        eval_stages(self.stages, i, t)
     }
 
     /// True for the bare product: no stage and no accumulator follow it.
@@ -160,14 +199,17 @@ impl MxvPipeline<'_> {
     /// Apply [`MxvPipeline::finish`] in place to a product whose mask the
     /// kernel already applied — the epilogue pass of pipelines that cannot
     /// finish inside their sweep (push scatters, packed Boolean pulls).  A
-    /// bare pipeline has nothing left to do.
+    /// bare pipeline has nothing left to do.  The accumulator is resolved
+    /// once per call (`with_accum!`), not matched per entry.
     pub fn finish_in_place(&self, out: &mut [f32]) {
         if self.is_bare() {
             return;
         }
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = self.finish(i, *v);
-        }
+        with_accum!(self.accum, |acc| {
+            for (i, v) in out.iter_mut().enumerate() {
+                *v = acc(i, self.masked_stages(i, *v));
+            }
+        })
     }
 
     /// True when the scatter may ⊕-fold straight into the accumulation
@@ -189,21 +231,19 @@ impl MxvPipeline<'_> {
 
 /// Run a collapsed element-wise chain in place, split across cores for long
 /// vectors: `out[i] = w[i] ⊕ stages(out[i])` — leaf-chain evaluation, the
-/// epilogue of partially fused push pipelines and of batched products.
+/// epilogue of partially fused push pipelines and of batched products.  The
+/// accumulator is resolved once per call (`with_accum!`).
 pub fn run_chain_in_place_parallel(
     stages: &[Stage<'_>],
     accum: Option<(BinaryOp, &[f32])>,
     out: &mut [f32],
 ) {
     use rayon::prelude::*;
-    match accum {
-        Some((op, base)) => out.par_iter_mut().enumerate().for_each(|(i, v)| {
-            *v = op.apply(base[i], eval_stages(stages, i, *v));
-        }),
-        None => out.par_iter_mut().enumerate().for_each(|(i, v)| {
-            *v = eval_stages(stages, i, *v);
-        }),
-    }
+    with_accum!(accum, |acc| {
+        out.par_iter_mut().enumerate().for_each(|(i, v)| {
+            *v = acc(i, eval_stages(stages, i, *v));
+        })
+    })
 }
 
 /// Run the pipeline `p` on `a`'s pinned view: the product of the built base
@@ -620,4 +660,96 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
     );
     record_direction(ws, V::record_product, frontier);
     Ok(Some(next))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hint::black_box;
+
+    /// The hostile `f32`s of the accumulator contract: NaN, both zeros,
+    /// both infinities, and two ordinary values.
+    const HOSTILE: [f32; 7] = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.0,
+        -2.5,
+    ];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The epilogues that resolve their accumulator once per call
+    /// (`finish_in_place`, `run_chain_in_place_parallel`) store what the
+    /// per-entry definition, [`MxvPipeline::finish`], stores — by `to_bits`,
+    /// on every pair of hostile baseline and product values, under `Min`,
+    /// `Max`, `Plus` and `Or` and with none, bare and behind a stage and a
+    /// mask (which `finish_in_place` receives already applied).  The
+    /// vectors are long enough to be split across workers.
+    #[test]
+    fn resolved_epilogues_equal_finish_bitwise() {
+        let pairs = HOSTILE
+            .iter()
+            .flat_map(|&b| HOSTILE.iter().map(move |&t| (b, t)));
+        let (base, raw): (Vec<f32>, Vec<f32>) = pairs.cycle().take(49 * 5).unzip();
+        let (base, raw) = (black_box(base), black_box(raw));
+        let mask = Mask::new((0..raw.len()).map(|i| i % 3 != 1).collect());
+        let affine = [Stage::Affine {
+            mul: 0.5,
+            add: -0.0,
+        }];
+        let ops = [BinaryOp::Min, BinaryOp::Max, BinaryOp::Plus, BinaryOp::Or];
+        let accums = ops.map(|op| Some((op, base.as_slice())));
+        for accum in [None].into_iter().chain(accums) {
+            for stages in [&[][..], &affine[..]] {
+                for mask in [None, Some(&mask)] {
+                    let p = MxvPipeline {
+                        x: &[],
+                        k: 1,
+                        frontier: None,
+                        semiring: Semiring::MinPlus(0.0),
+                        mask,
+                        transpose: false,
+                        stages,
+                        accum,
+                    };
+                    let what = format!(
+                        "{:?} {} stages, masked {}",
+                        accum.map(|a| a.0),
+                        stages.len(),
+                        mask.is_some()
+                    );
+                    let want: Vec<f32> = raw
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| p.finish(i, t))
+                        .collect();
+                    // A product whose mask the kernel already applied.
+                    let mut got: Vec<f32> = raw
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| match mask {
+                            Some(m) if !m.allows(i) => p.semiring.identity(),
+                            _ => t,
+                        })
+                        .collect();
+                    p.finish_in_place(&mut got);
+                    assert_eq!(bits(&got), bits(&want), "finish_in_place: {what}");
+                    if mask.is_none() {
+                        let mut got = raw.clone();
+                        run_chain_in_place_parallel(stages, accum, &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "run_chain_in_place_parallel: {what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

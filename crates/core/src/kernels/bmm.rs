@@ -46,7 +46,12 @@
 //!   lane words (`csr_lanes_pull`, `csr_lanes_push`: every bit matrix).
 //!   And the masked count of a bit matrix without tiles,
 //!   `csr_words_masked_count`: Triangle Counting's AND + popcount over
-//!   CSR rows packed into 64-column words (`RowWords`).
+//!   CSR rows packed into 64-column words (`RowWords`).  It is the one
+//!   kernel built twice: for the baseline target, and on x86-64 once more
+//!   with the `popcnt` instruction, which it runs where the host has it
+//!   (chosen by `is_x86_feature_detected!`, answered once per process).
+//!   Every other popcount here is the baseline target's: a software
+//!   bit-twiddle on x86-64, which has no `popcnt` at its baseline.
 
 use rayon::prelude::*;
 
@@ -1016,9 +1021,74 @@ impl RowWords {
 /// `Σ_{(r, c) ∈ mask} |bt_c|`.  Rayon parallelises over rows, one scratch
 /// per worker.
 ///
+/// The row body is built twice: for the baseline target, whose popcount
+/// is a software bit-twiddle (the baseline x86-64 target has no
+/// `popcnt`), and, on x86-64, once more with the `popcnt` instruction —
+/// `__popc`'s one instruction per word.  The call runs the second where
+/// the host has the instruction (`is_x86_feature_detected!`, which std
+/// answers once per process and caches), the first everywhere else, so
+/// one binary runs on every x86-64 host.  Both give the same count.
+///
 /// # Panics
 /// Panics if the dimensions are incompatible.
 pub fn csr_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
+    popcnt_words_masked_count(a, bt, mask)
+        .unwrap_or_else(|| csr_words_masked_count_portable(a, bt, mask))
+}
+
+/// [`csr_words_masked_count`] built for the baseline target only: its
+/// popcount is whatever the target has (a software bit-twiddle on baseline
+/// x86-64).  What a host without `popcnt` runs; public so the benches can
+/// price it beside the dispatching entry point.
+///
+/// # Panics
+/// Panics if the dimensions are incompatible.
+pub fn csr_words_masked_count_portable(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
+    check_words_shapes(a, bt, mask);
+    (0..a.nrows())
+        .into_par_iter()
+        .map_init(
+            || vec![0u64; a.ncols().div_ceil(64)],
+            |dense, r| words_row_count(a, bt, mask, dense, r),
+        )
+        .sum()
+}
+
+/// [`csr_words_masked_count`] built with the `popcnt` instruction, or
+/// `None` on a host without it (and on every target but x86-64).
+pub(crate) fn popcnt_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> Option<u64> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: the callee's one target feature, `popcnt`, was detected on
+        // this host just above.
+        #[allow(unsafe_code)]
+        return Some(unsafe { words_masked_count_popcnt(a, bt, mask) });
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (a, bt, mask);
+    None
+}
+
+/// The `popcnt` instantiation behind [`popcnt_words_masked_count`]: the
+/// portable wrapper's sweep, with the row body inlined into a closure
+/// compiled for `popcnt`.  The sweep is written out again here, not shared,
+/// because only a closure defined inside this function inherits its target
+/// feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn words_masked_count_popcnt(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
+    check_words_shapes(a, bt, mask);
+    (0..a.nrows())
+        .into_par_iter()
+        .map_init(
+            || vec![0u64; a.ncols().div_ceil(64)],
+            |dense, r| words_row_count(a, bt, mask, dense, r),
+        )
+        .sum()
+}
+
+/// The operand shapes [`csr_words_masked_count`] accepts.
+fn check_words_shapes(a: &Csr, bt: &RowWords, mask: &Csr) {
     assert_eq!(a.ncols(), bt.ncols(), "inner dimensions must agree");
     assert_eq!(a.nrows(), mask.nrows(), "mask must match the output rows");
     assert_eq!(
@@ -1026,31 +1096,30 @@ pub fn csr_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
         mask.ncols(),
         "mask must match the output columns"
     );
-    (0..a.nrows())
-        .into_par_iter()
-        .map_init(
-            || vec![0u64; a.ncols().div_ceil(64)],
-            |dense, r| {
-                let (mask_cols, a_cols) = (mask.row(r).0, a.row(r).0);
-                if mask_cols.is_empty() || a_cols.is_empty() {
-                    return 0u64;
-                }
-                for &k in a_cols {
-                    dense[k / 64] |= 1 << (k % 64);
-                }
-                let mut count = 0u64;
-                for &c in mask_cols {
-                    for &(w, bits) in bt.row(c) {
-                        count += u64::from((dense[w] & bits).count_ones());
-                    }
-                }
-                for &k in a_cols {
-                    dense[k / 64] = 0;
-                }
-                count
-            },
-        )
-        .sum()
+}
+
+/// Row `r`'s share of [`csr_words_masked_count`], the one body both
+/// instantiations inline: OR `a_r` into `dense` (all zero on entry and on
+/// return), AND + popcount `bt_c`'s words for every `c ∈ mask_r`, clear.
+#[inline(always)]
+fn words_row_count(a: &Csr, bt: &RowWords, mask: &Csr, dense: &mut [u64], r: usize) -> u64 {
+    let (mask_cols, a_cols) = (mask.row(r).0, a.row(r).0);
+    if mask_cols.is_empty() || a_cols.is_empty() {
+        return 0;
+    }
+    for &k in a_cols {
+        dense[k / 64] |= 1 << (k % 64);
+    }
+    let mut count = 0u64;
+    for &c in mask_cols {
+        for &(w, bits) in bt.row(c) {
+            count += u64::from((dense[w] & bits).count_ones());
+        }
+    }
+    for &k in a_cols {
+        dense[k / 64] = 0;
+    }
+    count
 }
 
 #[cfg(test)]
@@ -1117,21 +1186,38 @@ pub(crate) mod tests {
         ]
     }
 
+    /// Whether the host runs the `popcnt` instantiation of the word count;
+    /// a test that checks it says so when it cannot.
+    fn popcnt_runs_here(test: &str) -> bool {
+        let none = Csr::empty(0, 0);
+        let runs = popcnt_words_masked_count(&none, &RowWords::from_csr(&none), &none).is_some();
+        if !runs {
+            eprintln!("{test}: no `popcnt` on this host; its instantiation is not checked");
+        }
+        runs
+    }
+
     /// The word count against the index count and the float merge
     /// (`ops::spgemm_masked_count`, `ops::spgemm_masked_sum`), on all-ones
     /// operands that cross word boundaries every way: square sizes around
     /// 64 (`a ≠ bt ≠ mask`, and Triangle Counting's `L` three times in both
     /// orders, of a directed and of a symmetric graph), a clique on columns
     /// 63, 64 and 65, rectangular operands, and empty rows beside one full
-    /// 200-entry row.
+    /// 200-entry row.  Both instantiations are checked by name: the
+    /// portable one everywhere, the `popcnt` one where the host has it.
     #[test]
     fn words_masked_count_equals_the_index_count() {
+        let popcnt = popcnt_runs_here("words_masked_count_equals_the_index_count");
         let check = |a: &Csr, bt: &Csr, mask: &Csr, what: &str| {
             let want = ops::spgemm_masked_count(a, bt, mask).unwrap();
             let sum = ops::spgemm_masked_sum(a, bt, mask).unwrap();
             assert_eq!(sum as u64, want, "{what}");
             let words = RowWords::from_csr(bt);
             assert_eq!(csr_words_masked_count(a, &words, mask), want, "{what}");
+            let portable = csr_words_masked_count_portable(a, &words, mask);
+            assert_eq!(portable, want, "{what}: portable");
+            let hardware = popcnt_words_masked_count(a, &words, mask);
+            assert_eq!(hardware, popcnt.then_some(want), "{what}: popcnt");
             want
         };
         let mut total = 0;
@@ -1193,6 +1279,28 @@ pub(crate) mod tests {
         let none = Csr::empty(m, q);
         assert_eq!(check(&a, &bt, &none, "empty mask"), 0);
         assert_eq!(check(&Csr::empty(m, p), &bt, &mask, "empty a"), 0);
+    }
+
+    /// On Triangle Counting's degree-ranked `L` of a skewed graph (R-MAT,
+    /// 2.6 entries per word) and of one without hubs (Erdős–Rényi, 1.1),
+    /// the dispatching entry point equals both instantiations.
+    #[test]
+    fn words_masked_count_dispatch_equals_both_instantiations() {
+        use bitgblas_datagen::generators;
+
+        let popcnt = popcnt_runs_here("words_masked_count_dispatch_equals_both_instantiations");
+        let rmat = generators::rmat(12, 16, 0.57, 0.19, 0.19, 5).symmetrized();
+        let er = generators::erdos_renyi(4096, 8.0 / 4096.0, true, 3);
+        for (what, adj) in [("rmat", rmat), ("erdos_renyi", er)] {
+            let l = adj.degree_ranked_lower_triangle();
+            let words = RowWords::from_csr(&l);
+            let count = csr_words_masked_count(&l, &words, &l);
+            assert!(count > 0, "{what}: the graph must hold triangles");
+            let portable = csr_words_masked_count_portable(&l, &words, &l);
+            assert_eq!(portable, count, "{what}: portable");
+            let hardware = popcnt_words_masked_count(&l, &words, &l);
+            assert_eq!(hardware, popcnt.then_some(count), "{what}: popcnt");
+        }
     }
 
     /// Reference: sum of all entries of the float SpGEMM product.

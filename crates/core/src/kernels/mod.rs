@@ -72,7 +72,8 @@ pub mod simd;
 pub use bmm::{
     bmm_bin_bin_sum, bmm_bin_bin_sum_masked, bmm_bin_bin_sum_masked_nt, bmm_bin_bits_into,
     bmm_bin_full_into, bmm_push_bits, csr_bits_pull, csr_bits_push, csr_lanes_pull, csr_lanes_push,
-    csr_pull_full, csr_push_full, csr_words_masked_count, RowWords,
+    csr_pull_full, csr_push_full, csr_words_masked_count, csr_words_masked_count_portable,
+    RowWords,
 };
 pub use bmv::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,
