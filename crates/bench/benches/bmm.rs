@@ -115,7 +115,8 @@ fn bmm_benches(c: &mut Criterion) {
 /// beside the index count of the same `L` (`ops::spgemm_masked_count`,
 /// `{name}/count`) and the word count a bit matrix without tiles runs
 /// (`csr_words_masked_count`, `{name}/words`: over `L` ranked by degree, the
-/// operand such a matrix builds, its row words packed once), all bare.
+/// operand such a matrix builds, its row words packed once; the build a
+/// host without `popcnt` runs beside it, `{name}/words_portable`), all bare.
 /// `L` is the lower triangle of a symmetric graph: R-MAT(14, 16), the
 /// benchmark's mesh pattern, an Erdős–Rényi graph of mean degree 16 (no hubs
 /// and no tiles: the index and word counts only), and
@@ -167,6 +168,9 @@ fn bmm_tc_fill_benches(c: &mut Criterion) {
         let words = RowWords::from_csr(&ranked);
         group.bench_function(format!("{name}/words"), |b| {
             b.iter(|| csr_words_masked_count(&ranked, &words, &ranked))
+        });
+        group.bench_function(format!("{name}/words_portable"), |b| {
+            b.iter(|| csr_words_masked_count_portable(&ranked, &words, &ranked))
         });
         for &ts in widths {
             let mut tile = |tiles: usize, run: &mut dyn FnMut() -> u64| {

@@ -235,38 +235,39 @@ fn expand_node_words_into(yw: &[u64], mask: Option<&Mask>, out: &mut [f32]) {
 /// R-MAT(14, 16)'s edge count laid out in scattered mirrored tiles, so that
 /// fill is the one variable — the tile kernel on the index-ordered `L`, the
 /// word count on `L` ranked by degree (`{name}/words`, the operand a matrix
-/// without tiles builds) and the index count on the index-ordered `L`
+/// without tiles builds; `{name}/words_portable`, its build for a host
+/// without `popcnt`) and the index count on the index-ordered `L`
 /// (`{name}/count`).  Word count ÷ tile kernel at `L`'s fill (bits per
 /// tile; bare kernels, 16 384 vertices, one pinned core of a 2-vCPU Xeon
-/// VM, each the best of 15 calls, two runs; the word count on the `popcnt`
-/// instruction, which that host has):
+/// VM, the medians the command prints, two runs; the word count on the
+/// `popcnt` instruction, which that host has):
 ///
 /// | width | ≈ 1 | ≈ 2 | ≈ 3 | ≈ 4 | ≈ 6 | ≈ 9 | ≈ 16 |
 /// |---|---|---|---|---|---|---|---|
-/// | B2SR-4 | 0.23–0.29 | 0.83–0.95 | 1.33–1.69 | 2.78–3.52 | 3.47–3.61 | 4.80–5.01 | 2.31–2.40 |
-/// | B2SR-8 | 0.09 | 0.36–0.52 | 0.78–0.96 | 1.46–1.47 | 2.70–3.17 | 4.31–4.33 | 5.93–6.80 |
-/// | B2SR-16 | 0.03 | 0.13–0.14 | 0.24–0.31 | 0.62–0.67 | 1.37–1.70 | 1.54–2.12 | 4.10–5.50 |
-/// | B2SR-32 | — | 0.03–0.04 | 0.06 | 0.11 | 0.34–0.38 | 0.56–0.67 | 2.30–3.09 |
+/// | B2SR-4 | 0.31–0.33 | 0.80–0.91 | 1.82–1.90 | 2.31–2.34 | 3.31–3.86 | 4.26–5.92 | 1.88–2.68 |
+/// | B2SR-8 | 0.08–0.11 | 0.40 | 0.89 | 1.36–1.38 | 2.58–2.93 | 3.74–4.23 | 7.56–7.88 |
+/// | B2SR-16 | 0.03 | 0.12–0.14 | 0.30–0.32 | 0.55–0.58 | 1.14–1.41 | 1.90–2.94 | 4.63–4.64 |
+/// | B2SR-32 | — | 0.03–0.04 | 0.04–0.07 | 0.12–0.14 | 0.32–0.40 | 0.47–0.75 | 1.93–2.35 |
 ///
 /// (The columns are nominal: `L`'s measured fills are 1.0–1.3, 2.0–2.3,
-/// 3.0–3.2, 4.1–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The word count and the
+/// 3.0–3.2, 4.0–4.2, 6.0–7.0, 8.0–9.0 and 16–17.)  The word count and the
 /// tile kernel cross between 2 and 3 bits at B2SR-4, between 3 and 4 at
 /// B2SR-8, between 4 and 6 at B2SR-16 and between 9 and 16 at B2SR-32.
 /// The gate (4, 4, 8 and 16 bits) sits at or above each crossing, so an
 /// `L` between a crossing and its gate is counted in words where the tile
-/// kernel would be faster: 1.33–1.69× the tile kernel at B2SR-4 (≈ 3 bits)
-/// and 1.37–1.70× at B2SR-16 (≈ 6); at B2SR-8 the crossing meets the gate.
+/// kernel would be faster: 1.82–1.90× the tile kernel at B2SR-4 (≈ 3 bits)
+/// and 1.14–1.41× at B2SR-16 (≈ 6); at B2SR-8 the crossing meets the gate.
 /// No benchmark workload's `L` is in those bands.  These scattered graphs
 /// have no hubs, so most of their ranked `L`s pack only 1.06–1.38 entries per
-/// 64-column word, and there the words cost 0.46–1.54× the index count (an
-/// Erdős–Rényi `L` at 1.06 entries per word: 1.09–1.18×): a word is one
+/// 64-column word, and there the words cost 0.43–1.53× the index count (an
+/// Erdős–Rényi `L` at 1.06 entries per word: 1.09–1.11×): a word is one
 /// `popcnt`, an index a compare, and a word holds little more than one
 /// index.  The portable build, which a host without `popcnt` runs, costs
-/// 1.12–1.82× the `popcnt` build on them.  A skewed graph's ranked `L`
+/// 1.02–1.97× the `popcnt` build on them.  A skewed graph's ranked `L`
 /// packs and its words beat both: R-MAT's `L` (1.5, 2.0, 3.2 and 6.0 bits
-/// per tile at B2SR-4 to -32, 2.63 entries per word) 0.04–0.09× the tile
-/// kernel at every width, against the index count's 0.24–0.55×; the mesh's
-/// (12.9–466 bits) 1.02–3.20×.  Not measured: more than one core, any
+/// per tile at B2SR-4 to -32, 2.63 entries per word) 0.04–0.08× the tile
+/// kernel at every width, against the index count's 0.17–0.40×; the mesh's
+/// (12.9–466 bits) 1.17–2.60×.  Not measured: more than one core, any
 /// width but B2SR-8 end to end, and a graph without hubs or tiles end to
 /// end.
 pub const MIN_TILE_FILL: usize = 4;

@@ -133,39 +133,6 @@ pub struct MxvPipeline<'a> {
     pub accum: Option<(BinaryOp, &'a [f32])>,
 }
 
-/// Resolve an accumulator **once per call**, as `with_semiring_ops!`
-/// resolves a semiring: evaluates `$body` with `$acc: Fn(usize, f32) -> f32`
-/// bound to `|i, t| ⊕(base[i], t)` — monomorphic for `Min`, `Max` and
-/// `Plus`, `|_, t| t` with no accumulator, and [`BinaryOp::apply`] per
-/// entry for any other operator.  Each arm computes exactly
-/// `BinaryOp::apply` (pinned by `resolved_epilogues_equal_finish_bitwise`).
-macro_rules! with_accum {
-    ($accum:expr, |$acc:ident| $body:expr) => {
-        match $accum {
-            None => {
-                let $acc = |_: usize, t: f32| t;
-                $body
-            }
-            Some((BinaryOp::Min, base)) => {
-                let $acc = move |i: usize, t: f32| BinaryOp::Min.apply(base[i], t);
-                $body
-            }
-            Some((BinaryOp::Max, base)) => {
-                let $acc = move |i: usize, t: f32| BinaryOp::Max.apply(base[i], t);
-                $body
-            }
-            Some((BinaryOp::Plus, base)) => {
-                let $acc = move |i: usize, t: f32| base[i] + t;
-                $body
-            }
-            Some((op, base)) => {
-                let $acc = move |i: usize, t: f32| op.apply(base[i], t);
-                $body
-            }
-        }
-    };
-}
-
 impl MxvPipeline<'_> {
     /// Finish one output position: mask, stages and accumulator applied to
     /// the raw semiring value `raw` of flat position `i`.  This is the single
@@ -174,21 +141,15 @@ impl MxvPipeline<'_> {
     /// equivalent).
     #[inline]
     pub fn finish(&self, i: usize, raw: f32) -> f32 {
-        let t = self.masked_stages(i, raw);
-        match self.accum {
-            Some((op, base)) => op.apply(base[i], t),
-            None => t,
-        }
-    }
-
-    /// [`MxvPipeline::finish`] up to the accumulator: mask, then stages.
-    #[inline(always)]
-    fn masked_stages(&self, i: usize, raw: f32) -> f32 {
         let t = match self.mask {
             Some(m) if !m.allows(i) => self.semiring.identity(),
             _ => raw,
         };
-        eval_stages(self.stages, i, t)
+        let t = eval_stages(self.stages, i, t);
+        match self.accum {
+            Some((op, base)) => op.apply(base[i], t),
+            None => t,
+        }
     }
 
     /// True for the bare product: no stage and no accumulator follow it.
@@ -199,17 +160,14 @@ impl MxvPipeline<'_> {
     /// Apply [`MxvPipeline::finish`] in place to a product whose mask the
     /// kernel already applied — the epilogue pass of pipelines that cannot
     /// finish inside their sweep (push scatters, packed Boolean pulls).  A
-    /// bare pipeline has nothing left to do.  The accumulator is resolved
-    /// once per call (`with_accum!`), not matched per entry.
+    /// bare pipeline has nothing left to do.
     pub fn finish_in_place(&self, out: &mut [f32]) {
         if self.is_bare() {
             return;
         }
-        with_accum!(self.accum, |acc| {
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = acc(i, self.masked_stages(i, *v));
-            }
-        })
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = self.finish(i, *v);
+        }
     }
 
     /// True when the scatter may ⊕-fold straight into the accumulation
@@ -231,19 +189,21 @@ impl MxvPipeline<'_> {
 
 /// Run a collapsed element-wise chain in place, split across cores for long
 /// vectors: `out[i] = w[i] ⊕ stages(out[i])` — leaf-chain evaluation, the
-/// epilogue of partially fused push pipelines and of batched products.  The
-/// accumulator is resolved once per call (`with_accum!`).
+/// epilogue of partially fused push pipelines and of batched products.
 pub fn run_chain_in_place_parallel(
     stages: &[Stage<'_>],
     accum: Option<(BinaryOp, &[f32])>,
     out: &mut [f32],
 ) {
     use rayon::prelude::*;
-    with_accum!(accum, |acc| {
-        out.par_iter_mut().enumerate().for_each(|(i, v)| {
-            *v = acc(i, eval_stages(stages, i, *v));
-        })
-    })
+    match accum {
+        Some((op, base)) => out.par_iter_mut().enumerate().for_each(|(i, v)| {
+            *v = op.apply(base[i], eval_stages(stages, i, *v));
+        }),
+        None => out.par_iter_mut().enumerate().for_each(|(i, v)| {
+            *v = eval_stages(stages, i, *v);
+        }),
+    }
 }
 
 /// Run the pipeline `p` on `a`'s pinned view: the product of the built base
@@ -683,9 +643,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The epilogues that resolve their accumulator once per call
-    /// (`finish_in_place`, `run_chain_in_place_parallel`) store what the
-    /// per-entry definition, [`MxvPipeline::finish`], stores — by `to_bits`,
+    /// The in-place epilogues (`finish_in_place`,
+    /// `run_chain_in_place_parallel`) store what the per-entry definition,
+    /// [`MxvPipeline::finish`], stores — by `to_bits`,
     /// on every pair of hostile baseline and product values, under `Min`,
     /// `Max`, `Plus` and `Or` and with none, bare and behind a stage and a
     /// mask (which `finish_in_place` receives already applied).  The

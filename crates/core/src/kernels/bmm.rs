@@ -1044,14 +1044,9 @@ pub fn csr_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
 /// # Panics
 /// Panics if the dimensions are incompatible.
 pub fn csr_words_masked_count_portable(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
-    check_words_shapes(a, bt, mask);
-    (0..a.nrows())
-        .into_par_iter()
-        .map_init(
-            || vec![0u64; a.ncols().div_ceil(64)],
-            |dense, r| words_row_count(a, bt, mask, dense, r),
-        )
-        .sum()
+    words_sweep(a, bt, mask, |dense, r| {
+        words_row_count(a, bt, mask, dense, r)
+    })
 }
 
 /// [`csr_words_masked_count`] built with the `popcnt` instruction, or
@@ -1070,25 +1065,25 @@ pub(crate) fn popcnt_words_masked_count(a: &Csr, bt: &RowWords, mask: &Csr) -> O
 }
 
 /// The `popcnt` instantiation behind [`popcnt_words_masked_count`]: the
-/// portable wrapper's sweep, with the row body inlined into a closure
-/// compiled for `popcnt`.  The sweep is written out again here, not shared,
-/// because only a closure defined inside this function inherits its target
-/// feature.
+/// shared sweep over a row closure defined here, which inherits this
+/// function's target feature and inlines the row body under it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
 fn words_masked_count_popcnt(a: &Csr, bt: &RowWords, mask: &Csr) -> u64 {
-    check_words_shapes(a, bt, mask);
-    (0..a.nrows())
-        .into_par_iter()
-        .map_init(
-            || vec![0u64; a.ncols().div_ceil(64)],
-            |dense, r| words_row_count(a, bt, mask, dense, r),
-        )
-        .sum()
+    words_sweep(a, bt, mask, |dense, r| {
+        words_row_count(a, bt, mask, dense, r)
+    })
 }
 
-/// The operand shapes [`csr_words_masked_count`] accepts.
-fn check_words_shapes(a: &Csr, bt: &RowWords, mask: &Csr) {
+/// The row-parallel sweep of [`csr_words_masked_count`]: checks the operand
+/// shapes, then sums `row(dense, r)` over every row, one zeroed scratch of
+/// `a.ncols()` bits per worker.  Each instantiation passes its own `row`.
+fn words_sweep(
+    a: &Csr,
+    bt: &RowWords,
+    mask: &Csr,
+    row: impl Fn(&mut [u64], usize) -> u64 + Sync + Send,
+) -> u64 {
     assert_eq!(a.ncols(), bt.ncols(), "inner dimensions must agree");
     assert_eq!(a.nrows(), mask.nrows(), "mask must match the output rows");
     assert_eq!(
@@ -1096,6 +1091,13 @@ fn check_words_shapes(a: &Csr, bt: &RowWords, mask: &Csr) {
         mask.ncols(),
         "mask must match the output columns"
     );
+    (0..a.nrows())
+        .into_par_iter()
+        .map_init(
+            || vec![0u64; a.ncols().div_ceil(64)],
+            |dense, r| row(dense, r),
+        )
+        .sum()
 }
 
 /// Row `r`'s share of [`csr_words_masked_count`], the one body both
@@ -1203,10 +1205,13 @@ pub(crate) mod tests {
     /// 64 (`a ≠ bt ≠ mask`, and Triangle Counting's `L` three times in both
     /// orders, of a directed and of a symmetric graph), a clique on columns
     /// 63, 64 and 65, rectangular operands, and empty rows beside one full
-    /// 200-entry row.  Both instantiations are checked by name: the
+    /// 200-entry row; then on Triangle Counting's `L` of R-MAT(12,16) and of
+    /// an Erdős–Rényi graph.  Both instantiations are checked by name: the
     /// portable one everywhere, the `popcnt` one where the host has it.
     #[test]
     fn words_masked_count_equals_the_index_count() {
+        use bitgblas_datagen::generators;
+
         let popcnt = popcnt_runs_here("words_masked_count_equals_the_index_count");
         let check = |a: &Csr, bt: &Csr, mask: &Csr, what: &str| {
             let want = ops::spgemm_masked_count(a, bt, mask).unwrap();
@@ -1279,27 +1284,14 @@ pub(crate) mod tests {
         let none = Csr::empty(m, q);
         assert_eq!(check(&a, &bt, &none, "empty mask"), 0);
         assert_eq!(check(&Csr::empty(m, p), &bt, &mask, "empty a"), 0);
-    }
 
-    /// On Triangle Counting's degree-ranked `L` of a skewed graph (R-MAT,
-    /// 2.6 entries per word) and of one without hubs (Erdős–Rényi, 1.1),
-    /// the dispatching entry point equals both instantiations.
-    #[test]
-    fn words_masked_count_dispatch_equals_both_instantiations() {
-        use bitgblas_datagen::generators;
-
-        let popcnt = popcnt_runs_here("words_masked_count_dispatch_equals_both_instantiations");
+        // Triangle Counting's degree-ranked `L` of a skewed graph (R-MAT,
+        // 2.6 entries per word) and of one without hubs (Erdős–Rényi, 1.1).
         let rmat = generators::rmat(12, 16, 0.57, 0.19, 0.19, 5).symmetrized();
         let er = generators::erdos_renyi(4096, 8.0 / 4096.0, true, 3);
         for (what, adj) in [("rmat", rmat), ("erdos_renyi", er)] {
             let l = adj.degree_ranked_lower_triangle();
-            let words = RowWords::from_csr(&l);
-            let count = csr_words_masked_count(&l, &words, &l);
-            assert!(count > 0, "{what}: the graph must hold triangles");
-            let portable = csr_words_masked_count_portable(&l, &words, &l);
-            assert_eq!(portable, count, "{what}: portable");
-            let hardware = popcnt_words_masked_count(&l, &words, &l);
-            assert_eq!(hardware, popcnt.then_some(count), "{what}: popcnt");
+            assert!(check(&l, &l, &l, what) > 0, "{what}: no triangles");
         }
     }
 

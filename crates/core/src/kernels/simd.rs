@@ -4,7 +4,8 @@
 //! The paper's premise is that bit-packed tiles turn traversal into dense
 //! word operations that saturate wide vector units.  On stable Rust the
 //! portable-SIMD module (`std::simd`) is not yet available and this crate
-//! forbids `unsafe` (so no `std::arch` intrinsics either), so the vector
+//! denies `unsafe` (so no `std::arch` intrinsics either: its one exception
+//! is the `popcnt` dispatch of `kernels::bmm`'s row-word count), so the vector
 //! form is **SWAR** — SIMD Within A Register: [`broadcast_lanes`] repeats
 //! one packing word into every row lane of a packed tile chunk (the
 //! full-precision pull's ragged-column mask, the batched pull's active

@@ -50,6 +50,9 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; counting touches only a const-initialised thread-local.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
