@@ -15,7 +15,7 @@
 //! repeating until the parent vector stops changing.  Vertices of the same
 //! component end up pointing at the component's minimum vertex id.
 
-use bitgblas_core::grb::{Matrix, Op, Vector};
+use bitgblas_core::grb::{Direction, Matrix, Op, Vector};
 use bitgblas_core::{BinaryOp, Semiring};
 
 /// The result of a connected-components run.
@@ -66,14 +66,21 @@ pub fn connected_components(a: &Matrix) -> CcResult {
         // backward sweep would recompute the forward one; otherwise it
         // min-folds straight onto the forward result through the fused
         // accumulator, so no separate "backward" vector is materialised.
-        // The parent vector is fully dense (every entry finite), so
-        // Direction::Auto resolves to pull.
-        let forward = Op::mxv(a, &parent_f).semiring(semiring).run(ctx);
+        // The parent vector is fully dense (every entry finite), so both
+        // products pull outright: there is no frontier to price, and
+        // `Direction::Auto` would scan a prefix of the operand every round
+        // to find that out (and would push on a graph with fewer edges
+        // than vertices, where its pull is priced at `nnz + n`).
+        let forward = Op::mxv(a, &parent_f)
+            .semiring(semiring)
+            .direction(Direction::Pull)
+            .run(ctx);
         let mnp = if symmetric {
             forward
         } else {
             let both = Op::mxv(a, &parent_f)
                 .semiring(semiring)
+                .direction(Direction::Pull)
                 .transpose()
                 .accum(BinaryOp::Min, &forward)
                 .run(ctx);

@@ -29,7 +29,7 @@
 //! α = 0.85 and tolerance 1e-9; those are the defaults of
 //! [`PageRankConfig`].
 
-use bitgblas_core::grb::{Fusion, Matrix, Op, Vector};
+use bitgblas_core::grb::{Direction, Fusion, Matrix, Op, Vector};
 use bitgblas_core::Semiring;
 
 /// PageRank parameters (paper defaults: α = 0.85, 10 iterations, ε = 1e-9).
@@ -115,10 +115,12 @@ pub fn pagerank(a: &Matrix, config: &PageRankConfig) -> PageRankResult {
         // rank'[v] = α·contrib[v] + teleport + dangling share — one fused
         // sweep: input scaling, arithmetic-semiring pull along the edges
         // and the affine update all happen at the store.  The rank vector
-        // is dense, so Direction::Auto resolves to pull.
+        // is dense, so the product pulls outright: there is no frontier for
+        // `Direction::Auto` to price.
         let next = Op::vxm(&rank, a)
             .scale_input(&inv_deg)
             .semiring(Semiring::Arithmetic)
+            .direction(Direction::Pull)
             .affine(config.alpha, teleport + dangling_share)
             .fusion(config.fusion)
             .run(ctx);

@@ -50,13 +50,14 @@
 //! changes is the work: the push frontier of a round is the changed set, so
 //! over a whole run each reached vertex (each reached `(vertex, lane)` of a
 //! batch) is scattered from **exactly once** — `ExecCounts::
-//! push_frontier_nodes` / `push_frontier_entries` count it and the tests
-//! below assert it.
+//! push_frontier_nodes` / `push_frontier_entries` count it,
+//! `push_frontier_edges` counts the `Σ deg(v)` edges that walks, and the
+//! tests below assert all three.
 //!
-//! Like BFS, the relaxation is direction-optimizing: while the changed set
-//! is small, [`Direction::Auto`] walks only its out-edges (push); a round
-//! that lowers a large share of the graph takes the row pull over the
-//! whole matrix.  Because min is exact under
+//! Like BFS, the relaxation is direction-optimizing: while the changed
+//! set's out-edges are few, [`Direction::Auto`] walks only them (push); a
+//! round whose changed set reaches a large share of the graph's edges takes
+//! the row pull over the whole matrix.  Because min is exact under
 //! reordering, push and pull produce bit-equal distances.  The inner loop is
 //! allocation-free in steady state (`crates/core/tests/zero_alloc.rs`).
 
@@ -599,7 +600,9 @@ mod tests {
     }
 
     /// The work invariant: a forced-push run scatters from each reached
-    /// vertex — each reached `(vertex, lane)` of a batch — **exactly once**.
+    /// vertex — each reached `(vertex, lane)` of a batch — **exactly once**,
+    /// so it folds `Σ deg(v)` edges over what it reached: a push does
+    /// O(frontier edges) work.
     /// The full-operand loop reads the sum over rounds of everything reached
     /// so far here; that is the regression this test exists to catch.
     #[test]
@@ -624,6 +627,16 @@ mod tests {
                 let a = Matrix::from_csr(&adj, backend);
                 let ctx = a.context();
                 let finite = |d: &[f32]| d.iter().filter(|d| d.is_finite()).count() as u64;
+                // The scatter walks the out-edges of the rows of `A`: each
+                // reached `(vertex, lane)` folds its out-degree once.
+                let reached_edges = |d: &[f32], k: usize| -> u64 {
+                    let rows = adj.rowptr();
+                    d.iter()
+                        .enumerate()
+                        .filter(|(_, d)| d.is_finite())
+                        .map(|(i, _)| (rows[i / k + 1] - rows[i / k]) as u64)
+                        .sum()
+                };
 
                 let before = ctx.stats();
                 let single = sssp_dir(&a, 3, Direction::Push);
@@ -639,6 +652,11 @@ mod tests {
                     finite(&single.distances),
                     "{gname} {backend:?}: one lane, entries = nodes"
                 );
+                assert_eq!(
+                    after.push_frontier_edges - before.push_frontier_edges,
+                    reached_edges(&single.distances, 1),
+                    "{gname} {backend:?}: each reached vertex's out-edges once"
+                );
                 assert!(
                     finite(&single.distances) > 1,
                     "{gname}: the run must reach something"
@@ -653,6 +671,11 @@ mod tests {
                     after.push_frontier_entries - before.push_frontier_entries,
                     finite(&multi.distances),
                     "{gname} {backend:?}: one scatter per reached (vertex, lane)"
+                );
+                assert_eq!(
+                    after.push_frontier_edges - before.push_frontier_edges,
+                    reached_edges(&multi.distances, sources.len()),
+                    "{gname} {backend:?}: each reached (vertex, lane)'s out-edges once"
                 );
                 // Lanes share nodes: no more nodes than entries.
                 let nodes = after.push_frontier_nodes - before.push_frontier_nodes;

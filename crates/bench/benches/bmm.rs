@@ -393,13 +393,19 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
     group.finish();
 }
 
-/// Forced-push traversals — `bfs_dir`, `bfs_multi_dir` (64 sources),
-/// `sssp_dir` and `sssp_multi_dir` (64 sources) — on the repo benchmark's two
-/// graphs at B2SR-8, one build each.  Every push is one serial scatter: the
+/// Traversals by direction on the repo benchmark's two graphs at B2SR-8,
+/// one build each: forced-push `bfs_dir` and `bfs_multi_dir` (64 sources),
+/// and `sssp_dir` and `sssp_multi_dir` (64 sources) forced push, under
+/// `Direction::Auto` and forced pull — ids `{graph}/{alg}/{push|auto|pull}`.
+/// The SSSP rows show what Auto's full-precision rule leaves on the table
+/// against either forced direction.  Every push is one serial scatter: the
 /// node words of `bfs_dir` on the mesh's tiles, everything else from the
-/// CSR (R-MAT holds no tiles at B2SR-8).  Unpinned, ≈ 20 s;
+/// CSR (R-MAT holds no tiles at B2SR-8).  Unpinned, ≈ 40 s;
 /// `cargo bench -p bitgblas-bench --bench bmm -- push_dir/mesh` runs the
-/// mesh half.
+/// mesh half.  With ten 1-second samples the group cannot resolve ±20 %
+/// on the mesh: four pinned runs of one build read its `bfs_dir` 0.109 to
+/// 0.154 ms and `bfs_multi_dir` 5.3 to 8.7 ms, so compare arms of one run,
+/// and read a whole-workload change off the repo benchmark.
 fn push_dir_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("push_dir");
     group
@@ -414,24 +420,38 @@ fn push_dir_benches(c: &mut Criterion) {
             generators::rmat(14, 16, 0.57, 0.19, 0.19, 5).symmetrized(),
         ),
     ];
-    type Run = fn(&Matrix, &[usize]);
-    let algorithms: [(&str, Run); 4] = [
-        ("bfs_dir", |m, s| drop(bfs_dir(m, s[0], Direction::Push))),
-        ("bfs_multi_dir", |m, s| {
-            drop(bfs_multi_dir(m, s, Direction::Push))
-        }),
-        ("sssp_dir", |m, s| drop(sssp_dir(m, s[0], Direction::Push))),
-        ("sssp_multi_dir", |m, s| {
-            drop(sssp_multi_dir(m, s, Direction::Push))
-        }),
+    type Run = fn(&Matrix, &[usize], Direction);
+    let algorithms: [(&str, Run, &[Direction]); 4] = [
+        (
+            "bfs_dir",
+            |m, s, d| drop(bfs_dir(m, s[0], d)),
+            &[Direction::Push],
+        ),
+        (
+            "bfs_multi_dir",
+            |m, s, d| drop(bfs_multi_dir(m, s, d)),
+            &[Direction::Push],
+        ),
+        (
+            "sssp_dir",
+            |m, s, d| drop(sssp_dir(m, s[0], d)),
+            &[Direction::Push, Direction::Auto, Direction::Pull],
+        ),
+        (
+            "sssp_multi_dir",
+            |m, s, d| drop(sssp_multi_dir(m, s, d)),
+            &[Direction::Push, Direction::Auto, Direction::Pull],
+        ),
     ];
     for (name, csr) in graphs {
         let n = csr.nrows();
         let sources: Vec<usize> = (0..64).map(|l| (l * 997 + 3) % n).collect();
         let m = Matrix::from_csr(&csr, Backend::Bit(TileSize::S8));
-        for (alg, run) in algorithms {
-            let id = BenchmarkId::new(name, alg);
-            group.bench_function(id, |b| b.iter(|| run(&m, &sources)));
+        for (alg, run, directions) in algorithms {
+            for &direction in directions {
+                let id = BenchmarkId::new(name, format!("{alg}/{direction}"));
+                group.bench_function(id, |b| b.iter(|| run(&m, &sources, direction)));
+            }
         }
     }
     group.finish();

@@ -314,6 +314,10 @@ pub struct BitB2sr {
     triangle: OnceLock<Arc<BitB2sr>>,
     /// The CSR's rows in bit words, packed on first use (`row_words`).
     words: OnceLock<RowWords>,
+    /// `Aᵀ`'s row pointer alone — `A`'s column counts — counted on first
+    /// use where a push would scatter `Aᵀ`'s rows and `Aᵀ` is not built
+    /// ([`scatter_rows`](Self::scatter_rows)).
+    rowptr_t: OnceLock<Vec<usize>>,
 }
 
 /// What a tiled [`BitB2sr`] holds beside its CSR.
@@ -401,6 +405,7 @@ impl BitB2sr {
             tiles,
             triangle: OnceLock::new(),
             words: OnceLock::new(),
+            rowptr_t: OnceLock::new(),
         }
     }
 
@@ -527,6 +532,23 @@ impl BitB2sr {
         }
     }
 
+    /// The row pointer of the representation a push scatter walks for a
+    /// product in `transpose` convention — `csr_rep(!transpose)`'s: the
+    /// degrees [`Direction::Auto`](super::Direction) prices a frontier's
+    /// edges by.  That is the CSR itself for a transposed product (`vxm`)
+    /// and on a symmetric matrix.  Otherwise it is `Aᵀ`'s, read off `Aᵀ`
+    /// where that is built and else counted from `A`'s columns once: a
+    /// transpose is never built only to price a product.
+    pub(crate) fn scatter_rows(&self, transpose: bool) -> &[usize] {
+        if transpose || self.is_symmetric() {
+            return self.csr.rowptr();
+        }
+        match self.csr_t.get() {
+            Some(t) => t.rowptr(),
+            None => self.rowptr_t.get_or_init(|| self.csr.transpose_rowptr()),
+        }
+    }
+
     /// Storage bytes of the primary representation: the B2SR tiles when the
     /// matrix holds them (its CSR, which every matrix holds, is not counted
     /// then), its CSR otherwise.
@@ -560,6 +582,7 @@ impl BitB2sr {
             }),
             triangle: OnceLock::new(),
             words: OnceLock::new(),
+            rowptr_t: OnceLock::new(),
         }
     }
 

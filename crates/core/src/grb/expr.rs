@@ -182,13 +182,46 @@ pub(crate) mod shape {
 
     /// What one scan of a push operand counts (and, as a limit, where the
     /// scan may give up): the nodes with any lane differing from the
-    /// semiring identity, and their non-identity `(node, lane)` entries.
-    /// How [`Direction::Auto`](crate::grb::Direction) prices the two is in
+    /// semiring identity, their non-identity `(node, lane)` entries, and
+    /// the edges their scatter folds, `Σ deg(u) · active_lanes(u)` over the
+    /// rows the scatter walks.  How
+    /// [`Direction::Auto`](crate::grb::Direction) prices them is in
     /// `grb::direction`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct FrontierSize {
         pub nodes: usize,
         pub entries: usize,
+        pub edges: usize,
+    }
+
+    /// The one-lane operand scan (a [`Vector`], or a [`MultiVec`] of one
+    /// lane — a served query): one compare per node against the identity,
+    /// resolved once, and the degree read only for an active node.
+    pub(super) fn one_lane_frontier_into(
+        flat: &[f32],
+        identity: f32,
+        rows: &[usize],
+        stop_past: FrontierSize,
+        out: &mut Vec<usize>,
+    ) -> FrontierSize {
+        // One lane per node: nodes and entries are the same count.
+        let limit = stop_past.nodes.min(stop_past.entries);
+        let mut edges = 0usize;
+        out.clear();
+        for (i, &v) in flat.iter().enumerate() {
+            if v != identity {
+                out.push(i);
+                edges += rows[i + 1] - rows[i];
+                if out.len() > limit || edges > stop_past.edges {
+                    break;
+                }
+            }
+        }
+        FrontierSize {
+            nodes: out.len(),
+            entries: out.len(),
+            edges,
+        }
     }
 
     /// The only shape-dependent pieces of the planner's one product path,
@@ -219,13 +252,16 @@ pub(crate) mod shape {
         /// The planner's one operand scan: **replace** the contents of
         /// `out` with the indices, ascending, of the nodes holding a lane
         /// that differs from the semiring identity — the push frontier —
-        /// and return how many nodes and non-identity entries that is.
-        /// The scan gives up once either count passes `stop_past`; what it
-        /// returns then is a prefix and a lower bound, enough to know the
-        /// product pulls.
+        /// and return how many nodes, non-identity entries and scattered
+        /// edges that is, an active node's degree read off `rows`, the row
+        /// pointer of the representation the scatter walks.  The scan
+        /// gives up once any count passes `stop_past`; what it returns
+        /// then is a prefix and a lower bound, enough to know the product
+        /// pulls.
         fn frontier_into(
             &self,
             semiring: Semiring,
+            rows: &[usize],
             stop_past: FrontierSize,
             out: &mut Vec<usize>,
         ) -> FrontierSize;
@@ -266,24 +302,12 @@ impl shape::Shape for Vector {
     fn frontier_into(
         &self,
         semiring: Semiring,
+        rows: &[usize],
         stop_past: FrontierSize,
         out: &mut Vec<usize>,
     ) -> FrontierSize {
-        // One lane per node: nodes and entries are the same count.
-        let limit = stop_past.nodes.min(stop_past.entries);
-        out.clear();
-        for (i, &v) in self.as_slice().iter().enumerate() {
-            if !semiring.is_identity(v) {
-                out.push(i);
-                if out.len() > limit {
-                    break;
-                }
-            }
-        }
-        FrontierSize {
-            nodes: out.len(),
-            entries: out.len(),
-        }
+        let identity = semiring.identity();
+        shape::one_lane_frontier_into(self.as_slice(), identity, rows, stop_past, out)
     }
     fn product_into(base: &BitB2sr, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {
         base.mxv_into(p, ws, out);
@@ -326,17 +350,26 @@ impl shape::Shape for MultiVec {
     fn frontier_into(
         &self,
         semiring: Semiring,
+        rows: &[usize],
         stop_past: FrontierSize,
         out: &mut Vec<usize>,
     ) -> FrontierSize {
+        let (k, identity) = (self.n_lanes(), semiring.identity());
+        if k == 1 {
+            return shape::one_lane_frontier_into(self.as_slice(), identity, rows, stop_past, out);
+        }
         out.clear();
-        let mut entries = 0usize;
-        for (i, lanes) in self.as_slice().chunks_exact(self.n_lanes()).enumerate() {
-            let active = lanes.iter().filter(|&&v| !semiring.is_identity(v)).count();
+        let (mut entries, mut edges) = (0usize, 0usize);
+        for (i, lanes) in self.as_slice().chunks_exact(k).enumerate() {
+            let active = lanes.iter().filter(|&&v| v != identity).count();
             if active > 0 {
                 out.push(i);
                 entries += active;
-                if out.len() > stop_past.nodes || entries > stop_past.entries {
+                edges += (rows[i + 1] - rows[i]) * active;
+                if out.len() > stop_past.nodes
+                    || entries > stop_past.entries
+                    || edges > stop_past.edges
+                {
                     break;
                 }
             }
@@ -344,6 +377,7 @@ impl shape::Shape for MultiVec {
         FrontierSize {
             nodes: out.len(),
             entries,
+            edges,
         }
     }
     fn product_into(base: &BitB2sr, p: &MxvPipeline<'_>, ws: &Workspace, out: &mut Vec<f32>) {

@@ -176,11 +176,17 @@ impl WordOps for LaneBits {
         GrbError::check_len(what, self.k, excluded.k)
     }
 
-    /// Counts the set lanes of the nodes it lists as `entries`; what it
-    /// returns past the limit is a prefix, enough to know the product pulls.
-    fn frontier_into(&self, stop_past_nodes: usize, out: &mut Vec<usize>) -> FrontierSize {
+    /// Counts the set lanes of the nodes it lists as `entries`, and as
+    /// `edges` each node's degree times its set lanes; what it returns past
+    /// the limit is a prefix, enough to know the product pulls.
+    fn frontier_into(
+        &self,
+        rows: &[usize],
+        stop_past_nodes: usize,
+        out: &mut Vec<usize>,
+    ) -> FrontierSize {
         out.clear();
-        let mut entries = 0usize;
+        let (mut entries, mut edges) = (0usize, 0usize);
         for (i, words) in self
             .words
             .chunks_exact(lane_words_per_node(self.k))
@@ -190,6 +196,7 @@ impl WordOps for LaneBits {
             if active > 0 {
                 out.push(i);
                 entries += active as usize;
+                edges += (rows[i + 1] - rows[i]) * active as usize;
                 if out.len() > stop_past_nodes {
                     break;
                 }
@@ -198,6 +205,7 @@ impl WordOps for LaneBits {
         FrontierSize {
             nodes: out.len(),
             entries,
+            edges,
         }
     }
 
@@ -311,13 +319,19 @@ mod tests {
         next.set(4, 0);
         seen.or_assign(&next);
         assert_eq!(seen.ones().count(), 4);
-        // The scan replaces whatever the pooled buffer held.
+        // The scan replaces whatever the pooled buffer held, and counts
+        // each listed node's degree once per set lane (node i has degree
+        // i + 1).
+        let rows: Vec<usize> = (0..=6).map(|i| i * (i + 1) / 2).collect();
         let mut list = vec![99, 98];
-        let size = seen.frontier_into(usize::MAX, &mut list);
+        let size = seen.frontier_into(&rows, usize::MAX, &mut list);
         assert_eq!(list, vec![0, 1, 4]);
-        assert_eq!((size.nodes, size.entries), (3, 4));
+        assert_eq!(
+            (size.nodes, size.entries, size.edges),
+            (3, 4, 1 + 2 + 2 * 5)
+        );
         // Past the limit it gives up with a prefix.
-        let size = seen.frontier_into(1, &mut list);
+        let size = seen.frontier_into(&rows, 1, &mut list);
         assert_eq!((list.as_slice(), size.nodes), (&[0, 1][..], 2));
     }
 

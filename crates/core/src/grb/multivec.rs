@@ -212,18 +212,28 @@ mod tests {
         mv.set(1, 0, 1.0);
         mv.set(1, 1, 1.0);
         mv.set(4, 1, 1.0);
-        // The scan replaces whatever the pooled buffer held.
+        // The scan replaces whatever the pooled buffer held, and counts each
+        // listed node's degree once per active lane (node i has degree i).
+        let rows = [0, 0, 1, 3, 6, 10, 15];
         let mut f = vec![99, 98];
-        let size = mv.frontier_into(Semiring::Boolean, FrontierSize::UNBOUNDED, &mut f);
+        let unbounded = FrontierSize::UNBOUNDED;
+        let size = mv.frontier_into(Semiring::Boolean, &rows, unbounded, &mut f);
         assert_eq!(f, vec![1, 4]);
-        assert_eq!((size.nodes, size.entries), (2, 3));
+        assert_eq!((size.nodes, size.entries, size.edges), (2, 3, 2 + 4));
         // Past a limit it gives up with a prefix: enough to know it pulls.
-        let stop = FrontierSize {
-            nodes: usize::MAX,
-            entries: 1,
-        };
-        let size = mv.frontier_into(Semiring::Boolean, stop, &mut f);
-        assert_eq!((f.as_slice(), size.entries), (&[1][..], 2));
+        for stop in [
+            FrontierSize {
+                entries: 1,
+                ..unbounded
+            },
+            FrontierSize {
+                edges: 1,
+                ..unbounded
+            },
+        ] {
+            let size = mv.frontier_into(Semiring::Boolean, &rows, stop, &mut f);
+            assert_eq!((f.as_slice(), size.entries, size.edges), (&[1][..], 2, 2));
+        }
     }
 
     #[test]

@@ -161,13 +161,19 @@ impl WordOps for NodeBits {
     /// The push frontier is the set bits, read off the words in
     /// `O(n / 64 + f)`; past the limit it is a prefix, enough to know the
     /// product pulls.
-    fn frontier_into(&self, stop_past_nodes: usize, out: &mut Vec<usize>) -> FrontierSize {
+    fn frontier_into(
+        &self,
+        rows: &[usize],
+        stop_past_nodes: usize,
+        out: &mut Vec<usize>,
+    ) -> FrontierSize {
         out.clear();
         // One past the limit, as the `f32` scans count.
         out.extend(self.ones().take(stop_past_nodes.saturating_add(1)));
         FrontierSize {
             nodes: out.len(),
             entries: out.len(),
+            edges: out.iter().map(|&i| rows[i + 1] - rows[i]).sum(),
         }
     }
 
@@ -243,13 +249,15 @@ mod tests {
         next.set(4);
         seen.or_assign(&next);
         assert_eq!(seen.ones().collect::<Vec<_>>(), vec![4, 64, 199]);
-        // The scan replaces whatever the pooled buffer held.
+        // The scan replaces whatever the pooled buffer held, and reads each
+        // listed node's degree off the row pointer (node i has degree i + 1).
+        let rows: Vec<usize> = (0..=200).map(|i| i * (i + 1) / 2).collect();
         let mut list = vec![99, 98];
-        let size = seen.frontier_into(usize::MAX, &mut list);
+        let size = seen.frontier_into(&rows, usize::MAX, &mut list);
         assert_eq!(list, vec![4, 64, 199]);
-        assert_eq!((size.nodes, size.entries), (3, 3));
+        assert_eq!((size.nodes, size.entries, size.edges), (3, 3, 5 + 65 + 200));
         // Past the limit it gives up with a prefix.
-        let size = seen.frontier_into(1, &mut list);
+        let size = seen.frontier_into(&rows, 1, &mut list);
         assert_eq!((list.as_slice(), size.nodes), (&[4, 64][..], 2));
     }
 

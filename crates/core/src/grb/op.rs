@@ -131,8 +131,9 @@ impl Context {
     /// A snapshot of this context's execution counters: how many products
     /// resolved to push vs pull, how many pipelines fused, and — exact work
     /// counts, not timings — how many frontier nodes
-    /// ([`ExecCounts::push_frontier_nodes`]) and non-identity operand entries
-    /// ([`ExecCounts::push_frontier_entries`]) the push products scattered
+    /// ([`ExecCounts::push_frontier_nodes`]), non-identity operand entries
+    /// ([`ExecCounts::push_frontier_entries`]) and (edge, lane) pairs
+    /// ([`ExecCounts::push_frontier_edges`]) the push products scattered
     /// from.  Read it before and after a run and subtract: "this loop does
     /// work proportional to what changed" is then an assertion (forced-push
     /// `sssp` adds exactly one node per reached vertex).
@@ -403,8 +404,9 @@ impl Op {
 /// does; stage operands and the accumulator baseline are multi-vectors of
 /// the output's shape; and [`Direction::Auto`] prices the frontier the way
 /// the batched scatter pays for it — its nodes (any lane active) for the
-/// Boolean lane-word product, its non-identity `(node, lane)` entries for a
-/// full-precision one (see [`choose_direction`](super::choose_direction)).
+/// Boolean lane-word product, the (edge, lane) folds of its non-identity
+/// entries for a full-precision one (see
+/// [`choose_direction`](super::choose_direction)).
 #[must_use = "builders do nothing until run(&ctx)"]
 pub struct ProductBuilder<'a, V: Operand> {
     a: &'a Matrix,

@@ -57,15 +57,16 @@
 //! Direction resolution ([`Direction::Auto`]) happens *before* planning and
 //! is identical for both paths: one scan of the operand builds the pooled
 //! push frontier and counts what
-//! [`choose_direction`](super::choose_direction) prices — entries for a
-//! full-precision batch, whose scatter is lane-sparse, nodes otherwise; the
-//! scan stops early once the count is past any push — and
-//! a push product adds those counts to
+//! [`choose_direction`](super::choose_direction) prices — for a
+//! full-precision product the (edge, lane) folds of its lane-sparse
+//! scatter, read off the degrees of the rows it walks, for a Boolean one
+//! the nodes; the scan stops early once the count is past any push — and
+//! a push product adds its counts to
 //! [`ExecCounts::push_frontier_nodes`](super::ExecCounts) /
-//! `push_frontier_entries`.  Fused pipelines draw every scratch buffer
-//! (scaled operand, frontier list, output) from the context's
-//! [`Workspace`] pool, so a steady-state fused loop
-//! allocates nothing (`crates/core/tests/zero_alloc.rs`).
+//! `push_frontier_entries` / `push_frontier_edges`.  Fused pipelines draw
+//! every scratch buffer (scaled operand, frontier list, output) from the
+//! context's [`Workspace`] pool, so a steady-state fused loop allocates
+//! nothing (`crates/core/tests/zero_alloc.rs`).
 
 use crate::delta::DeltaOverlay;
 use crate::faultinject::{FaultAction, InjectedPanic};
@@ -255,7 +256,7 @@ fn record_direction(
 ) {
     record_product(ws.stats(), frontier.is_some());
     if let Some((list, size)) = frontier {
-        ws.stats().record_push_frontier(size.nodes, size.entries);
+        ws.stats().record_push_frontier(size);
         ws.give(list);
     }
 }
@@ -427,10 +428,12 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
 
     // Resolve the direction before planning.  A push — forced, or possible
     // under Auto — scans the operand once: the scan builds the pooled
-    // frontier list and counts its nodes and non-identity entries; Auto
-    // prices the count the scatter's cost follows (`choose_direction`) and
-    // lets the scan give up once the count is past any push.  An explicit
-    // push on an unsafe semiring is coerced back to pull.  The threshold is
+    // frontier list and counts its nodes, non-identity entries and the
+    // edges their scatter folds (degrees off the base's rows the scatter
+    // walks, `scatter_rows`); Auto prices the count its family's rule reads
+    // (`choose_direction`: edges at full precision, nodes for Boolean) and
+    // lets the scan give up once it is past any push.  An explicit push on
+    // an unsafe semiring is coerced back to pull.  Both rules are
     // parallelism-aware: every push is serial, the pull side is priced at
     // the host parallelism its rayon sweeps fan out to.
     let requested = if semiring.push_safe() {
@@ -439,11 +442,19 @@ fn execute_product<V: Operand>(expr: &Expr<'_, V>, ctx: &Context) -> Result<V, G
         Direction::Pull
     };
     let frontier = resolve_frontier(requested, ws, |auto, list| {
+        let rows = a.base().scatter_rows(transpose);
         if !auto {
-            let size = x.frontier_into(semiring, FrontierSize::UNBOUNDED, list);
+            let size = x.frontier_into(semiring, rows, FrontierSize::UNBOUNDED, list);
             return (Direction::Push, size);
         }
-        scan_and_choose(x, semiring, a.nnz(), rayon::current_num_threads(), list)
+        scan_and_choose(
+            x,
+            semiring,
+            rows,
+            a.nnz(),
+            rayon::current_num_threads(),
+            list,
+        )
     });
 
     let accum = expr.accum.map(|(op, w)| (op, w.flat()));
@@ -531,8 +542,15 @@ pub(crate) mod words {
         ) -> Result<(), GrbError>;
         /// The planner's operand scan over words: **replace** `out` with the
         /// indices, ascending, of the nodes holding a set bit — the push
-        /// frontier — giving up once their count passes `stop_past_nodes`.
-        fn frontier_into(&self, stop_past_nodes: usize, out: &mut Vec<usize>) -> FrontierSize;
+        /// frontier — giving up once their count passes `stop_past_nodes`,
+        /// and count their set lanes and the (edge, lane) pairs their
+        /// scatter reaches, an active node's degree read off `rows`.
+        fn frontier_into(
+            &self,
+            rows: &[usize],
+            stop_past_nodes: usize,
+            out: &mut Vec<usize>,
+        ) -> FrontierSize;
         /// `(A ⊕.⊗ self) & !excluded` over `produced` output nodes on the
         /// built bit backend (on `Aᵀ` with `transpose`; `frontier` is `Some`
         /// for push), then the overlay's word re-fold of the dirty rows the
@@ -598,14 +616,15 @@ pub(crate) fn execute_word_product<X: WordOperand, V: Operand>(
 
     let ws = ctx.workspace();
     let frontier = resolve_frontier(desc.direction, ws, |auto, list| {
+        let rows = a.base().scatter_rows(transpose);
         if !auto {
-            return (Direction::Push, x.frontier_into(usize::MAX, list));
+            return (Direction::Push, x.frontier_into(rows, usize::MAX, list));
         }
         scan_and_choose_words(
             (x_nodes, k),
             a.nnz(),
             rayon::current_num_threads(),
-            |stop_past_nodes| x.frontier_into(stop_past_nodes, list),
+            |stop_past_nodes| x.frontier_into(rows, stop_past_nodes, list),
         )
     });
     let list = frontier.as_ref().map(|(list, _)| list.as_slice());

@@ -52,6 +52,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use super::expr::shape::FrontierSize;
+
 /// Maximum number of recycled buffers kept per element type (per stripe).
 pub const SHELF_CAP: usize = 32;
 
@@ -246,6 +248,7 @@ pub struct ExecStats {
     push_mxm: AtomicU64,
     push_frontier_nodes: AtomicU64,
     push_frontier_entries: AtomicU64,
+    push_frontier_edges: AtomicU64,
     converted_elems: AtomicU64,
     refolded_positions: AtomicU64,
     fused_mxv: AtomicU64,
@@ -268,14 +271,17 @@ impl ExecStats {
         let counter = if push { &self.push_mxm } else { &self.pull_mxm };
         counter.fetch_add(1, Ordering::Relaxed);
     }
-    /// One push product scattered from `nodes` frontier nodes holding
-    /// `entries` non-identity `(node, lane)` entries — the numbers the
-    /// planner's frontier scan already has, added once per op.
-    pub(crate) fn record_push_frontier(&self, nodes: usize, entries: usize) {
+    /// One push product scattered from `size.nodes` frontier nodes holding
+    /// `size.entries` non-identity `(node, lane)` entries over
+    /// `size.edges` (edge, lane) pairs — the numbers the planner's frontier
+    /// scan already has, added once per op.
+    pub(crate) fn record_push_frontier(&self, size: FrontierSize) {
         self.push_frontier_nodes
-            .fetch_add(nodes as u64, Ordering::Relaxed);
+            .fetch_add(size.nodes as u64, Ordering::Relaxed);
         self.push_frontier_entries
-            .fetch_add(entries as u64, Ordering::Relaxed);
+            .fetch_add(size.entries as u64, Ordering::Relaxed);
+        self.push_frontier_edges
+            .fetch_add(size.edges as u64, Ordering::Relaxed);
     }
     /// One Boolean product on a bit backend packed or expanded `elems`
     /// `f32` / `bool` elements at its boundary — added once per op.
@@ -320,6 +326,7 @@ impl ExecStats {
             push_mxm: self.push_mxm.load(Ordering::Relaxed),
             push_frontier_nodes: self.push_frontier_nodes.load(Ordering::Relaxed),
             push_frontier_entries: self.push_frontier_entries.load(Ordering::Relaxed),
+            push_frontier_edges: self.push_frontier_edges.load(Ordering::Relaxed),
             converted_elems: self.converted_elems.load(Ordering::Relaxed),
             refolded_positions: self.refolded_positions.load(Ordering::Relaxed),
             sharded_push: 0,
@@ -359,6 +366,15 @@ pub struct ExecCounts {
     /// `sssp_multi` adds exactly the number of finite `(vertex, lane)`
     /// distances.
     pub push_frontier_entries: u64,
+    /// (Out-edge, active lane) pairs of those frontier nodes —
+    /// `Σ deg(u) · active_lanes(u)` over the rows the scatter walks, the
+    /// `m_f` a full-precision product is priced by: what a full-precision
+    /// scatter folds, and the edges a Boolean one reaches (its lane-word
+    /// scatter ORs one word per edge).  Counted from the built base's rows;
+    /// an overlay's re-fold is `refolded_positions`.  Forced-push `sssp`
+    /// adds exactly `Σ deg(v)` over the reached `v`, `sssp_multi` that sum
+    /// over the reached `(v, lane)`.
+    pub push_frontier_edges: u64,
     /// `f32` / `bool` elements packed to, or expanded from, bits at an op
     /// boundary of a bit backend's Boolean products (operand pack, mask
     /// staging, output expand): the exact cost of *not* keeping a Boolean
@@ -405,6 +421,14 @@ pub struct ExecCounts {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    fn frontier(nodes: usize, entries: usize, edges: usize) -> FrontierSize {
+        FrontierSize {
+            nodes,
+            entries,
+            edges,
+        }
+    }
 
     #[test]
     fn take_give_recycles_capacity() {
@@ -528,14 +552,15 @@ mod tests {
         ws.stats().record_mxv(true);
         ws.stats().record_mxv(true);
         ws.stats().record_mxv(false);
-        ws.stats().record_push_frontier(4, 9);
-        ws.stats().record_push_frontier(1, 1);
+        ws.stats().record_push_frontier(frontier(4, 9, 20));
+        ws.stats().record_push_frontier(frontier(1, 1, 3));
         ws.stats().record_converted(12);
         ws.stats().record_converted(30);
         ws.stats().record_refolded(7);
         ws.stats().record_refolded(2);
         let s = ws.stats().snapshot();
         assert_eq!((s.push_frontier_nodes, s.push_frontier_entries), (5, 10));
+        assert_eq!(s.push_frontier_edges, 23);
         assert_eq!(s.converted_elems, 42);
         assert_eq!(s.refolded_positions, 9);
         assert_eq!(s.push_mxv, 2);
@@ -553,7 +578,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
                         ws.stats().record_mxv(true);
-                        ws.stats().record_push_frontier(1, 2);
+                        ws.stats().record_push_frontier(frontier(1, 2, 5));
                     }
                 })
             })
@@ -564,8 +589,12 @@ mod tests {
         let s = ws.stats().snapshot();
         assert_eq!(s.push_mxv, 4000);
         assert_eq!(
-            (s.push_frontier_nodes, s.push_frontier_entries),
-            (4000, 8000)
+            (
+                s.push_frontier_nodes,
+                s.push_frontier_entries,
+                s.push_frontier_edges
+            ),
+            (4000, 8000, 20_000)
         );
     }
 }

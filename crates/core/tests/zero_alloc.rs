@@ -520,9 +520,20 @@ fn batched_full_precision_rounds_are_allocation_free_after_warmup() {
                 .run(ctx);
             ctx.recycle(std::mem::replace(rank, next));
         };
-        for _ in 0..12 {
+        // Auto pushes while the lanes' mass covers few edges and pulls once
+        // it has spread — on the dense k = 3 ring first in round 14 with
+        // two pull workers, round 26 with one: warm up past the switch, so
+        // the measured rounds draw every buffer of both directions from a
+        // warmed pool.
+        let (pushes, pulls) = (ctx.stats().push_mxm, ctx.stats().pull_mxm);
+        for _ in 0..40 {
             iteration(&mut rank);
         }
+        let warmed = ctx.stats();
+        assert!(
+            warmed.push_mxm > pushes && warmed.pull_mxm > pulls,
+            "the warm-up must run both directions (k={k}, {tiles:?}): {warmed:?}"
+        );
         let before = allocations();
         for _ in 0..24 {
             iteration(&mut rank);

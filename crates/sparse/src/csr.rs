@@ -327,9 +327,10 @@ impl Csr {
         self.values.iter().all(|&v| v == 1.0)
     }
 
-    /// Transpose into a new CSR matrix (`A^T` stored row-major) — the
-    /// stand-in for the paper's use of `cusparseScsr2csc()`.
-    pub fn transpose(&self) -> Csr {
+    /// The row pointer of the [`transpose`](Csr::transpose) (`ncols + 1`
+    /// entries): the prefix sums of the column counts, without building
+    /// the transpose's columns.
+    pub fn transpose_rowptr(&self) -> Vec<usize> {
         let mut rowptr = vec![0usize; self.ncols + 1];
         for &c in &self.colind {
             rowptr[c + 1] += 1;
@@ -337,6 +338,13 @@ impl Csr {
         for i in 0..self.ncols {
             rowptr[i + 1] += rowptr[i];
         }
+        rowptr
+    }
+
+    /// Transpose into a new CSR matrix (`A^T` stored row-major) — the
+    /// stand-in for the paper's use of `cusparseScsr2csc()`.
+    pub fn transpose(&self) -> Csr {
+        let rowptr = self.transpose_rowptr();
         let mut next = rowptr.clone();
         let mut colind = vec![0usize; self.nnz()];
         let mut values = vec![0f32; self.nnz()];

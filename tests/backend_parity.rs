@@ -13,6 +13,7 @@ mod common;
 use proptest::prelude::*;
 
 use bit_graphblas::algorithms::{bfs_multi_dir, reference, sssp_multi_dir};
+use bit_graphblas::core::grb::choose_direction;
 use bit_graphblas::core::grb::direction::SCATTER_EDGE_WEIGHT;
 use bit_graphblas::datagen::generators;
 use bit_graphblas::prelude::*;
@@ -626,6 +627,108 @@ fn full_density_and_threshold_frontiers_agree() {
                 .run(&ctx);
             assert_eq!(push, pull, "{backend:?} frontier {k}");
             assert_eq!(auto, pull, "{backend:?} frontier {k}");
+        }
+    }
+}
+
+/// The full-precision analogue: frontiers straddling the edge-priced rule
+/// (`m_f · W · P < nnz + n`, `grb::choose_direction`) — one fold below, at
+/// and one above its crossover, a hub-only frontier (a few nodes whose
+/// edges are past it) and a leaf-heavy one (many nodes, few edges) — give
+/// push ≡ pull ≡ auto by `to_bits` under `MinPlus` and `Arithmetic`, and
+/// Auto's choice, read off the context's counters, is the rule's: the
+/// leaf-heavy frontier pushes where node pricing pulled, the hubs pull.
+#[test]
+fn full_precision_edge_threshold_frontiers_agree() {
+    let adj = generators::rmat(9, 8, 0.57, 0.19, 0.19, 11).symmetrized();
+    let (n, nnz) = (adj.nrows(), adj.nnz());
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let degree = |i: usize| adj.row_nnz(i);
+    // The least frontier edge count that pulls.
+    let crossover = (1..=nnz)
+        .find(|&m_f| {
+            let d = choose_direction(0, m_f, (n, 1), nnz, Semiring::Arithmetic, threads);
+            d == Direction::Pull
+        })
+        .expect("a dense operand pulls");
+    let node_pricing =
+        |nodes: usize| choose_direction(nodes, 0, (n, 1), nnz, Semiring::Boolean, threads);
+    let mut by_degree: Vec<usize> = (0..n).filter(|&i| degree(i) > 0).collect();
+    by_degree.sort_by_key(|&i| (std::cmp::Reverse(degree(i)), i));
+    // Highest degrees first, each node taken while it fits: exact once the
+    // degree-1 nodes are reached.
+    let with_edges = |target: usize| {
+        let mut sum = 0;
+        let nodes: Vec<usize> = by_degree
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let fits = sum + degree(i) <= target;
+                sum += if fits { degree(i) } else { 0 };
+                fits
+            })
+            .collect();
+        assert_eq!(sum, target, "no exact frontier of {target} edges");
+        nodes
+    };
+    let hubs: Vec<usize> = by_degree
+        .iter()
+        .copied()
+        .scan(0, |sum, i| {
+            let take = *sum < crossover;
+            *sum += degree(i);
+            take.then_some(i)
+        })
+        .collect();
+    let leaves: Vec<usize> = by_degree.iter().rev().copied().take(n / 4).collect();
+    let edges = |nodes: &[usize]| nodes.iter().map(|&i| degree(i)).sum::<usize>();
+    assert!(edges(&leaves) < crossover, "the leaves' edges are few");
+    assert_eq!(node_pricing(leaves.len()), Direction::Pull, "many leaves");
+    assert!(2 * hubs.len() < leaves.len(), "a few hubs, many leaves");
+    let frontiers = [
+        ("one below", with_edges(crossover - 1), Direction::Push),
+        ("at", with_edges(crossover), Direction::Pull),
+        ("one above", with_edges(crossover + 1), Direction::Pull),
+        ("hub-only", hubs, Direction::Pull),
+        ("leaf-heavy", leaves, Direction::Push),
+    ];
+    let bits = |v: &Vector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for backend in [Backend::Bit(TileSize::S8), Backend::FloatCsr] {
+        let m = Matrix::from_csr(&adj, backend);
+        let ctx = Context::default();
+        for semiring in [Semiring::MinPlus(1.0), Semiring::Arithmetic] {
+            for (what, nodes, want) in &frontiers {
+                let mut x = Vector::identity(n, semiring);
+                for &i in nodes {
+                    x.set(i, 1.0 + (i % 5) as f32 * 0.25);
+                }
+                let run = |direction| {
+                    let before = ctx.stats();
+                    let y = Op::vxm(&x, &m)
+                        .semiring(semiring)
+                        .direction(direction)
+                        .run(&ctx);
+                    let after = ctx.stats();
+                    let pushed = after.push_mxv - before.push_mxv == 1;
+                    if pushed {
+                        let edges_counted = after.push_frontier_edges - before.push_frontier_edges;
+                        assert_eq!(edges_counted as usize, edges(nodes), "{what}");
+                    }
+                    (y, pushed)
+                };
+                let label = format!("{backend:?} {semiring:?} {what}");
+                let (pull, _) = run(Direction::Pull);
+                let (push, _) = run(Direction::Push);
+                let (auto, auto_pushed) = run(Direction::Auto);
+                assert_eq!(bits(&push), bits(&pull), "{label}");
+                assert_eq!(bits(&auto), bits(&pull), "{label}");
+                let chosen = if auto_pushed {
+                    Direction::Push
+                } else {
+                    Direction::Pull
+                };
+                assert_eq!(chosen, *want, "{label}: {} edges", edges(nodes));
+            }
         }
     }
 }
