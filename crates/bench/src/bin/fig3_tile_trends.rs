@@ -5,7 +5,7 @@
 //! Run with: `cargo run -p bitgblas-bench --release --bin fig3_tile_trends`
 
 use bitgblas_bench::{fig3_matrices, load};
-use bitgblas_core::b2sr::stats::stats_all_sizes;
+use bitgblas_perfmodel::b2sr::stats::stats_all_sizes;
 
 fn main() {
     println!("Figure 3a: non-empty tile ratio (%) per tile dimension");

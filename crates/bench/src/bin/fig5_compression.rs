@@ -9,9 +9,8 @@
 //!
 //! Run with: `cargo run -p bitgblas-bench --release --bin fig5_compression`
 
-use bitgblas_core::b2sr::stats::{compressing_tile_sizes, optimal_tile_size, stats_for};
-use bitgblas_core::TileSize;
 use bitgblas_datagen::corpus;
+use bitgblas_perfmodel::b2sr::{stats, TILE_DIMS};
 use bitgblas_sparse::Csr;
 
 fn main() {
@@ -33,17 +32,26 @@ fn main() {
         "{:>10} {:>7} {:>7} {:>7} {:>7}",
         "bucket", "4x4", "8x8", "16x16", "32x32"
     );
+    // One census per matrix and width feeds both panels.
     let mut hist = [[0usize; 4]; 11]; // 0-10%, ..., 90-100%, >100%
+    let mut optimal = [0usize; 4];
+    let mut compressed = [0usize; 4];
     for (_, csr) in &matrices {
-        for (k, ts) in TileSize::ALL.iter().enumerate() {
-            let ratio = stats_for(csr, *ts).compression_ratio;
+        let census = stats::stats_all_sizes(csr);
+        for (k, s) in census.iter().enumerate() {
+            let ratio = s.compression_ratio;
             let bucket = if ratio >= 1.0 {
                 10
             } else {
                 (ratio * 10.0) as usize
             };
             hist[bucket][k] += 1;
+            if ratio < 1.0 {
+                compressed[k] += 1;
+            }
         }
+        let best = stats::optimal(&census).unwrap().tile_dim;
+        optimal[TILE_DIMS.iter().position(|&d| d == best).unwrap()] += 1;
     }
     for (b, row) in hist.iter().enumerate() {
         let label = if b == 10 {
@@ -58,21 +66,12 @@ fn main() {
     }
 
     // Figure 5b: optimal and compressed counts per tile size.
-    let mut optimal = [0usize; 4];
-    let mut compressed = [0usize; 4];
-    for (_, csr) in &matrices {
-        let best = optimal_tile_size(csr);
-        optimal[TileSize::ALL.iter().position(|&t| t == best).unwrap()] += 1;
-        for ts in compressing_tile_sizes(csr) {
-            compressed[TileSize::ALL.iter().position(|&t| t == ts).unwrap()] += 1;
-        }
-    }
     println!("\nFigure 5b: per-tile-size counts over the corpus");
     println!("{:<12} {:>9} {:>12}", "tile size", "optimal", "compressed");
-    for (k, ts) in TileSize::ALL.iter().enumerate() {
+    for (k, dim) in TILE_DIMS.iter().enumerate() {
         println!(
             "{:<12} {:>9} {:>12}",
-            ts.to_string(),
+            format!("B2SR-{dim}"),
             optimal[k],
             compressed[k]
         );

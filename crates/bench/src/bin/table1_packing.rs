@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p bitgblas-bench --release --bin table1_packing`
 
-use bitgblas_core::b2sr::stats::packing_table;
+use bitgblas_perfmodel::b2sr::stats::packing_table;
 
 fn main() {
     println!("Table I: binarized packing format");
@@ -12,8 +12,8 @@ fn main() {
         "Tile Size", "CSR storage (at most)", "Binarized packing", "Space saving/tile"
     );
     for row in packing_table() {
-        let dim = row.tile_size.dim();
-        let packed_desc = match row.tile_size.dim() {
+        let dim = row.tile_dim;
+        let packed_desc = match dim {
             4 | 8 => format!("{dim} x 1 unsigned char"),
             16 => format!("{dim} x 1 unsigned short"),
             _ => format!("{dim} x 1 unsigned int"),

@@ -3,10 +3,8 @@
 //! The experiment harness of the Bit-GraphBLAS reproduction.  Each binary in
 //! `src/bin/` regenerates one table or figure of the paper's evaluation
 //! (§VI); the Criterion benches in `benches/` provide statistically sound
-//! kernel timings for the same comparisons.  `EXPERIMENTS.md` in the
-//! workspace root records one captured run of every binary next to the
-//! paper's numbers.  (Performance over time is measured by the repo
-//! benchmark in `benchmark/`, not here.)
+//! kernel timings for the same comparisons.  (Performance over time is
+//! measured by the repo benchmark in `benchmark/`, not here.)
 //!
 //! | Binary | Paper artefact |
 //! |---|---|

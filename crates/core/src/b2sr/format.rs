@@ -304,7 +304,8 @@ impl<W: BitWord> B2sr<W> {
 }
 
 /// A type-erased B2SR matrix covering the four Table-I variants, so callers
-/// can pick the tile size at run time (e.g. from the sampling profile).
+/// can pick the tile size at run time (e.g. the width `Backend::Auto`'s tile
+/// gate picks).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum B2srMatrix {
     /// B2SR-4 (4×4 tiles, `u8` packing).

@@ -16,16 +16,13 @@
 //! * [`mod@format`] — the [`B2sr`] container, the [`TileSize`] selector and the
 //!   type-erased [`B2srMatrix`] wrapper;
 //! * [`convert`] — CSR→B2SR conversion, whole ([`convert::from_csr`]) or of
-//!   the dirty tile-rows only ([`B2sr::retile_rows`]);
-//! * [`stats`] — storage accounting: compression ratio, non-empty-tile ratio,
-//!   nonzero occupancy (Figures 3 and 5, Table I);
-//! * [`sample`] — the sampling-profile tile-size selector (Algorithm 1).
+//!   the dirty tile-rows only ([`B2sr::retile_rows`]).
+//!
+//! The paper's storage census (Figures 3 and 5, Table I) and its sampling
+//! profile (Algorithm 1) count tiles without converting, so they live in
+//! `bitgblas_perfmodel::b2sr`, beside the tile layout they read.
 
 pub mod convert;
 pub mod format;
-pub mod sample;
-pub mod stats;
 
 pub use format::{B2sr, B2srMatrix, TileSize};
-pub use sample::{sample_profile, SamplingProfile};
-pub use stats::{B2srStats, PackingRow};

@@ -19,8 +19,8 @@
 //!   3dtube, …) plus a parameterised "521-matrix-like" sweep used by the
 //!   compression histogram experiment (Figure 5).
 //!
-//! All generators are deterministic given a seed, so every experiment in
-//! `EXPERIMENTS.md` is exactly reproducible.
+//! All generators are deterministic given a seed, so every paper-table
+//! binary of `bitgblas-bench` is exactly reproducible.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

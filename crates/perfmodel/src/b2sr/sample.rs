@@ -10,13 +10,14 @@
 
 use bitgblas_sparse::Csr;
 
-use super::format::TileSize;
+use super::TILE_DIMS;
+use crate::traffic::packing_word_bytes;
 
 /// The per-tile-size estimate produced by the sampling profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileSizeEstimate {
-    /// The tile size the estimate refers to.
-    pub tile_size: TileSize,
+    /// The tile dimension the estimate refers to.
+    pub tile_dim: usize,
     /// Average number of touched `k`-wide column buckets per sampled row
     /// (`NnzBitRow` in Algorithm 1).
     pub avg_touched_buckets: f64,
@@ -33,13 +34,13 @@ pub struct TileSizeEstimate {
 pub struct SamplingProfile {
     /// Number of rows sampled.
     pub sampled_rows: usize,
-    /// One estimate per B2SR variant, ordered as [`TileSize::ALL`].
+    /// One estimate per B2SR variant, ordered as [`TILE_DIMS`].
     pub estimates: Vec<TileSizeEstimate>,
 }
 
 impl SamplingProfile {
-    /// The tile size with the lowest estimated compression ratio.
-    pub fn recommended_tile_size(&self) -> TileSize {
+    /// The tile dimension with the lowest estimated compression ratio.
+    pub fn recommended_tile_dim(&self) -> usize {
         self.estimates
             .iter()
             .min_by(|a, b| {
@@ -47,22 +48,13 @@ impl SamplingProfile {
                     .partial_cmp(&b.est_compression_ratio)
                     .unwrap()
             })
-            .map(|e| e.tile_size)
-            .unwrap_or(TileSize::S8)
+            .map_or(8, |e| e.tile_dim)
     }
 
     /// True if at least one variant is estimated to compress the matrix
     /// (ratio below 1.0) — the "worth converting" decision.
     pub fn worth_converting(&self) -> bool {
         self.estimates.iter().any(|e| e.est_compression_ratio < 1.0)
-    }
-
-    /// The estimate for one specific tile size.
-    pub fn estimate_for(&self, size: TileSize) -> &TileSizeEstimate {
-        self.estimates
-            .iter()
-            .find(|e| e.tile_size == size)
-            .expect("profile always contains all four variants")
     }
 }
 
@@ -93,10 +85,9 @@ pub fn sample_profile(csr: &Csr, n_samples: usize, seed: u64) -> SamplingProfile
     };
     let n_sampled = sampled.len().max(1);
 
-    let estimates = TileSize::ALL
+    let estimates = TILE_DIMS
         .iter()
-        .map(|&ts| {
-            let k = ts.dim();
+        .map(|&k| {
             let mut total_buckets = 0usize;
             let mut total_nnz = 0usize;
             let mut bucket_scratch: Vec<usize> = Vec::new();
@@ -130,7 +121,7 @@ pub fn sample_profile(csr: &Csr, n_samples: usize, seed: u64) -> SamplingProfile
             // CSR costs 4 bytes of column index + 4 bytes of value per
             // nonzero, plus 4 bytes of RowPtr per row.
             let est_b2sr_bytes_per_row =
-                avg_touched_buckets * (ts.bytes_per_tile() as f64 + 4.0) + 4.0 / k as f64;
+                avg_touched_buckets * ((k * packing_word_bytes(k)) as f64 + 4.0) + 4.0 / k as f64;
             let est_csr_bytes_per_row = avg_row_nnz * 8.0 + 4.0;
             let est_compression_ratio = if est_csr_bytes_per_row == 0.0 {
                 f64::INFINITY
@@ -139,7 +130,7 @@ pub fn sample_profile(csr: &Csr, n_samples: usize, seed: u64) -> SamplingProfile
             };
 
             TileSizeEstimate {
-                tile_size: ts,
+                tile_dim: k,
                 avg_touched_buckets,
                 avg_row_nnz,
                 est_occupancy,
@@ -186,9 +177,8 @@ mod tests {
         assert_eq!(p1, p2);
         assert_eq!(p1.estimates.len(), 4);
         assert!(p1.sampled_rows > 0 && p1.sampled_rows <= 64);
-        for ts in TileSize::ALL {
-            assert_eq!(p1.estimate_for(ts).tile_size, ts);
-        }
+        let dims: Vec<usize> = p1.estimates.iter().map(|e| e.tile_dim).collect();
+        assert_eq!(dims, TILE_DIMS);
     }
 
     #[test]
@@ -204,11 +194,11 @@ mod tests {
         // (sanity of the estimator rather than exact agreement).
         let a = banded(1024, 2);
         let p = sample_profile(&a, 256, 3);
-        let rec = p.recommended_tile_size();
+        let rec = p.recommended_tile_dim();
         let actual = stats::stats_for(&a, rec);
         assert!(
             actual.compression_ratio < 1.0,
-            "recommended {rec} does not compress (actual {})",
+            "recommended B2SR-{rec} does not compress (actual {})",
             actual.compression_ratio
         );
     }
@@ -217,7 +207,8 @@ mod tests {
     fn sparse_scatter_is_not_worth_converting_at_large_tiles() {
         let a = scattered(4096, 3);
         let p = sample_profile(&a, 512, 9);
-        let e32 = p.estimate_for(TileSize::S32);
+        let e32 = &p.estimates[3];
+        assert_eq!(e32.tile_dim, 32);
         // One nonzero per touched 32-wide bucket: estimated ratio must exceed 1.
         assert!(e32.est_compression_ratio > 1.0, "{e32:?}");
     }

@@ -1,15 +1,16 @@
 //! Storage statistics for B2SR — the quantities plotted in Figures 3 and 5
-//! and tabulated in Table I.
+//! and tabulated in Table I — counted from the tile layout, not converted.
 
 use bitgblas_sparse::Csr;
 
-use super::format::{B2srMatrix, TileSize};
+use super::TILE_DIMS;
+use crate::traffic::{packing_word_bytes, B2srLayout};
 
 /// One row of Table I: the per-tile packing format and its space saving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackingRow {
-    /// Tile size of the variant.
-    pub tile_size: TileSize,
+    /// Tile dimension of the variant.
+    pub tile_dim: usize,
     /// Bytes a full tile would occupy in 32-bit-float CSR storage
     /// ("at most": values + column indices).
     pub csr_bytes_per_tile: usize,
@@ -26,14 +27,13 @@ pub struct PackingRow {
 /// packed bit representation (`4×4 float → 4×1 uchar = 16×`, all larger tiles
 /// = 32×).
 pub fn packing_table() -> Vec<PackingRow> {
-    TileSize::ALL
+    TILE_DIMS
         .iter()
-        .map(|&ts| {
-            let dim = ts.dim();
+        .map(|&dim| {
             let csr_bytes = dim * dim * 4;
-            let packed = ts.bytes_per_tile();
+            let packed = dim * packing_word_bytes(dim);
             PackingRow {
-                tile_size: ts,
+                tile_dim: dim,
                 csr_bytes_per_tile: csr_bytes,
                 packed_bytes_per_tile: packed,
                 saving_factor: csr_bytes as f64 / packed as f64,
@@ -42,11 +42,11 @@ pub fn packing_table() -> Vec<PackingRow> {
         .collect()
 }
 
-/// Aggregate storage statistics of a matrix under one B2SR tile size.
+/// Aggregate storage statistics of a matrix under one B2SR tile dimension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct B2srStats {
-    /// The tile size the statistics refer to.
-    pub tile_size: TileSize,
+    /// The tile dimension the statistics refer to.
+    pub tile_dim: usize,
     /// Number of non-empty tiles.
     pub n_tiles: usize,
     /// Total number of tile positions (`n_tile_rows × n_tile_cols`).
@@ -65,114 +65,41 @@ pub struct B2srStats {
     pub compression_ratio: f64,
 }
 
-/// Compute the storage statistics of `csr` under the given tile size.
-pub fn stats_for(csr: &Csr, size: TileSize) -> B2srStats {
-    let b2sr = B2srMatrix::from_csr(csr, size);
-    let n_tiles = b2sr.n_tiles();
-    let dim = size.dim();
-    let n_tile_slots = csr.nrows().div_ceil(dim) * csr.ncols().div_ceil(dim);
-    let nonempty_tile_ratio = if n_tile_slots == 0 {
-        0.0
-    } else {
-        n_tiles as f64 / n_tile_slots as f64
-    };
-    let nonzero_occupancy = if n_tiles == 0 {
-        0.0
-    } else {
-        b2sr.nnz() as f64 / (n_tiles as f64 * (dim * dim) as f64)
-    };
-    let b2sr_bytes = b2sr.storage_bytes();
+/// Compute the storage statistics of `csr` under `tile_dim`-wide tiles as a
+/// conversion would store them: the tiles and bytes of
+/// [`B2srLayout::from_csr`], and one set bit per stored value `!= 0.0` (an
+/// explicit zero discovers its tile but sets no bit).
+pub fn stats_for(csr: &Csr, tile_dim: usize) -> B2srStats {
+    let layout = B2srLayout::from_csr(csr, tile_dim);
+    let n_tiles = layout.n_tiles();
+    let n_tile_slots = layout.n_tile_rows() * csr.ncols().div_ceil(tile_dim);
+    let set_bits = csr.values().iter().filter(|&&v| v != 0.0).count();
+    let ratio = |num: f64, den: usize| if den == 0 { 0.0 } else { num / den as f64 };
+    let b2sr_bytes = layout.storage_bytes();
     let csr_bytes = csr.storage_bytes();
-    let compression_ratio = if csr_bytes == 0 {
-        0.0
-    } else {
-        b2sr_bytes as f64 / csr_bytes as f64
-    };
     B2srStats {
-        tile_size: size,
+        tile_dim,
         n_tiles,
         n_tile_slots,
-        nonempty_tile_ratio,
-        nonzero_occupancy,
+        nonempty_tile_ratio: ratio(n_tiles as f64, n_tile_slots),
+        nonzero_occupancy: ratio(set_bits as f64, n_tiles * tile_dim * tile_dim),
         b2sr_bytes,
         csr_bytes,
-        compression_ratio,
+        compression_ratio: ratio(b2sr_bytes as f64, csr_bytes),
     }
 }
 
 /// Compute the statistics for all four variants (one Figure 3 x-position per
-/// entry).
+/// entry), ordered as [`TILE_DIMS`].
 pub fn stats_all_sizes(csr: &Csr) -> Vec<B2srStats> {
-    TileSize::ALL.iter().map(|&ts| stats_for(csr, ts)).collect()
+    TILE_DIMS.iter().map(|&dim| stats_for(csr, dim)).collect()
 }
 
-/// The tile size with the smallest B2SR footprint for this matrix (the
-/// "optimal" series of Figure 5b).
-pub fn optimal_tile_size(csr: &Csr) -> TileSize {
-    stats_all_sizes(csr)
-        .into_iter()
-        .min_by(|a, b| a.b2sr_bytes.cmp(&b.b2sr_bytes))
-        .map(|s| s.tile_size)
-        .unwrap_or(TileSize::S8)
-}
-
-/// The tile sizes that actually compress the matrix (compression ratio below
-/// 1.0 — the "compressed" series of Figure 5b).
-pub fn compressing_tile_sizes(csr: &Csr) -> Vec<TileSize> {
-    stats_all_sizes(csr)
-        .into_iter()
-        .filter(|s| s.compression_ratio < 1.0)
-        .map(|s| s.tile_size)
-        .collect()
-}
-
-/// Exact B2SR byte sizes for all four variants, convenient for reporting
-/// (e.g. the mycielskian12 example of §III-C).
-pub fn byte_sizes(csr: &Csr) -> Vec<(TileSize, usize)> {
-    stats_all_sizes(csr)
-        .into_iter()
-        .map(|s| (s.tile_size, s.b2sr_bytes))
-        .collect()
-}
-
-/// Direct conversion helper mirroring [`stats_for`] but reusing an existing
-/// conversion when the caller already has one (avoids converting twice in
-/// benches).
-pub fn stats_from_b2sr(csr: &Csr, b2sr: &B2srMatrix) -> B2srStats {
-    let size = b2sr.tile_size();
-    let dim = size.dim();
-    let n_tiles = b2sr.n_tiles();
-    let n_tile_slots = csr.nrows().div_ceil(dim) * csr.ncols().div_ceil(dim);
-    B2srStats {
-        tile_size: size,
-        n_tiles,
-        n_tile_slots,
-        nonempty_tile_ratio: if n_tile_slots == 0 {
-            0.0
-        } else {
-            n_tiles as f64 / n_tile_slots as f64
-        },
-        nonzero_occupancy: if n_tiles == 0 {
-            0.0
-        } else {
-            b2sr.nnz() as f64 / (n_tiles as f64 * (dim * dim) as f64)
-        },
-        b2sr_bytes: b2sr.storage_bytes(),
-        csr_bytes: csr.storage_bytes(),
-        compression_ratio: if csr.storage_bytes() == 0 {
-            0.0
-        } else {
-            b2sr.storage_bytes() as f64 / csr.storage_bytes() as f64
-        },
-    }
-}
-
-/// Space saving of the pure bit packing for a single full tile, by word type,
-/// reproducing the "up to 32×" claim: `dim*dim*4` bytes of floats vs the
-/// packed bytes.
-pub fn tile_saving(size: TileSize) -> f64 {
-    let dim = size.dim();
-    (dim * dim * 4) as f64 / size.bytes_per_tile() as f64
+/// The entry with the smallest B2SR footprint: the "optimal" series of
+/// Figure 5b (its "compressed" series counts the entries whose compression
+/// ratio is below 1.0).  The first on a tie, `None` for no entries.
+pub fn optimal(stats: &[B2srStats]) -> Option<&B2srStats> {
+    stats.iter().min_by_key(|s| s.b2sr_bytes)
 }
 
 #[cfg(test)]
@@ -200,8 +127,6 @@ mod tests {
         assert_eq!(t[3].saving_factor, 32.0); // 32x32
         assert_eq!(t[3].csr_bytes_per_tile, 4096);
         assert_eq!(t[3].packed_bytes_per_tile, 128);
-        assert_eq!(tile_saving(TileSize::S4), 16.0);
-        assert_eq!(tile_saving(TileSize::S32), 32.0);
     }
 
     #[test]
@@ -221,12 +146,13 @@ mod tests {
         // A banded matrix has dense tiles along the diagonal: B2SR should be
         // significantly smaller than float CSR for at least one tile size.
         let a = banded(1024, 3);
-        let best = stats_all_sizes(&a)
-            .into_iter()
+        let stats = stats_all_sizes(&a);
+        let best = stats
+            .iter()
             .map(|s| s.compression_ratio)
             .fold(f64::INFINITY, f64::min);
         assert!(best < 0.6, "expected good compression, got ratio {best}");
-        assert!(!compressing_tile_sizes(&a).is_empty());
+        assert_eq!(optimal(&stats).unwrap().compression_ratio, best);
     }
 
     #[test]
@@ -241,16 +167,16 @@ mod tests {
             }
         }
         let a = coo.to_binary_csr();
-        let s32 = stats_for(&a, TileSize::S32);
+        let s32 = stats_for(&a, 32);
         assert!(
             s32.compression_ratio > 1.0,
             "ratio {}",
             s32.compression_ratio
         );
         // The small-tile variant wastes much less.
-        let s4 = stats_for(&a, TileSize::S4);
+        let s4 = stats_for(&a, 4);
         assert!(s4.compression_ratio < s32.compression_ratio);
-        assert_eq!(optimal_tile_size(&a), TileSize::S4);
+        assert_eq!(optimal(&stats_all_sizes(&a)).unwrap().tile_dim, 4);
     }
 
     #[test]
@@ -261,9 +187,9 @@ mod tests {
         for w in stats.windows(2) {
             assert!(
                 w[1].nonempty_tile_ratio >= w[0].nonempty_tile_ratio - 1e-9,
-                "{:?} -> {:?}",
-                w[0].tile_size,
-                w[1].tile_size
+                "{} -> {}",
+                w[0].tile_dim,
+                w[1].tile_dim
             );
         }
     }
@@ -279,16 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_from_existing_conversion_match() {
-        let a = banded(128, 2);
-        let b = B2srMatrix::from_csr(&a, TileSize::S16);
-        assert_eq!(stats_from_b2sr(&a, &b), stats_for(&a, TileSize::S16));
-    }
-
-    #[test]
     fn empty_matrix_stats() {
         let a = Csr::empty(64, 64);
-        let s = stats_for(&a, TileSize::S8);
+        let s = stats_for(&a, 8);
         assert_eq!(s.n_tiles, 0);
         assert_eq!(s.nonzero_occupancy, 0.0);
         assert_eq!(s.nonempty_tile_ratio, 0.0);

@@ -10,8 +10,7 @@
 //! (which device helps which kernel) that the CPU substrate cannot show.
 //!
 //! Like the traffic model, the B2SR estimates take a [`B2srLayout`] so they
-//! can be computed for a *hypothetical* conversion — this is what powers the
-//! automatic format selection in `bitgblas-core`.
+//! can be computed for a *hypothetical* conversion, without converting.
 
 use bitgblas_sparse::Csr;
 
@@ -75,11 +74,6 @@ pub fn estimate_b2sr_bmv(layout: &B2srLayout, profile: &DeviceProfile) -> Kernel
     make_estimate(traffic, ops, profile, true)
 }
 
-/// Convenience: estimated total time in milliseconds.
-pub fn estimate_time_ms(traffic: &MemoryTraffic, profile: &DeviceProfile) -> f64 {
-    traffic.bytes_loaded as f64 / (profile.mem_bandwidth_gbps * 1e9) * 1e3
-}
-
 /// The modelled speedup of the B2SR BMV over the CSR SpMV baseline on one
 /// device — the analytic counterpart of one point of Figures 6/7.
 pub fn speedup_estimate(csr: &Csr, layout: &B2srLayout, profile: &DeviceProfile) -> f64 {
@@ -118,10 +112,6 @@ mod tests {
             assert!(base.total_time_ms > 0.0);
             assert!(bit.total_time_ms > 0.0);
             assert!(base.total_time_ms >= base.memory_time_ms.max(base.compute_time_ms) - 1e-12);
-            assert_eq!(
-                estimate_time_ms(&base.traffic, &profile),
-                base.memory_time_ms
-            );
         }
     }
 

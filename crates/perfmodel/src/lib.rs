@@ -18,7 +18,9 @@
 //!   small cache simulator to estimate L1 hit rates;
 //! * [`estimate`] — bandwidth-bound time estimates derived from the traffic,
 //!   used to reproduce the architecture-dependent observations (Volta's
-//!   higher bandwidth helping the float baseline more than the bit kernels).
+//!   higher bandwidth helping the float baseline more than the bit kernels);
+//! * [`b2sr`] — the paper's storage census (Table I, Figures 3 and 5) and
+//!   its sampling profile (Algorithm 1), counted from the tile layout.
 //!
 //! The B2SR-side entry points take a [`B2srLayout`] — the upper-level tile
 //! structure, computable from a CSR matrix *without* converting it — so the
@@ -30,13 +32,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod b2sr;
 pub mod cache;
 pub mod device;
 pub mod estimate;
 pub mod traffic;
 
 pub use device::{pascal_gtx1080, volta_titanv, DeviceProfile};
-pub use estimate::{
-    estimate_b2sr_bmv, estimate_csr_spmv, estimate_time_ms, speedup_estimate, KernelEstimate,
-};
+pub use estimate::{estimate_b2sr_bmv, estimate_csr_spmv, speedup_estimate, KernelEstimate};
 pub use traffic::{b2sr_bmv_traffic, compare_traffic, csr_spmv_traffic, B2srLayout, MemoryTraffic};

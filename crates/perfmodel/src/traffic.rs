@@ -18,8 +18,7 @@
 //! order) without the packed bits.  The layout is everything the traffic
 //! model needs, it can be computed straight from a CSR matrix *without*
 //! performing the conversion, and it keeps this crate independent of
-//! `bitgblas-core` so the core's automatic format selection can call into
-//! the model.
+//! `bitgblas-core`.
 
 use bitgblas_sparse::Csr;
 
@@ -40,23 +39,6 @@ pub struct B2srLayout {
 }
 
 impl B2srLayout {
-    /// Assemble a layout from raw parts: an already-converted matrix's
-    /// dimensions and tile columns.
-    pub fn from_parts(
-        nrows: usize,
-        ncols: usize,
-        tile_dim: usize,
-        tile_colind: Vec<usize>,
-    ) -> Self {
-        assert!(tile_dim > 0, "tile_dim must be positive");
-        B2srLayout {
-            nrows,
-            ncols,
-            tile_dim,
-            tile_colind,
-        }
-    }
-
     /// Compute the layout a CSR→B2SR conversion with `tile_dim` tiles would
     /// produce, without converting: one pass over the nonzeros per tile-row.
     pub fn from_csr(csr: &Csr, tile_dim: usize) -> Self {
@@ -112,10 +94,9 @@ impl B2srLayout {
         &self.tile_colind
     }
 
-    /// Bytes of one packed tile row (the Table-I packing word: `u8` up to
-    /// 8-wide tiles, `u16` up to 16, `u32` up to 32, wider as needed).
+    /// Bytes of one packed tile row.
     pub fn bytes_per_tile_row(&self) -> usize {
-        (self.tile_dim.next_power_of_two().max(8) / 8).max(1)
+        packing_word_bytes(self.tile_dim)
     }
 
     /// Bytes of one whole packed tile.
@@ -128,6 +109,12 @@ impl B2srLayout {
     pub fn storage_bytes(&self) -> usize {
         4 * (self.n_tile_rows() + 1 + self.n_tiles()) + self.bytes_per_tile() * self.n_tiles()
     }
+}
+
+/// Bytes of the packing word of one `tile_dim`-wide tile row (Table I: `u8`
+/// up to 8-wide tiles, `u16` up to 16, `u32` up to 32, wider as needed).
+pub(crate) fn packing_word_bytes(tile_dim: usize) -> usize {
+    tile_dim.next_power_of_two().max(8) / 8
 }
 
 /// Aggregate memory traffic of one kernel invocation.

@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --release --example format_selection`
 
-use bit_graphblas::core::b2sr::{sample_profile, stats, TileSize};
 use bit_graphblas::core::grb::{auto_decision, Context};
 use bit_graphblas::datagen::{classify, corpus, generators};
+use bit_graphblas::perfmodel::b2sr::{sample_profile, stats, TILE_DIMS};
 
 fn main() {
     let matrices: Vec<(&str, bit_graphblas::sparse::Csr)> = vec![
@@ -52,11 +52,11 @@ fn main() {
 
         // Algorithm 1: sample 256 rows and estimate the compression per tile size.
         let profile = sample_profile(csr, 256, 0xB17);
-        let recommended = profile.recommended_tile_size();
+        let recommended = profile.recommended_tile_dim();
 
         // Exact statistics for comparison.
-        let actual_best = stats::optimal_tile_size(csr);
-        let actual_ratio = stats::stats_for(csr, actual_best).compression_ratio;
+        let census = stats::stats_all_sizes(csr);
+        let actual = stats::optimal(&census).unwrap();
 
         // The decision Backend::Auto makes instead: the tiles counted at
         // each width, widest first, and the first width whose tiles fill.
@@ -67,9 +67,9 @@ fn main() {
             name,
             category.to_string(),
             csr.nnz(),
-            recommended.to_string(),
-            actual_best.to_string(),
-            actual_ratio * 100.0,
+            format!("B2SR-{recommended}"),
+            format!("B2SR-{}", actual.tile_dim),
+            actual.compression_ratio * 100.0,
             if profile.worth_converting() {
                 "yes"
             } else {
@@ -89,11 +89,11 @@ fn main() {
         "\nmycielskian12 storage breakdown (paper §III-C reports the same non-monotone shape):"
     );
     println!("  CSR      {:>10} bytes", myc.storage_bytes());
-    for ts in TileSize::ALL {
-        let s = stats::stats_for(&myc, ts);
+    for dim in TILE_DIMS {
+        let s = stats::stats_for(&myc, dim);
         println!(
             "  {:8} {:>10} bytes  ({:.1}% of CSR)",
-            ts.to_string(),
+            format!("B2SR-{dim}"),
             s.b2sr_bytes,
             s.compression_ratio * 100.0
         );

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use bit_graphblas::core::b2sr::stats;
 use bit_graphblas::datagen::generators;
+use bit_graphblas::perfmodel::b2sr::stats;
 use bit_graphblas::prelude::*;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     for s in stats::stats_all_sizes(&adjacency) {
         println!(
             "  {:8}  {:9} bytes   compression ratio {:5.1}%   non-empty tiles {:5.1}%   occupancy {:4.1}%",
-            s.tile_size.to_string(),
+            format!("B2SR-{}", s.tile_dim),
             s.b2sr_bytes,
             s.compression_ratio * 100.0,
             s.nonempty_tile_ratio * 100.0,

@@ -10,8 +10,8 @@
 //! operations.  This workspace reimplements the whole system on the CPU —
 //! one packing word per tile row, Rayon tasks where the GPU schedules warps —
 //! so the bit-level algorithms can be studied, tested and benchmarked
-//! without a GPU — see `DESIGN.md` for the substitution table and
-//! `EXPERIMENTS.md` for the reproduced tables and figures.
+//! without a GPU — see `DESIGN.md` for the substitution table and the
+//! binaries table of `bitgblas-bench` for the reproduced tables and figures.
 //!
 //! This facade crate re-exports the public API of the workspace crates:
 //!
@@ -20,7 +20,7 @@
 //! | [`bitops`] | `bitgblas-bitops` | packing words (`BitWord`), tile packing and bit intrinsics |
 //! | [`sparse`] | `bitgblas-sparse` | COO/CSR, Matrix Market I/O, float baseline kernels |
 //! | [`datagen`] | `bitgblas-datagen` | synthetic corpus generators and pattern classifier |
-//! | [`perfmodel`] | `bitgblas-perfmodel` | Pascal/Volta device profiles and the memory-traffic model |
+//! | [`perfmodel`] | `bitgblas-perfmodel` | Pascal/Volta device profiles, the memory-traffic model, the storage census and Algorithm 1's sampling profile |
 //! | [`core`] | `bitgblas-core` | B2SR, BMV/BMM kernels, semirings, GrB-style API, streaming edge-delta mutations |
 //! | [`algorithms`] | `bitgblas-algorithms` | BFS, SSSP, PageRank, PPR, CC, TC on both backends |
 //! | [`serve`] | `bitgblas-serve` | query service: lane-coalescing scheduler over the batched engine, coalesced writer path |
@@ -46,8 +46,9 @@
 //! // B2SR compresses the matrix relative to float CSR.
 //! assert!(graph.storage_bytes() < baseline.storage_bytes());
 //!
-//! // Or let the framework decide the format and tile size per matrix
-//! // (pattern classifier + sampling profile + memory-traffic model):
+//! // Or let the framework decide the tile size per matrix: the widest
+//! // width whose counted tiles fill, tried from B2SR-32 down (B2SR-8
+//! // without tiles where none does):
 //! let auto = Matrix::from_csr(&adjacency, Backend::Auto);
 //! assert_ne!(auto.resolved_backend(), Backend::Auto);
 //! assert_eq!(bfs(&auto, 0).levels, result.levels);

@@ -3,8 +3,8 @@
 //! check the answers against the reference implementations.
 
 use bit_graphblas::algorithms::{self, reference, PageRankConfig};
-use bit_graphblas::core::b2sr::{sample_profile, stats};
 use bit_graphblas::datagen::{classify, corpus, generators, PatternCategory};
+use bit_graphblas::perfmodel::b2sr::{sample_profile, stats, TILE_DIMS};
 use bit_graphblas::prelude::*;
 
 fn all_backends() -> Vec<Backend> {
@@ -133,15 +133,36 @@ fn b2sr_roundtrip_preserves_every_corpus_matrix() {
 
 #[test]
 fn compression_statistics_are_consistent_with_conversion() {
+    assert_eq!(TILE_DIMS, TileSize::ALL.map(TileSize::dim));
     let adj = generators::banded(1024, 4, 0.8, 9);
-    for ts in TileSize::ALL {
-        let s = stats::stats_for(&adj, ts);
-        let b = B2srMatrix::from_csr(&adj, ts);
-        assert_eq!(s.n_tiles, b.n_tiles());
-        assert_eq!(s.b2sr_bytes, b.storage_bytes());
+    // 6 × 11 with a stored 0.0 at (5, 9): alone in its tile at B2SR-4 and
+    // -8, beside a 1.0 at -16 and -32.  It discovers its tile but sets no bit.
+    let explicit_zero = Csr::from_raw(
+        6,
+        11,
+        vec![0, 1, 1, 1, 1, 1, 3],
+        vec![0, 9, 10],
+        vec![1.0, 0.0, 1.0],
+    )
+    .unwrap();
+    for csr in [&adj, &explicit_zero] {
+        for ts in TileSize::ALL {
+            let dim = ts.dim();
+            let s = stats::stats_for(csr, dim);
+            let b = B2srMatrix::from_csr(csr, ts);
+            assert_eq!(s.n_tiles, b.n_tiles(), "{ts}");
+            assert_eq!(
+                s.n_tile_slots,
+                csr.nrows().div_ceil(dim) * csr.ncols().div_ceil(dim)
+            );
+            assert_eq!(s.b2sr_bytes, b.storage_bytes(), "{ts}");
+            let occupancy = b.nnz() as f64 / (b.n_tiles() * dim * dim) as f64;
+            assert_eq!(s.nonzero_occupancy.to_bits(), occupancy.to_bits(), "{ts}");
+        }
     }
     // The paper's headline: banded matrices compress well under B2SR.
-    assert!(stats::stats_for(&adj, stats::optimal_tile_size(&adj)).compression_ratio < 0.7);
+    let census = stats::stats_all_sizes(&adj);
+    assert!(stats::optimal(&census).unwrap().compression_ratio < 0.7);
 }
 
 #[test]
@@ -155,11 +176,11 @@ fn sampling_profile_recommendation_actually_compresses() {
             profile.worth_converting(),
             "{name} should be worth converting"
         );
-        let rec = profile.recommended_tile_size();
+        let rec = profile.recommended_tile_dim();
         let actual = stats::stats_for(&adj, rec);
         assert!(
             actual.compression_ratio < 1.0,
-            "{name}: recommended {rec} does not compress"
+            "{name}: recommended B2SR-{rec} does not compress"
         );
     }
 }
