@@ -7,7 +7,8 @@
 //! one round to the next ([`NodeBits`], [`Op::vxm_bits`]), and the mask is a
 //! bitwise AND-NOT right before the output store.  The rounds run on the
 //! format whose fill wins (Table V): a matrix that holds tiles sweeps them
-//! (`bmv_bin_bin_bin_masked_into()`) and scatters tile words, one too
+//! (`bmv_bin_bin_bin_masked_into()`) and scatters each frontier tile's
+//! rows straight into node words (`tile_bits_push()`), one too
 //! sparse to hold any (`MIN_TILE_FILL`) pulls from its CSR
 //! (`csr_bits_pull()`) and scatters CSR node words serially
 //! (`csr_bits_push()`).  The paper's GPU kernel walks every tile
@@ -1011,6 +1012,73 @@ mod tests {
             assert_eq!(run(&m), Ok(19), "{point}");
             assert_eq!(m.context().stats().converted_elems, 0);
         }
+    }
+
+    /// Forced-push `bfs_dir` from one vertex writes what its frontiers
+    /// touch (`ExecCounts::push_words`): on `banded(512, 16)` and
+    /// `grid2d(32, 32)` at every width, its rounds write at most, summed,
+    /// each round's output words plus the tiles of that round's frontier
+    /// tile-rows — or its frontier's edges at a width whose tiles do not
+    /// fill (the grid at B2SR-4) — where round `i`'s frontier is level `i`.
+    /// `grb::backend`'s `a_node_word_push_writes_what_its_frontier_touches`
+    /// checks each push alone, on twins with tiles and without.
+    #[test]
+    fn forced_push_bfs_writes_what_its_frontiers_touch() {
+        let graphs = [
+            generators::banded(512, 16, 1.0, 5),
+            generators::grid2d(32, 32),
+        ];
+        let mut seen = Vec::new();
+        for adj in &graphs {
+            let n = adj.nrows();
+            for ts in TileSize::ALL {
+                let dim = ts.dim();
+                let m = Matrix::from_csr(adj, Backend::Bit(ts));
+                let tiled = m.b2sr().is_some();
+                seen.push(tiled);
+                let before = m.context().stats();
+                let r = bfs_dir(&m, n / 3, Direction::Push);
+                let after = m.context().stats();
+                assert_eq!(r.n_reached, n, "{ts:?}");
+                // What a push from `frontier` touches: the tiles of its
+                // tile-rows (counted off the CSR), or its edges.
+                let touched = |frontier: &[usize]| -> usize {
+                    if !tiled {
+                        return frontier.iter().map(|&u| adj.row(u).0.len()).sum();
+                    }
+                    let mut rows: Vec<usize> = frontier.iter().map(|&u| u / dim).collect();
+                    rows.dedup();
+                    let mut tiles: Vec<(usize, usize)> = rows
+                        .iter()
+                        .flat_map(|&tr| (tr * dim..((tr + 1) * dim).min(n)).map(move |u| (tr, u)))
+                        .flat_map(|(tr, u)| adj.row(u).0.iter().map(move |&c| (tr, c / dim)))
+                        .collect();
+                    tiles.sort_unstable();
+                    tiles.dedup();
+                    tiles.len()
+                };
+                let bound: usize = (0..r.iterations as i64)
+                    .map(|level| {
+                        let frontier: Vec<usize> =
+                            (0..n).filter(|&v| r.levels[v] == level).collect();
+                        n.div_ceil(64) + touched(&frontier)
+                    })
+                    .sum();
+                let what = format!("{ts:?} n={n} tiled={tiled}");
+                let words = (after.push_words - before.push_words) as usize;
+                assert_eq!(
+                    after.push_mxv - before.push_mxv,
+                    r.iterations as u64,
+                    "{what}"
+                );
+                assert!(words >= r.iterations * n.div_ceil(64), "{what}: {words}");
+                assert!(
+                    words <= bound,
+                    "{what}: {words} words written, bound {bound}"
+                );
+            }
+        }
+        assert!(seen.contains(&true) && seen.contains(&false), "{seen:?}");
     }
 
     #[test]

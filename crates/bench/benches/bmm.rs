@@ -399,13 +399,15 @@ fn bmm_lane_word_benches(c: &mut Criterion) {
 /// `Direction::Auto` and forced pull — ids `{graph}/{alg}/{push|auto|pull}`.
 /// The SSSP rows show what Auto's full-precision rule leaves on the table
 /// against either forced direction.  Every push is one serial scatter: the
-/// node words of `bfs_dir` on the mesh's tiles, everything else from the
-/// CSR (R-MAT holds no tiles at B2SR-8).  Unpinned, ≈ 40 s;
+/// node words of `bfs_dir` on the mesh's tiles (each frontier tile ORed
+/// straight into the node words, `tile_bits_push`), everything else from
+/// the CSR (R-MAT holds no tiles at B2SR-8).  Unpinned, ≈ 40 s;
 /// `cargo bench -p bitgblas-bench --bench bmm -- push_dir/mesh` runs the
 /// mesh half.  With ten 1-second samples the group cannot resolve ±20 %
-/// on the mesh: four pinned runs of one build read its `bfs_dir` 0.109 to
-/// 0.154 ms and `bfs_multi_dir` 5.3 to 8.7 ms, so compare arms of one run,
-/// and read a whole-workload change off the repo benchmark.
+/// on the mesh: pinned runs of one build read its `bfs_dir` 0.063 to
+/// 0.074 ms (three runs) and `bfs_multi_dir` 5.3 to 8.7 ms (four), so
+/// compare arms of one run, and read a whole-workload change off the repo
+/// benchmark.
 fn push_dir_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("push_dir");
     group

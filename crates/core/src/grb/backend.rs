@@ -31,13 +31,17 @@
 //! # Serial push execution
 //!
 //! Every push runs its serial kernel once over the whole ascending frontier:
-//! the node-word scatter of a tiled matrix over its tiles
-//! ([`bmv_push_bin_bin`]), the node-word scatter of a matrix without tiles
+//! the node-word scatter of a tiled matrix over its tiles, each tile's OR
+//! shifted straight into the node word of its tile-column
+//! ([`tile_bits_push`]), the node-word scatter of a matrix without tiles
 //! ([`csr_bits_push`]), every lane-word scatter ([`csr_lanes_push`]) and
 //! every full-precision push — any `f32` semiring, one lane or a batch, and
 //! the float baseline's `f32` Boolean push — through [`csr_push_full`].  The
 //! fold order is the frontier's, so a push's result never depends on the
-//! host's thread count.  A row-shard scatter of the tile words, privatized
+//! host's thread count.  Either node-word scatter writes the output's zeroed
+//! words and one word per tile (or edge) its frontier touches, no more
+//! ([`ExecCounts::push_words`](super::ExecCounts)).  A row-shard scatter of
+//! the tile words, privatized
 //! per segment and ORed in order, measured 1.38–1.97× slower at two threads
 //! than this serial one on the mesh, and went.
 
@@ -52,9 +56,9 @@ use crate::b2sr::{B2sr, B2srMatrix, TileSize};
 use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
-    bmm_bin_bin_sum_masked_nt, bmv_bin_bin_bin_masked_into, bmv_push_bin_bin, csr_bits_pull,
-    csr_bits_push, csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full,
-    csr_words_masked_count, RowWords,
+    bmm_bin_bin_sum_masked_nt, bmv_bin_bin_bin_masked_into, csr_bits_pull, csr_bits_push,
+    csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full, csr_words_masked_count,
+    tile_bits_push, RowWords,
 };
 use crate::semiring::{with_semiring_ops, BinaryOp, Semiring};
 
@@ -730,9 +734,13 @@ impl BitB2sr {
     /// way ([`Op::vxm_bits`](super::Op::vxm_bits)); the `f32` Boolean arm of
     /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
     /// a pack and an expand.  The one product tiles serve beside the masked
-    /// reduction: a tiled matrix sweeps them ([`bits_pull`]) or scatters
-    /// them ([`bits_push`]); one without runs [`csr_bits_pull`] or
-    /// [`csr_bits_push`] on its CSR.
+    /// reduction: a tiled matrix sweeps them ([`bits_pull`]) or ORs each
+    /// frontier tile straight into the output's node words
+    /// ([`tile_bits_push`]: no tile-word buffer, no re-layout); one without
+    /// runs [`csr_bits_pull`] or [`csr_bits_push`] on its CSR.  A push
+    /// counts the words it wrote ([`ExecCounts::push_words`](super::ExecCounts)):
+    /// the `yw` it zeroed plus the kernel's ORs, so beyond sizing `yw` it
+    /// costs what its frontier touches.
     pub(crate) fn bits_product(
         &self,
         xw: &[u64],
@@ -744,14 +752,15 @@ impl BitB2sr {
     ) {
         // A push scatters the rows of the orientation its pull would not sweep.
         match (frontier, self.tile_rep(transpose != frontier.is_some())) {
-            (Some(frontier), Some(tiles)) => {
-                with_b2sr!(tiles, |m| bits_push(m, frontier, excluded, ws, yw))
-            }
-            (Some(frontier), None) => {
-                let csr = self.csr_rep(!transpose);
-                or_into(yw, csr.ncols().div_ceil(64), excluded, |y| {
-                    csr_bits_push(csr, frontier, y)
-                })
+            (Some(frontier), tiles) => {
+                // Into the output's node words, zeroed here: each frontier
+                // tile ORs its selected rows straight in, or each edge does.
+                let words = self.produced(transpose).div_ceil(64);
+                let ored = or_into(yw, words, excluded, |y| match tiles {
+                    Some(tiles) => with_b2sr!(tiles, |m| tile_bits_push(m, frontier, y)),
+                    None => csr_bits_push(self.csr_rep(!transpose), frontier, y),
+                });
+                ws.stats().record_push_words(words + ored);
             }
             (None, Some(tiles)) => {
                 with_b2sr!(tiles, |m| bits_pull(m, xw, excluded, ws, yw))
@@ -855,19 +864,21 @@ impl BitB2sr {
 }
 
 /// A Boolean word push into `yw`: sized to `words` zeros, ORed into by
-/// `scatter`, and finished with the AND-NOT of `excluded`.
-fn or_into(
+/// `scatter`, and finished with the AND-NOT of `excluded`.  Returns what
+/// `scatter` returns.
+fn or_into<R>(
     yw: &mut Vec<u64>,
     words: usize,
     excluded: Option<&[u64]>,
-    scatter: impl FnOnce(&mut [u64]),
-) {
+    scatter: impl FnOnce(&mut [u64]) -> R,
+) -> R {
     yw.clear();
     yw.resize(words, 0);
-    scatter(yw);
+    let r = scatter(yw);
     if let Some(excluded) = excluded {
         simd::andnot_into(yw, excluded);
     }
+    r
 }
 
 /// Evaluate `$body` with `$allow: Fn(usize) -> bool` bound to the flat
@@ -946,26 +957,6 @@ fn bits_pull<W: BitWord + Poolable>(
     if let Some(mp) = mp {
         ws.give(mp);
     }
-}
-
-/// The single-vector Boolean push scatter in node words over the rows of one
-/// B2SR width (`m` is the scatter representation), finished with the AND-NOT
-/// of `excluded` — the push half of [`bits_pull`]'s contract.  One OR covers
-/// `tile_dim` outputs.  `yw` receives the node words of `ncols` entries.
-fn bits_push<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    frontier: &[usize],
-    excluded: Option<&[u64]>,
-    ws: &Workspace,
-    yw: &mut Vec<u64>,
-) {
-    let mut tiles: Vec<W> = ws.take(m.n_tile_cols(), W::ZERO);
-    bmv_push_bin_bin(m, frontier, &mut tiles);
-    join_tile_words(&tiles, m.tile_dim(), m.ncols(), yw);
-    if let Some(excluded) = excluded {
-        simd::andnot_into(yw, excluded);
-    }
-    ws.give(tiles);
 }
 
 /// The row pull of a single-vector pipeline over `csr`, bare or fused alike
@@ -1085,6 +1076,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::b2sr::convert::from_csr;
     use crate::grb::{Context, Direction, Matrix, Op, Vector};
+    use crate::kernels::bmv_push_bin_bin;
     use crate::semiring::BinaryOp;
     use bitgblas_sparse::Coo;
     use std::sync::Arc;
@@ -1915,28 +1907,157 @@ pub(crate) mod tests {
         }
     }
 
-    /// The node-word push's tile scatter on a rectangular matrix ORs the
-    /// same bits as the CSR node-word push of a matrix without tiles, both
-    /// run once over the whole frontier — thin and fat — and [`bits_push`]
-    /// joins them into those node words.
+    /// The node-word push's tile scatter ([`tile_bits_push`], under
+    /// [`BitB2sr::bits_product`]) ORs the same node words as the CSR
+    /// node-word push of a matrix without tiles and as the tile-word scatter
+    /// ([`bmv_push_bin_bin`]) joined into node words, `==` on words, at
+    /// every width: on a rectangular matrix whose 283 columns are a multiple
+    /// of neither 64 nor the tile width (the last tile is ragged), from an
+    /// empty, a one-node, a spread, a last-tile-row-only and a fat frontier,
+    /// bare and with an `excluded` set.  B2SR-4 keeps its tile words in the
+    /// low half of a `u8`: no spare high bit is ever set, so none can be
+    /// shifted into the next tile's columns.
     #[test]
     fn tile_node_word_push_equals_the_csr_push() {
-        let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
-        let (n, ncols) = (a.nrows(), a.ncols());
-        let b = from_csr::<u8>(&a, 8);
-        let fat: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
-        for frontier in [vec![7], vec![0, 150, 299], fat] {
-            let mut tile_words = vec![0u8; b.n_tile_cols()];
-            bmv_push_bin_bin(&b, &frontier, &mut tile_words);
-            let mut node_words = vec![0u64; ncols.div_ceil(64)];
-            csr_bits_push(&a, &frontier, &mut node_words);
-            let mut joined = Vec::new();
-            join_tile_words(&tile_words, 8, ncols, &mut joined);
-            assert_eq!(node_words, joined, "the tile scatter's bits");
+        use crate::grb::NodeBits;
 
-            let mut yw = Vec::new();
-            bits_push(&b, &frontier, None, &Workspace::new(), &mut yw);
-            assert_eq!(yw, node_words, "bits_push over {} nodes", frontier.len());
+        let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
+        let n = a.nrows();
+        let excluded: Vec<u64> = (0..a.ncols().div_ceil(64))
+            .map(|w| 0x9249_2492_4924_9249u64.rotate_left(w as u32))
+            .collect();
+        let fat: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        let frontiers = [vec![], vec![7], vec![0, 150, 299], vec![289, 293, 299], fat];
+        fn check<W: BitWord>(a: &Csr, ts: TileSize, frontiers: &[Vec<usize>], excluded: &[u64]) {
+            let (ncols, dim) = (a.ncols(), ts.dim());
+            let b = from_csr::<W>(a, dim);
+            assert!(
+                !ncols.is_multiple_of(dim),
+                "precondition: a ragged last tile"
+            );
+            let spare = (0..b.n_tiles()).flat_map(|idx| b.tile_words(idx));
+            assert!(spare.clone().all(|w| w.to_u64() >> dim == 0), "dim {dim}");
+            let (tiled, ws) = (twin(a, ts, true), Workspace::new());
+            for frontier in frontiers {
+                let what = format!("dim {dim}, {} frontier nodes", frontier.len());
+                let mut node_words = vec![0u64; ncols.div_ceil(64)];
+                let edges = csr_bits_push(a, frontier, &mut node_words);
+                assert_eq!(
+                    edges,
+                    frontier.iter().map(|&u| a.row(u).0.len()).sum(),
+                    "{what}"
+                );
+                let mut direct = vec![0u64; ncols.div_ceil(64)];
+                let ored = tile_bits_push(&b, frontier, &mut direct);
+                assert_eq!(direct, node_words, "{what}: tile_bits_push");
+                let mut rows: Vec<usize> = frontier.iter().map(|&u| u / dim).collect();
+                rows.dedup();
+                let tiles: usize = rows.iter().map(|&tr| b.tile_row_range(tr).len()).sum();
+                assert_eq!(
+                    ored, tiles,
+                    "{what}: one OR per tile of the frontier's tile-rows"
+                );
+
+                let mut tile_words = vec![W::ZERO; b.n_tile_cols()];
+                bmv_push_bin_bin(&b, frontier, &mut tile_words);
+                let mut joined = Vec::new();
+                join_tile_words(&tile_words, dim, ncols, &mut joined);
+                assert_eq!(joined, node_words, "{what}: the tile-word scatter");
+
+                let xw = NodeBits::from_indices(a.nrows(), frontier);
+                let mut yw = vec![u64::MAX; 3];
+                let before = ws.stats().snapshot().push_words;
+                tiled.bits_product(xw.as_words(), Some(frontier), None, true, &ws, &mut yw);
+                let words = ws.stats().snapshot().push_words - before;
+                assert_eq!(yw, node_words, "{what}: bits_product");
+                assert_eq!(
+                    words as usize,
+                    node_words.len() + ored,
+                    "{what}: words written"
+                );
+                let sup = Some(excluded);
+                tiled.bits_product(xw.as_words(), Some(frontier), sup, true, &ws, &mut yw);
+                let want: Vec<u64> = node_words
+                    .iter()
+                    .zip(excluded)
+                    .map(|(y, e)| y & !e)
+                    .collect();
+                assert_eq!(yw, want, "{what}: bits_product AND-NOT excluded");
+            }
+        }
+        check::<u8>(&a, TileSize::S4, &frontiers, &excluded);
+        check::<u8>(&a, TileSize::S8, &frontiers, &excluded);
+        check::<u16>(&a, TileSize::S16, &frontiers, &excluded);
+        check::<u32>(&a, TileSize::S32, &frontiers, &excluded);
+    }
+
+    /// A node-word push writes what its frontier touches
+    /// ([`ExecCounts::push_words`](crate::grb::ExecCounts)): every round of
+    /// a forced-push BFS from one vertex — `next = frontier · A & !visited`,
+    /// the product `bfs` runs — on `banded(512, 16)` and `grid2d(32, 32)` at
+    /// every width writes at most the output's node words plus one word per
+    /// tile of the frontier's tile-rows on the tiled twin, or per frontier
+    /// edge on the twin without tiles, and the two twins reach alike.  A
+    /// push that re-laid its output out through a zeroed tile-word buffer
+    /// would write `ncols / dim` words more every round.
+    #[test]
+    fn a_node_word_push_writes_what_its_frontier_touches() {
+        use crate::grb::NodeBits;
+        use bitgblas_datagen::generators;
+
+        for csr in [banded(512, 16), generators::grid2d(32, 32)] {
+            let n = csr.nrows();
+            let source = n / 3;
+            for ts in TileSize::ALL {
+                let tiles = B2srMatrix::from_csr(&csr, ts);
+                let tiles_touched = |frontier: &[usize]| -> usize {
+                    with_b2sr!(&tiles, |m| {
+                        let mut rows: Vec<usize> =
+                            frontier.iter().map(|&u| u / m.tile_dim()).collect();
+                        rows.dedup();
+                        rows.iter().map(|&tr| m.tile_row_range(tr).len()).sum()
+                    })
+                };
+                let edges_touched = |frontier: &[usize]| -> usize {
+                    frontier.iter().map(|&u| csr.row(u).0.len()).sum()
+                };
+                let twins = [true, false].map(|tiled| (tiled, twin(&csr, ts, tiled)));
+                let ws = Workspace::new();
+                let mut visited = NodeBits::from_indices(n, &[source]);
+                let mut frontier = vec![source];
+                let mut rounds = 0;
+                while !frontier.is_empty() {
+                    let xw = NodeBits::from_indices(n, &frontier);
+                    let mut reached = Vec::new();
+                    for (tiled, b) in &twins {
+                        let what = format!("{ts:?} tiled={tiled} n={n} round {rounds}");
+                        assert_eq!(b.b2sr().is_some(), *tiled, "{what}");
+                        let before = ws.stats().snapshot().push_words;
+                        let mut yw = Vec::new();
+                        let (front, sup) = (Some(&frontier[..]), Some(visited.as_words()));
+                        b.bits_product(xw.as_words(), front, sup, true, &ws, &mut yw);
+                        let words = (ws.stats().snapshot().push_words - before) as usize;
+                        let touched = if *tiled {
+                            tiles_touched(&frontier)
+                        } else {
+                            edges_touched(&frontier)
+                        };
+                        assert!(words >= n.div_ceil(64), "{what}: {words} words counted");
+                        assert!(
+                            words <= n.div_ceil(64) + touched,
+                            "{what}: {words} words written for {touched} touched"
+                        );
+                        reached.push(yw);
+                    }
+                    assert_eq!(reached[0], reached[1], "{ts:?} round {rounds}");
+                    let next = NodeBits::from_words(reached.swap_remove(0), n);
+                    visited.or_assign(&next);
+                    frontier = next.ones().collect();
+                    rounds += 1;
+                }
+                assert_eq!(visited.count_ones(), n, "{ts:?}: the graph is connected");
+                assert!(rounds > 8, "{ts:?}: {rounds} rounds");
+            }
         }
     }
 }

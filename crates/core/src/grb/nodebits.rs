@@ -18,9 +18,11 @@
 //! # Layout
 //!
 //! `n.div_ceil(64)` `u64` words, bit `i % 64` of word `i / 64` is vertex `i`
-//! — independent of the matrix's tile width, like `LaneBits`.  A bit backend
-//! re-lays the words out into its own tile words per product
-//! (`split_into_tile_words` / `join_tile_words`: `n / 8` bytes each way).
+//! — independent of the matrix's tile width, like `LaneBits`.  A tiled
+//! matrix's pull re-lays the words out into its own tile words per product
+//! (`split_into_tile_words` / `join_tile_words`: `n / 8` bytes each way);
+//! its push ORs each tile straight into these words, `dim` bits at a time
+//! (`kernels::tile_bits_push`), and re-lays nothing.
 //! Bits past vertex `n - 1` in the last word are never set.
 
 use bitgblas_bitops::BitWord;

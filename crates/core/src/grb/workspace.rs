@@ -249,6 +249,7 @@ pub struct ExecStats {
     push_frontier_nodes: AtomicU64,
     push_frontier_entries: AtomicU64,
     push_frontier_edges: AtomicU64,
+    push_words: AtomicU64,
     converted_elems: AtomicU64,
     refolded_positions: AtomicU64,
     fused_mxv: AtomicU64,
@@ -282,6 +283,11 @@ impl ExecStats {
             .fetch_add(size.entries as u64, Ordering::Relaxed);
         self.push_frontier_edges
             .fetch_add(size.edges as u64, Ordering::Relaxed);
+    }
+    /// One node-word push wrote `words` output words (zeroed or OR-ed
+    /// into) — added once per op.
+    pub(crate) fn record_push_words(&self, words: usize) {
+        self.push_words.fetch_add(words as u64, Ordering::Relaxed);
     }
     /// One Boolean product on a bit backend packed or expanded `elems`
     /// `f32` / `bool` elements at its boundary — added once per op.
@@ -327,6 +333,7 @@ impl ExecStats {
             push_frontier_nodes: self.push_frontier_nodes.load(Ordering::Relaxed),
             push_frontier_entries: self.push_frontier_entries.load(Ordering::Relaxed),
             push_frontier_edges: self.push_frontier_edges.load(Ordering::Relaxed),
+            push_words: self.push_words.load(Ordering::Relaxed),
             converted_elems: self.converted_elems.load(Ordering::Relaxed),
             refolded_positions: self.refolded_positions.load(Ordering::Relaxed),
             sharded_push: 0,
@@ -375,6 +382,16 @@ pub struct ExecCounts {
     /// adds exactly `Σ deg(v)` over the reached `v`, `sssp_multi` that sum
     /// over the reached `(v, lane)`.
     pub push_frontier_edges: u64,
+    /// Output words a single-vector Boolean push in node words wrote,
+    /// summed over those pushes ([`Op::vxm_bits`](super::Op::vxm_bits),
+    /// the `f32` Boolean `mxv` / `vxm` of a bit backend): `ncols / 64`
+    /// rounded up zeroed, plus one OR per tile of the frontier's tile-rows
+    /// on a tiled matrix or one per frontier edge on one without tiles.  No
+    /// word outside what the frontier touches is counted, so forced-push
+    /// `bfs` adds per round at most the output's word count plus those
+    /// tiles (or edges).  Built base only; an overlay's re-fold is
+    /// `refolded_positions`.
+    pub push_words: u64,
     /// `f32` / `bool` elements packed to, or expanded from, bits at an op
     /// boundary of a bit backend's Boolean products (operand pack, mask
     /// staging, output expand): the exact cost of *not* keeping a Boolean

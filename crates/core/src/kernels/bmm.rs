@@ -837,20 +837,24 @@ pub fn csr_bits_pull(csr: &Csr, xw: &[u64], sup: Option<&[u64]>, yw: &mut [u64])
 /// of a CSR matrix, in node words: every out-neighbour of the ascending
 /// frontier rows is OR-ed into `yw` (`ncols / 64` words rounded up, zeroed
 /// by the caller).  Serial and allocation-free; the GrB layer runs it once
-/// over the whole frontier.
+/// over the whole frontier.  Returns the edges it OR-ed into `yw`.
 ///
 /// # Panics
 /// Panics if `yw` holds too few words.
-pub fn csr_bits_push(csr: &Csr, frontier: &[usize], yw: &mut [u64]) {
+pub fn csr_bits_push(csr: &Csr, frontier: &[usize], yw: &mut [u64]) -> usize {
     assert!(
         yw.len() >= csr.ncols().div_ceil(64),
         "output has too few node words"
     );
+    let mut ored = 0;
     for &u in frontier {
-        for &c in csr.row(u).0 {
+        let cols = csr.row(u).0;
+        ored += cols.len();
+        for &c in cols {
             yw[c / 64] |= 1 << (c % 64);
         }
     }
+    ored
 }
 
 /// `csr_lanes_pull()`: pull-direction Boolean matrix × multivector over the

@@ -28,11 +28,15 @@
 //!   unvisited ones low-degree).  The mask is still applied at the store, as
 //!   the paper's scheme has it; the paper's kernel does not exit early only
 //!   because a GPU warp would diverge, and a CPU tile-row loop has no warp.
-//! * **push** (`bmv_push_bin_bin`) — the Boolean sparse-frontier scatter:
-//!   only the tiles of the frontier's tile-rows are visited and their row
-//!   words OR-ed into the output, so the cost is proportional to the
-//!   frontier's edge count.  Serial and allocation-free; the GrB layer runs
-//!   it once over the whole frontier.  The full-precision push is
+//! * **push** — the Boolean sparse-frontier scatter: only the tiles of the
+//!   frontier's tile-rows are visited and their selected row words OR-ed
+//!   together, so the cost is the frontier's tiles.  One body, two stores:
+//!   `tile_bits_push` ORs each tile's result straight into the node word
+//!   holding its tile-column (shifted by `tc % (64 / dim) · dim`), what the
+//!   GrB layer runs, with no tile-word buffer and no re-layout;
+//!   `bmv_push_bin_bin` stores tile words, for the benches and the repo
+//!   benchmark's kernel probe.  Serial and allocation-free; the GrB layer
+//!   runs it once over the whole frontier.  The full-precision push is
 //!   `kernels::bmm::csr_push_full` at `k = 1`.
 
 use rayon::prelude::*;
@@ -422,39 +426,79 @@ fn bin_full_full_tile_row<W: BitWord>(
 // Push (sparse-frontier) kernels
 // ---------------------------------------------------------------------------
 
-/// `bmv_push_bin_bin()`: push-direction Boolean BMV.  `frontier` lists the
-/// active *row* indices of `a` in ascending order; the out-edges of those
-/// rows are scattered into `y`, which holds one word per tile-column of `a`
-/// (bit `c` of word `tc` = output position `tc * dim + c`) and must be
-/// zeroed by the caller.
+/// `bmv_push_bin_bin()`: push-direction Boolean BMV in tile words.
+/// `frontier` lists the active *row* indices of `a` in ascending order; the
+/// out-edges of those rows are scattered into `y`, which holds one word per
+/// tile-column of `a` (bit `c` of word `tc` = output position `tc * dim +
+/// c`) and must be zeroed by the caller.
 ///
 /// Because the bits of a B2SR tile row *are* that row's column indicator,
 /// the scatter is a plain word-OR of the frontier rows' tile words — no
-/// per-edge index arithmetic at all.  Serial and allocation-free; the GrB
-/// layer runs it once over the whole ascending frontier.
+/// per-edge index arithmetic at all.  Serial and allocation-free.  The GrB
+/// layer runs [`tile_bits_push`], the same scatter into node words; this
+/// tile-word form serves the benches and the repo benchmark's kernel probe.
 pub fn bmv_push_bin_bin<W: BitWord>(a: &B2sr<W>, frontier: &[usize], y: &mut [W]) {
     debug_assert!(y.len() >= a.n_tile_cols(), "output has too few tile words");
+    push_tile_rows(a, frontier, |tc, acc| y[tc] |= acc);
+}
+
+/// `tile_bits_push()`: push-direction Boolean BMV in node words — the
+/// tile-matrix sibling of [`csr_bits_push`](super::csr_bits_push).  The
+/// out-edges of the ascending `frontier` rows are OR-ed into `yw`
+/// (`ncols / 64` words rounded up, zeroed by the caller; bit `c % 64` of
+/// word `c / 64` is column `c`): each tile's OR of selected rows goes
+/// straight into the node word that holds its tile-column, shifted into
+/// place (`dim` divides 64, so a tile never straddles two node words).  The
+/// cost is the frontier's tiles; no word outside them is read or written.
+/// Serial and allocation-free; returns the tiles it OR-ed into `yw`.
+///
+/// # Panics
+/// Panics if `yw` holds too few words.
+pub fn tile_bits_push<W: BitWord>(a: &B2sr<W>, frontier: &[usize], yw: &mut [u64]) -> usize {
+    assert!(
+        yw.len() >= a.ncols().div_ceil(64),
+        "output has too few node words"
+    );
     let dim = a.tile_dim();
+    let per = 64 / dim;
+    push_tile_rows(a, frontier, |tc, acc| {
+        yw[tc / per] |= acc.to_u64() << (tc % per * dim)
+    })
+}
+
+/// The one push scatter body: for each tile-row the ascending `frontier`
+/// touches, gather its frontier rows into a selector word, OR each tile's
+/// selected row words into `acc` and hand `store(tile_col, acc)` the
+/// result.  Returns the tiles stored.
+#[inline(always)]
+fn push_tile_rows<W: BitWord>(
+    a: &B2sr<W>,
+    frontier: &[usize],
+    mut store: impl FnMut(usize, W),
+) -> usize {
+    let dim = a.tile_dim();
+    let mut stored = 0;
     let mut i = 0;
     while i < frontier.len() {
         let tr = frontier[i] / dim;
         debug_assert!(frontier[i] < a.nrows(), "frontier row out of range");
-        // Gather all frontier rows of this tile-row into one selector word.
         let mut fw = W::ZERO;
         while i < frontier.len() && frontier[i] / dim == tr {
             fw = fw.with_bit((frontier[i] % dim) as u32);
             i += 1;
         }
-        for idx in a.tile_row_range(tr) {
-            let tc = a.tile_colind()[idx];
+        let range = a.tile_row_range(tr);
+        stored += range.len();
+        for idx in range {
             let words = a.tile_words(idx);
-            let mut acc = y[tc];
+            let mut acc = W::ZERO;
             for r in fw.iter_ones() {
                 acc |= words[r as usize];
             }
-            y[tc] = acc;
+            store(a.tile_colind()[idx], acc);
         }
     }
+    stored
 }
 
 #[cfg(test)]
@@ -731,6 +775,8 @@ pub(crate) mod tests {
         y
     }
 
+    /// Both stores of the push scatter — tile words and node words — equal
+    /// the per-edge reference at every width.
     #[test]
     fn push_bin_bin_matches_scatter_reference_all_variants() {
         let a = sample(97, 29);
@@ -743,6 +789,10 @@ pub(crate) mod tests {
                 bmv_push_bin_bin(&b, &frontier, &mut y);
                 let yb = unpacked(&y, $dim, a.ncols());
                 assert_eq!(yb, expected, "dim {}", $dim);
+                let mut yw = vec![0u64; a.ncols().div_ceil(64)];
+                tile_bits_push(&b, &frontier, &mut yw);
+                let node = (0..a.ncols()).map(|c| yw[c / 64] >> (c % 64) & 1 == 1);
+                assert!(node.eq(expected.iter().copied()), "dim {} node words", $dim);
             }};
         }
         check!(u8, 4);

@@ -9,11 +9,13 @@
 //!   full-precision scheme has one sweep, `bmv_bin_full_full_fused_into`,
 //!   which finishes each row through a closure (mask, epilogue stages,
 //!   accumulator); `bmv_bin_full_full_into` is its identity-finish
-//!   shorthand.  Plus the Boolean push-direction (sparse-frontier) kernel
-//!   `bmv_push_bin_bin`.  Every scheme has one tile body; the two `_simd`
-//!   names are forwards the repo benchmark imports.  The GrB layer runs the
-//!   bin/bin/bin pull (`bmv_bin_bin_bin_masked_into`) and the push on a
-//!   tiled matrix's node words; the other schemes serve the paper's tables
+//!   shorthand.  Plus the Boolean push-direction (sparse-frontier) scatter,
+//!   one body stored two ways: into tile words (`bmv_push_bin_bin`) and
+//!   straight into node words (`tile_bits_push`).  Every scheme has one
+//!   tile body; the two `_simd` names are forwards the repo benchmark
+//!   imports.  The GrB layer runs the bin/bin/bin pull
+//!   (`bmv_bin_bin_bin_masked_into`) and `tile_bits_push` on a tiled
+//!   matrix's node words; the other schemes serve the paper's tables
 //!   (`fig6_7_kernels`), the benches and the repo benchmark's kernel probes.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
@@ -63,7 +65,9 @@
 //! measured slower than these serial ones on every push they served:
 //! `csr_bits_push` and `csr_lanes_push` 1.44× and 1.17× on R-MAT,
 //! `csr_push_full` 1.6–3× on batched pushes, and the node-word tile scatter
-//! (`bmv_push_bin_bin`) 1.38–1.97× on the mesh.
+//! (then `bmv_push_bin_bin` into privatized tile words) 1.38–1.97× on the
+//! mesh.  The node-word pushes, `csr_bits_push` and `tile_bits_push`, OR
+//! into the output's node words directly and return the word ORs they did.
 
 pub mod bmm;
 pub mod bmv;
@@ -79,5 +83,5 @@ pub use bmv::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,
     bmv_bin_bin_full_masked, bmv_bin_full_full_fused_into, bmv_bin_full_full_into,
     bmv_bin_full_full_simd_into, bmv_push_bin_bin, pack_vector_bits, pack_vector_bits_into,
-    pack_vector_tilewise_into,
+    pack_vector_tilewise_into, tile_bits_push,
 };

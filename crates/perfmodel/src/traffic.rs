@@ -33,6 +33,8 @@ pub struct B2srLayout {
     nrows: usize,
     ncols: usize,
     tile_dim: usize,
+    /// Tile-row `tr`'s tiles are `tile_colind[tile_rowptr[tr]..tile_rowptr[tr + 1]]`.
+    tile_rowptr: Vec<usize>,
     /// Tile-column index of every non-empty tile, in storage order
     /// (tile-row major, ascending tile column within a tile-row).
     tile_colind: Vec<usize>,
@@ -40,26 +42,38 @@ pub struct B2srLayout {
 
 impl B2srLayout {
     /// Compute the layout a CSR→B2SR conversion with `tile_dim` tiles would
-    /// produce, without converting: one pass over the nonzeros per tile-row.
+    /// produce, without converting: one pass over the stored entries per
+    /// tile-row, which marks each tile column with the last tile-row that
+    /// reached it, then a sort of the tiles that tile-row reached (not of
+    /// its entries).  Like the converter, every stored entry — an explicit
+    /// zero too — reaches its tile.
     pub fn from_csr(csr: &Csr, tile_dim: usize) -> Self {
         assert!(tile_dim > 0, "tile_dim must be positive");
         let nrows = csr.nrows();
         let n_tile_rows = nrows.div_ceil(tile_dim);
+        let mut tile_rowptr = Vec::with_capacity(n_tile_rows + 1);
+        tile_rowptr.push(0);
         let mut tile_colind = Vec::new();
-        let mut bucket: Vec<usize> = Vec::new();
+        let mut reached_by = vec![usize::MAX; csr.ncols().div_ceil(tile_dim)];
         for tr in 0..n_tile_rows {
-            bucket.clear();
+            let first = tile_colind.len();
             for r in tr * tile_dim..((tr + 1) * tile_dim).min(nrows) {
-                bucket.extend(csr.row(r).0.iter().map(|&c| c / tile_dim));
+                for &c in csr.row(r).0 {
+                    let tc = c / tile_dim;
+                    if reached_by[tc] != tr {
+                        reached_by[tc] = tr;
+                        tile_colind.push(tc);
+                    }
+                }
             }
-            bucket.sort_unstable();
-            bucket.dedup();
-            tile_colind.extend_from_slice(&bucket);
+            tile_colind[first..].sort_unstable();
+            tile_rowptr.push(tile_colind.len());
         }
         B2srLayout {
             nrows,
             ncols: csr.ncols(),
             tile_dim,
+            tile_rowptr,
             tile_colind,
         }
     }
@@ -87,6 +101,12 @@ impl B2srLayout {
     /// Number of tile rows.
     pub fn n_tile_rows(&self) -> usize {
         self.nrows.div_ceil(self.tile_dim)
+    }
+
+    /// Tile-row offsets into [`tile_colind`](Self::tile_colind):
+    /// `n_tile_rows() + 1` entries, the converter's `tile_rowptr`.
+    pub fn tile_rowptr(&self) -> &[usize] {
+        &self.tile_rowptr
     }
 
     /// The tile-column index of every non-empty tile, in storage order.
