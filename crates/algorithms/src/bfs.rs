@@ -7,8 +7,9 @@
 //! one round to the next ([`NodeBits`], [`Op::vxm_bits`]), and the mask is a
 //! bitwise AND-NOT right before the output store.  The rounds run on the
 //! format whose fill wins (Table V): a matrix that holds tiles sweeps them
-//! (`bmv_bin_bin_bin_masked_into()`) and scatters each frontier tile's
-//! rows straight into node words (`tile_bits_push()`), one too
+//! reading and writing node words in place (`tile_bits_pull()`) and
+//! scatters each frontier tile's rows straight into node words
+//! (`tile_bits_push()`), one too
 //! sparse to hold any (`MIN_TILE_FILL`) pulls from its CSR
 //! (`csr_bits_pull()`) and scatters CSR node words serially
 //! (`csr_bits_push()`).  The paper's GPU kernel walks every tile

@@ -15,7 +15,7 @@ use bitgblas_bench::scattered_tiles;
 use bitgblas_core::b2sr::convert::from_csr;
 use bitgblas_core::grb::{Direction, LaneBits, Op};
 use bitgblas_core::kernels::{
-    bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_fused_into,
+    bmm_bin_bin_sum, bmm_bin_bin_sum_masked_nt, bmm_bin_full_into, bmv_bin_full_full_into,
     csr_push_full, csr_words_masked_count, csr_words_masked_count_portable, RowWords,
 };
 use bitgblas_core::{Backend, EdgeDelta, Matrix, Semiring, TileSize};
@@ -198,7 +198,7 @@ fn bmm_tc_fill_benches(c: &mut Criterion) {
 }
 
 /// The batched full-precision product: the B2SR-8 pull sweep at three batch
-/// widths under both served semirings, the fused single-vector sweep it
+/// widths under both served semirings, the single-vector sweep it
 /// must stay close to at `k = 1`, and the push scatter (over the CSR, as
 /// every backend pushes full precision) from a 1 % frontier.  `rmat_s14` is
 /// the repo benchmark's R-MAT graph, where two thirds of the B2SR-8 tiles
@@ -229,8 +229,8 @@ fn bmm_batched_benches(c: &mut Criterion) {
             let x = operand(n);
             let mut y = vec![0.0f32; padded];
             group.bench_function(
-                BenchmarkId::new(format!("bmv_bin_full_full_fused_into/{semiring:?}"), name),
-                |b| b.iter(|| bmv_bin_full_full_fused_into(&b8, &x, semiring, |_, t| t, &mut y)),
+                BenchmarkId::new(format!("bmv_bin_full_full_into/{semiring:?}"), name),
+                |b| b.iter(|| bmv_bin_full_full_into(&b8, &x, semiring, &mut y)),
             );
         }
 

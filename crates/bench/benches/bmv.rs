@@ -18,7 +18,7 @@ use bitgblas_core::kernels::{
     bmm_bin_bits_into, bmm_push_bits, bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into,
     bmv_bin_bin_full_masked, bmv_bin_full_full_into, bmv_push_bin_bin, csr_bits_pull,
     csr_bits_push, csr_lanes_pull, csr_lanes_push, csr_pull_full, pack_vector_bits,
-    pack_vector_tilewise_into, tile_bits_push,
+    pack_vector_tilewise_into, tile_bits_pull, tile_bits_push,
 };
 use bitgblas_core::{Semiring, TileSize};
 use bitgblas_datagen::generators;
@@ -437,11 +437,10 @@ fn bool_csr_rows(group: &mut criterion::BenchmarkGroup<'_>, csr: &Csr, ops: &Boo
 }
 
 /// The tile Boolean pull and push of one state on one width: the masked
-/// tile-word sweep, the tile-word scatter and the node-word scatter the
-/// engine runs (`tile_push_words`, [`tile_bits_push`]) at `k = 1`, the
-/// lane-word sweep and scatter at `k = 64`.  Bare kernels; the engine's
-/// single-vector pull also re-lays its words out each way (`n / 8` bytes),
-/// which `tile_pull` leaves out.
+/// tile-word sweep and scatter, and the node-word sweep and scatter the
+/// engine runs (`tile_pull_words`, [`tile_bits_pull`]; `tile_push_words`,
+/// [`tile_bits_push`]) at `k = 1`, the lane-word sweep and scatter at
+/// `k = 64`.  Bare kernels.
 fn bool_tile_rows<W: BitWord>(
     group: &mut criterion::BenchmarkGroup<'_>,
     width: &str,
@@ -457,13 +456,16 @@ fn bool_tile_rows<W: BitWord>(
         group.bench_function(format!("{id}/{width}/tile_pull"), |b| {
             b.iter(|| bmv_bin_bin_bin_masked_into(m, &x, Some(&sup), &mut y))
         });
+        let mut yw = vec![0u64; m.nrows().max(m.ncols()).div_ceil(64)];
+        group.bench_function(format!("{id}/{width}/tile_pull_words"), |b| {
+            b.iter(|| tile_bits_pull(m, &ops.xw, Some(&ops.sup), &mut yw))
+        });
         group.bench_function(format!("{id}/{width}/tile_push"), |b| {
             b.iter(|| {
                 y.fill(W::ZERO);
                 bmv_push_bin_bin(m, &ops.frontier, &mut y)
             })
         });
-        let mut yw = vec![0u64; m.ncols().div_ceil(64)];
         group.bench_function(format!("{id}/{width}/tile_push_words"), |b| {
             b.iter(|| {
                 yw.fill(0);
@@ -495,8 +497,8 @@ fn bool_tile_rows<W: BitWord>(
 /// `l`-th highest-degree vertex, the single vector from the highest.  Pulls
 /// and pushes walk the rows of the matrix itself.  Ids read
 /// `{graph}/k{1,64}/{state}/csr_{pull,push}` and
-/// `…/{width}_{bits per tile}_bits/tile_{pull,push,push_words}`
-/// (`tile_push_words` at `k = 1` only).  Not in CI but for
+/// `…/{width}_{bits per tile}_bits/tile_{pull,pull_words,push,push_words}`
+/// (the `_words` arms at `k = 1` only).  Not in CI but for
 /// its R-MAT rows (`-- bmv_bool_fill/rmat`, ≈ 13 s with the file's set-up);
 /// all of it takes ≈ 3 min.
 fn bmv_bool_fill_benches(c: &mut Criterion) {

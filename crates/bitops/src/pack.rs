@@ -9,8 +9,8 @@
 //!   `BVal[i] = (BVal[i] << 1) | (f[i] > 0)` repeated per column.
 //!
 //! The functions here implement both packings for a generic square tile of
-//! dimension `dim ≤ 32` stored as a row-major `f32` slice, plus the nibble
-//! packing (two 4-bit rows per `u8`) used by B2SR-4.
+//! dimension `dim ≤ 32` stored as a row-major `f32` slice.  B2SR-4 stores
+//! one `u8` per 4-bit tile row, so nothing here packs two rows per byte.
 
 use crate::intrinsics::{ballot_from, brev_u32};
 use crate::word::BitWord;
@@ -145,44 +145,6 @@ fn transpose_8x8(mut x: u64) -> u64 {
     x ^ t ^ (t << 28)
 }
 
-/// Pack two 4-bit rows into each `u8`: nibble packing for B2SR-4 (§III-B).
-///
-/// `rows` holds one 4-bit row per entry (only the low nibble used); the result
-/// has `ceil(len/2)` bytes, with even rows in the low nibble and odd rows in
-/// the high nibble.
-pub fn pack_nibbles(rows: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rows.len().div_ceil(2));
-    let mut it = rows.chunks(2);
-    for pair in &mut it {
-        let low = pair[0] & 0x0F;
-        let high = if pair.len() > 1 {
-            (pair[1] & 0x0F) << 4
-        } else {
-            0
-        };
-        out.push(low | high);
-    }
-    out
-}
-
-/// Inverse of [`pack_nibbles`]: expand each byte back into two 4-bit rows.
-/// `n_rows` tells how many rows were originally packed (to drop a padding
-/// nibble when the count was odd).
-pub fn unpack_nibbles(packed: &[u8], n_rows: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n_rows);
-    for &byte in packed {
-        out.push(byte & 0x0F);
-        if out.len() < n_rows {
-            out.push(byte >> 4);
-        }
-        if out.len() >= n_rows {
-            break;
-        }
-    }
-    out.truncate(n_rows);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,23 +213,6 @@ mod tests {
     fn packing_16_into_u8_panics() {
         let tile = sample_tile(16);
         let _ = pack_tile_rowmajor::<u8>(&tile, 16);
-    }
-
-    #[test]
-    fn nibble_roundtrip_even_and_odd() {
-        let rows: Vec<u8> = vec![0b0001, 0b1010, 0b0110, 0b1111, 0b0101];
-        let packed = pack_nibbles(&rows);
-        assert_eq!(packed.len(), 3);
-        assert_eq!(unpack_nibbles(&packed, rows.len()), rows);
-
-        let even: Vec<u8> = vec![0xF, 0x1, 0x2, 0x3];
-        assert_eq!(unpack_nibbles(&pack_nibbles(&even), 4), even);
-    }
-
-    #[test]
-    fn nibble_packing_halves_storage() {
-        let rows = vec![0x0Fu8; 64];
-        assert_eq!(pack_nibbles(&rows).len(), 32);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! | Tile size | Packing word | bits used per row |
 //! |-----------|--------------|-------------------|
-//! | 4×4       | `u8` (nibble)| 4                 |
+//! | 4×4       | `u8` (low 4) | 4                 |
 //! | 8×8       | `u8`         | 8                 |
 //! | 16×16     | `u16`        | 16                |
 //! | 32×32     | `u32`        | 32                |

@@ -72,13 +72,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use bitgblas_sparse::Csr;
 
 use crate::b2sr::convert::RetileCounts;
-use crate::faultinject::{FaultAction, InjectedPanic};
 use crate::grb::backend::BitB2sr;
 use crate::grb::error::GrbError;
 use crate::grb::lanebits::LaneBits;
 use crate::grb::multivec::lane_words_per_node;
 use crate::grb::op::Context;
-use crate::grb::plan::MxvPipeline;
+use crate::grb::plan::{poll_fail_point, MxvPipeline};
 use crate::grb::workspace::Workspace;
 use crate::kernels::simd::{andnot_into, or_into};
 use crate::semiring::with_semiring_ops;
@@ -851,7 +850,7 @@ impl VersionCell {
             };
             (inner.base.clone(), overlay)
         };
-        poll_delta_merge(ctx)?;
+        poll_fail_point(ctx, DELTA_MERGE_POINT)?;
         let (new_base, retiled) = fold(&base, &overlay);
         Ok(self.install(new_base, overlay.delta(), retiled))
     }
@@ -899,27 +898,6 @@ fn fold(base: &BitB2sr, overlay: &DeltaOverlay) -> (Arc<BitB2sr>, RetileCounts) 
         folded.carry_symmetry(symmetric);
     }
     (Arc::new(folded), counts)
-}
-
-/// Poll [`DELTA_MERGE_POINT`] on the context's injector, mirroring the
-/// planner's dispatch fail points: `Panic` unwinds with the recognisable
-/// [`InjectedPanic`] payload, `Transient` becomes a typed error, `Latency`
-/// is counted upstream.
-fn poll_delta_merge(ctx: &Context) -> Result<(), GrbError> {
-    if let Some(inj) = ctx.fault_injector() {
-        match inj.fire(DELTA_MERGE_POINT, None) {
-            Some(FaultAction::Panic) => std::panic::panic_any(InjectedPanic {
-                point: DELTA_MERGE_POINT,
-            }),
-            Some(FaultAction::Transient) => {
-                return Err(GrbError::FaultInjected {
-                    point: DELTA_MERGE_POINT,
-                })
-            }
-            Some(FaultAction::Latency(_)) | None => {}
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1553,7 +1531,7 @@ mod tests {
 
     #[test]
     fn delta_merge_fail_point_leaves_the_epoch_intact() {
-        use crate::faultinject::{FailSpec, FaultInjector, FaultPlan};
+        use crate::faultinject::{FailSpec, FaultAction, FaultInjector, FaultPlan};
 
         let base = csr(4, &[(0, 1), (1, 2)]);
         let a = Matrix::from_csr(&base, Backend::FloatCsr);

@@ -52,13 +52,12 @@ use bitgblas_sparse::{ops as float_ops, Csr};
 
 use crate::b2sr::convert::{count_tiles, RetileCounts};
 use crate::b2sr::format::with_b2sr;
-use crate::b2sr::{B2sr, B2srMatrix, TileSize};
+use crate::b2sr::{B2srMatrix, TileSize};
 use crate::kernels::bmv::pack_segments_into;
 use crate::kernels::simd;
 use crate::kernels::{
-    bmm_bin_bin_sum_masked_nt, bmv_bin_bin_bin_masked_into, csr_bits_pull, csr_bits_push,
-    csr_lanes_pull, csr_lanes_push, csr_pull_full, csr_push_full, csr_words_masked_count,
-    tile_bits_push, RowWords,
+    bmm_bin_bin_sum_masked_nt, csr_bits_pull, csr_bits_push, csr_lanes_pull, csr_lanes_push,
+    csr_pull_full, csr_push_full, csr_words_masked_count, tile_bits_pull, tile_bits_push, RowWords,
 };
 use crate::semiring::{with_semiring_ops, BinaryOp, Semiring};
 
@@ -68,9 +67,8 @@ use super::expr::Stage;
 use super::lanebits::{expand_lane_words_into, pack_lane_words_from};
 use super::matrix::Backend;
 use super::multivec::lane_words_per_node;
-use super::nodebits::{join_tile_words, split_into_tile_words};
 use super::plan::MxvPipeline;
-use super::workspace::{Poolable, Workspace};
+use super::workspace::Workspace;
 
 /// The masked product reduction over CSR views: `Σ_{(i,j) ∈ mask} (A ·
 /// B)[i][j]` with `bt` the second factor's transpose stored by rows (`B`'s
@@ -734,10 +732,14 @@ impl BitB2sr {
     /// way ([`Op::vxm_bits`](super::Op::vxm_bits)); the `f32` Boolean arm of
     /// `mxv_into` ([`boolean_vector`](Self::boolean_vector)) runs it between
     /// a pack and an expand.  The one product tiles serve beside the masked
-    /// reduction: a tiled matrix sweeps them ([`bits_pull`]) or ORs each
-    /// frontier tile straight into the output's node words
-    /// ([`tile_bits_push`]: no tile-word buffer, no re-layout); one without
-    /// runs [`csr_bits_pull`] or [`csr_bits_push`] on its CSR.  A push
+    /// reduction, in node words both ways: a tiled matrix's pull sweeps
+    /// them reading each operand and suppressed tile as a field of its node
+    /// word and ORing each tile-row into its output word
+    /// ([`tile_bits_pull`]), its push ORs each frontier tile straight into
+    /// the output's node words ([`tile_bits_push`]) — no tile-word buffer,
+    /// no re-layout; one without runs [`csr_bits_pull`] or
+    /// [`csr_bits_push`] on its CSR.  A pull sizes `yw` to the output's
+    /// node words and overwrites every one.  A push
     /// counts the words it wrote ([`ExecCounts::push_words`](super::ExecCounts)):
     /// the `yw` it zeroed plus the kernel's ORs, so beyond sizing `yw` it
     /// costs what its frontier touches.
@@ -762,14 +764,13 @@ impl BitB2sr {
                 });
                 ws.stats().record_push_words(words + ored);
             }
-            (None, Some(tiles)) => {
-                with_b2sr!(tiles, |m| bits_pull(m, xw, excluded, ws, yw))
-            }
-            (None, None) => {
-                let csr = self.csr_rep(transpose);
+            (None, tiles) => {
                 yw.clear();
-                yw.resize(csr.nrows().div_ceil(64), 0);
-                csr_bits_pull(csr, xw, excluded, yw);
+                yw.resize(self.produced(transpose).div_ceil(64), 0);
+                match tiles {
+                    Some(tiles) => with_b2sr!(tiles, |m| tile_bits_pull(m, xw, excluded, yw)),
+                    None => csr_bits_pull(self.csr_rep(transpose), xw, excluded, yw),
+                }
             }
         }
     }
@@ -925,37 +926,6 @@ fn seed_push_output(p: &MxvPipeline<'_>, produced: usize, out: &mut Vec<f32>) ->
             out.resize(produced, p.semiring.identity());
             false
         }
-    }
-}
-
-/// The single-vector Boolean pull sweep in node words on one B2SR width —
-/// `yw = (m ⊕.⊗ xw) & !sup`, the minimal-footprint bin/bin/bin scheme — the
-/// tile body under [`BitB2sr::bits_product`].  Operand and suppressed rows
-/// are re-laid out as tile words (`n / 8` bytes each), the sweep stops where
-/// the answer is known (`kernels::bmv`), and `yw` (a pooled buffer, sized
-/// here) receives the node words of `nrows` entries.
-fn bits_pull<W: BitWord + Poolable>(
-    m: &B2sr<W>,
-    xw: &[u64],
-    sup: Option<&[u64]>,
-    ws: &Workspace,
-    yw: &mut Vec<u64>,
-) {
-    let dim = m.tile_dim();
-    let mut xp: Vec<W> = ws.take_empty();
-    split_into_tile_words(xw, dim, m.n_tile_cols(), &mut xp);
-    let mp = sup.map(|sup| {
-        let mut mp: Vec<W> = ws.take_empty();
-        split_into_tile_words(sup, dim, m.n_tile_rows(), &mut mp);
-        mp
-    });
-    let mut tiles: Vec<W> = ws.take(m.n_tile_rows(), W::ZERO);
-    bmv_bin_bin_bin_masked_into(m, &xp, mp.as_deref(), &mut tiles);
-    join_tile_words(&tiles, dim, m.nrows(), yw);
-    ws.give(xp);
-    ws.give(tiles);
-    if let Some(mp) = mp {
-        ws.give(mp);
     }
 }
 
@@ -1909,9 +1879,9 @@ pub(crate) mod tests {
 
     /// The node-word push's tile scatter ([`tile_bits_push`], under
     /// [`BitB2sr::bits_product`]) ORs the same node words as the CSR
-    /// node-word push of a matrix without tiles and as the tile-word scatter
-    /// ([`bmv_push_bin_bin`]) joined into node words, `==` on words, at
-    /// every width: on a rectangular matrix whose 283 columns are a multiple
+    /// node-word push of a matrix without tiles, `==` on words, and bit for
+    /// bit the tile-word scatter ([`bmv_push_bin_bin`]), at every width: on
+    /// a rectangular matrix whose 283 columns are a multiple
     /// of neither 64 nor the tile width (the last tile is ragged), from an
     /// empty, a one-node, a spread, a last-tile-row-only and a fat frontier,
     /// bare and with an `excluded` set.  B2SR-4 keeps its tile words in the
@@ -1960,9 +1930,10 @@ pub(crate) mod tests {
 
                 let mut tile_words = vec![W::ZERO; b.n_tile_cols()];
                 bmv_push_bin_bin(&b, frontier, &mut tile_words);
-                let mut joined = Vec::new();
-                join_tile_words(&tile_words, dim, ncols, &mut joined);
-                assert_eq!(joined, node_words, "{what}: the tile-word scatter");
+                assert!(
+                    same_bits(&tile_words, dim, &node_words, ncols),
+                    "{what}: the tile-word scatter"
+                );
 
                 let xw = NodeBits::from_indices(a.nrows(), frontier);
                 let mut yw = vec![u64::MAX; 3];
@@ -1989,6 +1960,95 @@ pub(crate) mod tests {
         check::<u8>(&a, TileSize::S8, &frontiers, &excluded);
         check::<u16>(&a, TileSize::S16, &frontiers, &excluded);
         check::<u32>(&a, TileSize::S32, &frontiers, &excluded);
+    }
+
+    /// Tile words of `dim` bits hold exactly the first `n` bits of
+    /// `node_words` (bit `i % dim` of word `i / dim` against bit `i % 64` of
+    /// word `i / 64`), and no bit past `dim` in any tile word.
+    fn same_bits<W: BitWord>(tile_words: &[W], dim: usize, node_words: &[u64], n: usize) -> bool {
+        tile_words.iter().all(|w| w.to_u64() >> dim == 0)
+            && (0..n).all(|i| {
+                tile_words[i / dim].bit((i % dim) as u32)
+                    == (node_words[i / 64] >> (i % 64) & 1 == 1)
+            })
+    }
+
+    /// The node-word pull's tile sweep ([`tile_bits_pull`], under
+    /// [`BitB2sr::bits_product`]) stores the same node words as the CSR
+    /// node-word pull of a matrix without tiles ([`csr_bits_pull`]), `==` on
+    /// words, and bit for bit the tile-word sweep
+    /// ([`bmv_bin_bin_bin_masked_into`]), at every width: on the push
+    /// twin's ragged 300 × 283 matrix, from an empty, a one-node, a spread,
+    /// a last-tile-column-only and a fat operand, and one holding every
+    /// other 4-column tile, each bare and with suppressed rows that also
+    /// alternate by four.  At B2SR-4 every tile's neighbouring columns (and
+    /// rows) are then set where its own are not: a field read that kept the
+    /// next tile's bits would see them.
+    #[test]
+    fn tile_node_word_pull_equals_the_csr_pull() {
+        use crate::grb::NodeBits;
+        use crate::kernels::{bmv_bin_bin_bin_masked_into, pack_vector_bits};
+
+        let a = sample_coo(300, 283, 1200, 53).to_binary_csr();
+        let (nrows, ncols) = (a.nrows(), a.ncols());
+        let fat: Vec<usize> = (0..ncols).filter(|c| c % 3 != 1).collect();
+        let checker: Vec<usize> = (0..ncols).filter(|c| c / 4 % 2 == 1).collect();
+        let operands = [
+            vec![],
+            vec![7],
+            vec![0, 150, 282],
+            vec![281, 282],
+            fat,
+            checker,
+        ];
+        let sup: Vec<bool> = (0..nrows).map(|r| r / 4 % 2 == 1 || r % 5 == 0).collect();
+        fn check<W: BitWord>(a: &Csr, ts: TileSize, operands: &[Vec<usize>], sup: &[bool]) {
+            let (nrows, ncols, dim) = (a.nrows(), a.ncols(), ts.dim());
+            let b = from_csr::<W>(a, dim);
+            let (tiled, ws) = (twin(a, ts, true), Workspace::new());
+            let sup_words = NodeBits::from_indices(nrows, &ones(sup));
+            let sup_tiles = pack_vector_bits::<W>(sup, dim);
+            let mut reached = 0;
+            for operand in operands {
+                let xw = NodeBits::from_indices(ncols, operand);
+                let x: Vec<bool> = (0..ncols).map(|c| xw.get(c)).collect();
+                let xp = pack_vector_bits::<W>(&x, dim);
+                for masked in [false, true] {
+                    let what = format!(
+                        "dim {dim}, {} operand nodes, masked {masked}",
+                        operand.len()
+                    );
+                    let sup_w = masked.then_some(sup_words.as_words());
+                    let mut node_words = vec![u64::MAX; nrows.div_ceil(64)];
+                    csr_bits_pull(a, xw.as_words(), sup_w, &mut node_words);
+                    reached += node_words.iter().map(|w| w.count_ones()).sum::<u32>();
+
+                    let mut direct = vec![u64::MAX; nrows.div_ceil(64)];
+                    tile_bits_pull(&b, xw.as_words(), sup_w, &mut direct);
+                    assert_eq!(direct, node_words, "{what}: tile_bits_pull");
+
+                    let mut tile_words = vec![W::ONES; b.n_tile_rows()];
+                    let mp = masked.then_some(&sup_tiles[..]);
+                    bmv_bin_bin_bin_masked_into(&b, &xp, mp, &mut tile_words);
+                    assert!(
+                        same_bits(&tile_words, dim, &node_words, nrows),
+                        "{what}: the tile-word sweep"
+                    );
+
+                    let mut yw = vec![u64::MAX; 3];
+                    tiled.bits_product(xw.as_words(), None, sup_w, false, &ws, &mut yw);
+                    assert_eq!(yw, node_words, "{what}: bits_product");
+                }
+            }
+            assert!(reached > 0, "dim {dim}: some pull reaches a row");
+        }
+        fn ones(flags: &[bool]) -> Vec<usize> {
+            (0..flags.len()).filter(|&i| flags[i]).collect()
+        }
+        check::<u8>(&a, TileSize::S4, &operands, &sup);
+        check::<u8>(&a, TileSize::S8, &operands, &sup);
+        check::<u16>(&a, TileSize::S16, &operands, &sup);
+        check::<u32>(&a, TileSize::S32, &operands, &sup);
     }
 
     /// A node-word push writes what its frontier touches

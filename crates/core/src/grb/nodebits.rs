@@ -19,10 +19,13 @@
 //!
 //! `n.div_ceil(64)` `u64` words, bit `i % 64` of word `i / 64` is vertex `i`
 //! — independent of the matrix's tile width, like `LaneBits`.  A tiled
-//! matrix's pull re-lays the words out into its own tile words per product
-//! (`split_into_tile_words` / `join_tile_words`: `n / 8` bytes each way);
-//! its push ORs each tile straight into these words, `dim` bits at a time
-//! (`kernels::tile_bits_push`), and re-lays nothing.
+//! matrix's kernels read and write these words in place, `dim` bits at a
+//! time: tile `t`'s segment is the field at bit `t · dim` (`dim` divides
+//! 64).  Its pull reads each operand and suppressed field where it lies and
+//! ORs each tile-row's result into its output word
+//! (`kernels::tile_bits_pull`); its push ORs each tile straight into the
+//! word of its tile-column (`kernels::tile_bits_push`).  Neither re-lays
+//! anything.
 //! Bits past vertex `n - 1` in the last word are never set.
 
 use bitgblas_bitops::BitWord;
@@ -199,33 +202,6 @@ impl WordOps for NodeBits {
     }
 }
 
-/// Re-lay node words out as the `n_tiles` tile words of a `dim`-wide B2SR
-/// operand: tile word `t` holds entries `t*dim .. (t+1)*dim` in its low bits
-/// (`dim` divides 64, so a tile never straddles two node words).
-pub(crate) fn split_into_tile_words<W: BitWord>(
-    words: &[u64],
-    dim: usize,
-    n_tiles: usize,
-    out: &mut Vec<W>,
-) {
-    let per = 64 / dim;
-    let low = u64::MAX >> (64 - dim);
-    out.clear();
-    out.extend((0..n_tiles).map(|t| W::from_u64(words[t / per] >> (t % per * dim) & low)));
-}
-
-/// The inverse of [`split_into_tile_words`]: gather a kernel's tile words
-/// into the node words of `n` entries (`out` is sized here).
-pub(crate) fn join_tile_words<W: BitWord>(tiles: &[W], dim: usize, n: usize, out: &mut Vec<u64>) {
-    debug_assert_eq!(tiles.len(), n.div_ceil(dim));
-    let per = 64 / dim;
-    out.clear();
-    out.resize(n.div_ceil(64), 0);
-    for (t, w) in tiles.iter().enumerate() {
-        out[t / per] |= w.to_u64() << (t % per * dim);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,30 +237,6 @@ mod tests {
         // Past the limit it gives up with a prefix.
         let size = seen.frontier_into(&rows, 1, &mut list);
         assert_eq!((list.as_slice(), size.nodes), (&[4, 64][..], 2));
-    }
-
-    #[test]
-    fn tile_words_round_trip_at_every_width() {
-        // 101 leaves a ragged last tile at every width.
-        let bits = NodeBits::from_indices(101, &[0, 3, 4, 7, 8, 31, 32, 63, 64, 99, 100]);
-        fn check<W: BitWord>(bits: &NodeBits, dim: usize) {
-            let n_tiles = bits.len().div_ceil(dim);
-            let mut tiles: Vec<W> = vec![W::ONES; 2];
-            split_into_tile_words(bits.as_words(), dim, n_tiles, &mut tiles);
-            assert_eq!(tiles.len(), n_tiles);
-            for i in 0..bits.len() {
-                assert_eq!(tiles[i / dim].bit((i % dim) as u32), bits.get(i), "{dim}");
-            }
-            // B2SR-4 keeps the spare high bits of its `u8` words clear.
-            assert!(tiles.iter().all(|t| t.to_u64() >> dim == 0));
-            let mut back = vec![u64::MAX; 5];
-            join_tile_words(&tiles, dim, bits.len(), &mut back);
-            assert_eq!(back, bits.as_words(), "{dim}");
-        }
-        check::<u8>(&bits, 4);
-        check::<u8>(&bits, 8);
-        check::<u16>(&bits, 16);
-        check::<u32>(&bits, 32);
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //!
 //! # Ownership rules
 //!
-//! * `take_empty`/`take` transfer ownership of a pooled `Vec` to the caller;
-//!   the pool keeps no reference.  The buffer's *capacity* is recycled, its
-//!   contents are always reset (`take_empty` clears, `take` clears and
-//!   refills), so no data leaks between operations.
+//! * `take_empty` transfers ownership of a pooled `Vec` to the caller; the
+//!   pool keeps no reference.  The buffer's *capacity* is recycled, its
+//!   contents are always cleared, so no data leaks between operations.
 //! * `give` transfers ownership back.  Giving a buffer is optional — a
 //!   buffer that escapes (e.g. inside the [`Vector`](super::Vector) an op
 //!   returns) is simply dropped by its new owner, and the pool refills from
@@ -67,9 +66,8 @@ pub const SHELF_BYTE_CAP: usize = 8 << 20;
 /// Element types the workspace pool can hold buffers of.
 ///
 /// Implemented for the kernel-facing scalar types: `f32` (dense vectors),
-/// `bool` (mask views), `usize` (frontier index lists), the three B2SR
-/// packing words (`u8`, `u16`, `u32`) and the multi-vector lane words
-/// (`u64`).
+/// `usize` (frontier index lists) and `u64` (node and lane words — every
+/// Boolean product's operand, mask and output, whatever the tile width).
 pub trait Poolable: Copy + Send + 'static {
     /// The shelf of recycled buffers for this element type.
     fn shelf(pool: &mut BufferPool) -> &mut Vec<Vec<Self>>;
@@ -79,11 +77,7 @@ pub trait Poolable: Copy + Send + 'static {
 #[derive(Debug, Default)]
 pub struct BufferPool {
     f32s: Vec<Vec<f32>>,
-    bools: Vec<Vec<bool>>,
     usizes: Vec<Vec<usize>>,
-    u8s: Vec<Vec<u8>>,
-    u16s: Vec<Vec<u16>>,
-    u32s: Vec<Vec<u32>>,
     u64s: Vec<Vec<u64>>,
 }
 
@@ -99,11 +93,7 @@ macro_rules! poolable {
 }
 
 poolable!(f32, f32s);
-poolable!(bool, bools);
 poolable!(usize, usizes);
-poolable!(u8, u8s);
-poolable!(u16, u16s);
-poolable!(u32, u32s);
 poolable!(u64, u64s);
 
 /// The per-context execution workspace: striped buffer pools and op
@@ -179,14 +169,6 @@ impl Workspace {
             }
         }
         Vec::new()
-    }
-
-    /// Check out a buffer of exactly `len` elements, every one set to
-    /// `fill`.
-    pub fn take<T: Poolable>(&self, len: usize, fill: T) -> Vec<T> {
-        let mut buf = self.take_empty();
-        buf.resize(len, fill);
-        buf
     }
 
     /// Return a buffer to the calling thread's home stripe for later reuse.
@@ -450,15 +432,14 @@ mod tests {
     #[test]
     fn take_give_recycles_capacity() {
         let ws = Workspace::new();
-        let mut buf = ws.take::<f32>(100, 1.5);
-        assert_eq!(buf.len(), 100);
-        assert!(buf.iter().all(|&v| v == 1.5));
+        let mut buf = ws.take_empty::<f32>();
+        buf.resize(100, 1.5);
         buf.reserve(1000);
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
         ws.give(buf);
-        let again = ws.take::<f32>(50, 0.0);
-        assert_eq!(again.len(), 50);
+        let again = ws.take_empty::<f32>();
+        assert!(again.is_empty());
         assert_eq!(again.capacity(), cap, "capacity must be recycled");
         assert_eq!(again.as_ptr(), ptr, "the same buffer must come back");
     }
@@ -466,11 +447,14 @@ mod tests {
     #[test]
     fn shelves_are_typed_and_capped() {
         let ws = Workspace::new();
-        ws.give(vec![1u8; 4]);
-        ws.give(vec![1u16; 4]);
-        // The u8 shelf must not serve the u16 request's storage.
-        let b16 = ws.take::<u16>(2, 7);
-        assert_eq!(b16, vec![7, 7]);
+        let f32s = vec![1.5f32; 4];
+        let f32_ptr = f32s.as_ptr();
+        ws.give(f32s);
+        ws.give(vec![1u64; 8]);
+        // Each shelf serves its own type's storage.
+        assert_eq!(ws.take_empty::<u64>().capacity(), 8);
+        let back = ws.take_empty::<f32>();
+        assert_eq!(back.as_ptr(), f32_ptr);
         let bufs: Vec<Vec<usize>> = (0..2 * SHELF_CAP).map(|_| vec![0usize; 8]).collect();
         let newest_ptr = bufs.last().unwrap().as_ptr();
         for b in bufs {
@@ -523,23 +507,24 @@ mod tests {
     #[test]
     fn oversized_single_buffer_is_kept_but_alone() {
         let ws = Workspace::new();
-        ws.give(vec![0u8; 16]);
+        ws.give(vec![0u64; 16]);
         // A single buffer above the high-water mark evicts everything older
         // but is itself retained (it is the current steady-state size).
-        let big = vec![0u8; SHELF_BYTE_CAP + 1];
+        let big = vec![0u64; SHELF_BYTE_CAP / 8 + 1];
         let big_ptr = big.as_ptr();
         ws.give(big);
         let pool = ws.home_pool();
-        assert_eq!(pool.u8s.len(), 1);
-        assert_eq!(pool.u8s[0].as_ptr(), big_ptr);
+        assert_eq!(pool.u64s.len(), 1);
+        assert_eq!(pool.u64s[0].as_ptr(), big_ptr);
     }
 
     #[test]
     fn take_resets_contents() {
         let ws = Workspace::new();
         ws.give(vec![9.0f32; 64]);
-        let buf = ws.take::<f32>(32, 0.0);
-        assert!(buf.iter().all(|&v| v == 0.0), "stale data must be cleared");
+        let buf = ws.take_empty::<f32>();
+        assert!(buf.is_empty(), "stale data must be cleared");
+        assert_eq!(buf.capacity(), 64, "capacity must be recycled");
         let empty = ws.take_empty::<f32>();
         assert!(empty.is_empty());
     }

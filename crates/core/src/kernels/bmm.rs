@@ -30,7 +30,7 @@
 //!   so one `OR` per edge advances up to 64 traversals at once.  The
 //!   full-precision pull `bmm_bin_full_into` dispatches its semiring once
 //!   per call into a monomorphic sweep, enumerates a tile's set bits
-//!   tile-granular like the fused single-vector sweep, and folds each hit's
+//!   tile-granular like the single-vector sweep, and folds each hit's
 //!   `k` lanes with a plain loop the compiler vectorises.  The GrB layer
 //!   runs the CSR bodies below instead, which win at every fill the benches
 //!   sweep; these stay for the benches and the repo benchmark's probes,
@@ -390,7 +390,7 @@ pub fn bmm_push_bits<W: BitWord>(
 ///
 /// The semiring is resolved **once per call** (`with_semiring_ops!`), so
 /// each semiring gets a monomorphic sweep, and the sweep is tile-granular
-/// like [`bmv_bin_full_full_fused_into`]: a tile's row words pack into
+/// like [`bmv_bin_full_full_into`]: a tile's row words pack into
 /// 64-bit chunks and one `trailing_zeros` loop enumerates its set bits, each
 /// of which folds the operand node's `k` lanes into the output row's `k`
 /// lanes — a plain loop over two contiguous `k`-slices that vectorises.
@@ -406,7 +406,7 @@ pub fn bmm_push_bits<W: BitWord>(
 /// # Panics
 /// Panics if `x`, `y` or `xa` is shorter than the matrix requires.
 ///
-/// [`bmv_bin_full_full_fused_into`]: crate::kernels::bmv_bin_full_full_fused_into
+/// [`bmv_bin_full_full_into`]: crate::kernels::bmv_bin_full_full_into
 pub fn bmm_bin_full_into<W: BitWord>(
     a: &B2sr<W>,
     x: &[f32],
@@ -1826,9 +1826,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// At `k = 1` the batched pull sweep and the fused single-vector sweep
-    /// with the identity epilogue are the same function of the same inputs,
-    /// bit for bit, at every tile size — what retiring one of the two needs.
+    /// At `k = 1` the batched pull sweep and the single-vector sweep are the
+    /// same function of the same inputs, bit for bit, at every tile size —
+    /// what retiring one of the two needs.
     #[test]
     fn k_equals_one_equals_the_fused_single_vector_sweep_bitwise() {
         fn check<W: BitWord>(a: &Csr, dim: usize, semiring: Semiring, x: &[f32]) {
@@ -1836,9 +1836,9 @@ pub(crate) mod tests {
             let padded = b.n_tile_rows() * dim;
             let mut batched = vec![7.0f32; padded];
             bmm_bin_full_into(&b, x, 1, semiring, None, &mut batched);
-            let mut fused = vec![9.0f32; padded];
-            bmv_bin_full_full_fused_into(&b, x, semiring, |_, t| t, &mut fused);
-            for (i, (&g, &w)) in batched.iter().zip(&fused).enumerate() {
+            let mut single = vec![9.0f32; padded];
+            bmv_bin_full_full_into(&b, x, semiring, &mut single);
+            for (i, (&g, &w)) in batched.iter().zip(&single).enumerate() {
                 assert_same_bits(g, w, format_args!("{semiring:?} dim={dim} row {i}"));
             }
         }
@@ -2313,7 +2313,8 @@ pub(crate) mod tests {
 
     use crate::b2sr::format::with_b2sr;
     use crate::grb::MxvPipeline;
-    use crate::kernels::bmv::bmv_bin_full_full_fused_into;
+    use crate::kernels::bmv::bmv_bin_full_full_into;
+    use crate::kernels::bmv::tests::finish;
 
     /// The full-precision pull of one tiled B2SR width as a pipeline runs on
     /// it: the single-vector sweep finishing each row with the pipeline
@@ -2324,8 +2325,9 @@ pub(crate) mod tests {
         let (dim, k, semiring) = (m.tile_dim(), p.k, p.semiring);
         let mut out = vec![semiring.identity(); m.n_tile_rows() * dim * k];
         if single {
-            bmv_bin_full_full_fused_into(m, p.x, semiring, |i, t| p.finish(i, t), &mut out);
+            bmv_bin_full_full_into(m, p.x, semiring, &mut out);
             out.truncate(m.nrows());
+            finish(p, &mut out);
             return out;
         }
         let xa = semiring
@@ -2345,7 +2347,7 @@ pub(crate) mod tests {
     /// The engine's row pulls are the tile sweeps, bit for bit: `mxv_into`
     /// and `mxm_into` of the built-in backend — every full-precision pull
     /// reads the CSR ([`csr_pull_full`], and the batched row pull) — against
-    /// [`bmv_bin_full_full_fused_into`] and [`bmm_bin_full_into`] at every
+    /// [`bmv_bin_full_full_into`] and [`bmm_bin_full_into`] at every
     /// width, both orientations of a ragged rectangular matrix with hub rows
     /// and columns, one lane and batches of 3 and 64; bare, affine
     /// (PageRank), `min`-accumulated (SSSP), masked and complemented-mask

@@ -1,33 +1,43 @@
 //! BMV — Binarized sparse Matrix × Vector kernels (Table II).
 //!
-//! The adjacency matrix is in B2SR; the vector comes in one of two layouts:
+//! The adjacency matrix is in B2SR; the vector comes in one of three layouts:
 //!
 //! * **binarized** (`bin` input): packed one tile-segment per word, produced
 //!   by [`pack_vector_bits`] / [`pack_vector_tilewise_into`] — word `t` holds the
 //!   `tile_dim` vector entries of tile-column `t` in its low bits;
+//! * **node words** (`tile_bits_pull` / `tile_bits_push`): the GrB layer's
+//!   `NodeBits` layout, bit `i % 64` of `u64` word `i / 64` is entry `i`,
+//!   whatever the tile width — tile `t`'s segment is the `dim`-bit field at
+//!   bit `t · dim` (`dim` divides 64, so a field never straddles two words);
 //! * **full-precision** (`full` input): a plain `f32` slice.
 //!
 //! Each kernel processes one tile-row per logical warp, with one lane per
 //! tile row inside the tile (Listing 1 of the paper): lane `r` loads bit-row
 //! `r` of each tile, ANDs it against the vector word of that tile-column, and
-//! accumulates with `popc`.  Rayon parallelises over tile-rows.
+//! accumulates with `popc`.  Rayon parallelises over tile-rows, or over
+//! output words for the node-word pull.
 //!
 //! Two kernel families live here:
 //!
-//! * **pull** (`bmv_bin_*`, `bmv_..._into`) — the sweep described above,
-//!   over every tile-row.  The `_into` variants write into caller-supplied
-//!   buffers so the GrB layer's workspace pool can recycle them across
-//!   iterations.  Each scheme and its masked twin are one generic body whose
-//!   store-side mask hook the compiler specialises (a no-op when unmasked):
-//!   the `_masked` name takes `Option<mask>`.  The full-precision schemes
-//!   cost the matrix whatever the vector holds.  The Boolean bin/bin/bin
-//!   sweep costs what is left to find: it skips a tile whose column word is
-//!   empty, a tile-row whose every row the mask suppresses, and the rest of a
-//!   tile-row once every unsuppressed row is reached — Beamer's bottom-up
-//!   step, which is what a late BFS round is (most rows visited, the
-//!   unvisited ones low-degree).  The mask is still applied at the store, as
-//!   the paper's scheme has it; the paper's kernel does not exit early only
-//!   because a GPU warp would diverge, and a CPU tile-row loop has no warp.
+//! * **pull** (`bmv_bin_*`, `bmv_..._into`, `tile_bits_pull`) — the sweep
+//!   described above, over every tile-row.  The `_into` variants write into
+//!   caller-supplied buffers.  Each scheme and its masked twin are one
+//!   generic body whose store-side mask hook the compiler specialises (a
+//!   no-op when unmasked): the `_masked` name takes `Option<mask>`.  The
+//!   full-precision schemes cost the matrix whatever the vector holds.  The
+//!   Boolean bin/bin/bin sweep costs what is left to find: it skips a tile
+//!   whose column word is empty, a tile-row whose every row the mask
+//!   suppresses, and the rest of a tile-row once every unsuppressed row is
+//!   reached — Beamer's bottom-up step, which is what a late BFS round is
+//!   (most rows visited, the unvisited ones low-degree).  The mask is still
+//!   applied at the store, as the paper's scheme has it; the paper's kernel
+//!   does not exit early only because a GPU warp would diverge, and a CPU
+//!   tile-row loop has no warp.  One tile-row body, two stores:
+//!   `tile_bits_pull` reads operand and suppressed rows as fields of node
+//!   words and ORs each tile-row's result into its output node word, what
+//!   the GrB layer runs, with no tile-word buffer and no re-layout;
+//!   `bmv_bin_bin_bin_masked_into` stores tile words, for the benches and
+//!   the repo benchmark's kernel probe.
 //! * **push** — the Boolean sparse-frontier scatter: only the tiles of the
 //!   frontier's tile-rows are visited and their selected row words OR-ed
 //!   together, so the cost is the frontier's tiles.  One body, two stores:
@@ -49,24 +59,18 @@ use crate::semiring::{with_semiring_ops, Semiring};
 
 /// Pack a boolean vector into tile-granular words: word `t` holds entries
 /// `t*tile_dim .. (t+1)*tile_dim`, bit `i` = entry `t*tile_dim + i`.
+/// Branch-free: each word is assembled from its tile-segment with shift-OR
+/// writes, so the cost does not depend on how many flags are set.
 pub fn pack_vector_bits<W: BitWord>(v: &[bool], tile_dim: usize) -> Vec<W> {
     let mut words = Vec::new();
-    pack_vector_bits_into(v, tile_dim, &mut words);
+    pack_segments_into(v, tile_dim, &mut words, |&b| b);
     words
-}
-
-/// As [`pack_vector_bits`], writing into a caller-supplied buffer (resized
-/// to the word count) instead of allocating.  Branch-free: each word is
-/// assembled from its tile-segment with shift-OR writes, so the cost does
-/// not depend on how many flags are set.
-pub fn pack_vector_bits_into<W: BitWord>(v: &[bool], tile_dim: usize, words: &mut Vec<W>) {
-    pack_segments_into(v, tile_dim, words, |&b| b);
 }
 
 /// Pack a dense `f32` vector into tile-granular words (bit set where the
 /// entry is nonzero) — the "binarize the multiplier vector" step of the
 /// paper's BMV schemes — into a caller-supplied buffer (resized to the word
-/// count).  Branch-free like [`pack_vector_bits_into`].
+/// count).  Branch-free like [`pack_vector_bits`].
 pub fn pack_vector_tilewise_into<W: BitWord>(v: &[f32], tile_dim: usize, words: &mut Vec<W>) {
     pack_segments_into(v, tile_dim, words, |&x| x != 0.0);
 }
@@ -125,11 +129,11 @@ pub fn bmv_bin_bin_bin_simd_into<W: BitWord>(a: &B2sr<W>, x: &[W], y: &mut [W]) 
     bmv_bin_bin_bin_into(a, x, y);
 }
 
-/// The one sweep behind the Boolean pull schemes, masked or not: `keep(tr)`
-/// is the word of rows of tile-row `tr` the store lets through (all ones
-/// when unmasked — the compiler specialises each case).  Each tile-row is
-/// one [`bin_bin_bin_tile_row`]; the tiles it walked are a test's business
-/// and dropped here, so the sweep carries no counter.
+/// The tile-word sweep behind the Boolean pull schemes, masked or not:
+/// `keep(tr)` is the word of rows of tile-row `tr` the store lets through
+/// (all ones when unmasked — the compiler specialises each case).  Each
+/// tile-row is one [`bin_bin_bin_tile_row`]; the tiles it walked are a
+/// test's business and dropped here, so the sweep carries no counter.
 fn bin_bin_bin_sweep<W: BitWord>(
     a: &B2sr<W>,
     x: &[W],
@@ -140,11 +144,62 @@ fn bin_bin_bin_sweep<W: BitWord>(
     debug_assert!(y.len() >= a.n_tile_rows(), "output has too few tile words");
     y.par_iter_mut().enumerate().for_each(|(tr, out)| {
         *out = if tr < a.n_tile_rows() {
-            bin_bin_bin_tile_row(a, x, tr, keep(tr)).0
+            bin_bin_bin_tile_row(a, |tc| x[tc], tr, keep(tr)).0
         } else {
             W::ZERO
         };
     });
+}
+
+/// `tile_bits_pull()`: pull-direction Boolean BMV in node words — the
+/// tile-matrix sibling of [`csr_bits_pull`](super::csr_bits_pull), and the
+/// node-word store of the one tile-row body [`bmv_bin_bin_bin_masked_into`]
+/// runs.  Bit `r` of `yw` is set iff row `r` has an in-neighbour set in
+/// `xw` and is not set in `sup` (bit `i % 64` of word `i / 64` is entry `i`
+/// in all three).  Tile `t`'s operand or suppressed word is the `dim`-bit
+/// field of its node word at bit `t · dim`, read in place (`dim` divides
+/// 64, so a field never straddles two words), and each tile-row's result
+/// is OR-ed into its output node word at the same place.  `yw`, `nrows /
+/// 64` words rounded up, is fully overwritten.  Rayon parallelises over
+/// output words, as in `csr_bits_pull`.
+///
+/// # Panics
+/// Panics if `xw`, `sup` or `yw` holds too few words.
+pub fn tile_bits_pull<W: BitWord>(a: &B2sr<W>, xw: &[u64], sup: Option<&[u64]>, yw: &mut [u64]) {
+    let (dim, nrows) = (a.tile_dim(), a.nrows());
+    let words = nrows.div_ceil(64);
+    assert!(
+        xw.len() >= a.ncols().div_ceil(64),
+        "operand has too few node words"
+    );
+    assert!(yw.len() >= words, "output has too few node words");
+    assert!(
+        sup.is_none_or(|s| s.len() >= words),
+        "mask has too few node words"
+    );
+    yw[..words]
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(at, out)| {
+            let tile_rows = at * 64 / dim..nrows.min(at * 64 + 64).div_ceil(dim);
+            *out = tile_rows.fold(0, |acc, tr| {
+                let keep = sup.map_or(W::ONES, |s| !node_field::<W>(s, tr, dim));
+                let (got, _) = bin_bin_bin_tile_row(a, |tc| node_field(xw, tc, dim), tr, keep);
+                acc | got.to_u64() << (tr * dim % 64) as u32
+            });
+        });
+}
+
+/// Tile `t`'s `dim`-bit field of node words `w`: entries `t·dim ..
+/// (t+1)·dim` in the low bits, and nothing of tile `t + 1` above them — a
+/// B2SR-4 `u8` has room for four of its columns, which would defeat the
+/// tile-row body's empty-column skip.  The divisors are the constant 64:
+/// `t / (64 / dim)`, with the width known only at run time, costs a
+/// division per read.
+#[inline(always)]
+fn node_field<W: BitWord>(w: &[u64], t: usize, dim: usize) -> W {
+    let bit = t * dim;
+    W::from_u64(w[bit / 64] >> (bit % 64) & (u64::MAX >> (64 - dim)))
 }
 
 /// One tile-row of the Boolean pull: `(reached rows & keep, tiles walked)`.
@@ -159,9 +214,15 @@ fn bin_bin_bin_sweep<W: BitWord>(
 /// tile-row loop has no warp.  "Rows that exist" are `dim` per tile-row and
 /// fewer in a ragged last one, so neither B2SR-4's spare `u8` bits nor
 /// padding rows (which hold no edge) block saturation.  Within a tile, lane
-/// `r` tests row word `r` against the vector word of its tile-column.
+/// `r` tests row word `r` against the vector word of its tile-column,
+/// `x(tile_col)`: a tile word, or a field of a node word.
 #[inline(always)]
-fn bin_bin_bin_tile_row<W: BitWord>(a: &B2sr<W>, x: &[W], tr: usize, keep: W) -> (W, usize) {
+fn bin_bin_bin_tile_row<W: BitWord>(
+    a: &B2sr<W>,
+    x: impl Fn(usize) -> W,
+    tr: usize,
+    keep: W,
+) -> (W, usize) {
     let dim = a.tile_dim();
     let rows = dim.min(a.nrows() - tr * dim);
     let want = keep & W::from_u64(u64::MAX >> (64 - rows));
@@ -170,7 +231,7 @@ fn bin_bin_bin_tile_row<W: BitWord>(a: &B2sr<W>, x: &[W], tr: usize, keep: W) ->
         return (acc, walked);
     }
     for idx in a.tile_row_range(tr) {
-        let xw = x[a.tile_colind()[idx]];
+        let xw = x(a.tile_colind()[idx]);
         if xw == W::ZERO {
             continue;
         }
@@ -233,39 +294,10 @@ pub fn bmv_bin_bin_full_masked<W: BitWord>(a: &B2sr<W>, x: &[W], mask: Option<&[
 ///   adjacency matrix;
 /// * `Boolean` / `MaxTimes` analogous.
 ///
-/// Writes into a caller-supplied slice of padded length
-/// `n_tile_rows * tile_dim` (every entry is overwritten; the caller
-/// truncates to `nrows`) — the identity-finish shorthand of
-/// [`bmv_bin_full_full_fused_into`].
-pub fn bmv_bin_full_full_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    bmv_bin_full_full_fused_into(a, x, semiring, |_, t| t, y);
-}
-
-/// Forwards to [`bmv_bin_full_full_into`].  There is no SWAR full-precision
-/// sweep; the name exists only because `benchmark/src/layers.rs` imports it,
-/// and goes with the benchmark-only change that drops that probe.
-pub fn bmv_bin_full_full_simd_into<W: BitWord>(
-    a: &B2sr<W>,
-    x: &[f32],
-    semiring: Semiring,
-    y: &mut [f32],
-) {
-    bmv_bin_full_full_into(a, x, semiring, y);
-}
-
-/// `bmv_bin_full_full_fused_into()`: the full-precision pull sweep, bare or
-/// fused alike.  Computes each output row's raw semiring value `t_r` and
-/// stores `y[r] = finish(r, t_r)` — a caller packs the mask test, every
-/// element-wise epilogue stage and the accumulator into `finish`, so a whole
-/// `mxv → apply → accum` chain is one sweep over the matrix, and the bare
-/// product is the `|_, t| t` instantiation.  The GrB layer runs the CSR row
-/// pull `kernels::bmm::csr_pull_full` in its place, which wins at every
-/// fill (`grb::backend::MIN_TILE_FILL`) and gives the same bits.
+/// The GrB layer runs the CSR row pull `kernels::bmm::csr_pull_full` in its
+/// place, which wins at every fill (`grb::backend::MIN_TILE_FILL`) and gives
+/// the same bits; this sweep serves the benches and the repo benchmark's
+/// kernel probe.
 ///
 /// The semiring is dispatched **once per call** (not once per set bit): each
 /// semiring gets a monomorphised inner loop.  The sweep is tile-granular:
@@ -281,35 +313,45 @@ pub fn bmv_bin_full_full_simd_into<W: BitWord>(
 /// the tests pin it against.  Row accumulators live in a stack-local tile
 /// buffer instead of read-modify-writing `y` once per tile.
 ///
-/// `y` must have the padded length `n_tile_rows * tile_dim`; rows past
-/// `nrows` receive the semiring identity and are truncated by the caller.
-pub fn bmv_bin_full_full_fused_into<W: BitWord, F: Fn(usize, f32) -> f32 + Sync>(
+/// `y` must have the padded length `n_tile_rows * tile_dim` (every entry is
+/// overwritten); rows past `nrows` receive the semiring identity and are
+/// truncated by the caller.
+pub fn bmv_bin_full_full_into<W: BitWord>(
     a: &B2sr<W>,
     x: &[f32],
     semiring: Semiring,
-    finish: F,
     y: &mut [f32],
 ) {
     debug_assert!(x.len() >= a.ncols(), "vector shorter than matrix columns");
     with_semiring_ops!(semiring, |identity, combine, reduce| {
-        bit_fused_sweep(a, x, identity, combine, reduce, finish, y)
+        bin_full_full_sweep(a, x, identity, combine, reduce, y)
     })
 }
 
-/// The monomorphised tile-row sweep behind [`bmv_bin_full_full_fused_into`].
-fn bit_fused_sweep<W, C, R, F>(
+/// Forwards to [`bmv_bin_full_full_into`].  There is no SWAR full-precision
+/// sweep; the name exists only because `benchmark/src/layers.rs` imports it,
+/// and goes with the benchmark-only change that drops that probe.
+pub fn bmv_bin_full_full_simd_into<W: BitWord>(
+    a: &B2sr<W>,
+    x: &[f32],
+    semiring: Semiring,
+    y: &mut [f32],
+) {
+    bmv_bin_full_full_into(a, x, semiring, y);
+}
+
+/// The monomorphised tile-row sweep behind [`bmv_bin_full_full_into`].
+fn bin_full_full_sweep<W, C, R>(
     a: &B2sr<W>,
     x: &[f32],
     identity: f32,
     combine: C,
     reduce: R,
-    finish: F,
     y: &mut [f32],
 ) where
     W: BitWord,
     C: Fn(f32) -> f32 + Sync,
     R: Fn(f32, f32) -> f32 + Sync,
-    F: Fn(usize, f32) -> f32 + Sync,
 {
     let dim = a.tile_dim();
     let nrows = a.nrows();
@@ -330,12 +372,7 @@ fn bit_fused_sweep<W, C, R, F>(
         bin_full_full_tile_row(a, x, tr, &combine, &reduce, &mut acc);
         let row0 = tr * dim;
         for (r, v) in out.iter_mut().enumerate() {
-            let gr = row0 + r;
-            *v = if gr < nrows {
-                finish(gr, acc[r])
-            } else {
-                identity
-            };
+            *v = if row0 + r < nrows { acc[r] } else { identity };
         }
     });
 }
@@ -568,6 +605,14 @@ pub(crate) mod tests {
         y
     }
 
+    /// `MxvPipeline::finish` over a swept output's real rows: the mask,
+    /// the stages and the accumulator, in the order a fused store runs them.
+    pub(crate) fn finish(p: &MxvPipeline<'_>, y: &mut [f32]) {
+        for (i, v) in y.iter_mut().enumerate() {
+            *v = p.finish(i, *v);
+        }
+    }
+
     pub(crate) fn pull_full<W: BitWord>(a: &B2sr<W>, x: &[f32], semiring: Semiring) -> Vec<f32> {
         let mut y = vec![semiring.identity(); a.n_tile_rows() * a.tile_dim()];
         bmv_bin_full_full_into(a, x, semiring, &mut y);
@@ -753,7 +798,8 @@ pub(crate) mod tests {
         let semiring = Semiring::MinPlus(1.0);
         let p = bare_pipeline(&x, semiring, Some(&visited));
         let mut y = vec![42.0f32; 32];
-        bmv_bin_full_full_fused_into(&b, &x, semiring, |i, t| p.finish(i, t), &mut y);
+        bmv_bin_full_full_into(&b, &x, semiring, &mut y);
+        finish(&p, &mut y[..a.nrows()]);
         let unmasked = pull_full(&b, &x, semiring);
         for (i, &v) in y.iter().enumerate() {
             if visited.allows(i) {
@@ -886,9 +932,6 @@ pub(crate) mod tests {
         bmv_bin_bin_bin_into(&b, &xp, &mut yw);
         assert_eq!(yw, pull_bits(&b, &xp));
 
-        let visited: Vec<bool> = (0..50).map(|i| i % 2 == 0).collect();
-        let mp = pack_vector_bits::<u8>(&visited, 8);
-
         let padded = b.n_tile_rows() * 8;
         let mut yf = vec![42.0f32; padded];
         bmv_bin_full_full_into(&b, &x, Semiring::Arithmetic, &mut yf);
@@ -897,50 +940,6 @@ pub(crate) mod tests {
         let mut packed = vec![0u8; 1];
         pack_vector_tilewise_into(&x, 8, &mut packed);
         assert_eq!(packed, xp);
-        let mut packed_b = vec![0u8; 99];
-        pack_vector_bits_into(&visited, 8, &mut packed_b);
-        assert_eq!(packed_b, mp);
-    }
-
-    #[test]
-    fn fused_sweep_matches_generic_kernel_plus_finish() {
-        let a = sample(77, 51);
-        let x = sample_x(77);
-        let epilogue = |r: usize, t: f32| 2.0 * t + r as f32;
-        for semiring in [
-            Semiring::Arithmetic,
-            Semiring::Boolean,
-            Semiring::MinPlus(1.0),
-            Semiring::MaxTimes(1.0),
-        ] {
-            macro_rules! check {
-                ($w:ty, $dim:expr) => {{
-                    let b = from_csr::<$w>(&a, $dim);
-                    let padded = b.n_tile_rows() * $dim;
-                    let mut fused = vec![42.0f32; padded];
-                    bmv_bin_full_full_fused_into(&b, &x, semiring, epilogue, &mut fused);
-                    let generic = pull_full(&b, &x, semiring);
-                    for (r, &want_raw) in generic.iter().enumerate() {
-                        let want = epilogue(r, want_raw);
-                        let got = fused[r];
-                        let both_inf = got.is_infinite() && want.is_infinite();
-                        assert!(
-                            both_inf || (got - want).abs() < 1e-4,
-                            "{semiring:?} dim {}: row {r}: {got} vs {want}",
-                            $dim
-                        );
-                    }
-                    // Padded tail rows hold the identity.
-                    for &v in &fused[a.nrows()..] {
-                        assert_eq!(v, semiring.identity(), "{semiring:?}");
-                    }
-                }};
-            }
-            check!(u8, 4);
-            check!(u8, 8);
-            check!(u16, 16);
-            check!(u32, 32);
-        }
     }
 
     #[test]
@@ -963,11 +962,11 @@ pub(crate) mod tests {
             .collect();
         macro_rules! check {
             ($w:ty, $dim:expr) => {{
-                // Stale contents and a wrong length must not survive.
-                let mut words: Vec<$w> = vec![<$w>::MAX; 3];
-                pack_vector_bits_into(&flags, $dim, &mut words);
+                let words = pack_vector_bits::<$w>(&flags, $dim);
                 assert_eq!(words.len(), 101usize.div_ceil($dim));
                 assert_eq!(unpacked(&words, $dim, 101), flags, "bits {}", $dim);
+                // Stale contents and a wrong length must not survive.
+                let mut words: Vec<$w> = vec![<$w>::MAX; 3];
                 pack_vector_tilewise_into(&f, $dim, &mut words);
                 assert_eq!(unpacked(&words, $dim, 101), flags, "f32 {}", $dim);
             }};
@@ -1062,13 +1061,26 @@ pub(crate) mod tests {
         }
     }
 
-    /// Tiles whose words one Boolean pull reads, summed over tile-rows.
+    /// Tiles whose words one Boolean pull reads, summed over tile-rows —
+    /// the same in every tile-row whether operand and suppressed rows are
+    /// tile words or fields of node words ([`node_field`]).
     fn tiles_walked<W: BitWord>(b: &B2sr<W>, x: &[bool], sup: &[bool]) -> usize {
-        let xp = pack_vector_bits::<W>(x, b.tile_dim());
-        let mp = pack_vector_bits::<W>(sup, b.tile_dim());
-        (0..b.n_tile_rows())
-            .map(|tr| bin_bin_bin_tile_row(b, &xp, tr, !mp[tr]).1)
-            .sum()
+        let dim = b.tile_dim();
+        let (xp, mp) = (
+            pack_vector_bits::<W>(x, dim),
+            pack_vector_bits::<W>(sup, dim),
+        );
+        let (mut xw, mut sw) = (Vec::new(), Vec::new());
+        pack_segments_into(x, 64, &mut xw, |&set| set);
+        pack_segments_into(sup, 64, &mut sw, |&set| set);
+        let walked = |tr: usize| {
+            let tiles = bin_bin_bin_tile_row(b, |tc| xp[tc], tr, !mp[tr]).1;
+            let keep = !node_field::<W>(&sw, tr, dim);
+            let fields = bin_bin_bin_tile_row(b, |tc| node_field(&xw, tc, dim), tr, keep).1;
+            assert_eq!(tiles, fields, "dim {dim} tile-row {tr}: node-word fields");
+            tiles
+        };
+        (0..b.n_tile_rows()).map(walked).sum()
     }
 
     /// "A pull walks what is left", as counts: removing the early exit, the
@@ -1182,9 +1194,9 @@ pub(crate) mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// One `(matrix, operand, semiring)` case on one width: the bare
-    /// shorthand, and the sweep finished by `MxvPipeline::finish` with no
-    /// mask, a mask and a complemented mask, against the reference.
+    /// One `(matrix, operand, semiring)` case on one width: the bare sweep,
+    /// and the sweep finished by `MxvPipeline::finish` with no mask, a mask
+    /// and a complemented mask, against the reference.
     fn check_sweep_against_reference<W: BitWord>(
         a: &Csr,
         dim: usize,
@@ -1207,7 +1219,8 @@ pub(crate) mod tests {
         for mask in &masks {
             let p = bare_pipeline(x, semiring, mask.as_ref());
             y.fill(-7.0);
-            bmv_bin_full_full_fused_into(&b, x, semiring, |i, t| p.finish(i, t), &mut y);
+            bmv_bin_full_full_into(&b, x, semiring, &mut y);
+            finish(&p, &mut y[..a.nrows()]);
             let want = reference_bin_full_full(&b, x, semiring, mask.as_ref());
             assert_eq!(bits(&y), bits(&want), "{mask:?} {what}");
         }

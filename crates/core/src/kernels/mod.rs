@@ -6,17 +6,17 @@
 //!   the `_masked` names (`bmv_bin_bin_bin_masked_into`,
 //!   `bmv_bin_bin_full_masked`) take an `Option` mask, and the sweep behind
 //!   both is generic over a store-side mask hook the compiler specialises.  The
-//!   full-precision scheme has one sweep, `bmv_bin_full_full_fused_into`,
-//!   which finishes each row through a closure (mask, epilogue stages,
-//!   accumulator); `bmv_bin_full_full_into` is its identity-finish
-//!   shorthand.  Plus the Boolean push-direction (sparse-frontier) scatter,
-//!   one body stored two ways: into tile words (`bmv_push_bin_bin`) and
-//!   straight into node words (`tile_bits_push`).  Every scheme has one
-//!   tile body; the two `_simd` names are forwards the repo benchmark
-//!   imports.  The GrB layer runs the bin/bin/bin pull
-//!   (`bmv_bin_bin_bin_masked_into`) and `tile_bits_push` on a tiled
-//!   matrix's node words; the other schemes serve the paper's tables
-//!   (`fig6_7_kernels`), the benches and the repo benchmark's kernel probes.
+//!   full-precision scheme has one sweep, `bmv_bin_full_full_into`.  The
+//!   Boolean pull has one tile-row body stored two ways: into tile words
+//!   (`bmv_bin_bin_bin_masked_into`) and straight into node words
+//!   (`tile_bits_pull`, each tile-column's operand read as a field of its
+//!   node word); so has the Boolean push-direction (sparse-frontier)
+//!   scatter: `bmv_push_bin_bin` and `tile_bits_push`.  Every scheme has
+//!   one tile body; the two `_simd` names are forwards the repo benchmark
+//!   imports.  The GrB layer runs `tile_bits_pull` and `tile_bits_push` on
+//!   a tiled matrix's node words; the other schemes serve the paper's
+//!   tables (`fig6_7_kernels`), the benches and the repo benchmark's kernel
+//!   probes.
 //! * [`bmm`] — Binarized Matrix × Matrix: the two schemes of Table III
 //!   (`bmm_bin_bin_sum` and `bmm_bin_bin_sum_masked`), which reduce the
 //!   product to a full-precision scalar as required by Triangle Counting.
@@ -48,8 +48,8 @@
 //!   accumulators and adds the weight once per row.  Beside them the Boolean
 //!   products over the same rows, operand and output binarized as §V
 //!   prescribes: `csr_bits_pull` / `csr_bits_push` in node words (one bit per
-//!   vertex), what a bit matrix without tiles runs instead of the bin/bin/bin
-//!   tile kernels, and `csr_lanes_pull` / `csr_lanes_push` in lane words (one
+//!   vertex), what a bit matrix without tiles runs instead of
+//!   `tile_bits_pull` / `tile_bits_push`, and `csr_lanes_pull` / `csr_lanes_push` in lane words (one
 //!   bit per traversal), what every bit matrix's batched Boolean product runs.
 //!
 //! Each kernel is structured like the paper's CUDA listings: the tile-rows
@@ -57,7 +57,8 @@
 //! inner loop walks the non-empty tiles of that tile-row, and the
 //! per-element work is a bitwise AND followed by a population count.  The
 //! warp scheduling of the GPU is replaced by Rayon parallelism over
-//! tile-rows; everything inside a tile-row is deterministic.
+//! tile-rows (the node-word pulls fan out over output words, 64 rows
+//! each); everything inside a tile-row is deterministic.
 //!
 //! The push kernels are serial by construction, and the GrB layer runs each
 //! once over the whole ascending frontier, so a push's folds group alike
@@ -81,7 +82,6 @@ pub use bmm::{
 };
 pub use bmv::{
     bmv_bin_bin_bin_into, bmv_bin_bin_bin_masked_into, bmv_bin_bin_bin_simd_into,
-    bmv_bin_bin_full_masked, bmv_bin_full_full_fused_into, bmv_bin_full_full_into,
-    bmv_bin_full_full_simd_into, bmv_push_bin_bin, pack_vector_bits, pack_vector_bits_into,
-    pack_vector_tilewise_into, tile_bits_push,
+    bmv_bin_bin_full_masked, bmv_bin_full_full_into, bmv_bin_full_full_simd_into, bmv_push_bin_bin,
+    pack_vector_bits, pack_vector_tilewise_into, tile_bits_pull, tile_bits_push,
 };

@@ -17,9 +17,8 @@
 //!
 //! * **RQ-2 (computation)** — [`kernels`] implements the BMV and BMM schemes of
 //!   Tables II and III: `bmv_bin_bin_bin_into`, `bmv_bin_bin_full_masked`
-//!   (each one body with its masked twin), `bmv_bin_full_full_fused_into`
-//!   (one sweep that finishes each row through a closure — mask, fused
-//!   epilogue or nothing) and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
+//!   (each one body with its masked twin), `bmv_bin_full_full_into`
+//!   and `bmm_bin_bin_sum` (plus the masked variant used by Triangle Counting,
 //!   `bmm_bin_bin_sum_masked_nt`, which reads both factors by rows, and
 //!   which a matrix too sparse to hold tiles replaces with the same AND +
 //!   popcount over its CSR rows packed into 64-column words,

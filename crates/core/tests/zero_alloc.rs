@@ -190,8 +190,8 @@ fn assert_bfs_levels_allocation_free(a: &Matrix, direction: Direction, what: &st
     let mut frontier = NodeBits::from_indices(n, &[0]);
     let mut visited = frontier.clone();
 
-    // Warm-up: the first iterations grow the pool (frontier list, tile
-    // words, node words) to their steady-state capacities.
+    // Warm-up: the first iterations grow the pool (frontier list, node
+    // words) to their steady-state capacities.
     for level in 1..=8i64 {
         bfs_level(
             a,
@@ -374,11 +374,16 @@ fn fused_sssp_accum_pipeline_is_allocation_free_after_warmup() {
 
 /// The pull direction must meet the same bar as the push paths: after
 /// warm-up, a pull round of `bfs` allocates **zero** bytes per iteration —
-/// the frontier and suppressed-row tile words, the tile-row output words and
-/// the result's node words all cycle through the workspace pool.
+/// the result's node words cycle through the workspace pool, and the pull
+/// reads the operand and suppressed-row node words in place — on the chain
+/// without tiles (the CSR word pull) and on its dense-tile twin (the tile
+/// pull, which stages no tile words).
 #[test]
 fn pull_bfs_inner_loop_is_allocation_free_after_warmup() {
-    assert_bfs_levels_allocation_free(&chain(512), Direction::Pull, "pull");
+    for tiles in [Tiles::Plain, Tiles::Dense] {
+        let a = chain_tiled(512, &[], tiles);
+        assert_bfs_levels_allocation_free(&a, Direction::Pull, &format!("pull {tiles:?}"));
+    }
 }
 
 /// A masked bare full-precision pull — the min-plus relaxation sweep with a
